@@ -19,6 +19,21 @@ cargo clippy -p vf2boost-core -p vf2-channel --lib -- -D warnings
 echo "== cargo test =="
 cargo test --workspace -q
 
+# The vendored rayon stand-in is a path dependency, not a workspace member,
+# so `--workspace` does not reach its tests: the pool's contract (order,
+# inline-at-width-1, nested-inline, lowest-index error, panic payload) at
+# every width x length the workspace can hand it.
+echo "== pool contract gate (vendored rayon) =="
+cargo test -q -p rayon
+
+# Worker-invariance gate: real Paillier at workers in {1, 2, 4} in every
+# protocol mode — bitwise-identical models, and under the sequential
+# protocol equal op counts and bytes (column-sharded builds add no merge
+# work); a workers=1 run starts no pool thread. The outer timeout turns a
+# pool deadlock into a failure.
+echo "== worker invariance gate (5 min cap) =="
+timeout 300 cargo test -q --test workers_invariance
+
 # Kill-and-restart chaos gate: a party is crashed mid-run and the job is
 # resumed from checkpoints; the model must come back bitwise identical
 # across a deterministic 3-seed matrix (61/71/81) covering every

@@ -168,9 +168,11 @@ pub struct TrainConfig {
     /// live survivors to exercise the rewind barrier. `None` in
     /// production.
     pub crash_host_on_node_task: Option<(u32, u32)>,
-    /// Chaos knob: histogram worker shard 0 panics *inside the rayon
-    /// scope* while accumulating this tree's root, exercising the
-    /// worker-panic recovery path. `None` in production.
+    /// Chaos knob: the encrypted histogram build of this tree panics
+    /// where column shard 0 runs — inside the party pool's `install`, at
+    /// the first accumulation (the root's first batch) — exercising the
+    /// worker-panic containment path at any `workers`. `None` in
+    /// production.
     pub crash_hist_worker_on_tree: Option<u32>,
     /// Misbehavior tolerance budget per peer: how many protocol
     /// violations (out-of-phase messages, replays, inadmissible payloads)
@@ -208,8 +210,12 @@ pub struct TrainConfig {
     /// many-party chaos run exercises *rolling* per-link stalls instead
     /// of one synchronized outage. Zero leaves the plans unshifted.
     pub stall_stagger: Duration,
-    /// Data-parallel workers inside each party (shards per histogram
-    /// build; also the rayon pool width per party).
+    /// Data-parallel workers inside each party: the width of the party's
+    /// rayon pool, and so the number of column ranges an encrypted
+    /// histogram build is cut into, of features a payload is packed or
+    /// decrypted over at once, and of chunks a gradient batch is
+    /// encrypted in. Changes wall time only — ciphers, op counts and bytes
+    /// are the same at every width — and `1` starts no thread at all.
     pub workers: usize,
     /// Master seed: keys, encryption randomness, and exponent jitter all
     /// derive from it.

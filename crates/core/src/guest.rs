@@ -1189,19 +1189,12 @@ impl GuestParty {
             let (g_seed, h_seed) = (split_seed(seed, 0), split_seed(seed, 1));
             let t0 = Stopwatch::start(self.cfg.workers <= 1);
             self.telemetry.trace.enter(TracePhase::Encrypt, Some(ctx.tree), None);
-            let (g_res, h_res) = if self.cfg.workers <= 1 {
+            let (g_res, h_res) = self.pool.install(|| {
                 (
-                    self.suite.encrypt_batch_seq(&g_vals[start..end], g_seed),
-                    self.suite.encrypt_batch_seq(&h_vals[start..end], h_seed),
+                    self.suite.encrypt_batch(&g_vals[start..end], g_seed),
+                    self.suite.encrypt_batch(&h_vals[start..end], h_seed),
                 )
-            } else {
-                self.pool.install(|| {
-                    (
-                        self.suite.encrypt_batch(&g_vals[start..end], g_seed),
-                        self.suite.encrypt_batch(&h_vals[start..end], h_seed),
-                    )
-                })
-            };
+            });
             let g_cts = g_res.map_err(TrainError::crypto("gradient encryption"))?;
             let h_cts = h_res.map_err(TrainError::crypto("hessian encryption"))?;
             self.telemetry.phases.encrypt += t0.elapsed();
@@ -1242,23 +1235,9 @@ impl GuestParty {
             let seed = split_seed(self.batch_seed(ctx.tree, start), 2);
             let t0 = Stopwatch::start(self.cfg.workers <= 1);
             self.telemetry.trace.enter(TracePhase::Encrypt, Some(ctx.tree), None);
-            let res = if self.cfg.workers <= 1 {
-                self.suite.encrypt_gh_batch_seq(
-                    &g_vals[start..end],
-                    &h_vals[start..end],
-                    &plan,
-                    seed,
-                )
-            } else {
-                self.pool.install(|| {
-                    self.suite.encrypt_gh_batch(
-                        &g_vals[start..end],
-                        &h_vals[start..end],
-                        &plan,
-                        seed,
-                    )
-                })
-            };
+            let res = self.pool.install(|| {
+                self.suite.encrypt_gh_batch(&g_vals[start..end], &h_vals[start..end], &plan, seed)
+            });
             let gh = res.map_err(TrainError::crypto("gh-pair encryption"))?;
             self.telemetry.phases.encrypt += t0.elapsed();
             self.telemetry.trace.exit(TracePhase::Encrypt, Some(ctx.tree), None);
@@ -1449,24 +1428,24 @@ impl GuestParty {
         count: usize,
     ) -> Result<Option<SplitCandidate>, TrainError> {
         let t0 = Stopwatch::start(self.cfg.workers <= 1);
-        let best = self.host_best_split_core(host, payload, total, count, self.cfg.workers > 1);
+        let best = self.pool.install(|| self.host_best_split_core(host, payload, total, count));
         self.telemetry.phases.decrypt_find += t0.elapsed();
         best
     }
 
     /// The decrypt-and-search kernel behind [`Self::host_best_split`].
     /// Borrows `self` immutably so a batch of histograms from different
-    /// parties can be searched concurrently on the rayon pool; `parallel`
-    /// selects per-feature fan-out (a caller already running on the pool
-    /// passes `false` and parallelizes across payloads instead). Timing
-    /// is charged by the callers, which know the batch boundaries.
+    /// parties can be searched concurrently on the rayon pool. Under the
+    /// caller's `install` it fans out per feature; called from a pool
+    /// chunk (one of several payloads being searched at once) it runs
+    /// inline. Timing is charged by the callers, which know the batch
+    /// boundaries.
     fn host_best_split_core(
         &self,
         host: usize,
         payload: &HistPayload,
         total: GradPair,
         count: usize,
-        parallel: bool,
     ) -> Result<Option<SplitCandidate>, TrainError> {
         // The payload shape must match the host's announced metadata; a
         // mismatch is a protocol violation, not a crash.
@@ -1572,46 +1551,22 @@ impl GuestParty {
             let hist = vf2_gbdt::histogram::Histogram { bins };
             Ok(find_best_split(f, &hist, total, &split_params))
         };
-        type FeatureResult = Result<Option<SplitCandidate>, TrainError>;
-        let results: Vec<FeatureResult> = if !parallel {
-            match payload {
-                HistPayload::Raw(features) => {
-                    features.iter().enumerate().map(per_feature_raw).collect()
-                }
-                HistPayload::Packed(features) => {
-                    features.iter().enumerate().map(per_feature_packed).collect()
-                }
-                HistPayload::GhRaw(features) => {
-                    features.iter().enumerate().map(per_feature_gh_raw).collect()
-                }
-                HistPayload::GhPacked(features) => {
-                    features.iter().enumerate().map(per_feature_gh_packed).collect()
-                }
+        use rayon::prelude::*;
+        let candidates: Result<Vec<Option<SplitCandidate>>, TrainError> = match payload {
+            HistPayload::Raw(features) => {
+                features.par_iter().enumerate().map(per_feature_raw).collect()
             }
-        } else {
-            use rayon::prelude::*;
-            self.pool.install(|| match payload {
-                HistPayload::Raw(features) => {
-                    features.par_iter().enumerate().map(per_feature_raw).collect()
-                }
-                HistPayload::Packed(features) => {
-                    features.par_iter().enumerate().map(per_feature_packed).collect()
-                }
-                HistPayload::GhRaw(features) => {
-                    features.par_iter().enumerate().map(per_feature_gh_raw).collect()
-                }
-                HistPayload::GhPacked(features) => {
-                    features.par_iter().enumerate().map(per_feature_gh_packed).collect()
-                }
-            })
+            HistPayload::Packed(features) => {
+                features.par_iter().enumerate().map(per_feature_packed).collect()
+            }
+            HistPayload::GhRaw(features) => {
+                features.par_iter().enumerate().map(per_feature_gh_raw).collect()
+            }
+            HistPayload::GhPacked(features) => {
+                features.par_iter().enumerate().map(per_feature_gh_packed).collect()
+            }
         };
-        let mut candidates = Vec::new();
-        for r in results {
-            if let Some(c) = r? {
-                candidates.push(c);
-            }
-        }
-        Ok(best_of(candidates))
+        Ok(best_of(candidates?.into_iter().flatten()))
     }
 
     /// Picks the winner among the guest's and all hosts' candidates.
@@ -1939,7 +1894,8 @@ impl GuestParty {
     /// re-check; host index breaks ties exactly like [`Self::winner`].
     /// The decrypt itself fans out across the rayon pool: across payloads
     /// when the batch has several, across features inside the single
-    /// payload otherwise.
+    /// payload otherwise (a one-item parallel call runs inline, leaving
+    /// the pool to the nested per-feature call).
     fn commit_hist_batch(
         &mut self,
         ctx: &mut TreeCtx,
@@ -1980,24 +1936,12 @@ impl GuestParty {
             .collect();
         let t0 = Stopwatch::start(self.cfg.workers <= 1);
         type BestResult = Result<Option<SplitCandidate>, TrainError>;
-        let results: Vec<BestResult> = if jobs.len() == 1 || self.cfg.workers <= 1 {
-            jobs.iter()
-                .map(|&(p, total, count)| {
-                    self.host_best_split_core(
-                        p.host,
-                        &p.payload,
-                        total,
-                        count,
-                        self.cfg.workers > 1,
-                    )
-                })
-                .collect()
-        } else {
+        let results: Vec<BestResult> = {
             use rayon::prelude::*;
             self.pool.install(|| {
                 jobs.par_iter()
                     .map(|&(p, total, count)| {
-                        self.host_best_split_core(p.host, &p.payload, total, count, false)
+                        self.host_best_split_core(p.host, &p.payload, total, count)
                     })
                     .collect()
             })

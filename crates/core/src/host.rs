@@ -116,8 +116,9 @@ struct TreeState {
     enc_g: Vec<Ciphertext>,
     /// Stored encrypted hessians, indexed by row.
     enc_h: Vec<Ciphertext>,
-    /// Worker-sharded root histogram builders (gradients, hessians).
-    root_builders: Vec<(EncHistBuilder, EncHistBuilder)>,
+    /// The root histogram builders (gradients, hessians), accumulated as
+    /// batches arrive; taken when the root payload ships.
+    root: Option<(EncHistBuilder, EncHistBuilder)>,
     root_sent: bool,
     rows: NodeRows,
     /// Per-node encrypted histogram cache powering ciphertext subtraction.
@@ -567,26 +568,11 @@ impl HostParty {
         let stale = self.state.as_ref().is_none_or(|s| s.tree != tree);
         if stale {
             let n = self.csr.num_rows();
-            let workers = self.cfg.workers.max(1);
-            let mk = || {
-                (
-                    EncHistBuilder::new(
-                        &self.csr.col_meta,
-                        &self.cfg.encoding,
-                        self.cfg.protocol.reordered_accumulation,
-                    ),
-                    EncHistBuilder::new(
-                        &self.csr.col_meta,
-                        &self.cfg.encoding,
-                        self.cfg.protocol.reordered_accumulation,
-                    ),
-                )
-            };
             self.state = Some(TreeState {
                 tree,
                 enc_g: Vec::with_capacity(n),
                 enc_h: Vec::with_capacity(n),
-                root_builders: (0..workers).map(|_| mk()).collect(),
+                root: Some(self.new_builders()),
                 root_sent: false,
                 rows: NodeRows::new_tree(n, self.cfg.gbdt.max_layers),
                 cache: NodeHistCache::new(self.cfg.protocol.hist_cache_bytes),
@@ -896,7 +882,7 @@ impl HostParty {
                 }
                 .into());
             }
-            let payload = self.merge_and_payload_root()?;
+            let payload = self.root_payload()?;
             let Some(state) = self.state.as_mut() else {
                 return Err(state_invariant("tree state vanished after the root payload"));
             };
@@ -968,7 +954,7 @@ impl HostParty {
                 }
                 .into());
             }
-            let payload = self.merge_and_payload_root()?;
+            let payload = self.root_payload()?;
             let Some(state) = self.state.as_mut() else {
                 return Err(state_invariant("tree state vanished after the root payload"));
             };
@@ -980,119 +966,77 @@ impl HostParty {
         Ok(())
     }
 
-    /// Shard-parallel accumulation of rows `[start, end)` into the root
-    /// builders.
-    fn accumulate_rows_into_root(&mut self, start: usize, end: usize) -> Result<(), TrainError> {
-        let workers = self.cfg.workers.max(1);
-        let party_index = self.party_index;
-        let crash_tree = self.cfg.crash_hist_worker_on_tree;
-        let gh_mode = self.gh_active();
-        let Some(state) = self.state.as_mut() else {
-            return Err(state_invariant("root accumulation with no tree state"));
+    /// An empty (gradient, hessian) builder pair shaped by this host's
+    /// columns.
+    fn new_builders(&self) -> (EncHistBuilder, EncHistBuilder) {
+        let mk = || {
+            EncHistBuilder::new(
+                &self.csr.col_meta,
+                &self.cfg.encoding,
+                self.cfg.protocol.reordered_accumulation,
+            )
+        };
+        (mk(), mk())
+    }
+
+    /// Accumulates the stored ciphers of `rows` into one builder pair, the
+    /// columns sharded across the pool ([`EncHistBuilder::add_rows`]). A
+    /// panic on any worker — a bug, or the chaos knob below — is re-raised
+    /// on this thread by the pool and caught here, so it becomes a typed
+    /// `PartyPanicked` like any other party-level failure.
+    fn accumulate(
+        &self,
+        g: &mut EncHistBuilder,
+        h: &mut EncHistBuilder,
+        rows: &[u32],
+    ) -> Result<(), TrainError> {
+        let Some(state) = self.state.as_ref() else {
+            return Err(state_invariant("histogram accumulation with no tree state"));
         };
         let tree = state.tree;
-        let csr = &self.csr;
-        let suite = &self.suite;
-        let enc_g = &state.enc_g;
-        let enc_h = &state.enc_h;
-        let rows_per = (end - start).div_ceil(workers);
-        if rows_per == 0 {
-            return Ok(());
-        }
-        let crypto = TrainError::crypto("root histogram accumulation");
-        if workers <= 1 {
-            let (bg, bh) = &mut state.root_builders[0];
-            for row in start..end {
-                for &(f, bin) in csr.row(row) {
-                    bg.add(suite, f as usize, bin as usize, &enc_g[row]).map_err(&crypto)?;
-                    if !gh_mode {
-                        bh.add(suite, f as usize, bin as usize, &enc_h[row]).map_err(&crypto)?;
-                    }
+        let crash = self.cfg.crash_hist_worker_on_tree == Some(tree);
+        let work = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.pool.install(|| {
+                if crash {
+                    panic!("injected crash: histogram worker shard 0 dying in tree {tree}");
                 }
-            }
-            return Ok(());
-        }
-        // Shards cannot early-return out of the scope; the first failure —
-        // typed error or caught panic — is parked in a mutex and surfaced
-        // afterwards. Each worker body runs under `catch_unwind` so a
-        // panicking shard (a bug, or the chaos knob below) neither poisons
-        // the mutex for its siblings nor unwinds through `rayon::scope`
-        // (which would re-raise on the party thread); it becomes a typed
-        // `PartyPanicked` like any other party-level failure. The lock is
-        // still recovered with `into_inner` on poison as a second line of
-        // defense.
-        let first_error: std::sync::Mutex<Option<TrainError>> = std::sync::Mutex::new(None);
-        self.pool.install(|| {
-            rayon::scope(|scope| {
-                for (shard, (bg, bh)) in state.root_builders.iter_mut().enumerate() {
-                    let lo = start + shard * rows_per;
-                    let hi = (lo + rows_per).min(end);
-                    if lo >= hi {
-                        continue;
-                    }
-                    let first_error = &first_error;
-                    let crypto = &crypto;
-                    scope.spawn(move |_| {
-                        let work = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                            || -> Result<(), TrainError> {
-                                if shard == 0 && crash_tree == Some(tree) {
-                                    panic!("injected crash: histogram worker dying in tree {tree}");
-                                }
-                                for row in lo..hi {
-                                    for &(f, bin) in csr.row(row) {
-                                        bg.add(suite, f as usize, bin as usize, &enc_g[row])
-                                            .map_err(crypto)?;
-                                        if !gh_mode {
-                                            bh.add(suite, f as usize, bin as usize, &enc_h[row])
-                                                .map_err(crypto)?;
-                                        }
-                                    }
-                                }
-                                Ok(())
-                            },
-                        ));
-                        let parked = match work {
-                            Ok(Ok(())) => return,
-                            Ok(Err(e)) => e,
-                            Err(payload) => TrainError::PartyPanicked {
-                                party: PartyId::Host(party_index),
-                                detail: format!(
-                                    "histogram worker shard {shard}: {}",
-                                    panic_text(payload.as_ref())
-                                ),
-                            },
-                        };
-                        first_error
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .get_or_insert(parked);
-                    });
-                }
-            });
-        });
-        match first_error.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner) {
-            Some(e) => Err(e),
-            None => Ok(()),
+                let enc_h = (!self.gh_active()).then_some(&state.enc_h[..]);
+                EncHistBuilder::add_rows(
+                    &self.suite,
+                    &self.csr,
+                    rows,
+                    (g, &state.enc_g),
+                    (h, enc_h),
+                )
+            })
+        }));
+        match work {
+            Ok(done) => done.map_err(TrainError::crypto("encrypted histogram accumulation")),
+            Err(payload) => Err(TrainError::PartyPanicked {
+                party: PartyId::Host(self.party_index),
+                detail: format!("encrypted histogram build: {}", panic_text(payload.as_ref())),
+            }),
         }
     }
 
-    /// Merges root shards and produces the root histogram payload.
-    fn merge_and_payload_root(&mut self) -> Result<HistPayload, TrainError> {
-        let t0 = Stopwatch::start(self.cfg.workers <= 1);
-        let Some(state) = self.state.as_mut() else {
-            return Err(state_invariant("root merge with no tree state"));
+    /// Accumulates rows `[start, end)` into the root builders.
+    fn accumulate_rows_into_root(&mut self, start: usize, end: usize) -> Result<(), TrainError> {
+        let Some((mut g, mut h)) = self.state.as_mut().and_then(|s| s.root.take()) else {
+            return Err(state_invariant("root accumulation with no root builders"));
         };
-        let mut shards = std::mem::take(&mut state.root_builders);
-        if shards.is_empty() {
-            return Err(state_invariant("root merge found no shard builders"));
+        let rows: Vec<u32> = (start as u32..end as u32).collect();
+        self.accumulate(&mut g, &mut h, &rows)?;
+        if let Some(state) = self.state.as_mut() {
+            state.root = Some((g, h));
         }
-        let (mut g, mut h) = shards.remove(0);
-        let crypto = TrainError::crypto("root histogram merge");
-        for (sg, sh) in &shards {
-            g.merge(&self.suite, sg).map_err(&crypto)?;
-            h.merge(&self.suite, sh).map_err(&crypto)?;
-        }
-        self.telemetry.phases.build_hist_enc += t0.elapsed();
+        Ok(())
+    }
+
+    /// Produces the root histogram payload from the accumulated builders.
+    fn root_payload(&mut self) -> Result<HistPayload, TrainError> {
+        let Some((g, h)) = self.state.as_mut().and_then(|s| s.root.take()) else {
+            return Err(state_invariant("root payload with no root builders"));
+        };
         let count = self.csr.num_rows();
         let payload = self.make_payload(&g, &h, count)?;
         // Seed the cache with the root histogram (the blaster path is the
@@ -1259,63 +1203,25 @@ impl HostParty {
         }
     }
 
-    /// Worker-sharded histogram build for one node's rows.
+    /// Direct histogram build for one node's rows.
     fn build_node_builders(
         &self,
         rows: &[u32],
     ) -> Result<(EncHistBuilder, EncHistBuilder), TrainError> {
-        let workers = self.cfg.workers.max(1);
-        let Some(state) = self.state.as_ref() else {
-            return Err(state_invariant("node build with no tree state"));
-        };
-        let csr = &self.csr;
-        let suite = &self.suite;
-        let enc_g = &state.enc_g;
-        let enc_h = &state.enc_h;
-        let reordered = self.cfg.protocol.reordered_accumulation;
-        let gh_mode = self.gh_active();
-        let crypto = TrainError::crypto("node histogram accumulation");
-        let mk = || {
-            (
-                EncHistBuilder::new(&csr.col_meta, &self.cfg.encoding, reordered),
-                EncHistBuilder::new(&csr.col_meta, &self.cfg.encoding, reordered),
-            )
-        };
-        let build_part = |part: &[u32]| -> Result<(EncHistBuilder, EncHistBuilder), TrainError> {
-            let (mut g, mut h) = mk();
-            for &row in part {
-                for &(f, bin) in csr.row(row as usize) {
-                    g.add(suite, f as usize, bin as usize, &enc_g[row as usize])
-                        .map_err(&crypto)?;
-                    if !gh_mode {
-                        h.add(suite, f as usize, bin as usize, &enc_h[row as usize])
-                            .map_err(&crypto)?;
-                    }
-                }
-            }
-            Ok((g, h))
-        };
-        if workers <= 1 || rows.len() < 2 * workers {
-            return build_part(rows);
-        }
-        let chunk = rows.len().div_ceil(workers);
-        let shards: Vec<Result<(EncHistBuilder, EncHistBuilder), TrainError>> =
-            self.pool.install(|| {
-                use rayon::prelude::*;
-                rows.par_chunks(chunk).map(build_part).collect()
-            });
-        let merge_err = TrainError::crypto("node histogram merge");
-        let mut iter = shards.into_iter();
-        let Some(first) = iter.next() else {
-            return Err(state_invariant("parallel node build produced no shards"));
-        };
-        let (mut g, mut h) = first?;
-        for shard in iter {
-            let (sg, sh) = shard?;
-            g.merge(suite, &sg).map_err(&merge_err)?;
-            h.merge(suite, &sh).map_err(&merge_err)?;
-        }
+        let (mut g, mut h) = self.new_builders();
+        self.accumulate(&mut g, &mut h, rows)?;
         Ok((g, h))
+    }
+
+    /// Runs `one(f)` for every feature of `g` across the pool, in feature
+    /// order; the first failing feature's error wins.
+    fn per_feature<T: Send>(
+        &self,
+        g: &EncHistBuilder,
+        one: impl Fn(usize) -> Result<T, TrainError> + Send + Sync,
+    ) -> Result<Vec<T>, TrainError> {
+        use rayon::prelude::*;
+        self.pool.install(|| (0..g.num_features()).into_par_iter().map(one).collect())
     }
 
     /// Finalizes builders into the configured wire format.
@@ -1343,31 +1249,14 @@ impl HostParty {
                     pack_gh_feature_hist(suite, &bins, &plan, self.cfg.protocol.target_slot_bits)
                         .map_err(&crypto)
                 };
-                let features: Vec<Result<GhPackedFeatureHist, TrainError>> =
-                    if self.cfg.workers <= 1 {
-                        (0..g.num_features()).map(pack_one).collect()
-                    } else {
-                        self.pool.install(|| {
-                            use rayon::prelude::*;
-                            (0..g.num_features()).into_par_iter().map(pack_one).collect()
-                        })
-                    };
-                HistPayload::GhPacked(features.into_iter().collect::<Result<Vec<_>, _>>()?)
+                HistPayload::GhPacked(self.per_feature(g, pack_one)?)
             } else {
                 let raw_one = |f: usize| -> Result<GhFeatureHist, TrainError> {
                     Ok(GhFeatureHist {
                         bins: g.finalize_feature(suite, f, Some(target)).map_err(&crypto)?,
                     })
                 };
-                let features: Vec<Result<GhFeatureHist, TrainError>> = if self.cfg.workers <= 1 {
-                    (0..g.num_features()).map(raw_one).collect()
-                } else {
-                    self.pool.install(|| {
-                        use rayon::prelude::*;
-                        (0..g.num_features()).into_par_iter().map(raw_one).collect()
-                    })
-                };
-                HistPayload::GhRaw(features.into_iter().collect::<Result<Vec<_>, _>>()?)
+                HistPayload::GhRaw(self.per_feature(g, raw_one)?)
             }
         } else if self.cfg.protocol.pack_histograms {
             let target = max_exponent(&self.cfg.encoding);
@@ -1388,15 +1277,7 @@ impl HostParty {
                 )
                 .map_err(&crypto)
             };
-            let features: Vec<Result<PackedFeatureHist, TrainError>> = if self.cfg.workers <= 1 {
-                (0..g.num_features()).map(pack_one).collect()
-            } else {
-                self.pool.install(|| {
-                    use rayon::prelude::*;
-                    (0..g.num_features()).into_par_iter().map(pack_one).collect()
-                })
-            };
-            HistPayload::Packed(features.into_iter().collect::<Result<Vec<_>, _>>()?)
+            HistPayload::Packed(self.per_feature(g, pack_one)?)
         } else {
             let raw_one = |f: usize| -> Result<RawFeatureHist, TrainError> {
                 Ok(RawFeatureHist {
@@ -1404,15 +1285,7 @@ impl HostParty {
                     h: h.finalize_feature(suite, f, None).map_err(&crypto)?,
                 })
             };
-            let features: Vec<Result<RawFeatureHist, TrainError>> = if self.cfg.workers <= 1 {
-                (0..g.num_features()).map(raw_one).collect()
-            } else {
-                self.pool.install(|| {
-                    use rayon::prelude::*;
-                    (0..g.num_features()).into_par_iter().map(raw_one).collect()
-                })
-            };
-            HistPayload::Raw(features.into_iter().collect::<Result<Vec<_>, _>>()?)
+            HistPayload::Raw(self.per_feature(g, raw_one)?)
         };
         self.telemetry.phases.pack += t0.elapsed();
         self.telemetry.trace.exit(TracePhase::Pack, tree, None);

@@ -255,15 +255,17 @@ impl Suite {
         }
     }
 
-    /// Encrypts a batch sequentially on the calling thread (same
-    /// per-element derivation as [`Suite::encrypt_batch`], so the two are
-    /// interchangeable bit-for-bit).
-    pub fn encrypt_batch_seq(&self, values: &[f64], seed: u64) -> Result<Vec<Ciphertext>> {
+    /// Encrypts a batch, deterministically derived from `seed`, across the
+    /// enclosing rayon pool (inline outside one): element `i` draws from
+    /// its own `seed + i` stream, so the ciphers do not depend on the
+    /// pool's width. This is the encryption kernel of the blaster scheme.
+    pub fn encrypt_batch(&self, values: &[f64], seed: u64) -> Result<Vec<Ciphertext>> {
+        use rayon::prelude::*;
         match self.0.kind {
             SuiteKind::Paillier => {
                 let sk = self.sk()?;
                 values
-                    .iter()
+                    .par_iter()
                     .enumerate()
                     .map(|(i, &v)| {
                         let mut rng = StdRng::seed_from_u64(seed.wrapping_add(i as u64));
@@ -276,34 +278,6 @@ impl Suite {
                         )?))
                     })
                     .collect()
-            }
-            SuiteKind::Plain => self.encrypt_batch(values, seed),
-        }
-    }
-
-    /// Encrypts a batch in parallel (rayon), deterministically derived from
-    /// `seed`. This is the encryption kernel of the blaster scheme.
-    pub fn encrypt_batch(&self, values: &[f64], seed: u64) -> Result<Vec<Ciphertext>> {
-        use rayon::prelude::*;
-        match self.0.kind {
-            SuiteKind::Paillier => {
-                let sk = self.sk()?.clone();
-                let cfg = self.0.cfg;
-                let out: Result<Vec<Ciphertext>> = values
-                    .par_iter()
-                    .enumerate()
-                    .map(|(i, &v)| {
-                        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(i as u64));
-                        Ok(Ciphertext::Paillier(EncryptedNumber::encrypt(
-                            v,
-                            &sk,
-                            &cfg,
-                            &mut rng,
-                            &self.0.counters,
-                        )?))
-                    })
-                    .collect();
-                out
             }
             SuiteKind::Plain => {
                 self.0.counters.add_enc(values.len() as u64);
@@ -321,47 +295,12 @@ impl Suite {
         }
     }
 
-    /// Encrypts `(g, h)` pairs one packed plaintext each, sequentially on
-    /// the calling thread (same per-element derivation as
-    /// [`Suite::encrypt_gh_batch`], so the two are interchangeable
-    /// bit-for-bit). Paillier suites only — the mock keeps separate g/h
-    /// streams, so forward-path packing has nothing to gain there.
-    pub fn encrypt_gh_batch_seq(
-        &self,
-        g: &[f64],
-        h: &[f64],
-        plan: &GhPlan,
-        seed: u64,
-    ) -> Result<Vec<Ciphertext>> {
-        if g.len() != h.len() {
-            return Err(CryptoError::ShapeMismatch {
-                context: "encrypt_gh_batch g/h lengths",
-                left: g.len(),
-                right: h.len(),
-            });
-        }
-        if self.0.kind != SuiteKind::Paillier {
-            return Err(CryptoError::SuiteMismatch);
-        }
-        let sk = self.sk()?;
-        g.iter()
-            .zip(h)
-            .enumerate()
-            .map(|(i, (&gv, &hv))| {
-                let rep = plan.encode_pair(gv, hv, &self.0.cfg)?;
-                let mut rng = StdRng::seed_from_u64(seed.wrapping_add(i as u64));
-                let cipher = sk.encrypt_raw_ctr(&rep, &mut rng, &self.0.counters);
-                self.0.counters.add_enc(1);
-                self.0.counters.add_ghpack(1);
-                Ok(Ciphertext::Paillier(EncryptedNumber { cipher, exponent: plan.exponent }))
-            })
-            .collect()
-    }
-
-    /// Encrypts `(g, h)` pairs one packed plaintext each, in parallel
-    /// (rayon), deterministically derived from `seed`. The forward-path
-    /// counterpart of [`Suite::encrypt_batch`]: one Paillier encryption per
-    /// *pair* instead of one per value.
+    /// Encrypts `(g, h)` pairs one packed plaintext each, deterministically
+    /// derived from `seed`. The forward-path counterpart of
+    /// [`Suite::encrypt_batch`] (same fan-out, same width-independence):
+    /// one Paillier encryption per *pair* instead of one per value.
+    /// Paillier suites only — the mock keeps separate g/h streams, so
+    /// forward-path packing has nothing to gain there.
     pub fn encrypt_gh_batch(
         &self,
         g: &[f64],
@@ -380,13 +319,12 @@ impl Suite {
         if self.0.kind != SuiteKind::Paillier {
             return Err(CryptoError::SuiteMismatch);
         }
-        let sk = self.sk()?.clone();
-        let cfg = self.0.cfg;
+        let sk = self.sk()?;
         g.par_iter()
             .zip(h)
             .enumerate()
             .map(|(i, (&gv, &hv))| {
-                let rep = plan.encode_pair(gv, hv, &cfg)?;
+                let rep = plan.encode_pair(gv, hv, &self.0.cfg)?;
                 let mut rng = StdRng::seed_from_u64(seed.wrapping_add(i as u64));
                 let cipher = sk.encrypt_raw_ctr(&rep, &mut rng, &self.0.counters);
                 self.0.counters.add_enc(1);
@@ -900,7 +838,7 @@ mod tests {
         let g = [0.5, -0.25, 0.75, -1.0];
         let h = [0.25, 0.25, -0.125, 0.0];
         let before = s.counters().snapshot();
-        let cts = s.encrypt_gh_batch_seq(&g, &h, &plan, 77).unwrap();
+        let cts = s.encrypt_gh_batch(&g, &h, &plan, 77).unwrap();
         let delta = s.counters().snapshot().since(&before);
         assert_eq!(delta.enc, 4);
         assert_eq!(delta.ghpack, 4);
@@ -921,14 +859,20 @@ mod tests {
     }
 
     #[test]
-    fn gh_batch_parallel_matches_sequential() {
+    fn batches_are_bit_identical_at_every_pool_width() {
         let s = paillier_suite();
         let plan = GhPlan::new(1.0, 1.0, 16, s.encoding()).unwrap();
         let g: Vec<f64> = (0..10).map(|i| (i as f64) / 10.0 - 0.5).collect();
         let h: Vec<f64> = (0..10).map(|i| 0.25 - (i as f64) * 0.01).collect();
-        let a = s.encrypt_gh_batch_seq(&g, &h, &plan, 5).unwrap();
-        let b = s.encrypt_gh_batch(&g, &h, &plan, 5).unwrap();
-        assert_eq!(a, b, "parallel and sequential GH batches must be bit-identical");
+        let inline =
+            (s.encrypt_batch(&g, 5).unwrap(), s.encrypt_gh_batch(&g, &h, &plan, 5).unwrap());
+        for width in [1, 3, 16] {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(width).build().unwrap();
+            let pooled = pool.install(|| {
+                (s.encrypt_batch(&g, 5).unwrap(), s.encrypt_gh_batch(&g, &h, &plan, 5).unwrap())
+            });
+            assert_eq!(inline, pooled, "ciphers moved with the pool width ({width})");
+        }
     }
 
     #[test]
@@ -936,13 +880,13 @@ mod tests {
         let s = paillier_suite();
         let plan = GhPlan::new(1.0, 1.0, 4, s.encoding()).unwrap();
         assert!(matches!(
-            s.encrypt_gh_batch_seq(&[1.0], &[1.0, 2.0], &plan, 1),
+            s.encrypt_gh_batch(&[1.0], &[1.0, 2.0], &plan, 1),
             Err(CryptoError::ShapeMismatch { .. })
         ));
         let m = Suite::plain(EncodingConfig::default());
         let mplan = GhPlan::new(1.0, 1.0, 4, m.encoding()).unwrap();
         assert!(matches!(
-            m.encrypt_gh_batch_seq(&[1.0], &[1.0], &mplan, 1),
+            m.encrypt_gh_batch(&[1.0], &[1.0], &mplan, 1),
             Err(CryptoError::SuiteMismatch)
         ));
     }
@@ -955,7 +899,7 @@ mod tests {
         let plan = GhPlan::new(1.0, 1.0, 4, s.encoding()).unwrap();
         let g = [0.5, -0.25, 0.75];
         let h = [0.25, 0.125, -0.5];
-        let bins = s.encrypt_gh_batch_seq(&g, &h, &plan, 9).unwrap();
+        let bins = s.encrypt_gh_batch(&g, &h, &plan, 9).unwrap();
         let slot_bits = plan.stride().div_ceil(8) * 8;
         let wire_plan = PackingPlan::new(s.public_key().unwrap(), slot_bits, bins.len()).unwrap();
         let packed = s.pack(&bins, &wire_plan).unwrap();
