@@ -10,11 +10,11 @@ cargo fmt --check
 echo "== cargo clippy (all targets, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-# Panic-path gate: non-test code in the protocol and channel crates may
-# not unwrap/expect (crate-level cfg_attr(not(test), deny(...)) lints;
-# --lib builds without cfg(test) so only shipping code is checked).
-echo "== clippy panic-path gate (core + channel, non-test) =="
-cargo clippy -p vf2boost-core -p vf2-channel --lib -- -D warnings
+# Panic-path gate: non-test code in the protocol, channel and crypto
+# crates may not unwrap/expect (crate-level cfg_attr(not(test), deny(...))
+# lints; --lib builds without cfg(test) so only shipping code is checked).
+echo "== clippy panic-path gate (core + channel + crypto, non-test) =="
+cargo clippy -p vf2boost-core -p vf2-channel -p vf2-crypto --lib -- -D warnings
 
 echo "== cargo test =="
 cargo test --workspace -q

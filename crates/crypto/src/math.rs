@@ -124,7 +124,7 @@ pub fn mod_inverse(a: &BigUint, m: &BigUint) -> Option<BigUint> {
     if x.sign() == Sign::Minus {
         x += &m_int;
     }
-    Some(x.to_biguint().expect("normalized to non-negative"))
+    x.to_biguint()
 }
 
 /// Chinese Remainder recombination for two coprime moduli.

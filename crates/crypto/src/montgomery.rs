@@ -4,8 +4,9 @@
 //! fixed per key: `rⁿ mod n²` obfuscation, scalar `SMul`, and the two
 //! half-size CRT exponentiations inside decryption. [`Montgomery<N>`]
 //! implements CIOS (coarsely integrated operand scanning) Montgomery
-//! multiplication and a 4-bit fixed-window exponentiation entirely on
-//! stack-allocated `N`-limb arrays; [`MontExp`] erases the width behind a
+//! multiplication, a dedicated Montgomery squaring (half the operand
+//! products) and a 4-bit fixed-window exponentiation entirely on
+//! stack-allocated limb arrays; [`MontExp`] erases the width behind a
 //! trait object so a [`crate::paillier::PublicKey`] can carry one without
 //! being generic itself.
 //!
@@ -61,8 +62,8 @@ impl MontCost {
 /// leading zeros stripped; a zero exponent recodes to an empty vector.
 ///
 /// Precomputing this once per fixed exponent (the CRT decryption
-/// exponents `p−1`/`q−1`, the pool's `n mod p(p−1)` exponents) skips the
-/// per-call recoding scan.
+/// exponents `p−1`/`q−1`, the key owner's obfuscator exponents `p`/`q`)
+/// skips the per-call recoding scan.
 pub fn recode_window4(exp: &BigUint) -> Vec<u8> {
     let le = exp.to_bytes_le();
     let mut nibbles = Vec::with_capacity(le.len() * 2);
@@ -74,6 +75,13 @@ pub fn recode_window4(exp: &BigUint) -> Vec<u8> {
         Some(i) => nibbles.split_off(i),
         None => Vec::new(),
     }
+}
+
+/// `a + b + carry` as a `(low, carry-out)` pair; `carry` is 0 or 1.
+#[inline(always)]
+fn adc(a: u64, b: u64, carry: u64) -> (u64, u64) {
+    let t = a as u128 + b as u128 + carry as u128;
+    (t as u64, (t >> 64) as u64)
 }
 
 /// Montgomery context for an odd modulus occupying `N` 64-bit limbs.
@@ -149,26 +157,87 @@ impl<const N: usize> Montgomery<N> {
         }
     }
 
+    /// Montgomery squaring: `a²·R⁻¹ mod m` for `a < m`, bit-identical to
+    /// `mont_mul(a, a)`.
+    ///
+    /// Product scanning over one flat `2N`-limb buffer: the off-diagonal
+    /// products `a[i]·a[j]` (`i < j`) are formed once and doubled, the
+    /// diagonal `a[i]²` is added, and one `N`-row REDC pass folds the low
+    /// half away — `N(N+1)/2 + N²` limb multiplies against CIOS's `2N²`.
+    /// Each row is a `split_at_mut` + `zip` walk, so the inner loops carry
+    /// no bounds checks.
+    fn mont_sqr(&self, a: &Fixed<N>, cost: &mut MontCost) -> Fixed<N> {
+        cost.modmuls += 1;
+        cost.redc_limbs += N as u64;
+        let a = &a.0;
+        let mut buf = [[0u64; N]; 2];
+        let t = buf.as_flattened_mut();
+        // Row i lands a[i]·a[i+1..] on limbs 2i+1 .. i+N−1; its carry is
+        // the first write to limb i+N.
+        for (i, &ai) in a.iter().enumerate() {
+            let (row, above) = t[2 * i + 1..].split_at_mut(N - 1 - i);
+            let mut carry = 0u64;
+            for (tj, &aj) in row.iter_mut().zip(&a[i + 1..]) {
+                (*tj, carry) = mac(*tj, ai, aj, carry);
+            }
+            above[0] = carry;
+        }
+        // t = 2·t + Σ a[i]²·2^(128i), two limbs per step; a² < R² so both
+        // the shifted-out bit and the carry die at the top.
+        let mut shifted = 0u64;
+        let mut carry = 0u64;
+        for (pair, &ai) in t.chunks_exact_mut(2).zip(a) {
+            let lo = (pair[0] << 1) | shifted;
+            let hi = (pair[1] << 1) | (pair[0] >> 63);
+            shifted = pair[1] >> 63;
+            let sq = (ai as u128) * (ai as u128);
+            let (v, c) = adc(lo, sq as u64, carry);
+            pair[0] = v;
+            (pair[1], carry) = adc(hi, (sq >> 64) as u64, c);
+        }
+        // REDC: row i adds q·m at limb i so limb i becomes zero; `top` is
+        // the carry out of limb i+N, owed to limb i+N+1 (at the end, to
+        // limb 2N).
+        let mut top = 0u64;
+        for i in 0..N {
+            let (row, above) = t[i..].split_at_mut(N);
+            let q = row[0].wrapping_mul(self.n0inv);
+            let mut carry = 0u64;
+            for (tj, &mj) in row.iter_mut().zip(&self.m.0) {
+                (*tj, carry) = mac(*tj, q, mj, carry);
+            }
+            (above[0], top) = adc(above[0], carry, top);
+        }
+        let mut res = Fixed::<N>::ZERO;
+        res.0.copy_from_slice(&t[N..]);
+        // Result is < 2m: one conditional subtraction normalizes.
+        if top != 0 || res.cmp_mag(&self.m) != std::cmp::Ordering::Less {
+            res.sbb(&self.m).0
+        } else {
+            res
+        }
+    }
+
     /// 4-bit fixed-window exponentiation of `base < m` by a
     /// [`recode_window4`]-recoded exponent. Returns a plain (non-Montgomery)
     /// residue; an empty nibble slice (exponent 0) yields 1.
     fn pow_recoded(&self, base: &Fixed<N>, nibbles: &[u8], cost: &mut MontCost) -> Fixed<N> {
-        if nibbles.is_empty() {
+        let (Some(&max_nib), Some((&first, rest))) = (nibbles.iter().max(), nibbles.split_first())
+        else {
             return Fixed::one();
-        }
+        };
         let base_m = self.mont_mul(base, &self.rr, cost);
         // table[k] = base^k in Montgomery form, built lazily up to the
         // largest window actually used (small exponents stay cheap).
-        let max_nib = *nibbles.iter().max().expect("nonempty") as usize;
         let mut table = [Fixed::<N>::ZERO; 16];
         table[1] = base_m;
-        for k in 2..=max_nib {
+        for k in 2..=max_nib as usize {
             table[k] = self.mont_mul(&table[k - 1], &base_m, cost);
         }
-        let mut acc = table[nibbles[0] as usize];
-        for &nib in &nibbles[1..] {
+        let mut acc = table[first as usize];
+        for &nib in rest {
             for _ in 0..4 {
-                acc = self.mont_mul(&acc, &acc, cost);
+                acc = self.mont_sqr(&acc, cost);
             }
             if nib != 0 {
                 acc = self.mont_mul(&acc, &table[nib as usize], cost);
@@ -188,15 +257,22 @@ trait MontOps: Send + Sync {
     fn limbs(&self) -> usize;
 }
 
+/// Loads an operand into `N` limbs.
+// Infallible: `MontExp` is this trait's only caller and reduces every
+// operand below the modulus first, and the modulus fits `N` limbs
+// (`Montgomery::new` checked it).
+#[allow(clippy::expect_used)]
+fn load<const N: usize>(v: &BigUint) -> Fixed<N> {
+    Fixed::from_biguint(v).expect("operand reduced below modulus")
+}
+
 impl<const N: usize> MontOps for Montgomery<N> {
     fn pow_recoded(&self, base: &BigUint, nibbles: &[u8], cost: &mut MontCost) -> BigUint {
-        let b = Fixed::<N>::from_biguint(base).expect("base reduced below modulus");
-        self.pow_recoded(&b, nibbles, cost).to_biguint()
+        self.pow_recoded(&load(base), nibbles, cost).to_biguint()
     }
 
     fn mul(&self, a: &BigUint, b: &BigUint, cost: &mut MontCost) -> BigUint {
-        let fa = Fixed::<N>::from_biguint(a).expect("operand reduced below modulus");
-        let fb = Fixed::<N>::from_biguint(b).expect("operand reduced below modulus");
+        let (fa, fb) = (load(a), load(b));
         // a·b·R⁻¹ followed by ·R²·R⁻¹ recovers plain a·b mod m in two
         // Montgomery multiplications, no separate domain conversions.
         let t = self.mont_mul(&fa, &fb, cost);
@@ -342,6 +418,47 @@ mod tests {
         assert_eq!(me.modpow(&a, &BigUint::from(0u32)).0, BigUint::one());
         assert_eq!(me.modpow(&a, &BigUint::one()).0, &a % &m);
         assert_eq!(me.modpow(&BigUint::from(0u32), &b).0, BigUint::from(0u32));
+    }
+
+    /// `mont_sqr(a)` against `mont_mul(a, a)` for random operands and the
+    /// carry edges, under random moduli and moduli hugging a limb boundary.
+    fn check_sqr<const N: usize>(rng: &mut StdRng) {
+        let bits = 64 * N as u64;
+        let big = |v: u32| BigUint::from(v);
+        let top = BigUint::one() << bits;
+        let mut moduli = vec![&top - big(1), &top - big(189)];
+        if N > 1 {
+            // 2^(64(N−1)) + small still occupies N limbs; at N = 1 it is 2.
+            moduli.push((BigUint::one() << (bits - 64)) + big(1));
+            moduli.push((BigUint::one() << (bits - 64)) + big(0x1_0001));
+        }
+        for _ in 0..2 {
+            let mut m = rng.gen_biguint(bits);
+            m.set_bit(0, true);
+            m.set_bit(bits - 1, true);
+            moduli.push(m);
+        }
+        for m in &moduli {
+            let mont = Montgomery::<N>::new(m).expect("odd N-limb modulus");
+            let mut ops = vec![big(0), big(1), m - big(1), m - big(2), (&top - big(1)) % m];
+            ops.extend((0..4).map(|_| rng.gen_biguint(bits) % m));
+            for a in &ops {
+                let fa = Fixed::<N>::from_biguint(a).expect("below modulus");
+                let (mut c_sqr, mut c_mul) = (MontCost::default(), MontCost::default());
+                let got = mont.mont_sqr(&fa, &mut c_sqr);
+                assert_eq!(got, mont.mont_mul(&fa, &fa, &mut c_mul), "{N} limbs: a = {a}, m = {m}");
+                assert_eq!(c_sqr, c_mul, "a squaring is one modmul tick of N REDC limbs");
+            }
+        }
+    }
+
+    #[test]
+    fn mont_sqr_matches_mont_mul_at_every_width() {
+        let mut rng = StdRng::seed_from_u64(72);
+        macro_rules! widths {
+            ($($n:literal),*) => { $( check_sqr::<$n>(&mut rng); )* };
+        }
+        widths!(1, 2, 4, 6, 8, 12, 16, 24, 32, 48, 64);
     }
 
     #[test]

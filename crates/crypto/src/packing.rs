@@ -67,13 +67,13 @@ pub fn pack_ciphers(
     pk: &PublicKey,
     counters: &OpCounters,
 ) -> Result<RawCipher> {
-    if slots.is_empty() || slots.len() > plan.slots {
+    let Some((top, lower)) = slots.split_last().filter(|_| slots.len() <= plan.slots) else {
         return Err(CryptoError::PackingCapacity { requested: slots.len(), max: plan.slots });
-    }
+    };
     let shift = BigUint::from(1u32) << plan.slot_bits;
     // Horner evaluation from the most-significant slot down.
-    let mut acc = slots.last().expect("non-empty").clone();
-    for c in slots.iter().rev().skip(1) {
+    let mut acc = top.clone();
+    for c in lower.iter().rev() {
         counters.add_smul(1);
         let shifted = pk.mul_raw_ctr(&acc, &shift, counters);
         counters.add_hadd(1);
@@ -179,18 +179,8 @@ impl GhPlan {
 
     /// Largest number of stride-spaced pairs that fit the plaintext space
     /// of `pk` with a 2-bit guard below the modulus.
-    pub fn max_pairs(&self, pk: &PublicKey) -> usize {
+    fn max_pairs(&self, pk: &PublicKey) -> usize {
         ((pk.bits().saturating_sub(2)) / self.stride() as u64) as usize
-    }
-
-    /// Returns a copy batching `pairs` pairs per plaintext, validating the
-    /// key's capacity.
-    pub fn with_pairs(&self, pk: &PublicKey, pairs: usize) -> Result<Self> {
-        let max = self.max_pairs(pk);
-        if pairs == 0 || pairs > max {
-            return Err(CryptoError::PackingCapacity { requested: pairs, max });
-        }
-        Ok(GhPlan { pairs, ..*self })
     }
 
     /// Validates that this plan's `pairs` stride-spaced pairs fit `pk`.
@@ -522,8 +512,9 @@ mod tests {
         let base = GhPlan::new(1.0, 1.0, 32, &enc).unwrap();
         let max = base.max_pairs(&kp.public);
         assert!(max >= 2, "512-bit key should fit at least two pairs");
-        let plan = base.with_pairs(&kp.public, max).unwrap();
-        assert!(base.with_pairs(&kp.public, max + 1).is_err());
+        let plan = GhPlan { pairs: max, ..base };
+        plan.validate_capacity(&kp.public).unwrap();
+        assert!(GhPlan { pairs: max + 1, ..base }.validate_capacity(&kp.public).is_err());
         let rows: Vec<(f64, f64)> =
             (0..max).map(|i| (((i % 5) as f64 - 2.0) / 4.0, 0.9 - (i % 3) as f64 * 0.7)).collect();
         // Two batches summed: per-zone accumulation must stay independent.

@@ -11,9 +11,10 @@
 //! * negation via modular inversion (cheaper than exponentiation by `n-1`)
 //!
 //! Decryption — the hot operation the paper's packing technique amortizes —
-//! uses the standard CRT split over `p²` and `q²`. Encryption can also run
-//! through the CRT when the private key is available (it always is on
-//! Party B, the only encrypting party in the protocol).
+//! uses the standard CRT split over `p²` and `q²`. The key owner (always
+//! Party B, the only encrypting party in the protocol) also draws its
+//! obfuscators through the CRT, as Teichmüller lifts with half-length
+//! exponents (see [`PrivateKey::random_rn_crt_ctr`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -285,8 +286,8 @@ impl PublicKey {
 /// Fixed-limb accelerator for the private CRT domains `mod p²` / `mod q²`.
 ///
 /// Every private-key exponent is fixed per key — `p−1` / `q−1` for
-/// decryption, `n mod p(p−1)` / `n mod q(q−1)` for obfuscation — so each
-/// is recoded into 4-bit windows exactly once at key construction.
+/// decryption, `p` / `q` for obfuscation — so each is recoded into 4-bit
+/// windows exactly once at key construction.
 struct SkAccel {
     /// Montgomery exponentiator modulo `p²`.
     pp: MontExp,
@@ -296,28 +297,21 @@ struct SkAccel {
     p1_nibbles: Vec<u8>,
     /// `q − 1`, recoded (decryption exponent mod `q²`).
     q1_nibbles: Vec<u8>,
-    /// `n mod p(p−1)`, recoded (obfuscation exponent mod `p²`).
-    np_nibbles: Vec<u8>,
-    /// `n mod q(q−1)`, recoded (obfuscation exponent mod `q²`).
-    nq_nibbles: Vec<u8>,
+    /// `p`, recoded (obfuscation exponent mod `p²`).
+    p_nibbles: Vec<u8>,
+    /// `q`, recoded (obfuscation exponent mod `q²`).
+    q_nibbles: Vec<u8>,
 }
 
 impl SkAccel {
-    fn build(
-        p: &BigUint,
-        q: &BigUint,
-        pp: &BigUint,
-        qq: &BigUint,
-        n_mod_ord_pp: &BigUint,
-        n_mod_ord_qq: &BigUint,
-    ) -> Option<SkAccel> {
+    fn build(p: &BigUint, q: &BigUint, pp: &BigUint, qq: &BigUint) -> Option<SkAccel> {
         Some(SkAccel {
             pp: MontExp::new(pp)?,
             qq: MontExp::new(qq)?,
             p1_nibbles: recode_window4(&(p - BigUint::one())),
             q1_nibbles: recode_window4(&(q - BigUint::one())),
-            np_nibbles: recode_window4(n_mod_ord_pp),
-            nq_nibbles: recode_window4(n_mod_ord_qq),
+            p_nibbles: recode_window4(p),
+            q_nibbles: recode_window4(q),
         })
     }
 }
@@ -336,10 +330,6 @@ struct SkInner {
     hp: BigUint,
     /// `L_q(g^{q-1} mod q²)⁻¹ mod q`.
     hq: BigUint,
-    /// `n mod p·(p-1)`: reduced exponent for `rⁿ mod p²`.
-    n_mod_ord_pp: BigUint,
-    /// `n mod q·(q-1)`: reduced exponent for `rⁿ mod q²`.
-    n_mod_ord_qq: BigUint,
     /// Fixed-limb backend for the half-size CRT exponentiations; absent
     /// under [`CryptoBackend::NumBigint`] or at unsupported widths.
     accel: Option<SkAccel>,
@@ -391,9 +381,10 @@ impl PrivateKey {
         crt_combine(&mp, &mq, &sk.p, &sk.p_inv_q, &sk.q) % sk.public.n()
     }
 
-    /// Fast encryption using the CRT: computes `rⁿ mod n²` as two half-size
-    /// exponentiations with reduced exponents. Only the private-key holder
-    /// can do this — in the protocol that is always Party B.
+    /// Fast encryption using the CRT: the obfuscator is two half-size
+    /// exponentiations with half-length exponents (see
+    /// [`PrivateKey::random_rn_crt_ctr`]). Only the private-key holder can
+    /// do this — in the protocol that is always Party B.
     pub fn encrypt_raw<R: Rng + ?Sized>(&self, v: &BigUint, rng: &mut R) -> RawCipher {
         self.encrypt_raw_ctr(v, rng, &OpCounters::default())
     }
@@ -409,32 +400,43 @@ impl PrivateKey {
         self.0.public.encrypt_raw_with_rn(v, &rn)
     }
 
-    /// Draws `r` and computes `rⁿ mod n²` via the CRT.
+    /// Draws `r` and returns an obfuscator `r′ⁿ mod n²` via the CRT.
     pub fn random_rn_crt<R: Rng + ?Sized>(&self, rng: &mut R) -> BigUint {
         self.random_rn_crt_ctr(rng, &OpCounters::default())
     }
 
     /// [`PrivateKey::random_rn_crt`] with backend work tallied into `ctr`.
     ///
+    /// The result is `CRT(ω_p, ω_q)` with `ω_p = (r mod p)^p mod p²`, the
+    /// Teichmüller lift of `r mod p` (the `(p−1)`-th root of unity mod `p²`
+    /// above it), and `ω_q` likewise: exponents of `S/2` bits where
+    /// `rⁿ mod p²` needs `S`. Since `rⁿ ≡ ω_p^q (mod p²)` and keygen
+    /// enforces `gcd(n, φ(n)) = 1`, `x ↦ x^q` permutes the `(p−1)`-th roots
+    /// of unity, so for uniform `r` the result is distributed exactly as
+    /// `rⁿ mod n²` — an ordinary Paillier obfuscator (DESIGN.md §3.10).
+    ///
     /// The random draw always happens first and consumes the same RNG
     /// stream under either backend, so ciphers are backend-independent.
     pub fn random_rn_crt_ctr<R: Rng + ?Sized>(&self, rng: &mut R, ctr: &OpCounters) -> BigUint {
+        let r = rng.gen_biguint_range(&BigUint::one(), self.0.public.n());
+        self.obfuscator(&r, ctr)
+    }
+
+    /// The obfuscator of a drawn `r`:
+    /// `CRT((r mod p)^p mod p², (r mod q)^q mod q²)`.
+    fn obfuscator(&self, r: &BigUint, ctr: &OpCounters) -> BigUint {
         let sk = &*self.0;
-        let r = rng.gen_biguint_range(&BigUint::one(), sk.public.n());
-        let (rp, rq) = match &sk.accel {
+        let (wp, wq) = match &sk.accel {
             Some(a) => {
-                let (rp, cp) = a.pp.modpow_recoded(&(&r % &sk.pp), &a.np_nibbles);
-                let (rq, cq) = a.qq.modpow_recoded(&(&r % &sk.qq), &a.nq_nibbles);
+                let (wp, cp) = a.pp.modpow_recoded(&(r % &sk.p), &a.p_nibbles);
+                let (wq, cq) = a.qq.modpow_recoded(&(r % &sk.q), &a.q_nibbles);
                 tally(ctr, cp);
                 tally(ctr, cq);
-                (rp, rq)
+                (wp, wq)
             }
-            None => (
-                (&r % &sk.pp).modpow(&sk.n_mod_ord_pp, &sk.pp),
-                (&r % &sk.qq).modpow(&sk.n_mod_ord_qq, &sk.qq),
-            ),
+            None => ((r % &sk.p).modpow(&sk.p, &sk.pp), (r % &sk.q).modpow(&sk.q, &sk.qq)),
         };
-        crt_combine(&rp, &rq, &sk.pp, &sk.pp_inv_qq, &sk.qq) % sk.public.nn()
+        crt_combine(&wp, &wq, &sk.pp, &sk.pp_inv_qq, &sk.qq) % sk.public.nn()
     }
 }
 
@@ -463,59 +465,50 @@ impl KeyPair {
         loop {
             let p = gen_prime(half, rng);
             let q = gen_prime(bits - half, rng);
-            if p == q {
+            if p == q || (&p * &q).bits() != bits {
                 continue;
             }
-            let n = &p * &q;
-            if n.bits() != bits {
-                continue;
+            if let Some(keys) = Self::from_primes(p, q) {
+                return Ok(keys);
             }
-            let phi = (&p - BigUint::one()) * (&q - BigUint::one());
-            if !n.gcd(&phi).is_one() {
-                continue;
-            }
-            let public = PublicKey::from_n(n.clone(), CryptoBackend::Fixed);
-            let pp = &p * &p;
-            let qq = &q * &q;
-            let p_inv_q = match mod_inverse(&p, &q) {
-                Some(v) => v,
-                None => continue,
-            };
-            let pp_inv_qq = match mod_inverse(&pp, &qq) {
-                Some(v) => v,
-                None => continue,
-            };
-            // g = n + 1; hp = L_p(g^{p-1} mod p²)⁻¹ mod p (and likewise hq).
-            let g = &n + BigUint::one();
-            let p_minus_1 = &p - BigUint::one();
-            let q_minus_1 = &q - BigUint::one();
-            let hp_base = l_function(&(&g % &pp).modpow(&p_minus_1, &pp), &p) % &p;
-            let hq_base = l_function(&(&g % &qq).modpow(&q_minus_1, &qq), &q) % &q;
-            let (hp, hq) = match (mod_inverse(&hp_base, &p), mod_inverse(&hq_base, &q)) {
-                (Some(a), Some(b)) => (a, b),
-                _ => continue,
-            };
-            let ord_pp = &p * &p_minus_1;
-            let ord_qq = &q * &q_minus_1;
-            let n_mod_ord_pp = &n % ord_pp;
-            let n_mod_ord_qq = &n % ord_qq;
-            let accel = SkAccel::build(&p, &q, &pp, &qq, &n_mod_ord_pp, &n_mod_ord_qq);
-            let private = PrivateKey(Arc::new(SkInner {
-                public: public.clone(),
-                n_mod_ord_pp,
-                n_mod_ord_qq,
-                p,
-                q,
-                pp,
-                qq,
-                p_inv_q,
-                pp_inv_qq,
-                hp,
-                hq,
-                accel,
-            }));
-            return Ok(KeyPair { public, private });
         }
+    }
+
+    /// Derives the key pair of distinct odd primes `p`, `q`, or `None`
+    /// when `gcd(n, φ(n)) ≠ 1` — the precondition of Paillier decryption
+    /// and of the key owner's half-length obfuscator exponents.
+    fn from_primes(p: BigUint, q: BigUint) -> Option<KeyPair> {
+        let n = &p * &q;
+        let p_minus_1 = &p - BigUint::one();
+        let q_minus_1 = &q - BigUint::one();
+        if !n.gcd(&(&p_minus_1 * &q_minus_1)).is_one() {
+            return None;
+        }
+        let public = PublicKey::from_n(n.clone(), CryptoBackend::Fixed);
+        let pp = &p * &p;
+        let qq = &q * &q;
+        let p_inv_q = mod_inverse(&p, &q)?;
+        let pp_inv_qq = mod_inverse(&pp, &qq)?;
+        // g = n + 1; hp = L_p(g^{p-1} mod p²)⁻¹ mod p (and likewise hq).
+        let g = &n + BigUint::one();
+        let hp_base = l_function(&(&g % &pp).modpow(&p_minus_1, &pp), &p) % &p;
+        let hq_base = l_function(&(&g % &qq).modpow(&q_minus_1, &qq), &q) % &q;
+        let hp = mod_inverse(&hp_base, &p)?;
+        let hq = mod_inverse(&hq_base, &q)?;
+        let accel = SkAccel::build(&p, &q, &pp, &qq);
+        let private = PrivateKey(Arc::new(SkInner {
+            public: public.clone(),
+            p,
+            q,
+            pp,
+            qq,
+            p_inv_q,
+            pp_inv_qq,
+            hp,
+            hq,
+            accel,
+        }));
+        Some(KeyPair { public, private })
     }
 
     /// Generates a key pair from a deterministic seed (for reproducible
@@ -535,9 +528,7 @@ impl KeyPair {
         let sk = &*self.private.0;
         let public = PublicKey::from_n(sk.public.0.n.clone(), backend);
         let accel = match backend {
-            CryptoBackend::Fixed => {
-                SkAccel::build(&sk.p, &sk.q, &sk.pp, &sk.qq, &sk.n_mod_ord_pp, &sk.n_mod_ord_qq)
-            }
+            CryptoBackend::Fixed => SkAccel::build(&sk.p, &sk.q, &sk.pp, &sk.qq),
             CryptoBackend::NumBigint => None,
         };
         let private = PrivateKey(Arc::new(SkInner {
@@ -550,8 +541,6 @@ impl KeyPair {
             pp_inv_qq: sk.pp_inv_qq.clone(),
             hp: sk.hp.clone(),
             hq: sk.hq.clone(),
-            n_mod_ord_pp: sk.n_mod_ord_pp.clone(),
-            n_mod_ord_qq: sk.n_mod_ord_qq.clone(),
             accel,
         }));
         KeyPair { public, private }
@@ -908,6 +897,64 @@ mod tests {
         assert_eq!(fixed.public.mul_raw(&c_fixed, &k), nb.public.mul_raw(&c_nb, &k));
         // Round-tripping back re-attaches the accelerator.
         assert_eq!(nb.with_backend(CryptoBackend::Fixed).backend(), CryptoBackend::Fixed);
+    }
+
+    #[test]
+    fn key_owner_obfuscators_are_distributed_as_r_to_the_n() {
+        // Exhaustive at toy size: over every unit r of n the key owner's
+        // obfuscators are, as a multiset, exactly {rⁿ mod n²}.
+        for (p, q) in [(11u32, 7u32), (23, 17), (101, 83), (251, 241)] {
+            let fixed =
+                KeyPair::from_primes(BigUint::from(p), BigUint::from(q)).expect("gcd(n, φ(n)) = 1");
+            let nb = fixed.with_backend(CryptoBackend::NumBigint);
+            let (n, nn) = (fixed.public.n(), fixed.public.nn());
+            let ctr = OpCounters::default();
+            let (mut lifted, mut powered) = (Vec::new(), Vec::new());
+            for r in (1..p * q).filter(|r| r % p != 0 && r % q != 0).map(BigUint::from) {
+                let rn = fixed.private.obfuscator(&r, &ctr);
+                assert_eq!(rn, nb.private.obfuscator(&r, &ctr), "backends agree at r = {r}");
+                assert_eq!(fixed.private.decrypt_raw(&rn), BigUint::from(0u32));
+                lifted.push(rn);
+                powered.push(r.modpow(n, nn));
+            }
+            assert_eq!(lifted.len() as u32, (p - 1) * (q - 1));
+            lifted.sort();
+            powered.sort();
+            assert_eq!(lifted, powered, "({p}, {q})");
+        }
+        // 3·7: gcd(21, 12) = 3, x ↦ x³ does not permute the sixth roots
+        // of unity mod 49 — the precondition is checked, not assumed.
+        assert!(KeyPair::from_primes(BigUint::from(3u32), BigUint::from(7u32)).is_none());
+    }
+
+    #[test]
+    fn key_owner_obfuscators_encrypt_zero_at_512_bits() {
+        let kp = KeyPair::generate_seeded(512, 9).unwrap();
+        let rns: Vec<BigUint> =
+            (0..6).map(|s| kp.private.random_rn_crt(&mut StdRng::seed_from_u64(s))).collect();
+        for (i, rn) in rns.iter().enumerate() {
+            assert_eq!(kp.private.decrypt_raw(rn), BigUint::from(0u32));
+            assert!(!rn.is_one() && rn < kp.public.nn());
+            assert!(rns[..i].iter().all(|other| other != rn), "seeds must not collide");
+        }
+    }
+
+    #[test]
+    fn obfuscator_modmuls_halve_and_decrypt_modmuls_hold() {
+        let kp = KeyPair::generate_seeded(512, 9).unwrap();
+        let s = kp.public.bits();
+        let ctr = OpCounters::default();
+        let rn = kp.private.random_rn_crt_ctr(&mut StdRng::seed_from_u64(1), &ctr);
+        let enc = ctr.snapshot().modmul;
+        // Two S/2-bit exponents: S squarings + ≈ S/4 window multiplies +
+        // two power tables (the S-bit exponents before cost ≈ 2.5·S).
+        assert!(enc > s && 10 * enc < 14 * s, "obfuscator modmuls {enc} at S = {s}");
+        kp.private.decrypt_raw_ctr(&rn, &ctr);
+        // Decryption's exponents p−1 / q−1 are untouched, and a squaring
+        // ticks the counter like the multiplication it replaced: 656 is
+        // this key's count with S-bit obfuscator exponents and no
+        // squaring kernel (where the obfuscator cost 1284).
+        assert_eq!(ctr.snapshot().modmul - enc, 656, "decrypt modmuls");
     }
 
     #[test]

@@ -204,8 +204,10 @@ impl Suite {
         matches!(self.0.kind, SuiteKind::Plain) || self.0.sk.is_some()
     }
 
-    fn pk(&self) -> &PublicKey {
-        self.0.pk.as_ref().expect("Paillier suite carries a public key")
+    /// The public key, or [`CryptoError::SuiteMismatch`] when a Paillier
+    /// value was handed to the keyless plaintext suite.
+    fn pk(&self) -> Result<&PublicKey> {
+        self.0.pk.as_ref().ok_or(CryptoError::SuiteMismatch)
     }
 
     fn sk(&self) -> Result<&PrivateKey> {
@@ -388,9 +390,9 @@ impl Suite {
 
     /// Additive identity at the given exponent.
     pub fn zero(&self, exponent: i32) -> Ciphertext {
-        match self.0.kind {
-            SuiteKind::Paillier => Ciphertext::Paillier(EncryptedNumber::zero(exponent, self.pk())),
-            SuiteKind::Plain => Ciphertext::Plain(PlainNumber { value: 0.0, exponent }),
+        match &self.0.pk {
+            Some(pk) => Ciphertext::Paillier(EncryptedNumber::zero(exponent, pk)),
+            None => Ciphertext::Plain(PlainNumber { value: 0.0, exponent }),
         }
     }
 
@@ -403,10 +405,9 @@ impl Suite {
     /// The obfuscation factor `rⁿ` is computed once per suite and cached:
     /// `rⁿ mod n²` is itself a valid encryption of zero.
     pub fn zero_obfuscated(&self, exponent: i32) -> Ciphertext {
-        match self.0.kind {
-            SuiteKind::Plain => self.zero(exponent),
-            SuiteKind::Paillier => {
-                let pk = self.pk();
+        match &self.0.pk {
+            None => self.zero(exponent),
+            Some(pk) => {
                 let mut cached = self.0.cached_zero.lock();
                 let cipher = cached
                     .get_or_insert_with(|| {
@@ -423,7 +424,7 @@ impl Suite {
     pub fn add(&self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext> {
         match (a, b) {
             (Ciphertext::Paillier(x), Ciphertext::Paillier(y)) => {
-                Ok(Ciphertext::Paillier(x.add(y, self.pk(), &self.0.cfg, &self.0.counters)))
+                Ok(Ciphertext::Paillier(x.add(y, self.pk()?, &self.0.cfg, &self.0.counters)))
             }
             (Ciphertext::Plain(x), Ciphertext::Plain(y)) => {
                 if x.exponent != y.exponent {
@@ -444,7 +445,7 @@ impl Suite {
     pub fn neg(&self, c: &Ciphertext) -> Result<Ciphertext> {
         match c {
             Ciphertext::Paillier(e) => {
-                Ok(Ciphertext::Paillier(e.neg(self.pk(), &self.0.counters)?))
+                Ok(Ciphertext::Paillier(e.neg(self.pk()?, &self.0.counters)?))
             }
             Ciphertext::Plain(p) => {
                 self.0.counters.add_neg(1);
@@ -469,7 +470,7 @@ impl Suite {
                         Ciphertext::Plain(_) => Err(CryptoError::SuiteMismatch),
                     })
                     .collect();
-                let negs = self.pk().neg_batch_raw(&raws?)?;
+                let negs = self.pk()?.neg_batch_raw(&raws?)?;
                 self.0.counters.add_neg(cs.len() as u64);
                 Ok(negs
                     .into_iter()
@@ -506,7 +507,7 @@ impl Suite {
     pub fn add_assign_same_exp(&self, acc: &mut Ciphertext, b: &Ciphertext) -> Result<()> {
         match (acc, b) {
             (Ciphertext::Paillier(x), Ciphertext::Paillier(y)) => {
-                x.add_assign_same_exp(y, self.pk(), &self.0.counters);
+                x.add_assign_same_exp(y, self.pk()?, &self.0.counters);
                 Ok(())
             }
             (Ciphertext::Plain(x), Ciphertext::Plain(y)) => {
@@ -525,7 +526,7 @@ impl Suite {
     pub fn add_plain(&self, c: &Ciphertext, v: f64) -> Result<Ciphertext> {
         match c {
             Ciphertext::Paillier(e) => {
-                let pk = self.pk();
+                let pk = self.pk()?;
                 let encoded = EncodedNumber::encode(v, e.exponent, &self.0.cfg, pk)?;
                 self.0.counters.add_hadd(1);
                 let gv = pk.encrypt_raw_with_rn(&encoded.mantissa, &pk.zero_raw());
@@ -545,7 +546,13 @@ impl Suite {
     pub fn rescale_to(&self, c: &Ciphertext, target: i32) -> Ciphertext {
         match c {
             Ciphertext::Paillier(e) => {
-                Ciphertext::Paillier(e.rescale_to(target, self.pk(), &self.0.cfg, &self.0.counters))
+                // A Paillier value under the keyless suite breaks this
+                // method's contract just as `target < exponent` does (the
+                // assert inside); protocol code admits only values of its
+                // own suite's kind (vf2boost-core `validate.rs`).
+                #[allow(clippy::expect_used)]
+                let pk = self.pk().expect("Paillier cipher under a Paillier suite");
+                Ciphertext::Paillier(e.rescale_to(target, pk, &self.0.cfg, &self.0.counters))
             }
             Ciphertext::Plain(p) => {
                 if target != p.exponent {
@@ -563,22 +570,22 @@ impl Suite {
     /// `2^slot_bits` *after* encoding — callers are responsible for shifting
     /// (see `vf2boost-core::packing`).
     pub fn pack(&self, slots: &[Ciphertext], plan: &PackingPlan) -> Result<PackedCiphertext> {
-        if slots.is_empty() {
+        let Some(max_exp) = slots.iter().map(Ciphertext::exponent).max() else {
             return Err(CryptoError::PackingCapacity { requested: 0, max: plan.slots });
-        }
+        };
         match self.0.kind {
             SuiteKind::Paillier => {
-                let max_exp = slots.iter().map(Ciphertext::exponent).max().expect("non-empty");
+                let pk = self.pk()?;
                 let raws: Result<Vec<RawCipher>> = slots
                     .iter()
                     .map(|c| match c {
-                        Ciphertext::Paillier(e) => Ok(e
-                            .rescale_to(max_exp, self.pk(), &self.0.cfg, &self.0.counters)
-                            .cipher),
+                        Ciphertext::Paillier(e) => {
+                            Ok(e.rescale_to(max_exp, pk, &self.0.cfg, &self.0.counters).cipher)
+                        }
                         Ciphertext::Plain(_) => Err(CryptoError::SuiteMismatch),
                     })
                     .collect();
-                let packed = pack_ciphers(&raws?, plan, self.pk(), &self.0.counters)?;
+                let packed = pack_ciphers(&raws?, plan, pk, &self.0.counters)?;
                 Ok(PackedCiphertext::Paillier {
                     cipher: packed,
                     exponent: max_exp,
@@ -627,19 +634,11 @@ impl Suite {
 
     /// Serialized wire size in bytes of one cipher (drives the WAN model).
     pub fn cipher_wire_bytes(&self) -> usize {
-        match self.0.kind {
+        match &self.0.pk {
             // 2S-bit cipher + 4-byte exponent tag.
-            SuiteKind::Paillier => self.pk().cipher_bytes() + 4,
+            Some(pk) => pk.cipher_bytes() + 4,
             // f64 + exponent tag.
-            SuiteKind::Plain => 12,
-        }
-    }
-
-    /// Serialized wire size in bytes of one packed cipher.
-    pub fn packed_wire_bytes(&self, packed: &PackedCiphertext) -> usize {
-        match packed {
-            PackedCiphertext::Paillier { .. } => self.pk().cipher_bytes() + 16,
-            PackedCiphertext::Plain(values) => 8 * values.len() + 8,
+            None => 12,
         }
     }
 }

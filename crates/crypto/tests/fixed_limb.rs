@@ -129,10 +129,13 @@ fn modpow_matches_reference_at_every_width() {
         let me = MontExp::new(&m).expect("odd modulus dispatches");
         // Bounded exponents keep the naive reference affordable at 4096
         // bits; width coverage comes from the modulus, not the exponent.
+        // 2 is one table multiply, 2^64 (pack's slot shift) is squarings
+        // only: 64 passes through the squaring kernel and nothing else.
         let exps = [
             BigUint::from(0u32),
             BigUint::one(),
             BigUint::from(2u32),
+            BigUint::one() << 64u32,
             BigUint::from(0xffu32),
             rng.gen_biguint(64),
             rng.gen_biguint(192),
