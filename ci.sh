@@ -90,13 +90,6 @@ fi
 echo "== many-party scheduler chaos gate (8 hosts, 10 min cap) =="
 timeout 600 cargo test -q --test many_party
 
-# GH-packing losslessness gate: with forward-path (g, h) pair packing on,
-# every protocol mode x bignum backend must reproduce the unpacked run's
-# split decisions exactly (bitwise-identical final margins). The outer
-# timeout turns a hung packed run into a failure instead of a stuck job.
-echo "== gh-packing losslessness gate (10 min cap) =="
-timeout 600 cargo test -q --test losslessness gh_packing
-
 echo "== cargo bench --no-run =="
 cargo bench --workspace --no-run
 

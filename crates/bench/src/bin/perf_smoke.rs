@@ -8,9 +8,6 @@
 //!   (fixed-limb vs. vendored num-bigint), the per-op speedups, the
 //!   Dec ≫ Enc ≫ HAdd cost ordering on the steady-state (pool-backed)
 //!   encryption path, and end-to-end training makespan per backend.
-//! * `BENCH_PR8.json` — forward-path GH-pair packing (PR 8): the same
-//!   end-to-end run with `gh_packing` off vs. on — forward-path
-//!   encryption counts, guest bytes on the wire, and wall clock.
 //! * `BENCH_PR9.json` — in-run host failure survival (PR 9): an
 //!   uninterrupted run vs. one where the host is killed mid-node-loop
 //!   and live-rejoins under `AwaitRejoin` — the wall-clock catch-up cost
@@ -94,11 +91,6 @@ fn main() {
     std::fs::write(path, &json).expect("write BENCH_PR7.json");
     println!("\nwrote {path}");
 
-    let json = pr8_gh_packing();
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR8.json");
-    std::fs::write(path, &json).expect("write BENCH_PR8.json");
-    println!("\nwrote {path}");
-
     let json = pr9_rejoin();
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR9.json");
     std::fs::write(path, &json).expect("write BENCH_PR9.json");
@@ -179,7 +171,6 @@ fn pr10_scheduler() -> String {
                 ..Default::default()
             },
             protocol: ProtocolConfig { pack_histograms: false, ..ProtocolConfig::vf2boost() },
-            gh_packing: true,
             workers: PR10_WORKERS,
             scheduler,
             pipeline_depth: PR10_HOSTS,
@@ -303,7 +294,6 @@ fn run_report_pipelined(path: &str) {
             ..Default::default()
         },
         protocol: ProtocolConfig::vf2boost(),
-        gh_packing: true,
         workers: 4,
         scheduler: Scheduler::Pipelined,
         pipeline_depth: 8,
@@ -396,65 +386,6 @@ fn pr9_rejoin() -> String {
         ev.quarantines,
         ev.rejoins,
         ev.transfer_retries
-    )
-}
-
-/// PR 8: forward-path GH-pair packing — one ciphertext per instance
-/// instead of two. Reports the guest's encryption counts (the op the
-/// packing halves), its bytes on the wire, and end-to-end wall clock,
-/// with `gh_packing` off vs. on over an otherwise identical config.
-fn pr8_gh_packing() -> String {
-    let s = split_vertical(
-        &generate_classification(&SyntheticConfig {
-            rows: E2E_ROWS,
-            features: 10,
-            density: 1.0,
-            informative_frac: 0.5,
-            label_noise: 0.0,
-            seed: 8,
-        }),
-        &[5],
-    );
-    let run = |gh: bool| {
-        let cfg = TrainConfig {
-            gbdt: GbdtParams {
-                num_trees: 2,
-                max_layers: 5,
-                binning: BinningConfig { num_bins: MICRO_BINS, max_samples: 1 << 16 },
-                ..Default::default()
-            },
-            protocol: ProtocolConfig::vf2boost(),
-            gh_packing: gh,
-            ..base_config()
-        };
-        let t0 = Instant::now();
-        let out = train_federated(&s.hosts, &s.guest, &cfg).expect("training succeeds");
-        (t0.elapsed(), out)
-    };
-    let (wall_off, off) = run(false);
-    let (wall_on, on) = run(true);
-    let enc_off = off.report.guest.ops.enc;
-    let enc_on = on.report.guest.ops.enc;
-    let bytes_off = off.report.guest.bytes_sent;
-    let bytes_on = on.report.guest.bytes_sent;
-    let enc_ratio = enc_off as f64 / enc_on.max(1) as f64;
-    let bytes_ratio = bytes_off as f64 / bytes_on.max(1) as f64;
-    println!("\nPR8 gh-pair packing ({E2E_ROWS} rows, 2 trees, key_bits={}):", key_bits());
-    println!("  guest enc    off {enc_off:>8}   on {enc_on:>8}  ({enc_ratio:.2}x fewer)");
-    println!("  guest bytes  off {bytes_off:>8}   on {bytes_on:>8}  ({bytes_ratio:.2}x fewer)");
-    println!(
-        "  wall         off {:>8.3} s   on {:>8.3} s  ({:.2}x)",
-        wall_off.as_secs_f64(),
-        wall_on.as_secs_f64(),
-        wall_off.as_secs_f64() / wall_on.as_secs_f64().max(1e-9)
-    );
-    println!("  guest ghpack ops on-path: {}", on.report.guest.ops.ghpack);
-    format!(
-        "{{\n  \"bench\": \"PR8 forward-path GH-pair packing\",\n  \"rows\": {E2E_ROWS},\n  \"trees\": 2,\n  \"key_bits\": {},\n  \"guest_enc_off\": {enc_off},\n  \"guest_enc_on\": {enc_on},\n  \"enc_ratio\": {enc_ratio:.2},\n  \"guest_bytes_off\": {bytes_off},\n  \"guest_bytes_on\": {bytes_on},\n  \"bytes_ratio\": {bytes_ratio:.2},\n  \"wall_off_s\": {:.3},\n  \"wall_on_s\": {:.3},\n  \"guest_ghpack_ops\": {}\n}}\n",
-        key_bits(),
-        wall_off.as_secs_f64(),
-        wall_on.as_secs_f64(),
-        on.report.guest.ops.ghpack
     )
 }
 

@@ -4,6 +4,9 @@ use std::time::Duration;
 
 use vf2_channel::{FaultConfig, ReliabilityConfig, WanConfig};
 use vf2_crypto::encoding::EncodingConfig;
+use vf2_crypto::error::CryptoError;
+use vf2_crypto::packing::GhPlan;
+use vf2_crypto::suite::Suite;
 use vf2_crypto::CryptoBackend;
 use vf2_gbdt::train::GbdtParams;
 
@@ -182,15 +185,6 @@ pub struct TrainConfig {
     /// first violation. Provably-honest staleness (optimistic-rollback
     /// stragglers) is never charged against this budget.
     pub misbehavior_budget: u32,
-    /// Forward-path GH-pair packing: the guest packs each row's `(g, h)`
-    /// pair into one Paillier plaintext before encryption, halving
-    /// forward-path encryptions and guest→host ciphers. Host histogram
-    /// bins then accumulate both statistics per HAdd and ship back one
-    /// cipher per bin. Only active under a Paillier suite (the mock keeps
-    /// separate streams); split decisions are identical either way, so the
-    /// flag — like `crypto_backend` — is deliberately excluded from the
-    /// session config digest by living outside the digested sub-configs.
-    pub gh_packing: bool,
     /// Which scheduler drives the hosts (see [`Scheduler`]). Excluded
     /// from the session config digest: the trained model is bitwise
     /// identical under either value.
@@ -245,7 +239,6 @@ impl Default for TrainConfig {
             crash_host_on_node_task: None,
             crash_hist_worker_on_tree: None,
             misbehavior_budget: 0,
-            gh_packing: false,
             scheduler: Scheduler::Lockstep,
             pipeline_depth: 4,
             wan_spread: None,
@@ -295,6 +288,26 @@ impl TrainConfig {
             }
         }
         Ok(())
+    }
+
+    /// The one rule selecting the forward gradient path: a Paillier suite
+    /// with `protocol.pack_histograms` pairs each row's `(g, h)` into one
+    /// cipher (`Msg::PackedGradBatch` forward, `HistPayload::GhPacked`
+    /// back) and gets the pair plan; everything else — the mock suite, the
+    /// raw-histogram ablation rows — keeps the two-stream path and gets
+    /// `None`. Every party derives the same plan from shared knowledge
+    /// (loss bounds, instance count, encoding, key), so nothing about it
+    /// is negotiated on the wire. A pair too wide for the key is a typed
+    /// error here, before the first message.
+    pub fn gh_plan(&self, suite: &Suite, num_rows: usize) -> Result<Option<GhPlan>, CryptoError> {
+        let Some(pk) = suite.public_key().filter(|_| self.protocol.pack_histograms) else {
+            return Ok(None);
+        };
+        let loss = &self.gbdt.loss;
+        let plan =
+            GhPlan::new(loss.grad_bound(), loss.hess_bound(), num_rows as u64, &self.encoding)?;
+        plan.validate_capacity(pk)?;
+        Ok(Some(plan))
     }
 
     /// The WAN characteristics of host `p`'s link out of `total` hosts:
@@ -368,8 +381,33 @@ mod tests {
         assert!(c.crash_hist_worker_on_tree.is_none());
         // Fail fast on the first protocol violation by default.
         assert_eq!(c.misbehavior_budget, 0);
-        // GH packing is opt-in so defaults stay bitwise-compatible.
-        assert!(!c.gh_packing);
+    }
+
+    #[test]
+    fn only_paillier_with_histogram_packing_pairs_gradients() {
+        let cfg = TrainConfig::for_tests();
+        let paillier = Suite::paillier_seeded(256, 7, cfg.encoding).unwrap();
+        let plan = cfg.gh_plan(&paillier, 300).unwrap().expect("the default path is paired");
+        assert_eq!(plan.exponent(), 11);
+        // Sized for exactly the run's 300 rows.
+        assert!(plan.top_up(300).is_ok() && plan.top_up(301).is_err());
+        assert!(plan.bins_per_cipher(paillier.public_key().unwrap()) >= 2);
+        // The host's public half derives the same plan.
+        assert_eq!(cfg.gh_plan(&paillier.public_half(), 300).unwrap(), Some(plan));
+        let raw = TrainConfig {
+            protocol: ProtocolConfig { pack_histograms: false, ..cfg.protocol },
+            ..cfg
+        };
+        assert_eq!(raw.gh_plan(&paillier, 300).unwrap(), None);
+        let baseline = TrainConfig { protocol: ProtocolConfig::baseline(), ..cfg };
+        assert_eq!(baseline.gh_plan(&paillier, 300).unwrap(), None);
+        assert_eq!(cfg.gh_plan(&Suite::plain(cfg.encoding), 300).unwrap(), None);
+        // A pair that cannot fit the key fails before any message is sent.
+        let small = Suite::paillier_seeded(128, 7, cfg.encoding).unwrap();
+        assert!(matches!(
+            cfg.gh_plan(&small, 4_000_000),
+            Err(CryptoError::PackingCapacity { requested: 1, max: 0 })
+        ));
     }
 
     #[test]

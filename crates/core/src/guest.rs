@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 use vf2_channel::{recv_ready, Endpoint, Envelope, RecvError, RecvReady};
 use vf2_crypto::packing::GhPlan;
 use vf2_crypto::split_seed;
-use vf2_crypto::suite::{Suite, SuiteKind};
+use vf2_crypto::suite::Suite;
 use vf2_gbdt::binning::BinnedDataset;
 use vf2_gbdt::data::Dataset;
 use vf2_gbdt::histogram::GradPair;
@@ -188,6 +188,9 @@ pub fn run_guest(
 struct GuestParty {
     cfg: TrainConfig,
     suite: Suite,
+    /// The pair plan when this run's forward path is paired
+    /// ([`TrainConfig::gh_plan`]); `None` on the two-stream path.
+    gh: Option<GhPlan>,
     endpoints: Vec<Endpoint>,
     data: Arc<Dataset>,
     /// The label vector, captured once at construction (presence is a
@@ -247,7 +250,9 @@ impl GuestParty {
             .build()
             .map_err(|e| TrainError::Setup { party: PartyId::Guest, detail: e.to_string() })?;
         let n = data.num_rows();
+        let gh = cfg.gh_plan(&suite, n).map_err(TrainError::crypto("gh plan derivation"))?;
         Ok(GuestParty {
+            gh,
             preds: vec![cfg.gbdt.loss.base_score(); n],
             host_metas: Vec::new(),
             telemetry: PartyTelemetry {
@@ -844,7 +849,7 @@ impl GuestParty {
             metas,
             self.cfg.gbdt.max_layers as u32,
             &self.suite,
-            self.gh_active(),
+            self.gh.as_ref(),
         )
         .and_then(|()| self.fsms[host].admit(&msg));
         match verdict {
@@ -870,27 +875,6 @@ impl GuestParty {
                 Ok(None)
             }
         }
-    }
-
-    /// True when the run's forward path ships GH-packed pairs: the flag is
-    /// on AND the suite is Paillier (the plaintext mock keeps separate g/h
-    /// streams — packing would save it nothing and its "ciphers" have no
-    /// shared plaintext space to pack into).
-    fn gh_active(&self) -> bool {
-        self.cfg.gh_packing && self.suite.kind() == SuiteKind::Paillier
-    }
-
-    /// The GH-pair plan both parties derive from shared knowledge (the
-    /// loss's bounds, the instance count, the negotiated encoding) — no
-    /// wire negotiation is needed for the plans to agree.
-    fn gh_plan(&self) -> Result<GhPlan, TrainError> {
-        GhPlan::new(
-            self.cfg.gbdt.loss.grad_bound(),
-            self.cfg.gbdt.loss.hess_bound(),
-            self.data.num_rows() as u64,
-            &self.cfg.encoding,
-        )
-        .map_err(TrainError::crypto("gh plan derivation"))
     }
 
     /// Maps a local encode failure (a count too large for its wire field)
@@ -1173,11 +1157,12 @@ impl GuestParty {
     }
 
     /// Encrypts and ships the gradient statistics — in one bulk message or
-    /// in pipelined blaster batches (§4.1).
+    /// in pipelined blaster batches (§4.1). On the paired path (§3.11) each
+    /// instance's (g, h) pair rides in one ciphertext, halving the
+    /// encryptions and the bytes on the wire; the plan is derived from
+    /// shared knowledge, so hosts reconstruct it without any negotiation
+    /// message.
     fn send_gradients(&mut self, ctx: &TreeCtx) -> Result<(), TrainError> {
-        if self.gh_active() {
-            return self.send_gradients_gh(ctx);
-        }
         let n = ctx.grads.len();
         let batch = self.cfg.protocol.blaster_batch.unwrap_or(n).max(1);
         let g_vals: Vec<f64> = ctx.grads.iter().map(|p| p.g).collect();
@@ -1185,71 +1170,29 @@ impl GuestParty {
         let mut start = 0usize;
         while start < n {
             let end = (start + batch).min(n);
+            let (g, h) = (&g_vals[start..end], &h_vals[start..end]);
             let seed = self.batch_seed(ctx.tree, start);
-            let (g_seed, h_seed) = (split_seed(seed, 0), split_seed(seed, 1));
+            let (tree, start_row, last) = (ctx.tree, start as u32, end == n);
             let t0 = Stopwatch::start(self.cfg.workers <= 1);
             self.telemetry.trace.enter(TracePhase::Encrypt, Some(ctx.tree), None);
-            let (g_res, h_res) = self.pool.install(|| {
-                (
-                    self.suite.encrypt_batch(&g_vals[start..end], g_seed),
-                    self.suite.encrypt_batch(&h_vals[start..end], h_seed),
-                )
+            // Streams 0/1 (g, h) and 2 (pairs) are disjoint, so the two
+            // paths never reuse each other's jitter or noise draws.
+            let msg = self.pool.install(|| match &self.gh {
+                Some(plan) => self
+                    .suite
+                    .encrypt_gh_batch(g, h, plan, split_seed(seed, 2))
+                    .map(|gh| Msg::PackedGradBatch { tree, start_row, gh, last }),
+                None => self.suite.encrypt_batch(g, split_seed(seed, 0)).and_then(|g| {
+                    let h = self.suite.encrypt_batch(h, split_seed(seed, 1))?;
+                    Ok(Msg::GradBatch { tree, start_row, g, h, last })
+                }),
             });
-            let g_cts = g_res.map_err(TrainError::crypto("gradient encryption"))?;
-            let h_cts = h_res.map_err(TrainError::crypto("hessian encryption"))?;
+            let msg = msg.map_err(TrainError::crypto("gradient encryption"))?;
             self.telemetry.phases.encrypt += t0.elapsed();
             self.telemetry.trace.exit(TracePhase::Encrypt, Some(ctx.tree), None);
             // Hand to the gateway immediately; encryption of the next batch
             // overlaps with the wire and with host-side accumulation.
-            self.broadcast_traced(
-                &Msg::GradBatch {
-                    tree: ctx.tree,
-                    start_row: start as u32,
-                    g: g_cts,
-                    h: h_cts,
-                    last: end == n,
-                },
-                ctx.tree,
-            )?;
-            start = end;
-        }
-        Ok(())
-    }
-
-    /// The packed forward path (§3.11): each instance's (g, h) pair rides
-    /// in one ciphertext, halving the number of encryptions and the bytes
-    /// on the wire. The plan is derived from shared knowledge (loss bounds,
-    /// instance count, encoding), so hosts reconstruct it without any
-    /// negotiation message.
-    fn send_gradients_gh(&mut self, ctx: &TreeCtx) -> Result<(), TrainError> {
-        let plan = self.gh_plan()?;
-        let n = ctx.grads.len();
-        let batch = self.cfg.protocol.blaster_batch.unwrap_or(n).max(1);
-        let g_vals: Vec<f64> = ctx.grads.iter().map(|p| p.g).collect();
-        let h_vals: Vec<f64> = ctx.grads.iter().map(|p| p.h).collect();
-        let mut start = 0usize;
-        while start < n {
-            let end = (start + batch).min(n);
-            // Stream 2: disjoint from the raw path's g/h streams (0 and 1),
-            // so toggling gh_packing never reuses jitter or noise draws.
-            let seed = split_seed(self.batch_seed(ctx.tree, start), 2);
-            let t0 = Stopwatch::start(self.cfg.workers <= 1);
-            self.telemetry.trace.enter(TracePhase::Encrypt, Some(ctx.tree), None);
-            let res = self.pool.install(|| {
-                self.suite.encrypt_gh_batch(&g_vals[start..end], &h_vals[start..end], &plan, seed)
-            });
-            let gh = res.map_err(TrainError::crypto("gh-pair encryption"))?;
-            self.telemetry.phases.encrypt += t0.elapsed();
-            self.telemetry.trace.exit(TracePhase::Encrypt, Some(ctx.tree), None);
-            self.broadcast_traced(
-                &Msg::PackedGradBatch {
-                    tree: ctx.tree,
-                    start_row: start as u32,
-                    gh,
-                    last: end == n,
-                },
-                ctx.tree,
-            )?;
+            self.broadcast_traced(&msg, ctx.tree)?;
             start = end;
         }
         Ok(())
@@ -1453,7 +1396,6 @@ impl GuestParty {
         let features_sent = match payload {
             HistPayload::Raw(features) => features.len(),
             HistPayload::Packed(features) => features.len(),
-            HistPayload::GhRaw(features) => features.len(),
             HistPayload::GhPacked(features) => features.len(),
         };
         if features_sent != metas.len() {
@@ -1464,12 +1406,6 @@ impl GuestParty {
             }
             .into());
         }
-        // GH payloads decode against the shared pair plan; admission has
-        // already rejected them unless gh packing was negotiated.
-        let gh_plan = match payload {
-            HistPayload::GhRaw(_) | HistPayload::GhPacked(_) => Some(self.gh_plan()?),
-            _ => None,
-        };
         let grad_bound = self.cfg.gbdt.loss.grad_bound();
         let hess_bound = self.cfg.gbdt.loss.hess_bound();
         let suite = &self.suite;
@@ -1512,31 +1448,10 @@ impl GuestParty {
             let prefix = vf2_gbdt::histogram::Histogram { bins }.prefix_sums();
             Ok(best_split_from_prefix(f, &prefix, total, &split_params))
         };
-        let per_feature_gh_raw = |(f, feat): (usize, &crate::messages::GhFeatureHist)| {
-            let plan =
-                gh_plan.as_ref().ok_or_else(|| guest_invariant("gh payload without a gh plan"))?;
-            let mut bins = Vec::with_capacity(feat.bins.len());
-            for c in &feat.bins {
-                let (g, h) = suite
-                    .decrypt_gh(c, plan)
-                    .map_err(TrainError::crypto("gh histogram decryption"))?;
-                bins.push(GradPair { g, h });
-            }
-            if bins.len() != metas[f].num_bins as usize {
-                return Err(ProtocolError::UnexpectedMessage {
-                    from: PartyId::Host(host),
-                    kind: 4,
-                    context: "histogram bin count differs from FeatureMeta",
-                }
-                .into());
-            }
-            fold_zero_mass(&mut bins, metas[f], total);
-            let hist = vf2_gbdt::histogram::Histogram { bins };
-            Ok(find_best_split(f, &hist, total, &split_params))
-        };
         let per_feature_gh_packed = |(f, feat): (usize, &crate::messages::GhPackedFeatureHist)| {
+            // Admission refuses a paired payload on a two-stream run.
             let plan =
-                gh_plan.as_ref().ok_or_else(|| guest_invariant("gh payload without a gh plan"))?;
+                self.gh.as_ref().ok_or_else(|| guest_invariant("gh payload without a gh plan"))?;
             let mut bins = unpack_gh_feature_hist(suite, feat, plan)
                 .map_err(TrainError::crypto("gh histogram unpacking"))?;
             if bins.len() != metas[f].num_bins as usize {
@@ -1558,9 +1473,6 @@ impl GuestParty {
             }
             HistPayload::Packed(features) => {
                 features.par_iter().enumerate().map(per_feature_packed).collect()
-            }
-            HistPayload::GhRaw(features) => {
-                features.par_iter().enumerate().map(per_feature_gh_raw).collect()
             }
             HistPayload::GhPacked(features) => {
                 features.par_iter().enumerate().map(per_feature_gh_packed).collect()

@@ -14,6 +14,13 @@
 //! shift the first gradient bin by `count × Bound + 1`, prefix-sum the
 //! bins, and pack the prefix ciphers so the guest needs one decryption per
 //! `t` bins. Hessians are non-negative and need no shift.
+//!
+//! On the paired path (`TrainConfig::gh_plan`) a row's single cipher holds
+//! `(g, h)` in the offset layout of [`GhPlan`], one builder accumulates
+//! both statistics, and [`EncHistBuilder::finalize_gh_feature`] /
+//! [`pack_gh_feature_hist`] replace the shift and the prefix sums: every
+//! bin is topped up to the constant offset `N·B_g` from the plain row
+//! count kept beside its cipher, then bins pack directly.
 
 use vf2_crypto::encoding::EncodingConfig;
 use vf2_crypto::error::{CryptoError, Result};
@@ -34,12 +41,21 @@ enum BinAcc {
     Reordered(Vec<Option<Ciphertext>>),
 }
 
+/// One bin: its cipher accumulator and how many rows went into it. The
+/// count is the host's own plaintext knowledge (it placed every row); the
+/// paired path's top-up is computed from it.
+#[derive(Debug, Clone, PartialEq)]
+struct Bin {
+    acc: BinAcc,
+    rows: u32,
+}
+
 /// An encrypted histogram over every feature of one node, for one
-/// statistic (gradients or hessians).
+/// statistic (gradients or hessians) — or, on the paired path, for both.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EncHistBuilder {
     /// `features[f][bin]`.
-    features: Vec<Vec<BinAcc>>,
+    features: Vec<Vec<Bin>>,
     reordered: bool,
     base_exp: i32,
     jitter: u32,
@@ -52,14 +68,12 @@ impl EncHistBuilder {
         let features = col_meta
             .iter()
             .map(|m| {
-                let mk = || {
-                    if reordered {
-                        BinAcc::Reordered(vec![None; slots])
-                    } else {
-                        BinAcc::Naive(None)
-                    }
+                let acc = if reordered {
+                    BinAcc::Reordered(vec![None; slots])
+                } else {
+                    BinAcc::Naive(None)
                 };
-                (0..m.num_bins).map(|_| mk()).collect()
+                vec![Bin { acc, rows: 0 }; usize::from(m.num_bins)]
             })
             .collect();
         EncHistBuilder { features, reordered, base_exp: encoding.base_exp, jitter: encoding.jitter }
@@ -172,6 +186,24 @@ impl EncHistBuilder {
         Ok(())
     }
 
+    /// One bin's workspaces merged into a single cipher (at most `E−1`
+    /// scalings under re-ordered accumulation); `None` for an empty bin.
+    fn merged(suite: &Suite, acc: &BinAcc) -> Result<Option<Ciphertext>> {
+        match acc {
+            BinAcc::Naive(a) => Ok(a.clone()),
+            BinAcc::Reordered(slots) => {
+                let mut out: Option<Ciphertext> = None;
+                for s in slots.iter().flatten() {
+                    out = Some(match out {
+                        None => s.clone(),
+                        Some(prev) => suite.add(&prev, s)?,
+                    });
+                }
+                Ok(out)
+            }
+        }
+    }
+
     /// Finalizes one feature's bins into ciphers.
     ///
     /// With `target_exp = Some(e)`, every bin is normalized to exponent `e`
@@ -186,21 +218,8 @@ impl EncHistBuilder {
     ) -> Result<Vec<Ciphertext>> {
         self.features[feature]
             .iter()
-            .map(|acc| {
-                let merged: Option<Ciphertext> = match acc {
-                    BinAcc::Naive(a) => a.clone(),
-                    BinAcc::Reordered(slots) => {
-                        let mut out: Option<Ciphertext> = None;
-                        for s in slots.iter().flatten() {
-                            out = Some(match out {
-                                None => s.clone(),
-                                Some(prev) => suite.add(&prev, s)?,
-                            });
-                        }
-                        out
-                    }
-                };
-                Ok(match (merged, target_exp) {
+            .map(|bin| {
+                Ok(match (Self::merged(suite, &bin.acc)?, target_exp) {
                     (Some(c), Some(t)) => suite.rescale_to(&c, t.max(c.exponent())),
                     (Some(c), None) => c,
                     // Empty bins ship as full-size zero ciphers so that the
@@ -208,6 +227,28 @@ impl EncHistBuilder {
                     // honest — see Suite::zero_obfuscated.
                     (None, t) => suite.zero_obfuscated(t.unwrap_or(self.base_exp)),
                 })
+            })
+            .collect()
+    }
+
+    /// Finalizes one feature's GH-pair bins for the return path: each bin
+    /// (an obfuscated zero when empty) is topped up by the public
+    /// [`GhPlan::top_up`] of its row count — one plaintext add — so every
+    /// bin leaves at the constant offset `N·B_g` and its plaintext says
+    /// nothing about how many rows fell into it. Pair ciphers all live at
+    /// the plan's exponent (admission enforces it), so nothing is rescaled.
+    pub fn finalize_gh_feature(
+        &self,
+        suite: &Suite,
+        feature: usize,
+        plan: &GhPlan,
+    ) -> Result<Vec<Ciphertext>> {
+        self.features[feature]
+            .iter()
+            .map(|bin| {
+                let c = Self::merged(suite, &bin.acc)?
+                    .unwrap_or_else(|| suite.zero_obfuscated(plan.exponent()));
+                suite.add_plain_raw(&c, &plan.top_up(u64::from(bin.rows))?)
             })
             .collect()
     }
@@ -233,7 +274,7 @@ impl EncHistBuilder {
         let mut to_negate: Vec<&Ciphertext> = Vec::new();
         for theirs in &other.features {
             for b in theirs {
-                match b {
+                match &b.acc {
                     BinAcc::Naive(y) => to_negate.extend(y.iter()),
                     BinAcc::Reordered(ys) => to_negate.extend(ys.iter().flatten()),
                 }
@@ -261,7 +302,14 @@ impl EncHistBuilder {
                 mine.iter()
                     .zip(theirs)
                     .map(|(a, b)| {
-                        Ok(match (a, b) {
+                        // The sibling's rows are a subset of the parent's.
+                        let rows =
+                            a.rows.checked_sub(b.rows).ok_or(CryptoError::ShapeMismatch {
+                                context: "EncHistBuilder::subtract row counts",
+                                left: a.rows as usize,
+                                right: b.rows as usize,
+                            })?;
+                        let acc = match (&a.acc, &b.acc) {
                             (BinAcc::Naive(x), BinAcc::Naive(y)) => BinAcc::Naive(match (x, y) {
                                 (p, Some(_)) => Some(next(p.as_ref())?),
                                 (Some(p), None) => Some(p.clone()),
@@ -295,7 +343,8 @@ impl EncHistBuilder {
                                     right: usize::from(other.reordered),
                                 })
                             }
-                        })
+                        };
+                        Ok(Bin { acc, rows })
                     })
                     .collect::<Result<Vec<_>>>()
             })
@@ -314,7 +363,7 @@ impl EncHistBuilder {
         self.features
             .iter()
             .flatten()
-            .map(|acc| match acc {
+            .map(|bin| match &bin.acc {
                 BinAcc::Naive(a) => usize::from(a.is_some()),
                 BinAcc::Reordered(slots) => slots.iter().flatten().count(),
             })
@@ -340,19 +389,20 @@ fn cipher_of(ciphers: &[Ciphertext], row: u32) -> Result<&Ciphertext> {
 /// Folds `c` into bin `bin` of one feature — the kernel behind
 /// [`EncHistBuilder::add`] and [`EncHistBuilder::add_rows`].
 fn add_to_bin(
-    bins: &mut [BinAcc],
+    bins: &mut [Bin],
     bin: usize,
     suite: &Suite,
     base_exp: i32,
     c: &Ciphertext,
 ) -> Result<()> {
     let num_bins = bins.len();
-    let acc = bins.get_mut(bin).ok_or(CryptoError::ShapeMismatch {
+    let bin = bins.get_mut(bin).ok_or(CryptoError::ShapeMismatch {
         context: "EncHistBuilder::add bin index",
         left: bin,
         right: num_bins,
     })?;
-    match acc {
+    bin.rows = bin.rows.saturating_add(1);
+    match &mut bin.acc {
         BinAcc::Naive(acc) => {
             *acc = Some(match acc.take() {
                 None => c.clone(),
@@ -524,20 +574,18 @@ pub fn unpack_feature_hist(
     Ok(out)
 }
 
-/// Packs one feature's finalized GH-pair bins for the return path.
+/// Packs one feature's topped-up GH-pair bins
+/// ([`EncHistBuilder::finalize_gh_feature`]) for the return path.
 ///
 /// Unlike [`pack_feature_hist`] there is no shift and no prefix sum: each
-/// bin's plaintext is already a non-negative stride-wide GH representative
-/// (the accumulated two's-complement pair), so bins pack directly into
-/// slots of `max(stride, target_slot_bits)` bits, rounded up to a byte
-/// multiple. `bins` must share the plan's exponent (the normalization
-/// target of [`max_exponent`]). GH packing only exists under Paillier —
-/// the mock suite keeps separate plaintext streams.
+/// bin's plaintext is already a non-negative integer below
+/// `2^pair_bits`, so bins pack directly into slots of exactly that width —
+/// no byte rounding, no `target_slot_bits` floor. Paired bins only exist
+/// under Paillier.
 pub fn pack_gh_feature_hist(
     suite: &Suite,
     bins: &[Ciphertext],
     gh: &GhPlan,
-    target_slot_bits: u32,
 ) -> Result<GhPackedFeatureHist> {
     if bins.is_empty() {
         return Err(CryptoError::ShapeMismatch {
@@ -546,19 +594,8 @@ pub fn pack_gh_feature_hist(
             right: 1,
         });
     }
-    if suite.kind() != SuiteKind::Paillier {
-        return Err(CryptoError::SuiteMismatch);
-    }
-    let slot_bits = gh.stride().max(target_slot_bits).div_ceil(8) * 8;
-    // Infallible: `public_key()` is `None` only for the plain mock suite,
-    // which was rejected above.
-    #[allow(clippy::expect_used)]
-    let pk = suite.public_key().expect("paillier suite has a public key");
-    let max = PackingPlan::max_slots(pk, slot_bits);
-    if max == 0 {
-        return Err(CryptoError::PackingCapacity { requested: 1, max: 0 });
-    }
-    let plan = PackingPlan::new(pk, slot_bits, max.min(bins.len()))?;
+    let pk = suite.public_key().ok_or(CryptoError::SuiteMismatch)?;
+    let plan = PackingPlan::new(pk, gh.pair_bits(), gh.bins_per_cipher(pk).min(bins.len()))?;
     let packed: Vec<_> =
         bins.chunks(plan.slots).map(|chunk| suite.pack(chunk, &plan)).collect::<Result<_>>()?;
     Ok(GhPackedFeatureHist { packed, bins: bins.len() as u16 })
@@ -866,70 +903,107 @@ mod tests {
         assert_eq!(packing_shift(10, 0.25, 4.0), 41.0);
     }
 
-    #[test]
-    fn gh_bins_accumulate_and_round_trip_both_return_paths() {
-        // Forward-path GH packing end to end through the histogram layer:
-        // encrypt packed (g, h) pairs, accumulate them into a single
-        // builder per bin (one HAdd covers both statistics), then read the
-        // bins back raw (decrypt_gh) and return-path packed
-        // (pack_gh_feature_hist / unpack_gh_feature_hist).
-        let s = suite();
-        let enc = encoding();
-        let plan = GhPlan::new(1.0, 1.0, 30, &enc).unwrap();
+    /// Thirty rows over three bins (the third stays empty) as paired
+    /// ciphers, with the plaintext per-bin sums and each row's bin.
+    fn gh_fixture(s: &Suite, plan: &GhPlan) -> (Vec<Ciphertext>, Vec<usize>, Vec<GradPair>) {
         let mut plain = vec![GradPair::ZERO; 3];
         let (mut gs, mut hs, mut bins_of) = (Vec::new(), Vec::new(), Vec::new());
         for i in 0..30 {
-            let bin = i % 3;
-            let g = (i as f64) * 0.01 - 0.15;
-            let h = 0.1;
+            let bin = i % 2;
+            let (g, h) = ((i as f64) * 0.03125 - 0.5, 0.125);
             plain[bin].g += g;
             plain[bin].h += h;
             gs.push(g);
             hs.push(h);
             bins_of.push(bin);
         }
-        let ciphers = s.encrypt_gh_batch(&gs, &hs, &plan, 99).unwrap();
+        (s.encrypt_gh_batch(&gs, &hs, plan, 99).unwrap(), bins_of, plain)
+    }
+
+    #[test]
+    fn gh_bins_accumulate_top_up_and_round_trip_the_return_path() {
+        // The paired path end to end through the histogram layer: encrypt
+        // (g, h) pairs, accumulate them into one builder (one HAdd covers
+        // both statistics), top every bin up from its row count, pack, and
+        // read all three bins back with one decryption.
+        let s = suite();
+        let enc = encoding();
+        let plan = GhPlan::new(1.0, 0.25, 30, &enc).unwrap();
+        assert_eq!(max_exponent(&enc), plan.exponent(), "pairs live at the normalization target");
+        let (ciphers, bins_of, plain) = gh_fixture(&s, &plan);
         let mut builder = EncHistBuilder::new(&meta(3), &enc, true);
         for (c, &bin) in ciphers.iter().zip(&bins_of) {
             builder.add(&s, 0, bin, c).unwrap();
         }
-        let target = max_exponent(&enc);
-        assert_eq!(target, plan.exponent, "GH ciphers live at the normalization target");
-        let bins = builder.finalize_feature(&s, 0, Some(target)).unwrap();
-        for (bin, want) in bins.iter().zip(&plain) {
-            let (g, h) = s.decrypt_gh(bin, &plan).unwrap();
-            assert!((g - want.g).abs() < 1e-5, "{g} vs {}", want.g);
-            assert!((h - want.h).abs() < 1e-5, "{h} vs {}", want.h);
-        }
-        let packed = pack_gh_feature_hist(&s, &bins, &plan, 64).unwrap();
-        assert_eq!(usize::from(packed.bins), 3);
+        let host = s.public_half();
+        let bins = builder.finalize_gh_feature(&host, 0, &plan).unwrap();
+        let spent = host.counters().snapshot();
+        assert_eq!((spent.hadd, spent.scalings), (3, 0), "one plaintext add per bin, no rescale");
+        let packed = pack_gh_feature_hist(&host, &bins, &plan).unwrap();
+        assert_eq!((usize::from(packed.bins), packed.packed.len()), (3, 1));
+        let before = s.counters().snapshot();
         let pairs = unpack_gh_feature_hist(&s, &packed, &plan).unwrap();
-        assert_eq!(pairs.len(), 3);
-        for (got, want) in pairs.iter().zip(&plain) {
-            assert!((got.g - want.g).abs() < 1e-5, "{} vs {}", got.g, want.g);
-            assert!((got.h - want.h).abs() < 1e-5, "{} vs {}", got.h, want.h);
+        assert_eq!(s.counters().snapshot().since(&before).dec, 1);
+        // Dyadic inputs: the integer sums are exact, so is the decode.
+        assert_eq!(pairs, plain);
+        assert_eq!(pairs[2], GradPair::ZERO, "the empty bin decodes to zero");
+    }
+
+    #[test]
+    fn gh_subtraction_derives_the_sibling_with_consistent_offsets() {
+        let s = suite();
+        let enc = encoding();
+        let plan = GhPlan::new(1.0, 0.25, 30, &enc).unwrap();
+        let (ciphers, bins_of, _) = gh_fixture(&s, &plan);
+        let mut parent = EncHistBuilder::new(&meta(3), &enc, true);
+        let mut small = parent.clone();
+        let mut direct = parent.clone();
+        for (i, (c, &bin)) in ciphers.iter().zip(&bins_of).enumerate() {
+            parent.add(&s, 0, bin, c).unwrap();
+            // The small child takes only even rows: bin 1 (odd rows) gets
+            // none of them, bin 2 is empty in all three builders.
+            let child = if i % 2 == 0 && i < 12 { &mut small } else { &mut direct };
+            child.add(&s, 0, bin, c).unwrap();
         }
+        let derived = parent.subtract(&s, &small).unwrap();
+        let read = |b: &EncHistBuilder| {
+            let bins = b.finalize_gh_feature(&s, 0, &plan).unwrap();
+            unpack_gh_feature_hist(&s, &pack_gh_feature_hist(&s, &bins, &plan).unwrap(), &plan)
+                .unwrap()
+        };
+        assert_eq!(read(&derived), read(&direct));
+        // A "sibling" holding rows its parent never saw is a typed error,
+        // not a wrapped count.
+        let err = small.subtract(&s, &parent).unwrap_err();
+        assert!(matches!(err, CryptoError::ShapeMismatch { left: 6, right: 15, .. }), "{err}");
+        // And a bin claiming more rows than the plan allows cannot be
+        // topped up.
+        let tight = GhPlan::new(1.0, 0.25, 10, &enc).unwrap();
+        let err = parent.finalize_gh_feature(&s, 0, &tight).unwrap_err();
+        assert_eq!(err, CryptoError::PackingCapacity { requested: 15, max: 10 });
     }
 
     #[test]
     fn gh_pack_rejects_empty_bins_mock_suites_and_hostile_declarations() {
         let s = suite();
         let enc = encoding();
-        let plan = GhPlan::new(1.0, 1.0, 10, &enc).unwrap();
+        let plan = GhPlan::new(1.0, 0.25, 10, &enc).unwrap();
         assert!(matches!(
-            pack_gh_feature_hist(&s, &[], &plan, 64),
+            pack_gh_feature_hist(&s, &[], &plan),
             Err(CryptoError::ShapeMismatch { .. })
         ));
         let mock = Suite::plain(enc);
         let mut rng = StdRng::seed_from_u64(21);
         let c = mock.encrypt(0.5, &mut rng).unwrap();
         assert!(matches!(
-            pack_gh_feature_hist(&mock, &[c], &plan, 64),
+            pack_gh_feature_hist(&mock, &[c], &plan),
             Err(CryptoError::SuiteMismatch)
         ));
         // A bins declaration that disagrees with the packed slot total.
-        let ciphers = s.encrypt_gh_batch(&[0.5, -0.5], &[0.1, 0.2], &plan, 3).unwrap();
-        let mut packed = pack_gh_feature_hist(&s, &ciphers, &plan, 64).unwrap();
+        let ciphers = s.encrypt_gh_batch(&[0.5, -0.5], &[0.125, 0.25], &plan, 3).unwrap();
+        let topped: Vec<Ciphertext> =
+            ciphers.iter().map(|c| s.add_plain_raw(c, &plan.top_up(1).unwrap()).unwrap()).collect();
+        let mut packed = pack_gh_feature_hist(&s, &topped, &plan).unwrap();
         packed.bins = 7;
         let err = unpack_gh_feature_hist(&s, &packed, &plan).unwrap_err();
         assert!(matches!(err, CryptoError::ShapeMismatch { right: 7, .. }), "{err}");
@@ -1032,7 +1106,7 @@ mod tests {
     }
 
     #[test]
-    fn subtraction_against_empty_negates_and_counts() {
+    fn subtraction_against_empty_passes_through_or_refuses() {
         let s = suite();
         let enc = encoding();
         let mut rng = StdRng::seed_from_u64(8);
@@ -1040,11 +1114,11 @@ mod tests {
         let mut other = EncHistBuilder::new(&meta(1), &enc, true);
         parent.add(&s, 0, 0, &s.encrypt_at(2.5, enc.base_exp, &mut rng).unwrap()).unwrap();
         other.add(&s, 0, 0, &s.encrypt_at(4.0, enc.base_exp, &mut rng).unwrap()).unwrap();
-        // Parent empty in this bin, other occupied ⇒ result is ⊖other.
+        // Parent empty in this bin, other occupied: `other` cannot be the
+        // sibling of a split of `parent` — a typed error.
         let empty = EncHistBuilder::new(&meta(1), &enc, true);
-        let neg = empty.subtract(&s, &other).unwrap();
-        let bins = neg.finalize_feature(&s, 0, None).unwrap();
-        assert!((s.decrypt(&bins[0]).unwrap() + 4.0).abs() < 1e-9);
+        let err = empty.subtract(&s, &other).unwrap_err();
+        assert!(matches!(err, CryptoError::ShapeMismatch { left: 0, right: 1, .. }), "{err}");
         // Other empty ⇒ parent passes through untouched (cipher_count 1).
         let through = parent.subtract(&s, &empty).unwrap();
         assert_eq!(through.cipher_count(), 1);

@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use vf2_channel::{Endpoint, Envelope, RecvError};
 use vf2_crypto::packing::GhPlan;
-use vf2_crypto::suite::{Ciphertext, Suite, SuiteKind};
+use vf2_crypto::suite::{Ciphertext, Suite};
 use vf2_gbdt::binning::{BinnedColumn, BinnedDataset};
 use vf2_gbdt::data::Dataset;
 use vf2_gbdt::tree::{left_child, right_child, NodeSplit};
@@ -25,8 +25,8 @@ use crate::error::{HostFailure, PartyId, ProtocolError, ProtocolPhase, TrainErro
 use crate::fsm::{Admit, HostFsm, MisbehaviorBudget};
 use crate::hist_enc::{max_exponent, pack_feature_hist, pack_gh_feature_hist, EncHistBuilder};
 use crate::messages::{
-    FeatureMeta, GhFeatureHist, GhPackedFeatureHist, HistPayload, Msg, PackedFeatureHist,
-    RawFeatureHist, HEARTBEAT_KIND,
+    FeatureMeta, GhPackedFeatureHist, HistPayload, Msg, PackedFeatureHist, RawFeatureHist,
+    HEARTBEAT_KIND,
 };
 use crate::model::HostSplitTable;
 use crate::retry::Backoff;
@@ -256,6 +256,12 @@ impl NodeHistCache {
 struct HostParty {
     cfg: TrainConfig,
     suite: Suite,
+    /// The pair plan when this run's forward path is paired
+    /// ([`TrainConfig::gh_plan`]): the whole histogram then lives in the
+    /// `g` builders and the `h` stream stays empty. `None` on the
+    /// two-stream path. The guest derives the same value from the same
+    /// shared config, so no negotiation message exists to spoof.
+    gh: Option<GhPlan>,
     endpoint: Endpoint,
     binned: BinnedDataset,
     csr: RowMajorBins,
@@ -307,7 +313,11 @@ impl HostParty {
         };
         let fsm = HostFsm::new(cfg.gbdt.num_trees as u32, csr.num_rows() as u32);
         let budget = MisbehaviorBudget::new(cfg.misbehavior_budget);
+        let gh = cfg
+            .gh_plan(&suite, csr.num_rows())
+            .map_err(TrainError::crypto("gh plan derivation"))?;
         Ok(HostParty {
+            gh,
             cfg,
             suite,
             endpoint,
@@ -409,26 +419,6 @@ impl HostParty {
         self.telemetry.trace.transfer(Some(tree), payload.len() as u64);
         self.endpoint.send(msg.kind(), payload);
         Ok(())
-    }
-
-    /// Whether the negotiated run ships packed (g, h) pairs. Mirrors the
-    /// guest's derivation exactly: both sides compute it from the shared
-    /// config, so no negotiation message exists to spoof.
-    fn gh_active(&self) -> bool {
-        self.cfg.gh_packing && self.suite.kind() == SuiteKind::Paillier
-    }
-
-    /// The shared pair-packing plan (loss bounds, instance count and
-    /// encoding are common knowledge, so both parties derive the same
-    /// plan independently).
-    fn gh_plan(&self) -> Result<GhPlan, TrainError> {
-        GhPlan::new(
-            self.cfg.gbdt.loss.grad_bound(),
-            self.cfg.gbdt.loss.hess_bound(),
-            self.csr.num_rows() as u64,
-            &self.cfg.encoding,
-        )
-        .map_err(TrainError::crypto("gh plan derivation"))
     }
 
     /// Declares the guest lost after a failed wait that began at `t0`.
@@ -611,7 +601,7 @@ impl HostParty {
             self.binned.num_features(),
             self.cfg.gbdt.max_layers as u32,
             &self.suite,
-            self.gh_active(),
+            self.gh.as_ref(),
         )
         .and_then(|()| self.fsm.admit(msg));
         match verdict {
@@ -633,10 +623,13 @@ impl HostParty {
     fn handle(&mut self, msg: Msg) -> Result<(), TrainError> {
         match msg {
             Msg::GradBatch { tree, start_row, g, h, last } => {
-                self.on_grad_batch(tree, start_row, g, h, last)?;
+                self.on_grad_batch(tree, start_row, g, Some(h), last)?;
             }
+            // One cipher per instance carries both statistics: it is
+            // stored in the `enc_g` stream and `enc_h` stays empty for the
+            // whole tree.
             Msg::PackedGradBatch { tree, start_row, gh, last } => {
-                self.on_packed_grad_batch(tree, start_row, gh, last)?;
+                self.on_grad_batch(tree, start_row, gh, None, last)?;
             }
             Msg::NodeTask { tree, node, epoch } => {
                 self.phase = ProtocolPhase::TreeBuild;
@@ -821,18 +814,20 @@ impl HostParty {
         Ok(())
     }
 
+    /// Stores one gradient batch — two streams, or on the paired path one
+    /// (`h` is `None`) — and folds its rows into the root histogram.
     fn on_grad_batch(
         &mut self,
         tree: u32,
         start_row: u32,
         g: Vec<Ciphertext>,
-        h: Vec<Ciphertext>,
+        h: Option<Vec<Ciphertext>>,
         last: bool,
     ) -> Result<(), TrainError> {
         self.ensure_tree(tree);
         let t0 = Stopwatch::start(self.cfg.workers <= 1);
         self.telemetry.trace.enter(TracePhase::Hadd, Some(tree), Some(0));
-        {
+        let batch_end = {
             let num_rows = self.csr.num_rows();
             let Some(state) = self.state.as_mut() else {
                 return Err(state_invariant("gradient batch arrived with no tree state"));
@@ -844,113 +839,32 @@ impl HostParty {
                 }
                 .into());
             }
-            if g.len() != h.len() || state.enc_g.len() + g.len() > num_rows {
+            if h.as_ref().is_some_and(|h| h.len() != g.len())
+                || state.enc_g.len() + g.len() > num_rows
+            {
                 return Err(ProtocolError::UnexpectedMessage {
                     from: PartyId::Guest,
-                    kind: 2,
+                    kind: if h.is_some() { 2 } else { 14 },
                     context: "gradient batch with mismatched or overflowing row count",
                 }
                 .into());
             }
             state.enc_g.extend(g);
-            state.enc_h.extend(h);
-        }
+            state.enc_h.extend(h.into_iter().flatten());
+            state.enc_g.len()
+        };
         // Accumulate the freshly arrived rows into the root histogram
         // immediately — this is what overlaps BuildHistA with the guest's
         // ongoing encryption (§4.1).
-        let (batch_start, batch_end) = {
-            let Some(state) = self.state.as_ref() else {
-                return Err(state_invariant("tree state vanished during gradient batch"));
-            };
-            (start_row as usize, state.enc_g.len())
-        };
-        self.accumulate_rows_into_root(batch_start, batch_end)?;
+        self.accumulate_rows_into_root(start_row as usize, batch_end)?;
         self.telemetry.phases.build_hist_enc += t0.elapsed();
         self.telemetry.trace.exit(TracePhase::Hadd, Some(tree), Some(0));
 
         if last {
-            let enc_rows = {
-                let Some(state) = self.state.as_ref() else {
-                    return Err(state_invariant("tree state vanished before the root payload"));
-                };
-                state.enc_g.len()
-            };
-            if enc_rows != self.csr.num_rows() {
+            if batch_end != self.csr.num_rows() {
                 return Err(ProtocolError::IncompleteGradients {
                     expected: self.csr.num_rows(),
-                    got: enc_rows,
-                }
-                .into());
-            }
-            let payload = self.root_payload()?;
-            let Some(state) = self.state.as_mut() else {
-                return Err(state_invariant("tree state vanished after the root payload"));
-            };
-            state.root_sent = true;
-            let tree = state.tree;
-            self.send_traced(&Msg::NodeHistograms { tree, node: 0, epoch: 1, payload }, tree)?;
-            self.phase = ProtocolPhase::TreeBuild;
-        }
-        Ok(())
-    }
-
-    /// The packed forward path's batch handler: one ciphertext per
-    /// instance carries both statistics, stored in the `enc_g` stream (the
-    /// `enc_h` stream stays empty for the whole tree — every accumulation
-    /// site branches on [`HostParty::gh_active`]).
-    fn on_packed_grad_batch(
-        &mut self,
-        tree: u32,
-        start_row: u32,
-        gh: Vec<Ciphertext>,
-        last: bool,
-    ) -> Result<(), TrainError> {
-        self.ensure_tree(tree);
-        let t0 = Stopwatch::start(self.cfg.workers <= 1);
-        self.telemetry.trace.enter(TracePhase::Hadd, Some(tree), Some(0));
-        {
-            let num_rows = self.csr.num_rows();
-            let Some(state) = self.state.as_mut() else {
-                return Err(state_invariant("gradient batch arrived with no tree state"));
-            };
-            if state.enc_g.len() != start_row as usize {
-                return Err(ProtocolError::OutOfOrderGradients {
-                    expected: state.enc_g.len() as u32,
-                    got: start_row,
-                }
-                .into());
-            }
-            if state.enc_g.len() + gh.len() > num_rows {
-                return Err(ProtocolError::UnexpectedMessage {
-                    from: PartyId::Guest,
-                    kind: 14,
-                    context: "packed gradient batch with overflowing row count",
-                }
-                .into());
-            }
-            state.enc_g.extend(gh);
-        }
-        let (batch_start, batch_end) = {
-            let Some(state) = self.state.as_ref() else {
-                return Err(state_invariant("tree state vanished during gradient batch"));
-            };
-            (start_row as usize, state.enc_g.len())
-        };
-        self.accumulate_rows_into_root(batch_start, batch_end)?;
-        self.telemetry.phases.build_hist_enc += t0.elapsed();
-        self.telemetry.trace.exit(TracePhase::Hadd, Some(tree), Some(0));
-
-        if last {
-            let enc_rows = {
-                let Some(state) = self.state.as_ref() else {
-                    return Err(state_invariant("tree state vanished before the root payload"));
-                };
-                state.enc_g.len()
-            };
-            if enc_rows != self.csr.num_rows() {
-                return Err(ProtocolError::IncompleteGradients {
-                    expected: self.csr.num_rows(),
-                    got: enc_rows,
+                    got: batch_end,
                 }
                 .into());
             }
@@ -1000,7 +914,7 @@ impl HostParty {
                 if crash {
                     panic!("injected crash: histogram worker shard 0 dying in tree {tree}");
                 }
-                let enc_h = (!self.gh_active()).then_some(&state.enc_h[..]);
+                let enc_h = self.gh.is_none().then_some(&state.enc_h[..]);
                 EncHistBuilder::add_rows(
                     &self.suite,
                     &self.csr,
@@ -1174,8 +1088,12 @@ impl HostParty {
             return self.build_node_builders(rows);
         };
         let spent = self.suite.counters().snapshot().since(&before);
-        let direct_cost: u64 =
-            rows.iter().map(|&r| 2 * self.csr.row(r as usize).len() as u64).sum();
+        // A direct build folds one cipher per stored entry and stream into
+        // its bins; the first one into an empty slot is a move, not an HAdd.
+        let streams = if self.gh.is_some() { 1 } else { 2 };
+        let entries: u64 = rows.iter().map(|&r| self.csr.row(r as usize).len() as u64).sum();
+        let direct_cost =
+            (streams * entries).saturating_sub((g.cipher_count() + h.cipher_count()) as u64);
         self.telemetry.events.hist_cache_hits += 1;
         self.telemetry.events.hist_subtractions += 1;
         self.telemetry.events.hadds_saved +=
@@ -1236,28 +1154,15 @@ impl HostParty {
         self.telemetry.trace.enter(TracePhase::Pack, tree, None);
         let suite = &self.suite;
         let crypto = TrainError::crypto("histogram finalize/pack");
-        let payload = if self.gh_active() {
-            // Pair mode: the whole histogram lives in the `g` builders; a
-            // bin decodes through the shared pair plan. Finalizing at the
-            // plan exponent is a no-op rescale (every pair cipher was
-            // encrypted there), so no scaling noise enters either path.
-            let plan = self.gh_plan()?;
-            let target = max_exponent(&self.cfg.encoding);
-            if self.cfg.protocol.pack_histograms {
-                let pack_one = |f: usize| -> Result<GhPackedFeatureHist, TrainError> {
-                    let bins = g.finalize_feature(suite, f, Some(target)).map_err(&crypto)?;
-                    pack_gh_feature_hist(suite, &bins, &plan, self.cfg.protocol.target_slot_bits)
-                        .map_err(&crypto)
-                };
-                HistPayload::GhPacked(self.per_feature(g, pack_one)?)
-            } else {
-                let raw_one = |f: usize| -> Result<GhFeatureHist, TrainError> {
-                    Ok(GhFeatureHist {
-                        bins: g.finalize_feature(suite, f, Some(target)).map_err(&crypto)?,
-                    })
-                };
-                HistPayload::GhRaw(self.per_feature(g, raw_one)?)
-            }
+        let payload = if let Some(plan) = &self.gh {
+            // Paired path: the whole histogram lives in the `g` builders;
+            // every bin is topped up to the plan's constant offset, then
+            // bins pack at exactly the pair width.
+            let pack_one = |f: usize| -> Result<GhPackedFeatureHist, TrainError> {
+                let bins = g.finalize_gh_feature(suite, f, plan).map_err(&crypto)?;
+                pack_gh_feature_hist(suite, &bins, plan).map_err(&crypto)
+            };
+            HistPayload::GhPacked(self.per_feature(g, pack_one)?)
         } else if self.cfg.protocol.pack_histograms {
             let target = max_exponent(&self.cfg.encoding);
             let grad_bound = self.cfg.gbdt.loss.grad_bound();

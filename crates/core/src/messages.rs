@@ -41,22 +41,13 @@ pub struct PackedFeatureHist {
     pub bins: u16,
 }
 
-/// One feature's histogram under forward-path GH packing: a single cipher
-/// per bin whose plaintext holds both `Σg` and `Σh` as stride-spaced
-/// two's-complement slots (see `vf2_crypto::GhPlan`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct GhFeatureHist {
-    /// Per-bin GH-pair ciphers.
-    pub bins: Vec<Ciphertext>,
-}
-
-/// One feature's GH-packed histogram additionally packed on the return
-/// path: each [`PackedCiphertext`] slot holds one bin's GH-pair
-/// representative, so a single decryption recovers `(Σg, Σh)` for many
-/// bins at once.
+/// One feature's histogram on the paired path: each [`PackedCiphertext`]
+/// slot holds one bin's accumulated `(Σg, Σh)` pair in the offset layout
+/// of `vf2_crypto::GhPlan`, topped up to the constant offset `N·B_g`, so a
+/// single decryption recovers both sums for many bins at once.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GhPackedFeatureHist {
-    /// Packed runs of per-bin GH representatives.
+    /// Packed runs of per-bin GH pairs.
     pub packed: Vec<PackedCiphertext>,
     /// Number of bins the runs cover.
     pub bins: u16,
@@ -67,11 +58,10 @@ pub struct GhPackedFeatureHist {
 pub enum HistPayload {
     /// Raw per-bin ciphers.
     Raw(Vec<RawFeatureHist>),
-    /// Packed prefix sums.
+    /// Packed prefix sums of the two-stream path.
     Packed(Vec<PackedFeatureHist>),
-    /// One GH-pair cipher per bin (forward-path packing, raw return).
-    GhRaw(Vec<GhFeatureHist>),
-    /// GH-pair bins packed again on the return path.
+    /// Packed GH-pair bins: what a Paillier run with `pack_histograms`
+    /// ships, in answer to [`Msg::PackedGradBatch`].
     GhPacked(Vec<GhPackedFeatureHist>),
 }
 
@@ -96,8 +86,9 @@ pub enum Msg {
         last: bool,
     },
     /// guest → host: one blaster batch of GH-packed gradient statistics —
-    /// a single cipher per row holding both `g` and `h` (forward-path
-    /// packing; requires `TrainConfig::gh_packing` and a Paillier suite).
+    /// a single cipher per row holding both `g` and `h`. The forward path
+    /// of every Paillier run with `pack_histograms`; the mock suite and the
+    /// raw-histogram ablation rows keep [`Msg::GradBatch`].
     PackedGradBatch {
         /// Tree index.
         tree: u32,

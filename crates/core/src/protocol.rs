@@ -33,11 +33,16 @@ pub struct ProtocolConfig {
     /// once at the end (§5.1). When false, ciphers are accumulated
     /// naively with on-the-fly exponent scaling.
     pub reordered_accumulation: bool,
-    /// Polynomial-based histogram packing of prefix sums (§5.2). When
-    /// false, hosts ship raw per-bin ciphers.
+    /// Polynomial-based histogram packing (§5.2). When false, hosts ship
+    /// raw per-bin ciphers. Under a Paillier suite this also selects the
+    /// forward path ([`crate::config::TrainConfig::gh_plan`]): packed runs
+    /// ship one `(g, h)` cipher per instance and pack GH-pair bins;
+    /// unpacked runs, and the mock suite always, keep two gradient streams
+    /// and (when packing) prefix sums.
     pub pack_histograms: bool,
-    /// Target slot width `M` in bits for packing. The effective width is
-    /// raised automatically if the value range requires more bits.
+    /// Target slot width `M` in bits for packing prefix sums. The
+    /// effective width is raised automatically if the value range requires
+    /// more bits. (GH-pair bins pack at exactly the pair width.)
     pub target_slot_bits: u32,
     /// Ciphertext histogram subtraction: build only the smaller child of a
     /// split from rows and derive the larger sibling as `parent ⊖ child`

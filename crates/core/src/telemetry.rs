@@ -475,7 +475,6 @@ pub fn party_to_json(p: &PartyTelemetry, indent: usize) -> String {
         .u64("negs", p.ops.negs)
         .u64("scalings", p.ops.scalings)
         .u64("packs", p.ops.packs)
-        .u64("ghpack", p.ops.ghpack)
         .u64("modmul", p.ops.modmul)
         .u64("redc", p.ops.redc);
     let mut trace = JsonObj::new();
@@ -624,18 +623,15 @@ mod tests {
     }
 
     #[test]
-    fn report_json_carries_ghpack_and_flight_record_counters() {
+    fn report_json_carries_flight_record_counters() {
         use crate::json::{parse, Json};
         let mut r = TrainReport::default();
         r.guest.name = "guest".into();
         r.guest.events.flight_record_failed = 1;
-        r.guest.ops.ghpack = 42;
         let parsed = parse(&r.to_json()).expect("report parses");
         let parties = parsed.get("parties").and_then(Json::as_arr).expect("parties");
         let events = parties[0].get("events").expect("events");
         assert_eq!(events.get("flight_record_failed").and_then(Json::as_f64), Some(1.0));
-        let ops = parties[0].get("ops").expect("ops");
-        assert_eq!(ops.get("ghpack").and_then(Json::as_f64), Some(42.0));
     }
 
     #[test]

@@ -23,6 +23,7 @@
 //! All violations are reported as [`ProtocolError::Inadmissible`] and are
 //! charged against the peer's misbehavior budget by the callers.
 
+use vf2_crypto::packing::GhPlan;
 use vf2_crypto::suite::{Ciphertext, PackedCiphertext, Suite, SuiteKind};
 
 use crate::error::{PartyId, ProtocolError};
@@ -133,30 +134,31 @@ pub fn check_grad_batch(
 }
 
 /// Checks a GH-packed gradient batch at the host: one cipher per row (each
-/// holding a `(g, h)` pair), a row range inside the peer-declared instance
-/// count, and every cipher admissible. The kind is only admissible at all
-/// when the run negotiated forward-path GH packing under a Paillier suite —
-/// an unsolicited packed batch is a protocol violation, not a fallback.
+/// holding a `(g, h)` pair at the plan's exponent), a row range inside the
+/// peer-declared instance count, and every cipher admissible. The kind is
+/// only admissible on a paired run (`plan` is the host's own derivation of
+/// [`crate::config::TrainConfig::gh_plan`]) — an unsolicited packed batch
+/// is a protocol violation, not a fallback.
 pub fn check_packed_grad_batch(
     from: PartyId,
     start_row: u32,
     gh: &[Ciphertext],
     num_rows: u32,
     suite: &Suite,
-    gh_packing: bool,
+    plan: Option<&GhPlan>,
 ) -> Result<(), ProtocolError> {
     const KIND: u16 = 14;
-    if !gh_packing {
-        return Err(inadmissible(from, KIND, "gh packing was not negotiated for this run"));
-    }
-    if suite.kind() != SuiteKind::Paillier {
-        return Err(inadmissible(from, KIND, "gh packing requires a Paillier suite"));
-    }
+    let Some(plan) = plan else {
+        return Err(inadmissible(from, KIND, "paired gradients on a two-stream run"));
+    };
     if u64::from(start_row) + gh.len() as u64 > u64::from(num_rows) {
         return Err(inadmissible(from, KIND, "gradient rows past the instance count"));
     }
     for c in gh {
         check_cipher(c, suite, from, KIND)?;
+        if c.exponent() != plan.exponent() {
+            return Err(inadmissible(from, KIND, "gradient pair off the plan's exponent"));
+        }
     }
     Ok(())
 }
@@ -177,26 +179,51 @@ pub fn check_feature_meta(from: PartyId, metas: &[FeatureMeta]) -> Result<(), Pr
 }
 
 /// Checks a histogram payload against the metadata the same host
-/// negotiated at startup: the feature count, every per-feature bin count
-/// (raw bins or packed slot totals), and every cipher. GH wire forms are
-/// only admissible when the run negotiated `gh_packing`.
+/// negotiated at startup — the feature count, every per-feature bin count
+/// (raw bins or packed slot totals), every cipher — and against the run's
+/// gradient path: a paired run (`gh` is the guest's own pair plan) admits
+/// only [`HistPayload::GhPacked`] laid out exactly as that plan derives,
+/// a two-stream run only the other two forms.
 pub fn check_hist_payload(
     from: PartyId,
     payload: &HistPayload,
     metas: &[FeatureMeta],
     suite: &Suite,
-    gh_packing: bool,
+    gh: Option<&GhPlan>,
 ) -> Result<(), ProtocolError> {
     const KIND: u16 = 4;
-    match payload {
-        HistPayload::Raw(feats) => {
-            if feats.len() != metas.len() {
-                return Err(inadmissible(
-                    from,
-                    KIND,
-                    "histogram feature count disagrees with the negotiated metadata",
-                ));
-            }
+    let features = match payload {
+        HistPayload::Raw(feats) => feats.len(),
+        HistPayload::Packed(feats) => feats.len(),
+        HistPayload::GhPacked(feats) => feats.len(),
+    };
+    if features != metas.len() {
+        return Err(inadmissible(
+            from,
+            KIND,
+            "histogram feature count disagrees with the negotiated metadata",
+        ));
+    }
+    // A packed feature's declared bins and slot total against its metadata.
+    let check_slots = |bins: u16, slots: usize, m: &FeatureMeta| {
+        if bins != m.num_bins {
+            return Err(inadmissible(
+                from,
+                KIND,
+                "packed bin declaration disagrees with the negotiated metadata",
+            ));
+        }
+        if slots != usize::from(bins) {
+            return Err(inadmissible(
+                from,
+                KIND,
+                "packed slot total disagrees with the declared bin count",
+            ));
+        }
+        Ok(())
+    };
+    match (payload, gh) {
+        (HistPayload::Raw(feats), None) => {
             for (f, m) in feats.iter().zip(metas) {
                 if f.g.len() != usize::from(m.num_bins) || f.h.len() != usize::from(m.num_bins) {
                     return Err(inadmissible(
@@ -211,30 +238,10 @@ pub fn check_hist_payload(
             }
             Ok(())
         }
-        HistPayload::Packed(feats) => {
-            if feats.len() != metas.len() {
-                return Err(inadmissible(
-                    from,
-                    KIND,
-                    "histogram feature count disagrees with the negotiated metadata",
-                ));
-            }
+        (HistPayload::Packed(feats), None) => {
             for (f, m) in feats.iter().zip(metas) {
-                if f.bins != m.num_bins {
-                    return Err(inadmissible(
-                        from,
-                        KIND,
-                        "packed bin declaration disagrees with the negotiated metadata",
-                    ));
-                }
-                let slots_g: usize = f.g.iter().map(PackedCiphertext::count).sum();
-                let slots_h: usize = f.h.iter().map(PackedCiphertext::count).sum();
-                if slots_g != usize::from(f.bins) || slots_h != usize::from(f.bins) {
-                    return Err(inadmissible(
-                        from,
-                        KIND,
-                        "packed slot total disagrees with the declared bin count",
-                    ));
+                for stream in [&f.g, &f.h] {
+                    check_slots(f.bins, stream.iter().map(PackedCiphertext::count).sum(), m)?;
                 }
                 for p in f.g.iter().chain(&f.h) {
                     check_packed(p, suite, from, KIND)?;
@@ -242,64 +249,35 @@ pub fn check_hist_payload(
             }
             Ok(())
         }
-        HistPayload::GhRaw(feats) => {
-            if !gh_packing {
-                return Err(inadmissible(from, KIND, "gh histogram without negotiated gh packing"));
-            }
-            if feats.len() != metas.len() {
-                return Err(inadmissible(
-                    from,
-                    KIND,
-                    "histogram feature count disagrees with the negotiated metadata",
-                ));
-            }
+        (HistPayload::GhPacked(feats), Some(plan)) => {
+            let per_cipher = suite.public_key().map_or(0, |pk| plan.bins_per_cipher(pk));
             for (f, m) in feats.iter().zip(metas) {
-                if f.bins.len() != usize::from(m.num_bins) {
-                    return Err(inadmissible(
-                        from,
-                        KIND,
-                        "histogram bin count disagrees with the negotiated metadata",
-                    ));
-                }
-                for c in &f.bins {
-                    check_cipher(c, suite, from, KIND)?;
-                }
-            }
-            Ok(())
-        }
-        HistPayload::GhPacked(feats) => {
-            if !gh_packing {
-                return Err(inadmissible(from, KIND, "gh histogram without negotiated gh packing"));
-            }
-            if feats.len() != metas.len() {
-                return Err(inadmissible(
-                    from,
-                    KIND,
-                    "histogram feature count disagrees with the negotiated metadata",
-                ));
-            }
-            for (f, m) in feats.iter().zip(metas) {
-                if f.bins != m.num_bins {
-                    return Err(inadmissible(
-                        from,
-                        KIND,
-                        "packed bin declaration disagrees with the negotiated metadata",
-                    ));
-                }
-                let slots: usize = f.packed.iter().map(PackedCiphertext::count).sum();
-                if slots != usize::from(f.bins) {
-                    return Err(inadmissible(
-                        from,
-                        KIND,
-                        "packed slot total disagrees with the declared bin count",
-                    ));
-                }
+                check_slots(f.bins, f.packed.iter().map(PackedCiphertext::count).sum(), m)?;
                 for p in &f.packed {
                     check_packed(p, suite, from, KIND)?;
+                    // The guest slices by the width it derived; a peer
+                    // declaring another layout is refused here, before a
+                    // decryption is spent on it.
+                    let derived = match p {
+                        PackedCiphertext::Paillier { exponent, count, slot_bits, .. } => {
+                            *slot_bits == plan.pair_bits()
+                                && *exponent == plan.exponent()
+                                && *count <= per_cipher
+                        }
+                        PackedCiphertext::Plain(_) => false,
+                    };
+                    if !derived {
+                        return Err(inadmissible(
+                            from,
+                            KIND,
+                            "packed pair layout differs from the derived plan",
+                        ));
+                    }
                 }
             }
             Ok(())
         }
+        _ => Err(inadmissible(from, KIND, "histogram wire form of the other gradient path")),
     }
 }
 
@@ -321,23 +299,26 @@ fn check_node_index(
 
 /// Semantic admission for every message a host may receive from the
 /// guest. `num_rows` is the host's own instance count, `num_features` its
-/// own feature count, `max_layers` the negotiated tree depth, and
-/// `gh_packing` whether the run negotiated forward-path GH packing.
+/// own feature count, `max_layers` the negotiated tree depth, and `gh` the
+/// pair plan of a paired run (`None` on the two-stream path).
 pub fn check_host_inbound(
     msg: &Msg,
     num_rows: u32,
     num_features: usize,
     max_layers: u32,
     suite: &Suite,
-    gh_packing: bool,
+    gh: Option<&GhPlan>,
 ) -> Result<(), ProtocolError> {
     let from = PartyId::Guest;
     match msg {
+        Msg::GradBatch { .. } if gh.is_some() => {
+            Err(inadmissible(from, msg.kind(), "two-stream gradients on a paired run"))
+        }
         Msg::GradBatch { start_row, g, h, .. } => {
             check_grad_batch(from, *start_row, g, h, num_rows, suite)
         }
-        Msg::PackedGradBatch { start_row, gh, .. } => {
-            check_packed_grad_batch(from, *start_row, gh, num_rows, suite, gh_packing)
+        Msg::PackedGradBatch { start_row, gh: pairs, .. } => {
+            check_packed_grad_batch(from, *start_row, pairs, num_rows, suite, gh)
         }
         Msg::NodeTask { node, epoch, .. } => {
             check_node_index(from, msg.kind(), *node, max_layers)?;
@@ -366,14 +347,14 @@ pub fn check_host_inbound(
 
 /// Semantic admission for every message the guest may receive from host
 /// `host`. `metas` is that host's negotiated feature metadata (`None`
-/// until the handshake delivers it).
+/// until the handshake delivers it), `gh` the pair plan of a paired run.
 pub fn check_guest_inbound(
     host: usize,
     msg: &Msg,
     metas: Option<&[FeatureMeta]>,
     max_layers: u32,
     suite: &Suite,
-    gh_packing: bool,
+    gh: Option<&GhPlan>,
 ) -> Result<(), ProtocolError> {
     let from = PartyId::Host(host);
     match msg {
@@ -381,7 +362,7 @@ pub fn check_guest_inbound(
         Msg::NodeHistograms { node, payload, .. } => {
             check_node_index(from, msg.kind(), *node, max_layers)?;
             match metas {
-                Some(metas) => check_hist_payload(from, payload, metas, suite, gh_packing),
+                Some(metas) => check_hist_payload(from, payload, metas, suite, gh),
                 None => Ok(()),
             }
         }
@@ -393,13 +374,14 @@ pub fn check_guest_inbound(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use num_bigint::BigUint;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use vf2_crypto::encnum::EncryptedNumber;
     use vf2_crypto::encoding::EncodingConfig;
     use vf2_crypto::suite::PlainNumber;
 
-    use crate::messages::{GhFeatureHist, GhPackedFeatureHist, PackedFeatureHist, RawFeatureHist};
+    use crate::messages::{GhPackedFeatureHist, PackedFeatureHist, RawFeatureHist};
 
     fn enc() -> EncodingConfig {
         EncodingConfig { base: 16, base_exp: 8, jitter: 4 }
@@ -512,13 +494,13 @@ mod tests {
             g: (0..bins).map(|_| cipher(&s, 1.0)).collect(),
             h: (0..bins).map(|_| cipher(&s, 1.0)).collect(),
         };
-        check_hist_payload(from, &HistPayload::Raw(vec![feat(2)]), &metas, &s, false).unwrap();
+        check_hist_payload(from, &HistPayload::Raw(vec![feat(2)]), &metas, &s, None).unwrap();
         assert_inadmissible(
-            check_hist_payload(from, &HistPayload::Raw(vec![feat(3)]), &metas, &s, false),
+            check_hist_payload(from, &HistPayload::Raw(vec![feat(3)]), &metas, &s, None),
             "bin count disagrees",
         );
         assert_inadmissible(
-            check_hist_payload(from, &HistPayload::Raw(vec![feat(2), feat(2)]), &metas, &s, false),
+            check_hist_payload(from, &HistPayload::Raw(vec![feat(2), feat(2)]), &metas, &s, None),
             "feature count disagrees",
         );
     }
@@ -533,14 +515,14 @@ mod tests {
             h: vec![PackedCiphertext::Plain(vec![1.0; slots])],
             bins,
         };
-        check_hist_payload(from, &HistPayload::Packed(vec![packed(3, 3)]), &metas, &s, false)
+        check_hist_payload(from, &HistPayload::Packed(vec![packed(3, 3)]), &metas, &s, None)
             .unwrap();
         assert_inadmissible(
-            check_hist_payload(from, &HistPayload::Packed(vec![packed(3, 4)]), &metas, &s, false),
+            check_hist_payload(from, &HistPayload::Packed(vec![packed(3, 4)]), &metas, &s, None),
             "disagrees with the negotiated metadata",
         );
         assert_inadmissible(
-            check_hist_payload(from, &HistPayload::Packed(vec![packed(2, 3)]), &metas, &s, false),
+            check_hist_payload(from, &HistPayload::Packed(vec![packed(2, 3)]), &metas, &s, None),
             "slot total disagrees",
         );
     }
@@ -549,13 +531,13 @@ mod tests {
     fn node_and_feature_indices_are_bounded() {
         let s = Suite::plain(enc());
         // 4 layers => heap of 15 nodes (0..=14).
-        check_host_inbound(&Msg::NodeLeaf { tree: 0, node: 14 }, 10, 3, 4, &s, false).unwrap();
+        check_host_inbound(&Msg::NodeLeaf { tree: 0, node: 14 }, 10, 3, 4, &s, None).unwrap();
         assert_inadmissible(
-            check_host_inbound(&Msg::NodeLeaf { tree: 0, node: 15 }, 10, 3, 4, &s, false),
+            check_host_inbound(&Msg::NodeLeaf { tree: 0, node: 15 }, 10, 3, 4, &s, None),
             "outside the tree heap",
         );
         assert_inadmissible(
-            check_host_inbound(&Msg::NodeTask { tree: 0, node: 1, epoch: 0 }, 10, 3, 4, &s, false),
+            check_host_inbound(&Msg::NodeTask { tree: 0, node: 1, epoch: 0 }, 10, 3, 4, &s, None),
             "epochs start at 1",
         );
         assert_inadmissible(
@@ -565,7 +547,7 @@ mod tests {
                 3,
                 4,
                 &s,
-                false,
+                None,
             ),
             "feature index outside",
         );
@@ -577,78 +559,110 @@ mod tests {
                 None,
                 4,
                 &s,
-                false,
+                None,
             ),
             "outside the tree heap",
         );
     }
 
-    #[test]
-    fn packed_grad_batch_requires_negotiation_and_paillier() {
-        let s = paillier();
-        let gh = vec![cipher(&s, 0.5), cipher(&s, -0.25)];
-        check_packed_grad_batch(PartyId::Guest, 3, &gh, 5, &s, true).unwrap();
-        assert_inadmissible(
-            check_packed_grad_batch(PartyId::Guest, 3, &gh, 5, &s, false),
-            "not negotiated",
-        );
-        assert_inadmissible(
-            check_packed_grad_batch(PartyId::Guest, 4, &gh, 5, &s, true),
-            "past the instance count",
-        );
-        let mock = Suite::plain(enc());
-        let plain = vec![cipher(&mock, 0.5)];
-        assert_inadmissible(
-            check_packed_grad_batch(PartyId::Guest, 0, &plain, 5, &mock, true),
-            "Paillier suite",
-        );
-        // And through the host-inbound dispatcher.
-        let msg = Msg::PackedGradBatch { tree: 0, start_row: 0, gh: gh.clone(), last: true };
-        check_host_inbound(&msg, 5, 3, 4, &s, true).unwrap();
-        assert_inadmissible(check_host_inbound(&msg, 5, 3, 4, &s, false), "not negotiated");
+    /// The pair plan a 5-row run under `paillier()` derives.
+    fn pair_plan(s: &Suite) -> GhPlan {
+        let plan = GhPlan::new(1.0, 0.25, 5, s.encoding()).unwrap();
+        plan.validate_capacity(s.public_key().unwrap()).unwrap();
+        plan
     }
 
     #[test]
-    fn gh_hist_payloads_require_negotiation_and_matching_shape() {
+    fn packed_grad_batch_is_admissible_only_on_a_paired_run() {
         let s = paillier();
-        let from = PartyId::Host(0);
-        let metas = vec![FeatureMeta { num_bins: 2, zero_bin: 0 }];
-        let feat =
-            |bins: usize| GhFeatureHist { bins: (0..bins).map(|_| cipher(&s, 1.0)).collect() };
-        let raw = |bins: usize| HistPayload::GhRaw(vec![feat(bins)]);
-        check_hist_payload(from, &raw(2), &metas, &s, true).unwrap();
+        let plan = pair_plan(&s);
+        let mut rng = StdRng::seed_from_u64(5);
+        let pair = |rng: &mut StdRng| s.encrypt_at(0.5, plan.exponent(), rng).unwrap();
+        let gh = vec![pair(&mut rng), pair(&mut rng)];
+        check_packed_grad_batch(PartyId::Guest, 3, &gh, 5, &s, Some(&plan)).unwrap();
         assert_inadmissible(
-            check_hist_payload(from, &raw(2), &metas, &s, false),
-            "without negotiated gh packing",
+            check_packed_grad_batch(PartyId::Guest, 3, &gh, 5, &s, None),
+            "two-stream run",
         );
         assert_inadmissible(
-            check_hist_payload(from, &raw(3), &metas, &s, true),
-            "bin count disagrees",
+            check_packed_grad_batch(PartyId::Guest, 4, &gh, 5, &s, Some(&plan)),
+            "past the instance count",
         );
+        // Inside the jitter window but off the plan's exponent: rescaling a
+        // pair would scale its offset too.
+        let low = vec![s.encrypt_at(0.5, plan.exponent() - 1, &mut rng).unwrap()];
         assert_inadmissible(
-            check_hist_payload(from, &HistPayload::GhRaw(vec![feat(2), feat(2)]), &metas, &s, true),
-            "feature count disagrees",
+            check_packed_grad_batch(PartyId::Guest, 0, &low, 5, &s, Some(&plan)),
+            "off the plan's exponent",
         );
+        // Through the host-inbound dispatcher, which also refuses the other
+        // path's batches on a paired run.
+        let msg = Msg::PackedGradBatch { tree: 0, start_row: 0, gh: gh.clone(), last: true };
+        check_host_inbound(&msg, 5, 3, 4, &s, Some(&plan)).unwrap();
+        assert_inadmissible(check_host_inbound(&msg, 5, 3, 4, &s, None), "two-stream run");
+        let two = Msg::GradBatch { tree: 0, start_row: 0, g: gh.clone(), h: gh, last: true };
+        check_host_inbound(&two, 5, 3, 4, &s, None).unwrap();
+        assert_inadmissible(check_host_inbound(&two, 5, 3, 4, &s, Some(&plan)), "paired run");
+    }
 
-        let mock = Suite::plain(enc());
-        let packed = |slots: usize, bins: u16| {
-            HistPayload::GhPacked(vec![GhPackedFeatureHist {
-                packed: vec![PackedCiphertext::Plain(vec![1.0; slots])],
-                bins,
-            }])
+    #[test]
+    fn gh_hist_payloads_must_match_the_derived_plan() {
+        let s = paillier();
+        let plan = pair_plan(&s);
+        let from = PartyId::Host(0);
+        let metas = vec![FeatureMeta { num_bins: 3, zero_bin: 0 }];
+        let per_cipher = plan.bins_per_cipher(s.public_key().unwrap());
+        assert_eq!(per_cipher, 2);
+        let run = |count: usize, slot_bits: u32, exponent: i32| PackedCiphertext::Paillier {
+            cipher: BigUint::from(7u32),
+            exponent,
+            count,
+            slot_bits,
         };
-        check_hist_payload(from, &packed(2, 2), &metas, &mock, true).unwrap();
+        let honest = |count: usize| run(count, plan.pair_bits(), plan.exponent());
+        let payload = |packed: Vec<PackedCiphertext>, bins: u16| {
+            HistPayload::GhPacked(vec![GhPackedFeatureHist { packed, bins }])
+        };
+        let ok = payload(vec![honest(2), honest(1)], 3);
+        check_hist_payload(from, &ok, &metas, &s, Some(&plan)).unwrap();
+        // Each gradient path admits only its own wire forms.
+        assert_inadmissible(check_hist_payload(from, &ok, &metas, &s, None), "other gradient path");
+        let two_stream = HistPayload::Raw(vec![RawFeatureHist {
+            g: (0..3).map(|_| cipher(&s, 1.0)).collect(),
+            h: (0..3).map(|_| cipher(&s, 1.0)).collect(),
+        }]);
+        check_hist_payload(from, &two_stream, &metas, &s, None).unwrap();
         assert_inadmissible(
-            check_hist_payload(from, &packed(2, 2), &metas, &mock, false),
-            "without negotiated gh packing",
+            check_hist_payload(from, &two_stream, &metas, &s, Some(&plan)),
+            "other gradient path",
         );
-        assert_inadmissible(
-            check_hist_payload(from, &packed(3, 2), &metas, &mock, true),
-            "slot total disagrees",
-        );
-        assert_inadmissible(
-            check_hist_payload(from, &packed(3, 3), &metas, &mock, true),
-            "bin declaration disagrees",
-        );
+        // Shape against the negotiated metadata.
+        for (bad, want) in [
+            (payload(vec![honest(2), honest(2)], 3), "slot total disagrees"),
+            (payload(vec![honest(2), honest(2)], 4), "bin declaration disagrees"),
+            (
+                HistPayload::GhPacked(vec![
+                    GhPackedFeatureHist {
+                        packed: vec![honest(2), honest(1)],
+                        bins: 3
+                    };
+                    2
+                ]),
+                "feature count disagrees",
+            ),
+            // Layout against the plan this party derived: another width,
+            // another exponent, more slots than the key carries.
+            (
+                payload(vec![run(2, plan.pair_bits() + 1, plan.exponent()), honest(1)], 3),
+                "differs from the derived plan",
+            ),
+            (
+                payload(vec![run(2, plan.pair_bits(), plan.exponent() - 1), honest(1)], 3),
+                "differs from the derived plan",
+            ),
+            (payload(vec![honest(3)], 3), "differs from the derived plan"),
+        ] {
+            assert_inadmissible(check_hist_payload(from, &bad, &metas, &s, Some(&plan)), want);
+        }
     }
 }

@@ -12,8 +12,7 @@ use vf2_crypto::encnum::EncryptedNumber;
 use vf2_crypto::suite::{Ciphertext, PackedCiphertext, PlainNumber};
 
 use crate::messages::{
-    FeatureMeta, GhFeatureHist, GhPackedFeatureHist, HistPayload, Msg, PackedFeatureHist,
-    RawFeatureHist,
+    FeatureMeta, GhPackedFeatureHist, HistPayload, Msg, PackedFeatureHist, RawFeatureHist,
 };
 
 /// Hard protocol maxima enforced at decode time, before any allocation.
@@ -301,13 +300,6 @@ pub fn encode(msg: &Msg) -> Result<Bytes, WireError> {
                         put_packed_vec(&mut e, &f.h)?;
                     }
                 }
-                HistPayload::GhRaw(features) => {
-                    e.put_u8(2);
-                    e.put_varint(features.len() as u64);
-                    for f in features {
-                        put_cipher_vec(&mut e, &f.bins);
-                    }
-                }
                 HistPayload::GhPacked(features) => {
                     e.put_u8(3);
                     e.put_varint(features.len() as u64);
@@ -423,17 +415,6 @@ pub fn decode(kind: u16, payload: Bytes) -> Result<Msg, WireError> {
                         features.push(PackedFeatureHist { g, h, bins });
                     }
                     HistPayload::Packed(features)
-                }
-                2 => {
-                    // Smallest GH feature: one empty ciphertext vector.
-                    let announced = d.get_varint()?;
-                    let len = bounded_len(&d, announced, 1, "gh histogram vector")?;
-                    let len = capped_len(len, limits::MAX_FEATURES, "gh histogram vector")?;
-                    let mut features = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        features.push(GhFeatureHist { bins: get_cipher_vec(&mut d)? });
-                    }
-                    HistPayload::GhRaw(features)
                 }
                 3 => {
                     // Smallest GH packed feature: bin count + one empty vector.
@@ -597,21 +578,11 @@ mod tests {
 
     #[test]
     fn gh_histograms_round_trip() {
-        let c = paillier_ciphers(4);
-        round_trip(Msg::NodeHistograms {
-            tree: 1,
-            node: 3,
-            epoch: 0,
-            payload: HistPayload::GhRaw(vec![
-                GhFeatureHist { bins: c[..2].to_vec() },
-                GhFeatureHist { bins: c[2..].to_vec() },
-            ]),
-        });
         let packed = PackedCiphertext::Paillier {
             cipher: BigUint::from(12345u32),
             exponent: 11,
             count: 4,
-            slot_bits: 96,
+            slot_bits: 125,
         };
         round_trip(Msg::NodeHistograms {
             tree: 1,
@@ -666,7 +637,15 @@ mod tests {
                 tree: 0,
                 node: 2,
                 epoch: 1,
-                payload: HistPayload::GhRaw(vec![GhFeatureHist { bins: c[..2].to_vec() }]),
+                payload: HistPayload::GhPacked(vec![GhPackedFeatureHist {
+                    packed: vec![PackedCiphertext::Paillier {
+                        cipher: BigUint::from(99u32),
+                        exponent: 11,
+                        count: 2,
+                        slot_bits: 125,
+                    }],
+                    bins: 2,
+                }]),
             },
             Msg::FeatureMeta(vec![
                 FeatureMeta { num_bins: 20, zero_bin: 3 },
@@ -772,12 +751,16 @@ mod tests {
         bomb(2, &[0, 0, 0, 0, 0, 0, 0, 0, 1]); // GradBatch g-vector count
         bomb(14, &[0, 0, 0, 0, 0, 0, 0, 0, 1]); // PackedGradBatch gh count
         let hdr = [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]; // tree, node, epoch
-        for tag in 0..=3u8 {
-            // Every HistPayload wire form: Raw, Packed, GhRaw, GhPacked.
+        for tag in [0u8, 1, 3] {
+            // Every HistPayload wire form: Raw, Packed, GhPacked.
             let mut p = hdr.to_vec();
             p.push(tag);
             bomb(4, &p);
         }
+        // Tag 2 was the raw GH form; it no longer names a payload.
+        let mut retired = hdr.to_vec();
+        retired.push(2);
+        assert!(matches!(decode(4, retired.into()), Err(WireError::BadTag("hist payload", 2))));
         bomb(11, &[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]); // SessionHello durable count
     }
 

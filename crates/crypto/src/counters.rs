@@ -30,9 +30,6 @@ pub struct OpCounters {
     /// Cipher packing operations (§5.2): each counts the construction of one
     /// packed cipher from `t` slot ciphers.
     pub packs: AtomicU64,
-    /// Forward-path GH-pair encodings: each counts one (g, h) pair packed
-    /// into a single plaintext before encryption.
-    pub ghpack: AtomicU64,
     /// Montgomery modular multiplications performed by the fixed-limb
     /// backend. Zero under the `num-bigint` backend (whose internal
     /// multiplies are not observable), so this doubles as a backend
@@ -85,11 +82,6 @@ impl OpCounters {
         self.packs.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records `n` GH-pair encodings.
-    pub fn add_ghpack(&self, n: u64) {
-        self.ghpack.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Records `n` Montgomery modular multiplications.
     pub fn add_modmul(&self, n: u64) {
         self.modmul.fetch_add(n, Ordering::Relaxed);
@@ -110,7 +102,6 @@ impl OpCounters {
             negs: self.negs.load(Ordering::Relaxed),
             scalings: self.scalings.load(Ordering::Relaxed),
             packs: self.packs.load(Ordering::Relaxed),
-            ghpack: self.ghpack.load(Ordering::Relaxed),
             modmul: self.modmul.load(Ordering::Relaxed),
             redc: self.redc.load(Ordering::Relaxed),
         }
@@ -125,7 +116,6 @@ impl OpCounters {
         self.negs.store(0, Ordering::Relaxed);
         self.scalings.store(0, Ordering::Relaxed);
         self.packs.store(0, Ordering::Relaxed);
-        self.ghpack.store(0, Ordering::Relaxed);
         self.modmul.store(0, Ordering::Relaxed);
         self.redc.store(0, Ordering::Relaxed);
     }
@@ -148,8 +138,6 @@ pub struct OpSnapshot {
     pub scalings: u64,
     /// Packing operations.
     pub packs: u64,
-    /// GH-pair encodings (forward-path packing).
-    pub ghpack: u64,
     /// Montgomery modular multiplications (fixed backend only).
     pub modmul: u64,
     /// Limb-level REDC work (fixed backend only).
@@ -167,7 +155,6 @@ impl OpSnapshot {
             negs: self.negs.saturating_sub(earlier.negs),
             scalings: self.scalings.saturating_sub(earlier.scalings),
             packs: self.packs.saturating_sub(earlier.packs),
-            ghpack: self.ghpack.saturating_sub(earlier.ghpack),
             modmul: self.modmul.saturating_sub(earlier.modmul),
             redc: self.redc.saturating_sub(earlier.redc),
         }

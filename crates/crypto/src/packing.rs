@@ -35,13 +35,13 @@ pub struct PackingPlan {
 impl PackingPlan {
     /// Largest number of `slot_bits`-wide slots that fit the plaintext
     /// space of `pk` with a 2-bit guard below the modulus.
+    /// A zero-width slot holds nothing: no such slot fits.
     pub fn max_slots(pk: &PublicKey, slot_bits: u32) -> usize {
-        ((pk.bits().saturating_sub(2)) / slot_bits as u64) as usize
+        pk.bits().saturating_sub(2).checked_div(u64::from(slot_bits)).unwrap_or(0) as usize
     }
 
     /// Builds a plan for `slots` slots, validating capacity.
     pub fn new(pk: &PublicKey, slot_bits: u32, slots: usize) -> Result<Self> {
-        assert!(slot_bits > 0, "slot width must be positive");
         let max = Self::max_slots(pk, slot_bits);
         if slots == 0 || slots > max {
             return Err(CryptoError::PackingCapacity { requested: slots, max });
@@ -86,8 +86,15 @@ pub fn pack_ciphers(
 /// Slices a decrypted packed plaintext back into `count` slot values.
 ///
 /// `count` may be less than `plan.slots` when the final packed cipher of a
-/// histogram is only partially filled.
-pub fn unpack_plaintext(packed: &BigUint, plan: &PackingPlan, count: usize) -> Vec<BigUint> {
+/// histogram is only partially filled. An honest packer leaves nothing
+/// above the `count` slots; bits there mean some slot overflowed its width
+/// (or the peer lied about the layout) and are
+/// [`CryptoError::PackedValueTooLarge`] at slot index `count`.
+pub fn unpack_plaintext(
+    packed: &BigUint,
+    plan: &PackingPlan,
+    count: usize,
+) -> Result<Vec<BigUint>> {
     let mask = (BigUint::from(1u32) << plan.slot_bits) - BigUint::from(1u32);
     let mut out = Vec::with_capacity(count);
     let mut rest = packed.clone();
@@ -95,234 +102,175 @@ pub fn unpack_plaintext(packed: &BigUint, plan: &PackingPlan, count: usize) -> V
         out.push(&rest & &mask);
         rest >>= plan.slot_bits;
     }
-    debug_assert!(rest.is_zero() || count < plan.slots, "residual bits beyond requested slots");
-    out
+    if !rest.is_zero() {
+        return Err(CryptoError::PackedValueTooLarge { slot: count });
+    }
+    Ok(out)
 }
 
-/// A signed-slot layout packing one `(g, h)` gradient pair — or several,
-/// stride-spaced — into a single Paillier plaintext (forward-path packing,
-/// after SecureBoost+).
+/// The carry-free offset layout packing one `(g, h)` gradient pair into a
+/// single Paillier plaintext (forward-path packing, after SecureBoost+).
 ///
-/// Each pair occupies `2·slot_bits + guard_bits` bits:
+/// With `ĝ`, `ĥ` the fixed-point integers `round(v · B^exponent)`, a row is
+/// encrypted as
 ///
 /// ```text
-///   MSB ──────────────────────────────────────── LSB
-///   | guard (carries) |  g slot (W) |  h slot (W) |
+///   MSB ─────────────────────────────── LSB
+///   |  ĝ + B_g  (g_bits)  |  ĥ  (h_bits)  |
 /// ```
 ///
-/// Both components are fixed-point integers `round(v · B^exponent)` and the
-/// *pair* is stored in two's complement modulo `2^(2W)`: the representative
-/// `(g·2^W + h) mod 2^(2W)` is always non-negative, so homomorphic addition
-/// of representatives is plain integer addition — each negative pair
-/// contributes one `2^(2W)` term that lands in the guard band above the
-/// slots and is discarded on decode. Slots are sized so that `count`
-/// accumulated pairs of magnitude ≤ `bound` never cross half the slot
-/// width, and the guard band absorbs up to `count` carry terms.
+/// where `B_g = ⌈grad_bound · B^exponent⌉ + 1` exceeds every `|ĝ|`, so both
+/// fields are non-negative and homomorphic addition is plain integer
+/// addition per field: `g_bits = bits(2·N·B_g)` and `h_bits = bits(N·B_h)`
+/// hold the sum of `N = count` rows, so no addition ever carries out of a
+/// field — no guard band, no borrow correction. A bin that accumulated
+/// `n` rows carries the offset `n·B_g`; the host tops it up by the public
+/// [`GhPlan::top_up`] so that every bin the key owner decrypts carries
+/// exactly `N·B_g`, which [`GhPlan::decode_pair`] removes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GhPlan {
-    /// Bits per signed component slot (`W`).
-    pub slot_bits: u32,
-    /// Carry-guard bits above the pair's `2W` slot bits.
-    pub guard_bits: u32,
-    /// Pairs per packed plaintext (the forward path uses 1).
-    pub pairs: usize,
-    /// The fixed encoding exponent every component is normalized to
-    /// (`max_exponent` of the encoding's jitter window).
-    pub exponent: i32,
-    /// Per-value magnitude bound the slots were sized for,
-    /// `max(grad_bound, hess_bound)`.
-    pub bound: f64,
+    /// Bits of the offset gradient field, `bits(2·N·B_g)`.
+    g_bits: u32,
+    /// Bits of the hessian field, `bits(N·B_h)`.
+    h_bits: u32,
+    /// The fixed encoding exponent every component is normalized to.
+    exponent: i32,
+    /// Rows one bin may accumulate (`N`, the instance count).
+    count: u64,
+    /// `B^exponent`, the fixed-point scale.
+    scale: f64,
+    /// `B_g − 1 = ⌈grad_bound · scale⌉`: the largest admissible `|ĝ|`.
+    g_max: u128,
+    /// `B_h − 1 = ⌈hess_bound · scale⌉`: the largest admissible `ĥ`.
+    h_max: u128,
+}
+
+/// Bits needed to write `v` (`0` for zero).
+fn bits(v: u128) -> u32 {
+    128 - v.leading_zeros()
 }
 
 impl GhPlan {
-    /// Sizes a single-pair plan for accumulating up to `count` pairs whose
-    /// components are bounded by `grad_bound` / `hess_bound`.
-    ///
-    /// Both bounds are taken explicitly so a caller cannot undersize the
-    /// hessian slot: sizing always uses `max(grad_bound, hess_bound)`.
+    /// Sizes the layout for bins accumulating up to `count` pairs with
+    /// `|g| ≤ grad_bound` and `0 ≤ h ≤ hess_bound`.
     pub fn new(
         grad_bound: f64,
         hess_bound: f64,
         count: u64,
         encoding: &EncodingConfig,
     ) -> Result<Self> {
-        let bound = grad_bound.max(hess_bound);
-        if !bound.is_finite() || bound <= 0.0 {
-            return Err(CryptoError::EncodingOverflow {
-                what: format!("gh-plan bound {bound} is not a positive finite value"),
-            });
-        }
-        let count = count.max(1);
-        // Normalize to the top of the jitter window so every jittered cipher
-        // can be rescaled *up* into this plan.
+        // Normalize to the top of the jitter window, the exponent the
+        // return path packs at.
         let exponent = encoding.base_exp + encoding.jitter.max(1) as i32 - 1;
         let scale = encoding.base_pow_f64(exponent);
-        // Worst-case component sum: count values at ±bound, plus rounding
-        // slack folded into the +1. Two extra bits: one sign bit, one spare.
-        let max_mag = (count as f64 * bound + 1.0) * scale;
-        if !max_mag.is_finite() {
+        // Row counts travel as `u32`, and 2^94 per value keeps every field
+        // product below inside `u128`.
+        let count = count.max(1);
+        if count > u64::from(u32::MAX) {
             return Err(CryptoError::EncodingOverflow {
-                what: format!("gh-plan magnitude overflows f64 at exponent {exponent}"),
+                what: format!("gh-plan count {count} exceeds the u32 row range"),
             });
         }
-        let slot_bits = max_mag.log2().ceil() as u32 + 2;
-        // Up to `count` negative pairs each push one 2^(2W) carry into the
-        // guard band; one extra bit of headroom.
-        let guard_bits = ((count + 1) as f64).log2().ceil() as u32 + 1;
-        Ok(GhPlan { slot_bits, guard_bits, pairs: 1, exponent, bound })
+        let field_max = |bound: f64| {
+            let max = (bound * scale).ceil();
+            if bound > 0.0 && max < 2f64.powi(94) {
+                Ok(max as u128)
+            } else {
+                Err(CryptoError::EncodingOverflow {
+                    what: format!("gh-plan bound {bound} at exponent {exponent}"),
+                })
+            }
+        };
+        let (g_max, h_max) = (field_max(grad_bound)?, field_max(hess_bound)?);
+        let n = u128::from(count);
+        Ok(GhPlan {
+            g_bits: bits(2 * n * (g_max + 1)),
+            h_bits: bits(n * (h_max + 1)),
+            exponent,
+            count,
+            scale,
+            g_max,
+            h_max,
+        })
     }
 
-    /// Bits one pair occupies, including its guard band.
-    pub fn stride(&self) -> u32 {
-        2 * self.slot_bits + self.guard_bits
+    /// The exponent every pair is encoded at: the top of the encoding's
+    /// jitter window, which the return path packs at.
+    pub fn exponent(&self) -> i32 {
+        self.exponent
     }
 
-    /// Largest number of stride-spaced pairs that fit the plaintext space
-    /// of `pk` with a 2-bit guard below the modulus.
-    fn max_pairs(&self, pk: &PublicKey) -> usize {
-        ((pk.bits().saturating_sub(2)) / self.stride() as u64) as usize
+    /// Bits one pair occupies — the return path's slot width.
+    pub fn pair_bits(&self) -> u32 {
+        self.g_bits + self.h_bits
     }
 
-    /// Validates that this plan's `pairs` stride-spaced pairs fit `pk`.
+    /// How many accumulated bins one packed cipher under `pk` carries.
+    pub fn bins_per_cipher(&self, pk: &PublicKey) -> usize {
+        PackingPlan::max_slots(pk, self.pair_bits())
+    }
+
+    /// Rejects a plan whose single pair does not fit the key.
     pub fn validate_capacity(&self, pk: &PublicKey) -> Result<()> {
-        let max = self.max_pairs(pk);
-        if self.pairs == 0 || self.pairs > max {
-            return Err(CryptoError::PackingCapacity { requested: self.pairs, max });
+        match self.bins_per_cipher(pk) {
+            0 => Err(CryptoError::PackingCapacity { requested: 1, max: 0 }),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
-    /// Fixed-point component `round(v · B^exponent)`, range-checked against
-    /// the bound the plan was sized for.
-    fn encode_component(&self, v: f64, encoding: &EncodingConfig) -> Result<i128> {
-        if !v.is_finite() {
-            return Err(CryptoError::EncodingOverflow { what: format!("non-finite value {v}") });
-        }
-        let scale = encoding.base_pow_f64(self.exponent);
-        let scaled = (v * scale).round();
-        if scaled.abs() > (self.bound * scale + 1.0).min(i128::MAX as f64) {
+    /// Fixed-point component `round(v · scale)`, range-checked against the
+    /// magnitude the field was sized for.
+    fn fixed(&self, v: f64, max: u128) -> Result<i128> {
+        let scaled = (v * self.scale).round();
+        // `max` came out of an `f64` below 2^94, so the cast back is exact.
+        if !v.is_finite() || scaled.abs() > max as f64 {
             return Err(CryptoError::EncodingOverflow {
-                what: format!("{v} exceeds gh-plan bound {}", self.bound),
+                what: format!("{v} outside the gh-plan bound {}", max as f64 / self.scale),
             });
         }
         Ok(scaled as i128)
     }
 
-    /// Encodes one `(g, h)` pair into its non-negative two's-complement
-    /// representative `(g·2^W + h) mod 2^(2W)`.
-    pub fn encode_pair(&self, g: f64, h: f64, encoding: &EncodingConfig) -> Result<BigUint> {
-        let gi = self.encode_component(g, encoding)?;
-        let hi = self.encode_component(h, encoding)?;
-        let w = self.slot_bits;
-        let g_shift = u128_to_biguint(gi.unsigned_abs()) << w;
-        let h_mag = u128_to_biguint(hi.unsigned_abs());
-        let m = BigUint::one() << (2 * w);
-        Ok(match (gi >= 0, hi >= 0) {
-            (true, true) => g_shift + h_mag,
-            (true, false) => {
-                if g_shift >= h_mag {
-                    g_shift - h_mag
-                } else {
-                    m - (h_mag - g_shift)
-                }
-            }
-            (false, true) => {
-                if h_mag >= g_shift {
-                    h_mag - g_shift
-                } else {
-                    m - (g_shift - h_mag)
-                }
-            }
-            (false, false) => m - (g_shift + h_mag),
-        })
-    }
-
-    /// Encodes up to `self.pairs` pairs, stride-spaced, into one plaintext.
-    /// Pair 0 occupies the least-significant bits.
-    pub fn encode_pairs(&self, gh: &[(f64, f64)], encoding: &EncodingConfig) -> Result<BigUint> {
-        if gh.is_empty() || gh.len() > self.pairs {
-            return Err(CryptoError::PackingCapacity { requested: gh.len(), max: self.pairs });
+    /// Encodes one `(g, h)` pair as `(ĝ + B_g)·2^h_bits + ĥ`.
+    pub fn encode_pair(&self, g: f64, h: f64) -> Result<BigUint> {
+        let gi = self.fixed(g, self.g_max)?;
+        let hi = self.fixed(h, self.h_max)?;
+        if hi < 0 {
+            return Err(CryptoError::EncodingOverflow { what: format!("negative hessian {h}") });
         }
-        let mut acc = BigUint::zero();
-        for (j, &(g, h)) in gh.iter().enumerate() {
-            // Zones are disjoint, so addition places each representative
-            // exactly at its stride offset.
-            acc += self.encode_pair(g, h, encoding)? << (j * self.stride() as usize);
+        let top = (gi + self.g_max as i128 + 1).unsigned_abs();
+        Ok((BigUint::from(top) << self.h_bits) + BigUint::from(hi.unsigned_abs()))
+    }
+
+    /// The public plaintext a bin of `rows` accumulated pairs is topped up
+    /// by, `(N − rows)·B_g·2^h_bits`: afterwards the bin carries the same
+    /// offset `N·B_g` as every other, whatever its row count was.
+    pub fn top_up(&self, rows: u64) -> Result<BigUint> {
+        let missing = self.count.checked_sub(rows).ok_or(CryptoError::PackingCapacity {
+            requested: rows as usize,
+            max: self.count as usize,
+        })?;
+        Ok(BigUint::from(u128::from(missing) * (self.g_max + 1)) << self.h_bits)
+    }
+
+    /// Decodes a topped-up bin's `pair_bits`-wide plaintext — slot `slot`
+    /// of its packed run — into its `(Σg, Σh)` component sums. A field
+    /// outside what `count` bounded pairs can sum to is
+    /// [`CryptoError::PackedValueTooLarge`] at that slot.
+    pub fn decode_pair(&self, x: &BigUint, slot: usize) -> Result<(f64, f64)> {
+        let n = u128::from(self.count);
+        let low = x & &((BigUint::one() << self.h_bits) - BigUint::one());
+        let top = x >> self.h_bits;
+        let offset = BigUint::from(n * (self.g_max + 1));
+        let (g_neg, g_mag) =
+            if top >= offset { (false, top - offset) } else { (true, offset - top) };
+        if g_mag > BigUint::from(n * self.g_max) || low > BigUint::from(n * self.h_max) {
+            return Err(CryptoError::PackedValueTooLarge { slot });
         }
-        Ok(acc)
+        let to_f64 = |v: &BigUint| v.to_f64().unwrap_or(f64::INFINITY);
+        let g = if g_neg { -to_f64(&g_mag) } else { to_f64(&g_mag) };
+        Ok((g / self.scale, to_f64(&low) / self.scale))
     }
-
-    /// Decodes `count` accumulated pair sums from a decrypted plaintext.
-    ///
-    /// For each pair zone the `2W` slot bits are `(G·2^W + H) mod 2^(2W)`
-    /// for component sums `G`, `H`; carries above are masked off. The low
-    /// slot yields `H` directly; when `H` is negative the high slot holds
-    /// `G − 1` (the borrow the negative low part took), so one is added
-    /// back.
-    pub fn decode_pairs(
-        &self,
-        x: &BigUint,
-        count: usize,
-        encoding: &EncodingConfig,
-    ) -> Vec<(f64, f64)> {
-        let w = self.slot_bits;
-        let stride = self.stride() as usize;
-        let pair_mask = (BigUint::one() << (2 * w)) - BigUint::one();
-        let w_mask = (BigUint::one() << w) - BigUint::one();
-        let scale = encoding.base_pow_f64(self.exponent);
-        let mut out = Vec::with_capacity(count);
-        let mut rest = x.clone();
-        for _ in 0..count {
-            let pair_bits = &rest & &pair_mask;
-            let low = &pair_bits & &w_mask;
-            let high = pair_bits >> w;
-            let (h_neg, h_mag) = split_signed(&low, w);
-            let (mut g_neg, mut g_mag) = split_signed(&high, w);
-            if h_neg {
-                // Borrow correction: the negative low slot took one unit
-                // from the high slot, so g = signed(high) + 1.
-                if g_neg {
-                    g_mag = g_mag - BigUint::one();
-                    if g_mag.is_zero() {
-                        g_neg = false;
-                    }
-                } else {
-                    g_mag += BigUint::one();
-                }
-            }
-            out.push((signed_f64(g_neg, &g_mag) / scale, signed_f64(h_neg, &h_mag) / scale));
-            rest >>= stride;
-        }
-        out
-    }
-
-    /// Decodes a single-pair plaintext.
-    pub fn decode_pair(&self, x: &BigUint, encoding: &EncodingConfig) -> (f64, f64) {
-        self.decode_pairs(x, 1, encoding)[0]
-    }
-}
-
-/// Interprets a `w`-bit slot as two's complement, returning sign and
-/// magnitude. The top bit set means negative: `value = u − 2^w`.
-fn split_signed(u: &BigUint, w: u32) -> (bool, BigUint) {
-    if u.bits() == w as u64 {
-        (true, (BigUint::one() << w) - u)
-    } else {
-        (false, u.clone())
-    }
-}
-
-fn signed_f64(neg: bool, mag: &BigUint) -> f64 {
-    let v = mag.to_f64().unwrap_or(f64::INFINITY);
-    if neg {
-        -v
-    } else {
-        v
-    }
-}
-
-fn u128_to_biguint(v: u128) -> BigUint {
-    (BigUint::from((v >> 64) as u64) << 64u32) + BigUint::from(v as u64)
 }
 
 #[cfg(test)]
@@ -358,7 +306,7 @@ mod tests {
             values.iter().map(|&v| kp.public.encrypt_raw(&BigUint::from(v), &mut rng)).collect();
         let packed = pack_ciphers(&ciphers, &plan, &kp.public, &ctr).unwrap();
         let plain = kp.private.decrypt_raw(&packed);
-        let unpacked = unpack_plaintext(&plain, &plan, values.len());
+        let unpacked = unpack_plaintext(&plain, &plan, values.len()).unwrap();
         for (got, want) in unpacked.iter().zip(&values) {
             assert_eq!(got, &BigUint::from(*want));
         }
@@ -373,7 +321,7 @@ mod tests {
             values.iter().map(|&v| kp.public.encrypt_raw(&BigUint::from(v), &mut rng)).collect();
         let packed = pack_ciphers(&ciphers, &plan, &kp.public, &ctr).unwrap();
         let plain = kp.private.decrypt_raw(&packed);
-        let unpacked = unpack_plaintext(&plain, &plan, 2);
+        let unpacked = unpack_plaintext(&plain, &plan, 2).unwrap();
         assert_eq!(unpacked, vec![BigUint::from(5u32), BigUint::from(10u32)]);
     }
 
@@ -412,7 +360,7 @@ mod tests {
         let bin2 = kp.public.encrypt_raw(&BigUint::from(0u32), &mut rng);
         let packed = pack_ciphers(&[bin0, bin1, bin2], &plan, &kp.public, &ctr).unwrap();
         let plain = kp.private.decrypt_raw(&packed);
-        let out = unpack_plaintext(&plain, &plan, 3);
+        let out = unpack_plaintext(&plain, &plan, 3).unwrap();
         assert_eq!(out, vec![BigUint::from(123u32), BigUint::from(7u32), BigUint::from(0u32)]);
     }
 
@@ -421,142 +369,226 @@ mod tests {
         EncodingConfig { base: 16, base_exp: 8, jitter: 4 }
     }
 
-    fn assert_pair_close(got: (f64, f64), want: (f64, f64), tol: f64) {
-        assert!((got.0 - want.0).abs() < tol, "g: {} vs {}", got.0, want.0);
-        assert!((got.1 - want.1).abs() < tol, "h: {} vs {}", got.1, want.1);
-    }
+    /// Logistic-loss bounds, as every benchmark workload uses them.
+    const GRAD_BOUND: f64 = 1.0;
+    const HESS_BOUND: f64 = 0.25;
+
+    /// `(N, key_bits) → (pair_bits, bins per cipher)` under the default
+    /// encoding (scale 2^52): the densities the return path is sized on. A
+    /// wider field or a reintroduced guard band fails here first.
+    const DENSITY: [(u64, u64, u32, u64); 5] = [
+        (160, 2048, 119, 17),
+        (1200, 512, 125, 4),
+        (1250, 512, 125, 4),
+        (1_000_000, 2048, 143, 14),
+        (10_000_000, 2048, 151, 13),
+    ];
 
     #[test]
-    fn gh_plan_round_trips_boundary_values_count_one() {
-        let enc = test_encoding();
-        let bound = 4.0;
-        let plan = GhPlan::new(bound, bound, 1, &enc).unwrap();
-        assert_eq!(plan.exponent, 11);
-        // Guard-band boundary values: all sign combinations of ±bound, plus
-        // zero crossings and tiny magnitudes.
-        for &(g, h) in &[
-            (bound, bound),
-            (bound, -bound),
-            (-bound, bound),
-            (-bound, -bound),
-            (0.0, 0.0),
-            (0.0, -bound),
-            (-bound, 0.0),
-            (1e-6, -1e-6),
-            (0.125, -3.999),
-        ] {
-            let rep = plan.encode_pair(g, h, &enc).unwrap();
-            assert_pair_close(plan.decode_pair(&rep, &enc), (g, h), 1e-6);
+    fn gh_plan_density_table_is_pinned() {
+        for (n, key_bits, pair_bits, bins) in DENSITY {
+            let plan = GhPlan::new(GRAD_BOUND, HESS_BOUND, n, &EncodingConfig::default()).unwrap();
+            assert_eq!(plan.exponent(), 13);
+            assert_eq!(plan.pair_bits(), pair_bits, "N = {n}");
+            // `PackingPlan::max_slots` on a key of exactly `key_bits` bits.
+            assert_eq!((key_bits - 2) / u64::from(pair_bits), bins, "N = {n}, S = {key_bits}");
         }
+        let (kp, _, _) = setup();
+        assert_eq!(kp.public.bits(), 512);
+        let plan = GhPlan::new(GRAD_BOUND, HESS_BOUND, 1200, &EncodingConfig::default()).unwrap();
+        assert_eq!(plan.bins_per_cipher(&kp.public), 4);
+    }
+
+    /// One histogram bin as the host holds it: the HAdd-accumulated cipher
+    /// and the plain row count beside it.
+    struct Bin {
+        cipher: RawCipher,
+        rows: u64,
+    }
+
+    fn accumulate(
+        kp: &KeyPair,
+        plan: &GhPlan,
+        pairs: &[(f64, f64)],
+        rng: &mut StdRng,
+    ) -> Result<Bin> {
+        let mut cipher = kp.public.zero_raw();
+        for &(g, h) in pairs {
+            let c = kp.public.encrypt_raw(&plan.encode_pair(g, h)?, rng);
+            cipher = kp.public.add_raw(&cipher, &c);
+        }
+        Ok(Bin { cipher, rows: pairs.len() as u64 })
+    }
+
+    /// Tops every bin up, packs them into one cipher, decrypts once and
+    /// decodes — the whole return path.
+    fn top_up_pack_decode(kp: &KeyPair, plan: &GhPlan, bins: &[Bin]) -> Result<Vec<(f64, f64)>> {
+        let pk = &kp.public;
+        let ctr = OpCounters::default();
+        let topped: Vec<RawCipher> = bins
+            .iter()
+            .map(|b| {
+                let shift = pk.encrypt_raw_with_rn(&plan.top_up(b.rows)?, &pk.zero_raw());
+                Ok(pk.add_raw(&b.cipher, &shift))
+            })
+            .collect::<Result<_>>()?;
+        let wire = PackingPlan::new(pk, plan.pair_bits(), topped.len())?;
+        let packed = pack_ciphers(&topped, &wire, pk, &ctr)?;
+        let plain = kp.private.decrypt_raw(&packed);
+        unpack_plaintext(&plain, &wire, topped.len())?
+            .iter()
+            .enumerate()
+            .map(|(slot, bits)| plan.decode_pair(bits, slot))
+            .collect()
+    }
+
+    /// The plaintext reference: exact integer sums at the plan's scale.
+    fn reference(pairs: &[(f64, f64)]) -> (f64, f64) {
+        let scale = test_encoding().base_pow_f64(11);
+        let sum = |f: fn(&(f64, f64)) -> f64| {
+            pairs.iter().map(|p| (f(p) * scale).round() as i64).sum::<i64>() as f64 / scale
+        };
+        (sum(|p| p.0), sum(|p| p.1))
     }
 
     #[test]
-    fn gh_plan_accumulates_count_max_pairs_at_bound() {
-        // count = max rows per node: every row pinned at the worst corner
-        // of the guard band, all four sign quadrants.
+    fn gh_plan_survives_count_pairs_at_every_corner_through_paillier() {
         let enc = test_encoding();
-        let bound = 1.0;
-        let count = 5000u64;
-        let plan = GhPlan::new(bound, bound, count, &enc).unwrap();
-        for &(g, h) in &[(bound, bound), (bound, -bound), (-bound, bound), (-bound, -bound)] {
-            let rep = plan.encode_pair(g, h, &enc).unwrap();
-            let mut acc = BigUint::zero();
-            for _ in 0..count {
-                acc += &rep; // plaintext analogue of HAdd on representatives
+        let count = 48u64;
+        for key_bits in [256, 512] {
+            let kp = KeyPair::generate_seeded(key_bits, 42).unwrap();
+            let mut rng = StdRng::seed_from_u64(key_bits);
+            let plan = GhPlan::new(GRAD_BOUND, HESS_BOUND, count, &enc).unwrap();
+            let slots = plan.bins_per_cipher(&kp.public);
+            assert!(slots >= 2, "S = {key_bits} carries {slots} bins");
+            let corners: [Vec<(f64, f64)>; 3] = [
+                vec![(GRAD_BOUND, HESS_BOUND); count as usize],
+                vec![(-GRAD_BOUND, 0.0); count as usize],
+                (0..count)
+                    .map(|i| if i % 2 == 0 { (GRAD_BOUND, HESS_BOUND) } else { (-GRAD_BOUND, 0.0) })
+                    .collect(),
+            ];
+            for full in &corners {
+                // Slot 0 holds exactly `count` pairs at the corner; the
+                // others fill the cipher to its last slot with fewer rows
+                // (one of them none), so every top-up size is exercised
+                // next to a field at its limit.
+                let rows: Vec<&[(f64, f64)]> = (0..slots)
+                    .map(|j| &full[..full.len() * (slots - 1 - j) / (slots - 1)])
+                    .collect();
+                let bins: Vec<Bin> = rows
+                    .iter()
+                    .map(|pairs| accumulate(&kp, &plan, pairs, &mut rng).unwrap())
+                    .collect();
+                let got = top_up_pack_decode(&kp, &plan, &bins).unwrap();
+                let want: Vec<(f64, f64)> = rows.iter().map(|pairs| reference(pairs)).collect();
+                assert_eq!(got, want, "S = {key_bits}");
+                assert_eq!(got[slots - 1], (0.0, 0.0), "the empty bin decodes to zero");
             }
-            let n = count as f64;
-            assert_pair_close(plan.decode_pair(&acc, &enc), (g * n, h * n), 1e-6 * n);
         }
     }
 
     #[test]
-    fn gh_plan_accumulates_mixed_signs_exactly() {
-        let enc = test_encoding();
-        let plan = GhPlan::new(2.0, 2.0, 64, &enc).unwrap();
-        let mut acc = BigUint::zero();
-        let (mut gs, mut hs) = (0.0f64, 0.0f64);
-        for i in 0..64 {
-            let g = if i % 3 == 0 { -1.75 } else { 0.5 + (i as f64) * 0.01 };
-            let h = if i % 2 == 0 { 0.25 } else { -0.125 };
-            gs += g;
-            hs += h;
-            acc += plan.encode_pair(g, h, &enc).unwrap();
+    fn gh_plan_one_pair_past_count_is_a_typed_error() {
+        let (kp, _, mut rng) = setup();
+        let plan = GhPlan::new(GRAD_BOUND, HESS_BOUND, 8, &test_encoding()).unwrap();
+        for corner in [(GRAD_BOUND, HESS_BOUND), (-GRAD_BOUND, 0.0)] {
+            // The honest host cannot top a ninth row up.
+            let over = accumulate(&kp, &plan, &[corner; 9], &mut rng).unwrap();
+            assert_eq!(
+                plan.top_up(over.rows),
+                Err(CryptoError::PackingCapacity { requested: 9, max: 8 })
+            );
         }
-        assert_pair_close(plan.decode_pair(&acc, &enc), (gs, hs), 1e-5);
+        // A host that lies about the count is caught on decode whenever a
+        // field left the range eight bounded pairs can reach (what a host
+        // claims *inside* that range is its own data, and unverifiable).
+        let over = accumulate(&kp, &plan, &[(GRAD_BOUND, HESS_BOUND); 9], &mut rng).unwrap();
+        assert_eq!(
+            top_up_pack_decode(&kp, &plan, &[Bin { rows: 8, ..over }]),
+            Err(CryptoError::PackedValueTooLarge { slot: 0 })
+        );
     }
 
     #[test]
-    fn gh_plan_undersized_hessian_bound_is_impossible() {
-        // Satellite: sizing must use max(grad_bound, hess_bound) — a large
-        // hessian bound with a tiny grad bound still round-trips.
+    fn gh_plan_rejects_values_outside_its_bounds() {
         let enc = test_encoding();
-        let plan = GhPlan::new(0.25, 8.0, 16, &enc).unwrap();
-        let rep = plan.encode_pair(0.25, -8.0, &enc).unwrap();
-        assert_pair_close(plan.decode_pair(&rep, &enc), (0.25, -8.0), 1e-6);
+        let plan = GhPlan::new(GRAD_BOUND, HESS_BOUND, 8, &enc).unwrap();
+        for (g, h) in [
+            (1.0 + 1e-9, 0.1),
+            (-1.0 - 1e-9, 0.1),
+            (0.0, -1e-9),
+            (0.0, 0.25 + 1e-9),
+            (f64::NAN, 0.1),
+            (0.0, f64::INFINITY),
+        ] {
+            let err = plan.encode_pair(g, h).unwrap_err();
+            assert!(matches!(err, CryptoError::EncodingOverflow { .. }), "({g}, {h}): {err}");
+        }
+        plan.encode_pair(-1.0, 0.25).unwrap();
+        plan.encode_pair(1.0, -0.0).unwrap();
+        for (gb, hb) in [(0.0, 1.0), (1.0, 0.0), (f64::INFINITY, 1.0), (1.0, f64::NAN), (1e30, 1.0)]
+        {
+            assert!(GhPlan::new(gb, hb, 8, &enc).is_err(), "bounds ({gb}, {hb})");
+        }
+        assert!(GhPlan::new(1.0, 1.0, 1 << 32, &enc).is_err(), "rows are counted in u32");
     }
 
     #[test]
-    fn gh_plan_rejects_out_of_bound_components() {
+    fn gh_plan_that_does_not_fit_the_key_is_a_typed_error() {
+        let kp = KeyPair::generate_seeded(128, 42).unwrap();
         let enc = test_encoding();
-        let plan = GhPlan::new(1.0, 1.0, 8, &enc).unwrap();
-        assert!(plan.encode_pair(3.0, 0.0, &enc).is_err());
-        assert!(plan.encode_pair(0.0, f64::NAN, &enc).is_err());
-        assert!(GhPlan::new(0.0, 0.0, 8, &enc).is_err());
-        assert!(GhPlan::new(f64::INFINITY, 1.0, 8, &enc).is_err());
+        let fits = GhPlan::new(GRAD_BOUND, HESS_BOUND, 1000, &enc).unwrap();
+        assert_eq!((fits.pair_bits(), fits.bins_per_cipher(&kp.public)), (107, 1));
+        fits.validate_capacity(&kp.public).unwrap();
+        let wide = GhPlan::new(GRAD_BOUND, HESS_BOUND, 4_000_000, &enc).unwrap();
+        assert_eq!(wide.pair_bits(), 131);
+        assert_eq!(
+            wide.validate_capacity(&kp.public),
+            Err(CryptoError::PackingCapacity { requested: 1, max: 0 })
+        );
     }
 
     #[test]
-    fn gh_plan_multi_pair_stride_round_trip() {
+    fn gh_plan_parent_minus_child_keeps_counts_and_offsets_consistent() {
+        // Histogram subtraction on paired bins: ciphers subtract, row
+        // counts subtract, and the top-up of the difference lands every
+        // derived bin on the same `N·B_g` offset as a directly built one.
+        let (kp, _, mut rng) = setup();
+        let plan = GhPlan::new(GRAD_BOUND, HESS_BOUND, 12, &test_encoding()).unwrap();
+        let parent_rows: Vec<(f64, f64)> =
+            (0..12).map(|i| ((i as f64 - 6.0) / 6.0, (i % 5) as f64 * 0.0625)).collect();
+        // The sibling took: a strict subset, every row, no row at all.
+        for taken in [5usize, 12, 0] {
+            let parent = accumulate(&kp, &plan, &parent_rows, &mut rng).unwrap();
+            let child = accumulate(&kp, &plan, &parent_rows[..taken], &mut rng).unwrap();
+            let derived = Bin {
+                cipher: kp
+                    .public
+                    .add_raw(&parent.cipher, &kp.public.neg_raw(&child.cipher).unwrap()),
+                rows: parent.rows - child.rows,
+            };
+            let got = top_up_pack_decode(&kp, &plan, &[derived, child]).unwrap();
+            assert_eq!(got[0], reference(&parent_rows[taken..]), "derived, sibling took {taken}");
+            assert_eq!(got[1], reference(&parent_rows[..taken]), "sibling took {taken}");
+        }
+    }
+
+    #[test]
+    fn zero_width_slots_and_residual_bits_are_typed_errors() {
         let (kp, _, _) = setup();
-        let enc = test_encoding();
-        let base = GhPlan::new(1.0, 1.0, 32, &enc).unwrap();
-        let max = base.max_pairs(&kp.public);
-        assert!(max >= 2, "512-bit key should fit at least two pairs");
-        let plan = GhPlan { pairs: max, ..base };
-        plan.validate_capacity(&kp.public).unwrap();
-        assert!(GhPlan { pairs: max + 1, ..base }.validate_capacity(&kp.public).is_err());
-        let rows: Vec<(f64, f64)> =
-            (0..max).map(|i| (((i % 5) as f64 - 2.0) / 4.0, 0.9 - (i % 3) as f64 * 0.7)).collect();
-        // Two batches summed: per-zone accumulation must stay independent.
-        let a = plan.encode_pairs(&rows, &enc).unwrap();
-        let b = plan.encode_pairs(&rows, &enc).unwrap();
-        let sum = a + b;
-        let decoded = plan.decode_pairs(&sum, max, &enc);
-        for (got, want) in decoded.iter().zip(&rows) {
-            assert_pair_close(*got, (2.0 * want.0, 2.0 * want.1), 1e-6);
-        }
-    }
-
-    #[test]
-    fn gh_plan_end_to_end_through_paillier() {
-        let (kp, _ctr, mut rng) = setup();
-        let enc = test_encoding();
-        let count = 40u64;
-        let plan = GhPlan::new(1.0, 1.0, count, &enc).unwrap();
-        plan.validate_capacity(&kp.public).unwrap();
-        let mut acc = kp.public.zero_raw();
-        let (mut gs, mut hs) = (0.0f64, 0.0f64);
-        for i in 0..count {
-            let g = ((i as f64) / count as f64) - 0.5;
-            let h = 0.25 - ((i % 7) as f64) * 0.05;
-            gs += g;
-            hs += h;
-            let rep = plan.encode_pair(g, h, &enc).unwrap();
-            let c = kp.public.encrypt_raw(&rep, &mut rng);
-            acc = kp.public.add_raw(&acc, &c); // HAdd on packed pairs
-        }
-        let plain = kp.private.decrypt_raw(&acc);
-        assert_pair_close(plan.decode_pair(&plain, &enc), (gs, hs), 1e-5);
-    }
-
-    #[test]
-    fn gh_plan_capacity_tracks_key_size() {
-        let (kp, _, _) = setup();
-        let enc = test_encoding();
-        let plan = GhPlan::new(1.0, 1.0, 1u64 << 40, &enc).unwrap();
-        // A huge per-node count inflates the stride; capacity shrinks
-        // accordingly but single-pair must still fit a 512-bit key.
-        assert!(plan.validate_capacity(&kp.public).is_ok());
-        assert!(plan.stride() as u64 <= kp.public.bits().saturating_sub(2));
+        assert_eq!(PackingPlan::max_slots(&kp.public, 0), 0);
+        assert_eq!(
+            PackingPlan::new(&kp.public, 0, 1),
+            Err(CryptoError::PackingCapacity { requested: 1, max: 0 })
+        );
+        // Two 8-bit slots declared, a third one's worth of bits present.
+        let plan = PackingPlan { slot_bits: 8, slots: 2 };
+        let plain = BigUint::from(0x01_02_03u32);
+        assert_eq!(
+            unpack_plaintext(&plain, &plan, 2),
+            Err(CryptoError::PackedValueTooLarge { slot: 2 })
+        );
+        assert_eq!(unpack_plaintext(&plain, &plan, 3).unwrap().len(), 3);
     }
 }

@@ -326,48 +326,46 @@ impl Suite {
             .zip(h)
             .enumerate()
             .map(|(i, (&gv, &hv))| {
-                let rep = plan.encode_pair(gv, hv, &self.0.cfg)?;
+                let rep = plan.encode_pair(gv, hv)?;
                 let mut rng = StdRng::seed_from_u64(seed.wrapping_add(i as u64));
                 let cipher = sk.encrypt_raw_ctr(&rep, &mut rng, &self.0.counters);
                 self.0.counters.add_enc(1);
-                self.0.counters.add_ghpack(1);
-                Ok(Ciphertext::Paillier(EncryptedNumber { cipher, exponent: plan.exponent }))
+                Ok(Ciphertext::Paillier(EncryptedNumber { cipher, exponent: plan.exponent() }))
             })
             .collect()
     }
 
-    /// Decrypts one GH-packed cipher (typically an accumulated histogram
-    /// bin) back to its `(Σg, Σh)` component sums.
-    pub fn decrypt_gh(&self, c: &Ciphertext, plan: &GhPlan) -> Result<(f64, f64)> {
-        match c {
-            Ciphertext::Paillier(e) => {
-                let sk = self.sk()?;
-                self.0.counters.add_dec(1);
-                let plain = sk.decrypt_raw_ctr(&e.cipher, &self.0.counters);
-                Ok(plan.decode_pair(&plain, &self.0.cfg))
-            }
-            Ciphertext::Plain(_) => Err(CryptoError::SuiteMismatch),
-        }
-    }
-
-    /// Decrypts a packed cipher whose slots are GH-pair representatives
+    /// Decrypts a packed cipher whose slots are topped-up GH-pair bins
     /// (return-path packing composed with forward-path GH packing): one
     /// decryption recovers `(Σg, Σh)` for every slot.
+    ///
+    /// The plaintext is sliced by the pair width *this* party derived: a
+    /// peer declaring another `slot_bits`, an exponent off the plan's, more
+    /// slots than the key carries, or leaving bits above its `count` slots
+    /// is a typed error, never a garbage sum.
     pub fn unpack_decrypt_gh(
         &self,
         packed: &PackedCiphertext,
         plan: &GhPlan,
     ) -> Result<Vec<(f64, f64)>> {
         match packed {
-            PackedCiphertext::Paillier { cipher, exponent: _, count, slot_bits } => {
+            PackedCiphertext::Paillier { cipher, exponent, count, slot_bits } => {
+                if *slot_bits != plan.pair_bits() || *exponent != plan.exponent() {
+                    return Err(CryptoError::ShapeMismatch {
+                        context: "gh packed layout vs the derived pair plan",
+                        left: *slot_bits as usize,
+                        right: plan.pair_bits() as usize,
+                    });
+                }
+                let wire_plan = PackingPlan::new(self.pk()?, plan.pair_bits(), *count)?;
                 let sk = self.sk()?;
                 self.0.counters.add_dec(1);
                 let plain = sk.decrypt_raw_ctr(cipher, &self.0.counters);
-                let wire_plan = PackingPlan { slot_bits: *slot_bits, slots: *count };
-                Ok(unpack_plaintext(&plain, &wire_plan, *count)
+                unpack_plaintext(&plain, &wire_plan, *count)?
                     .iter()
-                    .map(|slot| plan.decode_pair(slot, &self.0.cfg))
-                    .collect())
+                    .enumerate()
+                    .map(|(slot, bits)| plan.decode_pair(bits, slot))
+                    .collect()
             }
             PackedCiphertext::Plain(_) => Err(CryptoError::SuiteMismatch),
         }
@@ -526,19 +524,32 @@ impl Suite {
     pub fn add_plain(&self, c: &Ciphertext, v: f64) -> Result<Ciphertext> {
         match c {
             Ciphertext::Paillier(e) => {
-                let pk = self.pk()?;
-                let encoded = EncodedNumber::encode(v, e.exponent, &self.0.cfg, pk)?;
-                self.0.counters.add_hadd(1);
-                let gv = pk.encrypt_raw_with_rn(&encoded.mantissa, &pk.zero_raw());
-                Ok(Ciphertext::Paillier(EncryptedNumber {
-                    cipher: pk.add_raw(&e.cipher, &gv),
-                    exponent: e.exponent,
-                }))
+                let encoded = EncodedNumber::encode(v, e.exponent, &self.0.cfg, self.pk()?)?;
+                self.add_plain_raw(c, &encoded.mantissa)
             }
             Ciphertext::Plain(p) => {
                 self.0.counters.add_hadd(1);
                 Ok(Ciphertext::Plain(PlainNumber { value: p.value + v, exponent: p.exponent }))
             }
+        }
+    }
+
+    /// [`Suite::add_plain`] for a plaintext that is already an integer of
+    /// the plaintext space (`⟦V⟧ · gᵏ mod n²`, one modular multiplication):
+    /// how a host tops a GH-pair bin up by [`GhPlan::top_up`]. Paillier
+    /// ciphers only.
+    pub fn add_plain_raw(&self, c: &Ciphertext, k: &num_bigint::BigUint) -> Result<Ciphertext> {
+        match c {
+            Ciphertext::Paillier(e) => {
+                let pk = self.pk()?;
+                self.0.counters.add_hadd(1);
+                let gk = pk.encrypt_raw_with_rn(k, &pk.zero_raw());
+                Ok(Ciphertext::Paillier(EncryptedNumber {
+                    cipher: pk.add_raw(&e.cipher, &gk),
+                    exponent: e.exponent,
+                }))
+            }
+            Ciphertext::Plain(_) => Err(CryptoError::SuiteMismatch),
         }
     }
 
@@ -620,7 +631,7 @@ impl Suite {
                 let plain = sk.decrypt_raw_ctr(cipher, &self.0.counters);
                 let plan = PackingPlan { slot_bits: *slot_bits, slots: *count };
                 let scale = self.0.cfg.base_pow_f64(*exponent);
-                Ok(unpack_plaintext(&plain, &plan, *count)
+                Ok(unpack_plaintext(&plain, &plan, *count)?
                     .into_iter()
                     .map(|v| biguint_to_f64(&v) / scale)
                     .collect())
@@ -829,32 +840,80 @@ mod tests {
         assert!(matches!(p.add(&cp, &cm), Err(CryptoError::SuiteMismatch)));
     }
 
+    /// Tops every bin up to the plan's offset and packs them into one
+    /// cipher, as a host does on the return path.
+    fn top_up_and_pack(
+        host: &Suite,
+        plan: &GhPlan,
+        bins: &[(Ciphertext, u64)],
+    ) -> PackedCiphertext {
+        let topped: Vec<Ciphertext> = bins
+            .iter()
+            .map(|(c, rows)| host.add_plain_raw(c, &plan.top_up(*rows).unwrap()).unwrap())
+            .collect();
+        let wire =
+            PackingPlan::new(host.public_key().unwrap(), plan.pair_bits(), topped.len()).unwrap();
+        host.pack(&topped, &wire).unwrap()
+    }
+
     #[test]
-    fn gh_batch_round_trips_and_accumulates() {
+    fn gh_batch_accumulates_and_survives_return_path_packing() {
         let s = paillier_suite();
         let plan = GhPlan::new(1.0, 1.0, 8, s.encoding()).unwrap();
         plan.validate_capacity(s.public_key().unwrap()).unwrap();
         let g = [0.5, -0.25, 0.75, -1.0];
-        let h = [0.25, 0.25, -0.125, 0.0];
+        let h = [0.25, 0.25, 0.125, 0.0];
         let before = s.counters().snapshot();
         let cts = s.encrypt_gh_batch(&g, &h, &plan, 77).unwrap();
-        let delta = s.counters().snapshot().since(&before);
-        assert_eq!(delta.enc, 4);
-        assert_eq!(delta.ghpack, 4);
-        // Each cipher decodes to its own pair.
-        for (i, c) in cts.iter().enumerate() {
-            let (gv, hv) = s.decrypt_gh(c, &plan).unwrap();
-            assert!((gv - g[i]).abs() < 1e-6 && (hv - h[i]).abs() < 1e-6);
-        }
-        // HAdd on packed pairs accumulates both components at once.
+        assert_eq!(s.counters().snapshot().since(&before).enc, 4);
+        // HAdd on packed pairs accumulates both components at once; a bin
+        // of one row and a bin of four ride in the same packed cipher.
         let host = s.public_half();
         let mut acc = cts[0].clone();
         for c in &cts[1..] {
             acc = host.add(&acc, c).unwrap();
         }
-        let (gs, hs) = s.decrypt_gh(&acc, &plan).unwrap();
-        assert!((gs - 0.0).abs() < 1e-6, "sum g {gs}");
-        assert!((hs - 0.375).abs() < 1e-6, "sum h {hs}");
+        let packed = top_up_and_pack(&host, &plan, &[(cts[1].clone(), 1), (acc, 4)]);
+        let before = s.counters().snapshot();
+        let pairs = s.unpack_decrypt_gh(&packed, &plan).unwrap();
+        assert_eq!(s.counters().snapshot().since(&before).dec, 1);
+        assert_eq!(pairs, vec![(-0.25, 0.25), (0.0, 0.625)]);
+    }
+
+    #[test]
+    fn gh_unpack_uses_the_derived_width_not_the_declared_one() {
+        let s = paillier_suite();
+        let host = s.public_half();
+        let plan = GhPlan::new(1.0, 1.0, 8, s.encoding()).unwrap();
+        let cts = s.encrypt_gh_batch(&[0.5, -0.5], &[0.25, 0.5], &plan, 9).unwrap();
+        let honest = top_up_and_pack(&host, &plan, &[(cts[0].clone(), 1), (cts[1].clone(), 1)]);
+        let PackedCiphertext::Paillier { cipher, exponent, count, slot_bits } = honest.clone()
+        else {
+            panic!("paillier suite packs paillier ciphers");
+        };
+        s.unpack_decrypt_gh(&honest, &plan).unwrap();
+        let forged = |exponent, count, slot_bits| PackedCiphertext::Paillier {
+            cipher: cipher.clone(),
+            exponent,
+            count,
+            slot_bits,
+        };
+        // Another width or exponent than the plan's: refused before any
+        // decryption is spent on it.
+        let before = s.counters().snapshot();
+        for lie in [forged(exponent, count, slot_bits + 8), forged(exponent - 1, count, slot_bits)]
+        {
+            let err = s.unpack_decrypt_gh(&lie, &plan).unwrap_err();
+            assert!(matches!(err, CryptoError::ShapeMismatch { .. }), "{err}");
+        }
+        // More slots than the key carries.
+        let err = s.unpack_decrypt_gh(&forged(exponent, 99, slot_bits), &plan).unwrap_err();
+        assert!(matches!(err, CryptoError::PackingCapacity { requested: 99, .. }), "{err}");
+        assert_eq!(s.counters().snapshot().since(&before).dec, 0);
+        // Fewer slots declared than packed: the plaintext has bits above
+        // the declared run.
+        let err = s.unpack_decrypt_gh(&forged(exponent, 1, slot_bits), &plan).unwrap_err();
+        assert_eq!(err, CryptoError::PackedValueTooLarge { slot: 1 });
     }
 
     #[test]
@@ -888,25 +947,6 @@ mod tests {
             m.encrypt_gh_batch(&[1.0], &[1.0], &mplan, 1),
             Err(CryptoError::SuiteMismatch)
         ));
-    }
-
-    #[test]
-    fn gh_pairs_survive_return_path_packing() {
-        // Accumulated GH bins → generic return-path pack → one decryption
-        // recovers (Σg, Σh) per bin.
-        let s = paillier_suite();
-        let plan = GhPlan::new(1.0, 1.0, 4, s.encoding()).unwrap();
-        let g = [0.5, -0.25, 0.75];
-        let h = [0.25, 0.125, -0.5];
-        let bins = s.encrypt_gh_batch(&g, &h, &plan, 9).unwrap();
-        let slot_bits = plan.stride().div_ceil(8) * 8;
-        let wire_plan = PackingPlan::new(s.public_key().unwrap(), slot_bits, bins.len()).unwrap();
-        let packed = s.pack(&bins, &wire_plan).unwrap();
-        let pairs = s.unpack_decrypt_gh(&packed, &plan).unwrap();
-        assert_eq!(pairs.len(), 3);
-        for (i, (gv, hv)) in pairs.iter().enumerate() {
-            assert!((gv - g[i]).abs() < 1e-6 && (hv - h[i]).abs() < 1e-6, "bin {i}");
-        }
     }
 
     #[test]

@@ -16,13 +16,15 @@ use vf2boost::core::error::{PartyId, ProtocolError, TrainError};
 use vf2boost::core::guest::run_guest;
 use vf2boost::core::host::run_host;
 use vf2boost::core::json;
-use vf2boost::core::messages::{FeatureMeta, HistPayload, Msg, RawFeatureHist};
+use vf2boost::core::messages::{
+    FeatureMeta, GhPackedFeatureHist, HistPayload, Msg, RawFeatureHist,
+};
 use vf2boost::core::telemetry::{party_to_json, PartyTelemetry};
 use vf2boost::core::trace::write_flight_record;
 use vf2boost::core::{encode_model, train_federated, wire};
 use vf2boost::crypto::paillier::RawCipher;
 use vf2boost::crypto::suite::{Ciphertext, PackedCiphertext, PlainNumber, Suite};
-use vf2boost::crypto::EncryptedNumber;
+use vf2boost::crypto::{CryptoError, EncryptedNumber, GhPlan, PackingPlan};
 use vf2boost::datagen::synthetic::{generate_classification, SyntheticConfig};
 use vf2boost::datagen::vertical::split_vertical;
 use vf2boost::gbdt::data::{Dataset, FeatureColumn};
@@ -348,6 +350,103 @@ fn guest_rejects_wrong_length_histograms() {
         }
         other => panic!("wrong error: {other}"),
     }
+}
+
+/// Drives a production guest on the paired path (Paillier, histogram
+/// packing on) against a scripted host that owns one 4-bin feature and
+/// answers the first node task with whatever `forge` builds from the
+/// host's public suite and the pair plan both sides derive.
+fn paired_guest_against(
+    forge: impl Fn(&Suite, &GhPlan) -> Vec<PackedCiphertext>,
+) -> vf2boost::core::error::GuestFailure {
+    let cfg = TrainConfig::for_tests();
+    let guest_suite = Suite::paillier_seeded(256, 5, cfg.encoding).unwrap();
+    let host_suite = guest_suite.public_half();
+    let plan = cfg.gh_plan(&host_suite, 48).unwrap().expect("the default path is paired");
+    assert_eq!(plan.bins_per_cipher(host_suite.public_key().unwrap()), 2);
+    let (guest_ep, host_ep) = duplex(WanConfig::instant());
+    let handle = std::thread::spawn(move || {
+        run_guest(guest_data(), cfg, guest_suite, vec![guest_ep], None, None).err()
+    });
+    send(&host_ep, &Msg::SessionHello { session_id: 0, epoch: 0, durable: vec![] });
+    send(&host_ep, &Msg::FeatureMeta(vec![FeatureMeta { num_bins: 4, zero_bin: 0 }]));
+    let mut replied = false;
+    drain_guest(&host_ep, |msg| {
+        if let Msg::NodeTask { tree, node, epoch } = msg {
+            if !std::mem::replace(&mut replied, true) {
+                let feature = GhPackedFeatureHist { packed: forge(&host_suite, &plan), bins: 4 };
+                let payload = HistPayload::GhPacked(vec![feature]);
+                send(&host_ep, &Msg::NodeHistograms { tree, node, epoch, payload });
+            }
+        }
+    });
+    assert!(replied, "the guest never issued a node task");
+    handle.join().unwrap().expect("the forged histogram must abort the guest")
+}
+
+/// `bins` topped-up empty pair bins packed into one cipher, as an honest
+/// host ships them.
+fn packed_pairs(host: &Suite, plan: &GhPlan, bins: usize) -> PackedCiphertext {
+    let empty =
+        host.add_plain_raw(&host.zero_obfuscated(plan.exponent()), &plan.top_up(0).unwrap());
+    let wire = PackingPlan::new(host.public_key().unwrap(), plan.pair_bits(), bins).unwrap();
+    host.pack(&vec![empty.unwrap(); bins], &wire).unwrap()
+}
+
+#[test]
+fn guest_rejects_a_pair_width_it_did_not_derive() {
+    // Honest ciphers, honest slot totals — but the host declares slots one
+    // bit wider than the plan both sides derive. Slicing by the declared
+    // width would yield garbage sums; admission refuses it before a
+    // decryption is spent.
+    let failure = paired_guest_against(|host, plan| {
+        (0..2)
+            .map(|_| match packed_pairs(host, plan, 2) {
+                PackedCiphertext::Paillier { cipher, exponent, count, slot_bits } => {
+                    PackedCiphertext::Paillier { cipher, exponent, count, slot_bits: slot_bits + 1 }
+                }
+                plain => plain,
+            })
+            .collect()
+    });
+    match failure.error {
+        TrainError::PeerMisbehaving { party, last, .. } => {
+            assert_eq!(party, PartyId::Host(0));
+            assert!(
+                matches!(*last, ProtocolError::Inadmissible { kind: 4, context, .. }
+                    if context.contains("derived plan")),
+                "{last}"
+            );
+        }
+        other => panic!("wrong error: {other}"),
+    }
+    assert_eq!(failure.telemetry.ops.dec, 0, "nothing was decrypted");
+}
+
+#[test]
+fn guest_rejects_plaintext_bits_above_the_declared_slots() {
+    // The layout is the derived one and the slot totals add up to the four
+    // negotiated bins, so admission passes — but the first cipher carries
+    // two bins while declaring one. The decrypted plaintext has bits above
+    // its declared run: a typed crypto error in release builds too, never
+    // a silently truncated histogram.
+    let failure = paired_guest_against(|host, plan| {
+        let lying = match packed_pairs(host, plan, 2) {
+            PackedCiphertext::Paillier { cipher, exponent, slot_bits, .. } => {
+                PackedCiphertext::Paillier { cipher, exponent, count: 1, slot_bits }
+            }
+            plain => plain,
+        };
+        vec![lying, packed_pairs(host, plan, 2), packed_pairs(host, plan, 1)]
+    });
+    assert!(
+        matches!(
+            failure.error,
+            TrainError::Crypto { error: CryptoError::PackedValueTooLarge { slot: 1 }, .. }
+        ),
+        "{}",
+        failure.error
+    );
 }
 
 #[test]

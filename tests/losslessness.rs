@@ -6,7 +6,6 @@
 use vf2boost::core::config::{CryptoConfig, TrainConfig};
 use vf2boost::core::protocol::ProtocolConfig;
 use vf2boost::core::train_federated;
-use vf2boost::crypto::CryptoBackend;
 use vf2boost::datagen::synthetic::{generate_classification, SyntheticConfig};
 use vf2boost::datagen::vertical::split_vertical;
 use vf2boost::gbdt::train::{GbdtParams, Trainer};
@@ -138,94 +137,58 @@ fn full_vf2boost_paillier_is_lossless_within_encoding_noise() {
     assert!(diff < 1e-3, "mean |Δmargin| = {diff}");
 }
 
-/// The forward-path GH-pair packing matrix: with `gh_packing` on, every
-/// protocol variant × histogram mode × bignum backend × subtraction
-/// setting must produce *bitwise identical* final margins to the same
-/// configuration with packing off. Split decisions drive the tree shape
-/// and leaf weights are computed from guest-side plaintext sums, so any
-/// decode discrepancy that flipped a split would blow the margins apart.
+/// The paired forward path against the two-stream one inside one build: a
+/// Paillier run with `pack_histograms` ships one cipher per instance and
+/// GH-packed histograms, the same run without it two ciphers per instance
+/// and raw histograms. Across sequential/optimistic × subtraction on/off
+/// the final margins must be *bitwise identical* — split decisions drive
+/// the tree shape and leaf weights come from guest-side plaintext sums, so
+/// a decode discrepancy that flipped a split would blow the margins apart —
+/// and the paired side encrypts exactly once per instance and tree.
 #[test]
-fn gh_packing_matrix_preserves_split_decisions() {
-    let data = dataset(160, 5);
+fn paired_path_preserves_the_two_stream_split_decisions() {
+    let (rows, trees) = (160, 2);
+    let data = dataset(rows, 5);
     let s = split_vertical(&data, &[5]);
-    #[derive(Clone, Copy)]
-    enum HistMode {
-        Raw,
-        Reordered,
-        Packed,
-    }
     for optimistic in [false, true] {
-        for hist in [HistMode::Raw, HistMode::Reordered, HistMode::Packed] {
-            for backend in [CryptoBackend::NumBigint, CryptoBackend::Fixed] {
-                for subtraction in [false, true] {
-                    let protocol = ProtocolConfig {
-                        optimistic,
-                        blaster_batch: if optimistic { Some(64) } else { None },
-                        reordered_accumulation: !matches!(hist, HistMode::Raw),
-                        pack_histograms: matches!(hist, HistMode::Packed),
-                        hist_subtraction: subtraction,
-                        ..ProtocolConfig::vf2boost()
-                    };
-                    let base = TrainConfig {
-                        gbdt: GbdtParams { num_trees: 2, max_layers: 4, ..Default::default() },
-                        crypto: CryptoConfig::Paillier { key_bits: 256 },
-                        crypto_backend: backend,
-                        protocol,
-                        gh_packing: false,
-                        ..TrainConfig::for_tests()
-                    };
-                    let off = train_federated(&s.hosts, &s.guest, &base)
-                        .expect("gh-off training succeeds");
-                    let on = train_federated(
-                        &s.hosts,
-                        &s.guest,
-                        &TrainConfig { gh_packing: true, ..base },
-                    )
-                    .expect("gh-on training succeeds");
-                    // The packed run must actually take the packed path.
-                    let ghpack = on.report.guest.ops.ghpack
-                        + on.report.hosts.iter().map(|h| h.ops.ghpack).sum::<u64>();
-                    assert!(
-                        ghpack > 0,
-                        "gh run recorded no ghpack ops (opt={optimistic} sub={subtraction})"
-                    );
-                    let m_off = off.model.predict_margin(&[&s.hosts[0]], &s.guest);
-                    let m_on = on.model.predict_margin(&[&s.hosts[0]], &s.guest);
-                    assert_eq!(m_off.len(), m_on.len());
-                    for (i, (a, b)) in m_off.iter().zip(&m_on).enumerate() {
-                        assert_eq!(
-                            a.to_bits(),
-                            b.to_bits(),
-                            "margin {i} diverged: off={a} on={b} \
-                             (opt={optimistic} sub={subtraction})"
-                        );
-                    }
-                }
+        for subtraction in [false, true] {
+            let what = format!("opt={optimistic} sub={subtraction}");
+            let paired = TrainConfig {
+                gbdt: GbdtParams { num_trees: trees, max_layers: 4, ..Default::default() },
+                crypto: CryptoConfig::Paillier { key_bits: 256 },
+                protocol: ProtocolConfig {
+                    optimistic,
+                    blaster_batch: if optimistic { Some(64) } else { None },
+                    hist_subtraction: subtraction,
+                    ..ProtocolConfig::vf2boost()
+                },
+                ..TrainConfig::for_tests()
+            };
+            let two_stream = TrainConfig {
+                protocol: ProtocolConfig { pack_histograms: false, ..paired.protocol },
+                ..paired
+            };
+            let on = train_federated(&s.hosts, &s.guest, &paired).expect("paired training");
+            let off =
+                train_federated(&s.hosts, &s.guest, &two_stream).expect("two-stream training");
+            assert_eq!(on.report.guest.ops.enc, (rows * trees) as u64, "paired enc ({what})");
+            assert_eq!(
+                off.report.guest.ops.enc,
+                (2 * rows * trees) as u64,
+                "two-stream enc ({what})"
+            );
+            assert_eq!(on.report.hosts[0].ops.scalings, 0, "pairs share one exponent ({what})");
+            let m_on = on.model.predict_margin(&[&s.hosts[0]], &s.guest);
+            let m_off = off.model.predict_margin(&[&s.hosts[0]], &s.guest);
+            assert_eq!(m_on.len(), m_off.len());
+            for (i, (a, b)) in m_on.iter().zip(&m_off).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "margin {i}: paired={a} two-stream={b} ({what})"
+                );
             }
         }
-    }
-}
-
-/// `gh_packing` on a mock suite is inert: the flag gates on a Paillier
-/// suite, so the run degrades to the raw path and stays deterministic.
-#[test]
-fn gh_packing_flag_is_inert_under_mock_crypto() {
-    let data = dataset(200, 6);
-    let s = split_vertical(&data, &[5]);
-    let base = TrainConfig {
-        gbdt: GbdtParams { num_trees: 2, max_layers: 4, ..Default::default() },
-        crypto: CryptoConfig::Mock,
-        protocol: ProtocolConfig::vf2boost(),
-        gh_packing: false,
-        ..TrainConfig::for_tests()
-    };
-    let off = train_federated(&s.hosts, &s.guest, &base).expect("training succeeds");
-    let on = train_federated(&s.hosts, &s.guest, &TrainConfig { gh_packing: true, ..base })
-        .expect("training succeeds");
-    let m_off = off.model.predict_margin(&[&s.hosts[0]], &s.guest);
-    let m_on = on.model.predict_margin(&[&s.hosts[0]], &s.guest);
-    for (a, b) in m_off.iter().zip(&m_on) {
-        assert_eq!(a.to_bits(), b.to_bits());
     }
 }
 

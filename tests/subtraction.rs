@@ -32,10 +32,11 @@ fn assert_bitwise_equal(a: &[f64], b: &[f64], context: &str) {
     }
 }
 
-/// Paillier, raw wire: subtraction on vs off trains bitwise-identical
-/// models while the host's homomorphic additions drop by roughly the
-/// larger children's row share, as witnessed by both the raw op counters
-/// and the saved-adds telemetry.
+/// Paillier, on the paired path (one cipher and one HAdd per stored
+/// entry) and on the two-stream raw wire (two of each): subtraction on vs
+/// off trains bitwise-identical models while the host's homomorphic
+/// additions drop by roughly the larger children's row share, as witnessed
+/// by both the raw op counters and the saved-adds telemetry.
 ///
 /// Derivation costs one neg + one HAdd per occupied *bin slot* of the
 /// sibling, so it pays off when nodes hold many more rows than
@@ -45,6 +46,14 @@ fn assert_bitwise_equal(a: &[f64], b: &[f64], context: &str) {
 /// keeps the policy a pure function of the row lists.
 #[test]
 fn paillier_subtraction_halves_child_hadds_with_identical_trees() {
+    for paired in [true, false] {
+        for optimistic in [false, true] {
+            subtraction_halves_child_hadds(paired, optimistic);
+        }
+    }
+}
+
+fn subtraction_halves_child_hadds(paired: bool, optimistic: bool) {
     let data = dataset(600, 11);
     let s = split_vertical(&data, &[5]);
     let base = TrainConfig {
@@ -56,8 +65,9 @@ fn paillier_subtraction_halves_child_hadds_with_identical_trees() {
         },
         crypto: CryptoConfig::Paillier { key_bits: 256 },
         protocol: ProtocolConfig {
-            pack_histograms: false,
+            pack_histograms: paired,
             hist_subtraction: true,
+            optimistic,
             ..ProtocolConfig::vf2boost()
         },
         ..TrainConfig::for_tests()
@@ -81,6 +91,10 @@ fn paillier_subtraction_halves_child_hadds_with_identical_trees() {
 
     let on_host = &on.report.hosts[0];
     let off_host = &off.report.hosts[0];
+    // The path under test is the one that ran: a cipher per row and tree,
+    // or two.
+    let per_row = if paired { 1 } else { 2 };
+    assert_eq!(on.report.guest.ops.enc, per_row * 600 * 2, "paired={paired}");
     assert!(on_host.events.hist_subtractions > 0, "no sibling was ever derived");
     assert!(on_host.events.hist_cache_hits > 0, "the node cache was never hit");
     assert!(on_host.events.hadds_saved > 0, "derivation saved nothing");
@@ -93,12 +107,19 @@ fn paillier_subtraction_halves_child_hadds_with_identical_trees() {
     assert_eq!(off_host.ops.negs, 0, "direct build never negates");
     assert_eq!(off_host.events.hist_subtractions, 0);
     assert_eq!(off_host.events.hadds_saved, 0);
+    if optimistic {
+        // Which superseded tasks a host still executes is a race, so two
+        // optimistic runs do not do the same work: the counters below are
+        // comparable only under the sequential protocol.
+        return;
+    }
 
     // Depth ≥ 1 direct builds cost one HAdd per (row, feature) entry of
     // *both* children; derivation replaces the larger child's share with
     // per-bin work. Even with the (identical) root accumulation diluting
     // the ratio, the total must drop visibly, and the drop must be
-    // consistent with what the telemetry claims was saved.
+    // consistent with what the telemetry claims was saved (on the paired
+    // path, where nothing is ever rescaled, with no slack at all).
     let spent_on = on_host.ops.hadd + on_host.ops.negs;
     assert!(
         spent_on < off_host.ops.hadd,

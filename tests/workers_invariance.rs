@@ -43,38 +43,34 @@ fn scenario(seed: u64, features: usize, host_features: usize) -> VerticalScenari
     split_vertical(&data, &[host_features])
 }
 
-/// Sequential/optimistic × raw/packed histograms × gh-packing off/on, each
-/// over the full VF²Boost stack (blaster batches, re-ordered accumulation,
-/// ciphertext subtraction) so every counter is exercised.
+/// Sequential/optimistic × two-stream raw histograms / paired packed ones,
+/// each over the full VF²Boost stack (blaster batches, re-ordered
+/// accumulation, ciphertext subtraction) so every counter is exercised.
 fn modes() -> Vec<(String, TrainConfig)> {
     let mut out = Vec::new();
     for optimistic in [false, true] {
         for pack_histograms in [false, true] {
-            for gh_packing in [false, true] {
-                let name = format!(
-                    "{}-{}{}",
-                    if optimistic { "opt" } else { "seq" },
-                    if pack_histograms { "packed" } else { "raw" },
-                    if gh_packing { "-gh" } else { "" },
-                );
-                let cfg = TrainConfig {
-                    gbdt: GbdtParams { num_trees: 2, max_layers: 4, ..Default::default() },
-                    crypto: CryptoConfig::Paillier { key_bits: 256 },
-                    protocol: ProtocolConfig {
-                        optimistic,
-                        pack_histograms,
-                        blaster_batch: Some(40),
-                        ..ProtocolConfig::vf2boost()
-                    },
-                    gh_packing,
-                    // No wait in these runs comes near the interval, so no
-                    // heartbeat frame (timing-dependent bytes) is ever sent.
-                    heartbeat_interval: Duration::from_secs(30),
-                    peer_timeout: Duration::from_secs(60),
-                    ..TrainConfig::for_tests()
-                };
-                out.push((name, cfg));
-            }
+            let name = format!(
+                "{}-{}",
+                if optimistic { "opt" } else { "seq" },
+                if pack_histograms { "paired" } else { "raw" },
+            );
+            let cfg = TrainConfig {
+                gbdt: GbdtParams { num_trees: 2, max_layers: 4, ..Default::default() },
+                crypto: CryptoConfig::Paillier { key_bits: 256 },
+                protocol: ProtocolConfig {
+                    optimistic,
+                    pack_histograms,
+                    blaster_batch: Some(40),
+                    ..ProtocolConfig::vf2boost()
+                },
+                // No wait in these runs comes near the interval, so no
+                // heartbeat frame (timing-dependent bytes) is ever sent.
+                heartbeat_interval: Duration::from_secs(30),
+                peer_timeout: Duration::from_secs(60),
+                ..TrainConfig::for_tests()
+            };
+            out.push((name, cfg));
         }
     }
     out
