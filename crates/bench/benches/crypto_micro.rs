@@ -25,7 +25,7 @@ fn bench_crypto(c: &mut Criterion) {
 fn bench_paillier(c: &mut Criterion, backend: CryptoBackend) {
     let encoding = EncodingConfig { base: 16, base_exp: 8, jitter: 4 };
     let keys = KeyPair::generate_seeded(key_bits(), 42).expect("keygen");
-    let suite = Suite::paillier_with_backend(keys, encoding, backend);
+    let suite = Suite::paillier(keys.with_backend(backend), encoding);
     let mut rng = StdRng::seed_from_u64(7);
     let a = suite.encrypt_at(0.5, 8, &mut rng).unwrap();
     let b = suite.encrypt_at(-0.25, 8, &mut rng).unwrap();

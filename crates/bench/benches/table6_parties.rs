@@ -8,10 +8,10 @@
 //! (speedup 1.00× → 0.96×/0.93× → 0.90×/0.93×).
 //!
 //! Beyond the paper's table this bench also runs 8- and 16-party rows:
-//! the full feature set split evenly, heterogeneous per-host WAN links
-//! (the last host gets ¼ bandwidth at 4× latency), and the pipelined
-//! event-driven scheduler, reporting the slowest-link-bound makespan via
-//! the run report's `modeled_concurrent` column.
+//! the full feature set split evenly over heterogeneous per-host WAN
+//! links (the last host gets ¼ bandwidth at 4× latency), reporting the
+//! slowest-link-bound makespan via the run report's `modeled_concurrent`
+//! column.
 
 use std::time::Duration;
 
@@ -22,7 +22,7 @@ use vf2_datagen::vertical::split_even;
 use vf2_gbdt::data::Dataset;
 use vf2_gbdt::metrics::auc;
 use vf2_gbdt::train::{GbdtParams, Trainer};
-use vf2boost_core::config::{Scheduler, WanSpread};
+use vf2boost_core::config::WanSpread;
 use vf2boost_core::train::train_federated;
 use vf2boost_core::TrainConfig;
 
@@ -89,18 +89,12 @@ fn main() {
             let s = take_parties(&train, parties);
             let v = take_parties(&valid, parties);
             // Beyond the paper's four-party table the links turn
-            // heterogeneous and the event-driven scheduler takes over,
-            // so the slowest link no longer serializes the guest.
+            // heterogeneous; the guest's tree loop drains one answer per
+            // live host, so the slowest link does not serialize it.
             let cfg = if parties <= 4 {
                 TrainConfig { gbdt, ..base_config() }
             } else {
-                many_party_wan(TrainConfig {
-                    gbdt,
-                    scheduler: Scheduler::Pipelined,
-                    pipeline_depth: 8,
-                    workers: 4,
-                    ..base_config()
-                })
+                many_party_wan(TrainConfig { gbdt, workers: 4, ..base_config() })
             };
             let out = train_federated(&s.hosts, &s.guest, &cfg).expect("training succeeds");
             let wall = out.report.wall_time;
@@ -115,7 +109,7 @@ fn main() {
             let host_refs: Vec<&Dataset> = v.hosts.iter().collect();
             let margins = out.model.predict_margin(&host_refs, &v.guest);
             let a = auc(v.guest.labels().unwrap(), &margins);
-            let tag = if parties <= 4 { "" } else { " [pipelined, heterogeneous WAN]" };
+            let tag = if parties <= 4 { "" } else { " [heterogeneous WAN]" };
             println!(
                 "  {parties} parties: wall {} ({:.2}x)  modeled {} ({:.2}x, paper 1.00/0.93-0.96/0.90-0.93)  AUC {:.4}{tag}",
                 secs(wall),

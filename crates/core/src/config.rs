@@ -7,7 +7,6 @@ use vf2_crypto::encoding::EncodingConfig;
 use vf2_crypto::error::CryptoError;
 use vf2_crypto::packing::GhPlan;
 use vf2_crypto::suite::Suite;
-use vf2_crypto::CryptoBackend;
 use vf2_gbdt::train::GbdtParams;
 
 use crate::error::ConfigError;
@@ -55,30 +54,6 @@ pub enum HostLossPolicy {
     Degrade,
 }
 
-/// How the guest drives its hosts through each tree.
-///
-/// Like the liveness knobs, the scheduler is deliberately excluded from
-/// the session config digest: it changes *when* work runs, never the
-/// model — per-node split decisions fire only once every live host's
-/// histogram for that node has been admitted, and the winner scan walks
-/// hosts in index order, so admission order (not arrival order) fixes
-/// the outcome under either scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scheduler {
-    /// Phase-lockstep waits (the pre-existing behavior, and the
-    /// default): the sequential protocol drains each layer's histograms
-    /// before any placement, the optimistic protocol handles one event
-    /// at a time.
-    Lockstep,
-    /// Event-driven per-party pipelining: both protocols run through the
-    /// arrival-order event loop, already-arrived histograms are drained
-    /// in batches of up to [`TrainConfig::pipeline_depth`] and decrypted
-    /// in parallel on the guest's worker pool, so one host's transfer
-    /// and decryption overlap another host's HAdd and the guest's own
-    /// plaintext histogram build.
-    Pipelined,
-}
-
 /// Heterogeneous WAN spread across host links: link `p` of `n` gets its
 /// bandwidth and latency interpolated linearly from the base
 /// [`TrainConfig::wan`] (host 0) to `slowest_bandwidth_frac` /
@@ -106,14 +81,6 @@ pub struct TrainConfig {
     pub protocol: ProtocolConfig,
     /// Cipher suite.
     pub crypto: CryptoConfig,
-    /// Bignum backend executing the Paillier hot path. The default,
-    /// [`CryptoBackend::Fixed`], dispatches to a fixed-width limb
-    /// Montgomery core monomorphized at the key's width;
-    /// [`CryptoBackend::NumBigint`] forces the vendored fallback. Models
-    /// are bit-identical across backends (the backend is deliberately
-    /// excluded from the session config digest, so checkpoints resume
-    /// across backends too) — only speed differs.
-    pub crypto_backend: CryptoBackend,
     /// Fixed-point encoding (base, exponent window).
     pub encoding: EncodingConfig,
     /// Simulated WAN characteristics of every cross-party link.
@@ -185,17 +152,6 @@ pub struct TrainConfig {
     /// first violation. Provably-honest staleness (optimistic-rollback
     /// stragglers) is never charged against this budget.
     pub misbehavior_budget: u32,
-    /// Which scheduler drives the hosts (see [`Scheduler`]). Excluded
-    /// from the session config digest: the trained model is bitwise
-    /// identical under either value.
-    pub scheduler: Scheduler,
-    /// Under [`Scheduler::Pipelined`], how many already-arrived
-    /// histogram payloads the guest drains into one parallel decrypt
-    /// batch before committing results (in deterministic `(node, host)`
-    /// order). `1` degenerates to one-at-a-time event handling; larger
-    /// values let slow-link transfers overlap the decrypt of whatever
-    /// already landed. Must be at least 1.
-    pub pipeline_depth: usize,
     /// Optional heterogeneous WAN spread across host links (see
     /// [`WanSpread`]). `None` gives every link the base [`Self::wan`].
     pub wan_spread: Option<WanSpread>,
@@ -222,7 +178,6 @@ impl Default for TrainConfig {
             gbdt: GbdtParams::default(),
             protocol: ProtocolConfig::vf2boost(),
             crypto: CryptoConfig::Paillier { key_bits: 2048 },
-            crypto_backend: CryptoBackend::Fixed,
             encoding: EncodingConfig::default(),
             wan: WanConfig::paper_public_network(),
             fault_guest_to_host: FaultConfig::none(),
@@ -239,8 +194,6 @@ impl Default for TrainConfig {
             crash_host_on_node_task: None,
             crash_hist_worker_on_tree: None,
             misbehavior_budget: 0,
-            scheduler: Scheduler::Lockstep,
-            pipeline_depth: 4,
             wan_spread: None,
             stall_stagger: Duration::ZERO,
             workers: 1,
@@ -272,9 +225,6 @@ impl TrainConfig {
                     heartbeat: self.heartbeat_interval,
                 });
             }
-        }
-        if self.pipeline_depth == 0 {
-            return Err(ConfigError::ZeroPipelineDepth);
         }
         if let Some(spread) = self.wan_spread {
             let bw_ok =
@@ -357,7 +307,6 @@ mod tests {
         assert_eq!(c.gbdt.max_layers, 7);
         assert!((c.gbdt.learning_rate - 0.1).abs() < 1e-12);
         assert_eq!(c.crypto, CryptoConfig::Paillier { key_bits: 2048 });
-        assert_eq!(c.crypto_backend, CryptoBackend::Fixed);
     }
 
     #[test]
@@ -418,19 +367,11 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_defaults_to_lockstep_with_sane_depth() {
+    fn defaults_validate_with_uniform_unstaggered_links() {
         let c = TrainConfig::default();
-        assert_eq!(c.scheduler, Scheduler::Lockstep);
-        assert!(c.pipeline_depth >= 1);
         assert!(c.wan_spread.is_none());
         assert_eq!(c.stall_stagger, Duration::ZERO);
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn zero_pipeline_depth_is_rejected() {
-        let c = TrainConfig { pipeline_depth: 0, ..TrainConfig::default() };
-        assert_eq!(c.validate(), Err(ConfigError::ZeroPipelineDepth));
     }
 
     #[test]

@@ -212,9 +212,6 @@ pub enum ConfigError {
         /// The heartbeat interval it must cover at least once.
         heartbeat: Duration,
     },
-    /// `pipeline_depth == 0`: the pipelined scheduler could never admit
-    /// a histogram batch, so every tree would stall at its root.
-    ZeroPipelineDepth,
     /// A [`crate::config::WanSpread`] with a non-finite or non-positive
     /// bandwidth fraction, or a non-finite / negative latency multiple —
     /// the interpolated links would have zero or undefined capacity.
@@ -242,9 +239,6 @@ impl std::fmt::Display for ConfigError {
                 "AwaitRejoin deadline {deadline:?} is shorter than one heartbeat interval \
                  {heartbeat:?}; the quarantine window closes before a rejoin can be observed"
             ),
-            ConfigError::ZeroPipelineDepth => {
-                write!(f, "pipeline_depth is zero; the pipelined scheduler could never drain")
-            }
             ConfigError::InvalidWanSpread { bandwidth_frac, latency_mult } => write!(
                 f,
                 "WAN spread (slowest bandwidth fraction {bandwidth_frac}, latency multiple \

@@ -547,154 +547,6 @@ impl GuestFsm {
     }
 }
 
-/// The scheduler's view of one host: is it idle, answering outstanding
-/// node tasks, draining a rewind, or parked?
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DriverState {
-    /// No node tasks outstanding (between trees, or every task answered).
-    Idle,
-    /// At least one `(node, epoch)` task awaits this host's histograms.
-    AwaitingHistograms,
-    /// A mid-run `Rewind` was sent; pre-rewind answers are draining.
-    Draining,
-    /// Quarantined or mid-rejoin: the host takes no tasks.
-    Parked,
-}
-
-/// Per-host scheduler bookkeeping, layered *on top of* [`GuestFsm`].
-///
-/// The FSM is the admission authority — it alone decides whether a
-/// message enters the protocol. The driver is the scheduler's ledger on
-/// the same stream: which `(node, epoch)` tasks are outstanding per
-/// party, how deep the outstanding window got, and whether the host can
-/// currently absorb work. The pipelined scheduler reads it to overlap
-/// one party's transfer/decrypt with another's HAdd; it never influences
-/// a split decision, so models are identical with or without it.
-#[derive(Debug)]
-pub struct HostDriver {
-    host: usize,
-    state: DriverState,
-    /// `(node, epoch)` tasks broadcast this tree and not yet answered or
-    /// superseded by a rollback.
-    outstanding: HashSet<(u32, u32)>,
-    /// Histograms admitted for this host this tree.
-    answered: u64,
-    /// High-water mark of simultaneously outstanding tasks this tree —
-    /// under the lockstep sequential scheduler this tracks the layer
-    /// width; under the pipelined scheduler it shows how much work the
-    /// host held concurrently.
-    peak_outstanding: usize,
-}
-
-impl HostDriver {
-    /// A fresh driver for host `host`.
-    pub fn new(host: usize) -> HostDriver {
-        HostDriver {
-            host,
-            state: DriverState::Idle,
-            outstanding: HashSet::new(),
-            answered: 0,
-            peak_outstanding: 0,
-        }
-    }
-
-    /// The host this driver tracks.
-    pub fn host(&self) -> usize {
-        self.host
-    }
-
-    /// The current scheduling state.
-    pub fn state(&self) -> DriverState {
-        self.state
-    }
-
-    /// Tasks currently outstanding.
-    pub fn outstanding_len(&self) -> usize {
-        self.outstanding.len()
-    }
-
-    /// Histograms admitted this tree.
-    pub fn answered(&self) -> u64 {
-        self.answered
-    }
-
-    /// High-water mark of simultaneously outstanding tasks this tree.
-    pub fn peak_outstanding(&self) -> usize {
-        self.peak_outstanding
-    }
-
-    fn settle(&mut self) {
-        if matches!(self.state, DriverState::Parked | DriverState::Draining) {
-            return;
-        }
-        self.state = if self.outstanding.is_empty() {
-            DriverState::Idle
-        } else {
-            DriverState::AwaitingHistograms
-        };
-    }
-
-    /// Scheduler hook: a new tree starts; all per-tree bookkeeping
-    /// resets. A parked host stays parked.
-    pub fn begin_tree(&mut self) {
-        self.outstanding.clear();
-        self.answered = 0;
-        self.peak_outstanding = 0;
-        if self.state != DriverState::Parked {
-            self.state = DriverState::Idle;
-        }
-    }
-
-    /// Scheduler hook: a `NodeTask { node, epoch }` went out to this
-    /// host.
-    pub fn task_issued(&mut self, node: u32, epoch: u32) {
-        self.outstanding.insert((node, epoch));
-        self.peak_outstanding = self.peak_outstanding.max(self.outstanding.len());
-        self.settle();
-    }
-
-    /// Scheduler hook: this host's histogram for `(node, epoch)` was
-    /// admitted. Returns whether the task was outstanding (it always is
-    /// for an FSM-admitted histogram; the bool makes the ledger
-    /// self-checking in tests).
-    pub fn histogram_arrived(&mut self, node: u32, epoch: u32) -> bool {
-        let was = self.outstanding.remove(&(node, epoch));
-        if was {
-            self.answered += 1;
-        }
-        self.settle();
-        was
-    }
-
-    /// Scheduler hook: `node`'s epoch was superseded (dirty rollback or
-    /// re-materialization) — any outstanding task for it will never be
-    /// answered with a deliverable histogram.
-    pub fn task_superseded(&mut self, node: u32) {
-        self.outstanding.retain(|&(n, _)| n != node);
-        self.settle();
-    }
-
-    /// Scheduler hook: the host was quarantined or permanently parked.
-    pub fn park(&mut self) {
-        self.state = DriverState::Parked;
-        self.outstanding.clear();
-    }
-
-    /// Scheduler hook: the host (a survivor of another party's failure)
-    /// was sent a mid-run `Rewind` and is draining.
-    pub fn begin_drain(&mut self) {
-        self.state = DriverState::Draining;
-        self.outstanding.clear();
-    }
-
-    /// Scheduler hook: the host's `RewindAck` arrived (drain over) or a
-    /// rejoin completed — it can take tasks again.
-    pub fn resume_active(&mut self) {
-        self.state = DriverState::Idle;
-        self.settle();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1013,51 +865,6 @@ mod tests {
             other => panic!("wrong error: {other}"),
         }
         assert_eq!(b.violations(), 3);
-    }
-
-    #[test]
-    fn host_driver_tracks_outstanding_tasks_and_peaks() {
-        let mut d = HostDriver::new(2);
-        assert_eq!(d.host(), 2);
-        assert_eq!(d.state(), DriverState::Idle);
-        d.task_issued(0, 1);
-        d.task_issued(1, 2);
-        d.task_issued(2, 3);
-        assert_eq!(d.state(), DriverState::AwaitingHistograms);
-        assert_eq!(d.outstanding_len(), 3);
-        assert!(d.histogram_arrived(1, 2));
-        assert!(!d.histogram_arrived(1, 2), "double-arrival is not outstanding");
-        assert_eq!(d.answered(), 1);
-        // A rollback supersedes node 2's task; only node 0 remains.
-        d.task_superseded(2);
-        assert_eq!(d.outstanding_len(), 1);
-        assert!(d.histogram_arrived(0, 1));
-        assert_eq!(d.state(), DriverState::Idle);
-        assert_eq!(d.peak_outstanding(), 3);
-        // A new tree resets the ledger.
-        d.begin_tree();
-        assert_eq!((d.outstanding_len(), d.answered(), d.peak_outstanding()), (0, 0, 0));
-    }
-
-    #[test]
-    fn host_driver_park_and_drain_are_sticky_until_resume() {
-        let mut d = HostDriver::new(0);
-        d.task_issued(0, 1);
-        d.begin_drain();
-        assert_eq!(d.state(), DriverState::Draining);
-        assert_eq!(d.outstanding_len(), 0);
-        // Ledger hooks do not un-drain the host...
-        assert!(!d.histogram_arrived(0, 1));
-        assert_eq!(d.state(), DriverState::Draining);
-        // ...only the explicit resume does.
-        d.resume_active();
-        assert_eq!(d.state(), DriverState::Idle);
-        d.park();
-        assert_eq!(d.state(), DriverState::Parked);
-        d.begin_tree();
-        assert_eq!(d.state(), DriverState::Parked, "a new tree keeps a parked host parked");
-        d.resume_active();
-        assert_eq!(d.state(), DriverState::Idle);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! The guest party (the paper's *Party B*): label owner, private-key
 //! holder, and protocol driver.
 //!
-//! The guest implements both training protocols over the same node-level
-//! machinery:
+//! One event loop (`GuestParty::run_tree`) drives every tree; the two
+//! protocols of the paper are two timings of it (§4.2, Figs. 5–6):
 //!
 //! * **Sequential** (the VF-GBDT baseline): strict per-layer phases — ship
-//!   all gradients, wait for *every* host histogram of the layer, then
+//!   all gradients, hold *every* host histogram of the layer, then
 //!   decrypt, decide, and split. Each party idles while the other works,
 //!   which is exactly the mutual waiting of §2.4's Bottleneck 1.
 //! * **Optimistic** (§4.2): the guest splits each node with its own best
@@ -29,13 +29,13 @@ use vf2_crypto::split_seed;
 use vf2_crypto::suite::Suite;
 use vf2_gbdt::binning::BinnedDataset;
 use vf2_gbdt::data::Dataset;
-use vf2_gbdt::histogram::GradPair;
-use vf2_gbdt::split::{best_of, best_split_from_prefix, find_best_split, SplitCandidate};
+use vf2_gbdt::histogram::{GradPair, Histogram};
+use vf2_gbdt::split::{best_of, find_best_split, SplitCandidate};
 use vf2_gbdt::tree::{layer_of, left_child, right_child, NodeId, NodeSplit};
 
-use crate::config::{HostLossPolicy, Scheduler, TrainConfig};
+use crate::config::{HostLossPolicy, TrainConfig};
 use crate::error::{GuestFailure, PartyId, ProtocolError, ProtocolPhase, TrainError};
-use crate::fsm::{Admit, GuestFsm, HostDriver, MisbehaviorBudget};
+use crate::fsm::{Admit, GuestFsm, MisbehaviorBudget};
 use crate::hist_enc::{unpack_feature_hist, unpack_gh_feature_hist};
 use crate::messages::{FeatureMeta, HistPayload, Msg, HEARTBEAT_KIND};
 use crate::model::{FedNode, FedTree};
@@ -135,11 +135,11 @@ struct TreeCtx {
     pending: usize,
 }
 
-/// A histogram answer the pipelined scheduler has admitted but not yet
-/// decrypted. Batching these lets one party's FindSplitA overlap another
-/// party's transfer (and the guest's own plaintext build): the decrypt
-/// work is deferred until the event queue runs dry or `pipeline_depth`
-/// answers are waiting, then committed in `(node, host)` order.
+/// A histogram answer the tree loop has admitted but not yet decrypted.
+/// Batching these lets one party's FindSplitA overlap another party's
+/// transfer (and the guest's own plaintext build): the decrypt work is
+/// deferred until the batch closes (see [`GuestParty::run_tree`]), then
+/// committed in `(node, host)` order.
 struct PendingHist {
     host: usize,
     node: NodeId,
@@ -212,10 +212,6 @@ struct GuestParty {
     hb_seq: u64,
     /// One validating state machine per host's inbound stream.
     fsms: Vec<GuestFsm>,
-    /// Scheduler-side per-host ledger (outstanding tasks, drain/park
-    /// state), layered on the FSMs. Observational: never consulted for a
-    /// split decision.
-    drivers: Vec<HostDriver>,
     /// Protocol-violation tolerance accounting, per host.
     budgets: Vec<MisbehaviorBudget>,
     /// Replacement-link factory for the `AwaitRejoin` policy.
@@ -266,7 +262,6 @@ impl GuestParty {
             hb_last: vec![Instant::now(); endpoints.len()],
             hb_seq: 0,
             fsms: (0..endpoints.len()).map(GuestFsm::new).collect(),
-            drivers: (0..endpoints.len()).map(HostDriver::new).collect(),
             budgets: vec![MisbehaviorBudget::new(cfg.misbehavior_budget); endpoints.len()],
             spawner,
             parked: vec![false; endpoints.len()],
@@ -529,7 +524,6 @@ impl GuestParty {
         };
         let my_sid = sess.session_id();
         self.fsms[host].quarantine();
-        self.drivers[host].park();
         self.telemetry.events.quarantines += 1;
         self.telemetry.trace.note(format!(
             "host-{host} quarantined ({original}); holding the session open for rejoin"
@@ -622,7 +616,6 @@ impl GuestParty {
         self.send_to(host, &Msg::Resume { session_id: my_sid, tree_count: target })?;
         self.rewind_survivors(target, Some(host))?;
         self.rewind_guest_state(&sess, trees, target)?;
-        self.drivers[host].resume_active();
         self.rejoined[host] += 1;
         self.telemetry.events.rejoins += 1;
         self.telemetry
@@ -639,11 +632,10 @@ impl GuestParty {
     /// in-memory split table is truncated by the rewind it is sent.
     fn park_host(&mut self, host: usize, completed: usize) -> Result<(), TrainError> {
         self.fsms[host].quarantine();
-        self.drivers[host].park();
         self.parked[host] = true;
         self.parked_at[host] = completed as u32;
         self.telemetry.events.quarantines += 1;
-        let active = self.parked.iter().filter(|&&p| !p).count();
+        let active = self.live_hosts();
         self.telemetry.trace.note(format!(
             "host-{host} parked at {completed} trees: degrading to {active} of {} hosts",
             self.endpoints.len()
@@ -669,7 +661,6 @@ impl GuestParty {
             }
             self.send_to(h, &Msg::Rewind { session_id: my_sid, tree_count })?;
             self.fsms[h].begin_drain();
-            self.drivers[h].begin_drain();
             match self.recv_from(h, ProtocolPhase::TreeBuild)? {
                 Msg::RewindAck { session_id, tree_count: acked }
                     if session_id == my_sid && acked == tree_count => {}
@@ -763,6 +754,11 @@ impl GuestParty {
             .collect()
     }
 
+    /// Hosts still participating (not parked under `Degrade`).
+    fn live_hosts(&self) -> usize {
+        self.parked.iter().filter(|&&p| !p).count()
+    }
+
     /// The party set that trained the current tree, for the run report:
     /// party 0 is the guest (always present), host `h` is party `h + 1`.
     fn party_set(&self) -> Vec<u16> {
@@ -838,7 +834,7 @@ impl GuestParty {
     /// Runs the admission gates on a message decoded from `host`:
     /// semantic payload validation first (stateless), then that host's
     /// protocol state machine (advances on admission). `Ok(Some(msg))`
-    /// delivers to the protocol drivers; `Ok(None)` means the message was
+    /// delivers to the protocol driver; `Ok(None)` means the message was
     /// dropped — an honest straggler or a tolerated violation; an error
     /// means the host exhausted its misbehavior budget.
     fn admit_from(&mut self, host: usize, msg: Msg) -> Result<Option<Msg>, TrainError> {
@@ -853,19 +849,7 @@ impl GuestParty {
         )
         .and_then(|()| self.fsms[host].admit(&msg));
         match verdict {
-            Ok(Admit::Deliver) => {
-                // Scheduler ledger: an admitted histogram settles its
-                // outstanding task; an admitted rewind-ack ends a drain.
-                // (Admission order, not arrival order, updates the ledger.)
-                match &msg {
-                    Msg::NodeHistograms { node, epoch, .. } => {
-                        self.drivers[host].histogram_arrived(*node, *epoch);
-                    }
-                    Msg::RewindAck { .. } => self.drivers[host].resume_active(),
-                    _ => {}
-                }
-                Ok(Some(msg))
-            }
+            Ok(Admit::Deliver) => Ok(Some(msg)),
             Ok(Admit::Stale(reason)) => {
                 self.drop_stale(host, msg.kind(), reason);
                 Ok(None)
@@ -898,7 +882,7 @@ impl GuestParty {
     /// links (parked hosts receive nothing and cost nothing).
     fn broadcast_traced(&mut self, msg: &Msg, tree: u32) -> Result<(), TrainError> {
         let payload = wire::encode(msg).map_err(Self::encode_failed)?;
-        let active = self.parked.iter().filter(|&&p| !p).count();
+        let active = self.live_hosts();
         self.telemetry.trace.transfer(Some(tree), (payload.len() * active) as u64);
         for (h, ep) in self.endpoints.iter().enumerate() {
             if !self.parked[h] {
@@ -986,7 +970,7 @@ impl GuestParty {
     ///
     /// Time spent decoding, validating, and admitting messages inside the
     /// loop is tracked as `processing` and subtracted from the idle-phase
-    /// accounting: only genuine waiting skews the modeled makespan.
+    /// accounting: `phases.idle` is time spent waiting, nothing else.
     fn recv_internal(
         &mut self,
         targets: &[usize],
@@ -1072,8 +1056,8 @@ impl GuestParty {
         self.recv_internal(&live, ProtocolPhase::TreeBuild)
     }
 
-    /// Non-blocking companion to [`Self::recv_internal`] for the
-    /// pipelined drain: harvests one already-arrived protocol message
+    /// Non-blocking companion to [`Self::recv_internal`] for the tree
+    /// loop's drain: harvests one already-arrived protocol message
     /// from any live host (consuming heartbeats) without waiting.
     /// Returns `Ok(None)` when nothing is pending — or when a link died,
     /// which the next *blocking* wait will classify and report properly.
@@ -1109,9 +1093,6 @@ impl GuestParty {
         for fsm in &mut self.fsms {
             fsm.begin_tree(tree);
         }
-        for driver in &mut self.drivers {
-            driver.begin_tree();
-        }
         let grads = self.cfg.gbdt.loss.grad_hess_all(&self.labels, &self.preds);
         let n = self.data.num_rows();
         let mut ctx = TreeCtx {
@@ -1125,12 +1106,9 @@ impl GuestParty {
         };
 
         self.send_gradients(&ctx)?;
-        match (self.cfg.scheduler, self.cfg.protocol.optimistic) {
-            (Scheduler::Pipelined, _) => self.run_tree_pipelined(&mut ctx)?,
-            (Scheduler::Lockstep, true) => self.run_tree_optimistic(&mut ctx)?,
-            (Scheduler::Lockstep, false) => self.run_tree_sequential(&mut ctx)?,
-        }
+        self.run_tree(&mut ctx)?;
         self.broadcast(&Msg::TreeDone { tree })?;
+        let fed = self.build_fed_tree(&ctx)?;
 
         // Fold leaf weights into the training predictions.
         let lr = self.cfg.gbdt.learning_rate;
@@ -1141,7 +1119,7 @@ impl GuestParty {
                 }
             }
         }
-        Ok(self.build_fed_tree(&ctx))
+        Ok(fed)
     }
 
     /// The per-batch base seed for gradient encryption randomness. Stream
@@ -1239,11 +1217,6 @@ impl GuestParty {
         for (h, fsm) in self.fsms.iter_mut().enumerate() {
             if !self.parked[h] {
                 fsm.task_sent(node as u32, ctx.epoch[node]);
-            }
-        }
-        for (h, driver) in self.drivers.iter_mut().enumerate() {
-            if !self.parked[h] {
-                driver.task_issued(node as u32, ctx.epoch[node]);
             }
         }
         // Optimistic node-splitting: act on our own best split before the
@@ -1362,28 +1335,13 @@ impl GuestParty {
     }
 
     /// Decodes one host's histogram payload into that host's best split
-    /// for the node.
+    /// for the node: the decrypt-and-search kernel of FindSplitA. Borrows
+    /// `self` immutably so a batch of histograms from different parties
+    /// can be searched concurrently on the rayon pool. Under the caller's
+    /// `install` it fans out per feature; called from a pool chunk (one of
+    /// several payloads being searched at once) it runs inline. Timing is
+    /// charged by the caller, which knows the batch boundaries.
     fn host_best_split(
-        &mut self,
-        host: usize,
-        payload: &HistPayload,
-        total: GradPair,
-        count: usize,
-    ) -> Result<Option<SplitCandidate>, TrainError> {
-        let t0 = Stopwatch::start(self.cfg.workers <= 1);
-        let best = self.pool.install(|| self.host_best_split_core(host, payload, total, count));
-        self.telemetry.phases.decrypt_find += t0.elapsed();
-        best
-    }
-
-    /// The decrypt-and-search kernel behind [`Self::host_best_split`].
-    /// Borrows `self` immutably so a batch of histograms from different
-    /// parties can be searched concurrently on the rayon pool. Under the
-    /// caller's `install` it fans out per feature; called from a pool
-    /// chunk (one of several payloads being searched at once) it runs
-    /// inline. Timing is charged by the callers, which know the batch
-    /// boundaries.
-    fn host_best_split_core(
         &self,
         host: usize,
         payload: &HistPayload,
@@ -1392,6 +1350,9 @@ impl GuestParty {
     ) -> Result<Option<SplitCandidate>, TrainError> {
         // The payload shape must match the host's announced metadata; a
         // mismatch is a protocol violation, not a crash.
+        let mismatch = |context: &'static str| -> TrainError {
+            ProtocolError::UnexpectedMessage { from: PartyId::Host(host), kind: 4, context }.into()
+        };
         let metas = &self.host_metas[host];
         let features_sent = match payload {
             HistPayload::Raw(features) => features.len(),
@@ -1399,85 +1360,47 @@ impl GuestParty {
             HistPayload::GhPacked(features) => features.len(),
         };
         if features_sent != metas.len() {
-            return Err(ProtocolError::UnexpectedMessage {
-                from: PartyId::Host(host),
-                kind: 4,
-                context: "histogram payload feature count differs from FeatureMeta",
-            }
-            .into());
+            return Err(mismatch("histogram payload feature count differs from FeatureMeta"));
         }
-        let grad_bound = self.cfg.gbdt.loss.grad_bound();
-        let hess_bound = self.cfg.gbdt.loss.hess_bound();
         let suite = &self.suite;
-        let split_params = self.cfg.gbdt.split;
-        // One closure per feature: decrypt its histogram and search it.
-        // FindSplitA amortizes over workers (the paper's Table 5 notes the
-        // decryption cost "is also able to be amortized among workers").
-        let per_feature_raw = |(f, feat): (usize, &crate::messages::RawFeatureHist)| {
-            let mut bins = Vec::with_capacity(feat.g.len());
-            for (cg, ch) in feat.g.iter().zip(&feat.h) {
-                bins.push(GradPair {
-                    g: suite.decrypt(cg).map_err(TrainError::crypto("histogram decryption"))?,
-                    h: suite.decrypt(ch).map_err(TrainError::crypto("histogram decryption"))?,
-                });
-            }
-            if bins.len() != metas[f].num_bins as usize {
-                return Err(ProtocolError::UnexpectedMessage {
-                    from: PartyId::Host(host),
-                    kind: 4,
-                    context: "histogram bin count differs from FeatureMeta",
+        // One closure per feature. FindSplitA amortizes over workers (the
+        // paper's Table 5 notes the decryption cost "is also able to be
+        // amortized among workers"). The wire formats differ only in how a
+        // feature's bins are decrypted; the tail is shared.
+        let per_feature = |(f, &meta): (usize, &FeatureMeta)| {
+            let mut bins: Vec<GradPair> = match payload {
+                HistPayload::Raw(features) => features[f]
+                    .g
+                    .iter()
+                    .zip(&features[f].h)
+                    .map(|(cg, ch)| Ok(GradPair { g: suite.decrypt(cg)?, h: suite.decrypt(ch)? }))
+                    .collect::<Result<_, _>>()
+                    .map_err(TrainError::crypto("histogram decryption"))?,
+                HistPayload::Packed(features) => {
+                    let loss = &self.cfg.gbdt.loss;
+                    let (gb, hb) = (loss.grad_bound(), loss.hess_bound());
+                    unpack_feature_hist(suite, &features[f], count, gb, hb)
+                        .map_err(TrainError::crypto("histogram unpacking"))?
                 }
-                .into());
-            }
-            fold_zero_mass(&mut bins, metas[f], total);
-            let hist = vf2_gbdt::histogram::Histogram { bins };
-            Ok(find_best_split(f, &hist, total, &split_params))
-        };
-        let per_feature_packed = |(f, feat): (usize, &crate::messages::PackedFeatureHist)| {
-            let mut bins = unpack_feature_hist(suite, feat, count, grad_bound, hess_bound)
-                .map_err(TrainError::crypto("histogram unpacking"))?;
-            if bins.len() != metas[f].num_bins as usize {
-                return Err(ProtocolError::UnexpectedMessage {
-                    from: PartyId::Host(host),
-                    kind: 4,
-                    context: "histogram bin count differs from FeatureMeta",
+                HistPayload::GhPacked(features) => {
+                    // Admission refuses a paired payload on a two-stream run.
+                    let plan = self
+                        .gh
+                        .as_ref()
+                        .ok_or_else(|| guest_invariant("gh payload without a gh plan"))?;
+                    unpack_gh_feature_hist(suite, &features[f], plan)
+                        .map_err(TrainError::crypto("gh histogram unpacking"))?
                 }
-                .into());
+            };
+            if bins.len() != meta.num_bins as usize {
+                return Err(mismatch("histogram bin count differs from FeatureMeta"));
             }
-            fold_zero_mass(&mut bins, metas[f], total);
-            let prefix = vf2_gbdt::histogram::Histogram { bins }.prefix_sums();
-            Ok(best_split_from_prefix(f, &prefix, total, &split_params))
-        };
-        let per_feature_gh_packed = |(f, feat): (usize, &crate::messages::GhPackedFeatureHist)| {
-            // Admission refuses a paired payload on a two-stream run.
-            let plan =
-                self.gh.as_ref().ok_or_else(|| guest_invariant("gh payload without a gh plan"))?;
-            let mut bins = unpack_gh_feature_hist(suite, feat, plan)
-                .map_err(TrainError::crypto("gh histogram unpacking"))?;
-            if bins.len() != metas[f].num_bins as usize {
-                return Err(ProtocolError::UnexpectedMessage {
-                    from: PartyId::Host(host),
-                    kind: 4,
-                    context: "histogram bin count differs from FeatureMeta",
-                }
-                .into());
-            }
-            fold_zero_mass(&mut bins, metas[f], total);
-            let hist = vf2_gbdt::histogram::Histogram { bins };
-            Ok(find_best_split(f, &hist, total, &split_params))
+            fold_zero_mass(&mut bins, meta, total);
+            Ok(find_best_split(f, &Histogram { bins }, total, &self.cfg.gbdt.split))
         };
         use rayon::prelude::*;
-        let candidates: Result<Vec<Option<SplitCandidate>>, TrainError> = match payload {
-            HistPayload::Raw(features) => {
-                features.par_iter().enumerate().map(per_feature_raw).collect()
-            }
-            HistPayload::Packed(features) => {
-                features.par_iter().enumerate().map(per_feature_packed).collect()
-            }
-            HistPayload::GhPacked(features) => {
-                features.par_iter().enumerate().map(per_feature_gh_packed).collect()
-            }
-        };
+        let candidates: Result<Vec<Option<SplitCandidate>>, TrainError> =
+            metas.par_iter().enumerate().map(per_feature).collect();
         Ok(best_of(candidates?.into_iter().flatten()))
     }
 
@@ -1507,12 +1430,16 @@ impl GuestParty {
         let Some(state) = ctx.states.get(&node) else {
             return Err(guest_invariant("resolving a node with no state"));
         };
-        debug_assert!(state.host_received.iter().all(|&b| b));
+        if !state.host_received.iter().all(|&b| b) {
+            return Err(guest_invariant("resolving a node before every live host answered"));
+        }
         match Self::winner(state) {
             Winner::None => {
                 // No split anywhere: the tentative leaf becomes real.
                 let total = state.total;
-                debug_assert!(!state.already_split);
+                if state.already_split {
+                    return Err(guest_invariant("a node without a guest candidate was split"));
+                }
                 self.finalize_leaf(ctx, node, total)?;
                 let Some(state) = ctx.states.get_mut(&node) else {
                     return Err(guest_invariant("node state vanished while finalizing a leaf"));
@@ -1594,9 +1521,6 @@ impl GuestParty {
                 }
             }
             ctx.decisions.remove(&d);
-            for driver in &mut self.drivers {
-                driver.task_superseded(d as u32);
-            }
             stack.push(left_child(d));
             stack.push(right_child(d));
         }
@@ -1654,78 +1578,8 @@ impl GuestParty {
         Ok(())
     }
 
-    fn on_node_histograms(
-        &mut self,
-        ctx: &mut TreeCtx,
-        host: usize,
-        node: NodeId,
-        epoch: u32,
-        payload: HistPayload,
-    ) -> Result<(), TrainError> {
-        if ctx.epoch.get(node).copied() != Some(epoch) || !ctx.states.contains_key(&node) {
-            self.telemetry.events.stale_histograms += 1;
-            return Ok(());
-        }
-        let (total, count) = {
-            let s = &ctx.states[&node];
-            if s.host_received[host] || s.resolved {
-                self.telemetry.events.stale_histograms += 1;
-                return Ok(());
-            }
-            (s.total, ctx.rows.rows(node).len())
-        };
-        self.telemetry.trace.enter(TracePhase::DecryptSplit, Some(ctx.tree), Some(node as u32));
-        let best = self.host_best_split(host, &payload, total, count)?;
-        self.telemetry.trace.exit(TracePhase::DecryptSplit, Some(ctx.tree), Some(node as u32));
-        let Some(state) = ctx.states.get_mut(&node) else {
-            return Err(guest_invariant("node state vanished while decrypting histograms"));
-        };
-        state.host_best[host] = best;
-        state.host_received[host] = true;
-        if state.host_received.iter().all(|&b| b) {
-            self.resolve(ctx, node)?;
-        }
-        Ok(())
-    }
-
     // ------------------------------------------------------------------
-    // Optimistic driver (§4.2)
-    // ------------------------------------------------------------------
-
-    fn run_tree_optimistic(&mut self, ctx: &mut TreeCtx) -> Result<(), TrainError> {
-        self.materialize(ctx, 0)?;
-        while ctx.pending > 0 {
-            let (host, msg) = self.recv_any()?;
-            match msg {
-                Msg::NodeHistograms { tree, node, epoch, payload } if tree == ctx.tree => {
-                    self.on_node_histograms(ctx, host, node as usize, epoch, payload)?;
-                }
-                Msg::Placement { tree, node, placement } if tree == ctx.tree => {
-                    self.on_placement(ctx, host, node as usize, placement)?;
-                }
-                // A different tree index on an otherwise-valid reply is a
-                // straggler from a finished tree: stale, not fatal. (The
-                // admission layer already filters these; this arm is the
-                // dispatch-level backstop.)
-                ref other @ (Msg::NodeHistograms { .. } | Msg::Placement { .. }) => {
-                    let kind = other.kind();
-                    self.drop_stale(host, kind, "cross-tree straggler in the optimistic loop");
-                }
-                other => {
-                    return Err(ProtocolError::UnexpectedMessage {
-                        from: PartyId::Host(host),
-                        kind: other.kind(),
-                        context: "optimistic tree loop",
-                    }
-                    .into())
-                }
-            }
-        }
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Pipelined driver (event-driven many-party scheduler)
+    // The tree loop
     // ------------------------------------------------------------------
 
     /// True while `(node, epoch)` still names a live, unanswered slot for
@@ -1738,22 +1592,33 @@ impl GuestParty {
             && ctx.states.get(&node).is_some_and(|s| !s.host_received[host] && !s.resolved)
     }
 
-    /// Event-driven tree loop: one blocking wait per round, then a
-    /// sleep-free drain of everything already queued, batching admitted
-    /// histograms so party A's decrypt overlaps party B's transfer and
-    /// HAdd. Works for both protocol flavors — the sequential flavor
-    /// simply never speculates, so the frontier advances one validated
-    /// node at a time while answers still arrive in any order.
+    /// The one tree driver, an event loop over the guest's unified inbound
+    /// queue: one blocking wait per round, then a sleep-free drain of
+    /// everything already queued. Placements apply on arrival; admitted
+    /// histograms join a batch whose decrypt is deferred so party A's
+    /// FindSplitA overlaps party B's transfer and HAdd. Two rules decide
+    /// when the batch closes, both derived from state the loop already
+    /// holds:
+    ///
+    /// * **Optimistic** (§4.2): the drain stops at one answer per live
+    ///   host. A node resolves only once every live host has answered, so
+    ///   that is one node's worth of answers — a larger batch could not
+    ///   resolve anything sooner and only delays the first resolve (with a
+    ///   single host the loop handles one event at a time).
+    /// * **Sequential** (the VF-GBDT baseline, "BuildHistA fully precedes
+    ///   FindSplitA"): answers accumulate across rounds and commit only
+    ///   once [`Self::layer_is_buffered`] — one batch per layer.
     ///
     /// Determinism: the model depends only on per-node `(guest_best,
     /// host_best[*])` sets and `winner`'s index-ordered comparison, never
-    /// on arrival order, so batching (and any interleaving the WAN
-    /// produces) yields the model the lockstep drivers build bit for bit.
-    fn run_tree_pipelined(&mut self, ctx: &mut TreeCtx) -> Result<(), TrainError> {
-        let depth = self.cfg.pipeline_depth.max(1);
+    /// on arrival order, so neither batching nor any interleaving the WAN
+    /// produces can move a split.
+    fn run_tree(&mut self, ctx: &mut TreeCtx) -> Result<(), TrainError> {
+        let optimistic = self.cfg.protocol.optimistic;
+        let cap = if optimistic { self.live_hosts() } else { usize::MAX };
+        let mut batch: Vec<PendingHist> = Vec::new();
         self.materialize(ctx, 0)?;
         while ctx.pending > 0 {
-            let mut batch: Vec<PendingHist> = Vec::new();
             // Block for the first event of the round; every further event
             // is taken only if it is already queued (zero-timeout poll of
             // the same unified queue), so the drain never sleeps while
@@ -1772,31 +1637,46 @@ impl GuestParty {
                     Msg::Placement { tree, node, placement } if tree == ctx.tree => {
                         self.on_placement(ctx, host, node as usize, placement)?;
                     }
+                    // A different tree index on an otherwise-valid reply is
+                    // a straggler from a finished tree: stale, not fatal.
+                    // (The admission layer already filters these; this arm
+                    // is the dispatch-level backstop.)
                     ref other @ (Msg::NodeHistograms { .. } | Msg::Placement { .. }) => {
                         let kind = other.kind();
-                        self.drop_stale(host, kind, "cross-tree straggler in the pipelined loop");
+                        self.drop_stale(host, kind, "cross-tree straggler in the tree loop");
                     }
                     other => {
                         return Err(ProtocolError::UnexpectedMessage {
                             from: PartyId::Host(host),
                             kind: other.kind(),
-                            context: "pipelined tree loop",
+                            context: "tree loop",
                         }
                         .into())
                     }
                 }
-                if batch.len() >= depth {
+                if batch.len() >= cap {
                     break;
                 }
                 next = self.try_recv_admitted()?;
             }
-            self.commit_hist_batch(ctx, batch)?;
+            if optimistic || Self::layer_is_buffered(ctx, &batch) {
+                self.commit_hist_batch(ctx, std::mem::take(&mut batch))?;
+            }
         }
-        let peaks: Vec<usize> = self.drivers.iter().map(|d| d.peak_outstanding()).collect();
-        self.telemetry
-            .trace
-            .note(format!("tree {}: per-host peak outstanding tasks {peaks:?}", ctx.tree));
         Ok(())
+    }
+
+    /// The sequential schedule's hold predicate: true once the whole
+    /// frontier can be decided at once — no host-won node still awaits its
+    /// placement (so every node of the layer exists) and every unresolved
+    /// node has each live host's answer recorded or waiting in `batch`.
+    fn layer_is_buffered(ctx: &TreeCtx, batch: &[PendingHist]) -> bool {
+        ctx.states.iter().filter(|(_, s)| !s.resolved).all(|(&node, s)| {
+            s.awaiting_placement.is_none()
+                && s.host_received.iter().enumerate().all(|(host, &received)| {
+                    received || batch.iter().any(|p| p.host == host && p.node == node)
+                })
+        })
     }
 
     /// Decrypts and commits one drained batch of histogram answers.
@@ -1830,8 +1710,6 @@ impl GuestParty {
         }
         self.telemetry.events.sched_batches += 1;
         self.telemetry.events.sched_batch_hists += batch.len() as u64;
-        self.telemetry.events.sched_batch_rounds +=
-            (batch.len() as u64).div_ceil(self.cfg.workers.max(1) as u64);
         for p in &batch {
             self.telemetry.trace.enter(
                 TracePhase::DecryptSplit,
@@ -1853,7 +1731,7 @@ impl GuestParty {
             self.pool.install(|| {
                 jobs.par_iter()
                     .map(|&(p, total, count)| {
-                        self.host_best_split_core(p.host, &p.payload, total, count)
+                        self.host_best_split(p.host, &p.payload, total, count)
                     })
                     .collect()
             })
@@ -1885,120 +1763,8 @@ impl GuestParty {
         Ok(())
     }
 
-    // ------------------------------------------------------------------
-    // Sequential driver (the VF-GBDT baseline)
-    // ------------------------------------------------------------------
-
-    fn run_tree_sequential(&mut self, ctx: &mut TreeCtx) -> Result<(), TrainError> {
-        self.materialize(ctx, 0)?;
-        // The root may already have resolved (all hosts parked resolves
-        // eagerly, recursing through the children): only unresolved nodes
-        // are active.
-        let mut active: Vec<NodeId> =
-            ctx.states.iter().filter(|(_, s)| !s.resolved).map(|(&n, _)| n).collect();
-        // Histograms can arrive ahead of their layer (hosts start next-layer
-        // tasks as soon as placements land), so the buffer persists across
-        // layers.
-        let mut buffered: HashMap<(usize, NodeId), HistPayload> = HashMap::new();
-        while !active.is_empty() {
-            // Phase 1: buffer every active node's histograms from every
-            // live host before decrypting anything (BuildHistA fully
-            // precedes FindSplitA, as in the baseline's Gantt chart).
-            let num_hosts = self.endpoints.len();
-            let parked = self.parked.clone();
-            let needed = move |buf: &HashMap<(usize, NodeId), HistPayload>, active: &[NodeId]| {
-                active
-                    .iter()
-                    .any(|&n| (0..num_hosts).any(|h| !parked[h] && !buf.contains_key(&(h, n))))
-            };
-            while needed(&buffered, &active) {
-                let (host, msg) = self.recv_any()?;
-                match msg {
-                    Msg::NodeHistograms { node, epoch, payload, .. }
-                        if ctx.epoch.get(node as usize).copied() == Some(epoch) =>
-                    {
-                        buffered.insert((host, node as usize), payload);
-                    }
-                    Msg::NodeHistograms { .. } => {
-                        self.drop_stale(host, 4, "superseded-epoch histograms in the layer wait");
-                    }
-                    other => {
-                        return Err(ProtocolError::UnexpectedMessage {
-                            from: PartyId::Host(host),
-                            kind: other.kind(),
-                            context: "sequential layer wait",
-                        }
-                        .into())
-                    }
-                }
-            }
-            // Phase 2: decrypt and decide every node.
-            let mut awaiting: Vec<NodeId> = Vec::new();
-            for &node in &active {
-                for host in 0..self.endpoints.len() {
-                    if self.parked[host] {
-                        continue;
-                    }
-                    let Some(payload) = buffered.remove(&(host, node)) else {
-                        return Err(guest_invariant("layer wait ended with a histogram missing"));
-                    };
-                    let (total, count) = (ctx.states[&node].total, ctx.rows.rows(node).len());
-                    self.telemetry.trace.enter(
-                        TracePhase::DecryptSplit,
-                        Some(ctx.tree),
-                        Some(node as u32),
-                    );
-                    let best = self.host_best_split(host, &payload, total, count)?;
-                    self.telemetry.trace.exit(
-                        TracePhase::DecryptSplit,
-                        Some(ctx.tree),
-                        Some(node as u32),
-                    );
-                    let Some(state) = ctx.states.get_mut(&node) else {
-                        return Err(guest_invariant("active node lost its state mid-layer"));
-                    };
-                    state.host_best[host] = best;
-                    state.host_received[host] = true;
-                }
-                self.resolve(ctx, node)?;
-                if ctx.states[&node].awaiting_placement.is_some() {
-                    awaiting.push(node);
-                }
-            }
-            // Phase 3: collect placements for host-won nodes; histograms
-            // for the next layer may interleave and are buffered.
-            while awaiting.iter().any(|n| ctx.states[n].awaiting_placement.is_some()) {
-                let (host, msg) = self.recv_any()?;
-                match msg {
-                    Msg::Placement { node, placement, .. } => {
-                        self.on_placement(ctx, host, node as usize, placement)?;
-                    }
-                    Msg::NodeHistograms { node, epoch, payload, .. }
-                        if ctx.epoch.get(node as usize).copied() == Some(epoch) =>
-                    {
-                        buffered.insert((host, node as usize), payload);
-                    }
-                    Msg::NodeHistograms { .. } => {
-                        self.drop_stale(host, 4, "superseded-epoch histograms in placement wait");
-                    }
-                    other => {
-                        return Err(ProtocolError::UnexpectedMessage {
-                            from: PartyId::Host(host),
-                            kind: other.kind(),
-                            context: "sequential placement wait",
-                        }
-                        .into())
-                    }
-                }
-            }
-            // Next layer: the children materialized by resolve/on_placement.
-            active = ctx.states.iter().filter(|(_, s)| !s.resolved).map(|(&n, _)| n).collect();
-        }
-        Ok(())
-    }
-
     /// Builds the guest-view tree from the final decisions.
-    fn build_fed_tree(&self, ctx: &TreeCtx) -> FedTree {
+    fn build_fed_tree(&mut self, ctx: &TreeCtx) -> Result<FedTree, TrainError> {
         let mut tree = FedTree::new(self.cfg.gbdt.max_layers);
         for (&node, decision) in &ctx.decisions {
             tree.nodes[node] = match decision {
@@ -2007,7 +1773,10 @@ impl GuestParty {
                 Decision::HostSplit { party } => FedNode::HostSplit { party: *party },
             };
         }
-        debug_assert!(tree.validate().is_ok(), "malformed federated tree");
-        tree
+        if let Err(why) = tree.validate() {
+            self.telemetry.trace.note(format!("tree {} is malformed: {why}", ctx.tree));
+            return Err(guest_invariant("the finished tree failed its structural check"));
+        }
+        Ok(tree)
     }
 }

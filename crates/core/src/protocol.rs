@@ -13,18 +13,17 @@
 /// | +OptimSplit only | baseline + `optimistic: true` |
 /// | +HistPack only | baseline + `pack_histograms: true` |
 ///
-/// Orthogonal to all of the above is the guest's *scheduler*
-/// ([`crate::config::Scheduler`]): `Lockstep` drives hosts with the
-/// phase-synchronous wait loops, `Pipelined` drives them from a unified
-/// event queue that overlaps one party's transfer with another's
-/// decryption. Every protocol combination composes with either scheduler
-/// and trains the same model bit for bit — the scheduler changes *when*
-/// answers are decrypted, never *which* split wins (admission order and
-/// the index-ordered winner scan decide that).
+/// Every row runs through the guest's one tree loop (DESIGN.md §3.13);
+/// `optimistic` only selects when that loop commits the histogram answers
+/// it has admitted — as they arrive, or held until the whole layer is in
+/// (the baseline's "BuildHistA fully precedes FindSplitA"). The toggle
+/// changes *when* answers are decrypted, never *which* split wins
+/// (admission and the index-ordered winner scan decide that).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProtocolConfig {
     /// Optimistic node-splitting with dirty-node rollback (§4.2). When
-    /// false, the guest is phase-sequential per layer.
+    /// false, the guest is phase-sequential per layer: it never speculates
+    /// and decrypts a layer's histograms only once all of them arrived.
     pub optimistic: bool,
     /// Blaster-style encryption batch size (§4.1). `None` encrypts and
     /// ships all gradient statistics in one bulk message (the baseline).

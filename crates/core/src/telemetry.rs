@@ -194,17 +194,11 @@ pub struct ProtocolEvents {
     /// retry/backoff layer instead of counting toward the liveness
     /// deadline: the link was slow, not dead.
     pub transfer_retries: u64,
-    /// Histogram-answer batches the pipelined scheduler committed,
-    /// size-1 batches included (guest only; 0 under lockstep).
+    /// Histogram-answer batches the tree loop committed, size-1 batches
+    /// included (guest only).
     pub sched_batches: u64,
     /// Histogram answers committed through those batches.
     pub sched_batch_hists: u64,
-    /// Pool-width decrypt rounds those batches needed — `Σ ⌈batch /
-    /// workers⌉`. On a box with at least `workers` cores this is the
-    /// number of serial payload-decrypt steps the guest pays; recording
-    /// it lets single-core runs model the pipelined decrypt makespan
-    /// from measured phase times (see the PR 10 bench).
-    pub sched_batch_rounds: u64,
 }
 
 impl ProtocolEvents {
@@ -465,8 +459,7 @@ pub fn party_to_json(p: &PartyTelemetry, indent: usize) -> String {
         .u64("rejoins", p.events.rejoins)
         .u64("transfer_retries", p.events.transfer_retries)
         .u64("sched_batches", p.events.sched_batches)
-        .u64("sched_batch_hists", p.events.sched_batch_hists)
-        .u64("sched_batch_rounds", p.events.sched_batch_rounds);
+        .u64("sched_batch_hists", p.events.sched_batch_hists);
     let mut ops = JsonObj::new();
     ops.u64("enc", p.ops.enc)
         .u64("dec", p.ops.dec)

@@ -90,8 +90,8 @@ pub enum TraceEventKind {
         /// Resident bytes released.
         bytes: u64,
     },
-    /// The pipelined scheduler drained a multi-answer batch from the
-    /// event queue and committed it in one decrypt pass.
+    /// The guest's tree loop drained a multi-answer batch from the event
+    /// queue and committed it in one decrypt pass.
     SchedBatch {
         /// Histogram answers committed together.
         drained: u64,
@@ -226,7 +226,7 @@ impl TraceRing {
         self.push(Some(tree), None, TraceEventKind::CacheEvict { node, bytes });
     }
 
-    /// Records a pipelined-scheduler batch commit of `drained` answers.
+    /// Records a tree-loop batch commit of `drained` answers.
     /// Span-gated like the phase spans it brackets: the batch boundary is
     /// timing detail, not robustness audit trail.
     pub fn sched_batch(&mut self, tree: u32, drained: u64) {

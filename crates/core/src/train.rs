@@ -198,7 +198,7 @@ pub fn train_federated_session(
         CryptoConfig::Paillier { key_bits } => {
             let keys = KeyPair::generate_seeded(key_bits, cfg.seed)
                 .map_err(TrainError::crypto("key generation"))?;
-            Suite::paillier_with_backend(keys, cfg.encoding, cfg.crypto_backend)
+            Suite::paillier(keys, cfg.encoding)
         }
         CryptoConfig::Mock => Suite::plain(cfg.encoding),
     };

@@ -126,18 +126,6 @@ impl Suite {
         }))
     }
 
-    /// A full Paillier suite with an explicit crypto backend: the key
-    /// pair's accelerator state is rebuilt to match `backend` before the
-    /// suite wraps it. Models and ciphers are bit-identical across
-    /// backends; only speed (and the modmul/REDC counters) differ.
-    pub fn paillier_with_backend(
-        keys: KeyPair,
-        cfg: EncodingConfig,
-        backend: crate::montgomery::CryptoBackend,
-    ) -> Suite {
-        Self::paillier(keys.with_backend(backend), cfg)
-    }
-
     /// A plaintext mock suite (the VF-MOCK baseline).
     pub fn plain(cfg: EncodingConfig) -> Suite {
         Suite(Arc::new(SuiteInner {

@@ -13,7 +13,9 @@ use num_traits::One;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vf2_crypto::montgomery::CryptoBackend;
-use vf2_crypto::{Fixed, KeyPair, MontExp, RandomnessPool};
+use vf2_crypto::{
+    EncodingConfig, Fixed, GhPlan, KeyPair, MontExp, PackingPlan, RandomnessPool, Suite,
+};
 
 /// Carry-edge operands below `2^bits`: `2^(64k) − 1` and `2^(64k) + 1`
 /// for every limb boundary `k`, plus 0 and 1.
@@ -200,4 +202,45 @@ fn paillier_pipeline_identical_across_backends() {
     for _ in 0..3 {
         assert_eq!(pf.next_rn().unwrap(), pn.next_rn().unwrap());
     }
+
+    // Suite level — the two operation chains a federated run drives
+    // through whichever backend its key carries: the two-stream return
+    // path (encrypt_batch → pack → unpack_decrypt) and the paired path
+    // (encrypt_gh_batch → HAdd → top-up → pack → unpack_decrypt_gh).
+    // Ciphers and plaintexts agree, and only the fixed side counts
+    // Montgomery multiplies — the fingerprint that a fallback really ran.
+    let enc = EncodingConfig { base: 16, base_exp: 8, jitter: 4 };
+    let (sf, sn) = (Suite::paillier(fixed, enc), Suite::paillier(nb, enc));
+    assert!(sf.backend_label().starts_with("fixed-"));
+    assert_eq!(sn.backend_label(), "num-bigint");
+    let pk = sf.public_key().expect("Paillier suite");
+
+    let two_stream = |s: &Suite| {
+        let slots = s.encrypt_batch(&[0.5, 1.25, 3.0], 9).expect("encrypt");
+        let plan = PackingPlan::new(pk, 64, slots.len()).expect("three 64-bit slots");
+        let packed = s.pack(&slots, &plan).expect("pack");
+        let plain = s.unpack_decrypt(&packed).expect("unpack");
+        (slots, packed, plain)
+    };
+    let (tf, tn) = (two_stream(&sf), two_stream(&sn));
+    assert_eq!(tf, tn, "two-stream ciphers, packed cipher and plaintexts");
+    assert_eq!(tf.2, vec![0.5, 1.25, 3.0]);
+
+    let gh = GhPlan::new(1.0, 0.25, 8, &enc).expect("plan");
+    let paired = |s: &Suite| {
+        let rows =
+            s.encrypt_gh_batch(&[0.5, -1.0, 0.25], &[0.25, 0.0, 0.125], &gh, 11).expect("encrypt");
+        let sum = s.add(&s.add(&rows[0], &rows[1]).expect("HAdd"), &rows[2]).expect("HAdd");
+        let bin = s.add_plain_raw(&sum, &gh.top_up(3).expect("top-up")).expect("top-up");
+        let plan = PackingPlan::new(pk, gh.pair_bits(), 1).expect("one pair fits");
+        let packed = s.pack(&[bin], &plan).expect("pack");
+        let sums = s.unpack_decrypt_gh(&packed, &gh).expect("unpack");
+        (rows, packed, sums)
+    };
+    let (gf, gn) = (paired(&sf), paired(&sn));
+    assert_eq!(gf, gn, "paired ciphers, packed cipher and sums");
+    assert_eq!(gf.2, vec![(-0.25, 0.375)]);
+
+    assert!(sf.counters().snapshot().modmul > 0, "the fixed backend counts its multiplies");
+    assert_eq!(sn.counters().snapshot().modmul, 0, "the fallback performs no counted modmul");
 }

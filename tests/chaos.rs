@@ -7,28 +7,17 @@
 //! that genuinely dies must surface as `TrainError::PeerLost` within the
 //! per-phase deadline: an error, never a panic, never a hang.
 
+mod support;
+
 use std::time::{Duration, Instant};
 
+use support::{assert_bitwise, margins, scenario};
 use vf2boost::channel::{FaultConfig, WanConfig};
 use vf2boost::core::config::CryptoConfig;
 use vf2boost::core::error::{PartyId, TrainError};
 use vf2boost::core::train_federated;
 use vf2boost::core::TrainConfig;
-use vf2boost::datagen::synthetic::{generate_classification, SyntheticConfig};
-use vf2boost::datagen::vertical::{split_vertical, VerticalScenario};
 use vf2boost::gbdt::train::GbdtParams;
-
-fn scenario(seed: u64) -> VerticalScenario {
-    let data = generate_classification(&SyntheticConfig {
-        rows: 200,
-        features: 8,
-        density: 1.0,
-        informative_frac: 0.5,
-        label_noise: 0.0,
-        seed,
-    });
-    split_vertical(&data, &[4])
-}
 
 fn chaos_cfg() -> TrainConfig {
     TrainConfig {
@@ -70,12 +59,7 @@ fn faulty_wan_trains_the_identical_model() {
     // Exactly-once in-order delivery per link direction means both runs
     // exchange the identical message sequence, so (with exact mock
     // crypto) the models must be bitwise-identical.
-    let cm = clean.model.predict_margin(&[&s.hosts[0]], &s.guest);
-    let fm = faulty.model.predict_margin(&[&s.hosts[0]], &s.guest);
-    assert_eq!(cm.len(), fm.len());
-    for (i, (a, b)) in cm.iter().zip(&fm).enumerate() {
-        assert!(a.to_bits() == b.to_bits(), "margin {i} diverged: {a} vs {b}");
-    }
+    assert_bitwise("faulty wan", &margins(&clean, &s), &margins(&faulty, &s));
 
     // The wire really was hostile: faults fired and the sublayer worked
     // around them (clean runs report all-zero counters).

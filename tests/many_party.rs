@@ -1,60 +1,36 @@
-//! Many-party chaos matrix for the event-driven scheduler: 8 hosts over
-//! heterogeneous faulty WANs, trained under both schedulers in every
-//! protocol mode, must produce bitwise-identical models.
+//! Many-party contracts of the guest's tree loop: 8 hosts over
+//! heterogeneous faulty WANs, in every protocol mode.
 //!
-//! The pipelined scheduler reorders *work* (one host's decrypt overlaps
-//! another's transfer; already-arrived histograms commit in batches) but
-//! must never reorder *decisions*: per-node splits fire only once every
-//! live host's answer is admitted, and the winner scan walks hosts in
-//! index order. These tests drive that claim through rolling per-link
-//! stalls, reordering links, a heterogeneous bandwidth/latency spread,
-//! and a mid-run host kill-and-rejoin with phases overlapping.
+//! The loop reorders *work* (one host's decrypt overlaps another's
+//! transfer; already-arrived histograms commit in batches) but must never
+//! reorder *decisions*: per-node splits fire only once every live host's
+//! answer is admitted, and the winner scan walks hosts in index order.
+//! These tests drive that claim through rolling per-link stalls,
+//! reordering links, a heterogeneous bandwidth/latency spread, and a
+//! mid-run host kill-and-rejoin with phases overlapping — and pin the
+//! baseline's one-commit-per-layer ordering.
 
-use std::path::PathBuf;
+mod support;
+
 use std::time::Duration;
 
+use support::{assert_bitwise, corner_modes, margins, scenario_of, temp_dir};
 use vf2boost::channel::{FaultConfig, StallWindow, WanConfig};
-use vf2boost::core::config::{CryptoConfig, HostLossPolicy, Scheduler, WanSpread};
+use vf2boost::core::config::{CryptoConfig, HostLossPolicy, WanSpread};
 use vf2boost::core::protocol::ProtocolConfig;
 use vf2boost::core::{train_federated, train_federated_session, SessionConfig, TrainConfig};
-use vf2boost::datagen::synthetic::{generate_classification, SyntheticConfig};
-use vf2boost::datagen::vertical::{split_even, VerticalScenario};
-use vf2boost::gbdt::data::Dataset;
+use vf2boost::datagen::vertical::VerticalScenario;
 use vf2boost::gbdt::train::GbdtParams;
 
 const HOSTS: usize = 8;
 
+/// Three features per party, nine parties.
 fn scenario(seed: u64) -> VerticalScenario {
-    let data = generate_classification(&SyntheticConfig {
-        rows: 240,
-        features: 27,
-        density: 1.0,
-        informative_frac: 0.5,
-        label_noise: 0.0,
-        seed,
-    });
-    split_even(&data, HOSTS + 1)
+    scenario_of(240, 27, &[3; HOSTS], seed)
 }
 
-/// Sequential/optimistic × raw/packed: the matrix the scheduler contract
-/// is asserted over.
-fn modes() -> [(&'static str, ProtocolConfig); 4] {
-    let seq = ProtocolConfig::baseline();
-    let opt = ProtocolConfig {
-        pack_histograms: false,
-        reordered_accumulation: false,
-        ..ProtocolConfig::vf2boost()
-    };
-    [
-        ("seq-raw", seq),
-        ("seq-packed", ProtocolConfig { pack_histograms: true, ..seq }),
-        ("opt-raw", opt),
-        ("opt-packed", ProtocolConfig { pack_histograms: true, ..opt }),
-    ]
-}
-
-/// A per-link plan with both fault classes the scheduler must ride out:
-/// a timed blackout (staggered per host by `stall_stagger`, so outages
+/// A per-link plan with both fault classes the loop must ride out: a
+/// timed blackout (staggered per host by `stall_stagger`, so outages
 /// roll across the roster) and frame reordering.
 fn rolling_faults(seed: u64) -> FaultConfig {
     FaultConfig {
@@ -69,14 +45,22 @@ fn rolling_faults(seed: u64) -> FaultConfig {
     }
 }
 
+fn calm_cfg(seed: u64, protocol: ProtocolConfig) -> TrainConfig {
+    TrainConfig {
+        gbdt: GbdtParams { num_trees: 2, max_layers: 4, ..Default::default() },
+        crypto: CryptoConfig::Mock,
+        protocol,
+        wan: WanConfig::instant(),
+        seed,
+        ..TrainConfig::for_tests()
+    }
+}
+
 /// Eight hosts behind a heterogeneous WAN: host 0 gets the base link,
 /// host 7 a quarter of the bandwidth at four times the latency, with
 /// rolling stalls and reordering on every link.
 fn chaos_cfg(seed: u64, protocol: ProtocolConfig) -> TrainConfig {
     TrainConfig {
-        gbdt: GbdtParams { num_trees: 2, max_layers: 4, ..Default::default() },
-        crypto: CryptoConfig::Mock,
-        protocol,
         wan: WanConfig {
             bandwidth_bytes_per_sec: 50.0e6,
             latency: Duration::from_micros(500),
@@ -86,101 +70,82 @@ fn chaos_cfg(seed: u64, protocol: ProtocolConfig) -> TrainConfig {
         fault_guest_to_host: rolling_faults(seed ^ 0xA11CE),
         fault_host_to_guest: rolling_faults(seed ^ 0xB0B),
         stall_stagger: Duration::from_millis(25),
-        seed,
-        ..TrainConfig::for_tests()
+        ..calm_cfg(seed, protocol)
     }
 }
 
-fn margins(out: &vf2boost::core::TrainOutput, s: &VerticalScenario) -> Vec<f64> {
-    let refs: Vec<&Dataset> = s.hosts.iter().collect();
-    out.model.predict_margin(&refs, &s.guest)
-}
+/// Arrival-order invariance: across sequential/optimistic × raw/packed,
+/// an 8-host run on hostile heterogeneous links — answers arriving late,
+/// in bursts and out of roster order — trains the model the same job
+/// trains on instant fault-free links, and really did commit answers in
+/// multi-answer batches on the way.
+#[test]
+fn eight_host_chaos_matrix_is_arrival_order_invariant() {
+    let s = scenario(71);
+    for (name, protocol) in corner_modes() {
+        let calm = train_federated(&s.hosts, &s.guest, &calm_cfg(71, protocol))
+            .unwrap_or_else(|f| panic!("[{name}] calm run failed: {}", f.error));
+        let chaos = train_federated(&s.hosts, &s.guest, &chaos_cfg(71, protocol))
+            .unwrap_or_else(|f| panic!("[{name}] chaos run failed: {}", f.error));
 
-fn assert_bitwise(name: &str, a: &[f64], b: &[f64]) {
-    assert_eq!(a.len(), b.len());
-    for (i, (x, y)) in a.iter().zip(b).enumerate() {
+        assert_eq!(chaos.report.hosts.len(), HOSTS);
+        assert_bitwise(name, &margins(&calm, &s), &margins(&chaos, &s));
+
+        // The wire really was hostile in the chaos run only.
+        assert_eq!(calm.report.link_events().faults_injected, 0, "[{name}]");
+        let link = chaos.report.link_events();
+        assert!(link.faults_injected > 0, "[{name}] no faults fired: {link:?}");
+        let ev = &chaos.report.guest.events;
         assert!(
-            x.to_bits() == y.to_bits(),
-            "[{name}] margin {i} diverged between schedulers: {x} vs {y}"
+            ev.sched_batches > 0 && ev.sched_batch_hists > ev.sched_batches,
+            "[{name}] the guest never drained a multi-answer batch: {ev:?}"
         );
     }
 }
 
-/// The tentpole contract: across sequential/optimistic × raw/packed, an
-/// 8-host run on hostile heterogeneous links trains the identical model
-/// under the lockstep and pipelined schedulers.
+/// The baseline's ordering ("BuildHistA fully precedes FindSplitA"): with
+/// optimism off the loop holds a layer's answers and commits them in one
+/// batch, so a tree of `L` layers commits at most `L − 1` batches (the
+/// last layer is all leaves), each carrying every host's answer for at
+/// least one node. The ordering is scheduling only: flipping `optimistic`
+/// on the same data trains the same model bit for bit.
 #[test]
-fn eight_host_chaos_matrix_is_scheduler_invariant() {
-    let s = scenario(71);
-    for (name, protocol) in modes() {
-        let lockstep_cfg = chaos_cfg(71, protocol);
-        let pipelined_cfg =
-            TrainConfig { scheduler: Scheduler::Pipelined, pipeline_depth: 4, ..lockstep_cfg };
-        let lockstep = train_federated(&s.hosts, &s.guest, &lockstep_cfg)
-            .unwrap_or_else(|f| panic!("[{name}] lockstep chaos run failed: {}", f.error));
-        let pipelined = train_federated(&s.hosts, &s.guest, &pipelined_cfg)
-            .unwrap_or_else(|f| panic!("[{name}] pipelined chaos run failed: {}", f.error));
+fn baseline_commits_one_batch_per_layer_and_matches_optimistic() {
+    let s = scenario_of(200, 8, &[4, 2], 74);
+    let cfg =
+        TrainConfig { protocol: ProtocolConfig::baseline(), seed: 74, ..TrainConfig::for_tests() };
+    assert!(matches!(cfg.crypto, CryptoConfig::Paillier { key_bits: 256 }));
+    let held = train_federated(&s.hosts, &s.guest, &cfg).expect("baseline run succeeds");
+    let ev = &held.report.guest.events;
+    let layers = (cfg.gbdt.num_trees * (cfg.gbdt.max_layers - 1)) as u64;
+    assert!(ev.sched_batches > 0 && ev.sched_batches <= layers, "one commit per layer: {ev:?}");
+    assert!(
+        ev.sched_batch_hists >= s.hosts.len() as u64 * ev.sched_batches,
+        "every commit carries all hosts' answers: {ev:?}"
+    );
 
-        assert_eq!(lockstep.report.hosts.len(), HOSTS);
-        assert_eq!(pipelined.report.hosts.len(), HOSTS);
-        assert_bitwise(name, &margins(&lockstep, &s), &margins(&pipelined, &s));
-
-        // The wire really was hostile in both runs.
-        for out in [&lockstep, &pipelined] {
-            let ev = out.report.link_events();
-            assert!(ev.faults_injected > 0, "[{name}] no faults fired: {ev:?}");
-        }
-    }
+    let eager_cfg =
+        TrainConfig { protocol: ProtocolConfig { optimistic: true, ..cfg.protocol }, ..cfg };
+    let eager = train_federated(&s.hosts, &s.guest, &eager_cfg).expect("optimistic run succeeds");
+    assert_bitwise("seq vs opt", &margins(&held, &s), &margins(&eager, &s));
 }
 
-/// A degenerate pipeline depth of 1 must behave like one-at-a-time event
-/// handling, not deadlock or diverge.
-#[test]
-fn pipeline_depth_one_still_matches() {
-    let s = scenario(72);
-    let protocol = ProtocolConfig::vf2boost();
-    let lockstep = train_federated(&s.hosts, &s.guest, &chaos_cfg(72, protocol))
-        .unwrap_or_else(|f| panic!("lockstep run failed: {}", f.error));
-    let shallow_cfg = TrainConfig {
-        scheduler: Scheduler::Pipelined,
-        pipeline_depth: 1,
-        ..chaos_cfg(72, protocol)
-    };
-    let shallow = train_federated(&s.hosts, &s.guest, &shallow_cfg)
-        .unwrap_or_else(|f| panic!("depth-1 pipelined run failed: {}", f.error));
-    assert_bitwise("depth-1", &margins(&lockstep, &s), &margins(&shallow, &s));
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("vf2_many_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// Kill host 0 inside tree 1's node loop while the pipelined scheduler
-/// has overlapping transfers in flight from seven live survivors: the
-/// quarantine → rejoin → rewind barrier must hold exactly as it does
-/// under lockstep, and the final model must be bitwise identical to an
-/// uninterrupted run.
+/// Kill host 0 inside tree 1's node loop while the guest has overlapping
+/// transfers in flight from seven live survivors: the quarantine → rejoin
+/// → rewind barrier must hold, and the final model must be bitwise
+/// identical to an uninterrupted run.
 #[test]
 fn pipelined_kill_and_rejoin_holds_the_rewind_barrier() {
     let s = scenario(73);
     let base = TrainConfig {
         gbdt: GbdtParams { num_trees: 3, max_layers: 4, ..Default::default() },
-        crypto: CryptoConfig::Mock,
-        protocol: ProtocolConfig::vf2boost(),
-        wan: WanConfig::instant(),
-        scheduler: Scheduler::Pipelined,
-        pipeline_depth: 4,
-        seed: 73,
-        ..TrainConfig::for_tests()
+        ..calm_cfg(73, ProtocolConfig::vf2boost())
     };
 
     let clean = train_federated(&s.hosts, &s.guest, &base)
-        .unwrap_or_else(|f| panic!("clean pipelined run failed: {}", f.error));
-    let clean_margins = margins(&clean, &s);
+        .unwrap_or_else(|f| panic!("clean run failed: {}", f.error));
 
-    let dir = temp_dir("rejoin");
+    let dir = temp_dir("many_rejoin");
     let session = SessionConfig::new(0x0d10_0073, &dir);
     let chaos = TrainConfig {
         crash_host_on_node_task: Some((1, 0)),
@@ -188,7 +153,7 @@ fn pipelined_kill_and_rejoin_holds_the_rewind_barrier() {
         ..base
     };
     let out = train_federated_session(&s.hosts, &s.guest, &chaos, Some(&session))
-        .unwrap_or_else(|f| panic!("pipelined rejoin run failed: {}", f.error));
+        .unwrap_or_else(|f| panic!("rejoin run failed: {}", f.error));
 
     let ev = &out.report.guest.events;
     assert!(ev.quarantines >= 1, "host loss was never quarantined: {ev:?}");
@@ -202,6 +167,6 @@ fn pipelined_kill_and_rejoin_holds_the_rewind_barrier() {
             rec.tree
         );
     }
-    assert_bitwise("rejoin", &clean_margins, &margins(&out, &s));
+    assert_bitwise("rejoin", &margins(&clean, &s), &margins(&out, &s));
     let _ = std::fs::remove_dir_all(&dir);
 }

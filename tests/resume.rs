@@ -7,10 +7,12 @@
 //! deadline (never a hang), while a bounded outage shorter than the
 //! deadline must be ridden out.
 
-use std::path::PathBuf;
+mod support;
+
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use support::{assert_bitwise, corner_modes, margins, modes, scenario, scenario_of, temp_dir};
 use vf2boost::channel::{duplex, FaultConfig, StallWindow, WanConfig};
 use vf2boost::core::config::{CryptoConfig, HostLossPolicy};
 use vf2boost::core::error::{PartyId, TrainError};
@@ -22,22 +24,8 @@ use vf2boost::core::wire;
 use vf2boost::core::{train_federated, train_federated_session, SessionConfig, TrainConfig};
 use vf2boost::crypto::encoding::EncodingConfig;
 use vf2boost::crypto::suite::Suite;
-use vf2boost::datagen::synthetic::{generate_classification, SyntheticConfig};
-use vf2boost::datagen::vertical::{split_vertical, VerticalScenario};
 use vf2boost::gbdt::data::{Dataset, FeatureColumn};
 use vf2boost::gbdt::train::GbdtParams;
-
-fn scenario(seed: u64) -> VerticalScenario {
-    let data = generate_classification(&SyntheticConfig {
-        rows: 200,
-        features: 8,
-        density: 1.0,
-        informative_frac: 0.5,
-        label_noise: 0.0,
-        seed,
-    });
-    split_vertical(&data, &[4])
-}
 
 fn resume_cfg(seed: u64, protocol: ProtocolConfig) -> TrainConfig {
     TrainConfig {
@@ -48,34 +36,6 @@ fn resume_cfg(seed: u64, protocol: ProtocolConfig) -> TrainConfig {
         seed,
         ..TrainConfig::for_tests()
     }
-}
-
-/// Every protocol-mode combination the resume contract must hold for:
-/// sequential/optimistic × raw/reordered/packed histograms.
-fn modes() -> [(&'static str, ProtocolConfig); 6] {
-    let seq = ProtocolConfig::baseline();
-    let opt = ProtocolConfig {
-        pack_histograms: false,
-        reordered_accumulation: false,
-        ..ProtocolConfig::vf2boost()
-    };
-    [
-        ("seq-raw", seq),
-        ("seq-reordered", ProtocolConfig { reordered_accumulation: true, ..seq }),
-        ("seq-packed", ProtocolConfig { pack_histograms: true, ..seq }),
-        ("opt-raw", opt),
-        ("opt-reordered", ProtocolConfig { reordered_accumulation: true, ..opt }),
-        (
-            "opt-packed",
-            ProtocolConfig { pack_histograms: true, reordered_accumulation: true, ..opt },
-        ),
-    ]
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("vf2_resume_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 /// Kill the host after 2 of 4 trees, restart the whole job from its
@@ -89,7 +49,6 @@ fn assert_resume_matrix(seed: u64) {
         // Reference: one uninterrupted, session-less run.
         let clean = train_federated(&s.hosts, &s.guest, &cfg)
             .unwrap_or_else(|f| panic!("[{name}] clean run failed: {}", f.error));
-        let clean_margins = clean.model.predict_margin(&[&s.hosts[0]], &s.guest);
 
         // Incarnation 1: the host is killed right after its second tree
         // checkpoint becomes durable.
@@ -132,14 +91,7 @@ fn assert_resume_matrix(seed: u64) {
             resumed.report.hosts[0].events
         );
 
-        let resumed_margins = resumed.model.predict_margin(&[&s.hosts[0]], &s.guest);
-        assert_eq!(clean_margins.len(), resumed_margins.len());
-        for (i, (a, b)) in clean_margins.iter().zip(&resumed_margins).enumerate() {
-            assert!(
-                a.to_bits() == b.to_bits(),
-                "[{name}] margin {i} diverged after resume: {a} vs {b}"
-            );
-        }
+        assert_bitwise(&format!("{name} resumed"), &margins(&clean, &s), &margins(&resumed, &s));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -213,11 +165,7 @@ fn outage_shorter_than_the_deadline_is_ridden_out() {
     let clean = train_federated(&s.hosts, &s.guest, &base).expect("clean run succeeds");
     let stalled = train_federated(&s.hosts, &s.guest, &cfg)
         .expect("an outage shorter than the liveness deadline must be survived");
-    let cm = clean.model.predict_margin(&[&s.hosts[0]], &s.guest);
-    let sm = stalled.model.predict_margin(&[&s.hosts[0]], &s.guest);
-    for (i, (a, b)) in cm.iter().zip(&sm).enumerate() {
-        assert!(a.to_bits() == b.to_bits(), "margin {i} diverged: {a} vs {b}");
-    }
+    assert_bitwise("stalled", &margins(&clean, &s), &margins(&stalled, &s));
     // The guest noticed the silence (beacons went unanswered) but did
     // not overreact.
     let ev = stalled.report.guest.events;
@@ -297,16 +245,8 @@ fn a_failing_flight_record_dump_is_counted_not_fatal() {
 /// A two-host vertical split of the same synthetic data, so chaos runs
 /// have a live survivor whose stream must be rewound and drained while
 /// host 0 is down.
-fn scenario2(seed: u64) -> VerticalScenario {
-    let data = generate_classification(&SyntheticConfig {
-        rows: 200,
-        features: 8,
-        density: 1.0,
-        informative_frac: 0.5,
-        label_noise: 0.0,
-        seed,
-    });
-    split_vertical(&data, &[4, 2])
+fn scenario2(seed: u64) -> vf2boost::datagen::vertical::VerticalScenario {
+    scenario_of(200, 8, &[4, 2], seed)
 }
 
 /// Kill the host mid-node-loop of tree 2 under `AwaitRejoin`: the guest
@@ -316,14 +256,12 @@ fn scenario2(seed: u64) -> VerticalScenario {
 /// an uninterrupted run — for sequential/optimistic × raw/packed.
 fn assert_rejoin_matrix(seed: u64) {
     let s = scenario(seed);
-    let all = modes();
-    for (name, protocol) in [all[0], all[2], all[3], all[5]] {
+    for (name, protocol) in corner_modes() {
         let cfg = resume_cfg(seed, protocol);
 
         // Reference: one uninterrupted, session-less run.
         let clean = train_federated(&s.hosts, &s.guest, &cfg)
             .unwrap_or_else(|f| panic!("[{name}] clean run failed: {}", f.error));
-        let clean_margins = clean.model.predict_margin(&[&s.hosts[0]], &s.guest);
 
         // Chaos: the host dies inside tree 2's node loop; the guest holds
         // the session open and a fresh incarnation rejoins mid-run.
@@ -355,14 +293,7 @@ fn assert_rejoin_matrix(seed: u64) {
             );
         }
 
-        let chaos_margins = out.model.predict_margin(&[&s.hosts[0]], &s.guest);
-        assert_eq!(clean_margins.len(), chaos_margins.len());
-        for (i, (a, b)) in clean_margins.iter().zip(&chaos_margins).enumerate() {
-            assert!(
-                a.to_bits() == b.to_bits(),
-                "[{name}] margin {i} diverged after the in-run rejoin: {a} vs {b}"
-            );
-        }
+        assert_bitwise(&format!("{name} rejoined"), &margins(&clean, &s), &margins(&out, &s));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -396,7 +327,6 @@ fn dropout_chaos_rejoin_with_a_live_survivor_rewinds_both() {
         let cfg = resume_cfg(94, protocol);
         let clean = train_federated(&s.hosts, &s.guest, &cfg)
             .unwrap_or_else(|f| panic!("[{name}] clean run failed: {}", f.error));
-        let clean_margins = clean.model.predict_margin(&[&s.hosts[0], &s.hosts[1]], &s.guest);
 
         let dir = temp_dir(&format!("rejoin2_{name}"));
         let session = SessionConfig::new(0x51d2_0094, &dir);
@@ -413,13 +343,7 @@ fn dropout_chaos_rejoin_with_a_live_survivor_rewinds_both() {
             assert_eq!(rec.party_set, vec![0, 1, 2], "[{name}] tree {} lost a party", rec.tree);
         }
 
-        let chaos_margins = out.model.predict_margin(&[&s.hosts[0], &s.hosts[1]], &s.guest);
-        for (i, (a, b)) in clean_margins.iter().zip(&chaos_margins).enumerate() {
-            assert!(
-                a.to_bits() == b.to_bits(),
-                "[{name}] margin {i} diverged after the survivor rewind: {a} vs {b}"
-            );
-        }
+        assert_bitwise(&format!("{name} survivor"), &margins(&clean, &s), &margins(&out, &s));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -452,7 +376,7 @@ fn dropout_chaos_degrade_parks_the_only_host_and_finishes_guest_only() {
     }
     // Session-less, so the dead host's split table is gone: prediction
     // must degrade gracefully, never panic.
-    for (i, m) in out.model.predict_margin(&[&s.hosts[0]], &s.guest).iter().enumerate() {
+    for (i, m) in margins(&out, &s).iter().enumerate() {
         assert!(m.is_finite(), "margin {i} is not finite: {m}");
     }
 }
@@ -485,8 +409,7 @@ fn dropout_chaos_degrade_with_a_survivor_keeps_the_live_host() {
             rec.tree
         );
     }
-    for (i, m) in out.model.predict_margin(&[&s.hosts[0], &s.hosts[1]], &s.guest).iter().enumerate()
-    {
+    for (i, m) in margins(&out, &s).iter().enumerate() {
         assert!(m.is_finite(), "margin {i} is not finite: {m}");
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -519,9 +442,5 @@ fn dropout_chaos_slow_link_is_ridden_out_without_quarantine() {
     let ev = &stalled.report.guest.events;
     assert!(ev.transfer_retries > 0, "the stall never hit the retry layer: {ev:?}");
     assert_eq!(ev.quarantines, 0, "a slow link must not be quarantined: {ev:?}");
-    let cm = clean.model.predict_margin(&[&s.hosts[0]], &s.guest);
-    let sm = stalled.model.predict_margin(&[&s.hosts[0]], &s.guest);
-    for (i, (a, b)) in cm.iter().zip(&sm).enumerate() {
-        assert!(a.to_bits() == b.to_bits(), "margin {i} diverged: {a} vs {b}");
-    }
+    assert_bitwise("stalled", &margins(&clean, &s), &margins(&stalled, &s));
 }

@@ -6,31 +6,14 @@
 //! homomorphic-addition count actually drops by about the larger child's
 //! row share.
 
+mod support;
+
+use support::{assert_bitwise, margins, scenario_of};
 use vf2boost::core::config::{CryptoConfig, TrainConfig};
 use vf2boost::core::protocol::ProtocolConfig;
 use vf2boost::core::train_federated;
-use vf2boost::datagen::synthetic::{generate_classification, SyntheticConfig};
-use vf2boost::datagen::vertical::split_vertical;
 use vf2boost::gbdt::binning::BinningConfig;
 use vf2boost::gbdt::train::GbdtParams;
-
-fn dataset(rows: usize, seed: u64) -> vf2boost::gbdt::data::Dataset {
-    generate_classification(&SyntheticConfig {
-        rows,
-        features: 10,
-        density: 1.0,
-        informative_frac: 0.5,
-        label_noise: 0.0,
-        seed,
-    })
-}
-
-fn assert_bitwise_equal(a: &[f64], b: &[f64], context: &str) {
-    assert_eq!(a.len(), b.len());
-    for (i, (x, y)) in a.iter().zip(b).enumerate() {
-        assert_eq!(x.to_bits(), y.to_bits(), "{context}: margin {i} differs: {x} vs {y}");
-    }
-}
 
 /// Paillier, on the paired path (one cipher and one HAdd per stored
 /// entry) and on the two-stream raw wire (two of each): subtraction on vs
@@ -54,8 +37,7 @@ fn paillier_subtraction_halves_child_hadds_with_identical_trees() {
 }
 
 fn subtraction_halves_child_hadds(paired: bool, optimistic: bool) {
-    let data = dataset(600, 11);
-    let s = split_vertical(&data, &[5]);
+    let s = scenario_of(600, 10, &[5], 11);
     let base = TrainConfig {
         gbdt: GbdtParams {
             num_trees: 2,
@@ -83,11 +65,7 @@ fn subtraction_halves_child_hadds(paired: bool, optimistic: bool) {
     )
     .expect("training succeeds");
 
-    assert_bitwise_equal(
-        &on.model.predict_margin(&[&s.hosts[0]], &s.guest),
-        &off.model.predict_margin(&[&s.hosts[0]], &s.guest),
-        "subtraction on vs off",
-    );
+    assert_bitwise("subtraction on vs off", &margins(&on, &s), &margins(&off, &s));
 
     let on_host = &on.report.hosts[0];
     let off_host = &off.report.hosts[0];
@@ -145,8 +123,7 @@ fn subtraction_halves_child_hadds(paired: bool, optimistic: bool) {
 /// exercises the subtraction path.
 #[test]
 fn subtraction_is_bitwise_invisible_across_all_modes() {
-    let data = dataset(200, 12);
-    let s = split_vertical(&data, &[5]);
+    let s = scenario_of(200, 10, &[5], 12);
     for optimistic in [false, true] {
         for (reordered, packed) in [(false, false), (true, false), (true, true)] {
             let protocol = ProtocolConfig {
@@ -173,11 +150,7 @@ fn subtraction_is_bitwise_invisible_across_all_modes() {
                 },
             )
             .expect("training succeeds");
-            assert_bitwise_equal(
-                &on.model.predict_margin(&[&s.hosts[0]], &s.guest),
-                &off.model.predict_margin(&[&s.hosts[0]], &s.guest),
-                &context,
-            );
+            assert_bitwise(&context, &margins(&on, &s), &margins(&off, &s));
             assert!(
                 on.report.hosts[0].events.hist_subtractions > 0,
                 "{context}: subtraction path never taken"
@@ -194,8 +167,7 @@ fn subtraction_is_bitwise_invisible_across_all_modes() {
 /// direct builds (counting misses), and the model is still bit-identical.
 #[test]
 fn tiny_cache_cap_falls_back_to_direct_builds() {
-    let data = dataset(120, 13);
-    let s = split_vertical(&data, &[5]);
+    let s = scenario_of(120, 10, &[5], 13);
     let base = TrainConfig {
         gbdt: GbdtParams { num_trees: 2, max_layers: 4, ..Default::default() },
         crypto: CryptoConfig::Mock,
@@ -212,11 +184,7 @@ fn tiny_cache_cap_falls_back_to_direct_builds() {
         },
     )
     .expect("training succeeds");
-    assert_bitwise_equal(
-        &starved.model.predict_margin(&[&s.hosts[0]], &s.guest),
-        &off.model.predict_margin(&[&s.hosts[0]], &s.guest),
-        "starved cache vs subtraction off",
-    );
+    assert_bitwise("starved cache vs subtraction off", &margins(&starved, &s), &margins(&off, &s));
     let host = &starved.report.hosts[0];
     assert_eq!(host.events.hist_subtractions, 0, "a 1-byte cap cannot hold any parent");
     assert!(host.events.hist_cache_misses > 0, "starvation must surface as misses");

@@ -11,8 +11,11 @@
 //! * Tracing is observational only: spans on or off, caps big or tiny,
 //!   the trained model is bitwise identical.
 
+mod support;
+
 use std::time::Duration;
 
+use support::{assert_bitwise, margins, scenario, temp_dir};
 use vf2boost::channel::{FaultConfig, WanConfig};
 use vf2boost::core::config::CryptoConfig;
 use vf2boost::core::error::{PartyId, TrainError};
@@ -20,21 +23,7 @@ use vf2boost::core::json::{parse, Json};
 use vf2boost::core::telemetry::RUN_REPORT_SCHEMA;
 use vf2boost::core::trace::FLIGHT_RECORD_SCHEMA;
 use vf2boost::core::{train_federated, train_federated_session, SessionConfig, TrainConfig};
-use vf2boost::datagen::synthetic::{generate_classification, SyntheticConfig};
-use vf2boost::datagen::vertical::{split_vertical, VerticalScenario};
 use vf2boost::gbdt::train::GbdtParams;
-
-fn scenario(seed: u64) -> VerticalScenario {
-    let data = generate_classification(&SyntheticConfig {
-        rows: 200,
-        features: 8,
-        density: 1.0,
-        informative_frac: 0.5,
-        label_noise: 0.0,
-        seed,
-    });
-    split_vertical(&data, &[4])
-}
 
 fn mock_cfg() -> TrainConfig {
     TrainConfig {
@@ -43,10 +32,6 @@ fn mock_cfg() -> TrainConfig {
         wan: WanConfig::instant(),
         ..TrainConfig::for_tests()
     }
-}
-
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("vf2_trace_{tag}_{}", std::process::id()))
 }
 
 #[test]
@@ -128,11 +113,7 @@ fn tracing_never_changes_the_model() {
     let untraced = TrainConfig { trace_spans: false, trace_events_cap: 4, ..traced };
     let a = train_federated(&s.hosts, &s.guest, &traced).expect("traced run succeeds");
     let b = train_federated(&s.hosts, &s.guest, &untraced).expect("untraced run succeeds");
-    let am = a.model.predict_margin(&[&s.hosts[0]], &s.guest);
-    let bm = b.model.predict_margin(&[&s.hosts[0]], &s.guest);
-    for (i, (x, y)) in am.iter().zip(&bm).enumerate() {
-        assert!(x.to_bits() == y.to_bits(), "margin {i} diverged: {x} vs {y}");
-    }
+    assert_bitwise("traced vs untraced", &margins(&a, &s), &margins(&b, &s));
     // The traced run actually recorded spans; the untraced one recorded
     // none (its tiny ring would have overflowed otherwise).
     assert!(!a.report.guest.trace.is_empty(), "traced run recorded nothing");

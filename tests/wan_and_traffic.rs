@@ -2,27 +2,16 @@
 //! the properties behind the paper's resource-utilization findings (§6.2)
 //! and the blaster/packing communication savings.
 
+mod support;
+
 use std::time::Duration;
 
+use support::scenario;
 use vf2boost::channel::WanConfig;
 use vf2boost::core::config::{CryptoConfig, TrainConfig};
 use vf2boost::core::protocol::ProtocolConfig;
 use vf2boost::core::train_federated;
-use vf2boost::datagen::synthetic::{generate_classification, SyntheticConfig};
-use vf2boost::datagen::vertical::split_vertical;
 use vf2boost::gbdt::train::GbdtParams;
-
-fn scenario(seed: u64) -> vf2boost::datagen::vertical::VerticalScenario {
-    let data = generate_classification(&SyntheticConfig {
-        rows: 200,
-        features: 8,
-        density: 1.0,
-        informative_frac: 0.5,
-        label_noise: 0.0,
-        seed,
-    });
-    split_vertical(&data, &[4])
-}
 
 /// Training over a slow link must still converge to the same model.
 #[test]
