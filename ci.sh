@@ -79,6 +79,17 @@ if grep -n "debug_assert" \
   exit 1
 fi
 
+# The production config carries no chaos hook: fault plans, injected
+# crashes and stall knobs live in the test-only ChaosPlan (chaos.rs), which
+# nothing reachable from TrainConfig / ProtocolConfig / SessionConfig can
+# set. A robustness PR that needs a new failure injects it there.
+echo "== no-chaos-in-config gate (config/protocol/session) =="
+if grep -nE 'crash_|fault_|stall_' \
+    crates/core/src/config.rs crates/core/src/protocol.rs crates/core/src/session.rs; then
+  echo "the production config carries a chaos hook" >&2
+  exit 1
+fi
+
 # Many-party chaos gate: the guest's tree loop is arrival-order
 # invariant — 8 hosts behind heterogeneous faulty WANs (rolling staggered
 # stalls, reordering links, a bandwidth/latency spread) train the model
@@ -99,7 +110,7 @@ cargo bench --workspace --no-run
 # wall clock (generous slack: CI boxes stall).
 echo "== run report schema gate (jq) =="
 REPORT=$(mktemp /tmp/vf2_run_report.XXXXXX.json)
-VF2_KEY_BITS=256 cargo run --release -q -p vf2-bench --bin perf_smoke -- --report "$REPORT"
+VF2_KEY_BITS=256 cargo run --release -q -p vf2-bench --bin run_report -- "$REPORT"
 jq -e '.schema == "vf2boost-run-report/v1"' "$REPORT" > /dev/null
 jq -e '.wall_time_s > 0 and .total_bytes > 0' "$REPORT" > /dev/null
 jq -e '.parties | length >= 2' "$REPORT" > /dev/null

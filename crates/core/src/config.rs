@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-use vf2_channel::{FaultConfig, ReliabilityConfig, WanConfig};
+use vf2_channel::{ReliabilityConfig, WanConfig};
 use vf2_crypto::encoding::EncodingConfig;
 use vf2_crypto::error::CryptoError;
 use vf2_crypto::packing::GhPlan;
@@ -85,13 +85,6 @@ pub struct TrainConfig {
     pub encoding: EncodingConfig,
     /// Simulated WAN characteristics of every cross-party link.
     pub wan: WanConfig,
-    /// Fault plan applied to every guest→host link direction. Per-host
-    /// plans reuse the same config with the seed offset by the host index,
-    /// so multi-host runs do not replay identical fault streams.
-    pub fault_guest_to_host: FaultConfig,
-    /// Fault plan applied to every host→guest link direction (seed offset
-    /// per host, as above).
-    pub fault_host_to_guest: FaultConfig,
     /// Reliable-delivery tuning (retransmission timeouts, ack size).
     pub reliability: ReliabilityConfig,
     /// Per-phase peer deadline: the longest any blocking cross-party wait
@@ -127,23 +120,6 @@ pub struct TrainConfig {
     /// config digest — the policy never changes the model of an
     /// uninterrupted run.
     pub on_host_loss: HostLossPolicy,
-    /// Chaos knob: the host panics (simulating a process kill) right
-    /// after completing — and checkpointing — this many trees. `None`
-    /// in production.
-    pub crash_host_after_trees: Option<u32>,
-    /// Chaos knob: the host panics (simulating a process kill) the
-    /// moment it receives the `NodeTask` for this `(tree, node)` — i.e.
-    /// *inside* the node loop, between a task and its histogram answer.
-    /// Only host party 0 honors the knob, so multi-host chaos runs keep
-    /// live survivors to exercise the rewind barrier. `None` in
-    /// production.
-    pub crash_host_on_node_task: Option<(u32, u32)>,
-    /// Chaos knob: the encrypted histogram build of this tree panics
-    /// where column shard 0 runs — inside the party pool's `install`, at
-    /// the first accumulation (the root's first batch) — exercising the
-    /// worker-panic containment path at any `workers`. `None` in
-    /// production.
-    pub crash_hist_worker_on_tree: Option<u32>,
     /// Misbehavior tolerance budget per peer: how many protocol
     /// violations (out-of-phase messages, replays, inadmissible payloads)
     /// a party tolerates — dropping the offending message and counting it
@@ -155,11 +131,6 @@ pub struct TrainConfig {
     /// Optional heterogeneous WAN spread across host links (see
     /// [`WanSpread`]). `None` gives every link the base [`Self::wan`].
     pub wan_spread: Option<WanSpread>,
-    /// Staggers each host's injected stall window
-    /// ([`FaultConfig::stall`]) by `host_index × stall_stagger`, so a
-    /// many-party chaos run exercises *rolling* per-link stalls instead
-    /// of one synchronized outage. Zero leaves the plans unshifted.
-    pub stall_stagger: Duration,
     /// Data-parallel workers inside each party: the width of the party's
     /// rayon pool, and so the number of column ranges an encrypted
     /// histogram build is cut into, of features a payload is packed or
@@ -180,8 +151,6 @@ impl Default for TrainConfig {
             crypto: CryptoConfig::Paillier { key_bits: 2048 },
             encoding: EncodingConfig::default(),
             wan: WanConfig::paper_public_network(),
-            fault_guest_to_host: FaultConfig::none(),
-            fault_host_to_guest: FaultConfig::none(),
             reliability: ReliabilityConfig::default(),
             peer_timeout: Duration::from_secs(60),
             checkpoint_every: 1,
@@ -190,12 +159,8 @@ impl Default for TrainConfig {
             trace_events_cap: 256,
             trace_spans: true,
             on_host_loss: HostLossPolicy::Fail,
-            crash_host_after_trees: None,
-            crash_host_on_node_task: None,
-            crash_hist_worker_on_tree: None,
             misbehavior_budget: 0,
             wan_spread: None,
-            stall_stagger: Duration::ZERO,
             workers: 1,
             seed: 42,
         }
@@ -301,7 +266,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_matches_paper_protocol() {
+    fn paper_protocol_is_the_default() {
         let c = TrainConfig::default();
         assert_eq!(c.gbdt.num_trees, 20);
         assert_eq!(c.gbdt.max_layers, 7);
@@ -310,12 +275,9 @@ mod tests {
     }
 
     #[test]
-    fn defaults_are_fault_free() {
+    fn defaults_have_a_peer_deadline() {
         let c = TrainConfig::default();
-        assert!(!c.fault_guest_to_host.is_active());
-        assert!(!c.fault_host_to_guest.is_active());
         assert!(c.peer_timeout > Duration::ZERO);
-        assert!(c.crash_host_after_trees.is_none());
     }
 
     #[test]
@@ -327,7 +289,6 @@ mod tests {
         assert!(c.checkpoint_every >= 1);
         assert!(c.trace_events_cap > 0);
         assert!(c.trace_spans);
-        assert!(c.crash_hist_worker_on_tree.is_none());
         // Fail fast on the first protocol violation by default.
         assert_eq!(c.misbehavior_budget, 0);
     }
@@ -367,10 +328,9 @@ mod tests {
     }
 
     #[test]
-    fn defaults_validate_with_uniform_unstaggered_links() {
+    fn defaults_validate_with_uniform_links() {
         let c = TrainConfig::default();
         assert!(c.wan_spread.is_none());
-        assert_eq!(c.stall_stagger, Duration::ZERO);
         assert!(c.validate().is_ok());
     }
 

@@ -370,6 +370,17 @@ impl TrainError {
     }
 }
 
+/// Renders a caught panic payload for [`TrainError::PartyPanicked`].
+pub(crate) fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
 impl From<ProtocolError> for TrainError {
     fn from(e: ProtocolError) -> TrainError {
         TrainError::Protocol(e)

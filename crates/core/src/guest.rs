@@ -1,8 +1,9 @@
 //! The guest party (the paper's *Party B*): label owner, private-key
 //! holder, and protocol driver.
 //!
-//! One event loop (`GuestParty::run_tree`) drives every tree; the two
-//! protocols of the paper are two timings of it (§4.2, Figs. 5–6):
+//! One event loop (`GuestParty::run_tree`) drives every tree; the paper's
+//! two schedules are two timings of it (§4.2, Figs. 5–6), selected by
+//! `ProtocolConfig::optimistic`:
 //!
 //! * **Sequential** (the VF-GBDT baseline): strict per-layer phases — ship
 //!   all gradients, hold *every* host histogram of the layer, then
@@ -43,7 +44,7 @@ use crate::retry::Backoff;
 use crate::rows::{NodeRows, RowMajorBins};
 use crate::session::{dead_after, PartySession};
 use crate::telemetry::{LinkFaultEvents, PartyTelemetry, Stopwatch, TreeRecord};
-use crate::trace::{write_flight_record, TracePhase, TraceRing};
+use crate::trace::{TracePhase, TraceRing};
 use crate::validate;
 use crate::wire;
 
@@ -216,13 +217,11 @@ struct GuestParty {
     budgets: Vec<MisbehaviorBudget>,
     /// Replacement-link factory for the `AwaitRejoin` policy.
     spawner: Option<Arc<dyn HostSpawner>>,
-    /// Hosts parked under `Degrade`: their links are dead and every send
-    /// and receive path skips them for the rest of the run.
-    parked: Vec<bool>,
-    /// Completed-tree count at the moment each parked host was parked.
-    parked_at: Vec<u32>,
-    /// Completed rejoin handshakes per host.
-    rejoined: Vec<u32>,
+    /// How each host has fared so far, index-aligned with the endpoints;
+    /// handed back as [`GuestOutput::host_outcomes`]. A `Parked` host's
+    /// link is dead: every send and receive path walks [`Self::live`] and
+    /// so skips it for the rest of the run.
+    hosts: Vec<HostOutcome>,
 }
 
 impl GuestParty {
@@ -264,9 +263,7 @@ impl GuestParty {
             fsms: (0..endpoints.len()).map(GuestFsm::new).collect(),
             budgets: vec![MisbehaviorBudget::new(cfg.misbehavior_budget); endpoints.len()],
             spawner,
-            parked: vec![false; endpoints.len()],
-            parked_at: vec![0; endpoints.len()],
-            rejoined: vec![0; endpoints.len()],
+            hosts: vec![HostOutcome::Healthy; endpoints.len()],
             cfg,
             suite,
             endpoints,
@@ -282,34 +279,20 @@ impl GuestParty {
         match self.run_inner() {
             Ok(trees) => {
                 self.collect_transfer_stats();
-                let host_outcomes = self.host_outcomes();
                 Ok(GuestOutput {
                     trees,
                     telemetry: self.telemetry,
                     tree_records: self.tree_records,
                     train_margins: self.preds,
-                    host_outcomes,
+                    host_outcomes: self.hosts,
                 })
             }
             Err(error) => {
                 // Hand back whatever was measured before the failure, and
-                // dump the flight record first (best-effort: a failing
-                // dump must not mask the original error).
+                // dump the flight record first.
                 self.collect_transfer_stats();
                 if let Some(sess) = &self.session {
-                    if let Err(why) = write_flight_record(
-                        &sess.flight_path(),
-                        sess.session_id(),
-                        sess.digest(),
-                        &error.to_string(),
-                        &self.telemetry,
-                    ) {
-                        // A failing dump must not mask the original error,
-                        // but it must not vanish either: count it and leave
-                        // a trace note for the post-mortem.
-                        self.telemetry.events.flight_record_failed += 1;
-                        self.telemetry.trace.note(format!("flight record dump failed: {why}"));
-                    }
+                    sess.dump_flight_record(&error, &mut self.telemetry);
                 }
                 Err(GuestFailure {
                     error,
@@ -324,66 +307,26 @@ impl GuestParty {
         let session = self.session.clone();
         let my_sid = session.as_ref().map_or(0, |s| s.session_id());
 
-        // Session handshake + feature metadata. Each host first announces
-        // its session view (`SessionHello`), then its histogram structure
-        // (`FeatureMeta`); FIFO delivery guarantees the order.
+        // Session handshake + feature metadata, host by host.
         self.host_metas = vec![Vec::new(); self.endpoints.len()];
         let mut host_durable: Vec<Vec<u32>> = Vec::with_capacity(self.endpoints.len());
         for h in 0..self.endpoints.len() {
-            match self.recv_from(h, ProtocolPhase::Hello)? {
-                Msg::SessionHello { session_id, epoch, durable } => {
-                    if session_id != my_sid {
-                        return Err(TrainError::ResumeMismatch {
-                            party: PartyId::Host(h),
-                            detail: format!(
-                                "host announced session {session_id}, guest runs session {my_sid}"
-                            ),
-                        });
-                    }
-                    self.telemetry
-                        .trace
-                        .note(format!("host-{h} hello: session {session_id} epoch {epoch}"));
-                    host_durable.push(durable);
-                }
-                other => {
-                    return Err(ProtocolError::UnexpectedMessage {
-                        from: PartyId::Host(h),
-                        kind: other.kind(),
-                        context: "waiting for the SessionHello",
-                    }
-                    .into())
+            let mut durable = None;
+            loop {
+                let msg = self.recv_from(h, ProtocolPhase::Hello)?;
+                if self.on_handshake(h, msg, &mut durable)? {
+                    break;
                 }
             }
-            match self.recv_from(h, ProtocolPhase::Hello)? {
-                Msg::FeatureMeta(m) => {
-                    // The zero-bin index is used to address histogram bins
-                    // later; reject inconsistent metadata up front.
-                    if m.iter().any(|meta| meta.zero_bin >= meta.num_bins) {
-                        return Err(ProtocolError::UnexpectedMessage {
-                            from: PartyId::Host(h),
-                            kind: 1,
-                            context: "FeatureMeta zero_bin out of range",
-                        }
-                        .into());
-                    }
-                    self.host_metas[h] = m;
-                }
-                other => {
-                    return Err(ProtocolError::UnexpectedMessage {
-                        from: PartyId::Host(h),
-                        kind: other.kind(),
-                        context: "waiting for the FeatureMeta hello",
-                    }
-                    .into())
-                }
-            }
+            host_durable.push(durable.unwrap_or_default());
         }
 
         // Pick the resume point: the largest tree count durable at the
         // guest AND every host. Anything less than full agreement resumes
         // from the latest point everyone can actually restore.
+        let resuming = session.as_ref().filter(|s| s.resume());
         let mut resume_from: u32 = 0;
-        if let Some(sess) = session.as_ref().filter(|s| s.resume()) {
+        if let Some(sess) = resuming {
             let mut common = sess.durable();
             for durable in &host_durable {
                 common.retain(|k| durable.contains(k));
@@ -393,23 +336,8 @@ impl GuestParty {
         self.broadcast(&Msg::Resume { session_id: my_sid, tree_count: resume_from })?;
 
         let mut trees = Vec::with_capacity(self.cfg.gbdt.num_trees);
-        if resume_from > 0 {
-            let Some(sess) = session.as_ref() else {
-                return Err(guest_invariant("resume point chosen without a session"));
-            };
-            let ck = sess.load_guest(resume_from)?;
-            if ck.preds.len() != self.preds.len() {
-                return Err(TrainError::ResumeMismatch {
-                    party: PartyId::Guest,
-                    detail: format!(
-                        "checkpoint holds {} prediction rows, dataset has {}",
-                        ck.preds.len(),
-                        self.preds.len()
-                    ),
-                });
-            }
-            trees = ck.trees;
-            self.preds = ck.preds;
+        if let Some(sess) = resuming.filter(|_| resume_from > 0) {
+            self.rewind_guest_state(sess, &mut trees, resume_from)?;
             self.telemetry.events.resumes += 1;
             self.telemetry.trace.note(format!("resumed from checkpoint at {resume_from} trees"));
         }
@@ -444,8 +372,7 @@ impl GuestParty {
                 // is already parked cannot be lost again.
                 Err(TrainError::PeerLost { party: PartyId::Host(h), phase, waited })
                     if !matches!(self.cfg.on_host_loss, HostLossPolicy::Fail)
-                        && h < self.endpoints.len()
-                        && !self.parked[h] =>
+                        && self.live().contains(&h) =>
                 {
                     let original = TrainError::PeerLost { party: PartyId::Host(h), phase, waited };
                     t = self.handle_host_loss(h, original, &mut trees, t)?;
@@ -460,12 +387,61 @@ impl GuestParty {
         // host would see a disconnect instead of an orderly finish. A
         // parked host's link is dead; flushing it would only burn the
         // full deadline.
-        for (h, ep) in self.endpoints.iter().enumerate() {
-            if !self.parked[h] {
-                ep.flush(self.cfg.peer_timeout);
-            }
+        for h in self.live() {
+            self.endpoints[h].flush(self.cfg.peer_timeout);
         }
         Ok(trees)
+    }
+
+    /// The one handler for the `SessionHello` + `FeatureMeta` pair every
+    /// host incarnation opens its link with — at startup and again on a
+    /// live rejoin. The hello announces the host's session view (a foreign
+    /// session id is a typed [`TrainError::ResumeMismatch`], caught before
+    /// any gradient leaves the party) and parks its durable checkpoint
+    /// list in `durable`; the metadata announces its histogram structure
+    /// and completes the pair (`Ok(true)`). FIFO delivery and the
+    /// admission FSM guarantee the order; anything else here is a typed
+    /// protocol error.
+    fn on_handshake(
+        &mut self,
+        host: usize,
+        msg: Msg,
+        durable: &mut Option<Vec<u32>>,
+    ) -> Result<bool, TrainError> {
+        let unexpected = |kind: u16, context: &'static str| -> TrainError {
+            ProtocolError::UnexpectedMessage { from: PartyId::Host(host), kind, context }.into()
+        };
+        match msg {
+            Msg::SessionHello { session_id, epoch, durable: at_host } => {
+                let my_sid = self.session.as_ref().map_or(0, |s| s.session_id());
+                if session_id != my_sid {
+                    return Err(TrainError::ResumeMismatch {
+                        party: PartyId::Host(host),
+                        detail: format!(
+                            "host announced session {session_id}, guest runs session {my_sid}"
+                        ),
+                    });
+                }
+                self.telemetry
+                    .trace
+                    .note(format!("host-{host} hello: session {session_id} epoch {epoch}"));
+                *durable = Some(at_host);
+                Ok(false)
+            }
+            Msg::FeatureMeta(_) if durable.is_none() => {
+                Err(unexpected(1, "FeatureMeta before the SessionHello"))
+            }
+            Msg::FeatureMeta(m) => {
+                // The zero-bin index is used to address histogram bins
+                // later; reject inconsistent metadata up front.
+                if m.iter().any(|meta| meta.zero_bin >= meta.num_bins) {
+                    return Err(unexpected(1, "FeatureMeta zero_bin out of range"));
+                }
+                self.host_metas[host] = m;
+                Ok(true)
+            }
+            other => Err(unexpected(other.kind(), "session handshake")),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -522,7 +498,6 @@ impl GuestParty {
                 .note(format!("host-{host} lost with no respawner attached: rejoin impossible"));
             return Err(original);
         };
-        let my_sid = sess.session_id();
         self.fsms[host].quarantine();
         self.telemetry.events.quarantines += 1;
         self.telemetry.trace.note(format!(
@@ -532,21 +507,24 @@ impl GuestParty {
         self.hb_last[host] = Instant::now();
         self.fsms[host].begin_rejoin();
 
-        // Wait for the restarted incarnation's hello and feature metadata
-        // on the fresh link. The epoch fence lives in the FSM: only a
-        // hello with a *newer* epoch is admitted, anything from the dead
-        // incarnation classifies as stale. Survivors are beaconed
-        // throughout so their guest-silence clocks do not trip meanwhile.
+        // Wait for the restarted incarnation's handshake on the fresh
+        // link. The epoch fence lives in the FSM: only a hello with a
+        // *newer* epoch is admitted, anything from the dead incarnation
+        // classifies as stale. Every live host is beaconed throughout (a
+        // wait on one link is otherwise silence toward the others) so the
+        // survivors' guest-silence clocks do not trip meanwhile.
         let t0 = Instant::now();
-        let mut durable_at_host: Option<Vec<u32>> = None;
-        let metas = loop {
+        let mut durable_at_host = None;
+        loop {
             if t0.elapsed() >= deadline {
                 self.telemetry
                     .trace
                     .note(format!("host-{host} missed the rejoin deadline {deadline:?}"));
                 return Err(original);
             }
-            self.beacon_live_hosts()?;
+            for h in self.live() {
+                self.beacon(h)?;
+            }
             let chunk = self
                 .cfg
                 .heartbeat_interval
@@ -556,42 +534,10 @@ impl GuestParty {
                 Ok(env) if env.kind == HEARTBEAT_KIND => {}
                 Ok(env) => {
                     let msg = Self::decode_from(host, env)?;
-                    match self.admit_from(host, msg)? {
-                        Some(Msg::SessionHello { session_id, epoch, durable }) => {
-                            if session_id != my_sid {
-                                return Err(TrainError::ResumeMismatch {
-                                    party: PartyId::Host(host),
-                                    detail: format!(
-                                        "rejoining host announced session {session_id}, \
-                                         guest runs session {my_sid}"
-                                    ),
-                                });
-                            }
-                            self.telemetry.trace.note(format!(
-                                "host-{host} rejoin hello: session {session_id} epoch {epoch}"
-                            ));
-                            durable_at_host = Some(durable);
+                    if let Some(msg) = self.admit_from(host, msg)? {
+                        if self.on_handshake(host, msg, &mut durable_at_host)? {
+                            break;
                         }
-                        Some(Msg::FeatureMeta(m)) => {
-                            if m.iter().any(|meta| meta.zero_bin >= meta.num_bins) {
-                                return Err(ProtocolError::UnexpectedMessage {
-                                    from: PartyId::Host(host),
-                                    kind: 1,
-                                    context: "FeatureMeta zero_bin out of range",
-                                }
-                                .into());
-                            }
-                            break m;
-                        }
-                        Some(other) => {
-                            return Err(ProtocolError::UnexpectedMessage {
-                                from: PartyId::Host(host),
-                                kind: other.kind(),
-                                context: "rejoin handshake",
-                            }
-                            .into())
-                        }
-                        None => {}
                     }
                 }
                 // The replacement incarnation died too: the policy spent
@@ -599,8 +545,7 @@ impl GuestParty {
                 Err(RecvError::Disconnected) => return Err(original),
                 Err(RecvError::Timeout) => {}
             }
-        };
-        self.host_metas[host] = metas;
+        }
 
         // The rewind target: the newest tree count durable at the guest
         // AND the rejoined incarnation, never past what this run already
@@ -613,10 +558,15 @@ impl GuestParty {
 
         // The rejoiner resumes from its checkpoint exactly like a fresh
         // connect; the survivors rewind their in-memory state and ack.
-        self.send_to(host, &Msg::Resume { session_id: my_sid, tree_count: target })?;
+        let resume = Msg::Resume { session_id: sess.session_id(), tree_count: target };
+        self.send_to(host, &resume)?;
         self.rewind_survivors(target, Some(host))?;
         self.rewind_guest_state(&sess, trees, target)?;
-        self.rejoined[host] += 1;
+        let rejoins = match self.hosts[host] {
+            HostOutcome::Rejoined { rejoins } => rejoins + 1,
+            _ => 1,
+        };
+        self.hosts[host] = HostOutcome::Rejoined { rejoins };
         self.telemetry.events.rejoins += 1;
         self.telemetry
             .trace
@@ -632,10 +582,9 @@ impl GuestParty {
     /// in-memory split table is truncated by the rewind it is sent.
     fn park_host(&mut self, host: usize, completed: usize) -> Result<(), TrainError> {
         self.fsms[host].quarantine();
-        self.parked[host] = true;
-        self.parked_at[host] = completed as u32;
+        self.hosts[host] = HostOutcome::Parked { tree_count: completed as u32 };
         self.telemetry.events.quarantines += 1;
-        let active = self.live_hosts();
+        let active = self.live().len();
         self.telemetry.trace.note(format!(
             "host-{host} parked at {completed} trees: degrading to {active} of {} hosts",
             self.endpoints.len()
@@ -655,10 +604,7 @@ impl GuestParty {
         except: Option<usize>,
     ) -> Result<(), TrainError> {
         let my_sid = self.session.as_ref().map_or(0, |s| s.session_id());
-        for h in 0..self.endpoints.len() {
-            if Some(h) == except || self.parked[h] {
-                continue;
-            }
+        for h in self.live().into_iter().filter(|&h| Some(h) != except) {
             self.send_to(h, &Msg::Rewind { session_id: my_sid, tree_count })?;
             self.fsms[h].begin_drain();
             match self.recv_from(h, ProtocolPhase::TreeBuild)? {
@@ -718,53 +664,19 @@ impl GuestParty {
         Ok(())
     }
 
-    /// Beacons a heartbeat at every host with a live link whose beacon is
-    /// due. Send-only supervision for waits (like a rejoin) where the
-    /// guest is otherwise silent toward the other hosts and must not be
-    /// declared dead by *their* silence clocks.
-    fn beacon_live_hosts(&mut self) -> Result<(), TrainError> {
-        let now = Instant::now();
-        for h in 0..self.endpoints.len() {
-            if self.parked[h] {
-                continue;
-            }
-            if now.duration_since(self.hb_last[h]) >= self.cfg.heartbeat_interval {
-                self.hb_last[h] = now;
-                let seq = self.hb_seq;
-                self.hb_seq += 1;
-                self.send_to(h, &Msg::Heartbeat { seq })?;
-                self.telemetry.events.heartbeats_sent += 1;
-            }
-        }
-        Ok(())
-    }
-
-    /// Per-host robustness outcomes for a finished run.
-    fn host_outcomes(&self) -> Vec<HostOutcome> {
-        (0..self.endpoints.len())
-            .map(|h| {
-                if self.parked[h] {
-                    HostOutcome::Parked { tree_count: self.parked_at[h] }
-                } else if self.rejoined[h] > 0 {
-                    HostOutcome::Rejoined { rejoins: self.rejoined[h] }
-                } else {
-                    HostOutcome::Healthy
-                }
-            })
-            .collect()
-    }
-
-    /// Hosts still participating (not parked under `Degrade`).
-    fn live_hosts(&self) -> usize {
-        self.parked.iter().filter(|&&p| !p).count()
+    /// The live roster: the hosts still participating (not parked under
+    /// `Degrade`), ascending. Every walk over the hosts — sends, waits,
+    /// bookkeeping — goes through here, so a parked host's dead link is
+    /// skipped everywhere by construction.
+    fn live(&self) -> Vec<usize> {
+        let parked = |h: usize| matches!(self.hosts[h], HostOutcome::Parked { .. });
+        (0..self.hosts.len()).filter(|&h| !parked(h)).collect()
     }
 
     /// The party set that trained the current tree, for the run report:
     /// party 0 is the guest (always present), host `h` is party `h + 1`.
     fn party_set(&self) -> Vec<u16> {
-        std::iter::once(0)
-            .chain((0..self.endpoints.len()).filter(|&h| !self.parked[h]).map(|h| (h + 1) as u16))
-            .collect()
+        std::iter::once(0).chain(self.live().into_iter().map(|h| (h + 1) as u16)).collect()
     }
 
     fn collect_transfer_stats(&mut self) {
@@ -867,28 +779,22 @@ impl GuestParty {
         ProtocolError::Malformed { from: PartyId::Guest, error }.into()
     }
 
-    fn broadcast(&self, msg: &Msg) -> Result<(), TrainError> {
+    /// Sends `msg` to every live host (parked hosts receive nothing and
+    /// cost nothing). Returns the payload bytes handed to the links.
+    fn broadcast(&self, msg: &Msg) -> Result<u64, TrainError> {
         let payload = wire::encode(msg).map_err(Self::encode_failed)?;
-        for (h, ep) in self.endpoints.iter().enumerate() {
-            if !self.parked[h] {
-                ep.send(msg.kind(), payload.clone());
-            }
+        let live = self.live();
+        for ep in live.iter().map(|&h| &self.endpoints[h]) {
+            ep.send(msg.kind(), payload.clone());
         }
-        Ok(())
+        Ok((payload.len() * live.len()) as u64)
     }
 
     /// Broadcasts a bulk protocol message, recording one transfer trace
-    /// event with the payload bytes summed over all live destination
-    /// links (parked hosts receive nothing and cost nothing).
+    /// event with the payload bytes summed over all destination links.
     fn broadcast_traced(&mut self, msg: &Msg, tree: u32) -> Result<(), TrainError> {
-        let payload = wire::encode(msg).map_err(Self::encode_failed)?;
-        let active = self.live_hosts();
-        self.telemetry.trace.transfer(Some(tree), (payload.len() * active) as u64);
-        for (h, ep) in self.endpoints.iter().enumerate() {
-            if !self.parked[h] {
-                ep.send(msg.kind(), payload.clone());
-            }
-        }
+        let bytes = self.broadcast(msg)?;
+        self.telemetry.trace.transfer(Some(tree), bytes);
         Ok(())
     }
 
@@ -898,13 +804,29 @@ impl GuestParty {
         Ok(())
     }
 
-    /// Heartbeat supervision for one blocked wait on `host`. Beacons a
-    /// heartbeat when one is due (its transport ack is what proves a
-    /// busy-but-alive peer) and declares the peer dead once the link has
-    /// been *completely* silent — no data, no acks — for the effective
-    /// liveness deadline. Note the overall wait clock `t0` is never
-    /// reset: a peer that heartbeats but makes no protocol progress
-    /// still trips the per-phase `peer_timeout`.
+    /// Beacons a heartbeat at `host` if one is due, returning its sequence
+    /// number when one went out. Heartbeats carry no protocol meaning:
+    /// their transport ack is what proves a busy-but-alive peer, and they
+    /// keep the guest from looking dead to a host it is not waiting on.
+    fn beacon(&mut self, host: usize) -> Result<Option<u64>, TrainError> {
+        let now = Instant::now();
+        if now.duration_since(self.hb_last[host]) < self.cfg.heartbeat_interval {
+            return Ok(None);
+        }
+        self.hb_last[host] = now;
+        let seq = self.hb_seq;
+        self.hb_seq += 1;
+        self.send_to(host, &Msg::Heartbeat { seq })?;
+        self.telemetry.events.heartbeats_sent += 1;
+        Ok(Some(seq))
+    }
+
+    /// Heartbeat supervision for one blocked wait on `host`: beacons when
+    /// due and declares the peer dead once the link has been *completely*
+    /// silent — no data, no acks — for the effective liveness deadline.
+    /// Note the overall wait clock `t0` is never reset: a peer that
+    /// heartbeats but makes no protocol progress still trips the per-phase
+    /// `peer_timeout`.
     fn supervise(
         &mut self,
         host: usize,
@@ -912,13 +834,7 @@ impl GuestParty {
         t0: Instant,
         busy: Duration,
     ) -> Result<(), TrainError> {
-        let now = Instant::now();
-        if now.duration_since(self.hb_last[host]) >= self.cfg.heartbeat_interval {
-            self.hb_last[host] = now;
-            let seq = self.hb_seq;
-            self.hb_seq += 1;
-            self.send_to(host, &Msg::Heartbeat { seq })?;
-            self.telemetry.events.heartbeats_sent += 1;
+        if let Some(seq) = self.beacon(host)? {
             if self.endpoints[host].idle_for() >= self.cfg.heartbeat_interval {
                 self.telemetry.events.heartbeats_missed += 1;
                 self.telemetry.trace.note(format!(
@@ -1049,7 +965,7 @@ impl GuestParty {
     /// link; heartbeats are consumed below this call; idle time is
     /// accounted net of processing.
     fn recv_any(&mut self) -> Result<(usize, Msg), TrainError> {
-        let live: Vec<usize> = (0..self.endpoints.len()).filter(|&h| !self.parked[h]).collect();
+        let live = self.live();
         if live.is_empty() {
             return Err(guest_invariant("waiting for host messages with every host parked"));
         }
@@ -1063,7 +979,7 @@ impl GuestParty {
     /// which the next *blocking* wait will classify and report properly.
     /// No idle time accrues: nothing here waits.
     fn try_recv_admitted(&mut self) -> Result<Option<(usize, Msg)>, TrainError> {
-        let live: Vec<usize> = (0..self.endpoints.len()).filter(|&h| !self.parked[h]).collect();
+        let live = self.live();
         loop {
             let ready = {
                 let eps: Vec<&Endpoint> = live.iter().map(|&h| &self.endpoints[h]).collect();
@@ -1177,7 +1093,7 @@ impl GuestParty {
     }
 
     // ------------------------------------------------------------------
-    // Node machinery shared by both protocols
+    // Node machinery
     // ------------------------------------------------------------------
 
     /// Materializes a node whose row list just became available. Returns
@@ -1214,10 +1130,9 @@ impl GuestParty {
         // Every live host now legitimately owes one histogram for this
         // exact (node, epoch); the admission layer holds them to it.
         // Parked hosts were not sent the task and owe nothing.
-        for (h, fsm) in self.fsms.iter_mut().enumerate() {
-            if !self.parked[h] {
-                fsm.task_sent(node as u32, ctx.epoch[node]);
-            }
+        let live = self.live();
+        for &h in &live {
+            self.fsms[h].task_sent(node as u32, ctx.epoch[node]);
         }
         // Optimistic node-splitting: act on our own best split before the
         // hosts weigh in (§4.2). Speculation is bounded to ONE layer
@@ -1238,7 +1153,7 @@ impl GuestParty {
                 // A parked host will never answer: pre-mark it received
                 // so resolution waits on the live hosts only.
                 host_best: vec![None; self.endpoints.len()],
-                host_received: self.parked.clone(),
+                host_received: (0..self.endpoints.len()).map(|h| !live.contains(&h)).collect(),
                 already_split: speculate,
                 awaiting_placement: None,
                 resolved: false,
@@ -1256,7 +1171,7 @@ impl GuestParty {
         // With every host parked no histogram will ever arrive: resolve
         // on the guest's evidence alone, recursing through the children
         // (their placements apply immediately).
-        if self.parked.iter().all(|&p| p) {
+        if live.is_empty() {
             self.resolve(ctx, node)?;
         }
         Ok(true)
@@ -1313,7 +1228,8 @@ impl GuestParty {
         ctx.rows.apply_placement(node, &placement);
         self.telemetry.phases.split_nodes += t0.elapsed();
         self.telemetry.trace.exit(TracePhase::Placement, Some(ctx.tree), Some(node as u32));
-        self.broadcast(&Msg::ApplyPlacement { tree: ctx.tree, node: node as u32, placement })
+        self.broadcast(&Msg::ApplyPlacement { tree: ctx.tree, node: node as u32, placement })?;
+        Ok(())
     }
 
     fn materialize_children(&mut self, ctx: &mut TreeCtx, node: NodeId) -> Result<(), TrainError> {
@@ -1331,7 +1247,8 @@ impl GuestParty {
         let w = self.cfg.gbdt.split.leaf_weight(total);
         ctx.decisions.insert(node, Decision::Leaf(w));
         self.telemetry.events.leaves += 1;
-        self.broadcast(&Msg::NodeLeaf { tree: ctx.tree, node: node as u32 })
+        self.broadcast(&Msg::NodeLeaf { tree: ctx.tree, node: node as u32 })?;
+        Ok(())
     }
 
     /// Decodes one host's histogram payload into that host's best split
@@ -1562,17 +1479,9 @@ impl GuestParty {
         self.telemetry.phases.split_nodes += t0.elapsed();
         self.telemetry.trace.exit(TracePhase::Placement, Some(ctx.tree), Some(node as u32));
         // Relay to the other live hosts so their row lists stay aligned.
-        for other in 0..self.endpoints.len() {
-            if other != host && !self.parked[other] {
-                self.send_to(
-                    other,
-                    &Msg::ApplyPlacement {
-                        tree: ctx.tree,
-                        node: node as u32,
-                        placement: placement.clone(),
-                    },
-                )?;
-            }
+        let relay = Msg::ApplyPlacement { tree: ctx.tree, node: node as u32, placement };
+        for other in self.live().into_iter().filter(|&other| other != host) {
+            self.send_to(other, &relay)?;
         }
         self.materialize_children(ctx, node)?;
         Ok(())
@@ -1615,7 +1524,7 @@ impl GuestParty {
     /// produces can move a split.
     fn run_tree(&mut self, ctx: &mut TreeCtx) -> Result<(), TrainError> {
         let optimistic = self.cfg.protocol.optimistic;
-        let cap = if optimistic { self.live_hosts() } else { usize::MAX };
+        let cap = if optimistic { self.live().len() } else { usize::MAX };
         let mut batch: Vec<PendingHist> = Vec::new();
         self.materialize(ctx, 0)?;
         while ctx.pending > 0 {

@@ -463,10 +463,16 @@ pub fn max_exponent(encoding: &EncodingConfig) -> i32 {
     encoding.base_exp + encoding.jitter.max(1) as i32 - 1
 }
 
+/// The slot width `M` in bits the protocol hands [`pack_feature_hist`] for
+/// prefix sums. Only a floor: [`required_slot_bits`] raises it whenever the
+/// value range needs more. (GH-pair bins pack at exactly the pair width.)
+pub const TARGET_SLOT_BITS: u32 = 64;
+
 /// Shifts, prefix-sums, and packs one feature's finalized bins (§5.2).
 ///
-/// `bins_g` / `bins_h` must already share the exponent `max_exponent`.
-/// Returns the wire-ready packed feature histogram.
+/// `bins_g` / `bins_h` must already share the exponent `max_exponent`;
+/// slots are at least `min_slot_bits` wide. Returns the wire-ready packed
+/// feature histogram.
 #[allow(clippy::too_many_arguments)]
 pub fn pack_feature_hist(
     suite: &Suite,
@@ -475,7 +481,7 @@ pub fn pack_feature_hist(
     count: usize,
     grad_bound: f64,
     hess_bound: f64,
-    target_slot_bits: u32,
+    min_slot_bits: u32,
     encoding: &EncodingConfig,
 ) -> Result<PackedFeatureHist> {
     if bins_g.len() != bins_h.len() {
@@ -492,7 +498,7 @@ pub fn pack_feature_hist(
             right: 1,
         });
     }
-    let slot_bits = required_slot_bits(count, grad_bound, hess_bound, encoding, target_slot_bits);
+    let slot_bits = required_slot_bits(count, grad_bound, hess_bound, encoding, min_slot_bits);
     let plan = match suite.kind() {
         SuiteKind::Paillier => {
             // Infallible: `public_key()` is `None` only for the plain mock
@@ -580,7 +586,7 @@ pub fn unpack_feature_hist(
 /// Unlike [`pack_feature_hist`] there is no shift and no prefix sum: each
 /// bin's plaintext is already a non-negative integer below
 /// `2^pair_bits`, so bins pack directly into slots of exactly that width —
-/// no byte rounding, no `target_slot_bits` floor. Paired bins only exist
+/// no byte rounding, no [`TARGET_SLOT_BITS`] floor. Paired bins only exist
 /// under Paillier.
 pub fn pack_gh_feature_hist(
     suite: &Suite,

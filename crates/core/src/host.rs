@@ -20,10 +20,13 @@ use vf2_gbdt::binning::{BinnedColumn, BinnedDataset};
 use vf2_gbdt::data::Dataset;
 use vf2_gbdt::tree::{left_child, right_child, NodeSplit};
 
+use crate::chaos::ChaosPlan;
 use crate::config::TrainConfig;
-use crate::error::{HostFailure, PartyId, ProtocolError, ProtocolPhase, TrainError};
+use crate::error::{panic_text, HostFailure, PartyId, ProtocolError, ProtocolPhase, TrainError};
 use crate::fsm::{Admit, HostFsm, MisbehaviorBudget};
-use crate::hist_enc::{max_exponent, pack_feature_hist, pack_gh_feature_hist, EncHistBuilder};
+use crate::hist_enc::{
+    max_exponent, pack_feature_hist, pack_gh_feature_hist, EncHistBuilder, TARGET_SLOT_BITS,
+};
 use crate::messages::{
     FeatureMeta, GhPackedFeatureHist, HistPayload, Msg, PackedFeatureHist, RawFeatureHist,
     HEARTBEAT_KIND,
@@ -33,7 +36,7 @@ use crate::retry::Backoff;
 use crate::rows::{NodeRows, RowMajorBins};
 use crate::session::{dead_after, PartySession};
 use crate::telemetry::{PartyTelemetry, Stopwatch};
-use crate::trace::{write_flight_record, TracePhase, TraceRing};
+use crate::trace::{TracePhase, TraceRing};
 use crate::validate;
 use crate::wire;
 
@@ -48,7 +51,8 @@ use crate::wire;
 /// With a [`PartySession`], the host opens the link with a `SessionHello`
 /// advertising its durable checkpoints, honors the guest's `Resume`
 /// decision, and snapshots its split table at every configured tree
-/// boundary.
+/// boundary. `chaos` is the robustness suites' failure injection
+/// ([`ChaosPlan::default`] injects nothing).
 pub fn run_host(
     party_index: usize,
     data: Arc<Dataset>,
@@ -56,8 +60,9 @@ pub fn run_host(
     suite: Suite,
     endpoint: Endpoint,
     session: Option<PartySession>,
+    chaos: ChaosPlan,
 ) -> Result<(PartyTelemetry, HostSplitTable), HostFailure> {
-    let mut host = match HostParty::new(party_index, data, cfg, suite, endpoint, session) {
+    let mut host = match HostParty::new(party_index, data, cfg, suite, endpoint, session, chaos) {
         Ok(host) => host,
         Err(error) => {
             let telemetry =
@@ -68,38 +73,13 @@ pub fn run_host(
     match host.run() {
         Ok(()) => Ok(host.finish()),
         Err(error) => {
-            // Flight recorder: dump the last trace events + session
-            // identity before surfacing the failure. Best-effort — a
-            // failing dump must not mask the original error.
             let session = host.session.clone();
             let (mut telemetry, _) = host.finish();
             if let Some(sess) = session {
-                if let Err(why) = write_flight_record(
-                    &sess.flight_path(),
-                    sess.session_id(),
-                    sess.digest(),
-                    &error.to_string(),
-                    &telemetry,
-                ) {
-                    // The dump must not mask the original error, but it
-                    // must not vanish either: count and trace it.
-                    telemetry.events.flight_record_failed += 1;
-                    telemetry.trace.note(format!("flight record dump failed: {why}"));
-                }
+                sess.dump_flight_record(&error, &mut telemetry);
             }
             Err(HostFailure { error, telemetry: Box::new(telemetry) })
         }
-    }
-}
-
-/// Renders a caught panic payload for error reports.
-fn panic_text(p: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 
@@ -255,6 +235,8 @@ impl NodeHistCache {
 
 struct HostParty {
     cfg: TrainConfig,
+    /// Injected failures; inert outside the robustness suites.
+    chaos: ChaosPlan,
     suite: Suite,
     /// The pair plan when this run's forward path is paired
     /// ([`TrainConfig::gh_plan`]): the whole histogram then lives in the
@@ -295,6 +277,7 @@ impl HostParty {
         suite: Suite,
         endpoint: Endpoint,
         session: Option<PartySession>,
+        chaos: ChaosPlan,
     ) -> Result<HostParty, TrainError> {
         let binned = BinnedDataset::bin(&data, &cfg.gbdt.binning);
         let csr = RowMajorBins::from_binned(&binned);
@@ -319,6 +302,7 @@ impl HostParty {
         Ok(HostParty {
             gh,
             cfg,
+            chaos,
             suite,
             endpoint,
             binned,
@@ -639,7 +623,8 @@ impl HostParty {
                 // before its histogram answer — the worst spot for the
                 // guest, which now holds a half-built tree. Party 0 only,
                 // so multi-host runs keep live survivors.
-                if self.party_index == 0 && self.cfg.crash_host_on_node_task == Some((tree, node)) {
+                if self.party_index == 0 && self.chaos.crash_host_on_node_task == Some((tree, node))
+                {
                     panic!(
                         "injected crash: host {} dying on node task ({tree}, {node})",
                         self.party_index
@@ -757,15 +742,6 @@ impl HostParty {
                             .trace
                             .note(format!("checkpoint written at {completed} trees"));
                     }
-                }
-                // Deterministic crash injection for the chaos suite: die
-                // only after the checkpoint above is durable, so the
-                // agreed resume point exists on both sides.
-                if self.cfg.crash_host_after_trees == Some(completed) {
-                    panic!(
-                        "injected crash: host {} dying after {completed} trees",
-                        self.party_index
-                    );
                 }
             }
             Msg::Resume { session_id, tree_count } => {
@@ -908,7 +884,7 @@ impl HostParty {
             return Err(state_invariant("histogram accumulation with no tree state"));
         };
         let tree = state.tree;
-        let crash = self.cfg.crash_hist_worker_on_tree == Some(tree);
+        let crash = self.chaos.crash_hist_worker_on_tree == Some(tree);
         let work = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             self.pool.install(|| {
                 if crash {
@@ -1177,7 +1153,7 @@ impl HostParty {
                     count,
                     grad_bound,
                     hess_bound,
-                    self.cfg.protocol.target_slot_bits,
+                    TARGET_SLOT_BITS,
                     &self.cfg.encoding,
                 )
                 .map_err(&crypto)
@@ -1215,7 +1191,9 @@ mod tests {
             Arc::new(Dataset::new(4, vec![FeatureColumn::Dense(vec![0.0, 1.0, 2.0, 3.0])], None));
         let cfg = TrainConfig::for_tests();
         let suite = Suite::plain(EncodingConfig::default());
-        let handle = std::thread::spawn(move || run_host(3, data, cfg, suite, host_ep, None));
+        let handle = std::thread::spawn(move || {
+            run_host(3, data, cfg, suite, host_ep, None, ChaosPlan::default())
+        });
         // Read the SessionHello and FeatureMeta greetings, then shut the
         // host down. A session-less host announces session 0, epoch 0.
         let env = guest_ep.recv().unwrap();

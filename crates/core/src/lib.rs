@@ -15,16 +15,16 @@
 //!
 //! ## Protocols
 //!
-//! [`protocol::ProtocolConfig`] selects between the paper's baselines and
-//! optimizations:
+//! There is one protocol and one tree loop. [`protocol::ProtocolConfig`] is
+//! a struct of independent toggles over it, each one of the paper's
+//! techniques, so every ablation row is a combination of fields:
 //!
-//! * `Sequential` — the SecureBoost-style phase-sequential protocol (the
-//!   paper's **VF-GBDT** baseline).
-//! * `Concurrent` — VF²Boost: **blaster-style encryption** (§4.1),
-//!   **optimistic node-splitting** with dirty-node rollback (§4.2),
-//!   **re-ordered histogram accumulation** (§5.1), and
-//!   **polynomial-based histogram packing** (§5.2), each independently
-//!   toggleable for ablation studies.
+//! * [`protocol::ProtocolConfig::baseline`] — everything off: the
+//!   SecureBoost-style phase-sequential timing (the paper's **VF-GBDT**).
+//! * [`protocol::ProtocolConfig::vf2boost`] — everything on: **blaster-style
+//!   encryption** (§4.1), **optimistic node-splitting** with dirty-node
+//!   rollback (§4.2), **re-ordered histogram accumulation** (§5.1), and
+//!   **polynomial-based histogram packing** (§5.2).
 //!
 //! Selecting the plaintext mock suite reproduces **VF-MOCK** (protocol
 //! overhead without cryptography).
@@ -41,6 +41,7 @@
 // `cargo clippy --lib -- -D warnings`.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+pub mod chaos;
 pub mod config;
 pub mod error;
 pub mod fsm;
@@ -61,6 +62,7 @@ pub mod train;
 pub mod validate;
 pub mod wire;
 
+pub use chaos::ChaosPlan;
 pub use config::TrainConfig;
 pub use error::{PartyId, ProtocolError, ProtocolPhase, TrainError, TrainFailure};
 pub use model::{FedNode, FedTree, FederatedModel};

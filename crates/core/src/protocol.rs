@@ -39,10 +39,6 @@ pub struct ProtocolConfig {
     /// unpacked runs, and the mock suite always, keep two gradient streams
     /// and (when packing) prefix sums.
     pub pack_histograms: bool,
-    /// Target slot width `M` in bits for packing prefix sums. The
-    /// effective width is raised automatically if the value range requires
-    /// more bits. (GH-pair bins pack at exactly the pair width.)
-    pub target_slot_bits: u32,
     /// Ciphertext histogram subtraction: build only the smaller child of a
     /// split from rows and derive the larger sibling as `parent ⊖ child`
     /// (one negation + HAdd per bin instead of one HAdd per row entry).
@@ -67,7 +63,6 @@ impl ProtocolConfig {
             blaster_batch: None,
             reordered_accumulation: false,
             pack_histograms: false,
-            target_slot_bits: 64,
             hist_subtraction: false,
             hist_cache_bytes: DEFAULT_HIST_CACHE_BYTES,
         }
@@ -80,7 +75,6 @@ impl ProtocolConfig {
             blaster_batch: Some(4096),
             reordered_accumulation: true,
             pack_histograms: true,
-            target_slot_bits: 64,
             hist_subtraction: true,
             hist_cache_bytes: DEFAULT_HIST_CACHE_BYTES,
         }

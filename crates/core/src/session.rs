@@ -24,6 +24,8 @@ use crate::persist::{
     atomic_write, decode_guest_checkpoint, decode_host_checkpoint, encode_guest_checkpoint,
     encode_host_checkpoint, GuestCheckpoint, HostCheckpoint,
 };
+use crate::telemetry::PartyTelemetry;
+use crate::trace::write_flight_record;
 
 /// File extension of checkpoint snapshots.
 const CK_EXT: &str = "vf2ck";
@@ -134,9 +136,27 @@ impl PartySession {
     }
 
     /// Where this party's failure-time flight record is dumped
-    /// (see [`crate::trace::write_flight_record`]).
+    /// (see [`Self::dump_flight_record`]).
     pub fn flight_path(&self) -> PathBuf {
         self.dir.join(format!("{}.flight.json", self.role))
+    }
+
+    /// Failure-time flight recorder, shared by both parties: dumps the
+    /// party's last trace events and this session's identity next to its
+    /// checkpoints. Best-effort — a failing dump must not mask the error
+    /// that brought the run down, but it must not vanish either: it is
+    /// counted and leaves a trace note for the post-mortem.
+    pub fn dump_flight_record(&self, error: &TrainError, telemetry: &mut PartyTelemetry) {
+        if let Err(why) = write_flight_record(
+            &self.flight_path(),
+            self.session_id,
+            self.digest,
+            &error.to_string(),
+            telemetry,
+        ) {
+            telemetry.events.flight_record_failed += 1;
+            telemetry.trace.note(format!("flight record dump failed: {why}"));
+        }
     }
 
     /// Whether a checkpoint is due after `completed` trees.

@@ -11,13 +11,14 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Instant;
 
-use vf2_channel::{duplex_faulty, Endpoint, FaultConfig};
+use vf2_channel::{duplex_faulty, Endpoint, FaultConfig, StallWindow};
 use vf2_crypto::paillier::KeyPair;
 use vf2_crypto::suite::Suite;
 use vf2_gbdt::data::Dataset;
 
+use crate::chaos::ChaosPlan;
 use crate::config::{CryptoConfig, TrainConfig};
-use crate::error::{GuestFailure, HostFailure, PartyId, TrainError, TrainFailure};
+use crate::error::{panic_text, GuestFailure, HostFailure, PartyId, TrainError, TrainFailure};
 use crate::guest::{run_guest, HostOutcome, HostSpawner};
 use crate::host::run_host;
 use crate::model::{FederatedModel, HostSplitTable};
@@ -35,92 +36,77 @@ pub struct TrainOutput {
     pub train_margins: Vec<f64>,
 }
 
-/// Renders a caught panic payload for [`TrainError::PartyPanicked`].
-fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Offsets a fault plan's seed so host `p`'s link does not replay host
-/// 0's fault stream, and staggers any stall window by `p` multiples of
-/// [`TrainConfig::stall_stagger`] so a many-party chaos run exercises
-/// *rolling* outages (every link dark at once tells you nothing about
-/// scheduling) instead of one synchronized blackout.
-fn fault_for_host(base: FaultConfig, p: usize, stagger: std::time::Duration) -> FaultConfig {
-    let stall = base.stall.map(|w| vf2_channel::StallWindow {
-        after: w.after.saturating_add(stagger.saturating_mul(p as u32)),
+/// Host `p`'s copy of a fault plan: the seed is offset by `p` so its link
+/// does not replay host 0's fault stream, and any stall window opens `p`
+/// window lengths after host 0's — outages *roll* across the roster by
+/// construction (every link dark at once tells you nothing about
+/// scheduling), with no stagger for a test to pick.
+fn fault_for_host(base: FaultConfig, p: usize) -> FaultConfig {
+    let stall = base.stall.map(|w| StallWindow {
+        after: w.after.saturating_add(w.duration.saturating_mul(p as u32)),
         ..w
     });
     FaultConfig { seed: base.seed.wrapping_add(p as u64), stall, ..base }
 }
 
-/// The trainer's [`HostSpawner`]: brings a lost host back as a fresh
-/// thread incarnation for the `AwaitRejoin` policy — the in-process
-/// equivalent of an orchestrator restarting a crashed host job.
-///
-/// The respawned incarnation runs with the chaos-injection knobs and the
-/// link-fault plans cleared (a replacement must not replay the injected
-/// failure that killed its predecessor) but keeps the WAN shaping and
-/// reliability parameters, so its link behaves like the original one.
-struct HostRespawner {
+type HostHandle = thread::JoinHandle<Result<(PartyTelemetry, HostSplitTable), HostFailure>>;
+
+/// Starts every host incarnation of a run — the first ones and, as the
+/// trainer's [`HostSpawner`], the replacements the `AwaitRejoin` policy
+/// asks for (the in-process equivalent of an orchestrator restarting a
+/// crashed host job).
+struct HostLauncher {
     datasets: Vec<Arc<Dataset>>,
     cfg: TrainConfig,
-    /// A public-half suite template; each respawn derives a fresh suite
-    /// (with its own operation counters) from it.
-    suite: Suite,
+    /// The run's key material; a host only ever gets its public half.
+    keys: Suite,
     session: Option<SessionConfig>,
-    /// Joinable handles of every respawned incarnation, in spawn order.
-    /// The trainer drains these after the guest returns; the newest
-    /// incarnation's telemetry and split table supersede the original's.
-    handles: Mutex<Vec<(usize, RespawnedHandle)>>,
+    /// Joinable handles of every incarnation, in spawn order.
+    handles: Mutex<Vec<(usize, HostHandle)>>,
 }
 
-type RespawnedHandle = thread::JoinHandle<Result<(PartyTelemetry, HostSplitTable), HostFailure>>;
-
-impl HostSpawner for HostRespawner {
-    fn respawn(&self, party: usize) -> Result<Endpoint, TrainError> {
-        let cfg = TrainConfig {
-            fault_guest_to_host: FaultConfig::none(),
-            fault_host_to_guest: FaultConfig::none(),
-            crash_host_on_node_task: None,
-            crash_host_after_trees: None,
-            crash_hist_worker_on_tree: None,
-            ..self.cfg
-        };
-        let data = self.datasets.get(party).cloned().ok_or_else(|| TrainError::Setup {
-            party: PartyId::Host(party),
-            detail: "respawn requested for an unknown host index".into(),
-        })?;
+impl HostLauncher {
+    /// Spawns one incarnation of host `party` behind a fresh link shaped
+    /// like every link of that host (WAN spread, reliability) and returns
+    /// the guest's end. `chaos` is what the incarnation and its link
+    /// suffer: the caller's plan for a first incarnation, nothing for a
+    /// replacement.
+    fn spawn_host(&self, party: usize, chaos: ChaosPlan) -> Result<Endpoint, TrainError> {
+        let setup = |detail: String| TrainError::Setup { party: PartyId::Host(party), detail };
+        let data = self
+            .datasets
+            .get(party)
+            .cloned()
+            .ok_or_else(|| setup("spawn requested for an unknown host index".into()))?;
+        let cfg = self.cfg;
         let (guest_ep, host_ep) = duplex_faulty(
             cfg.wan_for_host(party, self.datasets.len()),
-            FaultConfig::none(),
-            FaultConfig::none(),
+            fault_for_host(chaos.fault_guest_to_host, party),
+            fault_for_host(chaos.fault_host_to_guest, party),
             cfg.reliability,
         );
-        let host_suite = match cfg.crypto {
-            CryptoConfig::Paillier { .. } => self.suite.public_half(),
-            CryptoConfig::Mock => Suite::plain(cfg.encoding),
+        // A fresh suite per incarnation (mock included), so operation
+        // counters stay per-party.
+        let suite = self.keys.public_half();
+        let session = self.session.as_ref().map(|sc| PartySession::host(sc, &cfg, party));
+        let mut handles =
+            self.handles.lock().map_err(|_| setup("spawn bookkeeping poisoned".into()))?;
+        let name = match handles.iter().filter(|(p, _)| *p == party).count() {
+            0 => format!("vf2-host-{party}"),
+            earlier => format!("vf2-host-{party}-r{}", earlier + 1),
         };
-        let host_session = self.session.as_ref().map(|sc| PartySession::host(sc, &cfg, party));
-        let mut handles = self.handles.lock().map_err(|_| TrainError::Setup {
-            party: PartyId::Host(party),
-            detail: "respawn bookkeeping poisoned".into(),
-        })?;
-        let incarnation = handles.iter().filter(|(p, _)| *p == party).count() + 2;
         let handle = thread::Builder::new()
-            .name(format!("vf2-host-{party}-r{incarnation}"))
-            .spawn(move || run_host(party, data, cfg, host_suite, host_ep, host_session))
-            .map_err(|e| TrainError::Setup {
-                party: PartyId::Host(party),
-                detail: format!("respawn thread failed: {e}"),
-            })?;
+            .name(name)
+            .spawn(move || run_host(party, data, cfg, suite, host_ep, session, chaos))
+            .map_err(|e| setup(format!("thread spawn failed: {e}")))?;
         handles.push((party, handle));
         Ok(guest_ep)
+    }
+}
+
+impl HostSpawner for HostLauncher {
+    fn respawn(&self, party: usize) -> Result<Endpoint, TrainError> {
+        self.spawn_host(party, ChaosPlan::default())
     }
 }
 
@@ -144,7 +130,7 @@ pub fn train_federated(
     guest: &Dataset,
     cfg: &TrainConfig,
 ) -> Result<TrainOutput, TrainFailure> {
-    train_federated_session(hosts, guest, cfg, None)
+    train_federated_session(hosts, guest, cfg, None, &ChaosPlan::default())
 }
 
 /// [`train_federated`] with a resumable session: every party checkpoints
@@ -152,11 +138,15 @@ pub fn train_federated(
 /// flagged [`SessionConfig::resuming`] restarts from the last *mutually*
 /// durable tree instead of from scratch. The resumed model is bitwise
 /// identical to an uninterrupted run (the chaos suite asserts this).
+///
+/// `chaos` is where the robustness suites attach link faults and injected
+/// crashes; everything else passes [`ChaosPlan::default`].
 pub fn train_federated_session(
     hosts: &[Dataset],
     guest: &Dataset,
     cfg: &TrainConfig,
     session: Option<&SessionConfig>,
+    chaos: &ChaosPlan,
 ) -> Result<TrainOutput, TrainFailure> {
     // Liveness and loss-policy knobs are validated before any thread,
     // link, or key material exists: an unsatisfiable configuration (a
@@ -192,8 +182,7 @@ pub fn train_federated_session(
     }
 
     // Key material: the guest holds the private key, hosts get the public
-    // half. Mock mode gives every party an independent plain suite so that
-    // operation counters stay per-party.
+    // half (the launcher hands it out).
     let guest_suite = match cfg.crypto {
         CryptoConfig::Paillier { key_bits } => {
             let keys = KeyPair::generate_seeded(key_bits, cfg.seed)
@@ -204,47 +193,16 @@ pub fn train_federated_session(
     };
 
     let started = Instant::now();
-    let host_datasets: Vec<Arc<Dataset>> = hosts.iter().map(|h| Arc::new(h.clone())).collect();
-    let mut host_handles = Vec::with_capacity(hosts.len());
-    let mut guest_endpoints = Vec::with_capacity(hosts.len());
-    for (p, data) in host_datasets.iter().enumerate() {
-        // Heterogeneous WANs: each host's link interpolates from the base
-        // WAN toward the configured slowest profile, and any stall window
-        // is staggered per party (rolling outages, not one blackout).
-        let (guest_ep, host_ep) = duplex_faulty(
-            cfg.wan_for_host(p, host_datasets.len()),
-            fault_for_host(cfg.fault_guest_to_host, p, cfg.stall_stagger),
-            fault_for_host(cfg.fault_host_to_guest, p, cfg.stall_stagger),
-            cfg.reliability,
-        );
-        guest_endpoints.push(guest_ep);
-        let data = Arc::clone(data);
-        let host_suite = match cfg.crypto {
-            CryptoConfig::Paillier { .. } => guest_suite.public_half(),
-            CryptoConfig::Mock => Suite::plain(cfg.encoding),
-        };
-        let host_cfg = *cfg;
-        let host_session = session.map(|sc| PartySession::host(sc, cfg, p));
-        let handle = thread::Builder::new()
-            .name(format!("vf2-host-{p}"))
-            .spawn(move || run_host(p, data, host_cfg, host_suite, host_ep, host_session))
-            .map_err(|e| TrainError::Setup {
-                party: PartyId::Host(p),
-                detail: format!("thread spawn failed: {e}"),
-            })?;
-        host_handles.push(handle);
-    }
-
-    let respawner = Arc::new(HostRespawner {
-        datasets: host_datasets,
+    let launcher = Arc::new(HostLauncher {
+        datasets: hosts.iter().map(|h| Arc::new(h.clone())).collect(),
         cfg: *cfg,
-        suite: match cfg.crypto {
-            CryptoConfig::Paillier { .. } => guest_suite.public_half(),
-            CryptoConfig::Mock => Suite::plain(cfg.encoding),
-        },
+        keys: guest_suite.clone(),
         session: session.cloned(),
         handles: Mutex::new(Vec::new()),
     });
+    let guest_endpoints =
+        (0..hosts.len()).map(|p| launcher.spawn_host(p, *chaos)).collect::<Result<Vec<_>, _>>()?;
+
     let guest_session = session.map(|sc| PartySession::guest(sc, cfg));
     let guest_result = run_guest(
         Arc::new(guest.clone()),
@@ -252,7 +210,7 @@ pub fn train_federated_session(
         guest_suite,
         guest_endpoints,
         guest_session,
-        Some(respawner.clone() as Arc<dyn HostSpawner>),
+        Some(launcher.clone() as Arc<dyn HostSpawner>),
     );
     let wall_time = started.elapsed();
 
@@ -280,72 +238,39 @@ pub fn train_federated_session(
         )
     };
 
-    // Join every host even after a failure: their partial telemetry still
-    // belongs in the report, and a panicked thread must be caught here
-    // rather than poisoning the caller.
+    // Join every incarnation, in spawn order, even after a failure: their
+    // partial telemetry still belongs in the report, and a panicked thread
+    // must be caught here rather than poisoning the caller. For a host
+    // that died and was respawned the newest incarnation's telemetry and
+    // split table win (earlier ones are the expected deaths the guest
+    // survived); a panicked thread leaves only its name behind.
     let mut first_host_error = None;
-    let mut host_telemetry = Vec::with_capacity(host_handles.len());
-    let mut host_tables: Vec<Option<HostSplitTable>> = Vec::with_capacity(host_handles.len());
-    for (p, handle) in host_handles.into_iter().enumerate() {
-        match handle.join() {
-            Ok(Ok((telemetry, table))) => {
-                host_telemetry.push(telemetry);
-                host_tables.push(Some(table));
-            }
-            Ok(Err(HostFailure { error, telemetry })) => {
-                host_telemetry.push(*telemetry);
-                host_tables.push(None);
-                if !expected_death(p) {
-                    first_host_error.get_or_insert(error);
-                }
-            }
-            Err(payload) => {
-                host_telemetry
-                    .push(PartyTelemetry { name: format!("host-{p}"), ..Default::default() });
-                host_tables.push(None);
-                if !expected_death(p) {
-                    first_host_error.get_or_insert(TrainError::PartyPanicked {
-                        party: PartyId::Host(p),
-                        detail: panic_detail(payload),
-                    });
-                }
-            }
-        }
-    }
-
-    // Respawned incarnations joined in spawn order: for a host that died
-    // more than once, the newest incarnation's telemetry and split table
-    // win (earlier ones are the expected deaths the guest survived).
-    let respawned = match respawner.handles.lock() {
-        Ok(mut guard) => guard.drain(..).collect::<Vec<_>>(),
+    let mut host_telemetry: Vec<PartyTelemetry> = (0..hosts.len())
+        .map(|p| PartyTelemetry { name: format!("host-{p}"), ..Default::default() })
+        .collect();
+    let mut host_tables: Vec<Option<HostSplitTable>> = vec![None; hosts.len()];
+    let incarnations = match launcher.handles.lock() {
+        Ok(mut guard) => std::mem::take(&mut *guard),
         Err(_) => Vec::new(),
     };
-    for (p, handle) in respawned {
-        match handle.join() {
+    for (p, handle) in incarnations {
+        let error = match handle.join() {
             Ok(Ok((telemetry, table))) => {
-                if let Some(slot) = host_telemetry.get_mut(p) {
-                    *slot = telemetry;
-                }
-                if let Some(slot) = host_tables.get_mut(p) {
-                    *slot = Some(table);
-                }
+                host_telemetry[p] = telemetry;
+                host_tables[p] = Some(table);
+                continue;
             }
             Ok(Err(HostFailure { error, telemetry })) => {
-                if let Some(slot) = host_telemetry.get_mut(p) {
-                    *slot = *telemetry;
-                }
-                if !expected_death(p) {
-                    first_host_error.get_or_insert(error);
-                }
+                host_telemetry[p] = *telemetry;
+                error
             }
-            Err(payload) => {
-                if !expected_death(p) {
-                    first_host_error.get_or_insert(TrainError::PartyPanicked {
-                        party: PartyId::Host(p),
-                        detail: panic_detail(payload),
-                    });
-                }
-            }
+            Err(payload) => TrainError::PartyPanicked {
+                party: PartyId::Host(p),
+                detail: panic_text(payload.as_ref()),
+            },
+        };
+        if !expected_death(p) {
+            first_host_error.get_or_insert(error);
         }
     }
 
@@ -443,6 +368,25 @@ mod tests {
     /// instead of sprinkling bare `unwrap`s through the assertions.
     fn labels(d: &Dataset) -> &[f32] {
         d.labels().expect("scenario guest carries labels")
+    }
+
+    #[test]
+    fn per_host_fault_plans_offset_the_seed_and_roll_the_stall() {
+        use std::time::Duration;
+        let window =
+            StallWindow { after: Duration::from_millis(40), duration: Duration::from_millis(30) };
+        let base =
+            FaultConfig { seed: 7, drop_prob: 0.1, stall: Some(window), ..FaultConfig::none() };
+        assert_eq!(fault_for_host(base, 0), base);
+        let third = fault_for_host(base, 3);
+        assert_eq!(third.seed, 10);
+        // Host p's window opens p window lengths after host 0's, same length.
+        let rolled = StallWindow { after: Duration::from_millis(40 + 3 * 30), ..window };
+        assert_eq!(third, FaultConfig { seed: 10, stall: Some(rolled), ..base });
+        // No stall window: only the seed moves — and an inert plan stays inert.
+        let calm = FaultConfig { stall: None, ..base };
+        assert_eq!(fault_for_host(calm, 3), FaultConfig { seed: 10, ..calm });
+        assert!(!fault_for_host(FaultConfig::none(), 5).is_active());
     }
 
     #[test]

@@ -7,21 +7,22 @@
 //! a hang, never a silently wrong model. A clean wire must stay bitwise
 //! identical no matter how large the misbehavior budget is.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use vf2boost::channel::{duplex, Endpoint, MalfeasantPeer, Misdeed, WanConfig};
-use vf2boost::core::config::{CryptoConfig, TrainConfig};
-use vf2boost::core::error::{PartyId, ProtocolError, TrainError};
-use vf2boost::core::guest::run_guest;
+use vf2boost::core::config::{CryptoConfig, HostLossPolicy, TrainConfig};
+use vf2boost::core::error::{GuestFailure, PartyId, ProtocolError, TrainError};
+use vf2boost::core::guest::{run_guest, HostSpawner};
 use vf2boost::core::host::run_host;
 use vf2boost::core::json;
 use vf2boost::core::messages::{
     FeatureMeta, GhPackedFeatureHist, HistPayload, Msg, RawFeatureHist,
 };
+use vf2boost::core::session::PartySession;
 use vf2boost::core::telemetry::{party_to_json, PartyTelemetry};
 use vf2boost::core::trace::write_flight_record;
-use vf2boost::core::{encode_model, train_federated, wire};
+use vf2boost::core::{encode_model, train_federated, wire, ChaosPlan, SessionConfig};
 use vf2boost::crypto::paillier::RawCipher;
 use vf2boost::crypto::suite::{Ciphertext, PackedCiphertext, PlainNumber, Suite};
 use vf2boost::crypto::{CryptoError, EncryptedNumber, GhPlan, PackingPlan};
@@ -64,7 +65,8 @@ fn spawn_host(
         Arc::new(Dataset::new(4, vec![FeatureColumn::Dense(vec![0.0, 1.0, 2.0, 3.0])], None));
     let suite = Suite::plain(cfg.encoding);
     let handle = std::thread::spawn(move || {
-        run_host(0, data, cfg, suite, host_ep, None).map(|(telemetry, _)| telemetry)
+        run_host(0, data, cfg, suite, host_ep, None, ChaosPlan::default())
+            .map(|(telemetry, _)| telemetry)
     });
     (guest_ep, handle)
 }
@@ -257,9 +259,7 @@ fn guest_data() -> Arc<Dataset> {
     }))
 }
 
-fn spawn_guest(
-    cfg: TrainConfig,
-) -> (Endpoint, std::thread::JoinHandle<Option<vf2boost::core::error::GuestFailure>>) {
+fn spawn_guest(cfg: TrainConfig) -> (Endpoint, std::thread::JoinHandle<Option<GuestFailure>>) {
     let (guest_ep, host_ep) = duplex(WanConfig::instant());
     let data = guest_data();
     let suite = Suite::plain(cfg.encoding);
@@ -352,13 +352,109 @@ fn guest_rejects_wrong_length_histograms() {
     }
 }
 
+/// A scripted replacement host: what the second incarnation puts on the
+/// fresh link the moment the guest asks for one. The host end is parked in
+/// `links`, so the link stays up and whatever ends the rejoin is the
+/// guest's own verdict, never a disconnect.
+struct ScriptedRejoin {
+    script: Vec<Msg>,
+    links: Mutex<Vec<Endpoint>>,
+}
+
+impl HostSpawner for ScriptedRejoin {
+    fn respawn(&self, _party: usize) -> Result<Endpoint, TrainError> {
+        let (guest_ep, host_ep) = duplex(WanConfig::instant());
+        for msg in &self.script {
+            send(&host_ep, msg);
+        }
+        self.links.lock().unwrap().push(host_ep);
+        Ok(guest_ep)
+    }
+}
+
+const REJOIN_SID: u64 = 0x5e55;
+
+/// Runs a production guest under `AwaitRejoin` against a first host
+/// incarnation that completes an honest handshake (epoch 1) and then
+/// dies, and hands it `script` as the second incarnation. Returns how the
+/// guest failed.
+fn rejoin_against(tag: &str, deadline: Duration, script: Vec<Msg>) -> GuestFailure {
+    let cfg = TrainConfig { on_host_loss: HostLossPolicy::AwaitRejoin { deadline }, ..byz_cfg(0) };
+    let dir = std::env::temp_dir().join(format!("vf2boost-byz-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let session = PartySession::guest(&SessionConfig::new(REJOIN_SID, &dir), &cfg);
+    let spawner: Arc<dyn HostSpawner> =
+        Arc::new(ScriptedRejoin { script, links: Mutex::new(Vec::new()) });
+    let (guest_ep, host_ep) = duplex(WanConfig::instant());
+    let suite = Suite::plain(cfg.encoding);
+    let handle = std::thread::spawn(move || {
+        run_guest(guest_data(), cfg, suite, vec![guest_ep], Some(session), Some(spawner)).err()
+    });
+    send(&host_ep, &Msg::SessionHello { session_id: REJOIN_SID, epoch: 1, durable: vec![] });
+    send(&host_ep, &Msg::FeatureMeta(vec![FeatureMeta { num_bins: 8, zero_bin: 0 }]));
+    // The guest's `Resume` proves it consumed the handshake; dying now is
+    // a tree-phase loss, the only kind the policy survives.
+    loop {
+        let env = host_ep.recv_timeout(DRAIN).expect("the guest answers the handshake");
+        if matches!(wire::decode(env.kind, env.payload), Ok(Msg::Resume { .. })) {
+            break;
+        }
+    }
+    drop(host_ep);
+    let failure = handle.join().unwrap().expect("a bad rejoin must fail the guest");
+    let _ = std::fs::remove_dir_all(&dir);
+    failure
+}
+
+/// The rejection arms of the handshake handler the startup and the rejoin
+/// path now share, driven through the rejoin path (the startup path is
+/// `guest_rejects_wrong_kind_during_handshake`): every bad second
+/// incarnation ends in a typed error within the policy deadline.
+#[test]
+fn guest_rejects_a_bad_rejoin_handshake_with_a_typed_error() {
+    let hello =
+        |session_id: u64, epoch: u32| Msg::SessionHello { session_id, epoch, durable: vec![] };
+    let long = Duration::from_secs(10);
+
+    // A newer incarnation of some *other* session.
+    let failure = rejoin_against("foreign", long, vec![hello(REJOIN_SID + 1, 2)]);
+    assert!(
+        matches!(failure.error, TrainError::ResumeMismatch { party: PartyId::Host(0), .. }),
+        "{}",
+        failure.error
+    );
+    assert_eq!(failure.telemetry.events.quarantines, 1);
+    assert_eq!(failure.telemetry.events.rejoins, 0);
+
+    // A valid newer-epoch hello followed by a non-handshake kind where the
+    // metadata is due: the admission FSM refuses it ahead of the handler.
+    let placement = Msg::Placement { tree: 0, node: 0, placement: vec![true] };
+    let failure = rejoin_against("kind", long, vec![hello(REJOIN_SID, 2), placement]);
+    match failure.error {
+        TrainError::PeerMisbehaving { party, last, .. } => {
+            assert_eq!(party, PartyId::Host(0));
+            assert!(matches!(*last, ProtocolError::OutOfPhase { kind: 7, .. }), "{last}");
+        }
+        other => panic!("wrong error: {other}"),
+    }
+
+    // The dead incarnation's own hello replayed on the fresh link fails
+    // the epoch fence, is dropped as stale, and the wait ends at the
+    // policy deadline with the original loss — bounded, never a hang.
+    let failure = rejoin_against("replay", Duration::from_millis(600), vec![hello(REJOIN_SID, 1)]);
+    assert!(
+        matches!(failure.error, TrainError::PeerLost { party: PartyId::Host(0), .. }),
+        "{}",
+        failure.error
+    );
+    assert!(failure.telemetry.events.stale_msgs_dropped >= 1);
+}
+
 /// Drives a production guest on the paired path (Paillier, histogram
 /// packing on) against a scripted host that owns one 4-bin feature and
 /// answers the first node task with whatever `forge` builds from the
 /// host's public suite and the pair plan both sides derive.
-fn paired_guest_against(
-    forge: impl Fn(&Suite, &GhPlan) -> Vec<PackedCiphertext>,
-) -> vf2boost::core::error::GuestFailure {
+fn paired_guest_against(forge: impl Fn(&Suite, &GhPlan) -> Vec<PackedCiphertext>) -> GuestFailure {
     let cfg = TrainConfig::for_tests();
     let guest_suite = Suite::paillier_seeded(256, 5, cfg.encoding).unwrap();
     let host_suite = guest_suite.public_half();

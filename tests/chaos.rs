@@ -15,8 +15,7 @@ use support::{assert_bitwise, margins, scenario};
 use vf2boost::channel::{FaultConfig, WanConfig};
 use vf2boost::core::config::CryptoConfig;
 use vf2boost::core::error::{PartyId, TrainError};
-use vf2boost::core::train_federated;
-use vf2boost::core::TrainConfig;
+use vf2boost::core::{train_federated, train_federated_session, ChaosPlan, TrainConfig};
 use vf2boost::gbdt::train::GbdtParams;
 
 fn chaos_cfg() -> TrainConfig {
@@ -45,15 +44,15 @@ fn hostile(seed: u64) -> FaultConfig {
 #[test]
 fn faulty_wan_trains_the_identical_model() {
     let s = scenario(61);
-    let clean_cfg = chaos_cfg();
-    let faulty_cfg = TrainConfig {
+    let cfg = chaos_cfg();
+    let hostile_wire = ChaosPlan {
         fault_guest_to_host: hostile(0xC0FFEE),
         fault_host_to_guest: hostile(0xBEEF),
-        ..clean_cfg
+        ..ChaosPlan::default()
     };
 
-    let clean = train_federated(&s.hosts, &s.guest, &clean_cfg).expect("clean run succeeds");
-    let faulty = train_federated(&s.hosts, &s.guest, &faulty_cfg)
+    let clean = train_federated(&s.hosts, &s.guest, &cfg).expect("clean run succeeds");
+    let faulty = train_federated_session(&s.hosts, &s.guest, &cfg, None, &hostile_wire)
         .expect("reliable delivery must mask drops, duplicates, reordering and corruption");
 
     // Exactly-once in-order delivery per link direction means both runs
@@ -61,11 +60,16 @@ fn faulty_wan_trains_the_identical_model() {
     // crypto) the models must be bitwise-identical.
     assert_bitwise("faulty wan", &margins(&clean, &s), &margins(&faulty, &s));
 
-    // The wire really was hostile: faults fired and the sublayer worked
-    // around them (clean runs report all-zero counters).
+    // The wire really was hostile in the faulty run only. The clean run's
+    // *retransmission* count is deliberately not asserted: under
+    // `ReliabilityConfig::aggressive()` (10 ms initial RTO) a loaded 2-vCPU
+    // box delays an ack past the RTO often enough that a fault-free link
+    // legitimately re-sends a frame — the duplicate is suppressed and the
+    // model untouched. An RTT-estimated RTO (ROADMAP item 4a) would make
+    // "a healthy link retransmits nothing" true again.
     let clean_events = clean.report.link_events();
     assert_eq!(clean_events.faults_injected, 0);
-    assert_eq!(clean_events.retransmissions, 0);
+    assert_eq!(clean_events.corrupt_rejected, 0);
     let events = faulty.report.link_events();
     assert!(events.faults_injected > 0, "no faults fired: {events:?}");
     assert!(events.retransmissions > 0, "drops must force retransmissions: {events:?}");
@@ -75,12 +79,14 @@ fn faulty_wan_trains_the_identical_model() {
 #[test]
 fn lossy_preset_on_both_directions_still_converges() {
     let s = scenario(62);
-    let cfg = TrainConfig {
+    let cfg = chaos_cfg();
+    let lossy = ChaosPlan {
         fault_guest_to_host: FaultConfig::lossy(7),
         fault_host_to_guest: FaultConfig::lossy(8),
-        ..chaos_cfg()
+        ..ChaosPlan::default()
     };
-    let out = train_federated(&s.hosts, &s.guest, &cfg).expect("lossy run succeeds");
+    let out = train_federated_session(&s.hosts, &s.guest, &cfg, None, &lossy)
+        .expect("lossy run succeeds");
     assert_eq!(out.model.trees.len(), cfg.gbdt.num_trees);
     for t in &out.model.trees {
         t.validate().expect("valid federated tree");
@@ -92,17 +98,17 @@ fn host_link_disconnect_yields_peer_lost_not_a_hang() {
     let s = scenario(63);
     // Kill the host→guest direction early: the guest keeps sending but
     // nothing (data or acks for the guest's view of host data) comes back.
-    let cfg = TrainConfig {
+    let cfg = TrainConfig { peer_timeout: Duration::from_secs(2), ..chaos_cfg() };
+    let dead_link = ChaosPlan {
         fault_host_to_guest: FaultConfig {
             disconnect_after_frames: Some(6),
             ..FaultConfig::none()
         },
-        peer_timeout: Duration::from_secs(2),
-        ..chaos_cfg()
+        ..ChaosPlan::default()
     };
     let t0 = Instant::now();
-    let failure =
-        train_federated(&s.hosts, &s.guest, &cfg).expect_err("a dead peer must abort the run");
+    let failure = train_federated_session(&s.hosts, &s.guest, &cfg, None, &dead_link)
+        .expect_err("a dead peer must abort the run");
     let elapsed = t0.elapsed();
     assert!(
         matches!(failure.error, TrainError::PeerLost { .. }),
@@ -123,17 +129,17 @@ fn guest_link_disconnect_yields_peer_lost_at_the_host_too() {
     let s = scenario(64);
     // Kill the guest→host direction instead: the host starves while the
     // guest waits for histograms that were never requested successfully.
-    let cfg = TrainConfig {
+    let cfg = TrainConfig { peer_timeout: Duration::from_secs(2), ..chaos_cfg() };
+    let dead_link = ChaosPlan {
         fault_guest_to_host: FaultConfig {
             disconnect_after_frames: Some(6),
             ..FaultConfig::none()
         },
-        peer_timeout: Duration::from_secs(2),
-        ..chaos_cfg()
+        ..ChaosPlan::default()
     };
     let t0 = Instant::now();
-    let failure =
-        train_federated(&s.hosts, &s.guest, &cfg).expect_err("a dead peer must abort the run");
+    let failure = train_federated_session(&s.hosts, &s.guest, &cfg, None, &dead_link)
+        .expect_err("a dead peer must abort the run");
     assert!(
         matches!(
             failure.error,

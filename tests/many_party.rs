@@ -18,7 +18,9 @@ use support::{assert_bitwise, corner_modes, margins, scenario_of, temp_dir};
 use vf2boost::channel::{FaultConfig, StallWindow, WanConfig};
 use vf2boost::core::config::{CryptoConfig, HostLossPolicy, WanSpread};
 use vf2boost::core::protocol::ProtocolConfig;
-use vf2boost::core::{train_federated, train_federated_session, SessionConfig, TrainConfig};
+use vf2boost::core::{
+    train_federated, train_federated_session, ChaosPlan, SessionConfig, TrainConfig,
+};
 use vf2boost::datagen::vertical::VerticalScenario;
 use vf2boost::gbdt::train::GbdtParams;
 
@@ -30,8 +32,8 @@ fn scenario(seed: u64) -> VerticalScenario {
 }
 
 /// A per-link plan with both fault classes the loop must ride out: a
-/// timed blackout (staggered per host by `stall_stagger`, so outages
-/// roll across the roster) and frame reordering.
+/// timed blackout (host `p`'s opens `p` window lengths after host 0's, so
+/// outages roll across the roster) and frame reordering.
 fn rolling_faults(seed: u64) -> FaultConfig {
     FaultConfig {
         seed,
@@ -57,9 +59,8 @@ fn calm_cfg(seed: u64, protocol: ProtocolConfig) -> TrainConfig {
 }
 
 /// Eight hosts behind a heterogeneous WAN: host 0 gets the base link,
-/// host 7 a quarter of the bandwidth at four times the latency, with
-/// rolling stalls and reordering on every link.
-fn chaos_cfg(seed: u64, protocol: ProtocolConfig) -> TrainConfig {
+/// host 7 a quarter of the bandwidth at four times the latency.
+fn spread_cfg(seed: u64, protocol: ProtocolConfig) -> TrainConfig {
     TrainConfig {
         wan: WanConfig {
             bandwidth_bytes_per_sec: 50.0e6,
@@ -67,10 +68,16 @@ fn chaos_cfg(seed: u64, protocol: ProtocolConfig) -> TrainConfig {
             per_message_overhead_bytes: 32,
         },
         wan_spread: Some(WanSpread { slowest_bandwidth_frac: 0.25, latency_mult: 4.0 }),
+        ..calm_cfg(seed, protocol)
+    }
+}
+
+/// Rolling stalls and reordering on every link, in both directions.
+fn hostile_links(seed: u64) -> ChaosPlan {
+    ChaosPlan {
         fault_guest_to_host: rolling_faults(seed ^ 0xA11CE),
         fault_host_to_guest: rolling_faults(seed ^ 0xB0B),
-        stall_stagger: Duration::from_millis(25),
-        ..calm_cfg(seed, protocol)
+        ..ChaosPlan::default()
     }
 }
 
@@ -85,8 +92,14 @@ fn eight_host_chaos_matrix_is_arrival_order_invariant() {
     for (name, protocol) in corner_modes() {
         let calm = train_federated(&s.hosts, &s.guest, &calm_cfg(71, protocol))
             .unwrap_or_else(|f| panic!("[{name}] calm run failed: {}", f.error));
-        let chaos = train_federated(&s.hosts, &s.guest, &chaos_cfg(71, protocol))
-            .unwrap_or_else(|f| panic!("[{name}] chaos run failed: {}", f.error));
+        let chaos = train_federated_session(
+            &s.hosts,
+            &s.guest,
+            &spread_cfg(71, protocol),
+            None,
+            &hostile_links(71),
+        )
+        .unwrap_or_else(|f| panic!("[{name}] chaos run failed: {}", f.error));
 
         assert_eq!(chaos.report.hosts.len(), HOSTS);
         assert_bitwise(name, &margins(&calm, &s), &margins(&chaos, &s));
@@ -147,12 +160,12 @@ fn pipelined_kill_and_rejoin_holds_the_rewind_barrier() {
 
     let dir = temp_dir("many_rejoin");
     let session = SessionConfig::new(0x0d10_0073, &dir);
-    let chaos = TrainConfig {
-        crash_host_on_node_task: Some((1, 0)),
+    let cfg = TrainConfig {
         on_host_loss: HostLossPolicy::AwaitRejoin { deadline: Duration::from_secs(10) },
         ..base
     };
-    let out = train_federated_session(&s.hosts, &s.guest, &chaos, Some(&session))
+    let kill = ChaosPlan { crash_host_on_node_task: Some((1, 0)), ..ChaosPlan::default() };
+    let out = train_federated_session(&s.hosts, &s.guest, &cfg, Some(&session), &kill)
         .unwrap_or_else(|f| panic!("rejoin run failed: {}", f.error));
 
     let ev = &out.report.guest.events;

@@ -21,7 +21,9 @@ use vf2boost::core::messages::Msg;
 use vf2boost::core::protocol::ProtocolConfig;
 use vf2boost::core::session::PartySession;
 use vf2boost::core::wire;
-use vf2boost::core::{train_federated, train_federated_session, SessionConfig, TrainConfig};
+use vf2boost::core::{
+    train_federated, train_federated_session, ChaosPlan, SessionConfig, TrainConfig,
+};
 use vf2boost::crypto::encoding::EncodingConfig;
 use vf2boost::crypto::suite::Suite;
 use vf2boost::gbdt::data::{Dataset, FeatureColumn};
@@ -36,6 +38,28 @@ fn resume_cfg(seed: u64, protocol: ProtocolConfig) -> TrainConfig {
         seed,
         ..TrainConfig::for_tests()
     }
+}
+
+/// The one kill point: host 0 dies the moment tree 2's root task reaches
+/// it — FIFO-after `TreeDone(1)`, so the 2-tree checkpoint is durable on
+/// both sides, and inside the node loop, with the guest holding a
+/// half-built tree.
+fn kill_in_tree_2() -> ChaosPlan {
+    ChaosPlan { crash_host_on_node_task: Some((2, 0)), ..ChaosPlan::default() }
+}
+
+/// A host→guest direction misbehaving per `fault`.
+fn faulty_return_path(fault: FaultConfig) -> ChaosPlan {
+    ChaosPlan { fault_host_to_guest: fault, ..ChaosPlan::default() }
+}
+
+/// A 600 ms host→guest blackout from link creation: hellos and histograms
+/// are held, then delivered.
+fn early_outage() -> ChaosPlan {
+    faulty_return_path(FaultConfig {
+        stall: Some(StallWindow { after: Duration::ZERO, duration: Duration::from_millis(600) }),
+        ..FaultConfig::none()
+    })
 }
 
 /// Kill the host after 2 of 4 trees, restart the whole job from its
@@ -54,9 +78,9 @@ fn assert_resume_matrix(seed: u64) {
         // checkpoint becomes durable.
         let dir = temp_dir(&format!("{seed}_{name}"));
         let session = SessionConfig::new(seed ^ 0x005e_5510, &dir);
-        let crash_cfg = TrainConfig { crash_host_after_trees: Some(2), ..cfg };
-        let failure = train_federated_session(&s.hosts, &s.guest, &crash_cfg, Some(&session))
-            .expect_err("the injected crash must abort incarnation 1");
+        let failure =
+            train_federated_session(&s.hosts, &s.guest, &cfg, Some(&session), &kill_in_tree_2())
+                .expect_err("the injected crash must abort incarnation 1");
         assert!(
             matches!(failure.error, TrainError::PartyPanicked { party: PartyId::Host(0), .. }),
             "[{name}] expected the injected host crash, got {}",
@@ -72,9 +96,14 @@ fn assert_resume_matrix(seed: u64) {
 
         // Incarnation 2: same session, resume flag set, no crash. Both
         // parties must agree on tree 2 and finish the remaining trees.
-        let resumed =
-            train_federated_session(&s.hosts, &s.guest, &cfg, Some(&session.clone().resuming()))
-                .unwrap_or_else(|f| panic!("[{name}] resumed run failed: {}", f.error));
+        let resumed = train_federated_session(
+            &s.hosts,
+            &s.guest,
+            &cfg,
+            Some(&session.clone().resuming()),
+            &ChaosPlan::default(),
+        )
+        .unwrap_or_else(|f| panic!("[{name}] resumed run failed: {}", f.error));
         assert!(
             resumed.report.guest.events.resumes >= 1,
             "[{name}] guest never resumed: {:?}",
@@ -117,17 +146,15 @@ fn silent_peer_death_is_a_typed_error_within_the_liveness_deadline() {
     // The host→guest direction blackholes early while the per-phase
     // deadline is far away: only heartbeat supervision can notice.
     let cfg = TrainConfig {
-        fault_host_to_guest: FaultConfig {
-            disconnect_after_frames: Some(6),
-            ..FaultConfig::none()
-        },
         peer_timeout: Duration::from_secs(30),
         peer_dead_after: Duration::from_millis(1500),
         heartbeat_interval: Duration::from_millis(200),
         ..resume_cfg(65, ProtocolConfig::vf2boost())
     };
+    let blackhole =
+        faulty_return_path(FaultConfig { disconnect_after_frames: Some(6), ..FaultConfig::none() });
     let t0 = Instant::now();
-    let failure = train_federated(&s.hosts, &s.guest, &cfg)
+    let failure = train_federated_session(&s.hosts, &s.guest, &cfg, None, &blackhole)
         .expect_err("a silently dead peer must abort the run");
     let elapsed = t0.elapsed();
     assert!(
@@ -147,23 +174,15 @@ fn silent_peer_death_is_a_typed_error_within_the_liveness_deadline() {
 fn outage_shorter_than_the_deadline_is_ridden_out() {
     let s = scenario(66);
     let base = resume_cfg(66, ProtocolConfig::vf2boost());
-    // A 600 ms blackout from link creation: hellos and histograms are
-    // held, then delivered. Shorter than the 2 s liveness deadline, so
+    // The 600 ms blackout is shorter than the 2 s liveness deadline, so
     // the run must finish — with the identical model.
     let cfg = TrainConfig {
-        fault_host_to_guest: FaultConfig {
-            stall: Some(StallWindow {
-                after: Duration::ZERO,
-                duration: Duration::from_millis(600),
-            }),
-            ..FaultConfig::none()
-        },
         peer_dead_after: Duration::from_secs(2),
         heartbeat_interval: Duration::from_millis(150),
         ..base
     };
     let clean = train_federated(&s.hosts, &s.guest, &base).expect("clean run succeeds");
-    let stalled = train_federated(&s.hosts, &s.guest, &cfg)
+    let stalled = train_federated_session(&s.hosts, &s.guest, &cfg, None, &early_outage())
         .expect("an outage shorter than the liveness deadline must be survived");
     assert_bitwise("stalled", &margins(&clean, &s), &margins(&stalled, &s));
     // The guest noticed the silence (beacons went unanswered) but did
@@ -182,7 +201,9 @@ fn a_session_id_mismatch_is_a_typed_resume_error() {
     std::fs::create_dir_all(&dir).unwrap();
     let sess = PartySession::host(&SessionConfig::new(7, &dir), &cfg, 0);
     let suite = Suite::plain(EncodingConfig::default());
-    let handle = std::thread::spawn(move || run_host(0, data, cfg, suite, host_ep, Some(sess)));
+    let handle = std::thread::spawn(move || {
+        run_host(0, data, cfg, suite, host_ep, Some(sess), ChaosPlan::default())
+    });
     // Drain the host's SessionHello and FeatureMeta, then claim a
     // different session id in the Resume decision.
     let _ = guest_ep.recv().unwrap();
@@ -208,15 +229,13 @@ fn a_session_id_mismatch_is_a_typed_resume_error() {
 #[test]
 fn a_failing_flight_record_dump_is_counted_not_fatal() {
     let s = scenario(11);
-    let cfg = TrainConfig {
-        crash_host_after_trees: Some(2),
-        ..resume_cfg(11, ProtocolConfig::baseline())
-    };
+    let cfg = resume_cfg(11, ProtocolConfig::baseline());
     let dir = temp_dir("flight_fail");
     std::fs::create_dir_all(dir.join("guest.flight.json")).unwrap();
     let session = SessionConfig::new(0xf11e, &dir);
-    let failure = train_federated_session(&s.hosts, &s.guest, &cfg, Some(&session))
-        .expect_err("the injected host crash must abort the run");
+    let failure =
+        train_federated_session(&s.hosts, &s.guest, &cfg, Some(&session), &kill_in_tree_2())
+            .expect_err("the injected host crash must abort the run");
     assert!(
         matches!(failure.error, TrainError::PartyPanicked { party: PartyId::Host(0), .. }),
         "expected the injected host crash, got {}",
@@ -267,13 +286,18 @@ fn assert_rejoin_matrix(seed: u64) {
         // the session open and a fresh incarnation rejoins mid-run.
         let dir = temp_dir(&format!("rejoin_{seed}_{name}"));
         let session = SessionConfig::new(seed ^ 0x0d10_0ca0, &dir);
-        let chaos_cfg = TrainConfig {
-            crash_host_on_node_task: Some((2, 0)),
+        let rejoin_cfg = TrainConfig {
             on_host_loss: HostLossPolicy::AwaitRejoin { deadline: Duration::from_secs(10) },
             ..cfg
         };
-        let out = train_federated_session(&s.hosts, &s.guest, &chaos_cfg, Some(&session))
-            .unwrap_or_else(|f| panic!("[{name}] rejoin run failed: {}", f.error));
+        let out = train_federated_session(
+            &s.hosts,
+            &s.guest,
+            &rejoin_cfg,
+            Some(&session),
+            &kill_in_tree_2(),
+        )
+        .unwrap_or_else(|f| panic!("[{name}] rejoin run failed: {}", f.error));
 
         let ev = &out.report.guest.events;
         assert!(ev.quarantines >= 1, "[{name}] host loss was never quarantined: {ev:?}");
@@ -330,13 +354,18 @@ fn dropout_chaos_rejoin_with_a_live_survivor_rewinds_both() {
 
         let dir = temp_dir(&format!("rejoin2_{name}"));
         let session = SessionConfig::new(0x51d2_0094, &dir);
-        let chaos_cfg = TrainConfig {
-            crash_host_on_node_task: Some((2, 0)),
+        let rejoin_cfg = TrainConfig {
             on_host_loss: HostLossPolicy::AwaitRejoin { deadline: Duration::from_secs(10) },
             ..cfg
         };
-        let out = train_federated_session(&s.hosts, &s.guest, &chaos_cfg, Some(&session))
-            .unwrap_or_else(|f| panic!("[{name}] two-host rejoin run failed: {}", f.error));
+        let out = train_federated_session(
+            &s.hosts,
+            &s.guest,
+            &rejoin_cfg,
+            Some(&session),
+            &kill_in_tree_2(),
+        )
+        .unwrap_or_else(|f| panic!("[{name}] two-host rejoin run failed: {}", f.error));
         let ev = &out.report.guest.events;
         assert!(ev.rejoins >= 1, "[{name}] the restarted host never rejoined: {ev:?}");
         for rec in &out.report.tree_records {
@@ -356,11 +385,10 @@ fn dropout_chaos_rejoin_with_a_live_survivor_rewinds_both() {
 fn dropout_chaos_degrade_parks_the_only_host_and_finishes_guest_only() {
     let s = scenario(95);
     let cfg = TrainConfig {
-        crash_host_on_node_task: Some((2, 0)),
         on_host_loss: HostLossPolicy::Degrade,
         ..resume_cfg(95, ProtocolConfig::vf2boost())
     };
-    let out = train_federated(&s.hosts, &s.guest, &cfg)
+    let out = train_federated_session(&s.hosts, &s.guest, &cfg, None, &kill_in_tree_2())
         .expect("a degrade run must survive losing its only host");
     let ev = &out.report.guest.events;
     assert_eq!(ev.quarantines, 1, "exactly one park expected: {ev:?}");
@@ -392,11 +420,10 @@ fn dropout_chaos_degrade_with_a_survivor_keeps_the_live_host() {
     let dir = temp_dir("degrade2");
     let session = SessionConfig::new(0xde60_0096, &dir);
     let cfg = TrainConfig {
-        crash_host_on_node_task: Some((2, 0)),
         on_host_loss: HostLossPolicy::Degrade,
         ..resume_cfg(96, ProtocolConfig::vf2boost())
     };
-    let out = train_federated_session(&s.hosts, &s.guest, &cfg, Some(&session))
+    let out = train_federated_session(&s.hosts, &s.guest, &cfg, Some(&session), &kill_in_tree_2())
         .expect("a degrade run must survive losing one of two hosts");
     let ev = &out.report.guest.events;
     assert_eq!(ev.quarantines, 1, "exactly one park expected: {ev:?}");
@@ -424,20 +451,13 @@ fn dropout_chaos_slow_link_is_ridden_out_without_quarantine() {
     let s = scenario(97);
     let base = resume_cfg(97, ProtocolConfig::vf2boost());
     let cfg = TrainConfig {
-        fault_host_to_guest: FaultConfig {
-            stall: Some(StallWindow {
-                after: Duration::ZERO,
-                duration: Duration::from_millis(600),
-            }),
-            ..FaultConfig::none()
-        },
         peer_dead_after: Duration::from_secs(2),
         heartbeat_interval: Duration::from_millis(150),
         on_host_loss: HostLossPolicy::AwaitRejoin { deadline: Duration::from_secs(10) },
         ..base
     };
     let clean = train_federated(&s.hosts, &s.guest, &base).expect("clean run succeeds");
-    let stalled = train_federated(&s.hosts, &s.guest, &cfg)
+    let stalled = train_federated_session(&s.hosts, &s.guest, &cfg, None, &early_outage())
         .expect("a stall shorter than the liveness deadline must be ridden out");
     let ev = &stalled.report.guest.events;
     assert!(ev.transfer_retries > 0, "the stall never hit the retry layer: {ev:?}");

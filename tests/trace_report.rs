@@ -22,7 +22,9 @@ use vf2boost::core::error::{PartyId, TrainError};
 use vf2boost::core::json::{parse, Json};
 use vf2boost::core::telemetry::RUN_REPORT_SCHEMA;
 use vf2boost::core::trace::FLIGHT_RECORD_SCHEMA;
-use vf2boost::core::{train_federated, train_federated_session, SessionConfig, TrainConfig};
+use vf2boost::core::{
+    train_federated, train_federated_session, ChaosPlan, SessionConfig, TrainConfig,
+};
 use vf2boost::gbdt::train::GbdtParams;
 
 fn mock_cfg() -> TrainConfig {
@@ -37,8 +39,9 @@ fn mock_cfg() -> TrainConfig {
 #[test]
 fn hist_worker_panic_is_a_typed_error_with_partial_telemetry() {
     let s = scenario(91);
-    let cfg = TrainConfig { workers: 4, crash_hist_worker_on_tree: Some(0), ..mock_cfg() };
-    let failure = train_federated(&s.hosts, &s.guest, &cfg)
+    let cfg = TrainConfig { workers: 4, ..mock_cfg() };
+    let kill = ChaosPlan { crash_hist_worker_on_tree: Some(0), ..ChaosPlan::default() };
+    let failure = train_federated_session(&s.hosts, &s.guest, &cfg, None, &kill)
         .expect_err("an injected worker panic must abort the run");
     match &failure.error {
         TrainError::PartyPanicked { party: PartyId::Host(0), detail } => {
@@ -64,17 +67,20 @@ fn peer_loss_leaves_a_parseable_flight_record() {
     // The host→guest direction blackholes early; the guest's liveness
     // supervisor declares the peer dead and dumps its flight record.
     let cfg = TrainConfig {
-        fault_host_to_guest: FaultConfig {
-            disconnect_after_frames: Some(6),
-            ..FaultConfig::none()
-        },
         peer_timeout: Duration::from_secs(30),
         peer_dead_after: Duration::from_millis(1500),
         heartbeat_interval: Duration::from_millis(200),
         ..mock_cfg()
     };
+    let blackhole = ChaosPlan {
+        fault_host_to_guest: FaultConfig {
+            disconnect_after_frames: Some(6),
+            ..FaultConfig::none()
+        },
+        ..ChaosPlan::default()
+    };
     let session = SessionConfig::new(0xF11C, &dir);
-    let failure = train_federated_session(&s.hosts, &s.guest, &cfg, Some(&session))
+    let failure = train_federated_session(&s.hosts, &s.guest, &cfg, Some(&session), &blackhole)
         .expect_err("a dead peer must abort the run");
     assert!(
         matches!(failure.error, TrainError::PeerLost { .. }),
