@@ -16,57 +16,59 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== clippy panic-path gate (core + channel + crypto, non-test) =="
 cargo clippy -p vf2boost-core -p vf2-channel -p vf2-crypto --lib -- -D warnings
 
-echo "== cargo test =="
-cargo test --workspace -q
+# Every test binary of the workspace runs exactly once, here, under one
+# outer cap, so a liveness bug anywhere — a pool deadlock, a rejoin hang, an
+# admission livelock, a runaway width loop — fails this step instead of
+# hanging it. What the suites inside this run guard (each used to be
+# re-run as its own capped step after an uncapped first run):
+#
+# Worker invariance (tests/workers_invariance.rs): real Paillier at
+# workers in {1, 2, 4} in every protocol mode — bitwise-identical models,
+# and under the sequential protocol equal op counts and bytes
+# (column-sharded builds add no merge work); a workers=1 run starts no pool
+# thread.
+#
+# Kill-and-restart chaos (tests/resume.rs): a party is crashed mid-run and
+# the job is resumed from checkpoints; the model must come back bitwise
+# identical across a deterministic 3-seed matrix (61/71/81) covering every
+# sequential/optimistic x raw/reordered/packed mode.
+#
+# Byzantine conformance (tests/byzantine.rs): scripted protocol deviations
+# (replays, phase skips, inadmissible payloads, truncated frames) must
+# surface as typed errors — never a panic — and an honest re-split is
+# answered from the new row lists.
+#
+# Dropout chaos (tests/resume.rs, dropout_chaos_*): a host is killed
+# *inside* the node loop (between a NodeTask and its histogram answer)
+# across a seeded matrix. AwaitRejoin must produce a bitwise-identical
+# model after the live rejoin (3 seeds x sequential/optimistic x
+# raw/packed, plus a two-host survivor-rewind run); Degrade must complete
+# with a typed per-tree party_set record; a stalled-but-alive link must be
+# ridden out by the retry layer without a quarantine.
+#
+# Fixed-limb crypto (vf2-crypto): the Montgomery backend's property tests —
+# limb mul/REDC/modpow vs. the num-bigint reference at every dispatch
+# width, including carry-edge and modulus-adjacent vectors, and the
+# suite-level pipelines (pack/unpack, paired encrypt/unpack) bit-identical
+# under the fixed-limb core and the num-bigint fallback — plus the rest of
+# the vf2-crypto suite.
+#
+# Many-party chaos (tests/many_party.rs): the guest's tree loop is
+# arrival-order invariant — 8 hosts behind heterogeneous faulty WANs
+# (rolling staggered stalls, reordering links, a bandwidth/latency spread)
+# train the model the same job trains on instant fault-free links, bit for
+# bit, in every protocol mode, while really committing multi-answer
+# batches; the baseline flavour commits one batch per layer; and a mid-run
+# kill-and-rejoin holds the rewind barrier.
+echo "== cargo test (whole workspace, every binary once, 30 min cap) =="
+timeout 1800 cargo test --workspace -q
 
 # The vendored rayon stand-in is a path dependency, not a workspace member,
 # so `--workspace` does not reach its tests: the pool's contract (order,
 # inline-at-width-1, nested-inline, lowest-index error, panic payload) at
 # every width x length the workspace can hand it.
-echo "== pool contract gate (vendored rayon) =="
-cargo test -q -p rayon
-
-# Worker-invariance gate: real Paillier at workers in {1, 2, 4} in every
-# protocol mode — bitwise-identical models, and under the sequential
-# protocol equal op counts and bytes (column-sharded builds add no merge
-# work); a workers=1 run starts no pool thread. The outer timeout turns a
-# pool deadlock into a failure.
-echo "== worker invariance gate (5 min cap) =="
-timeout 300 cargo test -q --test workers_invariance
-
-# Kill-and-restart chaos gate: a party is crashed mid-run and the job is
-# resumed from checkpoints; the model must come back bitwise identical
-# across a deterministic 3-seed matrix (61/71/81) covering every
-# sequential/optimistic x raw/reordered/packed mode. The outer timeout
-# guarantees a liveness bug fails the gate instead of hanging it.
-echo "== chaos resume gate (3-seed matrix, 15 min cap) =="
-timeout 900 cargo test -q --test resume
-
-# Byzantine conformance gate: scripted protocol deviations (replays,
-# phase skips, inadmissible payloads, truncated frames) must surface as
-# typed errors — never a panic. The outer timeout turns an admission
-# livelock or a hung party into a failure instead of a stuck job.
-echo "== byzantine conformance gate (5 min cap) =="
-timeout 300 cargo test -q --test byzantine
-
-# Dropout chaos gate: a host is killed *inside* the node loop (between a
-# NodeTask and its histogram answer) across a seeded matrix. AwaitRejoin
-# must produce a bitwise-identical model after the live rejoin (3 seeds x
-# sequential/optimistic x raw/packed, plus a two-host survivor-rewind
-# run); Degrade must complete with a typed per-tree party_set record; a
-# stalled-but-alive link must be ridden out by the retry layer without a
-# quarantine. The outer timeout turns a rejoin hang into a failure.
-echo "== dropout chaos gate (in-run host loss, 10 min cap) =="
-timeout 600 cargo test -q --test resume dropout_chaos
-
-# Fixed-limb crypto gate: the Montgomery backend's property tests — limb
-# mul/REDC/modpow vs. the num-bigint reference at every dispatch width,
-# including carry-edge and modulus-adjacent vectors, and the suite-level
-# pipelines (pack/unpack, paired encrypt/unpack) bit-identical under the
-# fixed-limb core and the num-bigint fallback — plus the rest of the
-# vf2-crypto suite. A runaway width loop fails instead of hanging.
-echo "== fixed-limb property gate (vf2-crypto, 5 min cap) =="
-timeout 300 cargo test -q -p vf2-crypto
+echo "== pool contract gate (vendored rayon, 5 min cap) =="
+timeout 300 cargo test -q -p rayon
 
 # Peer-facing admission checks and the guest's own protocol invariants
 # must hold in release builds: debug_assert is banned from the wire
@@ -89,17 +91,6 @@ if grep -nE 'crash_|fault_|stall_' \
   echo "the production config carries a chaos hook" >&2
   exit 1
 fi
-
-# Many-party chaos gate: the guest's tree loop is arrival-order
-# invariant — 8 hosts behind heterogeneous faulty WANs (rolling staggered
-# stalls, reordering links, a bandwidth/latency spread) train the model
-# the same job trains on instant fault-free links, bit for bit, in every
-# protocol mode, while really committing multi-answer batches; the
-# baseline flavour commits one batch per layer; and a mid-run
-# kill-and-rejoin holds the rewind barrier. The outer timeout turns a
-# livelock in the loop into a failure.
-echo "== many-party chaos gate (8 hosts, 10 min cap) =="
-timeout 600 cargo test -q --test many_party
 
 echo "== cargo bench --no-run =="
 cargo bench --workspace --no-run

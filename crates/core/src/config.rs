@@ -8,6 +8,7 @@ use vf2_crypto::error::CryptoError;
 use vf2_crypto::packing::GhPlan;
 use vf2_crypto::suite::Suite;
 use vf2_gbdt::train::GbdtParams;
+use vf2_gbdt::tree::MAX_LAYERS;
 
 use crate::error::ConfigError;
 use crate::protocol::ProtocolConfig;
@@ -169,10 +170,14 @@ impl Default for TrainConfig {
 
 impl TrainConfig {
     /// Rejects configurations whose supervision windows contradict each
-    /// other *before* any party starts. An inconsistent liveness config
-    /// used to train silently with a window that could never fire; now it
-    /// is a typed [`ConfigError`].
+    /// other, or whose tree shape no party could allocate, *before* any
+    /// party starts. An inconsistent liveness config used to train
+    /// silently with a window that could never fire; now it is a typed
+    /// [`ConfigError`].
     pub fn validate(&self) -> Result<(), ConfigError> {
+        if !(1..=MAX_LAYERS).contains(&self.gbdt.max_layers) {
+            return Err(ConfigError::MaxLayersOutOfRange { max_layers: self.gbdt.max_layers });
+        }
         if self.peer_timeout.is_zero() {
             return Err(ConfigError::ZeroPeerTimeout);
         }
@@ -332,6 +337,22 @@ mod tests {
         let c = TrainConfig::default();
         assert!(c.wan_spread.is_none());
         assert!(c.validate().is_ok());
+    }
+
+    #[test]
+    fn layer_counts_outside_1_to_24_are_rejected() {
+        let with_layers = |max_layers: usize| TrainConfig {
+            gbdt: GbdtParams { max_layers, ..Default::default() },
+            ..TrainConfig::default()
+        };
+        for bad in [0, MAX_LAYERS + 1] {
+            assert_eq!(
+                with_layers(bad).validate(),
+                Err(ConfigError::MaxLayersOutOfRange { max_layers: bad })
+            );
+        }
+        assert!(with_layers(1).validate().is_ok());
+        assert!(with_layers(MAX_LAYERS).validate().is_ok());
     }
 
     #[test]

@@ -184,10 +184,11 @@ impl std::fmt::Display for ProtocolError {
 
 impl std::error::Error for ProtocolError {}
 
-/// A liveness/robustness configuration that can never work: the
-/// supervision windows contradict each other, so the run would either
-/// hang forever or declare every peer dead instantly. Caught by
-/// [`crate::config::TrainConfig::validate`] before any party starts.
+/// A configuration that can never work: supervision windows that
+/// contradict each other (the run would either hang forever or declare
+/// every peer dead instantly), or a tree shape no party can allocate.
+/// Caught by [`crate::config::TrainConfig::validate`] before any party
+/// starts.
 // (`Eq` is off: the WAN-spread variant carries `f64` bounds.)
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ConfigError {
@@ -221,6 +222,14 @@ pub enum ConfigError {
         /// The rejected slowest-link latency multiple.
         latency_mult: f64,
     },
+    /// `gbdt.max_layers` outside `1..=`[`vf2_gbdt::tree::MAX_LAYERS`]: every
+    /// party sizes per-tree state as `2^max_layers − 1` heap slots, so zero
+    /// layers leaves no root and a large count is an allocation (or a shift
+    /// overflow) the caller did not mean.
+    MaxLayersOutOfRange {
+        /// The rejected layer count.
+        max_layers: usize,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -243,6 +252,11 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "WAN spread (slowest bandwidth fraction {bandwidth_frac}, latency multiple \
                  {latency_mult}) is degenerate; links need finite positive capacity"
+            ),
+            ConfigError::MaxLayersOutOfRange { max_layers } => write!(
+                f,
+                "gbdt.max_layers is {max_layers}; a tree has 1 to {} layers",
+                vf2_gbdt::tree::MAX_LAYERS
             ),
         }
     }

@@ -358,7 +358,7 @@ impl EncHistBuilder {
     }
 
     /// Number of occupied cipher slots across every feature and bin — the
-    /// basis of the node-histogram cache's memory estimate.
+    /// basis of the host's retained-histogram memory estimate.
     pub fn cipher_count(&self) -> usize {
         self.features
             .iter()

@@ -18,7 +18,7 @@ use vf2_crypto::packing::GhPlan;
 use vf2_crypto::suite::{Ciphertext, Suite};
 use vf2_gbdt::binning::{BinnedColumn, BinnedDataset};
 use vf2_gbdt::data::Dataset;
-use vf2_gbdt::tree::{left_child, right_child, NodeSplit};
+use vf2_gbdt::tree::{layer_of, layer_start, left_child, right_child, NodeSplit};
 
 use crate::chaos::ChaosPlan;
 use crate::config::TrainConfig;
@@ -98,138 +98,107 @@ struct TreeState {
     enc_h: Vec<Ciphertext>,
     /// The root histogram builders (gradients, hessians), accumulated as
     /// batches arrive; taken when the root payload ships.
-    root: Option<(EncHistBuilder, EncHistBuilder)>,
-    root_sent: bool,
+    root: Option<BuilderPair>,
     rows: NodeRows,
-    /// Per-node encrypted histogram cache powering ciphertext subtraction.
-    cache: NodeHistCache,
+    /// Each node's retained encrypted histogram, powering ciphertext
+    /// subtraction.
+    hists: NodeHists,
 }
 
-/// One cached node's encrypted histogram builders.
-struct CacheEntry {
-    /// The row-list revision the builders were accumulated at; a bumped
-    /// revision (re-split, rollback) makes the entry stale.
-    rev: u32,
-    /// Tree level of the node (root = 0); drives level-scoped eviction.
-    level: u32,
-    /// Estimated resident bytes (occupied cipher slots × wire size).
-    bytes: u64,
-    g: EncHistBuilder,
-    h: EncHistBuilder,
+impl TreeState {
+    /// Splits `node`'s rows by `placement` and forgets both children's
+    /// retained histograms. This is the only way a child's row list is
+    /// ever replaced (first split, or the re-split after an optimistic
+    /// rollback), so a resident histogram always describes its node's
+    /// current rows and needs no freshness stamp.
+    fn apply_placement(&mut self, node: usize, placement: &[bool]) {
+        self.rows.apply_placement(node, placement);
+        self.hists.take(left_child(node));
+        self.hists.take(right_child(node));
+    }
 }
 
-/// The tree level of a heap-indexed node (root = 0).
-fn node_level(node: u32) -> u32 {
-    (node + 1).ilog2()
-}
+/// Byte budget for one tree's retained node histograms, by the estimate
+/// `occupied cipher slots × Suite::cipher_wire_bytes`. Two resident levels
+/// peak under 2 MB on every benchmark workload, so this only bounds a
+/// pathological shape (very wide host × deep tree × large key).
+const NODE_HIST_BUDGET_BYTES: u64 = 256 << 20;
 
-/// A bounded cache of per-node encrypted histogram builders.
+/// One (gradient, hessian) builder pair — a node's whole encrypted
+/// histogram (on the paired path the `h` half stays empty).
+type BuilderPair = (EncHistBuilder, EncHistBuilder);
+
+/// The encrypted histograms a tree retains for ciphertext subtraction: one
+/// slot per heap-indexed node, beside the node's row list in
+/// [`TreeState`].
 ///
-/// Keyed by heap node id and validated against the node's row-list
-/// revision. Eviction is **level-scoped**: by the time the host executes a
-/// task at level `L`, entries at levels `< L−1` can never serve another
-/// subtraction (every level-`L` node's parent sits at `L−1`), so an insert
-/// at level `L` first drops everything shallower than `L−1`. If the byte
-/// cap still overflows, the *deepest* entries go first — never one
-/// strictly shallower than the incoming entry (shallow parents are the
-/// ones future derivations need) — and if only shallower entries remain,
-/// the incoming entry is simply not cached. All eviction orders are
-/// deterministic functions of the key set: host behavior must stay a pure
-/// function of the received message sequence (the chaos suite asserts
-/// bit-identical models under WAN faults).
-struct NodeHistCache {
-    entries: HashMap<u32, CacheEntry>,
-    total_bytes: u64,
-    cap_bytes: u64,
+/// A slot is written when its node's histogram is produced (root payload,
+/// smaller sibling, answered task) and emptied by
+/// [`TreeState::apply_placement`] when the node's rows are replaced.
+/// Retention is **level-scoped**: every level-`L` node's parent sits at
+/// `L−1`, so by the time the host stores at level `L` nothing at levels
+/// `< L−1` can serve another subtraction, and a store drops those slots
+/// first. A histogram that would push the resident estimate past the
+/// budget is simply not kept (its children are then built from rows).
+/// Both rules are functions of the node id and the stored sizes only: host
+/// behavior stays a pure function of the received message sequence (the
+/// chaos suite asserts bit-identical models under WAN faults).
+struct NodeHists {
+    slots: Vec<Option<BuilderPair>>,
+    /// Estimated bytes per occupied cipher slot.
+    cipher_bytes: u64,
+    resident_bytes: u64,
+    budget_bytes: u64,
 }
 
-impl NodeHistCache {
-    fn new(cap_bytes: u64) -> NodeHistCache {
-        NodeHistCache { entries: HashMap::new(), total_bytes: 0, cap_bytes }
-    }
-
-    /// Drops a node's entry (stale after a re-split of its parent).
-    fn invalidate(&mut self, node: u32) {
-        if let Some(e) = self.entries.remove(&node) {
-            self.total_bytes -= e.bytes;
+impl NodeHists {
+    fn new(num_nodes: usize, cipher_bytes: usize, budget_bytes: u64) -> NodeHists {
+        NodeHists {
+            slots: vec![None; num_nodes],
+            cipher_bytes: cipher_bytes as u64,
+            resident_bytes: 0,
+            budget_bytes,
         }
     }
 
-    /// Whether a fresh entry for `node` exists at row revision `rev`.
-    fn is_valid(&self, node: u32, rev: u32) -> bool {
-        self.entries.get(&node).is_some_and(|e| e.rev == rev)
+    fn bytes_of(&self, (g, h): &BuilderPair) -> u64 {
+        (g.cipher_count() + h.cipher_count()) as u64 * self.cipher_bytes
     }
 
-    /// Removes and returns the builders of a fresh entry; a stale entry is
-    /// dropped on the way (it can never become valid again).
-    fn take_valid(&mut self, node: u32, rev: u32) -> Option<(EncHistBuilder, EncHistBuilder)> {
-        let e = self.entries.remove(&node)?;
-        self.total_bytes -= e.bytes;
-        if e.rev == rev {
-            Some((e.g, e.h))
-        } else {
-            None
-        }
+    /// The node's resident histogram, if any.
+    fn get(&self, node: usize) -> Option<&BuilderPair> {
+        self.slots.get(node)?.as_ref()
     }
 
-    /// Borrows the builders of `node`'s entry, fresh or not (callers gate
-    /// on [`NodeHistCache::is_valid`] first).
-    fn peek(&self, node: u32) -> Option<(&EncHistBuilder, &EncHistBuilder)> {
-        self.entries.get(&node).map(|e| (&e.g, &e.h))
+    /// Empties the node's slot, returning what it held.
+    fn take(&mut self, node: usize) -> Option<BuilderPair> {
+        let pair = self.slots.get_mut(node)?.take()?;
+        self.resident_bytes -= self.bytes_of(&pair);
+        Some(pair)
     }
 
-    /// Inserts an entry, applying level-scoped then cap-driven eviction.
-    /// Returns the `(node, bytes)` of every *resident* entry evicted
-    /// (replacing the node's own prior entry does not count) so the host
-    /// can trace and count them.
-    fn insert(
-        &mut self,
-        node: u32,
-        rev: u32,
-        bytes: u64,
-        g: EncHistBuilder,
-        h: EncHistBuilder,
-    ) -> Vec<(u32, u64)> {
-        let mut evicted = Vec::new();
-        let level = node_level(node);
-        self.invalidate(node);
-        // Level scope: entries more than one level above the insertion
-        // point can no longer parent any future subtraction.
-        if level >= 2 {
-            let mut dead: Vec<u32> =
-                self.entries.iter().filter(|(_, e)| e.level + 1 < level).map(|(&n, _)| n).collect();
-            dead.sort_unstable();
-            for n in dead {
-                if let Some(e) = self.entries.remove(&n) {
-                    self.total_bytes -= e.bytes;
-                    evicted.push((n, e.bytes));
-                }
+    /// Keeps `pair` as `node`'s histogram if the budget allows, after
+    /// dropping every slot more than one level above it. Returns the
+    /// `(node, bytes)` of each histogram dropped (replacing the node's own
+    /// prior one does not count) so the host can trace and count them.
+    fn store(&mut self, node: usize, pair: BuilderPair) -> Vec<(u32, u64)> {
+        self.take(node);
+        let mut dropped = Vec::new();
+        // Levels 0..=L−2 are the heap slots before level L−1's first.
+        for n in 0..layer_start(layer_of(node).saturating_sub(1)) {
+            let before = self.resident_bytes;
+            if self.take(n).is_some() {
+                dropped.push((n as u32, before - self.resident_bytes));
             }
         }
-        // Cap: evict deepest-first (deterministic max over unique keys),
-        // but never an entry strictly shallower than the incoming one.
-        while self.total_bytes + bytes > self.cap_bytes {
-            let victim = self
-                .entries
-                .iter()
-                .filter(|(_, e)| e.level >= level)
-                .max_by_key(|(&n, e)| (e.level, n))
-                .map(|(&n, _)| n);
-            match victim {
-                Some(v) => {
-                    if let Some(e) = self.entries.remove(&v) {
-                        self.total_bytes -= e.bytes;
-                        evicted.push((v, e.bytes));
-                    }
-                }
-                // Only shallower (more valuable) entries remain: the
-                // incoming entry is the one that does not fit.
-                None => return evicted,
+        let bytes = self.bytes_of(&pair);
+        if let Some(slot) = self.slots.get_mut(node) {
+            if self.resident_bytes + bytes <= self.budget_bytes {
+                self.resident_bytes += bytes;
+                *slot = Some(pair);
             }
         }
-        self.total_bytes += bytes;
-        self.entries.insert(node, CacheEntry { rev, level, bytes, g, h });
-        evicted
+        dropped
     }
 }
 
@@ -547,9 +516,12 @@ impl HostParty {
                 enc_g: Vec::with_capacity(n),
                 enc_h: Vec::with_capacity(n),
                 root: Some(self.new_builders()),
-                root_sent: false,
                 rows: NodeRows::new_tree(n, self.cfg.gbdt.max_layers),
-                cache: NodeHistCache::new(self.cfg.protocol.hist_cache_bytes),
+                hists: NodeHists::new(
+                    (1 << self.cfg.gbdt.max_layers) - 1,
+                    self.suite.cipher_wire_bytes(),
+                    NODE_HIST_BUDGET_BYTES,
+                ),
             });
             self.task_queue.clear();
             self.task_epoch.clear();
@@ -679,9 +651,7 @@ impl HostParty {
                     }
                     .into());
                 }
-                state.rows.apply_placement(node as usize, &placement);
-                state.cache.invalidate(left_child(node as usize) as u32);
-                state.cache.invalidate(right_child(node as usize) as u32);
+                state.apply_placement(node as usize, &placement);
                 self.telemetry.phases.split_nodes += t0.elapsed();
                 self.telemetry.trace.exit(TracePhase::Placement, Some(tree), Some(node));
             }
@@ -719,9 +689,7 @@ impl HostParty {
                     .iter()
                     .map(|&r| col.bin_of_row(r as usize) <= bin)
                     .collect();
-                state.rows.apply_placement(node as usize, &placement);
-                state.cache.invalidate(left_child(node as usize) as u32);
-                state.cache.invalidate(right_child(node as usize) as u32);
+                state.apply_placement(node as usize, &placement);
                 self.telemetry.events.splits_won += 1;
                 self.telemetry.phases.split_nodes += t0.elapsed();
                 self.telemetry.trace.exit(TracePhase::Placement, Some(tree), Some(node));
@@ -790,6 +758,20 @@ impl HostParty {
         Ok(())
     }
 
+    /// Runs `f` with the tree state moved out of `self`, so `f` can hand
+    /// the state's ciphers and row lists to the `&self` builders below
+    /// while it writes the state's histogram slots.
+    fn with_state<T>(
+        &mut self,
+        context: &'static str,
+        f: impl FnOnce(&mut HostParty, &mut TreeState) -> Result<T, TrainError>,
+    ) -> Result<T, TrainError> {
+        let Some(mut state) = self.state.take() else { return Err(state_invariant(context)) };
+        let done = f(self, &mut state);
+        self.state = Some(state);
+        done
+    }
+
     /// Stores one gradient batch — two streams, or on the paired path one
     /// (`h` is `None`) — and folds its rows into the root histogram.
     fn on_grad_batch(
@@ -801,64 +783,76 @@ impl HostParty {
         last: bool,
     ) -> Result<(), TrainError> {
         self.ensure_tree(tree);
+        self.with_state("gradient batch arrived with no tree state", |host, state| {
+            host.fold_grad_batch(state, start_row, g, h, last)
+        })
+    }
+
+    /// [`HostParty::on_grad_batch`] on the tree state it moved out; the
+    /// last batch ships the root payload and retains the root histogram.
+    fn fold_grad_batch(
+        &mut self,
+        state: &mut TreeState,
+        start_row: u32,
+        g: Vec<Ciphertext>,
+        h: Option<Vec<Ciphertext>>,
+        last: bool,
+    ) -> Result<(), TrainError> {
+        let tree = state.tree;
+        let num_rows = self.csr.num_rows();
         let t0 = Stopwatch::start(self.cfg.workers <= 1);
         self.telemetry.trace.enter(TracePhase::Hadd, Some(tree), Some(0));
-        let batch_end = {
-            let num_rows = self.csr.num_rows();
-            let Some(state) = self.state.as_mut() else {
-                return Err(state_invariant("gradient batch arrived with no tree state"));
-            };
-            if state.enc_g.len() != start_row as usize {
-                return Err(ProtocolError::OutOfOrderGradients {
-                    expected: state.enc_g.len() as u32,
-                    got: start_row,
-                }
-                .into());
+        if state.enc_g.len() != start_row as usize {
+            return Err(ProtocolError::OutOfOrderGradients {
+                expected: state.enc_g.len() as u32,
+                got: start_row,
             }
-            if h.as_ref().is_some_and(|h| h.len() != g.len())
-                || state.enc_g.len() + g.len() > num_rows
-            {
-                return Err(ProtocolError::UnexpectedMessage {
-                    from: PartyId::Guest,
-                    kind: if h.is_some() { 2 } else { 14 },
-                    context: "gradient batch with mismatched or overflowing row count",
-                }
-                .into());
+            .into());
+        }
+        if h.as_ref().is_some_and(|h| h.len() != g.len()) || state.enc_g.len() + g.len() > num_rows
+        {
+            return Err(ProtocolError::UnexpectedMessage {
+                from: PartyId::Guest,
+                kind: if h.is_some() { 2 } else { 14 },
+                context: "gradient batch with mismatched or overflowing row count",
             }
-            state.enc_g.extend(g);
-            state.enc_h.extend(h.into_iter().flatten());
-            state.enc_g.len()
-        };
+            .into());
+        }
+        state.enc_g.extend(g);
+        state.enc_h.extend(h.into_iter().flatten());
+        let batch_end = state.enc_g.len();
         // Accumulate the freshly arrived rows into the root histogram
         // immediately — this is what overlaps BuildHistA with the guest's
         // ongoing encryption (§4.1).
-        self.accumulate_rows_into_root(start_row as usize, batch_end)?;
+        let Some((mut root_g, mut root_h)) = state.root.take() else {
+            return Err(state_invariant("root accumulation with no root builders"));
+        };
+        let rows: Vec<u32> = (start_row..batch_end as u32).collect();
+        self.accumulate(state, &mut root_g, &mut root_h, &rows)?;
         self.telemetry.phases.build_hist_enc += t0.elapsed();
         self.telemetry.trace.exit(TracePhase::Hadd, Some(tree), Some(0));
 
-        if last {
-            if batch_end != self.csr.num_rows() {
-                return Err(ProtocolError::IncompleteGradients {
-                    expected: self.csr.num_rows(),
-                    got: batch_end,
-                }
-                .into());
-            }
-            let payload = self.root_payload()?;
-            let Some(state) = self.state.as_mut() else {
-                return Err(state_invariant("tree state vanished after the root payload"));
-            };
-            state.root_sent = true;
-            let tree = state.tree;
-            self.send_traced(&Msg::NodeHistograms { tree, node: 0, epoch: 1, payload }, tree)?;
-            self.phase = ProtocolPhase::TreeBuild;
+        if !last {
+            state.root = Some((root_g, root_h));
+            return Ok(());
         }
+        if batch_end != num_rows {
+            return Err(
+                ProtocolError::IncompleteGradients { expected: num_rows, got: batch_end }.into()
+            );
+        }
+        let payload = self.make_payload(tree, &root_g, &root_h, num_rows)?;
+        // Keep the root histogram (the blaster path is the only producer of
+        // node 0): level-1 children derive from it.
+        self.keep(state, 0, (root_g, root_h));
+        self.send_traced(&Msg::NodeHistograms { tree, node: 0, epoch: 1, payload }, tree)?;
+        self.phase = ProtocolPhase::TreeBuild;
         Ok(())
     }
 
     /// An empty (gradient, hessian) builder pair shaped by this host's
     /// columns.
-    fn new_builders(&self) -> (EncHistBuilder, EncHistBuilder) {
+    fn new_builders(&self) -> BuilderPair {
         let mk = || {
             EncHistBuilder::new(
                 &self.csr.col_meta,
@@ -876,13 +870,11 @@ impl HostParty {
     /// `PartyPanicked` like any other party-level failure.
     fn accumulate(
         &self,
+        state: &TreeState,
         g: &mut EncHistBuilder,
         h: &mut EncHistBuilder,
         rows: &[u32],
     ) -> Result<(), TrainError> {
-        let Some(state) = self.state.as_ref() else {
-            return Err(state_invariant("histogram accumulation with no tree state"));
-        };
         let tree = state.tree;
         let crash = self.chaos.crash_hist_worker_on_tree == Some(tree);
         let work = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -909,164 +901,87 @@ impl HostParty {
         }
     }
 
-    /// Accumulates rows `[start, end)` into the root builders.
-    fn accumulate_rows_into_root(&mut self, start: usize, end: usize) -> Result<(), TrainError> {
-        let Some((mut g, mut h)) = self.state.as_mut().and_then(|s| s.root.take()) else {
-            return Err(state_invariant("root accumulation with no root builders"));
-        };
-        let rows: Vec<u32> = (start as u32..end as u32).collect();
-        self.accumulate(&mut g, &mut h, &rows)?;
-        if let Some(state) = self.state.as_mut() {
-            state.root = Some((g, h));
-        }
-        Ok(())
-    }
-
-    /// Produces the root histogram payload from the accumulated builders.
-    fn root_payload(&mut self) -> Result<HistPayload, TrainError> {
-        let Some((g, h)) = self.state.as_mut().and_then(|s| s.root.take()) else {
-            return Err(state_invariant("root payload with no root builders"));
-        };
-        let count = self.csr.num_rows();
-        let payload = self.make_payload(&g, &h, count)?;
-        // Seed the cache with the root histogram (the blaster path is the
-        // only producer of node 0): level-1 children derive from it.
-        self.cache_insert(0, g, h);
-        Ok(payload)
-    }
-
     /// Executes the oldest queued node task.
     fn run_one_task(&mut self) -> Result<(), TrainError> {
         let Some(node) = self.task_queue.pop_front() else { return Ok(()) };
         let Some(&epoch) = self.task_epoch.get(&node) else { return Ok(()) };
-        let Some(state) = self.state.as_ref() else { return Ok(()) };
-        let tree = state.tree;
-        if node == 0 {
-            // The root histogram is always produced by the blaster path
-            // (incremental accumulation while batches arrive); the task is
-            // only a uniformity artifact of the guest's materialize step.
+        // The root histogram is always produced by the blaster path
+        // (incremental accumulation while batches arrive); its task is only
+        // a uniformity artifact of the guest's materialize step. A task for
+        // rows this host never received means the placement that would
+        // create them was lost with the peer, or the guest is confused.
+        // Either way, skipping is safe — the guest's epoch bookkeeping
+        // discards whatever we would have sent.
+        if node == 0 || !self.state.as_ref().is_some_and(|s| s.rows.has(node as usize)) {
             return Ok(());
         }
-        if !state.rows.has(node as usize) {
-            // A task for rows this host never received: the placement that
-            // would create them was lost with the peer, or the guest is
-            // confused. Either way, skipping is safe — the guest's epoch
-            // bookkeeping discards whatever we would have sent.
-            return Ok(());
-        }
-        let rows: Vec<u32> = state.rows.rows(node as usize).to_vec();
-        let t0 = Stopwatch::start(self.cfg.workers <= 1);
-        self.telemetry.trace.enter(TracePhase::Hadd, Some(tree), Some(node));
-        let (g, h) = self.node_builders_cached(node, &rows)?;
-        self.telemetry.phases.build_hist_enc += t0.elapsed();
-        self.telemetry.trace.exit(TracePhase::Hadd, Some(tree), Some(node));
-        let payload = self.make_payload(&g, &h, rows.len())?;
-        // Re-insert so the node's children can derive from it at the next
-        // level (take/re-insert rather than borrow across make_payload).
-        self.cache_insert(node, g, h);
-        self.send_traced(&Msg::NodeHistograms { tree, node, epoch, payload }, tree)?;
-        Ok(())
+        self.with_state("node task with no tree state", |host, state| {
+            let (tree, node) = (state.tree, node as usize);
+            let t0 = Stopwatch::start(host.cfg.workers <= 1);
+            host.telemetry.trace.enter(TracePhase::Hadd, Some(tree), Some(node as u32));
+            let (g, h) = host.node_builders(state, node)?;
+            host.telemetry.phases.build_hist_enc += t0.elapsed();
+            host.telemetry.trace.exit(TracePhase::Hadd, Some(tree), Some(node as u32));
+            let payload = host.make_payload(tree, &g, &h, state.rows.rows(node).len())?;
+            // Keep it so the node's children can derive from it at the next
+            // level.
+            host.keep(state, node, (g, h));
+            host.send_traced(&Msg::NodeHistograms { tree, node: node as u32, epoch, payload }, tree)
+        })
     }
 
     /// Produces one node's builders, preferring the subtraction path: reuse
-    /// the node's own cached builders if fresh; otherwise, if this node is
-    /// the *larger* child of its parent's split and the parent histogram is
-    /// cached, build (or fetch) the smaller sibling and derive this node as
-    /// `parent ⊖ sibling`. Any miss — stale parent after an optimistic
-    /// rollback, cap-evicted sibling — falls back to the direct per-row
-    /// build. The decision is a pure function of the row lists, so every
-    /// protocol mode (and every fault schedule) takes identical branches.
-    fn node_builders_cached(
+    /// the node's own retained builders if resident; otherwise, if this
+    /// node is the *larger* child of its parent's split and the parent's
+    /// histogram is resident, build (or fetch) the smaller sibling and
+    /// derive this node as `parent ⊖ sibling`. Any miss — a parent dropped
+    /// by a deeper store before a rolled-back task was re-issued, a
+    /// histogram past the budget — falls back to the direct per-row build.
+    /// The decision is a pure function of the row lists, so every protocol
+    /// mode (and every fault schedule) takes identical branches.
+    fn node_builders(
         &mut self,
-        node: u32,
-        rows: &[u32],
-    ) -> Result<(EncHistBuilder, EncHistBuilder), TrainError> {
-        if !self.cfg.protocol.hist_subtraction || node == 0 {
-            return self.build_node_builders(rows);
-        }
-        let rev = {
-            let Some(state) = self.state.as_ref() else {
-                return Err(state_invariant("node task with no tree state"));
-            };
-            state.rows.revision(node as usize)
-        };
-        if let Some(hit) = {
-            let Some(state) = self.state.as_mut() else {
-                return Err(state_invariant("node task with no tree state"));
-            };
-            state.cache.take_valid(node, rev)
-        } {
+        state: &mut TreeState,
+        node: usize,
+    ) -> Result<BuilderPair, TrainError> {
+        if let Some(hit) = state.hists.take(node) {
             self.telemetry.events.hist_cache_hits += 1;
             return Ok(hit);
         }
         let sibling = if node % 2 == 1 { node + 1 } else { node - 1 };
         let parent = (node - 1) / 2;
-        let (sibling_rows, parent_rev, sibling_rev) = {
-            let Some(state) = self.state.as_ref() else {
-                return Err(state_invariant("node task with no tree state"));
-            };
-            if !state.rows.has(sibling as usize) {
-                return self.build_node_builders(rows);
-            }
-            (
-                state.rows.rows(sibling as usize).to_vec(),
-                state.rows.revision(parent as usize),
-                state.rows.revision(sibling as usize),
-            )
-        };
         // Build the smaller child (ties break to the left child, which has
         // the odd heap id) directly; derive only the larger one.
-        let larger = rows.len() > sibling_rows.len()
-            || (rows.len() == sibling_rows.len() && node.is_multiple_of(2));
+        let larger = state.rows.has(sibling) && {
+            let (len, sibling_len) = (state.rows.rows(node).len(), state.rows.rows(sibling).len());
+            len > sibling_len || (len == sibling_len && node.is_multiple_of(2))
+        };
         if !larger {
-            return self.build_node_builders(rows);
+            return self.build_node(state, node);
         }
-        let parent_cached = {
-            let Some(state) = self.state.as_ref() else {
-                return Err(state_invariant("node task with no tree state"));
-            };
-            state.cache.is_valid(parent, parent_rev)
-        };
-        if !parent_cached {
-            // E.g. the parent task re-ran after a rollback and its fresh
-            // builders were cap-skipped, or the tree state is younger than
-            // the task. Direct build keeps the payload correct.
+        if state.hists.get(parent).is_none() {
             self.telemetry.events.hist_cache_misses += 1;
-            return self.build_node_builders(rows);
+            return self.build_node(state, node);
         }
-        let sibling_cached = {
-            let Some(state) = self.state.as_ref() else {
-                return Err(state_invariant("node task with no tree state"));
-            };
-            state.cache.is_valid(sibling, sibling_rev)
+        if state.hists.get(sibling).is_none() {
+            let built = self.build_node(state, sibling)?;
+            self.keep(state, sibling, built);
+        }
+        let (Some((pg, ph)), Some((sg, sh))) = (state.hists.get(parent), state.hists.get(sibling))
+        else {
+            // The sibling did not fit the budget.
+            self.telemetry.events.hist_cache_misses += 1;
+            return self.build_node(state, node);
         };
-        if !sibling_cached {
-            let (sg, sh) = self.build_node_builders(&sibling_rows)?;
-            self.cache_insert(sibling, sg, sh);
-        }
         let crypto = TrainError::crypto("ciphertext histogram subtraction");
         let before = self.suite.counters().snapshot();
-        let derived = {
-            let Some(state) = self.state.as_ref() else {
-                return Err(state_invariant("node task with no tree state"));
-            };
-            match (state.cache.peek(parent), state.cache.peek(sibling)) {
-                (Some((pg, ph)), Some((sg, sh))) => Some((
-                    pg.subtract(&self.suite, sg).map_err(&crypto)?,
-                    ph.subtract(&self.suite, sh).map_err(&crypto)?,
-                )),
-                // Cap eviction raced the sibling insert away (tiny caps).
-                _ => None,
-            }
-        };
-        let Some((g, h)) = derived else {
-            self.telemetry.events.hist_cache_misses += 1;
-            return self.build_node_builders(rows);
-        };
+        let g = pg.subtract(&self.suite, sg).map_err(&crypto)?;
+        let h = ph.subtract(&self.suite, sh).map_err(&crypto)?;
         let spent = self.suite.counters().snapshot().since(&before);
         // A direct build folds one cipher per stored entry and stream into
         // its bins; the first one into an empty slot is a move, not an HAdd.
         let streams = if self.gh.is_some() { 1 } else { 2 };
+        let rows = state.rows.rows(node);
         let entries: u64 = rows.iter().map(|&r| self.csr.row(r as usize).len() as u64).sum();
         let direct_cost =
             (streams * entries).saturating_sub((g.cipher_count() + h.cipher_count()) as u64);
@@ -1077,33 +992,19 @@ impl HostParty {
         Ok((g, h))
     }
 
-    /// Caches a node's builders at its current row revision (no-op when
-    /// subtraction is off — nothing would ever read the entry — or when
-    /// the tree state is already gone: caching is an optimization, never
-    /// an obligation).
-    fn cache_insert(&mut self, node: u32, g: EncHistBuilder, h: EncHistBuilder) {
-        if !self.cfg.protocol.hist_subtraction {
-            return;
-        }
-        let bytes = ((g.cipher_count() + h.cipher_count()) * self.suite.cipher_wire_bytes()) as u64;
-        let (tree, evicted) = {
-            let Some(state) = self.state.as_mut() else { return };
-            let rev = state.rows.revision(node as usize);
-            (state.tree, state.cache.insert(node, rev, bytes, g, h))
-        };
-        for (victim, victim_bytes) in evicted {
+    /// Retains a node's histogram in its slot, counting and tracing what
+    /// the store dropped to make room.
+    fn keep(&mut self, state: &mut TreeState, node: usize, pair: BuilderPair) {
+        for (dropped, bytes) in state.hists.store(node, pair) {
             self.telemetry.events.hist_cache_evictions += 1;
-            self.telemetry.trace.cache_evict(tree, victim, victim_bytes);
+            self.telemetry.trace.cache_evict(state.tree, dropped, bytes);
         }
     }
 
-    /// Direct histogram build for one node's rows.
-    fn build_node_builders(
-        &self,
-        rows: &[u32],
-    ) -> Result<(EncHistBuilder, EncHistBuilder), TrainError> {
+    /// Direct histogram build from one node's rows.
+    fn build_node(&self, state: &TreeState, node: usize) -> Result<BuilderPair, TrainError> {
         let (mut g, mut h) = self.new_builders();
-        self.accumulate(&mut g, &mut h, rows)?;
+        self.accumulate(state, &mut g, &mut h, state.rows.rows(node))?;
         Ok((g, h))
     }
 
@@ -1121,13 +1022,13 @@ impl HostParty {
     /// Finalizes builders into the configured wire format.
     fn make_payload(
         &mut self,
+        tree: u32,
         g: &EncHistBuilder,
         h: &EncHistBuilder,
         count: usize,
     ) -> Result<HistPayload, TrainError> {
         let t0 = Stopwatch::start(self.cfg.workers <= 1);
-        let tree = self.state.as_ref().map(|s| s.tree);
-        self.telemetry.trace.enter(TracePhase::Pack, tree, None);
+        self.telemetry.trace.enter(TracePhase::Pack, Some(tree), None);
         let suite = &self.suite;
         let crypto = TrainError::crypto("histogram finalize/pack");
         let payload = if let Some(plan) = &self.gh {
@@ -1169,7 +1070,7 @@ impl HostParty {
             HistPayload::Raw(self.per_feature(g, raw_one)?)
         };
         self.telemetry.phases.pack += t0.elapsed();
-        self.telemetry.trace.exit(TracePhase::Pack, tree, None);
+        self.telemetry.trace.exit(TracePhase::Pack, Some(tree), None);
         Ok(payload)
     }
 }
@@ -1177,14 +1078,137 @@ impl HostParty {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vf2_channel::{duplex, WanConfig};
+    use vf2_crypto::suite::PlainNumber;
+    use vf2_gbdt::data::FeatureColumn;
+
+    use crate::rows::ColMeta;
+
+    /// A builder pair holding `ciphers` occupied slots (all in the `g`
+    /// half).
+    fn pair_of(ciphers: usize) -> BuilderPair {
+        let cfg = TrainConfig::for_tests();
+        let suite = Suite::plain(cfg.encoding);
+        let meta = [ColMeta { num_bins: 8, zero_bin: 0, dense: true }];
+        let mut g = EncHistBuilder::new(&meta, &cfg.encoding, true);
+        let one = Ciphertext::Plain(PlainNumber { value: 1.0, exponent: cfg.encoding.base_exp });
+        for bin in 0..ciphers {
+            g.add(&suite, 0, bin, &one).unwrap();
+        }
+        (g, EncHistBuilder::new(&meta, &cfg.encoding, true))
+    }
+
+    fn resident(hists: &NodeHists) -> Vec<usize> {
+        (0..hists.slots.len()).filter(|&n| hists.get(n).is_some()).collect()
+    }
+
+    #[test]
+    fn storing_at_a_level_drops_the_levels_that_can_no_longer_parent() {
+        let mut hists = NodeHists::new(15, 10, NODE_HIST_BUDGET_BYTES);
+        // Levels 0 and 1 never drop anything; a level-2 store drops level 0.
+        for node in [0, 1, 2] {
+            assert!(hists.store(node, pair_of(2)).is_empty());
+        }
+        assert_eq!(hists.store(3, pair_of(2)), vec![(0, 20)]);
+        assert!(hists.store(4, pair_of(3)).is_empty());
+        assert!(hists.store(0, pair_of(1)).is_empty());
+        assert_eq!(resident(&hists), vec![0, 1, 2, 3, 4]);
+        // Level 3 empties levels 0-1, in node order, and nothing else.
+        assert_eq!(hists.store(7, pair_of(1)), vec![(0, 10), (1, 20), (2, 20)]);
+        assert_eq!(resident(&hists), vec![3, 4, 7]);
+        assert_eq!(hists.resident_bytes, 20 + 30 + 10);
+        // Replacing a node's own histogram is not a drop.
+        assert!(hists.store(7, pair_of(4)).is_empty());
+        assert_eq!(hists.take(7).map(|(g, _)| g.cipher_count()), Some(4));
+        assert_eq!(hists.resident_bytes, 20 + 30);
+    }
+
+    #[test]
+    fn a_placement_forgets_both_childrens_histograms() {
+        let mut state = TreeState {
+            tree: 0,
+            enc_g: Vec::new(),
+            enc_h: Vec::new(),
+            root: None,
+            rows: NodeRows::new_tree(4, 3),
+            hists: NodeHists::new(7, 10, NODE_HIST_BUDGET_BYTES),
+        };
+        state.apply_placement(0, &[true, true, false, false]);
+        for node in [0, 1, 2] {
+            state.hists.store(node, pair_of(2));
+        }
+        // The re-split: new row lists, so neither child's histogram stays.
+        state.apply_placement(0, &[true, false, true, false]);
+        assert_eq!(state.rows.rows(1), &[0, 2]);
+        assert_eq!(resident(&state.hists), vec![0]);
+        assert_eq!(state.hists.resident_bytes, 20);
+    }
+
+    /// Drives a 6-row, one-feature mock host through the root stream, one
+    /// placement (2 rows left, 4 right) and both child tasks, with its
+    /// histogram store capped at `budget_bytes`. Returns the host and the
+    /// three histogram answers it sent.
+    fn two_child_tasks(budget_bytes: u64) -> (HostParty, Vec<Msg>) {
+        let (guest_ep, host_ep) = duplex(WanConfig::instant());
+        let column = FeatureColumn::Dense(vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
+        let data = Arc::new(Dataset::new(6, vec![column], None));
+        let cfg = TrainConfig::for_tests();
+        let suite = Suite::plain(cfg.encoding);
+        let mut host =
+            HostParty::new(0, data, cfg, suite, host_ep, None, ChaosPlan::default()).unwrap();
+        host.ensure_tree(0);
+        let state = host.state.as_mut().unwrap();
+        state.hists = NodeHists::new(15, host.suite.cipher_wire_bytes(), budget_bytes);
+        let stream = |scale: f64| -> Vec<Ciphertext> {
+            (0..6)
+                .map(|i| {
+                    let value = scale * (i + 1) as f64;
+                    Ciphertext::Plain(PlainNumber { value, exponent: cfg.encoding.base_exp })
+                })
+                .collect()
+        };
+        let (g, h) = (stream(0.25), stream(0.5));
+        host.handle(Msg::GradBatch { tree: 0, start_row: 0, g, h, last: true }).unwrap();
+        let placement = vec![true, true, false, false, false, false];
+        host.handle(Msg::ApplyPlacement { tree: 0, node: 0, placement }).unwrap();
+        for node in [1, 2] {
+            host.handle(Msg::NodeTask { tree: 0, node, epoch: 1 }).unwrap();
+            host.run_one_task().unwrap();
+        }
+        // `new` + `handle` never greet: the answers are all that was sent.
+        let answers = (0..3)
+            .map(|_| guest_ep.recv_timeout(Duration::from_secs(10)).expect("a histogram answer"))
+            .map(|env| wire::decode(env.kind, env.payload).unwrap())
+            .collect();
+        (host, answers)
+    }
+
+    #[test]
+    fn a_histogram_past_the_budget_is_not_kept_and_its_child_is_built_from_rows() {
+        let (roomy, derived) = two_child_tasks(NODE_HIST_BUDGET_BYTES);
+        assert_eq!(roomy.telemetry.events.hist_subtractions, 1);
+        assert_eq!(roomy.telemetry.events.hist_cache_misses, 0);
+        assert!(roomy.suite.counters().snapshot().negs > 0);
+
+        // One byte holds no histogram: the root is refused, so the larger
+        // child's lookup is a counted miss and it is built from its rows —
+        // to the very answer the derivation produced.
+        let (starved, direct) = two_child_tasks(1);
+        let state = starved.state.as_ref().unwrap();
+        assert_eq!(resident(&state.hists), Vec::<usize>::new());
+        assert_eq!(starved.telemetry.events.hist_cache_misses, 1);
+        assert_eq!(starved.telemetry.events.hist_subtractions, 0);
+        assert_eq!(starved.telemetry.events.hist_cache_evictions, 0);
+        assert_eq!(starved.suite.counters().snapshot().negs, 0);
+        assert_eq!(direct.len(), 3);
+        assert_eq!(direct, derived);
+    }
 
     // run_host is exercised end-to-end by the guest/train tests and the
     // integration suite; here we only cover the party-index plumbing.
     #[test]
     fn telemetry_carries_party_name() {
-        use vf2_channel::{duplex, WanConfig};
         use vf2_crypto::encoding::EncodingConfig;
-        use vf2_gbdt::data::FeatureColumn;
 
         let (guest_ep, host_ep) = duplex(WanConfig::instant());
         let data =

@@ -288,7 +288,7 @@ pub struct GuestCheckpoint {
 }
 
 /// A host's durable state after `tree_count` completed trees: its private
-/// split table. All other host state (row placements, histogram cache) is
+/// split table. All other host state (row placements, retained histograms) is
 /// rebuilt per tree from the message stream, so nothing else survives a
 /// tree boundary.
 #[derive(Debug, Clone, PartialEq)]

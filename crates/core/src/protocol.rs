@@ -19,6 +19,10 @@
 /// (the baseline's "BuildHistA fully precedes FindSplitA"). The toggle
 /// changes *when* answers are decrypted, never *which* split wins
 /// (admission and the index-ordered winner scan decide that).
+///
+/// These four fields are the whole contract. What both presets share —
+/// ciphertext histogram subtraction (DESIGN.md §3.6), CRT decryption, the
+/// Montgomery core — is substrate, not an ablation row, and has no toggle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProtocolConfig {
     /// Optimistic node-splitting with dirty-node rollback (§4.2). When
@@ -39,21 +43,7 @@ pub struct ProtocolConfig {
     /// unpacked runs, and the mock suite always, keep two gradient streams
     /// and (when packing) prefix sums.
     pub pack_histograms: bool,
-    /// Ciphertext histogram subtraction: build only the smaller child of a
-    /// split from rows and derive the larger sibling as `parent ⊖ child`
-    /// (one negation + HAdd per bin instead of one HAdd per row entry).
-    /// Requires the node-histogram cache; falls back to a direct build on
-    /// cache miss.
-    pub hist_subtraction: bool,
-    /// Memory cap in bytes for the host-side per-node encrypted histogram
-    /// cache that powers `hist_subtraction`. Eviction is level-scoped:
-    /// entries more than one level above the insertion point are dropped
-    /// first, then the deepest entries until the cap holds.
-    pub hist_cache_bytes: u64,
 }
-
-/// Default memory cap for the node-histogram cache (256 MiB).
-pub const DEFAULT_HIST_CACHE_BYTES: u64 = 256 << 20;
 
 impl ProtocolConfig {
     /// The unoptimized SecureBoost-style baseline (the paper's VF-GBDT).
@@ -63,8 +53,6 @@ impl ProtocolConfig {
             blaster_batch: None,
             reordered_accumulation: false,
             pack_histograms: false,
-            hist_subtraction: false,
-            hist_cache_bytes: DEFAULT_HIST_CACHE_BYTES,
         }
     }
 
@@ -75,8 +63,6 @@ impl ProtocolConfig {
             blaster_batch: Some(4096),
             reordered_accumulation: true,
             pack_histograms: true,
-            hist_subtraction: true,
-            hist_cache_bytes: DEFAULT_HIST_CACHE_BYTES,
         }
     }
 }
@@ -96,8 +82,6 @@ mod tests {
         let b = ProtocolConfig::baseline();
         assert!(!b.optimistic && !b.reordered_accumulation && !b.pack_histograms);
         assert!(b.blaster_batch.is_none());
-        assert!(!b.hist_subtraction);
-        assert_eq!(b.hist_cache_bytes, DEFAULT_HIST_CACHE_BYTES);
     }
 
     #[test]
@@ -105,7 +89,5 @@ mod tests {
         let v = ProtocolConfig::vf2boost();
         assert!(v.optimistic && v.reordered_accumulation && v.pack_histograms);
         assert!(v.blaster_batch.is_some());
-        assert!(v.hist_subtraction);
-        assert_eq!(v.hist_cache_bytes, DEFAULT_HIST_CACHE_BYTES);
     }
 }

@@ -118,11 +118,6 @@ impl RowMajorBins {
 #[derive(Debug, Clone, Default)]
 pub struct NodeRows {
     lists: Vec<Option<Vec<u32>>>,
-    /// Per-node revision, bumped whenever the node's row list is replaced
-    /// (split, re-split, or rollback). Cached artifacts derived from a row
-    /// list — e.g. the host's encrypted node histograms — carry the
-    /// revision they were built at and are stale if it has moved on.
-    revs: Vec<u32>,
 }
 
 impl NodeRows {
@@ -131,7 +126,7 @@ impl NodeRows {
         let n = (1 << max_layers) - 1;
         let mut lists = vec![None; n];
         lists[0] = Some((0..num_rows as u32).collect());
-        NodeRows { lists, revs: vec![0; n] }
+        NodeRows { lists }
     }
 
     /// The rows of a node (panics if the node never materialized).
@@ -165,13 +160,6 @@ impl NodeRows {
         }
         self.lists[left_child(id)] = Some(left);
         self.lists[right_child(id)] = Some(right);
-        self.revs[left_child(id)] += 1;
-        self.revs[right_child(id)] += 1;
-    }
-
-    /// The revision of a node's row list (0 if never materialized).
-    pub fn revision(&self, id: NodeId) -> u32 {
-        self.revs.get(id).copied().unwrap_or(0)
     }
 
     /// Drops the lists of every strict descendant of `id` (dirty-node
@@ -181,7 +169,6 @@ impl NodeRows {
         while let Some(x) = stack.pop() {
             if x < self.lists.len() && self.lists[x].is_some() {
                 self.lists[x] = None;
-                self.revs[x] += 1;
                 stack.push(left_child(x));
                 stack.push(right_child(x));
             }
@@ -283,24 +270,6 @@ mod tests {
         assert!(nr.has(1));
         assert!(!nr.has(3) && !nr.has(4));
         assert!(nr.has(5) && nr.has(6)); // node 2's children untouched
-    }
-
-    #[test]
-    fn revisions_track_list_replacement() {
-        let mut nr = NodeRows::new_tree(4, 4);
-        assert_eq!(nr.revision(1), 0);
-        nr.apply_placement(0, &[true, true, false, false]);
-        assert_eq!(nr.revision(1), 1);
-        assert_eq!(nr.revision(2), 1);
-        // Re-split bumps both children again.
-        nr.apply_placement(0, &[false, true, false, true]);
-        assert_eq!(nr.revision(1), 2);
-        // Rollback bumps cleared descendants but not the surviving node.
-        nr.apply_placement(1, &[true, false]);
-        let before = nr.revision(1);
-        nr.clear_descendants(1);
-        assert_eq!(nr.revision(1), before);
-        assert_eq!(nr.revision(3), 2); // placement bump + clear bump
     }
 
     #[test]

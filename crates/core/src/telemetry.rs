@@ -142,16 +142,16 @@ pub struct ProtocolEvents {
     /// Host node histograms derived by ciphertext subtraction
     /// (`parent ⊖ sibling`) instead of a direct per-row build.
     pub hist_subtractions: u64,
-    /// Node-histogram cache hits (a cached parent enabled a subtraction, or
-    /// a node's own cached builders were reused).
+    /// Retained-histogram hits (a resident parent enabled a subtraction, or
+    /// a node's own retained builders were reused).
     pub hist_cache_hits: u64,
-    /// Node-histogram cache misses: a subtraction was wanted but the parent
-    /// entry was absent or stale (e.g. after an optimistic rollback), so the
-    /// host fell back to a direct build.
+    /// Retained-histogram misses: a subtraction was wanted but the parent's
+    /// histogram was not resident (e.g. dropped by a deeper store before a
+    /// rolled-back task was re-issued), so the host fell back to a direct
+    /// build.
     pub hist_cache_misses: u64,
-    /// Node-histogram cache entries evicted to honor the byte cap or the
-    /// level scope (each eviction is also a trace event carrying the
-    /// released byte count).
+    /// Retained node histograms dropped by the level scope (each drop is
+    /// also a trace event carrying the released byte count).
     pub hist_cache_evictions: u64,
     /// Homomorphic additions avoided by subtraction-derived histograms:
     /// the direct-build cost of each derived child minus what the
@@ -202,7 +202,8 @@ pub struct ProtocolEvents {
 }
 
 impl ProtocolEvents {
-    /// Hit rate of the node-histogram cache (0 when it was never consulted).
+    /// Hit rate of the retained node histograms (0 when none was ever
+    /// wanted).
     pub fn hist_cache_hit_rate(&self) -> f64 {
         let total = self.hist_cache_hits + self.hist_cache_misses;
         if total == 0 {

@@ -82,10 +82,10 @@ pub enum TraceEventKind {
     },
     /// An optimistic split lost to a host and its subtree was rolled back.
     DirtyRollback,
-    /// The node-histogram cache evicted an entry to honor its byte cap or
-    /// level scope.
+    /// The host dropped a retained node histogram whose level can no longer
+    /// parent a subtraction.
     CacheEvict {
-        /// The evicted node's heap id.
+        /// The dropped node's heap id.
         node: u32,
         /// Resident bytes released.
         bytes: u64,
@@ -221,7 +221,7 @@ impl TraceRing {
         self.push(Some(tree), Some(node), TraceEventKind::DirtyRollback);
     }
 
-    /// Records a node-histogram cache eviction.
+    /// Records a dropped retained node histogram.
     pub fn cache_evict(&mut self, tree: u32, node: u32, bytes: u64) {
         self.push(Some(tree), None, TraceEventKind::CacheEvict { node, bytes });
     }

@@ -593,7 +593,7 @@ mod tests {
 
     #[test]
     fn invalid_input_is_an_error_not_a_panic() {
-        use crate::error::TrainError;
+        use crate::error::{ConfigError, TrainError};
         let s = scenario(50, 4, 2, 31);
         let no_hosts = train_federated(&[], &s.guest, &mock_cfg()).unwrap_err();
         assert!(matches!(no_hosts.error, TrainError::InvalidInput(_)));
@@ -605,6 +605,14 @@ mod tests {
         let misaligned = train_federated(&short.hosts, &s.guest, &mock_cfg()).unwrap_err();
         assert!(matches!(misaligned.error, TrainError::InvalidInput(_)));
         assert!(misaligned.partial.hosts.is_empty());
+        // A tree with no layers has no root to hold the rows.
+        let flat =
+            TrainConfig { gbdt: GbdtParams { max_layers: 0, ..mock_cfg().gbdt }, ..mock_cfg() };
+        let no_layers = train_federated(&s.hosts, &s.guest, &flat).unwrap_err();
+        assert_eq!(
+            no_layers.error,
+            TrainError::InvalidConfig(ConfigError::MaxLayersOutOfRange { max_layers: 0 })
+        );
     }
 
     #[test]

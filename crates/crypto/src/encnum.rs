@@ -61,21 +61,6 @@ impl EncryptedNumber {
         })
     }
 
-    /// Encrypts an already-encoded plaintext with a precomputed obfuscation
-    /// factor (see [`crate::paillier::RandomnessPool`]).
-    pub fn from_encoded_with_rn(
-        encoded: &EncodedNumber,
-        rn: &BigUint,
-        pk: &PublicKey,
-        counters: &OpCounters,
-    ) -> Self {
-        counters.add_enc(1);
-        EncryptedNumber {
-            cipher: pk.encrypt_raw_with_rn(&encoded.mantissa, rn),
-            exponent: encoded.exponent,
-        }
-    }
-
     /// The additive identity at a given exponent (`⟦0⟧ = 1`, not obfuscated).
     pub fn zero(exponent: i32, pk: &PublicKey) -> Self {
         EncryptedNumber { cipher: pk.zero_raw(), exponent }

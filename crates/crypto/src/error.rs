@@ -32,12 +32,6 @@ pub enum CryptoError {
     /// Honest ciphers are always units; this indicates a corrupted or
     /// foreign cipher (a multiple of `p` or `q` slipped in).
     NonInvertibleCipher,
-    /// The precomputed randomness pool ran dry with combine mode off (or
-    /// held fewer than two factors with combine mode on).
-    RandomnessExhausted {
-        /// Factors remaining in the pool when the draw failed.
-        remaining: usize,
-    },
     /// Two operands whose shapes must agree (histogram lengths, builder
     /// strategies, packed bin counts) did not. At a trust boundary this
     /// means the peer sent data inconsistent with the negotiated layout;
@@ -77,9 +71,6 @@ impl fmt::Display for CryptoError {
             }
             CryptoError::NonInvertibleCipher => {
                 write!(f, "cipher is not a unit modulo n² and cannot be negated")
-            }
-            CryptoError::RandomnessExhausted { remaining } => {
-                write!(f, "randomness pool exhausted ({remaining} factors left, combine off)")
             }
             CryptoError::ShapeMismatch { context, left, right } => {
                 write!(f, "shape mismatch in {context}: {left} vs {right}")

@@ -54,6 +54,6 @@ pub use error::{CryptoError, Result};
 pub use fixed::Fixed;
 pub use montgomery::{CryptoBackend, MontCost, MontExp};
 pub use packing::{pack_ciphers, unpack_plaintext, GhPlan, PackingPlan};
-pub use paillier::{KeyPair, PrivateKey, PublicKey, RandomnessPool};
+pub use paillier::{KeyPair, PrivateKey, PublicKey};
 pub use seed::split_seed;
 pub use suite::{Ciphertext, PackedCiphertext, Suite, SuiteKind};

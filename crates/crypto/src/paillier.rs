@@ -16,13 +16,11 @@
 //! obfuscators through the CRT, as Teichmüller lifts with half-length
 //! exponents (see [`PrivateKey::random_rn_crt_ctr`]).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use num_bigint::{BigUint, RandBigInt};
 use num_integer::Integer;
 use num_traits::One;
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -166,20 +164,15 @@ impl PublicKey {
         self.encrypt_raw_with_rn(v, &rn)
     }
 
-    /// Encrypts `v` using a precomputed obfuscation factor `rⁿ mod n²`
-    /// (see [`RandomnessPool`]).
+    /// Encrypts `v` using a precomputed obfuscation factor `rⁿ mod n²`.
     pub fn encrypt_raw_with_rn(&self, v: &BigUint, rn: &BigUint) -> RawCipher {
         // g = n+1  ⇒  g^v = 1 + v·n (mod n²)
         let gv = (BigUint::one() + v * &self.0.n) % &self.0.nn;
         (gv * rn) % &self.0.nn
     }
 
-    /// Draws a random `r ∈ [1, n)` and returns `rⁿ mod n²`.
-    pub fn random_rn<R: Rng + ?Sized>(&self, rng: &mut R) -> BigUint {
-        self.random_rn_ctr(rng, &OpCounters::default())
-    }
-
-    /// [`PublicKey::random_rn`] with backend work tallied into `ctr`.
+    /// Draws a random `r ∈ [1, n)` and returns `rⁿ mod n²`, with backend
+    /// work tallied into `ctr`.
     ///
     /// The random draw always happens first and consumes the same RNG
     /// stream under either backend, so ciphers are backend-independent.
@@ -400,12 +393,8 @@ impl PrivateKey {
         self.0.public.encrypt_raw_with_rn(v, &rn)
     }
 
-    /// Draws `r` and returns an obfuscator `r′ⁿ mod n²` via the CRT.
-    pub fn random_rn_crt<R: Rng + ?Sized>(&self, rng: &mut R) -> BigUint {
-        self.random_rn_crt_ctr(rng, &OpCounters::default())
-    }
-
-    /// [`PrivateKey::random_rn_crt`] with backend work tallied into `ctr`.
+    /// Draws `r` and returns an obfuscator `r′ⁿ mod n²` via the CRT, with
+    /// backend work tallied into `ctr`.
     ///
     /// The result is `CRT(ω_p, ω_q)` with `ω_p = (r mod p)^p mod p²`, the
     /// Teichmüller lift of `r mod p` (the `(p−1)`-th root of unity mod `p²`
@@ -552,157 +541,6 @@ impl KeyPair {
     }
 }
 
-/// A pool of precomputed obfuscation factors `rⁿ mod n²`.
-///
-/// Computing `rⁿ` dominates encryption cost. The pool precomputes a batch
-/// up front (in parallel, through the key's backend — fixed-limb when
-/// attached) and can stretch it further in *combine* mode: the product of
-/// two pooled factors `(r₁·r₂)ⁿ` is itself a valid obfuscation factor, so
-/// fresh randomness costs one modular multiplication instead of one
-/// exponentiation.
-///
-/// A drained pool **refills itself** in amortized batches: the factor
-/// seeds continue the same deterministic sequence the initial fill
-/// started, so a pool of size `s` drawn `k` times hands out exactly the
-/// factors a pool of size `≥ k` would have held. The typed
-/// [`CryptoError::RandomnessExhausted`] error remains only for genuinely
-/// impossible requests — a zero-sized non-refilling pool, or a
-/// [`RandomnessPool::strict`] pool that ran dry.
-pub struct RandomnessPool {
-    private: PrivateKey,
-    pool: Mutex<Vec<BigUint>>,
-    combine: bool,
-    /// Factors generated per refill; `0` disables refilling (strict mode).
-    refill_batch: usize,
-    /// Next factor seed in the deterministic sequence.
-    next_seed: Mutex<u64>,
-    refills: AtomicU64,
-    rng: Mutex<StdRng>,
-}
-
-impl RandomnessPool {
-    /// Precomputes `size` obfuscation factors and refills in `size`-factor
-    /// batches when drained. When `combine` is true draws recombine pooled
-    /// entries pairwise instead of consuming them.
-    pub fn new(private: &PrivateKey, size: usize, combine: bool, seed: u64) -> Self {
-        Self::with_refill(private, size, size, combine, seed)
-    }
-
-    /// A legacy fixed-capacity pool that never refills: draws past the
-    /// precomputed batch fail with [`CryptoError::RandomnessExhausted`].
-    pub fn strict(private: &PrivateKey, size: usize, combine: bool, seed: u64) -> Self {
-        Self::with_refill(private, size, 0, combine, seed)
-    }
-
-    /// Sizes the pool from the workload it will serve: `instances` rows,
-    /// each encrypted twice (gradient and hessian) per tree. The initial
-    /// batch and refill batch are the full demand, capped at 4096 factors
-    /// so precompute memory stays bounded; past the cap the amortized
-    /// refill covers the tail.
-    pub fn sized_for_workload(
-        private: &PrivateKey,
-        instances: usize,
-        trees: usize,
-        combine: bool,
-        seed: u64,
-    ) -> Self {
-        let demand = instances.saturating_mul(2).saturating_mul(trees.max(1));
-        let size = demand.clamp(2, 4096);
-        Self::with_refill(private, size, size, combine, seed)
-    }
-
-    fn with_refill(
-        private: &PrivateKey,
-        size: usize,
-        refill_batch: usize,
-        combine: bool,
-        seed: u64,
-    ) -> Self {
-        let pool = Self::generate_batch(private, seed, size);
-        RandomnessPool {
-            private: private.clone(),
-            pool: Mutex::new(pool),
-            combine,
-            refill_batch,
-            next_seed: Mutex::new(seed.wrapping_add(size as u64)),
-            refills: AtomicU64::new(0),
-            rng: Mutex::new(StdRng::seed_from_u64(seed ^ 0x9e3779b97f4a7c15)),
-        }
-    }
-
-    /// Generates `count` factors from consecutive seeds starting at `base`.
-    fn generate_batch(private: &PrivateKey, base: u64, count: usize) -> Vec<BigUint> {
-        use rayon::prelude::*;
-        let seeds: Vec<u64> = (0..count as u64).map(|i| base.wrapping_add(i)).collect();
-        seeds
-            .par_iter()
-            .map(|&s| {
-                let mut rng = StdRng::seed_from_u64(s);
-                private.random_rn_crt(&mut rng)
-            })
-            .collect()
-    }
-
-    /// Extends the pool by one refill batch, continuing the deterministic
-    /// seed sequence. Errors when refilling is disabled (`refill_batch == 0`).
-    fn refill(&self, pool: &mut Vec<BigUint>) -> Result<()> {
-        if self.refill_batch == 0 {
-            return Err(CryptoError::RandomnessExhausted { remaining: pool.len() });
-        }
-        let base = {
-            let mut s = self.next_seed.lock();
-            let b = *s;
-            *s = s.wrapping_add(self.refill_batch as u64);
-            b
-        };
-        pool.extend(Self::generate_batch(&self.private, base, self.refill_batch));
-        self.refills.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Returns the next obfuscation factor, refilling the pool if needed.
-    ///
-    /// Errors with [`CryptoError::RandomnessExhausted`] only when a draw
-    /// is genuinely impossible: the pool cannot refill (strict mode or a
-    /// zero-sized batch) and is dry — or, with combine mode on, holds
-    /// fewer than the two factors recombination needs.
-    pub fn next_rn(&self) -> Result<BigUint> {
-        let mut pool = self.pool.lock();
-        if !self.combine {
-            if pool.is_empty() {
-                self.refill(&mut pool)?;
-            }
-            return pool.pop().ok_or(CryptoError::RandomnessExhausted { remaining: 0 });
-        }
-        while pool.len() < 2 {
-            self.refill(&mut pool)?;
-        }
-        let len = pool.len();
-        let mut rng = self.rng.lock();
-        let i = rng.gen_range(0..len);
-        let j = (i + 1 + rng.gen_range(0..len - 1)) % len;
-        let combined = (&pool[i] * &pool[j]) % self.private.public().nn();
-        // Refresh the pool in place so repeated draws keep mixing.
-        pool[i] = combined.clone();
-        Ok(combined)
-    }
-
-    /// Number of factors currently pooled.
-    pub fn len(&self) -> usize {
-        self.pool.lock().len()
-    }
-
-    /// True if no factors remain.
-    pub fn is_empty(&self) -> bool {
-        self.pool.lock().is_empty()
-    }
-
-    /// How many amortized refills the pool has performed.
-    pub fn refills(&self) -> u64 {
-        self.refills.load(Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -801,81 +639,6 @@ mod tests {
     }
 
     #[test]
-    fn randomness_pool_combine_mode_never_exhausts() {
-        let kp = keypair();
-        let pool = RandomnessPool::new(&kp.private, 4, true, 99);
-        for _ in 0..64 {
-            let rn = pool.next_rn().unwrap();
-            let c = kp.public.encrypt_raw_with_rn(&BigUint::from(9u64), &rn);
-            assert_eq!(kp.private.decrypt_raw(&c), BigUint::from(9u64));
-        }
-        assert_eq!(pool.len(), 4);
-    }
-
-    #[test]
-    fn randomness_pool_refills_when_drained() {
-        let kp = keypair();
-        let pool = RandomnessPool::new(&kp.private, 3, false, 17);
-        // Ten draws from a three-factor pool: refills are amortized and
-        // every factor is a valid obfuscation factor.
-        for _ in 0..10 {
-            let rn = pool.next_rn().unwrap();
-            let c = kp.public.encrypt_raw_with_rn(&BigUint::from(4u64), &rn);
-            assert_eq!(kp.private.decrypt_raw(&c), BigUint::from(4u64));
-        }
-        assert!(pool.refills() >= 1, "drained pool must have refilled");
-        // Degenerate combine pool refills up to the pair it needs.
-        let tiny = RandomnessPool::new(&kp.private, 1, true, 18);
-        assert!(tiny.next_rn().is_ok());
-    }
-
-    #[test]
-    fn refilled_factors_continue_the_seed_sequence() {
-        let kp = keypair();
-        let small = RandomnessPool::new(&kp.private, 2, false, 31);
-        let big = RandomnessPool::new(&kp.private, 4, false, 31);
-        let mut a: Vec<BigUint> = (0..4).map(|_| small.next_rn().unwrap()).collect();
-        let mut b: Vec<BigUint> = (0..4).map(|_| big.next_rn().unwrap()).collect();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "refill must hand out the factors a larger pool would have held");
-    }
-
-    #[test]
-    fn strict_pool_exhaustion_is_an_error_not_a_panic() {
-        let kp = keypair();
-        let pool = RandomnessPool::strict(&kp.private, 3, false, 17);
-        for _ in 0..3 {
-            assert!(pool.next_rn().is_ok());
-        }
-        assert_eq!(pool.next_rn().unwrap_err(), CryptoError::RandomnessExhausted { remaining: 0 });
-        // The pool stays usable as an object (no poisoned state).
-        assert!(pool.is_empty());
-        assert_eq!(pool.refills(), 0);
-        // Strict combine mode with a degenerate single-factor pool errors.
-        let tiny = RandomnessPool::strict(&kp.private, 1, true, 18);
-        assert_eq!(tiny.next_rn().unwrap_err(), CryptoError::RandomnessExhausted { remaining: 1 });
-        // A zero-sized non-refilling pool is genuinely impossible to draw from.
-        let none = RandomnessPool::new(&kp.private, 0, false, 19);
-        assert_eq!(none.next_rn().unwrap_err(), CryptoError::RandomnessExhausted { remaining: 0 });
-    }
-
-    #[test]
-    fn sized_for_workload_covers_demand() {
-        let kp = keypair();
-        // 5 instances × 2 stats × 2 trees = 20 factors of demand.
-        let pool = RandomnessPool::sized_for_workload(&kp.private, 5, 2, false, 7);
-        assert_eq!(pool.len(), 20);
-        for _ in 0..25 {
-            assert!(pool.next_rn().is_ok(), "demand overshoot must refill, not fail");
-        }
-        // Tiny workloads are clamped up to the combine-viable minimum.
-        let min = RandomnessPool::sized_for_workload(&kp.private, 0, 0, true, 8);
-        assert_eq!(min.len(), 2);
-        assert!(min.next_rn().is_ok());
-    }
-
-    #[test]
     fn keygen_rejects_tiny_moduli() {
         assert!(KeyPair::generate_seeded(32, 1).is_err());
     }
@@ -930,8 +693,11 @@ mod tests {
     #[test]
     fn key_owner_obfuscators_encrypt_zero_at_512_bits() {
         let kp = KeyPair::generate_seeded(512, 9).unwrap();
-        let rns: Vec<BigUint> =
-            (0..6).map(|s| kp.private.random_rn_crt(&mut StdRng::seed_from_u64(s))).collect();
+        let rns: Vec<BigUint> = (0..6)
+            .map(|s| {
+                kp.private.random_rn_crt_ctr(&mut StdRng::seed_from_u64(s), &OpCounters::default())
+            })
+            .collect();
         for (i, rn) in rns.iter().enumerate() {
             assert_eq!(kp.private.decrypt_raw(rn), BigUint::from(0u32));
             assert!(!rn.is_one() && rn < kp.public.nn());

@@ -76,10 +76,14 @@ pub fn layer_of(id: NodeId) -> usize {
     (usize::BITS - (id + 1).leading_zeros() - 1) as usize
 }
 
+/// The most layers a tree may have: every holder of per-tree state sizes
+/// it as `2^max_layers − 1` heap slots.
+pub const MAX_LAYERS: usize = 24;
+
 impl Tree {
     /// An empty tree with room for `max_layers` layers.
     pub fn new(max_layers: usize) -> Tree {
-        assert!((1..=24).contains(&max_layers), "unreasonable layer count");
+        assert!((1..=MAX_LAYERS).contains(&max_layers), "unreasonable layer count");
         Tree { max_layers, nodes: vec![Node::Absent; (1 << max_layers) - 1] }
     }
 

@@ -23,15 +23,13 @@ fn all_sixteen_protocol_combinations_agree() {
 
     let mut reference: Option<Vec<f64>> = None;
     for mask in 0..16u8 {
+        // Exhaustive on purpose (no `..`): the paper's contract is these
+        // four toggles, and a fifth field must fail to compile here.
         let protocol = ProtocolConfig {
             optimistic: mask & 1 != 0,
             blaster_batch: if mask & 2 != 0 { Some(64) } else { None },
             reordered_accumulation: mask & 4 != 0,
             pack_histograms: mask & 8 != 0,
-            // Histogram subtraction stays on (the vf2boost default) for
-            // every mask: the derive-vs-direct decision is a pure function
-            // of the row lists, so cross-mask value identity is preserved.
-            ..ProtocolConfig::vf2boost()
         };
         let cfg = TrainConfig {
             gbdt: GbdtParams { num_trees: 2, max_layers: 4, ..Default::default() },

@@ -19,6 +19,8 @@ use vf2boost::core::json;
 use vf2boost::core::messages::{
     FeatureMeta, GhPackedFeatureHist, HistPayload, Msg, RawFeatureHist,
 };
+use vf2boost::core::protocol::ProtocolConfig;
+use vf2boost::core::rows::RowMajorBins;
 use vf2boost::core::session::PartySession;
 use vf2boost::core::telemetry::{party_to_json, PartyTelemetry};
 use vf2boost::core::trace::write_flight_record;
@@ -28,7 +30,9 @@ use vf2boost::crypto::suite::{Ciphertext, PackedCiphertext, PlainNumber, Suite};
 use vf2boost::crypto::{CryptoError, EncryptedNumber, GhPlan, PackingPlan};
 use vf2boost::datagen::synthetic::{generate_classification, SyntheticConfig};
 use vf2boost::datagen::vertical::split_vertical;
+use vf2boost::gbdt::binning::BinnedDataset;
 use vf2boost::gbdt::data::{Dataset, FeatureColumn};
+use vf2boost::gbdt::histogram::GradPair;
 use vf2boost::gbdt::train::GbdtParams;
 
 const DRAIN: Duration = Duration::from_secs(10);
@@ -53,17 +57,21 @@ fn grad_batch(tree: u32, start_row: u32, rows: usize, last: bool, exponent: i32)
     Msg::GradBatch { tree, start_row, g: vec![c.clone(); rows], h: vec![c; rows], last }
 }
 
+type HostHandle =
+    std::thread::JoinHandle<Result<PartyTelemetry, vf2boost::core::error::HostFailure>>;
+
 /// Spawns a production host over a real instant link; the test plays the
 /// (possibly byzantine) guest on the other end. The host owns one dense
 /// feature over 4 rows.
-fn spawn_host(
-    cfg: TrainConfig,
-) -> (Endpoint, std::thread::JoinHandle<Result<PartyTelemetry, vf2boost::core::error::HostFailure>>)
-{
+fn spawn_host(cfg: TrainConfig) -> (Endpoint, HostHandle) {
+    let data = Dataset::new(4, vec![FeatureColumn::Dense(vec![0.0, 1.0, 2.0, 3.0])], None);
+    spawn_host_on(cfg, data, Suite::plain(cfg.encoding))
+}
+
+/// [`spawn_host`] over the caller's own columns and cipher suite.
+fn spawn_host_on(cfg: TrainConfig, data: Dataset, suite: Suite) -> (Endpoint, HostHandle) {
     let (guest_ep, host_ep) = duplex(WanConfig::instant());
-    let data =
-        Arc::new(Dataset::new(4, vec![FeatureColumn::Dense(vec![0.0, 1.0, 2.0, 3.0])], None));
-    let suite = Suite::plain(cfg.encoding);
+    let data = Arc::new(data);
     let handle = std::thread::spawn(move || {
         run_host(0, data, cfg, suite, host_ep, None, ChaosPlan::default())
             .map(|(telemetry, _)| telemetry)
@@ -245,6 +253,94 @@ fn budget_exceeded_reports_total_violations() {
         other => panic!("wrong error: {other}"),
     }
     assert_eq!(failure.telemetry.events.misbehavior, 2);
+}
+
+/// An honest re-split, at the host in isolation: after an optimistic
+/// rollback the guest replaces a node's placement and re-issues both child
+/// tasks. The host's second pair of answers must describe the *new* row
+/// lists bin for bin — a histogram retained from the first pair would be a
+/// silently wrong model — and the larger child must again have been derived
+/// as `parent ⊖ smaller`, not rebuilt. Mock and real Paillier.
+#[test]
+fn host_answers_a_resplit_from_the_new_row_lists() {
+    let rows = 24usize;
+    let column = |mul: usize, modulus: usize| {
+        FeatureColumn::Dense((0..rows).map(|i| ((i * mul) % modulus) as f32).collect())
+    };
+    let data = Dataset::new(rows, vec![column(7, 24), column(5, 11)], None);
+    let cfg = TrainConfig {
+        protocol: ProtocolConfig { pack_histograms: false, ..ProtocolConfig::vf2boost() },
+        ..byz_cfg(0)
+    };
+    let csr = RowMajorBins::from_binned(&BinnedDataset::bin(&data, &cfg.gbdt.binning));
+    // Multiples of 1/16: exact in f64 sums and in the base-16 encoding.
+    let grads: Vec<GradPair> = (0..rows)
+        .map(|i| GradPair { g: (i as f64 - 11.0) / 16.0, h: (1 + i % 3) as f64 / 16.0 })
+        .collect();
+    let paillier = Suite::paillier_seeded(256, 7, cfg.encoding).unwrap();
+    for guest_suite in [Suite::plain(cfg.encoding), paillier] {
+        let (guest_ep, handle) = spawn_host_on(cfg, data.clone(), guest_suite.public_half());
+        eat_greetings(&guest_ep);
+        send(&guest_ep, &Msg::Resume { session_id: 0, tree_count: 0 });
+        let stream = |pick: fn(&GradPair) -> f64, seed: u64| {
+            guest_suite.encrypt_batch(&grads.iter().map(pick).collect::<Vec<_>>(), seed).unwrap()
+        };
+        let (g, h) = (stream(|p| p.g, 100), stream(|p| p.h, 200));
+        send(&guest_ep, &Msg::GradBatch { tree: 0, start_row: 0, g, h, last: true });
+        // The next answer must be `node`'s histogram at `epoch`, equal bin
+        // for bin to the plaintext histogram of `node_rows`.
+        let expect_answer = |node: u32, epoch: u32, node_rows: &[u32]| {
+            let env = guest_ep.recv_timeout(DRAIN).expect("histogram answer");
+            let msg = wire::decode(env.kind, env.payload).expect("answer decodes");
+            let Msg::NodeHistograms { node: n, epoch: e, payload: HistPayload::Raw(feats), .. } =
+                msg
+            else {
+                panic!("expected raw node histograms, got kind {}", msg.kind());
+            };
+            assert_eq!((n, e), (node, epoch));
+            let plain = csr.node_histograms(node_rows, &grads);
+            assert_eq!(feats.len(), plain.len());
+            for (f, (enc, hist)) in feats.iter().zip(&plain).enumerate() {
+                assert_eq!(enc.g.len(), hist.bins.len(), "node {node} feature {f}");
+                for (b, want) in hist.bins.iter().enumerate() {
+                    let got_g = guest_suite.decrypt(&enc.g[b]).unwrap();
+                    let got_h = guest_suite.decrypt(&enc.h[b]).unwrap();
+                    assert!(
+                        (got_g - want.g).abs() < 1e-9 && (got_h - want.h).abs() < 1e-9,
+                        "node {node} epoch {epoch} feature {f} bin {b}: \
+                         ({got_g}, {got_h}) vs ({}, {})",
+                        want.g,
+                        want.h
+                    );
+                }
+            }
+        };
+        let all: Vec<u32> = (0..rows as u32).collect();
+        expect_answer(0, 1, &all);
+        // First the left child is the smaller one (8 of 24), then — a
+        // different bitmap, not a prefix of the first — the right one (9).
+        let first: Vec<bool> = (0..rows).map(|i| i < 8).collect();
+        let second: Vec<bool> = (0..rows).map(|i| i % 8 >= 3).collect();
+        for (epoch, placement) in [(1, first), (2, second)] {
+            let side = |left: bool| -> Vec<u32> {
+                all.iter().copied().filter(|&r| placement[r as usize] == left).collect()
+            };
+            send(
+                &guest_ep,
+                &Msg::ApplyPlacement { tree: 0, node: 0, placement: placement.clone() },
+            );
+            send(&guest_ep, &Msg::NodeTask { tree: 0, node: 1, epoch });
+            send(&guest_ep, &Msg::NodeTask { tree: 0, node: 2, epoch });
+            expect_answer(1, epoch, &side(true));
+            expect_answer(2, epoch, &side(false));
+        }
+        send(&guest_ep, &Msg::TreeDone { tree: 0 });
+        send(&guest_ep, &Msg::Shutdown);
+        let telemetry = handle.join().unwrap().expect("an honest script ends the host cleanly");
+        assert_eq!(telemetry.events.hist_subtractions, 2, "one derived child per placement");
+        assert_eq!(telemetry.events.hist_cache_misses, 0);
+        assert_eq!(telemetry.events.misbehavior, 0);
+    }
 }
 
 /// A labelled dataset for driving `run_guest` against a scripted host.

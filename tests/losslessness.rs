@@ -140,54 +140,42 @@ fn full_vf2boost_paillier_is_lossless_within_encoding_noise() {
 /// The paired forward path against the two-stream one inside one build: a
 /// Paillier run with `pack_histograms` ships one cipher per instance and
 /// GH-packed histograms, the same run without it two ciphers per instance
-/// and raw histograms. Across sequential/optimistic × subtraction on/off
-/// the final margins must be *bitwise identical* — split decisions drive
-/// the tree shape and leaf weights come from guest-side plaintext sums, so
-/// a decode discrepancy that flipped a split would blow the margins apart —
-/// and the paired side encrypts exactly once per instance and tree.
+/// and raw histograms. Sequential and optimistic, the final margins must be
+/// *bitwise identical* — split decisions drive the tree shape and leaf
+/// weights come from guest-side plaintext sums, so a decode discrepancy
+/// that flipped a split would blow the margins apart — and the paired side
+/// encrypts exactly once per instance and tree.
 #[test]
 fn paired_path_preserves_the_two_stream_split_decisions() {
     let (rows, trees) = (160, 2);
     let data = dataset(rows, 5);
     let s = split_vertical(&data, &[5]);
     for optimistic in [false, true] {
-        for subtraction in [false, true] {
-            let what = format!("opt={optimistic} sub={subtraction}");
-            let paired = TrainConfig {
-                gbdt: GbdtParams { num_trees: trees, max_layers: 4, ..Default::default() },
-                crypto: CryptoConfig::Paillier { key_bits: 256 },
-                protocol: ProtocolConfig {
-                    optimistic,
-                    blaster_batch: if optimistic { Some(64) } else { None },
-                    hist_subtraction: subtraction,
-                    ..ProtocolConfig::vf2boost()
-                },
-                ..TrainConfig::for_tests()
-            };
-            let two_stream = TrainConfig {
-                protocol: ProtocolConfig { pack_histograms: false, ..paired.protocol },
-                ..paired
-            };
-            let on = train_federated(&s.hosts, &s.guest, &paired).expect("paired training");
-            let off =
-                train_federated(&s.hosts, &s.guest, &two_stream).expect("two-stream training");
-            assert_eq!(on.report.guest.ops.enc, (rows * trees) as u64, "paired enc ({what})");
-            assert_eq!(
-                off.report.guest.ops.enc,
-                (2 * rows * trees) as u64,
-                "two-stream enc ({what})"
-            );
-            assert_eq!(on.report.hosts[0].ops.scalings, 0, "pairs share one exponent ({what})");
-            let m_on = on.model.predict_margin(&[&s.hosts[0]], &s.guest);
-            let m_off = off.model.predict_margin(&[&s.hosts[0]], &s.guest);
-            assert_eq!(m_on.len(), m_off.len());
-            for (i, (a, b)) in m_on.iter().zip(&m_off).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "margin {i}: paired={a} two-stream={b} ({what})"
-                );
-            }
+        let what = format!("opt={optimistic}");
+        let paired = TrainConfig {
+            gbdt: GbdtParams { num_trees: trees, max_layers: 4, ..Default::default() },
+            crypto: CryptoConfig::Paillier { key_bits: 256 },
+            protocol: ProtocolConfig {
+                optimistic,
+                blaster_batch: if optimistic { Some(64) } else { None },
+                ..ProtocolConfig::vf2boost()
+            },
+            ..TrainConfig::for_tests()
+        };
+        let two_stream = TrainConfig {
+            protocol: ProtocolConfig { pack_histograms: false, ..paired.protocol },
+            ..paired
+        };
+        let on = train_federated(&s.hosts, &s.guest, &paired).expect("paired training");
+        let off = train_federated(&s.hosts, &s.guest, &two_stream).expect("two-stream training");
+        assert_eq!(on.report.guest.ops.enc, (rows * trees) as u64, "paired enc ({what})");
+        assert_eq!(off.report.guest.ops.enc, (2 * rows * trees) as u64, "two-stream enc ({what})");
+        assert_eq!(on.report.hosts[0].ops.scalings, 0, "pairs share one exponent ({what})");
+        let m_on = on.model.predict_margin(&[&s.hosts[0]], &s.guest);
+        let m_off = off.model.predict_margin(&[&s.hosts[0]], &s.guest);
+        assert_eq!(m_on.len(), m_off.len());
+        for (i, (a, b)) in m_on.iter().zip(&m_off).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "margin {i}: paired={a} two-stream={b} ({what})");
         }
     }
 }
