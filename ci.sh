@@ -92,13 +92,30 @@ if grep -nE 'crash_|fault_|stall_' \
   exit 1
 fi
 
+# One clock: every phase time is a wall-clock span (telemetry.rs). The
+# thread-CPU stopwatch, the makespans assembled from it and the two
+# vendored crates that existed for them must not come back. The one
+# allowed hit is table5_workers.rs's local `modeled_x`, a model printed
+# beside the measurement it predicts.
+echo "== one-clock gate (no modeled makespan, CPU stopwatch, libc or criterion) =="
+if grep -rnE 'modeled_|thread_cpu|CLOCK_THREAD|Stopwatch' crates/*/src crates/bench/benches \
+    | grep -v '^crates/bench/benches/table5_workers.rs:'; then
+  echo "a modeled makespan or a second clock is back" >&2
+  exit 1
+fi
+if grep -nE 'libc|criterion' Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml; then
+  echo "a Cargo.toml names libc or criterion" >&2
+  exit 1
+fi
+
 echo "== cargo bench --no-run =="
 cargo bench --workspace --no-run
 
 # Run-report gate: a small end-to-end training must emit a schema-valid
 # machine-readable report (vf2boost-run-report/v1), and each party's
 # per-phase durations must sum to its busy time and stay within the run's
-# wall clock (generous slack: CI boxes stall).
+# wall clock (both are wall time; the 50 ms covers a host still
+# applying its last placement when the guest returns).
 echo "== run report schema gate (jq) =="
 REPORT=$(mktemp /tmp/vf2_run_report.XXXXXX.json)
 VF2_KEY_BITS=256 cargo run --release -q -p vf2-bench --bin run_report -- "$REPORT"
@@ -122,7 +139,7 @@ jq -e '
   all(.parties[]; .phases |
     (((.encrypt_s + .build_hist_enc_s + .build_hist_plain_s
        + .pack_s + .decrypt_find_s + .split_nodes_s) - .busy_s) | fabs) < 1e-5
-    and .busy_s <= $wall + 1.0)' "$REPORT" > /dev/null
+    and .busy_s <= $wall + 0.05)' "$REPORT" > /dev/null
 rm -f "$REPORT"
 
 echo "CI OK"

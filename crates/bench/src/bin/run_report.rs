@@ -1,7 +1,7 @@
 //! Runs one small end-to-end federated training and writes the
 //! machine-readable run report (`vf2boost-run-report/v1`, see
 //! `vf2boost_core::telemetry`) — phase durations, op counts, link fault
-//! counters, cache hit rates, modeled makespans — to the given path: the
+//! counters, cache hit rates — to the given path: the
 //! artifact ci.sh schema-checks with `jq`.
 //!
 //! `cargo run --release -p vf2-bench --bin run_report -- <path>`

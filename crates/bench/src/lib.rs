@@ -10,17 +10,17 @@
 //!   2048 — raise it on a beefier machine to reproduce absolute ratios
 //!   closer to the paper's).
 //!
-//! Because this reproduction may run every party on one core, each bench
-//! prints both the **measured** wall time and a **modeled** timeline built
-//! from per-party busy phases (see `vf2boost_core::telemetry`): the
-//! modeled-sequential column is what a phase-sequential protocol costs,
-//! the modeled-concurrent column what perfect cross-party overlap achieves.
+//! Every time a bench prints is a measured wall time, or a per-party
+//! phase total that is itself a sum of wall-clock spans (see
+//! `vf2boost_core::telemetry`); speedups are ratios of walls on the machine
+//! the header names. The one model left, Table 5's worker-scaling
+//! prediction, is printed beside the measurement it predicts with its
+//! error.
 
 use std::time::Duration;
 
 use vf2_channel::WanConfig;
 use vf2boost_core::config::{CryptoConfig, TrainConfig};
-use vf2boost_core::telemetry::TrainReport;
 
 /// Reads `VF2_SCALE` (default `1.0`).
 pub fn scale() -> f64 {
@@ -32,23 +32,20 @@ pub fn key_bits() -> u64 {
     std::env::var("VF2_KEY_BITS").ok().and_then(|s| s.parse().ok()).unwrap_or(512)
 }
 
+/// Cores this process may run on: every wall a bench prints depends on it.
+pub fn cores() -> usize {
+    std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1)
+}
+
 /// Scales an instance count by [`scale`], keeping a sane floor.
 pub fn scaled_rows(base: usize) -> usize {
     ((base as f64 * scale()).round() as usize).max(64)
 }
 
-/// The paper's public-network bandwidth (300 Mbps), used to model the
-/// communication column of the cost dissections.
-pub const PAPER_BANDWIDTH_BYTES_PER_SEC: f64 = 300.0e6 / 8.0;
-
-/// Models the wire time of `bytes` at the paper's 300 Mbps link.
-pub fn modeled_comm(bytes: u64) -> Duration {
-    Duration::from_secs_f64(bytes as f64 / PAPER_BANDWIDTH_BYTES_PER_SEC)
-}
-
-/// A default experiment config: Paillier at [`key_bits`], instant in-process
-/// links (communication is *modeled* at 300 Mbps from measured bytes so the
-/// wall times stay compute-dominated and single-core-friendly).
+/// A default experiment config: Paillier at [`key_bits`], one worker per
+/// party, instant in-process links. Benches whose claim is about hiding
+/// the wire (Tables 1–2) set `wan` to `WanConfig::paper_public_network()`
+/// so the 300 Mbps link is inside the wall they report.
 pub fn base_config() -> TrainConfig {
     TrainConfig {
         crypto: CryptoConfig::Paillier { key_bits: key_bits() },
@@ -73,50 +70,14 @@ pub fn speedup(base: Duration, other: Duration) -> String {
     format!("({:.2}x)", base.as_secs_f64() / other.as_secs_f64())
 }
 
-/// One row of a phase dissection from a train report.
-pub struct Dissection {
-    /// Guest encryption time.
-    pub enc: Duration,
-    /// Modeled 300 Mbps transfer time of all bytes the guest sent.
-    pub comm: Duration,
-    /// Host homomorphic accumulation time (max over hosts).
-    pub hadd: Duration,
-    /// Host pack/finalize time (max over hosts).
-    pub pack: Duration,
-    /// Guest decrypt + split finding time.
-    pub dec_find: Duration,
-    /// Measured wall time.
-    pub wall: Duration,
-    /// Modeled phase-sequential time.
-    pub modeled_seq: Duration,
-    /// Modeled fully-concurrent makespan.
-    pub modeled_conc: Duration,
-}
-
-/// Extracts the dissection columns from a report.
-pub fn dissect(report: &TrainReport) -> Dissection {
-    let hadd = report.hosts.iter().map(|h| h.phases.build_hist_enc).max().unwrap_or_default();
-    let pack = report.hosts.iter().map(|h| h.phases.pack).max().unwrap_or_default();
-    let comm = modeled_comm(report.total_bytes());
-    Dissection {
-        enc: report.guest.phases.encrypt,
-        comm,
-        hadd,
-        pack,
-        dec_find: report.guest.phases.decrypt_find,
-        wall: report.wall_time,
-        modeled_seq: report.modeled_sequential() + comm,
-        modeled_conc: report.modeled_concurrent().max(comm),
-    }
-}
-
 /// Prints a standard bench header.
 pub fn header(title: &str, detail: &str) {
     println!("\n=== {title} ===");
     println!("{detail}");
     println!(
-        "scale={} key_bits={} (set VF2_SCALE / VF2_KEY_BITS to rescale)\n",
+        "scale={} key_bits={} cores={} (set VF2_SCALE / VF2_KEY_BITS to rescale)\n",
         scale(),
-        key_bits()
+        key_bits(),
+        cores()
     );
 }

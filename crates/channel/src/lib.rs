@@ -26,6 +26,7 @@
 //! * A compact binary [`codec`] whose encoded size *is* the wire size used
 //!   by the WAN model.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // Panic-free policy: non-test code may not unwrap/expect. Wire faults are
 // expected operating conditions here, so every fallible path returns a

@@ -43,7 +43,7 @@ use crate::model::{FedNode, FedTree};
 use crate::retry::Backoff;
 use crate::rows::{NodeRows, RowMajorBins};
 use crate::session::{dead_after, PartySession};
-use crate::telemetry::{LinkFaultEvents, PartyTelemetry, Stopwatch, TreeRecord};
+use crate::telemetry::{LinkFaultEvents, PartyTelemetry, TreeRecord};
 use crate::trace::{TracePhase, TraceRing};
 use crate::validate;
 use crate::wire;
@@ -1067,8 +1067,7 @@ impl GuestParty {
             let (g, h) = (&g_vals[start..end], &h_vals[start..end]);
             let seed = self.batch_seed(ctx.tree, start);
             let (tree, start_row, last) = (ctx.tree, start as u32, end == n);
-            let t0 = Stopwatch::start(self.cfg.workers <= 1);
-            self.telemetry.trace.enter(TracePhase::Encrypt, Some(ctx.tree), None);
+            let span = self.telemetry.enter(TracePhase::Encrypt, Some(ctx.tree), None);
             // Streams 0/1 (g, h) and 2 (pairs) are disjoint, so the two
             // paths never reuse each other's jitter or noise draws.
             let msg = self.pool.install(|| match &self.gh {
@@ -1082,8 +1081,7 @@ impl GuestParty {
                 }),
             });
             let msg = msg.map_err(TrainError::crypto("gradient encryption"))?;
-            self.telemetry.phases.encrypt += t0.elapsed();
-            self.telemetry.trace.exit(TracePhase::Encrypt, Some(ctx.tree), None);
+            self.telemetry.exit(span);
             // Hand to the gateway immediately; encryption of the next batch
             // overlaps with the wire and with host-side accumulation.
             self.broadcast_traced(&msg, ctx.tree)?;
@@ -1110,8 +1108,7 @@ impl GuestParty {
         }
 
         // FindSplitB: plaintext histograms over the guest's own features.
-        let t0 = Stopwatch::start(self.cfg.workers <= 1);
-        self.telemetry.trace.enter(TracePhase::PlainHist, Some(ctx.tree), Some(node as u32));
+        let span = self.telemetry.enter(TracePhase::PlainHist, Some(ctx.tree), Some(node as u32));
         let hists = self.csr.node_histograms(&rows, &ctx.grads);
         let guest_best = best_of(
             hists
@@ -1119,8 +1116,7 @@ impl GuestParty {
                 .enumerate()
                 .filter_map(|(f, h)| find_best_split(f, h, total, &self.cfg.gbdt.split)),
         );
-        self.telemetry.phases.build_hist_plain += t0.elapsed();
-        self.telemetry.trace.exit(TracePhase::PlainHist, Some(ctx.tree), Some(node as u32));
+        self.telemetry.exit(span);
 
         self.broadcast(&Msg::NodeTask {
             tree: ctx.tree,
@@ -1220,14 +1216,12 @@ impl GuestParty {
         node: NodeId,
         best: SplitCandidate,
     ) -> Result<(), TrainError> {
-        let t0 = Stopwatch::start(self.cfg.workers <= 1);
-        self.telemetry.trace.enter(TracePhase::Placement, Some(ctx.tree), Some(node as u32));
+        let span = self.telemetry.enter(TracePhase::Placement, Some(ctx.tree), Some(node as u32));
         let col = self.binned.column(best.feature);
         let placement: Vec<bool> =
             ctx.rows.rows(node).iter().map(|&r| col.bin_of_row(r as usize) <= best.bin).collect();
         ctx.rows.apply_placement(node, &placement);
-        self.telemetry.phases.split_nodes += t0.elapsed();
-        self.telemetry.trace.exit(TracePhase::Placement, Some(ctx.tree), Some(node as u32));
+        self.telemetry.exit(span);
         self.broadcast(&Msg::ApplyPlacement { tree: ctx.tree, node: node as u32, placement })?;
         Ok(())
     }
@@ -1473,11 +1467,9 @@ impl GuestParty {
         ctx.pending -= 1;
         ctx.decisions.insert(node, Decision::HostSplit { party: host as u16 });
 
-        let t0 = Stopwatch::start(self.cfg.workers <= 1);
-        self.telemetry.trace.enter(TracePhase::Placement, Some(ctx.tree), Some(node as u32));
+        let span = self.telemetry.enter(TracePhase::Placement, Some(ctx.tree), Some(node as u32));
         ctx.rows.apply_placement(node, &placement);
-        self.telemetry.phases.split_nodes += t0.elapsed();
-        self.telemetry.trace.exit(TracePhase::Placement, Some(ctx.tree), Some(node as u32));
+        self.telemetry.exit(span);
         // Relay to the other live hosts so their row lists stay aligned.
         let relay = Msg::ApplyPlacement { tree: ctx.tree, node: node as u32, placement };
         for other in self.live().into_iter().filter(|&other| other != host) {
@@ -1619,13 +1611,6 @@ impl GuestParty {
         }
         self.telemetry.events.sched_batches += 1;
         self.telemetry.events.sched_batch_hists += batch.len() as u64;
-        for p in &batch {
-            self.telemetry.trace.enter(
-                TracePhase::DecryptSplit,
-                Some(ctx.tree),
-                Some(p.node as u32),
-            );
-        }
         let jobs: Vec<(&PendingHist, GradPair, usize)> = batch
             .iter()
             .map(|p| {
@@ -1633,7 +1618,11 @@ impl GuestParty {
                 (p, total, ctx.rows.rows(p.node).len())
             })
             .collect();
-        let t0 = Stopwatch::start(self.cfg.workers <= 1);
+        // One span per batch: its answers are decrypted in one pool pass, so
+        // they share the interval (the `SchedBatch` event above says how
+        // many a multi-answer span covers).
+        let only = (batch.len() == 1).then(|| batch[0].node as u32);
+        let span = self.telemetry.enter(TracePhase::DecryptSplit, Some(ctx.tree), only);
         type BestResult = Result<Option<SplitCandidate>, TrainError>;
         let results: Vec<BestResult> = {
             use rayon::prelude::*;
@@ -1645,15 +1634,8 @@ impl GuestParty {
                     .collect()
             })
         };
-        self.telemetry.phases.decrypt_find += t0.elapsed();
+        self.telemetry.exit(span);
         drop(jobs);
-        for p in &batch {
-            self.telemetry.trace.exit(
-                TracePhase::DecryptSplit,
-                Some(ctx.tree),
-                Some(p.node as u32),
-            );
-        }
         for (p, best) in batch.iter().zip(results) {
             let best = best?;
             if !Self::hist_is_fresh(ctx, p.host, p.node, p.epoch) {

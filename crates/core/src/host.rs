@@ -35,7 +35,7 @@ use crate::model::HostSplitTable;
 use crate::retry::Backoff;
 use crate::rows::{NodeRows, RowMajorBins};
 use crate::session::{dead_after, PartySession};
-use crate::telemetry::{PartyTelemetry, Stopwatch};
+use crate::telemetry::PartyTelemetry;
 use crate::trace::{TracePhase, TraceRing};
 use crate::validate;
 use crate::wire;
@@ -629,8 +629,7 @@ impl HostParty {
                 }
             }
             Msg::ApplyPlacement { tree, node, placement } => {
-                let t0 = Stopwatch::start(self.cfg.workers <= 1);
-                self.telemetry.trace.enter(TracePhase::Placement, Some(tree), Some(node));
+                let span = self.telemetry.enter(TracePhase::Placement, Some(tree), Some(node));
                 self.ensure_tree(tree);
                 if !self.splittable(node) {
                     return Err(ProtocolError::UnexpectedMessage {
@@ -652,12 +651,10 @@ impl HostParty {
                     .into());
                 }
                 state.apply_placement(node as usize, &placement);
-                self.telemetry.phases.split_nodes += t0.elapsed();
-                self.telemetry.trace.exit(TracePhase::Placement, Some(tree), Some(node));
+                self.telemetry.exit(span);
             }
             Msg::HostSplitChosen { tree, node, feature, bin } => {
-                let t0 = Stopwatch::start(self.cfg.workers <= 1);
-                self.telemetry.trace.enter(TracePhase::Placement, Some(tree), Some(node));
+                let span = self.telemetry.enter(TracePhase::Placement, Some(tree), Some(node));
                 self.ensure_tree(tree);
                 if feature as usize >= self.binned.num_features() || !self.splittable(node) {
                     return Err(ProtocolError::UnexpectedMessage {
@@ -691,8 +688,7 @@ impl HostParty {
                     .collect();
                 state.apply_placement(node as usize, &placement);
                 self.telemetry.events.splits_won += 1;
-                self.telemetry.phases.split_nodes += t0.elapsed();
-                self.telemetry.trace.exit(TracePhase::Placement, Some(tree), Some(node));
+                self.telemetry.exit(span);
                 self.send_traced(&Msg::Placement { tree, node, placement }, tree)?;
             }
             Msg::NodeLeaf { .. } => {}
@@ -800,8 +796,7 @@ impl HostParty {
     ) -> Result<(), TrainError> {
         let tree = state.tree;
         let num_rows = self.csr.num_rows();
-        let t0 = Stopwatch::start(self.cfg.workers <= 1);
-        self.telemetry.trace.enter(TracePhase::Hadd, Some(tree), Some(0));
+        let span = self.telemetry.enter(TracePhase::Hadd, Some(tree), Some(0));
         if state.enc_g.len() != start_row as usize {
             return Err(ProtocolError::OutOfOrderGradients {
                 expected: state.enc_g.len() as u32,
@@ -829,8 +824,7 @@ impl HostParty {
         };
         let rows: Vec<u32> = (start_row..batch_end as u32).collect();
         self.accumulate(state, &mut root_g, &mut root_h, &rows)?;
-        self.telemetry.phases.build_hist_enc += t0.elapsed();
-        self.telemetry.trace.exit(TracePhase::Hadd, Some(tree), Some(0));
+        self.telemetry.exit(span);
 
         if !last {
             state.root = Some((root_g, root_h));
@@ -917,11 +911,9 @@ impl HostParty {
         }
         self.with_state("node task with no tree state", |host, state| {
             let (tree, node) = (state.tree, node as usize);
-            let t0 = Stopwatch::start(host.cfg.workers <= 1);
-            host.telemetry.trace.enter(TracePhase::Hadd, Some(tree), Some(node as u32));
+            let span = host.telemetry.enter(TracePhase::Hadd, Some(tree), Some(node as u32));
             let (g, h) = host.node_builders(state, node)?;
-            host.telemetry.phases.build_hist_enc += t0.elapsed();
-            host.telemetry.trace.exit(TracePhase::Hadd, Some(tree), Some(node as u32));
+            host.telemetry.exit(span);
             let payload = host.make_payload(tree, &g, &h, state.rows.rows(node).len())?;
             // Keep it so the node's children can derive from it at the next
             // level.
@@ -1027,8 +1019,7 @@ impl HostParty {
         h: &EncHistBuilder,
         count: usize,
     ) -> Result<HistPayload, TrainError> {
-        let t0 = Stopwatch::start(self.cfg.workers <= 1);
-        self.telemetry.trace.enter(TracePhase::Pack, Some(tree), None);
+        let span = self.telemetry.enter(TracePhase::Pack, Some(tree), None);
         let suite = &self.suite;
         let crypto = TrainError::crypto("histogram finalize/pack");
         let payload = if let Some(plan) = &self.gh {
@@ -1069,8 +1060,7 @@ impl HostParty {
             };
             HistPayload::Raw(self.per_feature(g, raw_one)?)
         };
-        self.telemetry.phases.pack += t0.elapsed();
-        self.telemetry.trace.exit(TracePhase::Pack, Some(tree), None);
+        self.telemetry.exit(span);
         Ok(payload)
     }
 }

@@ -33,6 +33,7 @@
 //! simulated WAN links from `vf2-channel`, and returns the trained
 //! [`model::FederatedModel`] plus per-party [`telemetry`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // Panic-free policy: non-test code may not unwrap/expect. A federated run
 // crosses enterprise boundaries, so every "impossible" state is either a

@@ -8,87 +8,22 @@
 //! ownership ratios (Tables 1–2). [`PartyTelemetry`] collects exactly
 //! those quantities.
 //!
-//! Because this reproduction may run every party on one machine (even one
-//! core), the *measured* wall times of concurrent phases can serialize.
-//! The phase sums recorded here additionally let benches compute a
-//! **modeled concurrent makespan** (`max` over parties of their busy time)
-//! next to the measured one; EXPERIMENTS.md reports both.
+//! Every phase time is a wall time read once: a timed region is a
+//! [`Span`] opened by [`PartyTelemetry::enter`] and closed by
+//! [`PartyTelemetry::exit`], and the one pair of `Instant`s it holds is
+//! both what the phase total grows by and what the trace ring stamps on
+//! the region's `Enter` / `Exit` events — the two cannot disagree.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use vf2_channel::LinkStats;
 use vf2_crypto::counters::OpSnapshot;
 
 use crate::json::{render_array, JsonObj};
-use crate::trace::TraceRing;
+use crate::trace::{Span, TracePhase, TraceRing};
 
 /// Schema tag stamped into every JSON run report.
 pub const RUN_REPORT_SCHEMA: &str = "vf2boost-run-report/v1";
-
-/// Current thread's consumed CPU time.
-///
-/// Phase timers use CPU time rather than wall time so that, when several
-/// parties timeshare one machine (or one core), a party's phase cost is
-/// not inflated by the *other* party running concurrently — the whole
-/// point of the concurrent protocol is that phases overlap, and overlap
-/// must not double-count. Note this only attributes work done *on the
-/// party's own thread*; with `workers = 1` all phase work runs inline, so
-/// the attribution is exact (multi-worker runs report pool work through
-/// wall time instead — see the Table 5 bench notes).
-pub fn thread_cpu_now() -> Duration {
-    let mut ts = libc::timespec { tv_sec: 0, tv_nsec: 0 };
-    // SAFETY: clock_gettime with a valid clock id and out-pointer.
-    let rc = unsafe { libc::clock_gettime(libc::CLOCK_THREAD_CPUTIME_ID, &mut ts) };
-    debug_assert_eq!(rc, 0, "clock_gettime(CLOCK_THREAD_CPUTIME_ID) failed");
-    Duration::new(ts.tv_sec as u64, ts.tv_nsec as u32)
-}
-
-/// A phase stopwatch over thread CPU time.
-#[derive(Debug, Clone, Copy)]
-pub struct CpuTimer(Duration);
-
-impl CpuTimer {
-    /// Starts timing.
-    pub fn start() -> CpuTimer {
-        CpuTimer(thread_cpu_now())
-    }
-
-    /// CPU time consumed by this thread since [`CpuTimer::start`].
-    pub fn elapsed(&self) -> Duration {
-        thread_cpu_now().saturating_sub(self.0)
-    }
-}
-
-/// A phase stopwatch that measures thread CPU time when the party runs
-/// single-worker (work happens inline, attribution is exact) and falls
-/// back to wall time for multi-worker runs (pool threads are invisible to
-/// the party thread's CPU clock).
-#[derive(Debug, Clone, Copy)]
-pub enum Stopwatch {
-    /// Thread CPU time.
-    Cpu(Duration),
-    /// Wall clock.
-    Wall(std::time::Instant),
-}
-
-impl Stopwatch {
-    /// Starts a stopwatch; `use_cpu` selects the clock.
-    pub fn start(use_cpu: bool) -> Stopwatch {
-        if use_cpu {
-            Stopwatch::Cpu(thread_cpu_now())
-        } else {
-            Stopwatch::Wall(std::time::Instant::now())
-        }
-    }
-
-    /// Elapsed time on the selected clock.
-    pub fn elapsed(&self) -> Duration {
-        match self {
-            Stopwatch::Cpu(t0) => thread_cpu_now().saturating_sub(*t0),
-            Stopwatch::Wall(t0) => t0.elapsed(),
-        }
-    }
-}
 
 /// Wall time spent in each protocol phase by one party.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -120,6 +55,19 @@ impl PhaseTimes {
             + self.pack
             + self.decrypt_find
             + self.split_nodes
+    }
+
+    /// The total a span of `phase` is billed to — the only place the
+    /// [`TracePhase`] ↔ field correspondence is written.
+    pub fn slot(&mut self, phase: TracePhase) -> &mut Duration {
+        match phase {
+            TracePhase::Encrypt => &mut self.encrypt,
+            TracePhase::Hadd => &mut self.build_hist_enc,
+            TracePhase::PlainHist => &mut self.build_hist_plain,
+            TracePhase::Pack => &mut self.pack,
+            TracePhase::DecryptSplit => &mut self.decrypt_find,
+            TracePhase::Placement => &mut self.split_nodes,
+        }
     }
 }
 
@@ -297,6 +245,25 @@ pub struct PartyTelemetry {
     pub trace: TraceRing,
 }
 
+impl PartyTelemetry {
+    /// Opens a timed region of `phase`: reads the clock once and stamps
+    /// the ring's `Enter` with that instant.
+    pub fn enter(&mut self, phase: TracePhase, tree: Option<u32>, node: Option<u32>) -> Span {
+        let span = Span { phase, tree, node, start: Instant::now() };
+        self.trace.enter(&span);
+        span
+    }
+
+    /// Closes `span`: reads the clock once more, adds the difference to
+    /// the phase's total and stamps the ring's `Exit` with the same
+    /// instant. The total grows whether or not the ring records spans.
+    pub fn exit(&mut self, span: Span) {
+        let end = Instant::now();
+        *self.phases.slot(span.phase) += end - span.start;
+        self.trace.exit(&span, end);
+    }
+}
+
 /// A whole run's report: per-party telemetry plus wall-clock totals.
 #[derive(Debug, Clone, Default)]
 pub struct TrainReport {
@@ -344,23 +311,6 @@ impl TrainReport {
         guest as f64 / (guest + host) as f64
     }
 
-    /// Modeled fully-concurrent makespan: the busiest party's non-idle time
-    /// (what the wall time would be with one machine per party and perfect
-    /// overlap).
-    pub fn modeled_concurrent(&self) -> Duration {
-        let mut best = self.guest.phases.busy();
-        for h in &self.hosts {
-            best = best.max(h.phases.busy());
-        }
-        best
-    }
-
-    /// Modeled phase-sequential time: the sum of every party's busy time
-    /// (no overlap at all).
-    pub fn modeled_sequential(&self) -> Duration {
-        self.guest.phases.busy() + self.hosts.iter().map(|h| h.phases.busy()).sum::<Duration>()
-    }
-
     /// Fault and reliability counters summed over every party (both
     /// directions of every link).
     pub fn link_events(&self) -> LinkFaultEvents {
@@ -372,18 +322,16 @@ impl TrainReport {
     }
 
     /// Renders the whole report as machine-readable JSON (schema
-    /// [`RUN_REPORT_SCHEMA`]): run-level wall time, modeled makespans,
-    /// byte totals and merged link counters, then one object per party
-    /// with its phase durations, op counts, protocol events, and trace
-    /// summary. `vf2boost_core::json::parse` round-trips the output; the
-    /// `jq` gate in ci.sh validates the same schema.
+    /// [`RUN_REPORT_SCHEMA`]): run-level wall time, byte totals and merged
+    /// link counters, then one object per party with its phase durations,
+    /// op counts, protocol events, and trace summary.
+    /// `vf2boost_core::json::parse` round-trips the output; the `jq` gate
+    /// in ci.sh validates the same schema.
     pub fn to_json(&self) -> String {
         let link = self.link_events();
         let mut o = JsonObj::new();
         o.str("schema", RUN_REPORT_SCHEMA)
             .f64("wall_time_s", self.wall_time.as_secs_f64())
-            .f64("modeled_concurrent_s", self.modeled_concurrent().as_secs_f64())
-            .f64("modeled_sequential_s", self.modeled_sequential().as_secs_f64())
             .u64("total_bytes", self.total_bytes())
             .f64("guest_split_ratio", self.guest_split_ratio())
             .raw("link", link_to_json(&link, 2));
@@ -659,14 +607,13 @@ mod tests {
     }
 
     #[test]
-    fn modeled_times_bracket_reality() {
-        let mut r = TrainReport::default();
-        r.guest.phases.encrypt = Duration::from_millis(30);
-        r.hosts.push(PartyTelemetry {
-            phases: PhaseTimes { build_hist_enc: Duration::from_millis(50), ..Default::default() },
-            ..Default::default()
-        });
-        assert_eq!(r.modeled_concurrent(), Duration::from_millis(50));
-        assert_eq!(r.modeled_sequential(), Duration::from_millis(80));
+    fn exit_adds_to_the_phase_with_spans_disabled() {
+        let mut t = PartyTelemetry { trace: TraceRing::new(16, false), ..Default::default() };
+        let span = t.enter(TracePhase::Pack, Some(0), None);
+        std::thread::sleep(Duration::from_millis(2));
+        t.exit(span);
+        assert!(t.trace.is_empty(), "a gated ring records no span event");
+        assert!(t.phases.pack >= Duration::from_millis(2), "pack = {:?}", t.phases.pack);
+        assert_eq!(t.phases.busy(), t.phases.pack, "no other phase was billed");
     }
 }

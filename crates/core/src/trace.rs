@@ -32,15 +32,13 @@ use crate::telemetry::PartyTelemetry;
 /// Schema tag stamped into every flight-recorder dump.
 pub const FLIGHT_RECORD_SCHEMA: &str = "vf2boost-flight-record/v1";
 
-/// A protocol phase a span can attribute time to. The first five are the
-/// paper's cost-model phases; the rest complete the timeline.
+/// A protocol phase a span can attribute time to: the paper's cost-model
+/// phases plus node splitting. Each names one field of
+/// [`crate::telemetry::PhaseTimes`] (`PhaseTimes::slot`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TracePhase {
     /// Gradient-statistics encryption (guest).
     Encrypt,
-    /// Handing a message to the WAN gateway (bytes attributed, the wire
-    /// itself is asynchronous).
-    Transfer,
     /// Encrypted histogram accumulation via homomorphic addition (host).
     Hadd,
     /// Plaintext histogram building over the guest's own features.
@@ -58,7 +56,6 @@ impl TracePhase {
     pub fn name(&self) -> &'static str {
         match self {
             TracePhase::Encrypt => "encrypt",
-            TracePhase::Transfer => "transfer",
             TracePhase::Hadd => "hadd",
             TracePhase::PlainHist => "plain-hist",
             TracePhase::Pack => "pack",
@@ -66,6 +63,20 @@ impl TracePhase {
             TracePhase::Placement => "placement",
         }
     }
+}
+
+/// An open timed region of one phase: what it is attributed to and the
+/// instant it began, read once. [`PartyTelemetry::enter`] creates it and
+/// [`PartyTelemetry::exit`] consumes it, so the duration billed to the
+/// phase total and the distance between the ring's `Enter` and `Exit`
+/// stamps are the same two clock reads.
+#[derive(Debug)]
+#[must_use = "a span times nothing until it is handed to `PartyTelemetry::exit`"]
+pub struct Span {
+    pub(crate) phase: TracePhase,
+    pub(crate) tree: Option<u32>,
+    pub(crate) node: Option<u32>,
+    pub(crate) start: Instant,
 }
 
 /// What happened at one trace timestamp.
@@ -188,24 +199,31 @@ impl TraceRing {
     }
 
     fn push(&mut self, tree: Option<u32>, node: Option<u32>, kind: TraceEventKind) {
-        self.entries.push_back(TraceEvent { at: self.origin.elapsed(), tree, node, kind });
+        self.push_at(Instant::now(), tree, node, kind);
+    }
+
+    fn push_at(&mut self, at: Instant, tree: Option<u32>, node: Option<u32>, kind: TraceEventKind) {
+        let at = at.duration_since(self.origin);
+        self.entries.push_back(TraceEvent { at, tree, node, kind });
         while self.entries.len() > self.cap {
             self.entries.pop_front();
             self.dropped += 1;
         }
     }
 
-    /// Records a span start (no-op when spans are disabled).
-    pub fn enter(&mut self, phase: TracePhase, tree: Option<u32>, node: Option<u32>) {
+    /// Records `span`'s start at the instant it holds (no-op when spans
+    /// are disabled).
+    pub(crate) fn enter(&mut self, span: &Span) {
         if self.spans {
-            self.push(tree, node, TraceEventKind::Enter(phase));
+            self.push_at(span.start, span.tree, span.node, TraceEventKind::Enter(span.phase));
         }
     }
 
-    /// Records a span end (no-op when spans are disabled).
-    pub fn exit(&mut self, phase: TracePhase, tree: Option<u32>, node: Option<u32>) {
+    /// Records `span`'s end at `at`, the instant its duration was taken
+    /// (no-op when spans are disabled).
+    pub(crate) fn exit(&mut self, span: &Span, at: Instant) {
         if self.spans {
-            self.push(tree, node, TraceEventKind::Exit(phase));
+            self.push_at(at, span.tree, span.node, TraceEventKind::Exit(span.phase));
         }
     }
 
@@ -340,9 +358,10 @@ mod tests {
 
     #[test]
     fn spans_gate_suppresses_only_span_events() {
-        let mut ring = TraceRing::new(16, false);
-        ring.enter(TracePhase::Hadd, Some(0), Some(1));
-        ring.exit(TracePhase::Hadd, Some(0), Some(1));
+        let mut t = PartyTelemetry { trace: TraceRing::new(16, false), ..Default::default() };
+        let span = t.enter(TracePhase::Hadd, Some(0), Some(1));
+        t.exit(span);
+        let ring = &mut t.trace;
         ring.transfer(Some(0), 100);
         assert!(ring.is_empty(), "span events must be gated");
         ring.dirty_rollback(0, 3);
@@ -352,18 +371,22 @@ mod tests {
     }
 
     #[test]
-    fn events_timestamp_monotonically() {
-        let mut ring = TraceRing::new(8, true);
-        ring.enter(TracePhase::Encrypt, Some(0), None);
-        ring.exit(TracePhase::Encrypt, Some(0), None);
-        let at: Vec<Duration> = ring.events().map(|e| e.at).collect();
-        assert!(at[0] <= at[1]);
+    fn a_span_bills_the_phase_exactly_what_the_ring_shows() {
+        let mut t = PartyTelemetry { trace: TraceRing::new(8, true), ..Default::default() };
+        let span = t.enter(TracePhase::Encrypt, Some(0), None);
+        t.exit(span);
+        let ev: Vec<&TraceEvent> = t.trace.events().collect();
+        assert_eq!(ev[0].kind, TraceEventKind::Enter(TracePhase::Encrypt));
+        assert_eq!(ev[1].kind, TraceEventKind::Exit(TracePhase::Encrypt));
+        assert!(ev[0].at <= ev[1].at);
+        assert_eq!(ev[1].at - ev[0].at, t.phases.encrypt);
     }
 
     #[test]
     fn event_json_round_trips() {
-        let mut ring = TraceRing::new(8, true);
-        ring.enter(TracePhase::DecryptSplit, Some(2), Some(7));
+        let mut t = PartyTelemetry { trace: TraceRing::new(8, true), ..Default::default() };
+        let _open = t.enter(TracePhase::DecryptSplit, Some(2), Some(7));
+        let ring = &mut t.trace;
         ring.cache_evict(2, 9, 1024);
         ring.note("weird \"note\"\nwith newline");
         let doc = ring.to_json(0);

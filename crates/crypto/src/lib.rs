@@ -31,6 +31,7 @@
 //!
 //! [VF²Boost]: https://doi.org/10.1145/3448016.3457241
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // Shipping code must not panic on fallible paths; tests may unwrap.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]

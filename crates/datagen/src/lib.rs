@@ -14,6 +14,7 @@
 //! views, mirroring the private-set-intersection preprocessing the paper
 //! assumes has already aligned the instances (§6.1).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod presets;

@@ -17,6 +17,7 @@
 //! protocol aggregate histograms for many nodes into one message and apply
 //! the histogram-subtraction trick (§7, "Related Works").
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod binning;

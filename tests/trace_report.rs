@@ -20,8 +20,8 @@ use vf2boost::channel::{FaultConfig, WanConfig};
 use vf2boost::core::config::CryptoConfig;
 use vf2boost::core::error::{PartyId, TrainError};
 use vf2boost::core::json::{parse, Json};
-use vf2boost::core::telemetry::RUN_REPORT_SCHEMA;
-use vf2boost::core::trace::FLIGHT_RECORD_SCHEMA;
+use vf2boost::core::telemetry::{PartyTelemetry, PhaseTimes, RUN_REPORT_SCHEMA};
+use vf2boost::core::trace::{TraceEventKind, TracePhase, FLIGHT_RECORD_SCHEMA};
 use vf2boost::core::{
     train_federated, train_federated_session, ChaosPlan, SessionConfig, TrainConfig,
 };
@@ -126,38 +126,121 @@ fn tracing_never_changes_the_model() {
     assert!(!b.report.guest.trace.spans_enabled());
 }
 
+const PHASES: [TracePhase; 6] = [
+    TracePhase::Encrypt,
+    TracePhase::Hadd,
+    TracePhase::PlainHist,
+    TracePhase::Pack,
+    TracePhase::DecryptSplit,
+    TracePhase::Placement,
+];
+
+/// The phase total a span of `phase` must have been billed to, written
+/// out independently of `PhaseTimes::slot` so the test also pins which
+/// field a phase feeds.
+fn phase_total(p: &PhaseTimes, phase: TracePhase) -> Duration {
+    match phase {
+        TracePhase::Encrypt => p.encrypt,
+        TracePhase::Hadd => p.build_hist_enc,
+        TracePhase::PlainHist => p.build_hist_plain,
+        TracePhase::Pack => p.pack,
+        TracePhase::DecryptSplit => p.decrypt_find,
+        TracePhase::Placement => p.split_nodes,
+    }
+}
+
+/// Sums `Exit.at − Enter.at` per phase over a party's ring, asserting on
+/// the way that the ring is whole, timestamps never go back, and no span
+/// opens while another is open.
+fn span_sums(party: &PartyTelemetry) -> [Duration; 6] {
+    let name = &party.name;
+    assert_eq!(party.trace.dropped(), 0, "{name}: the ring must hold the whole run");
+    let mut sums = [Duration::ZERO; 6];
+    let mut open: Option<(TracePhase, Duration)> = None;
+    let mut last = Duration::ZERO;
+    for ev in party.trace.events() {
+        assert!(ev.at >= last, "{name}: trace time went backwards at {ev:?}");
+        last = ev.at;
+        match ev.kind {
+            TraceEventKind::Enter(phase) => {
+                assert!(open.is_none(), "{name}: {phase:?} opened inside {open:?}");
+                open = Some((phase, ev.at));
+            }
+            TraceEventKind::Exit(phase) => {
+                let (opened, at) = open.take().expect("an exit closes an open span");
+                assert_eq!(opened, phase, "{name}: exit does not match the open span");
+                let slot = PHASES.iter().position(|p| *p == phase).expect("a listed phase");
+                sums[slot] += ev.at - at;
+            }
+            _ => {}
+        }
+    }
+    assert!(open.is_none(), "{name}: a span was left open: {open:?}");
+    sums
+}
+
 #[test]
 fn run_report_json_is_wellformed_and_phase_sums_bound_wall_time() {
     let s = scenario(94);
-    let out = train_federated(&s.hosts, &s.guest, &mock_cfg()).expect("training succeeds");
-    let doc = parse(&out.report.to_json()).expect("run report must be valid JSON");
-    assert_eq!(doc.get("schema").and_then(Json::as_str), Some(RUN_REPORT_SCHEMA));
-    let wall = doc.get("wall_time_s").and_then(Json::as_f64).expect("wall_time_s");
-    assert!(wall > 0.0);
-    let parties = doc.get("parties").and_then(Json::as_arr).expect("parties array");
-    assert_eq!(parties.len(), 2, "guest + one host");
-    for p in parties {
-        let phases = p.get("phases").expect("phases object");
-        let busy = phases.get("busy_s").and_then(Json::as_f64).expect("busy_s");
-        let sum: f64 = [
-            "encrypt_s",
-            "build_hist_enc_s",
-            "build_hist_plain_s",
-            "pack_s",
-            "decrypt_find_s",
-            "split_nodes_s",
-        ]
-        .iter()
-        .map(|k| phases.get(k).and_then(Json::as_f64).expect("phase field"))
-        .sum();
-        // busy is defined as the phase sum (each field rounds to 6
-        // decimals independently, hence the slack), and no party can be
-        // busy longer than the run took end to end.
-        assert!((busy - sum).abs() < 1e-5, "busy_s {busy} != phase sum {sum}");
-        assert!(busy <= wall + 0.25, "party busy {busy}s exceeds wall {wall}s");
-        assert!(p.get("ops").is_some() && p.get("events").is_some());
-        let trace = p.get("trace").expect("trace summary");
-        assert!(trace.get("cap").and_then(Json::as_f64).is_some());
+    for workers in [1, 2] {
+        let cfg = TrainConfig { workers, trace_events_cap: 1 << 16, ..mock_cfg() };
+        let out = train_federated(&s.hosts, &s.guest, &cfg).expect("training succeeds");
+        let doc = parse(&out.report.to_json()).expect("run report must be valid JSON");
+        assert_eq!(doc.get("schema").and_then(Json::as_str), Some(RUN_REPORT_SCHEMA));
+        let wall = doc.get("wall_time_s").and_then(Json::as_f64).expect("wall_time_s");
+        assert!(wall > 0.0);
+        let parties = doc.get("parties").and_then(Json::as_arr).expect("parties array");
+        assert_eq!(parties.len(), 2, "guest + one host");
+        for p in parties {
+            let phases = p.get("phases").expect("phases object");
+            let busy = phases.get("busy_s").and_then(Json::as_f64).expect("busy_s");
+            let sum: f64 = [
+                "encrypt_s",
+                "build_hist_enc_s",
+                "build_hist_plain_s",
+                "pack_s",
+                "decrypt_find_s",
+                "split_nodes_s",
+            ]
+            .iter()
+            .map(|k| phases.get(k).and_then(Json::as_f64).expect("phase field"))
+            .sum();
+            // busy is defined as the phase sum (each field rounds to 6
+            // decimals independently, hence the slack), and no party can be
+            // busy longer than the run took end to end (a host may still be
+            // applying its last placement when the guest returns, hence the
+            // 50 ms).
+            assert!((busy - sum).abs() < 1e-5, "busy_s {busy} != phase sum {sum}");
+            assert!(busy <= wall + 0.05, "party busy {busy}s exceeds wall {wall}s");
+            assert!(p.get("ops").is_some() && p.get("events").is_some());
+            let trace = p.get("trace").expect("trace summary");
+            assert!(trace.get("cap").and_then(Json::as_f64).is_some());
+        }
+        assert!(doc.get("trees").and_then(Json::as_arr).map(<[Json]>::len) == Some(2));
+
+        // One clock: what a party's ring shows for a phase is, to the
+        // nanosecond, what its phase total says.
+        let report = &out.report;
+        for party in std::iter::once(&report.guest).chain(&report.hosts) {
+            let sums = span_sums(party);
+            for (phase, sum) in PHASES.into_iter().zip(sums) {
+                assert_eq!(
+                    sum,
+                    phase_total(&party.phases, phase),
+                    "{} at workers = {workers}: {phase:?} spans vs phase total",
+                    party.name
+                );
+            }
+        }
+        // The guest's spans and its waits partition (part of) its own
+        // lifetime: nothing is billed twice.
+        let guest = &report.guest.phases;
+        assert!(
+            guest.busy() + guest.idle <= report.wall_time,
+            "guest busy {:?} + idle {:?} exceeds wall {:?}",
+            guest.busy(),
+            guest.idle,
+            report.wall_time
+        );
     }
-    assert!(doc.get("trees").and_then(Json::as_arr).map(<[Json]>::len) == Some(2));
 }
