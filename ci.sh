@@ -35,8 +35,10 @@ cargo clippy -p vf2boost-core -p vf2-channel -p vf2-crypto --lib -- -D warnings
 #
 # Byzantine conformance (tests/byzantine.rs): scripted protocol deviations
 # (replays, phase skips, inadmissible payloads, truncated frames) must
-# surface as typed errors — never a panic — and an honest re-split is
-# answered from the new row lists.
+# surface as typed errors — never a panic — an honest re-split is answered
+# from the new row lists, and a smaller child that contradicts its parent
+# (or a histogram for the sibling the guest derives itself) is that host's
+# violation.
 #
 # Dropout chaos (tests/resume.rs, dropout_chaos_*): a host is killed
 # *inside* the node loop (between a NodeTask and its histogram answer)
@@ -72,12 +74,25 @@ timeout 300 cargo test -q -p rayon
 
 # Peer-facing admission checks and the guest's own protocol invariants
 # must hold in release builds: debug_assert is banned from the wire
-# decoder, the semantic validators and the guest driver.
-echo "== no-debug_assert gate (wire/validate/hist_enc/guest) =="
+# decoder, the semantic validators and both party drivers.
+echo "== no-debug_assert gate (wire/validate/hist_enc/guest/host) =="
 if grep -n "debug_assert" \
     crates/core/src/wire.rs crates/core/src/validate.rs crates/core/src/hist_enc.rs \
-    crates/core/src/guest.rs; then
+    crates/core/src/guest.rs crates/core/src/host.rs; then
   echo "debug_assert found in an admission-critical module" >&2
+  exit 1
+fi
+
+# One child per split, one place it is subtracted: the guest derives a
+# split's larger child from plaintexts it holds (guest.rs::derive_larger →
+# DecodedBins::checked_sub). No party subtracts in ciphertext and no host
+# keeps a node histogram — EncHistBuilder::subtract and Suite::neg_batch
+# survive in hist_enc.rs / vf2-crypto only as the reference that derivation
+# is tested against (and a benchmark micro).
+echo "== one-child-per-split gate (no ciphertext subtraction or histogram store in the parties) =="
+if grep -nE 'NodeHists|\.subtract\(|neg_batch|hist_cache_evictions|hadds_saved' \
+    crates/core/src/host.rs crates/core/src/guest.rs crates/core/src/trace.rs; then
+  echo "a party subtracts in ciphertext or retains a node histogram again" >&2
   exit 1
 fi
 
@@ -133,6 +148,9 @@ jq -e '.parties[0] | (.crypto_backend | startswith("fixed-")) and .ops.modmul > 
 # the party set that trained it (party 0 = guest is always present).
 jq -e 'all(.parties[]; .events.quarantines != null and .events.rejoins != null and .events.transfer_retries != null and (.links | type == "array"))' "$REPORT" > /dev/null
 jq -e '(.trees | length) > 0 and all(.trees[]; (.party_set | length) >= 1 and .party_set[0] == 0)' "$REPORT" > /dev/null
+# One child per split: the guest derived the larger siblings (and so the
+# hosts shipped only the smaller ones), and no host negated a cipher.
+jq -e '.parties[0].events.hists_derived > 0 and all(.parties[1:][]; .ops.negs == 0)' "$REPORT" > /dev/null
 # busy == sum(phases) per party, and busy <= wall + slack.
 jq -e '
   .wall_time_s as $wall |

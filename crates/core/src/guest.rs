@@ -30,14 +30,16 @@ use vf2_crypto::split_seed;
 use vf2_crypto::suite::Suite;
 use vf2_gbdt::binning::BinnedDataset;
 use vf2_gbdt::data::Dataset;
-use vf2_gbdt::histogram::{GradPair, Histogram};
+use vf2_gbdt::histogram::GradPair;
 use vf2_gbdt::split::{best_of, find_best_split, SplitCandidate};
-use vf2_gbdt::tree::{layer_of, left_child, right_child, NodeId, NodeSplit};
+use vf2_gbdt::tree::{layer_of, left_child, parent, right_child, NodeId, NodeSplit};
 
 use crate::config::{HostLossPolicy, TrainConfig};
 use crate::error::{GuestFailure, PartyId, ProtocolError, ProtocolPhase, TrainError};
 use crate::fsm::{Admit, GuestFsm, MisbehaviorBudget};
-use crate::hist_enc::{unpack_feature_hist, unpack_gh_feature_hist};
+use crate::hist_enc::{
+    decrypt_feature_hist, unpack_feature_hist, unpack_gh_feature_hist, DecodedBins,
+};
 use crate::messages::{FeatureMeta, HistPayload, Msg, HEARTBEAT_KIND};
 use crate::model::{FedNode, FedTree};
 use crate::retry::Backoff;
@@ -112,12 +114,21 @@ enum Decision {
     HostSplit { party: u16 },
 }
 
+/// One host's histogram of one node as it decrypted, feature by feature.
+type HostHist = Vec<DecodedBins>;
+
 /// Per-node in-flight state.
 struct NodeState {
     total: GradPair,
+    /// The node whose `NodeTask` answers for this one: itself, or — for
+    /// the larger child of a split — its smaller sibling.
+    asked: NodeId,
     guest_best: Option<SplitCandidate>,
     host_best: Vec<Option<SplitCandidate>>,
     host_received: Vec<bool>,
+    /// Each live host's histogram of this node, kept as it decrypted for
+    /// as long as the node stands: a (re-)split's derivation reads it.
+    host_hist: Vec<Option<HostHist>>,
     /// The guest split was already applied optimistically.
     already_split: bool,
     /// Waiting for a host's placement after choosing its split.
@@ -146,13 +157,6 @@ struct PendingHist {
     node: NodeId,
     epoch: u32,
     payload: HistPayload,
-}
-
-/// Adds the mass of implicit zeros (`node_total − Σ stored bins`) into the
-/// feature's zero bin.
-fn fold_zero_mass(bins: &mut [GradPair], meta: FeatureMeta, total: GradPair) {
-    let stored = bins.iter().fold(GradPair::ZERO, |a, &b| a + b);
-    bins[meta.zero_bin as usize] += total - stored;
 }
 
 /// A guest-side protocol-state invariant broke: the driver's node
@@ -1094,9 +1098,15 @@ impl GuestParty {
     // Node machinery
     // ------------------------------------------------------------------
 
-    /// Materializes a node whose row list just became available. Returns
-    /// true if the node awaits validation (i.e. was not finalized a leaf).
-    fn materialize(&mut self, ctx: &mut TreeCtx, node: NodeId) -> Result<bool, TrainError> {
+    /// Materializes a node whose row list just became available, tasking
+    /// the hosts with it when it is the one `asked`. Returns true if the
+    /// node awaits validation (i.e. was not finalized a leaf).
+    fn materialize(
+        &mut self,
+        ctx: &mut TreeCtx,
+        node: NodeId,
+        asked: NodeId,
+    ) -> Result<bool, TrainError> {
         ctx.epoch[node] += 1;
         let last_layer = layer_of(node) + 1 == self.cfg.gbdt.max_layers;
         let rows: Vec<u32> = ctx.rows.rows(node).to_vec();
@@ -1118,17 +1128,19 @@ impl GuestParty {
         );
         self.telemetry.exit(span);
 
-        self.broadcast(&Msg::NodeTask {
-            tree: ctx.tree,
-            node: node as u32,
-            epoch: ctx.epoch[node],
-        })?;
-        // Every live host now legitimately owes one histogram for this
-        // exact (node, epoch); the admission layer holds them to it.
-        // Parked hosts were not sent the task and owe nothing.
         let live = self.live();
-        for &h in &live {
-            self.fsms[h].task_sent(node as u32, ctx.epoch[node]);
+        if asked == node {
+            self.broadcast(&Msg::NodeTask {
+                tree: ctx.tree,
+                node: node as u32,
+                epoch: ctx.epoch[node],
+            })?;
+            // Every live host now legitimately owes one histogram for this
+            // exact (node, epoch); the admission layer holds them to it.
+            // Parked hosts were not sent the task and owe nothing.
+            for &h in &live {
+                self.fsms[h].task_sent(node as u32, ctx.epoch[node]);
+            }
         }
         // Optimistic node-splitting: act on our own best split before the
         // hosts weigh in (§4.2). Speculation is bounded to ONE layer
@@ -1145,11 +1157,13 @@ impl GuestParty {
             node,
             NodeState {
                 total,
+                asked,
                 guest_best,
                 // A parked host will never answer: pre-mark it received
                 // so resolution waits on the live hosts only.
                 host_best: vec![None; self.endpoints.len()],
                 host_received: (0..self.endpoints.len()).map(|h| !live.contains(&h)).collect(),
+                host_hist: vec![None; self.endpoints.len()],
                 already_split: speculate,
                 awaiting_placement: None,
                 resolved: false,
@@ -1176,7 +1190,7 @@ impl GuestParty {
     /// True when the node's parent decision has been validated (the root
     /// has no parent and counts as validated).
     fn parent_validated(&self, ctx: &TreeCtx, node: NodeId) -> bool {
-        match vf2_gbdt::tree::parent(node) {
+        match parent(node) {
             None => true,
             Some(p) => ctx.decisions.contains_key(&p),
         }
@@ -1226,9 +1240,16 @@ impl GuestParty {
         Ok(())
     }
 
+    /// Materializes both children of a freshly (re-)split node, tasking
+    /// the hosts with the *smaller* one only — row counts from the shared
+    /// placement, ties to the left; [`Self::derive_larger`] answers for the
+    /// other. A host builds, packs and ships one child per split.
     fn materialize_children(&mut self, ctx: &mut TreeCtx, node: NodeId) -> Result<(), TrainError> {
-        self.materialize(ctx, left_child(node))?;
-        self.materialize(ctx, right_child(node))?;
+        let (left, right) = (left_child(node), right_child(node));
+        let asked =
+            if ctx.rows.rows(left).len() <= ctx.rows.rows(right).len() { left } else { right };
+        self.materialize(ctx, left, asked)?;
+        self.materialize(ctx, right, asked)?;
         Ok(())
     }
 
@@ -1246,7 +1267,8 @@ impl GuestParty {
     }
 
     /// Decodes one host's histogram payload into that host's best split
-    /// for the node: the decrypt-and-search kernel of FindSplitA. Borrows
+    /// for the node — the decrypt-and-search kernel of FindSplitA — and
+    /// the decrypted histogram itself, which the node retains. Borrows
     /// `self` immutably so a batch of histograms from different parties
     /// can be searched concurrently on the rayon pool. Under the caller's
     /// `install` it fans out per feature; called from a pool chunk (one of
@@ -1258,7 +1280,7 @@ impl GuestParty {
         payload: &HistPayload,
         total: GradPair,
         count: usize,
-    ) -> Result<Option<SplitCandidate>, TrainError> {
+    ) -> Result<(Option<SplitCandidate>, HostHist), TrainError> {
         // The payload shape must match the host's announced metadata; a
         // mismatch is a protocol violation, not a crash.
         let mismatch = |context: &'static str| -> TrainError {
@@ -1279,18 +1301,14 @@ impl GuestParty {
         // amortized among workers"). The wire formats differ only in how a
         // feature's bins are decrypted; the tail is shared.
         let per_feature = |(f, &meta): (usize, &FeatureMeta)| {
-            let mut bins: Vec<GradPair> = match payload {
-                HistPayload::Raw(features) => features[f]
-                    .g
-                    .iter()
-                    .zip(&features[f].h)
-                    .map(|(cg, ch)| Ok(GradPair { g: suite.decrypt(cg)?, h: suite.decrypt(ch)? }))
-                    .collect::<Result<_, _>>()
+            let bins = match payload {
+                HistPayload::Raw(features) => decrypt_feature_hist(suite, &features[f])
                     .map_err(TrainError::crypto("histogram decryption"))?,
                 HistPayload::Packed(features) => {
                     let loss = &self.cfg.gbdt.loss;
                     let (gb, hb) = (loss.grad_bound(), loss.hess_bound());
                     unpack_feature_hist(suite, &features[f], count, gb, hb)
+                        .map(DecodedBins::Float)
                         .map_err(TrainError::crypto("histogram unpacking"))?
                 }
                 HistPayload::GhPacked(features) => {
@@ -1303,16 +1321,94 @@ impl GuestParty {
                         .map_err(TrainError::crypto("gh histogram unpacking"))?
                 }
             };
-            if bins.len() != meta.num_bins as usize {
+            if bins.num_bins() != meta.num_bins as usize {
                 return Err(mismatch("histogram bin count differs from FeatureMeta"));
             }
-            fold_zero_mass(&mut bins, meta, total);
-            Ok(find_best_split(f, &Histogram { bins }, total, &self.cfg.gbdt.split))
+            let best = self.feature_best(f, meta, &bins, total);
+            Ok((best, bins))
         };
         use rayon::prelude::*;
-        let candidates: Result<Vec<Option<SplitCandidate>>, TrainError> =
+        let searched: Result<Vec<(Option<SplitCandidate>, DecodedBins)>, TrainError> =
             metas.par_iter().enumerate().map(per_feature).collect();
-        Ok(best_of(candidates?.into_iter().flatten()))
+        let (candidates, hist): (Vec<_>, HostHist) = searched?.into_iter().unzip();
+        Ok((best_of(candidates.into_iter().flatten()), hist))
+    }
+
+    /// The tail of every host histogram, received or derived: float
+    /// decode, zero mass against the node's own `total`, split search.
+    fn feature_best(
+        &self,
+        feature: usize,
+        meta: FeatureMeta,
+        bins: &DecodedBins,
+        total: GradPair,
+    ) -> Option<SplitCandidate> {
+        // The handshake admitted `zero_bin < num_bins` and the decode
+        // checked the bin count, so the histogram exists.
+        let hist = bins.to_histogram(self.suite.encoding(), meta.zero_bin, total)?;
+        find_best_split(feature, &hist, total, &self.cfg.gbdt.split)
+    }
+
+    /// Derives host `host`'s histogram of `parent`'s larger child as
+    /// `parent − smaller child` on the decrypted integers, once that host's
+    /// histograms of both are in, and returns the child it answered for.
+    /// Children not (or no longer) standing, a histogram still missing, the
+    /// derivation already made: `None`. Paillier sums are integer-exact, so
+    /// the difference is the number the host's own `parent ⊖ smaller` would
+    /// have decrypted to. A smaller child no split of the parent produces
+    /// is that host's violation: charged, the derivation withheld.
+    fn derive_larger(
+        &mut self,
+        ctx: &mut TreeCtx,
+        host: usize,
+        parent: NodeId,
+    ) -> Result<Option<NodeId>, TrainError> {
+        let (left, right) = (left_child(parent), right_child(parent));
+        let Some(smaller) = ctx.states.get(&left).map(|s| s.asked) else { return Ok(None) };
+        let larger = if smaller == left { right } else { left };
+        let hist_of = |node: NodeId| ctx.states.get(&node).and_then(|s| s.host_hist[host].as_ref());
+        let (Some(whole), Some(part), Some(state)) =
+            (hist_of(parent), hist_of(smaller), ctx.states.get(&larger))
+        else {
+            return Ok(None);
+        };
+        if state.host_received[host] {
+            return Ok(None);
+        }
+        let total = state.total;
+        let span =
+            self.telemetry.enter(TracePhase::DecryptSplit, Some(ctx.tree), Some(larger as u32));
+        // The largest honest `(|Σg|, Σh)` of a bin: the pair plan's bounds at
+        // the child's row count, or the raw wire's safe range (floats: none).
+        let (g_limit, h_limit) = match (&self.gh, self.suite.public_key()) {
+            (Some(plan), _) => plan.field_limits(ctx.rows.rows(larger).len() as u64),
+            (None, Some(pk)) => (pk.max_int().clone(), pk.max_int().clone()),
+            (None, None) => Default::default(),
+        };
+        let derived: Option<HostHist> = whole
+            .iter()
+            .zip(part)
+            .map(|(w, p)| w.checked_sub(p, self.suite.encoding(), (&g_limit, &h_limit)))
+            .collect();
+        let Some(hist) = derived else {
+            self.telemetry.exit(span);
+            let context = "a child histogram that no split of its parent's produces";
+            let lie = ProtocolError::Inadmissible { from: PartyId::Host(host), kind: 4, context };
+            self.misbehaving(host, lie)?;
+            return Ok(None);
+        };
+        let metas = self.host_metas[host].iter().zip(&hist).enumerate();
+        let best =
+            best_of(metas.filter_map(|(f, (&meta, bins))| self.feature_best(f, meta, bins, total)));
+        self.telemetry.exit(span);
+        let Some(state) = ctx.states.get_mut(&larger) else {
+            return Err(guest_invariant("node state vanished while deriving its histogram"));
+        };
+        state.host_best[host] = best;
+        state.host_received[host] = true;
+        state.host_hist[host] = Some(hist);
+        self.telemetry.events.hists_derived += 1;
+        Ok(Some(larger))
     }
 
     /// Picks the winner among the guest's and all hosts' candidates.
@@ -1518,7 +1614,7 @@ impl GuestParty {
         let optimistic = self.cfg.protocol.optimistic;
         let cap = if optimistic { self.live().len() } else { usize::MAX };
         let mut batch: Vec<PendingHist> = Vec::new();
-        self.materialize(ctx, 0)?;
+        self.materialize(ctx, 0, 0)?;
         while ctx.pending > 0 {
             // Block for the first event of the round; every further event
             // is taken only if it is already queued (zero-timeout poll of
@@ -1570,12 +1666,13 @@ impl GuestParty {
     /// The sequential schedule's hold predicate: true once the whole
     /// frontier can be decided at once — no host-won node still awaits its
     /// placement (so every node of the layer exists) and every unresolved
-    /// node has each live host's answer recorded or waiting in `batch`.
+    /// node has each live host's answer recorded or waiting in `batch`
+    /// (for a split's larger child, that is its smaller sibling's answer).
     fn layer_is_buffered(ctx: &TreeCtx, batch: &[PendingHist]) -> bool {
-        ctx.states.iter().filter(|(_, s)| !s.resolved).all(|(&node, s)| {
+        ctx.states.values().filter(|s| !s.resolved).all(|s| {
             s.awaiting_placement.is_none()
                 && s.host_received.iter().enumerate().all(|(host, &received)| {
-                    received || batch.iter().any(|p| p.host == host && p.node == node)
+                    received || batch.iter().any(|p| p.host == host && p.node == s.asked)
                 })
         })
     }
@@ -1623,8 +1720,8 @@ impl GuestParty {
         // many a multi-answer span covers).
         let only = (batch.len() == 1).then(|| batch[0].node as u32);
         let span = self.telemetry.enter(TracePhase::DecryptSplit, Some(ctx.tree), only);
-        type BestResult = Result<Option<SplitCandidate>, TrainError>;
-        let results: Vec<BestResult> = {
+        type Decoded = Result<(Option<SplitCandidate>, HostHist), TrainError>;
+        let results: Vec<Decoded> = {
             use rayon::prelude::*;
             self.pool.install(|| {
                 jobs.par_iter()
@@ -1636,8 +1733,8 @@ impl GuestParty {
         };
         self.telemetry.exit(span);
         drop(jobs);
-        for (p, best) in batch.iter().zip(results) {
-            let best = best?;
+        for (p, decoded) in batch.iter().zip(results) {
+            let (best, hist) = decoded?;
             if !Self::hist_is_fresh(ctx, p.host, p.node, p.epoch) {
                 self.telemetry.events.stale_histograms += 1;
                 continue;
@@ -1647,8 +1744,25 @@ impl GuestParty {
             };
             state.host_best[p.host] = best;
             state.host_received[p.host] = true;
-            if state.host_received.iter().all(|&b| b) {
-                self.resolve(ctx, p.node)?;
+            state.host_hist[p.host] = Some(hist);
+            // A histogram that just came in — received, or derived in turn —
+            // can complete a derivation as the smaller child of its parent
+            // and as the parent of a child this host answered first (a
+            // re-issued task keeps its place in the host's queue).
+            let mut answered = vec![p.node];
+            let mut splits: Vec<NodeId> = parent(p.node).into_iter().chain([p.node]).collect();
+            while let Some(split) = splits.pop() {
+                if let Some(derived) = self.derive_larger(ctx, p.host, split)? {
+                    answered.push(derived);
+                    splits.push(derived);
+                }
+            }
+            // Parent before child: a node resolved dirty takes its children
+            // with it, and they are skipped here.
+            for node in answered {
+                if ctx.states.get(&node).is_some_and(|s| s.host_received.iter().all(|&b| b)) {
+                    self.resolve(ctx, node)?;
+                }
             }
         }
         Ok(())
@@ -1669,5 +1783,162 @@ impl GuestParty {
             return Err(guest_invariant("the finished tree failed its structural check"));
         }
         Ok(tree)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vf2_channel::{duplex, WanConfig};
+    use vf2_crypto::suite::{Ciphertext, PlainNumber};
+    use vf2_datagen::synthetic::{generate_classification, SyntheticConfig};
+
+    use crate::config::CryptoConfig;
+    use crate::messages::RawFeatureHist;
+    use crate::protocol::ProtocolConfig;
+
+    /// A mock-suite guest over 64 labelled rows facing one host that owns a
+    /// single 4-bin feature, on the raw wire, with the host end of the link
+    /// (kept open; the tasks the guest issued can be read off it).
+    fn guest_with_one_host() -> (GuestParty, Endpoint) {
+        let data = Arc::new(generate_classification(&SyntheticConfig {
+            rows: 64,
+            features: 3,
+            density: 1.0,
+            informative_frac: 1.0,
+            label_noise: 0.1,
+            seed: 5,
+        }));
+        let cfg = TrainConfig {
+            crypto: CryptoConfig::Mock,
+            protocol: ProtocolConfig { pack_histograms: false, ..ProtocolConfig::vf2boost() },
+            ..TrainConfig::for_tests()
+        };
+        let (guest_ep, host_ep) = duplex(WanConfig::instant());
+        let suite = Suite::plain(cfg.encoding);
+        let mut guest = GuestParty::new(data, cfg, suite, vec![guest_ep], None, None).unwrap();
+        guest.host_metas = vec![vec![FeatureMeta { num_bins: 4, zero_bin: 0 }]];
+        (guest, host_ep)
+    }
+
+    /// Commits the host's answer for `node` at its current epoch, holding
+    /// `bins`, as a batch of one.
+    fn commit(guest: &mut GuestParty, ctx: &mut TreeCtx, node: NodeId, bins: [GradPair; 4]) {
+        let exponent = guest.cfg.encoding.base_exp;
+        let cipher = |value| Ciphertext::Plain(PlainNumber { value, exponent });
+        let feature = RawFeatureHist {
+            g: bins.iter().map(|b| cipher(b.g)).collect(),
+            h: bins.iter().map(|b| cipher(b.h)).collect(),
+        };
+        let payload = HistPayload::Raw(vec![feature]);
+        let answer = PendingHist { host: 0, node, epoch: ctx.epoch[node], payload };
+        guest.commit_hist_batch(ctx, vec![answer]).unwrap();
+    }
+
+    /// Every stored row in the last bin: whatever the split, one side is
+    /// empty, so the host offers no candidate and the guest's own stands.
+    fn uninformative(total: GradPair) -> [GradPair; 4] {
+        [GradPair::ZERO, GradPair::ZERO, GradPair::ZERO, total]
+    }
+
+    fn node_tasks(host_ep: &Endpoint) -> Vec<u32> {
+        let mut tasked = Vec::new();
+        while let Ok(env) = host_ep.recv_timeout(Duration::from_millis(200)) {
+            if let Ok(Msg::NodeTask { node, .. }) = wire::decode(env.kind, env.payload) {
+                tasked.push(node);
+            }
+        }
+        tasked
+    }
+
+    /// The guest-side twin of a host replacing a node's rows: a rollback
+    /// takes every histogram retained below the re-split node with it, and
+    /// the new children are answered from the new smaller child's answer
+    /// alone. Driven on the hardest interleaving — the host answers a child
+    /// before its parent (a re-issued task keeps its place in the host's
+    /// queue), so a whole subtree is derived and resolved under a root that
+    /// then turns out dirty.
+    #[test]
+    fn a_resplit_forgets_the_retained_histograms_below_it_and_derives_them_anew() {
+        let (mut guest, host_ep) = guest_with_one_host();
+        let mut ctx = TreeCtx {
+            tree: 0,
+            grads: guest.cfg.gbdt.loss.grad_hess_all(&guest.labels, &guest.preds),
+            rows: NodeRows::new_tree(64, guest.cfg.gbdt.max_layers),
+            epoch: vec![0; (1 << guest.cfg.gbdt.max_layers) - 1],
+            states: HashMap::new(),
+            decisions: HashMap::new(),
+            pending: 0,
+        };
+        guest.materialize(&mut ctx, 0, 0).unwrap();
+        let total_of = |ctx: &TreeCtx, node: NodeId| ctx.states[&node].total;
+        let derived_of = |ctx: &TreeCtx, node: NodeId| ctx.states[&node].host_hist[0].clone();
+
+        // The root speculated on the guest's own split: both children
+        // stand, one of them asked for.
+        let child = ctx.states[&1].asked;
+        let other = if child == 1 { 2 } else { 1 };
+        assert_eq!(ctx.states[&other].asked, child);
+        assert!(ctx.rows.rows(child).len() <= ctx.rows.rows(other).len());
+
+        // The child's answer first. It resolves on the guest's split and
+        // its own children stand; its sibling waits for the root's answer.
+        let bins = uninformative(total_of(&ctx, child));
+        commit(&mut guest, &mut ctx, child, bins);
+        assert!(ctx.states[&child].resolved && !ctx.states[&other].host_received[0]);
+        let grandchild = ctx.states[&left_child(child)].asked;
+        let derived = left_child(child) + right_child(child) - grandchild;
+
+        // The grandchild's answer: its sibling is derived — and, with one
+        // host, resolved — as `child − grandchild`, bin for bin.
+        let part = uninformative(total_of(&ctx, grandchild));
+        commit(&mut guest, &mut ctx, grandchild, part);
+        assert_eq!(guest.telemetry.events.hists_derived, 1);
+        assert!(ctx.states[&derived].resolved && ctx.states[&derived].host_received[0]);
+        let want = [GradPair::ZERO, GradPair::ZERO, GradPair::ZERO, bins[3] - part[3]];
+        assert_eq!(derived_of(&ctx, derived), Some(vec![DecodedBins::Float(want.to_vec())]));
+
+        // The root's answer last, with a split the guest's cannot beat. The
+        // waiting sibling is derived at last, and then the root is dirty:
+        // everything below it goes, retained histograms included.
+        let total = total_of(&ctx, 0);
+        let whole = [
+            GradPair { g: -1000.0, h: 0.5 * total.h },
+            GradPair { g: total.g + 1000.0, h: 0.5 * total.h },
+            GradPair::ZERO,
+            GradPair::ZERO,
+        ];
+        commit(&mut guest, &mut ctx, 0, whole);
+        assert_eq!(guest.telemetry.events.hists_derived, 2);
+        assert_eq!(guest.telemetry.events.dirty_nodes, 1);
+        assert_eq!(ctx.states.keys().collect::<Vec<_>>(), [&0]);
+        assert_eq!(ctx.states[&0].awaiting_placement, Some(0));
+        assert_eq!(derived_of(&ctx, 0), Some(vec![DecodedBins::Float(whole.to_vec())]));
+
+        // The host's placement re-splits the root 20 / 44: fresh children,
+        // nothing retained, nothing answered, the smaller one asked for.
+        let placement = (0..64).map(|row| row < 20).collect();
+        guest.on_placement(&mut ctx, 0, 0, placement).unwrap();
+        for node in [1, 2] {
+            let state = &ctx.states[&node];
+            assert_eq!((state.asked, state.host_received[0], state.host_best[0]), (1, false, None));
+            assert_eq!(state.host_hist[0], None);
+        }
+        // One task per split all along — the root's validated split lets
+        // both new children speculate, one task each again.
+        let asked: Vec<u32> = [0, child, grandchild, 1, ctx.states[&3].asked, ctx.states[&5].asked]
+            .iter()
+            .map(|&node| node as u32)
+            .collect();
+        assert_eq!(node_tasks(&host_ep), asked);
+
+        // The new smaller child's answer rebuilds the larger one from the
+        // root's histogram, which outlived the rollback.
+        let part = uninformative(total_of(&ctx, 1));
+        commit(&mut guest, &mut ctx, 1, part);
+        assert_eq!(guest.telemetry.events.hists_derived, 3);
+        assert!(ctx.states[&2].host_received[0]);
+        let want = [whole[0], whole[1], GradPair::ZERO, GradPair::ZERO - part[3]];
+        assert_eq!(derived_of(&ctx, 2), Some(vec![DecodedBins::Float(want.to_vec())]));
     }
 }

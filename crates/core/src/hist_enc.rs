@@ -21,15 +21,21 @@
 //! [`pack_gh_feature_hist`] replace the shift and the prefix sums: every
 //! bin is topped up to the constant offset `N·B_g` from the plain row
 //! count kept beside its cipher, then bins pack directly.
+//!
+//! The guest's half is [`DecodedBins`], a feature's bins as they decrypt:
+//! hosts ship each split's smaller child only; the guest derives the larger
+//! as `parent − smaller` ([`DecodedBins::checked_sub`]).
 
-use vf2_crypto::encoding::EncodingConfig;
+use num_bigint::{BigUint, Sign};
+use vf2_crypto::encoding::{EncodingConfig, FixedPoint};
 use vf2_crypto::error::{CryptoError, Result};
 use vf2_crypto::packing::{GhPlan, PackingPlan};
 use vf2_crypto::suite::{Ciphertext, Suite, SuiteKind};
+use vf2_gbdt::histogram::{GradPair, Histogram};
 
 use rayon::prelude::*;
 
-use crate::messages::{GhPackedFeatureHist, PackedFeatureHist};
+use crate::messages::{GhPackedFeatureHist, PackedFeatureHist, RawFeatureHist};
 use crate::rows::{ColMeta, RowMajorBins};
 
 /// One bin's accumulator.
@@ -255,7 +261,8 @@ impl EncHistBuilder {
 
     /// Derives `self ⊖ other` bin-wise: the histogram-subtraction trick in
     /// the ciphertext domain (`self` = parent, `other` = the directly built
-    /// sibling, result = the larger child).
+    /// sibling, result = the larger child). No party runs this: it is the
+    /// reference [`DecodedBins::checked_sub`] is tested against (and timed).
     ///
     /// Costs one negation plus one HAdd per bin *occupied in `other`*,
     /// instead of one HAdd per (row, feature) entry of the larger child —
@@ -355,19 +362,6 @@ impl EncHistBuilder {
             base_exp: self.base_exp,
             jitter: self.jitter,
         })
-    }
-
-    /// Number of occupied cipher slots across every feature and bin — the
-    /// basis of the host's retained-histogram memory estimate.
-    pub fn cipher_count(&self) -> usize {
-        self.features
-            .iter()
-            .flatten()
-            .map(|bin| match &bin.acc {
-                BinAcc::Naive(a) => usize::from(a.is_some()),
-                BinAcc::Reordered(slots) => slots.iter().flatten().count(),
-            })
-            .sum()
     }
 
     /// Number of features.
@@ -550,7 +544,7 @@ pub fn unpack_feature_hist(
     count: usize,
     grad_bound: f64,
     hess_bound: f64,
-) -> Result<Vec<vf2_gbdt::histogram::GradPair>> {
+) -> Result<Vec<GradPair>> {
     let shift = packing_shift(count, grad_bound, hess_bound);
     let mut prefix_g = Vec::with_capacity(packed.bins as usize);
     for p in &packed.g {
@@ -573,7 +567,7 @@ pub fn unpack_feature_hist(
     let mut out = Vec::with_capacity(packed.bins as usize);
     let (mut prev_g, mut prev_h) = (shift, 0.0);
     for (pg, ph) in prefix_g.iter().zip(&prefix_h) {
-        out.push(vf2_gbdt::histogram::GradPair { g: pg - prev_g, h: ph - prev_h });
+        out.push(GradPair { g: pg - prev_g, h: ph - prev_h });
         prev_g = *pg;
         prev_h = *ph;
     }
@@ -608,21 +602,16 @@ pub fn pack_gh_feature_hist(
 }
 
 /// Decrypts a return-path-packed GH feature histogram back into per-bin
-/// gradient pairs (guest side): one decryption per packed cipher, then a
-/// GH-pair decode per slot.
+/// `(Σg, Σh)` fixed-point pairs (guest side): one decryption per packed
+/// cipher, then a GH-pair field split per slot.
 pub fn unpack_gh_feature_hist(
     suite: &Suite,
     packed: &GhPackedFeatureHist,
     gh: &GhPlan,
-) -> Result<Vec<vf2_gbdt::histogram::GradPair>> {
+) -> Result<DecodedBins> {
     let mut out = Vec::with_capacity(usize::from(packed.bins));
     for p in &packed.packed {
-        out.extend(
-            suite
-                .unpack_decrypt_gh(p, gh)?
-                .into_iter()
-                .map(|(g, h)| vf2_gbdt::histogram::GradPair { g, h }),
-        );
+        out.extend(suite.unpack_decrypt_gh(p, gh)?);
     }
     // `packed.bins` is a peer declaration: the unpacked slot total must
     // match it exactly (the wire-admission layer enforces the same, but
@@ -634,15 +623,123 @@ pub fn unpack_gh_feature_hist(
             right: usize::from(packed.bins),
         });
     }
-    Ok(out)
+    Ok(DecodedBins::Fixed(out))
+}
+
+/// Decrypts one raw per-bin feature histogram (guest side): to fixed-point
+/// integers under Paillier, to the floats they already are under the mock.
+pub fn decrypt_feature_hist(suite: &Suite, raw: &RawFeatureHist) -> Result<DecodedBins> {
+    let bins = raw.g.iter().zip(&raw.h);
+    match suite.kind() {
+        SuiteKind::Paillier => bins
+            .map(|(g, h)| Ok((suite.decrypt_fixed(g)?, suite.decrypt_fixed(h)?)))
+            .collect::<Result<_>>()
+            .map(DecodedBins::Fixed),
+        SuiteKind::Plain => bins
+            .map(|(g, h)| Ok(GradPair { g: suite.decrypt(g)?, h: suite.decrypt(h)? }))
+            .collect::<Result<_>>()
+            .map(DecodedBins::Float),
+    }
+}
+
+/// One feature's decrypted bins as the guest retains them per node and
+/// host: the stored-entry sums before the float decode and the zero-mass
+/// fold, so that `parent − smaller child` is the larger child's exactly.
+#[derive(Debug, Clone, PartialEq)]
+pub enum DecodedBins {
+    /// Paillier: each bin's `(Σg, Σh)` as signed fixed-point integers.
+    Fixed(Vec<(FixedPoint, FixedPoint)>),
+    /// The mock's floats (and prefix-packed sums, which unpack to floats).
+    Float(Vec<GradPair>),
+}
+
+impl DecodedBins {
+    /// Number of bins.
+    pub fn num_bins(&self) -> usize {
+        match self {
+            DecodedBins::Fixed(bins) => bins.len(),
+            DecodedBins::Float(bins) => bins.len(),
+        }
+    }
+
+    /// The histogram split finding reads: the float decode, then the mass
+    /// of the node's implicit zeros (`total − Σ stored bins`) added into the
+    /// feature's zero bin. `None` when `zero_bin` is no bin of it.
+    pub fn to_histogram(
+        &self,
+        encoding: &EncodingConfig,
+        zero_bin: u16,
+        total: GradPair,
+    ) -> Option<Histogram> {
+        let mut bins = self.to_pairs(encoding);
+        let stored = bins.iter().fold(GradPair::ZERO, |a, &b| a + b);
+        *bins.get_mut(usize::from(zero_bin))? += total - stored;
+        Some(Histogram { bins })
+    }
+
+    fn to_pairs(&self, encoding: &EncodingConfig) -> Vec<GradPair> {
+        match self {
+            DecodedBins::Fixed(bins) => bins
+                .iter()
+                .map(|(g, h)| GradPair { g: g.to_f64(encoding), h: h.to_f64(encoding) })
+                .collect(),
+            DecodedBins::Float(bins) => bins.clone(),
+        }
+    }
+
+    /// The larger child's bins, `self − smaller`, `self` being the parent's.
+    /// Fixed-point bins subtract exactly; `None` is a difference no honest
+    /// split produces: a child bin at a larger exponent than its parent's,
+    /// a negative `Σh`, a magnitude past `limits` (the largest `(|Σg|, Σh)`
+    /// the larger child's row count admits), a child shaped unlike its
+    /// parent. Floats just subtract: the mock has no bound to break.
+    pub fn checked_sub(
+        &self,
+        smaller: &DecodedBins,
+        encoding: &EncodingConfig,
+        (g_limit, h_limit): (&BigUint, &BigUint),
+    ) -> Option<DecodedBins> {
+        match (self, smaller) {
+            (DecodedBins::Fixed(parent), DecodedBins::Fixed(child))
+                if parent.len() == child.len() =>
+            {
+                let bins = parent.iter().zip(child).map(|((pg, ph), (cg, ch))| {
+                    let g = pg.checked_sub(cg, encoding)?;
+                    let h = ph.checked_sub(ch, encoding)?;
+                    let honest = g.mantissa.magnitude() <= g_limit
+                        && h.mantissa.magnitude() <= h_limit
+                        && h.mantissa.sign() != Sign::Minus;
+                    honest.then_some((g, h))
+                });
+                bins.collect::<Option<_>>().map(DecodedBins::Fixed)
+            }
+            (DecodedBins::Float(parent), DecodedBins::Float(child))
+                if parent.len() == child.len() =>
+            {
+                Some(DecodedBins::Float(parent.iter().zip(child).map(|(&p, &c)| p - c).collect()))
+            }
+            _ => None,
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use vf2_gbdt::histogram::GradPair;
+    use rand::{Rng, SeedableRng};
+
+    /// Occupied cipher slots across every feature and bin.
+    fn cipher_count(b: &EncHistBuilder) -> usize {
+        b.features
+            .iter()
+            .flatten()
+            .map(|bin| match &bin.acc {
+                BinAcc::Naive(a) => usize::from(a.is_some()),
+                BinAcc::Reordered(slots) => slots.iter().flatten().count(),
+            })
+            .sum()
+    }
 
     fn encoding() -> EncodingConfig {
         EncodingConfig { base: 16, base_exp: 8, jitter: 4 }
@@ -708,14 +805,17 @@ mod tests {
     /// 12 rows × 7 columns: dense and sparse columns, rows that miss
     /// features, and one column (index 4) that no row stores.
     fn csr_fixture() -> RowMajorBins {
-        use vf2_gbdt::binning::{BinnedDataset, BinningConfig};
-        use vf2_gbdt::data::{Dataset, FeatureColumn};
+        csr_of(fixture_columns())
+    }
+
+    fn fixture_columns() -> Vec<vf2_gbdt::data::FeatureColumn> {
+        use vf2_gbdt::data::FeatureColumn;
         let dense = |k: u32| FeatureColumn::Dense((0..12).map(|r| ((r * k) % 5) as f32).collect());
         let sparse = |rows: &[u32]| FeatureColumn::Sparse {
             rows: rows.to_vec(),
             values: rows.iter().map(|&r| r as f32 - 4.5).collect(),
         };
-        let columns = vec![
+        vec![
             dense(1),
             sparse(&[1, 4, 9]),
             dense(3),
@@ -723,8 +823,12 @@ mod tests {
             sparse(&[]),
             dense(7),
             sparse(&[6]),
-        ];
-        let data = Dataset::new(12, columns, None);
+        ]
+    }
+
+    fn csr_of(columns: Vec<vf2_gbdt::data::FeatureColumn>) -> RowMajorBins {
+        use vf2_gbdt::binning::{BinnedDataset, BinningConfig};
+        let data = vf2_gbdt::data::Dataset::new(12, columns, None);
         let binned =
             BinnedDataset::bin(&data, &BinningConfig { num_bins: 4, max_samples: 1 << 16 });
         RowMajorBins::from_binned(&binned)
@@ -778,7 +882,7 @@ mod tests {
                 let want_g = per_entry(&reference_suite, &csr, &rows, &enc_g, reordered).unwrap();
                 let want_h = per_entry(&reference_suite, &csr, &rows, &enc_h, reordered).unwrap();
                 let want_ops = reference_suite.counters().snapshot();
-                assert!(want_g.cipher_count() > 0 && want_g != want_h);
+                assert!(cipher_count(&want_g) > 0 && want_g != want_h);
                 // 9 > 7 columns: more workers than features.
                 for width in [1, 2, 4, 7, 9] {
                     let what = format!("{:?} reordered={reordered} width={width}", keyed.kind());
@@ -794,7 +898,7 @@ mod tests {
                     );
                     // Without a hessian stream only `g` is fed.
                     let (g, h) = bulk(&s, &csr, &rows, (&enc_g, None), reordered, width).unwrap();
-                    assert!(g == want_g && h.cipher_count() == 0, "{what}: g-only walk");
+                    assert!(g == want_g && cipher_count(&h) == 0, "{what}: g-only walk");
                 }
             }
         }
@@ -948,7 +1052,7 @@ mod tests {
         let packed = pack_gh_feature_hist(&host, &bins, &plan).unwrap();
         assert_eq!((usize::from(packed.bins), packed.packed.len()), (3, 1));
         let before = s.counters().snapshot();
-        let pairs = unpack_gh_feature_hist(&s, &packed, &plan).unwrap();
+        let pairs = unpack_gh_feature_hist(&s, &packed, &plan).unwrap().to_pairs(&enc);
         assert_eq!(s.counters().snapshot().since(&before).dec, 1);
         // Dyadic inputs: the integer sums are exact, so is the decode.
         assert_eq!(pairs, plain);
@@ -976,6 +1080,7 @@ mod tests {
             let bins = b.finalize_gh_feature(&s, 0, &plan).unwrap();
             unpack_gh_feature_hist(&s, &pack_gh_feature_hist(&s, &bins, &plan).unwrap(), &plan)
                 .unwrap()
+                .to_pairs(&enc)
         };
         assert_eq!(read(&derived), read(&direct));
         // A "sibling" holding rows its parent never saw is a typed error,
@@ -1127,7 +1232,7 @@ mod tests {
         assert!(matches!(err, CryptoError::ShapeMismatch { left: 0, right: 1, .. }), "{err}");
         // Other empty ⇒ parent passes through untouched (cipher_count 1).
         let through = parent.subtract(&s, &empty).unwrap();
-        assert_eq!(through.cipher_count(), 1);
+        assert_eq!(cipher_count(&through), 1);
         let bins = through.finalize_feature(&s, 0, None).unwrap();
         assert!((s.decrypt(&bins[0]).unwrap() - 2.5).abs() < 1e-9);
     }
@@ -1138,11 +1243,11 @@ mod tests {
         let enc = encoding();
         let mut rng = StdRng::seed_from_u64(9);
         let mut b = EncHistBuilder::new(&meta(4), &enc, true);
-        assert_eq!(b.cipher_count(), 0);
+        assert_eq!(cipher_count(&b), 0);
         b.add(&s, 0, 0, &s.encrypt_at(1.0, enc.base_exp, &mut rng).unwrap()).unwrap();
         b.add(&s, 0, 0, &s.encrypt_at(1.0, enc.base_exp, &mut rng).unwrap()).unwrap();
         b.add(&s, 0, 2, &s.encrypt_at(1.0, enc.base_exp + 1, &mut rng).unwrap()).unwrap();
-        assert_eq!(b.cipher_count(), 2);
+        assert_eq!(cipher_count(&b), 2);
     }
 
     #[test]
@@ -1233,5 +1338,174 @@ mod tests {
             assert!((got.g - want.g).abs() < 1e-5, "{} vs {}", got.g, want.g);
             assert!((got.h - want.h).abs() < 1e-5, "{} vs {}", got.h, want.h);
         }
+    }
+
+    /// The wire a node's builders leave on: GH-pair bins packed at the pair
+    /// width, or raw per-bin ciphers of two streams.
+    #[derive(Debug, Clone, Copy)]
+    enum Wire {
+        Paired,
+        Raw { reordered: bool },
+    }
+
+    /// Builds `rows`' histogram at the host, ships it the way
+    /// `HostParty::make_payload` does on `wire`, and decodes it the way the
+    /// guest does: one [`DecodedBins`] per feature.
+    fn through_the_wire(
+        guest: &Suite,
+        csr: &RowMajorBins,
+        wire: Wire,
+        plan: &GhPlan,
+        (g, h): &(EncHistBuilder, EncHistBuilder),
+    ) -> Vec<DecodedBins> {
+        let host = guest.public_half();
+        (0..csr.num_features())
+            .map(|f| match wire {
+                Wire::Paired => {
+                    let bins = g.finalize_gh_feature(&host, f, plan).unwrap();
+                    let packed = pack_gh_feature_hist(&host, &bins, plan).unwrap();
+                    unpack_gh_feature_hist(guest, &packed, plan).unwrap()
+                }
+                Wire::Raw { .. } => {
+                    let raw = RawFeatureHist {
+                        g: g.finalize_feature(&host, f, None).unwrap(),
+                        h: h.finalize_feature(&host, f, None).unwrap(),
+                    };
+                    decrypt_feature_hist(guest, &raw).unwrap()
+                }
+            })
+            .collect()
+    }
+
+    /// The guest's `parent − smaller` on decrypted integers against the
+    /// ciphertext `parent ⊖ smaller` it replaced, through both Paillier
+    /// wires at two key sizes, over dense and sparse columns (so the
+    /// zero-mass fold has work to do), at the edges: a smaller child with
+    /// no row and with every row, and gradients pinned at ±bound on every
+    /// row so that a constant column's one bin sits at exactly
+    /// `count × bound`. Same integers at the same exponents, hence the same
+    /// floats to the last bit.
+    #[test]
+    fn plaintext_derivation_is_bitwise_the_ciphertext_one() {
+        let enc = encoding();
+        let mut columns = fixture_columns();
+        columns.push(vf2_gbdt::data::FeatureColumn::Dense(vec![2.5; 12]));
+        let csr = csr_of(columns);
+        let parent_rows: Vec<u32> = vec![10, 1, 4, 9, 0, 7, 2, 11, 5, 3];
+        let mut rng = StdRng::seed_from_u64(77);
+        let random: Vec<GradPair> = (0..12)
+            .map(|_| GradPair { g: rng.gen_range(-1.0..1.0), h: rng.gen_range(0.0..0.25) })
+            .collect();
+        let pinned = |g: f64| vec![GradPair { g, h: 0.25 }; 12];
+        let splits: [&[u32]; 4] = [&[4, 9, 2], &[], &parent_rows, &[1, 0, 7, 11, 3]];
+        for key_bits in [256, 512] {
+            let guest = Suite::paillier_seeded(key_bits, 42, enc).unwrap();
+            let host = guest.public_half();
+            let pk = guest.public_key().unwrap();
+            let plan = GhPlan::new(1.0, 0.25, 12, &enc).unwrap();
+            plan.validate_capacity(pk).unwrap();
+            for wire in
+                [Wire::Paired, Wire::Raw { reordered: true }, Wire::Raw { reordered: false }]
+            {
+                for grads in [random.clone(), pinned(1.0), pinned(-1.0)] {
+                    let (g, h): (Vec<f64>, Vec<f64>) = grads.iter().map(|p| (p.g, p.h)).unzip();
+                    let (enc_g, enc_h, reordered) = match wire {
+                        Wire::Paired => {
+                            (guest.encrypt_gh_batch(&g, &h, &plan, 5).unwrap(), None, true)
+                        }
+                        Wire::Raw { reordered } => (
+                            guest.encrypt_batch(&g, 5).unwrap(),
+                            Some(guest.encrypt_batch(&h, 6).unwrap()),
+                            reordered,
+                        ),
+                    };
+                    let build = |rows: &[u32]| {
+                        let mut g = EncHistBuilder::new(&csr.col_meta, &enc, reordered);
+                        let mut h = g.clone();
+                        let streams = ((&mut g, &enc_g[..]), (&mut h, enc_h.as_deref()));
+                        EncHistBuilder::add_rows(&host, &csr, rows, streams.0, streams.1).unwrap();
+                        (g, h)
+                    };
+                    let parent = build(&parent_rows);
+                    for smaller_rows in splits {
+                        let what = format!("{key_bits} {wire:?} smaller={smaller_rows:?}");
+                        let smaller = build(smaller_rows);
+                        let reference = (
+                            parent.0.subtract(&host, &smaller.0).unwrap(),
+                            parent.1.subtract(&host, &smaller.1).unwrap(),
+                        );
+                        let larger_rows: Vec<u32> = parent_rows
+                            .iter()
+                            .copied()
+                            .filter(|r| !smaller_rows.contains(r))
+                            .collect();
+                        let limits = match wire {
+                            Wire::Paired => plan.field_limits(larger_rows.len() as u64),
+                            Wire::Raw { .. } => (pk.max_int().clone(), pk.max_int().clone()),
+                        };
+                        let decode = |pair| through_the_wire(&guest, &csr, wire, &plan, pair);
+                        let derived: Vec<DecodedBins> = decode(&parent)
+                            .iter()
+                            .zip(decode(&smaller))
+                            .map(|(p, c)| p.checked_sub(&c, &enc, (&limits.0, &limits.1)).unwrap())
+                            .collect();
+                        let reference = decode(&reference);
+                        assert_eq!(derived, reference, "{what}: integers or exponents moved");
+                        let total = RowMajorBins::rows_total(&larger_rows, &grads);
+                        for (f, meta) in csr.col_meta.iter().enumerate() {
+                            let bits = |bins: &DecodedBins| -> Vec<(u64, u64)> {
+                                let hist = bins.to_histogram(&enc, meta.zero_bin, total).unwrap();
+                                hist.bins.iter().map(|b| (b.g.to_bits(), b.h.to_bits())).collect()
+                            };
+                            assert_eq!(
+                                bits(&derived[f]),
+                                bits(&reference[f]),
+                                "{what} feature {f}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every way a smaller child can contradict its parent is a refusal
+    /// with a reason, never a wrapped field or a borrow past zero.
+    #[test]
+    fn a_child_that_contradicts_its_parent_is_refused() {
+        use num_bigint::BigInt;
+        let enc = encoding();
+        let at = |g: i64, h: i64, exponent| {
+            let fixed = |v: i64| {
+                let sign = if v < 0 { Sign::Minus } else { Sign::Plus };
+                FixedPoint {
+                    mantissa: BigInt::from_biguint(sign, BigUint::from(v.unsigned_abs())),
+                    exponent,
+                }
+            };
+            DecodedBins::Fixed(vec![(fixed(g), fixed(h))])
+        };
+        let limits = (BigUint::from(100u32), BigUint::from(50u32));
+        let sub = |parent: &DecodedBins, child: &DecodedBins| {
+            parent.checked_sub(child, &enc, (&limits.0, &limits.1))
+        };
+        // Honest: signs may flip in `g`, a lower child exponent scales up
+        // (1 at exponent 8 is 16 at exponent 9), limits are inclusive.
+        assert_eq!(sub(&at(-60, 50, 9), &at(40, 0, 9)), Some(at(-100, 50, 9)));
+        assert_eq!(sub(&at(20, 40, 9), &at(1, 2, 8)), Some(at(4, 8, 9)));
+        // More hessian mass than the parent held; a field past its limit,
+        // either sign; aligning up cannot wrap (7 at exponent 8 is 112 at
+        // exponent 9); a child exponent above the parent's.
+        for child in [at(0, 6, 9), at(41, 0, 9), at(0, -46, 9), at(7, 0, 8)] {
+            assert_eq!(sub(&at(-60, 5, 9), &child), None, "{child:?}");
+        }
+        assert_eq!(sub(&at(10, 5, 8), &at(1, 1, 9)), None);
+        // A child shaped unlike its parent.
+        let DecodedBins::Fixed(one) = at(1, 1, 9) else { unreachable!() };
+        assert_eq!(sub(&at(10, 5, 9), &DecodedBins::Fixed([one.clone(), one].concat())), None);
+        assert_eq!(sub(&at(10, 5, 9), &DecodedBins::Float(vec![GradPair::ZERO])), None);
+        // The mock's floats subtract and nothing more.
+        let float = |g, h| DecodedBins::Float(vec![GradPair { g, h }]);
+        assert_eq!(sub(&float(1.5, 0.5), &float(2.0, 0.75)), Some(float(-0.5, -0.25)));
     }
 }

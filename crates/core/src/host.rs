@@ -18,7 +18,7 @@ use vf2_crypto::packing::GhPlan;
 use vf2_crypto::suite::{Ciphertext, Suite};
 use vf2_gbdt::binning::{BinnedColumn, BinnedDataset};
 use vf2_gbdt::data::Dataset;
-use vf2_gbdt::tree::{layer_of, layer_start, left_child, right_child, NodeSplit};
+use vf2_gbdt::tree::{parent, right_child, NodeSplit};
 
 use crate::chaos::ChaosPlan;
 use crate::config::TrainConfig;
@@ -89,7 +89,8 @@ fn state_invariant(context: &'static str) -> TrainError {
     ProtocolError::InvariantViolated { party: PartyId::Guest, context }.into()
 }
 
-/// Per-tree mutable state.
+/// Per-tree mutable state. It holds no node histogram: a node's builders
+/// live for one task, and the guest derives what is not asked for (§3.6).
 struct TreeState {
     tree: u32,
     /// Stored encrypted gradients, indexed by row.
@@ -100,107 +101,11 @@ struct TreeState {
     /// batches arrive; taken when the root payload ships.
     root: Option<BuilderPair>,
     rows: NodeRows,
-    /// Each node's retained encrypted histogram, powering ciphertext
-    /// subtraction.
-    hists: NodeHists,
 }
-
-impl TreeState {
-    /// Splits `node`'s rows by `placement` and forgets both children's
-    /// retained histograms. This is the only way a child's row list is
-    /// ever replaced (first split, or the re-split after an optimistic
-    /// rollback), so a resident histogram always describes its node's
-    /// current rows and needs no freshness stamp.
-    fn apply_placement(&mut self, node: usize, placement: &[bool]) {
-        self.rows.apply_placement(node, placement);
-        self.hists.take(left_child(node));
-        self.hists.take(right_child(node));
-    }
-}
-
-/// Byte budget for one tree's retained node histograms, by the estimate
-/// `occupied cipher slots × Suite::cipher_wire_bytes`. Two resident levels
-/// peak under 2 MB on every benchmark workload, so this only bounds a
-/// pathological shape (very wide host × deep tree × large key).
-const NODE_HIST_BUDGET_BYTES: u64 = 256 << 20;
 
 /// One (gradient, hessian) builder pair — a node's whole encrypted
 /// histogram (on the paired path the `h` half stays empty).
 type BuilderPair = (EncHistBuilder, EncHistBuilder);
-
-/// The encrypted histograms a tree retains for ciphertext subtraction: one
-/// slot per heap-indexed node, beside the node's row list in
-/// [`TreeState`].
-///
-/// A slot is written when its node's histogram is produced (root payload,
-/// smaller sibling, answered task) and emptied by
-/// [`TreeState::apply_placement`] when the node's rows are replaced.
-/// Retention is **level-scoped**: every level-`L` node's parent sits at
-/// `L−1`, so by the time the host stores at level `L` nothing at levels
-/// `< L−1` can serve another subtraction, and a store drops those slots
-/// first. A histogram that would push the resident estimate past the
-/// budget is simply not kept (its children are then built from rows).
-/// Both rules are functions of the node id and the stored sizes only: host
-/// behavior stays a pure function of the received message sequence (the
-/// chaos suite asserts bit-identical models under WAN faults).
-struct NodeHists {
-    slots: Vec<Option<BuilderPair>>,
-    /// Estimated bytes per occupied cipher slot.
-    cipher_bytes: u64,
-    resident_bytes: u64,
-    budget_bytes: u64,
-}
-
-impl NodeHists {
-    fn new(num_nodes: usize, cipher_bytes: usize, budget_bytes: u64) -> NodeHists {
-        NodeHists {
-            slots: vec![None; num_nodes],
-            cipher_bytes: cipher_bytes as u64,
-            resident_bytes: 0,
-            budget_bytes,
-        }
-    }
-
-    fn bytes_of(&self, (g, h): &BuilderPair) -> u64 {
-        (g.cipher_count() + h.cipher_count()) as u64 * self.cipher_bytes
-    }
-
-    /// The node's resident histogram, if any.
-    fn get(&self, node: usize) -> Option<&BuilderPair> {
-        self.slots.get(node)?.as_ref()
-    }
-
-    /// Empties the node's slot, returning what it held.
-    fn take(&mut self, node: usize) -> Option<BuilderPair> {
-        let pair = self.slots.get_mut(node)?.take()?;
-        self.resident_bytes -= self.bytes_of(&pair);
-        Some(pair)
-    }
-
-    /// Keeps `pair` as `node`'s histogram if the budget allows, after
-    /// dropping every slot more than one level above it. Returns the
-    /// `(node, bytes)` of each histogram dropped (replacing the node's own
-    /// prior one does not count) so the host can trace and count them.
-    fn store(&mut self, node: usize, pair: BuilderPair) -> Vec<(u32, u64)> {
-        self.take(node);
-        let mut dropped = Vec::new();
-        // Levels 0..=L−2 are the heap slots before level L−1's first.
-        for n in 0..layer_start(layer_of(node).saturating_sub(1)) {
-            let before = self.resident_bytes;
-            if self.take(n).is_some() {
-                dropped.push((n as u32, before - self.resident_bytes));
-            }
-        }
-        let bytes = self.bytes_of(&pair);
-        if let Some(slot) = self.slots.get_mut(node) {
-            if self.resident_bytes + bytes <= self.budget_bytes {
-                self.resident_bytes += bytes;
-                *slot = Some(pair);
-            }
-        }
-        dropped
-    }
-}
 
 struct HostParty {
     cfg: TrainConfig,
@@ -517,11 +422,6 @@ impl HostParty {
                 enc_h: Vec::with_capacity(n),
                 root: Some(self.new_builders()),
                 rows: NodeRows::new_tree(n, self.cfg.gbdt.max_layers),
-                hists: NodeHists::new(
-                    (1 << self.cfg.gbdt.max_layers) - 1,
-                    self.suite.cipher_wire_bytes(),
-                    NODE_HIST_BUDGET_BYTES,
-                ),
             });
             self.task_queue.clear();
             self.task_epoch.clear();
@@ -614,11 +514,12 @@ impl HostParty {
                         })?;
                     }
                     Some(_) => {
-                        // Superseded before execution: the paper's aborted
-                        // sub-task.
-                        self.telemetry.events.aborted_tasks += 1;
                         self.task_epoch.insert(node, epoch);
-                        if !self.task_queue.contains(&node) {
+                        if self.task_queue.contains(&node) {
+                            // Superseded before execution: the paper's
+                            // aborted sub-task.
+                            self.telemetry.events.aborted_tasks += 1;
+                        } else {
                             self.task_queue.push_back(node);
                         }
                     }
@@ -650,7 +551,8 @@ impl HostParty {
                     }
                     .into());
                 }
-                state.apply_placement(node as usize, &placement);
+                state.rows.apply_placement(node as usize, &placement);
+                self.retire_below(node);
                 self.telemetry.exit(span);
             }
             Msg::HostSplitChosen { tree, node, feature, bin } => {
@@ -686,7 +588,8 @@ impl HostParty {
                     .iter()
                     .map(|&r| col.bin_of_row(r as usize) <= bin)
                     .collect();
-                state.apply_placement(node as usize, &placement);
+                state.rows.apply_placement(node as usize, &placement);
+                self.retire_below(node);
                 self.telemetry.events.splits_won += 1;
                 self.telemetry.exit(span);
                 self.send_traced(&Msg::Placement { tree, node, placement }, tree)?;
@@ -754,9 +657,21 @@ impl HostParty {
         Ok(())
     }
 
+    /// Retires, unbuilt, every queued task below `node`, whose split was
+    /// just (re)placed: the link is FIFO, so those were asked against the
+    /// split this one replaces, and the guest drops their answers by epoch.
+    /// Only the new smaller child is asked for again, so a re-issue alone
+    /// would leave the other child's stale task to be built from new rows.
+    fn retire_below(&mut self, node: u32) {
+        let ancestors = |task: u32| std::iter::successors(parent(task as usize), |&n| parent(n));
+        let queued = self.task_queue.len();
+        self.task_queue.retain(|&task| ancestors(task).all(|n| n != node as usize));
+        self.telemetry.events.aborted_tasks += (queued - self.task_queue.len()) as u64;
+    }
+
     /// Runs `f` with the tree state moved out of `self`, so `f` can hand
     /// the state's ciphers and row lists to the `&self` builders below
-    /// while it writes the state's histogram slots.
+    /// while it extends the state's cipher streams and bills telemetry.
     fn with_state<T>(
         &mut self,
         context: &'static str,
@@ -785,7 +700,7 @@ impl HostParty {
     }
 
     /// [`HostParty::on_grad_batch`] on the tree state it moved out; the
-    /// last batch ships the root payload and retains the root histogram.
+    /// last batch ships the root payload.
     fn fold_grad_batch(
         &mut self,
         state: &mut TreeState,
@@ -836,9 +751,6 @@ impl HostParty {
             );
         }
         let payload = self.make_payload(tree, &root_g, &root_h, num_rows)?;
-        // Keep the root histogram (the blaster path is the only producer of
-        // node 0): level-1 children derive from it.
-        self.keep(state, 0, (root_g, root_h));
         self.send_traced(&Msg::NodeHistograms { tree, node: 0, epoch: 1, payload }, tree)?;
         self.phase = ProtocolPhase::TreeBuild;
         Ok(())
@@ -895,7 +807,8 @@ impl HostParty {
         }
     }
 
-    /// Executes the oldest queued node task.
+    /// Executes the oldest queued node task: builds the node's histogram
+    /// from its rows, packs it, sends it.
     fn run_one_task(&mut self) -> Result<(), TrainError> {
         let Some(node) = self.task_queue.pop_front() else { return Ok(()) };
         let Some(&epoch) = self.task_epoch.get(&node) else { return Ok(()) };
@@ -910,94 +823,14 @@ impl HostParty {
             return Ok(());
         }
         self.with_state("node task with no tree state", |host, state| {
-            let (tree, node) = (state.tree, node as usize);
-            let span = host.telemetry.enter(TracePhase::Hadd, Some(tree), Some(node as u32));
-            let (g, h) = host.node_builders(state, node)?;
+            let (tree, rows) = (state.tree, state.rows.rows(node as usize));
+            let span = host.telemetry.enter(TracePhase::Hadd, Some(tree), Some(node));
+            let (mut g, mut h) = host.new_builders();
+            host.accumulate(state, &mut g, &mut h, rows)?;
             host.telemetry.exit(span);
-            let payload = host.make_payload(tree, &g, &h, state.rows.rows(node).len())?;
-            // Keep it so the node's children can derive from it at the next
-            // level.
-            host.keep(state, node, (g, h));
-            host.send_traced(&Msg::NodeHistograms { tree, node: node as u32, epoch, payload }, tree)
+            let payload = host.make_payload(tree, &g, &h, rows.len())?;
+            host.send_traced(&Msg::NodeHistograms { tree, node, epoch, payload }, tree)
         })
-    }
-
-    /// Produces one node's builders, preferring the subtraction path: reuse
-    /// the node's own retained builders if resident; otherwise, if this
-    /// node is the *larger* child of its parent's split and the parent's
-    /// histogram is resident, build (or fetch) the smaller sibling and
-    /// derive this node as `parent ⊖ sibling`. Any miss — a parent dropped
-    /// by a deeper store before a rolled-back task was re-issued, a
-    /// histogram past the budget — falls back to the direct per-row build.
-    /// The decision is a pure function of the row lists, so every protocol
-    /// mode (and every fault schedule) takes identical branches.
-    fn node_builders(
-        &mut self,
-        state: &mut TreeState,
-        node: usize,
-    ) -> Result<BuilderPair, TrainError> {
-        if let Some(hit) = state.hists.take(node) {
-            self.telemetry.events.hist_cache_hits += 1;
-            return Ok(hit);
-        }
-        let sibling = if node % 2 == 1 { node + 1 } else { node - 1 };
-        let parent = (node - 1) / 2;
-        // Build the smaller child (ties break to the left child, which has
-        // the odd heap id) directly; derive only the larger one.
-        let larger = state.rows.has(sibling) && {
-            let (len, sibling_len) = (state.rows.rows(node).len(), state.rows.rows(sibling).len());
-            len > sibling_len || (len == sibling_len && node.is_multiple_of(2))
-        };
-        if !larger {
-            return self.build_node(state, node);
-        }
-        if state.hists.get(parent).is_none() {
-            self.telemetry.events.hist_cache_misses += 1;
-            return self.build_node(state, node);
-        }
-        if state.hists.get(sibling).is_none() {
-            let built = self.build_node(state, sibling)?;
-            self.keep(state, sibling, built);
-        }
-        let (Some((pg, ph)), Some((sg, sh))) = (state.hists.get(parent), state.hists.get(sibling))
-        else {
-            // The sibling did not fit the budget.
-            self.telemetry.events.hist_cache_misses += 1;
-            return self.build_node(state, node);
-        };
-        let crypto = TrainError::crypto("ciphertext histogram subtraction");
-        let before = self.suite.counters().snapshot();
-        let g = pg.subtract(&self.suite, sg).map_err(&crypto)?;
-        let h = ph.subtract(&self.suite, sh).map_err(&crypto)?;
-        let spent = self.suite.counters().snapshot().since(&before);
-        // A direct build folds one cipher per stored entry and stream into
-        // its bins; the first one into an empty slot is a move, not an HAdd.
-        let streams = if self.gh.is_some() { 1 } else { 2 };
-        let rows = state.rows.rows(node);
-        let entries: u64 = rows.iter().map(|&r| self.csr.row(r as usize).len() as u64).sum();
-        let direct_cost =
-            (streams * entries).saturating_sub((g.cipher_count() + h.cipher_count()) as u64);
-        self.telemetry.events.hist_cache_hits += 1;
-        self.telemetry.events.hist_subtractions += 1;
-        self.telemetry.events.hadds_saved +=
-            direct_cost.saturating_sub(spent.hadd + spent.negs + spent.scalings);
-        Ok((g, h))
-    }
-
-    /// Retains a node's histogram in its slot, counting and tracing what
-    /// the store dropped to make room.
-    fn keep(&mut self, state: &mut TreeState, node: usize, pair: BuilderPair) {
-        for (dropped, bytes) in state.hists.store(node, pair) {
-            self.telemetry.events.hist_cache_evictions += 1;
-            self.telemetry.trace.cache_evict(state.tree, dropped, bytes);
-        }
-    }
-
-    /// Direct histogram build from one node's rows.
-    fn build_node(&self, state: &TreeState, node: usize) -> Result<BuilderPair, TrainError> {
-        let (mut g, mut h) = self.new_builders();
-        self.accumulate(state, &mut g, &mut h, state.rows.rows(node))?;
-        Ok((g, h))
     }
 
     /// Runs `one(f)` for every feature of `g` across the pool, in feature
@@ -1069,129 +902,56 @@ impl HostParty {
 mod tests {
     use super::*;
     use vf2_channel::{duplex, WanConfig};
-    use vf2_crypto::suite::PlainNumber;
     use vf2_gbdt::data::FeatureColumn;
 
-    use crate::rows::ColMeta;
+    use crate::hist_enc::unpack_feature_hist;
 
-    /// A builder pair holding `ciphers` occupied slots (all in the `g`
-    /// half).
-    fn pair_of(ciphers: usize) -> BuilderPair {
-        let cfg = TrainConfig::for_tests();
-        let suite = Suite::plain(cfg.encoding);
-        let meta = [ColMeta { num_bins: 8, zero_bin: 0, dense: true }];
-        let mut g = EncHistBuilder::new(&meta, &cfg.encoding, true);
-        let one = Ciphertext::Plain(PlainNumber { value: 1.0, exponent: cfg.encoding.base_exp });
-        for bin in 0..ciphers {
-            g.add(&suite, 0, bin, &one).unwrap();
-        }
-        (g, EncHistBuilder::new(&meta, &cfg.encoding, true))
-    }
-
-    fn resident(hists: &NodeHists) -> Vec<usize> {
-        (0..hists.slots.len()).filter(|&n| hists.get(n).is_some()).collect()
-    }
-
+    /// A re-split retires what was queued below it, and only that: the
+    /// stale task of the child that is not asked for again would otherwise
+    /// be built from rows it no longer describes.
     #[test]
-    fn storing_at_a_level_drops_the_levels_that_can_no_longer_parent() {
-        let mut hists = NodeHists::new(15, 10, NODE_HIST_BUDGET_BYTES);
-        // Levels 0 and 1 never drop anything; a level-2 store drops level 0.
-        for node in [0, 1, 2] {
-            assert!(hists.store(node, pair_of(2)).is_empty());
-        }
-        assert_eq!(hists.store(3, pair_of(2)), vec![(0, 20)]);
-        assert!(hists.store(4, pair_of(3)).is_empty());
-        assert!(hists.store(0, pair_of(1)).is_empty());
-        assert_eq!(resident(&hists), vec![0, 1, 2, 3, 4]);
-        // Level 3 empties levels 0-1, in node order, and nothing else.
-        assert_eq!(hists.store(7, pair_of(1)), vec![(0, 10), (1, 20), (2, 20)]);
-        assert_eq!(resident(&hists), vec![3, 4, 7]);
-        assert_eq!(hists.resident_bytes, 20 + 30 + 10);
-        // Replacing a node's own histogram is not a drop.
-        assert!(hists.store(7, pair_of(4)).is_empty());
-        assert_eq!(hists.take(7).map(|(g, _)| g.cipher_count()), Some(4));
-        assert_eq!(hists.resident_bytes, 20 + 30);
-    }
+    fn a_replaced_placement_retires_the_tasks_queued_below_it() {
+        use vf2_crypto::suite::PlainNumber;
 
-    #[test]
-    fn a_placement_forgets_both_childrens_histograms() {
-        let mut state = TreeState {
-            tree: 0,
-            enc_g: Vec::new(),
-            enc_h: Vec::new(),
-            root: None,
-            rows: NodeRows::new_tree(4, 3),
-            hists: NodeHists::new(7, 10, NODE_HIST_BUDGET_BYTES),
-        };
-        state.apply_placement(0, &[true, true, false, false]);
-        for node in [0, 1, 2] {
-            state.hists.store(node, pair_of(2));
-        }
-        // The re-split: new row lists, so neither child's histogram stays.
-        state.apply_placement(0, &[true, false, true, false]);
-        assert_eq!(state.rows.rows(1), &[0, 2]);
-        assert_eq!(resident(&state.hists), vec![0]);
-        assert_eq!(state.hists.resident_bytes, 20);
-    }
-
-    /// Drives a 6-row, one-feature mock host through the root stream, one
-    /// placement (2 rows left, 4 right) and both child tasks, with its
-    /// histogram store capped at `budget_bytes`. Returns the host and the
-    /// three histogram answers it sent.
-    fn two_child_tasks(budget_bytes: u64) -> (HostParty, Vec<Msg>) {
         let (guest_ep, host_ep) = duplex(WanConfig::instant());
-        let column = FeatureColumn::Dense(vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
-        let data = Arc::new(Dataset::new(6, vec![column], None));
+        let column = FeatureColumn::Dense((0..8).map(|v| v as f32).collect());
+        let data = Arc::new(Dataset::new(8, vec![column], None));
         let cfg = TrainConfig::for_tests();
         let suite = Suite::plain(cfg.encoding);
         let mut host =
             HostParty::new(0, data, cfg, suite, host_ep, None, ChaosPlan::default()).unwrap();
-        host.ensure_tree(0);
-        let state = host.state.as_mut().unwrap();
-        state.hists = NodeHists::new(15, host.suite.cipher_wire_bytes(), budget_bytes);
-        let stream = |scale: f64| -> Vec<Ciphertext> {
-            (0..6)
-                .map(|i| {
-                    let value = scale * (i + 1) as f64;
-                    Ciphertext::Plain(PlainNumber { value, exponent: cfg.encoding.base_exp })
-                })
-                .collect()
-        };
-        let (g, h) = (stream(0.25), stream(0.5));
+        let one = Ciphertext::Plain(PlainNumber { value: 1.0, exponent: cfg.encoding.base_exp });
+        let (g, h) = (vec![one.clone(); 8], vec![one; 8]);
         host.handle(Msg::GradBatch { tree: 0, start_row: 0, g, h, last: true }).unwrap();
-        let placement = vec![true, true, false, false, false, false];
-        host.handle(Msg::ApplyPlacement { tree: 0, node: 0, placement }).unwrap();
-        for node in [1, 2] {
+        let split = |rows: usize, left: usize| (0..rows).map(|row| row < left).collect::<Vec<_>>();
+        // Root split 3 | 5, node 1 split again; tasks queue up at both levels.
+        host.handle(Msg::ApplyPlacement { tree: 0, node: 0, placement: split(8, 3) }).unwrap();
+        host.handle(Msg::ApplyPlacement { tree: 0, node: 1, placement: split(3, 1) }).unwrap();
+        for node in [1, 3, 2] {
             host.handle(Msg::NodeTask { tree: 0, node, epoch: 1 }).unwrap();
-            host.run_one_task().unwrap();
         }
-        // `new` + `handle` never greet: the answers are all that was sent.
-        let answers = (0..3)
-            .map(|_| guest_ep.recv_timeout(Duration::from_secs(10)).expect("a histogram answer"))
+        // Node 2 splits for the first time: nothing was queued below it.
+        host.handle(Msg::ApplyPlacement { tree: 0, node: 2, placement: split(5, 2) }).unwrap();
+        assert_eq!((host.task_queue.len(), host.telemetry.events.aborted_tasks), (3, 0));
+        // The root re-splits 5 | 3: every queued task hung below it.
+        host.handle(Msg::ApplyPlacement { tree: 0, node: 0, placement: split(8, 5) }).unwrap();
+        assert!(host.task_queue.is_empty());
+        assert_eq!(host.telemetry.events.aborted_tasks, 3);
+        // The new smaller child is asked for at a later epoch, and answered
+        // from the new rows (root, then node 2 over rows 5..8).
+        host.handle(Msg::NodeTask { tree: 0, node: 2, epoch: 3 }).unwrap();
+        host.run_one_task().unwrap();
+        let answers: Vec<Msg> = (0..2)
+            .map(|_| guest_ep.recv_timeout(Duration::from_secs(10)).expect("an answer"))
             .map(|env| wire::decode(env.kind, env.payload).unwrap())
             .collect();
-        (host, answers)
-    }
-
-    #[test]
-    fn a_histogram_past_the_budget_is_not_kept_and_its_child_is_built_from_rows() {
-        let (roomy, derived) = two_child_tasks(NODE_HIST_BUDGET_BYTES);
-        assert_eq!(roomy.telemetry.events.hist_subtractions, 1);
-        assert_eq!(roomy.telemetry.events.hist_cache_misses, 0);
-        assert!(roomy.suite.counters().snapshot().negs > 0);
-
-        // One byte holds no histogram: the root is refused, so the larger
-        // child's lookup is a counted miss and it is built from its rows —
-        // to the very answer the derivation produced.
-        let (starved, direct) = two_child_tasks(1);
-        let state = starved.state.as_ref().unwrap();
-        assert_eq!(resident(&state.hists), Vec::<usize>::new());
-        assert_eq!(starved.telemetry.events.hist_cache_misses, 1);
-        assert_eq!(starved.telemetry.events.hist_subtractions, 0);
-        assert_eq!(starved.telemetry.events.hist_cache_evictions, 0);
-        assert_eq!(starved.suite.counters().snapshot().negs, 0);
-        assert_eq!(direct.len(), 3);
-        assert_eq!(direct, derived);
+        let Msg::NodeHistograms { node: 2, epoch: 3, payload: HistPayload::Packed(feats), .. } =
+            &answers[1]
+        else {
+            panic!("expected node 2's packed histogram, got kind {}", answers[1].kind());
+        };
+        let bins = unpack_feature_hist(&host.suite, &feats[0], 3, 1.0, 0.25).unwrap();
+        assert_eq!(bins.iter().map(|b| b.g).sum::<f64>(), 3.0);
     }
 
     // run_host is exercised end-to-end by the guest/train tests and the

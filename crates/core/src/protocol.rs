@@ -21,8 +21,9 @@
 /// (admission and the index-ordered winner scan decide that).
 ///
 /// These four fields are the whole contract. What both presets share —
-/// ciphertext histogram subtraction (DESIGN.md §3.6), CRT decryption, the
-/// Montgomery core — is substrate, not an ablation row, and has no toggle.
+/// one host task per split with the larger child derived by the guest
+/// (DESIGN.md §3.6), CRT decryption, the Montgomery core — is substrate,
+/// not an ablation row, and has no toggle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProtocolConfig {
     /// Optimistic node-splitting with dirty-node rollback (§4.2). When

@@ -87,24 +87,15 @@ pub struct ProtocolEvents {
     /// Host-side node tasks superseded before execution (aborted
     /// sub-tasks).
     pub aborted_tasks: u64,
-    /// Host node histograms derived by ciphertext subtraction
-    /// (`parent ⊖ sibling`) instead of a direct per-row build.
-    pub hist_subtractions: u64,
-    /// Retained-histogram hits (a resident parent enabled a subtraction, or
-    /// a node's own retained builders were reused).
+    /// Host histograms of a split's larger child the guest derived in
+    /// plaintext as `parent − smaller child` instead of receiving and
+    /// decrypting them (guest only; one per live host and non-leaf split).
+    pub hists_derived: u64,
+    /// Always 0: hosts keep no histogram store to hit. Goes with
+    /// `train.hist_cache_hit_rate` in the `vf2-benchmark`-side follow-up.
     pub hist_cache_hits: u64,
-    /// Retained-histogram misses: a subtraction was wanted but the parent's
-    /// histogram was not resident (e.g. dropped by a deeper store before a
-    /// rolled-back task was re-issued), so the host fell back to a direct
-    /// build.
+    /// Always 0, as [`Self::hist_cache_hits`].
     pub hist_cache_misses: u64,
-    /// Retained node histograms dropped by the level scope (each drop is
-    /// also a trace event carrying the released byte count).
-    pub hist_cache_evictions: u64,
-    /// Homomorphic additions avoided by subtraction-derived histograms:
-    /// the direct-build cost of each derived child minus what the
-    /// derivation actually spent.
-    pub hadds_saved: u64,
     /// Durable checkpoints this party wrote at tree boundaries.
     pub checkpoints_written: u64,
     /// Sessions resumed from a checkpoint (0 on a fresh run, 1 after a
@@ -147,18 +138,6 @@ pub struct ProtocolEvents {
     pub sched_batches: u64,
     /// Histogram answers committed through those batches.
     pub sched_batch_hists: u64,
-}
-
-impl ProtocolEvents {
-    /// Hit rate of the retained node histograms (0 when none was ever
-    /// wanted).
-    pub fn hist_cache_hit_rate(&self) -> f64 {
-        let total = self.hist_cache_hits + self.hist_cache_misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.hist_cache_hits as f64 / total as f64
-    }
 }
 
 /// Reliable-delivery and fault-injection counters for one party's links.
@@ -391,12 +370,7 @@ pub fn party_to_json(p: &PartyTelemetry, indent: usize) -> String {
         .u64("dirty_nodes", p.events.dirty_nodes)
         .u64("stale_histograms", p.events.stale_histograms)
         .u64("aborted_tasks", p.events.aborted_tasks)
-        .u64("hist_subtractions", p.events.hist_subtractions)
-        .u64("hist_cache_hits", p.events.hist_cache_hits)
-        .u64("hist_cache_misses", p.events.hist_cache_misses)
-        .u64("hist_cache_evictions", p.events.hist_cache_evictions)
-        .f64("hist_cache_hit_rate", p.events.hist_cache_hit_rate())
-        .u64("hadds_saved", p.events.hadds_saved)
+        .u64("hists_derived", p.events.hists_derived)
         .u64("stale_msgs_dropped", p.events.stale_msgs_dropped)
         .u64("misbehavior", p.events.misbehavior)
         .u64("checkpoints_written", p.events.checkpoints_written)
@@ -483,15 +457,6 @@ mod tests {
         assert_eq!(t.retransmissions, 5);
         assert_eq!(t.corrupt_rejected, 4);
         assert_eq!(t.recv_timeouts, 1);
-    }
-
-    #[test]
-    fn cache_hit_rate_handles_empty_and_mixed() {
-        let mut e = ProtocolEvents::default();
-        assert_eq!(e.hist_cache_hit_rate(), 0.0);
-        e.hist_cache_hits = 3;
-        e.hist_cache_misses = 1;
-        assert!((e.hist_cache_hit_rate() - 0.75).abs() < 1e-12);
     }
 
     #[test]

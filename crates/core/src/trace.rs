@@ -8,7 +8,7 @@
 //!
 //! * [`TraceRing`] — a bounded in-memory ring of cheap, timestamped
 //!   [`TraceEvent`]s (span enter/exit per protocol phase with per-tree and
-//!   per-node attribution, dirty-rollback and cache-eviction events, and
+//!   per-node attribution, dirty-rollback and batch-commit events, and
 //!   free-form notes). It replaces the string-only event log of earlier
 //!   revisions; once the cap is reached the oldest event is evicted per
 //!   push and counted, so a flapping link tracing for hours cannot grow
@@ -93,14 +93,6 @@ pub enum TraceEventKind {
     },
     /// An optimistic split lost to a host and its subtree was rolled back.
     DirtyRollback,
-    /// The host dropped a retained node histogram whose level can no longer
-    /// parent a subtraction.
-    CacheEvict {
-        /// The dropped node's heap id.
-        node: u32,
-        /// Resident bytes released.
-        bytes: u64,
-    },
     /// The guest's tree loop drained a multi-answer batch from the event
     /// queue and committed it in one decrypt pass.
     SchedBatch {
@@ -135,7 +127,6 @@ impl TraceEvent {
             TraceEventKind::Exit(_) => "exit",
             TraceEventKind::Transfer { .. } => "transfer",
             TraceEventKind::DirtyRollback => "dirty-rollback",
-            TraceEventKind::CacheEvict { .. } => "cache-evict",
             TraceEventKind::SchedBatch { .. } => "sched-batch",
             TraceEventKind::Note(_) => "note",
         };
@@ -146,9 +137,6 @@ impl TraceEvent {
             }
             TraceEventKind::Transfer { bytes } => {
                 o.u64("bytes", *bytes);
-            }
-            TraceEventKind::CacheEvict { node, bytes } => {
-                o.u64("evicted_node", u64::from(*node)).u64("bytes", *bytes);
             }
             TraceEventKind::SchedBatch { drained } => {
                 o.u64("drained", *drained);
@@ -237,11 +225,6 @@ impl TraceRing {
     /// Records a dirty-node rollback.
     pub fn dirty_rollback(&mut self, tree: u32, node: u32) {
         self.push(Some(tree), Some(node), TraceEventKind::DirtyRollback);
-    }
-
-    /// Records a dropped retained node histogram.
-    pub fn cache_evict(&mut self, tree: u32, node: u32, bytes: u64) {
-        self.push(Some(tree), None, TraceEventKind::CacheEvict { node, bytes });
     }
 
     /// Records a tree-loop batch commit of `drained` answers.
@@ -365,9 +348,8 @@ mod tests {
         ring.transfer(Some(0), 100);
         assert!(ring.is_empty(), "span events must be gated");
         ring.dirty_rollback(0, 3);
-        ring.cache_evict(0, 5, 640);
         ring.note("kept");
-        assert_eq!(ring.len(), 3, "protocol events and notes always record");
+        assert_eq!(ring.len(), 2, "protocol events and notes always record");
     }
 
     #[test]
@@ -387,7 +369,7 @@ mod tests {
         let mut t = PartyTelemetry { trace: TraceRing::new(8, true), ..Default::default() };
         let _open = t.enter(TracePhase::DecryptSplit, Some(2), Some(7));
         let ring = &mut t.trace;
-        ring.cache_evict(2, 9, 1024);
+        ring.sched_batch(2, 3);
         ring.note("weird \"note\"\nwith newline");
         let doc = ring.to_json(0);
         let parsed = parse(&doc).expect("ring json parses");
@@ -396,7 +378,7 @@ mod tests {
         assert_eq!(arr[0].get("phase").and_then(Json::as_str), Some("decrypt-split"));
         assert_eq!(arr[0].get("tree").and_then(Json::as_f64), Some(2.0));
         assert_eq!(arr[0].get("node").and_then(Json::as_f64), Some(7.0));
-        assert_eq!(arr[1].get("evicted_node").and_then(Json::as_f64), Some(9.0));
+        assert_eq!(arr[1].get("drained").and_then(Json::as_f64), Some(3.0));
         assert_eq!(arr[2].get("note").and_then(Json::as_str), Some("weird \"note\"\nwith newline"));
     }
 

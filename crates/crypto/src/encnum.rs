@@ -12,7 +12,7 @@ use num_bigint::BigUint;
 use rand::Rng;
 
 use crate::counters::OpCounters;
-use crate::encoding::{decode_signed, EncodedNumber, EncodingConfig};
+use crate::encoding::{EncodedNumber, EncodingConfig, FixedPoint};
 use crate::error::Result;
 use crate::paillier::{PrivateKey, PublicKey, RawCipher};
 
@@ -138,26 +138,12 @@ impl EncryptedNumber {
         }
     }
 
-    /// Homomorphic negation (modular inversion of the cipher).
-    ///
-    /// Errors with [`crate::error::CryptoError::NonInvertibleCipher`] if the
-    /// cipher is not a unit modulo `n²` (only possible for corrupted input).
-    pub fn neg(&self, pk: &PublicKey, counters: &OpCounters) -> Result<Self> {
-        counters.add_neg(1);
-        Ok(EncryptedNumber { cipher: pk.neg_raw(&self.cipher)?, exponent: self.exponent })
-    }
-
-    /// Decrypts and decodes to a float.
-    pub fn decrypt(
-        &self,
-        sk: &PrivateKey,
-        cfg: &EncodingConfig,
-        counters: &OpCounters,
-    ) -> Result<f64> {
+    /// Decrypts to the signed fixed-point integer ([`FixedPoint::to_f64`] is
+    /// the float decode).
+    pub fn decrypt_fixed(&self, sk: &PrivateKey, counters: &OpCounters) -> Result<FixedPoint> {
         counters.add_dec(1);
         let mantissa = sk.decrypt_raw_ctr(&self.cipher, counters);
-        let signed = decode_signed(&mantissa, sk.public())?;
-        Ok(signed / cfg.base_pow_f64(self.exponent))
+        FixedPoint::from_plaintext(&mantissa, self.exponent, sk.public())
     }
 }
 
@@ -167,6 +153,13 @@ mod tests {
     use crate::paillier::KeyPair;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl EncryptedNumber {
+        /// Decrypts and decodes to a float.
+        fn decrypt(&self, sk: &PrivateKey, cfg: &EncodingConfig, ctr: &OpCounters) -> Result<f64> {
+            Ok(self.decrypt_fixed(sk, ctr)?.to_f64(cfg))
+        }
+    }
 
     fn setup() -> (KeyPair, EncodingConfig, OpCounters, StdRng) {
         (
@@ -225,15 +218,6 @@ mod tests {
         let a = EncryptedNumber::encrypt_at(2.5, 10, &kp.private, &cfg, &mut rng, &ctr).unwrap();
         let tripled = a.smul_uint(&BigUint::from(3u32), &kp.public, &ctr);
         assert!((tripled.decrypt(&kp.private, &cfg, &ctr).unwrap() - 7.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn neg_flips_sign() {
-        let (kp, cfg, ctr, mut rng) = setup();
-        let a = EncryptedNumber::encrypt_at(3.0, 10, &kp.private, &cfg, &mut rng, &ctr).unwrap();
-        let n = a.neg(&kp.public, &ctr).unwrap();
-        assert_eq!(ctr.snapshot().negs, 1);
-        assert!((n.decrypt(&kp.private, &cfg, &ctr).unwrap() + 3.0).abs() < 1e-9);
     }
 
     #[test]

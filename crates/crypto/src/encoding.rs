@@ -12,7 +12,7 @@
 //! exponents, which is exactly what makes the re-ordered accumulation
 //! technique of §5.1 profitable.
 
-use num_bigint::BigUint;
+use num_bigint::{BigInt, BigUint, Sign};
 use num_traits::ToPrimitive;
 use rand::Rng;
 
@@ -117,8 +117,7 @@ impl EncodedNumber {
     /// Values in the top third of `[0, n)` decode as negative; the middle
     /// third signals an overflow from homomorphic accumulation.
     pub fn decode(&self, cfg: &EncodingConfig, pk: &PublicKey) -> Result<f64> {
-        let signed = decode_signed(&self.mantissa, pk)?;
-        Ok(signed / cfg.base_pow_f64(self.exponent))
+        Ok(FixedPoint::from_plaintext(&self.mantissa, self.exponent, pk)?.to_f64(cfg))
     }
 
     /// Returns a copy rescaled to a (larger) target exponent.
@@ -149,19 +148,64 @@ impl EncodedNumber {
     }
 }
 
-/// Interprets a raw plaintext `V ∈ [0, n)` as a signed integer value,
-/// rejecting the ambiguous middle third.
-pub fn decode_signed(mantissa: &BigUint, pk: &PublicKey) -> Result<f64> {
+/// The signed integer the plaintext `V ∈ [0, n)` stands for: `V` up to
+/// `n/3`, `V − n` in the top third, an overflow in the ambiguous middle.
+fn signed(mantissa: &BigUint, pk: &PublicKey) -> Result<BigInt> {
     if mantissa <= pk.max_int() {
-        Ok(mantissa.to_f64().unwrap_or(f64::INFINITY))
+        Ok(BigInt::from(mantissa.clone()))
     } else if mantissa > pk.half_n() {
         let neg = pk.n() - mantissa;
         if &neg > pk.max_int() {
             return Err(CryptoError::DecodingOverflow);
         }
-        Ok(-neg.to_f64().unwrap_or(f64::INFINITY))
+        Ok(BigInt::from_biguint(Sign::Minus, neg))
     } else {
         Err(CryptoError::DecodingOverflow)
+    }
+}
+
+fn int_to_f64(v: &BigInt) -> f64 {
+    let magnitude = v.magnitude().to_f64().unwrap_or(f64::INFINITY);
+    if v.sign() == Sign::Minus {
+        -magnitude
+    } else {
+        magnitude
+    }
+}
+
+/// A decrypted fixed-point value *before* the float decode: the signed
+/// integer `Σ round(vᵢ · Bᵉ)` a cipher (or one field of a packed pair)
+/// decrypted to, at its exponent `e`. Homomorphic sums are exact in this
+/// form, so a difference of two is what the ciphertext difference would
+/// have decrypted to; the key owner subtracts here and rounds once, after.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FixedPoint {
+    /// The signed integer value at `exponent`.
+    pub mantissa: BigInt,
+    /// The exponent `e`.
+    pub exponent: i32,
+}
+
+impl FixedPoint {
+    /// Reads a decrypted plaintext `V ∈ [0, n)` (sign folded in modulo
+    /// `n`), rejecting the overflow band.
+    pub fn from_plaintext(plain: &BigUint, exponent: i32, pk: &PublicKey) -> Result<Self> {
+        Ok(FixedPoint { mantissa: signed(plain, pk)?, exponent })
+    }
+
+    /// The float this value stands for, `mantissa / Bᵉ`.
+    pub fn to_f64(&self, cfg: &EncodingConfig) -> f64 {
+        int_to_f64(&self.mantissa) / cfg.base_pow_f64(self.exponent)
+    }
+
+    /// `self − other` at `self`'s exponent, `other` first scaled up to it.
+    /// `None` when `other` sits at a larger exponent: scaling down is not
+    /// exact, and a part of a sum never carries a larger exponent than the
+    /// sum. Signed big-integer arithmetic: nothing here wraps or borrows.
+    pub fn checked_sub(&self, other: &FixedPoint, cfg: &EncodingConfig) -> Option<FixedPoint> {
+        let up = u32::try_from(i64::from(self.exponent) - i64::from(other.exponent)).ok()?;
+        let aligned = &other.mantissa * BigInt::from(BigUint::from(cfg.base).pow(up));
+        Some(FixedPoint { mantissa: &self.mantissa - aligned, exponent: self.exponent })
     }
 }
 
@@ -248,6 +292,25 @@ mod tests {
     fn middle_third_rejected_as_overflow() {
         let pk = pk();
         let mantissa = pk.half_n().clone(); // squarely in the guard band
-        assert!(matches!(decode_signed(&mantissa, &pk), Err(CryptoError::DecodingOverflow)));
+        let read = FixedPoint::from_plaintext(&mantissa, 10, &pk);
+        assert_eq!(read, Err(CryptoError::DecodingOverflow));
+    }
+
+    #[test]
+    fn fixed_point_difference_aligns_up_and_refuses_to_align_down() {
+        let pk = pk();
+        let cfg = EncodingConfig::default();
+        let at = |v: f64, e: i32| {
+            let enc = EncodedNumber::encode(v, e, &cfg, &pk).unwrap();
+            FixedPoint::from_plaintext(&enc.mantissa, e, &pk).unwrap()
+        };
+        // A part at a lower exponent scales up exactly; the difference may
+        // change sign without borrowing.
+        let diff = at(1.5, 12).checked_sub(&at(-2.25, 10), &cfg).unwrap();
+        assert_eq!((diff.exponent, diff.to_f64(&cfg)), (12, 3.75));
+        assert_eq!(at(0.5, 10).checked_sub(&at(2.0, 10), &cfg).unwrap().to_f64(&cfg), -1.5);
+        assert_eq!(at(0.5, 10).checked_sub(&at(0.5, 10), &cfg).unwrap().to_f64(&cfg), 0.0);
+        // A part claiming a larger exponent than its whole is refused.
+        assert_eq!(at(1.5, 10).checked_sub(&at(0.5, 11), &cfg), None);
     }
 }

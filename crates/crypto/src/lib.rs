@@ -50,7 +50,7 @@ pub mod suite;
 
 pub use counters::OpCounters;
 pub use encnum::EncryptedNumber;
-pub use encoding::{EncodedNumber, EncodingConfig};
+pub use encoding::{EncodedNumber, EncodingConfig, FixedPoint};
 pub use error::{CryptoError, Result};
 pub use fixed::Fixed;
 pub use montgomery::{CryptoBackend, MontCost, MontExp};

@@ -15,11 +15,11 @@
 //!
 //! Slot 1 occupies the least-significant bits.
 
-use num_bigint::BigUint;
-use num_traits::{One, ToPrimitive, Zero};
+use num_bigint::{BigInt, BigUint};
+use num_traits::{One, Zero};
 
 use crate::counters::OpCounters;
-use crate::encoding::EncodingConfig;
+use crate::encoding::{EncodingConfig, FixedPoint};
 use crate::error::{CryptoError, Result};
 use crate::paillier::{PublicKey, RawCipher};
 
@@ -253,23 +253,26 @@ impl GhPlan {
         Ok(BigUint::from(u128::from(missing) * (self.g_max + 1)) << self.h_bits)
     }
 
+    /// The largest `|Σĝ|` and `Σĥ` a bin of `rows` bounded pairs can hold.
+    pub fn field_limits(&self, rows: u64) -> (BigUint, BigUint) {
+        let rows = BigUint::from(rows);
+        (&rows * BigUint::from(self.g_max), rows * BigUint::from(self.h_max))
+    }
+
     /// Decodes a topped-up bin's `pair_bits`-wide plaintext — slot `slot`
-    /// of its packed run — into its `(Σg, Σh)` component sums. A field
-    /// outside what `count` bounded pairs can sum to is
-    /// [`CryptoError::PackedValueTooLarge`] at that slot.
-    pub fn decode_pair(&self, x: &BigUint, slot: usize) -> Result<(f64, f64)> {
-        let n = u128::from(self.count);
+    /// of its packed run — into its `(Σĝ, Σĥ)` fixed-point sums, the
+    /// `N·B_g` offset removed. A field outside what `count` bounded pairs
+    /// can sum to is [`CryptoError::PackedValueTooLarge`] at that slot.
+    pub fn decode_pair(&self, x: &BigUint, slot: usize) -> Result<(FixedPoint, FixedPoint)> {
         let low = x & &((BigUint::one() << self.h_bits) - BigUint::one());
-        let top = x >> self.h_bits;
-        let offset = BigUint::from(n * (self.g_max + 1));
-        let (g_neg, g_mag) =
-            if top >= offset { (false, top - offset) } else { (true, offset - top) };
-        if g_mag > BigUint::from(n * self.g_max) || low > BigUint::from(n * self.h_max) {
+        let offset = BigUint::from(u128::from(self.count) * (self.g_max + 1));
+        let g = BigInt::from(x >> self.h_bits) - BigInt::from(offset);
+        let (g_limit, h_limit) = self.field_limits(self.count);
+        if g.magnitude() > &g_limit || low > h_limit {
             return Err(CryptoError::PackedValueTooLarge { slot });
         }
-        let to_f64 = |v: &BigUint| v.to_f64().unwrap_or(f64::INFINITY);
-        let g = if g_neg { -to_f64(&g_mag) } else { to_f64(&g_mag) };
-        Ok((g / self.scale, to_f64(&low) / self.scale))
+        let at = |mantissa| FixedPoint { mantissa, exponent: self.exponent };
+        Ok((at(g), at(BigInt::from(low))))
     }
 }
 
@@ -438,7 +441,10 @@ mod tests {
         unpack_plaintext(&plain, &wire, topped.len())?
             .iter()
             .enumerate()
-            .map(|(slot, bits)| plan.decode_pair(bits, slot))
+            .map(|(slot, bits)| {
+                let (g, h) = plan.decode_pair(bits, slot)?;
+                Ok((g.to_f64(&test_encoding()), h.to_f64(&test_encoding())))
+            })
             .collect()
     }
 
@@ -551,13 +557,23 @@ mod tests {
 
     #[test]
     fn gh_plan_parent_minus_child_keeps_counts_and_offsets_consistent() {
-        // Histogram subtraction on paired bins: ciphers subtract, row
-        // counts subtract, and the top-up of the difference lands every
-        // derived bin on the same `N·B_g` offset as a directly built one.
+        // Histogram subtraction on paired bins, in ciphertext: ciphers
+        // subtract, row counts subtract, and the top-up of the difference
+        // lands every derived bin on the same `N·B_g` offset as a directly
+        // built one. And in plaintext, where the key owner does it: the
+        // decoded parent fields minus the decoded child fields are the very
+        // integers the ciphertext difference decrypts to.
         let (kp, _, mut rng) = setup();
         let plan = GhPlan::new(GRAD_BOUND, HESS_BOUND, 12, &test_encoding()).unwrap();
         let parent_rows: Vec<(f64, f64)> =
             (0..12).map(|i| ((i as f64 - 6.0) / 6.0, (i % 5) as f64 * 0.0625)).collect();
+        let fields = |bin: &Bin| {
+            let shift = kp
+                .public
+                .encrypt_raw_with_rn(&plan.top_up(bin.rows).unwrap(), &kp.public.zero_raw());
+            let plain = kp.private.decrypt_raw(&kp.public.add_raw(&bin.cipher, &shift));
+            plan.decode_pair(&plain, 0).unwrap()
+        };
         // The sibling took: a strict subset, every row, no row at all.
         for taken in [5usize, 12, 0] {
             let parent = accumulate(&kp, &plan, &parent_rows, &mut rng).unwrap();
@@ -568,6 +584,11 @@ mod tests {
                     .add_raw(&parent.cipher, &kp.public.neg_raw(&child.cipher).unwrap()),
                 rows: parent.rows - child.rows,
             };
+            let ((pg, ph), (cg, ch), (dg, dh)) =
+                (fields(&parent), fields(&child), fields(&derived));
+            let enc = test_encoding();
+            assert_eq!(pg.checked_sub(&cg, &enc), Some(dg), "g fields, sibling took {taken}");
+            assert_eq!(ph.checked_sub(&ch, &enc), Some(dh), "h fields, sibling took {taken}");
             let got = top_up_pack_decode(&kp, &plan, &[derived, child]).unwrap();
             assert_eq!(got[0], reference(&parent_rows[taken..]), "derived, sibling took {taken}");
             assert_eq!(got[1], reference(&parent_rows[..taken]), "sibling took {taken}");

@@ -142,11 +142,6 @@ impl PublicKey {
         self.0.bits
     }
 
-    /// Size in bytes of one serialized cipher (`2S` bits, rounded up).
-    pub fn cipher_bytes(&self) -> usize {
-        (2 * self.0.bits as usize).div_ceil(8)
-    }
-
     /// Encrypts an already-encoded plaintext `v ∈ [0, n)` with fresh
     /// randomness drawn from `rng`.
     pub fn encrypt_raw<R: Rng + ?Sized>(&self, v: &BigUint, rng: &mut R) -> RawCipher {
@@ -745,11 +740,5 @@ mod tests {
         let kp = keypair(); // 256-bit n ⇒ 512-bit n² ⇒ 8 limbs
         assert_eq!(kp.public.backend_label(), "fixed-8x64");
         assert_eq!(kp.with_backend(CryptoBackend::NumBigint).public.backend_label(), "num-bigint");
-    }
-
-    #[test]
-    fn cipher_bytes_matches_two_s_bits() {
-        let kp = keypair();
-        assert_eq!(kp.public.cipher_bytes(), 64); // 2 * 256 bits = 64 bytes
     }
 }

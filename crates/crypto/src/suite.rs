@@ -14,7 +14,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::counters::OpCounters;
 use crate::encnum::EncryptedNumber;
-use crate::encoding::{EncodedNumber, EncodingConfig};
+use crate::encoding::{EncodedNumber, EncodingConfig, FixedPoint};
 use crate::error::{CryptoError, Result};
 use crate::packing::{pack_ciphers, unpack_plaintext, GhPlan, PackingPlan};
 use crate::paillier::{KeyPair, PrivateKey, PublicKey, RawCipher};
@@ -325,7 +325,8 @@ impl Suite {
 
     /// Decrypts a packed cipher whose slots are topped-up GH-pair bins
     /// (return-path packing composed with forward-path GH packing): one
-    /// decryption recovers `(Σg, Σh)` for every slot.
+    /// decryption recovers `(Σg, Σh)` for every slot, as the fixed-point
+    /// integers they are ([`FixedPoint::to_f64`] is the float decode).
     ///
     /// The plaintext is sliced by the pair width *this* party derived: a
     /// peer declaring another `slot_bits`, an exponent off the plan's, more
@@ -335,7 +336,7 @@ impl Suite {
         &self,
         packed: &PackedCiphertext,
         plan: &GhPlan,
-    ) -> Result<Vec<(f64, f64)>> {
+    ) -> Result<Vec<(FixedPoint, FixedPoint)>> {
         match packed {
             PackedCiphertext::Paillier { cipher, exponent, count, slot_bits } => {
                 if *slot_bits != plan.pair_bits() || *exponent != plan.exponent() {
@@ -363,14 +364,23 @@ impl Suite {
     /// mode).
     pub fn decrypt(&self, c: &Ciphertext) -> Result<f64> {
         match (self.0.kind, c) {
-            (SuiteKind::Paillier, Ciphertext::Paillier(e)) => {
-                e.decrypt(self.sk()?, &self.0.cfg, &self.0.counters)
+            (SuiteKind::Paillier, Ciphertext::Paillier(_)) => {
+                Ok(self.decrypt_fixed(c)?.to_f64(&self.0.cfg))
             }
             (SuiteKind::Plain, Ciphertext::Plain(p)) => {
                 self.0.counters.add_dec(1);
                 Ok(p.value)
             }
             _ => Err(CryptoError::SuiteMismatch),
+        }
+    }
+
+    /// Decrypts a Paillier cipher to the signed fixed-point integer it
+    /// holds, before the float decode [`Suite::decrypt`] applies.
+    pub fn decrypt_fixed(&self, c: &Ciphertext) -> Result<FixedPoint> {
+        match c {
+            Ciphertext::Paillier(e) => e.decrypt_fixed(self.sk()?, &self.0.counters),
+            Ciphertext::Plain(_) => Err(CryptoError::SuiteMismatch),
         }
     }
 
@@ -426,26 +436,13 @@ impl Suite {
         }
     }
 
-    /// Homomorphic negation: one modular inverse modulo `n²` in Paillier
-    /// mode, mirrored (counter-identically) in the mock.
-    pub fn neg(&self, c: &Ciphertext) -> Result<Ciphertext> {
-        match c {
-            Ciphertext::Paillier(e) => {
-                Ok(Ciphertext::Paillier(e.neg(self.pk()?, &self.0.counters)?))
-            }
-            Ciphertext::Plain(p) => {
-                self.0.counters.add_neg(1);
-                Ok(Ciphertext::Plain(PlainNumber { value: -p.value, exponent: p.exponent }))
-            }
-        }
-    }
-
-    /// Batch homomorphic negation, order-preserving and semantically
-    /// identical (cipher-for-cipher) to calling [`Suite::neg`] on each
-    /// element. In Paillier mode the whole batch shares one modular
-    /// inverse (Montgomery's trick, [`PublicKey::neg_batch_raw`]); the
-    /// mock mirrors the per-element negation count so VF-MOCK stays
-    /// counter-identical.
+    /// Batch homomorphic negation, order-preserving. In Paillier mode the
+    /// whole batch shares one modular inverse (Montgomery's trick,
+    /// [`PublicKey::neg_batch_raw`]); the mock mirrors the per-element
+    /// negation count so VF-MOCK stays counter-identical. The trainer never
+    /// negates (the key owner subtracts histograms in plaintext); this
+    /// serves the ciphertext reference derivation the guest's is tested
+    /// against.
     pub fn neg_batch(&self, cs: &[&Ciphertext]) -> Result<Vec<Ciphertext>> {
         match self.0.kind {
             SuiteKind::Paillier => {
@@ -479,14 +476,6 @@ impl Suite {
                     .collect()
             }
         }
-    }
-
-    /// Exponent-aware homomorphic subtraction `a ⊖ b = a ⊕ (⊖b)`: one
-    /// negation plus one addition (plus a scaling when exponents differ).
-    /// This is the per-bin cost of ciphertext histogram subtraction.
-    pub fn sub(&self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext> {
-        let nb = self.neg(b)?;
-        self.add(a, &nb)
     }
 
     /// In-place same-exponent addition (the histogram hot path).
@@ -630,16 +619,6 @@ impl Suite {
             }
         }
     }
-
-    /// Serialized wire size in bytes of one cipher (drives the WAN model).
-    pub fn cipher_wire_bytes(&self) -> usize {
-        match &self.0.pk {
-            // 2S-bit cipher + 4-byte exponent tag.
-            Some(pk) => pk.cipher_bytes() + 4,
-            // f64 + exponent tag.
-            None => 12,
-        }
-    }
 }
 
 fn biguint_to_f64(v: &num_bigint::BigUint) -> f64 {
@@ -699,34 +678,11 @@ mod tests {
     }
 
     #[test]
-    fn sub_matches_plain_arithmetic_in_both_suites() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let p = paillier_suite();
-        let a = p.encrypt_at(5.25, 10, &mut rng).unwrap();
-        let b = p.encrypt_at(1.5, 10, &mut rng).unwrap();
-        let d = p.sub(&a, &b).unwrap();
-        assert!((p.decrypt(&d).unwrap() - 3.75).abs() < 1e-9);
-        let snap = p.counters().snapshot();
-        assert_eq!(snap.negs, 1);
-        assert_eq!(snap.hadd, 1);
-        assert_eq!(snap.scalings, 0);
-
-        let m = Suite::plain(EncodingConfig::default());
-        let a = m.encrypt_at(5.25, 10, &mut rng).unwrap();
-        let b = m.encrypt_at(1.5, 12, &mut rng).unwrap();
-        let d = m.sub(&a, &b).unwrap();
-        assert_eq!(m.decrypt(&d).unwrap(), 3.75);
-        let snap = m.counters().snapshot();
-        assert_eq!(snap.negs, 1);
-        assert_eq!(snap.hadd, 1);
-        assert_eq!(snap.scalings, 1); // mixed exponents force one scaling
-    }
-
-    #[test]
-    fn neg_batch_matches_scalar_neg_in_both_suites() {
+    fn neg_batch_negates_every_element_in_order_in_both_suites() {
         let mut rng = StdRng::seed_from_u64(23);
+        let values = [1.5, -0.25, 3.0, 0.0];
         for s in [paillier_suite(), Suite::plain(EncodingConfig::default())] {
-            let cts: Vec<Ciphertext> = [1.5, -0.25, 3.0, 0.0]
+            let cts: Vec<Ciphertext> = values
                 .iter()
                 .enumerate()
                 .map(|(i, &v)| s.encrypt_at(v, 10 + i as i32 % 2, &mut rng).unwrap())
@@ -735,23 +691,12 @@ mod tests {
             let before = s.counters().snapshot();
             let batch = s.neg_batch(&refs).unwrap();
             assert_eq!(s.counters().snapshot().since(&before).negs, 4);
-            for (c, n) in cts.iter().zip(&batch) {
-                assert_eq!(n, &s.neg(c).unwrap(), "batch negation must be bit-identical");
+            for ((c, n), v) in cts.iter().zip(&batch).zip(values) {
+                assert_eq!(n.exponent(), c.exponent());
+                assert_eq!(s.decrypt(n).unwrap(), -v);
             }
             assert!(s.neg_batch(&[]).unwrap().is_empty());
         }
-    }
-
-    #[test]
-    fn sub_with_mixed_exponents_scales_once() {
-        let mut rng = StdRng::seed_from_u64(22);
-        let p = paillier_suite();
-        let a = p.encrypt_at(2.0, 12, &mut rng).unwrap();
-        let b = p.encrypt_at(0.5, 10, &mut rng).unwrap();
-        let d = p.sub(&a, &b).unwrap();
-        assert_eq!(d.exponent(), 12);
-        assert!((p.decrypt(&d).unwrap() - 1.5).abs() < 1e-9);
-        assert_eq!(p.counters().snapshot().scalings, 1);
     }
 
     #[test]
@@ -811,14 +756,6 @@ mod tests {
     }
 
     #[test]
-    fn wire_sizes_reflect_key_size() {
-        let s = paillier_suite();
-        assert_eq!(s.cipher_wire_bytes(), 2 * 384 / 8 + 4);
-        let plain = Suite::plain(EncodingConfig::default());
-        assert_eq!(plain.cipher_wire_bytes(), 12);
-    }
-
-    #[test]
     fn mixing_suites_is_an_error() {
         let p = paillier_suite();
         let m = Suite::plain(EncodingConfig::default());
@@ -865,7 +802,9 @@ mod tests {
         let before = s.counters().snapshot();
         let pairs = s.unpack_decrypt_gh(&packed, &plan).unwrap();
         assert_eq!(s.counters().snapshot().since(&before).dec, 1);
-        assert_eq!(pairs, vec![(-0.25, 0.25), (0.0, 0.625)]);
+        let floats: Vec<(f64, f64)> =
+            pairs.iter().map(|(g, h)| (g.to_f64(s.encoding()), h.to_f64(s.encoding()))).collect();
+        assert_eq!(floats, vec![(-0.25, 0.25), (0.0, 0.625)]);
     }
 
     #[test]

@@ -226,6 +226,7 @@ fn paillier_pipeline_identical_across_backends() {
         let plan = PackingPlan::new(pk, gh.pair_bits(), 1).expect("one pair fits");
         let packed = s.pack(&[bin], &plan).expect("pack");
         let sums = s.unpack_decrypt_gh(&packed, &gh).expect("unpack");
+        let sums = sums.iter().map(|(g, h)| (g.to_f64(&enc), h.to_f64(&enc))).collect::<Vec<_>>();
         (rows, packed, sums)
     };
     let (gf, gn) = (paired(&sf), paired(&sn));

@@ -256,11 +256,12 @@ fn budget_exceeded_reports_total_violations() {
 }
 
 /// An honest re-split, at the host in isolation: after an optimistic
-/// rollback the guest replaces a node's placement and re-issues both child
-/// tasks. The host's second pair of answers must describe the *new* row
-/// lists bin for bin — a histogram retained from the first pair would be a
-/// silently wrong model — and the larger child must again have been derived
-/// as `parent ⊖ smaller`, not rebuilt. Mock and real Paillier.
+/// rollback the guest replaces a node's placement and tasks the host with
+/// the new smaller child — one task per placement, as the guest issues
+/// them. The host's second answer must describe the *new* row list bin for
+/// bin: it builds every node it is asked for from that node's current rows
+/// and keeps nothing from the first answer that could leak into it. Mock
+/// and real Paillier.
 #[test]
 fn host_answers_a_resplit_from_the_new_row_lists() {
     let rows = 24usize;
@@ -290,8 +291,15 @@ fn host_answers_a_resplit_from_the_new_row_lists() {
         // The next answer must be `node`'s histogram at `epoch`, equal bin
         // for bin to the plaintext histogram of `node_rows`.
         let expect_answer = |node: u32, epoch: u32, node_rows: &[u32]| {
-            let env = guest_ep.recv_timeout(DRAIN).expect("histogram answer");
-            let msg = wire::decode(env.kind, env.payload).expect("answer decodes");
+            // A host kept waiting past its heartbeat interval (a loaded box)
+            // beacons in between; only protocol frames count.
+            let msg = loop {
+                let env = guest_ep.recv_timeout(DRAIN).expect("histogram answer");
+                let msg = wire::decode(env.kind, env.payload).expect("answer decodes");
+                if !matches!(msg, Msg::Heartbeat { .. }) {
+                    break msg;
+                }
+            };
             let Msg::NodeHistograms { node: n, epoch: e, payload: HistPayload::Raw(feats), .. } =
                 msg
             else {
@@ -321,24 +329,24 @@ fn host_answers_a_resplit_from_the_new_row_lists() {
         // different bitmap, not a prefix of the first — the right one (9).
         let first: Vec<bool> = (0..rows).map(|i| i < 8).collect();
         let second: Vec<bool> = (0..rows).map(|i| i % 8 >= 3).collect();
-        for (epoch, placement) in [(1, first), (2, second)] {
-            let side = |left: bool| -> Vec<u32> {
-                all.iter().copied().filter(|&r| placement[r as usize] == left).collect()
-            };
-            send(
-                &guest_ep,
-                &Msg::ApplyPlacement { tree: 0, node: 0, placement: placement.clone() },
-            );
-            send(&guest_ep, &Msg::NodeTask { tree: 0, node: 1, epoch });
-            send(&guest_ep, &Msg::NodeTask { tree: 0, node: 2, epoch });
-            expect_answer(1, epoch, &side(true));
-            expect_answer(2, epoch, &side(false));
+        for (epoch, smaller, placement) in [(1, 1, first), (2, 2, second)] {
+            let side: Vec<u32> =
+                all.iter().copied().filter(|&r| placement[r as usize] == (smaller == 1)).collect();
+            assert!(2 * side.len() < rows, "node {smaller} is the smaller child");
+            send(&guest_ep, &Msg::ApplyPlacement { tree: 0, node: 0, placement });
+            send(&guest_ep, &Msg::NodeTask { tree: 0, node: smaller, epoch });
+            expect_answer(smaller, epoch, &side);
         }
         send(&guest_ep, &Msg::TreeDone { tree: 0 });
         send(&guest_ep, &Msg::Shutdown);
         let telemetry = handle.join().unwrap().expect("an honest script ends the host cleanly");
-        assert_eq!(telemetry.events.hist_subtractions, 2, "one derived child per placement");
-        assert_eq!(telemetry.events.hist_cache_misses, 0);
+        // One answer per task and nothing unasked behind them, built without
+        // a negation.
+        while let Ok(env) = guest_ep.recv_timeout(Duration::ZERO) {
+            let stray = wire::decode(env.kind, env.payload).expect("host frames decode");
+            assert!(matches!(stray, Msg::Heartbeat { .. }), "unasked kind {}", stray.kind());
+        }
+        assert_eq!(telemetry.ops.negs, 0);
         assert_eq!(telemetry.events.misbehavior, 0);
     }
 }
@@ -547,10 +555,13 @@ fn guest_rejects_a_bad_rejoin_handshake_with_a_typed_error() {
 }
 
 /// Drives a production guest on the paired path (Paillier, histogram
-/// packing on) against a scripted host that owns one 4-bin feature and
-/// answers the first node task with whatever `forge` builds from the
-/// host's public suite and the pair plan both sides derive.
-fn paired_guest_against(forge: impl Fn(&Suite, &GhPlan) -> Vec<PackedCiphertext>) -> GuestFailure {
+/// packing on) against a scripted host that owns one 4-bin feature. For
+/// the guest's `nth` node task, naming `node`, the host sends what `answer`
+/// builds from its public suite and the pair plan both sides derive: a
+/// histogram for the node it returns, or nothing.
+fn paired_guest_against(
+    answer: impl Fn(&Suite, &GhPlan, usize, u32) -> Option<(u32, Vec<PackedCiphertext>)>,
+) -> GuestFailure {
     let cfg = TrainConfig::for_tests();
     let guest_suite = Suite::paillier_seeded(256, 5, cfg.encoding).unwrap();
     let host_suite = guest_suite.public_half();
@@ -562,17 +573,17 @@ fn paired_guest_against(forge: impl Fn(&Suite, &GhPlan) -> Vec<PackedCiphertext>
     });
     send(&host_ep, &Msg::SessionHello { session_id: 0, epoch: 0, durable: vec![] });
     send(&host_ep, &Msg::FeatureMeta(vec![FeatureMeta { num_bins: 4, zero_bin: 0 }]));
-    let mut replied = false;
+    let mut tasks = 0;
     drain_guest(&host_ep, |msg| {
         if let Msg::NodeTask { tree, node, epoch } = msg {
-            if !std::mem::replace(&mut replied, true) {
-                let feature = GhPackedFeatureHist { packed: forge(&host_suite, &plan), bins: 4 };
-                let payload = HistPayload::GhPacked(vec![feature]);
+            if let Some((node, packed)) = answer(&host_suite, &plan, tasks, node) {
+                let payload = HistPayload::GhPacked(vec![GhPackedFeatureHist { packed, bins: 4 }]);
                 send(&host_ep, &Msg::NodeHistograms { tree, node, epoch, payload });
             }
+            tasks += 1;
         }
     });
-    assert!(replied, "the guest never issued a node task");
+    assert!(tasks > 0, "the guest never issued a node task");
     handle.join().unwrap().expect("the forged histogram must abort the guest")
 }
 
@@ -591,15 +602,14 @@ fn guest_rejects_a_pair_width_it_did_not_derive() {
     // bit wider than the plan both sides derive. Slicing by the declared
     // width would yield garbage sums; admission refuses it before a
     // decryption is spent.
-    let failure = paired_guest_against(|host, plan| {
-        (0..2)
-            .map(|_| match packed_pairs(host, plan, 2) {
-                PackedCiphertext::Paillier { cipher, exponent, count, slot_bits } => {
-                    PackedCiphertext::Paillier { cipher, exponent, count, slot_bits: slot_bits + 1 }
-                }
-                plain => plain,
-            })
-            .collect()
+    let failure = paired_guest_against(|host, plan, nth, node| {
+        let wide = |_| match packed_pairs(host, plan, 2) {
+            PackedCiphertext::Paillier { cipher, exponent, count, slot_bits } => {
+                PackedCiphertext::Paillier { cipher, exponent, count, slot_bits: slot_bits + 1 }
+            }
+            plain => plain,
+        };
+        (nth == 0).then(|| (node, (0..2).map(wide).collect()))
     });
     match failure.error {
         TrainError::PeerMisbehaving { party, last, .. } => {
@@ -622,14 +632,15 @@ fn guest_rejects_plaintext_bits_above_the_declared_slots() {
     // two bins while declaring one. The decrypted plaintext has bits above
     // its declared run: a typed crypto error in release builds too, never
     // a silently truncated histogram.
-    let failure = paired_guest_against(|host, plan| {
+    let failure = paired_guest_against(|host, plan, nth, node| {
         let lying = match packed_pairs(host, plan, 2) {
             PackedCiphertext::Paillier { cipher, exponent, slot_bits, .. } => {
                 PackedCiphertext::Paillier { cipher, exponent, count: 1, slot_bits }
             }
             plain => plain,
         };
-        vec![lying, packed_pairs(host, plan, 2), packed_pairs(host, plan, 1)]
+        let packed = vec![lying, packed_pairs(host, plan, 2), packed_pairs(host, plan, 1)];
+        (nth == 0).then_some((node, packed))
     });
     assert!(
         matches!(
@@ -639,6 +650,67 @@ fn guest_rejects_plaintext_bits_above_the_declared_slots() {
         "{}",
         failure.error
     );
+}
+
+/// An honest all-empty histogram of the scripted host's one feature: four
+/// topped-up empty bins, two to a cipher.
+fn empty_hist(host: &Suite, plan: &GhPlan) -> Vec<PackedCiphertext> {
+    vec![packed_pairs(host, plan, 2), packed_pairs(host, plan, 2)]
+}
+
+#[test]
+fn guest_rejects_a_smaller_child_that_exceeds_its_parent() {
+    // The host's root histogram is honestly empty, so the guest's own
+    // split stands and it asks for the smaller child only (task 1). The
+    // answer claims one unit of hessian mass in a bin where the parent
+    // held none: the sibling the guest derives would hold minus one. That
+    // is the host's violation, by name — not a wrapped field, not a panic.
+    let failure = paired_guest_against(|host, plan, nth, node| match nth {
+        0 => Some((node, empty_hist(host, plan))),
+        1 => {
+            let one_h = plan.top_up(0).unwrap() + RawCipher::from(1u32);
+            let forged = host.add_plain_raw(&host.zero_obfuscated(plan.exponent()), &one_h);
+            let wire = PackingPlan::new(host.public_key().unwrap(), plan.pair_bits(), 2).unwrap();
+            let first = host.pack(&vec![forged.unwrap(); 2], &wire).unwrap();
+            Some((node, vec![first, packed_pairs(host, plan, 2)]))
+        }
+        _ => None,
+    });
+    match failure.error {
+        TrainError::PeerMisbehaving { party, violations, last, .. } => {
+            assert_eq!((party, violations), (PartyId::Host(0), 1));
+            assert!(
+                matches!(*last, ProtocolError::Inadmissible { from: PartyId::Host(0), kind: 4, context }
+                    if context.contains("no split of its parent")),
+                "{last}"
+            );
+        }
+        other => panic!("wrong error: {other}"),
+    }
+    assert_eq!(failure.telemetry.events.hists_derived, 0, "the forged sibling was withheld");
+}
+
+#[test]
+fn guest_rejects_a_histogram_for_the_sibling_it_derives_itself() {
+    // Asked for the smaller child, the host answers for the larger one —
+    // the histogram it used to ship. Nothing was ever asked about that
+    // node, so admission refuses it as an answer to a request never made.
+    let failure = paired_guest_against(|host, plan, nth, node| match nth {
+        0 => Some((node, empty_hist(host, plan))),
+        1 => Some((if node % 2 == 1 { node + 1 } else { node - 1 }, empty_hist(host, plan))),
+        _ => None,
+    });
+    match failure.error {
+        TrainError::PeerMisbehaving { party, last, .. } => {
+            assert_eq!(party, PartyId::Host(0));
+            assert!(
+                matches!(*last, ProtocolError::OutOfPhase { kind: 4, context, .. }
+                    if context.contains("task never issued")),
+                "{last}"
+            );
+        }
+        other => panic!("wrong error: {other}"),
+    }
 }
 
 #[test]

@@ -1,51 +1,58 @@
-//! Ciphertext histogram subtraction: the host derives each split's larger
-//! child as `parent ⊖ smaller_child` (one negation + HAdd per occupied bin)
-//! instead of re-walking its rows. It is how every host builds every
-//! non-root node, so there is no "off" run to compare against: this suite
-//! pins the work saved against the analytic cost of building every node
-//! from rows, and the model stays pinned to centralized training by
-//! `tests/losslessness.rs`.
+//! Histogram subtraction, where it is free: a host builds, packs and ships
+//! only the *smaller* child of every split, and the guest — which decrypted
+//! that host's histogram of the parent one level earlier — derives the
+//! larger child as `parent − smaller` on the decrypted integers. No party
+//! negates a cipher and no host keeps a histogram. It is how every non-root
+//! node is answered, so there is no "off" run to compare against: this
+//! suite pins the message, pack, decryption and HAdd counts to the trained
+//! trees' shape, and the model stays pinned to centralized training by
+//! `tests/losslessness.rs` (the derivation itself is pinned, bit for bit,
+//! to the ciphertext one by `crates/core/tests/derivation.rs`).
 
 mod support;
 
 use support::{assert_bitwise, margins, scenario_of};
 use vf2boost::core::config::{CryptoConfig, TrainConfig};
+use vf2boost::core::model::FedNode;
 use vf2boost::core::protocol::ProtocolConfig;
 use vf2boost::core::train_federated;
-use vf2boost::gbdt::binning::BinningConfig;
+use vf2boost::crypto::suite::Suite;
+use vf2boost::gbdt::binning::{BinnedDataset, BinningConfig};
 use vf2boost::gbdt::train::GbdtParams;
+use vf2boost::gbdt::tree::layer_of;
 
 /// Paillier, on the paired path (one cipher and one HAdd per stored entry)
-/// and on the two-stream raw wire (two of each), sequential and optimistic:
-/// the host derives larger children, and under the sequential protocol its
-/// homomorphic additions land at least 10 % under what direct builds at
-/// every node would cost.
+/// and on the two-stream raw wire (two of each), sequential and optimistic.
 ///
-/// Derivation costs one neg + one HAdd per occupied *bin slot* of the
-/// sibling, so it pays off when nodes hold many more rows than
-/// `bins × E` — the regime this dataset (600 rows, 8 bins) pins down.
-/// With rows ≈ bins the direct build is already cheap and the host still
-/// derives (the decision is row-count-, not profit-driven), which keeps
-/// the policy a pure function of the row lists.
+/// Under the sequential protocol nothing is speculative, so what a host
+/// sends is a function of the trees alone: per tree one root histogram plus
+/// one per split whose children still carry histograms (a last-layer child
+/// is a leaf and is never asked for) — and the guest derives exactly as
+/// many siblings as it received children. Packs and decryptions are that
+/// answer count times the ciphers one histogram takes, and the HAdds land
+/// at least 10 % under what building *both* children of every split would
+/// cost (dense data: one HAdd per row, feature and stream at every level).
 ///
-/// The optimistic run races, so some of its re-issued tasks miss their
-/// parent and build from rows where the sequential run derived: the two
-/// training the bit-identical model is the derive-vs-direct equivalence.
+/// The optimistic run races over which superseded tasks a host still
+/// executes, so its counts are not a function of the config; it training
+/// the bit-identical model is the schedule-independence of the derivation
+/// (a re-split derives its children again from the same retained parent).
 #[test]
 fn paillier_subtraction_halves_child_hadds_with_identical_trees() {
     let (rows, host_features, trees, max_layers) = (600, 5, 2, 4);
     let s = scenario_of(rows, 10, &[host_features], 11);
+    let binning = BinningConfig { num_bins: 8, max_samples: 1 << 16 };
+    let bins: Vec<usize> = BinnedDataset::bin(&s.hosts[0], &binning)
+        .columns()
+        .iter()
+        .map(|column| column.num_bins())
+        .collect();
     for paired in [true, false] {
         let mut sequential_margins = None;
         for optimistic in [false, true] {
             let what = format!("paired={paired} optimistic={optimistic}");
             let cfg = TrainConfig {
-                gbdt: GbdtParams {
-                    num_trees: trees,
-                    max_layers,
-                    binning: BinningConfig { num_bins: 8, max_samples: 1 << 16 },
-                    ..Default::default()
-                },
+                gbdt: GbdtParams { num_trees: trees, max_layers, binning, ..Default::default() },
                 crypto: CryptoConfig::Paillier { key_bits: 256 },
                 protocol: ProtocolConfig {
                     pack_histograms: paired,
@@ -55,45 +62,55 @@ fn paillier_subtraction_halves_child_hadds_with_identical_trees() {
                 ..TrainConfig::for_tests()
             };
             let out = train_federated(&s.hosts, &s.guest, &cfg).expect("training succeeds");
-            let host = &out.report.hosts[0];
+            let (guest, host) = (&out.report.guest, &out.report.hosts[0]);
             // The path under test is the one that ran: a cipher per row and
             // tree, or two.
             let streams: u64 = if paired { 1 } else { 2 };
-            assert_eq!(out.report.guest.ops.enc, streams * (rows * trees) as u64, "{what}");
-            assert!(host.events.hist_subtractions > 0, "{what}: no sibling was ever derived");
-            assert!(host.events.hist_cache_hits > 0, "{what}: no retained histogram was reused");
-            assert!(host.events.hadds_saved > 0, "{what}: derivation saved nothing");
-            assert!(
-                host.events.hist_cache_hit_rate() > 0.5,
-                "{what}: hit rate {} too low for a fault-free run",
-                host.events.hist_cache_hit_rate()
-            );
-            assert!(host.ops.negs > 0, "{what}: subtraction must spend negations");
+            assert_eq!(guest.ops.enc, streams * (rows * trees) as u64, "{what}");
+            // Nobody subtracts in ciphertext, and no host stores a histogram.
+            assert_eq!(host.ops.negs, 0, "{what}");
+            assert_eq!((host.events.hist_cache_hits, host.events.hist_cache_misses), (0, 0));
+            assert!(guest.events.hists_derived > 0, "{what}: no sibling was ever derived");
             match &sequential_margins {
                 None => sequential_margins = Some(margins(&out, &s)),
                 Some(seq) => assert_bitwise(&what, seq, &margins(&out, &s)),
             }
             if optimistic {
-                // Which superseded tasks a host still executes is a race,
-                // so an optimistic run's op counts are not a function of
-                // the config.
                 continue;
             }
-            // Dense data: building a node from rows costs one HAdd per
-            // (row, feature) entry and stream, and every histogram level
-            // (all but the leaf layer) holds every row once. Derivation
-            // replaces the larger child's share with per-bin work; even
-            // with the (identical) root accumulation diluting the ratio,
-            // the total must drop visibly.
-            let direct = streams * (rows * host_features * (max_layers - 1) * trees) as u64;
+            // One task — one answer, one derived sibling — per split whose
+            // children are not last-layer, plus each tree's root.
+            let splits_answered: u64 = out
+                .model
+                .trees
+                .iter()
+                .flat_map(|tree| tree.nodes.iter().enumerate())
+                .filter(|(id, node)| {
+                    !matches!(node, FedNode::Leaf(_) | FedNode::Absent)
+                        && layer_of(*id) + 2 < max_layers
+                })
+                .count() as u64;
+            assert!(splits_answered >= trees as u64, "{what}: the trees never grew past the root");
+            let answers = trees as u64 + splits_answered;
+            assert_eq!(guest.events.hists_derived, splits_answered, "{what}");
+            assert_eq!(guest.events.sched_batch_hists, answers, "{what}");
+            assert_eq!(guest.events.stale_histograms, 0, "{what}");
+            // Ciphers one histogram takes on this wire.
+            let (packs, ciphers) = if paired {
+                let probe = Suite::paillier_seeded(256, 1, cfg.encoding).unwrap();
+                let plan = cfg.gh_plan(&probe, rows).unwrap().expect("the paired path");
+                let per_cipher = plan.bins_per_cipher(probe.public_key().unwrap());
+                let ciphers: usize = bins.iter().map(|b| b.div_ceil(per_cipher)).sum();
+                (ciphers as u64, ciphers as u64)
+            } else {
+                (0, 2 * bins.iter().sum::<usize>() as u64)
+            };
+            assert_eq!(host.ops.packs, answers * packs, "{what}");
+            assert_eq!(guest.ops.dec, answers * ciphers, "{what}");
+            let both_children = streams * (rows * host_features * (max_layers - 1) * trees) as u64;
             assert!(
-                host.ops.hadd + host.ops.negs < direct,
-                "{what}: spent {} adds+negs vs {direct} for direct builds",
-                host.ops.hadd + host.ops.negs
-            );
-            assert!(
-                host.ops.hadd as f64 <= 0.9 * direct as f64,
-                "{what}: expected ≥10% fewer HAdds than {direct} direct ones, got {}",
+                host.ops.hadd as f64 <= 0.9 * both_children as f64,
+                "{what}: expected ≥10% fewer HAdds than {both_children}, got {}",
                 host.ops.hadd
             );
         }

@@ -45,7 +45,7 @@ fn scenario(seed: u64, features: usize, host_features: usize) -> VerticalScenari
 
 /// Sequential/optimistic × two-stream raw histograms / paired packed ones,
 /// each over the full VF²Boost stack (blaster batches, re-ordered
-/// accumulation, ciphertext subtraction) so every counter is exercised.
+/// accumulation, one host task per split) so every counter is exercised.
 fn modes() -> Vec<(String, TrainConfig)> {
     let mut out = Vec::new();
     for optimistic in [false, true] {
