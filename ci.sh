@@ -46,7 +46,7 @@ cargo clippy -p vf2boost-core -p vf2-channel -p vf2-crypto --lib -- -D warnings
 # model after the live rejoin (3 seeds x sequential/optimistic x
 # raw/packed, plus a two-host survivor-rewind run); Degrade must complete
 # with a typed per-tree party_set record; a stalled-but-alive link must be
-# ridden out by the retry layer without a quarantine.
+# ridden out inside the supervised wait without a quarantine.
 #
 # Fixed-limb crypto (vf2-crypto): the Montgomery backend's property tests —
 # limb mul/REDC/modpow vs. the num-bigint reference at every dispatch
@@ -74,12 +74,24 @@ timeout 300 cargo test -q -p rayon
 
 # Peer-facing admission checks and the guest's own protocol invariants
 # must hold in release builds: debug_assert is banned from the wire
-# decoder, the semantic validators and both party drivers.
-echo "== no-debug_assert gate (wire/validate/hist_enc/guest/host) =="
+# decoder, the semantic validators, both party drivers and the wait they
+# share.
+echo "== no-debug_assert gate (wire/validate/hist_enc/guest/host/peer) =="
 if grep -n "debug_assert" \
     crates/core/src/wire.rs crates/core/src/validate.rs crates/core/src/hist_enc.rs \
-    crates/core/src/guest.rs crates/core/src/host.rs; then
+    crates/core/src/guest.rs crates/core/src/host.rs crates/core/src/peer.rs; then
   echo "debug_assert found in an admission-critical module" >&2
+  exit 1
+fi
+
+# One supervised wait: both roles block, beacon and notice a dead peer in
+# peer.rs::wait and nowhere else. The party drivers name no blocking
+# primitive, no silence clock and no heartbeat clock — a receive loop of
+# their own (and the polling schedule that paced the old ones) would.
+echo "== one-wait gate (guest/host block only through peer.rs) =="
+if grep -nE 'recv_timeout\(|recv_ready\(|idle_for\(\)|Backoff|hb_last' \
+    crates/core/src/guest.rs crates/core/src/host.rs; then
+  echo "a party driver waits, or keeps a heartbeat clock, outside peer.rs" >&2
   exit 1
 fi
 

@@ -169,6 +169,13 @@ impl Default for TrainConfig {
 }
 
 impl TrainConfig {
+    /// The effective silence deadline: a peer is declared dead once its link
+    /// has been silent this long (never longer than the per-phase
+    /// `peer_timeout` itself).
+    pub fn dead_after(&self) -> Duration {
+        self.peer_dead_after.min(self.peer_timeout)
+    }
+
     /// Rejects configurations whose supervision windows contradict each
     /// other, or whose tree shape no party could allocate, *before* any
     /// party starts. An inconsistent liveness config used to train
@@ -181,7 +188,7 @@ impl TrainConfig {
         if self.peer_timeout.is_zero() {
             return Err(ConfigError::ZeroPeerTimeout);
         }
-        let deadline = self.peer_dead_after.min(self.peer_timeout);
+        let deadline = self.dead_after();
         if self.heartbeat_interval >= deadline {
             return Err(ConfigError::HeartbeatSlowerThanDeadline {
                 heartbeat: self.heartbeat_interval,
@@ -296,6 +303,16 @@ mod tests {
         assert!(c.trace_spans);
         // Fail fast on the first protocol violation by default.
         assert_eq!(c.misbehavior_budget, 0);
+    }
+
+    #[test]
+    fn dead_after_never_exceeds_peer_timeout() {
+        let mut cfg = TrainConfig::for_tests();
+        cfg.peer_timeout = Duration::from_secs(2);
+        cfg.peer_dead_after = Duration::from_secs(60);
+        assert_eq!(cfg.dead_after(), Duration::from_secs(2));
+        cfg.peer_dead_after = Duration::from_millis(500);
+        assert_eq!(cfg.dead_after(), Duration::from_millis(500));
     }
 
     #[test]

@@ -51,11 +51,6 @@ impl MisbehaviorBudget {
         MisbehaviorBudget { budget, violations: 0 }
     }
 
-    /// Violations charged so far.
-    pub fn violations(&self) -> u64 {
-        self.violations
-    }
-
     /// Charges one violation from `party`. Returns `Ok(())` while the
     /// count stays within the budget (caller drops the message and keeps
     /// going) and [`TrainError::PeerMisbehaving`] once it exceeds it.
@@ -100,20 +95,18 @@ pub struct HostFsm {
     /// The tree the guest is currently building.
     tree: u32,
     num_trees: u32,
-    num_rows: u32,
     /// The row the next gradient batch must start at.
     next_row: u32,
 }
 
 impl HostFsm {
-    /// A fresh machine for a run of `num_trees` trees over `num_rows`
-    /// rows.
-    pub fn new(num_trees: u32, num_rows: u32) -> HostFsm {
-        HostFsm { phase: HostPhase::AwaitResume, tree: 0, num_trees, num_rows, next_row: 0 }
+    /// A fresh machine for a run of `num_trees` trees.
+    pub fn new(num_trees: u32) -> HostFsm {
+        HostFsm { phase: HostPhase::AwaitResume, tree: 0, num_trees, next_row: 0 }
     }
 
-    /// Human-readable phase name (for error context and traces).
-    pub fn phase_name(&self) -> &'static str {
+    /// Human-readable phase name (for error context).
+    fn phase_name(&self) -> &'static str {
         match self.phase {
             HostPhase::AwaitResume => "await-resume",
             HostPhase::Gradients => "gradients",
@@ -263,11 +256,6 @@ impl HostFsm {
     fn rows_admitted(&self) -> u32 {
         self.next_row
     }
-
-    /// Expected number of rows per tree (semantic checks reuse it).
-    pub fn num_rows(&self) -> u32 {
-        self.num_rows
-    }
 }
 
 /// The guest's per-host handshake phase.
@@ -337,8 +325,8 @@ impl GuestFsm {
         }
     }
 
-    /// Human-readable phase name (for error context and traces).
-    pub fn phase_name(&self) -> &'static str {
+    /// Human-readable phase name (for error context).
+    fn phase_name(&self) -> &'static str {
         match self.phase {
             GuestPhase::AwaitHello => "await-hello",
             GuestPhase::AwaitMeta => "await-meta",
@@ -364,17 +352,6 @@ impl GuestFsm {
     /// will be admitted.
     pub fn begin_rejoin(&mut self) {
         self.phase = GuestPhase::Rejoining;
-    }
-
-    /// Whether the host is currently quarantined or mid-rejoin (its
-    /// stream does not participate in the protocol).
-    pub fn is_parked(&self) -> bool {
-        matches!(self.phase, GuestPhase::Quarantined | GuestPhase::Rejoining)
-    }
-
-    /// The incarnation epoch of the last admitted hello.
-    pub fn last_epoch(&self) -> u32 {
-        self.last_epoch
     }
 
     /// Driver hook: this (surviving) host was just sent a mid-run
@@ -568,7 +545,7 @@ mod tests {
 
     #[test]
     fn host_happy_path_walks_all_phases() {
-        let mut fsm = HostFsm::new(2, 8);
+        let mut fsm = HostFsm::new(2);
         assert_eq!(fsm.phase_name(), "await-resume");
         assert_eq!(fsm.admit(&Msg::Resume { session_id: 0, tree_count: 0 }), Ok(Admit::Deliver));
         assert_eq!(fsm.phase_name(), "gradients");
@@ -594,7 +571,7 @@ mod tests {
 
     #[test]
     fn host_rejects_phase_skips_and_replays() {
-        let mut fsm = HostFsm::new(2, 8);
+        let mut fsm = HostFsm::new(2);
         // Node task before the resume handshake.
         let err = fsm.admit(&Msg::NodeTask { tree: 0, node: 0, epoch: 1 }).unwrap_err();
         assert!(matches!(err, ProtocolError::OutOfPhase { kind: 3, .. }), "{err}");
@@ -632,7 +609,7 @@ mod tests {
 
     #[test]
     fn packed_batches_drive_the_same_row_stream_contract() {
-        let mut fsm = HostFsm::new(2, 8);
+        let mut fsm = HostFsm::new(2);
         fsm.admit(&Msg::Resume { session_id: 0, tree_count: 0 }).unwrap();
         // GH-packed batches advance the row cursor by one row per cipher.
         assert_eq!(fsm.admit(&packed_grad(0, 0, 4, false)), Ok(Admit::Deliver));
@@ -655,7 +632,7 @@ mod tests {
 
     #[test]
     fn host_rejects_resume_past_tree_count_and_late_resume() {
-        let mut fsm = HostFsm::new(2, 8);
+        let mut fsm = HostFsm::new(2);
         let err = fsm.admit(&Msg::Resume { session_id: 0, tree_count: 9 }).unwrap_err();
         assert!(matches!(err, ProtocolError::Inadmissible { .. }), "{err}");
         fsm.admit(&Msg::Resume { session_id: 0, tree_count: 2 }).unwrap();
@@ -757,7 +734,7 @@ mod tests {
 
     #[test]
     fn host_admits_rewind_mid_stream_and_mid_node_loop() {
-        let mut fsm = HostFsm::new(4, 8);
+        let mut fsm = HostFsm::new(4);
         fsm.admit(&Msg::Resume { session_id: 0, tree_count: 2 }).unwrap();
         // Mid-gradient-stream rewind to an earlier tree.
         fsm.admit(&grad(2, 0, 4, false)).unwrap();
@@ -774,7 +751,7 @@ mod tests {
         // A rewind *forward* is a violation, as is one before the resume.
         let err = fsm.admit(&Msg::Rewind { session_id: 0, tree_count: 3 }).unwrap_err();
         assert!(matches!(err, ProtocolError::Inadmissible { kind: 15, .. }), "{err}");
-        let mut fresh = HostFsm::new(4, 8);
+        let mut fresh = HostFsm::new(4);
         let err = fresh.admit(&Msg::Rewind { session_id: 0, tree_count: 0 }).unwrap_err();
         assert!(matches!(err, ProtocolError::OutOfPhase { kind: 15, .. }), "{err}");
     }
@@ -814,12 +791,10 @@ mod tests {
         fsm.admit(&Msg::FeatureMeta(vec![])).unwrap();
         fsm.begin_tree(2);
         fsm.task_sent(0, 1);
-        assert!(!fsm.is_parked());
         // Liveness declares the host dead: everything the old incarnation
         // still had in flight — even an otherwise-valid histogram — is
         // dropped as stale, never charged.
         fsm.quarantine();
-        assert!(fsm.is_parked());
         assert_eq!(fsm.phase_name(), "quarantined");
         assert!(matches!(fsm.admit(&hist(2, 0, 1)), Ok(Admit::Stale(_))));
         assert!(matches!(
@@ -841,11 +816,10 @@ mod tests {
             Ok(Admit::Deliver)
         );
         assert_eq!(fsm.phase_name(), "await-meta");
-        assert_eq!(fsm.last_epoch(), 2);
+        assert_eq!(fsm.last_epoch, 2);
         // The rejoin completes exactly like a first connect.
         fsm.admit(&Msg::FeatureMeta(vec![])).unwrap();
         assert_eq!(fsm.phase_name(), "active");
-        assert!(!fsm.is_parked());
     }
 
     #[test]
@@ -864,7 +838,7 @@ mod tests {
             }
             other => panic!("wrong error: {other}"),
         }
-        assert_eq!(b.violations(), 3);
+        assert_eq!(b.violations, 3);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use vf2_channel::{recv_ready, Endpoint, Envelope, RecvError, RecvReady};
+use vf2_channel::{Endpoint, Envelope};
 use vf2_crypto::packing::GhPlan;
 use vf2_crypto::split_seed;
 use vf2_crypto::suite::Suite;
@@ -36,16 +36,16 @@ use vf2_gbdt::tree::{layer_of, left_child, parent, right_child, NodeId, NodeSpli
 
 use crate::config::{HostLossPolicy, TrainConfig};
 use crate::error::{GuestFailure, PartyId, ProtocolError, ProtocolPhase, TrainError};
-use crate::fsm::{Admit, GuestFsm, MisbehaviorBudget};
+use crate::fsm::{Admit, GuestFsm};
 use crate::hist_enc::{
     decrypt_feature_hist, unpack_feature_hist, unpack_gh_feature_hist, DecodedBins,
 };
-use crate::messages::{FeatureMeta, HistPayload, Msg, HEARTBEAT_KIND};
+use crate::messages::{FeatureMeta, HistPayload, Msg};
 use crate::model::{FedNode, FedTree};
-use crate::retry::Backoff;
+use crate::peer::{self, Deadline, Peer};
 use crate::rows::{NodeRows, RowMajorBins};
-use crate::session::{dead_after, PartySession};
-use crate::telemetry::{LinkFaultEvents, PartyTelemetry, TreeRecord};
+use crate::session::PartySession;
+use crate::telemetry::{PartyTelemetry, TreeRecord};
 use crate::trace::{TracePhase, TraceRing};
 use crate::validate;
 use crate::wire;
@@ -117,6 +117,21 @@ enum Decision {
 /// One host's histogram of one node as it decrypted, feature by feature.
 type HostHist = Vec<DecodedBins>;
 
+/// One host's answer slot for one node.
+#[derive(Debug, Clone, PartialEq)]
+enum HostAnswer {
+    /// Owed — by the host, or by the derivation from its sibling's — and
+    /// not in yet.
+    Waiting,
+    /// The host is parked and will never answer: resolution waits on the
+    /// live hosts only.
+    Parked,
+    /// In: the host's best split for the node, and its histogram, kept as
+    /// it decrypted for as long as the node stands — a (re-)split's
+    /// derivation reads it.
+    Answered { best: Option<SplitCandidate>, hist: HostHist },
+}
+
 /// Per-node in-flight state.
 struct NodeState {
     total: GradPair,
@@ -124,16 +139,28 @@ struct NodeState {
     /// the larger child of a split — its smaller sibling.
     asked: NodeId,
     guest_best: Option<SplitCandidate>,
-    host_best: Vec<Option<SplitCandidate>>,
-    host_received: Vec<bool>,
-    /// Each live host's histogram of this node, kept as it decrypted for
-    /// as long as the node stands: a (re-)split's derivation reads it.
-    host_hist: Vec<Option<HostHist>>,
+    /// One slot per host, index-aligned with the roster.
+    answers: Vec<HostAnswer>,
     /// The guest split was already applied optimistically.
     already_split: bool,
     /// Waiting for a host's placement after choosing its split.
     awaiting_placement: Option<usize>,
     resolved: bool,
+}
+
+impl NodeState {
+    /// `host`'s histogram of this node, once it is in.
+    fn hist(&self, host: usize) -> Option<&HostHist> {
+        match &self.answers[host] {
+            HostAnswer::Answered { hist, .. } => Some(hist),
+            _ => None,
+        }
+    }
+
+    /// True once no host's answer is still owed.
+    fn all_in(&self) -> bool {
+        !self.answers.contains(&HostAnswer::Waiting)
+    }
 }
 
 /// Per-tree mutable state.
@@ -190,13 +217,31 @@ pub fn run_guest(
     }
 }
 
+/// Everything the guest holds about one host, in one record.
+struct HostLink {
+    /// The link, its heartbeat clock and the host's misbehavior budget.
+    peer: Peer,
+    /// Validating state machine over this host's inbound stream.
+    fsm: GuestFsm,
+    /// The histogram structure its `FeatureMeta` announced.
+    metas: Vec<FeatureMeta>,
+    /// The durable checkpoints its latest `SessionHello` announced.
+    durable: Vec<u32>,
+    /// How the host has fared so far; handed back in
+    /// [`GuestOutput::host_outcomes`]. A `Parked` host's link is dead:
+    /// every send and receive path walks [`GuestParty::live`] and so skips
+    /// it for the rest of the run.
+    outcome: HostOutcome,
+}
+
 struct GuestParty {
     cfg: TrainConfig,
     suite: Suite,
     /// The pair plan when this run's forward path is paired
     /// ([`TrainConfig::gh_plan`]); `None` on the two-stream path.
     gh: Option<GhPlan>,
-    endpoints: Vec<Endpoint>,
+    /// The roster, indexed by host.
+    hosts: Vec<HostLink>,
     data: Arc<Dataset>,
     /// The label vector, captured once at construction (presence is a
     /// constructor invariant — storing it removes every later
@@ -204,28 +249,14 @@ struct GuestParty {
     labels: Vec<f32>,
     binned: BinnedDataset,
     csr: RowMajorBins,
-    host_metas: Vec<Vec<FeatureMeta>>,
     pool: rayon::ThreadPool,
     preds: Vec<f64>,
     telemetry: PartyTelemetry,
     tree_records: Vec<TreeRecord>,
     started: Instant,
     session: Option<PartySession>,
-    /// When this guest last beaconed a heartbeat at each host.
-    hb_last: Vec<Instant>,
-    /// Monotone heartbeat counter.
-    hb_seq: u64,
-    /// One validating state machine per host's inbound stream.
-    fsms: Vec<GuestFsm>,
-    /// Protocol-violation tolerance accounting, per host.
-    budgets: Vec<MisbehaviorBudget>,
     /// Replacement-link factory for the `AwaitRejoin` policy.
     spawner: Option<Arc<dyn HostSpawner>>,
-    /// How each host has fared so far, index-aligned with the endpoints;
-    /// handed back as [`GuestOutput::host_outcomes`]. A `Parked` host's
-    /// link is dead: every send and receive path walks [`Self::live`] and
-    /// so skips it for the rest of the run.
-    hosts: Vec<HostOutcome>,
 }
 
 impl GuestParty {
@@ -250,10 +281,17 @@ impl GuestParty {
             .map_err(|e| TrainError::Setup { party: PartyId::Guest, detail: e.to_string() })?;
         let n = data.num_rows();
         let gh = cfg.gh_plan(&suite, n).map_err(TrainError::crypto("gh plan derivation"))?;
+        let link = |(h, endpoint)| HostLink {
+            peer: Peer::new(endpoint, PartyId::Guest, PartyId::Host(h), cfg.misbehavior_budget),
+            fsm: GuestFsm::new(h),
+            metas: Vec::new(),
+            durable: Vec::new(),
+            outcome: HostOutcome::Healthy,
+        };
         Ok(GuestParty {
             gh,
+            hosts: endpoints.into_iter().enumerate().map(link).collect(),
             preds: vec![cfg.gbdt.loss.base_score(); n],
-            host_metas: Vec::new(),
             telemetry: PartyTelemetry {
                 name: "guest".into(),
                 trace: TraceRing::new(cfg.trace_events_cap, cfg.trace_spans),
@@ -262,15 +300,9 @@ impl GuestParty {
             tree_records: Vec::new(),
             started: Instant::now(),
             session,
-            hb_last: vec![Instant::now(); endpoints.len()],
-            hb_seq: 0,
-            fsms: (0..endpoints.len()).map(GuestFsm::new).collect(),
-            budgets: vec![MisbehaviorBudget::new(cfg.misbehavior_budget); endpoints.len()],
             spawner,
-            hosts: vec![HostOutcome::Healthy; endpoints.len()],
             cfg,
             suite,
-            endpoints,
             data,
             labels,
             binned,
@@ -280,21 +312,19 @@ impl GuestParty {
     }
 
     fn run(mut self) -> Result<GuestOutput, GuestFailure> {
-        match self.run_inner() {
-            Ok(trees) => {
-                self.collect_transfer_stats();
-                Ok(GuestOutput {
-                    trees,
-                    telemetry: self.telemetry,
-                    tree_records: self.tree_records,
-                    train_margins: self.preds,
-                    host_outcomes: self.hosts,
-                })
-            }
+        let outcome = self.run_inner();
+        // Whatever was measured is handed back, failure or not.
+        self.collect_transfer_stats();
+        match outcome {
+            Ok(trees) => Ok(GuestOutput {
+                trees,
+                telemetry: self.telemetry,
+                tree_records: self.tree_records,
+                train_margins: self.preds,
+                host_outcomes: self.hosts.iter().map(|h| h.outcome).collect(),
+            }),
             Err(error) => {
-                // Hand back whatever was measured before the failure, and
-                // dump the flight record first.
-                self.collect_transfer_stats();
+                // Dump the flight record first.
                 if let Some(sess) = &self.session {
                     sess.dump_flight_record(&error, &mut self.telemetry);
                 }
@@ -312,17 +342,13 @@ impl GuestParty {
         let my_sid = session.as_ref().map_or(0, |s| s.session_id());
 
         // Session handshake + feature metadata, host by host.
-        self.host_metas = vec![Vec::new(); self.endpoints.len()];
-        let mut host_durable: Vec<Vec<u32>> = Vec::with_capacity(self.endpoints.len());
-        for h in 0..self.endpoints.len() {
-            let mut durable = None;
+        for h in 0..self.hosts.len() {
             loop {
                 let msg = self.recv_from(h, ProtocolPhase::Hello)?;
-                if self.on_handshake(h, msg, &mut durable)? {
+                if self.on_handshake(h, msg)? {
                     break;
                 }
             }
-            host_durable.push(durable.unwrap_or_default());
         }
 
         // Pick the resume point: the largest tree count durable at the
@@ -332,8 +358,8 @@ impl GuestParty {
         let mut resume_from: u32 = 0;
         if let Some(sess) = resuming {
             let mut common = sess.durable();
-            for durable in &host_durable {
-                common.retain(|k| durable.contains(k));
+            for host in &self.hosts {
+                common.retain(|k| host.durable.contains(k));
             }
             resume_from = common.last().copied().unwrap_or(0);
         }
@@ -392,7 +418,7 @@ impl GuestParty {
         // parked host's link is dead; flushing it would only burn the
         // full deadline.
         for h in self.live() {
-            self.endpoints[h].flush(self.cfg.peer_timeout);
+            self.hosts[h].peer.flush(self.cfg.peer_timeout);
         }
         Ok(trees)
     }
@@ -401,17 +427,12 @@ impl GuestParty {
     /// host incarnation opens its link with — at startup and again on a
     /// live rejoin. The hello announces the host's session view (a foreign
     /// session id is a typed [`TrainError::ResumeMismatch`], caught before
-    /// any gradient leaves the party) and parks its durable checkpoint
-    /// list in `durable`; the metadata announces its histogram structure
-    /// and completes the pair (`Ok(true)`). FIFO delivery and the
-    /// admission FSM guarantee the order; anything else here is a typed
-    /// protocol error.
-    fn on_handshake(
-        &mut self,
-        host: usize,
-        msg: Msg,
-        durable: &mut Option<Vec<u32>>,
-    ) -> Result<bool, TrainError> {
+    /// any gradient leaves the party) and its durable checkpoint list; the
+    /// metadata announces its histogram structure and completes the pair
+    /// (`Ok(true)`). FIFO delivery and the admission FSM guarantee the
+    /// order (no metadata is admitted before its hello); anything else
+    /// here is a typed protocol error.
+    fn on_handshake(&mut self, host: usize, msg: Msg) -> Result<bool, TrainError> {
         let unexpected = |kind: u16, context: &'static str| -> TrainError {
             ProtocolError::UnexpectedMessage { from: PartyId::Host(host), kind, context }.into()
         };
@@ -429,11 +450,8 @@ impl GuestParty {
                 self.telemetry
                     .trace
                     .note(format!("host-{host} hello: session {session_id} epoch {epoch}"));
-                *durable = Some(at_host);
+                self.hosts[host].durable = at_host;
                 Ok(false)
-            }
-            Msg::FeatureMeta(_) if durable.is_none() => {
-                Err(unexpected(1, "FeatureMeta before the SessionHello"))
             }
             Msg::FeatureMeta(m) => {
                 // The zero-bin index is used to address histogram bins
@@ -441,7 +459,7 @@ impl GuestParty {
                 if m.iter().any(|meta| meta.zero_bin >= meta.num_bins) {
                     return Err(unexpected(1, "FeatureMeta zero_bin out of range"));
                 }
-                self.host_metas[host] = m;
+                self.hosts[host].metas = m;
                 Ok(true)
             }
             other => Err(unexpected(other.kind(), "session handshake")),
@@ -502,52 +520,36 @@ impl GuestParty {
                 .note(format!("host-{host} lost with no respawner attached: rejoin impossible"));
             return Err(original);
         };
-        self.fsms[host].quarantine();
+        self.hosts[host].fsm.quarantine();
         self.telemetry.events.quarantines += 1;
         self.telemetry.trace.note(format!(
             "host-{host} quarantined ({original}); holding the session open for rejoin"
         ));
-        self.endpoints[host] = spawner.respawn(host)?;
-        self.hb_last[host] = Instant::now();
-        self.fsms[host].begin_rejoin();
+        let fresh = spawner.respawn(host)?;
+        self.hosts[host].peer.reconnect(fresh);
+        self.hosts[host].fsm.begin_rejoin();
 
-        // Wait for the restarted incarnation's handshake on the fresh
-        // link. The epoch fence lives in the FSM: only a hello with a
-        // *newer* epoch is admitted, anything from the dead incarnation
-        // classifies as stale. Every live host is beaconed throughout (a
-        // wait on one link is otherwise silence toward the others) so the
-        // survivors' guest-silence clocks do not trip meanwhile.
-        let t0 = Instant::now();
-        let mut durable_at_host = None;
+        // Wait, under the policy deadline, for the restarted incarnation's
+        // handshake on the fresh link. The epoch fence lives in the FSM:
+        // only a hello with a *newer* epoch is admitted, anything from the
+        // dead incarnation classifies as stale.
+        let rejoin = Deadline::new(ProtocolPhase::Hello, deadline);
         loop {
-            if t0.elapsed() >= deadline {
-                self.telemetry
-                    .trace
-                    .note(format!("host-{host} missed the rejoin deadline {deadline:?}"));
-                return Err(original);
-            }
-            for h in self.live() {
-                self.beacon(h)?;
-            }
-            let chunk = self
-                .cfg
-                .heartbeat_interval
-                .min(deadline.saturating_sub(t0.elapsed()))
-                .max(Duration::from_millis(1));
-            match self.endpoints[host].recv_timeout(chunk) {
-                Ok(env) if env.kind == HEARTBEAT_KIND => {}
-                Ok(env) => {
-                    let msg = Self::decode_from(host, env)?;
-                    if let Some(msg) = self.admit_from(host, msg)? {
-                        if self.on_handshake(host, msg, &mut durable_at_host)? {
-                            break;
-                        }
+            match self.wait_admitted(&[host], &rejoin) {
+                Ok((_, msg)) => {
+                    if self.on_handshake(host, msg)? {
+                        break;
                     }
                 }
-                // The replacement incarnation died too: the policy spent
-                // its respawn, so the loss is final.
-                Err(RecvError::Disconnected) => return Err(original),
-                Err(RecvError::Timeout) => {}
+                // The deadline passed, or the replacement incarnation died
+                // too: the policy spent its respawn, so the loss is final.
+                Err(TrainError::PeerLost { .. }) => {
+                    self.telemetry
+                        .trace
+                        .note(format!("host-{host} missed the rejoin deadline {deadline:?}"));
+                    return Err(original);
+                }
+                Err(other) => return Err(other),
             }
         }
 
@@ -555,22 +557,22 @@ impl GuestParty {
         // AND the rejoined incarnation, never past what this run already
         // completed (a stale checkpoint directory must not fast-forward
         // the run).
-        let durable_at_host = durable_at_host.unwrap_or_default();
+        let at_host = &self.hosts[host].durable;
         let mut common = sess.durable();
-        common.retain(|&k| durable_at_host.contains(&k) && k as usize <= completed);
+        common.retain(|&k| at_host.contains(&k) && k as usize <= completed);
         let target = common.last().copied().unwrap_or(0);
 
         // The rejoiner resumes from its checkpoint exactly like a fresh
         // connect; the survivors rewind their in-memory state and ack.
         let resume = Msg::Resume { session_id: sess.session_id(), tree_count: target };
-        self.send_to(host, &resume)?;
+        self.hosts[host].peer.send(&resume)?;
         self.rewind_survivors(target, Some(host))?;
         self.rewind_guest_state(&sess, trees, target)?;
-        let rejoins = match self.hosts[host] {
+        let rejoins = match self.hosts[host].outcome {
             HostOutcome::Rejoined { rejoins } => rejoins + 1,
             _ => 1,
         };
-        self.hosts[host] = HostOutcome::Rejoined { rejoins };
+        self.hosts[host].outcome = HostOutcome::Rejoined { rejoins };
         self.telemetry.events.rejoins += 1;
         self.telemetry
             .trace
@@ -585,13 +587,13 @@ impl GuestParty {
     /// is exactly the `completed`-tree state, and each survivor's
     /// in-memory split table is truncated by the rewind it is sent.
     fn park_host(&mut self, host: usize, completed: usize) -> Result<(), TrainError> {
-        self.fsms[host].quarantine();
-        self.hosts[host] = HostOutcome::Parked { tree_count: completed as u32 };
+        self.hosts[host].fsm.quarantine();
+        self.hosts[host].outcome = HostOutcome::Parked { tree_count: completed as u32 };
         self.telemetry.events.quarantines += 1;
         let active = self.live().len();
         self.telemetry.trace.note(format!(
             "host-{host} parked at {completed} trees: degrading to {active} of {} hosts",
-            self.endpoints.len()
+            self.hosts.len()
         ));
         self.rewind_survivors(completed as u32, None)
     }
@@ -609,8 +611,8 @@ impl GuestParty {
     ) -> Result<(), TrainError> {
         let my_sid = self.session.as_ref().map_or(0, |s| s.session_id());
         for h in self.live().into_iter().filter(|&h| Some(h) != except) {
-            self.send_to(h, &Msg::Rewind { session_id: my_sid, tree_count })?;
-            self.fsms[h].begin_drain();
+            self.hosts[h].peer.send(&Msg::Rewind { session_id: my_sid, tree_count })?;
+            self.hosts[h].fsm.begin_drain();
             match self.recv_from(h, ProtocolPhase::TreeBuild)? {
                 Msg::RewindAck { session_id, tree_count: acked }
                     if session_id == my_sid && acked == tree_count => {}
@@ -673,7 +675,7 @@ impl GuestParty {
     /// bookkeeping — goes through here, so a parked host's dead link is
     /// skipped everywhere by construction.
     fn live(&self) -> Vec<usize> {
-        let parked = |h: usize| matches!(self.hosts[h], HostOutcome::Parked { .. });
+        let parked = |h: usize| matches!(self.hosts[h].outcome, HostOutcome::Parked { .. });
         (0..self.hosts.len()).filter(|&h| !parked(h)).collect()
     }
 
@@ -686,58 +688,8 @@ impl GuestParty {
     fn collect_transfer_stats(&mut self) {
         self.telemetry.ops = self.suite.counters().snapshot();
         self.telemetry.crypto_backend = self.suite.backend_label();
-        self.telemetry.bytes_sent = self.endpoints.iter().map(|e| e.send_stats().bytes()).sum();
-        self.telemetry.messages_sent =
-            self.endpoints.iter().map(|e| e.send_stats().messages()).sum();
-        let mut link = self.telemetry.link;
-        for ep in &self.endpoints {
-            link.absorb(ep.send_stats());
-        }
-        self.telemetry.link = link;
-        // Per-peer breakout: lets the run report attribute
-        // retransmissions and RTO expiries to the specific flaky link.
-        self.telemetry.links = self
-            .endpoints
-            .iter()
-            .map(|ep| {
-                let mut l = LinkFaultEvents::default();
-                l.absorb(ep.send_stats());
-                l
-            })
-            .collect();
-    }
-
-    /// Declares host `h` lost after a failed wait that began at `t0`.
-    /// `busy` is the processing time the wait loop spent decoding and
-    /// admitting messages — it is real work, so only the remainder of the
-    /// wait counts as idle.
-    fn peer_lost(
-        &mut self,
-        host: usize,
-        phase: ProtocolPhase,
-        t0: Instant,
-        busy: Duration,
-        reason: RecvError,
-    ) -> TrainError {
-        self.telemetry.phases.idle += t0.elapsed().saturating_sub(busy);
-        if reason == RecvError::Timeout {
-            self.telemetry.link.recv_timeouts += 1;
-        }
-        TrainError::PeerLost { party: PartyId::Host(host), phase, waited: t0.elapsed() }
-    }
-
-    fn decode_from(host: usize, env: Envelope) -> Result<Msg, TrainError> {
-        wire::decode(env.kind, env.payload)
-            .map_err(|error| ProtocolError::Malformed { from: PartyId::Host(host), error }.into())
-    }
-
-    /// Records a protocol violation against host `host`'s misbehavior
-    /// budget: counted, traced, tolerated while within budget, fatal
-    /// ([`TrainError::PeerMisbehaving`]) once past it.
-    fn misbehaving(&mut self, host: usize, violation: ProtocolError) -> Result<(), TrainError> {
-        self.telemetry.events.misbehavior += 1;
-        self.telemetry.trace.note(format!("protocol violation by host-{host}: {violation}"));
-        self.budgets[host].charge(PartyId::Host(host), violation)
+        let links = self.hosts.iter().map(|h| h.peer.fold_stats(&mut self.telemetry)).collect();
+        self.telemetry.links = links;
     }
 
     /// Counts one provably-honest stale drop (optimistic-protocol
@@ -747,14 +699,18 @@ impl GuestParty {
         self.telemetry.trace.note(format!("dropped stale kind {kind} from host-{host}: {reason}"));
     }
 
-    /// Runs the admission gates on a message decoded from `host`:
+    /// Decodes a frame from `host` and runs the admission gates on it:
     /// semantic payload validation first (stateless), then that host's
     /// protocol state machine (advances on admission). `Ok(Some(msg))`
     /// delivers to the protocol driver; `Ok(None)` means the message was
     /// dropped — an honest straggler or a tolerated violation; an error
-    /// means the host exhausted its misbehavior budget.
-    fn admit_from(&mut self, host: usize, msg: Msg) -> Result<Option<Msg>, TrainError> {
-        let metas = self.host_metas.get(host).filter(|m| !m.is_empty()).map(|m| m.as_slice());
+    /// means a frame that does not decode, or a host that exhausted its
+    /// misbehavior budget.
+    fn admit_from(&mut self, host: usize, env: Envelope) -> Result<Option<Msg>, TrainError> {
+        let msg = wire::decode(env.kind, env.payload)
+            .map_err(|error| ProtocolError::Malformed { from: PartyId::Host(host), error })?;
+        let link = &mut self.hosts[host];
+        let metas = Some(link.metas.as_slice()).filter(|m| !m.is_empty());
         let verdict = validate::check_guest_inbound(
             host,
             &msg,
@@ -763,7 +719,7 @@ impl GuestParty {
             &self.suite,
             self.gh.as_ref(),
         )
-        .and_then(|()| self.fsms[host].admit(&msg));
+        .and_then(|()| link.fsm.admit(&msg));
         match verdict {
             Ok(Admit::Deliver) => Ok(Some(msg)),
             Ok(Admit::Stale(reason)) => {
@@ -771,25 +727,19 @@ impl GuestParty {
                 Ok(None)
             }
             Err(violation) => {
-                self.misbehaving(host, violation)?;
+                self.hosts[host].peer.charge(violation, &mut self.telemetry)?;
                 Ok(None)
             }
         }
     }
 
-    /// Maps a local encode failure (a count too large for its wire field)
-    /// onto the malformed-message error, attributed to the guest itself.
-    fn encode_failed(error: wire::WireError) -> TrainError {
-        ProtocolError::Malformed { from: PartyId::Guest, error }.into()
-    }
-
     /// Sends `msg` to every live host (parked hosts receive nothing and
     /// cost nothing). Returns the payload bytes handed to the links.
     fn broadcast(&self, msg: &Msg) -> Result<u64, TrainError> {
-        let payload = wire::encode(msg).map_err(Self::encode_failed)?;
+        let payload = peer::encode(PartyId::Guest, msg)?;
         let live = self.live();
-        for ep in live.iter().map(|&h| &self.endpoints[h]) {
-            ep.send(msg.kind(), payload.clone());
+        for &h in &live {
+            self.hosts[h].peer.send_encoded(msg.kind(), payload.clone());
         }
         Ok((payload.len() * live.len()) as u64)
     }
@@ -802,203 +752,58 @@ impl GuestParty {
         Ok(())
     }
 
-    fn send_to(&self, host: usize, msg: &Msg) -> Result<(), TrainError> {
-        let payload = wire::encode(msg).map_err(Self::encode_failed)?;
-        self.endpoints[host].send(msg.kind(), payload);
-        Ok(())
-    }
-
-    /// Beacons a heartbeat at `host` if one is due, returning its sequence
-    /// number when one went out. Heartbeats carry no protocol meaning:
-    /// their transport ack is what proves a busy-but-alive peer, and they
-    /// keep the guest from looking dead to a host it is not waiting on.
-    fn beacon(&mut self, host: usize) -> Result<Option<u64>, TrainError> {
-        let now = Instant::now();
-        if now.duration_since(self.hb_last[host]) < self.cfg.heartbeat_interval {
-            return Ok(None);
-        }
-        self.hb_last[host] = now;
-        let seq = self.hb_seq;
-        self.hb_seq += 1;
-        self.send_to(host, &Msg::Heartbeat { seq })?;
-        self.telemetry.events.heartbeats_sent += 1;
-        Ok(Some(seq))
-    }
-
-    /// Heartbeat supervision for one blocked wait on `host`: beacons when
-    /// due and declares the peer dead once the link has been *completely*
-    /// silent — no data, no acks — for the effective liveness deadline.
-    /// Note the overall wait clock `t0` is never reset: a peer that
-    /// heartbeats but makes no protocol progress still trips the per-phase
-    /// `peer_timeout`.
-    fn supervise(
+    /// Blocks in the one supervised wait ([`peer::wait`]) until a message
+    /// from one of the `listen`ed hosts is admitted; heartbeats are consumed
+    /// below this call and every live host is beaconed meanwhile. The
+    /// frames admission drops — honest stragglers, tolerated violations —
+    /// do not restart `deadline`.
+    fn wait_admitted(
         &mut self,
-        host: usize,
-        phase: ProtocolPhase,
-        t0: Instant,
-        busy: Duration,
-    ) -> Result<(), TrainError> {
-        if let Some(seq) = self.beacon(host)? {
-            if self.endpoints[host].idle_for() >= self.cfg.heartbeat_interval {
-                self.telemetry.events.heartbeats_missed += 1;
-                self.telemetry.trace.note(format!(
-                    "host-{host} silent for {:?} at heartbeat {seq}",
-                    self.endpoints[host].idle_for()
-                ));
-            }
-        }
-        let deadline = dead_after(&self.cfg);
-        if self.endpoints[host].idle_for() >= deadline {
-            self.telemetry.trace.note(format!("host-{host} declared dead after {deadline:?}"));
-            return Err(self.peer_lost(host, phase, t0, busy, RecvError::Timeout));
-        }
-        Ok(())
-    }
-
-    /// Among `targets`, the host whose link has been silent the longest —
-    /// the peer to blame when *every* target went quiet for the whole
-    /// per-phase deadline. Ties break to the lowest index.
-    fn longest_idle(&self, targets: &[usize]) -> usize {
-        let mut blame = targets.first().copied().unwrap_or(0);
-        let mut idle = Duration::ZERO;
-        for &h in targets {
-            let hi = self.endpoints[h].idle_for();
-            if hi > idle {
-                idle = hi;
-                blame = h;
-            }
-        }
-        blame
-    }
-
-    /// The one blocking wait shared by every guest receive path: parks on
-    /// the given hosts' delivery queues through the channel layer's
-    /// wakeup-based [`recv_ready`] (no spin loops — the thread sleeps
-    /// until a frame lands on *any* target link), transparently consumes
-    /// heartbeats, and runs one supervision/accounting routine regardless
-    /// of how many hosts are being waited on.
-    ///
-    /// Waiting is paced by an exponential-backoff schedule with
-    /// deterministic jitter: short waits stay responsive, long waits
-    /// converge to heartbeat-interval chunks. Each expired chunk counts
-    /// one *transfer retry* — a slow link being ridden out — and
-    /// supervises every target, while the overall clock `t0` keeps
-    /// judging whether a peer is dead. If the whole per-phase deadline
-    /// expires with every target silent, the loss is attributed to the
-    /// host whose link has the longest [`Endpoint::idle_for`] — the
-    /// actually-dead peer, not an arbitrary index.
-    ///
-    /// Time spent decoding, validating, and admitting messages inside the
-    /// loop is tracked as `processing` and subtracted from the idle-phase
-    /// accounting: `phases.idle` is time spent waiting, nothing else.
-    fn recv_internal(
-        &mut self,
-        targets: &[usize],
-        phase: ProtocolPhase,
+        listen: &[usize],
+        deadline: &Deadline,
     ) -> Result<(usize, Msg), TrainError> {
-        let t0 = Instant::now();
-        let mut processing = Duration::ZERO;
-        let mut backoff = Backoff::new(
-            self.cfg.heartbeat_interval / 8,
-            self.cfg.heartbeat_interval,
-            self.cfg.seed.wrapping_add(targets.first().copied().unwrap_or(0) as u64),
-        );
+        let live = self.live();
         loop {
-            let elapsed = t0.elapsed();
-            if elapsed >= self.cfg.peer_timeout {
-                let blame = self.longest_idle(targets);
-                return Err(self.peer_lost(blame, phase, t0, processing, RecvError::Timeout));
-            }
-            let chunk = backoff.next_delay().min(self.cfg.peer_timeout - elapsed);
-            let ready = {
-                let eps: Vec<&Endpoint> = targets.iter().map(|&h| &self.endpoints[h]).collect();
-                recv_ready(&eps, chunk)
-            };
-            match ready {
-                // Liveness beacons never enter the protocol queue.
-                RecvReady::Msg(_, env) if env.kind == HEARTBEAT_KIND => {}
-                RecvReady::Msg(i, env) => {
-                    let host = targets[i];
-                    let w0 = Instant::now();
-                    let msg = Self::decode_from(host, env)?;
-                    let admitted = self.admit_from(host, msg)?;
-                    processing += w0.elapsed();
-                    if let Some(msg) = admitted {
-                        if backoff.attempts() >= 8 {
-                            // The schedule saturated several times over:
-                            // a genuinely slow transfer was ridden out,
-                            // worth a mark in the flight record.
-                            self.telemetry.trace.note(format!(
-                                "rode out a slow transfer from host-{host} after {} retries",
-                                backoff.attempts()
-                            ));
-                        }
-                        self.telemetry.phases.idle += t0.elapsed().saturating_sub(processing);
-                        return Ok((host, msg));
-                    }
-                }
-                RecvReady::Disconnected(i) => {
-                    let host = targets[i];
-                    return Err(self.peer_lost(
-                        host,
-                        phase,
-                        t0,
-                        processing,
-                        RecvError::Disconnected,
-                    ));
-                }
-                RecvReady::Timeout => {
-                    self.telemetry.events.transfer_retries += 1;
-                    for &host in targets {
-                        self.supervise(host, phase, t0, processing)?;
-                    }
-                }
+            let mut peers: Vec<&mut Peer> = self.hosts.iter_mut().map(|h| &mut h.peer).collect();
+            let (host, env) =
+                peer::wait(&mut peers, &live, listen, deadline, &self.cfg, &mut self.telemetry)?;
+            if let Some(msg) = self.admit_from(host, env)? {
+                return Ok((host, msg));
             }
         }
     }
 
-    /// Blocks until a protocol message arrives from `host` (heartbeats
-    /// are consumed below this call), bounded by the per-phase deadline.
+    /// Blocks until a protocol message arrives from `host`, bounded by the
+    /// per-phase deadline.
     fn recv_from(&mut self, host: usize, phase: ProtocolPhase) -> Result<Msg, TrainError> {
-        let targets = [host];
-        Ok(self.recv_internal(&targets, phase)?.1)
+        let deadline = Deadline::new(phase, self.cfg.peer_timeout);
+        Ok(self.wait_admitted(&[host], &deadline)?.1)
     }
 
     /// Blocks until any live host's message arrives, bounded by the
     /// per-phase peer deadline. One wakeup-based wait covers every live
-    /// link; heartbeats are consumed below this call; idle time is
-    /// accounted net of processing.
+    /// link.
     fn recv_any(&mut self) -> Result<(usize, Msg), TrainError> {
         let live = self.live();
         if live.is_empty() {
             return Err(guest_invariant("waiting for host messages with every host parked"));
         }
-        self.recv_internal(&live, ProtocolPhase::TreeBuild)
+        let deadline = Deadline::new(ProtocolPhase::TreeBuild, self.cfg.peer_timeout);
+        self.wait_admitted(&live, &deadline)
     }
 
-    /// Non-blocking companion to [`Self::recv_internal`] for the tree
-    /// loop's drain: harvests one already-arrived protocol message
-    /// from any live host (consuming heartbeats) without waiting.
-    /// Returns `Ok(None)` when nothing is pending — or when a link died,
-    /// which the next *blocking* wait will classify and report properly.
-    /// No idle time accrues: nothing here waits.
+    /// Non-blocking companion to [`Self::recv_any`] for the tree loop's
+    /// drain: harvests one already-arrived protocol message from any live
+    /// host ([`peer::poll`]) without waiting. Returns `Ok(None)` when
+    /// nothing is pending — or when a link died, which the next *blocking*
+    /// wait will classify and report properly.
     fn try_recv_admitted(&mut self) -> Result<Option<(usize, Msg)>, TrainError> {
         let live = self.live();
         loop {
-            let ready = {
-                let eps: Vec<&Endpoint> = live.iter().map(|&h| &self.endpoints[h]).collect();
-                recv_ready(&eps, Duration::ZERO)
-            };
-            match ready {
-                RecvReady::Msg(_, env) if env.kind == HEARTBEAT_KIND => {}
-                RecvReady::Msg(i, env) => {
-                    let host = live[i];
-                    let msg = Self::decode_from(host, env)?;
-                    if let Some(msg) = self.admit_from(host, msg)? {
-                        return Ok(Some((host, msg)));
-                    }
-                }
-                RecvReady::Disconnected(_) | RecvReady::Timeout => return Ok(None),
+            let peers: Vec<&Peer> = self.hosts.iter().map(|h| &h.peer).collect();
+            let Some((host, env)) = peer::poll(&peers, &live) else { return Ok(None) };
+            if let Some(msg) = self.admit_from(host, env)? {
+                return Ok(Some((host, msg)));
             }
         }
     }
@@ -1010,8 +815,8 @@ impl GuestParty {
     fn train_tree(&mut self, tree: u32) -> Result<FedTree, TrainError> {
         // Previous-tree request bookkeeping is void from here on: any
         // host leftovers classify as stale by their tree index alone.
-        for fsm in &mut self.fsms {
-            fsm.begin_tree(tree);
+        for host in &mut self.hosts {
+            host.fsm.begin_tree(tree);
         }
         let grads = self.cfg.gbdt.loss.grad_hess_all(&self.labels, &self.preds);
         let n = self.data.num_rows();
@@ -1139,7 +944,7 @@ impl GuestParty {
             // exact (node, epoch); the admission layer holds them to it.
             // Parked hosts were not sent the task and owe nothing.
             for &h in &live {
-                self.fsms[h].task_sent(node as u32, ctx.epoch[node]);
+                self.hosts[h].fsm.task_sent(node as u32, ctx.epoch[node]);
             }
         }
         // Optimistic node-splitting: act on our own best split before the
@@ -1153,17 +958,17 @@ impl GuestParty {
         let speculate = self.cfg.protocol.optimistic
             && guest_best.is_some()
             && self.parent_validated(ctx, node);
+        let mut answers = vec![HostAnswer::Parked; self.hosts.len()];
+        for &h in &live {
+            answers[h] = HostAnswer::Waiting;
+        }
         ctx.states.insert(
             node,
             NodeState {
                 total,
                 asked,
                 guest_best,
-                // A parked host will never answer: pre-mark it received
-                // so resolution waits on the live hosts only.
-                host_best: vec![None; self.endpoints.len()],
-                host_received: (0..self.endpoints.len()).map(|h| !live.contains(&h)).collect(),
-                host_hist: vec![None; self.endpoints.len()],
+                answers,
                 already_split: speculate,
                 awaiting_placement: None,
                 resolved: false,
@@ -1286,7 +1091,7 @@ impl GuestParty {
         let mismatch = |context: &'static str| -> TrainError {
             ProtocolError::UnexpectedMessage { from: PartyId::Host(host), kind: 4, context }.into()
         };
-        let metas = &self.host_metas[host];
+        let metas = &self.hosts[host].metas;
         let features_sent = match payload {
             HistPayload::Raw(features) => features.len(),
             HistPayload::Packed(features) => features.len(),
@@ -1366,13 +1171,13 @@ impl GuestParty {
         let (left, right) = (left_child(parent), right_child(parent));
         let Some(smaller) = ctx.states.get(&left).map(|s| s.asked) else { return Ok(None) };
         let larger = if smaller == left { right } else { left };
-        let hist_of = |node: NodeId| ctx.states.get(&node).and_then(|s| s.host_hist[host].as_ref());
+        let hist_of = |node: NodeId| ctx.states.get(&node).and_then(|s| s.hist(host));
         let (Some(whole), Some(part), Some(state)) =
             (hist_of(parent), hist_of(smaller), ctx.states.get(&larger))
         else {
             return Ok(None);
         };
-        if state.host_received[host] {
+        if state.answers[host] != HostAnswer::Waiting {
             return Ok(None);
         }
         let total = state.total;
@@ -1394,19 +1199,17 @@ impl GuestParty {
             self.telemetry.exit(span);
             let context = "a child histogram that no split of its parent's produces";
             let lie = ProtocolError::Inadmissible { from: PartyId::Host(host), kind: 4, context };
-            self.misbehaving(host, lie)?;
+            self.hosts[host].peer.charge(lie, &mut self.telemetry)?;
             return Ok(None);
         };
-        let metas = self.host_metas[host].iter().zip(&hist).enumerate();
+        let metas = self.hosts[host].metas.iter().zip(&hist).enumerate();
         let best =
             best_of(metas.filter_map(|(f, (&meta, bins))| self.feature_best(f, meta, bins, total)));
         self.telemetry.exit(span);
         let Some(state) = ctx.states.get_mut(&larger) else {
             return Err(guest_invariant("node state vanished while deriving its histogram"));
         };
-        state.host_best[host] = best;
-        state.host_received[host] = true;
-        state.host_hist[host] = Some(hist);
+        state.answers[host] = HostAnswer::Answered { best, hist };
         self.telemetry.events.hists_derived += 1;
         Ok(Some(larger))
     }
@@ -1417,8 +1220,8 @@ impl GuestParty {
             Some(c) => Winner::Guest(c),
             None => Winner::None,
         };
-        for (h, cand) in state.host_best.iter().enumerate() {
-            if let Some(c) = cand {
+        for (h, answer) in state.answers.iter().enumerate() {
+            if let HostAnswer::Answered { best: Some(c), .. } = answer {
                 let beats = match win {
                     Winner::None => true,
                     Winner::Guest(g) => c.gain > g.gain,
@@ -1437,7 +1240,7 @@ impl GuestParty {
         let Some(state) = ctx.states.get(&node) else {
             return Err(guest_invariant("resolving a node with no state"));
         };
-        if !state.host_received.iter().all(|&b| b) {
+        if !state.all_in() {
             return Err(guest_invariant("resolving a node before every live host answered"));
         }
         match Self::winner(state) {
@@ -1492,17 +1295,14 @@ impl GuestParty {
                     self.rollback_descendants(ctx, node);
                     ctx.decisions.remove(&node);
                 }
-                self.send_to(
-                    h,
-                    &Msg::HostSplitChosen {
-                        tree: ctx.tree,
-                        node: node as u32,
-                        feature: best.feature as u32,
-                        bin: best.bin,
-                    },
-                )?;
+                self.hosts[h].peer.send(&Msg::HostSplitChosen {
+                    tree: ctx.tree,
+                    node: node as u32,
+                    feature: best.feature as u32,
+                    bin: best.bin,
+                })?;
                 // Host `h` now owes exactly one placement for this node.
-                self.fsms[h].expect_placement(node as u32);
+                self.hosts[h].fsm.expect_placement(node as u32);
                 let Some(state) = ctx.states.get_mut(&node) else {
                     return Err(guest_invariant("node state vanished while awaiting placement"));
                 };
@@ -1569,7 +1369,7 @@ impl GuestParty {
         // Relay to the other live hosts so their row lists stay aligned.
         let relay = Msg::ApplyPlacement { tree: ctx.tree, node: node as u32, placement };
         for other in self.live().into_iter().filter(|&other| other != host) {
-            self.send_to(other, &relay)?;
+            self.hosts[other].peer.send(&relay)?;
         }
         self.materialize_children(ctx, node)?;
         Ok(())
@@ -1586,7 +1386,10 @@ impl GuestParty {
     /// answer as stale instead of letting it corrupt the frontier.
     fn hist_is_fresh(ctx: &TreeCtx, host: usize, node: NodeId, epoch: u32) -> bool {
         ctx.epoch.get(node).copied() == Some(epoch)
-            && ctx.states.get(&node).is_some_and(|s| !s.host_received[host] && !s.resolved)
+            && ctx
+                .states
+                .get(&node)
+                .is_some_and(|s| s.answers[host] == HostAnswer::Waiting && !s.resolved)
     }
 
     /// The one tree driver, an event loop over the guest's unified inbound
@@ -1607,7 +1410,7 @@ impl GuestParty {
     ///   once [`Self::layer_is_buffered`] — one batch per layer.
     ///
     /// Determinism: the model depends only on per-node `(guest_best,
-    /// host_best[*])` sets and `winner`'s index-ordered comparison, never
+    /// answers[*].best)` sets and `winner`'s index-ordered comparison, never
     /// on arrival order, so neither batching nor any interleaving the WAN
     /// produces can move a split.
     fn run_tree(&mut self, ctx: &mut TreeCtx) -> Result<(), TrainError> {
@@ -1671,8 +1474,9 @@ impl GuestParty {
     fn layer_is_buffered(ctx: &TreeCtx, batch: &[PendingHist]) -> bool {
         ctx.states.values().filter(|s| !s.resolved).all(|s| {
             s.awaiting_placement.is_none()
-                && s.host_received.iter().enumerate().all(|(host, &received)| {
-                    received || batch.iter().any(|p| p.host == host && p.node == s.asked)
+                && s.answers.iter().enumerate().all(|(host, answer)| {
+                    *answer != HostAnswer::Waiting
+                        || batch.iter().any(|p| p.host == host && p.node == s.asked)
                 })
         })
     }
@@ -1742,9 +1546,7 @@ impl GuestParty {
             let Some(state) = ctx.states.get_mut(&p.node) else {
                 return Err(guest_invariant("node state vanished while committing a batch"));
             };
-            state.host_best[p.host] = best;
-            state.host_received[p.host] = true;
-            state.host_hist[p.host] = Some(hist);
+            state.answers[p.host] = HostAnswer::Answered { best, hist };
             // A histogram that just came in — received, or derived in turn —
             // can complete a derivation as the smaller child of its parent
             // and as the parent of a child this host answered first (a
@@ -1760,7 +1562,7 @@ impl GuestParty {
             // Parent before child: a node resolved dirty takes its children
             // with it, and they are skipped here.
             for node in answered {
-                if ctx.states.get(&node).is_some_and(|s| s.host_received.iter().all(|&b| b)) {
+                if ctx.states.get(&node).is_some_and(NodeState::all_in) {
                     self.resolve(ctx, node)?;
                 }
             }
@@ -1817,7 +1619,7 @@ mod tests {
         let (guest_ep, host_ep) = duplex(WanConfig::instant());
         let suite = Suite::plain(cfg.encoding);
         let mut guest = GuestParty::new(data, cfg, suite, vec![guest_ep], None, None).unwrap();
-        guest.host_metas = vec![vec![FeatureMeta { num_bins: 4, zero_bin: 0 }]];
+        guest.hosts[0].metas = vec![FeatureMeta { num_bins: 4, zero_bin: 0 }];
         (guest, host_ep)
     }
 
@@ -1841,14 +1643,19 @@ mod tests {
         [GradPair::ZERO, GradPair::ZERO, GradPair::ZERO, total]
     }
 
-    fn node_tasks(host_ep: &Endpoint) -> Vec<u32> {
+    /// The tasks the guest has issued so far: the link is FIFO, so all of
+    /// them precede the marker sent here.
+    fn node_tasks(guest: &GuestParty, host_ep: &Endpoint) -> Vec<u32> {
+        guest.broadcast(&Msg::Shutdown).unwrap();
         let mut tasked = Vec::new();
-        while let Ok(env) = host_ep.recv_timeout(Duration::from_millis(200)) {
-            if let Ok(Msg::NodeTask { node, .. }) = wire::decode(env.kind, env.payload) {
-                tasked.push(node);
+        loop {
+            let env = host_ep.recv().expect("the guest end stays open");
+            match wire::decode(env.kind, env.payload) {
+                Ok(Msg::Shutdown) => return tasked,
+                Ok(Msg::NodeTask { node, .. }) => tasked.push(node),
+                _ => {}
             }
         }
-        tasked
     }
 
     /// The guest-side twin of a host replacing a node's rows: a rollback
@@ -1872,7 +1679,7 @@ mod tests {
         };
         guest.materialize(&mut ctx, 0, 0).unwrap();
         let total_of = |ctx: &TreeCtx, node: NodeId| ctx.states[&node].total;
-        let derived_of = |ctx: &TreeCtx, node: NodeId| ctx.states[&node].host_hist[0].clone();
+        let derived_of = |ctx: &TreeCtx, node: NodeId| ctx.states[&node].hist(0).cloned();
 
         // The root speculated on the guest's own split: both children
         // stand, one of them asked for.
@@ -1885,7 +1692,8 @@ mod tests {
         // its own children stand; its sibling waits for the root's answer.
         let bins = uninformative(total_of(&ctx, child));
         commit(&mut guest, &mut ctx, child, bins);
-        assert!(ctx.states[&child].resolved && !ctx.states[&other].host_received[0]);
+        assert!(ctx.states[&child].resolved);
+        assert_eq!(ctx.states[&other].answers[0], HostAnswer::Waiting);
         let grandchild = ctx.states[&left_child(child)].asked;
         let derived = left_child(child) + right_child(child) - grandchild;
 
@@ -1894,7 +1702,7 @@ mod tests {
         let part = uninformative(total_of(&ctx, grandchild));
         commit(&mut guest, &mut ctx, grandchild, part);
         assert_eq!(guest.telemetry.events.hists_derived, 1);
-        assert!(ctx.states[&derived].resolved && ctx.states[&derived].host_received[0]);
+        assert!(ctx.states[&derived].resolved && ctx.states[&derived].all_in());
         let want = [GradPair::ZERO, GradPair::ZERO, GradPair::ZERO, bins[3] - part[3]];
         assert_eq!(derived_of(&ctx, derived), Some(vec![DecodedBins::Float(want.to_vec())]));
 
@@ -1921,8 +1729,7 @@ mod tests {
         guest.on_placement(&mut ctx, 0, 0, placement).unwrap();
         for node in [1, 2] {
             let state = &ctx.states[&node];
-            assert_eq!((state.asked, state.host_received[0], state.host_best[0]), (1, false, None));
-            assert_eq!(state.host_hist[0], None);
+            assert_eq!((state.asked, &state.answers[0]), (1, &HostAnswer::Waiting));
         }
         // One task per split all along — the root's validated split lets
         // both new children speculate, one task each again.
@@ -1930,14 +1737,14 @@ mod tests {
             .iter()
             .map(|&node| node as u32)
             .collect();
-        assert_eq!(node_tasks(&host_ep), asked);
+        assert_eq!(node_tasks(&guest, &host_ep), asked);
 
         // The new smaller child's answer rebuilds the larger one from the
         // root's histogram, which outlived the rollback.
         let part = uninformative(total_of(&ctx, 1));
         commit(&mut guest, &mut ctx, 1, part);
         assert_eq!(guest.telemetry.events.hists_derived, 3);
-        assert!(ctx.states[&2].host_received[0]);
+        assert!(ctx.states[&2].all_in());
         let want = [whole[0], whole[1], GradPair::ZERO, GradPair::ZERO - part[3]];
         assert_eq!(derived_of(&ctx, 2), Some(vec![DecodedBins::Float(want.to_vec())]));
     }

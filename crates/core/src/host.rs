@@ -11,9 +11,8 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-use vf2_channel::{Endpoint, Envelope, RecvError};
+use vf2_channel::Endpoint;
 use vf2_crypto::packing::GhPlan;
 use vf2_crypto::suite::{Ciphertext, Suite};
 use vf2_gbdt::binning::{BinnedColumn, BinnedDataset};
@@ -23,18 +22,17 @@ use vf2_gbdt::tree::{parent, right_child, NodeSplit};
 use crate::chaos::ChaosPlan;
 use crate::config::TrainConfig;
 use crate::error::{panic_text, HostFailure, PartyId, ProtocolError, ProtocolPhase, TrainError};
-use crate::fsm::{Admit, HostFsm, MisbehaviorBudget};
+use crate::fsm::{Admit, HostFsm};
 use crate::hist_enc::{
     max_exponent, pack_feature_hist, pack_gh_feature_hist, EncHistBuilder, TARGET_SLOT_BITS,
 };
 use crate::messages::{
     FeatureMeta, GhPackedFeatureHist, HistPayload, Msg, PackedFeatureHist, RawFeatureHist,
-    HEARTBEAT_KIND,
 };
 use crate::model::HostSplitTable;
-use crate::retry::Backoff;
+use crate::peer::{self, Deadline, Peer};
 use crate::rows::{NodeRows, RowMajorBins};
-use crate::session::{dead_after, PartySession};
+use crate::session::PartySession;
 use crate::telemetry::PartyTelemetry;
 use crate::trace::{TracePhase, TraceRing};
 use crate::validate;
@@ -118,7 +116,8 @@ struct HostParty {
     /// two-stream path. The guest derives the same value from the same
     /// shared config, so no negotiation message exists to spoof.
     gh: Option<GhPlan>,
-    endpoint: Endpoint,
+    /// The link to the guest, this host's only peer.
+    guest: Peer,
     binned: BinnedDataset,
     csr: RowMajorBins,
     pool: rayon::ThreadPool,
@@ -133,14 +132,8 @@ struct HostParty {
     phase: ProtocolPhase,
     party_index: usize,
     session: Option<PartySession>,
-    /// When this host last beaconed a heartbeat at the guest.
-    hb_last: Instant,
-    /// Monotone heartbeat counter.
-    hb_seq: u64,
     /// Validating state machine over the guest's message stream.
     fsm: HostFsm,
-    /// Protocol-violation tolerance accounting for the guest.
-    budget: MisbehaviorBudget,
 }
 
 impl HostParty {
@@ -168,8 +161,9 @@ impl HostParty {
             trace: TraceRing::new(cfg.trace_events_cap, cfg.trace_spans),
             ..Default::default()
         };
-        let fsm = HostFsm::new(cfg.gbdt.num_trees as u32, csr.num_rows() as u32);
-        let budget = MisbehaviorBudget::new(cfg.misbehavior_budget);
+        let fsm = HostFsm::new(cfg.gbdt.num_trees as u32);
+        let guest =
+            Peer::new(endpoint, PartyId::Host(party_index), PartyId::Guest, cfg.misbehavior_budget);
         let gh = cfg
             .gh_plan(&suite, csr.num_rows())
             .map_err(TrainError::crypto("gh plan derivation"))?;
@@ -178,7 +172,7 @@ impl HostParty {
             cfg,
             chaos,
             suite,
-            endpoint,
+            guest,
             binned,
             csr,
             pool,
@@ -191,10 +185,7 @@ impl HostParty {
             phase: ProtocolPhase::Gradients,
             party_index,
             session,
-            hb_last: Instant::now(),
-            hb_seq: 0,
             fsm,
-            budget,
         })
     }
 
@@ -207,7 +198,7 @@ impl HostParty {
             None => (0, 0, Vec::new()),
         };
         self.telemetry.trace.note(format!("hello: session {sid} epoch {epoch}"));
-        self.send(&Msg::SessionHello { session_id: sid, epoch, durable })?;
+        self.guest.send(&Msg::SessionHello { session_id: sid, epoch, durable })?;
         // Then announce histogram structure (bin counts + zero bins only).
         let metas: Vec<FeatureMeta> = self
             .binned
@@ -215,26 +206,14 @@ impl HostParty {
             .iter()
             .map(|c| FeatureMeta { num_bins: c.num_bins() as u16, zero_bin: c.zero_bin })
             .collect();
-        self.send(&Msg::FeatureMeta(metas))?;
+        self.guest.send(&Msg::FeatureMeta(metas))?;
 
         while !self.shutdown {
-            let msg = if self.task_queue.is_empty() {
-                // Nothing to do: block with the per-phase deadline. A
-                // guest that vanishes without an orderly Shutdown —
-                // disconnect or silence — is an error.
-                Some(self.next_envelope()?)
-            } else {
-                self.endpoint.try_recv()
-            };
-            match msg {
-                Some(env) => {
-                    let m = wire::decode(env.kind, env.payload).map_err(|error| {
-                        ProtocolError::Malformed { from: PartyId::Guest, error }
-                    })?;
-                    if self.admit(&m)? {
-                        self.handle(m)?;
-                    }
-                }
+            // With nothing queued, block: a guest that vanishes without an
+            // orderly Shutdown — disconnect or silence — is an error.
+            let idle = self.task_queue.is_empty();
+            match self.recv(idle)? {
+                Some(msg) => self.handle(msg)?,
                 None => self.run_one_task()?,
             }
         }
@@ -242,139 +221,43 @@ impl HostParty {
         // reliability thread alive to re-ack any retransmitted Shutdown),
         // so a fault-dropped frame at the very end doesn't turn the
         // orderly goodbye into a peer-side disconnect.
-        self.endpoint.flush(self.cfg.peer_timeout);
+        self.guest.flush(self.cfg.peer_timeout);
         Ok(())
     }
 
     fn finish(mut self) -> (PartyTelemetry, HostSplitTable) {
         self.telemetry.ops = self.suite.counters().snapshot();
         self.telemetry.crypto_backend = self.suite.backend_label();
-        self.telemetry.bytes_sent = self.endpoint.send_stats().bytes();
-        self.telemetry.messages_sent = self.endpoint.send_stats().messages();
-        let mut link = self.telemetry.link;
-        link.absorb(self.endpoint.send_stats());
-        self.telemetry.link = link;
+        self.guest.fold_stats(&mut self.telemetry);
         (self.telemetry, self.splits)
-    }
-
-    /// A message of our own failed to encode (a count overflowed the
-    /// wire's `u32` fields) — surfaced as a malformed-message error
-    /// attributed to this host, never sent.
-    fn encode_failed(&self, error: wire::WireError) -> TrainError {
-        ProtocolError::Malformed { from: PartyId::Host(self.party_index), error }.into()
-    }
-
-    fn send(&self, msg: &Msg) -> Result<(), TrainError> {
-        let payload = wire::encode(msg).map_err(|e| self.encode_failed(e))?;
-        self.endpoint.send(msg.kind(), payload);
-        Ok(())
     }
 
     /// Sends a bulk protocol message, recording a transfer trace event
     /// with its encoded payload size.
     fn send_traced(&mut self, msg: &Msg, tree: u32) -> Result<(), TrainError> {
-        let payload = wire::encode(msg).map_err(|e| self.encode_failed(e))?;
-        self.telemetry.trace.transfer(Some(tree), payload.len() as u64);
-        self.endpoint.send(msg.kind(), payload);
+        let bytes = self.guest.send(msg)?;
+        self.telemetry.trace.transfer(Some(tree), bytes);
         Ok(())
     }
 
-    /// Declares the guest lost after a failed wait that began at `t0`.
-    /// `busy` is the wait's own working time (heartbeat beacons and
-    /// bookkeeping ran inside the loop): only the remainder was idle.
-    /// The reported `waited` stays the full wall time — the peer was
-    /// silent for all of it.
-    fn guest_lost(&mut self, t0: Instant, busy: Duration, reason: RecvError) -> TrainError {
-        self.telemetry.phases.idle += t0.elapsed().saturating_sub(busy);
-        if reason == RecvError::Timeout {
-            self.telemetry.link.recv_timeouts += 1;
-        }
-        TrainError::PeerLost { party: PartyId::Guest, phase: self.phase, waited: t0.elapsed() }
-    }
-
-    /// Heartbeat supervision for a blocked wait (mirror of the guest's).
-    /// Beacons a heartbeat when one is due — its transport ack is what
-    /// proves a busy-but-alive guest — and declares the guest dead once
-    /// the link has been *completely* silent (no data, no acks) for the
-    /// effective liveness deadline. The overall wait clock `t0` is never
-    /// reset by heartbeats: a guest that beacons but makes no protocol
-    /// progress still trips the per-phase `peer_timeout`.
-    fn supervise(&mut self, t0: Instant, busy: Duration) -> Result<(), TrainError> {
-        let now = Instant::now();
-        if now.duration_since(self.hb_last) >= self.cfg.heartbeat_interval {
-            self.hb_last = now;
-            let seq = self.hb_seq;
-            self.hb_seq += 1;
-            self.send(&Msg::Heartbeat { seq })?;
-            self.telemetry.events.heartbeats_sent += 1;
-            if self.endpoint.idle_for() >= self.cfg.heartbeat_interval {
-                self.telemetry.events.heartbeats_missed += 1;
-                self.telemetry.trace.note(format!(
-                    "guest silent for {:?} at heartbeat {seq}",
-                    self.endpoint.idle_for()
-                ));
-            }
-        }
-        let deadline = dead_after(&self.cfg);
-        if self.endpoint.idle_for() >= deadline {
-            self.telemetry.trace.note(format!("guest declared dead after {deadline:?}"));
-            return Err(self.guest_lost(t0, busy, RecvError::Timeout));
-        }
-        Ok(())
-    }
-
-    /// Blocks for the next protocol envelope, transparently consuming
-    /// heartbeats and running liveness supervision, bounded by the
-    /// per-phase deadline. Idle time is accounted.
-    ///
-    /// The wait is paced by a deterministic [`Backoff`]: retry chunks grow
-    /// from a fraction of the heartbeat interval up to exactly the
-    /// heartbeat interval, so a timeout on a *slow* transfer re-polls
-    /// quickly without ever loosening the liveness cadence. Each expired
-    /// chunk counts as one transfer retry; the overall `peer_timeout` and
-    /// silence-clock deadlines are untouched.
-    fn next_envelope(&mut self) -> Result<Envelope, TrainError> {
-        let t0 = Instant::now();
-        // Working time accrued inside the wait (heartbeat consumption,
-        // supervision beacons): subtracted from the idle charge so
-        // `phases.idle` measures genuine waiting only.
-        let mut busy = Duration::ZERO;
-        let mut backoff = Backoff::new(
-            self.cfg.heartbeat_interval / 8,
-            self.cfg.heartbeat_interval,
-            self.cfg.seed.wrapping_add(self.party_index as u64),
-        );
+    /// The next admitted message of the guest. `block`ing, it waits under
+    /// one per-phase deadline that the frames admission drops do not
+    /// restart; otherwise it takes only what already arrived, and `None`
+    /// means the queue is empty.
+    fn recv(&mut self, block: bool) -> Result<Option<Msg>, TrainError> {
+        let deadline = Deadline::new(self.phase, self.cfg.peer_timeout);
         loop {
-            let elapsed = t0.elapsed();
-            if elapsed >= self.cfg.peer_timeout {
-                return Err(self.guest_lost(t0, busy, RecvError::Timeout));
-            }
-            let chunk = backoff.next_delay().min(self.cfg.peer_timeout - elapsed);
-            match self.endpoint.recv_timeout(chunk) {
-                Ok(env) if env.kind == HEARTBEAT_KIND => continue,
-                Ok(env) => {
-                    // Only a wait that saturated the backoff schedule —
-                    // several heartbeat intervals of riding out — is worth
-                    // a note; routine one-chunk stalls would flood the
-                    // ring.
-                    if backoff.attempts() >= 8 {
-                        self.telemetry.trace.note(format!(
-                            "rode out a slow transfer from the guest after {} retries",
-                            backoff.attempts()
-                        ));
-                    }
-                    self.telemetry.phases.idle += t0.elapsed().saturating_sub(busy);
-                    return Ok(env);
-                }
-                Err(RecvError::Disconnected) => {
-                    return Err(self.guest_lost(t0, busy, RecvError::Disconnected))
-                }
-                Err(RecvError::Timeout) => {
-                    self.telemetry.events.transfer_retries += 1;
-                    let w0 = Instant::now();
-                    self.supervise(t0, busy)?;
-                    busy += w0.elapsed();
-                }
+            let next = if block {
+                let peers = &mut [&mut self.guest];
+                Some(peer::wait(peers, &[0], &[0], &deadline, &self.cfg, &mut self.telemetry)?)
+            } else {
+                peer::poll(&[&self.guest], &[0])
+            };
+            let Some((_, env)) = next else { return Ok(None) };
+            let msg = wire::decode(env.kind, env.payload)
+                .map_err(|error| ProtocolError::Malformed { from: PartyId::Guest, error })?;
+            if self.admit(&msg)? {
+                return Ok(Some(msg));
             }
         }
     }
@@ -436,15 +319,6 @@ impl HostParty {
         self.state.as_ref().is_some_and(|s| s.rows.has(node) && right_child(node) < heap)
     }
 
-    /// Records a protocol violation against the guest's misbehavior
-    /// budget: counted, traced, tolerated while within budget, fatal
-    /// ([`TrainError::PeerMisbehaving`]) once past it.
-    fn misbehaving(&mut self, violation: ProtocolError) -> Result<(), TrainError> {
-        self.telemetry.events.misbehavior += 1;
-        self.telemetry.trace.note(format!("protocol violation by guest: {violation}"));
-        self.budget.charge(PartyId::Guest, violation)
-    }
-
     /// Runs the admission gates on a decoded message: semantic payload
     /// validation first (stateless), then the protocol state machine
     /// (advances on admission). Returns `Ok(true)` to dispatch,
@@ -470,7 +344,7 @@ impl HostParty {
                 Ok(false)
             }
             Err(violation) => {
-                self.misbehaving(violation)?;
+                self.guest.charge(violation, &mut self.telemetry)?;
                 Ok(false)
             }
         }
@@ -507,11 +381,12 @@ impl HostParty {
                         // The guest bumps the epoch before every task it
                         // issues, and the link is FIFO: a duplicate or
                         // regressed epoch cannot be an honest straggler.
-                        self.misbehaving(ProtocolError::StaleOrReplayed {
+                        let replay = ProtocolError::StaleOrReplayed {
                             from: PartyId::Guest,
                             kind: 3,
                             context: "node task replayed or epoch-regressed",
-                        })?;
+                        };
+                        self.guest.charge(replay, &mut self.telemetry)?;
                     }
                     Some(_) => {
                         self.task_epoch.insert(node, epoch);
@@ -639,7 +514,7 @@ impl HostParty {
                 // The ack is a FIFO barrier: every answer this host sent
                 // for the aborted attempt precedes it on the wire, so the
                 // guest can drain stragglers deterministically.
-                self.send(&Msg::RewindAck { session_id, tree_count })?;
+                self.guest.send(&Msg::RewindAck { session_id, tree_count })?;
                 self.telemetry.trace.note(format!("rewound to {tree_count} trees mid-run"));
             }
             // Liveness beacon: the transport-level ack already answered it.
@@ -942,7 +817,7 @@ mod tests {
         host.handle(Msg::NodeTask { tree: 0, node: 2, epoch: 3 }).unwrap();
         host.run_one_task().unwrap();
         let answers: Vec<Msg> = (0..2)
-            .map(|_| guest_ep.recv_timeout(Duration::from_secs(10)).expect("an answer"))
+            .map(|_| guest_ep.recv().expect("an answer"))
             .map(|env| wire::decode(env.kind, env.payload).unwrap())
             .collect();
         let Msg::NodeHistograms { node: 2, epoch: 3, payload: HistPayload::Packed(feats), .. } =

@@ -52,9 +52,9 @@ pub mod host;
 pub mod json;
 pub mod messages;
 pub mod model;
+mod peer;
 pub mod persist;
 pub mod protocol;
-pub mod retry;
 pub mod rows;
 pub mod session;
 pub mod telemetry;

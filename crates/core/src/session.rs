@@ -13,7 +13,6 @@
 //! model.
 
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 use bytes::Bytes;
 
@@ -311,17 +310,11 @@ impl PartySession {
     }
 }
 
-/// The effective silence deadline: a peer is declared dead once its link
-/// has been silent this long (never longer than the per-phase
-/// `peer_timeout` itself).
-pub fn dead_after(cfg: &TrainConfig) -> Duration {
-    cfg.peer_dead_after.min(cfg.peer_timeout)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::{FedNode, FedTree};
+    use std::time::Duration;
 
     fn temp_session(tag: &str) -> SessionConfig {
         let dir = std::env::temp_dir().join(format!("vf2_session_{tag}_{}", std::process::id()));
@@ -436,15 +429,5 @@ mod tests {
         assert_eq!(g.digest(), h.digest());
         assert_eq!(g.digest(), config_digest(&cfg));
         let _ = std::fs::remove_dir_all(&sc.dir);
-    }
-
-    #[test]
-    fn dead_after_never_exceeds_peer_timeout() {
-        let mut cfg = TrainConfig::for_tests();
-        cfg.peer_timeout = Duration::from_secs(2);
-        cfg.peer_dead_after = Duration::from_secs(60);
-        assert_eq!(dead_after(&cfg), Duration::from_secs(2));
-        cfg.peer_dead_after = Duration::from_millis(500);
-        assert_eq!(dead_after(&cfg), Duration::from_millis(500));
     }
 }

@@ -129,9 +129,9 @@ pub struct ProtocolEvents {
     /// process replayed the session handshake and training rewound to the
     /// last mutually durable tree (guest only).
     pub rejoins: u64,
-    /// Transient receive timeouts ridden out by the transfer-level
-    /// retry/backoff layer instead of counting toward the liveness
-    /// deadline: the link was slow, not dead.
+    /// Supervision wakeups of a blocked wait that found nothing received
+    /// (a beacon or the silence clock was due) and went back to sleep: the
+    /// link was slow, not dead.
     pub transfer_retries: u64,
     /// Histogram-answer batches the tree loop committed, size-1 batches
     /// included (guest only).
