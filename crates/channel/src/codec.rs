@@ -23,11 +23,6 @@ impl Encoder {
         Encoder { buf: BytesMut::new() }
     }
 
-    /// An encoder pre-sized for `cap` bytes.
-    pub fn with_capacity(cap: usize) -> Encoder {
-        Encoder { buf: BytesMut::with_capacity(cap) }
-    }
-
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -102,24 +97,11 @@ impl Encoder {
         self.buf.put_slice(v);
     }
 
-    /// Writes a length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, v: &str) {
-        self.put_bytes(v.as_bytes());
-    }
-
     /// Writes a length-prefixed slice of f64.
     pub fn put_f64_slice(&mut self, v: &[f64]) {
         self.put_varint(v.len() as u64);
         for &x in v {
             self.buf.put_f64_le(x);
-        }
-    }
-
-    /// Writes a length-prefixed slice of u32.
-    pub fn put_u32_slice(&mut self, v: &[u32]) {
-        self.put_varint(v.len() as u64);
-        for &x in v {
-            self.buf.put_u32_le(x);
         }
     }
 
@@ -213,8 +195,6 @@ pub enum DecodeError {
     Truncated,
     /// A varint ran past 64 bits.
     VarintOverflow,
-    /// A string field held invalid UTF-8.
-    InvalidUtf8,
 }
 
 impl std::fmt::Display for DecodeError {
@@ -222,7 +202,6 @@ impl std::fmt::Display for DecodeError {
         match self {
             DecodeError::Truncated => write!(f, "buffer truncated"),
             DecodeError::VarintOverflow => write!(f, "varint overflow"),
-            DecodeError::InvalidUtf8 => write!(f, "invalid utf-8"),
         }
     }
 }
@@ -325,24 +304,11 @@ impl Decoder {
         Ok(self.buf.copy_to_bytes(len))
     }
 
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn get_str(&mut self) -> Result<String, DecodeError> {
-        let b = self.get_bytes()?;
-        String::from_utf8(b.to_vec()).map_err(|_| DecodeError::InvalidUtf8)
-    }
-
     /// Reads a length-prefixed f64 slice.
     pub fn get_f64_slice(&mut self) -> Result<Vec<f64>, DecodeError> {
         let len = self.get_varint()? as usize;
         self.need(len.saturating_mul(8))?;
         Ok((0..len).map(|_| self.buf.get_f64_le()).collect())
-    }
-
-    /// Reads a length-prefixed u32 slice.
-    pub fn get_u32_slice(&mut self) -> Result<Vec<u32>, DecodeError> {
-        let len = self.get_varint()? as usize;
-        self.need(len.saturating_mul(4))?;
-        Ok((0..len).map(|_| self.buf.get_u32_le()).collect())
     }
 
     /// Reads a packed bitmap.
@@ -410,23 +376,23 @@ mod tests {
     }
 
     #[test]
-    fn bytes_and_strings() {
+    fn bytes_round_trip() {
         let mut e = Encoder::new();
         e.put_bytes(&[1, 2, 3]);
-        e.put_str("gradient");
+        e.put_bytes(&[]);
         let mut d = Decoder::new(e.finish());
         assert_eq!(d.get_bytes().unwrap().as_ref(), &[1, 2, 3]);
-        assert_eq!(d.get_str().unwrap(), "gradient");
+        assert!(d.get_bytes().unwrap().is_empty());
     }
 
     #[test]
     fn slices_round_trip() {
         let mut e = Encoder::new();
         e.put_f64_slice(&[1.0, -2.5, 3.25]);
-        e.put_u32_slice(&[9, 8, 7]);
+        e.put_f64_slice(&[]);
         let mut d = Decoder::new(e.finish());
         assert_eq!(d.get_f64_slice().unwrap(), vec![1.0, -2.5, 3.25]);
-        assert_eq!(d.get_u32_slice().unwrap(), vec![9, 8, 7]);
+        assert!(d.get_f64_slice().unwrap().is_empty());
     }
 
     #[test]

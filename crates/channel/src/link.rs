@@ -24,6 +24,12 @@
 //! endpoints therefore sees clean, ordered envelopes regardless of wire
 //! faults — or a [`RecvError`] if the peer is truly gone.
 //!
+//! The cumulative ack doubles as the link's keepalive: an endpoint that
+//! has sent no ack for one keepalive interval re-sends its current one, so
+//! [`Endpoint::idle_for`] stays fresh at the far end however long either
+//! application thread computes or blocks elsewhere. Liveness traffic is
+//! never an application message: it is not in `bytes` / `messages`.
+//!
 //! ## Timeouts
 //!
 //! [`Endpoint::recv`] blocks until a message has fully "arrived" per the
@@ -192,8 +198,10 @@ impl std::error::Error for RecvError {}
 enum Frame {
     /// An application envelope plus its CRC-32.
     Data { env: Envelope, checksum: u32 },
-    /// Cumulative acknowledgement: every seq `<= cum_seq` arrived intact.
-    Ack { cum_seq: u64 },
+    /// Cumulative acknowledgement: every seq `< next` arrived intact
+    /// (`next` is the sequence number the receiver expects next, so the
+    /// ack is well-defined before any data arrived — the keepalive form).
+    Ack { next: u64 },
 }
 
 /// CRC-32 over a frame's header and payload.
@@ -217,6 +225,10 @@ type RetxBuffer = BTreeMap<u64, Pending>;
 
 /// How often blocked link threads poll for shutdown.
 const LINK_TICK: Duration = Duration::from_millis(20);
+
+/// Keepalive interval of a plain [`duplex`] link: a quarter of the
+/// federated driver's default silence deadline.
+const DEFAULT_KEEPALIVE: Duration = Duration::from_secs(15);
 
 /// One end of a duplex cross-party link.
 ///
@@ -265,18 +277,6 @@ impl Endpoint {
             },
         );
         // Ignore a disconnected peer: protocol teardown races are benign.
-        let _ = self.raw_tx.send(Frame::Data { env, checksum });
-    }
-
-    /// Sends a pre-built envelope verbatim, bypassing sequence assignment
-    /// and the retransmit buffer (test hook for duplicate injection;
-    /// normal code uses [`Endpoint::send`]). The envelope should reuse an
-    /// already-assigned sequence number — a gap the sender never fills
-    /// would stall the receiver's in-order delivery.
-    pub fn send_envelope_raw(&self, env: Envelope) {
-        self.send_stats.messages.fetch_add(1, Ordering::Relaxed);
-        self.send_stats.bytes.fetch_add(env.payload.len() as u64, Ordering::Relaxed);
-        let checksum = frame_checksum(env.kind, env.seq, &env.payload);
         let _ = self.raw_tx.send(Frame::Data { env, checksum });
     }
 
@@ -331,11 +331,12 @@ impl Endpoint {
     /// Time since this endpoint last heard *anything* intact from the
     /// peer — a checksum-valid data frame (even a duplicate) or an ack.
     ///
-    /// This is the liveness signal heartbeat supervision builds on: the
-    /// peer's reliability thread acks incoming data regardless of what
-    /// its application thread is doing, so a peer that is merely busy
-    /// computing still keeps this fresh, while a dead process or a
-    /// blackholed direction lets it grow without bound.
+    /// This is the liveness signal peer supervision builds on: the peer's
+    /// reliability thread acks incoming data, and re-sends its ack once
+    /// per keepalive interval, regardless of what its application thread
+    /// is doing — so a peer that is merely busy computing keeps this
+    /// fresh, while a dead process or a blackholed direction lets it grow
+    /// without bound.
     pub fn idle_for(&self) -> Duration {
         self.last_heard.lock().elapsed()
     }
@@ -448,19 +449,23 @@ fn sleep_until(deadline: Instant) {
 /// Creates a duplex link: two endpoints, each direction simulated with
 /// `cfg`, fault-free.
 pub fn duplex(cfg: WanConfig) -> (Endpoint, Endpoint) {
-    duplex_faulty(cfg, FaultConfig::none(), FaultConfig::none(), ReliabilityConfig::default())
+    let calm = FaultConfig::none();
+    duplex_faulty(cfg, calm, calm, ReliabilityConfig::default(), DEFAULT_KEEPALIVE)
 }
 
 /// Creates a duplex link whose directions misbehave per the given fault
 /// plans (`fault_ab` applies to frames A→B, `fault_ba` to B→A). The
 /// reliable-delivery sublayer masks every fault except a permanent
 /// disconnect: application messages arrive exactly once, in order,
-/// bit-intact.
+/// bit-intact. Each end re-sends its cumulative ack once per `keepalive`
+/// of having sent none; a caller that declares a silent peer dead picks
+/// an interval well inside that deadline.
 pub fn duplex_faulty(
     cfg: WanConfig,
     fault_ab: FaultConfig,
     fault_ba: FaultConfig,
     rel: ReliabilityConfig,
+    keepalive: Duration,
 ) -> (Endpoint, Endpoint) {
     let ab_stats = Arc::new(LinkStats::default());
     let ba_stats = Arc::new(LinkStats::default());
@@ -473,9 +478,9 @@ pub fn duplex_faulty(
     let (ba_wire_tx, ba_wire_rx) = unbounded::<(Instant, Frame)>();
     spawn_pump(cfg, fault_ba, rel, ba_pump_rx, ba_wire_tx, ba_stats.clone());
 
-    let a =
-        spawn_endpoint(a_tx, ba_wire_rx, rel, ab_stats.clone(), ba_stats.clone(), fault_ab.seed);
-    let b = spawn_endpoint(b_tx, ab_wire_rx, rel, ba_stats, ab_stats, fault_ba.seed);
+    let (ab, ba) = (ab_stats.clone(), ba_stats.clone());
+    let a = spawn_endpoint(a_tx, ba_wire_rx, rel, keepalive, ab, ba, fault_ab.seed);
+    let b = spawn_endpoint(b_tx, ab_wire_rx, rel, keepalive, ba_stats, ab_stats, fault_ba.seed);
     (a, b)
 }
 
@@ -485,6 +490,7 @@ fn spawn_endpoint(
     raw_tx: Sender<Frame>,
     incoming: Receiver<(Instant, Frame)>,
     rel: ReliabilityConfig,
+    keepalive: Duration,
     send_stats: Arc<LinkStats>,
     recv_stats: Arc<LinkStats>,
     jitter_seed: u64,
@@ -513,6 +519,7 @@ fn spawn_endpoint(
                     delivered_tx,
                     retx,
                     rel,
+                    keepalive,
                     send_stats,
                     recv_stats,
                     shutdown,
@@ -543,6 +550,7 @@ fn reliability_loop(
     delivered_tx: Sender<Envelope>,
     retx: Arc<Mutex<RetxBuffer>>,
     rel: ReliabilityConfig,
+    keepalive: Duration,
     send_stats: Arc<LinkStats>,
     recv_stats: Arc<LinkStats>,
     shutdown: Arc<AtomicBool>,
@@ -554,15 +562,19 @@ fn reliability_loop(
     let mut expected: u64 = 0;
     // Out-of-order frames parked until the gap before them is filled.
     let mut parked: BTreeMap<u64, Envelope> = BTreeMap::new();
+    // When this end last sent an ack; the next keepalive is due one
+    // interval later.
+    let mut acked_at = Instant::now();
     loop {
         if shutdown.load(Ordering::Relaxed) {
             return;
         }
         let now = Instant::now();
-        let mut wait = LINK_TICK;
+        let mut wait = LINK_TICK.min(keepalive.saturating_sub(now.duration_since(acked_at)));
         if let Some(due) = retx.lock().values().map(|p| p.next_at).min() {
             wait = wait.min(due.saturating_duration_since(now));
         }
+        let mut data_heard = false;
         match incoming.recv_timeout(wait) {
             Ok((deliver_at, frame)) => {
                 // Honor the WAN model: the frame exists only once it has
@@ -590,23 +602,29 @@ fn reliability_loop(
                                 expected += 1;
                             }
                         }
-                        // Cumulative ack (also re-sent on duplicates and
-                        // corruption, so lost acks heal themselves).
-                        if expected > 0 {
-                            let _ = raw_tx.send(Frame::Ack { cum_seq: expected - 1 });
-                        }
+                        data_heard = true;
                     }
-                    Frame::Ack { cum_seq } => {
+                    Frame::Ack { next } => {
                         *last_heard.lock() = Instant::now();
                         send_stats.acks_received.fetch_add(1, Ordering::Relaxed);
                         let mut buffer = retx.lock();
-                        let keep = buffer.split_off(&(cum_seq + 1));
+                        let keep = buffer.split_off(&next);
                         *buffer = keep;
                     }
                 }
             }
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => return,
+        }
+        // The cumulative ack answers every data frame (duplicates and
+        // corrupt ones too, so lost acks heal themselves) and is re-sent
+        // once per keepalive interval of having sent none: that is what
+        // keeps the far end's `idle_for` fresh while neither application
+        // thread sends, and what heals a lost final ack without a data
+        // retransmission.
+        if data_heard || acked_at.elapsed() >= keepalive {
+            let _ = raw_tx.send(Frame::Ack { next: expected });
+            acked_at = Instant::now();
         }
         // Retransmit everything past its deadline, with exponential
         // backoff and jitter so repeated losses don't synchronize.
@@ -840,7 +858,11 @@ mod tests {
     fn duplicates_are_suppressed() {
         let (a, b) = duplex(WanConfig::instant());
         a.send(0, Bytes::from_static(b"first")); // seq 0
-        a.send_envelope_raw(Envelope { kind: 0, seq: 0, payload: Bytes::from_static(b"first") });
+        let env = Envelope { kind: 0, seq: 0, payload: Bytes::from_static(b"first") };
+        let checksum = frame_checksum(env.kind, env.seq, &env.payload);
+        // The same envelope again, past sequence assignment and the
+        // retransmit buffer.
+        a.raw_tx.send(Frame::Data { env, checksum }).unwrap();
         a.send(1, Bytes::from_static(b"second")); // seq 1
         assert_eq!(b.recv().unwrap().payload.as_ref(), b"first");
         assert_eq!(b.recv().unwrap().payload.as_ref(), b"second");
@@ -969,13 +991,112 @@ mod tests {
         assert!(t > Duration::from_micros(14) && t < Duration::from_micros(17), "{t:?}");
     }
 
+    // ---- the cumulative ack as keepalive ----
+
+    /// Keepalive interval of the tests below.
+    const KEEPALIVE: Duration = Duration::from_millis(40);
+
+    /// A link that keepalives every [`KEEPALIVE`] and, with an RTO longer
+    /// than any test, never retransmits: whatever keeps `idle_for` fresh
+    /// or drains a buffer here is an ack.
+    fn keepalive_link(fault_ab: FaultConfig, fault_ba: FaultConfig) -> (Endpoint, Endpoint) {
+        let rel = ReliabilityConfig { initial_rto: Duration::from_secs(30), ..Default::default() };
+        duplex_faulty(WanConfig::instant(), fault_ab, fault_ba, rel, KEEPALIVE)
+    }
+
+    /// The longest `idle_for` either listed endpoint shows over `window`.
+    fn longest_silence(ends: &[&Endpoint], window: Duration) -> Duration {
+        let t0 = Instant::now();
+        let mut longest = Duration::ZERO;
+        while t0.elapsed() < window {
+            longest = ends.iter().map(|e| e.idle_for()).fold(longest, Duration::max);
+            thread::sleep(Duration::from_millis(2));
+        }
+        longest
+    }
+
+    #[test]
+    fn keepalive_acks_keep_an_idle_link_fresh_on_both_sides() {
+        let (a, b) = keepalive_link(FaultConfig::none(), FaultConfig::none());
+        // Before any data the ack says "next = 0" and acknowledges nothing.
+        let silence = longest_silence(&[&a, &b], 8 * KEEPALIVE);
+        assert!(silence < 2 * KEEPALIVE, "silent for {silence:?} before the first frame");
+        a.send(3, Bytes::from_static(b"data"));
+        assert_eq!(b.recv().unwrap().kind, 3);
+        let silence = longest_silence(&[&a, &b], 8 * KEEPALIVE);
+        assert!(silence < 2 * KEEPALIVE, "silent for {silence:?} after the first frame");
+        // Liveness traffic is not application traffic, and nothing was
+        // delivered or retransmitted for it.
+        for (near, far) in [(&a, &b), (&b, &a)] {
+            assert!(near.send_stats().acks_received() >= 8);
+            assert_eq!(near.send_stats().retransmissions(), 0);
+            assert!(far.try_recv().is_none());
+        }
+        assert_eq!((a.send_stats().messages(), a.send_stats().bytes()), (1, 4));
+        assert_eq!((b.send_stats().messages(), b.send_stats().bytes()), (0, 0));
+    }
+
+    #[test]
+    fn a_blackholed_direction_grows_stale_while_the_healthy_one_stays_fresh() {
+        let dead = FaultConfig { disconnect_after_frames: Some(0), ..FaultConfig::none() };
+        let (a, b) = keepalive_link(dead, FaultConfig::none());
+        // B hears nothing of A, ever; A keeps hearing B's keepalives.
+        let silence = longest_silence(&[&a], 8 * KEEPALIVE);
+        assert!(silence < 2 * KEEPALIVE, "the healthy direction went silent for {silence:?}");
+        assert!(b.idle_for() >= 8 * KEEPALIVE, "heard through a blackhole: {:?}", b.idle_for());
+        assert!(a.send_stats().faults_dropped() >= 4);
+    }
+
+    #[test]
+    fn a_stall_window_delays_keepalives_and_idle_for_recovers_after_it() {
+        let outage = 6 * KEEPALIVE;
+        let stall = Some(StallWindow { after: Duration::ZERO, duration: outage });
+        let (_a, b) =
+            keepalive_link(FaultConfig { stall, ..FaultConfig::none() }, FaultConfig::none());
+        thread::sleep(outage - KEEPALIVE);
+        assert!(b.idle_for() >= outage - 2 * KEEPALIVE, "heard through a stall");
+        // The queued keepalives land when the window lifts, and the
+        // cadence resumes.
+        thread::sleep(2 * KEEPALIVE);
+        let silence = longest_silence(&[&b], 4 * KEEPALIVE);
+        assert!(silence < 2 * KEEPALIVE, "silent for {silence:?} after the stall");
+    }
+
+    #[test]
+    fn the_next_keepalive_heals_a_lost_final_ack_without_a_retransmission() {
+        // A seed whose plan drops the first B→A frame — the ack of A's only
+        // data frame — and delivers the second, the keepalive after it.
+        let lossy = |seed| FaultConfig { seed, drop_prob: 0.5, ..FaultConfig::none() };
+        let seed = (0..64)
+            .find(|&seed| {
+                let mut plan = FaultPlan::new(lossy(seed));
+                plan.next_frame().drop && !plan.next_frame().drop
+            })
+            .expect("some seed drops exactly the first of two frames");
+        let (a, b) = keepalive_link(FaultConfig::none(), lossy(seed));
+        a.send(0, Bytes::from_static(b"last"));
+        assert_eq!(b.recv().unwrap().payload.as_ref(), b"last");
+        assert!(a.flush(Duration::from_secs(5)), "no keepalive drained the buffer");
+        assert!(b.send_stats().faults_dropped() >= 1, "the plan never dropped the ack");
+        assert_eq!(a.send_stats().retransmissions(), 0);
+    }
+
+    #[test]
+    fn dropping_an_endpoint_stops_its_keepalives() {
+        let (a, b) = keepalive_link(FaultConfig::none(), FaultConfig::none());
+        drop(a);
+        assert_eq!(b.recv_timeout(Duration::from_millis(500)), Err(RecvError::Disconnected));
+        thread::sleep(6 * KEEPALIVE);
+        assert!(b.idle_for() >= 5 * KEEPALIVE, "a dropped endpoint kept acking");
+    }
+
     // ---- fault injection + reliable delivery ----
 
     /// Sends `n` tagged messages A→B over a faulty link and checks they
     /// arrive exactly once, in order, bit-intact.
     fn assert_reliable_delivery(fault: FaultConfig, n: u64) -> (Endpoint, Endpoint) {
-        let (a, b) =
-            duplex_faulty(WanConfig::instant(), fault, fault, ReliabilityConfig::aggressive());
+        let rel = ReliabilityConfig::aggressive();
+        let (a, b) = duplex_faulty(WanConfig::instant(), fault, fault, rel, DEFAULT_KEEPALIVE);
         for i in 0..n {
             a.send((i % 7) as u16, Bytes::from(i.to_le_bytes().to_vec()));
         }
@@ -1040,6 +1161,7 @@ mod tests {
             fault,
             FaultConfig::none(),
             ReliabilityConfig::default(),
+            DEFAULT_KEEPALIVE,
         );
         a.send(0, Bytes::from_static(b"stuck"));
         let t0 = Instant::now();
@@ -1060,6 +1182,7 @@ mod tests {
             fault,
             FaultConfig::none(),
             ReliabilityConfig::default(),
+            DEFAULT_KEEPALIVE,
         );
         let t0 = Instant::now();
         a.send(0, Bytes::from_static(b"delayed"));
@@ -1077,6 +1200,7 @@ mod tests {
             fault,
             FaultConfig::none(),
             ReliabilityConfig::aggressive(),
+            DEFAULT_KEEPALIVE,
         );
         // The first messages get through (each costs one data frame).
         a.send(0, Bytes::from_static(b"one"));

@@ -92,18 +92,11 @@ pub struct TrainConfig {
     /// may last before the peer is declared lost
     /// ([`crate::error::TrainError::PeerLost`]).
     pub peer_timeout: Duration,
-    /// Checkpoint cadence in trees: when a session is attached, each
-    /// party durably snapshots its private state after every
-    /// `checkpoint_every` completed trees. Ignored without a session.
-    pub checkpoint_every: u32,
-    /// How often an idle waiting party beacons a heartbeat at the peer
-    /// (and checks the link's silence clock). Heartbeats carry no
-    /// protocol meaning; their acks prove the peer process alive.
-    pub heartbeat_interval: Duration,
     /// Liveness deadline: if the link has been completely silent (no
     /// intact data, no acks — see `Endpoint::idle_for`) for this long,
-    /// the peer is declared dead even though heartbeats keep a busy
-    /// peer's overall `peer_timeout` honest. The effective deadline is
+    /// the peer is declared dead. A live peer's link re-sends its ack
+    /// every quarter of this however busy the peer is, so only a dead
+    /// process or a dead path goes silent. The effective deadline is
     /// `min(peer_dead_after, peer_timeout)`.
     pub peer_dead_after: Duration,
     /// Cap on each party's in-memory trace ring; once full the oldest
@@ -154,8 +147,6 @@ impl Default for TrainConfig {
             wan: WanConfig::paper_public_network(),
             reliability: ReliabilityConfig::default(),
             peer_timeout: Duration::from_secs(60),
-            checkpoint_every: 1,
-            heartbeat_interval: Duration::from_millis(500),
             peer_dead_after: Duration::from_secs(60),
             trace_events_cap: 256,
             trace_spans: true,
@@ -185,22 +176,12 @@ impl TrainConfig {
         if !(1..=MAX_LAYERS).contains(&self.gbdt.max_layers) {
             return Err(ConfigError::MaxLayersOutOfRange { max_layers: self.gbdt.max_layers });
         }
-        if self.peer_timeout.is_zero() {
+        if self.dead_after().is_zero() {
             return Err(ConfigError::ZeroPeerTimeout);
         }
-        let deadline = self.dead_after();
-        if self.heartbeat_interval >= deadline {
-            return Err(ConfigError::HeartbeatSlowerThanDeadline {
-                heartbeat: self.heartbeat_interval,
-                deadline,
-            });
-        }
         if let HostLossPolicy::AwaitRejoin { deadline } = self.on_host_loss {
-            if deadline < self.heartbeat_interval {
-                return Err(ConfigError::RejoinDeadlineTooShort {
-                    deadline,
-                    heartbeat: self.heartbeat_interval,
-                });
+            if deadline.is_zero() {
+                return Err(ConfigError::RejoinDeadlineTooShort { deadline });
             }
         }
         if let Some(spread) = self.wan_spread {
@@ -267,7 +248,6 @@ impl TrainConfig {
             wan: WanConfig::instant(),
             reliability: ReliabilityConfig::aggressive(),
             peer_timeout: Duration::from_secs(30),
-            heartbeat_interval: Duration::from_millis(150),
             ..Default::default()
         }
     }
@@ -295,10 +275,6 @@ mod tests {
     #[test]
     fn liveness_defaults_are_sane() {
         let c = TrainConfig::default();
-        // Heartbeats must be much faster than the deadlines they guard.
-        assert!(c.heartbeat_interval < c.peer_dead_after);
-        assert!(c.heartbeat_interval < c.peer_timeout);
-        assert!(c.checkpoint_every >= 1);
         assert!(c.trace_events_cap > 0);
         assert!(c.trace_spans);
         // Fail fast on the first protocol violation by default.
@@ -313,6 +289,26 @@ mod tests {
         assert_eq!(cfg.dead_after(), Duration::from_secs(2));
         cfg.peer_dead_after = Duration::from_millis(500);
         assert_eq!(cfg.dead_after(), Duration::from_millis(500));
+    }
+
+    #[test]
+    fn zero_deadlines_are_rejected() {
+        let ok = TrainConfig::for_tests();
+        for bad in [
+            TrainConfig { peer_timeout: Duration::ZERO, ..ok },
+            TrainConfig { peer_dead_after: Duration::ZERO, ..ok },
+        ] {
+            assert_eq!(bad.validate(), Err(ConfigError::ZeroPeerTimeout));
+        }
+        // The rejoin wait is wakeup-based: any positive deadline can
+        // observe a hello, a zero one cannot.
+        let rejoin =
+            |deadline| TrainConfig { on_host_loss: HostLossPolicy::AwaitRejoin { deadline }, ..ok };
+        assert_eq!(
+            rejoin(Duration::ZERO).validate(),
+            Err(ConfigError::RejoinDeadlineTooShort { deadline: Duration::ZERO })
+        );
+        assert!(rejoin(Duration::from_nanos(1)).validate().is_ok());
     }
 
     #[test]

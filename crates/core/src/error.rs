@@ -192,26 +192,15 @@ impl std::error::Error for ProtocolError {}
 // (`Eq` is off: the WAN-spread variant carries `f64` bounds.)
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ConfigError {
-    /// `heartbeat_interval >= peer_dead_after`: the silence deadline
-    /// would expire between two beacons, so an idle-but-healthy link is
-    /// indistinguishable from a dead one.
-    HeartbeatSlowerThanDeadline {
-        /// The configured beacon cadence.
-        heartbeat: Duration,
-        /// The configured silence deadline it can never outpace.
-        deadline: Duration,
-    },
-    /// `peer_timeout == 0`: every blocking cross-party wait would expire
-    /// immediately, before the peer could possibly answer.
+    /// `peer_timeout == 0` or `peer_dead_after == 0`: every blocking
+    /// cross-party wait would expire immediately, before the peer could
+    /// possibly answer.
     ZeroPeerTimeout,
-    /// An `AwaitRejoin` deadline shorter than one heartbeat interval: the
-    /// quarantine window would close before the guest polls for a
-    /// restarted host even once.
+    /// A zero `AwaitRejoin` deadline: the quarantine window would close
+    /// before the guest waits for a restarted host at all.
     RejoinDeadlineTooShort {
         /// The configured rejoin deadline.
         deadline: Duration,
-        /// The heartbeat interval it must cover at least once.
-        heartbeat: Duration,
     },
     /// A [`crate::config::WanSpread`] with a non-finite or non-positive
     /// bandwidth fraction, or a non-finite / negative latency multiple —
@@ -235,18 +224,15 @@ pub enum ConfigError {
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ConfigError::HeartbeatSlowerThanDeadline { heartbeat, deadline } => write!(
+            ConfigError::ZeroPeerTimeout => write!(
                 f,
-                "heartbeat interval {heartbeat:?} is not shorter than the liveness deadline \
-                 {deadline:?}; the supervision window can never observe a beacon"
+                "peer_timeout or peer_dead_after is zero; every cross-party wait would expire \
+                 instantly"
             ),
-            ConfigError::ZeroPeerTimeout => {
-                write!(f, "peer_timeout is zero; every cross-party wait would expire instantly")
-            }
-            ConfigError::RejoinDeadlineTooShort { deadline, heartbeat } => write!(
+            ConfigError::RejoinDeadlineTooShort { deadline } => write!(
                 f,
-                "AwaitRejoin deadline {deadline:?} is shorter than one heartbeat interval \
-                 {heartbeat:?}; the quarantine window closes before a rejoin can be observed"
+                "AwaitRejoin deadline {deadline:?} is zero; the quarantine window closes before \
+                 a rejoin can be observed"
             ),
             ConfigError::InvalidWanSpread { bandwidth_frac, latency_mult } => write!(
                 f,

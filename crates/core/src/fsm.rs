@@ -122,10 +122,6 @@ impl HostFsm {
     /// Checks one decoded message against the current phase, advancing
     /// the machine on admission.
     pub fn admit(&mut self, msg: &Msg) -> Result<Admit, ProtocolError> {
-        // Liveness beacons are admissible in every phase.
-        if matches!(msg, Msg::Heartbeat { .. }) {
-            return Ok(Admit::Deliver);
-        }
         // Host-bound kinds only: the guest never sends hellos, metadata,
         // histograms, or placements-as-answers.
         if matches!(
@@ -401,9 +397,6 @@ impl GuestFsm {
     /// Checks one decoded message from this host, advancing the machine
     /// on admission.
     pub fn admit(&mut self, msg: &Msg) -> Result<Admit, ProtocolError> {
-        if matches!(msg, Msg::Heartbeat { .. }) {
-            return Ok(Admit::Deliver);
-        }
         // A parked host's stream is closed to the protocol. Whatever the
         // old incarnation still had in flight is honest staleness, and a
         // rejoin opens exclusively with a newer-epoch hello — a replayed
@@ -564,8 +557,7 @@ mod tests {
         assert_eq!(fsm.admit(&Msg::TreeDone { tree: 1 }), Ok(Admit::Deliver));
         assert_eq!(fsm.admit(&Msg::Shutdown), Ok(Admit::Deliver));
         assert_eq!(fsm.phase_name(), "done");
-        // Heartbeats are fine everywhere; data after shutdown is not.
-        assert_eq!(fsm.admit(&Msg::Heartbeat { seq: 1 }), Ok(Admit::Deliver));
+        // Nothing is admissible after shutdown.
         assert!(fsm.admit(&Msg::TreeDone { tree: 2 }).is_err());
     }
 

@@ -219,7 +219,7 @@ pub fn run_guest(
 
 /// Everything the guest holds about one host, in one record.
 struct HostLink {
-    /// The link, its heartbeat clock and the host's misbehavior budget.
+    /// The link and the host's misbehavior budget.
     peer: Peer,
     /// Validating state machine over this host's inbound stream.
     fsm: GuestFsm,
@@ -386,13 +386,11 @@ impl GuestParty {
                     });
                     if let Some(sess) = &session {
                         let completed = t as u32 + 1;
-                        if sess.should_checkpoint(completed) {
-                            sess.save_guest(completed, trees.clone(), self.preds.clone())?;
-                            self.telemetry.events.checkpoints_written += 1;
-                            self.telemetry
-                                .trace
-                                .note(format!("checkpoint written at {completed} trees"));
-                        }
+                        sess.save_guest(completed, trees.clone(), self.preds.clone())?;
+                        self.telemetry.events.checkpoints_written += 1;
+                        self.telemetry
+                            .trace
+                            .note(format!("checkpoint written at {completed} trees"));
                     }
                     t += 1;
                 }
@@ -753,22 +751,20 @@ impl GuestParty {
     }
 
     /// Blocks in the one supervised wait ([`peer::wait`]) until a message
-    /// from one of the `listen`ed hosts is admitted; heartbeats are consumed
-    /// below this call and every live host is beaconed meanwhile. The
-    /// frames admission drops — honest stragglers, tolerated violations —
-    /// do not restart `deadline`.
+    /// from one of the `listen`ed hosts is admitted. The frames admission
+    /// drops — honest stragglers, tolerated violations — do not restart
+    /// `deadline`.
     fn wait_admitted(
         &mut self,
         listen: &[usize],
         deadline: &Deadline,
     ) -> Result<(usize, Msg), TrainError> {
-        let live = self.live();
+        let dead_after = self.cfg.dead_after();
         loop {
-            let mut peers: Vec<&mut Peer> = self.hosts.iter_mut().map(|h| &mut h.peer).collect();
-            let (host, env) =
-                peer::wait(&mut peers, &live, listen, deadline, &self.cfg, &mut self.telemetry)?;
-            if let Some(msg) = self.admit_from(host, env)? {
-                return Ok((host, msg));
+            let peers: Vec<&Peer> = listen.iter().map(|&h| &self.hosts[h].peer).collect();
+            let (i, env) = peer::wait(&peers, deadline, dead_after, &mut self.telemetry)?;
+            if let Some(msg) = self.admit_from(listen[i], env)? {
+                return Ok((listen[i], msg));
             }
         }
     }
@@ -800,10 +796,10 @@ impl GuestParty {
     fn try_recv_admitted(&mut self) -> Result<Option<(usize, Msg)>, TrainError> {
         let live = self.live();
         loop {
-            let peers: Vec<&Peer> = self.hosts.iter().map(|h| &h.peer).collect();
-            let Some((host, env)) = peer::poll(&peers, &live) else { return Ok(None) };
-            if let Some(msg) = self.admit_from(host, env)? {
-                return Ok(Some((host, msg)));
+            let peers: Vec<&Peer> = live.iter().map(|&h| &self.hosts[h].peer).collect();
+            let Some((i, env)) = peer::poll(&peers) else { return Ok(None) };
+            if let Some(msg) = self.admit_from(live[i], env)? {
+                return Ok(Some((live[i], msg)));
             }
         }
     }

@@ -248,10 +248,10 @@ impl HostParty {
         let deadline = Deadline::new(self.phase, self.cfg.peer_timeout);
         loop {
             let next = if block {
-                let peers = &mut [&mut self.guest];
-                Some(peer::wait(peers, &[0], &[0], &deadline, &self.cfg, &mut self.telemetry)?)
+                let dead_after = self.cfg.dead_after();
+                Some(peer::wait(&[&self.guest], &deadline, dead_after, &mut self.telemetry)?)
             } else {
-                peer::poll(&[&self.guest], &[0])
+                peer::poll(&[&self.guest])
             };
             let Some((_, env)) = next else { return Ok(None) };
             let msg = wire::decode(env.kind, env.payload)
@@ -477,13 +477,9 @@ impl HostParty {
                 self.phase = ProtocolPhase::Gradients;
                 let completed = tree.saturating_add(1);
                 if let Some(sess) = self.session.clone() {
-                    if sess.should_checkpoint(completed) {
-                        sess.save_host(completed, self.party_index as u32, self.splits.clone())?;
-                        self.telemetry.events.checkpoints_written += 1;
-                        self.telemetry
-                            .trace
-                            .note(format!("checkpoint written at {completed} trees"));
-                    }
+                    sess.save_host(completed, self.party_index as u32, self.splits.clone())?;
+                    self.telemetry.events.checkpoints_written += 1;
+                    self.telemetry.trace.note(format!("checkpoint written at {completed} trees"));
                 }
             }
             Msg::Resume { session_id, tree_count } => {
@@ -517,8 +513,6 @@ impl HostParty {
                 self.guest.send(&Msg::RewindAck { session_id, tree_count })?;
                 self.telemetry.trace.note(format!("rewound to {tree_count} trees mid-run"));
             }
-            // Liveness beacon: the transport-level ack already answered it.
-            Msg::Heartbeat { .. } => {}
             Msg::Shutdown => self.shutdown = true,
             other => {
                 return Err(ProtocolError::UnexpectedMessage {

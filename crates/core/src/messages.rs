@@ -189,13 +189,6 @@ pub enum Msg {
         /// The last mutually durable tree count.
         tree_count: u32,
     },
-    /// either direction: liveness beacon. Carries no protocol meaning —
-    /// receivers drop it without touching any training state, but the
-    /// transport-level ack it elicits proves the peer process alive.
-    Heartbeat {
-        /// Monotone per-sender beacon counter.
-        seq: u64,
-    },
     /// guest → host, mid-run: a peer failure forced the run back to the
     /// last mutually durable tree. Surviving hosts discard every split
     /// recorded for trees `>= tree_count` along with any in-flight tree
@@ -221,7 +214,8 @@ pub enum Msg {
 }
 
 impl Msg {
-    /// Wire kind tag (stable across versions of the wire format).
+    /// Wire kind tag (stable across versions of the wire format). Tag 13
+    /// was the liveness beacon; it is retired and never reused.
     pub fn kind(&self) -> u16 {
         match self {
             Msg::FeatureMeta(_) => 1,
@@ -236,14 +230,9 @@ impl Msg {
             Msg::Shutdown => 10,
             Msg::SessionHello { .. } => 11,
             Msg::Resume { .. } => 12,
-            Msg::Heartbeat { .. } => 13,
             Msg::PackedGradBatch { .. } => 14,
             Msg::Rewind { .. } => 15,
             Msg::RewindAck { .. } => 16,
         }
     }
 }
-
-/// The wire kind tag of [`Msg::Heartbeat`], for filtering undecoded
-/// envelopes in receive loops without paying a decode.
-pub const HEARTBEAT_KIND: u16 = 13;

@@ -1,25 +1,26 @@
 //! One link to one peer, and the one supervised wait both roles block in.
 //!
 //! The parties talk only through gateway message queues, so "block on the
-//! peers' queues, stay alive, notice a dead peer" is the one operation the
-//! guest and the host share. [`wait`] is that operation — the host's single
-//! link, the guest's N live links and the rejoin handshake all block here —
-//! and [`poll`] is its zero-timeout twin. Both hand back undecoded
-//! [`Envelope`]s: decoding, validation and FSM admission stay with the
-//! caller, which holds one [`Deadline`] across every frame it drops, so
-//! neither heartbeats nor a flood of stale or tolerated-violation frames
-//! can extend a phase. No protocol decision reads a clock; every clock read
-//! of the party drivers is in this file.
+//! peers' queues, notice a dead peer" is the one operation the guest and
+//! the host share. [`wait`] is that operation — the host's single link, the
+//! guest's N live links and the rejoin handshake all block here — and
+//! [`poll`] is its zero-timeout twin. Keeping a connection alive is the
+//! queue's business (`vf2-channel` re-sends its ack as a keepalive), so
+//! every frame a party receives is a protocol message. Both hand back
+//! undecoded [`Envelope`]s: decoding, validation and FSM admission stay
+//! with the caller, which holds one [`Deadline`] across every frame it
+//! drops, so no flood of stale or tolerated-violation frames can extend a
+//! phase. No protocol decision reads a clock; every clock read of the party
+//! drivers is in this file.
 
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use vf2_channel::{recv_ready, Endpoint, Envelope, RecvReady};
 
-use crate::config::TrainConfig;
 use crate::error::{PartyId, ProtocolError, ProtocolPhase, TrainError};
 use crate::fsm::MisbehaviorBudget;
-use crate::messages::{Msg, HEARTBEAT_KIND};
+use crate::messages::Msg;
 use crate::telemetry::{LinkFaultEvents, PartyTelemetry};
 use crate::wire;
 
@@ -46,31 +47,25 @@ impl Deadline {
     }
 }
 
-/// One link of this party: the endpoint, who is on its far end, when this
-/// party last beaconed at it, and the far end's misbehavior budget.
+/// One link of this party: the endpoint, who is on its far end, and the far
+/// end's misbehavior budget.
 pub(crate) struct Peer {
     endpoint: Endpoint,
     local: PartyId,
     remote: PartyId,
-    /// When this party last beaconed a heartbeat at `remote`.
-    hb_last: Instant,
-    /// Monotone heartbeat counter of this link.
-    hb_seq: u64,
     budget: MisbehaviorBudget,
 }
 
 impl Peer {
     /// `local`'s link to `remote`, tolerating `budget` protocol violations.
     pub(crate) fn new(endpoint: Endpoint, local: PartyId, remote: PartyId, budget: u32) -> Peer {
-        let budget = MisbehaviorBudget::new(budget);
-        Peer { endpoint, local, remote, hb_last: Instant::now(), hb_seq: 0, budget }
+        Peer { endpoint, local, remote, budget: MisbehaviorBudget::new(budget) }
     }
 
     /// Swaps in the link to a restarted incarnation of `remote`. The budget
     /// carries over: it is the company's, not the process's.
     pub(crate) fn reconnect(&mut self, endpoint: Endpoint) {
         self.endpoint = endpoint;
-        self.hb_last = Instant::now();
     }
 
     /// Hands an already encoded message to the link.
@@ -117,34 +112,6 @@ impl Peer {
         link
     }
 
-    /// Beacons a heartbeat at `remote` if one is due. Heartbeats carry no
-    /// protocol meaning: their transport ack is what proves a busy-but-alive
-    /// peer, and they keep this party from looking dead to a peer it is not
-    /// waiting on. A beacon that finds the link silent for a whole interval
-    /// is the precursor signal to declaring the peer dead.
-    fn beacon(
-        &mut self,
-        every: Duration,
-        telemetry: &mut PartyTelemetry,
-    ) -> Result<(), TrainError> {
-        if self.hb_last.elapsed() < every {
-            return Ok(());
-        }
-        self.hb_last = Instant::now();
-        self.send(&Msg::Heartbeat { seq: self.hb_seq })?;
-        telemetry.events.heartbeats_sent += 1;
-        let silent = self.endpoint.idle_for();
-        if silent >= every {
-            telemetry.events.heartbeats_missed += 1;
-            telemetry.trace.note(format!(
-                "{} silent for {silent:?} at heartbeat {}",
-                self.remote, self.hb_seq
-            ));
-        }
-        self.hb_seq += 1;
-        Ok(())
-    }
-
     /// `remote` is lost: disconnected, silent, or out of `deadline`.
     fn lost(&self, deadline: &Deadline) -> TrainError {
         let waited = deadline.started.elapsed();
@@ -152,72 +119,54 @@ impl Peer {
     }
 }
 
-/// The single blocking wait of both roles. `peers` are all of this party's
-/// links; the `live` ones are beaconed — a party blocked on one link is
-/// otherwise silent toward all of them — and the `listen` ones (a subset)
-/// are received from and judged. Parks on the listened delivery queues
-/// through the channel layer's wakeup-based [`recv_ready`] and wakes at the
-/// earliest of
+/// The single blocking wait of both roles: receives from, and judges, the
+/// links it is given (`peers` — the ones the caller listens on). Parks on
+/// their delivery queues through the channel layer's wakeup-based
+/// [`recv_ready`] and wakes at the earliest of
 ///
-/// * **a frame** — heartbeats are consumed here, below dispatch; anything
-///   else returns with the index of the peer it came from;
-/// * **the next beacon due** (`hb_last + heartbeat_interval` of any live
-///   peer) — derived from state the loop holds, so beacons go out exactly
-///   on cadence;
-/// * **the silence deadline** — a listened link completely silent (no
-///   data, no acks) for `dead_after` is [`TrainError::PeerLost`];
-/// * **the caller's deadline** — which no heartbeat and no dropped frame
-///   resets: a peer that beacons but makes no protocol progress still trips
-///   it, and the loss is blamed on the listened peer whose link has been
-///   silent the longest (the actually-dead one, not an arbitrary index).
+/// * **a frame** — returned with the index in `peers` it came from;
+/// * **the silence deadline** — a link completely silent (no data, no
+///   acks — and a live link acks at least every quarter of `dead_after`,
+///   whatever its party is doing) for `dead_after` is
+///   [`TrainError::PeerLost`];
+/// * **the caller's deadline** — which no keepalive ack and no dropped
+///   frame resets: a peer whose link stays alive but makes no protocol
+///   progress still trips it, and the loss is blamed on the peer whose link
+///   has been silent the longest (the actually-dead one, not an arbitrary
+///   index).
 ///
-/// A torn-down link is `PeerLost` at once. Each wakeup with nothing
-/// received counts one `transfer_retries`; the two timeouts count
+/// A torn-down link is `PeerLost` at once. The two timeouts count
 /// `recv_timeouts`; `phases.idle` is billed exactly the time spent in here.
 pub(crate) fn wait(
-    peers: &mut [&mut Peer],
-    live: &[usize],
-    listen: &[usize],
+    peers: &[&Peer],
     deadline: &Deadline,
-    cfg: &TrainConfig,
+    dead_after: Duration,
     telemetry: &mut PartyTelemetry,
 ) -> Result<(usize, Envelope), TrainError> {
     let entered = Instant::now();
-    let (every, dead_after) = (cfg.heartbeat_interval, cfg.dead_after());
+    let queues: Vec<&Endpoint> = peers.iter().map(|p| &p.endpoint).collect();
     let mut blocked = || -> Result<(usize, Envelope), TrainError> {
         loop {
             let left = deadline.limit.saturating_sub(deadline.started.elapsed());
             if left.is_zero() {
                 // `max_by_key` keeps the last of equals: reversed, ties break
                 // to the lowest index.
-                let idle = |p: &&usize| peers[**p].endpoint.idle_for();
-                let blame = listen.iter().rev().max_by_key(idle).copied().unwrap_or(0);
+                let blame = peers.iter().rev().max_by_key(|p| p.endpoint.idle_for());
                 telemetry.link.recv_timeouts += 1;
-                return Err(peers[blame].lost(deadline));
+                return Err(blame.unwrap_or(&peers[0]).lost(deadline));
             }
-            let beacon_in = live.iter().map(|&p| every.saturating_sub(peers[p].hb_last.elapsed()));
-            let silence_in =
-                listen.iter().map(|&p| dead_after.saturating_sub(peers[p].endpoint.idle_for()));
-            let nap = beacon_in.chain(silence_in).fold(left, Duration::min);
-            let queues: Vec<&Endpoint> = listen.iter().map(|&p| &peers[p].endpoint).collect();
-            match recv_ready(&queues, nap) {
-                RecvReady::Msg(_, env) if env.kind == HEARTBEAT_KIND => {}
-                RecvReady::Msg(i, env) => return Ok((listen[i], env)),
-                RecvReady::Disconnected(i) => return Err(peers[listen[i]].lost(deadline)),
+            let silence_in = peers.iter().map(|p| dead_after.saturating_sub(p.endpoint.idle_for()));
+            match recv_ready(&queues, silence_in.fold(left, Duration::min)) {
+                RecvReady::Msg(i, env) => return Ok((i, env)),
+                RecvReady::Disconnected(i) => return Err(peers[i].lost(deadline)),
                 RecvReady::Timeout => {
-                    telemetry.events.transfer_retries += 1;
-                    for &p in live {
-                        peers[p].beacon(every, telemetry)?;
-                    }
-                    for &p in listen {
-                        if peers[p].endpoint.idle_for() >= dead_after {
-                            let remote = peers[p].remote;
-                            telemetry
-                                .trace
-                                .note(format!("{remote} declared dead after {dead_after:?}"));
-                            telemetry.link.recv_timeouts += 1;
-                            return Err(peers[p].lost(deadline));
-                        }
+                    if let Some(dead) = peers.iter().find(|p| p.endpoint.idle_for() >= dead_after) {
+                        let remote = dead.remote;
+                        telemetry
+                            .trace
+                            .note(format!("{remote} declared dead after {dead_after:?}"));
+                        telemetry.link.recv_timeouts += 1;
+                        return Err(dead.lost(deadline));
                     }
                 }
             }
@@ -228,18 +177,15 @@ pub(crate) fn wait(
     outcome
 }
 
-/// The zero-timeout twin of [`wait`]: one frame that already arrived on a
-/// listened link (heartbeats consumed), or `None` when nothing is queued —
-/// or when a link died, which the next blocking wait classifies and
-/// reports. Nothing here waits, so no idle time accrues.
-pub(crate) fn poll(peers: &[&Peer], listen: &[usize]) -> Option<(usize, Envelope)> {
-    let queues: Vec<&Endpoint> = listen.iter().map(|&p| &peers[p].endpoint).collect();
-    loop {
-        match recv_ready(&queues, Duration::ZERO) {
-            RecvReady::Msg(_, env) if env.kind == HEARTBEAT_KIND => {}
-            RecvReady::Msg(i, env) => return Some((listen[i], env)),
-            RecvReady::Disconnected(_) | RecvReady::Timeout => return None,
-        }
+/// The zero-timeout twin of [`wait`]: one frame that already arrived on one
+/// of `peers`, or `None` when nothing is queued — or when a link died, which
+/// the next blocking wait classifies and reports. Nothing here waits, so no
+/// idle time accrues.
+pub(crate) fn poll(peers: &[&Peer]) -> Option<(usize, Envelope)> {
+    let queues: Vec<&Endpoint> = peers.iter().map(|p| &p.endpoint).collect();
+    match recv_ready(&queues, Duration::ZERO) {
+        RecvReady::Msg(i, env) => Some((i, env)),
+        RecvReady::Disconnected(_) | RecvReady::Timeout => None,
     }
 }
 
@@ -249,29 +195,23 @@ mod tests {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::thread;
 
-    use vf2_channel::{duplex, WanConfig};
+    use vf2_channel::{duplex_faulty, FaultConfig, ReliabilityConfig, WanConfig};
 
     use crate::trace::{TraceEventKind, TraceRing};
 
     const MS: Duration = Duration::from_millis(1);
-    /// A protocol frame kind that is not a heartbeat.
+    /// A protocol frame kind.
     const DATA: u16 = 4;
 
-    /// Liveness knobs in milliseconds. `TrainConfig::validate` is not run:
-    /// a heartbeat slower than the whole test is how a case here keeps a
-    /// link silent (no beacon, so no transport ack) without a fault plan.
-    fn cfg(heartbeat: u32, dead_after: u32) -> TrainConfig {
-        TrainConfig {
-            heartbeat_interval: heartbeat * MS,
-            peer_dead_after: dead_after * MS,
-            peer_timeout: 10_000 * MS,
-            ..TrainConfig::for_tests()
-        }
-    }
+    /// A keepalive interval longer than any test here: how a case keeps a
+    /// link silent (no traffic, so no ack either) without a fault plan.
+    const NEVER: Duration = Duration::from_secs(3_600);
 
-    /// The guest's link to host `h` over an instant wire, and its far end.
-    fn link(h: usize) -> (Peer, Endpoint) {
-        let (near, far) = duplex(WanConfig::instant());
+    /// The guest's link to host `h` over an instant wire that keepalives
+    /// every `keepalive`, and its far end.
+    fn link(h: usize, keepalive: Duration) -> (Peer, Endpoint) {
+        let (calm, rel) = (FaultConfig::none(), ReliabilityConfig::default());
+        let (near, far) = duplex_faulty(WanConfig::instant(), calm, calm, rel, keepalive);
         (Peer::new(near, PartyId::Guest, PartyId::Host(h), 0), far)
     }
 
@@ -287,82 +227,81 @@ mod tests {
         telemetry.trace.events().filter_map(text).collect()
     }
 
-    /// `wait` on `listen` with every peer live, for at most `limit` ms.
+    /// `wait` on every one of `peers` for at most `limit` ms, declaring a
+    /// link dead after `dead_after` ms of silence.
     fn wait_on(
-        peers: &mut [Peer],
-        listen: &[usize],
+        peers: &[Peer],
         limit: u32,
-        cfg: &TrainConfig,
+        dead_after: u32,
         telemetry: &mut PartyTelemetry,
     ) -> Result<(usize, Envelope), TrainError> {
-        let live: Vec<usize> = (0..peers.len()).collect();
-        let mut peers: Vec<&mut Peer> = peers.iter_mut().collect();
+        let peers: Vec<&Peer> = peers.iter().collect();
         let deadline = Deadline::new(ProtocolPhase::TreeBuild, limit * MS);
-        wait(&mut peers, &live, listen, &deadline, cfg, telemetry)
+        wait(&peers, &deadline, dead_after * MS, telemetry)
     }
 
     #[test]
     fn a_frame_returns_at_once_and_idle_is_the_time_inside_the_wait() {
-        let (peer, far) = link(0);
+        let (peer, far) = link(0, NEVER);
         let mut t = telemetry();
         far.send(DATA, Bytes::from_static(b"x"));
         let t0 = Instant::now();
-        let (from, env) = wait_on(&mut [peer], &[0], 5_000, &cfg(50, 5_000), &mut t).unwrap();
+        let (from, env) = wait_on(&[peer], 5_000, 5_000, &mut t).unwrap();
         let wall = t0.elapsed();
         assert_eq!((from, env.kind, &env.payload[..]), (0, DATA, &b"x"[..]));
         assert!(wall < 1_000 * MS, "took {wall:?}");
         assert!(t.phases.idle > Duration::ZERO && t.phases.idle <= wall);
-        assert_eq!((t.events.transfer_retries, t.link.recv_timeouts), (0, 0));
-    }
-
-    #[test]
-    fn heartbeats_are_consumed_and_never_returned() {
-        let (peer, far) = link(0);
-        let beat = encode(PartyId::Host(0), &Msg::Heartbeat { seq: 0 }).unwrap();
-        for _ in 0..3 {
-            far.send(HEARTBEAT_KIND, beat.clone());
-        }
-        far.send(DATA, Bytes::new());
-        let mut peers = [peer];
-        let (_, env) = wait_on(&mut peers, &[0], 5_000, &cfg(50, 5_000), &mut telemetry()).unwrap();
-        assert_eq!(env.kind, DATA);
-        // The zero-timeout form skips them too.
-        far.send(HEARTBEAT_KIND, beat);
-        far.send(DATA + 1, Bytes::new());
-        let t0 = Instant::now();
-        let polled = loop {
-            match poll(&[&peers[0]], &[0]) {
-                Some((_, env)) => break env.kind,
-                None => assert!(t0.elapsed() < 5_000 * MS, "the frame never arrived"),
-            }
-        };
-        assert_eq!(polled, DATA + 1);
+        assert_eq!(t.link.recv_timeouts, 0);
     }
 
     #[test]
     fn a_silent_peer_is_declared_dead_at_the_silence_deadline() {
-        let (peer, _far) = link(0);
+        let (peer, _far) = link(0, NEVER);
         let mut t = telemetry();
         let t0 = Instant::now();
-        let lost = wait_on(&mut [peer], &[0], 10_000, &cfg(60_000, 150), &mut t).unwrap_err();
+        let lost = wait_on(&[peer], 10_000, 150, &mut t).unwrap_err();
         assert!(
             matches!(lost, TrainError::PeerLost { party: PartyId::Host(0), .. }),
             "expected PeerLost, got {lost}"
         );
+        assert!(t0.elapsed() >= 150 * MS, "declared dead after only {:?}", t0.elapsed());
         assert!(t0.elapsed() < 2_000 * MS, "took {:?}", t0.elapsed());
         assert_eq!(t.link.recv_timeouts, 1);
         assert!(notes(&t).iter().any(|n| n.contains("host-0 declared dead")), "{:?}", notes(&t));
-        assert!(t.events.transfer_retries > 0);
+    }
+
+    /// A party that computes — or blocks on another link — for many
+    /// multiples of `dead_after` sends nothing, yet its link keeps acking:
+    /// a healthy peer waiting on it must not declare it dead.
+    #[test]
+    fn a_busy_peer_is_not_declared_dead_by_its_silence_alone() {
+        let dead_after = 60;
+        let (peer, far) = link(0, dead_after * MS / 4);
+        thread::scope(|scope| {
+            scope.spawn(|| {
+                far.send(DATA, Bytes::new());
+                thread::sleep(6 * dead_after * MS);
+                far.send(DATA + 1, Bytes::new());
+            });
+            let (mut t, peers) = (telemetry(), [peer]);
+            let first = wait_on(&peers, 5_000, dead_after, &mut t).unwrap().1;
+            let t0 = Instant::now();
+            let second = wait_on(&peers, 5_000, dead_after, &mut t).unwrap().1;
+            assert_eq!((first.kind, second.kind), (DATA, DATA + 1));
+            assert!(t0.elapsed() >= 5 * dead_after * MS, "the far end was not busy");
+            assert_eq!(t.link.recv_timeouts, 0);
+            assert!(t.phases.idle >= 5 * dead_after * MS);
+        });
     }
 
     #[test]
     fn a_disconnect_is_peer_lost_at_once_and_names_the_right_peer() {
-        let ((a, _far_a), (b, far_b), (c, _far_c)) = (link(0), link(1), link(2));
+        let ((a, _far_a), (b, far_b), (c, _far_c)) =
+            (link(0, NEVER), link(1, NEVER), link(2, NEVER));
         drop(far_b);
         let mut t = telemetry();
         let t0 = Instant::now();
-        let lost = wait_on(&mut [a, b, c], &[0, 1, 2], 10_000, &cfg(50, 10_000), &mut t);
-        let lost = lost.unwrap_err();
+        let lost = wait_on(&[a, b, c], 10_000, 10_000, &mut t).unwrap_err();
         assert!(
             matches!(lost, TrainError::PeerLost { party: PartyId::Host(1), .. }),
             "expected host-1 lost, got {lost}"
@@ -373,14 +312,13 @@ mod tests {
 
     #[test]
     fn an_expired_phase_blames_the_longest_idle_peer_not_index_0() {
-        // Link 1 is the oldest, so — with no beacon to be acked — it has
+        // Link 1 is the oldest, so — with no keepalive ack yet — it has
         // been silent the longest when the phase deadline passes.
-        let (b, _far_b) = link(1);
+        let (b, _far_b) = link(1, NEVER);
         thread::sleep(40 * MS);
-        let ((a, _far_a), (c, _far_c)) = (link(0), link(2));
+        let ((a, _far_a), (c, _far_c)) = (link(0, NEVER), link(2, NEVER));
         let mut t = telemetry();
-        let lost = wait_on(&mut [a, b, c], &[0, 1, 2], 150, &cfg(60_000, 10_000), &mut t);
-        match lost.unwrap_err() {
+        match wait_on(&[a, b, c], 150, 10_000, &mut t).unwrap_err() {
             TrainError::PeerLost { party, phase, waited } => {
                 assert_eq!((party, phase), (PartyId::Host(1), ProtocolPhase::TreeBuild));
                 assert!(waited >= 150 * MS, "gave up after {waited:?}");
@@ -391,48 +329,40 @@ mod tests {
     }
 
     #[test]
-    fn a_wait_on_one_peer_beacons_every_live_peer() {
-        let ((a, _far_a), (b, far_b)) = (link(0), link(1));
-        let mut t = telemetry();
-        wait_on(&mut [a, b], &[0], 200, &cfg(20, 10_000), &mut t).unwrap_err();
-        let env = far_b.try_recv().expect("peer 1 was never beaconed");
-        assert_eq!(env.kind, HEARTBEAT_KIND);
-        assert!(matches!(wire::decode(env.kind, env.payload), Ok(Msg::Heartbeat { seq: 0 })));
-        // On cadence: about 200 / 20 beacons per peer, never a burst.
-        assert!((4..=22).contains(&t.events.heartbeats_sent), "{}", t.events.heartbeats_sent);
-    }
-
-    #[test]
     fn poll_returns_none_on_an_empty_queue_and_on_a_dead_link() {
-        let (peer, far) = link(0);
-        assert!(poll(&[&peer], &[0]).is_none());
+        let (peer, far) = link(0, NEVER);
+        assert!(poll(&[&peer]).is_none());
+        far.send(DATA, Bytes::new());
+        far.flush(5_000 * MS);
+        assert_eq!(poll(&[&peer]).map(|(from, env)| (from, env.kind)), Some((0, DATA)));
         drop(far);
         assert!(peer.endpoint.recv().is_err(), "the teardown reached this end");
-        assert!(poll(&[&peer], &[0]).is_none());
+        assert!(poll(&[&peer]).is_none());
     }
 
-    /// A peer that keeps the link busy every quarter of the phase deadline —
-    /// with frames the caller drops, or with heartbeats only — makes no
-    /// protocol progress: the one deadline the caller holds still expires.
+    /// A peer that keeps the link busy — with frames the caller drops every
+    /// quarter of the phase deadline, or with nothing but keepalive acks —
+    /// makes no protocol progress: the one deadline the caller holds still
+    /// expires, long before the silence deadline could.
     #[test]
-    fn neither_dropped_frames_nor_heartbeats_extend_the_phase() {
-        for kind in [DATA, HEARTBEAT_KIND] {
-            let (mut peer, far) = link(0);
+    fn neither_dropped_frames_nor_keepalive_acks_extend_the_phase() {
+        for sends_frames in [true, false] {
+            let (peer, far) = link(0, 10 * MS);
             let stop = AtomicBool::new(false);
             thread::scope(|scope| {
                 scope.spawn(|| {
-                    let beat = encode(PartyId::Host(0), &Msg::Heartbeat { seq: 0 }).unwrap();
                     while !stop.load(Ordering::Relaxed) {
-                        far.send(kind, beat.clone());
+                        if sends_frames {
+                            far.send(DATA, Bytes::new());
+                        }
                         thread::sleep(30 * MS);
                     }
                 });
-                let (cfg, mut t) = (cfg(10, 10_000), telemetry());
-                let mut peers = [&mut peer];
+                let mut t = telemetry();
                 let deadline = Deadline::new(ProtocolPhase::Gradients, 120 * MS);
                 let (t0, mut dropped) = (Instant::now(), 0);
                 let lost = loop {
-                    match wait(&mut peers, &[0], &[0], &deadline, &cfg, &mut t) {
+                    match wait(&[&peer], &deadline, 10_000 * MS, &mut t) {
                         Ok(_) => dropped += 1,
                         Err(lost) => break lost,
                     }
@@ -445,7 +375,9 @@ mod tests {
                     other => panic!("expected PeerLost, got {other}"),
                 }
                 assert!(t0.elapsed() < 1_000 * MS, "hung for {:?}", t0.elapsed());
-                assert_eq!(dropped > 0, kind == DATA, "{dropped} frames reached the caller");
+                assert_eq!(dropped > 0, sends_frames, "{dropped} frames reached the caller");
+                assert!(peer.endpoint.idle_for() < 100 * MS, "the link was not alive");
+                assert_eq!(t.link.recv_timeouts, 1);
             });
         }
     }

@@ -116,9 +116,25 @@ fn put_tree(e: &mut Encoder, t: &FedTree) {
     }
 }
 
+/// Reads an element count and bounds it by the bytes actually left: each
+/// element occupies at least `min_elem_bytes`, so a larger count is a torn
+/// or garbage file, rejected *before* a `Vec` is reserved for it (the rule
+/// `wire.rs::bounded_len` applies to peers).
+fn get_count(d: &mut Decoder, min_elem_bytes: usize) -> Result<usize, PersistError> {
+    let len = d.get_varint()?;
+    if len > (d.remaining() / min_elem_bytes) as u64 {
+        return Err(DecodeError::Truncated.into());
+    }
+    Ok(len as usize)
+}
+
+/// The smallest encoded tree: a layer count and a node count, no node.
+const MIN_TREE_BYTES: usize = 2;
+
 fn get_tree(d: &mut Decoder) -> Result<FedTree, PersistError> {
     let max_layers = d.get_varint()? as usize;
-    let len = d.get_varint()? as usize;
+    // The smallest node is a bare `Absent` tag.
+    let len = get_count(d, 1)?;
     let mut nodes = Vec::with_capacity(len);
     for _ in 0..len {
         nodes.push(match d.get_u8()? {
@@ -167,12 +183,13 @@ pub fn decode_model(bytes: Bytes) -> Result<FederatedModel, PersistError> {
     let learning_rate = d.get_f64()?;
     let base_score = d.get_f64()?;
     let loss = get_loss(&mut d)?;
-    let num_trees = d.get_varint()? as usize;
+    let num_trees = get_count(&mut d, MIN_TREE_BYTES)?;
     let mut trees = Vec::with_capacity(num_trees);
     for _ in 0..num_trees {
         trees.push(get_tree(&mut d)?);
     }
-    let num_hosts = d.get_varint()? as usize;
+    // The smallest host table is its entry count alone.
+    let num_hosts = get_count(&mut d, 1)?;
     let mut host_tables = Vec::with_capacity(num_hosts);
     for _ in 0..num_hosts {
         host_tables.push(get_host_table(&mut d)?);
@@ -352,7 +369,7 @@ pub fn encode_guest_checkpoint(ck: &GuestCheckpoint) -> Bytes {
 pub fn decode_guest_checkpoint(bytes: Bytes) -> Result<GuestCheckpoint, PersistError> {
     let mut d = Decoder::new(bytes);
     let (session_id, seed, config_digest, tree_count) = get_ck_header(&mut d, CK_KIND_GUEST)?;
-    let num_trees = d.get_varint()? as usize;
+    let num_trees = get_count(&mut d, MIN_TREE_BYTES)?;
     let mut trees = Vec::with_capacity(num_trees);
     for _ in 0..num_trees {
         trees.push(get_tree(&mut d)?);
@@ -563,6 +580,45 @@ mod tests {
         let bytes = encode_host_checkpoint(&sample_host_checkpoint());
         for len in 0..bytes.len() {
             assert!(decode_host_checkpoint(bytes.slice(0..len)).is_err());
+        }
+    }
+
+    /// `header()` followed by a tree count of `u64::MAX`, and by one tree
+    /// announcing 2^40 nodes.
+    fn with_garbage_counts(header: impl Fn() -> Encoder) -> [Bytes; 2] {
+        let mut trees = header();
+        trees.put_varint(u64::MAX);
+        let mut nodes = header();
+        nodes.put_varint(1); // one tree...
+        nodes.put_varint(3); // ...of three layers...
+        nodes.put_varint(1 << 40); // ...and 2^40 nodes.
+        [trees.finish(), nodes.finish()]
+    }
+
+    /// A count read from disk is never trusted with an allocation: these
+    /// were a capacity-overflow panic and an allocation abort.
+    #[test]
+    fn garbage_counts_are_typed_errors_not_allocations() {
+        let truncated = Some(PersistError::Codec(DecodeError::Truncated));
+        let checkpoint_header = || {
+            let mut e = Encoder::new();
+            put_ck_header(&mut e, CK_KIND_GUEST, 7, 42, 1, 2);
+            e
+        };
+        for file in with_garbage_counts(checkpoint_header) {
+            assert_eq!(decode_guest_checkpoint(file).err(), truncated);
+        }
+        let model_header = || {
+            let mut e = Encoder::new();
+            e.put_bytes(MAGIC);
+            e.put_u16(VERSION);
+            e.put_f64(0.1);
+            e.put_f64(0.0);
+            put_loss(&mut e, &LossKind::Logistic);
+            e
+        };
+        for file in with_garbage_counts(model_header) {
+            assert_eq!(decode_model(file).err(), truncated);
         }
     }
 

@@ -3,8 +3,7 @@
 //!
 //! A session is a directory each party can write to (in a real
 //! deployment each party has its own storage; the simulation shares one
-//! directory with per-role file names). At every
-//! [`crate::config::TrainConfig::checkpoint_every`] tree boundary a party
+//! directory with per-role file names). At every tree boundary a party
 //! atomically persists its private state (see [`crate::persist`]); on
 //! (re)connect the parties exchange their durable tree counts and resume
 //! from the last *mutually* durable tree. Checkpoints are bound to a
@@ -62,7 +61,7 @@ impl SessionConfig {
 /// mode, cipher suite, encoding and the master seed. WAN shape, fault
 /// plans and liveness knobs are excluded — the determinism invariant
 /// guarantees they do not change the model, so resuming under (say) a
-/// different heartbeat interval is legal.
+/// different peer deadline is legal.
 pub fn config_digest(cfg: &TrainConfig) -> u64 {
     let repr = format!(
         "{:?}|{:?}|{:?}|{:?}|{}",
@@ -88,7 +87,6 @@ pub struct PartySession {
     role: String,
     seed: u64,
     digest: u64,
-    checkpoint_every: u32,
 }
 
 impl PartySession {
@@ -110,7 +108,6 @@ impl PartySession {
             role,
             seed: cfg.seed,
             digest: config_digest(cfg),
-            checkpoint_every: cfg.checkpoint_every.max(1),
         }
     }
 
@@ -122,16 +119,6 @@ impl PartySession {
     /// Whether the run should scan for and resume from checkpoints.
     pub fn resume(&self) -> bool {
         self.resume
-    }
-
-    /// This party's role name in file paths (`guest`, `host0`, ...).
-    pub fn role(&self) -> &str {
-        &self.role
-    }
-
-    /// The config digest checkpoints (and flight records) are bound to.
-    pub fn digest(&self) -> u64 {
-        self.digest
     }
 
     /// Where this party's failure-time flight record is dumped
@@ -156,11 +143,6 @@ impl PartySession {
             telemetry.events.flight_record_failed += 1;
             telemetry.trace.note(format!("flight record dump failed: {why}"));
         }
-    }
-
-    /// Whether a checkpoint is due after `completed` trees.
-    pub fn should_checkpoint(&self, completed: u32) -> bool {
-        completed.is_multiple_of(self.checkpoint_every)
     }
 
     /// Path of this party's checkpoint after `tree_count` trees.
@@ -335,7 +317,7 @@ mod tests {
         b.seed += 1;
         assert_ne!(config_digest(&a), config_digest(&b), "seed must change the digest");
         let mut c = a;
-        c.heartbeat_interval = Duration::from_millis(999);
+        c.peer_dead_after = Duration::from_millis(999);
         c.peer_timeout = Duration::from_secs(1);
         assert_eq!(config_digest(&a), config_digest(&c), "liveness knobs must not");
     }
@@ -354,6 +336,25 @@ mod tests {
         // A checkpoint from a different seed must be ignored too.
         let other = PartySession::guest(&sc, &TrainConfig { seed: 7, ..cfg });
         other.save_guest(4, sample_trees(), vec![0.4]).unwrap();
+        // So must a matching header followed by a garbage count, which
+        // once aborted the scan instead: an empty checkpoint's two zero
+        // counts are replaced by `counts`.
+        let garbage = |k: u32, counts: &[u64]| {
+            let header = encode_guest_checkpoint(&GuestCheckpoint {
+                session_id: s.session_id,
+                seed: s.seed,
+                config_digest: s.digest,
+                tree_count: k,
+                trees: Vec::new(),
+                preds: Vec::new(),
+            });
+            let mut e = vf2_channel::codec::Encoder::new();
+            counts.iter().for_each(|&c| e.put_varint(c));
+            let file = [&header[..header.len() - 2], &e.finish()[..]].concat();
+            std::fs::write(s.checkpoint_path(k), file).unwrap();
+        };
+        garbage(5, &[u64::MAX]); // trees
+        garbage(6, &[1, 3, 1 << 40]); // one tree, three layers, 2^40 nodes
         assert_eq!(s.durable(), vec![1, 2]);
         let _ = std::fs::remove_dir_all(&sc.dir);
     }
@@ -405,18 +406,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_cadence_honors_every_n() {
-        let sc = temp_session("cadence");
-        let cfg = TrainConfig { checkpoint_every: 3, ..TrainConfig::for_tests() };
-        let s = PartySession::guest(&sc, &cfg);
-        assert!(!s.should_checkpoint(1));
-        assert!(!s.should_checkpoint(2));
-        assert!(s.should_checkpoint(3));
-        assert!(s.should_checkpoint(6));
-        let _ = std::fs::remove_dir_all(&sc.dir);
-    }
-
-    #[test]
     fn flight_path_is_per_role_and_digest_is_shared() {
         let sc = temp_session("flight");
         let cfg = TrainConfig::for_tests();
@@ -424,10 +413,10 @@ mod tests {
         let h = PartySession::host(&sc, &cfg, 1);
         assert!(g.flight_path().ends_with("guest.flight.json"));
         assert!(h.flight_path().ends_with("host1.flight.json"));
-        assert_eq!(g.role(), "guest");
-        assert_eq!(h.role(), "host1");
-        assert_eq!(g.digest(), h.digest());
-        assert_eq!(g.digest(), config_digest(&cfg));
+        assert_eq!(g.role, "guest");
+        assert_eq!(h.role, "host1");
+        assert_eq!(g.digest, h.digest);
+        assert_eq!(g.digest, config_digest(&cfg));
         let _ = std::fs::remove_dir_all(&sc.dir);
     }
 }

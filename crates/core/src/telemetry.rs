@@ -116,12 +116,6 @@ pub struct ProtocolEvents {
     /// but a silent loss would strand a post-mortem — so it is counted and
     /// traced instead.
     pub flight_record_failed: u64,
-    /// Liveness heartbeats this party sent while blocked on the peer.
-    pub heartbeats_sent: u64,
-    /// Heartbeat supervision ticks where the link had been silent for at
-    /// least a full heartbeat interval (the precursor signal to
-    /// declaring the peer dead at `peer_dead_after`).
-    pub heartbeats_missed: u64,
     /// Hosts this party quarantined after liveness supervision declared
     /// them dead mid-run (guest only; each is also a trace note).
     pub quarantines: u64,
@@ -129,10 +123,6 @@ pub struct ProtocolEvents {
     /// process replayed the session handshake and training rewound to the
     /// last mutually durable tree (guest only).
     pub rejoins: u64,
-    /// Supervision wakeups of a blocked wait that found nothing received
-    /// (a beacon or the silence clock was due) and went back to sleep: the
-    /// link was slow, not dead.
-    pub transfer_retries: u64,
     /// Histogram-answer batches the tree loop committed, size-1 batches
     /// included (guest only).
     pub sched_batches: u64,
@@ -376,11 +366,8 @@ pub fn party_to_json(p: &PartyTelemetry, indent: usize) -> String {
         .u64("checkpoints_written", p.events.checkpoints_written)
         .u64("resumes", p.events.resumes)
         .u64("flight_record_failed", p.events.flight_record_failed)
-        .u64("heartbeats_sent", p.events.heartbeats_sent)
-        .u64("heartbeats_missed", p.events.heartbeats_missed)
         .u64("quarantines", p.events.quarantines)
         .u64("rejoins", p.events.rejoins)
-        .u64("transfer_retries", p.events.transfer_retries)
         .u64("sched_batches", p.events.sched_batches)
         .u64("sched_batch_hists", p.events.sched_batch_hists);
     let mut ops = JsonObj::new();
@@ -498,7 +485,6 @@ mod tests {
         r.guest.name = "guest".into();
         r.guest.events.quarantines = 1;
         r.guest.events.rejoins = 1;
-        r.guest.events.transfer_retries = 4;
         r.guest.links = vec![
             LinkFaultEvents { retransmissions: 2, ..Default::default() },
             LinkFaultEvents { recv_timeouts: 1, ..Default::default() },
@@ -508,7 +494,6 @@ mod tests {
         let events = parties[0].get("events").expect("events");
         assert_eq!(events.get("quarantines").and_then(Json::as_f64), Some(1.0));
         assert_eq!(events.get("rejoins").and_then(Json::as_f64), Some(1.0));
-        assert_eq!(events.get("transfer_retries").and_then(Json::as_f64), Some(4.0));
         let links = parties[0].get("links").and_then(Json::as_arr).expect("links");
         assert_eq!(links.len(), 2);
         assert_eq!(links[0].get("retransmissions").and_then(Json::as_f64), Some(2.0));

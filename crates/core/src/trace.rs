@@ -99,8 +99,8 @@ pub enum TraceEventKind {
         /// Histogram answers committed together.
         drained: u64,
     },
-    /// A free-form robustness note (hello, checkpoint written, heartbeat
-    /// missed, peer declared dead, ...).
+    /// A free-form robustness note (hello, checkpoint written, peer
+    /// declared dead, ...).
     Note(String),
 }
 

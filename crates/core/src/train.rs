@@ -67,8 +67,8 @@ struct HostLauncher {
 
 impl HostLauncher {
     /// Spawns one incarnation of host `party` behind a fresh link shaped
-    /// like every link of that host (WAN spread, reliability) and returns
-    /// the guest's end. `chaos` is what the incarnation and its link
+    /// like every link of that host (WAN spread, reliability, a keepalive
+    /// four times inside the silence deadline) and returns the guest's end. `chaos` is what the incarnation and its link
     /// suffer: the caller's plan for a first incarnation, nothing for a
     /// replacement.
     fn spawn_host(&self, party: usize, chaos: ChaosPlan) -> Result<Endpoint, TrainError> {
@@ -84,6 +84,7 @@ impl HostLauncher {
             fault_for_host(chaos.fault_guest_to_host, party),
             fault_for_host(chaos.fault_host_to_guest, party),
             cfg.reliability,
+            cfg.dead_after() / 4,
         );
         // A fresh suite per incarnation (mock included), so operation
         // counters stay per-party.
@@ -150,8 +151,8 @@ pub fn train_federated_session(
 ) -> Result<TrainOutput, TrainFailure> {
     // Liveness and loss-policy knobs are validated before any thread,
     // link, or key material exists: an unsatisfiable configuration (a
-    // beacon slower than the silence deadline, a rejoin window no restart
-    // could meet) is a typed error, never a silent mis-train.
+    // deadline that has already passed, a rejoin window no restart could
+    // meet) is a typed error, never a silent mis-train.
     if let Err(bad) = cfg.validate() {
         return Err(TrainError::from(bad).into());
     }
@@ -575,20 +576,17 @@ mod tests {
         use crate::error::{ConfigError, TrainError};
         use std::time::Duration;
         let s = scenario(50, 4, 2, 32);
-        // A beacon slower than the silence deadline could never keep an
-        // idle-but-healthy link alive; the run must refuse to start.
-        let cfg = TrainConfig { heartbeat_interval: Duration::from_secs(120), ..mock_cfg() };
-        let err = train_federated(&s.hosts, &s.guest, &cfg).unwrap_err();
-        assert!(matches!(
-            err.error,
-            TrainError::InvalidConfig(ConfigError::HeartbeatSlowerThanDeadline { .. })
-        ));
-        // Nothing ran: the failure precedes thread spawn and key setup.
-        assert!(err.partial.hosts.is_empty());
-
-        let cfg = TrainConfig { peer_timeout: Duration::ZERO, ..mock_cfg() };
-        let err = train_federated(&s.hosts, &s.guest, &cfg).unwrap_err();
-        assert!(matches!(err.error, TrainError::InvalidConfig(ConfigError::ZeroPeerTimeout)));
+        // A silence deadline that has already passed would declare every
+        // peer dead on the first wait; the run must refuse to start.
+        for cfg in [
+            TrainConfig { peer_dead_after: Duration::ZERO, ..mock_cfg() },
+            TrainConfig { peer_timeout: Duration::ZERO, ..mock_cfg() },
+        ] {
+            let err = train_federated(&s.hosts, &s.guest, &cfg).unwrap_err();
+            assert_eq!(err.error, TrainError::InvalidConfig(ConfigError::ZeroPeerTimeout));
+            // Nothing ran: the failure precedes thread spawn and key setup.
+            assert!(err.partial.hosts.is_empty());
+        }
     }
 
     #[test]

@@ -346,9 +346,6 @@ pub fn encode(msg: &Msg) -> Result<Bytes, WireError> {
             e.put_u64(*session_id);
             e.put_u32(*tree_count);
         }
-        Msg::Heartbeat { seq } => {
-            e.put_u64(*seq);
-        }
         Msg::Rewind { session_id, tree_count } => {
             e.put_u64(*session_id);
             e.put_u32(*tree_count);
@@ -461,7 +458,6 @@ pub fn decode(kind: u16, payload: Bytes) -> Result<Msg, WireError> {
             Msg::SessionHello { session_id, epoch, durable }
         }
         12 => Msg::Resume { session_id: d.get_u64()?, tree_count: d.get_u32()? },
-        13 => Msg::Heartbeat { seq: d.get_u64()? },
         15 => Msg::Rewind { session_id: d.get_u64()?, tree_count: d.get_u32()? },
         16 => Msg::RewindAck { session_id: d.get_u64()?, tree_count: d.get_u32()? },
         14 => {
@@ -625,9 +621,12 @@ mod tests {
     #[test]
     fn unknown_kind_rejected() {
         assert!(matches!(decode(99, Bytes::new()), Err(WireError::BadTag("message kind", 99))));
+        // 13 was the liveness beacon: retired, not reused, whatever follows.
+        let beacon = Bytes::from_static(&[0; 8]);
+        assert!(matches!(decode(13, beacon), Err(WireError::BadTag("message kind", 13))));
     }
 
-    /// One representative message per kind (1–15), with real ciphertext
+    /// One representative message per kind (1–12, 14–16), with real ciphertext
     /// payloads where the kind carries any.
     fn sample_messages() -> Vec<Msg> {
         let c = paillier_ciphers(4);
@@ -676,7 +675,6 @@ mod tests {
             Msg::Shutdown,
             Msg::SessionHello { session_id: 0xFACE, epoch: 3, durable: vec![1, 2, 5] },
             Msg::Resume { session_id: 0xFACE, tree_count: 5 },
-            Msg::Heartbeat { seq: 17 },
             Msg::Rewind { session_id: 0xFACE, tree_count: 3 },
             Msg::RewindAck { session_id: 0xFACE, tree_count: 3 },
         ]
@@ -687,7 +685,6 @@ mod tests {
         round_trip(Msg::SessionHello { session_id: 1, epoch: 1, durable: vec![] });
         round_trip(Msg::SessionHello { session_id: u64::MAX, epoch: 9, durable: vec![0, 7, 31] });
         round_trip(Msg::Resume { session_id: 0, tree_count: 0 });
-        round_trip(Msg::Heartbeat { seq: u64::MAX });
         round_trip(Msg::Rewind { session_id: 0, tree_count: 0 });
         round_trip(Msg::Rewind { session_id: u64::MAX, tree_count: u32::MAX });
         round_trip(Msg::RewindAck { session_id: 7, tree_count: 2 });

@@ -36,7 +36,7 @@ impl EncryptedNumber {
         rng: &mut R,
         counters: &OpCounters,
     ) -> Result<Self> {
-        let encoded = EncodedNumber::encode_jittered(v, cfg, sk.public(), rng)?;
+        let encoded = EncodedNumber::encode(v, cfg.draw_exponent(rng), cfg, sk.public())?;
         counters.add_enc(1);
         Ok(EncryptedNumber {
             cipher: sk.encrypt_raw_ctr(&encoded.mantissa, rng, counters),

@@ -102,16 +102,6 @@ impl EncodedNumber {
         Ok(EncodedNumber { mantissa, exponent })
     }
 
-    /// Encodes `v` with a jittered exponent drawn from `rng`.
-    pub fn encode_jittered<R: Rng + ?Sized>(
-        v: f64,
-        cfg: &EncodingConfig,
-        pk: &PublicKey,
-        rng: &mut R,
-    ) -> Result<Self> {
-        Self::encode(v, cfg.draw_exponent(rng), cfg, pk)
-    }
-
     /// Decodes back to a float.
     ///
     /// Values in the top third of `[0, n)` decode as negative; the middle
@@ -238,7 +228,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..256 {
-            let enc = EncodedNumber::encode_jittered(0.75, &cfg, &pk, &mut rng).unwrap();
+            let enc = EncodedNumber::encode(0.75, cfg.draw_exponent(&mut rng), &cfg, &pk).unwrap();
             assert!(enc.exponent >= cfg.base_exp && enc.exponent < cfg.base_exp + 4);
             seen.insert(enc.exponent);
             assert!((enc.decode(&cfg, &pk).unwrap() - 0.75).abs() < 1e-9);

@@ -187,11 +187,6 @@ impl Suite {
         self.0.pk.as_ref()
     }
 
-    /// True when this suite can decrypt.
-    pub fn can_decrypt(&self) -> bool {
-        matches!(self.0.kind, SuiteKind::Plain) || self.0.sk.is_some()
-    }
-
     /// The public key, or [`CryptoError::SuiteMismatch`] when a Paillier
     /// value was handed to the keyless plaintext suite.
     fn pk(&self) -> Result<&PublicKey> {
@@ -659,7 +654,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let c = s.encrypt(1.0, &mut rng).unwrap();
         let host = s.public_half();
-        assert!(!host.can_decrypt());
         assert!(matches!(host.decrypt(&c), Err(CryptoError::MissingPrivateKey)));
     }
 

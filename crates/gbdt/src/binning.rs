@@ -138,11 +138,6 @@ impl BinnedDataset {
     pub fn column(&self, f: usize) -> &BinnedColumn {
         &self.columns[f]
     }
-
-    /// Largest bin count over all columns.
-    pub fn max_bins(&self) -> usize {
-        self.columns.iter().map(BinnedColumn::num_bins).max().unwrap_or(0)
-    }
 }
 
 /// Computes quantile cuts and discretizes one column.

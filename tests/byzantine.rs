@@ -219,6 +219,27 @@ fn truncated_frame_surfaces_as_malformed_not_a_panic() {
     );
 }
 
+/// Kind 13 was the liveness beacon. It is retired, not reused: a frame
+/// carrying it is malformed like one of any unknown kind — whatever the
+/// budget, since an undecodable frame cannot be dropped and resumed past.
+#[test]
+fn a_retired_beacon_frame_is_malformed_like_any_unknown_kind() {
+    for kind in [13u16, 99] {
+        let (guest_ep, handle) = spawn_host(byz_cfg(3));
+        eat_greetings(&guest_ep);
+        // What a beacon carried: one little-endian u64.
+        guest_ep.send(kind, 41u64.to_le_bytes().to_vec().into());
+        let failure = handle.join().unwrap().expect_err("an unknown kind must abort the host");
+        match failure.error {
+            TrainError::Protocol(ProtocolError::Malformed { from, error }) => {
+                assert_eq!(from, PartyId::Guest);
+                assert_eq!(error, wire::WireError::BadTag("message kind", kind as u64));
+            }
+            other => panic!("kind {kind}: wrong error: {other}"),
+        }
+    }
+}
+
 #[test]
 fn budget_tolerates_violations_and_reports_them() {
     let (guest_ep, handle) = spawn_host(byz_cfg(2));
@@ -291,15 +312,8 @@ fn host_answers_a_resplit_from_the_new_row_lists() {
         // The next answer must be `node`'s histogram at `epoch`, equal bin
         // for bin to the plaintext histogram of `node_rows`.
         let expect_answer = |node: u32, epoch: u32, node_rows: &[u32]| {
-            // A host kept waiting past its heartbeat interval (a loaded box)
-            // beacons in between; only protocol frames count.
-            let msg = loop {
-                let env = guest_ep.recv_timeout(DRAIN).expect("histogram answer");
-                let msg = wire::decode(env.kind, env.payload).expect("answer decodes");
-                if !matches!(msg, Msg::Heartbeat { .. }) {
-                    break msg;
-                }
-            };
+            let env = guest_ep.recv_timeout(DRAIN).expect("histogram answer");
+            let msg = wire::decode(env.kind, env.payload).expect("answer decodes");
             let Msg::NodeHistograms { node: n, epoch: e, payload: HistPayload::Raw(feats), .. } =
                 msg
             else {
@@ -340,12 +354,10 @@ fn host_answers_a_resplit_from_the_new_row_lists() {
         send(&guest_ep, &Msg::TreeDone { tree: 0 });
         send(&guest_ep, &Msg::Shutdown);
         let telemetry = handle.join().unwrap().expect("an honest script ends the host cleanly");
-        // One answer per task and nothing unasked behind them, built without
+        // One answer per task and nothing at all behind them, built without
         // a negation.
-        while let Ok(env) = guest_ep.recv_timeout(Duration::ZERO) {
-            let stray = wire::decode(env.kind, env.payload).expect("host frames decode");
-            assert!(matches!(stray, Msg::Heartbeat { .. }), "unasked kind {}", stray.kind());
-        }
+        let stray = guest_ep.recv_timeout(Duration::ZERO).map(|env| env.kind);
+        assert!(stray.is_err(), "unasked frame of kind {stray:?}");
         assert_eq!(telemetry.ops.negs, 0);
         assert_eq!(telemetry.events.misbehavior, 0);
     }
@@ -798,7 +810,6 @@ fn mutation_corpus() -> Vec<Msg> {
         Msg::Shutdown,
         Msg::SessionHello { session_id: 0xF00D, epoch: 2, durable: vec![1, 3] },
         Msg::Resume { session_id: 0xF00D, tree_count: 3 },
-        Msg::Heartbeat { seq: 41 },
     ]
 }
 

@@ -22,7 +22,8 @@ use vf2boost::core::protocol::ProtocolConfig;
 use vf2boost::core::session::PartySession;
 use vf2boost::core::wire;
 use vf2boost::core::{
-    train_federated, train_federated_session, ChaosPlan, SessionConfig, TrainConfig,
+    train_federated, train_federated_session, ChaosPlan, SessionConfig, TraceEvent, TraceEventKind,
+    TrainConfig,
 };
 use vf2boost::crypto::encoding::EncodingConfig;
 use vf2boost::crypto::suite::Suite;
@@ -53,11 +54,19 @@ fn faulty_return_path(fault: FaultConfig) -> ChaosPlan {
     ChaosPlan { fault_host_to_guest: fault, ..ChaosPlan::default() }
 }
 
-/// A 600 ms host→guest blackout from link creation: hellos and histograms
-/// are held, then delivered.
+/// How long [`early_outage`] lasts.
+const OUTAGE: Duration = Duration::from_millis(600);
+
+/// What a guest that rides [`early_outage`] out must have idled at least:
+/// the outage, less the guest's own setup — the window opens at link
+/// creation, a few milliseconds before the guest's first wait.
+const SLEPT: Duration = Duration::from_millis(550);
+
+/// A host→guest blackout from link creation: hellos and histograms are
+/// held, then delivered.
 fn early_outage() -> ChaosPlan {
     faulty_return_path(FaultConfig {
-        stall: Some(StallWindow { after: Duration::ZERO, duration: Duration::from_millis(600) }),
+        stall: Some(StallWindow { after: Duration::ZERO, duration: OUTAGE }),
         ..FaultConfig::none()
     })
 }
@@ -144,11 +153,10 @@ fn killed_and_resumed_run_matches_bitwise_seed_81() {
 fn silent_peer_death_is_a_typed_error_within_the_liveness_deadline() {
     let s = scenario(65);
     // The host→guest direction blackholes early while the per-phase
-    // deadline is far away: only heartbeat supervision can notice.
+    // deadline is far away: only the link's silence clock can notice.
     let cfg = TrainConfig {
         peer_timeout: Duration::from_secs(30),
         peer_dead_after: Duration::from_millis(1500),
-        heartbeat_interval: Duration::from_millis(200),
         ..resume_cfg(65, ProtocolConfig::vf2boost())
     };
     let blackhole =
@@ -165,9 +173,10 @@ fn silent_peer_death_is_a_typed_error_within_the_liveness_deadline() {
     // Far below the 30 s per-phase deadline: the liveness supervisor
     // fired, not the timeout of last resort.
     assert!(elapsed < Duration::from_secs(10), "took {elapsed:?}");
-    let ev = failure.partial.guest.events;
-    assert!(ev.heartbeats_sent > 0, "guest never beaconed: {ev:?}");
-    assert!(ev.heartbeats_missed > 0, "silence was never observed: {ev:?}");
+    let guest = &failure.partial.guest;
+    assert_eq!(guest.link.recv_timeouts, 1, "not the silence deadline: {:?}", guest.link);
+    let declared_dead = |e: &TraceEvent| matches!(&e.kind, TraceEventKind::Note(n) if n.contains("host-0 declared dead after 1.5s"));
+    assert!(guest.trace.events().any(declared_dead), "the silence was never observed");
 }
 
 #[test]
@@ -176,19 +185,16 @@ fn outage_shorter_than_the_deadline_is_ridden_out() {
     let base = resume_cfg(66, ProtocolConfig::vf2boost());
     // The 600 ms blackout is shorter than the 2 s liveness deadline, so
     // the run must finish — with the identical model.
-    let cfg = TrainConfig {
-        peer_dead_after: Duration::from_secs(2),
-        heartbeat_interval: Duration::from_millis(150),
-        ..base
-    };
+    let cfg = TrainConfig { peer_dead_after: Duration::from_secs(2), ..base };
     let clean = train_federated(&s.hosts, &s.guest, &base).expect("clean run succeeds");
     let stalled = train_federated_session(&s.hosts, &s.guest, &cfg, None, &early_outage())
         .expect("an outage shorter than the liveness deadline must be survived");
     assert_bitwise("stalled", &margins(&clean, &s), &margins(&stalled, &s));
-    // The guest noticed the silence (beacons went unanswered) but did
-    // not overreact.
-    let ev = stalled.report.guest.events;
-    assert!(ev.heartbeats_sent > 0, "guest never beaconed: {ev:?}");
+    // The guest sat the outage out inside its wait: asleep, not retrying,
+    // and no deadline fired.
+    let guest = &stalled.report.guest;
+    assert!(guest.phases.idle >= SLEPT, "guest idled only {:?}", guest.phases.idle);
+    assert_eq!(guest.link.recv_timeouts, 0);
 }
 
 #[test]
@@ -442,25 +448,25 @@ fn dropout_chaos_degrade_with_a_survivor_keeps_the_live_host() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A stalled-but-alive link must be ridden out by the transfer-level
-/// retry/backoff layer — counted as retries, never escalated to a
-/// quarantine — even with a loss policy armed, and the model must be
-/// bitwise identical to an unstalled run.
+/// A stalled-but-alive link must be ridden out inside the supervised wait
+/// — slept through, never escalated to a quarantine — even with a loss
+/// policy armed, and the model must be bitwise identical to an unstalled
+/// run.
 #[test]
 fn dropout_chaos_slow_link_is_ridden_out_without_quarantine() {
     let s = scenario(97);
     let base = resume_cfg(97, ProtocolConfig::vf2boost());
     let cfg = TrainConfig {
         peer_dead_after: Duration::from_secs(2),
-        heartbeat_interval: Duration::from_millis(150),
         on_host_loss: HostLossPolicy::AwaitRejoin { deadline: Duration::from_secs(10) },
         ..base
     };
     let clean = train_federated(&s.hosts, &s.guest, &base).expect("clean run succeeds");
     let stalled = train_federated_session(&s.hosts, &s.guest, &cfg, None, &early_outage())
         .expect("a stall shorter than the liveness deadline must be ridden out");
-    let ev = &stalled.report.guest.events;
-    assert!(ev.transfer_retries > 0, "the stall never hit the retry layer: {ev:?}");
+    let guest = &stalled.report.guest;
+    assert!(guest.phases.idle >= SLEPT, "the stall never reached the wait: {:?}", guest.phases);
+    let ev = &guest.events;
     assert_eq!(ev.quarantines, 0, "a slow link must not be quarantined: {ev:?}");
     assert_bitwise("stalled", &margins(&clean, &s), &margins(&stalled, &s));
 }

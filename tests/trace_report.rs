@@ -69,7 +69,6 @@ fn peer_loss_leaves_a_parseable_flight_record() {
     let cfg = TrainConfig {
         peer_timeout: Duration::from_secs(30),
         peer_dead_after: Duration::from_millis(1500),
-        heartbeat_interval: Duration::from_millis(200),
         ..mock_cfg()
     };
     let blackhole = ChaosPlan {

@@ -6,11 +6,11 @@ mod support;
 
 use std::time::Duration;
 
-use support::scenario;
-use vf2boost::channel::WanConfig;
+use support::{assert_bitwise, margins, scenario};
+use vf2boost::channel::{FaultConfig, StallWindow, WanConfig};
 use vf2boost::core::config::{CryptoConfig, TrainConfig};
 use vf2boost::core::protocol::ProtocolConfig;
-use vf2boost::core::train_federated;
+use vf2boost::core::{train_federated, train_federated_session, ChaosPlan};
 use vf2boost::gbdt::train::GbdtParams;
 
 /// Training over a slow link must still converge to the same model.
@@ -113,4 +113,49 @@ fn runs_are_deterministic_given_seed() {
     let am = a.model.predict_margin(&[&s.hosts[0]], &s.guest);
     let bm = b.model.predict_margin(&[&s.hosts[0]], &s.guest);
     assert_eq!(am, bm, "sequential protocol must be fully deterministic");
+}
+
+/// What a run sends is a function of the job, not of how long its parties
+/// wait on each other: the same sequential job reports the same bytes and
+/// the same per-party message counts on an instant link, on the paper's
+/// link and through a blackout several keepalive intervals long. The
+/// liveness traffic of that last run (and the retransmissions the blackout
+/// provokes) is the link's own: it is in no party's `bytes_sent` or
+/// `messages_sent`.
+#[test]
+fn bytes_and_message_counts_do_not_depend_on_timing() {
+    let s = scenario(54);
+    let instant = TrainConfig {
+        gbdt: GbdtParams { num_trees: 2, max_layers: 4, ..Default::default() },
+        crypto: CryptoConfig::Mock,
+        protocol: ProtocolConfig::baseline(),
+        // A keepalive every 100 ms.
+        peer_dead_after: Duration::from_millis(400),
+        ..TrainConfig::for_tests()
+    };
+    let paper = TrainConfig { wan: WanConfig::paper_public_network(), ..instant };
+    let outage = StallWindow { after: Duration::ZERO, duration: Duration::from_millis(250) };
+    let stalled = ChaosPlan {
+        fault_host_to_guest: FaultConfig { stall: Some(outage), ..FaultConfig::none() },
+        ..ChaosPlan::default()
+    };
+    let calm = ChaosPlan::default();
+    let runs =
+        [("instant", &instant, &calm), ("paper", &paper, &calm), ("stalled", &instant, &stalled)]
+            .map(|(name, cfg, chaos)| {
+                let out = train_federated_session(&s.hosts, &s.guest, cfg, None, chaos)
+                    .unwrap_or_else(|f| panic!("[{name}] training failed: {}", f.error));
+                (name, out)
+            });
+    let traffic = |out: &vf2boost::core::TrainOutput| {
+        let r = &out.report;
+        (r.total_bytes(), r.guest.messages_sent, r.hosts[0].messages_sent)
+    };
+    let (_, reference) = &runs[0];
+    for (name, out) in &runs[1..] {
+        assert_eq!(traffic(out), traffic(reference), "[{name}] traffic moved with timing");
+        assert_bitwise(name, &margins(reference, &s), &margins(out, &s));
+    }
+    let (_, stalled) = &runs[2];
+    assert!(stalled.report.wall_time >= outage.duration, "the outage never bit");
 }

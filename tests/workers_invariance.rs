@@ -64,9 +64,6 @@ fn modes() -> Vec<(String, TrainConfig)> {
                     blaster_batch: Some(40),
                     ..ProtocolConfig::vf2boost()
                 },
-                // No wait in these runs comes near the interval, so no
-                // heartbeat frame (timing-dependent bytes) is ever sent.
-                heartbeat_interval: Duration::from_secs(30),
                 peer_timeout: Duration::from_secs(60),
                 ..TrainConfig::for_tests()
             };
