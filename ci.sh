@@ -116,6 +116,28 @@ if grep -nE 'NodeHists|\.subtract\(|neg_batch|hist_cache_evictions|hadds_saved' 
   exit 1
 fi
 
+# Two storeys, not four: a number is a key-level integer mod n² or a
+# Suite-level cipher with an exponent. The EncodedNumber / EncryptedNumber
+# method layers between them and the uncounted twin of every raw key op
+# must not come back (EncryptedNumber survives as a plain wire struct).
+echo "== one-tower gate (no encnum, EncodedNumber or _ctr twin) =="
+if grep -rnE 'encnum|EncodedNumber|_raw_ctr|random_rn_ctr|random_rn_crt_ctr|smul_uint' \
+    crates/*/src crates/bench crates/crypto/tests tests examples; then
+  echo "the crypto number tower grew a storey back" >&2
+  exit 1
+fi
+# ... and nothing a caller or peer hands the suite reaches a panic: the
+# shipping lines of suite / encoding / packing (everything before the
+# file's first #[cfg(test)]) hold no assertion and no expect.
+echo "== no-panic-in-the-tower gate (suite/encoding/packing, non-test) =="
+for f in crates/crypto/src/suite.rs crates/crypto/src/encoding.rs crates/crypto/src/packing.rs; do
+  if awk '/#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' "$f" \
+      | grep -E 'assert!|assert_eq!|debug_assert|expect\('; then
+    echo "a panic site in the shipping half of $f" >&2
+    exit 1
+  fi
+done
+
 # The production config carries no chaos hook: fault plans, injected
 # crashes and stall knobs live in the test-only ChaosPlan (chaos.rs), which
 # nothing reachable from TrainConfig / ProtocolConfig / SessionConfig can

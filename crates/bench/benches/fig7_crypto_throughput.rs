@@ -82,9 +82,10 @@ fn main() {
 
     // SMul by a small scaling factor (B^3 — one cipher scaling).
     let factor = BigUint::from(16u64.pow(3));
+    let pk = suite.public_key().unwrap();
     let smul_tp = throughput(n, |i| {
         let Ciphertext::Paillier(e) = &mixed[i] else { unreachable!() };
-        let _ = e.smul_uint(&factor, suite.public_key().unwrap(), suite.counters());
+        let _ = pk.mul_raw(&e.cipher, &factor, suite.counters());
     });
 
     // Packing: the paper's trade (§5.2) — Party A pays `(t−1)` HAdd+SMul

@@ -106,14 +106,6 @@ enum Winner {
     Host(usize, SplitCandidate),
 }
 
-/// The guest's record of one node's final decision.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Decision {
-    Leaf(f64),
-    GuestSplit(NodeSplit),
-    HostSplit { party: u16 },
-}
-
 /// One host's histogram of one node as it decrypted, feature by feature.
 type HostHist = Vec<DecodedBins>;
 
@@ -170,7 +162,9 @@ struct TreeCtx {
     rows: NodeRows,
     epoch: Vec<u32>,
     states: HashMap<NodeId, NodeState>,
-    decisions: HashMap<NodeId, Decision>,
+    /// The tree being built: a node is written when it resolves and is
+    /// `Absent` again when a rollback takes it.
+    fed: FedTree,
     pending: usize,
 }
 
@@ -822,25 +816,29 @@ impl GuestParty {
             rows: NodeRows::new_tree(n, self.cfg.gbdt.max_layers),
             epoch: vec![0; (1 << self.cfg.gbdt.max_layers) - 1],
             states: HashMap::new(),
-            decisions: HashMap::new(),
+            fed: FedTree::new(self.cfg.gbdt.max_layers),
             pending: 0,
         };
 
         self.send_gradients(&ctx)?;
         self.run_tree(&mut ctx)?;
         self.broadcast(&Msg::TreeDone { tree })?;
-        let fed = self.build_fed_tree(&ctx)?;
+        if let Err(why) = ctx.fed.validate() {
+            self.telemetry.trace.note(format!("tree {tree} is malformed: {why}"));
+            return Err(guest_invariant("the finished tree failed its structural check"));
+        }
 
-        // Fold leaf weights into the training predictions.
+        // Fold leaf weights into the training predictions (each row sits
+        // in exactly one leaf, so the walk order does not matter).
         let lr = self.cfg.gbdt.learning_rate;
-        for (&node, decision) in &ctx.decisions {
-            if let Decision::Leaf(w) = decision {
+        for (node, decision) in ctx.fed.nodes.iter().enumerate() {
+            if let FedNode::Leaf(w) = decision {
                 for &r in ctx.rows.rows(node) {
                     self.preds[r as usize] += lr * w;
                 }
             }
         }
-        Ok(fed)
+        Ok(ctx.fed)
     }
 
     /// The per-batch base seed for gradient encryption randomness. Stream
@@ -993,7 +991,7 @@ impl GuestParty {
     fn parent_validated(&self, ctx: &TreeCtx, node: NodeId) -> bool {
         match parent(node) {
             None => true,
-            Some(p) => ctx.decisions.contains_key(&p),
+            Some(p) => ctx.fed.nodes[p] != FedNode::Absent,
         }
     }
 
@@ -1061,7 +1059,7 @@ impl GuestParty {
         total: GradPair,
     ) -> Result<(), TrainError> {
         let w = self.cfg.gbdt.split.leaf_weight(total);
-        ctx.decisions.insert(node, Decision::Leaf(w));
+        ctx.fed.nodes[node] = FedNode::Leaf(w);
         self.telemetry.events.leaves += 1;
         self.broadcast(&Msg::NodeLeaf { tree: ctx.tree, node: node as u32 })?;
         Ok(())
@@ -1256,14 +1254,11 @@ impl GuestParty {
             Winner::Guest(best) => {
                 let was_split = state.already_split;
                 let col = self.binned.column(best.feature);
-                ctx.decisions.insert(
-                    node,
-                    Decision::GuestSplit(NodeSplit {
-                        feature: best.feature,
-                        bin: best.bin,
-                        threshold: col.threshold(best.bin),
-                    }),
-                );
+                ctx.fed.nodes[node] = FedNode::GuestSplit(NodeSplit {
+                    feature: best.feature,
+                    bin: best.bin,
+                    threshold: col.threshold(best.bin),
+                });
                 self.telemetry.events.splits_won += 1;
                 let Some(state) = ctx.states.get_mut(&node) else {
                     return Err(guest_invariant("node state vanished while recording a split"));
@@ -1289,7 +1284,7 @@ impl GuestParty {
                     self.telemetry.events.dirty_nodes += 1;
                     self.telemetry.trace.dirty_rollback(ctx.tree, node as u32);
                     self.rollback_descendants(ctx, node);
-                    ctx.decisions.remove(&node);
+                    ctx.fed.nodes[node] = FedNode::Absent;
                 }
                 self.hosts[h].peer.send(&Msg::HostSplitChosen {
                     tree: ctx.tree,
@@ -1323,7 +1318,7 @@ impl GuestParty {
                     ctx.pending -= 1;
                 }
             }
-            ctx.decisions.remove(&d);
+            ctx.fed.nodes[d] = FedNode::Absent;
             stack.push(left_child(d));
             stack.push(right_child(d));
         }
@@ -1357,7 +1352,7 @@ impl GuestParty {
         state.awaiting_placement = None;
         state.resolved = true;
         ctx.pending -= 1;
-        ctx.decisions.insert(node, Decision::HostSplit { party: host as u16 });
+        ctx.fed.nodes[node] = FedNode::HostSplit { party: host as u16 };
 
         let span = self.telemetry.enter(TracePhase::Placement, Some(ctx.tree), Some(node as u32));
         ctx.rows.apply_placement(node, &placement);
@@ -1565,23 +1560,6 @@ impl GuestParty {
         }
         Ok(())
     }
-
-    /// Builds the guest-view tree from the final decisions.
-    fn build_fed_tree(&mut self, ctx: &TreeCtx) -> Result<FedTree, TrainError> {
-        let mut tree = FedTree::new(self.cfg.gbdt.max_layers);
-        for (&node, decision) in &ctx.decisions {
-            tree.nodes[node] = match decision {
-                Decision::Leaf(w) => FedNode::Leaf(*w),
-                Decision::GuestSplit(s) => FedNode::GuestSplit(*s),
-                Decision::HostSplit { party } => FedNode::HostSplit { party: *party },
-            };
-        }
-        if let Err(why) = tree.validate() {
-            self.telemetry.trace.note(format!("tree {} is malformed: {why}", ctx.tree));
-            return Err(guest_invariant("the finished tree failed its structural check"));
-        }
-        Ok(tree)
-    }
 }
 
 #[cfg(test)]
@@ -1670,7 +1648,7 @@ mod tests {
             rows: NodeRows::new_tree(64, guest.cfg.gbdt.max_layers),
             epoch: vec![0; (1 << guest.cfg.gbdt.max_layers) - 1],
             states: HashMap::new(),
-            decisions: HashMap::new(),
+            fed: FedTree::new(guest.cfg.gbdt.max_layers),
             pending: 0,
         };
         guest.materialize(&mut ctx, 0, 0).unwrap();

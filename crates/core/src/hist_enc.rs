@@ -64,7 +64,6 @@ pub struct EncHistBuilder {
     features: Vec<Vec<Bin>>,
     reordered: bool,
     base_exp: i32,
-    jitter: u32,
 }
 
 impl EncHistBuilder {
@@ -82,7 +81,7 @@ impl EncHistBuilder {
                 vec![Bin { acc, rows: 0 }; usize::from(m.num_bins)]
             })
             .collect();
-        EncHistBuilder { features, reordered, base_exp: encoding.base_exp, jitter: encoding.jitter }
+        EncHistBuilder { features, reordered, base_exp: encoding.base_exp }
     }
 
     /// Accumulates one cipher into `(feature, bin)`.
@@ -226,7 +225,7 @@ impl EncHistBuilder {
             .iter()
             .map(|bin| {
                 Ok(match (Self::merged(suite, &bin.acc)?, target_exp) {
-                    (Some(c), Some(t)) => suite.rescale_to(&c, t.max(c.exponent())),
+                    (Some(c), Some(t)) => suite.rescale_to(&c, t.max(c.exponent()))?,
                     (Some(c), None) => c,
                     // Empty bins ship as full-size zero ciphers so that the
                     // wire sizes (and the WAN model built on them) stay
@@ -356,12 +355,7 @@ impl EncHistBuilder {
                     .collect::<Result<Vec<_>>>()
             })
             .collect::<Result<Vec<_>>>()?;
-        Ok(EncHistBuilder {
-            features,
-            reordered: self.reordered,
-            base_exp: self.base_exp,
-            jitter: self.jitter,
-        })
+        Ok(EncHistBuilder { features, reordered: self.reordered, base_exp: self.base_exp })
     }
 
     /// Number of features.

@@ -194,7 +194,9 @@ impl HostParty {
         // (re)connect: the guest needs the durable checkpoint list before
         // it can pick a resume point.
         let (sid, epoch, durable) = match &self.session {
-            Some(s) => (s.session_id(), s.bump_epoch(), s.durable()),
+            Some(s) => {
+                (s.session_id(), s.bump_epoch(PartyId::Host(self.party_index))?, s.durable())
+            }
             None => (0, 0, Vec::new()),
         };
         self.telemetry.trace.note(format!("hello: session {sid} epoch {epoch}"));

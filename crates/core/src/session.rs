@@ -198,16 +198,21 @@ impl PartySession {
     /// Reads, increments and durably rewrites this party's incarnation
     /// counter, returning the new epoch. The first start of a session is
     /// epoch 1; every restart bumps it, which lets the peer distinguish
-    /// a reconnecting party from a delayed duplicate of the old one.
-    pub fn bump_epoch(&self) -> u32 {
+    /// a reconnecting party from a delayed duplicate of the old one — so
+    /// an epoch that could not be written must not be announced: the next
+    /// restart would announce it again and be taken for that duplicate.
+    pub fn bump_epoch(&self, party: PartyId) -> Result<u32, TrainError> {
         let path = self.dir.join(format!("{}.epoch", self.role));
         let prev = std::fs::read_to_string(&path)
             .ok()
             .and_then(|s| s.trim().parse::<u32>().ok())
             .unwrap_or(0);
         let next = prev.saturating_add(1);
-        let _ = atomic_write(&path, next.to_string().as_bytes());
-        next
+        atomic_write(&path, next.to_string().as_bytes()).map_err(|e| TrainError::Checkpoint {
+            party,
+            detail: format!("incarnation epoch {next} not durable: {e}"),
+        })?;
+        Ok(next)
     }
 
     /// Durably writes the guest's snapshot after `tree_count` trees.
@@ -397,11 +402,25 @@ mod tests {
     fn epoch_bumps_monotonically_across_restarts() {
         let sc = temp_session("epoch");
         let s = PartySession::guest(&sc, &TrainConfig::for_tests());
-        assert_eq!(s.bump_epoch(), 1);
-        assert_eq!(s.bump_epoch(), 2);
+        assert_eq!(s.bump_epoch(PartyId::Guest).unwrap(), 1);
+        assert_eq!(s.bump_epoch(PartyId::Guest).unwrap(), 2);
         // A fresh handle (a "restarted process") continues the count.
         let s2 = PartySession::guest(&sc, &TrainConfig::for_tests());
-        assert_eq!(s2.bump_epoch(), 3);
+        assert_eq!(s2.bump_epoch(PartyId::Guest).unwrap(), 3);
+        let _ = std::fs::remove_dir_all(&sc.dir);
+    }
+
+    #[test]
+    fn an_epoch_that_cannot_be_written_is_a_typed_error() {
+        let sc = temp_session("epoch_blocked");
+        let s = PartySession::host(&sc, &TrainConfig::for_tests(), 2);
+        // A directory squats on the epoch file: the rename cannot land.
+        std::fs::create_dir_all(sc.dir.join("host2.epoch")).unwrap();
+        let err = s.bump_epoch(PartyId::Host(2)).unwrap_err();
+        let TrainError::Checkpoint { party: PartyId::Host(2), detail } = &err else {
+            panic!("expected host 2's checkpoint error, got {err}");
+        };
+        assert!(detail.contains("epoch 1"), "{detail}");
         let _ = std::fs::remove_dir_all(&sc.dir);
     }
 

@@ -377,9 +377,9 @@ mod tests {
     use num_bigint::BigUint;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use vf2_crypto::encnum::EncryptedNumber;
     use vf2_crypto::encoding::EncodingConfig;
     use vf2_crypto::suite::PlainNumber;
+    use vf2_crypto::EncryptedNumber;
 
     use crate::messages::{GhPackedFeatureHist, PackedFeatureHist, RawFeatureHist};
 

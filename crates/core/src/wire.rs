@@ -8,8 +8,7 @@
 use bytes::Bytes;
 use num_bigint::BigUint;
 use vf2_channel::codec::{DecodeError, Decoder, Encoder};
-use vf2_crypto::encnum::EncryptedNumber;
-use vf2_crypto::suite::{Ciphertext, PackedCiphertext, PlainNumber};
+use vf2_crypto::suite::{Ciphertext, EncryptedNumber, PackedCiphertext, PlainNumber};
 
 use crate::messages::{
     FeatureMeta, GhPackedFeatureHist, HistPayload, Msg, PackedFeatureHist, RawFeatureHist,
@@ -490,6 +489,33 @@ mod tests {
         let s = Suite::paillier_seeded(256, 42, EncodingConfig::default()).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         (0..n).map(|i| s.encrypt(i as f64 * 0.5 - 1.0, &mut rng).unwrap()).collect()
+    }
+
+    /// FNV-1a of a forward batch as it leaves the guest.
+    fn wire_digest(gh: Vec<Ciphertext>) -> u64 {
+        let bytes = encode(&Msg::PackedGradBatch { tree: 0, start_row: 0, gh, last: true });
+        bytes.unwrap().iter().fold(0xcbf2_9ce4_8422_2325, |h: u64, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn forward_cipher_bytes_are_pinned() {
+        // Every cipher byte hangs on the order of the RNG draws behind it
+        // (exponent, then obfuscator, per `seed + i` stream). A refactor
+        // that reorders a draw changes these digests, and no round-trip or
+        // model-equality test would notice: never re-derive the constants
+        // from the code under test.
+        let enc = EncodingConfig { base: 16, base_exp: 8, jitter: 4 };
+        let s = Suite::paillier_seeded(256, 42, enc).unwrap();
+        let g = [0.5, -0.25, 0.75, -1.0, 0.0, 0.125, -0.875, 1.0];
+        let h = [0.25, 0.25, 0.125, 0.0, 0.5, 1.0, 0.0625, 0.75];
+        assert_eq!(wire_digest(s.encrypt_batch(&g, 7).unwrap()), 0xecbb_b066_0d9b_997f);
+        let plan = vf2_crypto::GhPlan::new(1.0, 1.0, 8, &enc).unwrap();
+        assert_eq!(
+            wire_digest(s.encrypt_gh_batch(&g, &h, &plan, 7).unwrap()),
+            0xa905_1a47_246e_6b88
+        );
     }
 
     #[test]

@@ -55,10 +55,9 @@ impl EncodingConfig {
         }
     }
 
-    /// `Bᵉ` as an exact big integer (requires `e ≥ 0`).
-    pub fn base_pow(&self, e: i32) -> BigUint {
-        assert!(e >= 0, "encoding exponents are non-negative");
-        BigUint::from(self.base).pow(e as u32)
+    /// `Bᵉ` as an exact big integer.
+    pub fn base_pow(&self, e: u32) -> BigUint {
+        BigUint::from(self.base).pow(e)
     }
 
     /// `Bᵉ` as a float (for decoding).
@@ -67,75 +66,28 @@ impl EncodingConfig {
     }
 }
 
-/// A fixed-point encoded plaintext `⟨e, V⟩` with `V ∈ [0, n)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EncodedNumber {
-    /// The big-integer representation `V` (sign folded in modulo `n`).
-    pub mantissa: BigUint,
-    /// The exponent `e`.
-    pub exponent: i32,
-}
-
-impl EncodedNumber {
-    /// Encodes `v` at the given exponent.
-    ///
-    /// Fails with [`CryptoError::EncodingOverflow`] if `|v·Bᵉ|` exceeds the
-    /// safe bound `n/3`.
-    pub fn encode(v: f64, exponent: i32, cfg: &EncodingConfig, pk: &PublicKey) -> Result<Self> {
-        if !v.is_finite() {
-            return Err(CryptoError::EncodingOverflow { what: format!("non-finite value {v}") });
-        }
-        let scaled = v * cfg.base_pow_f64(exponent);
-        if scaled.abs() >= i128::MAX as f64 {
-            return Err(CryptoError::EncodingOverflow {
-                what: format!("{v} at exponent {exponent}"),
-            });
-        }
-        let rounded = scaled.round() as i128;
-        let magnitude = BigUint::from(rounded.unsigned_abs());
-        if &magnitude > pk.max_int() {
-            return Err(CryptoError::EncodingOverflow {
-                what: format!("{v} at exponent {exponent} exceeds n/3"),
-            });
-        }
-        let mantissa = if rounded < 0 { pk.n() - magnitude } else { magnitude };
-        Ok(EncodedNumber { mantissa, exponent })
+/// Encodes `v` at the given exponent as the plaintext `V ∈ [0, n)` (sign
+/// folded in modulo `n`); [`FixedPoint::from_plaintext`] then
+/// [`FixedPoint::to_f64`] is the inverse.
+///
+/// Fails with [`CryptoError::EncodingOverflow`] if `|v·Bᵉ|` exceeds the
+/// safe bound `n/3`.
+pub fn encode(v: f64, exponent: i32, cfg: &EncodingConfig, pk: &PublicKey) -> Result<BigUint> {
+    if !v.is_finite() {
+        return Err(CryptoError::EncodingOverflow { what: format!("non-finite value {v}") });
     }
-
-    /// Decodes back to a float.
-    ///
-    /// Values in the top third of `[0, n)` decode as negative; the middle
-    /// third signals an overflow from homomorphic accumulation.
-    pub fn decode(&self, cfg: &EncodingConfig, pk: &PublicKey) -> Result<f64> {
-        Ok(FixedPoint::from_plaintext(&self.mantissa, self.exponent, pk)?.to_f64(cfg))
+    let scaled = v * cfg.base_pow_f64(exponent);
+    if scaled.abs() >= i128::MAX as f64 {
+        return Err(CryptoError::EncodingOverflow { what: format!("{v} at exponent {exponent}") });
     }
-
-    /// Returns a copy rescaled to a (larger) target exponent.
-    ///
-    /// This is the plaintext analogue of the cipher *scaling* operation:
-    /// multiply the mantissa by `B^(target - e) mod n`.
-    pub fn rescale_to(&self, target: i32, cfg: &EncodingConfig, pk: &PublicKey) -> Self {
-        assert!(
-            target >= self.exponent,
-            "can only rescale to a larger exponent ({} -> {})",
-            self.exponent,
-            target
-        );
-        if target == self.exponent {
-            return self.clone();
-        }
-        let factor = cfg.base_pow(target - self.exponent);
-        EncodedNumber { mantissa: (&self.mantissa * factor) % pk.n(), exponent: target }
+    let rounded = scaled.round() as i128;
+    let magnitude = BigUint::from(rounded.unsigned_abs());
+    if &magnitude > pk.max_int() {
+        return Err(CryptoError::EncodingOverflow {
+            what: format!("{v} at exponent {exponent} exceeds n/3"),
+        });
     }
-
-    /// Plaintext addition of two encodings with identical exponents.
-    pub fn add_same_exp(&self, other: &Self, pk: &PublicKey) -> Self {
-        assert_eq!(self.exponent, other.exponent, "exponents must match");
-        EncodedNumber {
-            mantissa: (&self.mantissa + &other.mantissa) % pk.n(),
-            exponent: self.exponent,
-        }
-    }
+    Ok(if rounded < 0 { pk.n() - magnitude } else { magnitude })
 }
 
 /// The signed integer the plaintext `V ∈ [0, n)` stands for: `V` up to
@@ -194,7 +146,7 @@ impl FixedPoint {
     /// sum. Signed big-integer arithmetic: nothing here wraps or borrows.
     pub fn checked_sub(&self, other: &FixedPoint, cfg: &EncodingConfig) -> Option<FixedPoint> {
         let up = u32::try_from(i64::from(self.exponent) - i64::from(other.exponent)).ok()?;
-        let aligned = &other.mantissa * BigInt::from(BigUint::from(cfg.base).pow(up));
+        let aligned = &other.mantissa * BigInt::from(cfg.base_pow(up));
         Some(FixedPoint { mantissa: &self.mantissa - aligned, exponent: self.exponent })
     }
 }
@@ -210,13 +162,16 @@ mod tests {
         KeyPair::generate_seeded(256, 42).unwrap().public
     }
 
+    fn decode(plain: &BigUint, exponent: i32, cfg: &EncodingConfig, pk: &PublicKey) -> f64 {
+        FixedPoint::from_plaintext(plain, exponent, pk).unwrap().to_f64(cfg)
+    }
+
     #[test]
     fn encode_decode_round_trip_positive_and_negative() {
         let pk = pk();
         let cfg = EncodingConfig::default();
         for v in [0.0, 1.0, -1.0, 0.5, -0.25, 123.456, -987.654, 1e-6, -1e-6] {
-            let enc = EncodedNumber::encode(v, cfg.base_exp, &cfg, &pk).unwrap();
-            let dec = enc.decode(&cfg, &pk).unwrap();
+            let dec = decode(&encode(v, cfg.base_exp, &cfg, &pk).unwrap(), cfg.base_exp, &cfg, &pk);
             assert!((dec - v).abs() < 1e-9, "{v} -> {dec}");
         }
     }
@@ -228,34 +183,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..256 {
-            let enc = EncodedNumber::encode(0.75, cfg.draw_exponent(&mut rng), &cfg, &pk).unwrap();
-            assert!(enc.exponent >= cfg.base_exp && enc.exponent < cfg.base_exp + 4);
-            seen.insert(enc.exponent);
-            assert!((enc.decode(&cfg, &pk).unwrap() - 0.75).abs() < 1e-9);
+            let e = cfg.draw_exponent(&mut rng);
+            assert!(e >= cfg.base_exp && e < cfg.base_exp + 4);
+            seen.insert(e);
+            let dec = decode(&encode(0.75, e, &cfg, &pk).unwrap(), e, &cfg, &pk);
+            assert!((dec - 0.75).abs() < 1e-9);
         }
         assert_eq!(seen.len(), 4, "all four jitter values should appear");
-    }
-
-    #[test]
-    fn rescale_preserves_value() {
-        let pk = pk();
-        let cfg = EncodingConfig::default();
-        for v in [3.25f64, -3.25] {
-            let enc = EncodedNumber::encode(v, cfg.base_exp, &cfg, &pk).unwrap();
-            let up = enc.rescale_to(cfg.base_exp + 3, &cfg, &pk);
-            assert_eq!(up.exponent, cfg.base_exp + 3);
-            assert!((up.decode(&cfg, &pk).unwrap() - v).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn add_same_exp_adds_signed_values() {
-        let pk = pk();
-        let cfg = EncodingConfig::default();
-        let a = EncodedNumber::encode(2.5, cfg.base_exp, &cfg, &pk).unwrap();
-        let b = EncodedNumber::encode(-4.0, cfg.base_exp, &cfg, &pk).unwrap();
-        let sum = a.add_same_exp(&b, &pk).decode(&cfg, &pk).unwrap();
-        assert!((sum - (-1.5)).abs() < 1e-9);
     }
 
     #[test]
@@ -263,7 +197,7 @@ mod tests {
         let pk = pk();
         let cfg = EncodingConfig::default();
         for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            assert!(EncodedNumber::encode(v, cfg.base_exp, &cfg, &pk).is_err());
+            assert!(encode(v, cfg.base_exp, &cfg, &pk).is_err());
         }
     }
 
@@ -273,7 +207,7 @@ mod tests {
         let cfg = EncodingConfig { base_exp: 50, ..Default::default() };
         // 16^50 = 2^200 times anything sizable overflows a 256-bit n/3.
         assert!(matches!(
-            EncodedNumber::encode(1e12, cfg.base_exp, &cfg, &pk),
+            encode(1e12, cfg.base_exp, &cfg, &pk),
             Err(CryptoError::EncodingOverflow { .. })
         ));
     }
@@ -291,8 +225,7 @@ mod tests {
         let pk = pk();
         let cfg = EncodingConfig::default();
         let at = |v: f64, e: i32| {
-            let enc = EncodedNumber::encode(v, e, &cfg, &pk).unwrap();
-            FixedPoint::from_plaintext(&enc.mantissa, e, &pk).unwrap()
+            FixedPoint::from_plaintext(&encode(v, e, &cfg, &pk).unwrap(), e, &pk).unwrap()
         };
         // A part at a lower exponent scales up exactly; the difference may
         // change sign without borrowing.

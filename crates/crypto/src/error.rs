@@ -14,8 +14,6 @@ pub enum CryptoError {
     /// A decoded plaintext landed in the ambiguous middle third of the
     /// modulus, indicating that homomorphic additions overflowed.
     DecodingOverflow,
-    /// Two ciphers from different public keys were combined.
-    KeyMismatch,
     /// Packing parameters do not fit in the plaintext space.
     PackingCapacity {
         /// Requested number of packed slots.
@@ -62,7 +60,6 @@ impl fmt::Display for CryptoError {
             CryptoError::DecodingOverflow => {
                 write!(f, "decoded plaintext fell in the overflow region of the modulus")
             }
-            CryptoError::KeyMismatch => write!(f, "ciphers belong to different public keys"),
             CryptoError::PackingCapacity { requested, max } => {
                 write!(f, "cannot pack {requested} slots: at most {max} fit in the plaintext space")
             }

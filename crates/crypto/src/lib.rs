@@ -9,13 +9,18 @@
 //!   jittered to obfuscate value ranges (paper §2.2).
 //! * **Exponent-aware homomorphic addition** — adding two ciphers whose
 //!   exponents differ requires a cipher *scaling* (a scalar multiplication),
-//!   the cost the re-ordered accumulation technique of §5.1 avoids.
+//!   the cost the re-ordered accumulation technique of §5.1 avoids
+//!   ([`Suite::add`] scales and counts it; [`Suite::add_assign_same_exp`]
+//!   is the one-product path inside per-exponent workspaces).
 //! * **Polynomial-based cipher packing** (§5.2) — packing `t` bounded
 //!   plaintexts into a single cipher so one decryption recovers all of them.
 //! * A **plaintext mock suite** implementing the identical API so that the
 //!   federated protocol can run without cryptography (the paper's VF-MOCK).
 //!
-//! The module split mirrors the paper's presentation:
+//! Numbers live on two storeys: the **keys** ([`paillier`]: raw integer
+//! ops modulo `n²`, each counted) and the **suite** ([`suite`]: exponents,
+//! encoding, alignment, packing, the mock). [`EncryptedNumber`] between them
+//! is data — a cipher and its exponent — with no methods of its own.
 //!
 //! | module | paper section |
 //! |---|---|
@@ -23,10 +28,9 @@
 //! | [`fixed`] | fixed-width limb arithmetic (stack-allocated bignums) |
 //! | [`montgomery`] | CIOS Montgomery core + width-dispatched `modpow` |
 //! | [`paillier`] | §2.2 cryptosystem (keygen, encrypt, decrypt, HAdd, SMul) |
-//! | [`encoding`] | §2.2 fixed-point `⟨e, V⟩` encoding |
-//! | [`encnum`] | encrypted floating-point numbers with exponents |
+//! | [`encoding`] | §2.2 fixed-point `⟨e, V⟩` encoding ([`encoding::encode`] / [`FixedPoint`]) |
 //! | [`packing`] | §5.2 polynomial-based packing |
-//! | [`suite`] | unified cipher suite (Paillier or plaintext mock) |
+//! | [`suite`] | unified cipher suite (Paillier or plaintext mock): every exponent-aware operation |
 //! | [`counters`] | per-operation counters feeding the paper's cost model |
 //!
 //! [VF²Boost]: https://doi.org/10.1145/3448016.3457241
@@ -37,7 +41,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod counters;
-pub mod encnum;
 pub mod encoding;
 pub mod error;
 pub mod fixed;
@@ -49,12 +52,11 @@ pub mod seed;
 pub mod suite;
 
 pub use counters::OpCounters;
-pub use encnum::EncryptedNumber;
-pub use encoding::{EncodedNumber, EncodingConfig, FixedPoint};
+pub use encoding::{EncodingConfig, FixedPoint};
 pub use error::{CryptoError, Result};
 pub use fixed::Fixed;
 pub use montgomery::{CryptoBackend, MontCost, MontExp};
 pub use packing::{pack_ciphers, unpack_plaintext, GhPlan, PackingPlan};
 pub use paillier::{KeyPair, PrivateKey, PublicKey};
 pub use seed::split_seed;
-pub use suite::{Ciphertext, PackedCiphertext, Suite, SuiteKind};
+pub use suite::{Ciphertext, EncryptedNumber, PackedCiphertext, Suite, SuiteKind};

@@ -75,7 +75,7 @@ pub fn pack_ciphers(
     let mut acc = top.clone();
     for c in lower.iter().rev() {
         counters.add_smul(1);
-        let shifted = pk.mul_raw_ctr(&acc, &shift, counters);
+        let shifted = pk.mul_raw(&acc, &shift, counters);
         counters.add_hadd(1);
         acc = pk.add_raw(c, &shifted);
     }
@@ -305,10 +305,12 @@ mod tests {
         let (kp, ctr, mut rng) = setup();
         let plan = PackingPlan::new(&kp.public, 64, 7).unwrap();
         let values: Vec<u64> = vec![0, 1, u64::MAX, 42, 7, 123456789, u64::MAX - 1];
-        let ciphers: Vec<_> =
-            values.iter().map(|&v| kp.public.encrypt_raw(&BigUint::from(v), &mut rng)).collect();
+        let ciphers: Vec<_> = values
+            .iter()
+            .map(|&v| kp.public.encrypt_raw(&BigUint::from(v), &mut rng, &ctr))
+            .collect();
         let packed = pack_ciphers(&ciphers, &plan, &kp.public, &ctr).unwrap();
-        let plain = kp.private.decrypt_raw(&packed);
+        let plain = kp.private.decrypt_raw(&packed, &ctr);
         let unpacked = unpack_plaintext(&plain, &plan, values.len()).unwrap();
         for (got, want) in unpacked.iter().zip(&values) {
             assert_eq!(got, &BigUint::from(*want));
@@ -320,10 +322,12 @@ mod tests {
         let (kp, ctr, mut rng) = setup();
         let plan = PackingPlan::new(&kp.public, 32, 4).unwrap();
         let values: Vec<u64> = vec![5, 10]; // fewer than plan.slots
-        let ciphers: Vec<_> =
-            values.iter().map(|&v| kp.public.encrypt_raw(&BigUint::from(v), &mut rng)).collect();
+        let ciphers: Vec<_> = values
+            .iter()
+            .map(|&v| kp.public.encrypt_raw(&BigUint::from(v), &mut rng, &ctr))
+            .collect();
         let packed = pack_ciphers(&ciphers, &plan, &kp.public, &ctr).unwrap();
-        let plain = kp.private.decrypt_raw(&packed);
+        let plain = kp.private.decrypt_raw(&packed, &ctr);
         let unpacked = unpack_plaintext(&plain, &plan, 2).unwrap();
         assert_eq!(unpacked, vec![BigUint::from(5u32), BigUint::from(10u32)]);
     }
@@ -333,7 +337,7 @@ mod tests {
         let (kp, ctr, mut rng) = setup();
         let plan = PackingPlan::new(&kp.public, 64, 5).unwrap();
         let ciphers: Vec<_> =
-            (0..5u64).map(|v| kp.public.encrypt_raw(&BigUint::from(v), &mut rng)).collect();
+            (0..5u64).map(|v| kp.public.encrypt_raw(&BigUint::from(v), &mut rng, &ctr)).collect();
         pack_ciphers(&ciphers, &plan, &kp.public, &ctr).unwrap();
         let s = ctr.snapshot();
         assert_eq!(s.hadd, 4);
@@ -347,7 +351,7 @@ mod tests {
         let plan = PackingPlan::new(&kp.public, 64, 2).unwrap();
         assert!(pack_ciphers(&[], &plan, &kp.public, &ctr).is_err());
         let ciphers: Vec<_> =
-            (0..3u64).map(|v| kp.public.encrypt_raw(&BigUint::from(v), &mut rng)).collect();
+            (0..3u64).map(|v| kp.public.encrypt_raw(&BigUint::from(v), &mut rng, &ctr)).collect();
         assert!(pack_ciphers(&ciphers, &plan, &kp.public, &ctr).is_err());
     }
 
@@ -356,13 +360,13 @@ mod tests {
         // Pack sums of ciphers (the histogram use case).
         let (kp, ctr, mut rng) = setup();
         let plan = PackingPlan::new(&kp.public, 64, 3).unwrap();
-        let a = kp.public.encrypt_raw(&BigUint::from(100u32), &mut rng);
-        let b = kp.public.encrypt_raw(&BigUint::from(23u32), &mut rng);
+        let a = kp.public.encrypt_raw(&BigUint::from(100u32), &mut rng, &ctr);
+        let b = kp.public.encrypt_raw(&BigUint::from(23u32), &mut rng, &ctr);
         let bin0 = kp.public.add_raw(&a, &b); // 123
-        let bin1 = kp.public.encrypt_raw(&BigUint::from(7u32), &mut rng);
-        let bin2 = kp.public.encrypt_raw(&BigUint::from(0u32), &mut rng);
+        let bin1 = kp.public.encrypt_raw(&BigUint::from(7u32), &mut rng, &ctr);
+        let bin2 = kp.public.encrypt_raw(&BigUint::from(0u32), &mut rng, &ctr);
         let packed = pack_ciphers(&[bin0, bin1, bin2], &plan, &kp.public, &ctr).unwrap();
-        let plain = kp.private.decrypt_raw(&packed);
+        let plain = kp.private.decrypt_raw(&packed, &ctr);
         let out = unpack_plaintext(&plain, &plan, 3).unwrap();
         assert_eq!(out, vec![BigUint::from(123u32), BigUint::from(7u32), BigUint::from(0u32)]);
     }
@@ -417,7 +421,7 @@ mod tests {
     ) -> Result<Bin> {
         let mut cipher = kp.public.zero_raw();
         for &(g, h) in pairs {
-            let c = kp.public.encrypt_raw(&plan.encode_pair(g, h)?, rng);
+            let c = kp.public.encrypt_raw(&plan.encode_pair(g, h)?, rng, &OpCounters::default());
             cipher = kp.public.add_raw(&cipher, &c);
         }
         Ok(Bin { cipher, rows: pairs.len() as u64 })
@@ -437,7 +441,7 @@ mod tests {
             .collect::<Result<_>>()?;
         let wire = PackingPlan::new(pk, plan.pair_bits(), topped.len())?;
         let packed = pack_ciphers(&topped, &wire, pk, &ctr)?;
-        let plain = kp.private.decrypt_raw(&packed);
+        let plain = kp.private.decrypt_raw(&packed, &ctr);
         unpack_plaintext(&plain, &wire, topped.len())?
             .iter()
             .enumerate()
@@ -571,7 +575,9 @@ mod tests {
             let shift = kp
                 .public
                 .encrypt_raw_with_rn(&plan.top_up(bin.rows).unwrap(), &kp.public.zero_raw());
-            let plain = kp.private.decrypt_raw(&kp.public.add_raw(&bin.cipher, &shift));
+            let plain = kp
+                .private
+                .decrypt_raw(&kp.public.add_raw(&bin.cipher, &shift), &OpCounters::default());
             plan.decode_pair(&plain, 0).unwrap()
         };
         // The sibling took: a strict subset, every row, no row at all.

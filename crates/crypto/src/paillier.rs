@@ -14,7 +14,7 @@
 //! uses the standard CRT split over `p²` and `q²`. The key owner (always
 //! Party B, the only encrypting party in the protocol) also draws its
 //! obfuscators through the CRT, as Teichmüller lifts with half-length
-//! exponents (see [`PrivateKey::random_rn_crt_ctr`]).
+//! exponents (see [`PrivateKey::random_rn_crt`]).
 
 use std::sync::Arc;
 
@@ -143,19 +143,14 @@ impl PublicKey {
     }
 
     /// Encrypts an already-encoded plaintext `v ∈ [0, n)` with fresh
-    /// randomness drawn from `rng`.
-    pub fn encrypt_raw<R: Rng + ?Sized>(&self, v: &BigUint, rng: &mut R) -> RawCipher {
-        self.encrypt_raw_ctr(v, rng, &OpCounters::default())
-    }
-
-    /// [`PublicKey::encrypt_raw`] with backend work tallied into `ctr`.
-    pub fn encrypt_raw_ctr<R: Rng + ?Sized>(
+    /// randomness drawn from `rng`, backend work tallied into `ctr`.
+    pub fn encrypt_raw<R: Rng + ?Sized>(
         &self,
         v: &BigUint,
         rng: &mut R,
         ctr: &OpCounters,
     ) -> RawCipher {
-        let rn = self.random_rn_ctr(rng, ctr);
+        let rn = self.random_rn(rng, ctr);
         self.encrypt_raw_with_rn(v, &rn)
     }
 
@@ -171,7 +166,7 @@ impl PublicKey {
     ///
     /// The random draw always happens first and consumes the same RNG
     /// stream under either backend, so ciphers are backend-independent.
-    pub fn random_rn_ctr<R: Rng + ?Sized>(&self, rng: &mut R, ctr: &OpCounters) -> BigUint {
+    pub fn random_rn<R: Rng + ?Sized>(&self, rng: &mut R, ctr: &OpCounters) -> BigUint {
         let r = rng.gen_biguint_range(&BigUint::one(), &self.0.n);
         match &self.0.accel {
             Some(a) => {
@@ -188,13 +183,9 @@ impl PublicKey {
         (a * b) % &self.0.nn
     }
 
-    /// Scalar multiplication: `k ⊗ ⟦V⟧ = ⟦k·V⟧`.
-    pub fn mul_raw(&self, c: &RawCipher, k: &BigUint) -> RawCipher {
-        self.mul_raw_ctr(c, k, &OpCounters::default())
-    }
-
-    /// [`PublicKey::mul_raw`] with backend work tallied into `ctr`.
-    pub fn mul_raw_ctr(&self, c: &RawCipher, k: &BigUint, ctr: &OpCounters) -> RawCipher {
+    /// Scalar multiplication: `k ⊗ ⟦V⟧ = ⟦k·V⟧`, backend work tallied into
+    /// `ctr`.
+    pub fn mul_raw(&self, c: &RawCipher, k: &BigUint, ctr: &OpCounters) -> RawCipher {
         match &self.0.accel {
             Some(a) => {
                 let (v, cost) = a.nn.modpow(c, k);
@@ -342,13 +333,8 @@ impl PrivateKey {
     /// Decrypts a raw cipher to its encoded plaintext in `[0, n)`.
     ///
     /// Uses the CRT split over `p²` / `q²`: two half-size exponentiations
-    /// instead of one full-size one.
-    pub fn decrypt_raw(&self, c: &RawCipher) -> BigUint {
-        self.decrypt_raw_ctr(c, &OpCounters::default())
-    }
-
-    /// [`PrivateKey::decrypt_raw`] with backend work tallied into `ctr`.
-    pub fn decrypt_raw_ctr(&self, c: &RawCipher, ctr: &OpCounters) -> BigUint {
+    /// instead of one full-size one, backend work tallied into `ctr`.
+    pub fn decrypt_raw(&self, c: &RawCipher, ctr: &OpCounters) -> BigUint {
         let sk = &*self.0;
         let (xp, xq) = match &sk.accel {
             Some(a) => {
@@ -371,20 +357,16 @@ impl PrivateKey {
 
     /// Fast encryption using the CRT: the obfuscator is two half-size
     /// exponentiations with half-length exponents (see
-    /// [`PrivateKey::random_rn_crt_ctr`]). Only the private-key holder can
-    /// do this — in the protocol that is always Party B.
-    pub fn encrypt_raw<R: Rng + ?Sized>(&self, v: &BigUint, rng: &mut R) -> RawCipher {
-        self.encrypt_raw_ctr(v, rng, &OpCounters::default())
-    }
-
-    /// [`PrivateKey::encrypt_raw`] with backend work tallied into `ctr`.
-    pub fn encrypt_raw_ctr<R: Rng + ?Sized>(
+    /// [`PrivateKey::random_rn_crt`]), backend work tallied into `ctr`. Only
+    /// the private-key holder can do this — in the protocol that is always
+    /// Party B.
+    pub fn encrypt_raw<R: Rng + ?Sized>(
         &self,
         v: &BigUint,
         rng: &mut R,
         ctr: &OpCounters,
     ) -> RawCipher {
-        let rn = self.random_rn_crt_ctr(rng, ctr);
+        let rn = self.random_rn_crt(rng, ctr);
         self.0.public.encrypt_raw_with_rn(v, &rn)
     }
 
@@ -401,7 +383,7 @@ impl PrivateKey {
     ///
     /// The random draw always happens first and consumes the same RNG
     /// stream under either backend, so ciphers are backend-independent.
-    pub fn random_rn_crt_ctr<R: Rng + ?Sized>(&self, rng: &mut R, ctr: &OpCounters) -> BigUint {
+    pub fn random_rn_crt<R: Rng + ?Sized>(&self, rng: &mut R, ctr: &OpCounters) -> BigUint {
         let r = rng.gen_biguint_range(&BigUint::one(), self.0.public.n());
         self.obfuscator(&r, ctr)
     }
@@ -550,8 +532,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         for v in [0u64, 1, 2, 1234567, u64::MAX] {
             let v = BigUint::from(v);
-            let c = kp.public.encrypt_raw(&v, &mut rng);
-            assert_eq!(kp.private.decrypt_raw(&c), v);
+            let c = kp.public.encrypt_raw(&v, &mut rng, &OpCounters::default());
+            assert_eq!(kp.private.decrypt_raw(&c, &OpCounters::default()), v);
         }
     }
 
@@ -560,8 +542,8 @@ mod tests {
         let kp = keypair();
         let mut rng = StdRng::seed_from_u64(8);
         let v = BigUint::from(987_654_321u64);
-        let c = kp.private.encrypt_raw(&v, &mut rng);
-        assert_eq!(kp.private.decrypt_raw(&c), v);
+        let c = kp.private.encrypt_raw(&v, &mut rng, &OpCounters::default());
+        assert_eq!(kp.private.decrypt_raw(&c, &OpCounters::default()), v);
     }
 
     #[test]
@@ -570,10 +552,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let a = BigUint::from(111u64);
         let b = BigUint::from(222u64);
-        let ca = kp.public.encrypt_raw(&a, &mut rng);
-        let cb = kp.public.encrypt_raw(&b, &mut rng);
+        let ca = kp.public.encrypt_raw(&a, &mut rng, &OpCounters::default());
+        let cb = kp.public.encrypt_raw(&b, &mut rng, &OpCounters::default());
         let sum = kp.public.add_raw(&ca, &cb);
-        assert_eq!(kp.private.decrypt_raw(&sum), BigUint::from(333u64));
+        assert_eq!(kp.private.decrypt_raw(&sum, &OpCounters::default()), BigUint::from(333u64));
     }
 
     #[test]
@@ -581,9 +563,9 @@ mod tests {
         let kp = keypair();
         let mut rng = StdRng::seed_from_u64(10);
         let v = BigUint::from(41u64);
-        let c = kp.public.encrypt_raw(&v, &mut rng);
-        let scaled = kp.public.mul_raw(&c, &BigUint::from(3u64));
-        assert_eq!(kp.private.decrypt_raw(&scaled), BigUint::from(123u64));
+        let c = kp.public.encrypt_raw(&v, &mut rng, &OpCounters::default());
+        let scaled = kp.public.mul_raw(&c, &BigUint::from(3u64), &OpCounters::default());
+        assert_eq!(kp.private.decrypt_raw(&scaled, &OpCounters::default()), BigUint::from(123u64));
     }
 
     #[test]
@@ -591,9 +573,9 @@ mod tests {
         let kp = keypair();
         let mut rng = StdRng::seed_from_u64(11);
         let v = BigUint::from(5u64);
-        let c = kp.public.encrypt_raw(&v, &mut rng);
+        let c = kp.public.encrypt_raw(&v, &mut rng, &OpCounters::default());
         let neg = kp.public.neg_raw(&c).unwrap();
-        let dec = kp.private.decrypt_raw(&neg);
+        let dec = kp.private.decrypt_raw(&neg, &OpCounters::default());
         assert_eq!(dec, kp.public.n() - BigUint::from(5u64));
     }
 
@@ -602,7 +584,9 @@ mod tests {
         let kp = keypair();
         let mut rng = StdRng::seed_from_u64(14);
         let ciphers: Vec<RawCipher> = (0..7u64)
-            .map(|v| kp.public.encrypt_raw(&BigUint::from(v * 13 + 1), &mut rng))
+            .map(|v| {
+                kp.public.encrypt_raw(&BigUint::from(v * 13 + 1), &mut rng, &OpCounters::default())
+            })
             .collect();
         let refs: Vec<&RawCipher> = ciphers.iter().collect();
         let batch = kp.public.neg_batch_raw(&refs).unwrap();
@@ -618,9 +602,9 @@ mod tests {
         let kp = keypair();
         let mut rng = StdRng::seed_from_u64(12);
         let v = BigUint::from(77u64);
-        let c = kp.public.encrypt_raw(&v, &mut rng);
+        let c = kp.public.encrypt_raw(&v, &mut rng, &OpCounters::default());
         let sum = kp.public.add_raw(&c, &kp.public.zero_raw());
-        assert_eq!(kp.private.decrypt_raw(&sum), v);
+        assert_eq!(kp.private.decrypt_raw(&sum, &OpCounters::default()), v);
     }
 
     #[test]
@@ -628,8 +612,8 @@ mod tests {
         let kp = keypair();
         let mut rng = StdRng::seed_from_u64(13);
         let v = BigUint::from(5u64);
-        let c1 = kp.public.encrypt_raw(&v, &mut rng);
-        let c2 = kp.public.encrypt_raw(&v, &mut rng);
+        let c1 = kp.public.encrypt_raw(&v, &mut rng, &OpCounters::default());
+        let c2 = kp.public.encrypt_raw(&v, &mut rng, &OpCounters::default());
         assert_ne!(c1, c2, "two encryptions of the same value must differ");
     }
 
@@ -646,13 +630,18 @@ mod tests {
         assert_eq!(nb.backend(), CryptoBackend::NumBigint);
         let v = BigUint::from(987_654_321u64);
         // Same seed ⇒ same RNG stream ⇒ bit-identical ciphers.
-        let c_fixed = fixed.private.encrypt_raw(&v, &mut StdRng::seed_from_u64(5));
-        let c_nb = nb.private.encrypt_raw(&v, &mut StdRng::seed_from_u64(5));
+        let c_fixed =
+            fixed.private.encrypt_raw(&v, &mut StdRng::seed_from_u64(5), &OpCounters::default());
+        let c_nb =
+            nb.private.encrypt_raw(&v, &mut StdRng::seed_from_u64(5), &OpCounters::default());
         assert_eq!(c_fixed, c_nb);
-        assert_eq!(fixed.private.decrypt_raw(&c_fixed), v);
-        assert_eq!(nb.private.decrypt_raw(&c_fixed), v);
+        assert_eq!(fixed.private.decrypt_raw(&c_fixed, &OpCounters::default()), v);
+        assert_eq!(nb.private.decrypt_raw(&c_fixed, &OpCounters::default()), v);
         let k = BigUint::from(12345u64);
-        assert_eq!(fixed.public.mul_raw(&c_fixed, &k), nb.public.mul_raw(&c_nb, &k));
+        assert_eq!(
+            fixed.public.mul_raw(&c_fixed, &k, &OpCounters::default()),
+            nb.public.mul_raw(&c_nb, &k, &OpCounters::default())
+        );
         // Round-tripping back re-attaches the accelerator.
         assert_eq!(nb.with_backend(CryptoBackend::Fixed).backend(), CryptoBackend::Fixed);
     }
@@ -671,7 +660,10 @@ mod tests {
             for r in (1..p * q).filter(|r| r % p != 0 && r % q != 0).map(BigUint::from) {
                 let rn = fixed.private.obfuscator(&r, &ctr);
                 assert_eq!(rn, nb.private.obfuscator(&r, &ctr), "backends agree at r = {r}");
-                assert_eq!(fixed.private.decrypt_raw(&rn), BigUint::from(0u32));
+                assert_eq!(
+                    fixed.private.decrypt_raw(&rn, &OpCounters::default()),
+                    BigUint::from(0u32)
+                );
                 lifted.push(rn);
                 powered.push(r.modpow(n, nn));
             }
@@ -690,11 +682,11 @@ mod tests {
         let kp = KeyPair::generate_seeded(512, 9).unwrap();
         let rns: Vec<BigUint> = (0..6)
             .map(|s| {
-                kp.private.random_rn_crt_ctr(&mut StdRng::seed_from_u64(s), &OpCounters::default())
+                kp.private.random_rn_crt(&mut StdRng::seed_from_u64(s), &OpCounters::default())
             })
             .collect();
         for (i, rn) in rns.iter().enumerate() {
-            assert_eq!(kp.private.decrypt_raw(rn), BigUint::from(0u32));
+            assert_eq!(kp.private.decrypt_raw(rn, &OpCounters::default()), BigUint::from(0u32));
             assert!(!rn.is_one() && rn < kp.public.nn());
             assert!(rns[..i].iter().all(|other| other != rn), "seeds must not collide");
         }
@@ -705,12 +697,12 @@ mod tests {
         let kp = KeyPair::generate_seeded(512, 9).unwrap();
         let s = kp.public.bits();
         let ctr = OpCounters::default();
-        let rn = kp.private.random_rn_crt_ctr(&mut StdRng::seed_from_u64(1), &ctr);
+        let rn = kp.private.random_rn_crt(&mut StdRng::seed_from_u64(1), &ctr);
         let enc = ctr.snapshot().modmul;
         // Two S/2-bit exponents: S squarings + ≈ S/4 window multiplies +
         // two power tables (the S-bit exponents before cost ≈ 2.5·S).
         assert!(enc > s && 10 * enc < 14 * s, "obfuscator modmuls {enc} at S = {s}");
-        kp.private.decrypt_raw_ctr(&rn, &ctr);
+        kp.private.decrypt_raw(&rn, &ctr);
         // Decryption's exponents p−1 / q−1 are untouched, and a squaring
         // ticks the counter like the multiplication it replaced: 656 is
         // this key's count with S-bit obfuscator exponents and no
@@ -724,14 +716,14 @@ mod tests {
         let nb = fixed.with_backend(CryptoBackend::NumBigint);
         let v = BigUint::from(55u64);
         let ctr = OpCounters::default();
-        let c = fixed.private.encrypt_raw_ctr(&v, &mut StdRng::seed_from_u64(3), &ctr);
-        fixed.private.decrypt_raw_ctr(&c, &ctr);
+        let c = fixed.private.encrypt_raw(&v, &mut StdRng::seed_from_u64(3), &ctr);
+        fixed.private.decrypt_raw(&c, &ctr);
         let snap = ctr.snapshot();
         assert!(snap.modmul > 0, "fixed backend must count Montgomery multiplications");
         assert!(snap.redc >= snap.modmul, "each modmul contributes ≥1 limb of REDC");
         let ctr2 = OpCounters::default();
-        let c2 = nb.private.encrypt_raw_ctr(&v, &mut StdRng::seed_from_u64(3), &ctr2);
-        nb.private.decrypt_raw_ctr(&c2, &ctr2);
+        let c2 = nb.private.encrypt_raw(&v, &mut StdRng::seed_from_u64(3), &ctr2);
+        nb.private.decrypt_raw(&c2, &ctr2);
         assert_eq!(ctr2.snapshot().modmul, 0, "num-bigint backend performs no counted modmuls");
     }
 

@@ -7,14 +7,14 @@
 //! message flow and operation *counts*, but plaintext arithmetic — which
 //! isolates protocol overhead from cryptography overhead (§6.3, Table 4).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
+use num_bigint::BigUint;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::counters::OpCounters;
-use crate::encnum::EncryptedNumber;
-use crate::encoding::{EncodedNumber, EncodingConfig, FixedPoint};
+use crate::encoding::{encode, EncodingConfig, FixedPoint};
 use crate::error::{CryptoError, Result};
 use crate::packing::{pack_ciphers, unpack_plaintext, GhPlan, PackingPlan};
 use crate::paillier::{KeyPair, PrivateKey, PublicKey, RawCipher};
@@ -26,6 +26,17 @@ pub enum SuiteKind {
     Paillier,
     /// Plaintext passthrough (the VF-MOCK baseline).
     Plain,
+}
+
+/// A Paillier cipher of a fixed-point encoded value, tagged with the
+/// encoding exponent (the paper's `⟦v⟧ = ⟨e, ⟦V⟧⟩`). Plain data: every
+/// operation on it is a [`Suite`] method over the key.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EncryptedNumber {
+    /// The raw cipher `⟦V⟧ ∈ [0, n²)`.
+    pub cipher: RawCipher,
+    /// The fixed-point exponent `e`.
+    pub exponent: i32,
 }
 
 /// A mock "cipher": the plaintext value tagged with the exponent it would
@@ -88,13 +99,13 @@ impl PackedCiphertext {
 }
 
 struct SuiteInner {
-    kind: SuiteKind,
+    /// Present in a Paillier suite, absent in the plaintext mock.
     pk: Option<PublicKey>,
     sk: Option<PrivateKey>,
     cfg: EncodingConfig,
     counters: Arc<OpCounters>,
     /// Cached full-size encryption of zero (see [`Suite::zero_obfuscated`]).
-    cached_zero: parking_lot::Mutex<Option<num_bigint::BigUint>>,
+    cached_zero: OnceLock<BigUint>,
 }
 
 /// The cipher suite handed to each party.
@@ -107,7 +118,7 @@ pub struct Suite(Arc<SuiteInner>);
 impl std::fmt::Debug for Suite {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Suite")
-            .field("kind", &self.0.kind)
+            .field("kind", &self.kind())
             .field("has_sk", &self.0.sk.is_some())
             .finish()
     }
@@ -117,24 +128,22 @@ impl Suite {
     /// A full Paillier suite (public + private key) for the label owner.
     pub fn paillier(keys: KeyPair, cfg: EncodingConfig) -> Suite {
         Suite(Arc::new(SuiteInner {
-            kind: SuiteKind::Paillier,
             pk: Some(keys.public),
             sk: Some(keys.private),
             cfg,
             counters: OpCounters::new_shared(),
-            cached_zero: parking_lot::Mutex::new(None),
+            cached_zero: OnceLock::new(),
         }))
     }
 
     /// A plaintext mock suite (the VF-MOCK baseline).
     pub fn plain(cfg: EncodingConfig) -> Suite {
         Suite(Arc::new(SuiteInner {
-            kind: SuiteKind::Plain,
             pk: None,
             sk: None,
             cfg,
             counters: OpCounters::new_shared(),
-            cached_zero: parking_lot::Mutex::new(None),
+            cached_zero: OnceLock::new(),
         }))
     }
 
@@ -149,26 +158,28 @@ impl Suite {
     /// its own operations).
     pub fn public_half(&self) -> Suite {
         Suite(Arc::new(SuiteInner {
-            kind: self.0.kind,
             pk: self.0.pk.clone(),
             sk: None,
             cfg: self.0.cfg,
             counters: OpCounters::new_shared(),
-            cached_zero: parking_lot::Mutex::new(None),
+            cached_zero: OnceLock::new(),
         }))
     }
 
     /// Which backend this suite uses.
     pub fn kind(&self) -> SuiteKind {
-        self.0.kind
+        match self.0.pk {
+            Some(_) => SuiteKind::Paillier,
+            None => SuiteKind::Plain,
+        }
     }
 
     /// Human-readable crypto-backend tag for telemetry: `"fixed-<N>x64"`
     /// or `"num-bigint"` for Paillier suites, `"plain"` for the mock.
     pub fn backend_label(&self) -> String {
-        match (&self.0.kind, &self.0.pk) {
-            (SuiteKind::Paillier, Some(pk)) => pk.backend_label(),
-            _ => "plain".to_string(),
+        match &self.0.pk {
+            Some(pk) => pk.backend_label(),
+            None => "plain".to_string(),
         }
     }
 
@@ -197,87 +208,58 @@ impl Suite {
         self.0.sk.as_ref().ok_or(CryptoError::MissingPrivateKey)
     }
 
-    /// Encrypts `v` at a jittered exponent.
+    /// Encrypts `v` at a jittered exponent: the exponent is drawn first,
+    /// the obfuscator after it — the draw order every cipher byte hangs on.
     pub fn encrypt<R: Rng + ?Sized>(&self, v: f64, rng: &mut R) -> Result<Ciphertext> {
-        match self.0.kind {
-            SuiteKind::Paillier => Ok(Ciphertext::Paillier(EncryptedNumber::encrypt(
-                v,
-                self.sk()?,
-                &self.0.cfg,
-                rng,
-                &self.0.counters,
-            )?)),
-            SuiteKind::Plain => {
-                self.0.counters.add_enc(1);
-                Ok(Ciphertext::Plain(PlainNumber {
-                    value: v,
-                    exponent: self.0.cfg.draw_exponent(rng),
-                }))
-            }
-        }
+        let exponent = self.0.cfg.draw_exponent(rng);
+        self.encrypt_at(v, exponent, rng)
     }
 
-    /// Encrypts `v` at a fixed exponent (no jitter).
+    /// Encrypts `v` at a fixed exponent (no jitter), through the private
+    /// key's fast CRT path (Party B always owns the private key).
     pub fn encrypt_at<R: Rng + ?Sized>(
         &self,
         v: f64,
         exponent: i32,
         rng: &mut R,
     ) -> Result<Ciphertext> {
-        match self.0.kind {
-            SuiteKind::Paillier => Ok(Ciphertext::Paillier(EncryptedNumber::encrypt_at(
-                v,
-                exponent,
-                self.sk()?,
-                &self.0.cfg,
-                rng,
-                &self.0.counters,
-            )?)),
-            SuiteKind::Plain => {
-                self.0.counters.add_enc(1);
-                Ok(Ciphertext::Plain(PlainNumber { value: v, exponent }))
-            }
-        }
+        let Some(pk) = &self.0.pk else {
+            self.0.counters.add_enc(1);
+            return Ok(Ciphertext::Plain(PlainNumber { value: v, exponent }));
+        };
+        let sk = self.sk()?;
+        let plain = encode(v, exponent, &self.0.cfg, pk)?;
+        self.0.counters.add_enc(1);
+        let cipher = sk.encrypt_raw(&plain, rng, &self.0.counters);
+        Ok(Ciphertext::Paillier(EncryptedNumber { cipher, exponent }))
     }
 
     /// Encrypts a batch, deterministically derived from `seed`, across the
     /// enclosing rayon pool (inline outside one): element `i` draws from
     /// its own `seed + i` stream, so the ciphers do not depend on the
     /// pool's width. This is the encryption kernel of the blaster scheme.
+    /// (The mock draws its exponents from one `seed` stream, in order.)
     pub fn encrypt_batch(&self, values: &[f64], seed: u64) -> Result<Vec<Ciphertext>> {
         use rayon::prelude::*;
-        match self.0.kind {
-            SuiteKind::Paillier => {
-                let sk = self.sk()?;
-                values
-                    .par_iter()
-                    .enumerate()
-                    .map(|(i, &v)| {
-                        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(i as u64));
-                        Ok(Ciphertext::Paillier(EncryptedNumber::encrypt(
-                            v,
-                            sk,
-                            &self.0.cfg,
-                            &mut rng,
-                            &self.0.counters,
-                        )?))
-                    })
-                    .collect()
-            }
-            SuiteKind::Plain => {
-                self.0.counters.add_enc(values.len() as u64);
-                let mut rng = StdRng::seed_from_u64(seed);
-                Ok(values
-                    .iter()
-                    .map(|&v| {
-                        Ciphertext::Plain(PlainNumber {
-                            value: v,
-                            exponent: self.0.cfg.draw_exponent(&mut rng),
-                        })
-                    })
-                    .collect())
-            }
+        if self.0.pk.is_none() {
+            // One counter update for the batch, not one per element: the
+            // mock has no cipher work to hide an atomic behind.
+            self.0.counters.add_enc(values.len() as u64);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let plain = |&value| {
+                Ciphertext::Plain(PlainNumber {
+                    value,
+                    exponent: self.0.cfg.draw_exponent(&mut rng),
+                })
+            };
+            return Ok(values.iter().map(plain).collect());
         }
+        self.sk()?; // a keyless half fails here, once, not inside the fan-out
+        values
+            .par_iter()
+            .enumerate()
+            .map(|(i, &v)| self.encrypt(v, &mut StdRng::seed_from_u64(seed.wrapping_add(i as u64))))
+            .collect()
     }
 
     /// Encrypts `(g, h)` pairs one packed plaintext each, deterministically
@@ -301,7 +283,7 @@ impl Suite {
                 right: h.len(),
             });
         }
-        if self.0.kind != SuiteKind::Paillier {
+        if self.0.pk.is_none() {
             return Err(CryptoError::SuiteMismatch);
         }
         let sk = self.sk()?;
@@ -311,7 +293,7 @@ impl Suite {
             .map(|(i, (&gv, &hv))| {
                 let rep = plan.encode_pair(gv, hv)?;
                 let mut rng = StdRng::seed_from_u64(seed.wrapping_add(i as u64));
-                let cipher = sk.encrypt_raw_ctr(&rep, &mut rng, &self.0.counters);
+                let cipher = sk.encrypt_raw(&rep, &mut rng, &self.0.counters);
                 self.0.counters.add_enc(1);
                 Ok(Ciphertext::Paillier(EncryptedNumber { cipher, exponent: plan.exponent() }))
             })
@@ -344,7 +326,7 @@ impl Suite {
                 let wire_plan = PackingPlan::new(self.pk()?, plan.pair_bits(), *count)?;
                 let sk = self.sk()?;
                 self.0.counters.add_dec(1);
-                let plain = sk.decrypt_raw_ctr(cipher, &self.0.counters);
+                let plain = sk.decrypt_raw(cipher, &self.0.counters);
                 unpack_plaintext(&plain, &wire_plan, *count)?
                     .iter()
                     .enumerate()
@@ -358,7 +340,7 @@ impl Suite {
     /// Decrypts a cipher to a float (requires the private key in Paillier
     /// mode).
     pub fn decrypt(&self, c: &Ciphertext) -> Result<f64> {
-        match (self.0.kind, c) {
+        match (self.kind(), c) {
             (SuiteKind::Paillier, Ciphertext::Paillier(_)) => {
                 Ok(self.decrypt_fixed(c)?.to_f64(&self.0.cfg))
             }
@@ -374,15 +356,20 @@ impl Suite {
     /// holds, before the float decode [`Suite::decrypt`] applies.
     pub fn decrypt_fixed(&self, c: &Ciphertext) -> Result<FixedPoint> {
         match c {
-            Ciphertext::Paillier(e) => e.decrypt_fixed(self.sk()?, &self.0.counters),
+            Ciphertext::Paillier(e) => {
+                let sk = self.sk()?;
+                self.0.counters.add_dec(1);
+                let plain = sk.decrypt_raw(&e.cipher, &self.0.counters);
+                FixedPoint::from_plaintext(&plain, e.exponent, sk.public())
+            }
             Ciphertext::Plain(_) => Err(CryptoError::SuiteMismatch),
         }
     }
 
-    /// Additive identity at the given exponent.
+    /// Additive identity at the given exponent (`⟦0⟧ = 1`, not obfuscated).
     pub fn zero(&self, exponent: i32) -> Ciphertext {
         match &self.0.pk {
-            Some(pk) => Ciphertext::Paillier(EncryptedNumber::zero(exponent, pk)),
+            Some(pk) => Ciphertext::Paillier(EncryptedNumber { cipher: pk.zero_raw(), exponent }),
             None => Ciphertext::Plain(PlainNumber { value: 0.0, exponent }),
         }
     }
@@ -399,23 +386,45 @@ impl Suite {
         match &self.0.pk {
             None => self.zero(exponent),
             Some(pk) => {
-                let mut cached = self.0.cached_zero.lock();
-                let cipher = cached
-                    .get_or_insert_with(|| {
-                        let mut rng = StdRng::seed_from_u64(0x5eed_0bf0_5eed_0bf0);
-                        pk.random_rn_ctr(&mut rng, &self.0.counters)
-                    })
-                    .clone();
-                Ciphertext::Paillier(EncryptedNumber { cipher, exponent })
+                let cipher = self.0.cached_zero.get_or_init(|| {
+                    let mut rng = StdRng::seed_from_u64(0x5eed_0bf0_5eed_0bf0);
+                    pk.random_rn(&mut rng, &self.0.counters)
+                });
+                Ciphertext::Paillier(EncryptedNumber { cipher: cipher.clone(), exponent })
             }
         }
     }
 
-    /// Exponent-aware homomorphic addition (scales if exponents differ).
+    /// `e`'s cipher moved up to the exponent `target`: one `SMul` by
+    /// `B^Δe`, counted as a *scaling* — or a plain copy when it is already
+    /// there. Scaling down is not exact, so a lower target is a typed error.
+    fn scaled(&self, pk: &PublicKey, e: &EncryptedNumber, target: i32) -> Result<RawCipher> {
+        let up = u32::try_from(i64::from(target) - i64::from(e.exponent))
+            .map_err(|_| exponents_differ(RESCALE_DOWN, e.exponent, target))?;
+        if up == 0 {
+            return Ok(e.cipher.clone());
+        }
+        self.0.counters.add_scaling(1);
+        Ok(pk.mul_raw(&e.cipher, &self.0.cfg.base_pow(up), &self.0.counters))
+    }
+
+    /// Exponent-aware homomorphic addition.
+    ///
+    /// If the exponents differ, the lower-exponent operand is first scaled
+    /// up by `B^Δe` — exactly the cost that §5.1's re-ordered accumulation
+    /// avoids. Neither operand is copied.
     pub fn add(&self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext> {
         match (a, b) {
             (Ciphertext::Paillier(x), Ciphertext::Paillier(y)) => {
-                Ok(Ciphertext::Paillier(x.add(y, self.pk()?, &self.0.cfg, &self.0.counters)))
+                let pk = self.pk()?;
+                let (low, high) = if x.exponent <= y.exponent { (x, y) } else { (y, x) };
+                let cipher = if low.exponent == high.exponent {
+                    pk.add_raw(&low.cipher, &high.cipher)
+                } else {
+                    pk.add_raw(&self.scaled(pk, low, high.exponent)?, &high.cipher)
+                };
+                self.0.counters.add_hadd(1);
+                Ok(Ciphertext::Paillier(EncryptedNumber { cipher, exponent: high.exponent }))
             }
             (Ciphertext::Plain(x), Ciphertext::Plain(y)) => {
                 if x.exponent != y.exponent {
@@ -439,8 +448,8 @@ impl Suite {
     /// serves the ciphertext reference derivation the guest's is tested
     /// against.
     pub fn neg_batch(&self, cs: &[&Ciphertext]) -> Result<Vec<Ciphertext>> {
-        match self.0.kind {
-            SuiteKind::Paillier => {
+        match &self.0.pk {
+            Some(pk) => {
                 let raws: Result<Vec<&RawCipher>> = cs
                     .iter()
                     .map(|c| match c {
@@ -448,7 +457,7 @@ impl Suite {
                         Ciphertext::Plain(_) => Err(CryptoError::SuiteMismatch),
                     })
                     .collect();
-                let negs = self.pk()?.neg_batch_raw(&raws?)?;
+                let negs = pk.neg_batch_raw(&raws?)?;
                 self.0.counters.add_neg(cs.len() as u64);
                 Ok(negs
                     .into_iter()
@@ -458,7 +467,7 @@ impl Suite {
                     })
                     .collect())
             }
-            SuiteKind::Plain => {
+            None => {
                 self.0.counters.add_neg(cs.len() as u64);
                 cs.iter()
                     .map(|c| match c {
@@ -473,15 +482,25 @@ impl Suite {
         }
     }
 
-    /// In-place same-exponent addition (the histogram hot path).
+    /// In-place addition of two ciphers already sharing an exponent (the
+    /// histogram hot path: one product mod `n²`, no scaling). Unequal
+    /// exponents are [`CryptoError::ShapeMismatch`], `acc` untouched.
     pub fn add_assign_same_exp(&self, acc: &mut Ciphertext, b: &Ciphertext) -> Result<()> {
+        if acc.exponent() != b.exponent() {
+            return Err(exponents_differ(
+                "add_assign_same_exp exponents",
+                acc.exponent(),
+                b.exponent(),
+            ));
+        }
         match (acc, b) {
             (Ciphertext::Paillier(x), Ciphertext::Paillier(y)) => {
-                x.add_assign_same_exp(y, self.pk()?, &self.0.counters);
+                let pk = self.pk()?;
+                self.0.counters.add_hadd(1);
+                x.cipher = pk.add_raw(&x.cipher, &y.cipher);
                 Ok(())
             }
             (Ciphertext::Plain(x), Ciphertext::Plain(y)) => {
-                debug_assert_eq!(x.exponent, y.exponent);
                 self.0.counters.add_hadd(1);
                 x.value += y.value;
                 Ok(())
@@ -496,8 +515,7 @@ impl Suite {
     pub fn add_plain(&self, c: &Ciphertext, v: f64) -> Result<Ciphertext> {
         match c {
             Ciphertext::Paillier(e) => {
-                let encoded = EncodedNumber::encode(v, e.exponent, &self.0.cfg, self.pk()?)?;
-                self.add_plain_raw(c, &encoded.mantissa)
+                self.add_plain_raw(c, &encode(v, e.exponent, &self.0.cfg, self.pk()?)?)
             }
             Ciphertext::Plain(p) => {
                 self.0.counters.add_hadd(1);
@@ -510,7 +528,7 @@ impl Suite {
     /// the plaintext space (`⟦V⟧ · gᵏ mod n²`, one modular multiplication):
     /// how a host tops a GH-pair bin up by [`GhPlan::top_up`]. Paillier
     /// ciphers only.
-    pub fn add_plain_raw(&self, c: &Ciphertext, k: &num_bigint::BigUint) -> Result<Ciphertext> {
+    pub fn add_plain_raw(&self, c: &Ciphertext, k: &BigUint) -> Result<Ciphertext> {
         match c {
             Ciphertext::Paillier(e) => {
                 let pk = self.pk()?;
@@ -525,23 +543,22 @@ impl Suite {
         }
     }
 
-    /// Rescales a cipher to a (larger) exponent.
-    pub fn rescale_to(&self, c: &Ciphertext, target: i32) -> Ciphertext {
+    /// Rescales a cipher up to the exponent `target` (one counted scaling
+    /// unless it is already there); a lower target is a typed error.
+    pub fn rescale_to(&self, c: &Ciphertext, target: i32) -> Result<Ciphertext> {
         match c {
             Ciphertext::Paillier(e) => {
-                // A Paillier value under the keyless suite breaks this
-                // method's contract just as `target < exponent` does (the
-                // assert inside); protocol code admits only values of its
-                // own suite's kind (vf2boost-core `validate.rs`).
-                #[allow(clippy::expect_used)]
-                let pk = self.pk().expect("Paillier cipher under a Paillier suite");
-                Ciphertext::Paillier(e.rescale_to(target, pk, &self.0.cfg, &self.0.counters))
+                let cipher = self.scaled(self.pk()?, e, target)?;
+                Ok(Ciphertext::Paillier(EncryptedNumber { cipher, exponent: target }))
             }
             Ciphertext::Plain(p) => {
+                if target < p.exponent {
+                    return Err(exponents_differ(RESCALE_DOWN, p.exponent, target));
+                }
                 if target != p.exponent {
                     self.0.counters.add_scaling(1);
                 }
-                Ciphertext::Plain(PlainNumber { value: p.value, exponent: target })
+                Ok(Ciphertext::Plain(PlainNumber { value: p.value, exponent: target }))
             }
         }
     }
@@ -556,15 +573,12 @@ impl Suite {
         let Some(max_exp) = slots.iter().map(Ciphertext::exponent).max() else {
             return Err(CryptoError::PackingCapacity { requested: 0, max: plan.slots });
         };
-        match self.0.kind {
-            SuiteKind::Paillier => {
-                let pk = self.pk()?;
+        match &self.0.pk {
+            Some(pk) => {
                 let raws: Result<Vec<RawCipher>> = slots
                     .iter()
                     .map(|c| match c {
-                        Ciphertext::Paillier(e) => {
-                            Ok(e.rescale_to(max_exp, pk, &self.0.cfg, &self.0.counters).cipher)
-                        }
+                        Ciphertext::Paillier(e) => self.scaled(pk, e, max_exp),
                         Ciphertext::Plain(_) => Err(CryptoError::SuiteMismatch),
                     })
                     .collect();
@@ -576,7 +590,7 @@ impl Suite {
                     slot_bits: plan.slot_bits,
                 })
             }
-            SuiteKind::Plain => {
+            None => {
                 self.0.counters.add_pack(1);
                 self.0.counters.add_hadd(slots.len().saturating_sub(1) as u64);
                 self.0.counters.add_smul(slots.len().saturating_sub(1) as u64);
@@ -600,7 +614,7 @@ impl Suite {
             PackedCiphertext::Paillier { cipher, exponent, count, slot_bits } => {
                 let sk = self.sk()?;
                 self.0.counters.add_dec(1);
-                let plain = sk.decrypt_raw_ctr(cipher, &self.0.counters);
+                let plain = sk.decrypt_raw(cipher, &self.0.counters);
                 let plan = PackingPlan { slot_bits: *slot_bits, slots: *count };
                 let scale = self.0.cfg.base_pow_f64(*exponent);
                 Ok(unpack_plaintext(&plain, &plan, *count)?
@@ -616,7 +630,19 @@ impl Suite {
     }
 }
 
-fn biguint_to_f64(v: &num_bigint::BigUint) -> f64 {
+const RESCALE_DOWN: &str = "rescale below the cipher's exponent";
+
+/// Two exponents an operation needed equal (or ordered) were not; the
+/// shapes reported are their magnitudes.
+fn exponents_differ(context: &'static str, left: i32, right: i32) -> CryptoError {
+    CryptoError::ShapeMismatch {
+        context,
+        left: left.unsigned_abs() as usize,
+        right: right.unsigned_abs() as usize,
+    }
+}
+
+fn biguint_to_f64(v: &BigUint) -> f64 {
     use num_traits::ToPrimitive;
     v.to_f64().unwrap_or(f64::INFINITY)
 }
@@ -635,8 +661,112 @@ mod tests {
     fn paillier_suite_round_trip() {
         let s = paillier_suite();
         let mut rng = StdRng::seed_from_u64(1);
-        let c = s.encrypt(-2.75, &mut rng).unwrap();
-        assert!((s.decrypt(&c).unwrap() + 2.75).abs() < 1e-9);
+        for v in [0.0f64, 1.5, -1.5, 0.001, -42.0, -2.75] {
+            let c = s.encrypt(v, &mut rng).unwrap();
+            let d = s.decrypt(&c).unwrap();
+            assert!((d - v).abs() < 1e-9, "{v} -> {d}");
+        }
+        let snap = s.counters().snapshot();
+        assert_eq!((snap.enc, snap.dec), (6, 6));
+    }
+
+    #[test]
+    fn add_with_matching_exponents_needs_no_scaling() {
+        let s = paillier_suite();
+        let mut rng = StdRng::seed_from_u64(17);
+        let a = s.encrypt_at(1.25, 10, &mut rng).unwrap();
+        let b = s.encrypt_at(2.5, 10, &mut rng).unwrap();
+        let sum = s.add(&a, &b).unwrap();
+        assert_eq!(s.counters().snapshot().scalings, 0);
+        assert!((s.decrypt(&sum).unwrap() - 3.75).abs() < 1e-9);
+    }
+
+    #[test]
+    fn add_with_mismatched_exponents_scales_once() {
+        let s = paillier_suite();
+        let mut rng = StdRng::seed_from_u64(17);
+        let a = s.encrypt_at(1.25, 10, &mut rng).unwrap();
+        let b = s.encrypt_at(-0.75, 12, &mut rng).unwrap();
+        // Whichever side the lower exponent is on, it alone is scaled.
+        for (x, y) in [(&a, &b), (&b, &a)] {
+            let before = s.counters().snapshot();
+            let sum = s.add(x, y).unwrap();
+            let spent = s.counters().snapshot().since(&before);
+            assert_eq!((spent.scalings, spent.hadd), (1, 1));
+            assert_eq!(sum.exponent(), 12);
+            assert!((s.decrypt(&sum).unwrap() - 0.5).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn zero_is_additive_identity() {
+        let s = paillier_suite();
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut acc = s.encrypt_at(-7.5, 10, &mut rng).unwrap();
+        s.add_assign_same_exp(&mut acc, &s.zero(10)).unwrap();
+        assert!((s.decrypt(&acc).unwrap() + 7.5).abs() < 1e-9);
+        let with_obfuscated = s.add(&acc, &s.zero_obfuscated(10)).unwrap();
+        assert!((s.decrypt(&with_obfuscated).unwrap() + 7.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn scalar_multiply_scales_the_value() {
+        let s = paillier_suite();
+        let mut rng = StdRng::seed_from_u64(17);
+        let Ciphertext::Paillier(e) = s.encrypt_at(2.5, 10, &mut rng).unwrap() else {
+            panic!("paillier suite encrypts paillier ciphers");
+        };
+        let cipher = s.public_key().unwrap().mul_raw(&e.cipher, &BigUint::from(3u32), s.counters());
+        let tripled = Ciphertext::Paillier(EncryptedNumber { cipher, exponent: e.exponent });
+        assert!((s.decrypt(&tripled).unwrap() - 7.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn long_accumulation_stays_exact() {
+        let s = paillier_suite();
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut acc = s.zero(s.encoding().base_exp);
+        let mut expected = 0.0f64;
+        for i in 0..64 {
+            let v = (i as f64) * 0.125 - 3.0;
+            expected += v;
+            acc = s.add(&acc, &s.encrypt(v, &mut rng).unwrap()).unwrap();
+        }
+        let got = s.decrypt(&acc).unwrap();
+        assert!((got - expected).abs() < 1e-6, "{got} vs {expected}");
+    }
+
+    #[test]
+    fn same_exponent_add_refuses_unequal_exponents_in_both_suites() {
+        let mut rng = StdRng::seed_from_u64(18);
+        for s in [paillier_suite(), Suite::plain(EncodingConfig::default())] {
+            let mut acc = s.encrypt_at(1.5, 10, &mut rng).unwrap();
+            let other = s.encrypt_at(0.5, 11, &mut rng).unwrap();
+            let (before, kept) = (s.counters().snapshot(), acc.clone());
+            let err = s.add_assign_same_exp(&mut acc, &other).unwrap_err();
+            assert!(matches!(err, CryptoError::ShapeMismatch { .. }), "{err}");
+            assert_eq!(acc, kept, "a refused add must leave the accumulator alone");
+            assert_eq!(s.counters().snapshot().since(&before).hadd, 0);
+        }
+    }
+
+    #[test]
+    fn rescale_goes_up_only_and_only_within_one_suite() {
+        let mut rng = StdRng::seed_from_u64(19);
+        let (p, m) = (paillier_suite(), Suite::plain(EncodingConfig::default()));
+        for s in [&p, &m] {
+            let c = s.encrypt_at(3.25, 10, &mut rng).unwrap();
+            let before = s.counters().snapshot();
+            let up = s.rescale_to(&c, 13).unwrap();
+            assert_eq!(s.rescale_to(&c, 10).unwrap(), c);
+            assert_eq!(s.counters().snapshot().since(&before).scalings, 1);
+            assert_eq!((up.exponent(), s.decrypt(&up).unwrap()), (13, 3.25));
+            let err = s.rescale_to(&c, 9).unwrap_err();
+            assert!(matches!(err, CryptoError::ShapeMismatch { .. }), "{err}");
+        }
+        // A Paillier cipher under the keyless suite: an error, not a panic.
+        let foreign = p.encrypt_at(1.0, 10, &mut rng).unwrap();
+        assert!(matches!(m.rescale_to(&foreign, 12), Err(CryptoError::SuiteMismatch)));
     }
 
     #[test]

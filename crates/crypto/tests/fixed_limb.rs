@@ -13,7 +13,7 @@ use num_traits::One;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vf2_crypto::montgomery::CryptoBackend;
-use vf2_crypto::{EncodingConfig, Fixed, GhPlan, KeyPair, MontExp, PackingPlan, Suite};
+use vf2_crypto::{EncodingConfig, Fixed, GhPlan, KeyPair, MontExp, OpCounters, PackingPlan, Suite};
 
 /// Carry-edge operands below `2^bits`: `2^(64k) − 1` and `2^(64k) + 1`
 /// for every limb boundary `k`, plus 0 and 1.
@@ -183,15 +183,16 @@ fn paillier_pipeline_identical_across_backends() {
     let fixed = KeyPair::generate_seeded(512, 21).expect("keygen");
     let nb = fixed.with_backend(CryptoBackend::NumBigint);
     assert_eq!(nb.backend(), CryptoBackend::NumBigint);
+    let ctr = OpCounters::default();
     for seed in 0..4u64 {
         let v = BigUint::from(seed * 1_000_003 + 17);
-        let cf = fixed.private.encrypt_raw(&v, &mut StdRng::seed_from_u64(seed));
-        let cn = nb.private.encrypt_raw(&v, &mut StdRng::seed_from_u64(seed));
+        let cf = fixed.private.encrypt_raw(&v, &mut StdRng::seed_from_u64(seed), &ctr);
+        let cn = nb.private.encrypt_raw(&v, &mut StdRng::seed_from_u64(seed), &ctr);
         assert_eq!(cf, cn, "ciphers must be bit-identical across backends");
-        assert_eq!(fixed.private.decrypt_raw(&cf), v);
-        assert_eq!(nb.private.decrypt_raw(&cf), v);
+        assert_eq!(fixed.private.decrypt_raw(&cf, &ctr), v);
+        assert_eq!(nb.private.decrypt_raw(&cf, &ctr), v);
         let k = BigUint::from(seed + 3);
-        assert_eq!(fixed.public.mul_raw(&cf, &k), nb.public.mul_raw(&cn, &k));
+        assert_eq!(fixed.public.mul_raw(&cf, &k, &ctr), nb.public.mul_raw(&cn, &k, &ctr));
     }
 
     // Suite level — the two operation chains a federated run drives
