@@ -4,10 +4,8 @@
 //! A [`ChaosPlan`] reaches a run only through
 //! [`crate::train::train_federated_session`] (and [`crate::host::run_host`]
 //! for a scripted single party): nothing a deployment configures can set
-//! it, [`crate::train::train_federated`] always runs the inert default,
-//! and a host the trainer restarts after a loss starts chaos-free — a
-//! replacement must not replay the injected failure that killed its
-//! predecessor.
+//! it, and [`crate::train::train_federated`] always runs the inert
+//! default.
 
 use vf2_channel::FaultConfig;
 
@@ -27,8 +25,9 @@ pub struct ChaosPlan {
     /// moment it receives the `NodeTask` for this `(tree, node)` — inside
     /// the node loop, between a task and its histogram answer. `(n, 0)`
     /// arrives FIFO-after `TreeDone(n − 1)`, so the `n`-tree checkpoint is
-    /// durable on both sides. Only host 0 honors it, so multi-host runs
-    /// keep live survivors to exercise the rewind barrier.
+    /// durable on every party. Only host 0 honors it; in a multi-host run
+    /// the other hosts lose the guest when its run fails, and every party
+    /// resumes from that common checkpoint.
     pub crash_host_on_node_task: Option<(u32, u32)>,
     /// The encrypted histogram build of this tree panics where column
     /// shard 0 runs — inside the party pool's `install`, at the first

@@ -25,36 +25,6 @@ pub enum CryptoConfig {
     Mock,
 }
 
-/// What the guest does when liveness supervision declares a host dead
-/// mid-run.
-///
-/// The policy is deliberately excluded from the session config digest
-/// (like the liveness knobs it extends): it changes how a run *survives*
-/// a failure, never the model an uninterrupted run produces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HostLossPolicy {
-    /// Abort the run with [`crate::error::TrainError::PeerLost`] (the
-    /// pre-existing behavior, and the default).
-    Fail,
-    /// Quarantine the dead host, keep the session open, and wait up to
-    /// `deadline` for a restarted host process to replay the resumable
-    /// handshake against the live session. On rejoin the parties rewind
-    /// to the last mutually durable tree and continue; the final model is
-    /// bitwise identical to an uninterrupted run. If the deadline expires
-    /// the original `PeerLost` aborts the run.
-    AwaitRejoin {
-        /// How long the guest holds the session open for the restart.
-        deadline: Duration,
-    },
-    /// Park the dead host's feature columns permanently and continue
-    /// training on the remaining parties: the in-flight tree is aborted
-    /// and rebuilt without the lost host, split finding never considers
-    /// parked features again, and each completed tree's
-    /// [`crate::telemetry::TreeRecord::party_set`] records which parties
-    /// trained it.
-    Degrade,
-}
-
 /// Heterogeneous WAN spread across host links: link `p` of `n` gets its
 /// bandwidth and latency interpolated linearly from the base
 /// [`TrainConfig::wan`] (host 0) to `slowest_bandwidth_frac` /
@@ -108,12 +78,6 @@ pub struct TrainConfig {
     /// robustness notes are always recorded). Tracing never influences
     /// protocol decisions, so models are identical either way.
     pub trace_spans: bool,
-    /// Failure policy when a host is declared dead mid-run: fail the run
-    /// (default), hold the session open for a live rejoin, or continue
-    /// degraded on the surviving parties. Excluded from the session
-    /// config digest — the policy never changes the model of an
-    /// uninterrupted run.
-    pub on_host_loss: HostLossPolicy,
     /// Misbehavior tolerance budget per peer: how many protocol
     /// violations (out-of-phase messages, replays, inadmissible payloads)
     /// a party tolerates — dropping the offending message and counting it
@@ -150,7 +114,6 @@ impl Default for TrainConfig {
             peer_dead_after: Duration::from_secs(60),
             trace_events_cap: 256,
             trace_spans: true,
-            on_host_loss: HostLossPolicy::Fail,
             misbehavior_budget: 0,
             wan_spread: None,
             workers: 1,
@@ -178,11 +141,6 @@ impl TrainConfig {
         }
         if self.dead_after().is_zero() {
             return Err(ConfigError::ZeroPeerTimeout);
-        }
-        if let HostLossPolicy::AwaitRejoin { deadline } = self.on_host_loss {
-            if deadline.is_zero() {
-                return Err(ConfigError::RejoinDeadlineTooShort { deadline });
-            }
         }
         if let Some(spread) = self.wan_spread {
             let bw_ok =
@@ -300,15 +258,6 @@ mod tests {
         ] {
             assert_eq!(bad.validate(), Err(ConfigError::ZeroPeerTimeout));
         }
-        // The rejoin wait is wakeup-based: any positive deadline can
-        // observe a hello, a zero one cannot.
-        let rejoin =
-            |deadline| TrainConfig { on_host_loss: HostLossPolicy::AwaitRejoin { deadline }, ..ok };
-        assert_eq!(
-            rejoin(Duration::ZERO).validate(),
-            Err(ConfigError::RejoinDeadlineTooShort { deadline: Duration::ZERO })
-        );
-        assert!(rejoin(Duration::from_nanos(1)).validate().is_ok());
     }
 
     #[test]

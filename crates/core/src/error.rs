@@ -196,12 +196,6 @@ pub enum ConfigError {
     /// cross-party wait would expire immediately, before the peer could
     /// possibly answer.
     ZeroPeerTimeout,
-    /// A zero `AwaitRejoin` deadline: the quarantine window would close
-    /// before the guest waits for a restarted host at all.
-    RejoinDeadlineTooShort {
-        /// The configured rejoin deadline.
-        deadline: Duration,
-    },
     /// A [`crate::config::WanSpread`] with a non-finite or non-positive
     /// bandwidth fraction, or a non-finite / negative latency multiple —
     /// the interpolated links would have zero or undefined capacity.
@@ -228,11 +222,6 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "peer_timeout or peer_dead_after is zero; every cross-party wait would expire \
                  instantly"
-            ),
-            ConfigError::RejoinDeadlineTooShort { deadline } => write!(
-                f,
-                "AwaitRejoin deadline {deadline:?} is zero; the quarantine window closes before \
-                 a rejoin can be observed"
             ),
             ConfigError::InvalidWanSpread { bandwidth_frac, latency_mult } => write!(
                 f,

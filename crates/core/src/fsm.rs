@@ -188,7 +188,6 @@ impl HostFsm {
                     self.phase = HostPhase::Done;
                     Ok(Admit::Deliver)
                 }
-                Msg::Rewind { tree_count, .. } => self.admit_rewind(msg.kind(), *tree_count),
                 _ => Err(self.reject(msg.kind(), "tree building before the gradient stream")),
             },
             HostPhase::NodeLoop => match msg {
@@ -222,29 +221,10 @@ impl HostFsm {
                 Msg::GradBatch { .. } | Msg::PackedGradBatch { .. } => {
                     Err(self.reject(msg.kind(), "gradients before the current tree finished"))
                 }
-                Msg::Rewind { tree_count, .. } => self.admit_rewind(msg.kind(), *tree_count),
                 _ => Err(self.reject(msg.kind(), "message inadmissible inside the node loop")),
             },
             HostPhase::Done => Err(self.reject(msg.kind(), "traffic after the orderly shutdown")),
         }
-    }
-
-    /// A mid-run rewind is legal while a tree is being built or streamed
-    /// (a peer failure elsewhere forced the run back to the last durable
-    /// tree), but only *backwards*: a rewind past the current tree would
-    /// let the guest skip work it never sent.
-    fn admit_rewind(&mut self, kind: u16, tree_count: u32) -> Result<Admit, ProtocolError> {
-        if tree_count > self.tree {
-            return Err(ProtocolError::Inadmissible {
-                from: PartyId::Guest,
-                kind,
-                context: "rewind target past the current tree",
-            });
-        }
-        self.tree = tree_count;
-        self.next_row = 0;
-        self.phase = HostPhase::Gradients;
-        Ok(Admit::Deliver)
     }
 
     /// Rows the machine has admitted for the current tree (test hook).
@@ -263,19 +243,6 @@ enum GuestPhase {
     AwaitMeta,
     /// Steady state: histogram / placement responses only.
     Active,
-    /// Liveness supervision declared this host dead: its stream is closed
-    /// to the protocol, and anything still in flight from the old
-    /// incarnation is honest staleness, dropped without a charge.
-    Quarantined,
-    /// A restarted host process is awaited: only a `SessionHello` from a
-    /// strictly newer incarnation epoch is admissible; everything else —
-    /// including a replayed hello from the dead incarnation — is stale.
-    Rejoining,
-    /// A *surviving* host was sent a mid-run `Rewind` (another party
-    /// failed); its in-flight answers to the aborted attempt drain as
-    /// honest staleness until its `RewindAck` arrives. FIFO delivery
-    /// makes the ack a barrier: nothing stale can follow it.
-    Draining,
 }
 
 /// Validating state machine for one host's inbound stream at the guest.
@@ -302,9 +269,6 @@ pub struct GuestFsm {
     /// (a rollback plus re-resolve can legitimately issue two for the
     /// same node, hence a counter rather than a set).
     placements_due: HashMap<u32, u32>,
-    /// The incarnation epoch of the last admitted `SessionHello`; a
-    /// rejoining host must present a strictly larger one.
-    last_epoch: u32,
 }
 
 impl GuestFsm {
@@ -317,7 +281,6 @@ impl GuestFsm {
             tasked: HashSet::new(),
             seen_hists: HashSet::new(),
             placements_due: HashMap::new(),
-            last_epoch: 0,
         }
     }
 
@@ -327,40 +290,7 @@ impl GuestFsm {
             GuestPhase::AwaitHello => "await-hello",
             GuestPhase::AwaitMeta => "await-meta",
             GuestPhase::Active => "active",
-            GuestPhase::Quarantined => "quarantined",
-            GuestPhase::Rejoining => "rejoining",
-            GuestPhase::Draining => "draining",
         }
-    }
-
-    /// Driver hook: liveness supervision declared this host dead. The
-    /// stream closes — every further message (old-incarnation stragglers
-    /// included) is dropped as stale until a rejoin is initiated.
-    pub fn quarantine(&mut self) {
-        self.phase = GuestPhase::Quarantined;
-        self.tasked.clear();
-        self.seen_hists.clear();
-        self.placements_due.clear();
-    }
-
-    /// Driver hook: a replacement endpoint is live and a restarted host
-    /// process is awaited; only a strictly newer-epoch `SessionHello`
-    /// will be admitted.
-    pub fn begin_rejoin(&mut self) {
-        self.phase = GuestPhase::Rejoining;
-    }
-
-    /// Driver hook: this (surviving) host was just sent a mid-run
-    /// `Rewind` because a *different* party failed. Until the host
-    /// processes it and acks, answers to the aborted attempt are still in
-    /// flight; the stream drains — everything is honest staleness except
-    /// the `RewindAck`, whose FIFO position proves all pre-rewind traffic
-    /// has been flushed.
-    pub fn begin_drain(&mut self) {
-        self.phase = GuestPhase::Draining;
-        self.tasked.clear();
-        self.seen_hists.clear();
-        self.placements_due.clear();
     }
 
     /// Driver hook: a new tree starts; all request bookkeeping of the
@@ -397,38 +327,6 @@ impl GuestFsm {
     /// Checks one decoded message from this host, advancing the machine
     /// on admission.
     pub fn admit(&mut self, msg: &Msg) -> Result<Admit, ProtocolError> {
-        // A parked host's stream is closed to the protocol. Whatever the
-        // old incarnation still had in flight is honest staleness, and a
-        // rejoin opens exclusively with a newer-epoch hello — a replayed
-        // hello from the dead incarnation cannot re-enter the session.
-        match self.phase {
-            GuestPhase::Quarantined => {
-                return Ok(Admit::Stale("traffic from a quarantined incarnation"));
-            }
-            GuestPhase::Rejoining => {
-                return match msg {
-                    Msg::SessionHello { epoch, .. } if *epoch > self.last_epoch => {
-                        self.last_epoch = *epoch;
-                        self.phase = GuestPhase::AwaitMeta;
-                        Ok(Admit::Deliver)
-                    }
-                    Msg::SessionHello { .. } => {
-                        Ok(Admit::Stale("session hello from a stale incarnation"))
-                    }
-                    _ => Ok(Admit::Stale("pre-rejoin traffic from the old incarnation")),
-                };
-            }
-            GuestPhase::Draining => {
-                return match msg {
-                    Msg::RewindAck { .. } => {
-                        self.phase = GuestPhase::Active;
-                        Ok(Admit::Deliver)
-                    }
-                    _ => Ok(Admit::Stale("pre-rewind traffic draining from the aborted attempt")),
-                };
-            }
-            _ => {}
-        }
         // Guest-bound kinds only: a host never drives the protocol.
         if matches!(
             msg,
@@ -440,15 +338,13 @@ impl GuestFsm {
                 | Msg::NodeLeaf { .. }
                 | Msg::TreeDone { .. }
                 | Msg::Resume { .. }
-                | Msg::Rewind { .. }
                 | Msg::Shutdown
         ) {
             return Err(self.reject(msg.kind(), "message kind the guest never accepts"));
         }
         match self.phase {
             GuestPhase::AwaitHello => match msg {
-                Msg::SessionHello { epoch, .. } => {
-                    self.last_epoch = *epoch;
+                Msg::SessionHello { .. } => {
                     self.phase = GuestPhase::AwaitMeta;
                     Ok(Admit::Deliver)
                 }
@@ -508,11 +404,6 @@ impl GuestFsm {
                 }
                 _ => Err(self.reject(msg.kind(), "message inadmissible in steady state")),
             },
-            // Handled by the early return above; kept for exhaustiveness
-            // (and panic-free should the match ever be reordered).
-            GuestPhase::Quarantined | GuestPhase::Rejoining | GuestPhase::Draining => {
-                Ok(Admit::Stale("traffic from a quarantined incarnation"))
-            }
         }
     }
 }
@@ -639,10 +530,9 @@ mod tests {
         let mut fsm = GuestFsm::new(1);
         let err = fsm.admit(&Msg::FeatureMeta(vec![])).unwrap_err();
         assert!(matches!(err, ProtocolError::OutOfPhase { from: PartyId::Host(1), .. }), "{err}");
-        fsm.admit(&Msg::SessionHello { session_id: 0, epoch: 0, durable: vec![] }).unwrap();
+        fsm.admit(&Msg::SessionHello { session_id: 0, durable: vec![] }).unwrap();
         // A second hello is a replayed handshake.
-        let err =
-            fsm.admit(&Msg::SessionHello { session_id: 0, epoch: 0, durable: vec![] }).unwrap_err();
+        let err = fsm.admit(&Msg::SessionHello { session_id: 0, durable: vec![] }).unwrap_err();
         assert!(matches!(err, ProtocolError::OutOfPhase { .. }), "{err}");
         fsm.admit(&Msg::FeatureMeta(vec![])).unwrap();
         assert_eq!(fsm.phase_name(), "active");
@@ -652,7 +542,7 @@ mod tests {
 
     fn active_guest() -> GuestFsm {
         let mut fsm = GuestFsm::new(0);
-        fsm.admit(&Msg::SessionHello { session_id: 0, epoch: 0, durable: vec![] }).unwrap();
+        fsm.admit(&Msg::SessionHello { session_id: 0, durable: vec![] }).unwrap();
         fsm.admit(&Msg::FeatureMeta(vec![])).unwrap();
         fsm.begin_tree(3);
         fsm
@@ -722,96 +612,6 @@ mod tests {
         assert!(matches!(err, ProtocolError::OutOfPhase { .. }), "{err}");
         let err = fsm.admit(&Msg::Placement { tree: 4, node: 0, placement: vec![] }).unwrap_err();
         assert!(matches!(err, ProtocolError::StaleOrReplayed { .. }), "{err}");
-    }
-
-    #[test]
-    fn host_admits_rewind_mid_stream_and_mid_node_loop() {
-        let mut fsm = HostFsm::new(4);
-        fsm.admit(&Msg::Resume { session_id: 0, tree_count: 2 }).unwrap();
-        // Mid-gradient-stream rewind to an earlier tree.
-        fsm.admit(&grad(2, 0, 4, false)).unwrap();
-        assert_eq!(fsm.admit(&Msg::Rewind { session_id: 0, tree_count: 1 }), Ok(Admit::Deliver));
-        assert_eq!(fsm.phase_name(), "gradients");
-        // The row cursor restarted: tree 1 streams from row 0.
-        assert_eq!(fsm.admit(&grad(1, 0, 8, true)), Ok(Admit::Deliver));
-        assert_eq!(fsm.phase_name(), "node-loop");
-        // Mid-node-loop rewind of the *current* tree (in-flight tree
-        // aborted and rebuilt).
-        assert_eq!(fsm.admit(&Msg::Rewind { session_id: 0, tree_count: 1 }), Ok(Admit::Deliver));
-        assert_eq!(fsm.phase_name(), "gradients");
-        assert_eq!(fsm.admit(&grad(1, 0, 8, true)), Ok(Admit::Deliver));
-        // A rewind *forward* is a violation, as is one before the resume.
-        let err = fsm.admit(&Msg::Rewind { session_id: 0, tree_count: 3 }).unwrap_err();
-        assert!(matches!(err, ProtocolError::Inadmissible { kind: 15, .. }), "{err}");
-        let mut fresh = HostFsm::new(4);
-        let err = fresh.admit(&Msg::Rewind { session_id: 0, tree_count: 0 }).unwrap_err();
-        assert!(matches!(err, ProtocolError::OutOfPhase { kind: 15, .. }), "{err}");
-    }
-
-    #[test]
-    fn guest_never_accepts_a_rewind() {
-        let mut fsm = active_guest();
-        let err = fsm.admit(&Msg::Rewind { session_id: 0, tree_count: 0 }).unwrap_err();
-        assert!(matches!(err, ProtocolError::OutOfPhase { kind: 15, .. }), "{err}");
-    }
-
-    #[test]
-    fn drain_discards_stragglers_until_the_rewind_ack() {
-        let mut fsm = active_guest();
-        fsm.task_sent(0, 1);
-        fsm.begin_drain();
-        assert_eq!(fsm.phase_name(), "draining");
-        // Everything the aborted attempt had in flight — even answers
-        // that would have matched voided tasks — is honest staleness...
-        assert!(matches!(fsm.admit(&hist(3, 0, 1)), Ok(Admit::Stale(_))));
-        assert!(matches!(
-            fsm.admit(&Msg::Placement { tree: 3, node: 0, placement: vec![] }),
-            Ok(Admit::Stale(_))
-        ));
-        // ...until the ack proves the FIFO stream is flushed.
-        assert_eq!(fsm.admit(&Msg::RewindAck { session_id: 0, tree_count: 1 }), Ok(Admit::Deliver));
-        assert_eq!(fsm.phase_name(), "active");
-        // A spontaneous ack outside a drain is a violation.
-        let err = fsm.admit(&Msg::RewindAck { session_id: 0, tree_count: 1 }).unwrap_err();
-        assert!(matches!(err, ProtocolError::OutOfPhase { kind: 16, .. }), "{err}");
-    }
-
-    #[test]
-    fn quarantine_closes_the_stream_and_rejoin_requires_a_newer_epoch() {
-        let mut fsm = GuestFsm::new(0);
-        fsm.admit(&Msg::SessionHello { session_id: 7, epoch: 1, durable: vec![] }).unwrap();
-        fsm.admit(&Msg::FeatureMeta(vec![])).unwrap();
-        fsm.begin_tree(2);
-        fsm.task_sent(0, 1);
-        // Liveness declares the host dead: everything the old incarnation
-        // still had in flight — even an otherwise-valid histogram — is
-        // dropped as stale, never charged.
-        fsm.quarantine();
-        assert_eq!(fsm.phase_name(), "quarantined");
-        assert!(matches!(fsm.admit(&hist(2, 0, 1)), Ok(Admit::Stale(_))));
-        assert!(matches!(
-            fsm.admit(&Msg::SessionHello { session_id: 7, epoch: 1, durable: vec![] }),
-            Ok(Admit::Stale(_))
-        ));
-        // A replacement endpoint is up: only a strictly newer incarnation
-        // may open the rejoin; the dead incarnation's replayed hello and
-        // straggler data stay stale.
-        fsm.begin_rejoin();
-        assert_eq!(fsm.phase_name(), "rejoining");
-        assert!(matches!(fsm.admit(&hist(2, 0, 1)), Ok(Admit::Stale(_))));
-        assert_eq!(
-            fsm.admit(&Msg::SessionHello { session_id: 7, epoch: 1, durable: vec![] }),
-            Ok(Admit::Stale("session hello from a stale incarnation"))
-        );
-        assert_eq!(
-            fsm.admit(&Msg::SessionHello { session_id: 7, epoch: 2, durable: vec![0, 1] }),
-            Ok(Admit::Deliver)
-        );
-        assert_eq!(fsm.phase_name(), "await-meta");
-        assert_eq!(fsm.last_epoch, 2);
-        // The rejoin completes exactly like a first connect.
-        fsm.admit(&Msg::FeatureMeta(vec![])).unwrap();
-        assert_eq!(fsm.phase_name(), "active");
     }
 
     #[test]

@@ -22,7 +22,7 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use vf2_channel::{Endpoint, Envelope};
 use vf2_crypto::packing::GhPlan;
@@ -34,7 +34,7 @@ use vf2_gbdt::histogram::GradPair;
 use vf2_gbdt::split::{best_of, find_best_split, SplitCandidate};
 use vf2_gbdt::tree::{layer_of, left_child, parent, right_child, NodeId, NodeSplit};
 
-use crate::config::{HostLossPolicy, TrainConfig};
+use crate::config::TrainConfig;
 use crate::error::{GuestFailure, PartyId, ProtocolError, ProtocolPhase, TrainError};
 use crate::fsm::{Admit, GuestFsm};
 use crate::hist_enc::{
@@ -60,42 +60,6 @@ pub struct GuestOutput {
     pub tree_records: Vec<TreeRecord>,
     /// Final training-set margins.
     pub train_margins: Vec<f64>,
-    /// Per-host robustness outcome, index-aligned with the endpoints.
-    pub host_outcomes: Vec<HostOutcome>,
-}
-
-/// How one host fared over a completed run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HostOutcome {
-    /// Alive and participating for the whole run.
-    Healthy,
-    /// Died mid-run and was brought back under
-    /// [`HostLossPolicy::AwaitRejoin`].
-    Rejoined {
-        /// Completed rejoin handshakes (one per survived failure).
-        rejoins: u32,
-    },
-    /// Declared dead under [`HostLossPolicy::Degrade`] and parked for the
-    /// rest of the run.
-    Parked {
-        /// Completed trees at the moment the host was parked. Its split
-        /// table is recoverable from the session checkpoint at this count
-        /// (and the model stays servable regardless: parked-host splits
-        /// degrade to a neutral contribution at prediction time).
-        tree_count: u32,
-    },
-}
-
-/// Replacement-link factory for [`HostLossPolicy::AwaitRejoin`]: the
-/// deployment driver (the trainer, in the in-process deployment) restarts
-/// a fresh host process incarnation and hands the guest the new link.
-/// Passing `None` to [`run_guest`] means a lost host cannot be brought
-/// back, so the policy falls through to a fatal
-/// [`TrainError::PeerLost`].
-pub trait HostSpawner: Send + Sync {
-    /// Starts a fresh incarnation of host `party` and returns the guest
-    /// side of the new link.
-    fn respawn(&self, party: usize) -> Result<Endpoint, TrainError>;
 }
 
 /// Which party won a node, if any.
@@ -115,9 +79,6 @@ enum HostAnswer {
     /// Owed — by the host, or by the derivation from its sibling's — and
     /// not in yet.
     Waiting,
-    /// The host is parked and will never answer: resolution waits on the
-    /// live hosts only.
-    Parked,
     /// In: the host's best split for the node, and its histogram, kept as
     /// it decrypted for as long as the node stands — a (re-)split's
     /// derivation reads it.
@@ -192,16 +153,17 @@ fn guest_invariant(context: &'static str) -> TrainError {
 /// Never panics on peer misbehaviour: a silent or disconnected host
 /// yields [`TrainError::PeerLost`], a malformed or out-of-place message
 /// yields [`TrainError::Protocol`], and the failure carries the guest's
-/// partial telemetry.
+/// partial telemetry. A lost host ends the run: with a session attached,
+/// every party's checkpoints stay durable, and the caller restarts the
+/// run with [`crate::session::SessionConfig::resuming`].
 pub fn run_guest(
     data: Arc<Dataset>,
     cfg: TrainConfig,
     suite: Suite,
     endpoints: Vec<Endpoint>,
     session: Option<PartySession>,
-    spawner: Option<Arc<dyn HostSpawner>>,
 ) -> Result<GuestOutput, GuestFailure> {
-    match GuestParty::new(data, cfg, suite, endpoints, session, spawner) {
+    match GuestParty::new(data, cfg, suite, endpoints, session) {
         Ok(party) => party.run(),
         Err(error) => Err(GuestFailure {
             error,
@@ -219,13 +181,8 @@ struct HostLink {
     fsm: GuestFsm,
     /// The histogram structure its `FeatureMeta` announced.
     metas: Vec<FeatureMeta>,
-    /// The durable checkpoints its latest `SessionHello` announced.
+    /// The durable checkpoints its `SessionHello` announced.
     durable: Vec<u32>,
-    /// How the host has fared so far; handed back in
-    /// [`GuestOutput::host_outcomes`]. A `Parked` host's link is dead:
-    /// every send and receive path walks [`GuestParty::live`] and so skips
-    /// it for the rest of the run.
-    outcome: HostOutcome,
 }
 
 struct GuestParty {
@@ -249,8 +206,6 @@ struct GuestParty {
     tree_records: Vec<TreeRecord>,
     started: Instant,
     session: Option<PartySession>,
-    /// Replacement-link factory for the `AwaitRejoin` policy.
-    spawner: Option<Arc<dyn HostSpawner>>,
 }
 
 impl GuestParty {
@@ -260,11 +215,15 @@ impl GuestParty {
         suite: Suite,
         endpoints: Vec<Endpoint>,
         session: Option<PartySession>,
-        spawner: Option<Arc<dyn HostSpawner>>,
     ) -> Result<GuestParty, TrainError> {
         let Some(labels) = data.labels() else {
             return Err(TrainError::InvalidInput("the guest must own the labels".into()));
         };
+        // A node resolves once every host has answered, so the tree loop
+        // needs someone to wait on.
+        if endpoints.is_empty() {
+            return Err(TrainError::InvalidInput("at least one host party is required".into()));
+        }
         let labels = labels.to_vec();
         let binned = BinnedDataset::bin(&data, &cfg.gbdt.binning);
         let csr = RowMajorBins::from_binned(&binned);
@@ -280,7 +239,6 @@ impl GuestParty {
             fsm: GuestFsm::new(h),
             metas: Vec::new(),
             durable: Vec::new(),
-            outcome: HostOutcome::Healthy,
         };
         Ok(GuestParty {
             gh,
@@ -294,7 +252,6 @@ impl GuestParty {
             tree_records: Vec::new(),
             started: Instant::now(),
             session,
-            spawner,
             cfg,
             suite,
             data,
@@ -315,7 +272,6 @@ impl GuestParty {
                 telemetry: self.telemetry,
                 tree_records: self.tree_records,
                 train_margins: self.preds,
-                host_outcomes: self.hosts.iter().map(|h| h.outcome).collect(),
             }),
             Err(error) => {
                 // Dump the flight record first.
@@ -361,75 +317,51 @@ impl GuestParty {
 
         let mut trees = Vec::with_capacity(self.cfg.gbdt.num_trees);
         if let Some(sess) = resuming.filter(|_| resume_from > 0) {
-            self.rewind_guest_state(sess, &mut trees, resume_from)?;
+            trees.extend(self.load_resume_point(sess, resume_from)?);
             self.telemetry.events.resumes += 1;
             self.telemetry.trace.note(format!("resumed from checkpoint at {resume_from} trees"));
         }
 
         self.started = Instant::now();
-        let mut t = resume_from as usize;
-        while t < self.cfg.gbdt.num_trees {
-            match self.train_tree(t as u32) {
-                Ok(tree) => {
-                    trees.push(tree);
-                    self.tree_records.push(TreeRecord {
-                        tree: t,
-                        completed_at: self.started.elapsed(),
-                        train_loss: self.cfg.gbdt.loss.mean_loss(&self.labels, &self.preds),
-                        party_set: self.party_set(),
-                    });
-                    if let Some(sess) = &session {
-                        let completed = t as u32 + 1;
-                        sess.save_guest(completed, trees.clone(), self.preds.clone())?;
-                        self.telemetry.events.checkpoints_written += 1;
-                        self.telemetry
-                            .trace
-                            .note(format!("checkpoint written at {completed} trees"));
-                    }
-                    t += 1;
-                }
-                // A host died mid-tree and the policy makes that
-                // survivable. Only *tree-phase* losses are survivable:
-                // hello/resume failures above stay fatal, and a host that
-                // is already parked cannot be lost again.
-                Err(TrainError::PeerLost { party: PartyId::Host(h), phase, waited })
-                    if !matches!(self.cfg.on_host_loss, HostLossPolicy::Fail)
-                        && self.live().contains(&h) =>
-                {
-                    let original = TrainError::PeerLost { party: PartyId::Host(h), phase, waited };
-                    t = self.handle_host_loss(h, original, &mut trees, t)?;
-                }
-                Err(e) => return Err(e),
+        for t in resume_from as usize..self.cfg.gbdt.num_trees {
+            trees.push(self.train_tree(t as u32)?);
+            self.tree_records.push(TreeRecord {
+                tree: t,
+                completed_at: self.started.elapsed(),
+                train_loss: self.cfg.gbdt.loss.mean_loss(&self.labels, &self.preds),
+            });
+            if let Some(sess) = &session {
+                let completed = t as u32 + 1;
+                sess.save_guest(completed, trees.clone(), self.preds.clone())?;
+                self.telemetry.events.checkpoints_written += 1;
+                self.telemetry.trace.note(format!("checkpoint written at {completed} trees"));
             }
         }
         self.broadcast(&Msg::Shutdown)?;
         // Linger until the hosts ack the goodbye (bounded by the peer
         // deadline): returning now would drop the endpoints, and a
         // Shutdown frame the fault plan dropped would die unacked — the
-        // host would see a disconnect instead of an orderly finish. A
-        // parked host's link is dead; flushing it would only burn the
-        // full deadline.
-        for h in self.live() {
-            self.hosts[h].peer.flush(self.cfg.peer_timeout);
+        // host would see a disconnect instead of an orderly finish.
+        for host in &self.hosts {
+            host.peer.flush(self.cfg.peer_timeout);
         }
         Ok(trees)
     }
 
     /// The one handler for the `SessionHello` + `FeatureMeta` pair every
-    /// host incarnation opens its link with — at startup and again on a
-    /// live rejoin. The hello announces the host's session view (a foreign
-    /// session id is a typed [`TrainError::ResumeMismatch`], caught before
-    /// any gradient leaves the party) and its durable checkpoint list; the
-    /// metadata announces its histogram structure and completes the pair
-    /// (`Ok(true)`). FIFO delivery and the admission FSM guarantee the
-    /// order (no metadata is admitted before its hello); anything else
-    /// here is a typed protocol error.
+    /// host opens its link with. The hello announces the host's session
+    /// view (a foreign session id is a typed [`TrainError::ResumeMismatch`],
+    /// caught before any gradient leaves the party) and its durable
+    /// checkpoint list; the metadata announces its histogram structure and
+    /// completes the pair (`Ok(true)`). FIFO delivery and the admission FSM
+    /// guarantee the order (no metadata is admitted before its hello);
+    /// anything else here is a typed protocol error.
     fn on_handshake(&mut self, host: usize, msg: Msg) -> Result<bool, TrainError> {
         let unexpected = |kind: u16, context: &'static str| -> TrainError {
             ProtocolError::UnexpectedMessage { from: PartyId::Host(host), kind, context }.into()
         };
         match msg {
-            Msg::SessionHello { session_id, epoch, durable: at_host } => {
+            Msg::SessionHello { session_id, durable: at_host } => {
                 let my_sid = self.session.as_ref().map_or(0, |s| s.session_id());
                 if session_id != my_sid {
                     return Err(TrainError::ResumeMismatch {
@@ -439,9 +371,7 @@ impl GuestParty {
                         ),
                     });
                 }
-                self.telemetry
-                    .trace
-                    .note(format!("host-{host} hello: session {session_id} epoch {epoch}"));
+                self.telemetry.trace.note(format!("host-{host} hello: session {session_id}"));
                 self.hosts[host].durable = at_host;
                 Ok(false)
             }
@@ -458,223 +388,27 @@ impl GuestParty {
         }
     }
 
-    // ------------------------------------------------------------------
-    // In-run host-failure survival (rejoin / degrade)
-    // ------------------------------------------------------------------
-
-    /// Policy dispatch after host `host` was lost at `completed` finished
-    /// trees. Returns the tree index training continues from.
-    fn handle_host_loss(
-        &mut self,
-        host: usize,
-        original: TrainError,
-        trees: &mut Vec<FedTree>,
-        completed: usize,
-    ) -> Result<usize, TrainError> {
-        match self.cfg.on_host_loss {
-            // Unreachable through the caller's guard; kept total.
-            HostLossPolicy::Fail => Err(original),
-            HostLossPolicy::AwaitRejoin { deadline } => {
-                self.rejoin_host(host, deadline, original, trees, completed)
-            }
-            HostLossPolicy::Degrade => {
-                self.park_host(host, completed)?;
-                Ok(completed)
-            }
-        }
-    }
-
-    /// `AwaitRejoin`: keep the session open, wait (bounded by the policy
-    /// deadline) for a restarted host process to present a newer-epoch
-    /// hello on a fresh link, then rewind every party to the last
-    /// mutually durable tree and re-execute from there. Training is
-    /// deterministic and the rewound trees were durable on both sides, so
-    /// the final model is bitwise identical to an uninterrupted run.
-    fn rejoin_host(
-        &mut self,
-        host: usize,
-        deadline: Duration,
-        original: TrainError,
-        trees: &mut Vec<FedTree>,
-        completed: usize,
-    ) -> Result<usize, TrainError> {
-        // Rejoin needs both a session (for the epoch fence and the
-        // checkpoints to rewind to) and a way to produce a fresh link.
-        let Some(sess) = self.session.clone() else {
-            self.telemetry
-                .trace
-                .note(format!("host-{host} lost with no session attached: rejoin impossible"));
-            return Err(original);
-        };
-        let Some(spawner) = self.spawner.clone() else {
-            self.telemetry
-                .trace
-                .note(format!("host-{host} lost with no respawner attached: rejoin impossible"));
-            return Err(original);
-        };
-        self.hosts[host].fsm.quarantine();
-        self.telemetry.events.quarantines += 1;
-        self.telemetry.trace.note(format!(
-            "host-{host} quarantined ({original}); holding the session open for rejoin"
-        ));
-        let fresh = spawner.respawn(host)?;
-        self.hosts[host].peer.reconnect(fresh);
-        self.hosts[host].fsm.begin_rejoin();
-
-        // Wait, under the policy deadline, for the restarted incarnation's
-        // handshake on the fresh link. The epoch fence lives in the FSM:
-        // only a hello with a *newer* epoch is admitted, anything from the
-        // dead incarnation classifies as stale.
-        let rejoin = Deadline::new(ProtocolPhase::Hello, deadline);
-        loop {
-            match self.wait_admitted(&[host], &rejoin) {
-                Ok((_, msg)) => {
-                    if self.on_handshake(host, msg)? {
-                        break;
-                    }
-                }
-                // The deadline passed, or the replacement incarnation died
-                // too: the policy spent its respawn, so the loss is final.
-                Err(TrainError::PeerLost { .. }) => {
-                    self.telemetry
-                        .trace
-                        .note(format!("host-{host} missed the rejoin deadline {deadline:?}"));
-                    return Err(original);
-                }
-                Err(other) => return Err(other),
-            }
-        }
-
-        // The rewind target: the newest tree count durable at the guest
-        // AND the rejoined incarnation, never past what this run already
-        // completed (a stale checkpoint directory must not fast-forward
-        // the run).
-        let at_host = &self.hosts[host].durable;
-        let mut common = sess.durable();
-        common.retain(|&k| at_host.contains(&k) && k as usize <= completed);
-        let target = common.last().copied().unwrap_or(0);
-
-        // The rejoiner resumes from its checkpoint exactly like a fresh
-        // connect; the survivors rewind their in-memory state and ack.
-        let resume = Msg::Resume { session_id: sess.session_id(), tree_count: target };
-        self.hosts[host].peer.send(&resume)?;
-        self.rewind_survivors(target, Some(host))?;
-        self.rewind_guest_state(&sess, trees, target)?;
-        let rejoins = match self.hosts[host].outcome {
-            HostOutcome::Rejoined { rejoins } => rejoins + 1,
-            _ => 1,
-        };
-        self.hosts[host].outcome = HostOutcome::Rejoined { rejoins };
-        self.telemetry.events.rejoins += 1;
-        self.telemetry
-            .trace
-            .note(format!("host-{host} rejoined; training rewound to {target} trees"));
-        Ok(target as usize)
-    }
-
-    /// `Degrade`: permanently park a dead host and abort the in-flight
-    /// tree on the survivors, which rebuild it from the remaining
-    /// parties' features. No checkpoint is needed: leaf weights fold into
-    /// the predictions only on tree success, so the guest's model state
-    /// is exactly the `completed`-tree state, and each survivor's
-    /// in-memory split table is truncated by the rewind it is sent.
-    fn park_host(&mut self, host: usize, completed: usize) -> Result<(), TrainError> {
-        self.hosts[host].fsm.quarantine();
-        self.hosts[host].outcome = HostOutcome::Parked { tree_count: completed as u32 };
-        self.telemetry.events.quarantines += 1;
-        let active = self.live().len();
-        self.telemetry.trace.note(format!(
-            "host-{host} parked at {completed} trees: degrading to {active} of {} hosts",
-            self.hosts.len()
-        ));
-        self.rewind_survivors(completed as u32, None)
-    }
-
-    /// Sends `Rewind { tree_count }` to every live host except `except`
-    /// (the rejoiner, which resumes via `Resume` instead), then drains
-    /// each survivor's stream up to its `RewindAck`. The ack is a FIFO
-    /// barrier: every answer the survivor produced for the aborted tree
-    /// attempt precedes it on the wire, so after the drain nothing stale
-    /// can collide with the re-run's identically-numbered tasks.
-    fn rewind_survivors(
-        &mut self,
-        tree_count: u32,
-        except: Option<usize>,
-    ) -> Result<(), TrainError> {
-        let my_sid = self.session.as_ref().map_or(0, |s| s.session_id());
-        for h in self.live().into_iter().filter(|&h| Some(h) != except) {
-            self.hosts[h].peer.send(&Msg::Rewind { session_id: my_sid, tree_count })?;
-            self.hosts[h].fsm.begin_drain();
-            match self.recv_from(h, ProtocolPhase::TreeBuild)? {
-                Msg::RewindAck { session_id, tree_count: acked }
-                    if session_id == my_sid && acked == tree_count => {}
-                Msg::RewindAck { .. } => {
-                    return Err(TrainError::ResumeMismatch {
-                        party: PartyId::Host(h),
-                        detail: "rewind ack names a different session or tree count".into(),
-                    });
-                }
-                other => {
-                    return Err(ProtocolError::UnexpectedMessage {
-                        from: PartyId::Host(h),
-                        kind: other.kind(),
-                        context: "waiting for the rewind ack",
-                    }
-                    .into())
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Rewinds the guest's own model state to `target` completed trees.
-    /// With per-tree checkpointing the target usually equals the trees
-    /// already built (the failure struck mid-tree), making this a no-op;
-    /// an older target reloads the guest checkpoint, and zero resets to
-    /// the base score.
-    fn rewind_guest_state(
+    /// Loads the guest's model state at the agreed resume point `target`
+    /// (> 0 completed trees) from its checkpoint: the margins replace the
+    /// base-score start, and the checkpointed trees are returned.
+    fn load_resume_point(
         &mut self,
         sess: &PartySession,
-        trees: &mut Vec<FedTree>,
         target: u32,
-    ) -> Result<(), TrainError> {
-        if trees.len() as u32 != target {
-            if target == 0 {
-                trees.clear();
-                self.preds = vec![self.cfg.gbdt.loss.base_score(); self.preds.len()];
-            } else {
-                let ck = sess.load_guest(target)?;
-                if ck.preds.len() != self.preds.len() {
-                    return Err(TrainError::ResumeMismatch {
-                        party: PartyId::Guest,
-                        detail: format!(
-                            "checkpoint holds {} prediction rows, dataset has {}",
-                            ck.preds.len(),
-                            self.preds.len()
-                        ),
-                    });
-                }
-                *trees = ck.trees;
-                self.preds = ck.preds;
-            }
+    ) -> Result<Vec<FedTree>, TrainError> {
+        let ck = sess.load_guest(target)?;
+        if ck.preds.len() != self.preds.len() {
+            return Err(TrainError::ResumeMismatch {
+                party: PartyId::Guest,
+                detail: format!(
+                    "checkpoint holds {} prediction rows, dataset has {}",
+                    ck.preds.len(),
+                    self.preds.len()
+                ),
+            });
         }
-        self.tree_records.retain(|r| (r.tree as u32) < target);
-        Ok(())
-    }
-
-    /// The live roster: the hosts still participating (not parked under
-    /// `Degrade`), ascending. Every walk over the hosts — sends, waits,
-    /// bookkeeping — goes through here, so a parked host's dead link is
-    /// skipped everywhere by construction.
-    fn live(&self) -> Vec<usize> {
-        let parked = |h: usize| matches!(self.hosts[h].outcome, HostOutcome::Parked { .. });
-        (0..self.hosts.len()).filter(|&h| !parked(h)).collect()
-    }
-
-    /// The party set that trained the current tree, for the run report:
-    /// party 0 is the guest (always present), host `h` is party `h + 1`.
-    fn party_set(&self) -> Vec<u16> {
-        std::iter::once(0).chain(self.live().into_iter().map(|h| (h + 1) as u16)).collect()
+        self.preds = ck.preds;
+        Ok(ck.trees)
     }
 
     fn collect_transfer_stats(&mut self) {
@@ -725,15 +459,14 @@ impl GuestParty {
         }
     }
 
-    /// Sends `msg` to every live host (parked hosts receive nothing and
-    /// cost nothing). Returns the payload bytes handed to the links.
+    /// Sends `msg` to every host. Returns the payload bytes handed to the
+    /// links.
     fn broadcast(&self, msg: &Msg) -> Result<u64, TrainError> {
         let payload = peer::encode(PartyId::Guest, msg)?;
-        let live = self.live();
-        for &h in &live {
-            self.hosts[h].peer.send_encoded(msg.kind(), payload.clone());
+        for host in &self.hosts {
+            host.peer.send_encoded(msg.kind(), payload.clone());
         }
-        Ok((payload.len() * live.len()) as u64)
+        Ok((payload.len() * self.hosts.len()) as u64)
     }
 
     /// Broadcasts a bulk protocol message, recording one transfer trace
@@ -770,30 +503,25 @@ impl GuestParty {
         Ok(self.wait_admitted(&[host], &deadline)?.1)
     }
 
-    /// Blocks until any live host's message arrives, bounded by the
-    /// per-phase peer deadline. One wakeup-based wait covers every live
-    /// link.
+    /// Blocks until any host's message arrives, bounded by the per-phase
+    /// peer deadline. One wakeup-based wait covers every link.
     fn recv_any(&mut self) -> Result<(usize, Msg), TrainError> {
-        let live = self.live();
-        if live.is_empty() {
-            return Err(guest_invariant("waiting for host messages with every host parked"));
-        }
+        let every: Vec<usize> = (0..self.hosts.len()).collect();
         let deadline = Deadline::new(ProtocolPhase::TreeBuild, self.cfg.peer_timeout);
-        self.wait_admitted(&live, &deadline)
+        self.wait_admitted(&every, &deadline)
     }
 
     /// Non-blocking companion to [`Self::recv_any`] for the tree loop's
-    /// drain: harvests one already-arrived protocol message from any live
-    /// host ([`peer::poll`]) without waiting. Returns `Ok(None)` when
-    /// nothing is pending — or when a link died, which the next *blocking*
-    /// wait will classify and report properly.
+    /// drain: harvests one already-arrived protocol message from any host
+    /// ([`peer::poll`]) without waiting. Returns `Ok(None)` when nothing is
+    /// pending — or when a link died, which the next *blocking* wait will
+    /// classify and report properly.
     fn try_recv_admitted(&mut self) -> Result<Option<(usize, Msg)>, TrainError> {
-        let live = self.live();
         loop {
-            let peers: Vec<&Peer> = live.iter().map(|&h| &self.hosts[h].peer).collect();
-            let Some((i, env)) = peer::poll(&peers) else { return Ok(None) };
-            if let Some(msg) = self.admit_from(live[i], env)? {
-                return Ok(Some((live[i], msg)));
+            let peers: Vec<&Peer> = self.hosts.iter().map(|h| &h.peer).collect();
+            let Some((host, env)) = peer::poll(&peers) else { return Ok(None) };
+            if let Some(msg) = self.admit_from(host, env)? {
+                return Ok(Some((host, msg)));
             }
         }
     }
@@ -927,18 +655,16 @@ impl GuestParty {
         );
         self.telemetry.exit(span);
 
-        let live = self.live();
         if asked == node {
             self.broadcast(&Msg::NodeTask {
                 tree: ctx.tree,
                 node: node as u32,
                 epoch: ctx.epoch[node],
             })?;
-            // Every live host now legitimately owes one histogram for this
-            // exact (node, epoch); the admission layer holds them to it.
-            // Parked hosts were not sent the task and owe nothing.
-            for &h in &live {
-                self.hosts[h].fsm.task_sent(node as u32, ctx.epoch[node]);
+            // Every host now legitimately owes one histogram for this exact
+            // (node, epoch); the admission layer holds them to it.
+            for host in &mut self.hosts {
+                host.fsm.task_sent(node as u32, ctx.epoch[node]);
             }
         }
         // Optimistic node-splitting: act on our own best split before the
@@ -952,17 +678,13 @@ impl GuestParty {
         let speculate = self.cfg.protocol.optimistic
             && guest_best.is_some()
             && self.parent_validated(ctx, node);
-        let mut answers = vec![HostAnswer::Parked; self.hosts.len()];
-        for &h in &live {
-            answers[h] = HostAnswer::Waiting;
-        }
         ctx.states.insert(
             node,
             NodeState {
                 total,
                 asked,
                 guest_best,
-                answers,
+                answers: vec![HostAnswer::Waiting; self.hosts.len()],
                 already_split: speculate,
                 awaiting_placement: None,
                 resolved: false,
@@ -976,12 +698,6 @@ impl GuestParty {
                 self.telemetry.events.optimistic_splits += 1;
                 self.materialize_children(ctx, node)?;
             }
-        }
-        // With every host parked no histogram will ever arrive: resolve
-        // on the guest's evidence alone, recursing through the children
-        // (their placements apply immediately).
-        if live.is_empty() {
-            self.resolve(ctx, node)?;
         }
         Ok(true)
     }
@@ -1235,7 +951,7 @@ impl GuestParty {
             return Err(guest_invariant("resolving a node with no state"));
         };
         if !state.all_in() {
-            return Err(guest_invariant("resolving a node before every live host answered"));
+            return Err(guest_invariant("resolving a node before every host answered"));
         }
         match Self::winner(state) {
             Winner::None => {
@@ -1357,9 +1073,9 @@ impl GuestParty {
         let span = self.telemetry.enter(TracePhase::Placement, Some(ctx.tree), Some(node as u32));
         ctx.rows.apply_placement(node, &placement);
         self.telemetry.exit(span);
-        // Relay to the other live hosts so their row lists stay aligned.
+        // Relay to the other hosts so their row lists stay aligned.
         let relay = Msg::ApplyPlacement { tree: ctx.tree, node: node as u32, placement };
-        for other in self.live().into_iter().filter(|&other| other != host) {
+        for other in (0..self.hosts.len()).filter(|&other| other != host) {
             self.hosts[other].peer.send(&relay)?;
         }
         self.materialize_children(ctx, node)?;
@@ -1391,9 +1107,9 @@ impl GuestParty {
     /// when the batch closes, both derived from state the loop already
     /// holds:
     ///
-    /// * **Optimistic** (§4.2): the drain stops at one answer per live
-    ///   host. A node resolves only once every live host has answered, so
-    ///   that is one node's worth of answers — a larger batch could not
+    /// * **Optimistic** (§4.2): the drain stops at one answer per host. A
+    ///   node resolves only once every host has answered, so that is one
+    ///   node's worth of answers — a larger batch could not
     ///   resolve anything sooner and only delays the first resolve (with a
     ///   single host the loop handles one event at a time).
     /// * **Sequential** (the VF-GBDT baseline, "BuildHistA fully precedes
@@ -1406,7 +1122,7 @@ impl GuestParty {
     /// produces can move a split.
     fn run_tree(&mut self, ctx: &mut TreeCtx) -> Result<(), TrainError> {
         let optimistic = self.cfg.protocol.optimistic;
-        let cap = if optimistic { self.live().len() } else { usize::MAX };
+        let cap = if optimistic { self.hosts.len() } else { usize::MAX };
         let mut batch: Vec<PendingHist> = Vec::new();
         self.materialize(ctx, 0, 0)?;
         while ctx.pending > 0 {
@@ -1460,7 +1176,7 @@ impl GuestParty {
     /// The sequential schedule's hold predicate: true once the whole
     /// frontier can be decided at once — no host-won node still awaits its
     /// placement (so every node of the layer exists) and every unresolved
-    /// node has each live host's answer recorded or waiting in `batch`
+    /// node has each host's answer recorded or waiting in `batch`
     /// (for a split's larger child, that is its smaller sibling's answer).
     fn layer_is_buffered(ctx: &TreeCtx, batch: &[PendingHist]) -> bool {
         ctx.states.values().filter(|s| !s.resolved).all(|s| {
@@ -1592,9 +1308,19 @@ mod tests {
         };
         let (guest_ep, host_ep) = duplex(WanConfig::instant());
         let suite = Suite::plain(cfg.encoding);
-        let mut guest = GuestParty::new(data, cfg, suite, vec![guest_ep], None, None).unwrap();
+        let mut guest = GuestParty::new(data, cfg, suite, vec![guest_ep], None).unwrap();
         guest.hosts[0].metas = vec![FeatureMeta { num_bins: 4, zero_bin: 0 }];
         (guest, host_ep)
+    }
+
+    /// With no host, no node could ever resolve: the guest refuses to
+    /// start instead of waiting on an empty roster.
+    #[test]
+    fn a_guest_without_hosts_is_invalid_input() {
+        let (guest, _) = guest_with_one_host();
+        let suite = Suite::plain(guest.cfg.encoding);
+        let failure = run_guest(guest.data.clone(), guest.cfg, suite, Vec::new(), None);
+        assert!(matches!(failure.err().map(|f| f.error), Some(TrainError::InvalidInput(_))));
     }
 
     /// Commits the host's answer for `node` at its current epoch, holding

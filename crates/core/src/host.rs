@@ -191,16 +191,14 @@ impl HostParty {
 
     fn run(&mut self) -> Result<(), TrainError> {
         // Announce the session view first — the very first frame of every
-        // (re)connect: the guest needs the durable checkpoint list before
-        // it can pick a resume point.
-        let (sid, epoch, durable) = match &self.session {
-            Some(s) => {
-                (s.session_id(), s.bump_epoch(PartyId::Host(self.party_index))?, s.durable())
-            }
-            None => (0, 0, Vec::new()),
+        // (re)started run: the guest needs the durable checkpoint list
+        // before it can pick a resume point.
+        let (sid, durable) = match &self.session {
+            Some(s) => (s.session_id(), s.durable()),
+            None => (0, Vec::new()),
         };
-        self.telemetry.trace.note(format!("hello: session {sid} epoch {epoch}"));
-        self.guest.send(&Msg::SessionHello { session_id: sid, epoch, durable })?;
+        self.telemetry.trace.note(format!("hello: session {sid}"));
+        self.guest.send(&Msg::SessionHello { session_id: sid, durable })?;
         // Then announce histogram structure (bin counts + zero bins only).
         let metas: Vec<FeatureMeta> = self
             .binned
@@ -369,8 +367,8 @@ impl HostParty {
                 // Deterministic crash injection for the chaos suite: die
                 // *inside* the node loop, after this task was accepted but
                 // before its histogram answer — the worst spot for the
-                // guest, which now holds a half-built tree. Party 0 only,
-                // so multi-host runs keep live survivors.
+                // guest, which now holds a half-built tree. Party 0 only:
+                // one kill per run, whatever the roster.
                 if self.party_index == 0 && self.chaos.crash_host_on_node_task == Some((tree, node))
                 {
                     panic!(
@@ -486,34 +484,6 @@ impl HostParty {
             }
             Msg::Resume { session_id, tree_count } => {
                 self.on_resume(session_id, tree_count)?;
-            }
-            Msg::Rewind { session_id, tree_count } => {
-                // A peer failure elsewhere forced the run back to
-                // `tree_count` completed trees. This host survived, so its
-                // in-memory split table is a superset of any checkpoint:
-                // truncating it *is* the rewind — no disk load needed. All
-                // in-flight tree state is void; the gradient stream of
-                // tree `tree_count` arrives next (the FSM already reset
-                // its row cursor on admission).
-                let my_sid = self.session.as_ref().map_or(0, |s| s.session_id());
-                if session_id != my_sid {
-                    return Err(TrainError::ResumeMismatch {
-                        party: PartyId::Guest,
-                        detail: format!(
-                            "guest rewound session {session_id}, host runs session {my_sid}"
-                        ),
-                    });
-                }
-                self.splits.splits.retain(|&(t, _), _| t < tree_count);
-                self.state = None;
-                self.task_queue.clear();
-                self.task_epoch.clear();
-                self.phase = ProtocolPhase::Gradients;
-                // The ack is a FIFO barrier: every answer this host sent
-                // for the aborted attempt precedes it on the wire, so the
-                // guest can drain stragglers deterministically.
-                self.guest.send(&Msg::RewindAck { session_id, tree_count })?;
-                self.telemetry.trace.note(format!("rewound to {tree_count} trees mid-run"));
             }
             Msg::Shutdown => self.shutdown = true,
             other => {
@@ -840,11 +810,11 @@ mod tests {
             run_host(3, data, cfg, suite, host_ep, None, ChaosPlan::default())
         });
         // Read the SessionHello and FeatureMeta greetings, then shut the
-        // host down. A session-less host announces session 0, epoch 0.
+        // host down. A session-less host announces session 0.
         let env = guest_ep.recv().unwrap();
         let msg = wire::decode(env.kind, env.payload).unwrap();
         assert!(
-            matches!(msg, Msg::SessionHello { session_id: 0, epoch: 0, ref durable } if durable.is_empty())
+            matches!(msg, Msg::SessionHello { session_id: 0, ref durable } if durable.is_empty())
         );
         let env = guest_ep.recv().unwrap();
         let msg = wire::decode(env.kind, env.payload).unwrap();

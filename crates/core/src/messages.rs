@@ -167,15 +167,13 @@ pub enum Msg {
     },
     /// guest → host: training is over.
     Shutdown,
-    /// host → guest, the very first message of a (re)connect: the host's
-    /// view of the resumable session. `durable` lists the tree counts of
-    /// the host's valid on-disk checkpoints; the guest intersects them
-    /// with its own to pick the resume point.
+    /// host → guest, the very first message of a (re)started run: the
+    /// host's view of the resumable session. `durable` lists the tree
+    /// counts of the host's valid on-disk checkpoints; the guest intersects
+    /// them with its own to pick the resume point.
     SessionHello {
         /// Session identifier the host was started with (0 = none).
         session_id: u64,
-        /// The host's incarnation counter (bumped at every restart).
-        epoch: u32,
         /// Tree counts of the host's durable checkpoints, ascending.
         durable: Vec<u32>,
     },
@@ -189,33 +187,12 @@ pub enum Msg {
         /// The last mutually durable tree count.
         tree_count: u32,
     },
-    /// guest → host, mid-run: a peer failure forced the run back to the
-    /// last mutually durable tree. Surviving hosts discard every split
-    /// recorded for trees `>= tree_count` along with any in-flight tree
-    /// state, and expect the gradient stream of tree `tree_count` next —
-    /// exactly the state a fresh `Resume { tree_count }` would produce.
-    Rewind {
-        /// Session identifier the guest was started with (0 = none).
-        session_id: u64,
-        /// The tree count training restarts from.
-        tree_count: u32,
-    },
-    /// host → guest, in answer to a [`Msg::Rewind`]: the host has
-    /// discarded its in-flight tree state. Because the link is FIFO, the
-    /// ack is a barrier — every answer the host produced for the aborted
-    /// attempt precedes it on the wire, so the guest drains its stream up
-    /// to the ack and knows everything after it belongs to the re-run.
-    RewindAck {
-        /// Session identifier echoed from the rewind.
-        session_id: u64,
-        /// The tree count echoed from the rewind.
-        tree_count: u32,
-    },
 }
 
 impl Msg {
     /// Wire kind tag (stable across versions of the wire format). Tag 13
-    /// was the liveness beacon; it is retired and never reused.
+    /// was the liveness beacon and tags 15 / 16 the mid-run rewind and its
+    /// ack; all three are retired and never reused.
     pub fn kind(&self) -> u16 {
         match self {
             Msg::FeatureMeta(_) => 1,
@@ -231,8 +208,6 @@ impl Msg {
             Msg::SessionHello { .. } => 11,
             Msg::Resume { .. } => 12,
             Msg::PackedGradBatch { .. } => 14,
-            Msg::Rewind { .. } => 15,
-            Msg::RewindAck { .. } => 16,
         }
     }
 }

@@ -67,29 +67,21 @@ impl FedTree {
         self.nodes.iter().filter(|n| matches!(n, FedNode::HostSplit { .. })).count()
     }
 
-    /// Structural check: internal nodes have children, leaves do not.
+    /// Structural check: internal nodes have children, leaves do not. Any
+    /// node list is answered, never indexed past its end.
     pub fn validate(&self) -> Result<(), String> {
-        if matches!(self.nodes[0], FedNode::Absent) {
+        let present = |id: usize| self.nodes.get(id).is_some_and(|n| *n != FedNode::Absent);
+        if !present(0) {
             return Err("root absent".into());
         }
-        for id in 0..self.nodes.len() {
-            match self.nodes[id] {
-                FedNode::GuestSplit(_) | FedNode::HostSplit { .. } => {
-                    let (l, r) = (left_child(id), right_child(id));
-                    if l >= self.nodes.len()
-                        || matches!(self.nodes[l], FedNode::Absent)
-                        || matches!(self.nodes[r], FedNode::Absent)
-                    {
-                        return Err(format!("internal node {id} lacks children"));
-                    }
+        for (id, node) in self.nodes.iter().enumerate() {
+            let children = [left_child(id), right_child(id)].map(present);
+            match node {
+                FedNode::GuestSplit(_) | FedNode::HostSplit { .. } if children != [true; 2] => {
+                    return Err(format!("internal node {id} lacks children"));
                 }
-                FedNode::Leaf(_) => {
-                    let l = left_child(id);
-                    if l < self.nodes.len() && !matches!(self.nodes[l], FedNode::Absent) {
-                        return Err(format!("leaf {id} has a child"));
-                    }
-                }
-                FedNode::Absent => {}
+                FedNode::Leaf(_) if children[0] => return Err(format!("leaf {id} has a child")),
+                _ => {}
             }
         }
         Ok(())
@@ -119,6 +111,38 @@ pub struct FederatedModel {
 }
 
 impl FederatedModel {
+    /// Checks that prediction can route through every tree: its node list
+    /// is the whole heap of its `max_layers` (`2^max_layers − 1` slots, the
+    /// shape every party sizes its per-tree state by); its structure holds
+    /// ([`FedTree::validate`]); and every
+    /// [`FedNode::HostSplit`] names a host of this model whose table holds
+    /// that `(tree, node)`. A trained model always passes, and so must a
+    /// decoded one ([`crate::persist::decode_model`]).
+    pub fn validate(&self) -> Result<(), String> {
+        for (t, tree) in self.trees.iter().enumerate() {
+            let heap = u32::try_from(tree.max_layers).ok().and_then(|l| 1usize.checked_shl(l));
+            if heap.map(|slots| slots - 1) != Some(tree.nodes.len()) {
+                return Err(format!(
+                    "tree {t} holds {} nodes, not the 2^{} - 1 of its layers",
+                    tree.nodes.len(),
+                    tree.max_layers
+                ));
+            }
+            tree.validate().map_err(|why| format!("tree {t}: {why}"))?;
+            for (node, &n) in tree.nodes.iter().enumerate() {
+                let FedNode::HostSplit { party } = n else { continue };
+                let Some(table) = self.host_tables.get(party as usize) else {
+                    let hosts = self.host_tables.len();
+                    return Err(format!("tree {t} node {node}: host {party} of {hosts} hosts"));
+                };
+                if !table.splits.contains_key(&(t as u32, node as u32)) {
+                    return Err(format!("tree {t} node {node}: host {party} holds no such split"));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Joint routing of one instance. `host_rows[p]` is the dense feature
     /// vector the instance has at host `p`; `guest_row` at the guest.
     pub fn predict_margin_row(&self, host_rows: &[Vec<f32>], guest_row: &[f32]) -> f64 {
@@ -145,16 +169,12 @@ impl FederatedModel {
                     };
                 }
                 FedNode::HostSplit { party } => {
-                    // A missing host split is survivable, not a crash: a
-                    // host parked mid-run under the `Degrade` loss policy
-                    // (with no checkpoint to recover its table from)
-                    // leaves such holes. The instance cannot be routed
-                    // further, so this subtree contributes a neutral 0.0
-                    // to the margin — a graceful quality degradation that
-                    // keeps the rest of the ensemble servable.
-                    let Some(s) =
-                        self.host_tables[party as usize].splits.get(&(t as u32, id as u32))
-                    else {
+                    // Unreachable for a trained or decoded model, which
+                    // `validate` has checked; only a hand-assembled model
+                    // can name a split no host table holds. Its subtree
+                    // then adds 0.0 rather than panicking.
+                    let table = self.host_tables.get(party as usize);
+                    let Some(s) = table.and_then(|h| h.splits.get(&(t as u32, id as u32))) else {
                         return 0.0;
                     };
                     id = if host_rows[party as usize][s.feature] <= s.threshold {
@@ -163,10 +183,9 @@ impl FederatedModel {
                         right_child(id)
                     };
                 }
-                FedNode::Absent => {
-                    debug_assert!(false, "routed into absent node {id}");
-                    return 0.0;
-                }
+                // As above: only a hand-assembled model that skipped
+                // `validate` routes into an absent node.
+                FedNode::Absent => return 0.0,
             }
         }
     }
@@ -262,5 +281,33 @@ mod tests {
         t.nodes[0] = FedNode::HostSplit { party: 0 };
         t.nodes[1] = FedNode::Leaf(0.0);
         assert!(t.validate().is_err());
+    }
+
+    #[test]
+    fn tree_validate_answers_any_node_list() {
+        let split = FedNode::GuestSplit(NodeSplit { feature: 0, bin: 0, threshold: 0.0 });
+        let leaf = FedNode::Leaf(1.0);
+        // Empty, and two lists that end inside the root's children.
+        for nodes in [vec![], vec![split], vec![split, leaf], vec![split, leaf, leaf]] {
+            let len = nodes.len();
+            let verdict = FedTree { max_layers: 2, nodes }.validate();
+            assert_eq!(verdict.is_ok(), len == 3, "{len} nodes: {verdict:?}");
+        }
+    }
+
+    #[test]
+    fn model_validate_checks_heap_size_and_host_tables() {
+        assert_eq!(model().validate(), Ok(()));
+        let mut short = model();
+        short.trees[0].nodes.pop();
+        assert!(short.validate().is_err());
+        let mut unknown = model();
+        unknown.trees[0].nodes[0] = FedNode::HostSplit { party: 1 };
+        assert!(unknown.validate().is_err());
+        let mut missing = model();
+        missing.host_tables[0].splits.clear();
+        assert!(missing.validate().is_err());
+        // A hand-assembled model that skipped the check still predicts.
+        assert_eq!(missing.predict_margin_row(&[vec![0.0]], &[0.0]), 0.0);
     }
 }

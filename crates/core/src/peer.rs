@@ -2,8 +2,8 @@
 //!
 //! The parties talk only through gateway message queues, so "block on the
 //! peers' queues, notice a dead peer" is the one operation the guest and
-//! the host share. [`wait`] is that operation — the host's single link, the
-//! guest's N live links and the rejoin handshake all block here — and
+//! the host share. [`wait`] is that operation — the host's single link and
+//! the guest's N links all block here — and
 //! [`poll`] is its zero-timeout twin. Keeping a connection alive is the
 //! queue's business (`vf2-channel` re-sends its ack as a keepalive), so
 //! every frame a party receives is a protocol message. Both hand back
@@ -60,12 +60,6 @@ impl Peer {
     /// `local`'s link to `remote`, tolerating `budget` protocol violations.
     pub(crate) fn new(endpoint: Endpoint, local: PartyId, remote: PartyId, budget: u32) -> Peer {
         Peer { endpoint, local, remote, budget: MisbehaviorBudget::new(budget) }
-    }
-
-    /// Swaps in the link to a restarted incarnation of `remote`. The budget
-    /// carries over: it is the company's, not the process's.
-    pub(crate) fn reconnect(&mut self, endpoint: Endpoint) {
-        self.endpoint = endpoint;
     }
 
     /// Hands an already encoded message to the link.

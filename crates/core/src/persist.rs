@@ -36,6 +36,10 @@ pub enum PersistError {
     BadVersion(u16),
     /// Unknown enum tag while decoding.
     BadTag(&'static str, u8),
+    /// A model that decodes but could not be predicted with: a tree whose
+    /// node list is not its heap, or a host split no host table holds
+    /// ([`FederatedModel::validate`] says which).
+    InvalidModel(String),
     /// Filesystem failure.
     Io(String),
 }
@@ -59,6 +63,7 @@ impl std::fmt::Display for PersistError {
             PersistError::BadMagic => write!(f, "not a VF2Boost model file"),
             PersistError::BadVersion(v) => write!(f, "unsupported model format version {v}"),
             PersistError::BadTag(what, t) => write!(f, "bad {what} tag {t}"),
+            PersistError::InvalidModel(why) => write!(f, "invalid model: {why}"),
             PersistError::Io(e) => write!(f, "io: {e}"),
         }
     }
@@ -169,7 +174,9 @@ pub fn encode_model(model: &FederatedModel) -> Bytes {
     e.finish()
 }
 
-/// Deserializes a model produced by [`encode_model`].
+/// Deserializes a model produced by [`encode_model`]. A model that decodes
+/// but fails [`FederatedModel::validate`] is [`PersistError::InvalidModel`],
+/// so a loaded model never panics at prediction.
 pub fn decode_model(bytes: Bytes) -> Result<FederatedModel, PersistError> {
     let mut d = Decoder::new(bytes);
     let magic = d.get_bytes()?;
@@ -194,7 +201,9 @@ pub fn decode_model(bytes: Bytes) -> Result<FederatedModel, PersistError> {
     for _ in 0..num_hosts {
         host_tables.push(get_host_table(&mut d)?);
     }
-    Ok(FederatedModel { trees, learning_rate, base_score, loss, host_tables })
+    let model = FederatedModel { trees, learning_rate, base_score, loss, host_tables };
+    model.validate().map_err(PersistError::InvalidModel)?;
+    Ok(model)
 }
 
 fn put_host_table(e: &mut Encoder, table: &HostSplitTable) {
@@ -458,6 +467,48 @@ mod tests {
     fn encoding_is_deterministic() {
         let m = sample_model();
         assert_eq!(encode_model(&m), encode_model(&m));
+    }
+
+    /// Each of these decoded `Ok` once and then panicked at prediction.
+    #[test]
+    fn a_model_that_prediction_cannot_route_is_rejected_at_decode() {
+        let rejected = |name: &str, edit: fn(&mut FederatedModel)| {
+            let mut m = sample_model();
+            edit(&mut m);
+            match decode_model(encode_model(&m)) {
+                Err(PersistError::InvalidModel(why)) => assert!(why.contains("tree 0"), "{why}"),
+                other => panic!("{name}: expected InvalidModel, got {other:?}"),
+            }
+        };
+        // A 3-layer tree of one split: routing would read `nodes[1]`.
+        rejected("one-node tree", |m| m.trees[0].nodes.truncate(1));
+        // A split of host 9 in a one-host model.
+        rejected("unknown party", |m| m.trees[0].nodes[0] = FedNode::HostSplit { party: 9 });
+        // Host 0's split at the root, missing from its table.
+        rejected("missing entry", |m| m.host_tables[0].splits.clear());
+    }
+
+    #[test]
+    fn a_trained_model_round_trips() {
+        use crate::config::{CryptoConfig, TrainConfig};
+        use vf2_datagen::synthetic::{generate_classification, SyntheticConfig};
+        use vf2_datagen::vertical::split_vertical;
+
+        let data = generate_classification(&SyntheticConfig {
+            rows: 120,
+            features: 6,
+            density: 1.0,
+            informative_frac: 0.5,
+            label_noise: 0.0,
+            seed: 3,
+        });
+        let s = split_vertical(&data, &[3]);
+        let cfg = TrainConfig { crypto: CryptoConfig::Mock, ..TrainConfig::for_tests() };
+        let trained = crate::train::train_federated(&s.hosts, &s.guest, &cfg).unwrap().model;
+        assert!(trained.total_host_splits() > 0, "the host table is exercised");
+        let decoded = decode_model(encode_model(&trained)).expect("a trained model decodes");
+        assert_eq!(decoded.trees, trained.trees);
+        assert_eq!(decoded.host_tables, trained.host_tables);
     }
 
     #[test]

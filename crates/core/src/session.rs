@@ -4,9 +4,9 @@
 //! A session is a directory each party can write to (in a real
 //! deployment each party has its own storage; the simulation shares one
 //! directory with per-role file names). At every tree boundary a party
-//! atomically persists its private state (see [`crate::persist`]); on
-//! (re)connect the parties exchange their durable tree counts and resume
-//! from the last *mutually* durable tree. Checkpoints are bound to a
+//! atomically persists its private state (see [`crate::persist`]); when a
+//! restarted run connects, the parties exchange their durable tree counts
+//! and resume from the last *mutually* durable tree. Checkpoints are bound to a
 //! session id, the master seed and a config digest, so stale or
 //! mismatched snapshots are detected instead of silently corrupting the
 //! model.
@@ -34,7 +34,7 @@ pub struct SessionConfig {
     /// Stable identifier both parties must share; a resumed run must
     /// present the same id it trained under.
     pub session_id: u64,
-    /// Directory holding every party's checkpoints and epoch files.
+    /// Directory holding every party's checkpoints and flight records.
     pub dir: PathBuf,
     /// Whether to scan for prior checkpoints and resume from the last
     /// mutually durable tree (`false` trains from scratch but still
@@ -193,26 +193,6 @@ impl PartySession {
             }
         };
         sid == self.session_id && seed == self.seed && digest == self.digest && trees == k
-    }
-
-    /// Reads, increments and durably rewrites this party's incarnation
-    /// counter, returning the new epoch. The first start of a session is
-    /// epoch 1; every restart bumps it, which lets the peer distinguish
-    /// a reconnecting party from a delayed duplicate of the old one — so
-    /// an epoch that could not be written must not be announced: the next
-    /// restart would announce it again and be taken for that duplicate.
-    pub fn bump_epoch(&self, party: PartyId) -> Result<u32, TrainError> {
-        let path = self.dir.join(format!("{}.epoch", self.role));
-        let prev = std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|s| s.trim().parse::<u32>().ok())
-            .unwrap_or(0);
-        let next = prev.saturating_add(1);
-        atomic_write(&path, next.to_string().as_bytes()).map_err(|e| TrainError::Checkpoint {
-            party,
-            detail: format!("incarnation epoch {next} not durable: {e}"),
-        })?;
-        Ok(next)
     }
 
     /// Durably writes the guest's snapshot after `tree_count` trees.
@@ -395,32 +375,6 @@ mod tests {
         // The two roles' files coexist in one directory.
         assert_eq!(g.durable(), vec![2]);
         assert_eq!(h.durable(), vec![2]);
-        let _ = std::fs::remove_dir_all(&sc.dir);
-    }
-
-    #[test]
-    fn epoch_bumps_monotonically_across_restarts() {
-        let sc = temp_session("epoch");
-        let s = PartySession::guest(&sc, &TrainConfig::for_tests());
-        assert_eq!(s.bump_epoch(PartyId::Guest).unwrap(), 1);
-        assert_eq!(s.bump_epoch(PartyId::Guest).unwrap(), 2);
-        // A fresh handle (a "restarted process") continues the count.
-        let s2 = PartySession::guest(&sc, &TrainConfig::for_tests());
-        assert_eq!(s2.bump_epoch(PartyId::Guest).unwrap(), 3);
-        let _ = std::fs::remove_dir_all(&sc.dir);
-    }
-
-    #[test]
-    fn an_epoch_that_cannot_be_written_is_a_typed_error() {
-        let sc = temp_session("epoch_blocked");
-        let s = PartySession::host(&sc, &TrainConfig::for_tests(), 2);
-        // A directory squats on the epoch file: the rename cannot land.
-        std::fs::create_dir_all(sc.dir.join("host2.epoch")).unwrap();
-        let err = s.bump_epoch(PartyId::Host(2)).unwrap_err();
-        let TrainError::Checkpoint { party: PartyId::Host(2), detail } = &err else {
-            panic!("expected host 2's checkpoint error, got {err}");
-        };
-        assert!(detail.contains("epoch 1"), "{detail}");
         let _ = std::fs::remove_dir_all(&sc.dir);
     }
 

@@ -89,7 +89,7 @@ pub struct ProtocolEvents {
     pub aborted_tasks: u64,
     /// Host histograms of a split's larger child the guest derived in
     /// plaintext as `parent − smaller child` instead of receiving and
-    /// decrypting them (guest only; one per live host and non-leaf split).
+    /// decrypting them (guest only; one per host and non-leaf split).
     pub hists_derived: u64,
     /// Always 0: hosts keep no histogram store to hit. Goes with
     /// `train.hist_cache_hit_rate` in the `vf2-benchmark`-side follow-up.
@@ -116,13 +116,6 @@ pub struct ProtocolEvents {
     /// but a silent loss would strand a post-mortem — so it is counted and
     /// traced instead.
     pub flight_record_failed: u64,
-    /// Hosts this party quarantined after liveness supervision declared
-    /// them dead mid-run (guest only; each is also a trace note).
-    pub quarantines: u64,
-    /// Quarantined hosts that completed a live rejoin — a restarted
-    /// process replayed the session handshake and training rewound to the
-    /// last mutually durable tree (guest only).
-    pub rejoins: u64,
     /// Histogram-answer batches the tree loop committed, size-1 batches
     /// included (guest only).
     pub sched_batches: u64,
@@ -255,12 +248,6 @@ pub struct TreeRecord {
     pub completed_at: Duration,
     /// Mean training loss after this tree.
     pub train_loss: f64,
-    /// Host parties whose features participated in this tree's split
-    /// finding (the guest always participates). A full-strength tree
-    /// lists every host; a tree trained after a `Degrade` quarantine
-    /// omits the parked ones — the run report's per-tree audit of *who*
-    /// trained *what*.
-    pub party_set: Vec<u16>,
 }
 
 impl TrainReport {
@@ -311,12 +298,10 @@ impl TrainReport {
             .tree_records
             .iter()
             .map(|t| {
-                let party_set: Vec<String> = t.party_set.iter().map(|p| p.to_string()).collect();
                 let mut rec = JsonObj::new();
                 rec.u64("tree", t.tree as u64)
                     .f64("completed_at_s", t.completed_at.as_secs_f64())
-                    .f64("train_loss", t.train_loss)
-                    .raw("party_set", render_array(&party_set, 4));
+                    .f64("train_loss", t.train_loss);
                 rec.render(4)
             })
             .collect();
@@ -366,8 +351,6 @@ pub fn party_to_json(p: &PartyTelemetry, indent: usize) -> String {
         .u64("checkpoints_written", p.events.checkpoints_written)
         .u64("resumes", p.events.resumes)
         .u64("flight_record_failed", p.events.flight_record_failed)
-        .u64("quarantines", p.events.quarantines)
-        .u64("rejoins", p.events.rejoins)
         .u64("sched_batches", p.events.sched_batches)
         .u64("sched_batch_hists", p.events.sched_batch_hists);
     let mut ops = JsonObj::new();
@@ -458,7 +441,6 @@ mod tests {
             tree: 0,
             completed_at: Duration::from_millis(35),
             train_loss: 0.5,
-            party_set: vec![0],
         });
         let parsed = parse(&r.to_json()).expect("report parses");
         assert_eq!(parsed.get("schema").and_then(Json::as_str), Some(RUN_REPORT_SCHEMA));
@@ -473,27 +455,20 @@ mod tests {
         let trees = parsed.get("trees").and_then(Json::as_arr).expect("trees");
         assert_eq!(trees.len(), 1);
         assert_eq!(trees[0].get("tree").and_then(Json::as_f64), Some(0.0));
-        let party_set = trees[0].get("party_set").and_then(Json::as_arr).expect("party_set");
-        assert_eq!(party_set.len(), 1);
-        assert_eq!(party_set[0].as_f64(), Some(0.0));
+        assert_eq!(trees[0].get("train_loss").and_then(Json::as_f64), Some(0.5));
     }
 
     #[test]
-    fn report_json_carries_robustness_counters_and_per_peer_links() {
+    fn report_json_carries_per_peer_links() {
         use crate::json::{parse, Json};
         let mut r = TrainReport::default();
         r.guest.name = "guest".into();
-        r.guest.events.quarantines = 1;
-        r.guest.events.rejoins = 1;
         r.guest.links = vec![
             LinkFaultEvents { retransmissions: 2, ..Default::default() },
             LinkFaultEvents { recv_timeouts: 1, ..Default::default() },
         ];
         let parsed = parse(&r.to_json()).expect("report parses");
         let parties = parsed.get("parties").and_then(Json::as_arr).expect("parties");
-        let events = parties[0].get("events").expect("events");
-        assert_eq!(events.get("quarantines").and_then(Json::as_f64), Some(1.0));
-        assert_eq!(events.get("rejoins").and_then(Json::as_f64), Some(1.0));
         let links = parties[0].get("links").and_then(Json::as_arr).expect("links");
         assert_eq!(links.len(), 2);
         assert_eq!(links[0].get("retransmissions").and_then(Json::as_f64), Some(2.0));

@@ -7,19 +7,21 @@
 //! cross-party links — no shared state crosses the party boundary except
 //! the messages themselves.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
 
-use vf2_channel::{duplex_faulty, Endpoint, FaultConfig, StallWindow};
+use vf2_channel::{duplex_faulty, FaultConfig, StallWindow};
 use vf2_crypto::paillier::KeyPair;
 use vf2_crypto::suite::Suite;
 use vf2_gbdt::data::Dataset;
 
 use crate::chaos::ChaosPlan;
 use crate::config::{CryptoConfig, TrainConfig};
-use crate::error::{panic_text, GuestFailure, HostFailure, PartyId, TrainError, TrainFailure};
-use crate::guest::{run_guest, HostOutcome, HostSpawner};
+use crate::error::{
+    panic_text, GuestFailure, HostFailure, PartyId, ProtocolError, TrainError, TrainFailure,
+};
+use crate::guest::run_guest;
 use crate::host::run_host;
 use crate::model::{FederatedModel, HostSplitTable};
 use crate::session::{PartySession, SessionConfig};
@@ -49,68 +51,6 @@ fn fault_for_host(base: FaultConfig, p: usize) -> FaultConfig {
     FaultConfig { seed: base.seed.wrapping_add(p as u64), stall, ..base }
 }
 
-type HostHandle = thread::JoinHandle<Result<(PartyTelemetry, HostSplitTable), HostFailure>>;
-
-/// Starts every host incarnation of a run — the first ones and, as the
-/// trainer's [`HostSpawner`], the replacements the `AwaitRejoin` policy
-/// asks for (the in-process equivalent of an orchestrator restarting a
-/// crashed host job).
-struct HostLauncher {
-    datasets: Vec<Arc<Dataset>>,
-    cfg: TrainConfig,
-    /// The run's key material; a host only ever gets its public half.
-    keys: Suite,
-    session: Option<SessionConfig>,
-    /// Joinable handles of every incarnation, in spawn order.
-    handles: Mutex<Vec<(usize, HostHandle)>>,
-}
-
-impl HostLauncher {
-    /// Spawns one incarnation of host `party` behind a fresh link shaped
-    /// like every link of that host (WAN spread, reliability, a keepalive
-    /// four times inside the silence deadline) and returns the guest's end. `chaos` is what the incarnation and its link
-    /// suffer: the caller's plan for a first incarnation, nothing for a
-    /// replacement.
-    fn spawn_host(&self, party: usize, chaos: ChaosPlan) -> Result<Endpoint, TrainError> {
-        let setup = |detail: String| TrainError::Setup { party: PartyId::Host(party), detail };
-        let data = self
-            .datasets
-            .get(party)
-            .cloned()
-            .ok_or_else(|| setup("spawn requested for an unknown host index".into()))?;
-        let cfg = self.cfg;
-        let (guest_ep, host_ep) = duplex_faulty(
-            cfg.wan_for_host(party, self.datasets.len()),
-            fault_for_host(chaos.fault_guest_to_host, party),
-            fault_for_host(chaos.fault_host_to_guest, party),
-            cfg.reliability,
-            cfg.dead_after() / 4,
-        );
-        // A fresh suite per incarnation (mock included), so operation
-        // counters stay per-party.
-        let suite = self.keys.public_half();
-        let session = self.session.as_ref().map(|sc| PartySession::host(sc, &cfg, party));
-        let mut handles =
-            self.handles.lock().map_err(|_| setup("spawn bookkeeping poisoned".into()))?;
-        let name = match handles.iter().filter(|(p, _)| *p == party).count() {
-            0 => format!("vf2-host-{party}"),
-            earlier => format!("vf2-host-{party}-r{}", earlier + 1),
-        };
-        let handle = thread::Builder::new()
-            .name(name)
-            .spawn(move || run_host(party, data, cfg, suite, host_ep, session, chaos))
-            .map_err(|e| setup(format!("thread spawn failed: {e}")))?;
-        handles.push((party, handle));
-        Ok(guest_ep)
-    }
-}
-
-impl HostSpawner for HostLauncher {
-    fn respawn(&self, party: usize) -> Result<Endpoint, TrainError> {
-        self.spawn_host(party, ChaosPlan::default())
-    }
-}
-
 /// Trains a federated GBDT over vertically partitioned data.
 ///
 /// `hosts[p]` is host party `p`'s feature slice (no labels); `guest` is
@@ -135,10 +75,14 @@ pub fn train_federated(
 }
 
 /// [`train_federated`] with a resumable session: every party checkpoints
-/// its private state at the configured tree cadence, and a session
-/// flagged [`SessionConfig::resuming`] restarts from the last *mutually*
-/// durable tree instead of from scratch. The resumed model is bitwise
-/// identical to an uninterrupted run (the chaos suite asserts this).
+/// its private state at every tree boundary, and a session flagged
+/// [`SessionConfig::resuming`] restarts from the last *mutually* durable
+/// tree instead of from scratch. The resumed model is bitwise identical to
+/// an uninterrupted run (the chaos suite asserts this). That is the one
+/// recovery path: a host lost mid-run ends the run with the error that
+/// lost it (`PeerLost`, or `PartyPanicked` for a crashed host), every
+/// checkpoint written so far stays durable, and the caller calls again
+/// with the session flagged to resume.
 ///
 /// `chaos` is where the robustness suites attach link faults and injected
 /// crashes; everything else passes [`ChaosPlan::default`].
@@ -149,10 +93,9 @@ pub fn train_federated_session(
     session: Option<&SessionConfig>,
     chaos: &ChaosPlan,
 ) -> Result<TrainOutput, TrainFailure> {
-    // Liveness and loss-policy knobs are validated before any thread,
-    // link, or key material exists: an unsatisfiable configuration (a
-    // deadline that has already passed, a rejoin window no restart could
-    // meet) is a typed error, never a silent mis-train.
+    // Liveness knobs are validated before any thread, link, or key
+    // material exists: an unsatisfiable configuration (a deadline that has
+    // already passed) is a typed error, never a silent mis-train.
     if let Err(bad) = cfg.validate() {
         return Err(TrainError::from(bad).into());
     }
@@ -183,7 +126,7 @@ pub fn train_federated_session(
     }
 
     // Key material: the guest holds the private key, hosts get the public
-    // half (the launcher hands it out).
+    // half.
     let guest_suite = match cfg.crypto {
         CryptoConfig::Paillier { key_bits } => {
             let keys = KeyPair::generate_seeded(key_bits, cfg.seed)
@@ -193,107 +136,74 @@ pub fn train_federated_session(
         CryptoConfig::Mock => Suite::plain(cfg.encoding),
     };
 
+    // One thread per host, each behind its own link shaped like every link
+    // of that host (WAN spread, reliability, a keepalive four times inside
+    // the silence deadline). A host gets a fresh public-half suite (mock
+    // included), so operation counters stay per-party.
     let started = Instant::now();
-    let launcher = Arc::new(HostLauncher {
-        datasets: hosts.iter().map(|h| Arc::new(h.clone())).collect(),
-        cfg: *cfg,
-        keys: guest_suite.clone(),
-        session: session.cloned(),
-        handles: Mutex::new(Vec::new()),
-    });
-    let guest_endpoints =
-        (0..hosts.len()).map(|p| launcher.spawn_host(p, *chaos)).collect::<Result<Vec<_>, _>>()?;
+    let mut guest_endpoints = Vec::with_capacity(hosts.len());
+    let mut handles = Vec::with_capacity(hosts.len());
+    for (p, data) in hosts.iter().enumerate() {
+        let (guest_ep, host_ep) = duplex_faulty(
+            cfg.wan_for_host(p, hosts.len()),
+            fault_for_host(chaos.fault_guest_to_host, p),
+            fault_for_host(chaos.fault_host_to_guest, p),
+            cfg.reliability,
+            cfg.dead_after() / 4,
+        );
+        let suite = guest_suite.public_half();
+        let host_session = session.map(|sc| PartySession::host(sc, cfg, p));
+        let (data, cfg, chaos) = (Arc::new(data.clone()), *cfg, *chaos);
+        let handle = thread::Builder::new()
+            .name(format!("vf2-host-{p}"))
+            .spawn(move || run_host(p, data, cfg, suite, host_ep, host_session, chaos))
+            .map_err(|e| TrainError::Setup {
+                party: PartyId::Host(p),
+                detail: format!("thread spawn failed: {e}"),
+            })?;
+        guest_endpoints.push(guest_ep);
+        handles.push(handle);
+    }
 
     let guest_session = session.map(|sc| PartySession::guest(sc, cfg));
-    let guest_result = run_guest(
-        Arc::new(guest.clone()),
-        *cfg,
-        guest_suite,
-        guest_endpoints,
-        guest_session,
-        Some(launcher.clone() as Arc<dyn HostSpawner>),
-    );
+    let guest_result =
+        run_guest(Arc::new(guest.clone()), *cfg, guest_suite, guest_endpoints, guest_session);
     let wall_time = started.elapsed();
 
-    let (guest_telemetry, tree_records, guest_ok, guest_error, host_outcomes) = match guest_result {
-        Ok(out) => (
-            out.telemetry,
-            out.tree_records,
-            Some((out.trees, out.train_margins)),
-            None,
-            out.host_outcomes,
-        ),
+    let (guest_telemetry, tree_records, guest_ok, guest_error) = match guest_result {
+        Ok(out) => (out.telemetry, out.tree_records, Some((out.trees, out.train_margins)), None),
         Err(GuestFailure { error, telemetry, tree_records }) => {
-            (*telemetry, tree_records, None, Some(error), Vec::new())
+            (*telemetry, tree_records, None, Some(error))
         }
     };
-    // A host incarnation that died under a loss policy the guest then
-    // survived (it rejoined, or the run degraded around it) is an
-    // *expected* death: its error must not masquerade as the run's
-    // primary failure. Outcomes exist only when the guest succeeded, so
-    // any real failure still surfaces.
-    let expected_death = |p: usize| {
-        matches!(
-            host_outcomes.get(p),
-            Some(HostOutcome::Rejoined { .. } | HostOutcome::Parked { .. })
-        )
-    };
 
-    // Join every incarnation, in spawn order, even after a failure: their
-    // partial telemetry still belongs in the report, and a panicked thread
-    // must be caught here rather than poisoning the caller. For a host
-    // that died and was respawned the newest incarnation's telemetry and
-    // split table win (earlier ones are the expected deaths the guest
-    // survived); a panicked thread leaves only its name behind.
+    // Join every host, in party order, even after a failure: their partial
+    // telemetry still belongs in the report, and a panicked thread must be
+    // caught here rather than poisoning the caller (it leaves only its name
+    // behind).
     let mut first_host_error = None;
-    let mut host_telemetry: Vec<PartyTelemetry> = (0..hosts.len())
-        .map(|p| PartyTelemetry { name: format!("host-{p}"), ..Default::default() })
-        .collect();
-    let mut host_tables: Vec<Option<HostSplitTable>> = vec![None; hosts.len()];
-    let incarnations = match launcher.handles.lock() {
-        Ok(mut guard) => std::mem::take(&mut *guard),
-        Err(_) => Vec::new(),
-    };
-    for (p, handle) in incarnations {
-        let error = match handle.join() {
-            Ok(Ok((telemetry, table))) => {
-                host_telemetry[p] = telemetry;
-                host_tables[p] = Some(table);
-                continue;
-            }
+    let mut host_telemetry = Vec::with_capacity(hosts.len());
+    let mut host_tables = Vec::with_capacity(hosts.len());
+    for (p, handle) in handles.into_iter().enumerate() {
+        let (telemetry, table) = match handle.join() {
+            Ok(Ok(done)) => done,
             Ok(Err(HostFailure { error, telemetry })) => {
-                host_telemetry[p] = *telemetry;
-                error
+                first_host_error.get_or_insert(error);
+                (*telemetry, HostSplitTable::default())
             }
-            Err(payload) => TrainError::PartyPanicked {
-                party: PartyId::Host(p),
-                detail: panic_text(payload.as_ref()),
-            },
+            Err(payload) => {
+                let detail = panic_text(payload.as_ref());
+                first_host_error
+                    .get_or_insert(TrainError::PartyPanicked { party: PartyId::Host(p), detail });
+                let name = format!("host-{p}");
+                (PartyTelemetry { name, ..Default::default() }, HostSplitTable::default())
+            }
         };
-        if !expected_death(p) {
-            first_host_error.get_or_insert(error);
-        }
+        host_telemetry.push(telemetry);
+        host_tables.push(table);
     }
 
-    // A parked host left no live thread to hand its split table over;
-    // recover it from the session checkpoint taken at the park point so
-    // the degraded model still serves that host's earlier splits.
-    if let Some(sc) = session {
-        for (p, outcome) in host_outcomes.iter().enumerate() {
-            if let HostOutcome::Parked { tree_count } = outcome {
-                if *tree_count > 0 && host_tables.get(p).is_some_and(|t| t.is_none()) {
-                    if let Ok(ck) = PartySession::host(sc, cfg, p).load_host(*tree_count, p as u32)
-                    {
-                        host_tables[p] = Some(ck.table);
-                    }
-                }
-            }
-        }
-    }
-    let host_tables: Vec<HostSplitTable> =
-        host_tables.into_iter().map(Option::unwrap_or_default).collect();
-
-    let report =
+    let mut report =
         TrainReport { guest: guest_telemetry, hosts: host_telemetry, wall_time, tree_records };
 
     // Pick the most informative primary error: a guest that merely lost
@@ -323,6 +233,15 @@ pub fn train_federated_session(
                 loss: cfg.gbdt.loss,
                 host_tables,
             };
+            // Every host split the guest recorded must be one its host
+            // holds: a model that does not validate would route prediction
+            // into a hole, so it is a failed run, never a returned model.
+            if let Err(why) = model.validate() {
+                report.guest.trace.note(format!("the assembled model is malformed: {why}"));
+                let context = "the assembled model failed its structural check";
+                let error = ProtocolError::InvariantViolated { party: PartyId::Guest, context };
+                return Err(TrainFailure { error: error.into(), partial: Box::new(report) });
+            }
             Ok(TrainOutput { model, report, train_margins })
         }
         (Some(error), _) => Err(TrainFailure { error, partial: Box::new(report) }),

@@ -333,23 +333,14 @@ pub fn encode(msg: &Msg) -> Result<Bytes, WireError> {
             e.put_u32(*tree);
         }
         Msg::Shutdown => {}
-        Msg::SessionHello { session_id, epoch, durable } => {
+        Msg::SessionHello { session_id, durable } => {
             e.put_u64(*session_id);
-            e.put_u32(*epoch);
             e.put_varint(durable.len() as u64);
             for k in durable {
                 e.put_u32(*k);
             }
         }
         Msg::Resume { session_id, tree_count } => {
-            e.put_u64(*session_id);
-            e.put_u32(*tree_count);
-        }
-        Msg::Rewind { session_id, tree_count } => {
-            e.put_u64(*session_id);
-            e.put_u32(*tree_count);
-        }
-        Msg::RewindAck { session_id, tree_count } => {
             e.put_u64(*session_id);
             e.put_u32(*tree_count);
         }
@@ -446,7 +437,6 @@ pub fn decode(kind: u16, payload: Bytes) -> Result<Msg, WireError> {
         10 => Msg::Shutdown,
         11 => {
             let session_id = d.get_u64()?;
-            let epoch = d.get_u32()?;
             let announced = d.get_varint()?;
             let len = bounded_len(&d, announced, 4, "durable checkpoint vector")?;
             let len = capped_len(len, limits::MAX_DURABLE, "durable checkpoint vector")?;
@@ -454,11 +444,9 @@ pub fn decode(kind: u16, payload: Bytes) -> Result<Msg, WireError> {
             for _ in 0..len {
                 durable.push(d.get_u32()?);
             }
-            Msg::SessionHello { session_id, epoch, durable }
+            Msg::SessionHello { session_id, durable }
         }
         12 => Msg::Resume { session_id: d.get_u64()?, tree_count: d.get_u32()? },
-        15 => Msg::Rewind { session_id: d.get_u64()?, tree_count: d.get_u32()? },
-        16 => Msg::RewindAck { session_id: d.get_u64()?, tree_count: d.get_u32()? },
         14 => {
             let tree = d.get_u32()?;
             let start_row = d.get_u32()?;
@@ -647,12 +635,22 @@ mod tests {
     #[test]
     fn unknown_kind_rejected() {
         assert!(matches!(decode(99, Bytes::new()), Err(WireError::BadTag("message kind", 99))));
-        // 13 was the liveness beacon: retired, not reused, whatever follows.
+        // 13 was the liveness beacon, 15 / 16 the mid-run rewind and its ack
+        // (a session id and a tree count): retired, not reused, whatever
+        // follows.
         let beacon = Bytes::from_static(&[0; 8]);
         assert!(matches!(decode(13, beacon), Err(WireError::BadTag("message kind", 13))));
+        let mut rewind = Encoder::new();
+        rewind.put_u64(0xFACE);
+        rewind.put_u32(3);
+        let rewind = rewind.finish();
+        for kind in [15, 16] {
+            let r = decode(kind, rewind.clone());
+            assert!(matches!(r, Err(WireError::BadTag("message kind", k)) if k == kind as u64));
+        }
     }
 
-    /// One representative message per kind (1–12, 14–16), with real ciphertext
+    /// One representative message per kind (1–12, 14), with real ciphertext
     /// payloads where the kind carries any.
     fn sample_messages() -> Vec<Msg> {
         let c = paillier_ciphers(4);
@@ -699,21 +697,17 @@ mod tests {
             Msg::NodeLeaf { tree: 1, node: 12 },
             Msg::TreeDone { tree: 19 },
             Msg::Shutdown,
-            Msg::SessionHello { session_id: 0xFACE, epoch: 3, durable: vec![1, 2, 5] },
+            Msg::SessionHello { session_id: 0xFACE, durable: vec![1, 2, 5] },
             Msg::Resume { session_id: 0xFACE, tree_count: 5 },
-            Msg::Rewind { session_id: 0xFACE, tree_count: 3 },
-            Msg::RewindAck { session_id: 0xFACE, tree_count: 3 },
         ]
     }
 
     #[test]
     fn session_messages_round_trip() {
-        round_trip(Msg::SessionHello { session_id: 1, epoch: 1, durable: vec![] });
-        round_trip(Msg::SessionHello { session_id: u64::MAX, epoch: 9, durable: vec![0, 7, 31] });
+        round_trip(Msg::SessionHello { session_id: 1, durable: vec![] });
+        round_trip(Msg::SessionHello { session_id: u64::MAX, durable: vec![0, 7, 31] });
         round_trip(Msg::Resume { session_id: 0, tree_count: 0 });
-        round_trip(Msg::Rewind { session_id: 0, tree_count: 0 });
-        round_trip(Msg::Rewind { session_id: u64::MAX, tree_count: u32::MAX });
-        round_trip(Msg::RewindAck { session_id: 7, tree_count: 2 });
+        round_trip(Msg::Resume { session_id: u64::MAX, tree_count: u32::MAX });
     }
 
     #[test]
@@ -784,7 +778,7 @@ mod tests {
         let mut retired = hdr.to_vec();
         retired.push(2);
         assert!(matches!(decode(4, retired.into()), Err(WireError::BadTag("hist payload", 2))));
-        bomb(11, &[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]); // SessionHello durable count
+        bomb(11, &[0, 0, 0, 0, 0, 0, 0, 0]); // SessionHello durable count
     }
 
     #[test]

@@ -7,13 +7,13 @@
 //! a hang, never a silently wrong model. A clean wire must stay bitwise
 //! identical no matter how large the misbehavior budget is.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use vf2boost::channel::{duplex, Endpoint, MalfeasantPeer, Misdeed, WanConfig};
-use vf2boost::core::config::{CryptoConfig, HostLossPolicy, TrainConfig};
+use vf2boost::core::config::{CryptoConfig, TrainConfig};
 use vf2boost::core::error::{GuestFailure, PartyId, ProtocolError, TrainError};
-use vf2boost::core::guest::{run_guest, HostSpawner};
+use vf2boost::core::guest::run_guest;
 use vf2boost::core::host::run_host;
 use vf2boost::core::json;
 use vf2boost::core::messages::{
@@ -219,16 +219,20 @@ fn truncated_frame_surfaces_as_malformed_not_a_panic() {
     );
 }
 
-/// Kind 13 was the liveness beacon. It is retired, not reused: a frame
-/// carrying it is malformed like one of any unknown kind — whatever the
-/// budget, since an undecodable frame cannot be dropped and resumed past.
+/// Kind 13 was the liveness beacon, 15 / 16 the mid-run rewind and its
+/// ack. They are retired, not reused: a frame carrying one is malformed
+/// like one of any unknown kind — whatever the budget, since an undecodable
+/// frame cannot be dropped and resumed past.
 #[test]
 fn a_retired_beacon_frame_is_malformed_like_any_unknown_kind() {
-    for kind in [13u16, 99] {
+    // What a beacon carried: one little-endian u64. What a rewind (or its
+    // ack) carried: a session id and a tree count.
+    let beacon = 41u64.to_le_bytes().to_vec();
+    let rewind = [0x5e55u64.to_le_bytes().as_slice(), &2u32.to_le_bytes()].concat();
+    for (kind, payload) in [(13u16, &beacon), (15, &rewind), (16, &rewind), (99, &beacon)] {
         let (guest_ep, handle) = spawn_host(byz_cfg(3));
         eat_greetings(&guest_ep);
-        // What a beacon carried: one little-endian u64.
-        guest_ep.send(kind, 41u64.to_le_bytes().to_vec().into());
+        guest_ep.send(kind, payload.clone().into());
         let failure = handle.join().unwrap().expect_err("an unknown kind must abort the host");
         match failure.error {
             TrainError::Protocol(ProtocolError::Malformed { from, error }) => {
@@ -380,7 +384,7 @@ fn spawn_guest(cfg: TrainConfig) -> (Endpoint, std::thread::JoinHandle<Option<Gu
     let data = guest_data();
     let suite = Suite::plain(cfg.encoding);
     let handle =
-        std::thread::spawn(move || run_guest(data, cfg, suite, vec![guest_ep], None, None).err());
+        std::thread::spawn(move || run_guest(data, cfg, suite, vec![guest_ep], None).err());
     (host_ep, handle)
 }
 
@@ -414,7 +418,7 @@ fn guest_rejects_wrong_kind_during_handshake() {
 #[test]
 fn guest_rejects_unsolicited_placement() {
     let (host_ep, handle) = spawn_guest(byz_cfg(0));
-    send(&host_ep, &Msg::SessionHello { session_id: 0, epoch: 0, durable: vec![] });
+    send(&host_ep, &Msg::SessionHello { session_id: 0, durable: vec![] });
     send(&host_ep, &Msg::FeatureMeta(vec![FeatureMeta { num_bins: 8, zero_bin: 0 }]));
     // A placement that answers no outstanding split choice.
     send(&host_ep, &Msg::Placement { tree: 0, node: 0, placement: vec![true, false] });
@@ -432,7 +436,7 @@ fn guest_rejects_unsolicited_placement() {
 #[test]
 fn guest_rejects_wrong_length_histograms() {
     let (host_ep, handle) = spawn_guest(byz_cfg(0));
-    send(&host_ep, &Msg::SessionHello { session_id: 0, epoch: 0, durable: vec![] });
+    send(&host_ep, &Msg::SessionHello { session_id: 0, durable: vec![] });
     // Two features negotiated...
     send(&host_ep, &Msg::FeatureMeta(vec![FeatureMeta { num_bins: 8, zero_bin: 0 }; 2]));
     // ...but the histogram reply to the first task carries only one.
@@ -468,102 +472,34 @@ fn guest_rejects_wrong_length_histograms() {
     }
 }
 
-/// A scripted replacement host: what the second incarnation puts on the
-/// fresh link the moment the guest asks for one. The host end is parked in
-/// `links`, so the link stays up and whatever ends the rejoin is the
-/// guest's own verdict, never a disconnect.
-struct ScriptedRejoin {
-    script: Vec<Msg>,
-    links: Mutex<Vec<Endpoint>>,
-}
-
-impl HostSpawner for ScriptedRejoin {
-    fn respawn(&self, _party: usize) -> Result<Endpoint, TrainError> {
-        let (guest_ep, host_ep) = duplex(WanConfig::instant());
-        for msg in &self.script {
-            send(&host_ep, msg);
-        }
-        self.links.lock().unwrap().push(host_ep);
-        Ok(guest_ep)
-    }
-}
-
-const REJOIN_SID: u64 = 0x5e55;
-
-/// Runs a production guest under `AwaitRejoin` against a first host
-/// incarnation that completes an honest handshake (epoch 1) and then
-/// dies, and hands it `script` as the second incarnation. Returns how the
-/// guest failed.
-fn rejoin_against(tag: &str, deadline: Duration, script: Vec<Msg>) -> GuestFailure {
-    let cfg = TrainConfig { on_host_loss: HostLossPolicy::AwaitRejoin { deadline }, ..byz_cfg(0) };
-    let dir = std::env::temp_dir().join(format!("vf2boost-byz-{tag}-{}", std::process::id()));
+/// A restarted run's handshake names the session it resumes: a host that
+/// announces some *other* session is refused as a typed `ResumeMismatch`
+/// before any gradient leaves the guest (the wrong-kind arm is
+/// `guest_rejects_wrong_kind_during_handshake`).
+#[test]
+fn guest_rejects_a_bad_rejoin_handshake_with_a_typed_error() {
+    const SID: u64 = 0x5e55;
+    let cfg = byz_cfg(0);
+    let dir = std::env::temp_dir().join(format!("vf2boost-byz-foreign-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let session = PartySession::guest(&SessionConfig::new(REJOIN_SID, &dir), &cfg);
-    let spawner: Arc<dyn HostSpawner> =
-        Arc::new(ScriptedRejoin { script, links: Mutex::new(Vec::new()) });
+    let session = PartySession::guest(&SessionConfig::new(SID, &dir).resuming(), &cfg);
     let (guest_ep, host_ep) = duplex(WanConfig::instant());
     let suite = Suite::plain(cfg.encoding);
     let handle = std::thread::spawn(move || {
-        run_guest(guest_data(), cfg, suite, vec![guest_ep], Some(session), Some(spawner)).err()
+        run_guest(guest_data(), cfg, suite, vec![guest_ep], Some(session)).err()
     });
-    send(&host_ep, &Msg::SessionHello { session_id: REJOIN_SID, epoch: 1, durable: vec![] });
+    send(&host_ep, &Msg::SessionHello { session_id: SID + 1, durable: vec![] });
     send(&host_ep, &Msg::FeatureMeta(vec![FeatureMeta { num_bins: 8, zero_bin: 0 }]));
-    // The guest's `Resume` proves it consumed the handshake; dying now is
-    // a tree-phase loss, the only kind the policy survives.
-    loop {
-        let env = host_ep.recv_timeout(DRAIN).expect("the guest answers the handshake");
-        if matches!(wire::decode(env.kind, env.payload), Ok(Msg::Resume { .. })) {
-            break;
-        }
-    }
-    drop(host_ep);
-    let failure = handle.join().unwrap().expect("a bad rejoin must fail the guest");
-    let _ = std::fs::remove_dir_all(&dir);
-    failure
-}
-
-/// The rejection arms of the handshake handler the startup and the rejoin
-/// path now share, driven through the rejoin path (the startup path is
-/// `guest_rejects_wrong_kind_during_handshake`): every bad second
-/// incarnation ends in a typed error within the policy deadline.
-#[test]
-fn guest_rejects_a_bad_rejoin_handshake_with_a_typed_error() {
-    let hello =
-        |session_id: u64, epoch: u32| Msg::SessionHello { session_id, epoch, durable: vec![] };
-    let long = Duration::from_secs(10);
-
-    // A newer incarnation of some *other* session.
-    let failure = rejoin_against("foreign", long, vec![hello(REJOIN_SID + 1, 2)]);
+    let mut sent = Vec::new();
+    drain_guest(&host_ep, |msg| sent.push(msg.kind()));
+    let failure = handle.join().unwrap().expect("a foreign session must fail the guest");
     assert!(
         matches!(failure.error, TrainError::ResumeMismatch { party: PartyId::Host(0), .. }),
         "{}",
         failure.error
     );
-    assert_eq!(failure.telemetry.events.quarantines, 1);
-    assert_eq!(failure.telemetry.events.rejoins, 0);
-
-    // A valid newer-epoch hello followed by a non-handshake kind where the
-    // metadata is due: the admission FSM refuses it ahead of the handler.
-    let placement = Msg::Placement { tree: 0, node: 0, placement: vec![true] };
-    let failure = rejoin_against("kind", long, vec![hello(REJOIN_SID, 2), placement]);
-    match failure.error {
-        TrainError::PeerMisbehaving { party, last, .. } => {
-            assert_eq!(party, PartyId::Host(0));
-            assert!(matches!(*last, ProtocolError::OutOfPhase { kind: 7, .. }), "{last}");
-        }
-        other => panic!("wrong error: {other}"),
-    }
-
-    // The dead incarnation's own hello replayed on the fresh link fails
-    // the epoch fence, is dropped as stale, and the wait ends at the
-    // policy deadline with the original loss — bounded, never a hang.
-    let failure = rejoin_against("replay", Duration::from_millis(600), vec![hello(REJOIN_SID, 1)]);
-    assert!(
-        matches!(failure.error, TrainError::PeerLost { party: PartyId::Host(0), .. }),
-        "{}",
-        failure.error
-    );
-    assert!(failure.telemetry.events.stale_msgs_dropped >= 1);
+    assert!(sent.is_empty(), "the guest sent kinds {sent:?} to a foreign session");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Drives a production guest on the paired path (Paillier, histogram
@@ -581,9 +517,9 @@ fn paired_guest_against(
     assert_eq!(plan.bins_per_cipher(host_suite.public_key().unwrap()), 2);
     let (guest_ep, host_ep) = duplex(WanConfig::instant());
     let handle = std::thread::spawn(move || {
-        run_guest(guest_data(), cfg, guest_suite, vec![guest_ep], None, None).err()
+        run_guest(guest_data(), cfg, guest_suite, vec![guest_ep], None).err()
     });
-    send(&host_ep, &Msg::SessionHello { session_id: 0, epoch: 0, durable: vec![] });
+    send(&host_ep, &Msg::SessionHello { session_id: 0, durable: vec![] });
     send(&host_ep, &Msg::FeatureMeta(vec![FeatureMeta { num_bins: 4, zero_bin: 0 }]));
     let mut tasks = 0;
     drain_guest(&host_ep, |msg| {
@@ -784,7 +720,7 @@ fn mutation_corpus() -> Vec<Msg> {
             epoch: 1,
             payload: HistPayload::Raw(vec![RawFeatureHist {
                 g: vec![plain.clone(); 3],
-                h: vec![paillier; 3],
+                h: vec![paillier.clone(); 3],
             }]),
         },
         Msg::NodeHistograms {
@@ -808,8 +744,9 @@ fn mutation_corpus() -> Vec<Msg> {
         Msg::NodeLeaf { tree: 0, node: 6 },
         Msg::TreeDone { tree: 0 },
         Msg::Shutdown,
-        Msg::SessionHello { session_id: 0xF00D, epoch: 2, durable: vec![1, 3] },
+        Msg::SessionHello { session_id: 0xF00D, durable: vec![1, 3] },
         Msg::Resume { session_id: 0xF00D, tree_count: 3 },
+        Msg::PackedGradBatch { tree: 1, start_row: 0, gh: vec![paillier], last: false },
     ]
 }
 

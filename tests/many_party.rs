@@ -3,11 +3,11 @@
 //!
 //! The loop reorders *work* (one host's decrypt overlaps another's
 //! transfer; already-arrived histograms commit in batches) but must never
-//! reorder *decisions*: per-node splits fire only once every live host's
-//! answer is admitted, and the winner scan walks hosts in index order.
-//! These tests drive that claim through rolling per-link stalls,
-//! reordering links, a heterogeneous bandwidth/latency spread, and a
-//! mid-run host kill-and-rejoin with phases overlapping — and pin the
+//! reorder *decisions*: per-node splits fire only once every host's answer
+//! is admitted, and the winner scan walks hosts in index order. These
+//! tests drive that claim through rolling per-link stalls, reordering
+//! links, a heterogeneous bandwidth/latency spread, and a mid-run host kill
+//! with phases overlapping, resumed across all nine parties — and pin the
 //! baseline's one-commit-per-layer ordering.
 
 mod support;
@@ -16,7 +16,8 @@ use std::time::Duration;
 
 use support::{assert_bitwise, corner_modes, margins, scenario_of, temp_dir};
 use vf2boost::channel::{FaultConfig, StallWindow, WanConfig};
-use vf2boost::core::config::{CryptoConfig, HostLossPolicy, WanSpread};
+use vf2boost::core::config::{CryptoConfig, WanSpread};
+use vf2boost::core::error::{PartyId, TrainError};
 use vf2boost::core::protocol::ProtocolConfig;
 use vf2boost::core::{
     train_federated, train_federated_session, ChaosPlan, SessionConfig, TrainConfig,
@@ -144,42 +145,49 @@ fn baseline_commits_one_batch_per_layer_and_matches_optimistic() {
 }
 
 /// Kill host 0 inside tree 1's node loop while the guest has overlapping
-/// transfers in flight from seven live survivors: the quarantine → rejoin
-/// → rewind barrier must hold, and the final model must be bitwise
-/// identical to an uninterrupted run.
+/// transfers in flight from seven other hosts: the run ends with the
+/// crash, and restarting it from the checkpoints every party holds must
+/// rejoin all nine at one resume point — the newest tree durable at each
+/// of them, the barrier every party rewinds to — and finish with a model
+/// bitwise identical to an uninterrupted run.
 #[test]
 fn pipelined_kill_and_rejoin_holds_the_rewind_barrier() {
     let s = scenario(73);
-    let base = TrainConfig {
+    let cfg = TrainConfig {
         gbdt: GbdtParams { num_trees: 3, max_layers: 4, ..Default::default() },
         ..calm_cfg(73, ProtocolConfig::vf2boost())
     };
 
-    let clean = train_federated(&s.hosts, &s.guest, &base)
+    let clean = train_federated(&s.hosts, &s.guest, &cfg)
         .unwrap_or_else(|f| panic!("clean run failed: {}", f.error));
 
-    let dir = temp_dir("many_rejoin");
+    let dir = temp_dir("many_resume");
     let session = SessionConfig::new(0x0d10_0073, &dir);
-    let cfg = TrainConfig {
-        on_host_loss: HostLossPolicy::AwaitRejoin { deadline: Duration::from_secs(10) },
-        ..base
-    };
     let kill = ChaosPlan { crash_host_on_node_task: Some((1, 0)), ..ChaosPlan::default() };
-    let out = train_federated_session(&s.hosts, &s.guest, &cfg, Some(&session), &kill)
-        .unwrap_or_else(|f| panic!("rejoin run failed: {}", f.error));
+    let failure = train_federated_session(&s.hosts, &s.guest, &cfg, Some(&session), &kill)
+        .expect_err("the injected crash must end the first run");
+    assert!(
+        matches!(failure.error, TrainError::PartyPanicked { party: PartyId::Host(0), .. }),
+        "expected the injected host crash, got {}",
+        failure.error
+    );
 
-    let ev = &out.report.guest.events;
-    assert!(ev.quarantines >= 1, "host loss was never quarantined: {ev:?}");
-    assert!(ev.rejoins >= 1, "the restarted host never rejoined: {ev:?}");
-    // No party was parked: every tree was trained by the full roster.
-    for rec in &out.report.tree_records {
-        assert_eq!(
-            rec.party_set,
-            (0..=HOSTS as u16).collect::<Vec<_>>(),
-            "tree {} lost a party despite the successful rejoin",
-            rec.tree
-        );
+    let resumed = train_federated_session(
+        &s.hosts,
+        &s.guest,
+        &cfg,
+        Some(&session.clone().resuming()),
+        &ChaosPlan::default(),
+    )
+    .unwrap_or_else(|f| panic!("resumed run failed: {}", f.error));
+    // Every party resumed from the one tree all nine hold, and only the
+    // trees after it were trained again.
+    assert_eq!(resumed.report.guest.events.resumes, 1);
+    for (h, host) in resumed.report.hosts.iter().enumerate() {
+        assert_eq!(host.events.resumes, 1, "host {h} did not resume: {:?}", host.events);
     }
-    assert_bitwise("rejoin", &margins(&clean, &s), &margins(&out, &s));
+    let retrained: Vec<usize> = resumed.report.tree_records.iter().map(|r| r.tree).collect();
+    assert_eq!(retrained, [1, 2]);
+    assert_bitwise("resumed", &margins(&clean, &s), &margins(&resumed, &s));
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -2,19 +2,20 @@
 //!
 //! The core contract: killing a party mid-run and restarting the job
 //! from its durable checkpoints must produce a model *bitwise identical*
-//! to an uninterrupted run — in every protocol mode. And a peer that
-//! silently dies must surface as a typed `PeerLost` within the liveness
-//! deadline (never a hang), while a bounded outage shorter than the
-//! deadline must be ridden out.
+//! to an uninterrupted run — in every protocol mode. That restart is the
+//! only way back from a lost host. And a peer that silently dies must
+//! surface as a typed `PeerLost` within the liveness deadline (never a
+//! hang), while a bounded outage shorter than the deadline must be ridden
+//! out.
 
 mod support;
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use support::{assert_bitwise, corner_modes, margins, modes, scenario, scenario_of, temp_dir};
+use support::{assert_bitwise, margins, modes, scenario, temp_dir};
 use vf2boost::channel::{duplex, FaultConfig, StallWindow, WanConfig};
-use vf2boost::core::config::{CryptoConfig, HostLossPolicy};
+use vf2boost::core::config::CryptoConfig;
 use vf2boost::core::error::{PartyId, TrainError};
 use vf2boost::core::host::run_host;
 use vf2boost::core::messages::Msg;
@@ -255,218 +256,4 @@ fn a_failing_flight_record_dump_is_counted_not_fatal() {
     // The squatting directory is still a directory: nothing overwrote it.
     assert!(dir.join("guest.flight.json").is_dir());
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-// ---------------------------------------------------------------------------
-// Dropout chaos: in-run host failure survival (rejoin / degrade / backoff).
-//
-// These kill a host *inside* the node loop — after it accepted a
-// `NodeTask` but before its histogram answer, the worst spot for the
-// guest, which now holds a half-built tree — and demand the run survive
-// under the configured `on_host_loss` policy instead of restarting the
-// whole job.
-// ---------------------------------------------------------------------------
-
-/// A two-host vertical split of the same synthetic data, so chaos runs
-/// have a live survivor whose stream must be rewound and drained while
-/// host 0 is down.
-fn scenario2(seed: u64) -> vf2boost::datagen::vertical::VerticalScenario {
-    scenario_of(200, 8, &[4, 2], seed)
-}
-
-/// Kill the host mid-node-loop of tree 2 under `AwaitRejoin`: the guest
-/// must quarantine the stream, keep the session open, accept the
-/// restarted incarnation's newer-epoch hello, rewind to the last
-/// mutually durable tree, and finish with a model bitwise identical to
-/// an uninterrupted run — for sequential/optimistic × raw/packed.
-fn assert_rejoin_matrix(seed: u64) {
-    let s = scenario(seed);
-    for (name, protocol) in corner_modes() {
-        let cfg = resume_cfg(seed, protocol);
-
-        // Reference: one uninterrupted, session-less run.
-        let clean = train_federated(&s.hosts, &s.guest, &cfg)
-            .unwrap_or_else(|f| panic!("[{name}] clean run failed: {}", f.error));
-
-        // Chaos: the host dies inside tree 2's node loop; the guest holds
-        // the session open and a fresh incarnation rejoins mid-run.
-        let dir = temp_dir(&format!("rejoin_{seed}_{name}"));
-        let session = SessionConfig::new(seed ^ 0x0d10_0ca0, &dir);
-        let rejoin_cfg = TrainConfig {
-            on_host_loss: HostLossPolicy::AwaitRejoin { deadline: Duration::from_secs(10) },
-            ..cfg
-        };
-        let out = train_federated_session(
-            &s.hosts,
-            &s.guest,
-            &rejoin_cfg,
-            Some(&session),
-            &kill_in_tree_2(),
-        )
-        .unwrap_or_else(|f| panic!("[{name}] rejoin run failed: {}", f.error));
-
-        let ev = &out.report.guest.events;
-        assert!(ev.quarantines >= 1, "[{name}] host loss was never quarantined: {ev:?}");
-        assert!(ev.rejoins >= 1, "[{name}] the restarted host never rejoined: {ev:?}");
-        assert!(
-            out.report.hosts[0].events.resumes >= 1,
-            "[{name}] the rejoined incarnation never resumed from its checkpoint: {:?}",
-            out.report.hosts[0].events
-        );
-        // No party was parked: every tree was trained by the full roster.
-        for rec in &out.report.tree_records {
-            assert_eq!(
-                rec.party_set,
-                vec![0, 1],
-                "[{name}] tree {} lost a party despite the successful rejoin",
-                rec.tree
-            );
-        }
-
-        assert_bitwise(&format!("{name} rejoined"), &margins(&clean, &s), &margins(&out, &s));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-}
-
-#[test]
-fn dropout_chaos_rejoin_matches_bitwise_seed_91() {
-    assert_rejoin_matrix(91);
-}
-
-#[test]
-fn dropout_chaos_rejoin_matches_bitwise_seed_92() {
-    assert_rejoin_matrix(92);
-}
-
-#[test]
-fn dropout_chaos_rejoin_matches_bitwise_seed_93() {
-    assert_rejoin_matrix(93);
-}
-
-/// The rejoin barrier with a live survivor: host 0 dies mid-node-loop
-/// while host 1 is healthy. The guest must rewind the *survivor* too —
-/// `Rewind` → drain to `RewindAck` — so no aborted-attempt histogram
-/// from host 1 can leak into the re-executed tree, and the final model
-/// must still be bitwise identical to an uninterrupted two-host run.
-#[test]
-fn dropout_chaos_rejoin_with_a_live_survivor_rewinds_both() {
-    let s = scenario2(94);
-    for (name, protocol) in
-        [("seq", ProtocolConfig::baseline()), ("opt", ProtocolConfig::vf2boost())]
-    {
-        let cfg = resume_cfg(94, protocol);
-        let clean = train_federated(&s.hosts, &s.guest, &cfg)
-            .unwrap_or_else(|f| panic!("[{name}] clean run failed: {}", f.error));
-
-        let dir = temp_dir(&format!("rejoin2_{name}"));
-        let session = SessionConfig::new(0x51d2_0094, &dir);
-        let rejoin_cfg = TrainConfig {
-            on_host_loss: HostLossPolicy::AwaitRejoin { deadline: Duration::from_secs(10) },
-            ..cfg
-        };
-        let out = train_federated_session(
-            &s.hosts,
-            &s.guest,
-            &rejoin_cfg,
-            Some(&session),
-            &kill_in_tree_2(),
-        )
-        .unwrap_or_else(|f| panic!("[{name}] two-host rejoin run failed: {}", f.error));
-        let ev = &out.report.guest.events;
-        assert!(ev.rejoins >= 1, "[{name}] the restarted host never rejoined: {ev:?}");
-        for rec in &out.report.tree_records {
-            assert_eq!(rec.party_set, vec![0, 1, 2], "[{name}] tree {} lost a party", rec.tree);
-        }
-
-        assert_bitwise(&format!("{name} survivor"), &margins(&clean, &s), &margins(&out, &s));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-}
-
-/// `Degrade` with a single host: parking it leaves only the guest, which
-/// must finish the remaining trees on its own features. The per-tree
-/// `party_set` records the roster shrink, and the model stays servable
-/// (missing host splits route to a neutral 0.0 contribution).
-#[test]
-fn dropout_chaos_degrade_parks_the_only_host_and_finishes_guest_only() {
-    let s = scenario(95);
-    let cfg = TrainConfig {
-        on_host_loss: HostLossPolicy::Degrade,
-        ..resume_cfg(95, ProtocolConfig::vf2boost())
-    };
-    let out = train_federated_session(&s.hosts, &s.guest, &cfg, None, &kill_in_tree_2())
-        .expect("a degrade run must survive losing its only host");
-    let ev = &out.report.guest.events;
-    assert_eq!(ev.quarantines, 1, "exactly one park expected: {ev:?}");
-    assert_eq!(ev.rejoins, 0, "degrade must never rejoin: {ev:?}");
-    assert_eq!(out.report.tree_records.len(), 4, "all four trees must complete");
-    for rec in &out.report.tree_records {
-        let expect = if rec.tree < 2 { vec![0, 1] } else { vec![0] };
-        assert_eq!(
-            rec.party_set, expect,
-            "tree {} has the wrong training roster after the park",
-            rec.tree
-        );
-    }
-    // Session-less, so the dead host's split table is gone: prediction
-    // must degrade gracefully, never panic.
-    for (i, m) in margins(&out, &s).iter().enumerate() {
-        assert!(m.is_finite(), "margin {i} is not finite: {m}");
-    }
-}
-
-/// `Degrade` with a survivor: host 0 is parked mid-run, host 1 keeps
-/// training. The survivor's stream is rewound through the ack barrier,
-/// the roster shrinks to {guest, host 1}, and the parked host's split
-/// table is recovered from its last durable checkpoint so the first two
-/// trees still route through its features at prediction time.
-#[test]
-fn dropout_chaos_degrade_with_a_survivor_keeps_the_live_host() {
-    let s = scenario2(96);
-    let dir = temp_dir("degrade2");
-    let session = SessionConfig::new(0xde60_0096, &dir);
-    let cfg = TrainConfig {
-        on_host_loss: HostLossPolicy::Degrade,
-        ..resume_cfg(96, ProtocolConfig::vf2boost())
-    };
-    let out = train_federated_session(&s.hosts, &s.guest, &cfg, Some(&session), &kill_in_tree_2())
-        .expect("a degrade run must survive losing one of two hosts");
-    let ev = &out.report.guest.events;
-    assert_eq!(ev.quarantines, 1, "exactly one park expected: {ev:?}");
-    assert_eq!(out.report.tree_records.len(), 4, "all four trees must complete");
-    for rec in &out.report.tree_records {
-        let expect = if rec.tree < 2 { vec![0, 1, 2] } else { vec![0, 2] };
-        assert_eq!(
-            rec.party_set, expect,
-            "tree {} has the wrong training roster after the park",
-            rec.tree
-        );
-    }
-    for (i, m) in margins(&out, &s).iter().enumerate() {
-        assert!(m.is_finite(), "margin {i} is not finite: {m}");
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A stalled-but-alive link must be ridden out inside the supervised wait
-/// — slept through, never escalated to a quarantine — even with a loss
-/// policy armed, and the model must be bitwise identical to an unstalled
-/// run.
-#[test]
-fn dropout_chaos_slow_link_is_ridden_out_without_quarantine() {
-    let s = scenario(97);
-    let base = resume_cfg(97, ProtocolConfig::vf2boost());
-    let cfg = TrainConfig {
-        peer_dead_after: Duration::from_secs(2),
-        on_host_loss: HostLossPolicy::AwaitRejoin { deadline: Duration::from_secs(10) },
-        ..base
-    };
-    let clean = train_federated(&s.hosts, &s.guest, &base).expect("clean run succeeds");
-    let stalled = train_federated_session(&s.hosts, &s.guest, &cfg, None, &early_outage())
-        .expect("a stall shorter than the liveness deadline must be ridden out");
-    let guest = &stalled.report.guest;
-    assert!(guest.phases.idle >= SLEPT, "the stall never reached the wait: {:?}", guest.phases);
-    let ev = &guest.events;
-    assert_eq!(ev.quarantines, 0, "a slow link must not be quarantined: {ev:?}");
-    assert_bitwise("stalled", &margins(&clean, &s), &margins(&stalled, &s));
 }
