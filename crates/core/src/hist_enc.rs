@@ -17,20 +17,30 @@
 //!
 //! On the paired path (`TrainConfig::gh_plan`) a row's single cipher holds
 //! `(g, h)` in the offset layout of [`GhPlan`], one builder accumulates
-//! both statistics, and [`EncHistBuilder::finalize_gh_feature`] /
-//! [`pack_gh_feature_hist`] replace the shift and the prefix sums: every
-//! bin is topped up to the constant offset `N·B_g` from the plain row
-//! count kept beside its cipher, then bins pack directly.
+//! both statistics, and [`EncHistBuilder::pack_gh_feature`] replaces the
+//! shift and the prefix sums: every bin is topped up to the constant
+//! offset `N·B_g` from the plain row count kept beside its cipher, and
+//! bins pack directly.
+//!
+//! Bins hold [`ResidentCiphertext`]s: under Paillier a cipher stays in its
+//! key's Montgomery form from the moment the host admits it
+//! ([`Suite::enter`]) to the moment a bin leaves — once per bin on the
+//! two-stream [`EncHistBuilder::finalize_feature`], once per packed cipher
+//! on the paired path. A HAdd in between is one stack limb product
+//! ([`Suite::add_resident`]), tallied per worker and published once per
+//! [`EncHistBuilder::add_rows`] call. The mock carries its `f64`s as they
+//! are.
 //!
 //! The guest's half is [`DecodedBins`], a feature's bins as they decrypt:
 //! hosts ship each split's smaller child only; the guest derives the larger
 //! as `parent − smaller` ([`DecodedBins::checked_sub`]).
 
 use num_bigint::{BigUint, Sign};
+use vf2_crypto::counters::OpSnapshot;
 use vf2_crypto::encoding::{EncodingConfig, FixedPoint};
 use vf2_crypto::error::{CryptoError, Result};
 use vf2_crypto::packing::{GhPlan, PackingPlan};
-use vf2_crypto::suite::{Ciphertext, Suite, SuiteKind};
+use vf2_crypto::suite::{Ciphertext, ResidentCiphertext, Suite, SuiteKind};
 use vf2_gbdt::histogram::{GradPair, Histogram};
 
 use rayon::prelude::*;
@@ -38,13 +48,25 @@ use rayon::prelude::*;
 use crate::messages::{GhPackedFeatureHist, PackedFeatureHist, RawFeatureHist};
 use crate::rows::{ColMeta, RowMajorBins};
 
-/// One bin's accumulator.
+/// One bin's accumulator, in resident form.
 #[derive(Debug, Clone, PartialEq)]
 enum BinAcc {
     /// Single accumulator with on-the-fly exponent alignment.
-    Naive(Option<Ciphertext>),
+    Naive(Option<ResidentCiphertext>),
     /// Per-exponent workspaces (index = exponent − base_exp).
-    Reordered(Vec<Option<Ciphertext>>),
+    Reordered(Vec<Option<ResidentCiphertext>>),
+}
+
+impl BinAcc {
+    /// The occupied workspaces, in exponent order.
+    fn occupied(&self) -> impl Iterator<Item = &ResidentCiphertext> {
+        match self {
+            BinAcc::Naive(a) => std::slice::from_ref(a),
+            BinAcc::Reordered(slots) => &slots[..],
+        }
+        .iter()
+        .flatten()
+    }
 }
 
 /// One bin: its cipher accumulator and how many rows went into it. The
@@ -84,11 +106,13 @@ impl EncHistBuilder {
         EncHistBuilder { features, reordered, base_exp: encoding.base_exp }
     }
 
-    /// Accumulates one cipher into `(feature, bin)`.
+    /// Accumulates one cipher into `(feature, bin)`, entering it into its
+    /// key's resident form first.
     ///
     /// The cipher may come off the wire, so its exponent is untrusted: a
     /// value outside the negotiated jitter window is a typed error, never
-    /// an out-of-bounds slot index.
+    /// an out-of-bounds slot index. A refused add leaves the builder as it
+    /// was.
     pub fn add(&mut self, suite: &Suite, feature: usize, bin: usize, c: &Ciphertext) -> Result<()> {
         let num_features = self.features.len();
         let bins = self.features.get_mut(feature).ok_or(CryptoError::ShapeMismatch {
@@ -96,7 +120,10 @@ impl EncHistBuilder {
             left: feature,
             right: num_features,
         })?;
-        add_to_bin(bins, bin, suite, self.base_exp, c)
+        let mut tally = OpSnapshot::default();
+        let done = add_to_bin(bins, bin, suite, self.base_exp, &suite.enter(c)?, &mut tally);
+        suite.counters().publish(&tally);
+        done
     }
 
     /// Accumulates the stored `(feature, bin)` entries of every row in
@@ -104,7 +131,7 @@ impl EncHistBuilder {
     /// `g` and, when given, `enc_h[row]` into `h` (on the packed forward
     /// path a row's single cipher carries both statistics and only `g` is
     /// fed). Cipher for cipher what the per-entry [`EncHistBuilder::add`]
-    /// loop over `rows` produces.
+    /// loop over `rows` produces, on ciphers the host entered once.
     ///
     /// Inside a `rayon::ThreadPool::install` of width `w` the features are
     /// cut into contiguous ranges of `⌈features / w⌉` columns, one worker
@@ -112,13 +139,14 @@ impl EncHistBuilder {
     /// own columns (a CSR row is feature-sorted: binary-search to the
     /// range's start, stop at its end), so each bin receives its ciphers
     /// in the same order at every width: no shard copies, no merge, and
-    /// ciphers and op counts that do not depend on the width.
+    /// ciphers and op counts that do not depend on the width. Each worker
+    /// tallies its HAdds locally; the call publishes them once.
     pub fn add_rows(
         suite: &Suite,
         csr: &RowMajorBins,
         rows: &[u32],
-        (g, enc_g): (&mut EncHistBuilder, &[Ciphertext]),
-        (h, enc_h): (&mut EncHistBuilder, Option<&[Ciphertext]>),
+        (g, enc_g): (&mut EncHistBuilder, &[ResidentCiphertext]),
+        (h, enc_h): (&mut EncHistBuilder, Option<&[ResidentCiphertext]>),
     ) -> Result<()> {
         for builder in [&*g, &*h] {
             if csr.num_features() != builder.features.len() {
@@ -131,33 +159,43 @@ impl EncHistBuilder {
         }
         let (g_exp, h_exp) = (g.base_exp, h.base_exp);
         let per_worker = g.features.len().div_ceil(rayon::current_num_threads()).max(1);
-        g.features
+        let shards: Vec<(OpSnapshot, Result<()>)> = g
+            .features
             .par_chunks_mut(per_worker)
             .zip(h.features.par_chunks_mut(per_worker))
             .enumerate()
             .map(|(shard, (g_columns, h_columns))| {
                 let first = shard * per_worker;
-                for &row in rows {
-                    let cg = cipher_of(enc_g, row)?;
-                    let ch = enc_h.map(|enc_h| cipher_of(enc_h, row)).transpose()?;
-                    let entries = csr.row(row as usize);
-                    let skip = match first {
-                        0 => 0,
-                        _ => entries.partition_point(|&(f, _)| (f as usize) < first),
-                    };
-                    for &(f, bin) in &entries[skip..] {
-                        let column = f as usize - first;
-                        let Some(bins) = g_columns.get_mut(column) else { break };
-                        add_to_bin(bins, bin as usize, suite, g_exp, cg)?;
-                        if let Some(ch) = ch {
-                            add_to_bin(&mut h_columns[column], bin as usize, suite, h_exp, ch)?;
+                let mut tally = OpSnapshot::default();
+                let mut walk = || -> Result<()> {
+                    for &row in rows {
+                        let cg = cipher_of(enc_g, row)?;
+                        let ch = enc_h.map(|enc_h| cipher_of(enc_h, row)).transpose()?;
+                        let entries = csr.row(row as usize);
+                        let skip = match first {
+                            0 => 0,
+                            _ => entries.partition_point(|&(f, _)| (f as usize) < first),
+                        };
+                        for &(f, bin) in &entries[skip..] {
+                            let column = f as usize - first;
+                            let Some(bins) = g_columns.get_mut(column) else { break };
+                            add_to_bin(bins, bin as usize, suite, g_exp, cg, &mut tally)?;
+                            if let Some(ch) = ch {
+                                let bins = &mut h_columns[column];
+                                add_to_bin(bins, bin as usize, suite, h_exp, ch, &mut tally)?;
+                            }
                         }
                     }
-                }
-                Ok(())
+                    Ok(())
+                };
+                let done = walk();
+                (tally, done)
             })
-            .collect::<Result<Vec<()>>>()?;
-        Ok(())
+            .collect();
+        for (tally, _) in &shards {
+            suite.counters().publish(tally);
+        }
+        shards.into_iter().try_for_each(|(_, done)| done)
     }
 
     /// Rejects operand pairs whose strategy, feature count, or per-feature
@@ -191,22 +229,19 @@ impl EncHistBuilder {
         Ok(())
     }
 
-    /// One bin's workspaces merged into a single cipher (at most `E−1`
-    /// scalings under re-ordered accumulation); `None` for an empty bin.
+    /// One bin's workspaces, each leaving the resident form, merged into a
+    /// single cipher (at most `E−1` scalings under re-ordered
+    /// accumulation); `None` for an empty bin.
     fn merged(suite: &Suite, acc: &BinAcc) -> Result<Option<Ciphertext>> {
-        match acc {
-            BinAcc::Naive(a) => Ok(a.clone()),
-            BinAcc::Reordered(slots) => {
-                let mut out: Option<Ciphertext> = None;
-                for s in slots.iter().flatten() {
-                    out = Some(match out {
-                        None => s.clone(),
-                        Some(prev) => suite.add(&prev, s)?,
-                    });
-                }
-                Ok(out)
-            }
+        let mut out: Option<Ciphertext> = None;
+        for s in acc.occupied() {
+            let s = suite.leave(s)?;
+            out = Some(match out {
+                None => s,
+                Some(prev) => suite.add(&prev, &s)?,
+            });
         }
+        Ok(out)
     }
 
     /// Finalizes one feature's bins into ciphers.
@@ -236,26 +271,64 @@ impl EncHistBuilder {
             .collect()
     }
 
-    /// Finalizes one feature's GH-pair bins for the return path: each bin
-    /// (an obfuscated zero when empty) is topped up by the public
-    /// [`GhPlan::top_up`] of its row count — one plaintext add — so every
-    /// bin leaves at the constant offset `N·B_g` and its plaintext says
-    /// nothing about how many rows fell into it. Pair ciphers all live at
-    /// the plan's exponent (admission enforces it), so nothing is rescaled.
-    pub fn finalize_gh_feature(
+    /// Packs one feature's GH-pair bins for the return path, one
+    /// [`Suite::pack_gh`] per run of `t` bins: each bin is topped up by the
+    /// public [`GhPlan::top_up`] of its row count, so every bin leaves at
+    /// the constant offset `N·B_g` and its plaintext says nothing about how
+    /// many rows fell into it; an empty bin packs the suite's obfuscated
+    /// zero. The bins' resident ciphers pack as they are — one Horner pass
+    /// per packed cipher, whose top-ups fold into one plaintext factor —
+    /// and leave the resident form once per packed cipher.
+    ///
+    /// Unlike [`pack_feature_hist`] there is no shift and no prefix sum:
+    /// each topped-up bin is a non-negative integer below `2^pair_bits`,
+    /// so bins pack into slots of exactly that width — no byte rounding,
+    /// no [`TARGET_SLOT_BITS`] floor. Pair ciphers all live at the plan's
+    /// exponent (admission enforces it; a bin holding another is a typed
+    /// error), so nothing is rescaled. Paired bins only exist under
+    /// Paillier.
+    pub fn pack_gh_feature(
         &self,
         suite: &Suite,
         feature: usize,
         plan: &GhPlan,
-    ) -> Result<Vec<Ciphertext>> {
-        self.features[feature]
-            .iter()
-            .map(|bin| {
-                let c = Self::merged(suite, &bin.acc)?
-                    .unwrap_or_else(|| suite.zero_obfuscated(plan.exponent()));
-                suite.add_plain_raw(&c, &plan.top_up(u64::from(bin.rows))?)
+    ) -> Result<GhPackedFeatureHist> {
+        let bins = self.features.get(feature).ok_or(CryptoError::ShapeMismatch {
+            context: "EncHistBuilder::pack_gh_feature feature index",
+            left: feature,
+            right: self.features.len(),
+        })?;
+        if bins.is_empty() {
+            return Err(CryptoError::ShapeMismatch {
+                context: "pack_gh_feature needs at least one bin",
+                left: 0,
+                right: 1,
+            });
+        }
+        let pk = suite.public_key().ok_or(CryptoError::SuiteMismatch)?;
+        let per_cipher = plan.bins_per_cipher(pk).clamp(1, bins.len());
+        let packed = bins
+            .chunks(per_cipher)
+            .map(|chunk| {
+                let slots = chunk
+                    .iter()
+                    .map(|bin| {
+                        let mut occupied = bin.acc.occupied();
+                        let first = occupied.next();
+                        if let (Some(a), Some(b)) = (first, occupied.next()) {
+                            return Err(CryptoError::ShapeMismatch {
+                                context: "gh bin holding ciphers at two exponents",
+                                left: a.exponent().unsigned_abs() as usize,
+                                right: b.exponent().unsigned_abs() as usize,
+                            });
+                        }
+                        Ok((first, u64::from(bin.rows)))
+                    })
+                    .collect::<Result<Vec<_>>>()?;
+                suite.pack_gh(&slots, plan)
             })
-            .collect()
+            .collect::<Result<_>>()?;
+        Ok(GhPackedFeatureHist { packed, bins: bins.len() as u16 })
     }
 
     /// Derives `self ⊖ other` bin-wise: the histogram-subtraction trick in
@@ -277,26 +350,30 @@ impl EncHistBuilder {
         self.check_same_shape(other, "EncHistBuilder::subtract")?;
         // Pass 1: gather every cipher occupied in `other`, in walk order,
         // and negate them as one batch.
-        let mut to_negate: Vec<&Ciphertext> = Vec::new();
-        for theirs in &other.features {
-            for b in theirs {
-                match &b.acc {
-                    BinAcc::Naive(y) => to_negate.extend(y.iter()),
-                    BinAcc::Reordered(ys) => to_negate.extend(ys.iter().flatten()),
-                }
-            }
-        }
-        let mut negated = suite.neg_batch(&to_negate)?.into_iter();
+        let to_negate = other
+            .features
+            .iter()
+            .flatten()
+            .flat_map(|b| b.acc.occupied())
+            .map(|c| suite.leave(c))
+            .collect::<Result<Vec<_>>>()?;
+        let mut negated = suite.neg_batch(&to_negate.iter().collect::<Vec<_>>())?.into_iter();
         // Pass 2: re-walk in the same order, folding each negation into
         // the matching parent bin.
-        let mut next = |p: Option<&Ciphertext>| -> Result<Ciphertext> {
+        let mut tally = OpSnapshot::default();
+        let mut next = |p: Option<&ResidentCiphertext>| -> Result<ResidentCiphertext> {
             // Infallible: pass 2 re-walks `other` in exactly the order pass
             // 1 used to fill `to_negate`, so the iterator cannot run dry
             // before the walk ends (and neg_batch preserves length).
             #[allow(clippy::expect_used)]
             let n = negated.next().expect("pass 2 walks the same occupied slots as pass 1");
+            let n = suite.enter(&n)?;
             match p {
-                Some(p) => suite.add(p, &n),
+                Some(p) => {
+                    let mut sum = p.clone();
+                    suite.add_resident(&mut sum, &n, &mut tally)?;
+                    Ok(sum)
+                }
                 None => Ok(n),
             }
         };
@@ -354,8 +431,13 @@ impl EncHistBuilder {
                     })
                     .collect::<Result<Vec<_>>>()
             })
-            .collect::<Result<Vec<_>>>()?;
-        Ok(EncHistBuilder { features, reordered: self.reordered, base_exp: self.base_exp })
+            .collect::<Result<Vec<_>>>();
+        suite.counters().publish(&tally);
+        Ok(EncHistBuilder {
+            features: features?,
+            reordered: self.reordered,
+            base_exp: self.base_exp,
+        })
     }
 
     /// Number of features.
@@ -366,7 +448,7 @@ impl EncHistBuilder {
 
 /// The cipher a row contributes, or a typed error when the stream is too
 /// short to cover it.
-fn cipher_of(ciphers: &[Ciphertext], row: u32) -> Result<&Ciphertext> {
+fn cipher_of(ciphers: &[ResidentCiphertext], row: u32) -> Result<&ResidentCiphertext> {
     ciphers.get(row as usize).ok_or(CryptoError::ShapeMismatch {
         context: "EncHistBuilder::add_rows row without a cipher",
         left: row as usize,
@@ -375,13 +457,16 @@ fn cipher_of(ciphers: &[Ciphertext], row: u32) -> Result<&Ciphertext> {
 }
 
 /// Folds `c` into bin `bin` of one feature — the kernel behind
-/// [`EncHistBuilder::add`] and [`EncHistBuilder::add_rows`].
+/// [`EncHistBuilder::add`] and [`EncHistBuilder::add_rows`], its work
+/// tallied into `tally`. Every check runs before the bin changes, so a
+/// refused cipher leaves the bin's sum and row count as they were.
 fn add_to_bin(
     bins: &mut [Bin],
     bin: usize,
     suite: &Suite,
     base_exp: i32,
-    c: &Ciphertext,
+    c: &ResidentCiphertext,
+    tally: &mut OpSnapshot,
 ) -> Result<()> {
     let num_bins = bins.len();
     let bin = bins.get_mut(bin).ok_or(CryptoError::ShapeMismatch {
@@ -389,14 +474,8 @@ fn add_to_bin(
         left: bin,
         right: num_bins,
     })?;
-    bin.rows = bin.rows.saturating_add(1);
-    match &mut bin.acc {
-        BinAcc::Naive(acc) => {
-            *acc = Some(match acc.take() {
-                None => c.clone(),
-                Some(prev) => suite.add(&prev, c)?,
-            });
-        }
+    let acc = match &mut bin.acc {
+        BinAcc::Naive(acc) => acc,
         BinAcc::Reordered(slots) => {
             let width = slots.len();
             let delta = i64::from(c.exponent()) - i64::from(base_exp);
@@ -407,13 +486,26 @@ fn add_to_bin(
                     right: width,
                 },
             )?;
-            match &mut slots[slot] {
-                None => slots[slot] = Some(c.clone()),
-                Some(acc) => suite.add_assign_same_exp(acc, c)?,
-            }
+            &mut slots[slot]
         }
+    };
+    match acc {
+        Some(acc) => suite.add_resident(acc, c, tally)?,
+        None if same_kind(suite, c) => *acc = Some(c.clone()),
+        None => return Err(CryptoError::SuiteMismatch),
     }
+    bin.rows = bin.rows.saturating_add(1);
     Ok(())
+}
+
+/// True when `c` is a cipher of `suite`'s kind (what an occupied bin's
+/// [`Suite::add_resident`] checks, asked of an empty one).
+fn same_kind(suite: &Suite, c: &ResidentCiphertext) -> bool {
+    matches!(
+        (suite.kind(), c),
+        (SuiteKind::Paillier, ResidentCiphertext::Paillier { .. })
+            | (SuiteKind::Plain, ResidentCiphertext::Plain(_))
+    )
 }
 
 /// The packing shift applied to the first gradient bin: guarantees every
@@ -566,33 +658,6 @@ pub fn unpack_feature_hist(
         prev_h = *ph;
     }
     Ok(out)
-}
-
-/// Packs one feature's topped-up GH-pair bins
-/// ([`EncHistBuilder::finalize_gh_feature`]) for the return path.
-///
-/// Unlike [`pack_feature_hist`] there is no shift and no prefix sum: each
-/// bin's plaintext is already a non-negative integer below
-/// `2^pair_bits`, so bins pack directly into slots of exactly that width —
-/// no byte rounding, no [`TARGET_SLOT_BITS`] floor. Paired bins only exist
-/// under Paillier.
-pub fn pack_gh_feature_hist(
-    suite: &Suite,
-    bins: &[Ciphertext],
-    gh: &GhPlan,
-) -> Result<GhPackedFeatureHist> {
-    if bins.is_empty() {
-        return Err(CryptoError::ShapeMismatch {
-            context: "pack_gh_feature_hist needs at least one bin",
-            left: 0,
-            right: 1,
-        });
-    }
-    let pk = suite.public_key().ok_or(CryptoError::SuiteMismatch)?;
-    let plan = PackingPlan::new(pk, gh.pair_bits(), gh.bins_per_cipher(pk).min(bins.len()))?;
-    let packed: Vec<_> =
-        bins.chunks(plan.slots).map(|chunk| suite.pack(chunk, &plan)).collect::<Result<_>>()?;
-    Ok(GhPackedFeatureHist { packed, bins: bins.len() as u16 })
 }
 
 /// Decrypts a return-path-packed GH feature histogram back into per-bin
@@ -846,6 +911,11 @@ mod tests {
         Ok(b)
     }
 
+    /// Ciphers as the host stores them: entered once.
+    fn entered(s: &Suite, ciphers: &[Ciphertext]) -> Vec<ResidentCiphertext> {
+        ciphers.iter().map(|c| s.enter(c).unwrap()).collect()
+    }
+
     /// `add_rows` into a fresh `(g, h)` pair under a pool of `width`.
     fn bulk(
         s: &Suite,
@@ -858,7 +928,9 @@ mod tests {
         let pool = rayon::ThreadPoolBuilder::new().num_threads(width).build().unwrap();
         let mut g = EncHistBuilder::new(&csr.col_meta, &encoding(), reordered);
         let mut h = g.clone();
-        pool.install(|| EncHistBuilder::add_rows(s, csr, rows, (&mut g, enc_g), (&mut h, enc_h)))?;
+        let (enc_g, enc_h) = (entered(s, enc_g), enc_h.map(|c| entered(s, c)));
+        let (g_stream, h_stream) = ((&mut g, &enc_g[..]), (&mut h, enc_h.as_deref()));
+        pool.install(|| EncHistBuilder::add_rows(s, csr, rows, g_stream, h_stream))?;
         Ok((g, h))
     }
 
@@ -926,6 +998,7 @@ mod tests {
         assert!(matches!(err, CryptoError::ShapeMismatch { left: 8, right: 8, .. }), "{err}");
         // And so is a builder shaped for other columns: too few of them,
         // or too few bins in one.
+        let ciphers = entered(&s, &ciphers);
         let mut g = EncHistBuilder::new(&csr.col_meta, &enc, true);
         let mut narrow = EncHistBuilder::new(&meta(1), &enc, true);
         let err =
@@ -1040,10 +1113,11 @@ mod tests {
             builder.add(&s, 0, bin, c).unwrap();
         }
         let host = s.public_half();
-        let bins = builder.finalize_gh_feature(&host, 0, &plan).unwrap();
+        let packed = builder.pack_gh_feature(&host, 0, &plan).unwrap();
         let spent = host.counters().snapshot();
-        assert_eq!((spent.hadd, spent.scalings), (3, 0), "one plaintext add per bin, no rescale");
-        let packed = pack_gh_feature_hist(&host, &bins, &plan).unwrap();
+        // Three bins in one packed cipher: two Horner steps and one folded
+        // top-up, nothing rescaled.
+        assert_eq!((spent.hadd, spent.smul, spent.packs, spent.scalings), (3, 2, 1, 0));
         assert_eq!((usize::from(packed.bins), packed.packed.len()), (3, 1));
         let before = s.counters().snapshot();
         let pairs = unpack_gh_feature_hist(&s, &packed, &plan).unwrap().to_pairs(&enc);
@@ -1071,10 +1145,8 @@ mod tests {
         }
         let derived = parent.subtract(&s, &small).unwrap();
         let read = |b: &EncHistBuilder| {
-            let bins = b.finalize_gh_feature(&s, 0, &plan).unwrap();
-            unpack_gh_feature_hist(&s, &pack_gh_feature_hist(&s, &bins, &plan).unwrap(), &plan)
-                .unwrap()
-                .to_pairs(&enc)
+            let packed = b.pack_gh_feature(&s, 0, &plan).unwrap();
+            unpack_gh_feature_hist(&s, &packed, &plan).unwrap().to_pairs(&enc)
         };
         assert_eq!(read(&derived), read(&direct));
         // A "sibling" holding rows its parent never saw is a typed error,
@@ -1084,7 +1156,7 @@ mod tests {
         // And a bin claiming more rows than the plan allows cannot be
         // topped up.
         let tight = GhPlan::new(1.0, 0.25, 10, &enc).unwrap();
-        let err = parent.finalize_gh_feature(&s, 0, &tight).unwrap_err();
+        let err = parent.pack_gh_feature(&s, 0, &tight).unwrap_err();
         assert_eq!(err, CryptoError::PackingCapacity { requested: 15, max: 10 });
     }
 
@@ -1093,25 +1165,82 @@ mod tests {
         let s = suite();
         let enc = encoding();
         let plan = GhPlan::new(1.0, 0.25, 10, &enc).unwrap();
-        assert!(matches!(
-            pack_gh_feature_hist(&s, &[], &plan),
-            Err(CryptoError::ShapeMismatch { .. })
-        ));
+        let binless = EncHistBuilder::new(&meta(0), &enc, true);
+        for feature in [0, 1] {
+            let err = binless.pack_gh_feature(&s, feature, &plan).unwrap_err();
+            assert!(matches!(err, CryptoError::ShapeMismatch { .. }), "{err}");
+        }
         let mock = Suite::plain(enc);
         let mut rng = StdRng::seed_from_u64(21);
-        let c = mock.encrypt(0.5, &mut rng).unwrap();
-        assert!(matches!(
-            pack_gh_feature_hist(&mock, &[c], &plan),
-            Err(CryptoError::SuiteMismatch)
-        ));
+        let mut mocked = EncHistBuilder::new(&meta(2), &enc, true);
+        mocked.add(&mock, 0, 1, &mock.encrypt(0.5, &mut rng).unwrap()).unwrap();
+        assert_eq!(mocked.pack_gh_feature(&mock, 0, &plan), Err(CryptoError::SuiteMismatch));
+        // A bin holding a cipher off the plan's exponent is refused, not
+        // rescaled into the pack.
+        let mut off = EncHistBuilder::new(&meta(2), &enc, true);
+        off.add(&s, 0, 0, &s.encrypt_at(0.5, plan.exponent() - 1, &mut rng).unwrap()).unwrap();
+        let err = off.pack_gh_feature(&s, 0, &plan).unwrap_err();
+        assert!(matches!(err, CryptoError::ShapeMismatch { .. }), "{err}");
         // A bins declaration that disagrees with the packed slot total.
         let ciphers = s.encrypt_gh_batch(&[0.5, -0.5], &[0.125, 0.25], &plan, 3).unwrap();
-        let topped: Vec<Ciphertext> =
-            ciphers.iter().map(|c| s.add_plain_raw(c, &plan.top_up(1).unwrap()).unwrap()).collect();
-        let mut packed = pack_gh_feature_hist(&s, &topped, &plan).unwrap();
+        let mut honest = EncHistBuilder::new(&meta(2), &enc, true);
+        for (bin, c) in ciphers.iter().enumerate() {
+            honest.add(&s, 0, bin, c).unwrap();
+        }
+        let mut packed = honest.pack_gh_feature(&s, 0, &plan).unwrap();
         packed.bins = 7;
         let err = unpack_gh_feature_hist(&s, &packed, &plan).unwrap_err();
         assert!(matches!(err, CryptoError::ShapeMismatch { right: 7, .. }), "{err}");
+    }
+
+    /// A refused add — a hostile exponent, a cipher of the other suite —
+    /// changes nothing: not the bin's sum, not its row count (from which
+    /// the paired path's top-up is computed). In both arms and both
+    /// suites, through `add` and through `add_rows`. (The naive arm has no
+    /// window to leave: it scales any exponent up.)
+    #[test]
+    fn a_refused_add_leaves_the_builder_as_it_was() {
+        let enc = encoding();
+        let csr = csr_fixture();
+        let mut rng = StdRng::seed_from_u64(31);
+        let (p, m) = (suite(), Suite::plain(enc));
+        for (s, foreign) in [(&p, &m), (&m, &p)] {
+            for reordered in [false, true] {
+                let what = format!("{:?} reordered={reordered}", s.kind());
+                let mut b = EncHistBuilder::new(&csr.col_meta, &enc, reordered);
+                // Feature 0: bin 0 holds two exponents, every other bin is
+                // empty.
+                b.add(s, 0, 0, &s.encrypt_at(0.5, enc.base_exp, &mut rng).unwrap()).unwrap();
+                b.add(s, 0, 0, &s.encrypt_at(0.25, enc.base_exp + 1, &mut rng).unwrap()).unwrap();
+                let kept = b.clone();
+                let mut refused = vec![foreign.encrypt_at(1.0, enc.base_exp, &mut rng).unwrap()];
+                if reordered {
+                    refused.push(
+                        s.encrypt_at(1.0, enc.base_exp + enc.jitter as i32, &mut rng).unwrap(),
+                    );
+                    refused.push(s.encrypt_at(1.0, enc.base_exp - 1, &mut rng).unwrap());
+                }
+                for c in &refused {
+                    for bin in [0, 1] {
+                        assert!(b.add(s, 0, bin, c).is_err(), "{what}: bin {bin} took {c:?}");
+                        assert!(b == kept, "{what}: a refused add into bin {bin} changed it");
+                    }
+                }
+                // A foreign stream through the bulk walk, at two widths.
+                let stream: Vec<ResidentCiphertext> =
+                    (0..12).map(|_| foreign.enter(&refused[0]).unwrap()).collect();
+                let mut h = b.clone();
+                for width in [1, 2] {
+                    let pool = rayon::ThreadPoolBuilder::new().num_threads(width).build().unwrap();
+                    let streams = ((&mut b, &stream[..]), (&mut h, None));
+                    let err = pool.install(|| {
+                        EncHistBuilder::add_rows(s, &csr, &[0, 3], streams.0, streams.1)
+                    });
+                    assert_eq!(err, Err(CryptoError::SuiteMismatch), "{what}");
+                    assert!(b == kept, "{what}: a refused bulk walk changed the builder");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1356,8 +1485,7 @@ mod tests {
         (0..csr.num_features())
             .map(|f| match wire {
                 Wire::Paired => {
-                    let bins = g.finalize_gh_feature(&host, f, plan).unwrap();
-                    let packed = pack_gh_feature_hist(&host, &bins, plan).unwrap();
+                    let packed = g.pack_gh_feature(&host, f, plan).unwrap();
                     unpack_gh_feature_hist(guest, &packed, plan).unwrap()
                 }
                 Wire::Raw { .. } => {
@@ -1403,7 +1531,7 @@ mod tests {
             {
                 for grads in [random.clone(), pinned(1.0), pinned(-1.0)] {
                     let (g, h): (Vec<f64>, Vec<f64>) = grads.iter().map(|p| (p.g, p.h)).unzip();
-                    let (enc_g, enc_h, reordered) = match wire {
+                    let (enc_g, enc_h, reordered): (_, Option<Vec<_>>, _) = match wire {
                         Wire::Paired => {
                             (guest.encrypt_gh_batch(&g, &h, &plan, 5).unwrap(), None, true)
                         }
@@ -1413,6 +1541,8 @@ mod tests {
                             reordered,
                         ),
                     };
+                    let enc_g = entered(&host, &enc_g);
+                    let enc_h = enc_h.map(|c| entered(&host, &c));
                     let build = |rows: &[u32]| {
                         let mut g = EncHistBuilder::new(&csr.col_meta, &enc, reordered);
                         let mut h = g.clone();

@@ -7,14 +7,15 @@
 //! splits it owns. Tasks are executed one node at a time between message
 //! polls — the paper's "slice the histogram construction into smaller
 //! tasks" (§4.2) — so a rollback arriving mid-layer aborts queued work for
-//! dirty subtrees before it runs.
+//! dirty subtrees before it runs, and the task in flight is looked at again
+//! between its build and its pack and before it ships.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use vf2_channel::Endpoint;
 use vf2_crypto::packing::GhPlan;
-use vf2_crypto::suite::{Ciphertext, Suite};
+use vf2_crypto::suite::{Ciphertext, ResidentCiphertext, Suite};
 use vf2_gbdt::binning::{BinnedColumn, BinnedDataset};
 use vf2_gbdt::data::Dataset;
 use vf2_gbdt::tree::{parent, right_child, NodeSplit};
@@ -23,9 +24,7 @@ use crate::chaos::ChaosPlan;
 use crate::config::TrainConfig;
 use crate::error::{panic_text, HostFailure, PartyId, ProtocolError, ProtocolPhase, TrainError};
 use crate::fsm::{Admit, HostFsm};
-use crate::hist_enc::{
-    max_exponent, pack_feature_hist, pack_gh_feature_hist, EncHistBuilder, TARGET_SLOT_BITS,
-};
+use crate::hist_enc::{max_exponent, pack_feature_hist, EncHistBuilder, TARGET_SLOT_BITS};
 use crate::messages::{
     FeatureMeta, GhPackedFeatureHist, HistPayload, Msg, PackedFeatureHist, RawFeatureHist,
 };
@@ -91,10 +90,11 @@ fn state_invariant(context: &'static str) -> TrainError {
 /// live for one task, and the guest derives what is not asked for (§3.6).
 struct TreeState {
     tree: u32,
-    /// Stored encrypted gradients, indexed by row.
-    enc_g: Vec<Ciphertext>,
-    /// Stored encrypted hessians, indexed by row.
-    enc_h: Vec<Ciphertext>,
+    /// Stored encrypted gradients, indexed by row, each entered into its
+    /// key's resident form once, when its batch was admitted.
+    enc_g: Vec<ResidentCiphertext>,
+    /// Stored encrypted hessians, indexed by row (resident likewise).
+    enc_h: Vec<ResidentCiphertext>,
     /// The root histogram builders (gradients, hessians), accumulated as
     /// batches arrive; taken when the root payload ships.
     root: Option<BuilderPair>,
@@ -569,8 +569,16 @@ impl HostParty {
             }
             .into());
         }
-        state.enc_g.extend(g);
-        state.enc_h.extend(h.into_iter().flatten());
+        // Each cipher enters its key's resident form once, here, and its
+        // wire form is dropped as it enters: the streams hold one form, and
+        // keep it for the whole tree.
+        let crypto = TrainError::crypto("gradient cipher admission");
+        for c in g {
+            state.enc_g.push(self.suite.enter(&c).map_err(&crypto)?);
+        }
+        for c in h.into_iter().flatten() {
+            state.enc_h.push(self.suite.enter(&c).map_err(&crypto)?);
+        }
         let batch_end = state.enc_g.len();
         // Accumulate the freshly arrived rows into the root histogram
         // immediately — this is what overlaps BuildHistA with the guest's
@@ -663,15 +671,44 @@ impl HostParty {
         if node == 0 || !self.state.as_ref().is_some_and(|s| s.rows.has(node as usize)) {
             return Ok(());
         }
-        self.with_state("node task with no tree state", |host, state| {
-            let (tree, rows) = (state.tree, state.rows.rows(node as usize));
-            let span = host.telemetry.enter(TracePhase::Hadd, Some(tree), Some(node));
-            let (mut g, mut h) = host.new_builders();
-            host.accumulate(state, &mut g, &mut h, rows)?;
-            host.telemetry.exit(span);
-            let payload = host.make_payload(tree, &g, &h, rows.len())?;
-            host.send_traced(&Msg::NodeHistograms { tree, node, epoch, payload }, tree)
-        })
+        let (tree, count, (g, h)) =
+            self.with_state("node task with no tree state", |host, state| {
+                let (tree, rows) = (state.tree, state.rows.rows(node as usize));
+                let span = host.telemetry.enter(TracePhase::Hadd, Some(tree), Some(node));
+                let (mut g, mut h) = host.new_builders();
+                host.accumulate(state, &mut g, &mut h, rows)?;
+                host.telemetry.exit(span);
+                Ok((tree, rows.len(), (g, h)))
+            })?;
+        if !self.still_wanted(node, epoch)? {
+            return Ok(());
+        }
+        let payload = self.make_payload(tree, &g, &h, count)?;
+        if !self.still_wanted(node, epoch)? {
+            return Ok(());
+        }
+        self.send_traced(&Msg::NodeHistograms { tree, node, epoch, payload }, tree)
+    }
+
+    /// Whether the task in flight is still wanted once what the guest sent
+    /// meanwhile is taken in (the paper's aborted sub-task, §4.2). The
+    /// task goes back to the head of the queue while the inbox drains, so
+    /// whatever retires a queued task — a re-placement above it, a newer
+    /// epoch for it, the tree's end — retires it too: the guest would drop
+    /// its answer by epoch, so the host skips the pack (asked between build
+    /// and pack) or the bytes (asked between pack and send). A superseded
+    /// task stays queued, to be built again at its new epoch.
+    fn still_wanted(&mut self, node: u32, epoch: u32) -> Result<bool, TrainError> {
+        self.task_queue.push_front(node);
+        while let Some(msg) = self.recv(false)? {
+            self.handle(msg)?;
+        }
+        let wanted =
+            self.task_queue.front() == Some(&node) && self.task_epoch.get(&node) == Some(&epoch);
+        if wanted {
+            self.task_queue.pop_front();
+        }
+        Ok(wanted)
     }
 
     /// Runs `one(f)` for every feature of `g` across the pool, in feature
@@ -698,11 +735,10 @@ impl HostParty {
         let crypto = TrainError::crypto("histogram finalize/pack");
         let payload = if let Some(plan) = &self.gh {
             // Paired path: the whole histogram lives in the `g` builders;
-            // every bin is topped up to the plan's constant offset, then
-            // bins pack at exactly the pair width.
+            // every bin is topped up to the plan's constant offset and bins
+            // pack at exactly the pair width, straight from resident form.
             let pack_one = |f: usize| -> Result<GhPackedFeatureHist, TrainError> {
-                let bins = g.finalize_gh_feature(suite, f, plan).map_err(&crypto)?;
-                pack_gh_feature_hist(suite, &bins, plan).map_err(&crypto)
+                g.pack_gh_feature(suite, f, plan).map_err(&crypto)
             };
             HistPayload::GhPacked(self.per_feature(g, pack_one)?)
         } else if self.cfg.protocol.pack_histograms {
@@ -793,6 +829,63 @@ mod tests {
         };
         let bins = unpack_feature_hist(&host.suite, &feats[0], 3, 1.0, 0.25).unwrap();
         assert_eq!(bins.iter().map(|b| b.g).sum::<f64>(), 3.0);
+    }
+
+    /// What arrives while a task is being built is taken in before it
+    /// ships: a re-split above the node retires it unsent, and a newer
+    /// epoch for it sends only the newer answer.
+    #[test]
+    fn a_task_retired_in_flight_is_not_shipped() {
+        use vf2_crypto::suite::PlainNumber;
+
+        let (guest_ep, host_ep) = duplex(WanConfig::instant());
+        let column = FeatureColumn::Dense((0..8).map(|v| v as f32).collect());
+        let data = Arc::new(Dataset::new(8, vec![column], None));
+        let cfg = TrainConfig::for_tests();
+        let suite = Suite::plain(cfg.encoding);
+        let mut host =
+            HostParty::new(0, data, cfg, suite, host_ep, None, ChaosPlan::default()).unwrap();
+        let send = |msg: Msg| guest_ep.send(msg.kind(), wire::encode(&msg).unwrap());
+        // Everything sent so far is in the host's inbox once acked.
+        let delivered = || assert!(guest_ep.flush(std::time::Duration::from_secs(5)));
+        let step = |host: &mut HostParty| {
+            let msg = host.recv(true).unwrap().expect("a message");
+            host.handle(msg).unwrap();
+        };
+        let one = Ciphertext::Plain(PlainNumber { value: 1.0, exponent: cfg.encoding.base_exp });
+        let (g, h) = (vec![one.clone(); 8], vec![one; 8]);
+        let split = |left: usize| (0..8).map(|row| row < left).collect::<Vec<_>>();
+        send(Msg::Resume { session_id: 0, tree_count: 0 });
+        send(Msg::GradBatch { tree: 0, start_row: 0, g, h, last: true });
+        send(Msg::ApplyPlacement { tree: 0, node: 0, placement: split(3) });
+        send(Msg::NodeTask { tree: 0, node: 1, epoch: 1 });
+        for _ in 0..4 {
+            step(&mut host);
+        }
+        // The root re-splits while node 1 is being built: no answer.
+        send(Msg::ApplyPlacement { tree: 0, node: 0, placement: split(5) });
+        delivered();
+        host.run_one_task().unwrap();
+        assert!(host.task_queue.is_empty());
+        assert_eq!(host.telemetry.events.aborted_tasks, 1);
+        // Node 1 asked again, then superseded while in flight: it is built
+        // again at the newer epoch, and only that answer ships.
+        send(Msg::NodeTask { tree: 0, node: 1, epoch: 2 });
+        step(&mut host);
+        send(Msg::NodeTask { tree: 0, node: 1, epoch: 3 });
+        delivered();
+        host.run_one_task().unwrap();
+        assert_eq!(host.task_queue.iter().copied().collect::<Vec<_>>(), vec![1]);
+        host.run_one_task().unwrap();
+        host.guest.flush(std::time::Duration::from_secs(5));
+        let answers: Vec<(u32, u32)> = std::iter::from_fn(|| guest_ep.try_recv())
+            .map(|env| wire::decode(env.kind, env.payload).unwrap())
+            .filter_map(|msg| match msg {
+                Msg::NodeHistograms { node, epoch, .. } => Some((node, epoch)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(answers, vec![(0, 1), (1, 3)], "the root's answer, then node 1's newest");
     }
 
     // run_host is exercised end-to-end by the guest/train tests and the

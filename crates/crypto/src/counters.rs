@@ -9,6 +9,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::montgomery::MontCost;
+
 /// Thread-safe counters for every cryptography-related operation.
 #[derive(Debug, Default)]
 pub struct OpCounters {
@@ -92,6 +94,31 @@ impl OpCounters {
         self.redc.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Records one fixed-backend call's work (`modmul` and `redc`).
+    pub fn add_cost(&self, cost: MontCost) {
+        self.add_modmul(cost.modmuls);
+        self.add_redc(cost.redc_limbs);
+    }
+
+    /// Publishes a worker's local tally (see [`OpSnapshot::add_cost`]):
+    /// one atomic per non-zero counter, however many operations it holds.
+    pub fn publish(&self, tally: &OpSnapshot) {
+        let fields = [
+            (&self.enc, tally.enc),
+            (&self.dec, tally.dec),
+            (&self.hadd, tally.hadd),
+            (&self.smul, tally.smul),
+            (&self.negs, tally.negs),
+            (&self.scalings, tally.scalings),
+            (&self.packs, tally.packs),
+            (&self.modmul, tally.modmul),
+            (&self.redc, tally.redc),
+        ];
+        for (counter, n) in fields.into_iter().filter(|&(_, n)| n != 0) {
+            counter.fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
     /// Takes a point-in-time snapshot.
     pub fn snapshot(&self) -> OpSnapshot {
         OpSnapshot {
@@ -121,7 +148,9 @@ impl OpCounters {
     }
 }
 
-/// An immutable snapshot of [`OpCounters`].
+/// A snapshot of [`OpCounters`] — or a worker's local tally of the same
+/// operations, published in one go by [`OpCounters::publish`] so a hot
+/// loop pays no contended atomic per operation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpSnapshot {
     /// Encryptions.
@@ -145,6 +174,12 @@ pub struct OpSnapshot {
 }
 
 impl OpSnapshot {
+    /// Tallies one fixed-backend call's work into `modmul` / `redc`.
+    pub fn add_cost(&mut self, cost: MontCost) {
+        self.modmul += cost.modmuls;
+        self.redc += cost.redc_limbs;
+    }
+
     /// Component-wise difference `self - earlier` (saturating).
     pub fn since(&self, earlier: &OpSnapshot) -> OpSnapshot {
         OpSnapshot {

@@ -10,8 +10,9 @@
 //! * **Exponent-aware homomorphic addition** — adding two ciphers whose
 //!   exponents differ requires a cipher *scaling* (a scalar multiplication),
 //!   the cost the re-ordered accumulation technique of §5.1 avoids
-//!   ([`Suite::add`] scales and counts it; [`Suite::add_assign_same_exp`]
-//!   is the one-product path inside per-exponent workspaces).
+//!   ([`Suite::add`] scales and counts it; [`Suite::add_resident`] is the
+//!   same HAdd on ciphers held in Montgomery form, one limb product inside
+//!   per-exponent workspaces).
 //! * **Polynomial-based cipher packing** (§5.2) — packing `t` bounded
 //!   plaintexts into a single cipher so one decryption recovers all of them.
 //! * A **plaintext mock suite** implementing the identical API so that the
@@ -26,7 +27,7 @@
 //! |---|---|
 //! | [`math`] | number-theoretic primitives (primality, CRT) |
 //! | [`fixed`] | fixed-width limb arithmetic (stack-allocated bignums) |
-//! | [`montgomery`] | CIOS Montgomery core + width-dispatched `modpow` |
+//! | [`montgomery`] | CIOS Montgomery core + width-dispatched `modpow`; [`Resident`] residues |
 //! | [`paillier`] | §2.2 cryptosystem (keygen, encrypt, decrypt, HAdd, SMul) |
 //! | [`encoding`] | §2.2 fixed-point `⟨e, V⟩` encoding ([`encoding::encode`] / [`FixedPoint`]) |
 //! | [`packing`] | §5.2 polynomial-based packing |
@@ -55,8 +56,10 @@ pub use counters::OpCounters;
 pub use encoding::{EncodingConfig, FixedPoint};
 pub use error::{CryptoError, Result};
 pub use fixed::Fixed;
-pub use montgomery::{CryptoBackend, MontCost, MontExp};
+pub use montgomery::{CryptoBackend, MontCost, MontExp, Resident};
 pub use packing::{pack_ciphers, unpack_plaintext, GhPlan, PackingPlan};
 pub use paillier::{KeyPair, PrivateKey, PublicKey};
 pub use seed::split_seed;
-pub use suite::{Ciphertext, EncryptedNumber, PackedCiphertext, Suite, SuiteKind};
+pub use suite::{
+    Ciphertext, EncryptedNumber, PackedCiphertext, ResidentCiphertext, Suite, SuiteKind,
+};

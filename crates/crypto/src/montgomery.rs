@@ -10,9 +10,14 @@
 //! trait object so a [`crate::paillier::PublicKey`] can carry one without
 //! being generic itself.
 //!
-//! Domain boundary rule: values *enter* Montgomery form at the start of
-//! one `modpow`/`modmul` call and *leave* it before the call returns —
-//! nothing outside this module ever observes a Montgomery-form residue.
+//! Domain boundary rule: nothing outside this module ever observes a
+//! Montgomery-form residue. A `modpow`/`modmul` call enters Montgomery
+//! form and leaves it before it returns. A [`Resident`] stays in the form
+//! *across* calls — the host's histogram ciphers enter once on receipt
+//! and leave once per packed cipher — but its limbs are private: a caller
+//! can only run a Horner step on residents ([`MontExp::horner_step`],
+//! which with no squarings is a plain multiplication), compare them, and
+//! [`MontExp::leave`] with the plain residue.
 //! Dispatch rule: [`MontExp::new`] picks the smallest supported limb
 //! count `N` with `64·N ≥ modulus bits`; even moduli and widths beyond
 //! 64 limbs (4096 bits) fall back to `num-bigint` (`None`).
@@ -21,6 +26,7 @@ use num_bigint::BigUint;
 use num_integer::Integer;
 use num_traits::One;
 
+use crate::error::{CryptoError, Result};
 use crate::fixed::{mac, Fixed};
 
 /// Which bignum backend executes Paillier modular exponentiation.
@@ -249,11 +255,63 @@ impl<const N: usize> Montgomery<N> {
     }
 }
 
+/// An integer modulo a fixed modulus held in its working form between
+/// operations: `a·R mod m` as `N` Montgomery limbs under a [`MontExp`], or
+/// the plain residue `a mod m` where the key runs on `num-bigint` (see
+/// [`crate::paillier::PublicKey::enter`]).
+///
+/// Opaque: equal residents hold equal residues (both forms are fully
+/// reduced), and the value is read back only through `leave`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Resident(Repr);
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Repr {
+    /// `a·R mod m` in the dispatch width's `N` limbs.
+    Mont(Box<[u64]>),
+    /// `a mod m`, for a key without the fixed-limb core.
+    Plain(BigUint),
+}
+
+impl Resident {
+    /// A plain residue (the caller has reduced it).
+    pub(crate) fn plain(v: BigUint) -> Resident {
+        Resident(Repr::Plain(v))
+    }
+
+    /// The plain residue, when this resident holds one.
+    pub(crate) fn as_plain(&self) -> Option<&BigUint> {
+        match &self.0 {
+            Repr::Plain(v) => Some(v),
+            Repr::Mont(_) => None,
+        }
+    }
+
+    /// The plain residue, mutably, when this resident holds one.
+    pub(crate) fn as_plain_mut(&mut self) -> Option<&mut BigUint> {
+        match &mut self.0 {
+            Repr::Plain(v) => Some(v),
+            Repr::Mont(_) => None,
+        }
+    }
+
+    fn limbs(&self) -> Option<&[u64]> {
+        match &self.0 {
+            Repr::Mont(l) => Some(l),
+            Repr::Plain(_) => None,
+        }
+    }
+}
+
 /// Width-erased operations; implemented once per monomorphized limb
-/// count. Inputs are already reduced below the modulus by [`MontExp`].
+/// count. Inputs are already reduced below the modulus by [`MontExp`];
+/// resident limbs of another width are refused (`false` / `None`).
 trait MontOps: Send + Sync {
     fn pow_recoded(&self, base: &BigUint, nibbles: &[u8], cost: &mut MontCost) -> BigUint;
     fn mul(&self, a: &BigUint, b: &BigUint, cost: &mut MontCost) -> BigUint;
+    fn enter(&self, a: &BigUint, cost: &mut MontCost) -> Box<[u64]>;
+    fn leave(&self, a: &[u64], cost: &mut MontCost) -> Option<BigUint>;
+    fn horner_step(&self, acc: &mut [u64], k: u32, b: &[u64], cost: &mut MontCost) -> bool;
     fn limbs(&self) -> usize;
 }
 
@@ -277,6 +335,27 @@ impl<const N: usize> MontOps for Montgomery<N> {
         // Montgomery multiplications, no separate domain conversions.
         let t = self.mont_mul(&fa, &fb, cost);
         self.mont_mul(&t, &self.rr, cost).to_biguint()
+    }
+
+    fn enter(&self, a: &BigUint, cost: &mut MontCost) -> Box<[u64]> {
+        Box::new(self.mont_mul(&load(a), &self.rr, cost).0)
+    }
+
+    fn leave(&self, a: &[u64], cost: &mut MontCost) -> Option<BigUint> {
+        let a = <&[u64; N]>::try_from(a).ok()?;
+        Some(self.mont_mul(&Fixed(*a), &Fixed::one(), cost).to_biguint())
+    }
+
+    fn horner_step(&self, acc: &mut [u64], k: u32, b: &[u64], cost: &mut MontCost) -> bool {
+        let (Ok(acc), Ok(b)) = (<&mut [u64; N]>::try_from(acc), <&[u64; N]>::try_from(b)) else {
+            return false;
+        };
+        let mut a = Fixed(*acc);
+        for _ in 0..k {
+            a = self.mont_sqr(&a, cost);
+        }
+        *acc = self.mont_mul(&a, &Fixed(*b), cost).0;
+        true
     }
 
     fn limbs(&self) -> usize {
@@ -372,6 +451,41 @@ impl MontExp {
         };
         let v = self.ops.mul(a, b, &mut cost);
         (v, cost)
+    }
+
+    /// `a` entered into Montgomery form: one multiplication by `R²`
+    /// (after a reduction when `a ≥ m`).
+    pub fn enter(&self, a: &BigUint, cost: &mut MontCost) -> Resident {
+        let limbs = if a >= &self.modulus {
+            self.ops.enter(&(a % &self.modulus), cost)
+        } else {
+            self.ops.enter(a, cost)
+        };
+        Resident(Repr::Mont(limbs))
+    }
+
+    /// The plain residue `a` holds: one multiplication by 1. A resident
+    /// of another width or backend is [`CryptoError::SuiteMismatch`].
+    pub fn leave(&self, a: &Resident, cost: &mut MontCost) -> Result<BigUint> {
+        a.limbs().and_then(|l| self.ops.leave(l, cost)).ok_or(CryptoError::SuiteMismatch)
+    }
+
+    /// The Horner step of packing, `acc ← acc^(2^k)·b mod m`: `k`
+    /// squarings, then one multiplication on the stack (`k = 0` is the
+    /// resident HAdd). A resident of another width or backend is
+    /// [`CryptoError::SuiteMismatch`], `acc` untouched.
+    pub fn horner_step(
+        &self,
+        acc: &mut Resident,
+        k: u32,
+        b: &Resident,
+        cost: &mut MontCost,
+    ) -> Result<()> {
+        let done = match (&mut acc.0, b.limbs()) {
+            (Repr::Mont(acc), Some(b)) => self.ops.horner_step(acc, k, b, cost),
+            _ => false,
+        };
+        done.then_some(()).ok_or(CryptoError::SuiteMismatch)
     }
 }
 

@@ -21,6 +21,7 @@ use num_traits::{One, Zero};
 use crate::counters::OpCounters;
 use crate::encoding::{EncodingConfig, FixedPoint};
 use crate::error::{CryptoError, Result};
+use crate::montgomery::{MontCost, Resident};
 use crate::paillier::{PublicKey, RawCipher};
 
 /// A validated packing layout: how many `M`-bit slots fit one cipher.
@@ -59,28 +60,57 @@ impl PackingPlan {
 ///
 /// Every plaintext must be a non-negative integer strictly below
 /// `2^slot_bits` — callers shift histogram bins positive first (§5.2
-/// "integration with histograms"). Costs `(len−1)` HAdds and `(len−1)`
-/// SMuls by `2^M` (a short-exponent exponentiation).
+/// "integration with histograms"). Each slot enters the key's resident
+/// form once and [`pack_resident`] does the rest.
 pub fn pack_ciphers(
     slots: &[RawCipher],
     plan: &PackingPlan,
     pk: &PublicKey,
     counters: &OpCounters,
 ) -> Result<RawCipher> {
+    let mut cost = MontCost::default();
+    let entered: Vec<Resident> = slots.iter().map(|c| pk.enter(c, &mut cost)).collect();
+    counters.add_cost(cost);
+    pack_resident(&entered.iter().collect::<Vec<_>>(), plan, None, pk, counters)
+}
+
+/// The Horner kernel behind every packed cipher: `t` resident slots,
+/// slot 0 least significant, fold into
+/// `⟦V₁⟧ ⊕ 2^M ⊗ (⟦V₂⟧ ⊕ 2^M ⊗ (···))` — per lower slot one Horner step
+/// (`M` squarings, one multiplication), counted as one SMul and one HAdd —
+/// and the result leaves the resident form once.
+///
+/// `top_up`, when given, is a plaintext `K` added to the packed value as
+/// one factor `g^K = 1 + K·n` (one more HAdd): a caller that would top
+/// every slot `j` up by `kⱼ` passes `K = Σⱼ kⱼ·2^(M·j)` instead, the same
+/// integer modulo `n²` at one multiplication per packed cipher.
+pub fn pack_resident(
+    slots: &[&Resident],
+    plan: &PackingPlan,
+    top_up: Option<&BigUint>,
+    pk: &PublicKey,
+    counters: &OpCounters,
+) -> Result<RawCipher> {
     let Some((top, lower)) = slots.split_last().filter(|_| slots.len() <= plan.slots) else {
         return Err(CryptoError::PackingCapacity { requested: slots.len(), max: plan.slots });
     };
-    let shift = BigUint::from(1u32) << plan.slot_bits;
-    // Horner evaluation from the most-significant slot down.
-    let mut acc = top.clone();
+    let mut cost = MontCost::default();
+    let mut acc = (*top).clone();
     for c in lower.iter().rev() {
-        counters.add_smul(1);
-        let shifted = pk.mul_raw(&acc, &shift, counters);
-        counters.add_hadd(1);
-        acc = pk.add_raw(c, &shifted);
+        pk.horner_step(&mut acc, plan.slot_bits, c, &mut cost)?;
     }
+    let mut hadds = lower.len() as u64;
+    if let Some(k) = top_up {
+        let factor = pk.enter(&pk.encrypt_raw_with_rn(k, &pk.zero_raw()), &mut cost);
+        pk.mul_assign(&mut acc, &factor, &mut cost)?;
+        hadds += 1;
+    }
+    let packed = pk.leave(&acc, &mut cost)?;
+    counters.add_smul(lower.len() as u64);
+    counters.add_hadd(hadds);
     counters.add_pack(1);
-    Ok(acc)
+    counters.add_cost(cost);
+    Ok(packed)
 }
 
 /// Slices a decrypted packed plaintext back into `count` slot values.

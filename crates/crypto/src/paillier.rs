@@ -27,16 +27,10 @@ use rand::{Rng, SeedableRng};
 use crate::counters::OpCounters;
 use crate::error::{CryptoError, Result};
 use crate::math::{crt_combine, gen_prime, l_function, mod_inverse};
-use crate::montgomery::{recode_window4, CryptoBackend, MontCost, MontExp};
+use crate::montgomery::{recode_window4, CryptoBackend, MontCost, MontExp, Resident};
 
 /// A raw Paillier ciphertext: an integer modulo `n²`.
 pub type RawCipher = BigUint;
-
-/// Folds one fixed-backend call's work into the per-party counters.
-fn tally(ctr: &OpCounters, cost: MontCost) {
-    ctr.add_modmul(cost.modmuls);
-    ctr.add_redc(cost.redc_limbs);
-}
 
 /// Fixed-limb accelerator for the public `mod n²` cipher domain.
 struct PkAccel {
@@ -171,7 +165,7 @@ impl PublicKey {
         match &self.0.accel {
             Some(a) => {
                 let (v, cost) = a.nn.modpow_recoded(&r, &a.n_nibbles);
-                tally(ctr, cost);
+                ctr.add_cost(cost);
                 v
             }
             None => r.modpow(&self.0.n, &self.0.nn),
@@ -183,13 +177,65 @@ impl PublicKey {
         (a * b) % &self.0.nn
     }
 
+    /// `c` in this key's resident form: Montgomery limbs (one
+    /// multiplication by `R²`) on the fixed-limb core, the plain residue
+    /// under `num-bigint`. Work is tallied into `cost`.
+    pub fn enter(&self, c: &RawCipher, cost: &mut MontCost) -> Resident {
+        match &self.0.accel {
+            Some(a) => a.nn.enter(c, cost),
+            None => Resident::plain(c % &self.0.nn),
+        }
+    }
+
+    /// The cipher a resident holds (one multiplication by 1 on the
+    /// fixed-limb core). A resident entered under another key width or
+    /// backend is [`CryptoError::SuiteMismatch`].
+    pub fn leave(&self, c: &Resident, cost: &mut MontCost) -> Result<RawCipher> {
+        match &self.0.accel {
+            Some(a) => a.nn.leave(c, cost),
+            None => c.as_plain().cloned().ok_or(CryptoError::SuiteMismatch),
+        }
+    }
+
+    /// HAdd on residents, `acc ← acc·b mod n²`: one Montgomery
+    /// multiplication on the stack, no allocation.
+    pub fn mul_assign(&self, acc: &mut Resident, b: &Resident, cost: &mut MontCost) -> Result<()> {
+        self.horner_step(acc, 0, b, cost)
+    }
+
+    /// The Horner step of packing on residents, `acc ← acc^(2^k)·b mod
+    /// n²`: `k` squarings, then one multiplication. Residents of another
+    /// width or backend are [`CryptoError::SuiteMismatch`], `acc`
+    /// untouched.
+    pub fn horner_step(
+        &self,
+        acc: &mut Resident,
+        k: u32,
+        b: &Resident,
+        cost: &mut MontCost,
+    ) -> Result<()> {
+        let nn = &self.0.nn;
+        match &self.0.accel {
+            Some(a) => a.nn.horner_step(acc, k, b, cost),
+            None => {
+                let (Some(x), Some(y)) = (acc.as_plain_mut(), b.as_plain()) else {
+                    return Err(CryptoError::SuiteMismatch);
+                };
+                let product =
+                    if k == 0 { &*x * y } else { x.modpow(&(BigUint::one() << k), nn) * y };
+                *x = product % nn;
+                Ok(())
+            }
+        }
+    }
+
     /// Scalar multiplication: `k ⊗ ⟦V⟧ = ⟦k·V⟧`, backend work tallied into
     /// `ctr`.
     pub fn mul_raw(&self, c: &RawCipher, k: &BigUint, ctr: &OpCounters) -> RawCipher {
         match &self.0.accel {
             Some(a) => {
                 let (v, cost) = a.nn.modpow(c, k);
-                tally(ctr, cost);
+                ctr.add_cost(cost);
                 v
             }
             None => c.modpow(k, &self.0.nn),
@@ -340,8 +386,8 @@ impl PrivateKey {
             Some(a) => {
                 let (xp, cp) = a.pp.modpow_recoded(&(c % &sk.pp), &a.p1_nibbles);
                 let (xq, cq) = a.qq.modpow_recoded(&(c % &sk.qq), &a.q1_nibbles);
-                tally(ctr, cp);
-                tally(ctr, cq);
+                ctr.add_cost(cp);
+                ctr.add_cost(cq);
                 (xp, xq)
             }
             None => {
@@ -396,8 +442,8 @@ impl PrivateKey {
             Some(a) => {
                 let (wp, cp) = a.pp.modpow_recoded(&(r % &sk.p), &a.p_nibbles);
                 let (wq, cq) = a.qq.modpow_recoded(&(r % &sk.q), &a.q_nibbles);
-                tally(ctr, cp);
-                tally(ctr, cq);
+                ctr.add_cost(cp);
+                ctr.add_cost(cq);
                 (wp, wq)
             }
             None => ((r % &sk.p).modpow(&sk.p, &sk.pp), (r % &sk.q).modpow(&sk.q, &sk.qq)),

@@ -7,16 +7,19 @@
 //! message flow and operation *counts*, but plaintext arithmetic — which
 //! isolates protocol overhead from cryptography overhead (§6.3, Table 4).
 
+use std::cmp::Ordering;
 use std::sync::{Arc, OnceLock};
 
 use num_bigint::BigUint;
+use num_traits::Zero;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::counters::OpCounters;
+use crate::counters::{OpCounters, OpSnapshot};
 use crate::encoding::{encode, EncodingConfig, FixedPoint};
 use crate::error::{CryptoError, Result};
-use crate::packing::{pack_ciphers, unpack_plaintext, GhPlan, PackingPlan};
+use crate::montgomery::{MontCost, Resident};
+use crate::packing::{pack_ciphers, pack_resident, unpack_plaintext, GhPlan, PackingPlan};
 use crate::paillier::{KeyPair, PrivateKey, PublicKey, RawCipher};
 
 /// Which cryptography backs a [`Suite`].
@@ -69,6 +72,34 @@ impl Ciphertext {
     }
 }
 
+/// A cipher as a host holds it between receipt and packing: a Paillier
+/// cipher entered into its key's [`Resident`] form, or the mock's
+/// plaintext as it is. [`Suite::enter`] makes one, [`Suite::leave`] turns
+/// it back into a [`Ciphertext`]; in between, HAdds ([`Suite::add_resident`])
+/// and packs ([`Suite::pack_gh`]) run on it without converting.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ResidentCiphertext {
+    /// A Paillier cipher in its key's resident form.
+    Paillier {
+        /// The cipher `⟦V⟧`, resident.
+        cipher: Resident,
+        /// The fixed-point exponent `e`.
+        exponent: i32,
+    },
+    /// Plaintext mock.
+    Plain(PlainNumber),
+}
+
+impl ResidentCiphertext {
+    /// The fixed-point exponent this cipher carries.
+    pub fn exponent(&self) -> i32 {
+        match self {
+            ResidentCiphertext::Paillier { exponent, .. } => *exponent,
+            ResidentCiphertext::Plain(p) => p.exponent,
+        }
+    }
+}
+
 /// A packed run of cipher slots (paper §5.2), or its mock equivalent.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PackedCiphertext {
@@ -104,8 +135,10 @@ struct SuiteInner {
     sk: Option<PrivateKey>,
     cfg: EncodingConfig,
     counters: Arc<OpCounters>,
-    /// Cached full-size encryption of zero (see [`Suite::zero_obfuscated`]).
-    cached_zero: OnceLock<BigUint>,
+    /// Cached full-size encryption of zero (see [`Suite::zero_obfuscated`])
+    /// and the same cipher entered once, for [`Suite::pack_gh`]'s empty
+    /// bins.
+    cached_zero: OnceLock<(BigUint, Resident)>,
 }
 
 /// The cipher suite handed to each party.
@@ -386,13 +419,157 @@ impl Suite {
         match &self.0.pk {
             None => self.zero(exponent),
             Some(pk) => {
-                let cipher = self.0.cached_zero.get_or_init(|| {
-                    let mut rng = StdRng::seed_from_u64(0x5eed_0bf0_5eed_0bf0);
-                    pk.random_rn(&mut rng, &self.0.counters)
-                });
-                Ciphertext::Paillier(EncryptedNumber { cipher: cipher.clone(), exponent })
+                let cipher = self.cached_zero(pk).0.clone();
+                Ciphertext::Paillier(EncryptedNumber { cipher, exponent })
             }
         }
+    }
+
+    /// The cached obfuscated zero, plain and resident (computed, and
+    /// entered, once per suite).
+    fn cached_zero(&self, pk: &PublicKey) -> &(BigUint, Resident) {
+        self.0.cached_zero.get_or_init(|| {
+            let mut rng = StdRng::seed_from_u64(0x5eed_0bf0_5eed_0bf0);
+            let rn = pk.random_rn(&mut rng, &self.0.counters);
+            let mut cost = MontCost::default();
+            let resident = pk.enter(&rn, &mut cost);
+            self.0.counters.add_cost(cost);
+            (rn, resident)
+        })
+    }
+
+    /// `c` entered into its key's resident form (one counted Montgomery
+    /// multiplication); a mock cipher is carried as it is. A cipher of the
+    /// other suite kind is [`CryptoError::SuiteMismatch`].
+    pub fn enter(&self, c: &Ciphertext) -> Result<ResidentCiphertext> {
+        match (&self.0.pk, c) {
+            (Some(pk), Ciphertext::Paillier(e)) => {
+                let mut cost = MontCost::default();
+                let cipher = pk.enter(&e.cipher, &mut cost);
+                self.0.counters.add_cost(cost);
+                Ok(ResidentCiphertext::Paillier { cipher, exponent: e.exponent })
+            }
+            (None, Ciphertext::Plain(p)) => Ok(ResidentCiphertext::Plain(*p)),
+            _ => Err(CryptoError::SuiteMismatch),
+        }
+    }
+
+    /// The [`Ciphertext`] a resident cipher holds (one counted Montgomery
+    /// multiplication under Paillier).
+    pub fn leave(&self, c: &ResidentCiphertext) -> Result<Ciphertext> {
+        match c {
+            ResidentCiphertext::Paillier { cipher, exponent } => {
+                let mut cost = MontCost::default();
+                let cipher = self.pk()?.leave(cipher, &mut cost)?;
+                self.0.counters.add_cost(cost);
+                Ok(Ciphertext::Paillier(EncryptedNumber { cipher, exponent: *exponent }))
+            }
+            ResidentCiphertext::Plain(p) => Ok(Ciphertext::Plain(*p)),
+        }
+    }
+
+    /// Exponent-aware HAdd on resident ciphers, `acc ← acc ⊕ b`: the
+    /// histogram hot path. At equal exponents one Montgomery
+    /// multiplication (no allocation); otherwise the lower-exponent operand
+    /// first leaves, is scaled up by `B^Δe` (one counted scaling, as in
+    /// [`Suite::add`]) and re-enters — the same integer `Suite::add`
+    /// computes. The HAdd and the multiplications are tallied into `tally`,
+    /// which the caller publishes ([`OpCounters::publish`]). A refused add
+    /// leaves `acc` untouched.
+    pub fn add_resident(
+        &self,
+        acc: &mut ResidentCiphertext,
+        b: &ResidentCiphertext,
+        tally: &mut OpSnapshot,
+    ) -> Result<()> {
+        match (acc, b) {
+            (
+                ResidentCiphertext::Paillier { cipher: x, exponent: ex },
+                ResidentCiphertext::Paillier { cipher: y, exponent: ey },
+            ) => {
+                let pk = self.pk()?;
+                let mut cost = MontCost::default();
+                match (*ex).cmp(ey) {
+                    Ordering::Equal => pk.mul_assign(x, y, &mut cost)?,
+                    Ordering::Greater => {
+                        let y = self.resident_scaled(pk, y, *ey, *ex, &mut cost)?;
+                        pk.mul_assign(x, &y, &mut cost)?;
+                    }
+                    Ordering::Less => {
+                        let mut up = self.resident_scaled(pk, x, *ex, *ey, &mut cost)?;
+                        pk.mul_assign(&mut up, y, &mut cost)?;
+                        (*x, *ex) = (up, *ey);
+                    }
+                }
+                tally.hadd += 1;
+                tally.add_cost(cost);
+                Ok(())
+            }
+            (ResidentCiphertext::Plain(x), ResidentCiphertext::Plain(y)) => {
+                if x.exponent != y.exponent {
+                    tally.scalings += 1;
+                }
+                tally.hadd += 1;
+                x.value += y.value;
+                x.exponent = x.exponent.max(y.exponent);
+                Ok(())
+            }
+            _ => Err(CryptoError::SuiteMismatch),
+        }
+    }
+
+    /// A resident cipher at exponent `from` moved up to `to`: it leaves,
+    /// is scaled ([`Suite::scaled`]) and re-enters.
+    fn resident_scaled(
+        &self,
+        pk: &PublicKey,
+        c: &Resident,
+        from: i32,
+        to: i32,
+        cost: &mut MontCost,
+    ) -> Result<Resident> {
+        let e = EncryptedNumber { cipher: pk.leave(c, cost)?, exponent: from };
+        Ok(pk.enter(&self.scaled(pk, &e, to)?, cost))
+    }
+
+    /// Packs a run of GH-pair bins for the return path in one Horner pass
+    /// over their resident ciphers ([`pack_resident`]): each bin is
+    /// `(cipher, rows)`, an empty bin (`None`) packs the cached obfuscated
+    /// zero, and every bin's [`GhPlan::top_up`] folds into the one
+    /// plaintext factor `1 + (Σⱼ top_upⱼ·2^(M·j))·n`. The packed cipher
+    /// is the integer that topping each bin up and packing the results
+    /// yields, at one HAdd per packed cipher instead of one per bin. Every
+    /// bin must sit at the plan's exponent; Paillier suites only.
+    pub fn pack_gh(
+        &self,
+        bins: &[(Option<&ResidentCiphertext>, u64)],
+        plan: &GhPlan,
+    ) -> Result<PackedCiphertext> {
+        let pk = self.pk()?;
+        let wire = PackingPlan::new(pk, plan.pair_bits(), bins.len())?;
+        let zero = &self.cached_zero(pk).1;
+        let mut top_up = BigUint::zero();
+        let mut slots = Vec::with_capacity(bins.len());
+        for (j, &(bin, rows)) in bins.iter().enumerate() {
+            top_up += plan.top_up(rows)? << (plan.pair_bits() * j as u32);
+            slots.push(match bin {
+                None => zero,
+                Some(ResidentCiphertext::Paillier { cipher, exponent }) => {
+                    if *exponent != plan.exponent() {
+                        return Err(exponents_differ(GH_EXPONENT, *exponent, plan.exponent()));
+                    }
+                    cipher
+                }
+                Some(ResidentCiphertext::Plain(_)) => return Err(CryptoError::SuiteMismatch),
+            });
+        }
+        let cipher = pack_resident(&slots, &wire, Some(&top_up), pk, &self.0.counters)?;
+        Ok(PackedCiphertext::Paillier {
+            cipher,
+            exponent: plan.exponent(),
+            count: bins.len(),
+            slot_bits: plan.pair_bits(),
+        })
     }
 
     /// `e`'s cipher moved up to the exponent `target`: one `SMul` by
@@ -479,33 +656,6 @@ impl Suite {
                     })
                     .collect()
             }
-        }
-    }
-
-    /// In-place addition of two ciphers already sharing an exponent (the
-    /// histogram hot path: one product mod `n²`, no scaling). Unequal
-    /// exponents are [`CryptoError::ShapeMismatch`], `acc` untouched.
-    pub fn add_assign_same_exp(&self, acc: &mut Ciphertext, b: &Ciphertext) -> Result<()> {
-        if acc.exponent() != b.exponent() {
-            return Err(exponents_differ(
-                "add_assign_same_exp exponents",
-                acc.exponent(),
-                b.exponent(),
-            ));
-        }
-        match (acc, b) {
-            (Ciphertext::Paillier(x), Ciphertext::Paillier(y)) => {
-                let pk = self.pk()?;
-                self.0.counters.add_hadd(1);
-                x.cipher = pk.add_raw(&x.cipher, &y.cipher);
-                Ok(())
-            }
-            (Ciphertext::Plain(x), Ciphertext::Plain(y)) => {
-                self.0.counters.add_hadd(1);
-                x.value += y.value;
-                Ok(())
-            }
-            _ => Err(CryptoError::SuiteMismatch),
         }
     }
 
@@ -631,6 +781,7 @@ impl Suite {
 }
 
 const RESCALE_DOWN: &str = "rescale below the cipher's exponent";
+const GH_EXPONENT: &str = "gh bin exponent vs the pair plan's";
 
 /// Two exponents an operation needed equal (or ordered) were not; the
 /// shapes reported are their magnitudes.
@@ -702,8 +853,10 @@ mod tests {
     fn zero_is_additive_identity() {
         let s = paillier_suite();
         let mut rng = StdRng::seed_from_u64(17);
-        let mut acc = s.encrypt_at(-7.5, 10, &mut rng).unwrap();
-        s.add_assign_same_exp(&mut acc, &s.zero(10)).unwrap();
+        let mut acc = s.enter(&s.encrypt_at(-7.5, 10, &mut rng).unwrap()).unwrap();
+        let zero = s.enter(&s.zero(10)).unwrap();
+        s.add_resident(&mut acc, &zero, &mut OpSnapshot::default()).unwrap();
+        let acc = s.leave(&acc).unwrap();
         assert!((s.decrypt(&acc).unwrap() + 7.5).abs() < 1e-9);
         let with_obfuscated = s.add(&acc, &s.zero_obfuscated(10)).unwrap();
         assert!((s.decrypt(&with_obfuscated).unwrap() + 7.5).abs() < 1e-9);
@@ -737,16 +890,44 @@ mod tests {
     }
 
     #[test]
-    fn same_exponent_add_refuses_unequal_exponents_in_both_suites() {
+    fn resident_add_is_suite_add_and_refuses_foreign_ciphers_in_both_suites() {
         let mut rng = StdRng::seed_from_u64(18);
-        for s in [paillier_suite(), Suite::plain(EncodingConfig::default())] {
-            let mut acc = s.encrypt_at(1.5, 10, &mut rng).unwrap();
-            let other = s.encrypt_at(0.5, 11, &mut rng).unwrap();
-            let (before, kept) = (s.counters().snapshot(), acc.clone());
-            let err = s.add_assign_same_exp(&mut acc, &other).unwrap_err();
-            assert!(matches!(err, CryptoError::ShapeMismatch { .. }), "{err}");
-            assert_eq!(acc, kept, "a refused add must leave the accumulator alone");
-            assert_eq!(s.counters().snapshot().since(&before).hadd, 0);
+        let (p, m) = (paillier_suite(), Suite::plain(EncodingConfig::default()));
+        for s in [&p, &m] {
+            let a = s.encrypt_at(1.5, 10, &mut rng).unwrap();
+            let bs = [
+                s.encrypt_at(0.5, 10, &mut rng).unwrap(),
+                s.encrypt_at(0.5, 12, &mut rng).unwrap(),
+            ];
+            for b in bs {
+                // Either side may hold the lower exponent.
+                for (x, y) in [(&a, &b), (&b, &a)] {
+                    let before = s.counters().snapshot();
+                    let want = s.add(x, y).unwrap();
+                    let by_add = s.counters().snapshot().since(&before);
+                    let mut acc = s.enter(x).unwrap();
+                    let y = s.enter(y).unwrap();
+                    let (before, mut tally) = (s.counters().snapshot(), OpSnapshot::default());
+                    s.add_resident(&mut acc, &y, &mut tally).unwrap();
+                    s.counters().publish(&tally);
+                    let spent = s.counters().snapshot().since(&before);
+                    assert_eq!(s.leave(&acc).unwrap(), want, "{:?}", s.kind());
+                    assert_eq!((spent.hadd, spent.scalings), (by_add.hadd, by_add.scalings));
+                }
+            }
+        }
+        // A cipher of the other suite: refused on entry, and refused by
+        // an accumulator of the other kind, which stays as it was.
+        let (cp, cm) =
+            (p.encrypt_at(1.0, 10, &mut rng).unwrap(), m.encrypt_at(1.0, 10, &mut rng).unwrap());
+        assert_eq!(p.enter(&cm), Err(CryptoError::SuiteMismatch));
+        assert_eq!(m.enter(&cp), Err(CryptoError::SuiteMismatch));
+        let (rp, rm) = (p.enter(&cp).unwrap(), m.enter(&cm).unwrap());
+        for (s, acc, foreign) in [(&p, &rp, &rm), (&m, &rm, &rp)] {
+            let (mut kept, mut tally) = (acc.clone(), OpSnapshot::default());
+            let err = s.add_resident(&mut kept, foreign, &mut tally).unwrap_err();
+            assert_eq!(err, CryptoError::SuiteMismatch);
+            assert_eq!((&kept, tally), (acc, OpSnapshot::default()));
         }
     }
 

@@ -1,19 +1,24 @@
 //! Property tests for the fixed-limb Montgomery backend against the
 //! `num-bigint` reference implementation.
 //!
-//! Every supported dispatch width gets three families of checks —
-//! widening multiply, Montgomery REDC multiplication, and windowed
-//! modular exponentiation — over random operands *and* the carry-edge
-//! vectors that break naive limb arithmetic: operands at `2^(64k) ± 1`
-//! (all-ones / lowest-limb-only patterns) and modulus-adjacent values
-//! (`m−1`, `m−2`, values just above `m` that force the entry reduction).
+//! Every supported dispatch width gets four families of checks —
+//! widening multiply, Montgomery REDC multiplication, windowed modular
+//! exponentiation, and the resident operations (enter, multiply, Horner
+//! step, leave) with the pack built on them — over random operands *and*
+//! the carry-edge vectors that break naive limb arithmetic: operands and
+//! moduli at `2^(64k) ± 1` (all-ones / lowest-limb-only patterns) and
+//! modulus-adjacent values (`m−1`, `m−2`, values just above `m` that force
+//! the entry reduction).
 
 use num_bigint::{BigUint, RandBigInt};
 use num_traits::One;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vf2_crypto::montgomery::CryptoBackend;
-use vf2_crypto::{EncodingConfig, Fixed, GhPlan, KeyPair, MontExp, OpCounters, PackingPlan, Suite};
+use vf2_crypto::{
+    pack_ciphers, Ciphertext, CryptoError, EncodingConfig, Fixed, GhPlan, KeyPair, MontCost,
+    MontExp, OpCounters, PackedCiphertext, PackingPlan, PublicKey, ResidentCiphertext, Suite,
+};
 
 /// Carry-edge operands below `2^bits`: `2^(64k) − 1` and `2^(64k) + 1`
 /// for every limb boundary `k`, plus 0 and 1.
@@ -236,4 +241,143 @@ fn paillier_pipeline_identical_across_backends() {
 
     assert!(sf.counters().snapshot().modmul > 0, "the fixed backend counts its multiplies");
     assert_eq!(sn.counters().snapshot().modmul, 0, "the fallback performs no counted modmul");
+}
+
+/// Moduli that land on `limbs` limbs, carry edges first: `2^(64N) − 1`
+/// (every limb all ones), `2^(64(N−1)) + 1` (the top limb just set, the
+/// rest nearly zero), then a random odd one of `bits` bits.
+fn edge_moduli(rng: &mut StdRng, bits: u64, limbs: usize) -> Vec<BigUint> {
+    let top = 64 * limbs as u64;
+    let mut moduli = vec![(BigUint::one() << top) - BigUint::one()];
+    if limbs > 1 {
+        moduli.push((BigUint::one() << (top - 64)) + BigUint::one());
+    }
+    moduli.push(odd_modulus(rng, bits));
+    moduli
+}
+
+#[test]
+fn resident_operations_match_reference_at_every_width() {
+    let mut rng = StdRng::seed_from_u64(7003);
+    for (bits, limbs) in dispatch_widths() {
+        for m in edge_moduli(&mut rng, bits, limbs) {
+            let me = MontExp::new(&m).expect("odd modulus dispatches");
+            assert_eq!(me.limbs(), limbs, "{m} must use {limbs} limbs");
+            let mut ops = edge_operands(m.bits());
+            ops.truncate(4);
+            // m − 1 and m − 2 pin the final conditional subtraction; m + 1
+            // enters through the reduction.
+            ops.extend([&m - BigUint::one(), &m - BigUint::from(2u32), &m + BigUint::one()]);
+            ops.push(rng.gen_biguint(m.bits()));
+            for a in &ops {
+                let mut cost = MontCost::default();
+                let ra = me.enter(a, &mut cost);
+                assert_eq!(me.leave(&ra, &mut cost).unwrap(), a % &m, "enter/leave {a} mod {m}");
+                assert_eq!((cost.modmuls, cost.redc_limbs), (2, 2 * limbs as u64));
+                for b in ops.iter().step_by(3) {
+                    let rb = me.enter(b, &mut MontCost::default());
+                    // k = 0 is multiply-assign; 125 is a return-path pair
+                    // width, 64 the two-stream slot.
+                    for k in [0u32, 1, 3, 64, 125] {
+                        let (mut acc, mut cost) = (ra.clone(), MontCost::default());
+                        me.horner_step(&mut acc, k, &rb, &mut cost).unwrap();
+                        let want = (a.modpow(&(BigUint::one() << k), &m) * b) % &m;
+                        let got = me.leave(&acc, &mut MontCost::default()).unwrap();
+                        assert_eq!(got, want, "{limbs} limbs: {a}^(2^{k})·{b} mod {m}");
+                        assert_eq!(cost.modmuls, u64::from(k) + 1, "k squarings, one multiply");
+                    }
+                }
+            }
+        }
+    }
+    // A resident of another width is refused, and the accumulator kept.
+    let (narrow, wide) = (odd_modulus(&mut rng, 200), odd_modulus(&mut rng, 1024));
+    let (mn, mw) = (MontExp::new(&narrow).unwrap(), MontExp::new(&wide).unwrap());
+    let mut cost = MontCost::default();
+    let (rn, rw) =
+        (mn.enter(&BigUint::from(5u32), &mut cost), mw.enter(&BigUint::one(), &mut cost));
+    let mut acc = rn.clone();
+    for k in [0, 3] {
+        assert_eq!(mn.horner_step(&mut acc, k, &rw, &mut cost), Err(CryptoError::SuiteMismatch));
+    }
+    assert_eq!(acc, rn);
+    assert_eq!(mw.leave(&rn, &mut cost), Err(CryptoError::SuiteMismatch));
+}
+
+/// The packing reference on plain `BigUint`s: each bin (the obfuscated
+/// zero when empty) topped up by `g^k = 1 + k·n`, then Horner from the top
+/// slot down, `acc ← acc^(2^M)·cⱼ mod n²`.
+fn horner_reference(pk: &PublicKey, slots: &[BigUint], slot_bits: u32) -> BigUint {
+    let nn = pk.nn();
+    let (top, lower) = slots.split_last().expect("at least one slot");
+    lower
+        .iter()
+        .rev()
+        .fold(top.clone(), |acc, c| (acc.modpow(&(BigUint::one() << slot_bits), nn) * c) % nn)
+}
+
+#[test]
+fn resident_pack_matches_the_biguint_horner_reference() {
+    let keys = KeyPair::generate_seeded(512, 23).expect("keygen");
+    let enc = EncodingConfig { base: 16, base_exp: 8, jitter: 4 };
+    let gh = GhPlan::new(1.0, 0.25, 40, &enc).expect("plan");
+    for backend in [CryptoBackend::Fixed, CryptoBackend::NumBigint] {
+        let guest = Suite::paillier(keys.with_backend(backend), enc);
+        let host = guest.public_half();
+        let pk = host.public_key().expect("Paillier suite").clone();
+        let t = gh.bins_per_cipher(&pk);
+        assert!(t >= 3, "{t} bins per cipher");
+        let g: Vec<f64> = (0..t).map(|i| i as f64 / t as f64 - 0.5).collect();
+        let h: Vec<f64> = (0..t).map(|i| 0.25 * i as f64 / t as f64).collect();
+        let cts = guest.encrypt_gh_batch(&g, &h, &gh, 3).expect("encrypt");
+        let resident: Vec<ResidentCiphertext> =
+            cts.iter().map(|c| host.enter(c).expect("enter")).collect();
+        let raw = |c: &Ciphertext| match c {
+            Ciphertext::Paillier(e) => e.cipher.clone(),
+            Ciphertext::Plain(_) => unreachable!("a Paillier suite"),
+        };
+        let zero = raw(&host.zero_obfuscated(gh.exponent()));
+        // A full chunk, a partial one, one with empty bins, a lone empty
+        // bin; row counts from none up to every row.
+        let layouts: [Vec<Option<usize>>; 4] = [
+            (0..t).map(Some).collect(),
+            vec![Some(1), Some(0)],
+            (0..t).map(|i| (i % 2 == 1).then_some(i)).collect(),
+            vec![None],
+        ];
+        for layout in layouts {
+            let bins: Vec<(Option<&ResidentCiphertext>, u64)> = layout
+                .iter()
+                .enumerate()
+                .map(|(j, i)| (i.map(|i| &resident[i]), (j as u64 * 13) % 41))
+                .collect();
+            let topped: Vec<BigUint> = layout
+                .iter()
+                .zip(&bins)
+                .map(|(i, &(_, rows))| {
+                    let c = i.map_or_else(|| zero.clone(), |i| raw(&cts[i]));
+                    let k = gh.top_up(rows).expect("top-up");
+                    (c * (BigUint::one() + k * pk.n())) % pk.nn()
+                })
+                .collect();
+            let before = host.counters().snapshot();
+            let packed = host.pack_gh(&bins, &gh).expect("pack");
+            let spent = host.counters().snapshot().since(&before);
+            let PackedCiphertext::Paillier { cipher, exponent, count, slot_bits } = packed else {
+                panic!("a Paillier suite packs Paillier ciphers");
+            };
+            let what = format!("{backend:?} layout {layout:?}");
+            assert_eq!(cipher, horner_reference(&pk, &topped, gh.pair_bits()), "{what}");
+            assert_eq!((exponent, count, slot_bits), (gh.exponent(), bins.len(), gh.pair_bits()));
+            let len = bins.len() as u64;
+            assert_eq!((spent.hadd, spent.smul, spent.packs), (len, len - 1, 1), "{what}");
+        }
+        // The two-stream kernel on raw ciphers, full and partial.
+        for n in [t, 2] {
+            let slots: Vec<BigUint> = cts[..n].iter().map(raw).collect();
+            let plan = PackingPlan::new(&pk, gh.pair_bits(), n).expect("fits");
+            let got = pack_ciphers(&slots, &plan, &pk, &OpCounters::default()).expect("pack");
+            assert_eq!(got, horner_reference(&pk, &slots, gh.pair_bits()), "{backend:?} {n}");
+        }
+    }
 }

@@ -7,9 +7,10 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use vf2boost::crypto::counters::OpSnapshot;
 use vf2boost::crypto::encoding::EncodingConfig;
 use vf2boost::crypto::packing::PackingPlan;
-use vf2boost::crypto::suite::{Ciphertext, Suite};
+use vf2boost::crypto::suite::{Ciphertext, ResidentCiphertext, Suite};
 
 fn main() {
     let encoding = EncodingConfig { base: 16, base_exp: 8, jitter: 4 };
@@ -41,18 +42,24 @@ fn main() {
     let naive_scalings = naive_suite.counters().snapshot().scalings;
 
     let re_suite = suite.public_half();
-    // Group by exponent, sum within groups, merge across groups.
-    let mut groups: std::collections::BTreeMap<i32, Ciphertext> = Default::default();
+    // Group by exponent, sum within groups (each cipher entered into
+    // Montgomery form once, each sum one limb product), merge across
+    // groups.
+    let mut groups: std::collections::BTreeMap<i32, ResidentCiphertext> = Default::default();
+    let mut tally = OpSnapshot::default();
     for c in &cts {
+        let c = re_suite.enter(c).unwrap();
         match groups.get_mut(&c.exponent()) {
             None => {
-                groups.insert(c.exponent(), c.clone());
+                groups.insert(c.exponent(), c);
             }
-            Some(acc) => re_suite.add_assign_same_exp(acc, c).unwrap(),
+            Some(acc) => re_suite.add_resident(acc, &c, &mut tally).unwrap(),
         }
     }
+    re_suite.counters().publish(&tally);
     let mut merged: Option<Ciphertext> = None;
     for (_, g) in groups {
+        let g = re_suite.leave(&g).unwrap();
         merged = Some(match merged {
             None => g,
             Some(prev) => re_suite.add(&prev, &g).unwrap(),
