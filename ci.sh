@@ -57,6 +57,10 @@ cargo clippy -p vf2boost-core -p vf2-channel -p vf2-crypto --lib -- -D warnings
 # The host's HAdds and packs run on this core (its ciphers stay resident
 # from receipt to pack), so these tests guard the host's hot path too.
 #
+# Blaster pipelining (tests/wan_and_traffic.rs): the default protocol
+# streams a 1 250-row tree's gradients in 128-row batches — exactly nine
+# more guest messages than one bulk frame, and the bulk run's model.
+#
 # Many-party chaos (tests/many_party.rs): the guest's tree loop is
 # arrival-order invariant — 8 hosts behind heterogeneous faulty WANs
 # (rolling staggered stalls, reordering links, a bandwidth/latency spread)
@@ -86,6 +90,17 @@ if grep -n "debug_assert" \
     crates/core/src/guest.rs crates/core/src/host.rs crates/core/src/peer.rs \
     crates/core/src/model.rs; then
   echo "debug_assert found in an admission-critical module" >&2
+  exit 1
+fi
+
+# No impossible route: a state the code believes unreachable is either
+# made unrepresentable (grow_tree records each row's weight where its node
+# becomes a leaf) or given a documented answer (an unvalidated tree predicts
+# 0.0 past an absent node), never a debug-only assertion that release builds
+# silently run past.
+echo "== no-impossible-route gate (no debug_assert!(false in any crate) =="
+if grep -rnF 'debug_assert!(false' crates/*/src; then
+  echo "a debug-only impossible route is back" >&2
   exit 1
 fi
 

@@ -148,6 +148,17 @@ fn guest_invariant(context: &'static str) -> TrainError {
     ProtocolError::InvariantViolated { party: PartyId::Guest, context }.into()
 }
 
+/// The per-batch base seed for gradient encryption randomness of the
+/// batch starting at row `start` of tree `tree`. Stream seeds are derived
+/// from it via [`split_seed`], never by ad-hoc xor-masking (two masked
+/// streams can collide after the per-element `wrapping_add(i)` walk); no
+/// two rows of a run share an element seed (pinned by a test below).
+fn batch_seed(seed: u64, tree: u32, start: usize) -> u64 {
+    seed.wrapping_mul(0x517c_c1b7_2722_0a95)
+        .wrapping_add((tree as u64) << 32)
+        .wrapping_add(start as u64)
+}
+
 /// Runs the guest to completion and shuts the hosts down.
 ///
 /// Never panics on peer misbehaviour: a silent or disconnected host
@@ -569,18 +580,6 @@ impl GuestParty {
         Ok(ctx.fed)
     }
 
-    /// The per-batch base seed for gradient encryption randomness. Stream
-    /// seeds are derived from it via [`split_seed`], never by ad-hoc
-    /// xor-masking (two masked streams can collide after the per-element
-    /// `wrapping_add(i)` walk).
-    fn batch_seed(&self, tree: u32, start: usize) -> u64 {
-        self.cfg
-            .seed
-            .wrapping_mul(0x517c_c1b7_2722_0a95)
-            .wrapping_add((tree as u64) << 32)
-            .wrapping_add(start as u64)
-    }
-
     /// Encrypts and ships the gradient statistics — in one bulk message or
     /// in pipelined blaster batches (§4.1). On the paired path (§3.11) each
     /// instance's (g, h) pair rides in one ciphertext, halving the
@@ -596,7 +595,7 @@ impl GuestParty {
         while start < n {
             let end = (start + batch).min(n);
             let (g, h) = (&g_vals[start..end], &h_vals[start..end]);
-            let seed = self.batch_seed(ctx.tree, start);
+            let seed = batch_seed(self.cfg.seed, ctx.tree, start);
             let (tree, start_row, last) = (ctx.tree, start as u32, end == n);
             let span = self.telemetry.enter(TracePhase::Encrypt, Some(ctx.tree), None);
             // Streams 0/1 (g, h) and 2 (pairs) are disjoint, so the two
@@ -1447,5 +1446,36 @@ mod tests {
         assert!(ctx.states[&2].all_in());
         let want = [whole[0], whole[1], GradPair::ZERO, GradPair::ZERO - part[3]];
         assert_eq!(derived_of(&ctx, 2), Some(vec![DecodedBins::Float(want.to_vec())]));
+    }
+
+    /// No two rows of a run share an obfuscator stream. Were a per-row seed
+    /// reused, two rows would be encrypted under the same `r` and a host
+    /// could read `v₁ − v₂` off `c₁·c₂⁻¹ mod n²`. Every element seed the
+    /// guest derives (`batch_seed` → `split_seed(.., stream)` → `+ i`) for
+    /// three 1 250-row trees at the default batch, over the g, h and pair
+    /// streams, is distinct.
+    #[test]
+    fn no_two_rows_of_a_run_share_an_element_seed() {
+        let batch = ProtocolConfig::vf2boost().blaster_batch.expect("vf2boost batches");
+        let rows = 1250usize;
+        for seed in [0, 7, 42, u64::MAX] {
+            let mut seen = std::collections::HashSet::new();
+            for tree in 0..3u32 {
+                for start in (0..rows).step_by(batch) {
+                    let len = batch.min(rows - start);
+                    for stream in 0..3 {
+                        let base = split_seed(batch_seed(seed, tree, start), stream);
+                        for i in 0..len as u64 {
+                            assert!(
+                                seen.insert(base.wrapping_add(i)),
+                                "seed {seed}: tree {tree} row {} stream {stream} reuses a seed",
+                                start as u64 + i
+                            );
+                        }
+                    }
+                }
+            }
+            assert_eq!(seen.len(), 3 * 3 * rows);
+        }
     }
 }

@@ -14,7 +14,7 @@ use crate::histogram::{build_layer_histograms, node_totals, GradPair};
 use crate::loss::LossKind;
 use crate::metrics::{auc, logloss};
 use crate::split::{best_of, find_best_split, SplitParams};
-use crate::tree::{layer_of, layer_start, left_child, right_child, Node, NodeId, NodeSplit, Tree};
+use crate::tree::{layer_of, layer_start, left_child, right_child, NodeId, NodeSplit, Tree};
 
 /// Hyper-parameters for GBDT training. Defaults follow the paper's
 /// protocol: `T = 20` trees, `η = 0.1`, `L = 7` layers, `s = 20` bins.
@@ -189,6 +189,8 @@ pub fn grow_tree(
     // Current heap node of every row; rows whose node became a leaf keep
     // pointing at it.
     let mut assign: Vec<NodeId> = vec![0; n];
+    // Each row's weight, recorded where its node becomes a leaf.
+    let mut row_weights = vec![0.0; n];
     let mut active: Vec<NodeId> = vec![0];
 
     for layer in 0..params.max_layers {
@@ -211,8 +213,14 @@ pub fn grow_tree(
 
         let last_layer = layer + 1 == params.max_layers;
         if last_layer {
-            for (slot, &id) in active.iter().enumerate() {
-                tree.set_leaf(id, params.split.leaf_weight(totals[slot]));
+            let weights: Vec<f64> = totals.iter().map(|&t| params.split.leaf_weight(t)).collect();
+            for (&id, &w) in active.iter().zip(&weights) {
+                tree.set_leaf(id, w);
+            }
+            for (row_w, &slot) in row_weights.iter_mut().zip(&node_of_row) {
+                if slot >= 0 {
+                    *row_w = weights[slot as usize];
+                }
             }
             break;
         }
@@ -220,6 +228,7 @@ pub fn grow_tree(
         let hists = build_layer_histograms(binned, grads, &node_of_row, &totals);
         let mut next_active = Vec::new();
         let mut split_of = vec![None; width];
+        let mut leaf_of = vec![None; width];
         for (slot, &id) in active.iter().enumerate() {
             let best = best_of((0..binned.num_features()).filter_map(|f| {
                 find_best_split(f, hists.hist(f, slot), totals[slot], &params.split)
@@ -239,10 +248,15 @@ pub fn grow_tree(
                     next_active.push(left_child(id));
                     next_active.push(right_child(id));
                 }
-                None => tree.set_leaf(id, params.split.leaf_weight(totals[slot])),
+                None => {
+                    let w = params.split.leaf_weight(totals[slot]);
+                    tree.set_leaf(id, w);
+                    leaf_of[id - start_id] = Some(w);
+                }
             }
         }
-        // Route rows of split nodes to their children.
+        // Route rows of split nodes to their children; rows of new leaves
+        // take their weight.
         for (row, id) in assign.iter_mut().enumerate() {
             if layer_of(*id) != layer {
                 continue;
@@ -250,21 +264,12 @@ pub fn grow_tree(
             if let Some((feature, bin)) = split_of[*id - start_id] {
                 let b = binned.column(feature).bin_of_row(row);
                 *id = if b <= bin { left_child(*id) } else { right_child(*id) };
+            } else if let Some(w) = leaf_of[*id - start_id] {
+                row_weights[row] = w;
             }
         }
         active = next_active;
     }
-
-    let row_weights = assign
-        .iter()
-        .map(|&id| match tree.node(id) {
-            Node::Leaf(w) => *w,
-            _ => {
-                debug_assert!(false, "row assigned to non-leaf {id}");
-                0.0
-            }
-        })
-        .collect();
     (tree, row_weights)
 }
 

@@ -9,7 +9,7 @@ use vf2_gbdt::data::{Dataset, FeatureColumn};
 use vf2_gbdt::histogram::{build_layer_histograms, node_totals, GradPair, Histogram};
 use vf2_gbdt::metrics::auc;
 use vf2_gbdt::split::{find_best_split, SplitParams};
-use vf2_gbdt::train::{grow_tree, GbdtParams};
+use vf2_gbdt::train::{grow_tree, GbdtParams, Trainer};
 
 const CASES: usize = 64;
 
@@ -140,6 +140,56 @@ fn grown_trees_are_consistent() {
         for (r, &w) in weights.iter().enumerate() {
             let routed = tree.predict_row(&data.row_dense(r));
             assert!((routed - w).abs() < 1e-12);
+        }
+    }
+}
+
+/// Every tree `Trainer::fit` grows passes `Tree::validate`, and each
+/// boosting round's `grow_tree` row weights are what routing the training
+/// rows through that round's tree predicts — over several features (dense,
+/// sparse, constant, duplicated values), depths from one layer up, and
+/// later rounds whose gradients no longer split cleanly.
+#[test]
+fn fitted_trees_validate_and_row_weights_match_routing() {
+    let mut gen = StdRng::seed_from_u64(0xF17);
+    for _ in 0..CASES / 4 {
+        let mut rng = StdRng::seed_from_u64(gen.gen());
+        let n = rng.gen_range(2usize..120);
+        let informative: Vec<f32> = (0..n).map(|_| rng.gen::<f32>()).collect();
+        let duplicated: Vec<f32> = (0..n).map(|_| rng.gen_range(0..3) as f32).collect();
+        let sparse_rows: Vec<u32> = (0..n as u32).filter(|_| rng.gen_bool(0.2)).collect();
+        let sparse_values = sparse_rows.iter().map(|_| finite_f32(&mut rng)).collect();
+        let labels = informative
+            .iter()
+            .map(|&v| if v > 0.5 || rng.gen_bool(0.1) { 1.0 } else { 0.0 })
+            .collect();
+        let data = Dataset::new(
+            n,
+            vec![
+                FeatureColumn::Dense(informative),
+                FeatureColumn::Dense(duplicated),
+                FeatureColumn::Dense(vec![1.0; n]),
+                FeatureColumn::Sparse { rows: sparse_rows, values: sparse_values },
+            ],
+            Some(labels),
+        );
+        let params =
+            GbdtParams { num_trees: 3, max_layers: rng.gen_range(1usize..6), ..Default::default() };
+        let model = Trainer::new(params).fit(&data);
+        for (t, tree) in model.trees.iter().enumerate() {
+            assert_eq!(tree.validate(), Ok(()), "tree {t}");
+        }
+
+        let binned = BinnedDataset::bin(&data, &params.binning);
+        let mut preds = vec![params.loss.base_score(); n];
+        for fitted in &model.trees {
+            let grads = params.loss.grad_hess_all(data.labels().unwrap(), &preds);
+            let (tree, weights) = grow_tree(&binned, &grads, &params);
+            assert_eq!(&tree, fitted);
+            for (r, &w) in weights.iter().enumerate() {
+                assert_eq!(tree.predict_row(&data.row_dense(r)).to_bits(), w.to_bits(), "row {r}");
+                preds[r] += params.learning_rate * w;
+            }
         }
     }
 }

@@ -73,6 +73,34 @@ fn blaster_batches_split_messages_not_bytes() {
     );
 }
 
+/// The default protocol pipelines (§4.1): one 1 250-row tree leaves the
+/// guest in ⌈1250 / 128⌉ = 10 gradient batches instead of one bulk message,
+/// and trains the bulk run's model. The sequential schedule keeps message
+/// counts deterministic.
+#[test]
+fn the_default_protocol_streams_gradients_in_batches() {
+    let s = support::scenario_of(1250, 8, &[4], 55);
+    let streamed = TrainConfig {
+        gbdt: GbdtParams { num_trees: 1, max_layers: 3, ..Default::default() },
+        crypto: CryptoConfig::Mock,
+        wan: WanConfig::instant(),
+        protocol: ProtocolConfig { optimistic: false, ..ProtocolConfig::vf2boost() },
+        ..TrainConfig::for_tests()
+    };
+    let bulk = TrainConfig {
+        protocol: ProtocolConfig { blaster_batch: None, ..streamed.protocol },
+        ..streamed
+    };
+    let a = train_federated(&s.hosts, &s.guest, &streamed).expect("training succeeds");
+    let b = train_federated(&s.hosts, &s.guest, &bulk).expect("training succeeds");
+    assert_eq!(
+        a.report.guest.messages_sent,
+        b.report.guest.messages_sent + 9,
+        "128-row batches must add exactly nine gradient messages"
+    );
+    assert_bitwise("streamed vs bulk", &margins(&a, &s), &margins(&b, &s));
+}
+
 /// Histogram packing must cut the host→guest traffic sharply under real
 /// ciphers (the paper reports 3.2 GB → 1.1 GB per tree on synthesis).
 #[test]
