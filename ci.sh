@@ -57,6 +57,13 @@ cargo clippy -p vf2boost-core -p vf2-channel -p vf2-crypto --lib -- -D warnings
 # The host's HAdds and packs run on this core (its ciphers stay resident
 # from receipt to pack), so these tests guard the host's hot path too.
 #
+# Histogram arena (crates/core/src/hist_enc.rs): add_rows resolves the
+# suite's kind once per walk, so
+# add_rows_reports_the_same_typed_errors_as_add pins every typed error the
+# per-cipher add reports (a hostile exponent, a cipher of the other kind in
+# either stream, a short stream, a narrow builder) under Paillier and the
+# mock, naive and re-ordered, at widths 1 and 3.
+#
 # Blaster pipelining (tests/wan_and_traffic.rs): the default protocol
 # streams a 1 250-row tree's gradients in 128-row batches — exactly nine
 # more guest messages than one bulk frame, and the bulk run's model.
@@ -195,6 +202,16 @@ echo "== one-domain gate (no num-bigint cipher op in hist_enc/host) =="
 if grep -nwE 'add_raw|add_assign_same_exp|add_plain_raw|mul_raw|finalize_gh_feature' \
     crates/core/src/hist_enc.rs crates/core/src/host.rs; then
   echo "the host's histogram path names a num-bigint cipher op again" >&2
+  exit 1
+fi
+
+# One arena: a histogram builder holds every bin of every feature in one
+# flat arena (EncHistBuilder's offsets / slots / rows). The per-bin
+# accumulator types it replaced — a Vec of per-bin vectors, each bin's
+# workspaces behind its own enum — must not come back.
+echo "== one-arena gate (no per-bin accumulator types in core) =="
+if grep -rnwE 'BinAcc|struct Bin' crates/core/src; then
+  echo "a per-bin histogram accumulator is back in core" >&2
   exit 1
 fi
 

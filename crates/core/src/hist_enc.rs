@@ -22,18 +22,25 @@
 //! offset `N·B_g` from the plain row count kept beside its cipher, and
 //! bins pack directly.
 //!
-//! Bins hold [`ResidentCiphertext`]s: under Paillier a cipher stays in its
-//! key's Montgomery form from the moment the host admits it
-//! ([`Suite::enter`]) to the moment a bin leaves — once per bin on the
-//! two-stream [`EncHistBuilder::finalize_feature`], once per packed cipher
-//! on the paired path. A HAdd in between is one stack limb product
-//! ([`Suite::add_resident`]), tallied per worker and published once per
-//! [`EncHistBuilder::add_rows`] call. The mock carries its `f64`s as they
-//! are.
+//! A builder is one flat arena: every bin of every feature, each with
+//! `width` workspaces (the jitter window when re-ordered; one when naive)
+//! and a row count, behind per-feature bin offsets — three allocations
+//! whatever the shape. Workspaces hold [`ResidentCiphertext`]s: under
+//! Paillier a cipher stays in its key's Montgomery form from the moment the
+//! host admits it ([`Suite::enter`]) to the moment a bin leaves — once per
+//! bin on the two-stream [`EncHistBuilder::finalize_feature`], once per
+//! packed cipher on the paired path. A HAdd in between is one stack limb
+//! product ([`Suite::add_resident`]), tallied per worker and published once
+//! per [`EncHistBuilder::add_rows`] call. The mock carries its `f64`s as
+//! they are. A walk resolves the suite's kind once and runs one walk body
+//! instantiated per kind, so the mock's HAdd is an inlined float add
+//! ([`vf2_crypto::suite::PlainNumber::hadd`]) at plaintext cost.
 //!
 //! The guest's half is [`DecodedBins`], a feature's bins as they decrypt:
 //! hosts ship each split's smaller child only; the guest derives the larger
 //! as `parent − smaller` ([`DecodedBins::checked_sub`]).
+
+use std::ops::Range;
 
 use num_bigint::{BigUint, Sign};
 use vf2_crypto::counters::OpSnapshot;
@@ -48,62 +55,50 @@ use rayon::prelude::*;
 use crate::messages::{GhPackedFeatureHist, PackedFeatureHist, RawFeatureHist};
 use crate::rows::{ColMeta, RowMajorBins};
 
-/// One bin's accumulator, in resident form.
-#[derive(Debug, Clone, PartialEq)]
-enum BinAcc {
-    /// Single accumulator with on-the-fly exponent alignment.
-    Naive(Option<ResidentCiphertext>),
-    /// Per-exponent workspaces (index = exponent − base_exp).
-    Reordered(Vec<Option<ResidentCiphertext>>),
-}
-
-impl BinAcc {
-    /// The occupied workspaces, in exponent order.
-    fn occupied(&self) -> impl Iterator<Item = &ResidentCiphertext> {
-        match self {
-            BinAcc::Naive(a) => std::slice::from_ref(a),
-            BinAcc::Reordered(slots) => &slots[..],
-        }
-        .iter()
-        .flatten()
-    }
-}
-
-/// One bin: its cipher accumulator and how many rows went into it. The
-/// count is the host's own plaintext knowledge (it placed every row); the
-/// paired path's top-up is computed from it.
-#[derive(Debug, Clone, PartialEq)]
-struct Bin {
-    acc: BinAcc,
-    rows: u32,
-}
-
 /// An encrypted histogram over every feature of one node, for one
 /// statistic (gradients or hessians) — or, on the paired path, for both.
+///
+/// One flat arena holds every bin of every feature: feature `f`'s bins are
+/// arena bins `offsets[f]..offsets[f + 1]`, and arena bin `i` keeps its
+/// `width` workspaces at `slots[i·width..(i + 1)·width]` and the number of
+/// rows folded into it at `rows[i]`. The count is the host's own plaintext
+/// knowledge (it placed every row); the paired path's top-up is computed
+/// from it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EncHistBuilder {
-    /// `features[f][bin]`.
-    features: Vec<Vec<Bin>>,
+    /// Arena bin offsets: one per feature, then the end.
+    offsets: Vec<usize>,
+    /// Every bin's workspaces, `width` per bin.
+    slots: Vec<Option<ResidentCiphertext>>,
+    /// Every bin's row count.
+    rows: Vec<u32>,
+    /// Workspaces per bin: the jitter window when re-ordered (slot `s`
+    /// holds exponent `base_exp + s`), one when naive (it holds any
+    /// exponent; [`Suite::add_resident`] scales a mismatch in).
+    width: usize,
     reordered: bool,
     base_exp: i32,
 }
 
 impl EncHistBuilder {
-    /// An empty builder shaped by the column metadata.
+    /// An empty builder shaped by the column metadata: three allocations,
+    /// whatever the feature and bin counts.
     pub fn new(col_meta: &[ColMeta], encoding: &EncodingConfig, reordered: bool) -> Self {
-        let slots = encoding.jitter.max(1) as usize;
-        let features = col_meta
-            .iter()
-            .map(|m| {
-                let acc = if reordered {
-                    BinAcc::Reordered(vec![None; slots])
-                } else {
-                    BinAcc::Naive(None)
-                };
-                vec![Bin { acc, rows: 0 }; usize::from(m.num_bins)]
-            })
-            .collect();
-        EncHistBuilder { features, reordered, base_exp: encoding.base_exp }
+        let width = if reordered { encoding.jitter.max(1) as usize } else { 1 };
+        let mut offsets = Vec::with_capacity(col_meta.len() + 1);
+        offsets.push(0);
+        for m in col_meta {
+            offsets.push(offsets[offsets.len() - 1] + usize::from(m.num_bins));
+        }
+        let bins = offsets[col_meta.len()];
+        EncHistBuilder {
+            offsets,
+            slots: vec![None; bins * width],
+            rows: vec![0; bins],
+            width,
+            reordered,
+            base_exp: encoding.base_exp,
+        }
     }
 
     /// Accumulates one cipher into `(feature, bin)`, entering it into its
@@ -114,14 +109,15 @@ impl EncHistBuilder {
     /// an out-of-bounds slot index. A refused add leaves the builder as it
     /// was.
     pub fn add(&mut self, suite: &Suite, feature: usize, bin: usize, c: &Ciphertext) -> Result<()> {
-        let num_features = self.features.len();
-        let bins = self.features.get_mut(feature).ok_or(CryptoError::ShapeMismatch {
-            context: "EncHistBuilder::add feature index",
-            left: feature,
-            right: num_features,
-        })?;
+        self.bins_of(feature, "EncHistBuilder::add feature index")?;
+        let c = suite.enter(c)?;
         let mut tally = OpSnapshot::default();
-        let done = add_to_bin(bins, bin, suite, self.base_exp, &suite.enter(c)?, &mut tally);
+        let mut columns = self.columns();
+        let c = (&c, &columns.slot_of(&c));
+        let done = match suite.kind() {
+            SuiteKind::Paillier => columns.add(feature, bin, c, &paillier_fold(suite), &mut tally),
+            SuiteKind::Plain => columns.add(feature, bin, c, &plain_fold, &mut tally),
+        };
         suite.counters().publish(&tally);
         done
     }
@@ -133,6 +129,8 @@ impl EncHistBuilder {
     /// fed). Cipher for cipher what the per-entry [`EncHistBuilder::add`]
     /// loop over `rows` produces, on ciphers the host entered once.
     ///
+    /// The suite's kind is resolved once, here: the walk below is
+    /// instantiated per kind, so the mock's HAdd inlines to a float add.
     /// Inside a `rayon::ThreadPool::install` of width `w` the features are
     /// cut into contiguous ranges of `⌈features / w⌉` columns, one worker
     /// each. Every worker walks `rows` in list order and touches only its
@@ -149,92 +147,101 @@ impl EncHistBuilder {
         (h, enc_h): (&mut EncHistBuilder, Option<&[ResidentCiphertext]>),
     ) -> Result<()> {
         for builder in [&*g, &*h] {
-            if csr.num_features() != builder.features.len() {
+            if csr.num_features() != builder.num_features() {
                 return Err(CryptoError::ShapeMismatch {
                     context: "EncHistBuilder::add_rows feature count",
                     left: csr.num_features(),
-                    right: builder.features.len(),
+                    right: builder.num_features(),
                 });
             }
         }
-        let (g_exp, h_exp) = (g.base_exp, h.base_exp);
-        let per_worker = g.features.len().div_ceil(rayon::current_num_threads()).max(1);
-        let shards: Vec<(OpSnapshot, Result<()>)> = g
-            .features
-            .par_chunks_mut(per_worker)
-            .zip(h.features.par_chunks_mut(per_worker))
-            .enumerate()
-            .map(|(shard, (g_columns, h_columns))| {
-                let first = shard * per_worker;
-                let mut tally = OpSnapshot::default();
-                let mut walk = || -> Result<()> {
-                    for &row in rows {
-                        let cg = cipher_of(enc_g, row)?;
-                        let ch = enc_h.map(|enc_h| cipher_of(enc_h, row)).transpose()?;
-                        let entries = csr.row(row as usize);
-                        let skip = match first {
-                            0 => 0,
-                            _ => entries.partition_point(|&(f, _)| (f as usize) < first),
-                        };
-                        for &(f, bin) in &entries[skip..] {
-                            let column = f as usize - first;
-                            let Some(bins) = g_columns.get_mut(column) else { break };
-                            add_to_bin(bins, bin as usize, suite, g_exp, cg, &mut tally)?;
-                            if let Some(ch) = ch {
-                                let bins = &mut h_columns[column];
-                                add_to_bin(bins, bin as usize, suite, h_exp, ch, &mut tally)?;
-                            }
-                        }
-                    }
-                    Ok(())
-                };
-                let done = walk();
-                (tally, done)
-            })
-            .collect();
+        let per_worker = g.num_features().div_ceil(rayon::current_num_threads()).max(1);
+        let mut runs: Vec<_> = g.runs(per_worker).into_iter().zip(h.runs(per_worker)).collect();
+        let streams = (enc_g, enc_h);
+        let shards = match suite.kind() {
+            SuiteKind::Paillier => walk(&mut runs, csr, rows, streams, &paillier_fold(suite)),
+            SuiteKind::Plain => walk(&mut runs, csr, rows, streams, &plain_fold),
+        };
         for (tally, _) in &shards {
             suite.counters().publish(tally);
         }
         shards.into_iter().try_for_each(|(_, done)| done)
     }
 
-    /// Rejects operand pairs whose strategy, feature count, or per-feature
-    /// bin counts disagree. Binary builder operations zip the two shapes,
-    /// so a mismatch would otherwise silently truncate — at a trust
-    /// boundary that must be a typed error.
+    /// Feature `feature`'s arena bins, or a typed error naming `context`
+    /// for a feature the builder does not have.
+    fn bins_of(&self, feature: usize, context: &'static str) -> Result<Range<usize>> {
+        match self.offsets.get(feature..).unwrap_or_default() {
+            [start, end, ..] => Ok(*start..*end),
+            _ => Err(CryptoError::ShapeMismatch {
+                context,
+                left: feature,
+                right: self.num_features(),
+            }),
+        }
+    }
+
+    /// Arena bin `i`'s occupied workspaces, in exponent order.
+    fn occupied(&self, i: usize) -> impl Iterator<Item = &ResidentCiphertext> {
+        self.slots[i * self.width..(i + 1) * self.width].iter().flatten()
+    }
+
+    /// Every feature, borrowed for writing.
+    fn columns(&mut self) -> Columns<'_> {
+        Columns {
+            first: 0,
+            offsets: &self.offsets,
+            slots: &mut self.slots,
+            rows: &mut self.rows,
+            width: self.width,
+            reordered: self.reordered,
+            base_exp: self.base_exp,
+        }
+    }
+
+    /// The features cut into runs of `per_run` (the last may be shorter),
+    /// each borrowed for writing; none for a builder without features.
+    fn runs(&mut self, per_run: usize) -> Vec<Columns<'_>> {
+        let mut runs = Vec::new();
+        let mut rest = self.columns();
+        while rest.features() > 0 {
+            let features = per_run.min(rest.features());
+            let (run, tail) = rest.split(features);
+            runs.push(run);
+            rest = tail;
+        }
+        runs
+    }
+
+    /// Rejects operand pairs whose strategy, feature count, per-feature
+    /// bin counts or workspace width disagree. Binary builder operations
+    /// zip the two arenas, so a mismatch would otherwise silently pair
+    /// unrelated bins — at a trust boundary that must be a typed error.
     fn check_same_shape(&self, other: &EncHistBuilder, context: &'static str) -> Result<()> {
+        let mismatch = |left, right| Err(CryptoError::ShapeMismatch { context, left, right });
         if self.reordered != other.reordered {
-            return Err(CryptoError::ShapeMismatch {
-                context,
-                left: usize::from(self.reordered),
-                right: usize::from(other.reordered),
-            });
+            return mismatch(usize::from(self.reordered), usize::from(other.reordered));
         }
-        if self.features.len() != other.features.len() {
-            return Err(CryptoError::ShapeMismatch {
-                context,
-                left: self.features.len(),
-                right: other.features.len(),
-            });
+        if self.num_features() != other.num_features() {
+            return mismatch(self.num_features(), other.num_features());
         }
-        for (mine, theirs) in self.features.iter().zip(&other.features) {
-            if mine.len() != theirs.len() {
-                return Err(CryptoError::ShapeMismatch {
-                    context,
-                    left: mine.len(),
-                    right: theirs.len(),
-                });
+        for (mine, theirs) in self.offsets.windows(2).zip(other.offsets.windows(2)) {
+            if mine[1] - mine[0] != theirs[1] - theirs[0] {
+                return mismatch(mine[1] - mine[0], theirs[1] - theirs[0]);
             }
+        }
+        if self.width != other.width {
+            return mismatch(self.width, other.width);
         }
         Ok(())
     }
 
-    /// One bin's workspaces, each leaving the resident form, merged into a
-    /// single cipher (at most `E−1` scalings under re-ordered
+    /// Arena bin `i`'s workspaces, each leaving the resident form, merged
+    /// into a single cipher (at most `E−1` scalings under re-ordered
     /// accumulation); `None` for an empty bin.
-    fn merged(suite: &Suite, acc: &BinAcc) -> Result<Option<Ciphertext>> {
+    fn merged(&self, suite: &Suite, i: usize) -> Result<Option<Ciphertext>> {
         let mut out: Option<Ciphertext> = None;
-        for s in acc.occupied() {
+        for s in self.occupied(i) {
             let s = suite.leave(s)?;
             out = Some(match out {
                 None => s,
@@ -256,10 +263,9 @@ impl EncHistBuilder {
         feature: usize,
         target_exp: Option<i32>,
     ) -> Result<Vec<Ciphertext>> {
-        self.features[feature]
-            .iter()
-            .map(|bin| {
-                Ok(match (Self::merged(suite, &bin.acc)?, target_exp) {
+        self.bins_of(feature, "EncHistBuilder::finalize_feature feature index")?
+            .map(|i| {
+                Ok(match (self.merged(suite, i)?, target_exp) {
                     (Some(c), Some(t)) => suite.rescale_to(&c, t.max(c.exponent()))?,
                     (Some(c), None) => c,
                     // Empty bins ship as full-size zero ciphers so that the
@@ -293,11 +299,7 @@ impl EncHistBuilder {
         feature: usize,
         plan: &GhPlan,
     ) -> Result<GhPackedFeatureHist> {
-        let bins = self.features.get(feature).ok_or(CryptoError::ShapeMismatch {
-            context: "EncHistBuilder::pack_gh_feature feature index",
-            left: feature,
-            right: self.features.len(),
-        })?;
+        let bins = self.bins_of(feature, "EncHistBuilder::pack_gh_feature feature index")?;
         if bins.is_empty() {
             return Err(CryptoError::ShapeMismatch {
                 context: "pack_gh_feature needs at least one bin",
@@ -308,12 +310,12 @@ impl EncHistBuilder {
         let pk = suite.public_key().ok_or(CryptoError::SuiteMismatch)?;
         let per_cipher = plan.bins_per_cipher(pk).clamp(1, bins.len());
         let packed = bins
-            .chunks(per_cipher)
-            .map(|chunk| {
-                let slots = chunk
-                    .iter()
-                    .map(|bin| {
-                        let mut occupied = bin.acc.occupied();
+            .clone()
+            .step_by(per_cipher)
+            .map(|start| {
+                let slots = (start..bins.end.min(start + per_cipher))
+                    .map(|i| {
+                        let mut occupied = self.occupied(i);
                         let first = occupied.next();
                         if let (Some(a), Some(b)) = (first, occupied.next()) {
                             return Err(CryptoError::ShapeMismatch {
@@ -322,7 +324,7 @@ impl EncHistBuilder {
                                 right: b.exponent().unsigned_abs() as usize,
                             });
                         }
-                        Ok((first, u64::from(bin.rows)))
+                        Ok((first, u64::from(self.rows[i])))
                     })
                     .collect::<Result<Vec<_>>>()?;
                 suite.pack_gh(&slots, plan)
@@ -348,18 +350,13 @@ impl EncHistBuilder {
     /// depends on row count, so packing must happen *after* derivation).
     pub fn subtract(&self, suite: &Suite, other: &EncHistBuilder) -> Result<EncHistBuilder> {
         self.check_same_shape(other, "EncHistBuilder::subtract")?;
-        // Pass 1: gather every cipher occupied in `other`, in walk order,
+        // Pass 1: gather every cipher occupied in `other`, in arena order,
         // and negate them as one batch.
-        let to_negate = other
-            .features
-            .iter()
-            .flatten()
-            .flat_map(|b| b.acc.occupied())
-            .map(|c| suite.leave(c))
-            .collect::<Result<Vec<_>>>()?;
+        let to_negate =
+            other.slots.iter().flatten().map(|c| suite.leave(c)).collect::<Result<Vec<_>>>()?;
         let mut negated = suite.neg_batch(&to_negate.iter().collect::<Vec<_>>())?.into_iter();
         // Pass 2: re-walk in the same order, folding each negation into
-        // the matching parent bin.
+        // the matching parent workspace.
         let mut tally = OpSnapshot::default();
         let mut next = |p: Option<&ResidentCiphertext>| -> Result<ResidentCiphertext> {
             // Infallible: pass 2 re-walks `other` in exactly the order pass
@@ -377,64 +374,36 @@ impl EncHistBuilder {
                 None => Ok(n),
             }
         };
-        let features = self
-            .features
-            .iter()
-            .zip(&other.features)
-            .map(|(mine, theirs)| {
-                mine.iter()
-                    .zip(theirs)
-                    .map(|(a, b)| {
-                        // The sibling's rows are a subset of the parent's.
-                        let rows =
-                            a.rows.checked_sub(b.rows).ok_or(CryptoError::ShapeMismatch {
-                                context: "EncHistBuilder::subtract row counts",
-                                left: a.rows as usize,
-                                right: b.rows as usize,
-                            })?;
-                        let acc = match (&a.acc, &b.acc) {
-                            (BinAcc::Naive(x), BinAcc::Naive(y)) => BinAcc::Naive(match (x, y) {
-                                (p, Some(_)) => Some(next(p.as_ref())?),
-                                (Some(p), None) => Some(p.clone()),
-                                (None, None) => None,
-                            }),
-                            (BinAcc::Reordered(xs), BinAcc::Reordered(ys)) => {
-                                if xs.len() != ys.len() {
-                                    return Err(CryptoError::ShapeMismatch {
-                                        context: "EncHistBuilder::subtract slot widths",
-                                        left: xs.len(),
-                                        right: ys.len(),
-                                    });
-                                }
-                                let slots = xs
-                                    .iter()
-                                    .zip(ys)
-                                    .map(|(x, y)| {
-                                        Ok(match (x, y) {
-                                            (p, Some(_)) => Some(next(p.as_ref())?),
-                                            (Some(p), None) => Some(p.clone()),
-                                            (None, None) => None,
-                                        })
-                                    })
-                                    .collect::<Result<Vec<_>>>()?;
-                                BinAcc::Reordered(slots)
-                            }
-                            _ => {
-                                return Err(CryptoError::ShapeMismatch {
-                                    context: "EncHistBuilder::subtract bin strategies",
-                                    left: usize::from(self.reordered),
-                                    right: usize::from(other.reordered),
-                                })
-                            }
-                        };
-                        Ok(Bin { acc, rows })
-                    })
-                    .collect::<Result<Vec<_>>>()
-            })
-            .collect::<Result<Vec<_>>>();
+        let mut slots = Vec::with_capacity(self.slots.len());
+        let mut rows = Vec::with_capacity(self.rows.len());
+        let bins = self.rows.iter().zip(&other.rows);
+        let workspaces = self.slots.chunks(self.width).zip(other.slots.chunks(other.width));
+        let derive = || -> Result<()> {
+            for ((&a, &b), (xs, ys)) in bins.zip(workspaces) {
+                // The sibling's rows are a subset of the parent's.
+                rows.push(a.checked_sub(b).ok_or(CryptoError::ShapeMismatch {
+                    context: "EncHistBuilder::subtract row counts",
+                    left: a as usize,
+                    right: b as usize,
+                })?);
+                for (x, y) in xs.iter().zip(ys) {
+                    slots.push(match (x, y) {
+                        (p, Some(_)) => Some(next(p.as_ref())?),
+                        (Some(p), None) => Some(p.clone()),
+                        (None, None) => None,
+                    });
+                }
+            }
+            Ok(())
+        };
+        let derived = derive();
         suite.counters().publish(&tally);
+        derived?;
         Ok(EncHistBuilder {
-            features: features?,
+            offsets: self.offsets.clone(),
+            slots,
+            rows,
+            width: self.width,
             reordered: self.reordered,
             base_exp: self.base_exp,
         })
@@ -442,8 +411,182 @@ impl EncHistBuilder {
 
     /// Number of features.
     pub fn num_features(&self) -> usize {
-        self.features.len()
+        self.offsets.len() - 1
     }
+}
+
+/// Consecutive features of one builder, borrowed for writing: the whole
+/// builder under [`EncHistBuilder::add`], one worker's share under
+/// [`EncHistBuilder::add_rows`].
+struct Columns<'a> {
+    /// The builder's index of the run's first feature.
+    first: usize,
+    /// The run's arena offsets (the builder's own): one per feature, then
+    /// the end.
+    offsets: &'a [usize],
+    /// The run's workspaces and row counts, from its first bin on.
+    slots: &'a mut [Option<ResidentCiphertext>],
+    rows: &'a mut [u32],
+    width: usize,
+    reordered: bool,
+    base_exp: i32,
+}
+
+impl<'a> Columns<'a> {
+    /// Number of features in the run.
+    fn features(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// The run cut after its first `features` features.
+    fn split(self, features: usize) -> (Columns<'a>, Columns<'a>) {
+        let bins = self.offsets[features] - self.offsets[0];
+        let (slots, rest_slots) = self.slots.split_at_mut(bins * self.width);
+        let (rows, rest_rows) = self.rows.split_at_mut(bins);
+        let tail = Columns {
+            first: self.first + features,
+            offsets: &self.offsets[features..],
+            slots: rest_slots,
+            rows: rest_rows,
+            ..self
+        };
+        (Columns { offsets: &self.offsets[..=features], slots, rows, ..self }, tail)
+    }
+
+    /// The workspace `c` takes in any bin: its exponent's place in the
+    /// jitter window when re-ordered (a typed error outside it), the one
+    /// slot when naive.
+    fn slot_of(&self, c: &ResidentCiphertext) -> Result<usize> {
+        if !self.reordered {
+            return Ok(0);
+        }
+        let delta = i64::from(c.exponent()) - i64::from(self.base_exp);
+        usize::try_from(delta).ok().filter(|&s| s < self.width).ok_or(CryptoError::ShapeMismatch {
+            context: "cipher exponent outside the jitter window",
+            left: delta.unsigned_abs() as usize,
+            right: self.width,
+        })
+    }
+
+    /// Folds `c`, whose [`Columns::slot_of`] is `slot`, into bin `bin` of
+    /// the run's `column`-th feature (which the caller knows the run
+    /// holds) with the suite kind's `fold` — the kernel behind
+    /// [`EncHistBuilder::add`] and [`EncHistBuilder::add_rows`], its work
+    /// tallied into `tally`. Every check runs before the bin changes, so a
+    /// refused cipher leaves the bin's sum and row count as they were.
+    #[inline]
+    fn add(
+        &mut self,
+        column: usize,
+        bin: usize,
+        (c, slot): (&ResidentCiphertext, &Result<usize>),
+        fold: &impl Fold,
+        tally: &mut OpSnapshot,
+    ) -> Result<()> {
+        let start = self.offsets[column];
+        let num_bins = self.offsets[column + 1] - start;
+        if bin >= num_bins {
+            return Err(CryptoError::ShapeMismatch {
+                context: "EncHistBuilder::add bin index",
+                left: bin,
+                right: num_bins,
+            });
+        }
+        let slot = slot.as_ref().map_err(Clone::clone)?;
+        let at = start - self.offsets[0] + bin;
+        fold(&mut self.slots[at * self.width + slot], c, tally)?;
+        self.rows[at] = self.rows[at].saturating_add(1);
+        Ok(())
+    }
+}
+
+/// One suite kind's HAdd into a workspace: an occupied one adds `c` in, an
+/// empty one takes a copy, a cipher of the other kind is
+/// [`CryptoError::SuiteMismatch`] and changes nothing.
+trait Fold:
+    Fn(&mut Option<ResidentCiphertext>, &ResidentCiphertext, &mut OpSnapshot) -> Result<()> + Sync
+{
+}
+
+impl<F> Fold for F where
+    F: Fn(&mut Option<ResidentCiphertext>, &ResidentCiphertext, &mut OpSnapshot) -> Result<()>
+        + Sync
+{
+}
+
+/// The Paillier fold: HAdds on the limb core ([`Suite::add_resident`]).
+fn paillier_fold(suite: &Suite) -> impl Fold + '_ {
+    move |slot: &mut Option<ResidentCiphertext>, c: &ResidentCiphertext, tally: &mut OpSnapshot| {
+        match slot {
+            Some(acc) => suite.add_resident(acc, c, tally),
+            None if matches!(c, ResidentCiphertext::Paillier { .. }) => {
+                *slot = Some(c.clone());
+                Ok(())
+            }
+            None => Err(CryptoError::SuiteMismatch),
+        }
+    }
+}
+
+/// The mock's fold: [`vf2_crypto::suite::PlainNumber::hadd`], the float
+/// add [`Suite::add_resident`]'s mock arm runs too, inlined into the walk.
+fn plain_fold(
+    slot: &mut Option<ResidentCiphertext>,
+    c: &ResidentCiphertext,
+    tally: &mut OpSnapshot,
+) -> Result<()> {
+    let ResidentCiphertext::Plain(y) = c else { return Err(CryptoError::SuiteMismatch) };
+    match slot {
+        Some(ResidentCiphertext::Plain(x)) => x.hadd(y, tally),
+        Some(ResidentCiphertext::Paillier { .. }) => return Err(CryptoError::SuiteMismatch),
+        None => *slot = Some(ResidentCiphertext::Plain(*y)),
+    }
+    Ok(())
+}
+
+/// The one walk body of [`EncHistBuilder::add_rows`], instantiated per
+/// suite kind: each `(g, h)` run on its own worker, every row of `rows` in
+/// order. Returns each worker's tally and outcome, in run order.
+fn walk(
+    runs: &mut [(Columns<'_>, Columns<'_>)],
+    csr: &RowMajorBins,
+    rows: &[u32],
+    (enc_g, enc_h): (&[ResidentCiphertext], Option<&[ResidentCiphertext]>),
+    fold: &impl Fold,
+) -> Vec<(OpSnapshot, Result<()>)> {
+    runs.par_chunks_mut(1)
+        .map(|run| {
+            let (g, h) = &mut run[0];
+            let first = g.first;
+            let mut tally = OpSnapshot::default();
+            let mut walk_rows = || -> Result<()> {
+                for &row in rows {
+                    let cg = cipher_of(enc_g, row)?;
+                    let ch = enc_h.map(|enc_h| cipher_of(enc_h, row)).transpose()?;
+                    let cg = (cg, &g.slot_of(cg));
+                    let ch = ch.map(|ch| (ch, h.slot_of(ch)));
+                    let entries = csr.row(row as usize);
+                    let skip = match first {
+                        0 => 0,
+                        _ => entries.partition_point(|&(f, _)| (f as usize) < first),
+                    };
+                    for &(f, bin) in &entries[skip..] {
+                        let column = f as usize - first;
+                        if column >= g.features() {
+                            break;
+                        }
+                        g.add(column, bin as usize, cg, fold, &mut tally)?;
+                        if let Some((ch, slot)) = &ch {
+                            h.add(column, bin as usize, (ch, slot), fold, &mut tally)?;
+                        }
+                    }
+                }
+                Ok(())
+            };
+            let done = walk_rows();
+            (tally, done)
+        })
+        .collect()
 }
 
 /// The cipher a row contributes, or a typed error when the stream is too
@@ -454,58 +597,6 @@ fn cipher_of(ciphers: &[ResidentCiphertext], row: u32) -> Result<&ResidentCipher
         left: row as usize,
         right: ciphers.len(),
     })
-}
-
-/// Folds `c` into bin `bin` of one feature — the kernel behind
-/// [`EncHistBuilder::add`] and [`EncHistBuilder::add_rows`], its work
-/// tallied into `tally`. Every check runs before the bin changes, so a
-/// refused cipher leaves the bin's sum and row count as they were.
-fn add_to_bin(
-    bins: &mut [Bin],
-    bin: usize,
-    suite: &Suite,
-    base_exp: i32,
-    c: &ResidentCiphertext,
-    tally: &mut OpSnapshot,
-) -> Result<()> {
-    let num_bins = bins.len();
-    let bin = bins.get_mut(bin).ok_or(CryptoError::ShapeMismatch {
-        context: "EncHistBuilder::add bin index",
-        left: bin,
-        right: num_bins,
-    })?;
-    let acc = match &mut bin.acc {
-        BinAcc::Naive(acc) => acc,
-        BinAcc::Reordered(slots) => {
-            let width = slots.len();
-            let delta = i64::from(c.exponent()) - i64::from(base_exp);
-            let slot = usize::try_from(delta).ok().filter(|&s| s < width).ok_or(
-                CryptoError::ShapeMismatch {
-                    context: "cipher exponent outside the jitter window",
-                    left: delta.unsigned_abs() as usize,
-                    right: width,
-                },
-            )?;
-            &mut slots[slot]
-        }
-    };
-    match acc {
-        Some(acc) => suite.add_resident(acc, c, tally)?,
-        None if same_kind(suite, c) => *acc = Some(c.clone()),
-        None => return Err(CryptoError::SuiteMismatch),
-    }
-    bin.rows = bin.rows.saturating_add(1);
-    Ok(())
-}
-
-/// True when `c` is a cipher of `suite`'s kind (what an occupied bin's
-/// [`Suite::add_resident`] checks, asked of an empty one).
-fn same_kind(suite: &Suite, c: &ResidentCiphertext) -> bool {
-    matches!(
-        (suite.kind(), c),
-        (SuiteKind::Paillier, ResidentCiphertext::Paillier { .. })
-            | (SuiteKind::Plain, ResidentCiphertext::Plain(_))
-    )
 }
 
 /// The packing shift applied to the first gradient bin: guarantees every
@@ -790,14 +881,7 @@ mod tests {
 
     /// Occupied cipher slots across every feature and bin.
     fn cipher_count(b: &EncHistBuilder) -> usize {
-        b.features
-            .iter()
-            .flatten()
-            .map(|bin| match &bin.acc {
-                BinAcc::Naive(a) => usize::from(a.is_some()),
-                BinAcc::Reordered(slots) => slots.iter().flatten().count(),
-            })
-            .sum()
+        b.slots.iter().flatten().count()
     }
 
     fn encoding() -> EncodingConfig {
@@ -911,9 +995,15 @@ mod tests {
         Ok(b)
     }
 
-    /// Ciphers as the host stores them: entered once.
+    /// Ciphers as the host stores them: entered once. A cipher of the
+    /// other kind enters as a host of its own kind would have entered it,
+    /// so that a walk can meet it.
     fn entered(s: &Suite, ciphers: &[Ciphertext]) -> Vec<ResidentCiphertext> {
-        ciphers.iter().map(|c| s.enter(c).unwrap()).collect()
+        let foreign = |c: &Ciphertext| match c {
+            Ciphertext::Plain(p) => ResidentCiphertext::Plain(*p),
+            Ciphertext::Paillier(_) => suite().enter(c).unwrap(),
+        };
+        ciphers.iter().map(|c| s.enter(c).unwrap_or_else(|_| foreign(c))).collect()
     }
 
     /// `add_rows` into a fresh `(g, h)` pair under a pool of `width`.
@@ -970,48 +1060,118 @@ mod tests {
         }
     }
 
+    /// Every typed error `add` reports, `add_rows` reports too — the same
+    /// value, inline and from a worker, through either stream of the pair
+    /// — under Paillier and the mock, re-ordered and naive: a hostile
+    /// exponent (which the naive arm scales in instead), a cipher of the
+    /// other suite kind (the walk resolves its own kind once, and still
+    /// checks every cipher against it), a stream too short for the rows,
+    /// and a builder shaped for other columns.
     #[test]
     fn add_rows_reports_the_same_typed_errors_as_add() {
-        let s = suite();
         let enc = encoding();
         let csr = csr_fixture();
-        let mut rng = StdRng::seed_from_u64(13);
-        let mut ciphers: Vec<Ciphertext> =
-            (0..12).map(|_| s.encrypt_at(1.0, enc.base_exp, &mut rng).unwrap()).collect();
-        // A hostile exponent on row 5: the same ShapeMismatch through
-        // either entry point, inline and from a worker.
-        ciphers[5] = s.encrypt_at(1.0, enc.base_exp + enc.jitter as i32 + 7, &mut rng).unwrap();
         let rows: Vec<u32> = (0..12).collect();
-        let via_add = per_entry(&s, &csr, &rows, &ciphers, true).unwrap_err();
-        assert!(matches!(via_add, CryptoError::ShapeMismatch { .. }), "{via_add}");
-        for width in [1, 3] {
-            // Through either stream of the pair.
-            let via_g = bulk(&s, &csr, &rows, (&ciphers, None), true, width).unwrap_err();
-            assert_eq!(via_g, via_add, "width {width}");
-            let clean = vec![ciphers[0].clone(); 12];
-            let via_h = bulk(&s, &csr, &rows, (&clean, Some(&ciphers)), true, width).unwrap_err();
-            assert_eq!(via_h, via_add, "width {width}");
+        let (p, m) = (suite(), Suite::plain(enc));
+        for (s, foreign) in [(&p, &m), (&m, &p)] {
+            let mut rng = StdRng::seed_from_u64(13);
+            let clean: Vec<Ciphertext> =
+                (0..12).map(|_| s.encrypt_at(1.0, enc.base_exp, &mut rng).unwrap()).collect();
+            let hostile = s.encrypt_at(1.0, enc.base_exp + enc.jitter as i32 + 7, &mut rng);
+            let other_kind = foreign.encrypt_at(1.0, enc.base_exp, &mut rng);
+            for reordered in [false, true] {
+                for (bad, label) in
+                    [(hostile.clone(), "hostile exponent"), (other_kind.clone(), "other kind")]
+                {
+                    let what = format!("{:?} reordered={reordered} {label}", s.kind());
+                    // The bad cipher on row 5.
+                    let mut ciphers = clean.clone();
+                    ciphers[5] = bad.unwrap();
+                    let via_add = per_entry(s, &csr, &rows, &ciphers, reordered);
+                    match (label, reordered, &via_add) {
+                        ("hostile exponent", false, Ok(_)) => {}
+                        ("hostile exponent", true, Err(CryptoError::ShapeMismatch { .. })) => {}
+                        ("other kind", _, Err(CryptoError::SuiteMismatch)) => {}
+                        (_, _, got) => panic!("{what}: add gave {got:?}"),
+                    }
+                    for width in [1, 3] {
+                        let via_g = bulk(s, &csr, &rows, (&ciphers, None), reordered, width);
+                        let via_h =
+                            bulk(s, &csr, &rows, (&clean, Some(&ciphers)), reordered, width);
+                        match &via_add {
+                            Err(e) => {
+                                assert_eq!(via_g.unwrap_err(), *e, "{what} width {width}: g");
+                                assert_eq!(via_h.unwrap_err(), *e, "{what} width {width}: h");
+                            }
+                            Ok(b) => {
+                                assert!(via_g.unwrap().0 == *b, "{what} width {width}: g");
+                                assert!(via_h.unwrap().1 == *b, "{what} width {width}: h");
+                            }
+                        }
+                    }
+                }
+                // A row the cipher stream does not cover is a typed error too.
+                let what = format!("{:?} reordered={reordered}", s.kind());
+                let err = bulk(s, &csr, &rows, (&clean[..8], None), reordered, 2).unwrap_err();
+                let short = matches!(err, CryptoError::ShapeMismatch { left: 8, right: 8, .. });
+                assert!(short, "{what}: {err}");
+                // And so is a builder shaped for other columns: too few of
+                // them, or too few bins in one.
+                let ciphers = entered(s, &clean);
+                let mut g = EncHistBuilder::new(&csr.col_meta, &enc, reordered);
+                let mut narrow = EncHistBuilder::new(&meta(1), &enc, reordered);
+                let err = EncHistBuilder::add_rows(
+                    s,
+                    &csr,
+                    &rows,
+                    (&mut g, &ciphers),
+                    (&mut narrow, None),
+                );
+                let err = err.unwrap_err();
+                let narrow = matches!(err, CryptoError::ShapeMismatch { left: 7, right: 1, .. });
+                assert!(narrow, "{what}: {err}");
+                let one_bin: Vec<ColMeta> =
+                    csr.col_meta.iter().map(|m| ColMeta { num_bins: 1, ..*m }).collect();
+                let mut shallow = EncHistBuilder::new(&one_bin, &enc, reordered);
+                let err = EncHistBuilder::add_rows(
+                    s,
+                    &csr,
+                    &rows,
+                    (&mut shallow, &ciphers),
+                    (&mut g, None),
+                );
+                let err = err.unwrap_err();
+                assert!(
+                    matches!(err, CryptoError::ShapeMismatch { right: 1, .. }),
+                    "{what}: {err}"
+                );
+            }
         }
-        // A row the cipher stream does not cover is a typed error too.
-        ciphers[5] = ciphers[0].clone();
-        let err = bulk(&s, &csr, &rows, (&ciphers[..8], None), true, 2).unwrap_err();
-        assert!(matches!(err, CryptoError::ShapeMismatch { left: 8, right: 8, .. }), "{err}");
-        // And so is a builder shaped for other columns: too few of them,
-        // or too few bins in one.
-        let ciphers = entered(&s, &ciphers);
-        let mut g = EncHistBuilder::new(&csr.col_meta, &enc, true);
-        let mut narrow = EncHistBuilder::new(&meta(1), &enc, true);
-        let err =
-            EncHistBuilder::add_rows(&s, &csr, &rows, (&mut g, &ciphers), (&mut narrow, None));
-        let err = err.unwrap_err();
-        assert!(matches!(err, CryptoError::ShapeMismatch { left: 7, right: 1, .. }), "{err}");
-        let one_bin: Vec<ColMeta> =
-            csr.col_meta.iter().map(|m| ColMeta { num_bins: 1, ..*m }).collect();
-        let mut shallow = EncHistBuilder::new(&one_bin, &enc, true);
-        let err =
-            EncHistBuilder::add_rows(&s, &csr, &rows, (&mut shallow, &ciphers), (&mut g, None));
-        let err = err.unwrap_err();
-        assert!(matches!(err, CryptoError::ShapeMismatch { right: 1, .. }), "{err}");
+    }
+
+    /// A feature the builder does not have is a typed error on every read
+    /// path, as it is on `add`.
+    #[test]
+    fn finalize_feature_refuses_a_feature_it_does_not_have() {
+        let enc = encoding();
+        for s in [suite(), Suite::plain(enc)] {
+            for reordered in [false, true] {
+                let b = EncHistBuilder::new(&meta(3), &enc, reordered);
+                let past = b.num_features();
+                for target in [None, Some(max_exponent(&enc))] {
+                    let err = b.finalize_feature(&s, past, target).unwrap_err();
+                    assert_eq!(
+                        err,
+                        CryptoError::ShapeMismatch {
+                            context: "EncHistBuilder::finalize_feature feature index",
+                            left: 1,
+                            right: 1,
+                        }
+                    );
+                }
+                assert!(b.finalize_feature(&s, usize::MAX, None).is_err());
+            }
+        }
     }
 
     #[test]

@@ -53,6 +53,23 @@ pub struct PlainNumber {
     pub exponent: i32,
 }
 
+impl PlainNumber {
+    /// The mock's HAdd, `self ← self ⊕ y`: the values add, the result
+    /// takes the larger exponent, and a mismatch counts the scaling the
+    /// Paillier path would pay. Tallied into `tally`, like
+    /// [`Suite::add_resident`], whose mock arm this is; `#[inline]` so a
+    /// histogram walk over mock ciphers folds it into its loop.
+    #[inline]
+    pub fn hadd(&mut self, y: &PlainNumber, tally: &mut OpSnapshot) {
+        if self.exponent != y.exponent {
+            tally.scalings += 1;
+        }
+        tally.hadd += 1;
+        self.value += y.value;
+        self.exponent = self.exponent.max(y.exponent);
+    }
+}
+
 /// A value under the suite's (possibly mock) encryption.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Ciphertext {
@@ -506,12 +523,7 @@ impl Suite {
                 Ok(())
             }
             (ResidentCiphertext::Plain(x), ResidentCiphertext::Plain(y)) => {
-                if x.exponent != y.exponent {
-                    tally.scalings += 1;
-                }
-                tally.hadd += 1;
-                x.value += y.value;
-                x.exponent = x.exponent.max(y.exponent);
+                x.hadd(y, tally);
                 Ok(())
             }
             _ => Err(CryptoError::SuiteMismatch),
