@@ -62,7 +62,20 @@ cargo clippy -p vf2boost-core -p vf2-channel -p vf2-crypto --lib -- -D warnings
 # add_rows_reports_the_same_typed_errors_as_add pins every typed error the
 # per-cipher add reports (a hostile exponent, a cipher of the other kind in
 # either stream, a short stream, a narrow builder) under Paillier and the
-# mock, naive and re-ordered, at widths 1 and 3.
+# mock, naive and re-ordered, at widths 1 and 3. The store is typed by the
+# first accepted add: a_refused_first_add_fixes_no_kind pins that a refused
+# first add (a mock cipher off the jitter window, a stream too short for
+# its rows) leaves a fresh builder, through add and add_rows, which then
+# takes a Paillier cipher; the mock half of
+# add_rows_equals_the_add_loop_cipher_for_cipher_at_every_width reads the
+# plain workspaces back through finalize_feature and subtract.
+#
+# Four-byte row-major entries (crates/core/src/rows.rs): a party wider than
+# wire::limits::MAX_FEATURES (2^16) columns is InvalidInput before anything
+# runs (train.rs's invalid_input_is_an_error_not_a_panic, host and guest),
+# and the_widest_table_indexes_its_last_column pins that 2^16 columns index
+# their last as feature 65 535. A const assertion in rows.rs keeps an entry
+# at 4 bytes.
 #
 # Blaster pipelining (tests/wan_and_traffic.rs): the default protocol
 # streams a 1 250-row tree's gradients in 128-row batches — exactly nine
@@ -206,12 +219,26 @@ if grep -nwE 'add_raw|add_assign_same_exp|add_plain_raw|mul_raw|finalize_gh_feat
 fi
 
 # One arena: a histogram builder holds every bin of every feature in one
-# flat arena (EncHistBuilder's offsets / slots / rows). The per-bin
+# flat arena (EncHistBuilder's offsets / store / rows). The per-bin
 # accumulator types it replaced — a Vec of per-bin vectors, each bin's
 # workspaces behind its own enum — must not come back.
 echo "== one-arena gate (no per-bin accumulator types in core) =="
 if grep -rnwE 'BinAcc|struct Bin' crates/core/src; then
   echo "a per-bin histogram accumulator is back in core" >&2
+  exit 1
+fi
+
+# Typed workspaces: the arena's store is typed by the suite kind of its
+# first accepted add, and the mock's workspaces are plain values with their
+# occupancy (Workspaces::Plain, folded through PlainNumber::hadd), 24 bytes
+# where a resident-cipher slot takes 32. They must not go back to
+# Option<ResidentCiphertext> slots, the Paillier store's element alone.
+echo "== typed-store gate (the mock's workspaces are plain values) =="
+HIST_SHIPPING=$(awk '/#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' crates/core/src/hist_enc.rs)
+if ! grep -qE 'Plain\(Vec<Option<PlainNumber>>\),' <<< "$HIST_SHIPPING" \
+    || ! grep -qE 'impl Workspace for Option<PlainNumber> \{' <<< "$HIST_SHIPPING" \
+    || grep -E ':[0-9]+: +(slots|store): .*Option<ResidentCiphertext>' <<< "$HIST_SHIPPING"; then
+  echo "the mock's histogram workspaces are resident-cipher slots again" >&2
   exit 1
 fi
 

@@ -43,7 +43,7 @@ use crate::hist_enc::{
 use crate::messages::{FeatureMeta, HistPayload, Msg};
 use crate::model::{FedNode, FedTree};
 use crate::peer::{self, Deadline, Peer};
-use crate::rows::{NodeRows, RowMajorBins};
+use crate::rows::{check_width, NodeRows, RowMajorBins};
 use crate::session::PartySession;
 use crate::telemetry::{PartyTelemetry, TreeRecord};
 use crate::trace::{TracePhase, TraceRing};
@@ -235,6 +235,7 @@ impl GuestParty {
         if endpoints.is_empty() {
             return Err(TrainError::InvalidInput("at least one host party is required".into()));
         }
+        check_width(PartyId::Guest, data.num_features())?;
         let labels = labels.to_vec();
         let binned = BinnedDataset::bin(&data, &cfg.gbdt.binning);
         let csr = RowMajorBins::from_binned(&binned);

@@ -24,22 +24,26 @@
 //!
 //! A builder is one flat arena: every bin of every feature, each with
 //! `width` workspaces (the jitter window when re-ordered; one when naive)
-//! and a row count, behind per-feature bin offsets — three allocations
-//! whatever the shape. Workspaces hold [`ResidentCiphertext`]s: under
-//! Paillier a cipher stays in its key's Montgomery form from the moment the
-//! host admits it ([`Suite::enter`]) to the moment a bin leaves — once per
-//! bin on the two-stream [`EncHistBuilder::finalize_feature`], once per
-//! packed cipher on the paired path. A HAdd in between is one stack limb
-//! product ([`Suite::add_resident`]), tallied per worker and published once
-//! per [`EncHistBuilder::add_rows`] call. The mock carries its `f64`s as
-//! they are. A walk resolves the suite's kind once and runs one walk body
-//! instantiated per kind, so the mock's HAdd is an inlined float add
-//! ([`vf2_crypto::suite::PlainNumber::hadd`]) at plaintext cost.
+//! and a row count, behind per-feature bin offsets. The workspaces are one
+//! store typed by the suite kind of the first add the builder accepts
+//! (`EncHistBuilder::new` takes no suite, and a refused add fixes nothing).
+//! Under Paillier they hold [`ResidentCiphertext`]s: a cipher stays in its
+//! key's Montgomery form from the moment the host admits it
+//! ([`Suite::enter`]) to the moment a bin leaves — once per bin on the
+//! two-stream [`EncHistBuilder::finalize_feature`], once per packed cipher
+//! on the paired path. A HAdd in between is one stack limb product
+//! ([`Suite::add_resident`]), tallied per worker and published once per
+//! [`EncHistBuilder::add_rows`] call. Under the mock they hold plain values
+//! with their occupancy, 24 bytes where a resident cipher slot takes 32. A
+//! walk resolves the suite's kind once and runs one walk body instantiated
+//! per kind, so the mock's HAdd is an inlined float add
+//! ([`PlainNumber::hadd`]) into a plain value, at plaintext cost.
 //!
 //! The guest's half is [`DecodedBins`], a feature's bins as they decrypt:
 //! hosts ship each split's smaller child only; the guest derives the larger
 //! as `parent − smaller` ([`DecodedBins::checked_sub`]).
 
+use std::borrow::Cow;
 use std::ops::Range;
 
 use num_bigint::{BigUint, Sign};
@@ -47,7 +51,7 @@ use vf2_crypto::counters::OpSnapshot;
 use vf2_crypto::encoding::{EncodingConfig, FixedPoint};
 use vf2_crypto::error::{CryptoError, Result};
 use vf2_crypto::packing::{GhPlan, PackingPlan};
-use vf2_crypto::suite::{Ciphertext, ResidentCiphertext, Suite, SuiteKind};
+use vf2_crypto::suite::{Ciphertext, PlainNumber, ResidentCiphertext, Suite, SuiteKind};
 use vf2_gbdt::histogram::{GradPair, Histogram};
 
 use rayon::prelude::*;
@@ -60,7 +64,7 @@ use crate::rows::{ColMeta, RowMajorBins};
 ///
 /// One flat arena holds every bin of every feature: feature `f`'s bins are
 /// arena bins `offsets[f]..offsets[f + 1]`, and arena bin `i` keeps its
-/// `width` workspaces at `slots[i·width..(i + 1)·width]` and the number of
+/// `width` workspaces at `store[i·width..(i + 1)·width]` and the number of
 /// rows folded into it at `rows[i]`. The count is the host's own plaintext
 /// knowledge (it placed every row); the paired path's top-up is computed
 /// from it.
@@ -69,7 +73,7 @@ pub struct EncHistBuilder {
     /// Arena bin offsets: one per feature, then the end.
     offsets: Vec<usize>,
     /// Every bin's workspaces, `width` per bin.
-    slots: Vec<Option<ResidentCiphertext>>,
+    store: Workspaces,
     /// Every bin's row count.
     rows: Vec<u32>,
     /// Workspaces per bin: the jitter window when re-ordered (slot `s`
@@ -80,9 +84,103 @@ pub struct EncHistBuilder {
     base_exp: i32,
 }
 
+/// An arena's workspaces, typed by the suite kind of the first add the
+/// builder accepted: none before it, so a builder that refused every add
+/// is still a fresh one.
+#[derive(Debug, Clone, PartialEq)]
+enum Workspaces {
+    /// No add accepted yet: every workspace is empty.
+    Unfixed,
+    /// Paillier ciphers in their key's resident form.
+    Paillier(Vec<Option<ResidentCiphertext>>),
+    /// The mock's values, each with its occupancy.
+    Plain(Vec<Option<PlainNumber>>),
+}
+
+impl Workspaces {
+    /// Workspace `k`'s cipher, `None` while it is empty.
+    fn get(&self, k: usize) -> Option<Cow<'_, ResidentCiphertext>> {
+        match self {
+            Workspaces::Unfixed => None,
+            Workspaces::Paillier(slots) => slots[k].as_ref().map(Cow::Borrowed),
+            Workspaces::Plain(slots) => slots[k].map(|p| Cow::Owned(ResidentCiphertext::Plain(p))),
+        }
+    }
+}
+
+/// One suite kind's workspace: the element type of its [`Workspaces`]
+/// store, and the kind's HAdd into it.
+trait Workspace: Sized + Send {
+    /// This kind's workspaces in `store`, an unfixed store first fixed to
+    /// `len` empty ones; a store of the other kind is
+    /// [`CryptoError::SuiteMismatch`].
+    fn typed(store: &mut Workspaces, len: usize) -> Result<&mut [Self]>;
+
+    /// Folds `c` in: an occupied workspace adds it, an empty one takes a
+    /// copy, a cipher of the other kind is [`CryptoError::SuiteMismatch`]
+    /// and changes nothing. The work is tallied into `tally`.
+    fn fold(&mut self, suite: &Suite, c: &ResidentCiphertext, tally: &mut OpSnapshot)
+        -> Result<()>;
+}
+
+/// Paillier: HAdds on the limb core ([`Suite::add_resident`]).
+impl Workspace for Option<ResidentCiphertext> {
+    fn typed(store: &mut Workspaces, len: usize) -> Result<&mut [Self]> {
+        if *store == Workspaces::Unfixed {
+            *store = Workspaces::Paillier(vec![None; len]);
+        }
+        match store {
+            Workspaces::Paillier(slots) => Ok(slots),
+            _ => Err(CryptoError::SuiteMismatch),
+        }
+    }
+
+    #[inline]
+    fn fold(
+        &mut self,
+        suite: &Suite,
+        c: &ResidentCiphertext,
+        tally: &mut OpSnapshot,
+    ) -> Result<()> {
+        match self {
+            Some(acc) => suite.add_resident(acc, c, tally),
+            None if matches!(c, ResidentCiphertext::Paillier { .. }) => {
+                *self = Some(c.clone());
+                Ok(())
+            }
+            None => Err(CryptoError::SuiteMismatch),
+        }
+    }
+}
+
+/// The mock: [`PlainNumber::hadd`], the float add [`Suite::add_resident`]'s
+/// mock arm runs too, inlined into the walk.
+impl Workspace for Option<PlainNumber> {
+    fn typed(store: &mut Workspaces, len: usize) -> Result<&mut [Self]> {
+        if *store == Workspaces::Unfixed {
+            *store = Workspaces::Plain(vec![None; len]);
+        }
+        match store {
+            Workspaces::Plain(slots) => Ok(slots),
+            _ => Err(CryptoError::SuiteMismatch),
+        }
+    }
+
+    #[inline]
+    fn fold(&mut self, _: &Suite, c: &ResidentCiphertext, tally: &mut OpSnapshot) -> Result<()> {
+        let ResidentCiphertext::Plain(y) = c else { return Err(CryptoError::SuiteMismatch) };
+        match self {
+            Some(x) => x.hadd(y, tally),
+            None => *self = Some(*y),
+        }
+        Ok(())
+    }
+}
+
 impl EncHistBuilder {
-    /// An empty builder shaped by the column metadata: three allocations,
-    /// whatever the feature and bin counts.
+    /// An empty builder shaped by the column metadata: two allocations,
+    /// whatever the feature and bin counts. The workspaces are allocated by
+    /// the first accepted add, in its suite kind's form.
     pub fn new(col_meta: &[ColMeta], encoding: &EncodingConfig, reordered: bool) -> Self {
         let width = if reordered { encoding.jitter.max(1) as usize } else { 1 };
         let mut offsets = Vec::with_capacity(col_meta.len() + 1);
@@ -93,7 +191,7 @@ impl EncHistBuilder {
         let bins = offsets[col_meta.len()];
         EncHistBuilder {
             offsets,
-            slots: vec![None; bins * width],
+            store: Workspaces::Unfixed,
             rows: vec![0; bins],
             width,
             reordered,
@@ -107,19 +205,35 @@ impl EncHistBuilder {
     /// The cipher may come off the wire, so its exponent is untrusted: a
     /// value outside the negotiated jitter window is a typed error, never
     /// an out-of-bounds slot index. A refused add leaves the builder as it
-    /// was.
+    /// was, and a builder holding one suite kind refuses the other's.
     pub fn add(&mut self, suite: &Suite, feature: usize, bin: usize, c: &Ciphertext) -> Result<()> {
         self.bins_of(feature, "EncHistBuilder::add feature index")?;
         let c = suite.enter(c)?;
         let mut tally = OpSnapshot::default();
-        let mut columns = self.columns();
-        let c = (&c, &columns.slot_of(&c));
-        let done = match suite.kind() {
-            SuiteKind::Paillier => columns.add(feature, bin, c, &paillier_fold(suite), &mut tally),
-            SuiteKind::Plain => columns.add(feature, bin, c, &plain_fold, &mut tally),
-        };
+        let done = self.fixing(|b| match suite.kind() {
+            SuiteKind::Paillier => {
+                b.add_one::<Option<ResidentCiphertext>>(suite, feature, bin, &c, &mut tally)
+            }
+            SuiteKind::Plain => {
+                b.add_one::<Option<PlainNumber>>(suite, feature, bin, &c, &mut tally)
+            }
+        });
         suite.counters().publish(&tally);
         done
+    }
+
+    /// [`EncHistBuilder::add`]'s fold, into the store of kind `S`.
+    fn add_one<S: Workspace>(
+        &mut self,
+        suite: &Suite,
+        feature: usize,
+        bin: usize,
+        c: &ResidentCiphertext,
+        tally: &mut OpSnapshot,
+    ) -> Result<()> {
+        let mut columns = self.columns::<S>()?;
+        let slot = columns.slot_of(c);
+        columns.add(feature, bin, (c, &slot), suite, tally)
     }
 
     /// Accumulates the stored `(feature, bin)` entries of every row in
@@ -130,15 +244,16 @@ impl EncHistBuilder {
     /// loop over `rows` produces, on ciphers the host entered once.
     ///
     /// The suite's kind is resolved once, here: the walk below is
-    /// instantiated per kind, so the mock's HAdd inlines to a float add.
-    /// Inside a `rayon::ThreadPool::install` of width `w` the features are
-    /// cut into contiguous ranges of `⌈features / w⌉` columns, one worker
-    /// each. Every worker walks `rows` in list order and touches only its
-    /// own columns (a CSR row is feature-sorted: binary-search to the
-    /// range's start, stop at its end), so each bin receives its ciphers
-    /// in the same order at every width: no shard copies, no merge, and
-    /// ciphers and op counts that do not depend on the width. Each worker
-    /// tallies its HAdds locally; the call publishes them once.
+    /// instantiated per kind, so the mock's HAdd inlines to a float add
+    /// into a plain workspace. Inside a `rayon::ThreadPool::install` of
+    /// width `w` the features are cut into contiguous ranges of
+    /// `⌈features / w⌉` columns, one worker each. Every worker walks `rows`
+    /// in list order and touches only its own columns (a CSR row is
+    /// feature-sorted: binary-search to the range's start, stop at its
+    /// end), so each bin receives its ciphers in the same order at every
+    /// width: no shard copies, no merge, and ciphers and op counts that do
+    /// not depend on the width. Each worker tallies its HAdds locally; the
+    /// call publishes them once.
     pub fn add_rows(
         suite: &Suite,
         csr: &RowMajorBins,
@@ -156,16 +271,36 @@ impl EncHistBuilder {
             }
         }
         let per_worker = g.num_features().div_ceil(rayon::current_num_threads()).max(1);
-        let mut runs: Vec<_> = g.runs(per_worker).into_iter().zip(h.runs(per_worker)).collect();
-        let streams = (enc_g, enc_h);
-        let shards = match suite.kind() {
-            SuiteKind::Paillier => walk(&mut runs, csr, rows, streams, &paillier_fold(suite)),
-            SuiteKind::Plain => walk(&mut runs, csr, rows, streams, &plain_fold),
+        let job = (suite, csr, rows, per_worker);
+        let walk_kind = |g: &mut EncHistBuilder, h: Option<&mut EncHistBuilder>| {
+            let (g, h) = ((g, enc_g), (h, enc_h));
+            match suite.kind() {
+                SuiteKind::Paillier => walk::<Option<ResidentCiphertext>>(job, g, h),
+                SuiteKind::Plain => walk::<Option<PlainNumber>>(job, g, h),
+            }
         };
+        // An unfed `h` is left as it is.
+        let shards = g.fixing(|g| match enc_h {
+            Some(_) => h.fixing(|h| walk_kind(g, Some(h))),
+            None => walk_kind(g, None),
+        })?;
         for (tally, _) in &shards {
             suite.counters().publish(tally);
         }
         shards.into_iter().try_for_each(|(_, done)| done)
+    }
+
+    /// Runs `accumulate` on the builder. A builder that held no suite kind
+    /// before holds none after unless an add was accepted: the kind is
+    /// fixed by the first accepted add, never by a refused one.
+    fn fixing<T>(&mut self, accumulate: impl FnOnce(&mut Self) -> T) -> T {
+        let unfixed = self.store == Workspaces::Unfixed;
+        let out = accumulate(self);
+        // Every accepted add counts a row.
+        if unfixed && self.rows.iter().all(|&r| r == 0) {
+            self.store = Workspaces::Unfixed;
+        }
+        out
     }
 
     /// Feature `feature`'s arena bins, or a typed error naming `context`
@@ -182,35 +317,36 @@ impl EncHistBuilder {
     }
 
     /// Arena bin `i`'s occupied workspaces, in exponent order.
-    fn occupied(&self, i: usize) -> impl Iterator<Item = &ResidentCiphertext> {
-        self.slots[i * self.width..(i + 1) * self.width].iter().flatten()
+    fn occupied(&self, i: usize) -> impl Iterator<Item = Cow<'_, ResidentCiphertext>> {
+        (i * self.width..(i + 1) * self.width).filter_map(|k| self.store.get(k))
     }
 
-    /// Every feature, borrowed for writing.
-    fn columns(&mut self) -> Columns<'_> {
-        Columns {
+    /// Every feature's workspaces of kind `S`, borrowed for writing.
+    fn columns<S: Workspace>(&mut self) -> Result<Columns<'_, S>> {
+        let len = self.rows.len() * self.width;
+        Ok(Columns {
             first: 0,
             offsets: &self.offsets,
-            slots: &mut self.slots,
+            slots: S::typed(&mut self.store, len)?,
             rows: &mut self.rows,
             width: self.width,
             reordered: self.reordered,
             base_exp: self.base_exp,
-        }
+        })
     }
 
     /// The features cut into runs of `per_run` (the last may be shorter),
     /// each borrowed for writing; none for a builder without features.
-    fn runs(&mut self, per_run: usize) -> Vec<Columns<'_>> {
+    fn runs<S: Workspace>(&mut self, per_run: usize) -> Result<Vec<Columns<'_, S>>> {
         let mut runs = Vec::new();
-        let mut rest = self.columns();
+        let mut rest = self.columns()?;
         while rest.features() > 0 {
             let features = per_run.min(rest.features());
             let (run, tail) = rest.split(features);
             runs.push(run);
             rest = tail;
         }
-        runs
+        Ok(runs)
     }
 
     /// Rejects operand pairs whose strategy, feature count, per-feature
@@ -242,7 +378,7 @@ impl EncHistBuilder {
     fn merged(&self, suite: &Suite, i: usize) -> Result<Option<Ciphertext>> {
         let mut out: Option<Ciphertext> = None;
         for s in self.occupied(i) {
-            let s = suite.leave(s)?;
+            let s = suite.leave(&s)?;
             out = Some(match out {
                 None => s,
                 Some(prev) => suite.add(&prev, &s)?,
@@ -317,7 +453,7 @@ impl EncHistBuilder {
                     .map(|i| {
                         let mut occupied = self.occupied(i);
                         let first = occupied.next();
-                        if let (Some(a), Some(b)) = (first, occupied.next()) {
+                        if let (Some(a), Some(b)) = (&first, occupied.next()) {
                             return Err(CryptoError::ShapeMismatch {
                                 context: "gh bin holding ciphers at two exponents",
                                 left: a.exponent().unsigned_abs() as usize,
@@ -327,6 +463,7 @@ impl EncHistBuilder {
                         Ok((first, u64::from(self.rows[i])))
                     })
                     .collect::<Result<Vec<_>>>()?;
+                let slots: Vec<_> = slots.iter().map(|(c, rows)| (c.as_deref(), *rows)).collect();
                 suite.pack_gh(&slots, plan)
             })
             .collect::<Result<_>>()?;
@@ -350,63 +487,60 @@ impl EncHistBuilder {
     /// depends on row count, so packing must happen *after* derivation).
     pub fn subtract(&self, suite: &Suite, other: &EncHistBuilder) -> Result<EncHistBuilder> {
         self.check_same_shape(other, "EncHistBuilder::subtract")?;
-        // Pass 1: gather every cipher occupied in `other`, in arena order,
-        // and negate them as one batch.
-        let to_negate =
-            other.slots.iter().flatten().map(|c| suite.leave(c)).collect::<Result<Vec<_>>>()?;
-        let mut negated = suite.neg_batch(&to_negate.iter().collect::<Vec<_>>())?.into_iter();
-        // Pass 2: re-walk in the same order, folding each negation into
-        // the matching parent workspace.
-        let mut tally = OpSnapshot::default();
-        let mut next = |p: Option<&ResidentCiphertext>| -> Result<ResidentCiphertext> {
-            // Infallible: pass 2 re-walks `other` in exactly the order pass
-            // 1 used to fill `to_negate`, so the iterator cannot run dry
-            // before the walk ends (and neg_batch preserves length).
-            #[allow(clippy::expect_used)]
-            let n = negated.next().expect("pass 2 walks the same occupied slots as pass 1");
-            let n = suite.enter(&n)?;
-            match p {
-                Some(p) => {
-                    let mut sum = p.clone();
-                    suite.add_resident(&mut sum, &n, &mut tally)?;
-                    Ok(sum)
-                }
-                None => Ok(n),
-            }
-        };
-        let mut slots = Vec::with_capacity(self.slots.len());
-        let mut rows = Vec::with_capacity(self.rows.len());
-        let bins = self.rows.iter().zip(&other.rows);
-        let workspaces = self.slots.chunks(self.width).zip(other.slots.chunks(other.width));
-        let derive = || -> Result<()> {
-            for ((&a, &b), (xs, ys)) in bins.zip(workspaces) {
-                // The sibling's rows are a subset of the parent's.
-                rows.push(a.checked_sub(b).ok_or(CryptoError::ShapeMismatch {
-                    context: "EncHistBuilder::subtract row counts",
-                    left: a as usize,
-                    right: b as usize,
-                })?);
-                for (x, y) in xs.iter().zip(ys) {
-                    slots.push(match (x, y) {
-                        (p, Some(_)) => Some(next(p.as_ref())?),
-                        (Some(p), None) => Some(p.clone()),
-                        (None, None) => None,
-                    });
-                }
-            }
-            Ok(())
-        };
-        let derived = derive();
-        suite.counters().publish(&tally);
-        derived?;
-        Ok(EncHistBuilder {
+        // Every cipher occupied in `other`, in arena order, negated as one
+        // batch.
+        let (at, occupied): (Vec<usize>, Vec<Ciphertext>) = (0..other.rows.len() * other.width)
+            .filter_map(|k| other.store.get(k).map(|c| Ok((k, suite.leave(&c)?))))
+            .collect::<Result<Vec<_>>>()?
+            .into_iter()
+            .unzip();
+        let negated = suite.neg_batch(&occupied.iter().collect::<Vec<_>>())?;
+        let rows = self.rows.iter().zip(&other.rows).map(|(&a, &b)| {
+            // The sibling's rows are a subset of the parent's.
+            a.checked_sub(b).ok_or(CryptoError::ShapeMismatch {
+                context: "EncHistBuilder::subtract row counts",
+                left: a as usize,
+                right: b as usize,
+            })
+        });
+        let mut derived = EncHistBuilder {
             offsets: self.offsets.clone(),
-            slots,
-            rows,
+            store: self.store.clone(),
+            rows: rows.collect::<Result<_>>()?,
             width: self.width,
             reordered: self.reordered,
             base_exp: self.base_exp,
-        })
+        };
+        // Each negation folds into the parent's matching workspace.
+        let mut tally = OpSnapshot::default();
+        let folds = at.into_iter().zip(&negated);
+        let done = match suite.kind() {
+            SuiteKind::Paillier => {
+                derived.fold_in::<Option<ResidentCiphertext>>(suite, folds, &mut tally)
+            }
+            SuiteKind::Plain => derived.fold_in::<Option<PlainNumber>>(suite, folds, &mut tally),
+        };
+        suite.counters().publish(&tally);
+        done?;
+        Ok(derived)
+    }
+
+    /// Folds each `(k, c)` of `folds` into workspace `k` of the store of
+    /// kind `S`; no fold leaves the store as it is.
+    fn fold_in<'c, S: Workspace>(
+        &mut self,
+        suite: &Suite,
+        folds: impl ExactSizeIterator<Item = (usize, &'c Ciphertext)>,
+        tally: &mut OpSnapshot,
+    ) -> Result<()> {
+        if folds.len() == 0 {
+            return Ok(());
+        }
+        let slots = S::typed(&mut self.store, self.rows.len() * self.width)?;
+        for (k, c) in folds {
+            slots[k].fold(suite, &suite.enter(c)?, tally)?;
+        }
+        Ok(())
     }
 
     /// Number of features.
@@ -415,31 +549,31 @@ impl EncHistBuilder {
     }
 }
 
-/// Consecutive features of one builder, borrowed for writing: the whole
-/// builder under [`EncHistBuilder::add`], one worker's share under
-/// [`EncHistBuilder::add_rows`].
-struct Columns<'a> {
+/// Consecutive features of one builder, their workspaces of kind `S`
+/// borrowed for writing: the whole builder under [`EncHistBuilder::add`],
+/// one worker's share under [`EncHistBuilder::add_rows`].
+struct Columns<'a, S> {
     /// The builder's index of the run's first feature.
     first: usize,
     /// The run's arena offsets (the builder's own): one per feature, then
     /// the end.
     offsets: &'a [usize],
     /// The run's workspaces and row counts, from its first bin on.
-    slots: &'a mut [Option<ResidentCiphertext>],
+    slots: &'a mut [S],
     rows: &'a mut [u32],
     width: usize,
     reordered: bool,
     base_exp: i32,
 }
 
-impl<'a> Columns<'a> {
+impl<'a, S: Workspace> Columns<'a, S> {
     /// Number of features in the run.
     fn features(&self) -> usize {
         self.offsets.len() - 1
     }
 
     /// The run cut after its first `features` features.
-    fn split(self, features: usize) -> (Columns<'a>, Columns<'a>) {
+    fn split(self, features: usize) -> (Columns<'a, S>, Columns<'a, S>) {
         let bins = self.offsets[features] - self.offsets[0];
         let (slots, rest_slots) = self.slots.split_at_mut(bins * self.width);
         let (rows, rest_rows) = self.rows.split_at_mut(bins);
@@ -470,17 +604,19 @@ impl<'a> Columns<'a> {
 
     /// Folds `c`, whose [`Columns::slot_of`] is `slot`, into bin `bin` of
     /// the run's `column`-th feature (which the caller knows the run
-    /// holds) with the suite kind's `fold` — the kernel behind
+    /// holds) with the kind's [`Workspace::fold`] — the kernel behind
     /// [`EncHistBuilder::add`] and [`EncHistBuilder::add_rows`], its work
     /// tallied into `tally`. Every check runs before the bin changes, so a
     /// refused cipher leaves the bin's sum and row count as they were.
-    #[inline]
+    /// Always inlined: the walk then keeps the kernel's state in registers
+    /// instead of calling out once per entry.
+    #[inline(always)]
     fn add(
         &mut self,
         column: usize,
         bin: usize,
         (c, slot): (&ResidentCiphertext, &Result<usize>),
-        fold: &impl Fold,
+        suite: &Suite,
         tally: &mut OpSnapshot,
     ) -> Result<()> {
         let start = self.offsets[column];
@@ -494,67 +630,29 @@ impl<'a> Columns<'a> {
         }
         let slot = slot.as_ref().map_err(Clone::clone)?;
         let at = start - self.offsets[0] + bin;
-        fold(&mut self.slots[at * self.width + slot], c, tally)?;
+        self.slots[at * self.width + slot].fold(suite, c, tally)?;
         self.rows[at] = self.rows[at].saturating_add(1);
         Ok(())
     }
 }
 
-/// One suite kind's HAdd into a workspace: an occupied one adds `c` in, an
-/// empty one takes a copy, a cipher of the other kind is
-/// [`CryptoError::SuiteMismatch`] and changes nothing.
-trait Fold:
-    Fn(&mut Option<ResidentCiphertext>, &ResidentCiphertext, &mut OpSnapshot) -> Result<()> + Sync
-{
-}
-
-impl<F> Fold for F where
-    F: Fn(&mut Option<ResidentCiphertext>, &ResidentCiphertext, &mut OpSnapshot) -> Result<()>
-        + Sync
-{
-}
-
-/// The Paillier fold: HAdds on the limb core ([`Suite::add_resident`]).
-fn paillier_fold(suite: &Suite) -> impl Fold + '_ {
-    move |slot: &mut Option<ResidentCiphertext>, c: &ResidentCiphertext, tally: &mut OpSnapshot| {
-        match slot {
-            Some(acc) => suite.add_resident(acc, c, tally),
-            None if matches!(c, ResidentCiphertext::Paillier { .. }) => {
-                *slot = Some(c.clone());
-                Ok(())
-            }
-            None => Err(CryptoError::SuiteMismatch),
-        }
-    }
-}
-
-/// The mock's fold: [`vf2_crypto::suite::PlainNumber::hadd`], the float
-/// add [`Suite::add_resident`]'s mock arm runs too, inlined into the walk.
-fn plain_fold(
-    slot: &mut Option<ResidentCiphertext>,
-    c: &ResidentCiphertext,
-    tally: &mut OpSnapshot,
-) -> Result<()> {
-    let ResidentCiphertext::Plain(y) = c else { return Err(CryptoError::SuiteMismatch) };
-    match slot {
-        Some(ResidentCiphertext::Plain(x)) => x.hadd(y, tally),
-        Some(ResidentCiphertext::Paillier { .. }) => return Err(CryptoError::SuiteMismatch),
-        None => *slot = Some(ResidentCiphertext::Plain(*y)),
-    }
-    Ok(())
-}
-
 /// The one walk body of [`EncHistBuilder::add_rows`], instantiated per
-/// suite kind: each `(g, h)` run on its own worker, every row of `rows` in
+/// suite kind `S`: `g` and, when fed, `h` cut into runs of `per_run`
+/// features, each `(g, h)` run on its own worker, every row of `rows` in
 /// order. Returns each worker's tally and outcome, in run order.
-fn walk(
-    runs: &mut [(Columns<'_>, Columns<'_>)],
-    csr: &RowMajorBins,
-    rows: &[u32],
-    (enc_g, enc_h): (&[ResidentCiphertext], Option<&[ResidentCiphertext]>),
-    fold: &impl Fold,
-) -> Vec<(OpSnapshot, Result<()>)> {
-    runs.par_chunks_mut(1)
+fn walk<S: Workspace>(
+    (suite, csr, rows, per_run): (&Suite, &RowMajorBins, &[u32], usize),
+    (g, enc_g): (&mut EncHistBuilder, &[ResidentCiphertext]),
+    (h, enc_h): (Option<&mut EncHistBuilder>, Option<&[ResidentCiphertext]>),
+) -> Result<Vec<(OpSnapshot, Result<()>)>> {
+    let mut h_runs = h.map(|h| h.runs::<S>(per_run)).transpose()?.map(Vec::into_iter);
+    let mut runs: Vec<_> = g
+        .runs::<S>(per_run)?
+        .into_iter()
+        .map(|g| (g, h_runs.as_mut().and_then(Iterator::next).zip(enc_h)))
+        .collect();
+    Ok(runs
+        .par_chunks_mut(1)
         .map(|run| {
             let (g, h) = &mut run[0];
             let first = g.first;
@@ -562,22 +660,27 @@ fn walk(
             let mut walk_rows = || -> Result<()> {
                 for &row in rows {
                     let cg = cipher_of(enc_g, row)?;
-                    let ch = enc_h.map(|enc_h| cipher_of(enc_h, row)).transpose()?;
                     let cg = (cg, &g.slot_of(cg));
-                    let ch = ch.map(|ch| (ch, h.slot_of(ch)));
+                    let ch = match h {
+                        Some((h, enc_h)) => {
+                            let ch = cipher_of(enc_h, row)?;
+                            Some((ch, h.slot_of(ch)))
+                        }
+                        None => None,
+                    };
                     let entries = csr.row(row as usize);
                     let skip = match first {
                         0 => 0,
-                        _ => entries.partition_point(|&(f, _)| (f as usize) < first),
+                        _ => entries.partition_point(|&(f, _)| usize::from(f) < first),
                     };
                     for &(f, bin) in &entries[skip..] {
-                        let column = f as usize - first;
+                        let column = usize::from(f) - first;
                         if column >= g.features() {
                             break;
                         }
-                        g.add(column, bin as usize, cg, fold, &mut tally)?;
-                        if let Some((ch, slot)) = &ch {
-                            h.add(column, bin as usize, (ch, slot), fold, &mut tally)?;
+                        g.add(column, usize::from(bin), cg, suite, &mut tally)?;
+                        if let (Some((h, _)), Some((ch, slot))) = (h.as_mut(), &ch) {
+                            h.add(column, usize::from(bin), (ch, slot), suite, &mut tally)?;
                         }
                     }
                 }
@@ -586,7 +689,7 @@ fn walk(
             let done = walk_rows();
             (tally, done)
         })
-        .collect()
+        .collect())
 }
 
 /// The cipher a row contributes, or a typed error when the stream is too
@@ -881,7 +984,7 @@ mod tests {
 
     /// Occupied cipher slots across every feature and bin.
     fn cipher_count(b: &EncHistBuilder) -> usize {
-        b.slots.iter().flatten().count()
+        (0..b.rows.len()).flat_map(|i| b.occupied(i)).count()
     }
 
     fn encoding() -> EncodingConfig {
@@ -1055,6 +1158,29 @@ mod tests {
                     // Without a hessian stream only `g` is fed.
                     let (g, h) = bulk(&s, &csr, &rows, (&enc_g, None), reordered, width).unwrap();
                     assert!(g == want_g && cipher_count(&h) == 0, "{what}: g-only walk");
+                    if keyed.kind() == SuiteKind::Plain {
+                        // The mock's plain workspaces read back as the
+                        // add loop's: every bin finalized, and a child
+                        // subtracted.
+                        for f in 0..csr.num_features() {
+                            for target in [None, Some(max_exponent(&encoding()))] {
+                                assert_eq!(
+                                    g.finalize_feature(&s, f, target),
+                                    want_g.finalize_feature(&s, f, target),
+                                    "{what}: feature {f} finalized at {target:?}"
+                                );
+                            }
+                        }
+                        let child = &rows[..3];
+                        let want_child = per_entry(&s, &csr, child, &enc_g, reordered).unwrap();
+                        let (bulk_child, _) =
+                            bulk(&s, &csr, child, (&enc_g, None), reordered, width).unwrap();
+                        assert_eq!(
+                            g.subtract(&s, &bulk_child),
+                            want_g.subtract(&s, &want_child),
+                            "{what}: subtract"
+                        );
+                    }
                 }
             }
         }
@@ -1401,6 +1527,47 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The arena's kind is fixed by an accepted add only: a builder whose
+    /// first add was refused — a mock cipher off the jitter window, a
+    /// stream too short for its rows — is still a fresh builder, through
+    /// `add` and through `add_rows`, and still takes a Paillier cipher.
+    #[test]
+    fn a_refused_first_add_fixes_no_kind() {
+        let enc = encoding();
+        let csr = csr_fixture();
+        let (p, m) = (suite(), Suite::plain(enc));
+        let mut rng = StdRng::seed_from_u64(41);
+        let fresh = EncHistBuilder::new(&csr.col_meta, &enc, true);
+        let mut b = fresh.clone();
+        let hostile = m.encrypt_at(1.0, enc.base_exp + enc.jitter as i32 + 7, &mut rng).unwrap();
+        assert!(b.add(&m, 0, 0, &hostile).is_err());
+        assert!(b == fresh, "a refused add fixed the kind");
+        let clean = entered(&m, &m.encrypt_batch(&[0.5; 8], 3).unwrap());
+        let hostile = vec![m.enter(&hostile).unwrap(); 12];
+        // Row 11 first: the short stream refuses before any add.
+        for stream in [&hostile[..], &clean[..]] {
+            let mut h = fresh.clone();
+            for width in [1, 2] {
+                let pool = rayon::ThreadPoolBuilder::new().num_threads(width).build().unwrap();
+                let streams = ((&mut b, stream), (&mut h, Some(stream)));
+                let err = pool
+                    .install(|| EncHistBuilder::add_rows(&m, &csr, &[11, 0], streams.0, streams.1));
+                assert!(err.is_err(), "width {width}: {err:?}");
+                assert!(b == fresh && h == fresh, "width {width}: a refused walk fixed the kind");
+            }
+        }
+        let c = p.encrypt_at(0.5, enc.base_exp, &mut rng).unwrap();
+        b.add(&p, 0, 0, &c).unwrap();
+        assert_eq!(cipher_count(&b), 1);
+        let bins = b.finalize_feature(&p, 0, None).unwrap();
+        assert!((p.decrypt(&bins[0]).unwrap() - 0.5).abs() < 1e-9);
+        // Once fixed, the other kind is refused.
+        assert_eq!(
+            b.add(&m, 0, 0, &m.encrypt(0.5, &mut rng).unwrap()),
+            Err(CryptoError::SuiteMismatch)
+        );
     }
 
     #[test]

@@ -30,7 +30,7 @@ use crate::messages::{
 };
 use crate::model::HostSplitTable;
 use crate::peer::{self, Deadline, Peer};
-use crate::rows::{NodeRows, RowMajorBins};
+use crate::rows::{check_width, NodeRows, RowMajorBins};
 use crate::session::PartySession;
 use crate::telemetry::PartyTelemetry;
 use crate::trace::{TracePhase, TraceRing};
@@ -146,6 +146,7 @@ impl HostParty {
         session: Option<PartySession>,
         chaos: ChaosPlan,
     ) -> Result<HostParty, TrainError> {
+        check_width(PartyId::Host(party_index), data.num_features())?;
         let binned = BinnedDataset::bin(&data, &cfg.gbdt.binning);
         let csr = RowMajorBins::from_binned(&binned);
         let pool = rayon::ThreadPoolBuilder::new()

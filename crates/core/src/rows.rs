@@ -6,6 +6,15 @@
 //! transpose of a [`BinnedDataset`]: per row, the `(feature, bin)` pairs of
 //! its stored entries. It is built once per party and shared by every tree.
 //!
+//! An entry is two `u16`s, four bytes with no padding: both parties'
+//! histogram walks (the guest's [`RowMajorBins::node_histograms`], the
+//! host's `EncHistBuilder::add_rows`) stream these entries, so their width
+//! is the bytes each walk reads per row-feature. A bin index already fits
+//! in 16 bits ([`ColMeta::num_bins`]); a feature index does because no
+//! party may hold more than [`MAX_FEATURES`] columns, the same cap the wire
+//! puts on a host's `FeatureMeta`, and [`check_width`] refuses a wider
+//! party before anything is built.
+//!
 //! [`NodeRows`] tracks which rows sit on which tree node. Parent row lists
 //! are retained after a split so that the optimistic protocol can *re-split*
 //! a dirty node from the same list (§4.2's roll-back-and-re-do).
@@ -13,6 +22,28 @@
 use vf2_gbdt::binning::BinnedDataset;
 use vf2_gbdt::histogram::{GradPair, Histogram};
 use vf2_gbdt::tree::{left_child, right_child, NodeId};
+
+use crate::error::{PartyId, TrainError};
+use crate::wire::limits::MAX_FEATURES;
+
+/// One stored entry of a row: `(feature, bin)`.
+type Entry = (u16, u16);
+
+// Both histogram walks read one entry per row-feature: keep it at four
+// bytes.
+const _: () = assert!(std::mem::size_of::<Entry>() == 4);
+
+/// Refuses a party holding more than [`MAX_FEATURES`] columns, whose
+/// features a row-major entry could not index: a typed error before any
+/// view is built.
+pub(crate) fn check_width(party: PartyId, features: usize) -> Result<(), TrainError> {
+    if features > MAX_FEATURES {
+        return Err(TrainError::InvalidInput(format!(
+            "{party} holds {features} features, more than the {MAX_FEATURES} a party may hold"
+        )));
+    }
+    Ok(())
+}
 
 /// Per-column metadata needed when reconstructing zero bins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,15 +62,23 @@ pub struct RowMajorBins {
     /// `entries[offsets[r]..offsets[r+1]]` are row `r`'s stored entries.
     offsets: Vec<u32>,
     /// `(feature, bin)` pairs.
-    entries: Vec<(u32, u16)>,
+    entries: Vec<Entry>,
     /// Per-column metadata.
     pub col_meta: Vec<ColMeta>,
     num_rows: usize,
 }
 
 impl RowMajorBins {
-    /// Transposes a binned dataset into row-major form.
+    /// Transposes a binned dataset into row-major form. Each row's entries
+    /// are in feature order.
+    ///
+    /// # Panics
+    /// If the dataset has more than [`MAX_FEATURES`] columns, whose indices
+    /// an entry cannot hold; the trainer refuses such a party first
+    /// ([`check_width`]).
     pub fn from_binned(binned: &BinnedDataset) -> RowMajorBins {
+        let features = binned.num_features();
+        assert!(features <= MAX_FEATURES, "{features} columns exceed {MAX_FEATURES}");
         let n = binned.num_rows();
         let mut counts = vec![0u32; n + 1];
         for col in binned.columns() {
@@ -52,9 +91,10 @@ impl RowMajorBins {
             offsets[i] += offsets[i - 1];
         }
         let mut cursor = offsets.clone();
-        let mut entries = vec![(0u32, 0u16); offsets[n] as usize];
-        let mut col_meta = Vec::with_capacity(binned.num_features());
-        for (f, col) in binned.columns().iter().enumerate() {
+        let mut entries = vec![(0, 0); offsets[n] as usize];
+        let mut col_meta = Vec::with_capacity(features);
+        // `MAX_FEATURES` is 2^16: every index below it is a `u16`.
+        for (f, col) in (0..=u16::MAX).zip(binned.columns()) {
             col_meta.push(ColMeta {
                 num_bins: col.num_bins() as u16,
                 zero_bin: col.zero_bin,
@@ -62,7 +102,7 @@ impl RowMajorBins {
             });
             for (row, bin) in col.iter_nonzero() {
                 let at = cursor[row as usize];
-                entries[at as usize] = (f as u32, bin);
+                entries[at as usize] = (f, bin);
                 cursor[row as usize] += 1;
             }
         }
@@ -80,7 +120,7 @@ impl RowMajorBins {
     }
 
     /// The stored `(feature, bin)` entries of one row.
-    pub fn row(&self, r: usize) -> &[(u32, u16)] {
+    pub fn row(&self, r: usize) -> &[(u16, u16)] {
         &self.entries[self.offsets[r] as usize..self.offsets[r + 1] as usize]
     }
 
@@ -205,10 +245,29 @@ mod tests {
         assert_eq!(csr.num_rows(), 6);
         assert_eq!(csr.num_features(), 2);
         // Row 1 has entries in both columns.
-        let row1: Vec<u32> = csr.row(1).iter().map(|&(f, _)| f).collect();
+        let row1: Vec<u16> = csr.row(1).iter().map(|&(f, _)| f).collect();
         assert_eq!(row1, vec![0, 1]);
         // Row 0 only in the dense column.
         assert_eq!(csr.row(0).len(), 1);
+    }
+
+    /// The widest table a party may hold: its last column is feature
+    /// 65 535, not a wrapped 0, and a wider one is refused.
+    #[test]
+    fn the_widest_table_indexes_its_last_column() {
+        let column = FeatureColumn::Dense(vec![0.0, 1.0]);
+        let data = Dataset::new(2, vec![column; MAX_FEATURES], None);
+        let b = BinnedDataset::bin(&data, &BinningConfig { num_bins: 4, max_samples: 1 << 16 });
+        let csr = RowMajorBins::from_binned(&b);
+        assert_eq!(csr.num_features(), MAX_FEATURES);
+        for r in 0..2 {
+            let row = csr.row(r);
+            assert_eq!(row.len(), MAX_FEATURES);
+            assert_eq!(row.last().map(|&(f, _)| f), Some(65_535));
+        }
+        assert!(check_width(PartyId::Guest, MAX_FEATURES).is_ok());
+        let err = check_width(PartyId::Host(0), MAX_FEATURES + 1).unwrap_err();
+        assert!(matches!(err, TrainError::InvalidInput(_)), "{err}");
     }
 
     #[test]

@@ -24,6 +24,7 @@ use crate::error::{
 use crate::guest::run_guest;
 use crate::host::run_host;
 use crate::model::{FederatedModel, HostSplitTable};
+use crate::rows::check_width;
 use crate::session::{PartySession, SessionConfig};
 use crate::telemetry::{PartyTelemetry, TrainReport};
 
@@ -123,7 +124,9 @@ pub fn train_federated_session(
         if h.labels().is_some() {
             return Err(TrainError::InvalidInput(format!("host {p} must not carry labels")).into());
         }
+        check_width(PartyId::Host(p), h.num_features())?;
     }
+    check_width(PartyId::Guest, guest.num_features())?;
 
     // Key material: the guest holds the private key, hosts get the public
     // half.
@@ -522,6 +525,38 @@ mod tests {
         let misaligned = train_federated(&short.hosts, &s.guest, &mock_cfg()).unwrap_err();
         assert!(matches!(misaligned.error, TrainError::InvalidInput(_)));
         assert!(misaligned.partial.hosts.is_empty());
+        // A party wider than a row-major entry can index, host or guest:
+        // refused before anything runs.
+        let wide = |labels| {
+            let column = vf2_gbdt::data::FeatureColumn::Dense(vec![0.0, 1.0]);
+            Dataset::new(2, vec![column; crate::wire::limits::MAX_FEATURES + 1], labels)
+        };
+        let narrow = scenario(2, 4, 2, 31);
+        for (hosts, guest) in [
+            (vec![wide(None)], narrow.guest.clone()),
+            (narrow.hosts.clone(), wide(Some(vec![0.0, 1.0]))),
+        ] {
+            let too_wide = train_federated(&hosts, &guest, &mock_cfg()).unwrap_err();
+            assert!(matches!(too_wide.error, TrainError::InvalidInput(_)), "{}", too_wide.error);
+            assert!(too_wide.partial.hosts.is_empty());
+        }
+        // The parties refuse it themselves, for callers that run them.
+        let cfg = mock_cfg();
+        let (guest_ep, host_ep) = vf2_channel::duplex(cfg.wan);
+        let suite = Suite::plain(cfg.encoding);
+        let host = run_host(
+            0,
+            Arc::new(wide(None)),
+            cfg,
+            suite.clone(),
+            host_ep,
+            None,
+            ChaosPlan::default(),
+        );
+        assert!(matches!(host.err().map(|f| f.error), Some(TrainError::InvalidInput(_))));
+        let guest =
+            run_guest(Arc::new(wide(Some(vec![0.0, 1.0]))), cfg, suite, vec![guest_ep], None);
+        assert!(matches!(guest.err().map(|f| f.error), Some(TrainError::InvalidInput(_))));
         // A tree with no layers has no root to hold the rows.
         let flat =
             TrainConfig { gbdt: GbdtParams { max_layers: 0, ..mock_cfg().gbdt }, ..mock_cfg() };
