@@ -81,6 +81,19 @@ cargo clippy -p vf2boost-core -p vf2-channel -p vf2-crypto --lib -- -D warnings
 # streams a 1 250-row tree's gradients in 128-row batches — exactly nine
 # more guest messages than one bulk frame, and the bulk run's model.
 #
+# The guest's tree core (crates/core/src/grow.rs): the optimistic protocol's
+# decisions are driven with no link —
+# a_resplit_forgets_the_retained_histograms_below_it_and_derives_them_anew
+# reads the tasks a rollback and re-split issue off the core's actions;
+# guest_admits_only_answers_to_issued_requests,
+# guest_placement_accounting_allows_rollback_reissues and
+# guest_begin_tree_voids_previous_bookkeeping pin the admission verdicts the
+# core's one per-host ledger gives; and
+# a_histogram_for_a_superseded_epoch_is_stale_once_and_never_charged pins an
+# answer to a task a rollback superseded. The scripted parties refuse a
+# config train_federated refuses (byzantine.rs's
+# scripted_parties_refuse_an_invalid_config).
+#
 # Many-party chaos (tests/many_party.rs): the guest's tree loop is
 # arrival-order invariant — 8 hosts behind heterogeneous faulty WANs
 # (rolling staggered stalls, reordering links, a bandwidth/latency spread)
@@ -104,11 +117,11 @@ timeout 300 cargo test -q -p rayon
 # must hold in release builds: debug_assert is banned from the wire
 # decoder, the semantic validators, both party drivers, the wait they
 # share, and the model a decoded file is predicted with.
-echo "== no-debug_assert gate (wire/validate/hist_enc/guest/host/peer/model) =="
+echo "== no-debug_assert gate (wire/validate/hist_enc/guest/grow/host/peer/model) =="
 if grep -n "debug_assert" \
     crates/core/src/wire.rs crates/core/src/validate.rs crates/core/src/hist_enc.rs \
-    crates/core/src/guest.rs crates/core/src/host.rs crates/core/src/peer.rs \
-    crates/core/src/model.rs; then
+    crates/core/src/guest.rs crates/core/src/grow.rs crates/core/src/host.rs \
+    crates/core/src/peer.rs crates/core/src/model.rs; then
   echo "debug_assert found in an admission-critical module" >&2
   exit 1
 fi
@@ -154,15 +167,34 @@ if grep -rnwE 'HostLossPolicy|on_host_loss|HostSpawner|HostOutcome|AwaitRejoin|D
   exit 1
 fi
 
+# One core, one ledger: the guest's tree growth (grow.rs) is a pure core —
+# its shipping half names no link, cipher suite, clock or trace, so every
+# decision of the optimistic protocol is testable with no thread — and it is
+# the only record of what each host owes. The guest's handshake machine
+# (fsm.rs) and the shell (guest.rs) keep no second ledger and no driver
+# hook that fed one.
+echo "== one-core gate (grow.rs pure; no second per-host ledger) =="
+GROW_SHIPPING=$(awk '/#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' crates/core/src/grow.rs)
+if grep -E 'Peer|peer::|Endpoint|Suite|Instant|telemetry|TraceRing' <<< "$GROW_SHIPPING"; then
+  echo "the tree core names a link, the suite, a clock or telemetry" >&2
+  exit 1
+fi
+if grep -nE 'tasked|seen_hists|placements_due|task_sent|expect_placement|begin_tree|hist_is_fresh' \
+    crates/core/src/fsm.rs crates/core/src/guest.rs; then
+  echo "a second per-host ledger or its driver hooks are back" >&2
+  exit 1
+fi
+
 # One child per split, one place it is subtracted: the guest derives a
-# split's larger child from plaintexts it holds (guest.rs::derive_larger →
+# split's larger child from plaintexts it holds (grow.rs::derive_larger →
 # DecodedBins::checked_sub). No party subtracts in ciphertext and no host
 # keeps a node histogram — EncHistBuilder::subtract and Suite::neg_batch
 # survive in hist_enc.rs / vf2-crypto only as the reference that derivation
 # is tested against (and a benchmark micro).
 echo "== one-child-per-split gate (no ciphertext subtraction or histogram store in the parties) =="
 if grep -nE 'NodeHists|\.subtract\(|neg_batch|hist_cache_evictions|hadds_saved' \
-    crates/core/src/host.rs crates/core/src/guest.rs crates/core/src/trace.rs; then
+    crates/core/src/host.rs crates/core/src/guest.rs crates/core/src/grow.rs \
+    crates/core/src/trace.rs; then
   echo "a party subtracts in ciphertext or retains a node histogram again" >&2
   exit 1
 fi

@@ -9,10 +9,9 @@
 //! * the **host** walks `AwaitResume → (Gradients → NodeLoop)* → Done`,
 //!   admitting only the kinds the guest may legally send in each phase
 //!   (see [`HostFsm`]);
-//! * the **guest** tracks, per host, `AwaitHello → AwaitMeta → Active`,
-//!   and inside `Active` admits only responses to requests it actually
-//!   issued — a histogram must answer a broadcast `NodeTask`, a placement
-//!   must answer a `HostSplitChosen` (see [`GuestFsm`]).
+//! * the **guest** tracks, per host, the handshake `AwaitHello → AwaitMeta
+//!   → Active` (see [`GuestFsm`]); inside `Active` the tree's core
+//!   (`grow.rs`) admits only answers to requests it actually made.
 //!
 //! Verdicts are three-valued: [`Admit::Deliver`] hands the message to the
 //! dispatcher, [`Admit::Stale`] drops a *provably honest* straggler (the
@@ -22,8 +21,6 @@
 //! per-peer [`MisbehaviorBudget`]; within budget the message is dropped
 //! and counted, past it the run fails with
 //! [`TrainError::PeerMisbehaving`].
-
-use std::collections::{HashMap, HashSet};
 
 use crate::error::{PartyId, ProtocolError, TrainError};
 use crate::messages::Msg;
@@ -133,15 +130,14 @@ impl HostFsm {
         ) {
             return Err(self.reject(msg.kind(), "message kind the host never accepts"));
         }
+        let (from, kind) = (PartyId::Guest, msg.kind());
+        let replayed = |context| ProtocolError::StaleOrReplayed { from, kind, context };
         match self.phase {
             HostPhase::AwaitResume => match msg {
                 Msg::Resume { tree_count, .. } => {
                     if *tree_count > self.num_trees {
-                        return Err(ProtocolError::Inadmissible {
-                            from: PartyId::Guest,
-                            kind: msg.kind(),
-                            context: "resume point past the configured tree count",
-                        });
+                        let context = "resume point past the configured tree count";
+                        return Err(ProtocolError::Inadmissible { from, kind, context });
                     }
                     self.tree = *tree_count;
                     self.next_row = 0;
@@ -157,21 +153,13 @@ impl HostFsm {
                 Msg::GradBatch { tree, start_row, g: rows, last, .. }
                 | Msg::PackedGradBatch { tree, start_row, gh: rows, last } => {
                     if *tree < self.tree {
-                        return Err(ProtocolError::StaleOrReplayed {
-                            from: PartyId::Guest,
-                            kind: msg.kind(),
-                            context: "gradient batch for a completed tree",
-                        });
+                        return Err(replayed("gradient batch for a completed tree"));
                     }
                     if *tree > self.tree {
                         return Err(self.reject(msg.kind(), "gradient batch for a future tree"));
                     }
                     if *start_row < self.next_row {
-                        return Err(ProtocolError::StaleOrReplayed {
-                            from: PartyId::Guest,
-                            kind: msg.kind(),
-                            context: "gradient batch replays rows already received",
-                        });
+                        return Err(replayed("gradient batch replays rows already received"));
                     }
                     if *start_row > self.next_row {
                         return Err(
@@ -196,11 +184,7 @@ impl HostFsm {
                 | Msg::HostSplitChosen { tree, .. }
                 | Msg::NodeLeaf { tree, .. } => {
                     if *tree < self.tree {
-                        return Err(ProtocolError::StaleOrReplayed {
-                            from: PartyId::Guest,
-                            kind: msg.kind(),
-                            context: "node message for a completed tree",
-                        });
+                        return Err(replayed("node message for a completed tree"));
                     }
                     if *tree > self.tree {
                         return Err(self.reject(msg.kind(), "node message for a future tree"));
@@ -241,47 +225,26 @@ enum GuestPhase {
     AwaitHello,
     /// Waiting for the host's `FeatureMeta`.
     AwaitMeta,
-    /// Steady state: histogram / placement responses only.
+    /// Steady state: histogram / placement answers only.
     Active,
 }
 
-/// Validating state machine for one host's inbound stream at the guest.
+/// Validating state machine for one host's handshake at the guest.
 ///
-/// The guest is the protocol driver: everything a host legally sends in
-/// steady state answers a request the guest previously issued. The driver
-/// registers those requests through [`GuestFsm::task_sent`] and
-/// [`GuestFsm::expect_placement`], and [`GuestFsm::admit`] verifies each
-/// response against them. Responses superseded by an optimistic rollback
-/// or a finished tree are [`Admit::Stale`]; responses to requests never
-/// made are violations.
+/// A host opens with its `SessionHello`, then its `FeatureMeta`; after
+/// that it may send only answers — histograms and placements — and whether
+/// the guest asked for one is the tree's core's question
+/// (`grow::TreeCore::admit`), which records every request it makes.
 #[derive(Debug)]
 pub struct GuestFsm {
     host: usize,
     phase: GuestPhase,
-    /// The tree currently being built.
-    tree: u32,
-    /// `(node, epoch)` pairs broadcast as `NodeTask` this tree (the root
-    /// task is registered like any other by the driver's materialize).
-    tasked: HashSet<(u32, u32)>,
-    /// `(node, epoch)` histograms already delivered this tree.
-    seen_hists: HashSet<(u32, u32)>,
-    /// Outstanding `HostSplitChosen` requests to this host, per node
-    /// (a rollback plus re-resolve can legitimately issue two for the
-    /// same node, hence a counter rather than a set).
-    placements_due: HashMap<u32, u32>,
 }
 
 impl GuestFsm {
     /// A fresh machine for host `host`.
     pub fn new(host: usize) -> GuestFsm {
-        GuestFsm {
-            host,
-            phase: GuestPhase::AwaitHello,
-            tree: 0,
-            tasked: HashSet::new(),
-            seen_hists: HashSet::new(),
-            placements_due: HashMap::new(),
-        }
+        GuestFsm { host, phase: GuestPhase::AwaitHello }
     }
 
     /// Human-readable phase name (for error context).
@@ -291,28 +254,6 @@ impl GuestFsm {
             GuestPhase::AwaitMeta => "await-meta",
             GuestPhase::Active => "active",
         }
-    }
-
-    /// Driver hook: a new tree starts; all request bookkeeping of the
-    /// previous tree is void (its leftovers will classify as stale by the
-    /// tree index alone).
-    pub fn begin_tree(&mut self, tree: u32) {
-        self.tree = tree;
-        self.tasked.clear();
-        self.seen_hists.clear();
-        self.placements_due.clear();
-    }
-
-    /// Driver hook: a `NodeTask { node, epoch }` was broadcast for the
-    /// current tree.
-    pub fn task_sent(&mut self, node: u32, epoch: u32) {
-        self.tasked.insert((node, epoch));
-    }
-
-    /// Driver hook: a `HostSplitChosen` for `node` was sent to this host,
-    /// which now owes exactly one `Placement` in response.
-    pub fn expect_placement(&mut self, node: u32) {
-        *self.placements_due.entry(node).or_insert(0) += 1;
     }
 
     fn reject(&self, kind: u16, context: &'static str) -> ProtocolError {
@@ -342,69 +283,23 @@ impl GuestFsm {
         ) {
             return Err(self.reject(msg.kind(), "message kind the guest never accepts"));
         }
-        match self.phase {
-            GuestPhase::AwaitHello => match msg {
-                Msg::SessionHello { .. } => {
-                    self.phase = GuestPhase::AwaitMeta;
-                    Ok(Admit::Deliver)
-                }
-                _ => Err(self.reject(msg.kind(), "a connection must open with the session hello")),
-            },
-            GuestPhase::AwaitMeta => match msg {
-                Msg::FeatureMeta(_) => {
-                    self.phase = GuestPhase::Active;
-                    Ok(Admit::Deliver)
-                }
-                _ => Err(self.reject(msg.kind(), "feature metadata must follow the hello")),
-            },
-            GuestPhase::Active => match msg {
-                Msg::NodeHistograms { tree, node, epoch, .. } => {
-                    if *tree > self.tree {
-                        return Err(self.reject(msg.kind(), "histograms for a future tree"));
-                    }
-                    if *tree < self.tree {
-                        return Ok(Admit::Stale("histograms from a completed tree"));
-                    }
-                    if !self.tasked.contains(&(*node, *epoch)) {
-                        return Err(self.reject(msg.kind(), "histograms for a task never issued"));
-                    }
-                    if !self.seen_hists.insert((*node, *epoch)) {
-                        return Err(ProtocolError::StaleOrReplayed {
-                            from: PartyId::Host(self.host),
-                            kind: msg.kind(),
-                            context: "histogram replayed for the same node and epoch",
-                        });
-                    }
-                    Ok(Admit::Deliver)
-                }
-                Msg::Placement { tree, node, .. } => {
-                    if *tree > self.tree {
-                        return Err(self.reject(msg.kind(), "placement for a future tree"));
-                    }
-                    if *tree < self.tree {
-                        // A host answering a split choice whose node was
-                        // rolled back meanwhile: the reply can cross the
-                        // tree boundary and is honest.
-                        return Ok(Admit::Stale("placement from a completed tree"));
-                    }
-                    match self.placements_due.get_mut(node) {
-                        Some(due) if *due > 0 => {
-                            *due -= 1;
-                            Ok(Admit::Deliver)
-                        }
-                        _ => Err(ProtocolError::StaleOrReplayed {
-                            from: PartyId::Host(self.host),
-                            kind: msg.kind(),
-                            context: "placement that answers no outstanding split choice",
-                        }),
-                    }
-                }
-                Msg::SessionHello { .. } | Msg::FeatureMeta(_) => {
-                    Err(self.reject(msg.kind(), "handshake replayed mid-run"))
-                }
-                _ => Err(self.reject(msg.kind(), "message inadmissible in steady state")),
-            },
-        }
+        self.phase = match (self.phase, msg) {
+            (GuestPhase::AwaitHello, Msg::SessionHello { .. }) => GuestPhase::AwaitMeta,
+            (GuestPhase::AwaitHello, _) => {
+                return Err(self.reject(msg.kind(), "a connection must open with the session hello"))
+            }
+            (GuestPhase::AwaitMeta, Msg::FeatureMeta(_)) => GuestPhase::Active,
+            (GuestPhase::AwaitMeta, _) => {
+                return Err(self.reject(msg.kind(), "feature metadata must follow the hello"))
+            }
+            (GuestPhase::Active, Msg::SessionHello { .. } | Msg::FeatureMeta(_)) => {
+                return Err(self.reject(msg.kind(), "handshake replayed mid-run"))
+            }
+            // A histogram or a placement: the tree's core judges it against
+            // what the host owes.
+            (GuestPhase::Active, _) => GuestPhase::Active,
+        };
+        Ok(Admit::Deliver)
     }
 }
 
@@ -544,74 +439,22 @@ mod tests {
         let mut fsm = GuestFsm::new(0);
         fsm.admit(&Msg::SessionHello { session_id: 0, durable: vec![] }).unwrap();
         fsm.admit(&Msg::FeatureMeta(vec![])).unwrap();
-        fsm.begin_tree(3);
         fsm
     }
 
+    /// The handshake machine passes a host's answers on to the tree's core
+    /// (`grow.rs` pins what it admits) and refuses every kind only the
+    /// protocol driver sends.
     #[test]
-    fn guest_admits_only_answers_to_issued_requests() {
+    fn guest_passes_answers_and_rejects_driver_kinds() {
         let mut fsm = active_guest();
-        fsm.task_sent(0, 1);
-        // The tasked histogram delivers exactly once.
         assert_eq!(fsm.admit(&hist(3, 0, 1)), Ok(Admit::Deliver));
-        let err = fsm.admit(&hist(3, 0, 1)).unwrap_err();
-        assert!(matches!(err, ProtocolError::StaleOrReplayed { .. }), "{err}");
-        // Never-tasked node or epoch.
-        let err = fsm.admit(&hist(3, 5, 1)).unwrap_err();
-        assert!(matches!(err, ProtocolError::OutOfPhase { .. }), "{err}");
-        let err = fsm.admit(&hist(3, 0, 9)).unwrap_err();
-        assert!(matches!(err, ProtocolError::OutOfPhase { .. }), "{err}");
-        // Future tree is a violation; completed tree is honest staleness.
-        let err = fsm.admit(&hist(4, 0, 1)).unwrap_err();
-        assert!(matches!(err, ProtocolError::OutOfPhase { .. }), "{err}");
-        assert_eq!(fsm.admit(&hist(2, 0, 1)), Ok(Admit::Stale("histograms from a completed tree")));
-        // Guest-bound kinds are rejected outright.
+        let placement = Msg::Placement { tree: 3, node: 1, placement: vec![] };
+        assert_eq!(fsm.admit(&placement), Ok(Admit::Deliver));
         let err = fsm.admit(&Msg::Shutdown).unwrap_err();
         assert!(matches!(err, ProtocolError::OutOfPhase { kind: 10, .. }), "{err}");
         let err = fsm.admit(&Msg::TreeDone { tree: 3 }).unwrap_err();
         assert!(matches!(err, ProtocolError::OutOfPhase { kind: 9, .. }), "{err}");
-    }
-
-    #[test]
-    fn guest_placement_accounting_allows_rollback_reissues() {
-        let mut fsm = active_guest();
-        let placement = |tree, node| Msg::Placement { tree, node, placement: vec![] };
-        // Unsolicited placement.
-        let err = fsm.admit(&placement(3, 1)).unwrap_err();
-        assert!(matches!(err, ProtocolError::StaleOrReplayed { .. }), "{err}");
-        // One request, one answer; the second answer is a replay.
-        fsm.expect_placement(1);
-        assert_eq!(fsm.admit(&placement(3, 1)), Ok(Admit::Deliver));
-        let err = fsm.admit(&placement(3, 1)).unwrap_err();
-        assert!(matches!(err, ProtocolError::StaleOrReplayed { .. }), "{err}");
-        // A rollback can re-issue the same node's split choice: both
-        // answers are admissible.
-        fsm.expect_placement(2);
-        fsm.expect_placement(2);
-        assert_eq!(fsm.admit(&placement(3, 2)), Ok(Admit::Deliver));
-        assert_eq!(fsm.admit(&placement(3, 2)), Ok(Admit::Deliver));
-        // Straggler placements across a tree boundary are honest.
-        assert_eq!(
-            fsm.admit(&placement(2, 9)),
-            Ok(Admit::Stale("placement from a completed tree"))
-        );
-        let err = fsm.admit(&placement(4, 1)).unwrap_err();
-        assert!(matches!(err, ProtocolError::OutOfPhase { .. }), "{err}");
-    }
-
-    #[test]
-    fn guest_begin_tree_voids_previous_bookkeeping() {
-        let mut fsm = active_guest();
-        fsm.task_sent(0, 1);
-        fsm.expect_placement(0);
-        fsm.begin_tree(4);
-        // The old tree's task is no longer current: its histogram is stale
-        // by tree index, and the new tree has no requests outstanding.
-        assert!(matches!(fsm.admit(&hist(3, 0, 1)), Ok(Admit::Stale(_))));
-        let err = fsm.admit(&hist(4, 0, 1)).unwrap_err();
-        assert!(matches!(err, ProtocolError::OutOfPhase { .. }), "{err}");
-        let err = fsm.admit(&Msg::Placement { tree: 4, node: 0, placement: vec![] }).unwrap_err();
-        assert!(matches!(err, ProtocolError::StaleOrReplayed { .. }), "{err}");
     }
 
     #[test]

@@ -1,6 +1,11 @@
 //! The guest party (the paper's *Party B*): label owner, private-key
 //! holder, and protocol driver.
 //!
+//! This module is the shell around the tree's growth: the pure per-tree
+//! core (`grow.rs`) decides which node the hosts are asked for, and which
+//! is speculated, resolved, rolled back or placed, and what each host owes;
+//! the shell admits, decrypts, searches, sends and times.
+//!
 //! One event loop (`GuestParty::run_tree`) drives every tree; the paper's
 //! two schedules are two timings of it (§4.2, Figs. 5–6), selected by
 //! `ProtocolConfig::optimistic`:
@@ -20,30 +25,29 @@
 //! next batch's encryption proceeds while earlier ciphers are still on the
 //! wire and hosts are already accumulating.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
 use vf2_channel::{Endpoint, Envelope};
-use vf2_crypto::packing::GhPlan;
 use vf2_crypto::split_seed;
 use vf2_crypto::suite::Suite;
 use vf2_gbdt::binning::BinnedDataset;
 use vf2_gbdt::data::Dataset;
 use vf2_gbdt::histogram::GradPair;
 use vf2_gbdt::split::{best_of, find_best_split, SplitCandidate};
-use vf2_gbdt::tree::{layer_of, left_child, parent, right_child, NodeId, NodeSplit};
+use vf2_gbdt::tree::NodeId;
 
 use crate::config::TrainConfig;
 use crate::error::{GuestFailure, PartyId, ProtocolError, ProtocolPhase, TrainError};
 use crate::fsm::{Admit, GuestFsm};
+use crate::grow::{Action, HostHist, Rules, TreeCore};
 use crate::hist_enc::{
     decrypt_feature_hist, unpack_feature_hist, unpack_gh_feature_hist, DecodedBins,
 };
 use crate::messages::{FeatureMeta, HistPayload, Msg};
 use crate::model::{FedNode, FedTree};
 use crate::peer::{self, Deadline, Peer};
-use crate::rows::{check_width, NodeRows, RowMajorBins};
+use crate::rows::{check_width, RowMajorBins};
 use crate::session::PartySession;
 use crate::telemetry::{PartyTelemetry, TreeRecord};
 use crate::trace::{TracePhase, TraceRing};
@@ -60,73 +64,6 @@ pub struct GuestOutput {
     pub tree_records: Vec<TreeRecord>,
     /// Final training-set margins.
     pub train_margins: Vec<f64>,
-}
-
-/// Which party won a node, if any.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Winner {
-    None,
-    Guest(SplitCandidate),
-    Host(usize, SplitCandidate),
-}
-
-/// One host's histogram of one node as it decrypted, feature by feature.
-type HostHist = Vec<DecodedBins>;
-
-/// One host's answer slot for one node.
-#[derive(Debug, Clone, PartialEq)]
-enum HostAnswer {
-    /// Owed — by the host, or by the derivation from its sibling's — and
-    /// not in yet.
-    Waiting,
-    /// In: the host's best split for the node, and its histogram, kept as
-    /// it decrypted for as long as the node stands — a (re-)split's
-    /// derivation reads it.
-    Answered { best: Option<SplitCandidate>, hist: HostHist },
-}
-
-/// Per-node in-flight state.
-struct NodeState {
-    total: GradPair,
-    /// The node whose `NodeTask` answers for this one: itself, or — for
-    /// the larger child of a split — its smaller sibling.
-    asked: NodeId,
-    guest_best: Option<SplitCandidate>,
-    /// One slot per host, index-aligned with the roster.
-    answers: Vec<HostAnswer>,
-    /// The guest split was already applied optimistically.
-    already_split: bool,
-    /// Waiting for a host's placement after choosing its split.
-    awaiting_placement: Option<usize>,
-    resolved: bool,
-}
-
-impl NodeState {
-    /// `host`'s histogram of this node, once it is in.
-    fn hist(&self, host: usize) -> Option<&HostHist> {
-        match &self.answers[host] {
-            HostAnswer::Answered { hist, .. } => Some(hist),
-            _ => None,
-        }
-    }
-
-    /// True once no host's answer is still owed.
-    fn all_in(&self) -> bool {
-        !self.answers.contains(&HostAnswer::Waiting)
-    }
-}
-
-/// Per-tree mutable state.
-struct TreeCtx {
-    tree: u32,
-    grads: Vec<GradPair>,
-    rows: NodeRows,
-    epoch: Vec<u32>,
-    states: HashMap<NodeId, NodeState>,
-    /// The tree being built: a node is written when it resolves and is
-    /// `Absent` again when a rollback takes it.
-    fed: FedTree,
-    pending: usize,
 }
 
 /// A histogram answer the tree loop has admitted but not yet decrypted.
@@ -188,7 +125,8 @@ pub fn run_guest(
 struct HostLink {
     /// The link and the host's misbehavior budget.
     peer: Peer,
-    /// Validating state machine over this host's inbound stream.
+    /// This host's handshake machine; its answers are the tree core's to
+    /// admit.
     fsm: GuestFsm,
     /// The histogram structure its `FeatureMeta` announced.
     metas: Vec<FeatureMeta>,
@@ -199,17 +137,14 @@ struct HostLink {
 struct GuestParty {
     cfg: TrainConfig,
     suite: Suite,
-    /// The pair plan when this run's forward path is paired
-    /// ([`TrainConfig::gh_plan`]); `None` on the two-stream path.
-    gh: Option<GhPlan>,
     /// The roster, indexed by host.
     hosts: Vec<HostLink>,
-    data: Arc<Dataset>,
     /// The label vector, captured once at construction (presence is a
     /// constructor invariant — storing it removes every later
     /// `labels().expect(...)`).
     labels: Vec<f32>,
-    binned: BinnedDataset,
+    /// What every tree's core shares; it holds the guest's binned features.
+    rules: Arc<Rules>,
     csr: RowMajorBins,
     pool: rayon::ThreadPool,
     preds: Vec<f64>,
@@ -227,6 +162,7 @@ impl GuestParty {
         endpoints: Vec<Endpoint>,
         session: Option<PartySession>,
     ) -> Result<GuestParty, TrainError> {
+        cfg.validate().map_err(TrainError::InvalidConfig)?;
         let Some(labels) = data.labels() else {
             return Err(TrainError::InvalidInput("the guest must own the labels".into()));
         };
@@ -245,7 +181,15 @@ impl GuestParty {
             .build()
             .map_err(|e| TrainError::Setup { party: PartyId::Guest, detail: e.to_string() })?;
         let n = data.num_rows();
-        let gh = cfg.gh_plan(&suite, n).map_err(TrainError::crypto("gh plan derivation"))?;
+        let rules = Arc::new(Rules {
+            split: cfg.gbdt.split,
+            max_layers: cfg.gbdt.max_layers,
+            optimistic: cfg.protocol.optimistic,
+            encoding: *suite.encoding(),
+            gh: cfg.gh_plan(&suite, n).map_err(TrainError::crypto("gh plan derivation"))?,
+            max_int: suite.public_key().map(|pk| pk.max_int().clone()).unwrap_or_default(),
+            binned,
+        });
         let link = |(h, endpoint)| HostLink {
             peer: Peer::new(endpoint, PartyId::Guest, PartyId::Host(h), cfg.misbehavior_budget),
             fsm: GuestFsm::new(h),
@@ -253,7 +197,6 @@ impl GuestParty {
             durable: Vec::new(),
         };
         Ok(GuestParty {
-            gh,
             hosts: endpoints.into_iter().enumerate().map(link).collect(),
             preds: vec![cfg.gbdt.loss.base_score(); n],
             telemetry: PartyTelemetry {
@@ -266,9 +209,8 @@ impl GuestParty {
             session,
             cfg,
             suite,
-            data,
             labels,
-            binned,
+            rules,
             csr,
             pool,
         })
@@ -303,10 +245,12 @@ impl GuestParty {
         let session = self.session.clone();
         let my_sid = session.as_ref().map_or(0, |s| s.session_id());
 
-        // Session handshake + feature metadata, host by host.
+        // Session handshake + feature metadata, host by host, each bounded
+        // by the per-phase deadline.
         for h in 0..self.hosts.len() {
             loop {
-                let msg = self.recv_from(h, ProtocolPhase::Hello)?;
+                let deadline = Deadline::new(ProtocolPhase::Hello, self.cfg.peer_timeout);
+                let (_, msg) = self.wait_admitted(&[h], &deadline, None)?;
                 if self.on_handshake(h, msg)? {
                     break;
                 }
@@ -439,12 +383,18 @@ impl GuestParty {
 
     /// Decodes a frame from `host` and runs the admission gates on it:
     /// semantic payload validation first (stateless), then that host's
-    /// protocol state machine (advances on admission). `Ok(Some(msg))`
-    /// delivers to the protocol driver; `Ok(None)` means the message was
-    /// dropped — an honest straggler or a tolerated violation; an error
-    /// means a frame that does not decode, or a host that exhausted its
-    /// misbehavior budget.
-    fn admit_from(&mut self, host: usize, env: Envelope) -> Result<Option<Msg>, TrainError> {
+    /// handshake machine, then — for a histogram or a placement — the
+    /// tree's core, which knows what the host owes (`core` is `None` only
+    /// during the handshake). `Ok(Some(msg))` delivers to the protocol
+    /// driver; `Ok(None)` means the message was dropped — an honest
+    /// straggler or a tolerated violation; an error means a frame that
+    /// does not decode, or a host that exhausted its misbehavior budget.
+    fn admit_from(
+        &mut self,
+        host: usize,
+        env: Envelope,
+        core: Option<&mut TreeCore>,
+    ) -> Result<Option<Msg>, TrainError> {
         let msg = wire::decode(env.kind, env.payload)
             .map_err(|error| ProtocolError::Malformed { from: PartyId::Host(host), error })?;
         let link = &mut self.hosts[host];
@@ -455,9 +405,13 @@ impl GuestParty {
             metas,
             self.cfg.gbdt.max_layers as u32,
             &self.suite,
-            self.gh.as_ref(),
+            self.rules.gh.as_ref(),
         )
-        .and_then(|()| link.fsm.admit(&msg));
+        .and_then(|()| link.fsm.admit(&msg))
+        .and_then(|admit| match core {
+            Some(core) if admit == Admit::Deliver => core.admit(host, &msg),
+            _ => Ok(admit),
+        });
         match verdict {
             Ok(Admit::Deliver) => Ok(Some(msg)),
             Ok(Admit::Stale(reason)) => {
@@ -481,14 +435,6 @@ impl GuestParty {
         Ok((payload.len() * self.hosts.len()) as u64)
     }
 
-    /// Broadcasts a bulk protocol message, recording one transfer trace
-    /// event with the payload bytes summed over all destination links.
-    fn broadcast_traced(&mut self, msg: &Msg, tree: u32) -> Result<(), TrainError> {
-        let bytes = self.broadcast(msg)?;
-        self.telemetry.trace.transfer(Some(tree), bytes);
-        Ok(())
-    }
-
     /// Blocks in the one supervised wait ([`peer::wait`]) until a message
     /// from one of the `listen`ed hosts is admitted. The frames admission
     /// drops — honest stragglers, tolerated violations — do not restart
@@ -497,42 +443,31 @@ impl GuestParty {
         &mut self,
         listen: &[usize],
         deadline: &Deadline,
+        mut core: Option<&mut TreeCore>,
     ) -> Result<(usize, Msg), TrainError> {
         let dead_after = self.cfg.dead_after();
         loop {
             let peers: Vec<&Peer> = listen.iter().map(|&h| &self.hosts[h].peer).collect();
             let (i, env) = peer::wait(&peers, deadline, dead_after, &mut self.telemetry)?;
-            if let Some(msg) = self.admit_from(listen[i], env)? {
+            if let Some(msg) = self.admit_from(listen[i], env, core.as_deref_mut())? {
                 return Ok((listen[i], msg));
             }
         }
     }
 
-    /// Blocks until a protocol message arrives from `host`, bounded by the
-    /// per-phase deadline.
-    fn recv_from(&mut self, host: usize, phase: ProtocolPhase) -> Result<Msg, TrainError> {
-        let deadline = Deadline::new(phase, self.cfg.peer_timeout);
-        Ok(self.wait_admitted(&[host], &deadline)?.1)
-    }
-
-    /// Blocks until any host's message arrives, bounded by the per-phase
-    /// peer deadline. One wakeup-based wait covers every link.
-    fn recv_any(&mut self) -> Result<(usize, Msg), TrainError> {
-        let every: Vec<usize> = (0..self.hosts.len()).collect();
-        let deadline = Deadline::new(ProtocolPhase::TreeBuild, self.cfg.peer_timeout);
-        self.wait_admitted(&every, &deadline)
-    }
-
-    /// Non-blocking companion to [`Self::recv_any`] for the tree loop's
+    /// Non-blocking companion to [`Self::wait_admitted`] for the tree loop's
     /// drain: harvests one already-arrived protocol message from any host
     /// ([`peer::poll`]) without waiting. Returns `Ok(None)` when nothing is
     /// pending — or when a link died, which the next *blocking* wait will
     /// classify and report properly.
-    fn try_recv_admitted(&mut self) -> Result<Option<(usize, Msg)>, TrainError> {
+    fn try_recv_admitted(
+        &mut self,
+        core: &mut TreeCore,
+    ) -> Result<Option<(usize, Msg)>, TrainError> {
         loop {
             let peers: Vec<&Peer> = self.hosts.iter().map(|h| &h.peer).collect();
             let Some((host, env)) = peer::poll(&peers) else { return Ok(None) };
-            if let Some(msg) = self.admit_from(host, env)? {
+            if let Some(msg) = self.admit_from(host, env, Some(core))? {
                 return Ok(Some((host, msg)));
             }
         }
@@ -543,27 +478,14 @@ impl GuestParty {
     // ------------------------------------------------------------------
 
     fn train_tree(&mut self, tree: u32) -> Result<FedTree, TrainError> {
-        // Previous-tree request bookkeeping is void from here on: any
-        // host leftovers classify as stale by their tree index alone.
-        for host in &mut self.hosts {
-            host.fsm.begin_tree(tree);
-        }
         let grads = self.cfg.gbdt.loss.grad_hess_all(&self.labels, &self.preds);
-        let n = self.data.num_rows();
-        let mut ctx = TreeCtx {
-            tree,
-            grads,
-            rows: NodeRows::new_tree(n, self.cfg.gbdt.max_layers),
-            epoch: vec![0; (1 << self.cfg.gbdt.max_layers) - 1],
-            states: HashMap::new(),
-            fed: FedTree::new(self.cfg.gbdt.max_layers),
-            pending: 0,
-        };
-
-        self.send_gradients(&ctx)?;
-        self.run_tree(&mut ctx)?;
+        let metas = self.hosts.iter().map(|h| h.metas.clone()).collect();
+        let mut core = TreeCore::new(self.rules.clone(), metas, tree, grads);
+        self.send_gradients(&core)?;
+        self.run_tree(&mut core)?;
         self.broadcast(&Msg::TreeDone { tree })?;
-        if let Err(why) = ctx.fed.validate() {
+        let (fed, rows) = core.finish();
+        if let Err(why) = fed.validate() {
             self.telemetry.trace.note(format!("tree {tree} is malformed: {why}"));
             return Err(guest_invariant("the finished tree failed its structural check"));
         }
@@ -571,14 +493,14 @@ impl GuestParty {
         // Fold leaf weights into the training predictions (each row sits
         // in exactly one leaf, so the walk order does not matter).
         let lr = self.cfg.gbdt.learning_rate;
-        for (node, decision) in ctx.fed.nodes.iter().enumerate() {
+        for (node, decision) in fed.nodes.iter().enumerate() {
             if let FedNode::Leaf(w) = decision {
-                for &r in ctx.rows.rows(node) {
+                for &r in rows.rows(node) {
                     self.preds[r as usize] += lr * w;
                 }
             }
         }
-        Ok(ctx.fed)
+        Ok(fed)
     }
 
     /// Encrypts and ships the gradient statistics — in one bulk message or
@@ -587,21 +509,21 @@ impl GuestParty {
     /// encryptions and the bytes on the wire; the plan is derived from
     /// shared knowledge, so hosts reconstruct it without any negotiation
     /// message.
-    fn send_gradients(&mut self, ctx: &TreeCtx) -> Result<(), TrainError> {
-        let n = ctx.grads.len();
+    fn send_gradients(&mut self, core: &TreeCore) -> Result<(), TrainError> {
+        let (n, tree) = (core.grads().len(), core.tree());
         let batch = self.cfg.protocol.blaster_batch.unwrap_or(n).max(1);
-        let g_vals: Vec<f64> = ctx.grads.iter().map(|p| p.g).collect();
-        let h_vals: Vec<f64> = ctx.grads.iter().map(|p| p.h).collect();
+        let g_vals: Vec<f64> = core.grads().iter().map(|p| p.g).collect();
+        let h_vals: Vec<f64> = core.grads().iter().map(|p| p.h).collect();
         let mut start = 0usize;
         while start < n {
             let end = (start + batch).min(n);
             let (g, h) = (&g_vals[start..end], &h_vals[start..end]);
-            let seed = batch_seed(self.cfg.seed, ctx.tree, start);
-            let (tree, start_row, last) = (ctx.tree, start as u32, end == n);
-            let span = self.telemetry.enter(TracePhase::Encrypt, Some(ctx.tree), None);
+            let seed = batch_seed(self.cfg.seed, tree, start);
+            let (start_row, last) = (start as u32, end == n);
+            let span = self.telemetry.enter(TracePhase::Encrypt, Some(tree), None);
             // Streams 0/1 (g, h) and 2 (pairs) are disjoint, so the two
             // paths never reuse each other's jitter or noise draws.
-            let msg = self.pool.install(|| match &self.gh {
+            let msg = self.pool.install(|| match &self.rules.gh {
                 Some(plan) => self
                     .suite
                     .encrypt_gh_batch(g, h, plan, split_seed(seed, 2))
@@ -614,170 +536,12 @@ impl GuestParty {
             let msg = msg.map_err(TrainError::crypto("gradient encryption"))?;
             self.telemetry.exit(span);
             // Hand to the gateway immediately; encryption of the next batch
-            // overlaps with the wire and with host-side accumulation.
-            self.broadcast_traced(&msg, ctx.tree)?;
+            // overlaps with the wire and with host-side accumulation. One
+            // transfer trace event carries the bytes summed over the links.
+            let bytes = self.broadcast(&msg)?;
+            self.telemetry.trace.transfer(Some(tree), bytes);
             start = end;
         }
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Node machinery
-    // ------------------------------------------------------------------
-
-    /// Materializes a node whose row list just became available, tasking
-    /// the hosts with it when it is the one `asked`. Returns true if the
-    /// node awaits validation (i.e. was not finalized a leaf).
-    fn materialize(
-        &mut self,
-        ctx: &mut TreeCtx,
-        node: NodeId,
-        asked: NodeId,
-    ) -> Result<bool, TrainError> {
-        ctx.epoch[node] += 1;
-        let last_layer = layer_of(node) + 1 == self.cfg.gbdt.max_layers;
-        let rows: Vec<u32> = ctx.rows.rows(node).to_vec();
-        let total = RowMajorBins::rows_total(&rows, &ctx.grads);
-
-        if last_layer {
-            self.finalize_leaf(ctx, node, total)?;
-            return Ok(false);
-        }
-
-        // FindSplitB: plaintext histograms over the guest's own features.
-        let span = self.telemetry.enter(TracePhase::PlainHist, Some(ctx.tree), Some(node as u32));
-        let hists = self.csr.node_histograms(&rows, &ctx.grads);
-        let guest_best = best_of(
-            hists
-                .iter()
-                .enumerate()
-                .filter_map(|(f, h)| find_best_split(f, h, total, &self.cfg.gbdt.split)),
-        );
-        self.telemetry.exit(span);
-
-        if asked == node {
-            self.broadcast(&Msg::NodeTask {
-                tree: ctx.tree,
-                node: node as u32,
-                epoch: ctx.epoch[node],
-            })?;
-            // Every host now legitimately owes one histogram for this exact
-            // (node, epoch); the admission layer holds them to it.
-            for host in &mut self.hosts {
-                host.fsm.task_sent(node as u32, ctx.epoch[node]);
-            }
-        }
-        // Optimistic node-splitting: act on our own best split before the
-        // hosts weigh in (§4.2). Speculation is bounded to ONE layer
-        // beyond the validated frontier, as in the paper ("only after
-        // FindSplitB of layer l+1 is done will Party B pause"): splitting
-        // deeper would let a dirty node near the root waste a whole
-        // subtree of host work. The flag is decided before the insert so
-        // the state never needs to be re-fetched (and can never be
-        // missing) afterwards.
-        let speculate = self.cfg.protocol.optimistic
-            && guest_best.is_some()
-            && self.parent_validated(ctx, node);
-        ctx.states.insert(
-            node,
-            NodeState {
-                total,
-                asked,
-                guest_best,
-                answers: vec![HostAnswer::Waiting; self.hosts.len()],
-                already_split: speculate,
-                awaiting_placement: None,
-                resolved: false,
-            },
-        );
-        ctx.pending += 1;
-
-        if speculate {
-            if let Some(best) = guest_best {
-                self.apply_guest_split(ctx, node, best)?;
-                self.telemetry.events.optimistic_splits += 1;
-                self.materialize_children(ctx, node)?;
-            }
-        }
-        Ok(true)
-    }
-
-    /// True when the node's parent decision has been validated (the root
-    /// has no parent and counts as validated).
-    fn parent_validated(&self, ctx: &TreeCtx, node: NodeId) -> bool {
-        match parent(node) {
-            None => true,
-            Some(p) => ctx.fed.nodes[p] != FedNode::Absent,
-        }
-    }
-
-    /// Once `node` is validated, children whose optimistic split was
-    /// deferred by the one-layer speculation bound get split now.
-    fn speculate_children(&mut self, ctx: &mut TreeCtx, node: NodeId) -> Result<(), TrainError> {
-        if !self.cfg.protocol.optimistic {
-            return Ok(());
-        }
-        for child in [left_child(node), right_child(node)] {
-            // Flip the flag through get_mut so no second (fallible) lookup
-            // is needed after apply_guest_split borrows `ctx` mutably.
-            let best = match ctx.states.get_mut(&child) {
-                Some(st)
-                    if !st.resolved && !st.already_split && st.awaiting_placement.is_none() =>
-                {
-                    let Some(best) = st.guest_best else { continue };
-                    st.already_split = true;
-                    best
-                }
-                _ => continue,
-            };
-            self.apply_guest_split(ctx, child, best)?;
-            self.telemetry.events.optimistic_splits += 1;
-            self.materialize_children(ctx, child)?;
-        }
-        Ok(())
-    }
-
-    /// Computes and applies a guest-owned split's placement, informing all
-    /// hosts.
-    fn apply_guest_split(
-        &mut self,
-        ctx: &mut TreeCtx,
-        node: NodeId,
-        best: SplitCandidate,
-    ) -> Result<(), TrainError> {
-        let span = self.telemetry.enter(TracePhase::Placement, Some(ctx.tree), Some(node as u32));
-        let col = self.binned.column(best.feature);
-        let placement: Vec<bool> =
-            ctx.rows.rows(node).iter().map(|&r| col.bin_of_row(r as usize) <= best.bin).collect();
-        ctx.rows.apply_placement(node, &placement);
-        self.telemetry.exit(span);
-        self.broadcast(&Msg::ApplyPlacement { tree: ctx.tree, node: node as u32, placement })?;
-        Ok(())
-    }
-
-    /// Materializes both children of a freshly (re-)split node, tasking
-    /// the hosts with the *smaller* one only — row counts from the shared
-    /// placement, ties to the left; [`Self::derive_larger`] answers for the
-    /// other. A host builds, packs and ships one child per split.
-    fn materialize_children(&mut self, ctx: &mut TreeCtx, node: NodeId) -> Result<(), TrainError> {
-        let (left, right) = (left_child(node), right_child(node));
-        let asked =
-            if ctx.rows.rows(left).len() <= ctx.rows.rows(right).len() { left } else { right };
-        self.materialize(ctx, left, asked)?;
-        self.materialize(ctx, right, asked)?;
-        Ok(())
-    }
-
-    fn finalize_leaf(
-        &mut self,
-        ctx: &mut TreeCtx,
-        node: NodeId,
-        total: GradPair,
-    ) -> Result<(), TrainError> {
-        let w = self.cfg.gbdt.split.leaf_weight(total);
-        ctx.fed.nodes[node] = FedNode::Leaf(w);
-        self.telemetry.events.leaves += 1;
-        self.broadcast(&Msg::NodeLeaf { tree: ctx.tree, node: node as u32 })?;
         Ok(())
     }
 
@@ -829,6 +593,7 @@ impl GuestParty {
                 HistPayload::GhPacked(features) => {
                     // Admission refuses a paired payload on a two-stream run.
                     let plan = self
+                        .rules
                         .gh
                         .as_ref()
                         .ok_or_else(|| guest_invariant("gh payload without a gh plan"))?;
@@ -839,7 +604,7 @@ impl GuestParty {
             if bins.num_bins() != meta.num_bins as usize {
                 return Err(mismatch("histogram bin count differs from FeatureMeta"));
             }
-            let best = self.feature_best(f, meta, &bins, total);
+            let best = self.rules.feature_best(f, meta, &bins, total);
             Ok((best, bins))
         };
         use rayon::prelude::*;
@@ -849,263 +614,17 @@ impl GuestParty {
         Ok((best_of(candidates.into_iter().flatten()), hist))
     }
 
-    /// The tail of every host histogram, received or derived: float
-    /// decode, zero mass against the node's own `total`, split search.
-    fn feature_best(
-        &self,
-        feature: usize,
-        meta: FeatureMeta,
-        bins: &DecodedBins,
-        total: GradPair,
-    ) -> Option<SplitCandidate> {
-        // The handshake admitted `zero_bin < num_bins` and the decode
-        // checked the bin count, so the histogram exists.
-        let hist = bins.to_histogram(self.suite.encoding(), meta.zero_bin, total)?;
-        find_best_split(feature, &hist, total, &self.cfg.gbdt.split)
-    }
-
-    /// Derives host `host`'s histogram of `parent`'s larger child as
-    /// `parent − smaller child` on the decrypted integers, once that host's
-    /// histograms of both are in, and returns the child it answered for.
-    /// Children not (or no longer) standing, a histogram still missing, the
-    /// derivation already made: `None`. Paillier sums are integer-exact, so
-    /// the difference is the number the host's own `parent ⊖ smaller` would
-    /// have decrypted to. A smaller child no split of the parent produces
-    /// is that host's violation: charged, the derivation withheld.
-    fn derive_larger(
-        &mut self,
-        ctx: &mut TreeCtx,
-        host: usize,
-        parent: NodeId,
-    ) -> Result<Option<NodeId>, TrainError> {
-        let (left, right) = (left_child(parent), right_child(parent));
-        let Some(smaller) = ctx.states.get(&left).map(|s| s.asked) else { return Ok(None) };
-        let larger = if smaller == left { right } else { left };
-        let hist_of = |node: NodeId| ctx.states.get(&node).and_then(|s| s.hist(host));
-        let (Some(whole), Some(part), Some(state)) =
-            (hist_of(parent), hist_of(smaller), ctx.states.get(&larger))
-        else {
-            return Ok(None);
-        };
-        if state.answers[host] != HostAnswer::Waiting {
-            return Ok(None);
-        }
-        let total = state.total;
-        let span =
-            self.telemetry.enter(TracePhase::DecryptSplit, Some(ctx.tree), Some(larger as u32));
-        // The largest honest `(|Σg|, Σh)` of a bin: the pair plan's bounds at
-        // the child's row count, or the raw wire's safe range (floats: none).
-        let (g_limit, h_limit) = match (&self.gh, self.suite.public_key()) {
-            (Some(plan), _) => plan.field_limits(ctx.rows.rows(larger).len() as u64),
-            (None, Some(pk)) => (pk.max_int().clone(), pk.max_int().clone()),
-            (None, None) => Default::default(),
-        };
-        let derived: Option<HostHist> = whole
-            .iter()
-            .zip(part)
-            .map(|(w, p)| w.checked_sub(p, self.suite.encoding(), (&g_limit, &h_limit)))
-            .collect();
-        let Some(hist) = derived else {
-            self.telemetry.exit(span);
-            let context = "a child histogram that no split of its parent's produces";
-            let lie = ProtocolError::Inadmissible { from: PartyId::Host(host), kind: 4, context };
-            self.hosts[host].peer.charge(lie, &mut self.telemetry)?;
-            return Ok(None);
-        };
-        let metas = self.hosts[host].metas.iter().zip(&hist).enumerate();
-        let best =
-            best_of(metas.filter_map(|(f, (&meta, bins))| self.feature_best(f, meta, bins, total)));
-        self.telemetry.exit(span);
-        let Some(state) = ctx.states.get_mut(&larger) else {
-            return Err(guest_invariant("node state vanished while deriving its histogram"));
-        };
-        state.answers[host] = HostAnswer::Answered { best, hist };
-        self.telemetry.events.hists_derived += 1;
-        Ok(Some(larger))
-    }
-
-    /// Picks the winner among the guest's and all hosts' candidates.
-    fn winner(state: &NodeState) -> Winner {
-        let mut win = match state.guest_best {
-            Some(c) => Winner::Guest(c),
-            None => Winner::None,
-        };
-        for (h, answer) in state.answers.iter().enumerate() {
-            if let HostAnswer::Answered { best: Some(c), .. } = answer {
-                let beats = match win {
-                    Winner::None => true,
-                    Winner::Guest(g) => c.gain > g.gain,
-                    Winner::Host(_, g) => c.gain > g.gain,
-                };
-                if beats {
-                    win = Winner::Host(h, *c);
-                }
-            }
-        }
-        win
-    }
-
-    /// Resolves a node once every host's histograms have been seen.
-    fn resolve(&mut self, ctx: &mut TreeCtx, node: NodeId) -> Result<(), TrainError> {
-        let Some(state) = ctx.states.get(&node) else {
-            return Err(guest_invariant("resolving a node with no state"));
-        };
-        if !state.all_in() {
-            return Err(guest_invariant("resolving a node before every host answered"));
-        }
-        match Self::winner(state) {
-            Winner::None => {
-                // No split anywhere: the tentative leaf becomes real.
-                let total = state.total;
-                if state.already_split {
-                    return Err(guest_invariant("a node without a guest candidate was split"));
-                }
-                self.finalize_leaf(ctx, node, total)?;
-                let Some(state) = ctx.states.get_mut(&node) else {
-                    return Err(guest_invariant("node state vanished while finalizing a leaf"));
-                };
-                state.resolved = true;
-                ctx.pending -= 1;
-            }
-            Winner::Guest(best) => {
-                let was_split = state.already_split;
-                let col = self.binned.column(best.feature);
-                ctx.fed.nodes[node] = FedNode::GuestSplit(NodeSplit {
-                    feature: best.feature,
-                    bin: best.bin,
-                    threshold: col.threshold(best.bin),
-                });
-                self.telemetry.events.splits_won += 1;
-                let Some(state) = ctx.states.get_mut(&node) else {
-                    return Err(guest_invariant("node state vanished while recording a split"));
-                };
-                state.resolved = true;
-                ctx.pending -= 1;
-                if !was_split {
-                    // Sequential mode, or an optimistic node whose own
-                    // speculation was deferred by the one-layer bound.
-                    self.apply_guest_split(ctx, node, best)?;
-                    self.materialize_children(ctx, node)?;
-                } else {
-                    // Optimistic + already split: validation succeeded; the
-                    // children whose speculation waited on this validation
-                    // may now charge ahead one more layer.
-                    self.speculate_children(ctx, node)?;
-                }
-            }
-            Winner::Host(h, best) => {
-                if state.already_split {
-                    // Dirty node: our optimistic guest split loses to host
-                    // `h`. Roll the subtree back (§4.2, Fig. 6).
-                    self.telemetry.events.dirty_nodes += 1;
-                    self.telemetry.trace.dirty_rollback(ctx.tree, node as u32);
-                    self.rollback_descendants(ctx, node);
-                    ctx.fed.nodes[node] = FedNode::Absent;
-                }
-                self.hosts[h].peer.send(&Msg::HostSplitChosen {
-                    tree: ctx.tree,
-                    node: node as u32,
-                    feature: best.feature as u32,
-                    bin: best.bin,
-                })?;
-                // Host `h` now owes exactly one placement for this node.
-                self.hosts[h].fsm.expect_placement(node as u32);
-                let Some(state) = ctx.states.get_mut(&node) else {
-                    return Err(guest_invariant("node state vanished while awaiting placement"));
-                };
-                state.already_split = false;
-                state.awaiting_placement = Some(h);
-            }
-        }
-        Ok(())
-    }
-
-    /// Discards every strict descendant's state, decision, and rows;
-    /// bumps their epochs so in-flight histograms get dropped.
-    fn rollback_descendants(&mut self, ctx: &mut TreeCtx, node: NodeId) {
-        let mut stack = vec![left_child(node), right_child(node)];
-        while let Some(d) = stack.pop() {
-            if d >= ctx.epoch.len() {
-                continue;
-            }
-            ctx.epoch[d] += 1;
-            if let Some(s) = ctx.states.remove(&d) {
-                if !s.resolved {
-                    ctx.pending -= 1;
-                }
-            }
-            ctx.fed.nodes[d] = FedNode::Absent;
-            stack.push(left_child(d));
-            stack.push(right_child(d));
-        }
-        ctx.rows.clear_descendants(node);
-    }
-
-    fn on_placement(
-        &mut self,
-        ctx: &mut TreeCtx,
-        host: usize,
-        node: NodeId,
-        placement: Vec<bool>,
-    ) -> Result<(), TrainError> {
-        if ctx.states.get(&node).is_none_or(|s| s.awaiting_placement != Some(host)) {
-            // The node was rolled back (or re-awarded) while the host's
-            // answer was in flight: an honest straggler, not misbehavior.
-            self.drop_stale(host, 7, "placement for a node rolled back meanwhile");
-            return Ok(());
-        }
-        let Some(state) = ctx.states.get_mut(&node) else {
-            return Err(guest_invariant("placement state vanished after the staleness check"));
-        };
-        if placement.len() != ctx.rows.rows(node).len() {
-            return Err(ProtocolError::UnexpectedMessage {
-                from: PartyId::Host(host),
-                kind: 7,
-                context: "placement length differs from the node's row count",
-            }
-            .into());
-        }
-        state.awaiting_placement = None;
-        state.resolved = true;
-        ctx.pending -= 1;
-        ctx.fed.nodes[node] = FedNode::HostSplit { party: host as u16 };
-
-        let span = self.telemetry.enter(TracePhase::Placement, Some(ctx.tree), Some(node as u32));
-        ctx.rows.apply_placement(node, &placement);
-        self.telemetry.exit(span);
-        // Relay to the other hosts so their row lists stay aligned.
-        let relay = Msg::ApplyPlacement { tree: ctx.tree, node: node as u32, placement };
-        for other in (0..self.hosts.len()).filter(|&other| other != host) {
-            self.hosts[other].peer.send(&relay)?;
-        }
-        self.materialize_children(ctx, node)?;
-        Ok(())
-    }
-
     // ------------------------------------------------------------------
-    // The tree loop
+    // The tree loop: the shell around the core
     // ------------------------------------------------------------------
-
-    /// True while `(node, epoch)` still names a live, unanswered slot for
-    /// `host`. Checked when a histogram is enqueued, again when its batch
-    /// commits, and once more before its result is recorded — a rollback
-    /// or placement admitted between any two of those points retires the
-    /// answer as stale instead of letting it corrupt the frontier.
-    fn hist_is_fresh(ctx: &TreeCtx, host: usize, node: NodeId, epoch: u32) -> bool {
-        ctx.epoch.get(node).copied() == Some(epoch)
-            && ctx
-                .states
-                .get(&node)
-                .is_some_and(|s| s.answers[host] == HostAnswer::Waiting && !s.resolved)
-    }
 
     /// The one tree driver, an event loop over the guest's unified inbound
     /// queue: one blocking wait per round, then a sleep-free drain of
-    /// everything already queued. Placements apply on arrival; admitted
-    /// histograms join a batch whose decrypt is deferred so party A's
-    /// FindSplitA overlaps party B's transfer and HAdd. Two rules decide
-    /// when the batch closes, both derived from state the loop already
-    /// holds:
+    /// everything already queued. Placements go to the core on arrival;
+    /// admitted histograms join a batch whose decrypt is deferred so party
+    /// A's FindSplitA overlaps party B's transfer and HAdd. Two rules
+    /// decide when the batch closes, both derived from state the loop
+    /// already holds:
     ///
     /// * **Optimistic** (§4.2): the drain stops at one answer per host. A
     ///   node resolves only once every host has answered, so that is one
@@ -1114,43 +633,44 @@ impl GuestParty {
     ///   single host the loop handles one event at a time).
     /// * **Sequential** (the VF-GBDT baseline, "BuildHistA fully precedes
     ///   FindSplitA"): answers accumulate across rounds and commit only
-    ///   once [`Self::layer_is_buffered`] — one batch per layer.
+    ///   once [`TreeCore::layer_is_buffered`] — one batch per layer.
     ///
-    /// Determinism: the model depends only on per-node `(guest_best,
-    /// answers[*].best)` sets and `winner`'s index-ordered comparison, never
-    /// on arrival order, so neither batching nor any interleaving the WAN
-    /// produces can move a split.
-    fn run_tree(&mut self, ctx: &mut TreeCtx) -> Result<(), TrainError> {
-        let optimistic = self.cfg.protocol.optimistic;
+    /// Determinism: the model depends only on each node's guest candidate
+    /// and hosts' best splits and the core's index-ordered comparison,
+    /// never on arrival order, so neither batching nor any interleaving the
+    /// WAN produces can move a split.
+    fn run_tree(&mut self, core: &mut TreeCore) -> Result<(), TrainError> {
+        let (optimistic, tree) = (self.cfg.protocol.optimistic, core.tree());
         let cap = if optimistic { self.hosts.len() } else { usize::MAX };
+        let every: Vec<usize> = (0..self.hosts.len()).collect();
         let mut batch: Vec<PendingHist> = Vec::new();
-        self.materialize(ctx, 0, 0)?;
-        while ctx.pending > 0 {
+        self.drain(core)?;
+        while !core.is_complete() {
             // Block for the first event of the round; every further event
             // is taken only if it is already queued (zero-timeout poll of
             // the same unified queue), so the drain never sleeps while
-            // decryptable work is waiting.
-            let mut next = Some(self.recv_any()?);
+            // decryptable work is waiting. One wakeup-based wait covers
+            // every link, bounded by the per-phase peer deadline. Admission
+            // delivers only this tree's histograms and placements.
+            let deadline = Deadline::new(ProtocolPhase::TreeBuild, self.cfg.peer_timeout);
+            let mut next = Some(self.wait_admitted(&every, &deadline, Some(core))?);
             while let Some((host, msg)) = next.take() {
                 match msg {
-                    Msg::NodeHistograms { tree, node, epoch, payload } if tree == ctx.tree => {
-                        let node = node as usize;
-                        if Self::hist_is_fresh(ctx, host, node, epoch) {
+                    Msg::NodeHistograms { node, epoch, payload, .. } => {
+                        let node = node as NodeId;
+                        if core.awaits(host, node, epoch).is_some() {
                             batch.push(PendingHist { host, node, epoch, payload });
                         } else {
                             self.telemetry.events.stale_histograms += 1;
                         }
                     }
-                    Msg::Placement { tree, node, placement } if tree == ctx.tree => {
-                        self.on_placement(ctx, host, node as usize, placement)?;
-                    }
-                    // A different tree index on an otherwise-valid reply is
-                    // a straggler from a finished tree: stale, not fatal.
-                    // (The admission layer already filters these; this arm
-                    // is the dispatch-level backstop.)
-                    ref other @ (Msg::NodeHistograms { .. } | Msg::Placement { .. }) => {
-                        let kind = other.kind();
-                        self.drop_stale(host, kind, "cross-tree straggler in the tree loop");
+                    Msg::Placement { node, placement, .. } => {
+                        let span =
+                            self.telemetry.enter(TracePhase::Placement, Some(tree), Some(node));
+                        let placed = core.on_placement(host, node as NodeId, placement);
+                        self.telemetry.exit(span);
+                        placed?;
+                        self.drain(core)?;
                     }
                     other => {
                         return Err(ProtocolError::UnexpectedMessage {
@@ -1164,113 +684,134 @@ impl GuestParty {
                 if batch.len() >= cap {
                     break;
                 }
-                next = self.try_recv_admitted()?;
+                next = self.try_recv_admitted(core)?;
             }
-            if optimistic || Self::layer_is_buffered(ctx, &batch) {
-                self.commit_hist_batch(ctx, std::mem::take(&mut batch))?;
+            let queued = |host, node| batch.iter().any(|p| p.host == host && p.node == node);
+            if optimistic || core.layer_is_buffered(queued) {
+                self.commit_hist_batch(core, std::mem::take(&mut batch))?;
             }
         }
         Ok(())
     }
 
-    /// The sequential schedule's hold predicate: true once the whole
-    /// frontier can be decided at once — no host-won node still awaits its
-    /// placement (so every node of the layer exists) and every unresolved
-    /// node has each host's answer recorded or waiting in `batch`
-    /// (for a split's larger child, that is its smaller sibling's answer).
-    fn layer_is_buffered(ctx: &TreeCtx, batch: &[PendingHist]) -> bool {
-        ctx.states.values().filter(|s| !s.resolved).all(|s| {
-            s.awaiting_placement.is_none()
-                && s.answers.iter().enumerate().all(|(host, answer)| {
-                    *answer != HostAnswer::Waiting
-                        || batch.iter().any(|p| p.host == host && p.node == s.asked)
-                })
-        })
-    }
-
-    /// Decrypts and commits one drained batch of histogram answers.
-    /// Commit order is `(node, host)` — ascending node ids put ancestors
-    /// before descendants, so a rollback caused by committing a parent
-    /// retires the children still in this batch via the freshness
-    /// re-check; host index breaks ties exactly like [`Self::winner`].
-    /// The decrypt itself fans out across the rayon pool: across payloads
-    /// when the batch has several, across features inside the single
-    /// payload otherwise (a one-item parallel call runs inline, leaving
-    /// the pool to the nested per-feature call).
+    /// Decrypts one drained batch of histogram answers and hands them to
+    /// the core. Commit order is `(node, host)` — ascending node ids put
+    /// ancestors before descendants, so a rollback caused by committing a
+    /// parent retires the children still in this batch (the core finds
+    /// them stale); host index breaks ties like the core's winner. The
+    /// decrypt itself fans out across the rayon pool: across payloads when
+    /// the batch has several, across features inside the single payload
+    /// otherwise (a one-item parallel call runs inline, leaving the pool to
+    /// the nested per-feature call).
     fn commit_hist_batch(
         &mut self,
-        ctx: &mut TreeCtx,
+        core: &mut TreeCore,
         mut batch: Vec<PendingHist>,
     ) -> Result<(), TrainError> {
-        if batch.is_empty() {
-            return Ok(());
-        }
         batch.sort_by_key(|p| (p.node, p.host));
         // Placements admitted later in the same drain may have rolled
         // nodes back after these answers were enqueued.
         let before = batch.len();
-        batch.retain(|p| Self::hist_is_fresh(ctx, p.host, p.node, p.epoch));
-        self.telemetry.events.stale_histograms += (before - batch.len()) as u64;
-        if batch.is_empty() {
+        let jobs: Vec<(GradPair, PendingHist)> = batch
+            .into_iter()
+            .filter_map(|p| core.awaits(p.host, p.node, p.epoch).map(|total| (total, p)))
+            .collect();
+        self.telemetry.events.stale_histograms += (before - jobs.len()) as u64;
+        if jobs.is_empty() {
             return Ok(());
         }
-        if batch.len() > 1 {
-            self.telemetry.trace.sched_batch(ctx.tree, batch.len() as u64);
+        let tree = core.tree();
+        if jobs.len() > 1 {
+            self.telemetry.trace.sched_batch(tree, jobs.len() as u64);
         }
         self.telemetry.events.sched_batches += 1;
-        self.telemetry.events.sched_batch_hists += batch.len() as u64;
-        let jobs: Vec<(&PendingHist, GradPair, usize)> = batch
-            .iter()
-            .map(|p| {
-                let total = ctx.states[&p.node].total;
-                (p, total, ctx.rows.rows(p.node).len())
-            })
-            .collect();
+        self.telemetry.events.sched_batch_hists += jobs.len() as u64;
         // One span per batch: its answers are decrypted in one pool pass, so
         // they share the interval (the `SchedBatch` event above says how
         // many a multi-answer span covers).
-        let only = (batch.len() == 1).then(|| batch[0].node as u32);
-        let span = self.telemetry.enter(TracePhase::DecryptSplit, Some(ctx.tree), only);
+        let only = (jobs.len() == 1).then(|| jobs[0].1.node as u32);
+        let span = self.telemetry.enter(TracePhase::DecryptSplit, Some(tree), only);
         type Decoded = Result<(Option<SplitCandidate>, HostHist), TrainError>;
         let results: Vec<Decoded> = {
             use rayon::prelude::*;
+            let rows = |node| core.rows(node).len();
             self.pool.install(|| {
                 jobs.par_iter()
-                    .map(|&(p, total, count)| {
-                        self.host_best_split(p.host, &p.payload, total, count)
+                    .map(|(total, p)| {
+                        self.host_best_split(p.host, &p.payload, *total, rows(p.node))
                     })
                     .collect()
             })
         };
         self.telemetry.exit(span);
-        drop(jobs);
-        for (p, decoded) in batch.iter().zip(results) {
+        for ((_, p), decoded) in jobs.into_iter().zip(results) {
             let (best, hist) = decoded?;
-            if !Self::hist_is_fresh(ctx, p.host, p.node, p.epoch) {
-                self.telemetry.events.stale_histograms += 1;
-                continue;
-            }
-            let Some(state) = ctx.states.get_mut(&p.node) else {
-                return Err(guest_invariant("node state vanished while committing a batch"));
-            };
-            state.answers[p.host] = HostAnswer::Answered { best, hist };
-            // A histogram that just came in — received, or derived in turn —
-            // can complete a derivation as the smaller child of its parent
-            // and as the parent of a child this host answered first (a
-            // re-issued task keeps its place in the host's queue).
-            let mut answered = vec![p.node];
-            let mut splits: Vec<NodeId> = parent(p.node).into_iter().chain([p.node]).collect();
-            while let Some(split) = splits.pop() {
-                if let Some(derived) = self.derive_larger(ctx, p.host, split)? {
-                    answered.push(derived);
-                    splits.push(derived);
+            let span =
+                self.telemetry.enter(TracePhase::DecryptSplit, Some(tree), Some(p.node as u32));
+            core.on_answer(p.host, p.node, p.epoch, best, hist);
+            self.telemetry.exit(span);
+            self.drain(core)?;
+        }
+        Ok(())
+    }
+
+    /// Carries out the core's actions until it has none left: each becomes
+    /// its sends and counters, and the FindSplitB or split the core asks for
+    /// runs — and is timed — here, and is handed back before the next.
+    fn drain(&mut self, core: &mut TreeCore) -> Result<(), TrainError> {
+        let tree = core.tree();
+        while let Some(action) = core.next() {
+            let events = &mut self.telemetry.events;
+            match action {
+                Action::Search(search) => {
+                    // FindSplitB: plaintext histograms over the guest's own
+                    // features.
+                    let node = Some(search.node as u32);
+                    let span = self.telemetry.enter(TracePhase::PlainHist, Some(tree), node);
+                    let hists = self.csr.node_histograms(core.rows(search.node), core.grads());
+                    let split = |(f, h)| find_best_split(f, h, search.total, &self.cfg.gbdt.split);
+                    let best = best_of(hists.iter().enumerate().filter_map(split));
+                    self.telemetry.exit(span);
+                    core.on_guest_best(search, best);
                 }
-            }
-            // Parent before child: a node resolved dirty takes its children
-            // with it, and they are skipped here.
-            for node in answered {
-                if ctx.states.get(&node).is_some_and(NodeState::all_in) {
-                    self.resolve(ctx, node)?;
+                Action::Task { node, epoch } => {
+                    self.broadcast(&Msg::NodeTask { tree, node: node as u32, epoch })?;
+                }
+                Action::Leaf { node } => {
+                    events.leaves += 1;
+                    self.broadcast(&Msg::NodeLeaf { tree, node: node as u32 })?;
+                }
+                Action::Split { node, split, speculative } => {
+                    events.optimistic_splits += u64::from(speculative);
+                    let span =
+                        self.telemetry.enter(TracePhase::Placement, Some(tree), Some(node as u32));
+                    let placement = core.split(node, split);
+                    self.telemetry.exit(span);
+                    self.broadcast(&Msg::ApplyPlacement { tree, node: node as u32, placement })?;
+                }
+                Action::GuestWon => events.splits_won += 1,
+                Action::HostChosen { host, node, split } => {
+                    let (feature, bin) = (split.feature as u32, split.bin);
+                    let chosen = Msg::HostSplitChosen { tree, node: node as u32, feature, bin };
+                    self.hosts[host].peer.send(&chosen)?;
+                }
+                Action::Relay { host, node, placement } => {
+                    let relay = Msg::ApplyPlacement { tree, node: node as u32, placement };
+                    for (_, other) in self.hosts.iter().enumerate().filter(|&(h, _)| h != host) {
+                        other.peer.send(&relay)?;
+                    }
+                }
+                Action::Rollback { node } => {
+                    events.dirty_nodes += 1;
+                    self.telemetry.trace.dirty_rollback(tree, node as u32);
+                }
+                Action::Derived => events.hists_derived += 1,
+                Action::Violation { host, error } => {
+                    self.hosts[host].peer.charge(error, &mut self.telemetry)?;
+                }
+                Action::StaleHist => events.stale_histograms += 1,
+                Action::StalePlacement { host } => {
+                    self.drop_stale(host, 7, "placement for a node rolled back meanwhile");
                 }
             }
         }
@@ -1281,172 +822,30 @@ impl GuestParty {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vf2_channel::{duplex, WanConfig};
-    use vf2_crypto::suite::{Ciphertext, PlainNumber};
     use vf2_datagen::synthetic::{generate_classification, SyntheticConfig};
 
     use crate::config::CryptoConfig;
-    use crate::messages::RawFeatureHist;
     use crate::protocol::ProtocolConfig;
 
-    /// A mock-suite guest over 64 labelled rows facing one host that owns a
-    /// single 4-bin feature, on the raw wire, with the host end of the link
-    /// (kept open; the tasks the guest issued can be read off it).
-    fn guest_with_one_host() -> (GuestParty, Endpoint) {
-        let data = Arc::new(generate_classification(&SyntheticConfig {
+    fn labelled_rows() -> Arc<Dataset> {
+        Arc::new(generate_classification(&SyntheticConfig {
             rows: 64,
             features: 3,
             density: 1.0,
             informative_frac: 1.0,
             label_noise: 0.1,
             seed: 5,
-        }));
-        let cfg = TrainConfig {
-            crypto: CryptoConfig::Mock,
-            protocol: ProtocolConfig { pack_histograms: false, ..ProtocolConfig::vf2boost() },
-            ..TrainConfig::for_tests()
-        };
-        let (guest_ep, host_ep) = duplex(WanConfig::instant());
-        let suite = Suite::plain(cfg.encoding);
-        let mut guest = GuestParty::new(data, cfg, suite, vec![guest_ep], None).unwrap();
-        guest.hosts[0].metas = vec![FeatureMeta { num_bins: 4, zero_bin: 0 }];
-        (guest, host_ep)
+        }))
     }
 
     /// With no host, no node could ever resolve: the guest refuses to
     /// start instead of waiting on an empty roster.
     #[test]
     fn a_guest_without_hosts_is_invalid_input() {
-        let (guest, _) = guest_with_one_host();
-        let suite = Suite::plain(guest.cfg.encoding);
-        let failure = run_guest(guest.data.clone(), guest.cfg, suite, Vec::new(), None);
+        let cfg = TrainConfig { crypto: CryptoConfig::Mock, ..TrainConfig::for_tests() };
+        let suite = Suite::plain(cfg.encoding);
+        let failure = run_guest(labelled_rows(), cfg, suite, Vec::new(), None);
         assert!(matches!(failure.err().map(|f| f.error), Some(TrainError::InvalidInput(_))));
-    }
-
-    /// Commits the host's answer for `node` at its current epoch, holding
-    /// `bins`, as a batch of one.
-    fn commit(guest: &mut GuestParty, ctx: &mut TreeCtx, node: NodeId, bins: [GradPair; 4]) {
-        let exponent = guest.cfg.encoding.base_exp;
-        let cipher = |value| Ciphertext::Plain(PlainNumber { value, exponent });
-        let feature = RawFeatureHist {
-            g: bins.iter().map(|b| cipher(b.g)).collect(),
-            h: bins.iter().map(|b| cipher(b.h)).collect(),
-        };
-        let payload = HistPayload::Raw(vec![feature]);
-        let answer = PendingHist { host: 0, node, epoch: ctx.epoch[node], payload };
-        guest.commit_hist_batch(ctx, vec![answer]).unwrap();
-    }
-
-    /// Every stored row in the last bin: whatever the split, one side is
-    /// empty, so the host offers no candidate and the guest's own stands.
-    fn uninformative(total: GradPair) -> [GradPair; 4] {
-        [GradPair::ZERO, GradPair::ZERO, GradPair::ZERO, total]
-    }
-
-    /// The tasks the guest has issued so far: the link is FIFO, so all of
-    /// them precede the marker sent here.
-    fn node_tasks(guest: &GuestParty, host_ep: &Endpoint) -> Vec<u32> {
-        guest.broadcast(&Msg::Shutdown).unwrap();
-        let mut tasked = Vec::new();
-        loop {
-            let env = host_ep.recv().expect("the guest end stays open");
-            match wire::decode(env.kind, env.payload) {
-                Ok(Msg::Shutdown) => return tasked,
-                Ok(Msg::NodeTask { node, .. }) => tasked.push(node),
-                _ => {}
-            }
-        }
-    }
-
-    /// The guest-side twin of a host replacing a node's rows: a rollback
-    /// takes every histogram retained below the re-split node with it, and
-    /// the new children are answered from the new smaller child's answer
-    /// alone. Driven on the hardest interleaving — the host answers a child
-    /// before its parent (a re-issued task keeps its place in the host's
-    /// queue), so a whole subtree is derived and resolved under a root that
-    /// then turns out dirty.
-    #[test]
-    fn a_resplit_forgets_the_retained_histograms_below_it_and_derives_them_anew() {
-        let (mut guest, host_ep) = guest_with_one_host();
-        let mut ctx = TreeCtx {
-            tree: 0,
-            grads: guest.cfg.gbdt.loss.grad_hess_all(&guest.labels, &guest.preds),
-            rows: NodeRows::new_tree(64, guest.cfg.gbdt.max_layers),
-            epoch: vec![0; (1 << guest.cfg.gbdt.max_layers) - 1],
-            states: HashMap::new(),
-            fed: FedTree::new(guest.cfg.gbdt.max_layers),
-            pending: 0,
-        };
-        guest.materialize(&mut ctx, 0, 0).unwrap();
-        let total_of = |ctx: &TreeCtx, node: NodeId| ctx.states[&node].total;
-        let derived_of = |ctx: &TreeCtx, node: NodeId| ctx.states[&node].hist(0).cloned();
-
-        // The root speculated on the guest's own split: both children
-        // stand, one of them asked for.
-        let child = ctx.states[&1].asked;
-        let other = if child == 1 { 2 } else { 1 };
-        assert_eq!(ctx.states[&other].asked, child);
-        assert!(ctx.rows.rows(child).len() <= ctx.rows.rows(other).len());
-
-        // The child's answer first. It resolves on the guest's split and
-        // its own children stand; its sibling waits for the root's answer.
-        let bins = uninformative(total_of(&ctx, child));
-        commit(&mut guest, &mut ctx, child, bins);
-        assert!(ctx.states[&child].resolved);
-        assert_eq!(ctx.states[&other].answers[0], HostAnswer::Waiting);
-        let grandchild = ctx.states[&left_child(child)].asked;
-        let derived = left_child(child) + right_child(child) - grandchild;
-
-        // The grandchild's answer: its sibling is derived — and, with one
-        // host, resolved — as `child − grandchild`, bin for bin.
-        let part = uninformative(total_of(&ctx, grandchild));
-        commit(&mut guest, &mut ctx, grandchild, part);
-        assert_eq!(guest.telemetry.events.hists_derived, 1);
-        assert!(ctx.states[&derived].resolved && ctx.states[&derived].all_in());
-        let want = [GradPair::ZERO, GradPair::ZERO, GradPair::ZERO, bins[3] - part[3]];
-        assert_eq!(derived_of(&ctx, derived), Some(vec![DecodedBins::Float(want.to_vec())]));
-
-        // The root's answer last, with a split the guest's cannot beat. The
-        // waiting sibling is derived at last, and then the root is dirty:
-        // everything below it goes, retained histograms included.
-        let total = total_of(&ctx, 0);
-        let whole = [
-            GradPair { g: -1000.0, h: 0.5 * total.h },
-            GradPair { g: total.g + 1000.0, h: 0.5 * total.h },
-            GradPair::ZERO,
-            GradPair::ZERO,
-        ];
-        commit(&mut guest, &mut ctx, 0, whole);
-        assert_eq!(guest.telemetry.events.hists_derived, 2);
-        assert_eq!(guest.telemetry.events.dirty_nodes, 1);
-        assert_eq!(ctx.states.keys().collect::<Vec<_>>(), [&0]);
-        assert_eq!(ctx.states[&0].awaiting_placement, Some(0));
-        assert_eq!(derived_of(&ctx, 0), Some(vec![DecodedBins::Float(whole.to_vec())]));
-
-        // The host's placement re-splits the root 20 / 44: fresh children,
-        // nothing retained, nothing answered, the smaller one asked for.
-        let placement = (0..64).map(|row| row < 20).collect();
-        guest.on_placement(&mut ctx, 0, 0, placement).unwrap();
-        for node in [1, 2] {
-            let state = &ctx.states[&node];
-            assert_eq!((state.asked, &state.answers[0]), (1, &HostAnswer::Waiting));
-        }
-        // One task per split all along — the root's validated split lets
-        // both new children speculate, one task each again.
-        let asked: Vec<u32> = [0, child, grandchild, 1, ctx.states[&3].asked, ctx.states[&5].asked]
-            .iter()
-            .map(|&node| node as u32)
-            .collect();
-        assert_eq!(node_tasks(&guest, &host_ep), asked);
-
-        // The new smaller child's answer rebuilds the larger one from the
-        // root's histogram, which outlived the rollback.
-        let part = uninformative(total_of(&ctx, 1));
-        commit(&mut guest, &mut ctx, 1, part);
-        assert_eq!(guest.telemetry.events.hists_derived, 3);
-        assert!(ctx.states[&2].all_in());
-        let want = [whole[0], whole[1], GradPair::ZERO, GradPair::ZERO - part[3]];
-        assert_eq!(derived_of(&ctx, 2), Some(vec![DecodedBins::Float(want.to_vec())]));
     }
 
     /// No two rows of a run share an obfuscator stream. Were a per-row seed

@@ -146,6 +146,7 @@ impl HostParty {
         session: Option<PartySession>,
         chaos: ChaosPlan,
     ) -> Result<HostParty, TrainError> {
+        cfg.validate().map_err(TrainError::InvalidConfig)?;
         check_width(PartyId::Host(party_index), data.num_features())?;
         let binned = BinnedDataset::bin(&data, &cfg.gbdt.binning);
         let csr = RowMajorBins::from_binned(&binned);

@@ -46,6 +46,7 @@ pub mod chaos;
 pub mod config;
 pub mod error;
 pub mod fsm;
+mod grow;
 pub mod guest;
 pub mod hist_enc;
 pub mod host;

@@ -398,6 +398,22 @@ fn drain_guest(host_ep: &Endpoint, mut react: impl FnMut(Msg)) {
     }
 }
 
+/// A configuration `train_federated` refuses is refused by each party's
+/// own entry point too, as a typed error before any link traffic — not a
+/// guest that panics building a zero-layer tree while its host waits.
+#[test]
+fn scripted_parties_refuse_an_invalid_config() {
+    let cfg = byz_cfg(0);
+    let cfg = TrainConfig { gbdt: GbdtParams { max_layers: 0, ..cfg.gbdt }, ..cfg };
+    let (guest_ep, host_ep) = duplex(WanConfig::instant());
+    let guest = run_guest(guest_data(), cfg, Suite::plain(cfg.encoding), vec![guest_ep], None);
+    assert!(matches!(guest.err().map(|f| f.error), Some(TrainError::InvalidConfig(_))));
+    let data = Dataset::new(4, vec![FeatureColumn::Dense(vec![0.0, 1.0, 2.0, 3.0])], None);
+    let suite = Suite::plain(cfg.encoding);
+    let host = run_host(0, Arc::new(data), cfg, suite, host_ep, None, ChaosPlan::default());
+    assert!(matches!(host.err().map(|f| f.error), Some(TrainError::InvalidConfig(_))));
+}
+
 #[test]
 fn guest_rejects_wrong_kind_during_handshake() {
     let (host_ep, handle) = spawn_guest(byz_cfg(0));
