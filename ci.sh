@@ -34,11 +34,13 @@ cargo clippy -p vf2boost-core -p vf2-channel -p vf2-crypto --lib -- -D warnings
 # sequential/optimistic x raw/reordered/packed mode.
 #
 # Byzantine conformance (tests/byzantine.rs): scripted protocol deviations
-# (replays, phase skips, inadmissible payloads, truncated frames) must
-# surface as typed errors — never a panic — an honest re-split is answered
-# from the new row lists, and a smaller child that contradicts its parent
-# (or a histogram for the sibling the guest derives itself) is that host's
-# violation.
+# (replays, phase skips, inadmissible payloads, truncated frames, the
+# retired kinds 8, 13, 15 and 16) must surface as typed errors — never a
+# panic — an honest re-split is answered from the new row lists, a gradient
+# batch refused for a bad cipher leaves the host's row cursor where it was
+# (the honest re-send trains the budget-0 split table), and a smaller child
+# that contradicts its parent (or a histogram for the sibling the guest
+# derives itself) is that host's violation.
 #
 # Liveness (tests/resume.rs): a host killed *inside* the node loop
 # (between a NodeTask and its histogram answer) ends the run as a typed
@@ -94,6 +96,16 @@ cargo clippy -p vf2boost-core -p vf2-channel -p vf2-crypto --lib -- -D warnings
 # config train_federated refuses (byzantine.rs's
 # scripted_parties_refuse_an_invalid_config).
 #
+# The host's core (crates/core/src/serve.rs): every admission verdict of the
+# host is driven with no link — host_rejects_phase_skips_and_replays and
+# packed_batches_drive_the_same_row_stream_contract pin the row cursor,
+# node_and_feature_indices_are_bounded the index checks that precede the
+# phase, placements_that_desync_the_row_lists_are_fatal the fatal verdicts
+# (the last bin, which indexed past the cut points, among them),
+# a_replaced_placement_retires_the_tasks_queued_below_it the retirement
+# under a re-split, and a_task_is_still_wanted_only_at_its_epoch_in_its_tree
+# the in-flight decision, across a tree boundary too.
+#
 # Many-party chaos (tests/many_party.rs): the guest's tree loop is
 # arrival-order invariant — 8 hosts behind heterogeneous faulty WANs
 # (rolling staggered stalls, reordering links, a bandwidth/latency spread)
@@ -115,13 +127,13 @@ timeout 300 cargo test -q -p rayon
 
 # Peer-facing admission checks and the guest's own protocol invariants
 # must hold in release builds: debug_assert is banned from the wire
-# decoder, the semantic validators, both party drivers, the wait they
-# share, and the model a decoded file is predicted with.
-echo "== no-debug_assert gate (wire/validate/hist_enc/guest/grow/host/peer/model) =="
+# decoder, the semantic validators, both party drivers and both cores, the
+# wait they share, and the model a decoded file is predicted with.
+echo "== no-debug_assert gate (wire/validate/hist_enc/guest/grow/host/serve/peer/model) =="
 if grep -n "debug_assert" \
     crates/core/src/wire.rs crates/core/src/validate.rs crates/core/src/hist_enc.rs \
     crates/core/src/guest.rs crates/core/src/grow.rs crates/core/src/host.rs \
-    crates/core/src/peer.rs crates/core/src/model.rs; then
+    crates/core/src/serve.rs crates/core/src/peer.rs crates/core/src/model.rs; then
   echo "debug_assert found in an admission-critical module" >&2
   exit 1
 fi
@@ -167,21 +179,31 @@ if grep -rnwE 'HostLossPolicy|on_host_loss|HostSpawner|HostOutcome|AwaitRejoin|D
   exit 1
 fi
 
-# One core, one ledger: the guest's tree growth (grow.rs) is a pure core —
-# its shipping half names no link, cipher suite, clock or trace, so every
-# decision of the optimistic protocol is testable with no thread — and it is
-# the only record of what each host owes. The guest's handshake machine
-# (fsm.rs) and the shell (guest.rs) keep no second ledger and no driver
-# hook that fed one.
-echo "== one-core gate (grow.rs pure; no second per-host ledger) =="
-GROW_SHIPPING=$(awk '/#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' crates/core/src/grow.rs)
-if grep -E 'Peer|peer::|Endpoint|Suite|Instant|telemetry|TraceRing' <<< "$GROW_SHIPPING"; then
-  echo "the tree core names a link, the suite, a clock or telemetry" >&2
-  exit 1
-fi
+# One core per role, one ledger each: the guest's tree growth (grow.rs) and
+# the host's admission and task queue (serve.rs) are pure cores — their
+# shipping halves name no link, cipher suite, clock or trace, so every
+# decision of either role is testable with no thread. grow.rs is the only
+# record of what each host owes: the guest's handshake machine (fsm.rs) and
+# the shell (guest.rs) keep no second ledger and no driver hook that fed
+# one. serve.rs makes each of the host's checks once: the host's phase
+# machine, its index checks and the shell's re-checks it replaced, and the
+# leaf notice no host read, must not come back.
+echo "== one-core gate (grow.rs and serve.rs pure; no second ledger or host admission) =="
+for f in crates/core/src/grow.rs crates/core/src/serve.rs; do
+  if awk '/#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' "$f" \
+      | grep -E 'Peer|peer::|Endpoint|Suite|Instant|telemetry|TraceRing'; then
+    echo "a pure core ($f) names a link, the suite, a clock or telemetry" >&2
+    exit 1
+  fi
+done
 if grep -nE 'tasked|seen_hists|placements_due|task_sent|expect_placement|begin_tree|hist_is_fresh' \
     crates/core/src/fsm.rs crates/core/src/guest.rs; then
   echo "a second per-host ledger or its driver hooks are back" >&2
+  exit 1
+fi
+if grep -rnE 'HostFsm|check_host_inbound|state_invariant|ensure_tree|with_state|OutOfOrderGradients|NodeLeaf' \
+    crates/core/src; then
+  echo "a second host admission, its re-checks or the leaf notice are back" >&2
   exit 1
 fi
 
@@ -193,8 +215,8 @@ fi
 # is tested against (and a benchmark micro).
 echo "== one-child-per-split gate (no ciphertext subtraction or histogram store in the parties) =="
 if grep -nE 'NodeHists|\.subtract\(|neg_batch|hist_cache_evictions|hadds_saved' \
-    crates/core/src/host.rs crates/core/src/guest.rs crates/core/src/grow.rs \
-    crates/core/src/trace.rs; then
+    crates/core/src/host.rs crates/core/src/serve.rs crates/core/src/guest.rs \
+    crates/core/src/grow.rs crates/core/src/trace.rs; then
   echo "a party subtracts in ciphertext or retains a node histogram again" >&2
   exit 1
 fi

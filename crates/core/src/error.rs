@@ -9,8 +9,9 @@
 //!
 //! Layering:
 //!
-//! * [`ProtocolError`] — the peer violated the protocol (undecodable or
-//!   unexpected message, out-of-order blaster batch). With the reliable
+//! * [`ProtocolError`] — the peer violated the protocol (undecodable,
+//!   out-of-phase or inadmissible message, a gradient stream that ends
+//!   short). With the reliable
 //!   delivery sublayer of `vf2-channel` underneath, these indicate a buggy
 //!   or hostile peer rather than a noisy wire.
 //! * [`TrainError`] — everything that can abort a run: protocol
@@ -84,13 +85,6 @@ pub enum ProtocolError {
         /// What the receiver was doing.
         context: &'static str,
     },
-    /// A blaster gradient batch arrived out of order.
-    OutOfOrderGradients {
-        /// The row the receiver expected the batch to start at.
-        expected: u32,
-        /// The row the batch actually started at.
-        got: u32,
-    },
     /// The final gradient batch left rows uncovered.
     IncompleteGradients {
         /// Rows the host's dataset holds.
@@ -99,8 +93,8 @@ pub enum ProtocolError {
         got: usize,
     },
     /// The peer's message sequence broke a protocol-state invariant the
-    /// receiver relies on (e.g. a node task for a tree whose state was
-    /// never announced). These sites used to be `expect(...)` panics;
+    /// receiver relies on (e.g. a tree the guest finished that fails its
+    /// structural check). These sites used to be `expect(...)` panics;
     /// they are peer-triggerable, so they must surface as typed errors.
     InvariantViolated {
         /// The party whose messages broke the invariant.
@@ -110,8 +104,8 @@ pub enum ProtocolError {
     },
     /// A structurally valid message arrived in a protocol phase whose
     /// transition set does not admit it (phase-skip, future tree, a
-    /// response to a request that was never issued). Raised by the
-    /// per-peer validating state machine in [`crate::fsm`].
+    /// response to a request that was never issued). Raised by the host's
+    /// core and the guest's handshake machine ([`crate::fsm`]).
     OutOfPhase {
         /// The sending party.
         from: PartyId,
@@ -156,9 +150,6 @@ impl std::fmt::Display for ProtocolError {
             }
             ProtocolError::UnexpectedMessage { from, kind, context } => {
                 write!(f, "unexpected message kind {kind} from {from} ({context})")
-            }
-            ProtocolError::OutOfOrderGradients { expected, got } => {
-                write!(f, "gradient batch out of order: expected row {expected}, got {got}")
             }
             ProtocolError::IncompleteGradients { expected, got } => {
                 write!(f, "final gradient batch covers {got} of {expected} rows")
@@ -453,8 +444,8 @@ mod tests {
             waited: Duration::from_secs(5),
         };
         assert_eq!(e.to_string(), "host-2 lost during tree-build (waited 5s)");
-        let p: TrainError = ProtocolError::OutOfOrderGradients { expected: 64, got: 0 }.into();
-        assert!(p.to_string().contains("expected row 64"));
+        let p: TrainError = ProtocolError::IncompleteGradients { expected: 64, got: 0 }.into();
+        assert!(p.to_string().contains("covers 0 of 64 rows"));
         assert!(TrainError::PartyPanicked { party: PartyId::Guest, detail: "boom".into() }
             .to_string()
             .contains("guest thread panicked: boom"));

@@ -92,8 +92,8 @@ pub(crate) enum Action {
     /// Broadcast `NodeTask`: every host now owes its histogram of that
     /// exact `(node, epoch)`.
     Task { node: NodeId, epoch: u32 },
-    /// Broadcast `NodeLeaf`.
-    Leaf { node: NodeId },
+    /// A node became a leaf (the hosts need not hear of it).
+    Leaf,
     /// Split `node` on the guest's own candidate, optimistically or as the
     /// validated winner: [`TreeCore::split`] places its rows, and the shell
     /// broadcasts the placement.
@@ -495,7 +495,7 @@ impl TreeCore {
 
     fn leaf(&mut self, node: NodeId, total: GradPair) {
         self.fed.nodes[node] = FedNode::Leaf(self.rules.split.leaf_weight(total));
-        self.actions.push_back(Action::Leaf { node });
+        self.actions.push_back(Action::Leaf);
     }
 
     /// Queues both children of a freshly (re-)split node, the hosts tasked

@@ -777,10 +777,7 @@ impl GuestParty {
                 Action::Task { node, epoch } => {
                     self.broadcast(&Msg::NodeTask { tree, node: node as u32, epoch })?;
                 }
-                Action::Leaf { node } => {
-                    events.leaves += 1;
-                    self.broadcast(&Msg::NodeLeaf { tree, node: node as u32 })?;
-                }
+                Action::Leaf => events.leaves += 1,
                 Action::Split { node, split, speculative } => {
                     events.optimistic_splits += u64::from(speculative);
                     let span =

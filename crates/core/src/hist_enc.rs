@@ -67,8 +67,8 @@ use crate::rows::{ColMeta, RowMajorBins};
 /// `width` workspaces at `store[i·width..(i + 1)·width]` and the number of
 /// rows folded into it at `rows[i]`. The count is the host's own plaintext
 /// knowledge (it placed every row); the paired path's top-up is computed
-/// from it.
-#[derive(Debug, Clone, PartialEq)]
+/// from it. The default builder holds no feature.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EncHistBuilder {
     /// Arena bin offsets: one per feature, then the end.
     offsets: Vec<usize>,
@@ -87,9 +87,10 @@ pub struct EncHistBuilder {
 /// An arena's workspaces, typed by the suite kind of the first add the
 /// builder accepted: none before it, so a builder that refused every add
 /// is still a fresh one.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 enum Workspaces {
     /// No add accepted yet: every workspace is empty.
+    #[default]
     Unfixed,
     /// Paillier ciphers in their key's resident form.
     Paillier(Vec<Option<ResidentCiphertext>>),

@@ -57,6 +57,7 @@ mod peer;
 pub mod persist;
 pub mod protocol;
 pub mod rows;
+mod serve;
 pub mod session;
 pub mod telemetry;
 pub mod trace;

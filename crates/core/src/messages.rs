@@ -153,13 +153,6 @@ pub enum Msg {
         /// Placement over the node's rows (`true` = left).
         placement: Vec<bool>,
     },
-    /// guest → host: the node is a finalized leaf.
-    NodeLeaf {
-        /// Tree index.
-        tree: u32,
-        /// Heap node id.
-        node: u32,
-    },
     /// guest → host: the tree is complete; release per-tree state.
     TreeDone {
         /// Tree index.
@@ -190,9 +183,10 @@ pub enum Msg {
 }
 
 impl Msg {
-    /// Wire kind tag (stable across versions of the wire format). Tag 13
-    /// was the liveness beacon and tags 15 / 16 the mid-run rewind and its
-    /// ack; all three are retired and never reused.
+    /// Wire kind tag (stable across versions of the wire format). Tag 8
+    /// was the leaf notice no party read, tag 13 the liveness beacon and
+    /// tags 15 / 16 the mid-run rewind and its ack; all four are retired
+    /// and never reused.
     pub fn kind(&self) -> u16 {
         match self {
             Msg::FeatureMeta(_) => 1,
@@ -202,7 +196,6 @@ impl Msg {
             Msg::ApplyPlacement { .. } => 5,
             Msg::HostSplitChosen { .. } => 6,
             Msg::Placement { .. } => 7,
-            Msg::NodeLeaf { .. } => 8,
             Msg::TreeDone { .. } => 9,
             Msg::Shutdown => 10,
             Msg::SessionHello { .. } => 11,

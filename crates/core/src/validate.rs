@@ -1,20 +1,21 @@
 //! Semantic message admission: payload-level checks on decoded messages.
 //!
 //! The wire layer ([`crate::wire`]) guarantees a message is *well-formed*
-//! (parseable, collection counts within protocol maxima); the state
-//! machine ([`crate::fsm`]) guarantees it is *in phase*. This module adds
-//! the third gate — the payload must *make sense* against the negotiated
-//! run parameters before any of it is dispatched or allocated against:
+//! (parseable, collection counts within protocol maxima). This module
+//! checks that the payload *makes sense* against the negotiated run before
+//! any of it is dispatched or allocated against:
 //!
-//! * histogram feature counts and per-feature bin counts must match the
-//!   [`FeatureMeta`] the host itself declared at startup;
-//! * node, feature, and bin indices must be in bounds for the configured
-//!   tree shape;
-//! * Paillier ciphers must lie in the ciphertext space `[0, n²)` and
-//!   carry exponents inside the negotiated jitter window; mock plaintext
-//!   values must be finite (a NaN would silently poison every model
-//!   aggregate it touches);
-//! * gradient row ranges must stay within the peer's instance count.
+//! * at the host, only what needs the key: every gradient cipher lies in
+//!   the ciphertext space `[0, n²)` (a mock value is finite — a NaN would
+//!   silently poison every aggregate it touches) with its exponent inside
+//!   the jitter window, and a `(g, h)` pair sits at the pair plan's
+//!   exponent. Its rows, indices and phase are checked once, after these,
+//!   by the host's core (`serve.rs`);
+//! * at the guest, a host's feature metadata, and its histograms against
+//!   that metadata — feature and bin counts, every cipher, the packed
+//!   layout the guest derived — and node indices inside the tree heap; the
+//!   guest's handshake machine ([`crate::fsm`]) and its tree's core judge
+//!   the phase.
 //!
 //! Everything here is *structural*. A peer lying about histogram *values*
 //! is undetectable in principle — those sums are computed over the host's
@@ -109,55 +110,32 @@ fn check_packed(
     }
 }
 
-/// Checks an encrypted gradient batch at the host: parallel gradient and
-/// hessian vectors, a row range inside the peer-declared instance count,
-/// and every cipher admissible for the suite.
+/// The key's checks of a gradient batch at the host: it takes the run's
+/// gradient path (`plan` is the host's own [`crate::config::TrainConfig::
+/// gh_plan`] — an unsolicited packed batch is a violation, not a fallback),
+/// every cipher is admissible for the suite, and each `(g, h)` pair sits at
+/// the plan's exponent. Any other message passes.
 pub fn check_grad_batch(
-    from: PartyId,
-    start_row: u32,
-    g: &[Ciphertext],
-    h: &[Ciphertext],
-    num_rows: u32,
-    suite: &Suite,
-) -> Result<(), ProtocolError> {
-    const KIND: u16 = 2;
-    if g.len() != h.len() {
-        return Err(inadmissible(from, KIND, "gradient and hessian counts differ"));
-    }
-    if u64::from(start_row) + g.len() as u64 > u64::from(num_rows) {
-        return Err(inadmissible(from, KIND, "gradient rows past the instance count"));
-    }
-    for c in g.iter().chain(h) {
-        check_cipher(c, suite, from, KIND)?;
-    }
-    Ok(())
-}
-
-/// Checks a GH-packed gradient batch at the host: one cipher per row (each
-/// holding a `(g, h)` pair at the plan's exponent), a row range inside the
-/// peer-declared instance count, and every cipher admissible. The kind is
-/// only admissible on a paired run (`plan` is the host's own derivation of
-/// [`crate::config::TrainConfig::gh_plan`]) — an unsolicited packed batch
-/// is a protocol violation, not a fallback.
-pub fn check_packed_grad_batch(
-    from: PartyId,
-    start_row: u32,
-    gh: &[Ciphertext],
-    num_rows: u32,
+    msg: &Msg,
     suite: &Suite,
     plan: Option<&GhPlan>,
 ) -> Result<(), ProtocolError> {
-    const KIND: u16 = 14;
-    let Some(plan) = plan else {
-        return Err(inadmissible(from, KIND, "paired gradients on a two-stream run"));
+    let (from, kind) = (PartyId::Guest, msg.kind());
+    let (g, h, pair_exponent) = match (msg, plan) {
+        (Msg::GradBatch { g, h, .. }, None) => (g, &h[..], None),
+        (Msg::PackedGradBatch { gh, .. }, Some(plan)) => (gh, &[][..], Some(plan.exponent())),
+        (Msg::GradBatch { .. }, Some(_)) => {
+            return Err(inadmissible(from, kind, "two-stream gradients on a paired run"))
+        }
+        (Msg::PackedGradBatch { .. }, None) => {
+            return Err(inadmissible(from, kind, "paired gradients on a two-stream run"))
+        }
+        _ => return Ok(()),
     };
-    if u64::from(start_row) + gh.len() as u64 > u64::from(num_rows) {
-        return Err(inadmissible(from, KIND, "gradient rows past the instance count"));
-    }
-    for c in gh {
-        check_cipher(c, suite, from, KIND)?;
-        if c.exponent() != plan.exponent() {
-            return Err(inadmissible(from, KIND, "gradient pair off the plan's exponent"));
+    for c in g.iter().chain(h) {
+        check_cipher(c, suite, from, kind)?;
+        if pair_exponent.is_some_and(|e| c.exponent() != e) {
+            return Err(inadmissible(from, kind, "gradient pair off the plan's exponent"));
         }
     }
     Ok(())
@@ -297,54 +275,6 @@ fn check_node_index(
     Ok(())
 }
 
-/// Semantic admission for every message a host may receive from the
-/// guest. `num_rows` is the host's own instance count, `num_features` its
-/// own feature count, `max_layers` the negotiated tree depth, and `gh` the
-/// pair plan of a paired run (`None` on the two-stream path).
-pub fn check_host_inbound(
-    msg: &Msg,
-    num_rows: u32,
-    num_features: usize,
-    max_layers: u32,
-    suite: &Suite,
-    gh: Option<&GhPlan>,
-) -> Result<(), ProtocolError> {
-    let from = PartyId::Guest;
-    match msg {
-        Msg::GradBatch { .. } if gh.is_some() => {
-            Err(inadmissible(from, msg.kind(), "two-stream gradients on a paired run"))
-        }
-        Msg::GradBatch { start_row, g, h, .. } => {
-            check_grad_batch(from, *start_row, g, h, num_rows, suite)
-        }
-        Msg::PackedGradBatch { start_row, gh: pairs, .. } => {
-            check_packed_grad_batch(from, *start_row, pairs, num_rows, suite, gh)
-        }
-        Msg::NodeTask { node, epoch, .. } => {
-            check_node_index(from, msg.kind(), *node, max_layers)?;
-            if *epoch == 0 {
-                return Err(inadmissible(from, msg.kind(), "materialization epochs start at 1"));
-            }
-            Ok(())
-        }
-        Msg::ApplyPlacement { node, .. } | Msg::NodeLeaf { node, .. } => {
-            check_node_index(from, msg.kind(), *node, max_layers)
-        }
-        Msg::HostSplitChosen { node, feature, .. } => {
-            check_node_index(from, msg.kind(), *node, max_layers)?;
-            if *feature as usize >= num_features {
-                return Err(inadmissible(
-                    from,
-                    msg.kind(),
-                    "split feature index outside this host's feature set",
-                ));
-            }
-            Ok(())
-        }
-        _ => Ok(()),
-    }
-}
-
 /// Semantic admission for every message the guest may receive from host
 /// `host`. `metas` is that host's negotiated feature metadata (`None`
 /// until the handshake delivers it), `gh` the pair plan of a paired run.
@@ -405,25 +335,17 @@ mod tests {
         }
     }
 
+    /// A two-stream batch; its rows are the host core's to check.
+    fn two(g: Vec<Ciphertext>, h: Vec<Ciphertext>) -> Msg {
+        Msg::GradBatch { tree: 0, start_row: 3, g, h, last: false }
+    }
+
     #[test]
     fn honest_grad_batch_passes() {
         let s = paillier();
         let g = vec![cipher(&s, 0.5), cipher(&s, -0.25)];
         let h = vec![cipher(&s, 0.25), cipher(&s, 0.25)];
-        check_grad_batch(PartyId::Guest, 3, &g, &h, 5, &s).unwrap();
-    }
-
-    #[test]
-    fn grad_batch_shape_and_range_violations_are_inadmissible() {
-        let s = paillier();
-        let g = vec![cipher(&s, 0.5), cipher(&s, -0.25)];
-        let h = vec![cipher(&s, 0.25)];
-        assert_inadmissible(check_grad_batch(PartyId::Guest, 0, &g, &h, 5, &s), "counts differ");
-        let h = vec![cipher(&s, 0.25), cipher(&s, 0.25)];
-        assert_inadmissible(
-            check_grad_batch(PartyId::Guest, 4, &g, &h, 5, &s),
-            "past the instance count",
-        );
+        check_grad_batch(&two(g, h), &s, None).unwrap();
     }
 
     #[test]
@@ -433,7 +355,7 @@ mod tests {
         let hostile = Ciphertext::Paillier(EncryptedNumber { cipher: nn, exponent: 8 });
         let ok = cipher(&s, 0.0);
         assert_inadmissible(
-            check_grad_batch(PartyId::Guest, 0, &[hostile], &[ok], 5, &s),
+            check_grad_batch(&two(vec![hostile], vec![ok]), &s, None),
             "outside [0, n^2)",
         );
     }
@@ -447,7 +369,7 @@ mod tests {
             let c = s.encrypt_at(1.0, exp, &mut rng).unwrap();
             let ok = cipher(&s, 0.0);
             assert_inadmissible(
-                check_grad_batch(PartyId::Guest, 0, &[c], &[ok], 5, &s),
+                check_grad_batch(&two(vec![c], vec![ok]), &s, None),
                 "jitter window",
             );
         }
@@ -459,16 +381,13 @@ mod tests {
         let plain = Ciphertext::Plain(PlainNumber { value: 0.0, exponent: 8 });
         let ok = cipher(&s, 0.0);
         assert_inadmissible(
-            check_grad_batch(PartyId::Guest, 0, &[plain], &[ok], 5, &s),
+            check_grad_batch(&two(vec![plain], vec![ok]), &s, None),
             "negotiated suite",
         );
         let mock = Suite::plain(enc());
         let nan = Ciphertext::Plain(PlainNumber { value: f64::NAN, exponent: 8 });
         let ok = cipher(&mock, 0.0);
-        assert_inadmissible(
-            check_grad_batch(PartyId::Guest, 0, &[nan], &[ok], 5, &mock),
-            "non-finite",
-        );
+        assert_inadmissible(check_grad_batch(&two(vec![nan], vec![ok]), &mock, None), "non-finite");
     }
 
     #[test]
@@ -527,40 +446,16 @@ mod tests {
         );
     }
 
+    /// The host's node indices are its core's to bound (`serve.rs`); the
+    /// guest bounds a host's placement here.
     #[test]
-    fn node_and_feature_indices_are_bounded() {
+    fn a_placement_past_the_heap_is_inadmissible_at_the_guest() {
         let s = Suite::plain(enc());
         // 4 layers => heap of 15 nodes (0..=14).
-        check_host_inbound(&Msg::NodeLeaf { tree: 0, node: 14 }, 10, 3, 4, &s, None).unwrap();
+        let placement = |node| Msg::Placement { tree: 0, node, placement: vec![] };
+        check_guest_inbound(0, &placement(14), None, 4, &s, None).unwrap();
         assert_inadmissible(
-            check_host_inbound(&Msg::NodeLeaf { tree: 0, node: 15 }, 10, 3, 4, &s, None),
-            "outside the tree heap",
-        );
-        assert_inadmissible(
-            check_host_inbound(&Msg::NodeTask { tree: 0, node: 1, epoch: 0 }, 10, 3, 4, &s, None),
-            "epochs start at 1",
-        );
-        assert_inadmissible(
-            check_host_inbound(
-                &Msg::HostSplitChosen { tree: 0, node: 1, feature: 3, bin: 0 },
-                10,
-                3,
-                4,
-                &s,
-                None,
-            ),
-            "feature index outside",
-        );
-        // Guest-side placement node bound.
-        assert_inadmissible(
-            check_guest_inbound(
-                0,
-                &Msg::Placement { tree: 0, node: 99, placement: vec![] },
-                None,
-                4,
-                &s,
-                None,
-            ),
+            check_guest_inbound(0, &placement(99), None, 4, &s, None),
             "outside the tree heap",
         );
     }
@@ -579,30 +474,20 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let pair = |rng: &mut StdRng| s.encrypt_at(0.5, plan.exponent(), rng).unwrap();
         let gh = vec![pair(&mut rng), pair(&mut rng)];
-        check_packed_grad_batch(PartyId::Guest, 3, &gh, 5, &s, Some(&plan)).unwrap();
-        assert_inadmissible(
-            check_packed_grad_batch(PartyId::Guest, 3, &gh, 5, &s, None),
-            "two-stream run",
-        );
-        assert_inadmissible(
-            check_packed_grad_batch(PartyId::Guest, 4, &gh, 5, &s, Some(&plan)),
-            "past the instance count",
-        );
+        let packed = |gh| Msg::PackedGradBatch { tree: 0, start_row: 3, gh, last: true };
+        check_grad_batch(&packed(gh.clone()), &s, Some(&plan)).unwrap();
+        assert_inadmissible(check_grad_batch(&packed(gh.clone()), &s, None), "two-stream run");
         // Inside the jitter window but off the plan's exponent: rescaling a
         // pair would scale its offset too.
         let low = vec![s.encrypt_at(0.5, plan.exponent() - 1, &mut rng).unwrap()];
         assert_inadmissible(
-            check_packed_grad_batch(PartyId::Guest, 0, &low, 5, &s, Some(&plan)),
+            check_grad_batch(&packed(low), &s, Some(&plan)),
             "off the plan's exponent",
         );
-        // Through the host-inbound dispatcher, which also refuses the other
-        // path's batches on a paired run.
-        let msg = Msg::PackedGradBatch { tree: 0, start_row: 0, gh: gh.clone(), last: true };
-        check_host_inbound(&msg, 5, 3, 4, &s, Some(&plan)).unwrap();
-        assert_inadmissible(check_host_inbound(&msg, 5, 3, 4, &s, None), "two-stream run");
-        let two = Msg::GradBatch { tree: 0, start_row: 0, g: gh.clone(), h: gh, last: true };
-        check_host_inbound(&two, 5, 3, 4, &s, None).unwrap();
-        assert_inadmissible(check_host_inbound(&two, 5, 3, 4, &s, Some(&plan)), "paired run");
+        // Each path refuses the other's batches.
+        let two = two(gh.clone(), gh);
+        check_grad_batch(&two, &s, None).unwrap();
+        assert_inadmissible(check_grad_batch(&two, &s, Some(&plan)), "paired run");
     }
 
     #[test]

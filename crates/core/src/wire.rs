@@ -325,10 +325,6 @@ pub fn encode(msg: &Msg) -> Result<Bytes, WireError> {
             e.put_u32(*node);
             e.put_bitmap(placement);
         }
-        Msg::NodeLeaf { tree, node } => {
-            e.put_u32(*tree);
-            e.put_u32(*node);
-        }
         Msg::TreeDone { tree } => {
             e.put_u32(*tree);
         }
@@ -432,7 +428,6 @@ pub fn decode(kind: u16, payload: Bytes) -> Result<Msg, WireError> {
             bin: d.get_u16()?,
         },
         7 => Msg::Placement { tree: d.get_u32()?, node: d.get_u32()?, placement: d.get_bitmap()? },
-        8 => Msg::NodeLeaf { tree: d.get_u32()?, node: d.get_u32()? },
         9 => Msg::TreeDone { tree: d.get_u32()? },
         10 => Msg::Shutdown,
         11 => {
@@ -550,7 +545,6 @@ mod tests {
     #[test]
     fn control_messages_round_trip() {
         round_trip(Msg::NodeTask { tree: 3, node: 7, epoch: 2 });
-        round_trip(Msg::NodeLeaf { tree: 1, node: 12 });
         round_trip(Msg::TreeDone { tree: 19 });
         round_trip(Msg::Shutdown);
         round_trip(Msg::HostSplitChosen { tree: 0, node: 5, feature: 88, bin: 13 });
@@ -676,9 +670,13 @@ mod tests {
     #[test]
     fn unknown_kind_rejected() {
         assert!(matches!(decode(99, Bytes::new()), Err(WireError::BadTag("message kind", 99))));
-        // 13 was the liveness beacon, 15 / 16 the mid-run rewind and its ack
-        // (a session id and a tree count): retired, not reused, whatever
-        // follows.
+        // 8 was the leaf notice (a tree and a node), 13 the liveness
+        // beacon, 15 / 16 the mid-run rewind and its ack (a session id and a
+        // tree count): retired, not reused, whatever follows.
+        let mut leaf = Encoder::new();
+        leaf.put_u32(1);
+        leaf.put_u32(12);
+        assert!(matches!(decode(8, leaf.finish()), Err(WireError::BadTag("message kind", 8))));
         let beacon = Bytes::from_static(&[0; 8]);
         assert!(matches!(decode(13, beacon), Err(WireError::BadTag("message kind", 13))));
         let mut rewind = Encoder::new();
@@ -691,7 +689,7 @@ mod tests {
         }
     }
 
-    /// One representative message per kind (1–12, 14), with real ciphertext
+    /// One representative message per kind (1–7, 9–12, 14), with real ciphertext
     /// payloads where the kind carries any.
     fn sample_messages() -> Vec<Msg> {
         let c = paillier_ciphers(4);
@@ -735,7 +733,6 @@ mod tests {
             Msg::ApplyPlacement { tree: 2, node: 4, placement: vec![true, false, true] },
             Msg::HostSplitChosen { tree: 0, node: 5, feature: 88, bin: 13 },
             Msg::Placement { tree: 2, node: 4, placement: vec![false; 17] },
-            Msg::NodeLeaf { tree: 1, node: 12 },
             Msg::TreeDone { tree: 19 },
             Msg::Shutdown,
             Msg::SessionHello { session_id: 0xFACE, durable: vec![1, 2, 5] },

@@ -219,17 +219,20 @@ fn truncated_frame_surfaces_as_malformed_not_a_panic() {
     );
 }
 
-/// Kind 13 was the liveness beacon, 15 / 16 the mid-run rewind and its
-/// ack. They are retired, not reused: a frame carrying one is malformed
-/// like one of any unknown kind — whatever the budget, since an undecodable
-/// frame cannot be dropped and resumed past.
+/// Kind 8 was the leaf notice no party read, 13 the liveness beacon, 15 /
+/// 16 the mid-run rewind and its ack. They are retired, not reused: a frame
+/// carrying one is malformed like one of any unknown kind — whatever the
+/// budget, since an undecodable frame cannot be dropped and resumed past.
 #[test]
 fn a_retired_beacon_frame_is_malformed_like_any_unknown_kind() {
-    // What a beacon carried: one little-endian u64. What a rewind (or its
-    // ack) carried: a session id and a tree count.
+    // What a leaf notice carried: a tree and a node. What a beacon
+    // carried: one little-endian u64. What a rewind (or its ack) carried:
+    // a session id and a tree count.
+    let leaf = [1u32.to_le_bytes(), 12u32.to_le_bytes()].concat();
     let beacon = 41u64.to_le_bytes().to_vec();
     let rewind = [0x5e55u64.to_le_bytes().as_slice(), &2u32.to_le_bytes()].concat();
-    for (kind, payload) in [(13u16, &beacon), (15, &rewind), (16, &rewind), (99, &beacon)] {
+    let kinds = [(8u16, &leaf), (13, &beacon), (15, &rewind), (16, &rewind), (99, &beacon)];
+    for (kind, payload) in kinds {
         let (guest_ep, handle) = spawn_host(byz_cfg(3));
         eat_greetings(&guest_ep);
         guest_ep.send(kind, payload.clone().into());
@@ -242,6 +245,46 @@ fn a_retired_beacon_frame_is_malformed_like_any_unknown_kind() {
             other => panic!("kind {kind}: wrong error: {other}"),
         }
     }
+}
+
+/// A gradient batch refused for a bad cipher moves nothing: under budget 1
+/// the host drops it with its row cursor where it was — the honest re-send
+/// of the same rows is admitted, not a replay — and ends with the answers
+/// and the split table of the honest run at budget 0.
+#[test]
+fn a_batch_refused_for_a_bad_cipher_leaves_the_row_cursor_unmoved() {
+    let run = |budget: u32, refused: bool| {
+        let cfg = byz_cfg(budget);
+        let (guest_ep, host_ep) = duplex(WanConfig::instant());
+        let data = Dataset::new(4, vec![FeatureColumn::Dense(vec![0.0, 1.0, 2.0, 3.0])], None);
+        let (data, suite) = (Arc::new(data), Suite::plain(cfg.encoding));
+        let handle = std::thread::spawn(move || {
+            run_host(0, data, cfg, suite, host_ep, None, ChaosPlan::default())
+        });
+        eat_greetings(&guest_ep);
+        send(&guest_ep, &Msg::Resume { session_id: 0, tree_count: 0 });
+        if refused {
+            // Exponent 99 lies outside the jitter window [8, 11].
+            send(&guest_ep, &grad_batch(0, 0, 2, false, 99));
+        }
+        send(&guest_ep, &grad_batch(0, 0, 2, false, 8));
+        send(&guest_ep, &grad_batch(0, 2, 2, true, 8));
+        send(&guest_ep, &Msg::HostSplitChosen { tree: 0, node: 0, feature: 0, bin: 1 });
+        let answers: Vec<_> = (0..2)
+            .map(|_| guest_ep.recv_timeout(DRAIN).expect("the root, then the placement"))
+            .map(|env| (env.kind, env.payload))
+            .collect();
+        send(&guest_ep, &Msg::TreeDone { tree: 0 });
+        send(&guest_ep, &Msg::Shutdown);
+        let (telemetry, splits) = handle.join().unwrap().expect("the run stays up");
+        (answers, splits, telemetry.events.misbehavior)
+    };
+    let (honest, honest_splits, none) = run(0, false);
+    let (answers, splits, charged) = run(1, true);
+    assert_eq!((none, charged), (0, 1));
+    assert_eq!(answers, honest);
+    assert_eq!(splits, honest_splits);
+    assert_eq!(splits.splits.len(), 1);
 }
 
 #[test]
@@ -757,7 +800,6 @@ fn mutation_corpus() -> Vec<Msg> {
         Msg::ApplyPlacement { tree: 0, node: 3, placement: vec![true, false, true, true] },
         Msg::HostSplitChosen { tree: 0, node: 3, feature: 7, bin: 4 },
         Msg::Placement { tree: 0, node: 3, placement: vec![false; 9] },
-        Msg::NodeLeaf { tree: 0, node: 6 },
         Msg::TreeDone { tree: 0 },
         Msg::Shutdown,
         Msg::SessionHello { session_id: 0xF00D, durable: vec![1, 3] },

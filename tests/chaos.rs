@@ -62,7 +62,8 @@ fn faulty_wan_trains_the_identical_model() {
 
     // The wire really was hostile in the faulty run only. A healthy link
     // re-sends next to nothing now that a frame's timer starts when it
-    // leaves the gateway and runs an RTT-estimated RTO (ROADMAP item 5):
+    // leaves the gateway and runs an RTT-estimated RTO (link.rs's
+    // `RtoEstimator`, one RFC 6298 RTO per direction):
     // on a 2-vCPU box this clean arm retransmitted nothing in 360 runs
     // beside the chaos, many_party and whole-workspace suites, and one
     // frame once in 500 runs of an earlier build of the same timer rule.
