@@ -16,6 +16,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== clippy panic-path gate (core + channel + crypto, non-test) =="
 cargo clippy -p vf2boost-core -p vf2-channel -p vf2-crypto --lib -- -D warnings
 
+# Public docs link only what they can show: a link to a private item
+# renders dead, so any rustdoc warning fails the build.
+echo "== cargo doc (workspace, -D warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 # Every test binary of the workspace runs exactly once, here, under one
 # outer cap, so a liveness bug anywhere — a pool deadlock, a resume hang, an
 # admission livelock, a runaway width loop — fails this step instead of
@@ -204,6 +209,32 @@ fi
 if grep -rnE 'HostFsm|check_host_inbound|state_invariant|ensure_tree|with_state|OutOfOrderGradients|NodeLeaf' \
     crates/core/src; then
   echo "a second host admission, its re-checks or the leaf notice are back" >&2
+  exit 1
+fi
+
+# One table per party: the parties read the caller's tables where they lie
+# (train.rs runs them scoped; run_host / run_guest take &Dataset), each
+# keeps one binned form — its row-major table with the cut points — and a
+# host's mock streams hold plain values. A per-party dataset copy, a
+# column-major binned copy beside the row-major one, or a stream of
+# resident-cipher enums must not come back (tests/memory.rs measures the
+# heap they cost).
+echo "== one-table gate (no dataset copy, one binned form, typed host streams) =="
+for f in crates/core/src/train.rs crates/core/src/host.rs crates/core/src/guest.rs; do
+  if awk '/#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' "$f" \
+      | grep -E 'Arc<Dataset>|Arc::new\((data|guest)\b|\b(data|guest)\.clone\(\)|hosts\.(clone|to_vec)\(\)|Dataset::clone'; then
+    echo "a party copies its dataset again ($f)" >&2
+    exit 1
+  fi
+done
+for f in crates/core/src/serve.rs crates/core/src/grow.rs crates/core/src/host.rs crates/core/src/guest.rs; do
+  if awk '/#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' "$f" | grep -E 'BinnedDataset'; then
+    echo "a party keeps a column-major binned form beside its row-major one ($f)" >&2
+    exit 1
+  fi
+done
+if grep -nE 'Vec<ResidentCiphertext>' crates/core/src/serve.rs; then
+  echo "the host's streams are untyped resident-cipher vectors again" >&2
   exit 1
 fi
 

@@ -21,7 +21,6 @@ use std::sync::Arc;
 use num_bigint::BigUint;
 use vf2_crypto::encoding::EncodingConfig;
 use vf2_crypto::packing::GhPlan;
-use vf2_gbdt::binning::BinnedDataset;
 use vf2_gbdt::histogram::GradPair;
 use vf2_gbdt::split::{best_of, find_best_split, SplitCandidate, SplitParams};
 use vf2_gbdt::tree::{layer_of, left_child, parent, right_child, NodeId, NodeSplit};
@@ -51,8 +50,9 @@ pub(crate) struct Rules {
     /// The largest honest `|Σg|` or `Σh` of a derived bin without a pair
     /// plan: the raw wire's safe range (floats: none).
     pub max_int: BigUint,
-    /// The guest's binned features: its placements and thresholds.
-    pub binned: BinnedDataset,
+    /// The guest's one binned form: its FindSplitB walks, its placements
+    /// and its thresholds.
+    pub bins: RowMajorBins,
 }
 
 impl Rules {
@@ -485,9 +485,7 @@ impl TreeCore {
     /// on its own candidate, applied, with both children queued. The shell
     /// broadcasts what it returns.
     pub fn split(&mut self, node: NodeId, split: SplitCandidate) -> Vec<bool> {
-        let col = self.rules.binned.column(split.feature);
-        let placement: Vec<bool> =
-            self.rows.rows(node).iter().map(|&r| col.bin_of_row(r as usize) <= split.bin).collect();
+        let placement = self.rules.bins.placement(self.rows.rows(node), split.feature, split.bin);
         self.rows.apply_placement(node, &placement);
         self.children(node);
         placement
@@ -526,7 +524,7 @@ impl TreeCore {
         match winner {
             Winner::None => self.leaf(node, total),
             Winner::Guest(best) => {
-                let threshold = self.rules.binned.column(best.feature).threshold(best.bin);
+                let threshold = self.rules.bins.cuts(best.feature)[usize::from(best.bin)];
                 let split = NodeSplit { feature: best.feature, bin: best.bin, threshold };
                 self.fed.nodes[node] = FedNode::GuestSplit(split);
                 self.actions.push_back(Action::GuestWon);
@@ -624,6 +622,8 @@ impl TreeCore {
 mod tests {
     use super::*;
     use vf2_datagen::synthetic::{generate_classification, SyntheticConfig};
+    use vf2_gbdt::binning::BinnedDataset;
+    use vf2_gbdt::data::Dataset;
 
     use crate::config::{CryptoConfig, TrainConfig};
     use crate::messages::HistPayload;
@@ -632,26 +632,33 @@ mod tests {
     const META: FeatureMeta = FeatureMeta { num_bins: 4, zero_bin: 0 };
 
     /// A guest over 64 labelled rows facing one host that owns a single
-    /// 4-bin feature, at tree `tree`, with the guest's row-major bins for
-    /// its FindSplitB and a log of every action the core decided.
+    /// 4-bin feature, at tree `tree`, with a log of every action the core
+    /// decided (the guest's row-major bins, for its FindSplitB, are in the
+    /// core's rules).
     struct Guest {
         core: TreeCore,
-        csr: RowMajorBins,
         log: Vec<Action>,
     }
 
     fn guest(optimistic: bool, tree: u32) -> Guest {
-        let data = generate_classification(&SyntheticConfig {
+        guest_over(&labelled(1.0), optimistic, tree)
+    }
+
+    /// 64 labelled rows over 3 features of the given density.
+    fn labelled(density: f64) -> Dataset {
+        generate_classification(&SyntheticConfig {
             rows: 64,
             features: 3,
-            density: 1.0,
+            density,
             informative_frac: 1.0,
             label_noise: 0.1,
             seed: 5,
-        });
+        })
+    }
+
+    /// [`guest`] over the guest's own `data`.
+    fn guest_over(data: &Dataset, optimistic: bool, tree: u32) -> Guest {
         let cfg = TrainConfig { crypto: CryptoConfig::Mock, ..TrainConfig::for_tests() };
-        let binned = BinnedDataset::bin(&data, &cfg.gbdt.binning);
-        let csr = RowMajorBins::from_binned(&binned);
         let rules = Rules {
             split: cfg.gbdt.split,
             max_layers: cfg.gbdt.max_layers,
@@ -659,13 +666,13 @@ mod tests {
             encoding: cfg.encoding,
             gh: None,
             max_int: BigUint::default(),
-            binned,
+            bins: RowMajorBins::bin(data, &cfg.gbdt.binning),
         };
         let loss = cfg.gbdt.loss;
         let preds = vec![loss.base_score(); data.num_rows()];
         let grads = loss.grad_hess_all(data.labels().unwrap(), &preds);
         let core = TreeCore::new(Arc::new(rules), vec![vec![META]], tree, grads);
-        Guest { core, csr, log: Vec::new() }
+        Guest { core, log: Vec::new() }
     }
 
     impl Guest {
@@ -676,7 +683,7 @@ mod tests {
                 match action {
                     Action::Search(search) => {
                         let rows = self.core.rows(search.node);
-                        let hists = self.csr.node_histograms(rows, &self.core.grads);
+                        let hists = self.core.rules.bins.node_histograms(rows, &self.core.grads);
                         let split =
                             |(f, h)| find_best_split(f, h, search.total, &self.core.rules.split);
                         let best = best_of(hists.iter().enumerate().filter_map(split));
@@ -907,6 +914,33 @@ mod tests {
     /// A histogram answering a task that a rollback superseded, for a node
     /// tasked anew since: honest — admitted, never charged — and retired
     /// as stale once, leaving the live task's slot waiting.
+    /// On a sparse guest the core's placements read each row's bin from
+    /// the row-major table: at every feature and split bin they equal the
+    /// column-major form's, and the split's threshold is the column's cut.
+    #[test]
+    fn a_sparse_guests_placements_equal_the_column_major_ones() {
+        let data = labelled(0.4);
+        let binning = TrainConfig::for_tests().gbdt.binning;
+        let binned = BinnedDataset::bin(&data, &binning);
+        assert!(binned.columns().iter().all(|c| c.nnz() < data.num_rows()), "a sparse guest");
+        for (f, column) in binned.columns().iter().enumerate() {
+            for bin in 0..column.cuts.len() as u16 {
+                let mut g = guest_over(&data, false, 0);
+                let split = SplitCandidate {
+                    feature: f,
+                    bin,
+                    gain: 1.0,
+                    left: GradPair::ZERO,
+                    right: GradPair::ZERO,
+                };
+                let want: Vec<bool> =
+                    (0..data.num_rows()).map(|r| column.bin_of_row(r) <= bin).collect();
+                assert_eq!(g.core.split(0, split), want, "feature {f} bin {bin}");
+                assert_eq!(g.core.rules.bins.cuts(f)[usize::from(bin)], column.threshold(bin));
+            }
+        }
+    }
+
     #[test]
     fn a_histogram_for_a_superseded_epoch_is_stale_once_and_never_charged() {
         let mut g = guest(true, 0);

@@ -31,7 +31,6 @@ use std::time::Instant;
 use vf2_channel::{Endpoint, Envelope};
 use vf2_crypto::split_seed;
 use vf2_crypto::suite::Suite;
-use vf2_gbdt::binning::BinnedDataset;
 use vf2_gbdt::data::Dataset;
 use vf2_gbdt::histogram::GradPair;
 use vf2_gbdt::split::{best_of, find_best_split, SplitCandidate};
@@ -105,7 +104,7 @@ fn batch_seed(seed: u64, tree: u32, start: usize) -> u64 {
 /// every party's checkpoints stay durable, and the caller restarts the
 /// run with [`crate::session::SessionConfig::resuming`].
 pub fn run_guest(
-    data: Arc<Dataset>,
+    data: &Dataset,
     cfg: TrainConfig,
     suite: Suite,
     endpoints: Vec<Endpoint>,
@@ -145,7 +144,6 @@ struct GuestParty {
     labels: Vec<f32>,
     /// What every tree's core shares; it holds the guest's binned features.
     rules: Arc<Rules>,
-    csr: RowMajorBins,
     pool: rayon::ThreadPool,
     preds: Vec<f64>,
     telemetry: PartyTelemetry,
@@ -156,7 +154,7 @@ struct GuestParty {
 
 impl GuestParty {
     fn new(
-        data: Arc<Dataset>,
+        data: &Dataset,
         cfg: TrainConfig,
         suite: Suite,
         endpoints: Vec<Endpoint>,
@@ -173,8 +171,6 @@ impl GuestParty {
         }
         check_width(PartyId::Guest, data.num_features())?;
         let labels = labels.to_vec();
-        let binned = BinnedDataset::bin(&data, &cfg.gbdt.binning);
-        let csr = RowMajorBins::from_binned(&binned);
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(cfg.workers.max(1))
             .thread_name(|i| format!("guest-worker{i}"))
@@ -188,7 +184,7 @@ impl GuestParty {
             encoding: *suite.encoding(),
             gh: cfg.gh_plan(&suite, n).map_err(TrainError::crypto("gh plan derivation"))?,
             max_int: suite.public_key().map(|pk| pk.max_int().clone()).unwrap_or_default(),
-            binned,
+            bins: RowMajorBins::bin(data, &cfg.gbdt.binning),
         });
         let link = |(h, endpoint)| HostLink {
             peer: Peer::new(endpoint, PartyId::Guest, PartyId::Host(h), cfg.misbehavior_budget),
@@ -211,7 +207,6 @@ impl GuestParty {
             suite,
             labels,
             rules,
-            csr,
             pool,
         })
     }
@@ -512,12 +507,13 @@ impl GuestParty {
     fn send_gradients(&mut self, core: &TreeCore) -> Result<(), TrainError> {
         let (n, tree) = (core.grads().len(), core.tree());
         let batch = self.cfg.protocol.blaster_batch.unwrap_or(n).max(1);
-        let g_vals: Vec<f64> = core.grads().iter().map(|p| p.g).collect();
-        let h_vals: Vec<f64> = core.grads().iter().map(|p| p.h).collect();
         let mut start = 0usize;
         while start < n {
             let end = (start + batch).min(n);
-            let (g, h) = (&g_vals[start..end], &h_vals[start..end]);
+            // One batch's statistics at a time, never the whole tree's.
+            let pairs = &core.grads()[start..end];
+            let g: Vec<f64> = pairs.iter().map(|p| p.g).collect();
+            let h: Vec<f64> = pairs.iter().map(|p| p.h).collect();
             let seed = batch_seed(self.cfg.seed, tree, start);
             let (start_row, last) = (start as u32, end == n);
             let span = self.telemetry.enter(TracePhase::Encrypt, Some(tree), None);
@@ -526,10 +522,10 @@ impl GuestParty {
             let msg = self.pool.install(|| match &self.rules.gh {
                 Some(plan) => self
                     .suite
-                    .encrypt_gh_batch(g, h, plan, split_seed(seed, 2))
+                    .encrypt_gh_batch(&g, &h, plan, split_seed(seed, 2))
                     .map(|gh| Msg::PackedGradBatch { tree, start_row, gh, last }),
-                None => self.suite.encrypt_batch(g, split_seed(seed, 0)).and_then(|g| {
-                    let h = self.suite.encrypt_batch(h, split_seed(seed, 1))?;
+                None => self.suite.encrypt_batch(&g, split_seed(seed, 0)).and_then(|g| {
+                    let h = self.suite.encrypt_batch(&h, split_seed(seed, 1))?;
                     Ok(Msg::GradBatch { tree, start_row, g, h, last })
                 }),
             });
@@ -768,7 +764,8 @@ impl GuestParty {
                     // features.
                     let node = Some(search.node as u32);
                     let span = self.telemetry.enter(TracePhase::PlainHist, Some(tree), node);
-                    let hists = self.csr.node_histograms(core.rows(search.node), core.grads());
+                    let rows = core.rows(search.node);
+                    let hists = self.rules.bins.node_histograms(rows, core.grads());
                     let split = |(f, h)| find_best_split(f, h, search.total, &self.cfg.gbdt.split);
                     let best = best_of(hists.iter().enumerate().filter_map(split));
                     self.telemetry.exit(span);
@@ -824,15 +821,15 @@ mod tests {
     use crate::config::CryptoConfig;
     use crate::protocol::ProtocolConfig;
 
-    fn labelled_rows() -> Arc<Dataset> {
-        Arc::new(generate_classification(&SyntheticConfig {
+    fn labelled_rows() -> Dataset {
+        generate_classification(&SyntheticConfig {
             rows: 64,
             features: 3,
             density: 1.0,
             informative_frac: 1.0,
             label_noise: 0.1,
             seed: 5,
-        }))
+        })
     }
 
     /// With no host, no node could ever resolve: the guest refuses to
@@ -841,7 +838,7 @@ mod tests {
     fn a_guest_without_hosts_is_invalid_input() {
         let cfg = TrainConfig { crypto: CryptoConfig::Mock, ..TrainConfig::for_tests() };
         let suite = Suite::plain(cfg.encoding);
-        let failure = run_guest(labelled_rows(), cfg, suite, Vec::new(), None);
+        let failure = run_guest(&labelled_rows(), cfg, suite, Vec::new(), None);
         assert!(matches!(failure.err().map(|f| f.error), Some(TrainError::InvalidInput(_))));
     }
 

@@ -34,10 +34,12 @@
 //! on the paired path. A HAdd in between is one stack limb product
 //! ([`Suite::add_resident`]), tallied per worker and published once per
 //! [`EncHistBuilder::add_rows`] call. Under the mock they hold plain values
-//! with their occupancy, 24 bytes where a resident cipher slot takes 32. A
-//! walk resolves the suite's kind once and runs one walk body instantiated
-//! per kind, so the mock's HAdd is an inlined float add
-//! ([`PlainNumber::hadd`]) into a plain value, at plaintext cost.
+//! with their occupancy, 24 bytes where a resident cipher slot takes 32.
+//! The host's per-row streams are typed the same way ([`CipherStream`]): a
+//! mock row is a 16-byte plain value. A walk takes its kind from the stream
+//! once and runs one walk body instantiated per kind, so the mock's HAdd is
+//! an inlined float add ([`PlainNumber::hadd`]) into a plain value, at
+//! plaintext cost.
 //!
 //! The guest's half is [`DecodedBins`], a feature's bins as they decrypt:
 //! hosts ship each split's smaller child only; the guest derives the larger
@@ -109,23 +111,80 @@ impl Workspaces {
     }
 }
 
+/// One statistic's ciphers by row, as a host keeps them for a whole tree,
+/// typed by the suite kind of the first batch it took in: Paillier ciphers
+/// in their key's resident form, or the mock's plain values at 16 bytes a
+/// row where a resident cipher takes 32. A histogram walk takes its kind
+/// from the stream ([`EncHistBuilder::add_rows`]).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub enum CipherStream {
+    /// Nothing taken in yet.
+    #[default]
+    Unfixed,
+    /// Paillier ciphers in their key's resident form.
+    Paillier(Vec<ResidentCiphertext>),
+    /// The mock's values.
+    Plain(Vec<PlainNumber>),
+}
+
+// A mock stream's row is a value and its exponent: 16 bytes, half a
+// resident cipher's.
+const _: () = assert!(std::mem::size_of::<PlainNumber>() == 16);
+
+impl CipherStream {
+    /// Enters each of `ciphers` into its key's resident form and appends
+    /// it. The first non-empty batch fixes the stream's kind to `suite`'s
+    /// and reserves room for `rows` rows in all; a cipher of the other
+    /// kind is [`CryptoError::SuiteMismatch`].
+    pub fn extend(&mut self, suite: &Suite, ciphers: &[Ciphertext], rows: usize) -> Result<()> {
+        if *self == CipherStream::Unfixed && !ciphers.is_empty() {
+            *self = match suite.kind() {
+                SuiteKind::Paillier => CipherStream::Paillier(Vec::with_capacity(rows)),
+                SuiteKind::Plain => CipherStream::Plain(Vec::with_capacity(rows)),
+            };
+        }
+        for c in ciphers {
+            match (&mut *self, suite.enter(c)?) {
+                (CipherStream::Paillier(stream), c @ ResidentCiphertext::Paillier { .. }) => {
+                    stream.push(c)
+                }
+                (CipherStream::Plain(stream), ResidentCiphertext::Plain(p)) => stream.push(p),
+                _ => return Err(CryptoError::SuiteMismatch),
+            }
+        }
+        Ok(())
+    }
+}
+
 /// One suite kind's workspace: the element type of its [`Workspaces`]
-/// store, and the kind's HAdd into it.
+/// store, the cipher its [`CipherStream`] holds, and the kind's HAdd of
+/// one into the other.
 trait Workspace: Sized + Send {
+    /// The kind's cipher, as its stream holds it.
+    type Cipher: Sync;
+
     /// This kind's workspaces in `store`, an unfixed store first fixed to
     /// `len` empty ones; a store of the other kind is
     /// [`CryptoError::SuiteMismatch`].
     fn typed(store: &mut Workspaces, len: usize) -> Result<&mut [Self]>;
 
+    /// This kind's ciphers in `stream` (none in an unfixed one); a stream
+    /// of the other kind is [`CryptoError::SuiteMismatch`].
+    fn stream(stream: &CipherStream) -> Result<&[Self::Cipher]>;
+
+    /// The fixed-point exponent `c` carries.
+    fn exponent(c: &Self::Cipher) -> i32;
+
     /// Folds `c` in: an occupied workspace adds it, an empty one takes a
     /// copy, a cipher of the other kind is [`CryptoError::SuiteMismatch`]
     /// and changes nothing. The work is tallied into `tally`.
-    fn fold(&mut self, suite: &Suite, c: &ResidentCiphertext, tally: &mut OpSnapshot)
-        -> Result<()>;
+    fn fold(&mut self, suite: &Suite, c: &Self::Cipher, tally: &mut OpSnapshot) -> Result<()>;
 }
 
 /// Paillier: HAdds on the limb core ([`Suite::add_resident`]).
 impl Workspace for Option<ResidentCiphertext> {
+    type Cipher = ResidentCiphertext;
+
     fn typed(store: &mut Workspaces, len: usize) -> Result<&mut [Self]> {
         if *store == Workspaces::Unfixed {
             *store = Workspaces::Paillier(vec![None; len]);
@@ -134,6 +193,18 @@ impl Workspace for Option<ResidentCiphertext> {
             Workspaces::Paillier(slots) => Ok(slots),
             _ => Err(CryptoError::SuiteMismatch),
         }
+    }
+
+    fn stream(stream: &CipherStream) -> Result<&[ResidentCiphertext]> {
+        match stream {
+            CipherStream::Unfixed => Ok(&[]),
+            CipherStream::Paillier(ciphers) => Ok(ciphers),
+            CipherStream::Plain(_) => Err(CryptoError::SuiteMismatch),
+        }
+    }
+
+    fn exponent(c: &ResidentCiphertext) -> i32 {
+        c.exponent()
     }
 
     #[inline]
@@ -157,6 +228,8 @@ impl Workspace for Option<ResidentCiphertext> {
 /// The mock: [`PlainNumber::hadd`], the float add [`Suite::add_resident`]'s
 /// mock arm runs too, inlined into the walk.
 impl Workspace for Option<PlainNumber> {
+    type Cipher = PlainNumber;
+
     fn typed(store: &mut Workspaces, len: usize) -> Result<&mut [Self]> {
         if *store == Workspaces::Unfixed {
             *store = Workspaces::Plain(vec![None; len]);
@@ -167,9 +240,20 @@ impl Workspace for Option<PlainNumber> {
         }
     }
 
+    fn stream(stream: &CipherStream) -> Result<&[PlainNumber]> {
+        match stream {
+            CipherStream::Unfixed => Ok(&[]),
+            CipherStream::Plain(values) => Ok(values),
+            CipherStream::Paillier(_) => Err(CryptoError::SuiteMismatch),
+        }
+    }
+
+    fn exponent(c: &PlainNumber) -> i32 {
+        c.exponent
+    }
+
     #[inline]
-    fn fold(&mut self, _: &Suite, c: &ResidentCiphertext, tally: &mut OpSnapshot) -> Result<()> {
-        let ResidentCiphertext::Plain(y) = c else { return Err(CryptoError::SuiteMismatch) };
+    fn fold(&mut self, _: &Suite, y: &PlainNumber, tally: &mut OpSnapshot) -> Result<()> {
         match self {
             Some(x) => x.hadd(y, tally),
             None => *self = Some(*y),
@@ -211,12 +295,12 @@ impl EncHistBuilder {
         self.bins_of(feature, "EncHistBuilder::add feature index")?;
         let c = suite.enter(c)?;
         let mut tally = OpSnapshot::default();
-        let done = self.fixing(|b| match suite.kind() {
-            SuiteKind::Paillier => {
+        let done = self.fixing(|b| match &c {
+            ResidentCiphertext::Paillier { .. } => {
                 b.add_one::<Option<ResidentCiphertext>>(suite, feature, bin, &c, &mut tally)
             }
-            SuiteKind::Plain => {
-                b.add_one::<Option<PlainNumber>>(suite, feature, bin, &c, &mut tally)
+            ResidentCiphertext::Plain(p) => {
+                b.add_one::<Option<PlainNumber>>(suite, feature, bin, p, &mut tally)
             }
         });
         suite.counters().publish(&tally);
@@ -229,11 +313,11 @@ impl EncHistBuilder {
         suite: &Suite,
         feature: usize,
         bin: usize,
-        c: &ResidentCiphertext,
+        c: &S::Cipher,
         tally: &mut OpSnapshot,
     ) -> Result<()> {
         let mut columns = self.columns::<S>()?;
-        let slot = columns.slot_of(c);
+        let slot = columns.slot_of(S::exponent(c));
         columns.add(feature, bin, (c, &slot), suite, tally)
     }
 
@@ -244,9 +328,12 @@ impl EncHistBuilder {
     /// fed). Cipher for cipher what the per-entry [`EncHistBuilder::add`]
     /// loop over `rows` produces, on ciphers the host entered once.
     ///
-    /// The suite's kind is resolved once, here: the walk below is
-    /// instantiated per kind, so the mock's HAdd inlines to a float add
-    /// into a plain workspace. Inside a `rayon::ThreadPool::install` of
+    /// The walk's kind is the `g` stream's (the suite's while it holds
+    /// nothing), resolved once, here: the walk below is instantiated per
+    /// kind, so the mock's walk reads 16-byte plain values and its HAdd
+    /// inlines to a float add into a plain workspace. A stream or a builder
+    /// of the other kind is [`CryptoError::SuiteMismatch`] before any bin
+    /// changes. Inside a `rayon::ThreadPool::install` of
     /// width `w` the features are cut into contiguous ranges of
     /// `⌈features / w⌉` columns, one worker each. Every worker walks `rows`
     /// in list order and touches only its own columns (a CSR row is
@@ -259,8 +346,8 @@ impl EncHistBuilder {
         suite: &Suite,
         csr: &RowMajorBins,
         rows: &[u32],
-        (g, enc_g): (&mut EncHistBuilder, &[ResidentCiphertext]),
-        (h, enc_h): (&mut EncHistBuilder, Option<&[ResidentCiphertext]>),
+        (g, enc_g): (&mut EncHistBuilder, &CipherStream),
+        (h, enc_h): (&mut EncHistBuilder, Option<&CipherStream>),
     ) -> Result<()> {
         for builder in [&*g, &*h] {
             if csr.num_features() != builder.num_features() {
@@ -275,9 +362,11 @@ impl EncHistBuilder {
         let job = (suite, csr, rows, per_worker);
         let walk_kind = |g: &mut EncHistBuilder, h: Option<&mut EncHistBuilder>| {
             let (g, h) = ((g, enc_g), (h, enc_h));
-            match suite.kind() {
-                SuiteKind::Paillier => walk::<Option<ResidentCiphertext>>(job, g, h),
-                SuiteKind::Plain => walk::<Option<PlainNumber>>(job, g, h),
+            match (enc_g, suite.kind()) {
+                (CipherStream::Paillier(_), _) | (CipherStream::Unfixed, SuiteKind::Paillier) => {
+                    walk::<Option<ResidentCiphertext>>(job, g, h)
+                }
+                _ => walk::<Option<PlainNumber>>(job, g, h),
             }
         };
         // An unfed `h` is left as it is.
@@ -513,33 +602,38 @@ impl EncHistBuilder {
             base_exp: self.base_exp,
         };
         // Each negation folds into the parent's matching workspace.
+        let mut negations = CipherStream::Unfixed;
+        negations.extend(suite, &negated, negated.len())?;
         let mut tally = OpSnapshot::default();
-        let folds = at.into_iter().zip(&negated);
         let done = match suite.kind() {
             SuiteKind::Paillier => {
-                derived.fold_in::<Option<ResidentCiphertext>>(suite, folds, &mut tally)
+                derived.fold_in::<Option<ResidentCiphertext>>(suite, &at, &negations, &mut tally)
             }
-            SuiteKind::Plain => derived.fold_in::<Option<PlainNumber>>(suite, folds, &mut tally),
+            SuiteKind::Plain => {
+                derived.fold_in::<Option<PlainNumber>>(suite, &at, &negations, &mut tally)
+            }
         };
         suite.counters().publish(&tally);
         done?;
         Ok(derived)
     }
 
-    /// Folds each `(k, c)` of `folds` into workspace `k` of the store of
-    /// kind `S`; no fold leaves the store as it is.
-    fn fold_in<'c, S: Workspace>(
+    /// Folds the `i`-th cipher of `ciphers` into workspace `at[i]` of the
+    /// store of kind `S`; no fold leaves the store as it is.
+    fn fold_in<S: Workspace>(
         &mut self,
         suite: &Suite,
-        folds: impl ExactSizeIterator<Item = (usize, &'c Ciphertext)>,
+        at: &[usize],
+        ciphers: &CipherStream,
         tally: &mut OpSnapshot,
     ) -> Result<()> {
-        if folds.len() == 0 {
+        let ciphers = S::stream(ciphers)?;
+        if ciphers.is_empty() {
             return Ok(());
         }
         let slots = S::typed(&mut self.store, self.rows.len() * self.width)?;
-        for (k, c) in folds {
-            slots[k].fold(suite, &suite.enter(c)?, tally)?;
+        for (&k, c) in at.iter().zip(ciphers) {
+            slots[k].fold(suite, c, tally)?;
         }
         Ok(())
     }
@@ -588,14 +682,14 @@ impl<'a, S: Workspace> Columns<'a, S> {
         (Columns { offsets: &self.offsets[..=features], slots, rows, ..self }, tail)
     }
 
-    /// The workspace `c` takes in any bin: its exponent's place in the
-    /// jitter window when re-ordered (a typed error outside it), the one
-    /// slot when naive.
-    fn slot_of(&self, c: &ResidentCiphertext) -> Result<usize> {
+    /// The workspace a cipher of exponent `exponent` takes in any bin: its
+    /// place in the jitter window when re-ordered (a typed error outside
+    /// it), the one slot when naive.
+    fn slot_of(&self, exponent: i32) -> Result<usize> {
         if !self.reordered {
             return Ok(0);
         }
-        let delta = i64::from(c.exponent()) - i64::from(self.base_exp);
+        let delta = i64::from(exponent) - i64::from(self.base_exp);
         usize::try_from(delta).ok().filter(|&s| s < self.width).ok_or(CryptoError::ShapeMismatch {
             context: "cipher exponent outside the jitter window",
             left: delta.unsigned_abs() as usize,
@@ -616,7 +710,7 @@ impl<'a, S: Workspace> Columns<'a, S> {
         &mut self,
         column: usize,
         bin: usize,
-        (c, slot): (&ResidentCiphertext, &Result<usize>),
+        (c, slot): (&S::Cipher, &Result<usize>),
         suite: &Suite,
         tally: &mut OpSnapshot,
     ) -> Result<()> {
@@ -643,9 +737,11 @@ impl<'a, S: Workspace> Columns<'a, S> {
 /// order. Returns each worker's tally and outcome, in run order.
 fn walk<S: Workspace>(
     (suite, csr, rows, per_run): (&Suite, &RowMajorBins, &[u32], usize),
-    (g, enc_g): (&mut EncHistBuilder, &[ResidentCiphertext]),
-    (h, enc_h): (Option<&mut EncHistBuilder>, Option<&[ResidentCiphertext]>),
+    (g, enc_g): (&mut EncHistBuilder, &CipherStream),
+    (h, enc_h): (Option<&mut EncHistBuilder>, Option<&CipherStream>),
 ) -> Result<Vec<(OpSnapshot, Result<()>)>> {
+    let enc_g = S::stream(enc_g)?;
+    let enc_h = enc_h.map(S::stream).transpose()?;
     let mut h_runs = h.map(|h| h.runs::<S>(per_run)).transpose()?.map(Vec::into_iter);
     let mut runs: Vec<_> = g
         .runs::<S>(per_run)?
@@ -661,11 +757,11 @@ fn walk<S: Workspace>(
             let mut walk_rows = || -> Result<()> {
                 for &row in rows {
                     let cg = cipher_of(enc_g, row)?;
-                    let cg = (cg, &g.slot_of(cg));
+                    let cg = (cg, &g.slot_of(S::exponent(cg)));
                     let ch = match h {
                         Some((h, enc_h)) => {
                             let ch = cipher_of(enc_h, row)?;
-                            Some((ch, h.slot_of(ch)))
+                            Some((ch, h.slot_of(S::exponent(ch))))
                         }
                         None => None,
                     };
@@ -695,7 +791,7 @@ fn walk<S: Workspace>(
 
 /// The cipher a row contributes, or a typed error when the stream is too
 /// short to cover it.
-fn cipher_of(ciphers: &[ResidentCiphertext], row: u32) -> Result<&ResidentCiphertext> {
+fn cipher_of<C>(ciphers: &[C], row: u32) -> Result<&C> {
     ciphers.get(row as usize).ok_or(CryptoError::ShapeMismatch {
         context: "EncHistBuilder::add_rows row without a cipher",
         left: row as usize,
@@ -1099,15 +1195,24 @@ mod tests {
         Ok(b)
     }
 
-    /// Ciphers as the host stores them: entered once. A cipher of the
-    /// other kind enters as a host of its own kind would have entered it,
-    /// so that a walk can meet it.
-    fn entered(s: &Suite, ciphers: &[Ciphertext]) -> Vec<ResidentCiphertext> {
+    /// Ciphers as the host stores them: entered once, into a stream of
+    /// `s`'s kind. A Paillier stream can still meet a mock cipher (it
+    /// enters as a mock host would have entered it), so that a walk does;
+    /// a mock stream holds plain values only, and refuses a Paillier cipher
+    /// as it takes it in.
+    fn entered(s: &Suite, ciphers: &[Ciphertext]) -> Result<CipherStream> {
+        if s.kind() == SuiteKind::Plain {
+            let mut stream = CipherStream::Unfixed;
+            stream.extend(s, ciphers, ciphers.len())?;
+            return Ok(stream);
+        }
         let foreign = |c: &Ciphertext| match c {
             Ciphertext::Plain(p) => ResidentCiphertext::Plain(*p),
             Ciphertext::Paillier(_) => suite().enter(c).unwrap(),
         };
-        ciphers.iter().map(|c| s.enter(c).unwrap_or_else(|_| foreign(c))).collect()
+        Ok(CipherStream::Paillier(
+            ciphers.iter().map(|c| s.enter(c).unwrap_or_else(|_| foreign(c))).collect(),
+        ))
     }
 
     /// `add_rows` into a fresh `(g, h)` pair under a pool of `width`.
@@ -1122,8 +1227,8 @@ mod tests {
         let pool = rayon::ThreadPoolBuilder::new().num_threads(width).build().unwrap();
         let mut g = EncHistBuilder::new(&csr.col_meta, &encoding(), reordered);
         let mut h = g.clone();
-        let (enc_g, enc_h) = (entered(s, enc_g), enc_h.map(|c| entered(s, c)));
-        let (g_stream, h_stream) = ((&mut g, &enc_g[..]), (&mut h, enc_h.as_deref()));
+        let (enc_g, enc_h) = (entered(s, enc_g)?, enc_h.map(|c| entered(s, c)).transpose()?);
+        let (g_stream, h_stream) = ((&mut g, &enc_g), (&mut h, enc_h.as_ref()));
         pool.install(|| EncHistBuilder::add_rows(s, csr, rows, g_stream, h_stream))?;
         Ok((g, h))
     }
@@ -1244,7 +1349,7 @@ mod tests {
                 assert!(short, "{what}: {err}");
                 // And so is a builder shaped for other columns: too few of
                 // them, or too few bins in one.
-                let ciphers = entered(s, &clean);
+                let ciphers = entered(s, &clean).unwrap();
                 let mut g = EncHistBuilder::new(&csr.col_meta, &enc, reordered);
                 let mut narrow = EncHistBuilder::new(&meta(1), &enc, reordered);
                 let err = EncHistBuilder::add_rows(
@@ -1514,12 +1619,11 @@ mod tests {
                     }
                 }
                 // A foreign stream through the bulk walk, at two widths.
-                let stream: Vec<ResidentCiphertext> =
-                    (0..12).map(|_| foreign.enter(&refused[0]).unwrap()).collect();
+                let stream = entered(foreign, &vec![refused[0].clone(); 12]).unwrap();
                 let mut h = b.clone();
                 for width in [1, 2] {
                     let pool = rayon::ThreadPoolBuilder::new().num_threads(width).build().unwrap();
-                    let streams = ((&mut b, &stream[..]), (&mut h, None));
+                    let streams = ((&mut b, &stream), (&mut h, None));
                     let err = pool.install(|| {
                         EncHistBuilder::add_rows(s, &csr, &[0, 3], streams.0, streams.1)
                     });
@@ -1527,6 +1631,46 @@ mod tests {
                     assert!(b == kept, "{what}: a refused bulk walk changed the builder");
                 }
             }
+        }
+    }
+
+    /// A walk takes its kind from the stream: a mock stream into a builder
+    /// fixed to Paillier is refused, and so is a Paillier stream into one
+    /// fixed to the mock — as either stream of the pair, under either
+    /// suite — and a refusal leaves both builders as they were. A stream
+    /// refuses a batch of the other kind as it takes it in.
+    #[test]
+    fn a_stream_of_the_other_kind_is_refused_and_changes_nothing() {
+        let enc = encoding();
+        let csr = csr_fixture();
+        let (p, m) = (suite(), Suite::plain(enc));
+        let stream = |s: &Suite| entered(s, &s.encrypt_batch(&[0.5; 12], 3).unwrap()).unwrap();
+        let (paillier, plain) = (stream(&p), stream(&m));
+        assert!(matches!(paillier, CipherStream::Paillier(_)));
+        assert!(matches!(plain, CipherStream::Plain(_)));
+        for (s, own, foreign) in [(&p, &paillier, &plain), (&m, &plain, &paillier)] {
+            let what = format!("{:?}", s.kind());
+            let mut g = EncHistBuilder::new(&csr.col_meta, &enc, true);
+            let mut h = g.clone();
+            EncHistBuilder::add_rows(s, &csr, &[0, 1], (&mut g, own), (&mut h, Some(own))).unwrap();
+            let kept = (g.clone(), h.clone());
+            for walk_suite in [&p, &m] {
+                for (g_stream, h_stream) in [(foreign, foreign), (own, foreign), (foreign, own)] {
+                    let err = EncHistBuilder::add_rows(
+                        walk_suite,
+                        &csr,
+                        &[2, 5],
+                        (&mut g, g_stream),
+                        (&mut h, Some(h_stream)),
+                    );
+                    assert_eq!(err, Err(CryptoError::SuiteMismatch), "{what}");
+                    assert!((&g, &h) == (&kept.0, &kept.1), "{what}: a refused walk changed it");
+                }
+            }
+            let other = if s.kind() == SuiteKind::Paillier { &m } else { &p };
+            let mut grown = own.clone();
+            let batch = other.encrypt_batch(&[0.5], 9).unwrap();
+            assert_eq!(grown.extend(other, &batch, 13), Err(CryptoError::SuiteMismatch), "{what}");
         }
     }
 
@@ -1545,10 +1689,10 @@ mod tests {
         let hostile = m.encrypt_at(1.0, enc.base_exp + enc.jitter as i32 + 7, &mut rng).unwrap();
         assert!(b.add(&m, 0, 0, &hostile).is_err());
         assert!(b == fresh, "a refused add fixed the kind");
-        let clean = entered(&m, &m.encrypt_batch(&[0.5; 8], 3).unwrap());
-        let hostile = vec![m.enter(&hostile).unwrap(); 12];
+        let clean = entered(&m, &m.encrypt_batch(&[0.5; 8], 3).unwrap()).unwrap();
+        let hostile = entered(&m, &vec![hostile; 12]).unwrap();
         // Row 11 first: the short stream refuses before any add.
-        for stream in [&hostile[..], &clean[..]] {
+        for stream in [&hostile, &clean] {
             let mut h = fresh.clone();
             for width in [1, 2] {
                 let pool = rayon::ThreadPoolBuilder::new().num_threads(width).build().unwrap();
@@ -1869,12 +2013,12 @@ mod tests {
                             reordered,
                         ),
                     };
-                    let enc_g = entered(&host, &enc_g);
-                    let enc_h = enc_h.map(|c| entered(&host, &c));
+                    let enc_g = entered(&host, &enc_g).unwrap();
+                    let enc_h = enc_h.map(|c| entered(&host, &c).unwrap());
                     let build = |rows: &[u32]| {
                         let mut g = EncHistBuilder::new(&csr.col_meta, &enc, reordered);
                         let mut h = g.clone();
-                        let streams = ((&mut g, &enc_g[..]), (&mut h, enc_h.as_deref()));
+                        let streams = ((&mut g, &enc_g), (&mut h, enc_h.as_ref()));
                         EncHistBuilder::add_rows(&host, &csr, rows, streams.0, streams.1).unwrap();
                         (g, h)
                     };

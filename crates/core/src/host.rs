@@ -19,14 +19,15 @@ use std::sync::Arc;
 
 use vf2_channel::Endpoint;
 use vf2_crypto::packing::GhPlan;
-use vf2_crypto::suite::{ResidentCiphertext, Suite};
-use vf2_gbdt::binning::BinnedDataset;
+use vf2_crypto::suite::Suite;
 use vf2_gbdt::data::Dataset;
 
 use crate::chaos::ChaosPlan;
 use crate::config::TrainConfig;
 use crate::error::{panic_text, HostFailure, PartyId, ProtocolError, ProtocolPhase, TrainError};
-use crate::hist_enc::{max_exponent, pack_feature_hist, EncHistBuilder, TARGET_SLOT_BITS};
+use crate::hist_enc::{
+    max_exponent, pack_feature_hist, CipherStream, EncHistBuilder, TARGET_SLOT_BITS,
+};
 use crate::messages::{
     FeatureMeta, GhPackedFeatureHist, HistPayload, Msg, PackedFeatureHist, RawFeatureHist,
 };
@@ -55,7 +56,7 @@ use crate::wire;
 /// ([`ChaosPlan::default`] injects nothing).
 pub fn run_host(
     party_index: usize,
-    data: Arc<Dataset>,
+    data: &Dataset,
     cfg: TrainConfig,
     suite: Suite,
     endpoint: Endpoint,
@@ -98,7 +99,8 @@ struct HostParty {
     gh: Option<GhPlan>,
     /// The link to the guest, this host's only peer.
     guest: Peer,
-    csr: RowMajorBins,
+    /// The host's one binned form, shared with its core.
+    csr: Arc<RowMajorBins>,
     pool: rayon::ThreadPool,
     telemetry: PartyTelemetry,
     shutdown: bool,
@@ -111,7 +113,7 @@ struct HostParty {
 impl HostParty {
     fn new(
         party_index: usize,
-        data: Arc<Dataset>,
+        data: &Dataset,
         cfg: TrainConfig,
         suite: Suite,
         endpoint: Endpoint,
@@ -120,8 +122,7 @@ impl HostParty {
     ) -> Result<(HostParty, HostCore), TrainError> {
         cfg.validate().map_err(TrainError::InvalidConfig)?;
         check_width(PartyId::Host(party_index), data.num_features())?;
-        let binned = BinnedDataset::bin(&data, &cfg.gbdt.binning);
-        let csr = RowMajorBins::from_binned(&binned);
+        let csr = Arc::new(RowMajorBins::bin(data, &cfg.gbdt.binning));
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(cfg.workers.max(1))
             .thread_name(move |i| format!("host{party_index}-worker{i}"))
@@ -154,7 +155,7 @@ impl HostParty {
             party_index,
             session,
         };
-        let core = HostCore::new(binned, host.new_builders(), &cfg.gbdt);
+        let core = HostCore::new(host.csr.clone(), host.new_builders(), &cfg.gbdt);
         Ok((host, core))
     }
 
@@ -313,10 +314,10 @@ impl HostParty {
                 self.telemetry.events.aborted_tasks += at.place(&placement);
                 self.telemetry.exit(span);
             }
-            Step::Choose(at, column, bin) => {
+            Step::Choose(at, feature, bin) => {
                 let (tree, node) = (at.tree, at.node);
                 let span = self.telemetry.enter(TracePhase::Placement, Some(tree), Some(node));
-                let (placement, retired) = at.choose(column, bin);
+                let (placement, retired) = at.choose(feature, bin);
                 self.telemetry.events.aborted_tasks += retired;
                 self.telemetry.events.splits_won += 1;
                 self.telemetry.exit(span);
@@ -342,15 +343,14 @@ impl HostParty {
     fn on_grad_batch(&mut self, batch: Batch<'_>) -> Result<(), TrainError> {
         let Batch { tree, rows, g, h, enc_g, enc_h, root, last } = batch;
         let span = self.telemetry.enter(TracePhase::Hadd, Some(tree), Some(0));
-        // Each cipher enters its key's resident form once, here, and its
-        // wire form is dropped as it enters: the streams hold one form, and
-        // keep it for the whole tree.
+        // Each cipher enters its key's resident form once, here, and the
+        // batch's wire form is dropped with it: the streams hold one form,
+        // typed by the suite's kind, and keep it for the whole tree.
         let crypto = TrainError::crypto("gradient cipher admission");
-        for c in g {
-            enc_g.push(self.suite.enter(&c).map_err(&crypto)?);
-        }
-        for c in h.into_iter().flatten() {
-            enc_h.push(self.suite.enter(&c).map_err(&crypto)?);
+        let n = self.csr.num_rows();
+        enc_g.extend(&self.suite, &g, n).map_err(&crypto)?;
+        if let Some(h) = h {
+            enc_h.extend(&self.suite, &h, n).map_err(&crypto)?;
         }
         // Accumulate the freshly arrived rows into the root histogram
         // immediately — this is what overlaps BuildHistA with the guest's
@@ -391,7 +391,7 @@ impl HostParty {
     fn accumulate(
         &self,
         tree: u32,
-        (enc_g, enc_h): (&[ResidentCiphertext], &[ResidentCiphertext]),
+        (enc_g, enc_h): (&CipherStream, &CipherStream),
         g: &mut EncHistBuilder,
         h: &mut EncHistBuilder,
         rows: &[u32],
@@ -515,11 +515,11 @@ mod tests {
 
         let (guest_ep, host_ep) = duplex(WanConfig::instant());
         let column = FeatureColumn::Dense((0..8).map(|v| v as f32).collect());
-        let data = Arc::new(Dataset::new(8, vec![column], None));
+        let data = Dataset::new(8, vec![column], None);
         let cfg = TrainConfig::for_tests();
         let suite = Suite::plain(cfg.encoding);
         let (mut host, mut core) =
-            HostParty::new(0, data, cfg, suite, host_ep, None, ChaosPlan::default()).unwrap();
+            HostParty::new(0, &data, cfg, suite, host_ep, None, ChaosPlan::default()).unwrap();
         let send = |msg: Msg| guest_ep.send(msg.kind(), wire::encode(&msg).unwrap());
         // Everything sent so far is in the host's inbox once acked.
         let delivered = || assert!(guest_ep.flush(std::time::Duration::from_secs(5)));
@@ -569,12 +569,11 @@ mod tests {
         use vf2_crypto::encoding::EncodingConfig;
 
         let (guest_ep, host_ep) = duplex(WanConfig::instant());
-        let data =
-            Arc::new(Dataset::new(4, vec![FeatureColumn::Dense(vec![0.0, 1.0, 2.0, 3.0])], None));
+        let data = Dataset::new(4, vec![FeatureColumn::Dense(vec![0.0, 1.0, 2.0, 3.0])], None);
         let cfg = TrainConfig::for_tests();
         let suite = Suite::plain(EncodingConfig::default());
         let handle = std::thread::spawn(move || {
-            run_host(3, data, cfg, suite, host_ep, None, ChaosPlan::default())
+            run_host(3, &data, cfg, suite, host_ep, None, ChaosPlan::default())
         });
         // Read the SessionHello and FeatureMeta greetings, then shut the
         // host down. A session-less host announces session 0.

@@ -155,7 +155,8 @@ pub fn render_array(elems: &[String], indent: usize) -> String {
 }
 
 /// Parses a complete JSON document. Trailing non-whitespace, duplicate
-/// object keys, and nesting deeper than [`MAX_DEPTH`] are errors.
+/// object keys, and nesting deeper than 64 levels (`MAX_DEPTH`) are
+/// errors.
 pub fn parse(input: &str) -> Result<Json, String> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;

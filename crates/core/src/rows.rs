@@ -4,7 +4,10 @@
 //! non-zero feature of every row in the node", which a column-major store
 //! cannot do without scanning all columns. [`RowMajorBins`] is the CSR
 //! transpose of a [`BinnedDataset`]: per row, the `(feature, bin)` pairs of
-//! its stored entries. It is built once per party and shared by every tree.
+//! its stored entries, plus each column's cut points. It is built once per
+//! party, shared by every tree, and is the party's only binned form: its
+//! walks, its placements ([`RowMajorBins::placement`]) and its thresholds
+//! ([`RowMajorBins::cuts`]) all read it.
 //!
 //! An entry is two `u16`s, four bytes with no padding: both parties'
 //! histogram walks (the guest's [`RowMajorBins::node_histograms`], the
@@ -12,14 +15,15 @@
 //! is the bytes each walk reads per row-feature. A bin index already fits
 //! in 16 bits ([`ColMeta::num_bins`]); a feature index does because no
 //! party may hold more than [`MAX_FEATURES`] columns, the same cap the wire
-//! puts on a host's `FeatureMeta`, and [`check_width`] refuses a wider
+//! puts on a host's `FeatureMeta`, and `check_width` refuses a wider
 //! party before anything is built.
 //!
 //! [`NodeRows`] tracks which rows sit on which tree node. Parent row lists
 //! are retained after a split so that the optimistic protocol can *re-split*
 //! a dirty node from the same list (§4.2's roll-back-and-re-do).
 
-use vf2_gbdt::binning::BinnedDataset;
+use vf2_gbdt::binning::{BinnedDataset, BinningConfig};
+use vf2_gbdt::data::Dataset;
 use vf2_gbdt::histogram::{GradPair, Histogram};
 use vf2_gbdt::tree::{left_child, right_child, NodeId};
 
@@ -65,17 +69,31 @@ pub struct RowMajorBins {
     entries: Vec<Entry>,
     /// Per-column metadata.
     pub col_meta: Vec<ColMeta>,
+    /// Per-column cut points: bin `b < cuts[f].len()` splits at
+    /// `value ≤ cuts[f][b]`.
+    cuts: Vec<Vec<f32>>,
     num_rows: usize,
+    /// Whether every column stores every row: row `r`'s entry for feature
+    /// `f` is then `entries[r × features + f]`.
+    dense: bool,
 }
 
 impl RowMajorBins {
+    /// Bins `data` and keeps only the row-major form: the column-major
+    /// codes are dropped once transposed.
+    ///
+    /// # Panics
+    /// As [`RowMajorBins::from_binned`].
+    pub fn bin(data: &Dataset, cfg: &BinningConfig) -> RowMajorBins {
+        RowMajorBins::from_binned(&BinnedDataset::bin(data, cfg))
+    }
+
     /// Transposes a binned dataset into row-major form. Each row's entries
     /// are in feature order.
     ///
     /// # Panics
     /// If the dataset has more than [`MAX_FEATURES`] columns, whose indices
-    /// an entry cannot hold; the trainer refuses such a party first
-    /// ([`check_width`]).
+    /// an entry cannot hold; the trainer refuses such a party first.
     pub fn from_binned(binned: &BinnedDataset) -> RowMajorBins {
         let features = binned.num_features();
         assert!(features <= MAX_FEATURES, "{features} columns exceed {MAX_FEATURES}");
@@ -93,6 +111,7 @@ impl RowMajorBins {
         let mut cursor = offsets.clone();
         let mut entries = vec![(0, 0); offsets[n] as usize];
         let mut col_meta = Vec::with_capacity(features);
+        let cuts = binned.columns().iter().map(|col| col.cuts.clone()).collect();
         // `MAX_FEATURES` is 2^16: every index below it is a `u16`.
         for (f, col) in (0..=u16::MAX).zip(binned.columns()) {
             col_meta.push(ColMeta {
@@ -106,7 +125,8 @@ impl RowMajorBins {
                 cursor[row as usize] += 1;
             }
         }
-        RowMajorBins { offsets, entries, col_meta, num_rows: n }
+        let dense = col_meta.iter().all(|m| m.dense);
+        RowMajorBins { offsets, entries, col_meta, cuts, num_rows: n, dense }
     }
 
     /// Number of rows.
@@ -122,6 +142,33 @@ impl RowMajorBins {
     /// The stored `(feature, bin)` entries of one row.
     pub fn row(&self, r: usize) -> &[(u16, u16)] {
         &self.entries[self.offsets[r] as usize..self.offsets[r + 1] as usize]
+    }
+
+    /// Feature `feature`'s cut points, increasing: bin `b` of a split sends
+    /// left every value `≤ cuts[b]`, and the last bin is no split point.
+    pub fn cuts(&self, feature: usize) -> &[f32] {
+        &self.cuts[feature]
+    }
+
+    /// The bin of `row` in column `feature`: its stored entry, or the
+    /// column's zero bin for a row that stores none. A dense table indexes
+    /// the entry directly; otherwise the row's feature-sorted entries are
+    /// binary-searched.
+    pub fn bin_of(&self, row: usize, feature: usize) -> u16 {
+        if self.dense {
+            return self.entries[row * self.col_meta.len() + feature].1;
+        }
+        let entries = self.row(row);
+        match entries.binary_search_by_key(&feature, |&(f, _)| usize::from(f)) {
+            Ok(i) => entries[i].1,
+            Err(_) => self.col_meta[feature].zero_bin,
+        }
+    }
+
+    /// Splits `rows` on bin `bin` of column `feature`: `true` (left) for
+    /// each row whose bin is at most `bin`, in list order.
+    pub fn placement(&self, rows: &[u32], feature: usize, bin: u16) -> Vec<bool> {
+        rows.iter().map(|&r| self.bin_of(r as usize, feature) <= bin).collect()
     }
 
     /// Builds one node's plaintext histograms over all features from its
@@ -268,6 +315,54 @@ mod tests {
         assert!(check_width(PartyId::Guest, MAX_FEATURES).is_ok());
         let err = check_width(PartyId::Host(0), MAX_FEATURES + 1).unwrap_err();
         assert!(matches!(err, TrainError::InvalidInput(_)), "{err}");
+    }
+
+    /// A placement reads each row's bin from the CSR, and agrees with the
+    /// column-major form on a dense party (the direct index), a sparse one
+    /// and a mixed one (the binary search), at every feature, the first and
+    /// the last included; a row that stores no entry reads its column's
+    /// zero bin.
+    #[test]
+    fn placement_lookup_agrees_with_the_column_major_form() {
+        let dense = |k: usize| FeatureColumn::Dense((0..8).map(|r| ((r * k) % 5) as f32).collect());
+        let sparse = |rows: &[u32]| FeatureColumn::Sparse {
+            rows: rows.to_vec(),
+            values: rows.iter().map(|&r| r as f32 - 3.5).collect(),
+        };
+        let parties = [
+            vec![dense(1), dense(3), dense(7)],
+            vec![sparse(&[1, 4]), sparse(&[0, 2, 7]), sparse(&[5, 6])],
+            vec![sparse(&[3]), dense(2), sparse(&[0, 6, 7])],
+        ];
+        let cfg = BinningConfig { num_bins: 4, max_samples: 1 << 16 };
+        for (party, columns) in parties.into_iter().enumerate() {
+            let b = BinnedDataset::bin(&Dataset::new(8, columns, None), &cfg);
+            let csr = RowMajorBins::from_binned(&b);
+            assert_eq!(csr.dense, party == 0, "party {party}");
+            let rows: Vec<u32> = vec![7, 0, 3, 5, 1];
+            for (f, col) in b.columns().iter().enumerate() {
+                for r in 0..8 {
+                    assert_eq!(csr.bin_of(r, f), col.bin_of_row(r), "party {party} ({r}, {f})");
+                }
+                for bin in 0..col.num_bins() as u16 {
+                    let want: Vec<bool> =
+                        rows.iter().map(|&r| col.bin_of_row(r as usize) <= bin).collect();
+                    assert_eq!(csr.placement(&rows, f, bin), want, "party {party} ({f}, {bin})");
+                }
+            }
+        }
+        // Row 3 of the sparse party stores nothing: every column reads its
+        // zero bin, which is not bin 0 for a column with negative values.
+        let b = BinnedDataset::bin(
+            &Dataset::new(8, vec![sparse(&[1, 4]), sparse(&[0, 2, 7]), sparse(&[5, 6])], None),
+            &cfg,
+        );
+        let csr = RowMajorBins::from_binned(&b);
+        assert!(csr.row(3).is_empty());
+        assert!(csr.col_meta.iter().any(|m| m.zero_bin > 0));
+        for (f, meta) in csr.col_meta.iter().enumerate() {
+            assert_eq!(csr.bin_of(3, f), meta.zero_bin, "feature {f}");
+        }
     }
 
     #[test]

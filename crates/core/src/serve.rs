@@ -14,17 +14,17 @@
 use std::cmp::Ordering;
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
+use std::sync::Arc;
 
-use vf2_crypto::suite::{Ciphertext, ResidentCiphertext};
-use vf2_gbdt::binning::{BinnedColumn, BinnedDataset};
+use vf2_crypto::suite::Ciphertext;
 use vf2_gbdt::train::GbdtParams;
 use vf2_gbdt::tree::{parent, right_child, NodeSplit};
 
 use crate::error::{PartyId, ProtocolError, TrainError};
-use crate::hist_enc::EncHistBuilder;
+use crate::hist_enc::{CipherStream, EncHistBuilder};
 use crate::messages::Msg;
 use crate::model::HostSplitTable;
-use crate::rows::NodeRows;
+use crate::rows::{NodeRows, RowMajorBins};
 
 /// One (gradient, hessian) builder pair — a node's whole encrypted
 /// histogram (on the paired path the `h` half stays empty).
@@ -41,11 +41,11 @@ pub(crate) struct Task {
 /// One tree's state, from its first gradient batch to its `TreeDone`.
 pub(crate) struct Tree {
     tree: u32,
-    /// Encrypted gradients by row, each in its key's resident form (on the
-    /// paired path the one `(g, h)` stream).
-    pub enc_g: Vec<ResidentCiphertext>,
+    /// Encrypted gradients by row, typed by the suite's kind (on the paired
+    /// path the one `(g, h)` stream).
+    pub enc_g: CipherStream,
     /// Encrypted hessians by row; empty on the paired path.
-    pub enc_h: Vec<ResidentCiphertext>,
+    pub enc_h: CipherStream,
     /// The root builders the gradient batches feed, until the root ships.
     root: BuilderPair,
     rows: NodeRows,
@@ -63,7 +63,8 @@ enum Stage {
 impl Tree {
     /// Tree `tree` before its first gradient batch: nothing sized yet.
     fn new(tree: u32, blank: &BuilderPair) -> Tree {
-        let (enc_g, enc_h, rows) = (Vec::new(), Vec::new(), NodeRows::default());
+        let (enc_g, enc_h, rows) =
+            (CipherStream::Unfixed, CipherStream::Unfixed, NodeRows::default());
         let stage = Stage::Gradients { next_row: 0 };
         Tree { tree, enc_g, enc_h, root: blank.clone(), rows, stage }
     }
@@ -94,9 +95,9 @@ pub(crate) enum Step<'a> {
     Task { tree: u32, node: u32, superseded: bool },
     /// The guest's placement of a node: [`Split::place`] applies it.
     Place(Split<'a>, Vec<bool>),
-    /// This host's split of a node won, on bin `u16` of the column:
+    /// This host's split of a node won, on bin `u16` of feature `usize`:
     /// recorded, and [`Split::choose`] applies it.
-    Choose(Split<'a>, &'a BinnedColumn, u16),
+    Choose(Split<'a>, usize, u16),
     /// Tree `tree` is done and its state dropped; `splits` is what its
     /// checkpoint saves.
     TreeDone { tree: u32, splits: &'a HostSplitTable },
@@ -112,8 +113,8 @@ pub(crate) struct Batch<'a> {
     pub rows: Range<u32>,
     pub g: Vec<Ciphertext>,
     pub h: Option<Vec<Ciphertext>>,
-    pub enc_g: &'a mut Vec<ResidentCiphertext>,
-    pub enc_h: &'a mut Vec<ResidentCiphertext>,
+    pub enc_g: &'a mut CipherStream,
+    pub enc_h: &'a mut CipherStream,
     pub root: &'a mut BuilderPair,
     pub last: bool,
 }
@@ -125,6 +126,7 @@ pub(crate) struct Split<'a> {
     pub node: u32,
     rows: &'a mut NodeRows,
     queue: &'a mut VecDeque<u32>,
+    bins: &'a RowMajorBins,
 }
 
 impl Split<'_> {
@@ -144,24 +146,23 @@ impl Split<'_> {
     }
 
     /// Places the node's rows by this host's split — bin `bin` of
-    /// `column`, already in the table — and retires the tasks below it;
+    /// `feature`, already in the table — and retires the tasks below it;
     /// returns the placement the guest needs and how many tasks it retired.
-    pub fn choose(self, column: &BinnedColumn, bin: u16) -> (Vec<bool>, u64) {
-        let rows = self.rows.rows(self.node as usize);
-        let placement: Vec<bool> =
-            rows.iter().map(|&r| column.bin_of_row(r as usize) <= bin).collect();
+    pub fn choose(self, feature: usize, bin: u16) -> (Vec<bool>, u64) {
+        let placement = self.bins.placement(self.rows.rows(self.node as usize), feature, bin);
         let retired = self.place(&placement);
         (placement, retired)
     }
 }
 
 /// The host's protocol state: its phase (which carries the tree being
-/// built), its binned columns, and every split it has won.
+/// built), its binned table (the shell's, shared), and every split it has
+/// won.
 pub(crate) struct HostCore {
     phase: Phase,
     num_trees: u32,
     max_layers: usize,
-    binned: BinnedDataset,
+    bins: Arc<RowMajorBins>,
     /// An empty builder pair shaped by this host's columns.
     blank: BuilderPair,
     splits: HostSplitTable,
@@ -169,10 +170,10 @@ pub(crate) struct HostCore {
 
 impl HostCore {
     /// A core awaiting the resume decision of a run of `gbdt`'s shape.
-    pub fn new(binned: BinnedDataset, blank: BuilderPair, gbdt: &GbdtParams) -> HostCore {
+    pub fn new(bins: Arc<RowMajorBins>, blank: BuilderPair, gbdt: &GbdtParams) -> HostCore {
         let (num_trees, max_layers) = (gbdt.num_trees as u32, gbdt.max_layers);
         let (phase, splits) = (Phase::AwaitResume, HostSplitTable::default());
-        HostCore { phase, num_trees, max_layers, binned, blank, splits }
+        HostCore { phase, num_trees, max_layers, bins, blank, splits }
     }
 
     /// The split table: what the host contributes to the model.
@@ -212,7 +213,7 @@ impl HostCore {
         let replayed = |context| ProtocolError::StaleOrReplayed { from, kind, context };
         let inadmissible = |context| ProtocolError::Inadmissible { from, kind, context };
         let unexpected = |context| ProtocolError::UnexpectedMessage { from, kind, context };
-        let num_rows = self.binned.num_rows();
+        let num_rows = self.bins.num_rows();
         // A tree of `max_layers` layers has 2^max_layers − 1 heap nodes.
         let heap = (1usize << self.max_layers) - 1;
         match &msg {
@@ -242,7 +243,7 @@ impl HostCore {
                 return Err(inadmissible("materialization epochs start at 1"));
             }
             Msg::HostSplitChosen { feature, .. }
-                if *feature as usize >= self.binned.num_features() =>
+                if *feature as usize >= self.bins.num_features() =>
             {
                 return Err(inadmissible("split feature index outside this host's feature set"));
             }
@@ -314,8 +315,6 @@ impl HostCore {
                     return Err(ProtocolError::IncompleteGradients { expected: num_rows, got });
                 }
                 if next_row == 0 {
-                    t.enc_g = Vec::with_capacity(num_rows);
-                    t.enc_h = Vec::with_capacity(num_rows);
                     t.rows = NodeRows::new_tree(num_rows, self.max_layers);
                 }
                 t.stage = match last {
@@ -339,6 +338,7 @@ impl HostCore {
         // A node can be split when its row list exists and both children
         // fit inside the heap (a last-layer or unknown node cannot).
         let splittable = |node: u32| t.rows.has(node as usize) && right_child(node as usize) < heap;
+        let bins = &*self.bins;
         match msg {
             Msg::NodeTask { tree, node, epoch } => {
                 in_tree(tree)?;
@@ -364,7 +364,7 @@ impl HostCore {
                 if t.rows.rows(node as usize).len() != placement.len() {
                     return Err(unexpected("placement length differs from the node's row count"));
                 }
-                Ok(Step::Place(Split { tree, node, rows: &mut t.rows, queue }, placement))
+                Ok(Step::Place(Split { tree, node, rows: &mut t.rows, queue, bins }, placement))
             }
             Msg::HostSplitChosen { tree, node, feature, bin } => {
                 in_tree(tree)?;
@@ -375,14 +375,13 @@ impl HostCore {
                 }
                 // The last bin holds the largest values: no threshold
                 // above it sends a row right.
-                let column = self.binned.column(feature as usize);
-                if usize::from(bin) >= column.cuts.len() {
+                let feature = feature as usize;
+                let Some(&threshold) = bins.cuts(feature).get(usize::from(bin)) else {
                     return Err(unexpected("split-chosen bin out of range"));
-                }
-                let split =
-                    NodeSplit { feature: feature as usize, bin, threshold: column.threshold(bin) };
-                self.splits.splits.insert((tree, node), split);
-                Ok(Step::Choose(Split { tree, node, rows: &mut t.rows, queue }, column, bin))
+                };
+                self.splits.splits.insert((tree, node), NodeSplit { feature, bin, threshold });
+                let split = Split { tree, node, rows: &mut t.rows, queue, bins };
+                Ok(Step::Choose(split, feature, bin))
             }
             _ => Err(out_of_phase("message inadmissible inside the node loop")),
         }
@@ -473,10 +472,9 @@ mod tests {
     fn core(rows: usize) -> (HostCore, RowMajorBins) {
         let cfg = TrainConfig::for_tests();
         let column = FeatureColumn::Dense((0..rows).map(|v| v as f32).collect());
-        let binned = BinnedDataset::bin(&Dataset::new(rows, vec![column], None), &cfg.gbdt.binning);
-        let csr = RowMajorBins::from_binned(&binned);
+        let csr = RowMajorBins::bin(&Dataset::new(rows, vec![column], None), &cfg.gbdt.binning);
         let gbdt = GbdtParams { num_trees: 2, max_layers: 4, ..cfg.gbdt };
-        (HostCore::new(binned, core_blank(&csr, &cfg), &gbdt), csr)
+        (HostCore::new(Arc::new(csr.clone()), core_blank(&csr, &cfg), &gbdt), csr)
     }
 
     /// An admission's verdict, without the step.
@@ -658,12 +656,49 @@ mod tests {
         let choose = |node, bin| Msg::HostSplitChosen { tree: 0, node, feature: 0, bin };
         assert!(fatal(core.admit(choose(7, 0))).contains("unsplittable"));
         assert!(fatal(core.admit(choose(0, 7))).contains("bin out of range"));
-        let Ok(Step::Choose(at, column, bin)) = core.admit(choose(0, 6)) else {
+        let Ok(Step::Choose(at, feature, bin)) = core.admit(choose(0, 6)) else {
             panic!("bin 6 splits")
         };
-        let (placement, retired) = at.choose(column, bin);
+        let (placement, retired) = at.choose(feature, bin);
         assert_eq!((placement, retired), ([true; 7].into_iter().chain([false]).collect(), 0));
         assert_eq!(core.into_splits().splits[&(0, 0)].bin, 6);
+    }
+
+    /// On a sparse host a won split's placement reads each row's bin from
+    /// the row-major table: it equals the column-major form's, at every
+    /// feature and split bin, on a node below the root.
+    #[test]
+    fn a_sparse_hosts_placements_equal_the_column_major_ones() {
+        use vf2_gbdt::binning::BinnedDataset;
+        let cfg = TrainConfig::for_tests();
+        let sparse = |rows: &[u32]| FeatureColumn::Sparse {
+            rows: rows.to_vec(),
+            values: rows.iter().map(|&r| r as f32 - 5.5).collect(),
+        };
+        let dense = FeatureColumn::Dense((0..12).map(|r| (r % 4) as f32).collect());
+        let columns = vec![sparse(&[0, 3, 4, 9, 11]), dense, sparse(&[1, 2, 6, 10])];
+        let binned = BinnedDataset::bin(&Dataset::new(12, columns, None), &cfg.gbdt.binning);
+        let csr = RowMajorBins::from_binned(&binned);
+        let gbdt = GbdtParams { num_trees: 2, max_layers: 4, ..cfg.gbdt };
+        let mut core = HostCore::new(Arc::new(csr.clone()), core_blank(&csr, &cfg), &gbdt);
+        verdict(core.admit(resume(0))).unwrap();
+        verdict(core.admit(grad(0, 0, 12, true))).unwrap();
+        // Node 1 holds rows 0..7.
+        place(&mut core, 0, 12, 7);
+        let mut chosen = 0;
+        for (f, column) in binned.columns().iter().enumerate() {
+            for bin in 0..column.cuts.len() as u16 {
+                let msg = Msg::HostSplitChosen { tree: 0, node: 1, feature: f as u32, bin };
+                let Ok(Step::Choose(at, feature, bin)) = core.admit(msg) else {
+                    panic!("feature {f} bin {bin} splits")
+                };
+                let (placement, _) = at.choose(feature, bin);
+                let want: Vec<bool> = (0..7).map(|r| column.bin_of_row(r) <= bin).collect();
+                assert_eq!(placement, want, "feature {f} bin {bin}");
+                chosen += 1;
+            }
+        }
+        assert!(chosen >= 6, "{chosen} splits tried");
     }
 
     /// Admits a placement and applies it as the shell does; returns the
@@ -694,12 +729,8 @@ mod tests {
         };
         // The last batch ships the root; its ciphers enter as the shell's do.
         assert!(batch.last);
-        for c in &batch.g {
-            batch.enc_g.push(suite.enter(c).unwrap());
-        }
-        for c in batch.h.iter().flatten() {
-            batch.enc_h.push(suite.enter(c).unwrap());
-        }
+        batch.enc_g.extend(&suite, &batch.g, 8).unwrap();
+        batch.enc_h.extend(&suite, batch.h.as_deref().unwrap_or_default(), 8).unwrap();
         // Root split 3 | 5, node 1 split again; tasks queue up at both levels.
         let mut aborted = place(&mut core, 0, 8, 3);
         aborted += place(&mut core, 1, 3, 1);
@@ -719,7 +750,7 @@ mod tests {
         let (task, tree, rows) = core.next_task().expect("node 2's task");
         assert_eq!((task, rows), (Task { tree: 0, node: 2, epoch: 3 }, &[5, 6, 7][..]));
         let (mut g, mut h) = core_blank(&csr, &cfg);
-        let streams = (&mut g, &tree.enc_g[..]);
+        let streams = (&mut g, &tree.enc_g);
         EncHistBuilder::add_rows(&suite, &csr, rows, streams, (&mut h, Some(&tree.enc_h))).unwrap();
         let bins = g.finalize_feature(&suite, 0, None).unwrap();
         let sum: f64 = bins.iter().map(|c| suite.decrypt(c).unwrap()).sum();

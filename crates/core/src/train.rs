@@ -7,7 +7,6 @@
 //! cross-party links — no shared state crosses the party boundary except
 //! the messages themselves.
 
-use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
 
@@ -142,36 +141,43 @@ pub fn train_federated_session(
     // One thread per host, each behind its own link shaped like every link
     // of that host (WAN spread, reliability, a keepalive four times inside
     // the silence deadline). A host gets a fresh public-half suite (mock
-    // included), so operation counters stay per-party.
+    // included), so operation counters stay per-party. The parties run
+    // scoped, so each reads the caller's table where it lies: no party
+    // copies its dataset.
     let started = Instant::now();
-    let mut guest_endpoints = Vec::with_capacity(hosts.len());
-    let mut handles = Vec::with_capacity(hosts.len());
-    for (p, data) in hosts.iter().enumerate() {
-        let (guest_ep, host_ep) = duplex_faulty(
-            cfg.wan_for_host(p, hosts.len()),
-            fault_for_host(chaos.fault_guest_to_host, p),
-            fault_for_host(chaos.fault_host_to_guest, p),
-            cfg.reliability,
-            cfg.dead_after() / 4,
-        );
-        let suite = guest_suite.public_half();
-        let host_session = session.map(|sc| PartySession::host(sc, cfg, p));
-        let (data, cfg, chaos) = (Arc::new(data.clone()), *cfg, *chaos);
-        let handle = thread::Builder::new()
-            .name(format!("vf2-host-{p}"))
-            .spawn(move || run_host(p, data, cfg, suite, host_ep, host_session, chaos))
-            .map_err(|e| TrainError::Setup {
-                party: PartyId::Host(p),
-                detail: format!("thread spawn failed: {e}"),
-            })?;
-        guest_endpoints.push(guest_ep);
-        handles.push(handle);
-    }
+    let (guest_result, wall_time, joined) = thread::scope(|scope| {
+        let mut guest_endpoints = Vec::with_capacity(hosts.len());
+        let mut handles = Vec::with_capacity(hosts.len());
+        for (p, data) in hosts.iter().enumerate() {
+            let (guest_ep, host_ep) = duplex_faulty(
+                cfg.wan_for_host(p, hosts.len()),
+                fault_for_host(chaos.fault_guest_to_host, p),
+                fault_for_host(chaos.fault_host_to_guest, p),
+                cfg.reliability,
+                cfg.dead_after() / 4,
+            );
+            let suite = guest_suite.public_half();
+            let host_session = session.map(|sc| PartySession::host(sc, cfg, p));
+            let (cfg, chaos) = (*cfg, *chaos);
+            let handle = thread::Builder::new()
+                .name(format!("vf2-host-{p}"))
+                .spawn_scoped(scope, move || {
+                    run_host(p, data, cfg, suite, host_ep, host_session, chaos)
+                })
+                .map_err(|e| TrainError::Setup {
+                    party: PartyId::Host(p),
+                    detail: format!("thread spawn failed: {e}"),
+                })?;
+            guest_endpoints.push(guest_ep);
+            handles.push(handle);
+        }
 
-    let guest_session = session.map(|sc| PartySession::guest(sc, cfg));
-    let guest_result =
-        run_guest(Arc::new(guest.clone()), *cfg, guest_suite, guest_endpoints, guest_session);
-    let wall_time = started.elapsed();
+        let guest_session = session.map(|sc| PartySession::guest(sc, cfg));
+        let guest_result = run_guest(guest, *cfg, guest_suite, guest_endpoints, guest_session);
+        let wall_time = started.elapsed();
+        let joined: Vec<_> = handles.into_iter().map(|handle| handle.join()).collect();
+        Ok::<_, TrainError>((guest_result, wall_time, joined))
+    })?;
 
     let (guest_telemetry, tree_records, guest_ok, guest_error) = match guest_result {
         Ok(out) => (out.telemetry, out.tree_records, Some((out.trees, out.train_margins)), None),
@@ -187,8 +193,8 @@ pub fn train_federated_session(
     let mut first_host_error = None;
     let mut host_telemetry = Vec::with_capacity(hosts.len());
     let mut host_tables = Vec::with_capacity(hosts.len());
-    for (p, handle) in handles.into_iter().enumerate() {
-        let (telemetry, table) = match handle.join() {
+    for (p, joined) in joined.into_iter().enumerate() {
+        let (telemetry, table) = match joined {
             Ok(Ok(done)) => done,
             Ok(Err(HostFailure { error, telemetry })) => {
                 first_host_error.get_or_insert(error);
@@ -544,18 +550,10 @@ mod tests {
         let cfg = mock_cfg();
         let (guest_ep, host_ep) = vf2_channel::duplex(cfg.wan);
         let suite = Suite::plain(cfg.encoding);
-        let host = run_host(
-            0,
-            Arc::new(wide(None)),
-            cfg,
-            suite.clone(),
-            host_ep,
-            None,
-            ChaosPlan::default(),
-        );
+        let host =
+            run_host(0, &wide(None), cfg, suite.clone(), host_ep, None, ChaosPlan::default());
         assert!(matches!(host.err().map(|f| f.error), Some(TrainError::InvalidInput(_))));
-        let guest =
-            run_guest(Arc::new(wide(Some(vec![0.0, 1.0]))), cfg, suite, vec![guest_ep], None);
+        let guest = run_guest(&wide(Some(vec![0.0, 1.0])), cfg, suite, vec![guest_ep], None);
         assert!(matches!(guest.err().map(|f| f.error), Some(TrainError::InvalidInput(_))));
         // A tree with no layers has no root to hold the rows.
         let flat =

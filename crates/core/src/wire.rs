@@ -16,7 +16,7 @@ use crate::messages::{
 
 /// Hard protocol maxima enforced at decode time, before any allocation.
 ///
-/// The generic [`bounded_len`] guard already ties announced counts to the
+/// The decoder's generic length guard already ties announced counts to the
 /// bytes actually present, but a peer can still ship megabytes of payload
 /// to justify a huge count. These ceilings bound every dimension a message
 /// can declare to values far beyond any honest run yet far below anything

@@ -24,8 +24,8 @@ const MILLER_RABIN_ROUNDS: usize = 40;
 
 /// Returns `true` if `n` is (probably) prime.
 ///
-/// Uses trial division by [`SMALL_PRIMES`] followed by
-/// [`MILLER_RABIN_ROUNDS`] rounds of Miller-Rabin with random witnesses.
+/// Uses trial division by 46 small odd primes (`SMALL_PRIMES`) followed by
+/// 40 rounds (`MILLER_RABIN_ROUNDS`) of Miller-Rabin with random witnesses.
 pub fn is_probable_prime<R: Rng + ?Sized>(n: &BigUint, rng: &mut R) -> bool {
     let two = BigUint::from(2u32);
     if n < &two {

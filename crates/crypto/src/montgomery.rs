@@ -2,7 +2,7 @@
 //!
 //! The hot Paillier operations are modular exponentiations at a width
 //! fixed per key: `rⁿ mod n²` obfuscation, scalar `SMul`, and the two
-//! half-size CRT exponentiations inside decryption. [`Montgomery<N>`]
+//! half-size CRT exponentiations inside decryption. `Montgomery<N>`
 //! implements CIOS (coarsely integrated operand scanning) Montgomery
 //! multiplication, a dedicated Montgomery squaring (half the operand
 //! products) and a 4-bit fixed-window exponentiation entirely on

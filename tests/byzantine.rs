@@ -7,7 +7,6 @@
 //! a hang, never a silently wrong model. A clean wire must stay bitwise
 //! identical no matter how large the misbehavior budget is.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use vf2boost::channel::{duplex, Endpoint, MalfeasantPeer, Misdeed, WanConfig};
@@ -71,9 +70,8 @@ fn spawn_host(cfg: TrainConfig) -> (Endpoint, HostHandle) {
 /// [`spawn_host`] over the caller's own columns and cipher suite.
 fn spawn_host_on(cfg: TrainConfig, data: Dataset, suite: Suite) -> (Endpoint, HostHandle) {
     let (guest_ep, host_ep) = duplex(WanConfig::instant());
-    let data = Arc::new(data);
     let handle = std::thread::spawn(move || {
-        run_host(0, data, cfg, suite, host_ep, None, ChaosPlan::default())
+        run_host(0, &data, cfg, suite, host_ep, None, ChaosPlan::default())
             .map(|(telemetry, _)| telemetry)
     });
     (guest_ep, handle)
@@ -257,9 +255,9 @@ fn a_batch_refused_for_a_bad_cipher_leaves_the_row_cursor_unmoved() {
         let cfg = byz_cfg(budget);
         let (guest_ep, host_ep) = duplex(WanConfig::instant());
         let data = Dataset::new(4, vec![FeatureColumn::Dense(vec![0.0, 1.0, 2.0, 3.0])], None);
-        let (data, suite) = (Arc::new(data), Suite::plain(cfg.encoding));
+        let suite = Suite::plain(cfg.encoding);
         let handle = std::thread::spawn(move || {
-            run_host(0, data, cfg, suite, host_ep, None, ChaosPlan::default())
+            run_host(0, &data, cfg, suite, host_ep, None, ChaosPlan::default())
         });
         eat_greetings(&guest_ep);
         send(&guest_ep, &Msg::Resume { session_id: 0, tree_count: 0 });
@@ -411,15 +409,15 @@ fn host_answers_a_resplit_from_the_new_row_lists() {
 }
 
 /// A labelled dataset for driving `run_guest` against a scripted host.
-fn guest_data() -> Arc<Dataset> {
-    Arc::new(generate_classification(&SyntheticConfig {
+fn guest_data() -> Dataset {
+    generate_classification(&SyntheticConfig {
         rows: 48,
         features: 3,
         density: 1.0,
         informative_frac: 0.5,
         label_noise: 0.0,
         seed: 77,
-    }))
+    })
 }
 
 fn spawn_guest(cfg: TrainConfig) -> (Endpoint, std::thread::JoinHandle<Option<GuestFailure>>) {
@@ -427,7 +425,7 @@ fn spawn_guest(cfg: TrainConfig) -> (Endpoint, std::thread::JoinHandle<Option<Gu
     let data = guest_data();
     let suite = Suite::plain(cfg.encoding);
     let handle =
-        std::thread::spawn(move || run_guest(data, cfg, suite, vec![guest_ep], None).err());
+        std::thread::spawn(move || run_guest(&data, cfg, suite, vec![guest_ep], None).err());
     (host_ep, handle)
 }
 
@@ -449,11 +447,11 @@ fn scripted_parties_refuse_an_invalid_config() {
     let cfg = byz_cfg(0);
     let cfg = TrainConfig { gbdt: GbdtParams { max_layers: 0, ..cfg.gbdt }, ..cfg };
     let (guest_ep, host_ep) = duplex(WanConfig::instant());
-    let guest = run_guest(guest_data(), cfg, Suite::plain(cfg.encoding), vec![guest_ep], None);
+    let guest = run_guest(&guest_data(), cfg, Suite::plain(cfg.encoding), vec![guest_ep], None);
     assert!(matches!(guest.err().map(|f| f.error), Some(TrainError::InvalidConfig(_))));
     let data = Dataset::new(4, vec![FeatureColumn::Dense(vec![0.0, 1.0, 2.0, 3.0])], None);
     let suite = Suite::plain(cfg.encoding);
-    let host = run_host(0, Arc::new(data), cfg, suite, host_ep, None, ChaosPlan::default());
+    let host = run_host(0, &data, cfg, suite, host_ep, None, ChaosPlan::default());
     assert!(matches!(host.err().map(|f| f.error), Some(TrainError::InvalidConfig(_))));
 }
 
@@ -545,7 +543,7 @@ fn guest_rejects_a_bad_rejoin_handshake_with_a_typed_error() {
     let (guest_ep, host_ep) = duplex(WanConfig::instant());
     let suite = Suite::plain(cfg.encoding);
     let handle = std::thread::spawn(move || {
-        run_guest(guest_data(), cfg, suite, vec![guest_ep], Some(session)).err()
+        run_guest(&guest_data(), cfg, suite, vec![guest_ep], Some(session)).err()
     });
     send(&host_ep, &Msg::SessionHello { session_id: SID + 1, durable: vec![] });
     send(&host_ep, &Msg::FeatureMeta(vec![FeatureMeta { num_bins: 8, zero_bin: 0 }]));
@@ -576,7 +574,7 @@ fn paired_guest_against(
     assert_eq!(plan.bins_per_cipher(host_suite.public_key().unwrap()), 2);
     let (guest_ep, host_ep) = duplex(WanConfig::instant());
     let handle = std::thread::spawn(move || {
-        run_guest(guest_data(), cfg, guest_suite, vec![guest_ep], None).err()
+        run_guest(&guest_data(), cfg, guest_suite, vec![guest_ep], None).err()
     });
     send(&host_ep, &Msg::SessionHello { session_id: 0, durable: vec![] });
     send(&host_ep, &Msg::FeatureMeta(vec![FeatureMeta { num_bins: 4, zero_bin: 0 }]));

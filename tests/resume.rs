@@ -10,7 +10,6 @@
 
 mod support;
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use support::{assert_bitwise, margins, modes, scenario, temp_dir};
@@ -201,15 +200,14 @@ fn outage_shorter_than_the_deadline_is_ridden_out() {
 #[test]
 fn a_session_id_mismatch_is_a_typed_resume_error() {
     let (guest_ep, host_ep) = duplex(WanConfig::instant());
-    let data =
-        Arc::new(Dataset::new(4, vec![FeatureColumn::Dense(vec![0.0, 1.0, 2.0, 3.0])], None));
+    let data = Dataset::new(4, vec![FeatureColumn::Dense(vec![0.0, 1.0, 2.0, 3.0])], None);
     let cfg = TrainConfig { crypto: CryptoConfig::Mock, ..TrainConfig::for_tests() };
     let dir = temp_dir("sid_mismatch");
     std::fs::create_dir_all(&dir).unwrap();
     let sess = PartySession::host(&SessionConfig::new(7, &dir), &cfg, 0);
     let suite = Suite::plain(EncodingConfig::default());
     let handle = std::thread::spawn(move || {
-        run_host(0, data, cfg, suite, host_ep, Some(sess), ChaosPlan::default())
+        run_host(0, &data, cfg, suite, host_ep, Some(sess), ChaosPlan::default())
     });
     // Drain the host's SessionHello and FeatureMeta, then claim a
     // different session id in the Resume decision.
