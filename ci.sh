@@ -218,8 +218,10 @@ fi
 # host's mock streams hold plain values. A per-party dataset copy, a
 # column-major binned copy beside the row-major one, or a stream of
 # resident-cipher enums must not come back (tests/memory.rs measures the
-# heap they cost).
-echo "== one-table gate (no dataset copy, one binned form, typed host streams) =="
+# heap they cost). Nor, in rows.rs, a whole-party column-major binning on the
+# way to the row-major form (RowMajorBins::bin codes the raw columns where
+# they lie) or a retained row list per node (NodeRows is one permutation).
+echo "== one-table gate (no dataset copy, one binned form, typed host streams, one row permutation) =="
 for f in crates/core/src/train.rs crates/core/src/host.rs crates/core/src/guest.rs; do
   if awk '/#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' "$f" \
       | grep -E 'Arc<Dataset>|Arc::new\((data|guest)\b|\b(data|guest)\.clone\(\)|hosts\.(clone|to_vec)\(\)|Dataset::clone'; then
@@ -235,6 +237,11 @@ for f in crates/core/src/serve.rs crates/core/src/grow.rs crates/core/src/host.r
 done
 if grep -nE 'Vec<ResidentCiphertext>' crates/core/src/serve.rs; then
   echo "the host's streams are untyped resident-cipher vectors again" >&2
+  exit 1
+fi
+if awk '/#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' crates/core/src/rows.rs \
+    | grep -E 'Option<Vec<u32>>|BinnedDataset::bin\('; then
+  echo "rows.rs bins a whole party column-major again, or keeps a row list per node" >&2
   exit 1
 fi
 

@@ -211,6 +211,9 @@ pub enum ConfigError {
     /// timeout would zero the RTO, and every scan re-send every unacked
     /// frame), or a zero `initial_rto` or `max_rto`.
     InvalidReliability(vf2_channel::ReliabilityConfig),
+    /// `gbdt.binning.num_bins` above `u16::MAX`: every party codes a bin in
+    /// 16 bits, so a larger count would wrap bin indices silently.
+    TooManyBins(usize),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -236,6 +239,7 @@ impl std::fmt::Display for ConfigError {
                 "reliability config {rel:?} is unusable; jitter_frac must be finite and ≥ 0, \
                  backoff ≥ 1, initial_rto and max_rto non-zero"
             ),
+            ConfigError::TooManyBins(bins) => write!(f, "gbdt.binning.num_bins is {bins} > 65535"),
         }
     }
 }

@@ -318,15 +318,17 @@ impl EncHistBuilder {
     ) -> Result<()> {
         let mut columns = self.columns::<S>()?;
         let slot = columns.slot_of(S::exponent(c));
-        columns.add(feature, bin, (c, &slot), suite, tally)
+        let at = locate(columns.offsets, feature, bin)?;
+        fold_at(&mut columns.arena(), at, (c, &slot), suite, tally)
     }
 
     /// Accumulates the stored `(feature, bin)` entries of every row in
     /// `rows` into a node's builder pair in one walk: `enc_g[row]` into
     /// `g` and, when given, `enc_h[row]` into `h` (on the packed forward
     /// path a row's single cipher carries both statistics and only `g` is
-    /// fed). Cipher for cipher what the per-entry [`EncHistBuilder::add`]
-    /// loop over `rows` produces, on ciphers the host entered once.
+    /// fed; a fed `h` must be shaped like `g`). Cipher for cipher what the
+    /// per-entry [`EncHistBuilder::add`] loop over `rows` produces, on
+    /// ciphers the host entered once.
     ///
     /// The walk's kind is the `g` stream's (the suite's while it holds
     /// nothing), resolved once, here: the walk below is instantiated per
@@ -336,9 +338,10 @@ impl EncHistBuilder {
     /// changes. Inside a `rayon::ThreadPool::install` of
     /// width `w` the features are cut into contiguous ranges of
     /// `⌈features / w⌉` columns, one worker each. Every worker walks `rows`
-    /// in list order and touches only its own columns (a CSR row is
-    /// feature-sorted: binary-search to the range's start, stop at its
-    /// end), so each bin receives its ciphers in the same order at every
+    /// in list order and touches only its own columns (one contiguous range
+    /// of the row's block cells; its tail entries are feature-sorted:
+    /// binary-search to the range's start, stop at its end), so each bin
+    /// receives its ciphers in the same order at every
     /// width: no shard copies, no merge, and ciphers and op counts that do
     /// not depend on the width. Each worker tallies its HAdds locally; the
     /// call publishes them once.
@@ -357,6 +360,10 @@ impl EncHistBuilder {
                     right: builder.num_features(),
                 });
             }
+        }
+        // The walk locates a bin once for both builders.
+        if enc_h.is_some() {
+            g.check_same_shape(h, "EncHistBuilder::add_rows gradient vs hessian")?;
         }
         let per_worker = g.num_features().div_ceil(rayon::current_num_threads()).max(1);
         let job = (suite, csr, rows, per_worker);
@@ -697,44 +704,57 @@ impl<'a, S: Workspace> Columns<'a, S> {
         })
     }
 
-    /// Folds `c`, whose [`Columns::slot_of`] is `slot`, into bin `bin` of
-    /// the run's `column`-th feature (which the caller knows the run
-    /// holds) with the kind's [`Workspace::fold`] — the kernel behind
-    /// [`EncHistBuilder::add`] and [`EncHistBuilder::add_rows`], its work
-    /// tallied into `tally`. Every check runs before the bin changes, so a
-    /// refused cipher leaves the bin's sum and row count as they were.
-    /// Always inlined: the walk then keeps the kernel's state in registers
-    /// instead of calling out once per entry.
-    #[inline(always)]
-    fn add(
-        &mut self,
-        column: usize,
-        bin: usize,
-        (c, slot): (&S::Cipher, &Result<usize>),
-        suite: &Suite,
-        tally: &mut OpSnapshot,
-    ) -> Result<()> {
-        let start = self.offsets[column];
-        let num_bins = self.offsets[column + 1] - start;
-        if bin >= num_bins {
-            return Err(CryptoError::ShapeMismatch {
-                context: "EncHistBuilder::add bin index",
-                left: bin,
-                right: num_bins,
-            });
-        }
-        let slot = slot.as_ref().map_err(Clone::clone)?;
-        let at = start - self.offsets[0] + bin;
-        self.slots[at * self.width + slot].fold(suite, c, tally)?;
-        self.rows[at] = self.rows[at].saturating_add(1);
-        Ok(())
+    /// The run's workspaces and row counts, borrowed for folding.
+    fn arena(&mut self) -> Arena<'_, S> {
+        (&mut *self.slots, &mut *self.rows, self.width)
     }
 }
 
+/// A run's workspaces (`width` per arena bin) and each bin's row count.
+type Arena<'a, S> = (&'a mut [S], &'a mut [u32], usize);
+
+/// The arena bin (counted from the run's first, whose arena `offsets`
+/// these are) of bin `bin` of the run's `column`-th feature, which the
+/// caller knows the run holds; a bin past the feature's is a typed error.
+#[inline(always)]
+fn locate(offsets: &[usize], column: usize, bin: usize) -> Result<usize> {
+    let start = offsets[column];
+    let num_bins = offsets[column + 1] - start;
+    if bin >= num_bins {
+        let context = "EncHistBuilder::add bin index";
+        return Err(CryptoError::ShapeMismatch { context, left: bin, right: num_bins });
+    }
+    Ok(start - offsets[0] + bin)
+}
+
+/// Folds `c`, whose [`Columns::slot_of`] is `slot`, into arena bin `at`
+/// with the kind's [`Workspace::fold`], its work tallied into `tally` —
+/// the kernel behind [`EncHistBuilder::add`] and
+/// [`EncHistBuilder::add_rows`]. Every check runs before the bin changes,
+/// so a refused cipher leaves the bin's sum and row count as they were.
+/// Always inlined: the walk then keeps the kernel's state in registers
+/// instead of calling out once per entry.
+#[inline(always)]
+fn fold_at<S: Workspace>(
+    (slots, counts, width): &mut Arena<'_, S>,
+    at: usize,
+    (c, slot): (&S::Cipher, &Result<usize>),
+    suite: &Suite,
+    tally: &mut OpSnapshot,
+) -> Result<()> {
+    let slot = slot.as_ref().map_err(Clone::clone)?;
+    slots[at * *width + slot].fold(suite, c, tally)?;
+    counts[at] = counts[at].saturating_add(1);
+    Ok(())
+}
+
 /// The one walk body of [`EncHistBuilder::add_rows`], instantiated per
-/// suite kind `S`: `g` and, when fed, `h` cut into runs of `per_run`
-/// features, each `(g, h)` run on its own worker, every row of `rows` in
-/// order. Returns each worker's tally and outcome, in run order.
+/// suite kind `S`: `g` and, when fed, `h` (shaped alike) cut into runs of
+/// `per_run` features, each `(g, h)` run on its own worker, every row of
+/// `rows` in order. A run's features are one range of the row's block cells
+/// and one of its tail entries: the walk visits the cells, then the
+/// entries, and locates each bin once for both builders. Returns each
+/// worker's tally and outcome, in run order.
 fn walk<S: Workspace>(
     (suite, csr, rows, per_run): (&Suite, &RowMajorBins, &[u32], usize),
     (g, enc_g): (&mut EncHistBuilder, &CipherStream),
@@ -748,37 +768,52 @@ fn walk<S: Workspace>(
         .into_iter()
         .map(|g| (g, h_runs.as_mut().and_then(Iterator::next).zip(enc_h)))
         .collect();
+    let block_features = &csr.block_features;
     Ok(runs
         .par_chunks_mut(1)
         .map(|run| {
             let (g, h) = &mut run[0];
-            let first = g.first;
+            let (first, features) = (g.first, g.features());
+            let within = |end: usize| block_features.partition_point(|&f| usize::from(f) < end);
+            let cells = within(first)..within(first + features);
+            let offsets = g.offsets;
             let mut tally = OpSnapshot::default();
             let mut walk_rows = || -> Result<()> {
                 for &row in rows {
                     let cg = cipher_of(enc_g, row)?;
                     let cg = (cg, &g.slot_of(S::exponent(cg)));
-                    let ch = match h {
+                    let mut h = match h {
                         Some((h, enc_h)) => {
                             let ch = cipher_of(enc_h, row)?;
-                            Some((ch, h.slot_of(S::exponent(ch))))
+                            let slot = h.slot_of(S::exponent(ch));
+                            Some((h.arena(), ch, slot))
                         }
                         None => None,
                     };
-                    let entries = csr.row(row as usize);
+                    let mut g = g.arena();
+                    let mut visit = |column: usize, bin: u16| -> Result<()> {
+                        let at = locate(offsets, column, usize::from(bin))?;
+                        fold_at(&mut g, at, cg, suite, &mut tally)?;
+                        if let Some((h, ch, slot)) = h.as_mut() {
+                            fold_at(h, at, (*ch, &*slot), suite, &mut tally)?;
+                        }
+                        Ok(())
+                    };
+                    let (row_cells, tail) = csr.parts(row as usize);
+                    let row_cells = &row_cells[cells.clone()];
+                    for (&f, &bin) in block_features[cells.clone()].iter().zip(row_cells) {
+                        visit(usize::from(f) - first, bin)?;
+                    }
                     let skip = match first {
                         0 => 0,
-                        _ => entries.partition_point(|&(f, _)| usize::from(f) < first),
+                        _ => tail.partition_point(|&(f, _)| usize::from(f) < first),
                     };
-                    for &(f, bin) in &entries[skip..] {
+                    for &(f, bin) in &tail[skip..] {
                         let column = usize::from(f) - first;
-                        if column >= g.features() {
+                        if column >= features {
                             break;
                         }
-                        g.add(column, usize::from(bin), cg, suite, &mut tally)?;
-                        if let (Some((h, _)), Some((ch, slot))) = (h.as_mut(), &ch) {
-                            h.add(column, usize::from(bin), (ch, slot), suite, &mut tally)?;
-                        }
+                        visit(column, bin)?;
                     }
                 }
                 Ok(())
@@ -1233,6 +1268,76 @@ mod tests {
         Ok((g, h))
     }
 
+    /// Parties of every layout over 12 rows: all dense, all sparse, dense
+    /// columns first, dense columns last, the fixture's interleaved ones
+    /// (with a column no row stores), and no column at all.
+    fn layouts() -> Vec<Vec<vf2_gbdt::data::FeatureColumn>> {
+        use vf2_gbdt::data::FeatureColumn;
+        let dense = |k: u32| FeatureColumn::Dense((0..12).map(|r| ((r * k) % 5) as f32).collect());
+        let sparse = |rows: &[u32]| FeatureColumn::Sparse {
+            rows: rows.to_vec(),
+            values: rows.iter().map(|&r| r as f32 - 4.5).collect(),
+        };
+        vec![
+            vec![dense(1), dense(3), dense(7), dense(2)],
+            vec![sparse(&[1, 4, 9]), sparse(&[0, 2, 3, 5, 7, 11]), sparse(&[6])],
+            vec![dense(1), dense(3), sparse(&[1, 4, 9]), sparse(&[0, 5, 11])],
+            vec![sparse(&[1, 4, 9]), sparse(&[2, 3]), dense(3), dense(7)],
+            fixture_columns(),
+            vec![],
+        ]
+    }
+
+    /// On every layout, at widths 1 to 4, `add_rows` equals one `add` per
+    /// stored entry of the column-major form, rows in list order, cipher
+    /// for cipher. Past width 1 the all-dense party's feature runs start
+    /// inside the block, and the mixed parties' runs cut it and the tail.
+    #[test]
+    fn add_rows_equals_the_column_major_add_loop_on_every_layout() {
+        use vf2_gbdt::binning::{BinnedDataset, BinnedEntries, BinningConfig};
+        let rows = [9u32, 2, 11, 0, 5, 7, 3, 6, 1];
+        let grads: Vec<f64> = (0..12).map(|i| (i as f64) * 0.07 - 0.4).collect();
+        let hess: Vec<f64> = (0..12).map(|i| 0.25 - (i as f64) * 0.01).collect();
+        let binning = BinningConfig { num_bins: 4, max_samples: 1 << 16 };
+        for keyed in [suite(), Suite::plain(encoding())] {
+            let enc_g = keyed.encrypt_batch(&grads, 17).unwrap();
+            let enc_h = keyed.encrypt_batch(&hess, 29).unwrap();
+            for (party, columns) in layouts().into_iter().enumerate() {
+                let data = vf2_gbdt::data::Dataset::new(12, columns, None);
+                let binned = BinnedDataset::bin(&data, &binning);
+                let csr = RowMajorBins::bin(&data, &binning);
+                for reordered in [false, true] {
+                    let reference = |ciphers: &[Ciphertext]| {
+                        let mut b = EncHistBuilder::new(&csr.col_meta, &encoding(), reordered);
+                        for &row in &rows {
+                            for (f, col) in binned.columns().iter().enumerate() {
+                                let stored = match &col.entries {
+                                    BinnedEntries::Dense(_) => true,
+                                    BinnedEntries::Sparse { rows, .. } => {
+                                        rows.binary_search(&row).is_ok()
+                                    }
+                                };
+                                if stored {
+                                    let bin = usize::from(col.bin_of_row(row as usize));
+                                    b.add(&keyed, f, bin, &ciphers[row as usize]).unwrap();
+                                }
+                            }
+                        }
+                        b
+                    };
+                    let (want_g, want_h) = (reference(&enc_g), reference(&enc_h));
+                    assert_eq!(cipher_count(&want_g) > 0, party != 5, "party {party}");
+                    for width in 1..=4 {
+                        let what = format!("{:?} party {party} width {width}", keyed.kind());
+                        let streams = (&enc_g[..], Some(&enc_h[..]));
+                        let (g, h) = bulk(&keyed, &csr, &rows, streams, reordered, width).unwrap();
+                        assert!(g == want_g && h == want_h, "{what}: ciphers differ");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn add_rows_equals_the_add_loop_cipher_for_cipher_at_every_width() {
         let csr = csr_fixture();
@@ -1377,6 +1482,23 @@ mod tests {
                     matches!(err, CryptoError::ShapeMismatch { right: 1, .. }),
                     "{what}: {err}"
                 );
+                // A fed `h` shaped unlike `g`: the walk locates each bin
+                // once for both, so it is refused before any bin changes.
+                let fresh = g.clone();
+                let err = EncHistBuilder::add_rows(
+                    s,
+                    &csr,
+                    &rows,
+                    (&mut g, &ciphers),
+                    (&mut shallow, Some(&ciphers)),
+                );
+                let unlike = "EncHistBuilder::add_rows gradient vs hessian";
+                let err = err.unwrap_err();
+                assert!(
+                    matches!(err, CryptoError::ShapeMismatch { context, .. } if context == unlike),
+                    "{what}: {err}"
+                );
+                assert!(g == fresh, "{what}: a refused walk changed a bin");
             }
         }
     }

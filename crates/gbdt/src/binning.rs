@@ -60,11 +60,6 @@ impl BinnedColumn {
         self.cuts.len() + 1
     }
 
-    /// Bin code of an arbitrary raw value.
-    pub fn bin_of_value(&self, v: f32) -> u16 {
-        self.cuts.partition_point(|&c| c < v) as u16
-    }
-
     /// Bin code of a row (zero bin for rows absent from a sparse column).
     pub fn bin_of_row(&self, row: usize) -> u16 {
         match &self.entries {
@@ -140,29 +135,30 @@ impl BinnedDataset {
     }
 }
 
+/// The bin of value `v` under increasing cut points `cuts`:
+/// `#{c ∈ cuts : c < v}`. The value `0.0` falls in the column's zero bin.
+pub fn bin_of_value(cuts: &[f32], v: f32) -> u16 {
+    cuts.partition_point(|&c| c < v) as u16
+}
+
 /// Computes quantile cuts and discretizes one column.
 fn bin_column(col: &FeatureColumn, num_rows: usize, cfg: &BinningConfig) -> BinnedColumn {
     let cuts = quantile_cuts(col, num_rows, cfg);
-    let partial = BinnedColumn {
-        zero_bin: cuts.partition_point(|&c| c < 0.0) as u16,
-        cuts,
-        entries: BinnedEntries::Dense(Vec::new()),
-    };
+    let bin = |values: &[f32]| values.iter().map(|&v| bin_of_value(&cuts, v)).collect();
     let entries = match col {
-        FeatureColumn::Dense(values) => {
-            BinnedEntries::Dense(values.iter().map(|&v| partial.bin_of_value(v)).collect())
+        FeatureColumn::Dense(values) => BinnedEntries::Dense(bin(values)),
+        FeatureColumn::Sparse { rows, values } => {
+            BinnedEntries::Sparse { rows: rows.clone(), bins: bin(values) }
         }
-        FeatureColumn::Sparse { rows, values } => BinnedEntries::Sparse {
-            rows: rows.clone(),
-            bins: values.iter().map(|&v| partial.bin_of_value(v)).collect(),
-        },
     };
-    BinnedColumn { entries, ..partial }
+    BinnedColumn { zero_bin: bin_of_value(&cuts, 0.0), cuts, entries }
 }
 
-/// Estimates up to `num_bins - 1` quantile cut points for a column,
-/// counting a sparse column's implicit zeros.
-fn quantile_cuts(col: &FeatureColumn, num_rows: usize, cfg: &BinningConfig) -> Vec<f32> {
+/// Estimates up to `num_bins - 1` quantile cut points for a column of
+/// `num_rows` rows, counting a sparse column's implicit zeros: the cuts
+/// [`BinnedDataset::bin`] gives the column, for a caller that bins the
+/// raw values itself ([`bin_of_value`]).
+pub fn quantile_cuts(col: &FeatureColumn, num_rows: usize, cfg: &BinningConfig) -> Vec<f32> {
     if num_rows == 0 || cfg.num_bins < 2 {
         return Vec::new();
     }
@@ -258,7 +254,7 @@ mod tests {
         let b = BinnedDataset::bin(&d, &BinningConfig { num_bins: 5, max_samples: 1 << 16 });
         let col = b.column(0);
         for v in [0.0f32, 3.0, 9.0, -1.0, 100.0] {
-            let bin = col.bin_of_value(v);
+            let bin = bin_of_value(&col.cuts, v);
             // All cuts below the bin are < v; the bin's own cut (if any) is >= v.
             for (i, &c) in col.cuts.iter().enumerate() {
                 if (i as u16) < bin {
@@ -281,11 +277,11 @@ mod tests {
         let b = BinnedDataset::bin(&d, &BinningConfig { num_bins: 4, max_samples: 1 << 16 });
         let col = b.column(0);
         assert_eq!(col.bin_of_row(0), col.zero_bin);
-        assert_eq!(col.bin_of_row(2), col.bin_of_value(5.0));
-        assert_eq!(col.bin_of_row(7), col.bin_of_value(-3.0));
+        assert_eq!(col.bin_of_row(2), bin_of_value(&col.cuts, 5.0));
+        assert_eq!(col.bin_of_row(7), bin_of_value(&col.cuts, -3.0));
         // Negative values bin strictly below the zero bin.
-        assert!(col.bin_of_value(-3.0) <= col.zero_bin);
-        assert!(col.bin_of_value(5.0) >= col.zero_bin);
+        assert!(bin_of_value(&col.cuts, -3.0) <= col.zero_bin);
+        assert!(bin_of_value(&col.cuts, 5.0) >= col.zero_bin);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use vf2_gbdt::binning::{BinnedDataset, BinningConfig};
+use vf2_gbdt::binning::{bin_of_value, BinnedDataset, BinningConfig};
 use vf2_gbdt::data::{Dataset, FeatureColumn};
 use vf2_gbdt::histogram::{build_layer_histograms, node_totals, GradPair, Histogram};
 use vf2_gbdt::metrics::auc;
@@ -39,11 +39,11 @@ fn binning_is_monotone() {
         let mut sorted = values.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
         for w in sorted.windows(2) {
-            assert!(col.bin_of_value(w[0]) <= col.bin_of_value(w[1]));
+            assert!(bin_of_value(&col.cuts, w[0]) <= bin_of_value(&col.cuts, w[1]));
         }
         // Threshold semantics: v goes left of bin b iff v <= cuts[b].
         for &v in &values {
-            let b = col.bin_of_value(v);
+            let b = bin_of_value(&col.cuts, v);
             if (b as usize) < col.cuts.len() {
                 assert!(v <= col.threshold(b));
             }

@@ -1,13 +1,17 @@
-//! What a party holds: the peak live heap of a 20 000-row, 20+20-feature
-//! mock `train_federated`, counted by a global allocator, above the level
-//! live when the run starts.
+//! What a party holds: the peak live heap of a 20 000-row, 20+20-feature,
+//! 7-layer mock `train_federated`, counted by a global allocator, above
+//! the level live when the run starts.
 //!
 //! The run holds the caller's two tables (3.2 MB of `f32`) outside the
-//! count. Inside it, each party keeps one binned form (4-byte row-major
-//! entries plus its cut points), the host keeps two 16-byte-per-row mock
-//! streams, and the guest its gradients and row lists. A party that
-//! cloned its table (+1.6 MB per party) or kept a column-major binned copy
-//! beside its row-major one (+0.8 MB per party) crosses the bound.
+//! count. Inside it, each party keeps one binned form (a 2-byte bin per
+//! row-feature in the bins block, plus its cut points), the host keeps two
+//! 16-byte-per-row mock streams, and the guest its gradients; each keeps
+//! one row permutation per tree. A party that cloned its table (+1.6 MB
+//! per party), kept a column-major binned copy beside its row-major one
+//! (+0.8 MB per party), stored 4-byte dense cells (+0.8 MB per party) or
+//! retained a row list per node (one `u32` per row per layer) crosses the
+//! bound. The run has `mock-400k`'s seven layers: at four, retained lists
+//! cost too little to tell from the run's own spread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -16,6 +20,7 @@ use vf2boost::core::config::{CryptoConfig, TrainConfig};
 use vf2boost::core::train_federated;
 use vf2boost::datagen::synthetic::{generate_classification, SyntheticConfig};
 use vf2boost::datagen::vertical::split_vertical;
+use vf2boost::gbdt::train::GbdtParams;
 
 /// Bytes live now, and the most live since the last reset.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
@@ -67,12 +72,12 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// The bound on the run's peak above its entry level. Holding each table
-/// once peaks at 5.45–5.49 MB; the per-party dataset clone, the
-/// column-major binned copy and the 32-byte mock streams it replaced
-/// peaked at 7.89–7.95 MB. Putting back the clone alone reads 8.73 MB, the
-/// column-major copy alone 7.06 MB.
-const PEAK_BOUND: usize = 6_400_000;
+/// The bound on the run's peak above its entry level. The 2-byte bins
+/// block and one row permutation per tree peak at 3.79–3.80 MB; the 4-byte
+/// `(feature, bin)` entries and retained per-node row lists they replaced
+/// peaked at 6.37–6.39 MB. Putting back the 4-byte dense cells alone reads
+/// 5.39–5.40 MB, the retained lists alone 5.30–5.34 MB.
+const PEAK_BOUND: usize = 4_500_000;
 
 #[test]
 fn a_mock_run_holds_each_table_once() {
@@ -86,7 +91,9 @@ fn a_mock_run_holds_each_table_once() {
     });
     let s = split_vertical(&data, &[20]);
     drop(data);
-    let cfg = TrainConfig { crypto: CryptoConfig::Mock, workers: 1, ..TrainConfig::for_tests() };
+    let base = TrainConfig::for_tests();
+    let gbdt = GbdtParams { max_layers: 7, ..base.gbdt };
+    let cfg = TrainConfig { crypto: CryptoConfig::Mock, workers: 1, gbdt, ..base };
     let entry = LIVE.load(Ordering::SeqCst);
     PEAK.store(entry, Ordering::SeqCst);
     let out = train_federated(&s.hosts, &s.guest, &cfg).expect("the mock run trains");
