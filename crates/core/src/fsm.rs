@@ -117,6 +117,7 @@ impl GuestFsm {
                 | Msg::PackedGradBatch { .. }
                 | Msg::NodeTask { .. }
                 | Msg::ApplyPlacement { .. }
+                | Msg::SplitValidated { .. }
                 | Msg::HostSplitChosen { .. }
                 | Msg::TreeDone { .. }
                 | Msg::Resume { .. }

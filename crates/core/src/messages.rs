@@ -128,8 +128,21 @@ pub enum Msg {
         tree: u32,
         /// Heap node id.
         node: u32,
+        /// The guest's optimistic split, not validated yet (§4.2): the host
+        /// holds its histograms of the node's children until
+        /// [`Msg::SplitValidated`] or a re-placement of the node decides
+        /// them.
+        speculative: bool,
         /// Placement over the node's rows, in row-list order.
         placement: Vec<bool>,
+    },
+    /// guest → host: the guest's optimistic split of `node` won its
+    /// validation; the histograms held for the node's children may ship.
+    SplitValidated {
+        /// Tree index.
+        tree: u32,
+        /// Heap node id.
+        node: u32,
     },
     /// guest → host: this host's feature `feature` at bin `bin` won the
     /// node's split; recover the split, apply it, and reply with
@@ -201,6 +214,7 @@ impl Msg {
             Msg::SessionHello { .. } => 11,
             Msg::Resume { .. } => 12,
             Msg::PackedGradBatch { .. } => 14,
+            Msg::SplitValidated { .. } => 17,
         }
     }
 }

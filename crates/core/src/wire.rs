@@ -309,10 +309,15 @@ pub fn encode(msg: &Msg) -> Result<Bytes, WireError> {
                 }
             }
         }
-        Msg::ApplyPlacement { tree, node, placement } => {
+        Msg::ApplyPlacement { tree, node, speculative, placement } => {
             e.put_u32(*tree);
             e.put_u32(*node);
+            e.put_bool(*speculative);
             e.put_bitmap(placement);
+        }
+        Msg::SplitValidated { tree, node } => {
+            e.put_u32(*tree);
+            e.put_u32(*node);
         }
         Msg::HostSplitChosen { tree, node, feature, bin } => {
             e.put_u32(*tree);
@@ -419,6 +424,7 @@ pub fn decode(kind: u16, payload: Bytes) -> Result<Msg, WireError> {
         5 => Msg::ApplyPlacement {
             tree: d.get_u32()?,
             node: d.get_u32()?,
+            speculative: d.get_bool()?,
             placement: d.get_bitmap()?,
         },
         6 => Msg::HostSplitChosen {
@@ -449,6 +455,7 @@ pub fn decode(kind: u16, payload: Bytes) -> Result<Msg, WireError> {
             let gh = get_cipher_vec(&mut d)?;
             Msg::PackedGradBatch { tree, start_row, gh, last }
         }
+        17 => Msg::SplitValidated { tree: d.get_u32()?, node: d.get_u32()? },
         t => return Err(WireError::BadTag("message kind", t as u64)),
     })
 }
@@ -548,6 +555,7 @@ mod tests {
         round_trip(Msg::TreeDone { tree: 19 });
         round_trip(Msg::Shutdown);
         round_trip(Msg::HostSplitChosen { tree: 0, node: 5, feature: 88, bin: 13 });
+        round_trip(Msg::SplitValidated { tree: 1, node: 6 });
         round_trip(Msg::FeatureMeta(vec![
             FeatureMeta { num_bins: 20, zero_bin: 3 },
             FeatureMeta { num_bins: 7, zero_bin: 0 },
@@ -557,7 +565,10 @@ mod tests {
     #[test]
     fn placements_round_trip() {
         let placement: Vec<bool> = (0..37).map(|i| i % 3 == 0).collect();
-        round_trip(Msg::ApplyPlacement { tree: 2, node: 4, placement: placement.clone() });
+        for speculative in [false, true] {
+            let placement = placement.clone();
+            round_trip(Msg::ApplyPlacement { tree: 2, node: 4, speculative, placement });
+        }
         round_trip(Msg::Placement { tree: 2, node: 4, placement });
     }
 
@@ -730,7 +741,13 @@ mod tests {
                     h: c[2..].to_vec(),
                 }]),
             },
-            Msg::ApplyPlacement { tree: 2, node: 4, placement: vec![true, false, true] },
+            Msg::ApplyPlacement {
+                tree: 2,
+                node: 4,
+                speculative: true,
+                placement: vec![true, false, true],
+            },
+            Msg::SplitValidated { tree: 2, node: 4 },
             Msg::HostSplitChosen { tree: 0, node: 5, feature: 88, bin: 13 },
             Msg::Placement { tree: 2, node: 4, placement: vec![false; 17] },
             Msg::TreeDone { tree: 19 },

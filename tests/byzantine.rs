@@ -392,7 +392,10 @@ fn host_answers_a_resplit_from_the_new_row_lists() {
             let side: Vec<u32> =
                 all.iter().copied().filter(|&r| placement[r as usize] == (smaller == 1)).collect();
             assert!(2 * side.len() < rows, "node {smaller} is the smaller child");
-            send(&guest_ep, &Msg::ApplyPlacement { tree: 0, node: 0, placement });
+            send(
+                &guest_ep,
+                &Msg::ApplyPlacement { tree: 0, node: 0, speculative: false, placement },
+            );
             send(&guest_ep, &Msg::NodeTask { tree: 0, node: smaller, epoch });
             expect_answer(smaller, epoch, &side);
         }
@@ -795,7 +798,12 @@ fn mutation_corpus() -> Vec<Msg> {
                 bins: 4,
             }]),
         },
-        Msg::ApplyPlacement { tree: 0, node: 3, placement: vec![true, false, true, true] },
+        Msg::ApplyPlacement {
+            tree: 0,
+            node: 3,
+            speculative: false,
+            placement: vec![true, false, true, true],
+        },
         Msg::HostSplitChosen { tree: 0, node: 3, feature: 7, bin: 4 },
         Msg::Placement { tree: 0, node: 3, placement: vec![false; 9] },
         Msg::TreeDone { tree: 0 },

@@ -187,3 +187,46 @@ fn bytes_and_message_counts_do_not_depend_on_timing() {
     let (_, stalled) = &runs[2];
     assert!(stalled.report.wall_time >= outage.duration, "the outage never bit");
 }
+
+/// Under the optimistic protocol what a host sends does not depend on
+/// timing either. A host holds its histograms of a speculative split's
+/// children until the guest's verdict, so one that a rollback supersedes
+/// never ships, whether the rollback reaches the host before or after it
+/// has packed that histogram. (The guest's own traffic still moves a
+/// little: whether a node speculates depends on when its parent's verdict
+/// came, and a rolled-back speculation sent one placement more.)
+#[test]
+fn what_a_host_sends_under_speculation_does_not_depend_on_timing() {
+    let s = support::scenario_of(400, 20, &[16], 56);
+    let instant = TrainConfig {
+        gbdt: GbdtParams { num_trees: 2, max_layers: 5, ..Default::default() },
+        crypto: CryptoConfig::Mock,
+        wan: WanConfig::instant(),
+        protocol: ProtocolConfig::vf2boost(),
+        ..TrainConfig::for_tests()
+    };
+    let paper = TrainConfig { wan: WanConfig::paper_public_network(), ..instant };
+    let slow = TrainConfig {
+        wan: WanConfig {
+            bandwidth_bytes_per_sec: 2.0e6,
+            latency: Duration::from_millis(30),
+            per_message_overhead_bytes: 64,
+        },
+        ..instant
+    };
+    let runs = [("instant", &instant), ("paper", &paper), ("slow", &slow)].map(|(name, cfg)| {
+        let out = train_federated(&s.hosts, &s.guest, cfg)
+            .unwrap_or_else(|f| panic!("[{name}] training failed: {}", f.error));
+        (name, out)
+    });
+    let host = |out: &vf2boost::core::TrainOutput| {
+        (out.report.hosts[0].bytes_sent, out.report.hosts[0].messages_sent)
+    };
+    let (_, reference) = &runs[0];
+    let dirty: u64 = runs.iter().map(|(_, out)| out.report.guest.events.dirty_nodes).sum();
+    assert!(dirty > 0, "no speculation was rolled back: the test shows nothing");
+    for (name, out) in &runs[1..] {
+        assert_eq!(host(out), host(reference), "[{name}] host traffic moved with timing");
+        assert_bitwise(name, &margins(reference, &s), &margins(out, &s));
+    }
+}
