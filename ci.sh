@@ -88,18 +88,24 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # streams a 1 250-row tree's gradients in 128-row batches — exactly nine
 # more guest messages than one bulk frame, and the bulk run's model.
 #
-# The guest's tree core (crates/core/src/grow.rs): the optimistic protocol's
-# decisions are driven with no link —
+# The guest's core (crates/core/src/grow.rs): the optimistic protocol's
+# decisions and the guest's one admission are driven with no link —
 # a_resplit_forgets_the_retained_histograms_below_it_and_derives_them_anew
 # reads the tasks a rollback and re-split issue off the core's actions;
 # guest_admits_only_answers_to_issued_requests,
 # guest_placement_accounting_allows_rollback_reissues and
-# guest_begin_tree_voids_previous_bookkeeping pin the admission verdicts the
-# core's one per-host ledger gives; and
-# a_histogram_for_a_superseded_epoch_is_stale_once_and_never_charged pins an
-# answer to a task a rollback superseded. The scripted parties refuse a
-# config train_federated refuses (byzantine.rs's
-# scripted_parties_refuse_an_invalid_config).
+# guest_begin_tree_voids_previous_bookkeeping pin the verdicts the one
+# per-host ledger gives; guest_handshake_order_is_enforced,
+# guest_passes_answers_and_rejects_driver_kinds,
+# feature_meta_bounds_are_checked,
+# a_placement_past_the_heap_is_inadmissible_at_the_guest and the three
+# histogram-shape tests (raw, packed, paired) pin every check before it;
+# and a_histogram_for_a_superseded_epoch_is_stale_once_and_never_charged
+# pins an answer to a task a rollback superseded. byzantine.rs's
+# a_host_without_features_has_its_histograms_checked_like_any_other and
+# a_refused_answer_changes_nothing_at_the_guest drive the same admission
+# over a link. The scripted parties refuse a config train_federated
+# refuses (byzantine.rs's scripted_parties_refuse_an_invalid_config).
 #
 # The host's core (crates/core/src/serve.rs): every admission verdict of the
 # host is driven with no link — host_rejects_phase_skips_and_replays and
@@ -184,16 +190,18 @@ if grep -rnwE 'HostLossPolicy|on_host_loss|HostSpawner|HostOutcome|AwaitRejoin|D
   exit 1
 fi
 
-# One core per role, one ledger each: the guest's tree growth (grow.rs) and
-# the host's admission and task queue (serve.rs) are pure cores — their
-# shipping halves name no link, cipher suite, clock or trace, so every
-# decision of either role is testable with no thread. grow.rs is the only
-# record of what each host owes: the guest's handshake machine (fsm.rs) and
-# the shell (guest.rs) keep no second ledger and no driver hook that fed
-# one. serve.rs makes each of the host's checks once: the host's phase
-# machine, its index checks and the shell's re-checks it replaced, and the
-# leaf notice no host read, must not come back.
-echo "== one-core gate (grow.rs and serve.rs pure; no second ledger or host admission) =="
+# One core per role, one admission and one ledger each: the guest's
+# admission and tree growth (grow.rs) and the host's admission and task
+# queue (serve.rs) are pure cores — their shipping halves name no link,
+# cipher suite, clock or trace, so every decision of either role is
+# testable with no thread. grow.rs is the only record of what each host
+# owes: the shell (guest.rs) keeps no second ledger and no driver hook that
+# fed one. Each core makes its role's checks once, after the shell's key
+# checks of the ciphers (validate.rs): the phase machines of either role
+# (HostFsm, GuestFsm / GuestPhase), the per-message validators they
+# replaced, the shells' re-checks, and the leaf notice no host read, must
+# not come back.
+echo "== one-core gate (grow.rs and serve.rs pure; no second ledger or admission) =="
 for f in crates/core/src/grow.rs crates/core/src/serve.rs; do
   if awk '/#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' "$f" \
       | grep -E 'Peer|peer::|Endpoint|Suite|Instant|telemetry|TraceRing'; then
@@ -202,13 +210,13 @@ for f in crates/core/src/grow.rs crates/core/src/serve.rs; do
   fi
 done
 if grep -nE 'tasked|seen_hists|placements_due|task_sent|expect_placement|begin_tree|hist_is_fresh' \
-    crates/core/src/fsm.rs crates/core/src/guest.rs; then
+    crates/core/src/guest.rs; then
   echo "a second per-host ledger or its driver hooks are back" >&2
   exit 1
 fi
-if grep -rnE 'HostFsm|check_host_inbound|state_invariant|ensure_tree|with_state|OutOfOrderGradients|NodeLeaf' \
+if grep -rnE 'HostFsm|check_host_inbound|state_invariant|ensure_tree|with_state|OutOfOrderGradients|NodeLeaf|GuestFsm|GuestPhase|check_guest_inbound|check_node_index' \
     crates/core/src; then
-  echo "a second host admission, its re-checks or the leaf notice are back" >&2
+  echo "a second admission of either role, its re-checks or the leaf notice are back" >&2
   exit 1
 fi
 

@@ -104,8 +104,8 @@ pub enum ProtocolError {
     },
     /// A structurally valid message arrived in a protocol phase whose
     /// transition set does not admit it (phase-skip, future tree, a
-    /// response to a request that was never issued). Raised by the host's
-    /// core and the guest's handshake machine ([`crate::fsm`]).
+    /// response to a request that was never issued). Raised by either
+    /// role's one admission, in its core.
     OutOfPhase {
         /// The sending party.
         from: PartyId,
@@ -131,7 +131,8 @@ pub enum ProtocolError {
     /// The message is in phase but its payload contradicts locally-known
     /// bounds: histogram lengths vs negotiated bin counts, indices outside
     /// tree/meta bounds, ciphertexts outside `[0, n²)`, row ranges past
-    /// the declared instance count. Raised by [`crate::validate`].
+    /// the declared instance count. Raised by the key's cipher checks
+    /// ([`crate::validate`]) and by either role's one admission.
     Inadmissible {
         /// The sending party.
         from: PartyId,

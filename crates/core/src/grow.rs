@@ -1,18 +1,24 @@
 //! The guest's tree growth as a pure core: the paper's optimistic
 //! node-splitting (§4.2, Figs. 5–6) as one state machine per tree —
-//! speculate, validate, roll back, re-split.
+//! speculate, validate, roll back, re-split — and the guest's one
+//! admission of what a host sends it.
 //!
-//! [`TreeCore`] decides which node is tasked, speculated, resolved, rolled
-//! back or placed, and it is the one record of what each host owes this
-//! tree. Its inputs are plain data and three events — the guest's own best
-//! split of a node, a host's decrypted answer, a host's placement. An event
-//! only queues work; the shell pulls the resulting [`Action`]s one at a
-//! time ([`TreeCore::next`]), so it sends, searches and splits in the
-//! order, and at the moments, the recursive protocol did. Two actions are
-//! requests the shell answers before it pulls again: a [`Search`] (the
-//! guest's FindSplitB of a node) and a `Split` (the guest's placement of a
-//! node, which [`TreeCore::split`] makes). The shell (`guest.rs`) owns the
-//! links, the cipher suite, the clock and the counters.
+//! [`admit`] judges every host message once, after the shell's key checks
+//! of its ciphers: the kinds the guest never accepts, the handshake's
+//! order, a histogram's shape against its host's metadata and the run's
+//! gradient path, and — against the tree's ledger — whether the host owes
+//! the answer. [`TreeCore`] decides which node is tasked, speculated,
+//! resolved, rolled back or placed, and it is the one record of what each
+//! host owes this tree. Its inputs are plain data and three events — the
+//! guest's own best split of a node, a host's decrypted answer, a host's
+//! placement. An event only queues work; the shell pulls the resulting
+//! [`Action`]s one at a time ([`TreeCore::next`]), so it sends, searches
+//! and splits in the order, and at the moments, the recursive protocol
+//! did. Two actions are requests the shell answers before it pulls again:
+//! a [`Search`] (the guest's FindSplitB of a node) and a `Split` (the
+//! guest's placement of a node, which [`TreeCore::split`] makes). The shell
+//! (`guest.rs`) owns the links, the cipher suite, the clock and the
+//! counters.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -22,14 +28,16 @@ use std::sync::Arc;
 use num_bigint::BigUint;
 use vf2_crypto::encoding::EncodingConfig;
 use vf2_crypto::packing::GhPlan;
+use vf2_crypto::suite::PackedCiphertext;
 use vf2_gbdt::histogram::GradPair;
 use vf2_gbdt::split::{best_of, find_best_split, SplitCandidate, SplitParams};
 use vf2_gbdt::tree::{layer_of, left_child, parent, right_child, NodeId, NodeSplit};
 
 use crate::error::{PartyId, ProtocolError, TrainError};
-use crate::fsm::Admit;
 use crate::hist_enc::DecodedBins;
-use crate::messages::{FeatureMeta, Msg};
+use crate::messages::{
+    FeatureMeta, GhPackedFeatureHist, HistPayload, Msg, PackedFeatureHist, RawFeatureHist,
+};
 use crate::model::{FedNode, FedTree};
 use crate::rows::{NodeRows, RowMajorBins};
 
@@ -48,6 +56,9 @@ pub(crate) struct Rules {
     /// The pair plan when the run's forward path is paired
     /// (`TrainConfig::gh_plan`); `None` on the two-stream path.
     pub gh: Option<GhPlan>,
+    /// The bins one packed pair cipher carries under the run's key
+    /// (`GhPlan::bins_per_cipher`); 0 without a plan.
+    pub pairs_per_cipher: usize,
     /// The largest honest `|Σg|` or `Σh` of a derived bin without a pair
     /// plan: the raw wire's safe range (floats: none).
     pub max_int: BigUint,
@@ -66,10 +77,245 @@ impl Rules {
         bins: &DecodedBins,
         total: GradPair,
     ) -> Option<SplitCandidate> {
-        // The handshake admitted `zero_bin < num_bins` and the decode
-        // checked the bin count, so the histogram exists.
+        // Admission checked `zero_bin < num_bins` and the bin count, so the
+        // histogram exists.
         let hist = bins.to_histogram(&self.encoding, meta.zero_bin, total)?;
         find_best_split(feature, &hist, total, &self.split)
+    }
+}
+
+/// One host's handshake as far as it has gone: its `SessionHello` sets
+/// `durable`, its `FeatureMeta` sets `metas` — even an empty list ends the
+/// handshake.
+#[derive(Debug, Default)]
+pub(crate) struct Handshake {
+    /// The durable checkpoints the hello announced.
+    pub durable: Option<Vec<u32>>,
+    /// The histogram structure the metadata announced.
+    pub metas: Option<Vec<FeatureMeta>>,
+}
+
+impl Handshake {
+    /// The features the host announced; none before its handshake ends,
+    /// and no answer of it is admitted before that.
+    pub fn metas(&self) -> &[FeatureMeta] {
+        self.metas.as_deref().unwrap_or_default()
+    }
+}
+
+/// A host message the guest admitted.
+#[derive(Debug)]
+pub(crate) enum Inbound {
+    /// The host's hello, its durable list recorded: the shell checks the
+    /// session it names.
+    Hello { session_id: u64 },
+    /// The host's metadata, recorded: its handshake is done.
+    Meta,
+    /// An answer the tree being grown is owed.
+    Answer(Answer),
+    /// An honest straggler from a completed tree: dropped, counted, traced
+    /// with why.
+    Stale(&'static str),
+}
+
+/// A host's answer to a request of the tree being grown.
+#[derive(Debug)]
+pub(crate) enum Answer {
+    /// Its histogram of `(node, epoch)`, shaped as its metadata and the
+    /// run's gradient path say.
+    Histograms { node: NodeId, epoch: u32, payload: Payload },
+    /// Its placement of `node`, owed to a split choice.
+    Placement { node: NodeId, placement: Vec<bool> },
+}
+
+/// An admitted histogram, typed by the run's gradient path: one feature per
+/// announced feature, each with the bins its metadata announced.
+#[derive(Debug)]
+pub(crate) enum Payload {
+    /// Two-stream raw per-bin ciphers.
+    Raw(Vec<RawFeatureHist>),
+    /// Two-stream packed prefix sums.
+    Packed(Vec<PackedFeatureHist>),
+    /// Pair bins, laid out as the plan they unpack by derives.
+    Paired(Vec<GhPackedFeatureHist>, GhPlan),
+}
+
+/// The guest's one admission of a message from host `host` whose ciphers
+/// passed the key's checks. In order, each once: a kind the guest never
+/// accepts; the metadata's bounds, or a node inside the tree heap; the
+/// handshake's order (hello, metadata, then answers only); a histogram's
+/// shape against the host's metadata and the run's gradient path; and,
+/// against `tree`'s ledger, whether the host owes the answer — one for a
+/// completed tree is an honest straggler. A refused message changes
+/// nothing: the handshake and the ledger move only once every check
+/// passed.
+pub(crate) fn admit(
+    rules: &Rules,
+    host: usize,
+    handshake: &mut Handshake,
+    msg: Msg,
+    tree: Option<&mut TreeCore>,
+) -> Result<Inbound, ProtocolError> {
+    let (from, kind) = (PartyId::Host(host), msg.kind());
+    let (phase, out_of_order) = match (&handshake.durable, &handshake.metas) {
+        (None, _) => ("await-hello", "a connection must open with the session hello"),
+        (Some(_), None) => ("await-meta", "feature metadata must follow the hello"),
+        (Some(_), Some(_)) => ("active", "handshake replayed mid-run"),
+    };
+    let out_of_phase = |context| ProtocolError::OutOfPhase { from, kind, phase, context };
+    let inadmissible = |context| ProtocolError::Inadmissible { from, kind, context };
+    let replayed = |context| ProtocolError::StaleOrReplayed { from, kind, context };
+    // A tree of `max_layers` layers has 2^max_layers − 1 heap nodes.
+    let heap = (1usize << rules.max_layers) - 1;
+    let (tree_of, node, answer) = match msg {
+        Msg::GradBatch { .. }
+        | Msg::PackedGradBatch { .. }
+        | Msg::NodeTask { .. }
+        | Msg::ApplyPlacement { .. }
+        | Msg::SplitValidated { .. }
+        | Msg::HostSplitChosen { .. }
+        | Msg::TreeDone { .. }
+        | Msg::Resume { .. }
+        | Msg::Shutdown => return Err(out_of_phase("message kind the guest never accepts")),
+        Msg::SessionHello { session_id, durable } => {
+            if handshake.durable.is_some() {
+                return Err(out_of_phase(out_of_order));
+            }
+            handshake.durable = Some(durable);
+            return Ok(Inbound::Hello { session_id });
+        }
+        Msg::FeatureMeta(metas) => {
+            for m in &metas {
+                if m.num_bins == 0 {
+                    return Err(inadmissible("feature declares zero bins"));
+                }
+                if m.zero_bin >= m.num_bins {
+                    return Err(inadmissible("zero bin outside the feature's bin range"));
+                }
+            }
+            if handshake.durable.is_none() || handshake.metas.is_some() {
+                return Err(out_of_phase(out_of_order));
+            }
+            handshake.metas = Some(metas);
+            return Ok(Inbound::Meta);
+        }
+        Msg::NodeHistograms { node, .. } | Msg::Placement { node, .. } if node as usize >= heap => {
+            return Err(inadmissible("node index outside the tree heap"));
+        }
+        Msg::NodeHistograms { tree, node, epoch, payload } => {
+            let Some(metas) = &handshake.metas else { return Err(out_of_phase(out_of_order)) };
+            let payload = shaped(rules, payload, metas).map_err(inadmissible)?;
+            let node = node as NodeId;
+            (tree, node, Answer::Histograms { node, epoch, payload })
+        }
+        Msg::Placement { tree, node, placement } => {
+            if handshake.metas.is_none() {
+                return Err(out_of_phase(out_of_order));
+            }
+            let node = node as NodeId;
+            (tree, node, Answer::Placement { node, placement })
+        }
+    };
+    let Some(core) = tree else { return Err(out_of_phase("an answer outside a tree")) };
+    let owed = &mut core.owed[host];
+    match (&answer, tree_of.cmp(&core.tree)) {
+        (Answer::Histograms { .. }, Ordering::Greater) => {
+            Err(out_of_phase("histograms for a future tree"))
+        }
+        (Answer::Histograms { .. }, Ordering::Less) => {
+            Ok(Inbound::Stale("histograms from a completed tree"))
+        }
+        (Answer::Histograms { epoch, .. }, Ordering::Equal) => {
+            if !core.tasked.contains(&(node, *epoch)) {
+                return Err(out_of_phase("histograms for a task never issued"));
+            }
+            if !owed.answered.insert((node, *epoch)) {
+                return Err(replayed("histogram replayed for the same node and epoch"));
+            }
+            Ok(Inbound::Answer(answer))
+        }
+        (Answer::Placement { .. }, Ordering::Greater) => {
+            Err(out_of_phase("placement for a future tree"))
+        }
+        // A host answering a split choice whose node was rolled back
+        // meanwhile: the reply can cross the tree boundary and is honest.
+        (Answer::Placement { .. }, Ordering::Less) => {
+            Ok(Inbound::Stale("placement from a completed tree"))
+        }
+        (Answer::Placement { .. }, Ordering::Equal) => match owed.placements.get_mut(&node) {
+            Some(due) if *due > 0 => {
+                *due -= 1;
+                Ok(Inbound::Answer(answer))
+            }
+            _ => Err(replayed("placement that answers no outstanding split choice")),
+        },
+    }
+}
+
+/// A histogram's shape against the metadata `metas` its host announced —
+/// the feature count, each feature's bins (raw bins, or packed slot totals
+/// and the declared bins) — and against the run's gradient path: a paired
+/// run admits only pair bins laid out as the plan the guest derived (it
+/// slices by that layout, so another is refused before a decryption is
+/// spent on it), a two-stream run only the other two forms.
+fn shaped(
+    rules: &Rules,
+    payload: HistPayload,
+    metas: &[FeatureMeta],
+) -> Result<Payload, &'static str> {
+    let features = match &payload {
+        HistPayload::Raw(feats) => feats.len(),
+        HistPayload::Packed(feats) => feats.len(),
+        HistPayload::GhPacked(feats) => feats.len(),
+    };
+    if features != metas.len() {
+        return Err("histogram feature count disagrees with the negotiated metadata");
+    }
+    // A packed feature's declared bins and slot total against its metadata.
+    let slots = |bins: u16, runs: &[PackedCiphertext], m: &FeatureMeta| {
+        if bins != m.num_bins {
+            return Err("packed bin declaration disagrees with the negotiated metadata");
+        }
+        if runs.iter().map(PackedCiphertext::count).sum::<usize>() != usize::from(bins) {
+            return Err("packed slot total disagrees with the declared bin count");
+        }
+        Ok(())
+    };
+    match (payload, rules.gh) {
+        (HistPayload::Raw(feats), None) => {
+            let bins = |(f, m): (&RawFeatureHist, &FeatureMeta)| {
+                f.g.len() == usize::from(m.num_bins) && f.h.len() == usize::from(m.num_bins)
+            };
+            if !feats.iter().zip(metas).all(bins) {
+                return Err("histogram bin count disagrees with the negotiated metadata");
+            }
+            Ok(Payload::Raw(feats))
+        }
+        (HistPayload::Packed(feats), None) => {
+            for (f, m) in feats.iter().zip(metas) {
+                slots(f.bins, &f.g, m)?;
+                slots(f.bins, &f.h, m)?;
+            }
+            Ok(Payload::Packed(feats))
+        }
+        (HistPayload::GhPacked(feats), Some(plan)) => {
+            let derived = |p: &PackedCiphertext| match p {
+                PackedCiphertext::Paillier { exponent, count, slot_bits, .. } => {
+                    *slot_bits == plan.pair_bits()
+                        && *exponent == plan.exponent()
+                        && *count <= rules.pairs_per_cipher
+                }
+                PackedCiphertext::Plain(_) => false,
+            };
+            for (f, m) in feats.iter().zip(metas) {
+                slots(f.bins, &f.packed, m)?;
+                if !f.packed.iter().all(derived) {
+                    return Err("packed pair layout differs from the derived plan");
+                }
+            }
+            Ok(Payload::Paired(feats, plan))
+        }
+        _ => Err("histogram wire form of the other gradient path"),
     }
 }
 
@@ -234,8 +480,6 @@ struct Owed {
 /// One tree's growth at the guest.
 pub(crate) struct TreeCore {
     rules: Arc<Rules>,
-    /// Each host's announced histogram structure, by roster index.
-    metas: Vec<Vec<FeatureMeta>>,
     tree: u32,
     grads: Vec<GradPair>,
     rows: NodeRows,
@@ -256,26 +500,20 @@ pub(crate) struct TreeCore {
 }
 
 impl TreeCore {
-    /// Tree `tree` over `grads`, against hosts that announced `metas`,
-    /// its root the first node to materialize.
-    pub fn new(
-        rules: Arc<Rules>,
-        metas: Vec<Vec<FeatureMeta>>,
-        tree: u32,
-        grads: Vec<GradPair>,
-    ) -> TreeCore {
+    /// Tree `tree` over `grads`, against `hosts` hosts, its root the first
+    /// node to materialize.
+    pub fn new(rules: Arc<Rules>, hosts: usize, tree: u32, grads: Vec<GradPair>) -> TreeCore {
         let max_layers = rules.max_layers;
         TreeCore {
             rows: NodeRows::new_tree(grads.len(), max_layers),
             epoch: vec![0; (1 << max_layers) - 1],
             fed: FedTree::new(max_layers),
-            owed: metas.iter().map(|_| Owed::default()).collect(),
+            owed: (0..hosts).map(|_| Owed::default()).collect(),
             states: HashMap::new(),
             agenda: vec![Step::Materialize { node: 0, asked: 0 }],
             actions: VecDeque::new(),
             tasked: HashSet::new(),
             rules,
-            metas,
             tree,
             grads,
         }
@@ -332,47 +570,6 @@ impl TreeCore {
         })
     }
 
-    /// The steady-state verdict on a host's histogram or placement (other
-    /// kinds pass): an answer to a request never made is a violation, a
-    /// second answer to one is a replay, and one from a completed tree is
-    /// an honest straggler. Whether the tree still wants an admitted
-    /// answer is [`Self::awaits`]'s question, asked later.
-    pub fn admit(&mut self, host: usize, msg: &Msg) -> Result<Admit, ProtocolError> {
-        let (from, kind) = (PartyId::Host(host), msg.kind());
-        let out_of_phase =
-            |context| ProtocolError::OutOfPhase { from, kind, phase: "active", context };
-        let replayed = |context| ProtocolError::StaleOrReplayed { from, kind, context };
-        let owed = &mut self.owed[host];
-        match *msg {
-            Msg::NodeHistograms { tree, node, epoch, .. } => match tree.cmp(&self.tree) {
-                Ordering::Greater => Err(out_of_phase("histograms for a future tree")),
-                Ordering::Less => Ok(Admit::Stale("histograms from a completed tree")),
-                Ordering::Equal if !self.tasked.contains(&(node as NodeId, epoch)) => {
-                    Err(out_of_phase("histograms for a task never issued"))
-                }
-                Ordering::Equal if !owed.answered.insert((node as NodeId, epoch)) => {
-                    Err(replayed("histogram replayed for the same node and epoch"))
-                }
-                Ordering::Equal => Ok(Admit::Deliver),
-            },
-            Msg::Placement { tree, node, .. } => match tree.cmp(&self.tree) {
-                Ordering::Greater => Err(out_of_phase("placement for a future tree")),
-                // A host answering a split choice whose node was rolled back
-                // meanwhile: the reply can cross the tree boundary and is
-                // honest.
-                Ordering::Less => Ok(Admit::Stale("placement from a completed tree")),
-                Ordering::Equal => match owed.placements.get_mut(&(node as NodeId)) {
-                    Some(due) if *due > 0 => {
-                        *due -= 1;
-                        Ok(Admit::Deliver)
-                    }
-                    _ => Err(replayed("placement that answers no outstanding split choice")),
-                },
-            },
-            _ => Ok(Admit::Deliver),
-        }
-    }
-
     /// The guest's own best split of the searched node: the node stands,
     /// its task goes out when it is the one asked, and it is split
     /// optimistically when the schedule allows.
@@ -393,22 +590,24 @@ impl TreeCore {
             Some(best) if self.rules.optimistic && validated => GuestSplit::Speculated(best),
             Some(best) => GuestSplit::Held(best),
         };
-        let answers = vec![HostAnswer::Waiting; self.metas.len()];
+        let answers = vec![HostAnswer::Waiting; self.owed.len()];
         self.states.insert(node, NodeState { total, asked, stage: Stage::Open(guest), answers });
         if let GuestSplit::Speculated(split) = guest {
             self.actions.push_back(Action::Split { node, split, speculative: true });
         }
     }
 
-    /// Host `host`'s decrypted answer for `(node, epoch)`. One no longer
-    /// wanted is stale; a wanted one is recorded, completes whatever
-    /// derivations it can — as the smaller child of its parent, and as the
-    /// parent of a child this host answered first (a re-issued task keeps
-    /// its place in the host's queue) — and resolves every node that now
-    /// has all its answers, parent before child.
+    /// Host `host`'s decrypted answer for `(node, epoch)`, over the
+    /// features `metas` it announced. One no longer wanted is stale; a
+    /// wanted one is recorded, completes whatever derivations it can — as
+    /// the smaller child of its parent, and as the parent of a child this
+    /// host answered first (a re-issued task keeps its place in the host's
+    /// queue) — and resolves every node that now has all its answers,
+    /// parent before child.
     pub fn on_answer(
         &mut self,
         host: usize,
+        metas: &[FeatureMeta],
         node: NodeId,
         epoch: u32,
         best: Option<SplitCandidate>,
@@ -424,7 +623,7 @@ impl TreeCore {
         let mut answered = vec![node];
         let mut splits: Vec<NodeId> = parent(node).into_iter().chain([node]).collect();
         while let Some(split) = splits.pop() {
-            if let Some(derived) = self.derive_larger(host, split) {
+            if let Some(derived) = self.derive_larger(host, metas, split) {
                 answered.push(derived);
                 splits.push(derived);
             }
@@ -577,7 +776,12 @@ impl TreeCore {
     /// the difference is the number the host's own `parent ⊖ smaller` would
     /// have decrypted to. A smaller child no split of the parent produces
     /// is that host's violation, and the derivation is withheld.
-    fn derive_larger(&mut self, host: usize, parent: NodeId) -> Option<NodeId> {
+    fn derive_larger(
+        &mut self,
+        host: usize,
+        metas: &[FeatureMeta],
+        parent: NodeId,
+    ) -> Option<NodeId> {
         let (left, right) = (left_child(parent), right_child(parent));
         let smaller = self.states.get(&left)?.asked;
         let larger = left + right - smaller;
@@ -600,7 +804,7 @@ impl TreeCore {
         });
         let derived = match difference {
             Some(Some(hist)) => {
-                let metas = self.metas[host].iter().zip(&hist).enumerate();
+                let metas = metas.iter().zip(&hist).enumerate();
                 let total = state.total;
                 let best = best_of(
                     metas.filter_map(|(f, (&m, bins))| self.rules.feature_best(f, m, bins, total)),
@@ -630,18 +834,20 @@ mod tests {
     use vf2_gbdt::binning::BinnedDataset;
     use vf2_gbdt::data::Dataset;
 
+    use vf2_crypto::suite::{Ciphertext, PlainNumber};
+
     use crate::config::{CryptoConfig, TrainConfig};
-    use crate::messages::HistPayload;
 
     /// The one host's one feature.
     const META: FeatureMeta = FeatureMeta { num_bins: 4, zero_bin: 0 };
 
-    /// A guest over 64 labelled rows facing one host that owns a single
-    /// 4-bin feature, at tree `tree`, with a log of every action the core
-    /// decided (the guest's row-major bins, for its FindSplitB, are in the
-    /// core's rules).
+    /// A guest over 64 labelled rows facing one host whose handshake
+    /// announced a single 4-bin feature, at tree `tree`, with a log of
+    /// every action the core decided (the guest's row-major bins, for its
+    /// FindSplitB, are in the core's rules).
     struct Guest {
         core: TreeCore,
+        handshake: Handshake,
         log: Vec<Action>,
     }
 
@@ -661,26 +867,61 @@ mod tests {
         })
     }
 
-    /// [`guest`] over the guest's own `data`.
-    fn guest_over(data: &Dataset, optimistic: bool, tree: u32) -> Guest {
+    /// The rules of a two-stream mock run over the guest's own `data`.
+    fn rules_over(data: &Dataset, optimistic: bool) -> Rules {
         let cfg = TrainConfig { crypto: CryptoConfig::Mock, ..TrainConfig::for_tests() };
-        let rules = Rules {
+        Rules {
             split: cfg.gbdt.split,
             max_layers: cfg.gbdt.max_layers,
             optimistic,
             encoding: cfg.encoding,
             gh: None,
+            pairs_per_cipher: 0,
             max_int: BigUint::default(),
             bins: RowMajorBins::bin(data, &cfg.gbdt.binning),
-        };
-        let loss = cfg.gbdt.loss;
+        }
+    }
+
+    /// [`guest`] over the guest's own `data`.
+    fn guest_over(data: &Dataset, optimistic: bool, tree: u32) -> Guest {
+        guest_under(rules_over(data, optimistic), data, tree)
+    }
+
+    /// [`guest`] under `rules` over `data`.
+    fn guest_under(rules: Rules, data: &Dataset, tree: u32) -> Guest {
+        let loss = TrainConfig::for_tests().gbdt.loss;
         let preds = vec![loss.base_score(); data.num_rows()];
         let grads = loss.grad_hess_all(data.labels().unwrap(), &preds);
-        let core = TreeCore::new(Arc::new(rules), vec![vec![META]], tree, grads);
-        Guest { core, log: Vec::new() }
+        let core = TreeCore::new(Arc::new(rules), 1, tree, grads);
+        let handshake = Handshake { durable: Some(vec![]), metas: Some(vec![META]) };
+        Guest { core, handshake, log: Vec::new() }
+    }
+
+    /// An admission's outcome as the shell tells it apart.
+    fn verdict(admitted: Result<Inbound, ProtocolError>) -> Result<&'static str, ProtocolError> {
+        admitted.map(|inbound| match inbound {
+            Inbound::Hello { .. } => "hello",
+            Inbound::Meta => "meta",
+            Inbound::Answer(_) => "answer",
+            Inbound::Stale(why) => why,
+        })
+    }
+
+    /// The context of an `Inadmissible` verdict of kind `kind`.
+    fn inadmissible(verdict: Result<&'static str, ProtocolError>, kind: u16) -> &'static str {
+        match verdict {
+            Err(ProtocolError::Inadmissible { kind: k, context, .. }) if k == kind => context,
+            other => panic!("expected an inadmissible kind {kind}, got {other:?}"),
+        }
     }
 
     impl Guest {
+        /// Host 0's message, admitted against its handshake and this tree.
+        fn admit(&mut self, msg: Msg) -> Result<&'static str, ProtocolError> {
+            let rules = Arc::clone(&self.core.rules);
+            verdict(super::admit(&rules, 0, &mut self.handshake, msg, Some(&mut self.core)))
+        }
+
         /// Carries out the core's actions as the shell does: logs them,
         /// and runs every FindSplitB and split the core asks for.
         fn drain(&mut self) {
@@ -712,7 +953,7 @@ mod tests {
         fn commit(&mut self, node: NodeId, bins: [GradPair; 4]) {
             let hist = vec![DecodedBins::Float(bins.to_vec())];
             let best = self.core.rules.feature_best(0, META, &hist[0], self.total(node));
-            self.core.on_answer(0, node, self.core.epoch[node], best, hist);
+            self.core.on_answer(0, &[META], node, self.core.epoch[node], best, hist);
             self.drain();
         }
 
@@ -757,8 +998,24 @@ mod tests {
         ]
     }
 
+    /// A mock cipher; its admissibility is the shell's to judge.
+    fn mock() -> Ciphertext {
+        Ciphertext::Plain(PlainNumber { value: 0.0, exponent: 8 })
+    }
+
+    /// A raw histogram of `features` features of `bins` bins each.
+    fn raw(features: usize, bins: usize) -> HistPayload {
+        let feature = RawFeatureHist { g: vec![mock(); bins], h: vec![mock(); bins] };
+        HistPayload::Raw(vec![feature; features])
+    }
+
+    fn hist_of(tree: u32, node: NodeId, epoch: u32, payload: HistPayload) -> Msg {
+        Msg::NodeHistograms { tree, node: node as u32, epoch, payload }
+    }
+
+    /// An honestly shaped histogram of the one host's one feature.
     fn hist(tree: u32, node: NodeId, epoch: u32) -> Msg {
-        Msg::NodeHistograms { tree, node: node as u32, epoch, payload: HistPayload::Raw(vec![]) }
+        hist_of(tree, node, epoch, raw(1, 4))
     }
 
     fn placement(tree: u32, node: NodeId) -> Msg {
@@ -866,23 +1123,19 @@ mod tests {
         let mut g = guest(false, 3);
         g.drain();
         assert_eq!(g.tasks(), [0]);
-        let core = &mut g.core;
         // The tasked histogram delivers exactly once.
-        assert_eq!(core.admit(0, &hist(3, 0, 1)), Ok(Admit::Deliver));
-        let err = core.admit(0, &hist(3, 0, 1)).unwrap_err();
+        assert_eq!(g.admit(hist(3, 0, 1)), Ok("answer"));
+        let err = g.admit(hist(3, 0, 1)).unwrap_err();
         assert!(matches!(err, ProtocolError::StaleOrReplayed { .. }), "{err}");
         // Never-tasked node or epoch.
-        let err = core.admit(0, &hist(3, 5, 1)).unwrap_err();
+        let err = g.admit(hist(3, 5, 1)).unwrap_err();
         assert!(matches!(err, ProtocolError::OutOfPhase { .. }), "{err}");
-        let err = core.admit(0, &hist(3, 0, 9)).unwrap_err();
+        let err = g.admit(hist(3, 0, 9)).unwrap_err();
         assert!(matches!(err, ProtocolError::OutOfPhase { .. }), "{err}");
         // Future tree is a violation; completed tree is honest staleness.
-        let err = core.admit(0, &hist(4, 0, 1)).unwrap_err();
+        let err = g.admit(hist(4, 0, 1)).unwrap_err();
         assert!(matches!(err, ProtocolError::OutOfPhase { .. }), "{err}");
-        assert_eq!(
-            core.admit(0, &hist(2, 0, 1)),
-            Ok(Admit::Stale("histograms from a completed tree"))
-        );
+        assert_eq!(g.admit(hist(2, 0, 1)), Ok("histograms from a completed tree"));
     }
 
     #[test]
@@ -894,7 +1147,7 @@ mod tests {
             g.count(|a| matches!(a, Action::HostChosen { node: n, .. } if *n == node))
         };
         // Unsolicited placement.
-        let err = g.core.admit(0, &placement(3, child)).unwrap_err();
+        let err = g.admit(placement(3, child)).unwrap_err();
         assert!(matches!(err, ProtocolError::StaleOrReplayed { .. }), "{err}");
         // The host's split wins the asked child (held back: its parent is
         // not validated), then the root, which is dirty: the child's split
@@ -903,8 +1156,8 @@ mod tests {
         g.commit(0, winning(g.total(0)));
         assert_eq!((chosen(&g, child), chosen(&g, 0)), (1, 1));
         // One request, one answer; the second answer is a replay.
-        assert_eq!(g.core.admit(0, &placement(3, 0)), Ok(Admit::Deliver));
-        let err = g.core.admit(0, &placement(3, 0)).unwrap_err();
+        assert_eq!(g.admit(placement(3, 0)), Ok("answer"));
+        let err = g.admit(placement(3, 0)).unwrap_err();
         assert!(matches!(err, ProtocolError::StaleOrReplayed { .. }), "{err}");
         // The root's placement keeps the child the smaller one; it is asked
         // for again and won again: a rollback re-issued the same node's
@@ -913,14 +1166,11 @@ mod tests {
         assert_eq!(g.core.states[&child].asked, child);
         g.commit(child, winning(g.total(child)));
         assert_eq!(chosen(&g, child), 2);
-        assert_eq!(g.core.admit(0, &placement(3, child)), Ok(Admit::Deliver));
-        assert_eq!(g.core.admit(0, &placement(3, child)), Ok(Admit::Deliver));
+        assert_eq!(g.admit(placement(3, child)), Ok("answer"));
+        assert_eq!(g.admit(placement(3, child)), Ok("answer"));
         // Straggler placements across a tree boundary are honest.
-        assert_eq!(
-            g.core.admit(0, &placement(2, 9)),
-            Ok(Admit::Stale("placement from a completed tree"))
-        );
-        let err = g.core.admit(0, &placement(4, 1)).unwrap_err();
+        assert_eq!(g.admit(placement(2, 9)), Ok("placement from a completed tree"));
+        let err = g.admit(placement(4, 1)).unwrap_err();
         assert!(matches!(err, ProtocolError::OutOfPhase { .. }), "{err}");
     }
 
@@ -932,11 +1182,11 @@ mod tests {
         assert_eq!(g.core.owed[0].placements[&0], 1);
         // The next tree's core owes nothing: the old tree's task is stale
         // by tree index, and the new tree has no requests outstanding.
-        let mut next = guest(true, 4).core;
-        assert!(matches!(next.admit(0, &hist(3, 0, 1)), Ok(Admit::Stale(_))));
-        let err = next.admit(0, &hist(4, 0, 1)).unwrap_err();
+        let mut next = guest(true, 4);
+        assert_eq!(next.admit(hist(3, 0, 1)), Ok("histograms from a completed tree"));
+        let err = next.admit(hist(4, 0, 1)).unwrap_err();
         assert!(matches!(err, ProtocolError::OutOfPhase { .. }), "{err}");
-        let err = next.admit(0, &placement(4, 0)).unwrap_err();
+        let err = next.admit(placement(4, 0)).unwrap_err();
         assert!(matches!(err, ProtocolError::StaleOrReplayed { .. }), "{err}");
     }
 
@@ -985,16 +1235,231 @@ mod tests {
         assert_eq!(g.tasks().iter().filter(|&&n| n == child).count(), 2);
 
         // The answer to the first task arrives: admitted, not a violation.
-        assert_eq!(g.core.admit(0, &hist(0, child, first)), Ok(Admit::Deliver));
+        assert_eq!(g.admit(hist(0, child, first)), Ok("answer"));
         // The shell's enqueue check retires it — its one stale count — and
         // were it committed anyway, the core would count it stale exactly
         // once and change nothing else.
         assert_eq!(g.core.awaits(0, child, first), None);
         let zeros = vec![DecodedBins::Float(vec![GradPair::ZERO; 4])];
-        g.core.on_answer(0, child, first, None, zeros);
+        g.core.on_answer(0, &[META], child, first, None, zeros);
         assert_eq!((g.core.next(), g.core.next()), (Some(Action::StaleHist), None));
         // The live task still waits for its answer, which is admitted.
         assert_eq!(g.core.awaits(0, child, again), Some(g.total(child)));
-        assert_eq!(g.core.admit(0, &hist(0, child, again)), Ok(Admit::Deliver));
+        assert_eq!(g.admit(hist(0, child, again)), Ok("answer"));
+    }
+
+    fn hello() -> Msg {
+        Msg::SessionHello { session_id: 0, durable: vec![3] }
+    }
+
+    /// A host opens with its hello, then its metadata, and sends answers
+    /// only after both; an empty metadata list ends the handshake too.
+    #[test]
+    fn guest_handshake_order_is_enforced() {
+        let rules = rules_over(&labelled(1.0), false);
+        let mut hs = Handshake::default();
+        let take = |hs: &mut Handshake, msg| verdict(admit(&rules, 1, hs, msg, None));
+        let out_of_phase = |verdict: Result<_, _>| match verdict {
+            Err(ProtocolError::OutOfPhase { from: PartyId::Host(1), phase, context, .. }) => {
+                (phase, context)
+            }
+            other => panic!("expected an out-of-phase verdict, got {other:?}"),
+        };
+        let (phase, why) = out_of_phase(take(&mut hs, Msg::FeatureMeta(vec![])));
+        assert_eq!((phase, why), ("await-hello", "a connection must open with the session hello"));
+        assert_eq!(take(&mut hs, hello()), Ok("hello"));
+        assert_eq!(hs.durable, Some(vec![3]));
+        // A second hello is out of order, and so is an answer before the
+        // metadata.
+        assert_eq!(out_of_phase(take(&mut hs, hello())).0, "await-meta");
+        let (_, why) = out_of_phase(take(&mut hs, placement(0, 0)));
+        assert_eq!(why, "feature metadata must follow the hello");
+        assert_eq!(take(&mut hs, Msg::FeatureMeta(vec![])), Ok("meta"));
+        assert_eq!(hs.metas, Some(vec![]));
+        for replay in [hello(), Msg::FeatureMeta(vec![])] {
+            assert_eq!(
+                out_of_phase(take(&mut hs, replay)),
+                ("active", "handshake replayed mid-run")
+            );
+        }
+        // An answer needs a tree to answer.
+        assert_eq!(out_of_phase(take(&mut hs, placement(0, 0))).1, "an answer outside a tree");
+        assert_eq!((hs.durable, hs.metas), (Some(vec![3]), Some(vec![])));
+    }
+
+    /// Answers reach the tree's ledger; every kind only the protocol driver
+    /// sends is refused first, in any phase of the handshake.
+    #[test]
+    fn guest_passes_answers_and_rejects_driver_kinds() {
+        let mut g = guest(false, 3);
+        g.drain();
+        assert_eq!(g.admit(hist(3, 0, 1)), Ok("answer"));
+        let err = g.admit(placement(3, 1)).unwrap_err();
+        assert!(matches!(err, ProtocolError::StaleOrReplayed { kind: 7, .. }), "{err}");
+        let packed = Msg::PackedGradBatch { tree: 3, start_row: 0, gh: vec![mock()], last: false };
+        for (msg, kind) in [(Msg::Shutdown, 10), (Msg::TreeDone { tree: 3 }, 9), (packed, 14)] {
+            let early = |durable| Guest {
+                handshake: Handshake { durable, metas: None },
+                ..guest(false, 3)
+            };
+            for mut g in [early(None), early(Some(vec![])), guest(false, 3)] {
+                let err = g.admit(msg.clone()).unwrap_err();
+                assert!(
+                    matches!(err, ProtocolError::OutOfPhase { kind: k, context, .. }
+                        if k == kind && context == "message kind the guest never accepts"),
+                    "{err}"
+                );
+            }
+        }
+    }
+
+    /// Every feature needs a bin and its zero bin inside its range; bad
+    /// bounds are refused before the handshake's order, and change it not.
+    #[test]
+    fn feature_meta_bounds_are_checked() {
+        let rules = rules_over(&labelled(1.0), false);
+        let mut hs = Handshake::default();
+        let meta = |num_bins, zero_bin| Msg::FeatureMeta(vec![FeatureMeta { num_bins, zero_bin }]);
+        let take = |hs: &mut Handshake, msg| verdict(admit(&rules, 0, hs, msg, None));
+        assert_eq!(inadmissible(take(&mut hs, meta(0, 0)), 1), "feature declares zero bins");
+        take(&mut hs, hello()).unwrap();
+        for (bad, why) in
+            [(meta(0, 0), "zero bins"), (meta(4, 4), "zero bin outside"), (meta(4, 9), "outside")]
+        {
+            assert!(inadmissible(take(&mut hs, bad), 1).contains(why));
+            assert_eq!(hs.metas, None);
+        }
+        assert_eq!(take(&mut hs, meta(4, 3)), Ok("meta"));
+    }
+
+    /// A raw histogram carries one feature per announced feature, each of
+    /// its announced bins. A refused one takes no ledger entry: the honest
+    /// answer to the same task is admitted after it. A host that announced
+    /// no feature has its histograms judged like any other.
+    #[test]
+    fn raw_hist_shape_must_match_negotiated_metas() {
+        let mut g = guest(false, 3);
+        g.drain();
+        let mut uneven = raw(1, 4);
+        if let HistPayload::Raw(feats) = &mut uneven {
+            feats[0].h.pop();
+        }
+        for (payload, why) in [
+            (raw(1, 3), "bin count disagrees"),
+            (uneven, "bin count disagrees"),
+            (raw(2, 4), "feature count disagrees"),
+            (raw(0, 4), "feature count disagrees"),
+        ] {
+            assert!(inadmissible(g.admit(hist_of(3, 0, 1, payload)), 4).contains(why));
+        }
+        assert_eq!(g.admit(hist(3, 0, 1)), Ok("answer"));
+        let mut empty = guest(false, 3);
+        empty.drain();
+        empty.handshake.metas = Some(vec![]);
+        let refused = empty.admit(hist(3, 0, 1));
+        assert!(inadmissible(refused, 4).contains("feature count disagrees"));
+        assert_eq!(empty.admit(hist_of(3, 0, 1, raw(0, 0))), Ok("answer"));
+    }
+
+    /// A packed feature declares its announced bins, and its runs' slots
+    /// add up to them.
+    #[test]
+    fn packed_hist_slot_totals_must_match_declared_bins() {
+        let mut g = guest(false, 3);
+        g.drain();
+        let packed = |slots: usize, bins: u16| {
+            let run = vec![PackedCiphertext::Plain(vec![1.0; slots])];
+            let feature = PackedFeatureHist { g: run.clone(), h: run, bins };
+            hist_of(3, 0, 1, HistPayload::Packed(vec![feature]))
+        };
+        let why = inadmissible(g.admit(packed(5, 5)), 4);
+        assert!(why.contains("disagrees with the negotiated metadata"), "{why}");
+        let why = inadmissible(g.admit(packed(3, 4)), 4);
+        assert!(why.contains("slot total disagrees"), "{why}");
+        assert_eq!(g.admit(packed(4, 4)), Ok("answer"));
+    }
+
+    /// A histogram or a placement names a node inside the tree heap — in
+    /// any phase, before the handshake's order is judged.
+    #[test]
+    fn a_placement_past_the_heap_is_inadmissible_at_the_guest() {
+        // 4 layers => heap of 15 nodes (0..=14).
+        let mut g = guest(false, 3);
+        g.drain();
+        let err = g.admit(placement(3, 14)).unwrap_err();
+        assert!(matches!(err, ProtocolError::StaleOrReplayed { .. }), "{err}");
+        for handshake in [Handshake::default(), Handshake { durable: Some(vec![]), metas: None }] {
+            let mut early = Guest { handshake, ..guest(false, 3) };
+            for msg in [placement(3, 15), placement(3, 99), hist(3, 15, 1)] {
+                assert_eq!(
+                    inadmissible(g.admit(msg.clone()), msg.kind()),
+                    "node index outside the tree heap"
+                );
+                assert_eq!(early.admit(msg.clone()), g.admit(msg));
+            }
+        }
+    }
+
+    /// On a paired run a histogram is pair bins laid out as the plan this
+    /// party derived; each gradient path refuses the other's wire forms.
+    #[test]
+    fn gh_hist_payloads_must_match_the_derived_plan() {
+        let data = labelled(1.0);
+        let enc = TrainConfig::for_tests().encoding;
+        let plan = GhPlan::new(1.0, 0.25, 5, &enc).unwrap();
+        let paired_rules =
+            Rules { gh: Some(plan), pairs_per_cipher: 2, ..rules_over(&data, false) };
+        let mut paired = guest_under(paired_rules, &data, 3);
+        let mut two_stream = guest(false, 3);
+        for g in [&mut paired, &mut two_stream] {
+            g.drain();
+            g.handshake.metas = Some(vec![FeatureMeta { num_bins: 3, zero_bin: 0 }]);
+        }
+        let run = |count: usize, slot_bits: u32, exponent: i32| PackedCiphertext::Paillier {
+            cipher: BigUint::from(7u32),
+            exponent,
+            count,
+            slot_bits,
+        };
+        let honest = |count: usize| run(count, plan.pair_bits(), plan.exponent());
+        let feature =
+            |packed: Vec<PackedCiphertext>, bins: u16| GhPackedFeatureHist { packed, bins };
+        let gh = |features| hist_of(3, 0, 1, HistPayload::GhPacked(features));
+        let ok = || gh(vec![feature(vec![honest(2), honest(1)], 3)]);
+        let why = inadmissible(two_stream.admit(ok()), 4);
+        assert_eq!(why, "histogram wire form of the other gradient path");
+        let why = inadmissible(paired.admit(hist_of(3, 0, 1, raw(1, 3))), 4);
+        assert_eq!(why, "histogram wire form of the other gradient path");
+        for (bad, want) in [
+            (gh(vec![feature(vec![honest(2), honest(2)], 3)]), "slot total disagrees"),
+            (gh(vec![feature(vec![honest(2), honest(2)], 4)]), "bin declaration disagrees"),
+            (gh(vec![feature(vec![honest(2), honest(1)], 3); 2]), "feature count disagrees"),
+            // Layout against the plan this party derived: another width,
+            // another exponent, more slots than the key carries, the mock's.
+            (
+                gh(vec![feature(
+                    vec![run(2, plan.pair_bits() + 1, plan.exponent()), honest(1)],
+                    3,
+                )]),
+                "differs from the derived plan",
+            ),
+            (
+                gh(vec![feature(
+                    vec![run(2, plan.pair_bits(), plan.exponent() - 1), honest(1)],
+                    3,
+                )]),
+                "differs from the derived plan",
+            ),
+            (gh(vec![feature(vec![honest(3)], 3)]), "differs from the derived plan"),
+            (
+                gh(vec![feature(vec![PackedCiphertext::Plain(vec![0.0; 3])], 3)]),
+                "differs from the derived plan",
+            ),
+        ] {
+            let why = inadmissible(paired.admit(bad), 4);
+            assert!(why.contains(want), "{why} lacks {want}");
+        }
+        assert_eq!(paired.admit(ok()), Ok("answer"));
+        assert_eq!(two_stream.admit(hist_of(3, 0, 1, raw(1, 3))), Ok("answer"));
     }
 }

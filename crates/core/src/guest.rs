@@ -1,10 +1,11 @@
 //! The guest party (the paper's *Party B*): label owner, private-key
 //! holder, and protocol driver.
 //!
-//! This module is the shell around the tree's growth: the pure per-tree
-//! core (`grow.rs`) decides which node the hosts are asked for, and which
-//! is speculated, resolved, rolled back or placed, and what each host owes;
-//! the shell admits, decrypts, searches, sends and times.
+//! This module is the shell around the tree's growth: the pure core
+//! (`grow.rs`) admits what a host sends, and decides which node the hosts
+//! are asked for, and which is speculated, resolved, rolled back or placed,
+//! and what each host owes; the shell runs the key's checks, decrypts,
+//! searches, sends and times.
 //!
 //! One event loop (`GuestParty::run_tree`) drives every tree; the paper's
 //! two schedules are two timings of it (§4.2, Figs. 5–6), selected by
@@ -38,12 +39,11 @@ use vf2_gbdt::tree::NodeId;
 
 use crate::config::TrainConfig;
 use crate::error::{GuestFailure, PartyId, ProtocolError, ProtocolPhase, TrainError};
-use crate::fsm::{Admit, GuestFsm};
-use crate::grow::{Action, HostHist, Rules, TreeCore};
+use crate::grow::{self, Action, Answer, Handshake, HostHist, Inbound, Payload, Rules, TreeCore};
 use crate::hist_enc::{
     decrypt_feature_hist, unpack_feature_hist, unpack_gh_feature_hist, DecodedBins,
 };
-use crate::messages::{FeatureMeta, HistPayload, Msg};
+use crate::messages::{FeatureMeta, Msg};
 use crate::model::{FedNode, FedTree};
 use crate::peer::{self, Deadline, Peer};
 use crate::rows::{check_width, RowMajorBins};
@@ -74,14 +74,7 @@ struct PendingHist {
     host: usize,
     node: NodeId,
     epoch: u32,
-    payload: HistPayload,
-}
-
-/// A guest-side protocol-state invariant broke: the driver's node
-/// bookkeeping desynchronized from the observed message sequence. These
-/// sites used to be `expect(...)` panics.
-fn guest_invariant(context: &'static str) -> TrainError {
-    ProtocolError::InvariantViolated { party: PartyId::Guest, context }.into()
+    payload: Payload,
 }
 
 /// The per-batch base seed for gradient encryption randomness of the
@@ -124,13 +117,8 @@ pub fn run_guest(
 struct HostLink {
     /// The link and the host's misbehavior budget.
     peer: Peer,
-    /// This host's handshake machine; its answers are the tree core's to
-    /// admit.
-    fsm: GuestFsm,
-    /// The histogram structure its `FeatureMeta` announced.
-    metas: Vec<FeatureMeta>,
-    /// The durable checkpoints its `SessionHello` announced.
-    durable: Vec<u32>,
+    /// What its handshake announced.
+    handshake: Handshake,
 }
 
 struct GuestParty {
@@ -177,20 +165,21 @@ impl GuestParty {
             .build()
             .map_err(|e| TrainError::Setup { party: PartyId::Guest, detail: e.to_string() })?;
         let n = data.num_rows();
+        let gh = cfg.gh_plan(&suite, n).map_err(TrainError::crypto("gh plan derivation"))?;
+        let pk = suite.public_key();
         let rules = Arc::new(Rules {
             split: cfg.gbdt.split,
             max_layers: cfg.gbdt.max_layers,
             optimistic: cfg.protocol.optimistic,
             encoding: *suite.encoding(),
-            gh: cfg.gh_plan(&suite, n).map_err(TrainError::crypto("gh plan derivation"))?,
-            max_int: suite.public_key().map(|pk| pk.max_int().clone()).unwrap_or_default(),
+            gh,
+            pairs_per_cipher: gh.zip(pk).map_or(0, |(plan, pk)| plan.bins_per_cipher(pk)),
+            max_int: pk.map(|pk| pk.max_int().clone()).unwrap_or_default(),
             bins: RowMajorBins::bin(data, &cfg.gbdt.binning),
         });
         let link = |(h, endpoint)| HostLink {
             peer: Peer::new(endpoint, PartyId::Guest, PartyId::Host(h), cfg.misbehavior_budget),
-            fsm: GuestFsm::new(h),
-            metas: Vec::new(),
-            durable: Vec::new(),
+            handshake: Handshake::default(),
         };
         Ok(GuestParty {
             hosts: endpoints.into_iter().enumerate().map(link).collect(),
@@ -240,15 +229,12 @@ impl GuestParty {
         let session = self.session.clone();
         let my_sid = session.as_ref().map_or(0, |s| s.session_id());
 
-        // Session handshake + feature metadata, host by host, each bounded
-        // by the per-phase deadline.
+        // Session handshake + feature metadata, host by host, each host's
+        // pair bounded by one per-phase deadline.
         for h in 0..self.hosts.len() {
-            loop {
-                let deadline = Deadline::new(ProtocolPhase::Hello, self.cfg.peer_timeout);
-                let (_, msg) = self.wait_admitted(&[h], &deadline, None)?;
-                if self.on_handshake(h, msg)? {
-                    break;
-                }
+            let deadline = Deadline::new(ProtocolPhase::Hello, self.cfg.peer_timeout);
+            while self.hosts[h].handshake.metas.is_none() {
+                self.wait_answer(&[h], &deadline, None)?;
             }
         }
 
@@ -260,7 +246,7 @@ impl GuestParty {
         if let Some(sess) = resuming {
             let mut common = sess.durable();
             for host in &self.hosts {
-                common.retain(|k| host.durable.contains(k));
+                common.retain(|k| host.handshake.durable.as_ref().is_some_and(|d| d.contains(k)));
             }
             resume_from = common.last().copied().unwrap_or(0);
         }
@@ -299,44 +285,19 @@ impl GuestParty {
         Ok(trees)
     }
 
-    /// The one handler for the `SessionHello` + `FeatureMeta` pair every
-    /// host opens its link with. The hello announces the host's session
-    /// view (a foreign session id is a typed [`TrainError::ResumeMismatch`],
-    /// caught before any gradient leaves the party) and its durable
-    /// checkpoint list; the metadata announces its histogram structure and
-    /// completes the pair (`Ok(true)`). FIFO delivery and the admission FSM
-    /// guarantee the order (no metadata is admitted before its hello);
-    /// anything else here is a typed protocol error.
-    fn on_handshake(&mut self, host: usize, msg: Msg) -> Result<bool, TrainError> {
-        let unexpected = |kind: u16, context: &'static str| -> TrainError {
-            ProtocolError::UnexpectedMessage { from: PartyId::Host(host), kind, context }.into()
-        };
-        match msg {
-            Msg::SessionHello { session_id, durable: at_host } => {
-                let my_sid = self.session.as_ref().map_or(0, |s| s.session_id());
-                if session_id != my_sid {
-                    return Err(TrainError::ResumeMismatch {
-                        party: PartyId::Host(host),
-                        detail: format!(
-                            "host announced session {session_id}, guest runs session {my_sid}"
-                        ),
-                    });
-                }
-                self.telemetry.trace.note(format!("host-{host} hello: session {session_id}"));
-                self.hosts[host].durable = at_host;
-                Ok(false)
-            }
-            Msg::FeatureMeta(m) => {
-                // The zero-bin index is used to address histogram bins
-                // later; reject inconsistent metadata up front.
-                if m.iter().any(|meta| meta.zero_bin >= meta.num_bins) {
-                    return Err(unexpected(1, "FeatureMeta zero_bin out of range"));
-                }
-                self.hosts[host].metas = m;
-                Ok(true)
-            }
-            other => Err(unexpected(other.kind(), "session handshake")),
+    /// A host's hello names its session view: a foreign session id is a
+    /// typed [`TrainError::ResumeMismatch`], caught before any gradient
+    /// leaves the party.
+    fn on_hello(&mut self, host: usize, session_id: u64) -> Result<(), TrainError> {
+        let my_sid = self.session.as_ref().map_or(0, |s| s.session_id());
+        if session_id != my_sid {
+            return Err(TrainError::ResumeMismatch {
+                party: PartyId::Host(host),
+                detail: format!("host announced session {session_id}, guest runs session {my_sid}"),
+            });
         }
+        self.telemetry.trace.note(format!("host-{host} hello: session {session_id}"));
+        Ok(())
     }
 
     /// Loads the guest's model state at the agreed resume point `target`
@@ -376,48 +337,32 @@ impl GuestParty {
         self.telemetry.trace.note(format!("dropped stale kind {kind} from host-{host}: {reason}"));
     }
 
-    /// Decodes a frame from `host` and runs the admission gates on it:
-    /// semantic payload validation first (stateless), then that host's
-    /// handshake machine, then — for a histogram or a placement — the
-    /// tree's core, which knows what the host owes (`core` is `None` only
-    /// during the handshake). `Ok(Some(msg))` delivers to the protocol
-    /// driver; `Ok(None)` means the message was dropped — an honest
-    /// straggler or a tolerated violation; an error means a frame that
-    /// does not decode, or a host that exhausted its misbehavior budget.
+    /// Decodes a frame from `host`, runs the key's checks on its ciphers
+    /// and hands it to the one admission (`grow::admit`; `core` is `None`
+    /// only during the handshake). Returns the host's answer to the tree;
+    /// a hello or metadata is taken in, an honest straggler dropped and
+    /// counted, a violation charged. An error is a frame that does not
+    /// decode, a foreign session, or a host past its misbehavior budget.
     fn admit_from(
         &mut self,
         host: usize,
         env: Envelope,
         core: Option<&mut TreeCore>,
-    ) -> Result<Option<Msg>, TrainError> {
+    ) -> Result<Option<Answer>, TrainError> {
         let msg = wire::decode(env.kind, env.payload)
             .map_err(|error| ProtocolError::Malformed { from: PartyId::Host(host), error })?;
-        let link = &mut self.hosts[host];
-        let metas = Some(link.metas.as_slice()).filter(|m| !m.is_empty());
-        let verdict = validate::check_guest_inbound(
-            host,
-            &msg,
-            metas,
-            self.cfg.gbdt.max_layers as u32,
-            &self.suite,
-            self.rules.gh.as_ref(),
-        )
-        .and_then(|()| link.fsm.admit(&msg))
-        .and_then(|admit| match core {
-            Some(core) if admit == Admit::Deliver => core.admit(host, &msg),
-            _ => Ok(admit),
-        });
-        match verdict {
-            Ok(Admit::Deliver) => Ok(Some(msg)),
-            Ok(Admit::Stale(reason)) => {
-                self.drop_stale(host, msg.kind(), reason);
-                Ok(None)
-            }
-            Err(violation) => {
-                self.hosts[host].peer.charge(violation, &mut self.telemetry)?;
-                Ok(None)
-            }
+        let kind = msg.kind();
+        let handshake = &mut self.hosts[host].handshake;
+        let admitted = validate::check_hist_ciphers(host, &msg, &self.suite)
+            .and_then(|()| grow::admit(&self.rules, host, handshake, msg, core));
+        match admitted {
+            Ok(Inbound::Answer(answer)) => return Ok(Some(answer)),
+            Ok(Inbound::Hello { session_id }) => self.on_hello(host, session_id)?,
+            Ok(Inbound::Meta) => {}
+            Ok(Inbound::Stale(reason)) => self.drop_stale(host, kind, reason),
+            Err(violation) => self.hosts[host].peer.charge(violation, &mut self.telemetry)?,
         }
+        Ok(None)
     }
 
     /// Sends `msg` to every host. Returns the payload bytes handed to the
@@ -430,40 +375,36 @@ impl GuestParty {
         Ok((payload.len() * self.hosts.len()) as u64)
     }
 
-    /// Blocks in the one supervised wait ([`peer::wait`]) until a message
-    /// from one of the `listen`ed hosts is admitted. The frames admission
-    /// drops — honest stragglers, tolerated violations — do not restart
-    /// `deadline`.
-    fn wait_admitted(
+    /// Blocks in the one supervised wait ([`peer::wait`]) for one frame
+    /// from the `listen`ed hosts and admits it; returns the answer, if it
+    /// was one. The caller holds `deadline` across the frames admission
+    /// takes in or drops, so none of them restarts it.
+    fn wait_answer(
         &mut self,
         listen: &[usize],
         deadline: &Deadline,
-        mut core: Option<&mut TreeCore>,
-    ) -> Result<(usize, Msg), TrainError> {
+        core: Option<&mut TreeCore>,
+    ) -> Result<Option<(usize, Answer)>, TrainError> {
+        let peers: Vec<&Peer> = listen.iter().map(|&h| &self.hosts[h].peer).collect();
         let dead_after = self.cfg.dead_after();
-        loop {
-            let peers: Vec<&Peer> = listen.iter().map(|&h| &self.hosts[h].peer).collect();
-            let (i, env) = peer::wait(&peers, deadline, dead_after, &mut self.telemetry)?;
-            if let Some(msg) = self.admit_from(listen[i], env, core.as_deref_mut())? {
-                return Ok((listen[i], msg));
-            }
-        }
+        let (i, env) = peer::wait(&peers, deadline, dead_after, &mut self.telemetry)?;
+        Ok(self.admit_from(listen[i], env, core)?.map(|answer| (listen[i], answer)))
     }
 
-    /// Non-blocking companion to [`Self::wait_admitted`] for the tree loop's
-    /// drain: harvests one already-arrived protocol message from any host
+    /// Non-blocking companion to [`Self::wait_answer`] for the tree loop's
+    /// drain: harvests one already-arrived answer from any host
     /// ([`peer::poll`]) without waiting. Returns `Ok(None)` when nothing is
     /// pending — or when a link died, which the next *blocking* wait will
     /// classify and report properly.
-    fn try_recv_admitted(
+    fn try_recv_answer(
         &mut self,
         core: &mut TreeCore,
-    ) -> Result<Option<(usize, Msg)>, TrainError> {
+    ) -> Result<Option<(usize, Answer)>, TrainError> {
         loop {
             let peers: Vec<&Peer> = self.hosts.iter().map(|h| &h.peer).collect();
             let Some((host, env)) = peer::poll(&peers) else { return Ok(None) };
-            if let Some(msg) = self.admit_from(host, env, Some(core))? {
-                return Ok(Some((host, msg)));
+            if let Some(answer) = self.admit_from(host, env, Some(core))? {
+                return Ok(Some((host, answer)));
             }
         }
     }
@@ -474,15 +415,15 @@ impl GuestParty {
 
     fn train_tree(&mut self, tree: u32) -> Result<FedTree, TrainError> {
         let grads = self.cfg.gbdt.loss.grad_hess_all(&self.labels, &self.preds);
-        let metas = self.hosts.iter().map(|h| h.metas.clone()).collect();
-        let mut core = TreeCore::new(self.rules.clone(), metas, tree, grads);
+        let mut core = TreeCore::new(self.rules.clone(), self.hosts.len(), tree, grads);
         self.send_gradients(&core)?;
         self.run_tree(&mut core)?;
         self.broadcast(&Msg::TreeDone { tree })?;
         let (fed, rows) = core.finish();
         if let Err(why) = fed.validate() {
             self.telemetry.trace.note(format!("tree {tree} is malformed: {why}"));
-            return Err(guest_invariant("the finished tree failed its structural check"));
+            let context = "the finished tree failed its structural check";
+            return Err(ProtocolError::InvariantViolated { party: PartyId::Guest, context }.into());
         }
 
         // Fold leaf weights into the training predictions (each row sits
@@ -543,33 +484,21 @@ impl GuestParty {
 
     /// Decodes one host's histogram payload into that host's best split
     /// for the node — the decrypt-and-search kernel of FindSplitA — and
-    /// the decrypted histogram itself, which the node retains. Borrows
-    /// `self` immutably so a batch of histograms from different parties
-    /// can be searched concurrently on the rayon pool. Under the caller's
-    /// `install` it fans out per feature; called from a pool chunk (one of
-    /// several payloads being searched at once) it runs inline. Timing is
-    /// charged by the caller, which knows the batch boundaries.
+    /// the decrypted histogram itself, which the node retains. Admission
+    /// shaped the payload as the host's metadata says, one feature per
+    /// announced feature. Borrows `self` immutably so a batch of
+    /// histograms from different parties can be searched concurrently on
+    /// the rayon pool. Under the caller's `install` it fans out per
+    /// feature; called from a pool chunk (one of several payloads being
+    /// searched at once) it runs inline. Timing is charged by the caller,
+    /// which knows the batch boundaries.
     fn host_best_split(
         &self,
         host: usize,
-        payload: &HistPayload,
+        payload: &Payload,
         total: GradPair,
         count: usize,
     ) -> Result<(Option<SplitCandidate>, HostHist), TrainError> {
-        // The payload shape must match the host's announced metadata; a
-        // mismatch is a protocol violation, not a crash.
-        let mismatch = |context: &'static str| -> TrainError {
-            ProtocolError::UnexpectedMessage { from: PartyId::Host(host), kind: 4, context }.into()
-        };
-        let metas = &self.hosts[host].metas;
-        let features_sent = match payload {
-            HistPayload::Raw(features) => features.len(),
-            HistPayload::Packed(features) => features.len(),
-            HistPayload::GhPacked(features) => features.len(),
-        };
-        if features_sent != metas.len() {
-            return Err(mismatch("histogram payload feature count differs from FeatureMeta"));
-        }
         let suite = &self.suite;
         // One closure per feature. FindSplitA amortizes over workers (the
         // paper's Table 5 notes the decryption cost "is also able to be
@@ -577,33 +506,24 @@ impl GuestParty {
         // feature's bins are decrypted; the tail is shared.
         let per_feature = |(f, &meta): (usize, &FeatureMeta)| {
             let bins = match payload {
-                HistPayload::Raw(features) => decrypt_feature_hist(suite, &features[f])
+                Payload::Raw(features) => decrypt_feature_hist(suite, &features[f])
                     .map_err(TrainError::crypto("histogram decryption"))?,
-                HistPayload::Packed(features) => {
+                Payload::Packed(features) => {
                     let loss = &self.cfg.gbdt.loss;
                     let (gb, hb) = (loss.grad_bound(), loss.hess_bound());
                     unpack_feature_hist(suite, &features[f], count, gb, hb)
                         .map(DecodedBins::Float)
                         .map_err(TrainError::crypto("histogram unpacking"))?
                 }
-                HistPayload::GhPacked(features) => {
-                    // Admission refuses a paired payload on a two-stream run.
-                    let plan = self
-                        .rules
-                        .gh
-                        .as_ref()
-                        .ok_or_else(|| guest_invariant("gh payload without a gh plan"))?;
+                Payload::Paired(features, plan) => {
                     unpack_gh_feature_hist(suite, &features[f], plan)
                         .map_err(TrainError::crypto("gh histogram unpacking"))?
                 }
             };
-            if bins.num_bins() != meta.num_bins as usize {
-                return Err(mismatch("histogram bin count differs from FeatureMeta"));
-            }
-            let best = self.rules.feature_best(f, meta, &bins, total);
-            Ok((best, bins))
+            Ok((self.rules.feature_best(f, meta, &bins, total), bins))
         };
         use rayon::prelude::*;
+        let metas = self.hosts[host].handshake.metas();
         let searched: Result<Vec<(Option<SplitCandidate>, DecodedBins)>, TrainError> =
             metas.par_iter().enumerate().map(per_feature).collect();
         let (candidates, hist): (Vec<_>, HostHist) = searched?.into_iter().unzip();
@@ -649,38 +569,32 @@ impl GuestParty {
             // every link, bounded by the per-phase peer deadline. Admission
             // delivers only this tree's histograms and placements.
             let deadline = Deadline::new(ProtocolPhase::TreeBuild, self.cfg.peer_timeout);
-            let mut next = Some(self.wait_admitted(&every, &deadline, Some(core))?);
-            while let Some((host, msg)) = next.take() {
-                match msg {
-                    Msg::NodeHistograms { node, epoch, payload, .. } => {
-                        let node = node as NodeId;
+            let mut next = None;
+            while next.is_none() {
+                next = self.wait_answer(&every, &deadline, Some(&mut *core))?;
+            }
+            while let Some((host, answer)) = next.take() {
+                match answer {
+                    Answer::Histograms { node, epoch, payload } => {
                         if core.awaits(host, node, epoch).is_some() {
                             batch.push(PendingHist { host, node, epoch, payload });
                         } else {
                             self.telemetry.events.stale_histograms += 1;
                         }
                     }
-                    Msg::Placement { node, placement, .. } => {
-                        let span =
-                            self.telemetry.enter(TracePhase::Placement, Some(tree), Some(node));
-                        let placed = core.on_placement(host, node as NodeId, placement);
+                    Answer::Placement { node, placement } => {
+                        let at = Some(node as u32);
+                        let span = self.telemetry.enter(TracePhase::Placement, Some(tree), at);
+                        let placed = core.on_placement(host, node, placement);
                         self.telemetry.exit(span);
                         placed?;
                         self.drain(core)?;
-                    }
-                    other => {
-                        return Err(ProtocolError::UnexpectedMessage {
-                            from: PartyId::Host(host),
-                            kind: other.kind(),
-                            context: "tree loop",
-                        }
-                        .into())
                     }
                 }
                 if batch.len() >= cap {
                     break;
                 }
-                next = self.try_recv_admitted(core)?;
+                next = self.try_recv_answer(core)?;
             }
             let queued = |host, node| batch.iter().any(|p| p.host == host && p.node == node);
             if optimistic || core.layer_is_buffered(queued) {
@@ -744,7 +658,14 @@ impl GuestParty {
             let (best, hist) = decoded?;
             let span =
                 self.telemetry.enter(TracePhase::DecryptSplit, Some(tree), Some(p.node as u32));
-            core.on_answer(p.host, p.node, p.epoch, best, hist);
+            core.on_answer(
+                p.host,
+                self.hosts[p.host].handshake.metas(),
+                p.node,
+                p.epoch,
+                best,
+                hist,
+            );
             self.telemetry.exit(span);
             self.drain(core)?;
         }

@@ -1039,14 +1039,6 @@ pub enum DecodedBins {
 }
 
 impl DecodedBins {
-    /// Number of bins.
-    pub fn num_bins(&self) -> usize {
-        match self {
-            DecodedBins::Fixed(bins) => bins.len(),
-            DecodedBins::Float(bins) => bins.len(),
-        }
-    }
-
     /// The histogram split finding reads: the float decode, then the mass
     /// of the node's implicit zeros (`total − Σ stored bins`) added into the
     /// feature's zero bin. `None` when `zero_bin` is no bin of it.

@@ -45,7 +45,6 @@
 pub mod chaos;
 pub mod config;
 pub mod error;
-pub mod fsm;
 mod grow;
 pub mod guest;
 pub mod hist_enc;

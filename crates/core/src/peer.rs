@@ -7,8 +7,7 @@
 //! [`poll`] is its zero-timeout twin. Keeping a connection alive is the
 //! queue's business (`vf2-channel` re-sends its ack as a keepalive), so
 //! every frame a party receives is a protocol message. Both hand back
-//! undecoded [`Envelope`]s: decoding, validation and FSM admission stay
-//! with the caller, which holds one [`Deadline`] across every frame it
+//! undecoded [`Envelope`]s: decoding and admission stay with the caller, which holds one [`Deadline`] across every frame it
 //! drops, so no flood of stale or tolerated-violation frames can extend a
 //! phase. No protocol decision reads a clock; every clock read of the party
 //! drivers is in this file.
@@ -19,7 +18,6 @@ use bytes::Bytes;
 use vf2_channel::{recv_ready, Endpoint, Envelope, RecvReady};
 
 use crate::error::{PartyId, ProtocolError, ProtocolPhase, TrainError};
-use crate::fsm::MisbehaviorBudget;
 use crate::messages::Msg;
 use crate::telemetry::{LinkFaultEvents, PartyTelemetry};
 use crate::wire;
@@ -44,6 +42,36 @@ impl Deadline {
     /// A wait for `phase` that starts now and gives up after `limit`.
     pub(crate) fn new(phase: ProtocolPhase, limit: Duration) -> Deadline {
         Deadline { phase, started: Instant::now(), limit }
+    }
+}
+
+/// Per-peer misbehavior accounting with a configurable tolerance budget.
+#[derive(Debug)]
+struct MisbehaviorBudget {
+    budget: u32,
+    violations: u64,
+}
+
+impl MisbehaviorBudget {
+    /// A fresh budget tolerating `budget` violations before failing.
+    fn new(budget: u32) -> MisbehaviorBudget {
+        MisbehaviorBudget { budget, violations: 0 }
+    }
+
+    /// Charges one violation from `party`. Returns `Ok(())` while the
+    /// count stays within the budget (caller drops the message and keeps
+    /// going) and [`TrainError::PeerMisbehaving`] once it exceeds it.
+    fn charge(&mut self, party: PartyId, violation: ProtocolError) -> Result<(), TrainError> {
+        self.violations += 1;
+        if self.violations > u64::from(self.budget) {
+            return Err(TrainError::PeerMisbehaving {
+                party,
+                violations: self.violations,
+                budget: self.budget,
+                last: Box::new(violation),
+            });
+        }
+        Ok(())
     }
 }
 
@@ -200,6 +228,40 @@ mod tests {
     /// A keepalive interval longer than any test here: how a case keeps a
     /// link silent (no traffic, so no ack either) without a fault plan.
     const NEVER: Duration = Duration::from_secs(3_600);
+
+    #[test]
+    fn budget_tolerates_then_trips() {
+        let mut b = MisbehaviorBudget::new(2);
+        let v =
+            || ProtocolError::StaleOrReplayed { from: PartyId::Host(0), kind: 4, context: "test" };
+        assert!(b.charge(PartyId::Host(0), v()).is_ok());
+        assert!(b.charge(PartyId::Host(0), v()).is_ok());
+        let err = b.charge(PartyId::Host(0), v()).unwrap_err();
+        match err {
+            TrainError::PeerMisbehaving { party, violations, budget, .. } => {
+                assert_eq!(party, PartyId::Host(0));
+                assert_eq!(violations, 3);
+                assert_eq!(budget, 2);
+            }
+            other => panic!("wrong error: {other}"),
+        }
+        assert_eq!(b.violations, 3);
+    }
+
+    #[test]
+    fn zero_budget_fails_on_first_violation() {
+        let mut b = MisbehaviorBudget::new(0);
+        let v = ProtocolError::OutOfPhase {
+            from: PartyId::Guest,
+            kind: 2,
+            phase: "node-loop",
+            context: "test",
+        };
+        assert!(matches!(
+            b.charge(PartyId::Guest, v),
+            Err(TrainError::PeerMisbehaving { violations: 1, budget: 0, .. })
+        ));
+    }
 
     /// The guest's link to host `h` over an instant wire that keepalives
     /// every `keepalive`, and its far end.

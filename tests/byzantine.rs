@@ -532,6 +532,87 @@ fn guest_rejects_wrong_length_histograms() {
     }
 }
 
+/// A host that announces no feature at all still ends its handshake, and
+/// its histograms are admitted like any other host's: the key's checks of
+/// every cipher, then the shape. A NaN at an exponent past the window is
+/// charged to the budget — not a fatal shape error that skipped both.
+#[test]
+fn a_host_without_features_has_its_histograms_checked_like_any_other() {
+    let (host_ep, handle) = spawn_guest(byz_cfg(0));
+    send(&host_ep, &Msg::SessionHello { session_id: 0, durable: vec![] });
+    send(&host_ep, &Msg::FeatureMeta(vec![]));
+    let mut replied = false;
+    drain_guest(&host_ep, |msg| {
+        if let Msg::NodeTask { tree, node, epoch } = msg {
+            if !replied {
+                replied = true;
+                let nan = Ciphertext::Plain(PlainNumber { value: f64::NAN, exponent: 99 });
+                let raw = RawFeatureHist { g: vec![nan.clone()], h: vec![nan] };
+                let payload = HistPayload::Raw(vec![raw]);
+                send(&host_ep, &Msg::NodeHistograms { tree, node, epoch, payload });
+            }
+        }
+    });
+    assert!(replied, "the guest never issued a node task");
+    let failure = handle.join().unwrap().expect("a forged histogram must abort the guest");
+    match failure.error {
+        TrainError::PeerMisbehaving { party, violations, last, .. } => {
+            assert_eq!((party, violations), (PartyId::Host(0), 1));
+            assert!(matches!(*last, ProtocolError::Inadmissible { kind: 4, .. }), "{last}");
+        }
+        other => panic!("wrong error: {other}"),
+    }
+    assert_eq!(failure.telemetry.events.misbehavior, 1);
+}
+
+/// Runs a production guest at budget 1 against a scripted host that owns
+/// one 2-bin feature with no stored entry, so every honest histogram is
+/// all empty bins. The host answers every node task honestly; for the
+/// first one it sends `refused` first. Returns the guest's margins and its
+/// misbehavior count.
+fn guest_against_an_empty_feature(refused: Option<HistPayload>) -> (Vec<f64>, u64) {
+    let cfg = byz_cfg(1);
+    let (guest_ep, host_ep) = duplex(WanConfig::instant());
+    let suite = Suite::plain(cfg.encoding);
+    let handle = std::thread::spawn(move || {
+        run_guest(&guest_data(), cfg, suite, vec![guest_ep], None)
+            .unwrap_or_else(|failure| panic!("the guest failed: {}", failure.error))
+    });
+    send(&host_ep, &Msg::SessionHello { session_id: 0, durable: vec![] });
+    send(&host_ep, &Msg::FeatureMeta(vec![FeatureMeta { num_bins: 2, zero_bin: 0 }]));
+    let mut refused = refused;
+    drain_guest(&host_ep, |msg| {
+        if let Msg::NodeTask { tree, node, epoch } = msg {
+            if let Some(payload) = refused.take() {
+                send(&host_ep, &Msg::NodeHistograms { tree, node, epoch, payload });
+            }
+            let empty =
+                RawFeatureHist { g: vec![honest_cipher(0.0); 2], h: vec![honest_cipher(0.0); 2] };
+            let payload = HistPayload::Raw(vec![empty]);
+            send(&host_ep, &Msg::NodeHistograms { tree, node, epoch, payload });
+        }
+    });
+    let output = handle.join().unwrap();
+    (output.train_margins, output.telemetry.events.misbehavior)
+}
+
+/// A histogram refused for its shape takes no entry in the tree's ledger:
+/// the honest answer to the same `(node, epoch)` after it is admitted, not
+/// charged as a replay, and the run trains the clean run's margins bit for
+/// bit.
+#[test]
+fn a_refused_answer_changes_nothing_at_the_guest() {
+    let (clean, none) = guest_against_an_empty_feature(None);
+    assert_eq!(none, 0);
+    let three_bins =
+        RawFeatureHist { g: vec![honest_cipher(0.0); 3], h: vec![honest_cipher(0.0); 3] };
+    let (margins, charged) =
+        guest_against_an_empty_feature(Some(HistPayload::Raw(vec![three_bins])));
+    assert_eq!(charged, 1, "the misshapen answer is charged once, the honest one not at all");
+    let bits = |m: &[f64]| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&margins), bits(&clean));
+}
+
 /// A restarted run's handshake names the session it resumes: a host that
 /// announces some *other* session is refused as a typed `ResumeMismatch`
 /// before any gradient leaves the guest (the wrong-kind arm is
