@@ -100,6 +100,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # feature_meta_bounds_are_checked,
 # a_placement_past_the_heap_is_inadmissible_at_the_guest and the three
 # histogram-shape tests (raw, packed, paired) pin every check before it;
+# a_histograms_ciphers_are_judged_before_its_task pins the gradient path's
+# cipher checks (grad_path.rs) before all of them;
 # and a_histogram_for_a_superseded_epoch_is_stale_once_and_never_charged
 # pins an answer to a task a rollback superseded. byzantine.rs's
 # a_host_without_features_has_its_histograms_checked_like_any_other and
@@ -111,7 +113,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # host is driven with no link — host_rejects_phase_skips_and_replays and
 # packed_batches_drive_the_same_row_stream_contract pin the row cursor,
 # node_and_feature_indices_are_bounded the index checks that precede the
-# phase, placements_that_desync_the_row_lists_are_fatal the fatal verdicts
+# phase, a_batchs_ciphers_are_judged_before_its_rows the gradient path's
+# cipher checks before those, placements_that_desync_the_row_lists_are_fatal the fatal verdicts
 # (the last bin, which indexed past the cut points, among them),
 # a_replaced_placement_retires_the_tasks_queued_below_it the retirement
 # under a re-split, and a_task_is_still_wanted_only_at_its_epoch_in_its_tree
@@ -138,11 +141,12 @@ timeout 300 cargo test -q -p rayon
 
 # Peer-facing admission checks and the guest's own protocol invariants
 # must hold in release builds: debug_assert is banned from the wire
-# decoder, the semantic validators, both party drivers and both cores, the
-# wait they share, and the model a decoded file is predicted with.
-echo "== no-debug_assert gate (wire/validate/hist_enc/guest/grow/host/serve/peer/model) =="
+# decoder, the gradient path's cipher and shape checks, both party drivers
+# and both cores, the wait they share, and the model a decoded file is
+# predicted with.
+echo "== no-debug_assert gate (wire/grad_path/hist_enc/guest/grow/host/serve/peer/model) =="
 if grep -n "debug_assert" \
-    crates/core/src/wire.rs crates/core/src/validate.rs crates/core/src/hist_enc.rs \
+    crates/core/src/wire.rs crates/core/src/grad_path.rs crates/core/src/hist_enc.rs \
     crates/core/src/guest.rs crates/core/src/grow.rs crates/core/src/host.rs \
     crates/core/src/serve.rs crates/core/src/peer.rs crates/core/src/model.rs; then
   echo "debug_assert found in an admission-critical module" >&2
@@ -196,11 +200,11 @@ fi
 # cipher suite, clock or trace, so every decision of either role is
 # testable with no thread. grow.rs is the only record of what each host
 # owes: the shell (guest.rs) keeps no second ledger and no driver hook that
-# fed one. Each core makes its role's checks once, after the shell's key
-# checks of the ciphers (validate.rs): the phase machines of either role
-# (HostFsm, GuestFsm / GuestPhase), the per-message validators they
-# replaced, the shells' re-checks, and the leaf notice no host read, must
-# not come back.
+# fed one. Each core makes every check of its role once, in one pure step
+# from the decoded message, the run's gradient path judging the ciphers
+# first: the phase machines of either role (HostFsm, GuestFsm /
+# GuestPhase), the per-message validators they replaced, the shells'
+# re-checks, and the leaf notice no host read, must not come back.
 echo "== one-core gate (grow.rs and serve.rs pure; no second ledger or admission) =="
 for f in crates/core/src/grow.rs crates/core/src/serve.rs; do
   if awk '/#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' "$f" \
@@ -219,6 +223,21 @@ if grep -rnE 'HostFsm|check_host_inbound|state_invariant|ensure_tree|with_state|
   echo "a second admission of either role, its re-checks or the leaf notice are back" >&2
   exit 1
 fi
+
+# One gradient path: the run's forward and return forms are decided once,
+# in grad_path.rs (GradPath::of), which alone branches on them — the
+# guest's encryption and decode, the host's payload build, both roles'
+# cipher and shape admission, the derived bins' limits. The shipping halves
+# of the shells and cores name neither the toggle nor the plan that pick
+# the path, nor build a wire form of their own.
+echo "== one-path gate (guest/host/grow/serve name no path toggle, plan or wire form) =="
+for f in crates/core/src/guest.rs crates/core/src/host.rs crates/core/src/grow.rs crates/core/src/serve.rs; do
+  if awk '/#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' "$f" \
+      | grep -E 'pack_histograms|gh_plan|GhPlan|HistPayload::'; then
+    echo "$f re-derives or branches on the gradient path outside grad_path.rs" >&2
+    exit 1
+  fi
+done
 
 # One table per party: the parties read the caller's tables where they lie
 # (train.rs runs them scoped; run_host / run_guest take &Dataset), each

@@ -37,7 +37,6 @@
 pub mod codec;
 pub mod fault;
 pub mod link;
-pub mod malfeasant;
 
 pub use codec::{checksum, Checksum, Decoder, Encoder};
 pub use fault::{FaultConfig, ReliabilityConfig, StallWindow};
@@ -45,4 +44,3 @@ pub use link::{
     duplex, duplex_faulty, recv_ready, Endpoint, Envelope, LinkStats, RecvError, RecvReady,
     WanConfig,
 };
-pub use malfeasant::{MalfeasantPeer, Misdeed};

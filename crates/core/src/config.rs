@@ -164,15 +164,10 @@ impl TrainConfig {
         Ok(())
     }
 
-    /// The one rule selecting the forward gradient path: a Paillier suite
-    /// with `protocol.pack_histograms` pairs each row's `(g, h)` into one
-    /// cipher (`Msg::PackedGradBatch` forward, `HistPayload::GhPacked`
-    /// back) and gets the pair plan; everything else — the mock suite, the
-    /// raw-histogram ablation rows — keeps the two-stream path and gets
-    /// `None`. Every party derives the same plan from shared knowledge
-    /// (loss bounds, instance count, encoding, key), so nothing about it
-    /// is negotiated on the wire. A pair too wide for the key is a typed
-    /// error here, before the first message.
+    /// The pair plan of a run of `num_rows` rows under `suite`: a Paillier
+    /// suite with `protocol.pack_histograms` pairs each row's `(g, h)` into
+    /// one cipher; everything else keeps the two streams (`None`). A pair
+    /// too wide for the key is a typed error.
     pub fn gh_plan(&self, suite: &Suite, num_rows: usize) -> Result<Option<GhPlan>, CryptoError> {
         let Some(pk) = suite.public_key().filter(|_| self.protocol.pack_histograms) else {
             return Ok(None);

@@ -131,8 +131,8 @@ pub enum ProtocolError {
     /// The message is in phase but its payload contradicts locally-known
     /// bounds: histogram lengths vs negotiated bin counts, indices outside
     /// tree/meta bounds, ciphertexts outside `[0, n²)`, row ranges past
-    /// the declared instance count. Raised by the key's cipher checks
-    /// ([`crate::validate`]) and by either role's one admission.
+    /// the declared instance count. Raised by either role's one admission,
+    /// the run's gradient path judging the ciphers first.
     Inadmissible {
         /// The sending party.
         from: PartyId,

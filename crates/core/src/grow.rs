@@ -3,12 +3,12 @@
 //! speculate, validate, roll back, re-split — and the guest's one
 //! admission of what a host sends it.
 //!
-//! [`admit`] judges every host message once, after the shell's key checks
-//! of its ciphers: the kinds the guest never accepts, the handshake's
-//! order, a histogram's shape against its host's metadata and the run's
-//! gradient path, and — against the tree's ledger — whether the host owes
-//! the answer. [`TreeCore`] decides which node is tasked, speculated,
-//! resolved, rolled back or placed, and it is the one record of what each
+//! [`admit`] judges every host message once: a histogram's ciphers, the
+//! kinds the guest never accepts, the handshake's order, a histogram's
+//! shape against its host's metadata and the run's gradient path, and —
+//! against the tree's ledger — whether the host owes the answer.
+//! [`TreeCore`] decides which node is tasked, speculated, resolved, rolled
+//! back or placed, and it is the one record of what each
 //! host owes this tree. Its inputs are plain data and three events — the
 //! guest's own best split of a node, a host's decrypted answer, a host's
 //! placement. An event only queues work; the shell pulls the resulting
@@ -25,19 +25,15 @@ use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
-use num_bigint::BigUint;
 use vf2_crypto::encoding::EncodingConfig;
-use vf2_crypto::packing::GhPlan;
-use vf2_crypto::suite::PackedCiphertext;
 use vf2_gbdt::histogram::GradPair;
 use vf2_gbdt::split::{best_of, find_best_split, SplitCandidate, SplitParams};
 use vf2_gbdt::tree::{layer_of, left_child, parent, right_child, NodeId, NodeSplit};
 
 use crate::error::{PartyId, ProtocolError, TrainError};
+use crate::grad_path::GradPath;
 use crate::hist_enc::DecodedBins;
-use crate::messages::{
-    FeatureMeta, GhPackedFeatureHist, HistPayload, Msg, PackedFeatureHist, RawFeatureHist,
-};
+use crate::messages::{FeatureMeta, HistPayload, Msg};
 use crate::model::{FedNode, FedTree};
 use crate::rows::{NodeRows, RowMajorBins};
 
@@ -45,7 +41,7 @@ use crate::rows::{NodeRows, RowMajorBins};
 pub(crate) type HostHist = Vec<DecodedBins>;
 
 /// What every tree of a run shares: the split rule, the schedule, and what
-/// the guest needs to place its own splits and derive a host's histograms.
+/// the guest needs to place its own splits and judge a host's histograms.
 pub(crate) struct Rules {
     pub split: SplitParams,
     pub max_layers: usize,
@@ -53,15 +49,9 @@ pub(crate) struct Rules {
     /// before the hosts weigh in.
     pub optimistic: bool,
     pub encoding: EncodingConfig,
-    /// The pair plan when the run's forward path is paired
-    /// (`TrainConfig::gh_plan`); `None` on the two-stream path.
-    pub gh: Option<GhPlan>,
-    /// The bins one packed pair cipher carries under the run's key
-    /// (`GhPlan::bins_per_cipher`); 0 without a plan.
-    pub pairs_per_cipher: usize,
-    /// The largest honest `|Σg|` or `Σh` of a derived bin without a pair
-    /// plan: the raw wire's safe range (floats: none).
-    pub max_int: BigUint,
+    /// What a histogram's ciphers and shape must be, and a derived bin's
+    /// limits.
+    pub path: GradPath,
     /// The guest's one binned form: its FindSplitB walks, its placements
     /// and its thresholds.
     pub bins: RowMajorBins,
@@ -123,32 +113,18 @@ pub(crate) enum Inbound {
 pub(crate) enum Answer {
     /// Its histogram of `(node, epoch)`, shaped as its metadata and the
     /// run's gradient path say.
-    Histograms { node: NodeId, epoch: u32, payload: Payload },
+    Histograms { node: NodeId, epoch: u32, payload: HistPayload },
     /// Its placement of `node`, owed to a split choice.
     Placement { node: NodeId, placement: Vec<bool> },
 }
 
-/// An admitted histogram, typed by the run's gradient path: one feature per
-/// announced feature, each with the bins its metadata announced.
-#[derive(Debug)]
-pub(crate) enum Payload {
-    /// Two-stream raw per-bin ciphers.
-    Raw(Vec<RawFeatureHist>),
-    /// Two-stream packed prefix sums.
-    Packed(Vec<PackedFeatureHist>),
-    /// Pair bins, laid out as the plan they unpack by derives.
-    Paired(Vec<GhPackedFeatureHist>, GhPlan),
-}
-
-/// The guest's one admission of a message from host `host` whose ciphers
-/// passed the key's checks. In order, each once: a kind the guest never
-/// accepts; the metadata's bounds, or a node inside the tree heap; the
-/// handshake's order (hello, metadata, then answers only); a histogram's
-/// shape against the host's metadata and the run's gradient path; and,
-/// against `tree`'s ledger, whether the host owes the answer — one for a
-/// completed tree is an honest straggler. A refused message changes
-/// nothing: the handshake and the ledger move only once every check
-/// passed.
+/// The guest's one admission of a decoded message from host `host`. In
+/// order, each once: a histogram's ciphers; a kind the guest never accepts;
+/// the metadata's bounds, or a node inside the tree heap; the handshake's
+/// order (hello, metadata, then answers only); a histogram's shape against
+/// the host's metadata and the run's gradient path; and, against `tree`'s
+/// ledger, whether the host owes the answer — one for a completed tree is
+/// an honest straggler. A refused message changes nothing.
 pub(crate) fn admit(
     rules: &Rules,
     host: usize,
@@ -165,6 +141,7 @@ pub(crate) fn admit(
     let out_of_phase = |context| ProtocolError::OutOfPhase { from, kind, phase, context };
     let inadmissible = |context| ProtocolError::Inadmissible { from, kind, context };
     let replayed = |context| ProtocolError::StaleOrReplayed { from, kind, context };
+    rules.path.admit_hist_ciphers(&msg).map_err(inadmissible)?;
     // A tree of `max_layers` layers has 2^max_layers − 1 heap nodes.
     let heap = (1usize << rules.max_layers) - 1;
     let (tree_of, node, answer) = match msg {
@@ -204,7 +181,7 @@ pub(crate) fn admit(
         }
         Msg::NodeHistograms { tree, node, epoch, payload } => {
             let Some(metas) = &handshake.metas else { return Err(out_of_phase(out_of_order)) };
-            let payload = shaped(rules, payload, metas).map_err(inadmissible)?;
+            rules.path.admit_hist_shape(&payload, metas).map_err(inadmissible)?;
             let node = node as NodeId;
             (tree, node, Answer::Histograms { node, epoch, payload })
         }
@@ -249,73 +226,6 @@ pub(crate) fn admit(
             }
             _ => Err(replayed("placement that answers no outstanding split choice")),
         },
-    }
-}
-
-/// A histogram's shape against the metadata `metas` its host announced —
-/// the feature count, each feature's bins (raw bins, or packed slot totals
-/// and the declared bins) — and against the run's gradient path: a paired
-/// run admits only pair bins laid out as the plan the guest derived (it
-/// slices by that layout, so another is refused before a decryption is
-/// spent on it), a two-stream run only the other two forms.
-fn shaped(
-    rules: &Rules,
-    payload: HistPayload,
-    metas: &[FeatureMeta],
-) -> Result<Payload, &'static str> {
-    let features = match &payload {
-        HistPayload::Raw(feats) => feats.len(),
-        HistPayload::Packed(feats) => feats.len(),
-        HistPayload::GhPacked(feats) => feats.len(),
-    };
-    if features != metas.len() {
-        return Err("histogram feature count disagrees with the negotiated metadata");
-    }
-    // A packed feature's declared bins and slot total against its metadata.
-    let slots = |bins: u16, runs: &[PackedCiphertext], m: &FeatureMeta| {
-        if bins != m.num_bins {
-            return Err("packed bin declaration disagrees with the negotiated metadata");
-        }
-        if runs.iter().map(PackedCiphertext::count).sum::<usize>() != usize::from(bins) {
-            return Err("packed slot total disagrees with the declared bin count");
-        }
-        Ok(())
-    };
-    match (payload, rules.gh) {
-        (HistPayload::Raw(feats), None) => {
-            let bins = |(f, m): (&RawFeatureHist, &FeatureMeta)| {
-                f.g.len() == usize::from(m.num_bins) && f.h.len() == usize::from(m.num_bins)
-            };
-            if !feats.iter().zip(metas).all(bins) {
-                return Err("histogram bin count disagrees with the negotiated metadata");
-            }
-            Ok(Payload::Raw(feats))
-        }
-        (HistPayload::Packed(feats), None) => {
-            for (f, m) in feats.iter().zip(metas) {
-                slots(f.bins, &f.g, m)?;
-                slots(f.bins, &f.h, m)?;
-            }
-            Ok(Payload::Packed(feats))
-        }
-        (HistPayload::GhPacked(feats), Some(plan)) => {
-            let derived = |p: &PackedCiphertext| match p {
-                PackedCiphertext::Paillier { exponent, count, slot_bits, .. } => {
-                    *slot_bits == plan.pair_bits()
-                        && *exponent == plan.exponent()
-                        && *count <= rules.pairs_per_cipher
-                }
-                PackedCiphertext::Plain(_) => false,
-            };
-            for (f, m) in feats.iter().zip(metas) {
-                slots(f.bins, &f.packed, m)?;
-                if !f.packed.iter().all(derived) {
-                    return Err("packed pair layout differs from the derived plan");
-                }
-            }
-            Ok(Payload::Paired(feats, plan))
-        }
-        _ => Err("histogram wire form of the other gradient path"),
     }
 }
 
@@ -791,12 +701,8 @@ impl TreeCore {
         let waiting = matches!(state.answers[host], HostAnswer::Waiting);
         let pair = hist_of(parent).zip(hist_of(smaller)).filter(|_| waiting);
         let difference = pair.map(|(whole, part)| {
-            // The largest honest `(|Σg|, Σh)` of a bin: the pair plan's
-            // bounds at the child's row count, or the raw wire's range.
-            let limits = match &self.rules.gh {
-                Some(plan) => plan.field_limits(self.rows.count(larger) as u64),
-                None => (self.rules.max_int.clone(), self.rules.max_int.clone()),
-            };
+            // The largest honest `(|Σg|, Σh)` of a bin of the child.
+            let limits = self.rules.path.field_limits(self.rows.count(larger));
             let sub = |(w, p): (&DecodedBins, _)| {
                 w.checked_sub(p, &self.rules.encoding, (&limits.0, &limits.1))
             };
@@ -834,9 +740,14 @@ mod tests {
     use vf2_gbdt::binning::BinnedDataset;
     use vf2_gbdt::data::Dataset;
 
-    use vf2_crypto::suite::{Ciphertext, PlainNumber};
+    use num_bigint::BigUint;
+    use vf2_crypto::packing::GhPlan;
+    use vf2_crypto::suite::{Ciphertext, PackedCiphertext, PlainNumber, Suite};
+    use vf2_crypto::EncryptedNumber;
 
     use crate::config::{CryptoConfig, TrainConfig};
+    use crate::messages::{GhPackedFeatureHist, PackedFeatureHist, RawFeatureHist};
+    use crate::protocol::ProtocolConfig;
 
     /// The one host's one feature.
     const META: FeatureMeta = FeatureMeta { num_bins: 4, zero_bin: 0 };
@@ -875,9 +786,7 @@ mod tests {
             max_layers: cfg.gbdt.max_layers,
             optimistic,
             encoding: cfg.encoding,
-            gh: None,
-            pairs_per_cipher: 0,
-            max_int: BigUint::default(),
+            path: GradPath::of(&cfg, &Suite::plain(cfg.encoding), data.num_rows()).unwrap(),
             bins: RowMajorBins::bin(data, &cfg.gbdt.binning),
         }
     }
@@ -998,7 +907,7 @@ mod tests {
         ]
     }
 
-    /// A mock cipher; its admissibility is the shell's to judge.
+    /// A mock cipher inside the encoding's window.
     fn mock() -> Ciphertext {
         Ciphertext::Plain(PlainNumber { value: 0.0, exponent: 8 })
     }
@@ -1361,6 +1270,21 @@ mod tests {
         assert_eq!(empty.admit(hist_of(3, 0, 1, raw(0, 0))), Ok("answer"));
     }
 
+    /// A histogram's ciphers are judged before anything else: one answering
+    /// a task never issued, with a cipher past the window, is inadmissible
+    /// for its cipher, not out of phase for its task.
+    #[test]
+    fn a_histograms_ciphers_are_judged_before_its_task() {
+        let mut g = guest(false, 3);
+        g.drain();
+        let late = Ciphertext::Plain(PlainNumber { value: 0.0, exponent: 12 });
+        let feature = RawFeatureHist { g: vec![late; 4], h: vec![mock(); 4] };
+        let never_issued = hist_of(3, 5, 1, HistPayload::Raw(vec![feature]));
+        assert!(inadmissible(g.admit(never_issued), 4).contains("jitter window"));
+        let err = g.admit(hist(3, 5, 1)).unwrap_err();
+        assert!(matches!(err, ProtocolError::OutOfPhase { .. }), "{err}");
+    }
+
     /// A packed feature declares its announced bins, and its runs' slots
     /// add up to them.
     #[test]
@@ -1405,12 +1329,26 @@ mod tests {
     #[test]
     fn gh_hist_payloads_must_match_the_derived_plan() {
         let data = labelled(1.0);
-        let enc = TrainConfig::for_tests().encoding;
-        let plan = GhPlan::new(1.0, 0.25, 5, &enc).unwrap();
-        let paired_rules =
-            Rules { gh: Some(plan), pairs_per_cipher: 2, ..rules_over(&data, false) };
+        let cfg = TrainConfig::for_tests();
+        let plan = GhPlan::new(1.0, 0.25, 5, &cfg.encoding).unwrap();
+        // Both runs under one 256-bit key, so every cipher below keeps its
+        // bounds and only the wire form or the layout is at fault.
+        let key = Suite::paillier_seeded(256, 7, cfg.encoding).unwrap();
+        let rules = |pack_histograms| {
+            let protocol = ProtocolConfig { pack_histograms, ..cfg.protocol };
+            let path = GradPath::of(&TrainConfig { protocol, ..cfg }, &key, 64).unwrap();
+            Rules { path, ..rules_over(&data, false) }
+        };
+        let paired_rules = rules(true);
+        let paired_rules = Rules { path: paired_rules.path.with_pairs(plan, 2), ..paired_rules };
         let mut paired = guest_under(paired_rules, &data, 3);
-        let mut two_stream = guest(false, 3);
+        let mut two_stream = guest_under(rules(false), &data, 3);
+        let raw = |features, bins| {
+            let c =
+                Ciphertext::Paillier(EncryptedNumber { cipher: BigUint::from(7u32), exponent: 8 });
+            let feature = RawFeatureHist { g: vec![c.clone(); bins], h: vec![c; bins] };
+            HistPayload::Raw(vec![feature; features])
+        };
         for g in [&mut paired, &mut two_stream] {
             g.drain();
             g.handshake.metas = Some(vec![FeatureMeta { num_bins: 3, zero_bin: 0 }]);
@@ -1435,7 +1373,8 @@ mod tests {
             (gh(vec![feature(vec![honest(2), honest(2)], 4)]), "bin declaration disagrees"),
             (gh(vec![feature(vec![honest(2), honest(1)], 3); 2]), "feature count disagrees"),
             // Layout against the plan this party derived: another width,
-            // another exponent, more slots than the key carries, the mock's.
+            // another exponent, more slots than the key carries. The mock's
+            // runs are refused for their variant first.
             (
                 gh(vec![feature(
                     vec![run(2, plan.pair_bits() + 1, plan.exponent()), honest(1)],
@@ -1453,7 +1392,7 @@ mod tests {
             (gh(vec![feature(vec![honest(3)], 3)]), "differs from the derived plan"),
             (
                 gh(vec![feature(vec![PackedCiphertext::Plain(vec![0.0; 3])], 3)]),
-                "differs from the derived plan",
+                "packed variant does not match the negotiated suite",
             ),
         ] {
             let why = inadmissible(paired.admit(bad), 4);

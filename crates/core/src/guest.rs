@@ -4,8 +4,8 @@
 //! This module is the shell around the tree's growth: the pure core
 //! (`grow.rs`) admits what a host sends, and decides which node the hosts
 //! are asked for, and which is speculated, resolved, rolled back or placed,
-//! and what each host owes; the shell runs the key's checks, decrypts,
-//! searches, sends and times.
+//! and what each host owes; the shell decodes, decrypts, searches, sends
+//! and times.
 //!
 //! One event loop (`GuestParty::run_tree`) drives every tree; the paper's
 //! two schedules are two timings of it (§4.2, Figs. 5–6), selected by
@@ -30,7 +30,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use vf2_channel::{Endpoint, Envelope};
-use vf2_crypto::split_seed;
 use vf2_crypto::suite::Suite;
 use vf2_gbdt::data::Dataset;
 use vf2_gbdt::histogram::GradPair;
@@ -39,18 +38,16 @@ use vf2_gbdt::tree::NodeId;
 
 use crate::config::TrainConfig;
 use crate::error::{GuestFailure, PartyId, ProtocolError, ProtocolPhase, TrainError};
-use crate::grow::{self, Action, Answer, Handshake, HostHist, Inbound, Payload, Rules, TreeCore};
-use crate::hist_enc::{
-    decrypt_feature_hist, unpack_feature_hist, unpack_gh_feature_hist, DecodedBins,
-};
-use crate::messages::{FeatureMeta, Msg};
+use crate::grad_path::GradPath;
+use crate::grow::{self, Action, Answer, Handshake, HostHist, Inbound, Rules, TreeCore};
+use crate::hist_enc::DecodedBins;
+use crate::messages::{FeatureMeta, HistPayload, Msg};
 use crate::model::{FedNode, FedTree};
 use crate::peer::{self, Deadline, Peer};
 use crate::rows::{check_width, RowMajorBins};
 use crate::session::PartySession;
 use crate::telemetry::{PartyTelemetry, TreeRecord};
 use crate::trace::{TracePhase, TraceRing};
-use crate::validate;
 use crate::wire;
 
 /// What the guest hands back after training.
@@ -74,14 +71,15 @@ struct PendingHist {
     host: usize,
     node: NodeId,
     epoch: u32,
-    payload: Payload,
+    payload: HistPayload,
 }
 
 /// The per-batch base seed for gradient encryption randomness of the
 /// batch starting at row `start` of tree `tree`. Stream seeds are derived
-/// from it via [`split_seed`], never by ad-hoc xor-masking (two masked
-/// streams can collide after the per-element `wrapping_add(i)` walk); no
-/// two rows of a run share an element seed (pinned by a test below).
+/// from it via [`vf2_crypto::split_seed`], never by ad-hoc xor-masking (two
+/// masked streams can collide after the per-element `wrapping_add(i)`
+/// walk); no two rows of a run share an element seed (pinned by a test
+/// below).
 fn batch_seed(seed: u64, tree: u32, start: usize) -> u64 {
     seed.wrapping_mul(0x517c_c1b7_2722_0a95)
         .wrapping_add((tree as u64) << 32)
@@ -165,16 +163,12 @@ impl GuestParty {
             .build()
             .map_err(|e| TrainError::Setup { party: PartyId::Guest, detail: e.to_string() })?;
         let n = data.num_rows();
-        let gh = cfg.gh_plan(&suite, n).map_err(TrainError::crypto("gh plan derivation"))?;
-        let pk = suite.public_key();
         let rules = Arc::new(Rules {
             split: cfg.gbdt.split,
             max_layers: cfg.gbdt.max_layers,
             optimistic: cfg.protocol.optimistic,
             encoding: *suite.encoding(),
-            gh,
-            pairs_per_cipher: gh.zip(pk).map_or(0, |(plan, pk)| plan.bins_per_cipher(pk)),
-            max_int: pk.map(|pk| pk.max_int().clone()).unwrap_or_default(),
+            path: GradPath::of(&cfg, &suite, n)?,
             bins: RowMajorBins::bin(data, &cfg.gbdt.binning),
         });
         let link = |(h, endpoint)| HostLink {
@@ -337,11 +331,10 @@ impl GuestParty {
         self.telemetry.trace.note(format!("dropped stale kind {kind} from host-{host}: {reason}"));
     }
 
-    /// Decodes a frame from `host`, runs the key's checks on its ciphers
-    /// and hands it to the one admission (`grow::admit`; `core` is `None`
-    /// only during the handshake). Returns the host's answer to the tree;
-    /// a hello or metadata is taken in, an honest straggler dropped and
-    /// counted, a violation charged. An error is a frame that does not
+    /// Decodes a frame from `host` and hands it to the one admission
+    /// (`grow::admit`; `core` is `None` only during the handshake). Returns
+    /// the host's answer to the tree; a hello or metadata is taken in, an
+    /// honest straggler dropped and counted, a violation charged. An error is a frame that does not
     /// decode, a foreign session, or a host past its misbehavior budget.
     fn admit_from(
         &mut self,
@@ -353,9 +346,7 @@ impl GuestParty {
             .map_err(|error| ProtocolError::Malformed { from: PartyId::Host(host), error })?;
         let kind = msg.kind();
         let handshake = &mut self.hosts[host].handshake;
-        let admitted = validate::check_hist_ciphers(host, &msg, &self.suite)
-            .and_then(|()| grow::admit(&self.rules, host, handshake, msg, core));
-        match admitted {
+        match grow::admit(&self.rules, host, handshake, msg, core) {
             Ok(Inbound::Answer(answer)) => return Ok(Some(answer)),
             Ok(Inbound::Hello { session_id }) => self.on_hello(host, session_id)?,
             Ok(Inbound::Meta) => {}
@@ -440,11 +431,9 @@ impl GuestParty {
     }
 
     /// Encrypts and ships the gradient statistics — in one bulk message or
-    /// in pipelined blaster batches (§4.1). On the paired path (§3.11) each
-    /// instance's (g, h) pair rides in one ciphertext, halving the
-    /// encryptions and the bytes on the wire; the plan is derived from
-    /// shared knowledge, so hosts reconstruct it without any negotiation
-    /// message.
+    /// in pipelined blaster batches (§4.1) — in the run's forward form. On
+    /// the paired path (§3.11) each instance's (g, h) pair rides in one
+    /// ciphertext, halving the encryptions and the bytes on the wire.
     fn send_gradients(&mut self, core: &TreeCore) -> Result<(), TrainError> {
         let (n, tree) = (core.grads().len(), core.tree());
         let batch = self.cfg.protocol.blaster_batch.unwrap_or(n).max(1);
@@ -453,23 +442,11 @@ impl GuestParty {
             let end = (start + batch).min(n);
             // One batch's statistics at a time, never the whole tree's.
             let pairs = &core.grads()[start..end];
-            let g: Vec<f64> = pairs.iter().map(|p| p.g).collect();
-            let h: Vec<f64> = pairs.iter().map(|p| p.h).collect();
             let seed = batch_seed(self.cfg.seed, tree, start);
-            let (start_row, last) = (start as u32, end == n);
+            let at = (tree, start as u32, end == n);
             let span = self.telemetry.enter(TracePhase::Encrypt, Some(tree), None);
-            // Streams 0/1 (g, h) and 2 (pairs) are disjoint, so the two
-            // paths never reuse each other's jitter or noise draws.
-            let msg = self.pool.install(|| match &self.rules.gh {
-                Some(plan) => self
-                    .suite
-                    .encrypt_gh_batch(&g, &h, plan, split_seed(seed, 2))
-                    .map(|gh| Msg::PackedGradBatch { tree, start_row, gh, last }),
-                None => self.suite.encrypt_batch(&g, split_seed(seed, 0)).and_then(|g| {
-                    let h = self.suite.encrypt_batch(&h, split_seed(seed, 1))?;
-                    Ok(Msg::GradBatch { tree, start_row, g, h, last })
-                }),
-            });
+            let path = &self.rules.path;
+            let msg = self.pool.install(|| path.encrypt(&self.suite, pairs, seed, at));
             let msg = msg.map_err(TrainError::crypto("gradient encryption"))?;
             self.telemetry.exit(span);
             // Hand to the gateway immediately; encryption of the next batch
@@ -495,31 +472,15 @@ impl GuestParty {
     fn host_best_split(
         &self,
         host: usize,
-        payload: &Payload,
+        payload: &HistPayload,
         total: GradPair,
         count: usize,
     ) -> Result<(Option<SplitCandidate>, HostHist), TrainError> {
-        let suite = &self.suite;
         // One closure per feature. FindSplitA amortizes over workers (the
         // paper's Table 5 notes the decryption cost "is also able to be
-        // amortized among workers"). The wire formats differ only in how a
-        // feature's bins are decrypted; the tail is shared.
+        // amortized among workers").
         let per_feature = |(f, &meta): (usize, &FeatureMeta)| {
-            let bins = match payload {
-                Payload::Raw(features) => decrypt_feature_hist(suite, &features[f])
-                    .map_err(TrainError::crypto("histogram decryption"))?,
-                Payload::Packed(features) => {
-                    let loss = &self.cfg.gbdt.loss;
-                    let (gb, hb) = (loss.grad_bound(), loss.hess_bound());
-                    unpack_feature_hist(suite, &features[f], count, gb, hb)
-                        .map(DecodedBins::Float)
-                        .map_err(TrainError::crypto("histogram unpacking"))?
-                }
-                Payload::Paired(features, plan) => {
-                    unpack_gh_feature_hist(suite, &features[f], plan)
-                        .map_err(TrainError::crypto("gh histogram unpacking"))?
-                }
-            };
+            let bins = self.rules.path.decode(&self.suite, payload, f, count)?;
             Ok((self.rules.feature_best(f, meta, &bins, total), bins))
         };
         use rayon::prelude::*;
@@ -744,6 +705,7 @@ impl GuestParty {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vf2_crypto::split_seed;
     use vf2_datagen::synthetic::{generate_classification, SyntheticConfig};
 
     use crate::config::CryptoConfig;

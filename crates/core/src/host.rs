@@ -15,25 +15,21 @@
 //!
 //! This is the shell around the host's pure core (`serve.rs`), which admits
 //! each guest message and decides what is queued, retired and still
-//! wanted: the shell runs the key's checks (`validate.rs`), enters, builds,
-//! packs and sends, and owns the link, the suite, the pool and the clock.
+//! wanted: the shell decodes, enters, builds, packs and sends, and owns the
+//! link, the suite, the pool and the clock.
 
 use std::sync::Arc;
 
 use vf2_channel::Endpoint;
-use vf2_crypto::packing::GhPlan;
 use vf2_crypto::suite::Suite;
 use vf2_gbdt::data::Dataset;
 
 use crate::chaos::ChaosPlan;
 use crate::config::TrainConfig;
 use crate::error::{panic_text, HostFailure, PartyId, ProtocolError, ProtocolPhase, TrainError};
-use crate::hist_enc::{
-    max_exponent, pack_feature_hist, CipherStream, EncHistBuilder, TARGET_SLOT_BITS,
-};
-use crate::messages::{
-    FeatureMeta, GhPackedFeatureHist, HistPayload, Msg, PackedFeatureHist, RawFeatureHist,
-};
+use crate::grad_path::GradPath;
+use crate::hist_enc::{CipherStream, EncHistBuilder};
+use crate::messages::{FeatureMeta, HistPayload, Msg};
 use crate::model::HostSplitTable;
 use crate::peer::{self, Deadline, Peer};
 use crate::rows::{check_width, RowMajorBins};
@@ -41,7 +37,6 @@ use crate::serve::{Batch, BuilderPair, HostCore, Step, Task};
 use crate::session::PartySession;
 use crate::telemetry::PartyTelemetry;
 use crate::trace::{TracePhase, TraceRing};
-use crate::validate;
 use crate::wire;
 
 /// Runs a host party to completion (until the guest sends `Shutdown`).
@@ -94,12 +89,9 @@ struct HostParty {
     /// Injected failures; inert outside the robustness suites.
     chaos: ChaosPlan,
     suite: Suite,
-    /// The pair plan when this run's forward path is paired
-    /// ([`TrainConfig::gh_plan`]): the whole histogram then lives in the
-    /// `g` builders and the `h` stream stays empty. `None` on the
-    /// two-stream path. The guest derives the same value from the same
-    /// shared config, so no negotiation message exists to spoof.
-    gh: Option<GhPlan>,
+    /// The run's gradient path, shared with the core; the guest derives the
+    /// same one, so no negotiation message exists to spoof.
+    path: Arc<GradPath>,
     /// The link to the guest, this host's only peer.
     guest: Peer,
     /// The host's one binned form, shared with its core.
@@ -141,11 +133,9 @@ impl HostParty {
         };
         let guest =
             Peer::new(endpoint, PartyId::Host(party_index), PartyId::Guest, cfg.misbehavior_budget);
-        let gh = cfg
-            .gh_plan(&suite, csr.num_rows())
-            .map_err(TrainError::crypto("gh plan derivation"))?;
+        let path = Arc::new(GradPath::of(&cfg, &suite, csr.num_rows())?);
         let host = HostParty {
-            gh,
+            path,
             cfg,
             chaos,
             suite,
@@ -158,7 +148,8 @@ impl HostParty {
             party_index,
             session,
         };
-        let core = HostCore::new(host.csr.clone(), host.new_builders(), &cfg.gbdt);
+        let core =
+            HostCore::new(host.csr.clone(), host.new_builders(), &cfg.gbdt, host.path.clone());
         Ok((host, core))
     }
 
@@ -228,9 +219,7 @@ impl HostParty {
             let Some((_, env)) = next else { return Ok(false) };
             let msg = wire::decode(env.kind, env.payload)
                 .map_err(|error| ProtocolError::Malformed { from: PartyId::Guest, error })?;
-            let admitted = validate::check_grad_batch(&msg, &self.suite, self.gh.as_ref())
-                .and_then(|()| core.admit(msg));
-            match admitted {
+            match core.admit(msg) {
                 Ok(step) => return self.handle(step).map(|()| true),
                 // Dropping these would leave the row lists out of step with
                 // the guest's: they end the run, whatever the budget.
@@ -410,7 +399,7 @@ impl HostParty {
                 if crash {
                     panic!("injected crash: histogram worker shard 0 dying in tree {tree}");
                 }
-                let enc_h = self.gh.is_none().then_some(enc_h);
+                let enc_h = self.path.hessians(enc_h);
                 EncHistBuilder::add_rows(&self.suite, &self.csr, rows, (g, enc_g), (h, enc_h))
             })
         }));
@@ -450,18 +439,7 @@ impl HostParty {
         self.send_traced(&Msg::NodeHistograms { tree, node, epoch, payload }, tree)
     }
 
-    /// Runs `one(f)` for every feature of `g` across the pool, in feature
-    /// order; the first failing feature's error wins.
-    fn per_feature<T: Send>(
-        &self,
-        g: &EncHistBuilder,
-        one: impl Fn(usize) -> Result<T, TrainError> + Send + Sync,
-    ) -> Result<Vec<T>, TrainError> {
-        use rayon::prelude::*;
-        self.pool.install(|| (0..g.num_features()).into_par_iter().map(one).collect())
-    }
-
-    /// Finalizes builders into the configured wire format.
+    /// Packs a node's builders into the run's return form.
     fn make_payload(
         &mut self,
         tree: u32,
@@ -470,45 +448,8 @@ impl HostParty {
         count: usize,
     ) -> Result<HistPayload, TrainError> {
         let span = self.telemetry.enter(TracePhase::Pack, Some(tree), None);
-        let suite = &self.suite;
-        let crypto = TrainError::crypto("histogram finalize/pack");
-        let payload = if let Some(plan) = &self.gh {
-            // Paired path: the whole histogram lives in the `g` builders;
-            // every bin is topped up to the plan's constant offset and bins
-            // pack at exactly the pair width, straight from resident form.
-            let pack_one = |f: usize| -> Result<GhPackedFeatureHist, TrainError> {
-                g.pack_gh_feature(suite, f, plan).map_err(&crypto)
-            };
-            HistPayload::GhPacked(self.per_feature(g, pack_one)?)
-        } else if self.cfg.protocol.pack_histograms {
-            let target = max_exponent(&self.cfg.encoding);
-            let grad_bound = self.cfg.gbdt.loss.grad_bound();
-            let hess_bound = self.cfg.gbdt.loss.hess_bound();
-            let pack_one = |f: usize| -> Result<PackedFeatureHist, TrainError> {
-                let bins_g = g.finalize_feature(suite, f, Some(target)).map_err(&crypto)?;
-                let bins_h = h.finalize_feature(suite, f, Some(target)).map_err(&crypto)?;
-                pack_feature_hist(
-                    suite,
-                    &bins_g,
-                    &bins_h,
-                    count,
-                    grad_bound,
-                    hess_bound,
-                    TARGET_SLOT_BITS,
-                    &self.cfg.encoding,
-                )
-                .map_err(&crypto)
-            };
-            HistPayload::Packed(self.per_feature(g, pack_one)?)
-        } else {
-            let raw_one = |f: usize| -> Result<RawFeatureHist, TrainError> {
-                Ok(RawFeatureHist {
-                    g: g.finalize_feature(suite, f, None).map_err(&crypto)?,
-                    h: h.finalize_feature(suite, f, None).map_err(&crypto)?,
-                })
-            };
-            HistPayload::Raw(self.per_feature(g, raw_one)?)
-        };
+        let payload = self.path.payload(&self.suite, &self.pool, (g, h), count);
+        let payload = payload.map_err(TrainError::crypto("histogram finalize/pack"))?;
         self.telemetry.exit(span);
         Ok(payload)
     }

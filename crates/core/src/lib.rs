@@ -45,6 +45,7 @@
 pub mod chaos;
 pub mod config;
 pub mod error;
+mod grad_path;
 mod grow;
 pub mod guest;
 pub mod hist_enc;
@@ -61,7 +62,6 @@ pub mod session;
 pub mod telemetry;
 pub mod trace;
 pub mod train;
-pub mod validate;
 pub mod wire;
 
 pub use chaos::ChaosPlan;

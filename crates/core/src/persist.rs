@@ -155,7 +155,8 @@ fn get_tree(d: &mut Decoder) -> Result<FedTree, PersistError> {
 
 /// Serializes a complete federated model (guest view + every host's split
 /// table — suitable for co-located evaluation harnesses; real deployments
-/// persist each party's part separately via [`encode_host_table`]).
+/// persist each party's part separately, a host's table in its checkpoint,
+/// [`encode_host_checkpoint`]).
 pub fn encode_model(model: &FederatedModel) -> Bytes {
     let mut e = Encoder::new();
     e.put_bytes(MAGIC);
@@ -227,29 +228,6 @@ fn get_host_table(d: &mut Decoder) -> Result<HostSplitTable, PersistError> {
         table.splits.insert((tree, node), get_split(d)?);
     }
     Ok(table)
-}
-
-/// Serializes one host's private split table alone (what a host party
-/// persists in a real deployment — the guest never sees it).
-pub fn encode_host_table(table: &HostSplitTable) -> Bytes {
-    let mut e = Encoder::new();
-    e.put_bytes(MAGIC);
-    e.put_u16(VERSION);
-    put_host_table(&mut e, table);
-    e.finish()
-}
-
-/// Deserializes a host split table.
-pub fn decode_host_table(bytes: Bytes) -> Result<HostSplitTable, PersistError> {
-    let mut d = Decoder::new(bytes);
-    if d.get_bytes()?.as_ref() != MAGIC {
-        return Err(PersistError::BadMagic);
-    }
-    let version = d.get_u16()?;
-    if version != VERSION {
-        return Err(PersistError::BadVersion(version));
-    }
-    get_host_table(&mut d)
 }
 
 /// Writes `bytes` to `path` atomically: the data goes to a same-directory
@@ -454,13 +432,6 @@ mod tests {
         m.loss = LossKind::Squared { grad_bound: 42.0 };
         let decoded = decode_model(encode_model(&m)).unwrap();
         assert_eq!(decoded.loss, m.loss);
-    }
-
-    #[test]
-    fn host_table_round_trips_alone() {
-        let table = sample_model().host_tables.remove(0);
-        let decoded = decode_host_table(encode_host_table(&table)).unwrap();
-        assert_eq!(decoded, table);
     }
 
     #[test]

@@ -6,11 +6,11 @@
 //! gradient streams, its root builders, its task queue and the histograms
 //! it holds until the guest validates the split above them — and the core
 //! holds the run's split table. Its one admission ([`HostCore::admit`])
-//! makes every index, row-cursor, length and phase check of a guest
-//! message once, and hands the shell a [`Step`] that borrows the state it
-//! acts on: no handler can ask for a tree that is not there. The shell
-//! (`host.rs`) runs the key's checks (`validate.rs`) first, and owns the
-//! link, the suite, the pool, the clock and the counters.
+//! makes every cipher, index, row-cursor, length and phase check of a
+//! guest message once, and hands the shell a [`Step`] that borrows the
+//! state it acts on: no handler can ask for a tree that is not there. The
+//! shell (`host.rs`) owns the link, the suite, the pool, the clock and the
+//! counters.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -23,6 +23,7 @@ use vf2_gbdt::train::GbdtParams;
 use vf2_gbdt::tree::{parent, right_child, NodeSplit};
 
 use crate::error::{PartyId, ProtocolError, TrainError};
+use crate::grad_path::GradPath;
 use crate::hist_enc::{CipherStream, EncHistBuilder};
 use crate::messages::{HistPayload, Msg};
 use crate::model::HostSplitTable;
@@ -185,13 +186,14 @@ impl Split<'_> {
 }
 
 /// The host's protocol state: its phase (which carries the tree being
-/// built), its binned table (the shell's, shared), and every split it has
-/// won.
+/// built), the shell's binned table and gradient path, and every split it
+/// has won.
 pub(crate) struct HostCore {
     phase: Phase,
     num_trees: u32,
     max_layers: usize,
     bins: Arc<RowMajorBins>,
+    path: Arc<GradPath>,
     /// An empty builder pair shaped by this host's columns.
     blank: BuilderPair,
     splits: HostSplitTable,
@@ -199,10 +201,15 @@ pub(crate) struct HostCore {
 
 impl HostCore {
     /// A core awaiting the resume decision of a run of `gbdt`'s shape.
-    pub fn new(bins: Arc<RowMajorBins>, blank: BuilderPair, gbdt: &GbdtParams) -> HostCore {
+    pub fn new(
+        bins: Arc<RowMajorBins>,
+        blank: BuilderPair,
+        gbdt: &GbdtParams,
+        path: Arc<GradPath>,
+    ) -> HostCore {
         let (num_trees, max_layers) = (gbdt.num_trees as u32, gbdt.max_layers);
         let (phase, splits) = (Phase::AwaitResume, HostSplitTable::default());
-        HostCore { phase, num_trees, max_layers, bins, blank, splits }
+        HostCore { phase, num_trees, max_layers, bins, path, blank, splits }
     }
 
     /// The split table: what the host contributes to the model.
@@ -226,12 +233,13 @@ impl HostCore {
             if !queue.is_empty())
     }
 
-    /// Admits one guest message whose ciphers passed the key's checks: its
-    /// indices and lengths against this host's shape, then its phase, tree
-    /// and row cursor. The honest guest is strictly sequential per tree —
-    /// every gradient batch of tree `t` precedes its first node task (FIFO
-    /// link), and `TreeDone{t}` precedes any message of tree `t+1` — so
-    /// out-of-phase, future-tree and replayed traffic is refused outright.
+    /// Admits one decoded guest message: a gradient batch's form and
+    /// ciphers against the run's gradient path, its indices and lengths
+    /// against this host's shape, then its phase, tree and row cursor. The
+    /// honest guest is strictly sequential per tree — every gradient batch
+    /// of tree `t` precedes its first node task (FIFO link), and
+    /// `TreeDone{t}` precedes any message of tree `t+1` — so out-of-phase,
+    /// future-tree and replayed traffic is refused outright.
     /// A refusal changes nothing. The shell charges it against the budget,
     /// except an `UnexpectedMessage` or `IncompleteGradients`: dropping
     /// those would leave the row lists out of step with the guest's, so
@@ -242,6 +250,7 @@ impl HostCore {
         let replayed = |context| ProtocolError::StaleOrReplayed { from, kind, context };
         let inadmissible = |context| ProtocolError::Inadmissible { from, kind, context };
         let unexpected = |context| ProtocolError::UnexpectedMessage { from, kind, context };
+        self.path.admit_batch(&msg).map_err(inadmissible)?;
         let num_rows = self.bins.num_rows();
         // A tree of `max_layers` layers has 2^max_layers − 1 heap nodes.
         let heap = (1usize << self.max_layers) - 1;
@@ -520,9 +529,11 @@ impl HostCore {
 mod tests {
     use super::*;
     use vf2_crypto::suite::{PlainNumber, Suite};
+    use vf2_crypto::EncryptedNumber;
     use vf2_gbdt::data::{Dataset, FeatureColumn};
 
     use crate::config::TrainConfig;
+    use crate::hist_enc::max_exponent;
     use crate::messages::HistPayload;
     use crate::rows::RowMajorBins;
 
@@ -539,13 +550,36 @@ mod tests {
     }
 
     /// A core over one dense feature of `rows` rows (values `0..rows`, one
-    /// bin each), a run of two trees of four layers, and its row-major view.
+    /// bin each), a mock run of two trees of four layers, and its
+    /// row-major view.
     fn core(rows: usize) -> (HostCore, RowMajorBins) {
+        core_under(&Suite::plain(TrainConfig::for_tests().encoding), rows)
+    }
+
+    /// [`core`] on the gradient path a run under `suite` takes.
+    fn core_under(suite: &Suite, rows: usize) -> (HostCore, RowMajorBins) {
         let cfg = TrainConfig::for_tests();
         let column = FeatureColumn::Dense((0..rows).map(|v| v as f32).collect());
         let csr = RowMajorBins::bin(&Dataset::new(rows, vec![column], None), &cfg.gbdt.binning);
         let gbdt = GbdtParams { num_trees: 2, max_layers: 4, ..cfg.gbdt };
-        (HostCore::new(Arc::new(csr.clone()), core_blank(&csr, &cfg), &gbdt), csr)
+        (new_core(&csr, &cfg, &gbdt, suite), csr)
+    }
+
+    /// A core over `csr` of a run of `gbdt`'s shape under `suite`.
+    fn new_core(
+        csr: &RowMajorBins,
+        cfg: &TrainConfig,
+        gbdt: &GbdtParams,
+        suite: &Suite,
+    ) -> HostCore {
+        let path = Arc::new(GradPath::of(cfg, suite, csr.num_rows()).unwrap());
+        HostCore::new(Arc::new(csr.clone()), core_blank(csr, cfg), gbdt, path)
+    }
+
+    /// A core on a paired run under a 256-bit key.
+    fn paired_core(rows: usize) -> HostCore {
+        let key = Suite::paillier_seeded(256, 7, TrainConfig::for_tests().encoding).unwrap();
+        core_under(&key.public_half(), rows).0
     }
 
     /// An admission's verdict, without the step.
@@ -564,8 +598,12 @@ mod tests {
         }
     }
 
+    /// A mock zero inside the encoding's window.
     fn zero() -> Ciphertext {
-        Ciphertext::Plain(PlainNumber { value: 0.0, exponent: 0 })
+        Ciphertext::Plain(PlainNumber {
+            value: 0.0,
+            exponent: TrainConfig::for_tests().encoding.base_exp,
+        })
     }
 
     // A GradBatch with `rows` plain ciphers so g.len() drives the row
@@ -574,9 +612,12 @@ mod tests {
         Msg::GradBatch { tree, start_row, g: vec![zero(); rows], h: vec![zero(); rows], last }
     }
 
-    // A PackedGradBatch with `rows` GH-pair ciphers.
+    // A PackedGradBatch with `rows` GH-pair ciphers at the pair plan's
+    // exponent, the top of the encoding's window.
     fn packed_grad(tree: u32, start_row: u32, rows: usize, last: bool) -> Msg {
-        Msg::PackedGradBatch { tree, start_row, gh: vec![zero(); rows], last }
+        let exponent = max_exponent(&TrainConfig::for_tests().encoding);
+        let pair = EncryptedNumber { cipher: 1u32.into(), exponent };
+        Msg::PackedGradBatch { tree, start_row, gh: vec![Ciphertext::Paillier(pair); rows], last }
     }
 
     /// The rows an admitted gradient batch covers.
@@ -648,7 +689,7 @@ mod tests {
 
     #[test]
     fn packed_batches_drive_the_same_row_stream_contract() {
-        let (mut core, _) = core(8);
+        let mut core = paired_core(8);
         verdict(core.admit(resume(0))).unwrap();
         // GH-packed batches advance the row cursor by one row per cipher.
         assert_eq!(batch_rows(core.admit(packed_grad(0, 0, 4, false))), 0..4);
@@ -662,6 +703,25 @@ mod tests {
         assert_eq!(core.phase_name(), "node-loop");
         let err = charged(core.admit(packed_grad(0, 8, 0, true)));
         assert!(matches!(err, ProtocolError::OutOfPhase { kind: 14, .. }), "{err}");
+    }
+
+    /// A gradient batch's ciphers are judged before its rows: a last batch
+    /// short of the tree's rows that carries a non-finite mock value is a
+    /// charged refusal of its cipher, not the fatal incomplete stream.
+    #[test]
+    fn a_batchs_ciphers_are_judged_before_its_rows() {
+        let (mut core, _) = core(8);
+        verdict(core.admit(resume(0))).unwrap();
+        let mut short = grad(0, 0, 4, true);
+        if let Msg::GradBatch { g, .. } = &mut short {
+            g[0] = Ciphertext::Plain(PlainNumber { value: f64::NAN, exponent: 8 });
+        }
+        match charged(core.admit(short)) {
+            ProtocolError::Inadmissible { context, .. } => assert!(context.contains("non-finite")),
+            other => panic!("expected the cipher's refusal, got {other}"),
+        }
+        let err = verdict(core.admit(grad(0, 0, 4, true)));
+        assert_eq!(err, Err(ProtocolError::IncompleteGradients { expected: 8, got: 4 }));
     }
 
     #[test]
@@ -696,7 +756,13 @@ mod tests {
         }
         inadmissible(lopsided, "counts differ");
         inadmissible(grad(0, 7, 2, false), "past the instance count");
-        inadmissible(packed_grad(0, 7, 2, false), "past the instance count");
+        let mut paired = paired_core(8);
+        match charged(paired.admit(packed_grad(0, 7, 2, false))) {
+            ProtocolError::Inadmissible { context, .. } => {
+                assert!(context.contains("past the instance count"))
+            }
+            other => panic!("expected inadmissible(past the instance count), got {other}"),
+        }
         // Node 14 is inside the heap: only its phase refuses it.
         let err = charged(core.admit(Msg::NodeTask { tree: 0, node: 14, epoch: 1 }));
         assert!(matches!(err, ProtocolError::OutOfPhase { .. }), "{err}");
@@ -757,7 +823,7 @@ mod tests {
         let binned = BinnedDataset::bin(&Dataset::new(12, columns, None), &cfg.gbdt.binning);
         let csr = RowMajorBins::from_binned(&binned);
         let gbdt = GbdtParams { num_trees: 2, max_layers: 4, ..cfg.gbdt };
-        let mut core = HostCore::new(Arc::new(csr.clone()), core_blank(&csr, &cfg), &gbdt);
+        let mut core = new_core(&csr, &cfg, &gbdt, &Suite::plain(cfg.encoding));
         verdict(core.admit(resume(0))).unwrap();
         verdict(core.admit(grad(0, 0, 12, true))).unwrap();
         // Node 1 holds rows 0..7.
@@ -886,7 +952,7 @@ mod tests {
             .collect();
         let gbdt = GbdtParams { num_trees: 1, max_layers: 3, ..cfg.gbdt };
         let built = |placed_first: bool| -> Vec<u64> {
-            let mut core = HostCore::new(Arc::new(csr.clone()), core_blank(&csr, &cfg), &gbdt);
+            let mut core = new_core(&csr, &cfg, &gbdt, &suite);
             verdict(core.admit(resume(0))).unwrap();
             let batch =
                 Msg::GradBatch { tree: 0, start_row: 0, g: g.clone(), h: g.clone(), last: true };

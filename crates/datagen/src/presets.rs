@@ -19,7 +19,6 @@
 //! on.
 
 use crate::synthetic::{generate_classification, SyntheticConfig};
-use crate::vertical::{split_vertical, VerticalScenario};
 use vf2_gbdt::data::Dataset;
 
 /// A dataset shape from the paper's Table 3.
@@ -133,18 +132,12 @@ impl DatasetPreset {
             seed,
         })
     }
-
-    /// Generates and splits into the two-party scenario (A features first,
-    /// then B's — matching Table 3's A/B counts).
-    pub fn generate_two_party(&self, seed: u64) -> VerticalScenario {
-        let data = self.generate(seed);
-        split_vertical(&data, &[self.features_a])
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vertical::split_vertical;
 
     #[test]
     fn all_presets_resolvable_by_name() {
@@ -194,7 +187,8 @@ mod tests {
     #[test]
     fn two_party_scenario_shapes() {
         let p = preset("a9a").unwrap().scaled(0.1);
-        let s = p.generate_two_party(42);
+        // A features first, then B's — matching Table 3's A/B counts.
+        let s = split_vertical(&p.generate(42), &[p.features_a]);
         assert_eq!(s.hosts[0].num_features(), p.features_a);
         assert_eq!(s.guest.num_features(), p.features_b);
         assert_eq!(s.guest.num_rows(), p.rows);

@@ -90,20 +90,6 @@ impl Dataset {
         Dataset { num_rows, columns, labels }
     }
 
-    /// Builds a dense dataset from row-major data (convenience).
-    pub fn from_rows(rows: &[Vec<f32>], labels: Option<Vec<f32>>) -> Self {
-        let num_rows = rows.len();
-        let num_cols = rows.first().map_or(0, Vec::len);
-        let mut columns = vec![Vec::with_capacity(num_rows); num_cols];
-        for row in rows {
-            assert_eq!(row.len(), num_cols, "ragged rows");
-            for (c, &v) in row.iter().enumerate() {
-                columns[c].push(v);
-            }
-        }
-        Dataset::new(num_rows, columns.into_iter().map(FeatureColumn::Dense).collect(), labels)
-    }
-
     /// Number of instances `N`.
     pub fn num_rows(&self) -> usize {
         self.num_rows
@@ -224,8 +210,10 @@ mod tests {
     }
 
     #[test]
-    fn from_rows_round_trips() {
-        let d = Dataset::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]], None);
+    fn dense_columns_read_back_by_row() {
+        let columns =
+            vec![FeatureColumn::Dense(vec![1.0, 3.0]), FeatureColumn::Dense(vec![2.0, 4.0])];
+        let d = Dataset::new(2, columns, None);
         assert_eq!(d.row_dense(1), vec![3.0, 4.0]);
     }
 

@@ -69,14 +69,6 @@ impl Histogram {
         self.bins.iter().fold(GradPair::ZERO, |acc, &b| acc + b)
     }
 
-    /// The histogram-subtraction trick: a sibling's histogram is the
-    /// parent's minus this child's (used when siblings are processed
-    /// together in layer-wise growth).
-    pub fn subtract_from(&self, parent: &Histogram) -> Histogram {
-        debug_assert_eq!(self.bins.len(), parent.bins.len());
-        Histogram { bins: parent.bins.iter().zip(&self.bins).map(|(&p, &c)| p - c).collect() }
-    }
-
     /// Prefix sums: entry `b` is the sum of bins `0..=b` (the left-child
     /// statistics of a split at bin `b`).
     pub fn prefix_sums(&self) -> Vec<GradPair> {
@@ -256,8 +248,10 @@ mod tests {
         let child_assign = vec![0, 0, 1, 1];
         let ct = node_totals(&grads, &child_assign, 2);
         let children = build_layer_histograms(&binned, &grads, &child_assign, &ct);
-        let sibling = children.hist(0, 0).subtract_from(parent.hist(0, 0));
-        assert_eq!(&sibling, children.hist(0, 1));
+        // The sibling's histogram is the parent's minus this child's.
+        let (whole, child) = (parent.hist(0, 0), children.hist(0, 0));
+        let sibling = whole.bins.iter().zip(&child.bins).map(|(&p, &c)| p - c).collect();
+        assert_eq!(&Histogram { bins: sibling }, children.hist(0, 1));
     }
 
     #[test]

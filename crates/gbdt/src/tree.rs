@@ -47,11 +47,6 @@ pub fn layer_start(l: usize) -> NodeId {
     (1 << l) - 1
 }
 
-/// Number of node slots in layer `l`.
-pub fn layer_width(l: usize) -> usize {
-    1 << l
-}
-
 /// Left child of `id`.
 pub fn left_child(id: NodeId) -> NodeId {
     2 * id + 1
@@ -182,7 +177,7 @@ mod tests {
     fn heap_arithmetic() {
         assert_eq!(layer_start(0), 0);
         assert_eq!(layer_start(3), 7);
-        assert_eq!(layer_width(3), 8);
+        assert_eq!(layer_start(4) - layer_start(3), 8);
         assert_eq!(left_child(2), 5);
         assert_eq!(right_child(2), 6);
         assert_eq!(parent(5), Some(2));

@@ -9,7 +9,7 @@
 
 use std::time::Duration;
 
-use vf2boost::channel::{duplex, Endpoint, MalfeasantPeer, Misdeed, WanConfig};
+use vf2boost::channel::{duplex, Endpoint, WanConfig};
 use vf2boost::core::config::{CryptoConfig, TrainConfig};
 use vf2boost::core::error::{GuestFailure, PartyId, ProtocolError, TrainError};
 use vf2boost::core::guest::run_guest;
@@ -33,6 +33,10 @@ use vf2boost::gbdt::binning::BinnedDataset;
 use vf2boost::gbdt::data::{Dataset, FeatureColumn};
 use vf2boost::gbdt::histogram::GradPair;
 use vf2boost::gbdt::train::GbdtParams;
+
+#[path = "support/malfeasant.rs"]
+mod malfeasant;
+use malfeasant::{MalfeasantPeer, Misdeed};
 
 const DRAIN: Duration = Duration::from_secs(10);
 
