@@ -47,10 +47,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # that contradicts its parent (or a histogram for the sibling the guest
 # derives itself) is that host's violation.
 #
-# Liveness (tests/resume.rs): a host killed *inside* the node loop
-# (between a NodeTask and its histogram answer) ends the run as a typed
-# PartyPanicked, and the kill-and-restart matrix above is the only way
-# back; a silently dead peer is a typed PeerLost inside the liveness
+# Liveness (tests/resume.rs): a host crashed inside its pool at a tree's
+# first histogram accumulation (after the previous tree's TreeDone, before
+# any answer of this tree) ends the run as a typed PartyPanicked that
+# carries the host's telemetry and flight record, and the kill-and-restart
+# matrix above is the only way back; a silently dead peer is a typed PeerLost inside the liveness
 # deadline; a stalled-but-alive link is ridden out inside the supervised
 # wait by not waking, with the identical model.
 #
@@ -311,18 +312,30 @@ done
 # One timer rule: a frame's retransmission timer starts when its copy
 # leaves the gateway pump and runs its direction's one RFC 6298 RTO
 # (link.rs::RtoEstimator). The shipping half of link.rs names no per-frame
-# deadline and reads initial_rto once, in the estimator's constructor, so
-# a timer armed at enqueue cannot come back beside the estimator.
+# deadline, and outside the estimator's impl it names the RTO floor only
+# where it defines it, so a timer armed at enqueue cannot come back beside
+# the estimator.
 echo "== one-timer gate (link.rs, non-test) =="
 LINK_SHIPPING=$(awk '/#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' crates/channel/src/link.rs)
 if grep -E 'next_at' <<< "$LINK_SHIPPING"; then
   echo "a per-frame retransmission deadline is back in link.rs" >&2
   exit 1
 fi
-if [ "$(grep -cE '\.initial_rto' <<< "$LINK_SHIPPING")" != 1 ] \
-    || ! grep -qE 'let floor = rel\.initial_rto;' <<< "$LINK_SHIPPING"; then
-  grep -E '\.initial_rto' <<< "$LINK_SHIPPING" >&2 || true
-  echo "link.rs reads initial_rto outside the RTO estimator's constructor" >&2
+FLOOR_OUTSIDE=$(awk '/#\[cfg\(test\)\]/{exit} /^impl RtoEstimator \{/{e=1} !e&&!/^ *\/\//{print FILENAME ":" FNR ": " $0} e&&/^\}/{e=0}' \
+  crates/channel/src/link.rs | grep -E 'RTO_FLOOR' || true)
+if [ "$(grep -c . <<< "$FLOOR_OUTSIDE")" != 1 ] \
+    || ! grep -qE ': const RTO_FLOOR: Duration = ' <<< "$FLOOR_OUTSIDE"; then
+  echo "$FLOOR_OUTSIDE" >&2
+  echo "link.rs reads the RTO floor outside the RTO estimator" >&2
+  exit 1
+fi
+# The link tunes itself: its RTO floor, ceiling, backoff, jitter and ack
+# size are link.rs's private constants, so no config, public type or
+# config error carries a second set of them.
+echo "== one-link-tuning gate (no reliability config) =="
+if grep -rnE 'ReliabilityConfig|InvalidReliability|initial_rto|max_rto' \
+    crates/*/src src tests examples; then
+  echo "a link-tuning knob is back" >&2
   exit 1
 fi
 

@@ -103,52 +103,6 @@ impl Default for FaultConfig {
     }
 }
 
-/// Tuning of the reliable-delivery sublayer (acks + retransmission).
-///
-/// A data frame's retransmission timer starts when its copy leaves the
-/// gateway pump (onto the wire, or lost there), and runs its sending
-/// direction's one RTO: an RFC 6298 estimate (SRTT + 4·RTTVAR) fed under
-/// Karn's rule, backed off by every timeout until the next sample.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReliabilityConfig {
-    /// The RTO before the first RTT sample, and the floor under every
-    /// later one. The floor wins over `max_rto` where the two cross.
-    pub initial_rto: Duration,
-    /// Ceiling of the estimated and the backed-off RTO.
-    pub max_rto: Duration,
-    /// Backoff multiplier applied to the RTO by every timeout; it holds
-    /// for every frame until the next RTT sample.
-    pub backoff: u32,
-    /// Fractional random jitter added to each backed-off timeout
-    /// (`rto * (1 + jitter_frac * U[0,1))`) to avoid retransmit storms.
-    pub jitter_frac: f64,
-    /// Wire size charged to an ack frame by the WAN model.
-    pub ack_wire_bytes: usize,
-}
-
-impl Default for ReliabilityConfig {
-    fn default() -> ReliabilityConfig {
-        ReliabilityConfig {
-            initial_rto: Duration::from_millis(40),
-            max_rto: Duration::from_secs(1),
-            backoff: 2,
-            jitter_frac: 0.25,
-            ack_wire_bytes: 16,
-        }
-    }
-}
-
-impl ReliabilityConfig {
-    /// A fast-retransmit profile for local/instant links in tests.
-    pub fn aggressive() -> ReliabilityConfig {
-        ReliabilityConfig {
-            initial_rto: Duration::from_millis(10),
-            max_rto: Duration::from_millis(200),
-            ..ReliabilityConfig::default()
-        }
-    }
-}
-
 /// The fault decisions for one frame, drawn from the plan's seeded
 /// stream in a fixed order (drop, corrupt, reorder, duplicate) so the
 /// stream depends only on the seed and the frame index — never on frame

@@ -39,7 +39,7 @@ pub mod fault;
 pub mod link;
 
 pub use codec::{checksum, Checksum, Decoder, Encoder};
-pub use fault::{FaultConfig, ReliabilityConfig, StallWindow};
+pub use fault::{FaultConfig, StallWindow};
 pub use link::{
     duplex, duplex_faulty, recv_ready, Endpoint, Envelope, LinkStats, RecvError, RecvReady,
     WanConfig,

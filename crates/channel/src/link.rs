@@ -59,7 +59,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::codec::Checksum;
-use crate::fault::{FaultConfig, FaultPlan, ReliabilityConfig};
+use crate::fault::{FaultConfig, FaultPlan};
 
 /// WAN characteristics of one link direction.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -231,7 +231,8 @@ struct Pending {
     resent: bool,
 }
 
-/// A sender's unacked frames and their running timers.
+/// A sender's unacked frames, their running timers and the one RTO they
+/// run.
 #[derive(Default)]
 struct RetxBuffer {
     /// Unacked frames by sequence number.
@@ -240,6 +241,8 @@ struct RetxBuffer {
     /// gateway. Every timer runs the one RTO, so the first entry fires
     /// first, and neither the pump nor the reliability thread scans.
     timers: BTreeSet<(Instant, u64)>,
+    /// The direction's retransmission timeout.
+    rto: RtoEstimator,
 }
 
 impl RetxBuffer {
@@ -253,9 +256,9 @@ impl RetxBuffer {
         }
     }
 
-    /// A cumulative ack: drops every frame below `next` and returns the
-    /// newest of them.
-    fn ack(&mut self, next: u64) -> Option<Pending> {
+    /// A cumulative ack arriving at `now`: drops every frame below `next`
+    /// and feeds the newest of them to the RTO.
+    fn ack(&mut self, next: u64, now: Instant) {
         let keep = self.frames.split_off(&next);
         let acked = std::mem::replace(&mut self.frames, keep);
         for (&seq, pending) in &acked {
@@ -263,18 +266,33 @@ impl RetxBuffer {
                 self.timers.remove(&(departed, seq));
             }
         }
-        acked.into_values().next_back()
+        if let Some(newest) = acked.values().next_back() {
+            self.rto.on_ack(newest, now);
+        }
+    }
+
+    /// When the first running timer fires, if one runs.
+    fn next_due(&self) -> Option<Instant> {
+        self.timers.first().and_then(|&(departed, _)| self.rto.due(departed))
     }
 }
 
+/// The RTO before the first RTT sample, and the floor under every later one.
+const RTO_FLOOR: Duration = Duration::from_millis(40);
+/// Ceiling of the estimated and the backed-off RTO.
+const RTO_CEILING: Duration = Duration::from_secs(1);
+/// What every timeout multiplies the RTO by, until the next sample.
+const RTO_BACKOFF: u32 = 2;
+/// Random jitter on each backed-off timeout, as a fraction of the RTO, so
+/// repeated losses do not synchronize.
+const RTO_JITTER: f64 = 0.25;
+/// Wire size the WAN model charges an ack frame.
+const ACK_WIRE_BYTES: usize = 16;
+
 /// One sending direction's retransmission timeout: an RFC 6298 estimate
-/// held under `max_rto` and over `initial_rto`, which is also the RTO
-/// before the first sample. The floor wins where the two cross.
+/// held between [`RTO_FLOOR`], which is also the RTO before the first
+/// sample, and [`RTO_CEILING`].
 struct RtoEstimator {
-    floor: Duration,
-    ceiling: Duration,
-    backoff: u32,
-    jitter_frac: f64,
     /// SRTT and RTTVAR; `None` before the first sample.
     smoothed: Option<(Duration, Duration)>,
     /// The RTO, backed off by every timeout since the last sample.
@@ -284,26 +302,15 @@ struct RtoEstimator {
     timeout: Duration,
 }
 
-impl RtoEstimator {
-    fn new(rel: ReliabilityConfig) -> RtoEstimator {
-        let floor = rel.initial_rto;
-        RtoEstimator {
-            floor,
-            ceiling: rel.max_rto,
-            // What `TrainConfig::validate` rejects still runs here: no
-            // backoff below 1×, no undefined or negative jitter.
-            backoff: rel.backoff.max(1),
-            jitter_frac: if rel.jitter_frac.is_finite() { rel.jitter_frac.max(0.0) } else { 0.0 },
-            smoothed: None,
-            rto: floor,
-            timeout: floor,
-        }
+impl Default for RtoEstimator {
+    fn default() -> RtoEstimator {
+        RtoEstimator::new()
     }
+}
 
-    /// `d` under the ceiling, then over the floor. (Not `Duration::clamp`,
-    /// which asserts the two are ordered.)
-    fn bound(&self, d: Duration) -> Duration {
-        d.min(self.ceiling).max(self.floor)
+impl RtoEstimator {
+    fn new() -> RtoEstimator {
+        RtoEstimator { smoothed: None, rto: RTO_FLOOR, timeout: RTO_FLOOR }
     }
 
     /// When the timer of a frame whose latest copy left the gateway at
@@ -326,16 +333,15 @@ impl RtoEstimator {
             }
         };
         self.smoothed = Some((srtt, rttvar));
-        self.rto = self.bound(srtt.saturating_add(rttvar.saturating_mul(4)));
+        self.rto = srtt.saturating_add(rttvar.saturating_mul(4)).clamp(RTO_FLOOR, RTO_CEILING);
         self.timeout = self.rto;
     }
 
     /// A timer fired: back the RTO off and draw its jitter from `u` in
     /// `[0, 1)`, so repeated losses do not synchronize.
     fn on_timeout(&mut self, u: f64) {
-        self.rto = self.bound(self.rto.saturating_mul(self.backoff));
-        let jittered = self.rto.as_secs_f64() * (1.0 + self.jitter_frac * u);
-        self.timeout = Duration::try_from_secs_f64(jittered).unwrap_or(Duration::MAX);
+        self.rto = self.rto.saturating_mul(RTO_BACKOFF).clamp(RTO_FLOOR, RTO_CEILING);
+        self.timeout = self.rto.mul_f64(1.0 + RTO_JITTER * u);
     }
 }
 
@@ -564,7 +570,7 @@ fn sleep_until(deadline: Instant) {
 /// `cfg`, fault-free.
 pub fn duplex(cfg: WanConfig) -> (Endpoint, Endpoint) {
     let calm = FaultConfig::none();
-    duplex_faulty(cfg, calm, calm, ReliabilityConfig::default(), DEFAULT_KEEPALIVE)
+    duplex_faulty(cfg, calm, calm, DEFAULT_KEEPALIVE)
 }
 
 /// Creates a duplex link whose directions misbehave per the given fault
@@ -578,7 +584,6 @@ pub fn duplex_faulty(
     cfg: WanConfig,
     fault_ab: FaultConfig,
     fault_ba: FaultConfig,
-    rel: ReliabilityConfig,
     keepalive: Duration,
 ) -> (Endpoint, Endpoint) {
     let ab_stats = Arc::new(LinkStats::default());
@@ -591,16 +596,15 @@ pub fn duplex_faulty(
 
     let (a_tx, ab_pump_rx) = unbounded::<Frame>();
     let (ab_wire_tx, ab_wire_rx) = unbounded::<(Instant, Frame)>();
-    spawn_pump(cfg, fault_ab, rel, ab_pump_rx, ab_wire_tx, ab_stats.clone(), Arc::clone(&a_retx));
+    spawn_pump(cfg, fault_ab, ab_pump_rx, ab_wire_tx, ab_stats.clone(), Arc::clone(&a_retx));
 
     let (b_tx, ba_pump_rx) = unbounded::<Frame>();
     let (ba_wire_tx, ba_wire_rx) = unbounded::<(Instant, Frame)>();
-    spawn_pump(cfg, fault_ba, rel, ba_pump_rx, ba_wire_tx, ba_stats.clone(), Arc::clone(&b_retx));
+    spawn_pump(cfg, fault_ba, ba_pump_rx, ba_wire_tx, ba_stats.clone(), Arc::clone(&b_retx));
 
     let (ab, ba) = (ab_stats.clone(), ba_stats.clone());
-    let a = spawn_endpoint(a_tx, ba_wire_rx, a_retx, rel, keepalive, ab, ba, fault_ab.seed);
-    let b =
-        spawn_endpoint(b_tx, ab_wire_rx, b_retx, rel, keepalive, ba_stats, ab_stats, fault_ba.seed);
+    let a = spawn_endpoint(a_tx, ba_wire_rx, a_retx, keepalive, ab, ba, fault_ab.seed);
+    let b = spawn_endpoint(b_tx, ab_wire_rx, b_retx, keepalive, ba_stats, ab_stats, fault_ba.seed);
     (a, b)
 }
 
@@ -611,7 +615,6 @@ fn spawn_endpoint(
     raw_tx: Sender<Frame>,
     incoming: Receiver<(Instant, Frame)>,
     retx: Arc<Mutex<RetxBuffer>>,
-    rel: ReliabilityConfig,
     keepalive: Duration,
     send_stats: Arc<LinkStats>,
     recv_stats: Arc<LinkStats>,
@@ -639,7 +642,6 @@ fn spawn_endpoint(
                     raw_tx,
                     delivered_tx,
                     retx,
-                    rel,
                     keepalive,
                     send_stats,
                     recv_stats,
@@ -670,7 +672,6 @@ fn reliability_loop(
     raw_tx: Sender<Frame>,
     delivered_tx: Sender<Envelope>,
     retx: Arc<Mutex<RetxBuffer>>,
-    rel: ReliabilityConfig,
     keepalive: Duration,
     send_stats: Arc<LinkStats>,
     recv_stats: Arc<LinkStats>,
@@ -679,7 +680,6 @@ fn reliability_loop(
     jitter_seed: u64,
 ) {
     let mut rng = StdRng::seed_from_u64(jitter_seed ^ 0x5EED_AC4E);
-    let mut rto = RtoEstimator::new(rel);
     // Next in-order sequence number to deliver to the application.
     let mut expected: u64 = 0;
     // Out-of-order frames parked until the gap before them is filled.
@@ -693,7 +693,7 @@ fn reliability_loop(
         }
         let now = Instant::now();
         let mut wait = LINK_TICK.min(keepalive.saturating_sub(now.duration_since(acked_at)));
-        if let Some(due) = retx.lock().timers.first().and_then(|&(departed, _)| rto.due(departed)) {
+        if let Some(due) = retx.lock().next_due() {
             wait = wait.min(due.saturating_duration_since(now));
         }
         let mut data_heard = false;
@@ -730,9 +730,7 @@ fn reliability_loop(
                         let now = Instant::now();
                         *last_heard.lock() = now;
                         send_stats.acks_received.fetch_add(1, Ordering::Relaxed);
-                        if let Some(newest) = retx.lock().ack(next) {
-                            rto.on_ack(&newest, now);
-                        }
+                        retx.lock().ack(next, now);
                     }
                 }
             }
@@ -753,9 +751,9 @@ fn reliability_loop(
         // first; each timeout backs the shared RTO off before the next
         // timer is checked.
         let now = Instant::now();
-        let mut buffer = retx.lock();
+        let buffer = &mut *retx.lock();
         while let Some(&(departed, seq)) = buffer.timers.first() {
-            if rto.due(departed).is_none_or(|due| due > now) {
+            if buffer.rto.due(departed).is_none_or(|due| due > now) {
                 break;
             }
             buffer.timers.remove(&(departed, seq));
@@ -766,7 +764,7 @@ fn reliability_loop(
                 pending.departed = None;
                 pending.resent = true;
             }
-            rto.on_timeout(rng.gen());
+            buffer.rto.on_timeout(rng.gen());
         }
     }
 }
@@ -777,7 +775,6 @@ fn reliability_loop(
 fn spawn_pump(
     cfg: WanConfig,
     fault: FaultConfig,
-    rel: ReliabilityConfig,
     pump_rx: Receiver<Frame>,
     wire_tx: Sender<(Instant, Frame)>,
     stats: Arc<LinkStats>,
@@ -875,7 +872,7 @@ fn spawn_pump(
                     }
                     let size = match &f {
                         Frame::Data { env, .. } => env.payload.len(),
-                        Frame::Ack { .. } => rel.ack_wire_bytes,
+                        Frame::Ack { .. } => ACK_WIRE_BYTES,
                     };
                     wire_free_at = start + cfg.serialize_time(size);
                     // Pace the pump so the sender-side queue drains at
@@ -1143,8 +1140,8 @@ mod tests {
     // ---- the retransmission timer ----
 
     #[test]
-    fn a_frame_serializing_past_the_initial_rto_is_not_resent() {
-        // 200 ms on the wire against a 40 ms initial RTO: the timer starts
+    fn a_frame_serializing_past_the_rto_floor_is_not_resent() {
+        // 200 ms on the wire against the 40 ms RTO floor: the timer starts
         // when the frame has left the gateway, not when it was queued.
         let cfg = WanConfig {
             bandwidth_bytes_per_sec: 1.0e6,
@@ -1159,8 +1156,8 @@ mod tests {
     }
 
     #[test]
-    fn an_rtt_above_the_initial_rto_is_learned() {
-        // RTT 120 ms against a 40 ms initial RTO: the first frames time
+    fn an_rtt_above_the_rto_floor_is_learned() {
+        // RTT 120 ms against the 40 ms RTO floor: the first frames time
         // out and back the RTO off; the first frame acked after one send
         // is a sample, and nothing later is re-sent.
         let cfg = WanConfig {
@@ -1191,9 +1188,7 @@ mod tests {
     #[test]
     fn the_rto_follows_rfc_6298_under_karns_rule() {
         let ms = Duration::from_millis;
-        let rel =
-            ReliabilityConfig { initial_rto: ms(40), max_rto: ms(1000), ..Default::default() };
-        let mut rto = RtoEstimator::new(rel);
+        let mut rto = RtoEstimator::new();
         let t0 = Instant::now();
         assert_eq!(rto.timeout, ms(40), "the RTO before the first sample");
         // First sample R: SRTT = R, RTTVAR = R/2; then SRTT ← 7/8 SRTT +
@@ -1223,50 +1218,21 @@ mod tests {
         assert_eq!(rto.timeout, Duration::from_micros(271_875));
     }
 
-    #[test]
-    fn the_rto_floor_wins_over_its_ceiling() {
-        let ms = Duration::from_millis;
-        let rel =
-            ReliabilityConfig { initial_rto: ms(30_000), max_rto: ms(1000), ..Default::default() };
-        let mut rto = RtoEstimator::new(rel);
-        let t0 = Instant::now();
-        assert_eq!(rto.timeout, ms(30_000));
-        rto.on_ack(&sent_once(t0), t0 + ms(10));
-        assert_eq!(rto.timeout, ms(30_000));
-        rto.on_timeout(0.0);
-        assert_eq!(rto.timeout, ms(30_000));
-    }
-
-    #[test]
-    fn the_rto_is_total_on_configs_validation_rejects() {
-        let ms = Duration::from_millis;
-        for jitter_frac in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.5] {
-            let rel = ReliabilityConfig { backoff: 0, jitter_frac, ..Default::default() };
-            let mut rto = RtoEstimator::new(rel);
-            rto.on_timeout(0.99);
-            // No shrinking backoff and no undefined jitter.
-            assert_eq!(rto.timeout, ms(40), "jitter_frac {jitter_frac}");
-        }
-        let huge = ReliabilityConfig { max_rto: Duration::MAX, ..Default::default() };
-        let mut rto = RtoEstimator::new(huge);
-        for _ in 0..200 {
-            rto.on_timeout(1.0);
-        }
-        assert_eq!(rto.timeout, Duration::MAX);
-        assert_eq!(rto.due(Instant::now()), None, "a timer past the clock's end");
-    }
-
     // ---- the cumulative ack as keepalive ----
 
     /// Keepalive interval of the tests below.
     const KEEPALIVE: Duration = Duration::from_millis(40);
 
-    /// A link that keepalives every [`KEEPALIVE`] and, with an RTO longer
-    /// than any test, never retransmits: whatever keeps `idle_for` fresh
-    /// or drains a buffer here is an ack.
+    /// A link that keepalives every [`KEEPALIVE`] and, with an RTO past the
+    /// clock's end until its first RTT sample, never re-sends a frame sent
+    /// before one: whatever keeps `idle_for` fresh or drains a buffer here
+    /// is an ack.
     fn keepalive_link(fault_ab: FaultConfig, fault_ba: FaultConfig) -> (Endpoint, Endpoint) {
-        let rel = ReliabilityConfig { initial_rto: Duration::from_secs(30), ..Default::default() };
-        duplex_faulty(WanConfig::instant(), fault_ab, fault_ba, rel, KEEPALIVE)
+        let (a, b) = duplex_faulty(WanConfig::instant(), fault_ab, fault_ba, KEEPALIVE);
+        for end in [&a, &b] {
+            end.retx.lock().rto.timeout = Duration::MAX;
+        }
+        (a, b)
     }
 
     /// The longest `idle_for` either listed endpoint shows over `window`.
@@ -1360,8 +1326,7 @@ mod tests {
     /// Sends `n` tagged messages A→B over a faulty link and checks they
     /// arrive exactly once, in order, bit-intact.
     fn assert_reliable_delivery(fault: FaultConfig, n: u64) -> (Endpoint, Endpoint) {
-        let rel = ReliabilityConfig::aggressive();
-        let (a, b) = duplex_faulty(WanConfig::instant(), fault, fault, rel, DEFAULT_KEEPALIVE);
+        let (a, b) = duplex_faulty(WanConfig::instant(), fault, fault, DEFAULT_KEEPALIVE);
         for i in 0..n {
             a.send((i % 7) as u16, Bytes::from(i.to_le_bytes().to_vec()));
         }
@@ -1421,13 +1386,8 @@ mod tests {
             stall: Some(StallWindow { after: Duration::ZERO, duration: Duration::from_secs(10) }),
             ..FaultConfig::none()
         };
-        let (a, b) = duplex_faulty(
-            WanConfig::instant(),
-            fault,
-            FaultConfig::none(),
-            ReliabilityConfig::default(),
-            DEFAULT_KEEPALIVE,
-        );
+        let (a, b) =
+            duplex_faulty(WanConfig::instant(), fault, FaultConfig::none(), DEFAULT_KEEPALIVE);
         a.send(0, Bytes::from_static(b"stuck"));
         let t0 = Instant::now();
         assert_eq!(b.recv_timeout(Duration::from_millis(50)), Err(RecvError::Timeout));
@@ -1442,13 +1402,8 @@ mod tests {
             stall: Some(StallWindow { after: Duration::ZERO, duration: Duration::from_millis(80) }),
             ..FaultConfig::none()
         };
-        let (a, b) = duplex_faulty(
-            WanConfig::instant(),
-            fault,
-            FaultConfig::none(),
-            ReliabilityConfig::default(),
-            DEFAULT_KEEPALIVE,
-        );
+        let (a, b) =
+            duplex_faulty(WanConfig::instant(), fault, FaultConfig::none(), DEFAULT_KEEPALIVE);
         let t0 = Instant::now();
         a.send(0, Bytes::from_static(b"delayed"));
         let env = b.recv_timeout(Duration::from_secs(5)).unwrap();
@@ -1460,13 +1415,8 @@ mod tests {
     fn scripted_disconnect_blackholes_forever() {
         let fault =
             FaultConfig { seed: 14, disconnect_after_frames: Some(2), ..FaultConfig::none() };
-        let (a, b) = duplex_faulty(
-            WanConfig::instant(),
-            fault,
-            FaultConfig::none(),
-            ReliabilityConfig::aggressive(),
-            DEFAULT_KEEPALIVE,
-        );
+        let (a, b) =
+            duplex_faulty(WanConfig::instant(), fault, FaultConfig::none(), DEFAULT_KEEPALIVE);
         // The first messages get through (each costs one data frame).
         a.send(0, Bytes::from_static(b"one"));
         a.send(1, Bytes::from_static(b"two"));

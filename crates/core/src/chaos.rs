@@ -21,19 +21,15 @@ pub struct ChaosPlan {
     /// Fault plan of every host→guest link direction (derived per host as
     /// above).
     pub fault_host_to_guest: FaultConfig,
-    /// The one kill point: host 0 panics (simulating a process kill) the
-    /// moment it receives the `NodeTask` for this `(tree, node)` — inside
-    /// the node loop, between a task and its histogram answer. `(n, 0)`
-    /// arrives FIFO-after `TreeDone(n − 1)`, so the `n`-tree checkpoint is
-    /// durable on every party. Only host 0 honors it; in a multi-host run
-    /// the other hosts lose the guest when its run fails, and every party
-    /// resumes from that common checkpoint.
-    pub crash_host_on_node_task: Option<(u32, u32)>,
-    /// The encrypted histogram build of this tree panics where column
-    /// shard 0 runs — inside the party pool's `install`, at the first
-    /// accumulation (the root's first batch) — exercising the worker-panic
-    /// containment path at any `workers`.
-    pub crash_hist_worker_on_tree: Option<u32>,
+    /// The one injected crash: host 0 panics where column shard 0 of its
+    /// encrypted histogram build runs — inside its pool, at any `workers` —
+    /// at this tree's first accumulation (the root's first gradient batch),
+    /// and reports it as a typed `PartyPanicked`. Tree `n`'s first batch
+    /// arrives FIFO-after `TreeDone(n − 1)` and before any answer of tree
+    /// `n`, so the `n`-tree checkpoint is durable on every party. In a
+    /// multi-host run the other hosts lose the guest when its run fails,
+    /// and every party resumes from that common checkpoint.
+    pub crash_host_on_tree: Option<u32>,
 }
 
 #[cfg(test)]
@@ -45,7 +41,6 @@ mod tests {
         let plan = ChaosPlan::default();
         assert!(!plan.fault_guest_to_host.is_active());
         assert!(!plan.fault_host_to_guest.is_active());
-        assert!(plan.crash_host_on_node_task.is_none());
-        assert!(plan.crash_hist_worker_on_tree.is_none());
+        assert!(plan.crash_host_on_tree.is_none());
     }
 }

@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-use vf2_channel::{ReliabilityConfig, WanConfig};
+use vf2_channel::WanConfig;
 use vf2_crypto::encoding::EncodingConfig;
 use vf2_crypto::error::CryptoError;
 use vf2_crypto::packing::GhPlan;
@@ -56,8 +56,6 @@ pub struct TrainConfig {
     pub encoding: EncodingConfig,
     /// Simulated WAN characteristics of every cross-party link.
     pub wan: WanConfig,
-    /// Reliable-delivery tuning (retransmission timeouts, ack size).
-    pub reliability: ReliabilityConfig,
     /// Per-phase peer deadline: the longest any blocking cross-party wait
     /// may last before the peer is declared lost
     /// ([`crate::error::TrainError::PeerLost`]).
@@ -109,7 +107,6 @@ impl Default for TrainConfig {
             crypto: CryptoConfig::Paillier { key_bits: 2048 },
             encoding: EncodingConfig::default(),
             wan: WanConfig::paper_public_network(),
-            reliability: ReliabilityConfig::default(),
             peer_timeout: Duration::from_secs(60),
             peer_dead_after: Duration::from_secs(60),
             trace_events_cap: 256,
@@ -156,25 +153,20 @@ impl TrainConfig {
                 });
             }
         }
-        let rel = self.reliability;
-        let jitter_ok = rel.jitter_frac.is_finite() && rel.jitter_frac >= 0.0;
-        if !jitter_ok || rel.backoff == 0 || rel.initial_rto.is_zero() || rel.max_rto.is_zero() {
-            return Err(ConfigError::InvalidReliability(rel));
-        }
         Ok(())
     }
 
-    /// The pair plan of a run of `num_rows` rows under `suite`: a Paillier
-    /// suite with `protocol.pack_histograms` pairs each row's `(g, h)` into
-    /// one cipher; everything else keeps the two streams (`None`). A pair
-    /// too wide for the key is a typed error.
+    /// The pair plan of a run of `num_rows` rows under `suite` (and its
+    /// encoding): a Paillier suite with `protocol.pack_histograms` pairs
+    /// each row's `(g, h)` into one cipher; everything else keeps the two
+    /// streams (`None`). A pair too wide for the key is a typed error.
     pub fn gh_plan(&self, suite: &Suite, num_rows: usize) -> Result<Option<GhPlan>, CryptoError> {
         let Some(pk) = suite.public_key().filter(|_| self.protocol.pack_histograms) else {
             return Ok(None);
         };
         let loss = &self.gbdt.loss;
         let plan =
-            GhPlan::new(loss.grad_bound(), loss.hess_bound(), num_rows as u64, &self.encoding)?;
+            GhPlan::new(loss.grad_bound(), loss.hess_bound(), num_rows as u64, suite.encoding())?;
         plan.validate_capacity(pk)?;
         Ok(Some(plan))
     }
@@ -207,7 +199,6 @@ impl TrainConfig {
             crypto: CryptoConfig::Paillier { key_bits: 256 },
             encoding: EncodingConfig { base: 16, base_exp: 8, jitter: 4 },
             wan: WanConfig::instant(),
-            reliability: ReliabilityConfig::aggressive(),
             peer_timeout: Duration::from_secs(30),
             ..Default::default()
         }
@@ -342,31 +333,6 @@ mod tests {
                 ..TrainConfig::default()
             };
             assert!(c.validate().is_err(), "spread ({bw}, {lat}) must be rejected");
-        }
-    }
-
-    #[test]
-    fn unusable_reliability_configs_are_rejected() {
-        let ok = TrainConfig::default();
-        let rel = ok.reliability;
-        for bad in [
-            ReliabilityConfig { jitter_frac: f64::NAN, ..rel },
-            ReliabilityConfig { jitter_frac: f64::INFINITY, ..rel },
-            ReliabilityConfig { jitter_frac: -0.5, ..rel },
-            ReliabilityConfig { backoff: 0, ..rel },
-            ReliabilityConfig { initial_rto: Duration::ZERO, ..rel },
-            ReliabilityConfig { max_rto: Duration::ZERO, ..rel },
-        ] {
-            let err = TrainConfig { reliability: bad, ..ok }.validate();
-            assert!(matches!(err, Err(ConfigError::InvalidReliability(_))), "{bad:?}: {err:?}");
-        }
-        // No jitter, no backoff growth, and a floor over the ceiling are
-        // all usable.
-        for fine in [
-            ReliabilityConfig { jitter_frac: 0.0, backoff: 1, ..rel },
-            ReliabilityConfig { initial_rto: Duration::from_secs(30), ..rel },
-        ] {
-            assert!(TrainConfig { reliability: fine, ..ok }.validate().is_ok(), "{fine:?}");
         }
     }
 

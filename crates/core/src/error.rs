@@ -178,8 +178,8 @@ impl std::error::Error for ProtocolError {}
 
 /// A configuration that can never work: supervision windows that
 /// contradict each other (the run would either hang forever or declare
-/// every peer dead instantly), a tree shape no party can allocate, or a
-/// retransmission timer that cannot work.
+/// every peer dead instantly), a tree shape no party can allocate, or bins
+/// no party can index.
 /// Caught by [`crate::config::TrainConfig::validate`] before any party
 /// starts.
 // (`Eq` is off: the WAN-spread variant carries `f64` bounds.)
@@ -206,12 +206,6 @@ pub enum ConfigError {
         /// The rejected layer count.
         max_layers: usize,
     },
-    /// A [`vf2_channel::ReliabilityConfig`] whose retransmission timer
-    /// cannot work: a `jitter_frac` that is not finite and ≥ 0 (the
-    /// jittered timeout is undefined or negative), a `backoff` of 0 (a
-    /// timeout would zero the RTO, and every scan re-send every unacked
-    /// frame), or a zero `initial_rto` or `max_rto`.
-    InvalidReliability(vf2_channel::ReliabilityConfig),
     /// `gbdt.binning.num_bins` above `u16::MAX`: every party codes a bin in
     /// 16 bits, so a larger count would wrap bin indices silently.
     TooManyBins(usize),
@@ -234,11 +228,6 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "gbdt.max_layers is {max_layers}; a tree has 1 to {} layers",
                 vf2_gbdt::tree::MAX_LAYERS
-            ),
-            ConfigError::InvalidReliability(rel) => write!(
-                f,
-                "reliability config {rel:?} is unusable; jitter_frac must be finite and ≥ 0, \
-                 backoff ≥ 1, initial_rto and max_rto non-zero"
             ),
             ConfigError::TooManyBins(bins) => write!(f, "gbdt.binning.num_bins is {bins} > 65535"),
         }

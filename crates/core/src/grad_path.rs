@@ -122,9 +122,10 @@ impl GradPath {
         }
     }
 
-    /// A histogram's shape against its host's `metas` and the path: a paired
-    /// run admits only pair bins laid out as this party's plan (so another
-    /// layout costs no decryption), a two-stream run either other form.
+    /// A histogram's shape against its host's `metas` and the path: each run
+    /// admits only the return form its hosts build ([`GradPath::payload`]),
+    /// and a paired run only pair bins laid out as this party's plan (so
+    /// another layout costs no decryption).
     pub fn admit_hist_shape(
         &self,
         payload: &HistPayload,
@@ -148,14 +149,14 @@ impl GradPath {
             )
         };
         match (payload, &self.form) {
-            (HistPayload::Raw(feats), Form::Raw | Form::Prefix) => {
+            (HistPayload::Raw(feats), Form::Raw) => {
                 let bins = |(f, m): (&RawFeatureHist, &FeatureMeta)| {
                     f.g.len() == usize::from(m.num_bins) && f.h.len() == usize::from(m.num_bins)
                 };
                 let why = "histogram bin count disagrees with the negotiated metadata";
                 ensure(feats.iter().zip(metas).all(bins), why)
             }
-            (HistPayload::Packed(feats), Form::Raw | Form::Prefix) => {
+            (HistPayload::Packed(feats), Form::Prefix) => {
                 feats.iter().zip(metas).try_for_each(|(f, m)| {
                     slots(f.bins, &f.g, m)?;
                     slots(f.bins, &f.h, m)
@@ -226,11 +227,9 @@ impl GradPath {
         rows: usize,
     ) -> Result<DecodedBins, TrainError> {
         match (payload, &self.form) {
-            (HistPayload::Raw(feats), Form::Raw | Form::Prefix) => {
-                decrypt_feature_hist(suite, &feats[f])
-                    .map_err(TrainError::crypto("histogram decryption"))
-            }
-            (HistPayload::Packed(feats), Form::Raw | Form::Prefix) => {
+            (HistPayload::Raw(feats), Form::Raw) => decrypt_feature_hist(suite, &feats[f])
+                .map_err(TrainError::crypto("histogram decryption")),
+            (HistPayload::Packed(feats), Form::Prefix) => {
                 let (grad_bound, hess_bound) = self.loss;
                 unpack_feature_hist(suite, &feats[f], rows, grad_bound, hess_bound)
                     .map(DecodedBins::Float)

@@ -778,9 +778,19 @@ mod tests {
         })
     }
 
-    /// The rules of a two-stream mock run over the guest's own `data`.
+    /// The rules of a raw two-stream mock run over the guest's own `data`.
     fn rules_over(data: &Dataset, optimistic: bool) -> Rules {
-        let cfg = TrainConfig { crypto: CryptoConfig::Mock, ..TrainConfig::for_tests() };
+        rules_packing(data, optimistic, false)
+    }
+
+    /// The rules of a two-stream mock run over `data` whose hosts ship
+    /// packed prefix sums (`pack_histograms`) or raw bins.
+    fn rules_packing(data: &Dataset, optimistic: bool, pack_histograms: bool) -> Rules {
+        let cfg = TrainConfig {
+            crypto: CryptoConfig::Mock,
+            protocol: ProtocolConfig { pack_histograms, ..ProtocolConfig::vf2boost() },
+            ..TrainConfig::for_tests()
+        };
         Rules {
             split: cfg.gbdt.split,
             max_layers: cfg.gbdt.max_layers,
@@ -1285,22 +1295,42 @@ mod tests {
         assert!(matches!(err, ProtocolError::OutOfPhase { .. }), "{err}");
     }
 
+    /// A packed prefix-sum histogram of one feature: `slots` values in one
+    /// run per stream, declaring `bins` bins.
+    fn packed(slots: usize, bins: u16) -> HistPayload {
+        let run = vec![PackedCiphertext::Plain(vec![1.0; slots])];
+        HistPayload::Packed(vec![PackedFeatureHist { g: run.clone(), h: run, bins }])
+    }
+
     /// A packed feature declares its announced bins, and its runs' slots
     /// add up to them.
     #[test]
     fn packed_hist_slot_totals_must_match_declared_bins() {
-        let mut g = guest(false, 3);
+        let data = labelled(1.0);
+        let mut g = guest_under(rules_packing(&data, false, true), &data, 3);
         g.drain();
-        let packed = |slots: usize, bins: u16| {
-            let run = vec![PackedCiphertext::Plain(vec![1.0; slots])];
-            let feature = PackedFeatureHist { g: run.clone(), h: run, bins };
-            hist_of(3, 0, 1, HistPayload::Packed(vec![feature]))
-        };
-        let why = inadmissible(g.admit(packed(5, 5)), 4);
+        let why = inadmissible(g.admit(hist_of(3, 0, 1, packed(5, 5))), 4);
         assert!(why.contains("disagrees with the negotiated metadata"), "{why}");
-        let why = inadmissible(g.admit(packed(3, 4)), 4);
+        let why = inadmissible(g.admit(hist_of(3, 0, 1, packed(3, 4))), 4);
         assert!(why.contains("slot total disagrees"), "{why}");
-        assert_eq!(g.admit(packed(4, 4)), Ok("answer"));
+        assert_eq!(g.admit(hist_of(3, 0, 1, packed(4, 4))), Ok("answer"));
+    }
+
+    /// A two-stream run admits only the return form its hosts build: raw
+    /// bins without packing, prefix sums with it. The other form is the
+    /// other path's, refused and charged, however well shaped.
+    #[test]
+    fn a_two_stream_run_refuses_the_other_return_form() {
+        let data = labelled(1.0);
+        for (pack_histograms, other, own) in
+            [(false, packed(4, 4), raw(1, 4)), (true, raw(1, 4), packed(4, 4))]
+        {
+            let mut g = guest_under(rules_packing(&data, false, pack_histograms), &data, 3);
+            g.drain();
+            let why = inadmissible(g.admit(hist_of(3, 0, 1, other)), 4);
+            assert_eq!(why, "histogram wire form of the other gradient path");
+            assert_eq!(g.admit(hist_of(3, 0, 1, own)), Ok("answer"));
+        }
     }
 
     /// A histogram or a placement names a node inside the tree heap — in

@@ -258,19 +258,12 @@ impl HostParty {
         if tree_count == 0 {
             return Ok(());
         }
-        let Some(sess) = self.session.clone() else {
+        let Some(sess) = &self.session else {
             return Err(mismatch(format!(
                 "guest asked to resume at {tree_count} trees, host has no session"
             )));
         };
-        let ck = sess.load_host(tree_count, self.party_index as u32)?;
-        if ck.party != self.party_index as u32 {
-            return Err(mismatch(format!(
-                "checkpoint belongs to host {}, this is host {}",
-                ck.party, self.party_index
-            )));
-        }
-        *splits = ck.table;
+        *splits = sess.load_host(tree_count, self.party_index as u32)?.table;
         self.telemetry.events.resumes += 1;
         self.telemetry.trace.note(format!("resumed from checkpoint at {tree_count} trees"));
         Ok(())
@@ -284,20 +277,8 @@ impl HostParty {
                 self.on_resume(session_id, tree_count, splits)?;
             }
             Step::Batch(batch) => self.on_grad_batch(batch)?,
-            Step::Task { tree, node, superseded } => {
+            Step::Task { superseded } => {
                 self.phase = ProtocolPhase::TreeBuild;
-                // Deterministic crash injection for the chaos suite: die
-                // *inside* the node loop, after this task was accepted but
-                // before its histogram answer — the worst spot for the
-                // guest, which now holds a half-built tree. Party 0 only:
-                // one kill per run, whatever the roster.
-                if self.party_index == 0 && self.chaos.crash_host_on_node_task == Some((tree, node))
-                {
-                    panic!(
-                        "injected crash: host {} dying on node task ({tree}, {node})",
-                        self.party_index
-                    );
-                }
                 self.telemetry.events.aborted_tasks += u64::from(superseded);
             }
             Step::Validated { released } => {
@@ -367,15 +348,11 @@ impl HostParty {
     }
 
     /// An empty (gradient, hessian) builder pair shaped by this host's
-    /// columns.
+    /// columns, its workspaces spanning the suite's exponent window (the
+    /// window the run's gradient path admits).
     fn new_builders(&self) -> BuilderPair {
-        let mk = || {
-            EncHistBuilder::new(
-                &self.csr.col_meta,
-                &self.cfg.encoding,
-                self.cfg.protocol.reordered_accumulation,
-            )
-        };
+        let reordered = self.cfg.protocol.reordered_accumulation;
+        let mk = || EncHistBuilder::new(&self.csr.col_meta, self.suite.encoding(), reordered);
         (mk(), mk())
     }
 
@@ -384,7 +361,8 @@ impl HostParty {
     /// the pool ([`EncHistBuilder::add_rows`]). A panic on any worker — a
     /// bug, or the chaos knob below — is re-raised on this thread by the
     /// pool and caught here, so it becomes a typed `PartyPanicked` like any
-    /// other party-level failure.
+    /// other party-level failure. Host 0's first accumulation of the chaos
+    /// plan's tree is that panic.
     fn accumulate(
         &self,
         tree: u32,
@@ -393,7 +371,7 @@ impl HostParty {
         h: &mut EncHistBuilder,
         rows: &[u32],
     ) -> Result<(), TrainError> {
-        let crash = self.chaos.crash_hist_worker_on_tree == Some(tree);
+        let crash = self.party_index == 0 && self.chaos.crash_host_on_tree == Some(tree);
         let work = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             self.pool.install(|| {
                 if crash {
@@ -515,6 +493,49 @@ mod tests {
             })
             .collect();
         assert_eq!(answers, vec![(0, 1), (1, 3)], "the root's answer, then node 1's newest");
+    }
+
+    /// A host's builders span its suite's exponent window, the window its
+    /// admission checks: under a config whose own encoding is lower, a
+    /// batch at the top of the suite's window is admitted and accumulated,
+    /// and the root's histogram ships.
+    #[test]
+    fn the_builders_span_the_suites_exponent_window() {
+        use vf2_crypto::encoding::EncodingConfig;
+        use vf2_crypto::suite::{Ciphertext, PlainNumber};
+
+        let (guest_ep, host_ep) = duplex(WanConfig::instant());
+        let data = Dataset::new(4, vec![FeatureColumn::Dense(vec![0.0, 1.0, 2.0, 3.0])], None);
+        let cfg = TrainConfig::for_tests();
+        let encoding = EncodingConfig::default();
+        assert!(cfg.protocol.reordered_accumulation);
+        assert_eq!((cfg.encoding.base_exp, encoding.base_exp, encoding.jitter), (8, 10, 4));
+        let (mut host, mut core) = HostParty::new(
+            0,
+            &data,
+            cfg,
+            Suite::plain(encoding),
+            host_ep,
+            None,
+            ChaosPlan::default(),
+        )
+        .unwrap();
+        let top = Ciphertext::Plain(PlainNumber { value: 1.0, exponent: 12 });
+        let batch = Msg::GradBatch {
+            tree: 0,
+            start_row: 0,
+            g: vec![top.clone(); 4],
+            h: vec![top; 4],
+            last: true,
+        };
+        for msg in [Msg::Resume { session_id: 0, tree_count: 0 }, batch] {
+            guest_ep.send(msg.kind(), wire::encode(&msg).unwrap());
+            assert!(host.step(&mut core, true).unwrap(), "a message");
+        }
+        host.guest.flush(std::time::Duration::from_secs(5));
+        let env = guest_ep.try_recv().expect("the root's histogram");
+        let msg = wire::decode(env.kind, env.payload).unwrap();
+        assert!(matches!(msg, Msg::NodeHistograms { tree: 0, node: 0, .. }), "{msg:?}");
     }
 
     // run_host is exercised end-to-end by the guest/train tests and the

@@ -217,7 +217,7 @@ mod tests {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::thread;
 
-    use vf2_channel::{duplex_faulty, FaultConfig, ReliabilityConfig, WanConfig};
+    use vf2_channel::{duplex_faulty, FaultConfig, WanConfig};
 
     use crate::trace::{TraceEventKind, TraceRing};
 
@@ -266,8 +266,8 @@ mod tests {
     /// The guest's link to host `h` over an instant wire that keepalives
     /// every `keepalive`, and its far end.
     fn link(h: usize, keepalive: Duration) -> (Peer, Endpoint) {
-        let (calm, rel) = (FaultConfig::none(), ReliabilityConfig::default());
-        let (near, far) = duplex_faulty(WanConfig::instant(), calm, calm, rel, keepalive);
+        let calm = FaultConfig::none();
+        let (near, far) = duplex_faulty(WanConfig::instant(), calm, calm, keepalive);
         (Peer::new(near, PartyId::Guest, PartyId::Host(h), 0), far)
     }
 

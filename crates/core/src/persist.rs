@@ -311,6 +311,20 @@ pub struct HostCheckpoint {
     pub table: HostSplitTable,
 }
 
+impl GuestCheckpoint {
+    /// Session id, seed, config digest and tree count: what a resume checks.
+    pub(crate) fn identity(&self) -> (u64, u64, u64, u32) {
+        (self.session_id, self.seed, self.config_digest, self.tree_count)
+    }
+}
+
+impl HostCheckpoint {
+    /// Session id, seed, config digest and tree count: what a resume checks.
+    pub(crate) fn identity(&self) -> (u64, u64, u64, u32) {
+        (self.session_id, self.seed, self.config_digest, self.tree_count)
+    }
+}
+
 /// Checkpoint kind tags inside the `VF2K` header.
 const CK_KIND_GUEST: u8 = 0;
 const CK_KIND_HOST: u8 = 1;

@@ -102,7 +102,7 @@ pub(crate) enum Step<'a> {
     Batch(Batch<'a>),
     /// A node task was queued, or `superseded` the one queued for its node
     /// (the paper's aborted sub-task).
-    Task { tree: u32, node: u32, superseded: bool },
+    Task { superseded: bool },
     /// The guest's placement of a node: [`Split::place`] applies it.
     Place(Split<'a>, Vec<bool>),
     /// The guest validated its speculative split of a node: the histograms
@@ -396,7 +396,7 @@ impl HostCore {
                 if !superseded {
                     queue.push_back(node);
                 }
-                Ok(Step::Task { tree, node, superseded })
+                Ok(Step::Task { superseded })
             }
             Msg::SplitValidated { tree, node } => {
                 in_tree(tree)?;

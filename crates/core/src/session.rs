@@ -20,7 +20,7 @@ use crate::error::{PartyId, TrainError};
 use crate::model::HostSplitTable;
 use crate::persist::{
     atomic_write, decode_guest_checkpoint, decode_host_checkpoint, encode_guest_checkpoint,
-    encode_host_checkpoint, GuestCheckpoint, HostCheckpoint,
+    encode_host_checkpoint, GuestCheckpoint, HostCheckpoint, PersistError,
 };
 use crate::telemetry::PartyTelemetry;
 use crate::trace::write_flight_record;
@@ -179,20 +179,30 @@ impl PartySession {
     /// Fully decodes the checkpoint at `path` and checks its header
     /// against this session.
     fn validate_checkpoint(&self, path: &Path, k: u32) -> bool {
-        let Ok(bytes) = std::fs::read(path) else { return false };
-        let bytes = Bytes::from(bytes);
-        let (sid, seed, digest, trees) = if self.role == "guest" {
-            match decode_guest_checkpoint(bytes) {
-                Ok(ck) => (ck.session_id, ck.seed, ck.config_digest, ck.tree_count),
-                Err(_) => return false,
-            }
+        if self.role == "guest" {
+            self.read(path, k, decode_guest_checkpoint, GuestCheckpoint::identity).is_ok()
         } else {
-            match decode_host_checkpoint(bytes) {
-                Ok(ck) => (ck.session_id, ck.seed, ck.config_digest, ck.tree_count),
-                Err(_) => return false,
-            }
-        };
-        sid == self.session_id && seed == self.seed && digest == self.digest && trees == k
+            self.read(path, k, decode_host_checkpoint, HostCheckpoint::identity).is_ok()
+        }
+    }
+
+    /// Reads and fully decodes the checkpoint at `path`, and checks that
+    /// this session wrote it after `tree_count` trees — the one identity
+    /// check behind both loads and the durable scan. Fails with what went
+    /// wrong, for the caller to attribute.
+    fn read<T>(
+        &self,
+        path: &Path,
+        tree_count: u32,
+        decode: fn(Bytes) -> Result<T, PersistError>,
+        identity: fn(&T) -> (u64, u64, u64, u32),
+    ) -> Result<T, String> {
+        let bytes = std::fs::read(path).map_err(|e| format!("unreadable: {e}"))?;
+        let ck = decode(Bytes::from(bytes)).map_err(|e| format!("undecodable: {e}"))?;
+        if identity(&ck) != (self.session_id, self.seed, self.digest, tree_count) {
+            return Err("belongs to another session, config or tree count".to_string());
+        }
+        Ok(ck)
     }
 
     /// Durably writes the guest's snapshot after `tree_count` trees.
@@ -217,21 +227,12 @@ impl PartySession {
     /// Loads the guest's snapshot at exactly `tree_count` trees.
     pub fn load_guest(&self, tree_count: u32) -> Result<GuestCheckpoint, TrainError> {
         let path = self.checkpoint_path(tree_count);
-        let mismatch =
-            |detail: String| TrainError::ResumeMismatch { party: PartyId::Guest, detail };
-        let bytes = std::fs::read(&path)
-            .map_err(|e| mismatch(format!("guest checkpoint {tree_count} unreadable: {e}")))?;
-        let ck = decode_guest_checkpoint(Bytes::from(bytes))
-            .map_err(|e| mismatch(format!("guest checkpoint {tree_count} undecodable: {e}")))?;
-        if ck.session_id != self.session_id
-            || ck.seed != self.seed
-            || ck.config_digest != self.digest
-        {
-            return Err(mismatch(format!(
-                "guest checkpoint {tree_count} belongs to another session/config"
-            )));
-        }
-        Ok(ck)
+        self.read(&path, tree_count, decode_guest_checkpoint, GuestCheckpoint::identity).map_err(
+            |why| TrainError::ResumeMismatch {
+                party: PartyId::Guest,
+                detail: format!("guest checkpoint {tree_count} {why}"),
+            },
+        )
     }
 
     /// Durably writes host `party`'s snapshot after `tree_count` trees.
@@ -254,23 +255,18 @@ impl PartySession {
         })
     }
 
-    /// Loads this host's snapshot at exactly `tree_count` trees.
+    /// Loads host `party`'s snapshot at exactly `tree_count` trees.
     pub fn load_host(&self, tree_count: u32, party: u32) -> Result<HostCheckpoint, TrainError> {
         let path = self.checkpoint_path(tree_count);
-        let mismatch = |detail: String| TrainError::ResumeMismatch {
-            party: PartyId::Host(party as usize),
-            detail,
-        };
-        let bytes = std::fs::read(&path)
-            .map_err(|e| mismatch(format!("host checkpoint {tree_count} unreadable: {e}")))?;
-        let ck = decode_host_checkpoint(Bytes::from(bytes))
-            .map_err(|e| mismatch(format!("host checkpoint {tree_count} undecodable: {e}")))?;
-        if ck.session_id != self.session_id
-            || ck.seed != self.seed
-            || ck.config_digest != self.digest
-        {
+        let mismatch =
+            |detail| TrainError::ResumeMismatch { party: PartyId::Host(party as usize), detail };
+        let ck = self
+            .read(&path, tree_count, decode_host_checkpoint, HostCheckpoint::identity)
+            .map_err(|why| mismatch(format!("host checkpoint {tree_count} {why}")))?;
+        if ck.party != party {
+            let owner = ck.party;
             return Err(mismatch(format!(
-                "host checkpoint {tree_count} belongs to another session/config"
+                "checkpoint belongs to host {owner}, this is host {party}"
             )));
         }
         Ok(ck)
@@ -353,6 +349,19 @@ mod tests {
         other.save_guest(1, sample_trees(), vec![0.5]).unwrap();
         let err = s.load_guest(1).unwrap_err();
         assert!(matches!(err, TrainError::ResumeMismatch { party: PartyId::Guest, .. }));
+        // A snapshot filed under another tree count is foreign too.
+        s.save_guest(2, sample_trees(), vec![0.5]).unwrap();
+        std::fs::copy(s.checkpoint_path(2), s.checkpoint_path(3)).unwrap();
+        assert!(s.load_guest(3).is_err() && !s.durable().contains(&3));
+        // A host loads only the snapshot its own party wrote.
+        let h = PartySession::host(&sc, &cfg, 1);
+        h.save_host(1, 0, HostSplitTable::default()).unwrap();
+        let err = h.load_host(1, 1).unwrap_err();
+        assert!(
+            matches!(&err, TrainError::ResumeMismatch { party: PartyId::Host(1), detail }
+                if detail.contains("belongs to host 0")),
+            "{err}"
+        );
         let _ = std::fs::remove_dir_all(&sc.dir);
     }
 

@@ -138,9 +138,10 @@ pub fn train_federated_session(
         CryptoConfig::Mock => Suite::plain(cfg.encoding),
     };
 
-    // One thread per host, each behind its own link shaped like every link
-    // of that host (WAN spread, reliability, a keepalive four times inside
-    // the silence deadline). A host gets a fresh public-half suite (mock
+    // One thread per host, each behind its own link: the host's WAN (its
+    // place in the spread), its chaos plan, and a keepalive four times
+    // inside the silence deadline. The link's retransmission timer is its
+    // own (link.rs's fixed RTO constants). A host gets a fresh public-half suite (mock
     // included), so operation counters stay per-party. The parties run
     // scoped, so each reads the caller's table where it lies: no party
     // copies its dataset.
@@ -153,7 +154,6 @@ pub fn train_federated_session(
                 cfg.wan_for_host(p, hosts.len()),
                 fault_for_host(chaos.fault_guest_to_host, p),
                 fault_for_host(chaos.fault_host_to_guest, p),
-                cfg.reliability,
                 cfg.dead_after() / 4,
             );
             let suite = guest_suite.public_half();

@@ -40,10 +40,12 @@ use malfeasant::{MalfeasantPeer, Misdeed};
 
 const DRAIN: Duration = Duration::from_secs(10);
 
-/// Mock-suite config shared by every scripted scenario.
+/// Mock-suite config shared by every scripted scenario: a raw two-stream
+/// run, so the raw histograms the scripted hosts send are its return form.
 fn byz_cfg(budget: u32) -> TrainConfig {
     TrainConfig {
         crypto: CryptoConfig::Mock,
+        protocol: ProtocolConfig { pack_histograms: false, ..ProtocolConfig::vf2boost() },
         misbehavior_budget: budget,
         ..TrainConfig::for_tests()
     }
@@ -339,10 +341,7 @@ fn host_answers_a_resplit_from_the_new_row_lists() {
         FeatureColumn::Dense((0..rows).map(|i| ((i * mul) % modulus) as f32).collect())
     };
     let data = Dataset::new(rows, vec![column(7, 24), column(5, 11)], None);
-    let cfg = TrainConfig {
-        protocol: ProtocolConfig { pack_histograms: false, ..ProtocolConfig::vf2boost() },
-        ..byz_cfg(0)
-    };
+    let cfg = byz_cfg(0);
     let csr = RowMajorBins::from_binned(&BinnedDataset::bin(&data, &cfg.gbdt.binning));
     // Multiples of 1/16: exact in f64 sums and in the base-16 encoding.
     let grads: Vec<GradPair> = (0..rows)

@@ -67,8 +67,8 @@ fn faulty_wan_trains_the_identical_model() {
     // on a 2-vCPU box this clean arm retransmitted nothing in 360 runs
     // beside the chaos, many_party and whole-workspace suites, and one
     // frame once in 500 runs of an earlier build of the same timer rule.
-    // Its floor is still `ReliabilityConfig::aggressive()`'s 10 ms, which a
-    // descheduled reliability thread can overrun.
+    // Its floor is the link's fixed 40 ms, which a descheduled reliability
+    // thread can still overrun.
     let clean_events = clean.report.link_events();
     assert_eq!(clean_events.faults_injected, 0);
     assert_eq!(clean_events.corrupt_rejected, 0);

@@ -163,7 +163,7 @@ fn pipelined_kill_and_rejoin_holds_the_rewind_barrier() {
 
     let dir = temp_dir("many_resume");
     let session = SessionConfig::new(0x0d10_0073, &dir);
-    let kill = ChaosPlan { crash_host_on_node_task: Some((1, 0)), ..ChaosPlan::default() };
+    let kill = ChaosPlan { crash_host_on_tree: Some(1), ..ChaosPlan::default() };
     let failure = train_federated_session(&s.hosts, &s.guest, &cfg, Some(&session), &kill)
         .expect_err("the injected crash must end the first run");
     assert!(

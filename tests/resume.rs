@@ -41,12 +41,12 @@ fn resume_cfg(seed: u64, protocol: ProtocolConfig) -> TrainConfig {
     }
 }
 
-/// The one kill point: host 0 dies the moment tree 2's root task reaches
-/// it — FIFO-after `TreeDone(1)`, so the 2-tree checkpoint is durable on
-/// both sides, and inside the node loop, with the guest holding a
-/// half-built tree.
+/// The one kill point: host 0 panics at tree 2's first histogram
+/// accumulation — FIFO-after `TreeDone(1)`, so the 2-tree checkpoint is
+/// durable on both sides, and before any answer of tree 2, with the guest
+/// holding a half-built tree.
 fn kill_in_tree_2() -> ChaosPlan {
-    ChaosPlan { crash_host_on_node_task: Some((2, 0)), ..ChaosPlan::default() }
+    ChaosPlan { crash_host_on_tree: Some(2), ..ChaosPlan::default() }
 }
 
 /// A host→guest direction misbehaving per `fault`.
@@ -95,13 +95,16 @@ fn assert_resume_matrix(seed: u64) {
             "[{name}] expected the injected host crash, got {}",
             failure.error
         );
-        // The panicked host's telemetry dies with its thread; the guest's
-        // counters and the on-disk checkpoints testify for incarnation 1.
+        // Both parties' counters testify for incarnation 1: the crashed
+        // host returns its telemetry and dumps its flight record like any
+        // failed party.
         assert!(
             failure.partial.guest.events.checkpoints_written >= 2,
             "[{name}] guest wrote {} checkpoints before the crash",
             failure.partial.guest.events.checkpoints_written
         );
+        assert_eq!(failure.partial.hosts[0].events.checkpoints_written, 2, "[{name}]");
+        assert!(dir.join("host0.flight.json").is_file(), "[{name}] no host flight record");
 
         // Incarnation 2: same session, resume flag set, no crash. Both
         // parties must agree on tree 2 and finish the remaining trees.

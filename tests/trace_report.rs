@@ -40,7 +40,7 @@ fn mock_cfg() -> TrainConfig {
 fn hist_worker_panic_is_a_typed_error_with_partial_telemetry() {
     let s = scenario(91);
     let cfg = TrainConfig { workers: 4, ..mock_cfg() };
-    let kill = ChaosPlan { crash_hist_worker_on_tree: Some(0), ..ChaosPlan::default() };
+    let kill = ChaosPlan { crash_host_on_tree: Some(0), ..ChaosPlan::default() };
     let failure = train_federated_session(&s.hosts, &s.guest, &cfg, None, &kill)
         .expect_err("an injected worker panic must abort the run");
     match &failure.error {
