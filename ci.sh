@@ -206,7 +206,7 @@ fi
 # first: the phase machines of either role (HostFsm, GuestFsm /
 # GuestPhase), the per-message validators they replaced, the shells'
 # re-checks, and the leaf notice no host read, must not come back.
-echo "== one-core gate (grow.rs and serve.rs pure; no second ledger or admission) =="
+echo "== one-core gate (grow.rs and serve.rs pure; no second ledger, admission or histogram query) =="
 for f in crates/core/src/grow.rs crates/core/src/serve.rs; do
   if awk '/#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' "$f" \
       | grep -E 'Peer|peer::|Endpoint|Suite|Instant|telemetry|TraceRing'; then
@@ -222,6 +222,24 @@ fi
 if grep -rnE 'HostFsm|check_host_inbound|state_invariant|ensure_tree|with_state|OutOfOrderGradients|NodeLeaf|GuestFsm|GuestPhase|check_guest_inbound|check_node_index' \
     crates/core/src; then
   echo "a second admission of either role, its re-checks or the leaf notice are back" >&2
+  exit 1
+fi
+# A built histogram waits in one place, the host core's parked list, as its
+# builders, and one rule releases it; the shell packs it in its one ship.
+# The two queries that bracketed the pack, a packed payload held in the
+# core and a second pack site in the shell must not come back.
+if grep -rnE 'still_wanted|ship_or_hold' crates/core/src; then
+  echo "a second query on a built histogram is back" >&2
+  exit 1
+fi
+if awk '/#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' crates/core/src/serve.rs \
+    | grep -E 'HistPayload'; then
+  echo "the host core holds a packed histogram" >&2
+  exit 1
+fi
+HOST_PACKS=$(awk '/#\[cfg\(test\)\]/{exit} {print}' crates/core/src/host.rs | grep -c '\.payload(' || true)
+if [ "$HOST_PACKS" -gt 1 ]; then
+  echo "host.rs packs in $HOST_PACKS places, not in its one ship" >&2
   exit 1
 fi
 

@@ -48,13 +48,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -352,6 +351,13 @@ const LINK_TICK: Duration = Duration::from_millis(20);
 /// federated driver's default silence deadline.
 const DEFAULT_KEEPALIVE: Duration = Duration::from_secs(15);
 
+/// Locks one of the link's shared states, recovering a poisoned guard
+/// rather than spreading a panic to the link's other threads: a clock is
+/// one store, and the retransmit loop skips a timer whose frame is gone.
+fn lock<T>(shared: &Mutex<T>) -> MutexGuard<'_, T> {
+    shared.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// One end of a duplex cross-party link.
 ///
 /// Dropping an endpoint tears down its side of the link; the peer then
@@ -391,10 +397,8 @@ impl Endpoint {
         self.send_stats.bytes.fetch_add(payload.len() as u64, Ordering::Relaxed);
         let checksum = frame_checksum(kind, seq, &payload);
         let env = Envelope { kind, seq, payload };
-        self.retx
-            .lock()
-            .frames
-            .insert(seq, Pending { env: env.clone(), checksum, departed: None, resent: false });
+        let pending = Pending { env: env.clone(), checksum, departed: None, resent: false };
+        lock(&self.retx).frames.insert(seq, pending);
         // Ignore a disconnected peer: protocol teardown races are benign.
         let _ = self.raw_tx.send(Frame::Data { env, checksum });
     }
@@ -438,7 +442,7 @@ impl Endpoint {
     pub fn flush(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         loop {
-            if self.retx.lock().frames.is_empty() {
+            if lock(&self.retx).frames.is_empty() {
                 return true;
             }
             if Instant::now() >= deadline || self.reliability.is_finished() {
@@ -458,7 +462,7 @@ impl Endpoint {
     /// fresh, while a dead process or a blackholed direction lets it grow
     /// without bound.
     pub fn idle_for(&self) -> Duration {
-        self.last_heard.lock().elapsed()
+        lock(&self.last_heard).elapsed()
     }
 
     /// Statistics of the direction this endpoint sends on.
@@ -693,7 +697,7 @@ fn reliability_loop(
         }
         let now = Instant::now();
         let mut wait = LINK_TICK.min(keepalive.saturating_sub(now.duration_since(acked_at)));
-        if let Some(due) = retx.lock().next_due() {
+        if let Some(due) = lock(&retx).next_due() {
             wait = wait.min(due.saturating_duration_since(now));
         }
         let mut data_heard = false;
@@ -711,10 +715,10 @@ fn reliability_loop(
                             // not count as hearing from the peer.
                             recv_stats.corrupt_rejected.fetch_add(1, Ordering::Relaxed);
                         } else if env.seq < expected || parked.contains_key(&env.seq) {
-                            *last_heard.lock() = Instant::now();
+                            *lock(&last_heard) = Instant::now();
                             recv_stats.duplicates_dropped.fetch_add(1, Ordering::Relaxed);
                         } else {
-                            *last_heard.lock() = Instant::now();
+                            *lock(&last_heard) = Instant::now();
                             parked.insert(env.seq, env);
                             while let Some(next) = parked.remove(&expected) {
                                 if delivered_tx.send(next).is_err() {
@@ -728,9 +732,9 @@ fn reliability_loop(
                     }
                     Frame::Ack { next } => {
                         let now = Instant::now();
-                        *last_heard.lock() = now;
+                        *lock(&last_heard) = now;
                         send_stats.acks_received.fetch_add(1, Ordering::Relaxed);
-                        retx.lock().ack(next, now);
+                        lock(&retx).ack(next, now);
                     }
                 }
             }
@@ -751,7 +755,7 @@ fn reliability_loop(
         // first; each timeout backs the shared RTO off before the next
         // timer is checked.
         let now = Instant::now();
-        let buffer = &mut *retx.lock();
+        let buffer = &mut *lock(&retx);
         while let Some(&(departed, seq)) = buffer.timers.first() {
             if buffer.rto.due(departed).is_none_or(|due| due > now) {
                 break;
@@ -782,7 +786,7 @@ fn spawn_pump(
 ) {
     let depart = move |frame: &Frame, at: Instant| {
         if let Frame::Data { env, .. } = frame {
-            retx.lock().depart(env.seq, at);
+            lock(&retx).depart(env.seq, at);
         }
     };
     // As above: thread spawn only fails on OS resource exhaustion during
@@ -1230,7 +1234,7 @@ mod tests {
     fn keepalive_link(fault_ab: FaultConfig, fault_ba: FaultConfig) -> (Endpoint, Endpoint) {
         let (a, b) = duplex_faulty(WanConfig::instant(), fault_ab, fault_ba, KEEPALIVE);
         for end in [&a, &b] {
-            end.retx.lock().rto.timeout = Duration::MAX;
+            lock(&end.retx).rto.timeout = Duration::MAX;
         }
         (a, b)
     }

@@ -10,6 +10,7 @@
 use std::ops::RangeInclusive;
 
 use num_bigint::BigUint;
+use vf2_crypto::encoding::EncodingConfig;
 use vf2_crypto::error::CryptoError;
 use vf2_crypto::packing::GhPlan;
 use vf2_crypto::split_seed;
@@ -23,6 +24,8 @@ use crate::hist_enc::{
     unpack_gh_feature_hist, CipherStream, DecodedBins, EncHistBuilder, TARGET_SLOT_BITS,
 };
 use crate::messages::{FeatureMeta, HistPayload, Msg, RawFeatureHist};
+use crate::rows::ColMeta;
+use crate::serve::BuilderPair;
 
 /// One run's gradient path and the bounds every cipher on it keeps.
 pub(crate) struct GradPath {
@@ -181,6 +184,16 @@ impl GradPath {
             }
             _ => Err("histogram wire form of the other gradient path"),
         }
+    }
+
+    /// An empty host builder pair shaped by `meta`, each bin as wide as
+    /// `reordered` asks — but one workspace wide on the paired path, whose
+    /// ciphers all sit at the plan's exponent (admission enforces it): the
+    /// same walk, and a parked builder stays small.
+    pub fn builders(&self, meta: &[ColMeta], enc: &EncodingConfig, reordered: bool) -> BuilderPair {
+        let reordered = reordered && !matches!(self.form, Form::Paired { .. });
+        let blank = || EncHistBuilder::new(meta, enc, reordered);
+        (blank(), blank())
     }
 
     /// The host's histogram of a node of `rows` rows in the return form
@@ -371,6 +384,21 @@ mod tests {
         assert!(matches!(form(&mock, false), Form::Raw));
         // The host's public half derives the same path.
         assert!(matches!(form(&s.public_half(), true), Form::Paired { plan: p, .. } if p == plan));
+    }
+
+    /// A paired run's builders keep one workspace per bin whatever the
+    /// toggle asks; the two-stream paths keep the width it asks for.
+    #[test]
+    fn only_the_paired_path_narrows_its_builders() {
+        let (s, mock) = (paillier(), Suite::plain(TrainConfig::for_tests().encoding));
+        let meta = [ColMeta { num_bins: 3, zero_bin: 0, dense: true }];
+        let enc = TrainConfig::for_tests().encoding;
+        let built = |path: GradPath, reordered| path.builders(&meta, &enc, reordered).0;
+        let width = |reordered| EncHistBuilder::new(&meta, &enc, reordered);
+        assert_eq!(built(path(&s, true), true), width(false));
+        assert_eq!(built(path(&s, false), true), width(true));
+        assert_eq!(built(path(&mock, true), true), width(true));
+        assert_eq!(built(path(&mock, true), false), width(false));
     }
 
     #[test]

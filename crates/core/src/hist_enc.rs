@@ -2057,9 +2057,9 @@ mod tests {
         Raw { reordered: bool },
     }
 
-    /// Builds `rows`' histogram at the host, ships it the way
-    /// `HostParty::make_payload` does on `wire`, and decodes it the way the
-    /// guest does: one [`DecodedBins`] per feature.
+    /// Builds `rows`' histogram at the host, packs it the way the host's
+    /// `ship` does on `wire` (`GradPath::payload`), and decodes it the way
+    /// the guest does: one [`DecodedBins`] per feature.
     fn through_the_wire(
         guest: &Suite,
         csr: &RowMajorBins,

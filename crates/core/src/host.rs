@@ -7,16 +7,17 @@
 //! splits it owns. Tasks are executed one node at a time between message
 //! polls — the paper's "slice the histogram construction into smaller
 //! tasks" (§4.2) — so a rollback arriving mid-layer aborts queued work for
-//! dirty subtrees before it runs, and the task in flight is looked at again
-//! between its build and its pack. A histogram below a speculative split
-//! ships only once the guest has validated that split: one a rollback
-//! supersedes is never sent, however the race between the host's pack and
-//! the guest's verdict goes.
+//! dirty subtrees before it runs. A built histogram is parked in the core,
+//! unpacked, and the inbox drained; it ships once its parent's split is no
+//! longer a speculation awaiting the guest's verdict. One a rollback
+//! supersedes is retired unpacked, however the race between the host's
+//! build and the guest's verdict goes, so the host packs exactly what it
+//! sends.
 //!
 //! This is the shell around the host's pure core (`serve.rs`), which admits
-//! each guest message and decides what is queued, retired and still
-//! wanted: the shell decodes, enters, builds, packs and sends, and owns the
-//! link, the suite, the pool and the clock.
+//! each guest message and decides what is queued, parked, released and
+//! retired: the shell decodes, enters, builds, packs and sends, and owns
+//! the link, the suite, the pool and the clock.
 
 use std::sync::Arc;
 
@@ -29,11 +30,11 @@ use crate::config::TrainConfig;
 use crate::error::{panic_text, HostFailure, PartyId, ProtocolError, ProtocolPhase, TrainError};
 use crate::grad_path::GradPath;
 use crate::hist_enc::{CipherStream, EncHistBuilder};
-use crate::messages::{FeatureMeta, HistPayload, Msg};
+use crate::messages::{FeatureMeta, Msg};
 use crate::model::HostSplitTable;
 use crate::peer::{self, Deadline, Peer};
 use crate::rows::{check_width, RowMajorBins};
-use crate::serve::{Batch, BuilderPair, HostCore, Step, Task};
+use crate::serve::{Batch, BuilderPair, HostCore, Parked, Step, Task};
 use crate::session::PartySession;
 use crate::telemetry::PartyTelemetry;
 use crate::trace::{TracePhase, TraceRing};
@@ -282,8 +283,8 @@ impl HostParty {
                 self.telemetry.events.aborted_tasks += u64::from(superseded);
             }
             Step::Validated { released } => {
-                for (task, payload) in released {
-                    self.ship(task, payload)?;
+                for parked in released {
+                    self.ship(parked)?;
                 }
             }
             Step::Place(at, placement) => {
@@ -340,20 +341,17 @@ impl HostParty {
             return Ok(());
         }
         // The root ships once; its builders go with it.
-        let (root_g, root_h) = std::mem::take(root);
-        let payload = self.make_payload(tree, &root_g, &root_h, self.csr.num_rows())?;
-        self.send_traced(&Msg::NodeHistograms { tree, node: 0, epoch: 1, payload }, tree)?;
+        let task = Task { tree, node: 0, epoch: 1 };
+        self.ship((task, std::mem::take(root), self.csr.num_rows()))?;
         self.phase = ProtocolPhase::TreeBuild;
         Ok(())
     }
 
-    /// An empty (gradient, hessian) builder pair shaped by this host's
-    /// columns, its workspaces spanning the suite's exponent window (the
-    /// window the run's gradient path admits).
+    /// An empty builder pair shaped by this host's columns, as wide as the
+    /// run's gradient path needs ([`GradPath::builders`]).
     fn new_builders(&self) -> BuilderPair {
         let reordered = self.cfg.protocol.reordered_accumulation;
-        let mk = || EncHistBuilder::new(&self.csr.col_meta, self.suite.encoding(), reordered);
-        (mk(), mk())
+        self.path.builders(&self.csr.col_meta, self.suite.encoding(), reordered)
     }
 
     /// Accumulates the stored ciphers of `rows` (the tree's gradient and
@@ -391,9 +389,8 @@ impl HostParty {
     }
 
     /// Executes the oldest queued node task: builds the node's histogram
-    /// from its rows, packs it and sends it, asking the core before the
-    /// pack whether the task is still wanted, and before the send whether
-    /// its histogram must wait on its parent's verdict.
+    /// from its rows, parks it in the core, takes in what the guest sent
+    /// meanwhile, and ships what that leaves released.
     fn run_one_task(&mut self, core: &mut HostCore) -> Result<(), TrainError> {
         let Some((task, tree, rows)) = core.next_task() else { return Ok(()) };
         let span = self.telemetry.enter(TracePhase::Hadd, Some(task.tree), Some(task.node));
@@ -401,35 +398,22 @@ impl HostParty {
         self.accumulate(task.tree, (&tree.enc_g, &tree.enc_h), &mut g, &mut h, &rows)?;
         self.telemetry.exit(span);
         let count = rows.len();
-        if !core.still_wanted(task, |core| self.drain(core))? {
-            return Ok(());
+        core.park(task, (g, h), count);
+        self.drain(core)?;
+        for parked in core.release() {
+            self.ship(parked)?;
         }
-        let payload = self.make_payload(task.tree, &g, &h, count)?;
-        match core.ship_or_hold(task, payload) {
-            Some(payload) => self.ship(task, payload),
-            None => Ok(()),
-        }
+        Ok(())
     }
 
-    /// Sends a task's histogram.
-    fn ship(&mut self, task: Task, payload: HistPayload) -> Result<(), TrainError> {
+    /// Packs a released histogram into the run's return form and sends it.
+    fn ship(&mut self, (task, (g, h), rows): Parked) -> Result<(), TrainError> {
         let Task { tree, node, epoch } = task;
-        self.send_traced(&Msg::NodeHistograms { tree, node, epoch, payload }, tree)
-    }
-
-    /// Packs a node's builders into the run's return form.
-    fn make_payload(
-        &mut self,
-        tree: u32,
-        g: &EncHistBuilder,
-        h: &EncHistBuilder,
-        count: usize,
-    ) -> Result<HistPayload, TrainError> {
         let span = self.telemetry.enter(TracePhase::Pack, Some(tree), None);
-        let payload = self.path.payload(&self.suite, &self.pool, (g, h), count);
+        let payload = self.path.payload(&self.suite, &self.pool, (&g, &h), rows);
         let payload = payload.map_err(TrainError::crypto("histogram finalize/pack"))?;
         self.telemetry.exit(span);
-        Ok(payload)
+        self.send_traced(&Msg::NodeHistograms { tree, node, epoch, payload }, tree)
     }
 }
 
@@ -437,62 +421,129 @@ impl HostParty {
 mod tests {
     use super::*;
     use vf2_channel::{duplex, WanConfig};
+    use vf2_crypto::suite::{Ciphertext, PlainNumber};
     use vf2_gbdt::data::FeatureColumn;
 
-    /// What arrives while a task is being built is taken in before it is
-    /// packed: a re-split above the node retires it unsent, and a newer
-    /// epoch for it sends only the newer answer.
-    #[test]
-    fn a_task_retired_in_flight_is_not_shipped() {
-        use vf2_crypto::suite::{Ciphertext, PlainNumber};
-
+    /// A mock host over one dense feature of eight rows, and the guest's
+    /// end of its link.
+    fn mock_host() -> (HostParty, HostCore, Endpoint) {
         let (guest_ep, host_ep) = duplex(WanConfig::instant());
         let column = FeatureColumn::Dense((0..8).map(|v| v as f32).collect());
         let data = Dataset::new(8, vec![column], None);
         let cfg = TrainConfig::for_tests();
         let suite = Suite::plain(cfg.encoding);
-        let (mut host, mut core) =
+        let (host, core) =
             HostParty::new(0, &data, cfg, suite, host_ep, None, ChaosPlan::default()).unwrap();
-        let send = |msg: Msg| guest_ep.send(msg.kind(), wire::encode(&msg).unwrap());
-        // Everything sent so far is in the host's inbox once acked.
-        let delivered = || assert!(guest_ep.flush(std::time::Duration::from_secs(5)));
-        let step = |host: &mut HostParty, core: &mut HostCore| {
-            assert!(host.step(core, true).unwrap(), "a message");
-        };
-        let one = Ciphertext::Plain(PlainNumber { value: 1.0, exponent: cfg.encoding.base_exp });
+        (host, core, guest_ep)
+    }
+
+    fn send(guest: &Endpoint, msg: Msg) {
+        guest.send(msg.kind(), wire::encode(&msg).unwrap());
+    }
+
+    /// Sends the guest's opening — the resume decision, the whole tree's
+    /// gradients, the root's placement (three rows left, `speculative` or
+    /// not) and node 1's task — and has the host take each in: the root
+    /// ships.
+    fn open_tree(host: &mut HostParty, core: &mut HostCore, guest: &Endpoint, speculative: bool) {
+        let one =
+            Ciphertext::Plain(PlainNumber { value: 1.0, exponent: host.cfg.encoding.base_exp });
         let (g, h) = (vec![one.clone(); 8], vec![one; 8]);
-        let split = |left: usize| (0..8).map(|row| row < left).collect::<Vec<_>>();
-        send(Msg::Resume { session_id: 0, tree_count: 0 });
-        send(Msg::GradBatch { tree: 0, start_row: 0, g, h, last: true });
-        send(Msg::ApplyPlacement { tree: 0, node: 0, speculative: false, placement: split(3) });
-        send(Msg::NodeTask { tree: 0, node: 1, epoch: 1 });
+        send(guest, Msg::Resume { session_id: 0, tree_count: 0 });
+        send(guest, Msg::GradBatch { tree: 0, start_row: 0, g, h, last: true });
+        send(guest, Msg::ApplyPlacement { tree: 0, node: 0, speculative, placement: split(3) });
+        send(guest, Msg::NodeTask { tree: 0, node: 1, epoch: 1 });
         for _ in 0..4 {
-            step(&mut host, &mut core);
+            assert!(host.step(core, true).unwrap(), "a message");
         }
-        // The root re-splits while node 1 is being built: no answer.
-        send(Msg::ApplyPlacement { tree: 0, node: 0, speculative: false, placement: split(5) });
-        delivered();
-        host.run_one_task(&mut core).unwrap();
-        assert!(core.queued().is_empty());
-        assert_eq!(host.telemetry.events.aborted_tasks, 1);
-        // Node 1 asked again, then superseded while in flight: it is built
-        // again at the newer epoch, and only that answer ships.
-        send(Msg::NodeTask { tree: 0, node: 1, epoch: 2 });
-        step(&mut host, &mut core);
-        send(Msg::NodeTask { tree: 0, node: 1, epoch: 3 });
-        delivered();
-        host.run_one_task(&mut core).unwrap();
-        assert_eq!(core.queued(), vec![1]);
-        host.run_one_task(&mut core).unwrap();
+    }
+
+    /// A placement of eight rows, the first `left` to the left.
+    fn split(left: usize) -> Vec<bool> {
+        (0..8).map(|row| row < left).collect()
+    }
+
+    /// Every `(node, epoch)` histogram the host has sent since the last call.
+    fn answers(host: &HostParty, guest: &Endpoint) -> Vec<(u32, u32)> {
         host.guest.flush(std::time::Duration::from_secs(5));
-        let answers: Vec<(u32, u32)> = std::iter::from_fn(|| guest_ep.try_recv())
+        std::iter::from_fn(|| guest.try_recv())
             .map(|env| wire::decode(env.kind, env.payload).unwrap())
             .filter_map(|msg| match msg {
                 Msg::NodeHistograms { node, epoch, .. } => Some((node, epoch)),
                 _ => None,
             })
-            .collect();
+            .collect()
+    }
+
+    /// The ciphers the host has packed.
+    fn packs(host: &HostParty) -> u64 {
+        host.suite.counters().snapshot().packs
+    }
+
+    /// What arrives while a task is being built is taken in while its
+    /// histogram is parked, before any pack: a re-split above the node
+    /// retires it unpacked, and a newer epoch for it packs and sends only
+    /// the newer answer.
+    #[test]
+    fn a_task_retired_in_flight_is_not_shipped() {
+        let (mut host, mut core, guest) = mock_host();
+        open_tree(&mut host, &mut core, &guest, false);
+        let root = packs(&host);
+        // Everything sent so far is in the host's inbox once acked.
+        let delivered = || assert!(guest.flush(std::time::Duration::from_secs(5)));
+        // The root re-splits while node 1 is being built: no answer.
+        send(
+            &guest,
+            Msg::ApplyPlacement { tree: 0, node: 0, speculative: false, placement: split(5) },
+        );
+        delivered();
+        host.run_one_task(&mut core).unwrap();
+        assert!(core.queued().is_empty());
+        assert_eq!((host.telemetry.events.aborted_tasks, packs(&host)), (1, root));
+        // Node 1 asked again, then superseded while in flight: it is built
+        // again at the newer epoch, and only that answer is packed and
+        // ships.
+        send(&guest, Msg::NodeTask { tree: 0, node: 1, epoch: 2 });
+        assert!(host.step(&mut core, true).unwrap(), "a message");
+        send(&guest, Msg::NodeTask { tree: 0, node: 1, epoch: 3 });
+        delivered();
+        host.run_one_task(&mut core).unwrap();
+        assert_eq!((core.queued(), packs(&host)), (vec![1], root));
+        host.run_one_task(&mut core).unwrap();
+        assert!(packs(&host) > root);
+        let answers = answers(&host, &guest);
         assert_eq!(answers, vec![(0, 1), (1, 3)], "the root's answer, then node 1's newest");
+    }
+
+    /// A histogram built below a speculative split is parked unpacked, and
+    /// nothing is sent: the guest's validation packs and ships it, and a
+    /// relayed re-placement of its parent retires it, never packed.
+    #[test]
+    fn a_histogram_below_a_speculation_is_packed_only_once_released() {
+        for validated in [true, false] {
+            let (mut host, mut core, guest) = mock_host();
+            open_tree(&mut host, &mut core, &guest, true);
+            let root = packs(&host);
+            assert!(root > 0, "the root's histogram is packed");
+            host.run_one_task(&mut core).unwrap();
+            assert_eq!(packs(&host), root, "validated: {validated}");
+            assert_eq!(answers(&host, &guest), [(0, 1)], "only the root's histogram is sent");
+            let verdict = match validated {
+                true => Msg::SplitValidated { tree: 0, node: 0 },
+                false => Msg::ApplyPlacement {
+                    tree: 0,
+                    node: 0,
+                    speculative: false,
+                    placement: split(5),
+                },
+            };
+            send(&guest, verdict);
+            assert!(host.step(&mut core, true).unwrap(), "a message");
+            let shipped = answers(&host, &guest);
+            assert_eq!(packs(&host) > root, validated);
+            assert_eq!(shipped, if validated { vec![(1, 1)] } else { vec![] });
+            assert_eq!(host.telemetry.events.aborted_tasks, u64::from(!validated));
+        }
     }
 
     /// A host's builders span its suite's exponent window, the window its
@@ -502,7 +553,6 @@ mod tests {
     #[test]
     fn the_builders_span_the_suites_exponent_window() {
         use vf2_crypto::encoding::EncodingConfig;
-        use vf2_crypto::suite::{Ciphertext, PlainNumber};
 
         let (guest_ep, host_ep) = duplex(WanConfig::instant());
         let data = Dataset::new(4, vec![FeatureColumn::Dense(vec![0.0, 1.0, 2.0, 3.0])], None);

@@ -3,14 +3,21 @@
 //! histogram tasks that leaves behind (§4.2).
 //!
 //! [`HostCore`]'s phase carries the tree — its row lists, its resident
-//! gradient streams, its root builders, its task queue and the histograms
-//! it holds until the guest validates the split above them — and the core
-//! holds the run's split table. Its one admission ([`HostCore::admit`])
-//! makes every cipher, index, row-cursor, length and phase check of a
-//! guest message once, and hands the shell a [`Step`] that borrows the
-//! state it acts on: no handler can ask for a tree that is not there. The
-//! shell (`host.rs`) owns the link, the suite, the pool, the clock and the
-//! counters.
+//! gradient streams, its root builders, its task queue and its parked
+//! histograms, built and not sent yet — and the core holds the run's split
+//! table. Its one admission ([`HostCore::admit`]) makes every cipher,
+//! index, row-cursor, length and phase check of a guest message once, and
+//! hands the shell a [`Step`] that borrows the state it acts on: no
+//! handler can ask for a tree that is not there.
+//!
+//! A built histogram waits in one place, its tree's parked list, as its
+//! task, its builders and its row count, and one rule releases it: once
+//! its parent's split is no longer a speculation awaiting the guest's
+//! verdict. What retires a queued task retires a parked one — a placement
+//! above it ([`Split::place`]), a newer epoch for its node, its tree's
+//! end — so a histogram a rollback supersedes is never packed. The shell
+//! (`host.rs`) owns the link, the suite, the pool, the clock and the
+//! counters, and packs only what it ships.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -22,10 +29,10 @@ use vf2_crypto::suite::Ciphertext;
 use vf2_gbdt::train::GbdtParams;
 use vf2_gbdt::tree::{parent, right_child, NodeSplit};
 
-use crate::error::{PartyId, ProtocolError, TrainError};
+use crate::error::{PartyId, ProtocolError};
 use crate::grad_path::GradPath;
 use crate::hist_enc::{CipherStream, EncHistBuilder};
-use crate::messages::{HistPayload, Msg};
+use crate::messages::Msg;
 use crate::model::HostSplitTable;
 use crate::rows::{NodeRows, RowMajorBins};
 
@@ -40,6 +47,10 @@ pub(crate) struct Task {
     pub node: u32,
     pub epoch: u32,
 }
+
+/// A built histogram not sent yet: its task, its builders and its node's
+/// row count.
+pub(crate) type Parked = (Task, BuilderPair, usize);
 
 /// One tree's state, from its first gradient batch to its `TreeDone`.
 pub(crate) struct Tree {
@@ -60,13 +71,12 @@ enum Stage {
     Gradients { next_row: u32 },
     /// The node loop: queued tasks in arrival order, each node's latest
     /// epoch, the nodes whose guest placement is speculative and not
-    /// validated yet, and the histograms built below those, held until the
-    /// verdict.
+    /// validated yet, and the parked histograms in build order.
     Nodes {
         queue: VecDeque<u32>,
         epochs: HashMap<u32, u32>,
         pending: HashSet<u32>,
-        held: Vec<(Task, HistPayload)>,
+        parked: Vec<Parked>,
     },
 }
 
@@ -100,14 +110,14 @@ pub(crate) enum Step<'a> {
     Resume { session_id: u64, tree_count: u32, splits: &'a mut HostSplitTable },
     /// A gradient batch to enter and fold into the root.
     Batch(Batch<'a>),
-    /// A node task was queued, or `superseded` the one queued for its node
-    /// (the paper's aborted sub-task).
+    /// A node task was queued, or `superseded` its node's older one, queued
+    /// or parked (the paper's aborted sub-task).
     Task { superseded: bool },
     /// The guest's placement of a node: [`Split::place`] applies it.
     Place(Split<'a>, Vec<bool>),
-    /// The guest validated its speculative split of a node: the histograms
-    /// held for the node's children ship, in the order they were built.
-    Validated { released: Vec<(Task, HistPayload)> },
+    /// The guest validated its speculative split of a node: the parked
+    /// histograms that releases ([`HostCore::release`]'s rule) ship.
+    Validated { released: Vec<Parked> },
     /// This host's split of a node won, on bin `u16` of feature `usize`:
     /// recorded, and [`Split::choose`] applies it.
     Choose(Split<'a>, usize, u16),
@@ -142,14 +152,14 @@ pub(crate) struct Split<'a> {
     rows: &'a mut NodeRows,
     queue: &'a mut VecDeque<u32>,
     pending: &'a mut HashSet<u32>,
-    held: &'a mut Vec<(Task, HistPayload)>,
+    parked: &'a mut Vec<Parked>,
     bins: &'a RowMajorBins,
 }
 
 impl Split<'_> {
     /// Applies `placement` (one side per row of the node, as admitted) and
-    /// retires every task below the node, queued unbuilt or built and held;
-    /// returns how many. The link is FIFO, so those were asked against the
+    /// retires every task below the node, queued or parked; returns how
+    /// many. The link is FIFO, so those were asked against the
     /// split this one replaces, and the guest drops their answers by epoch.
     /// Only the new smaller child is asked for again, so a re-issue alone
     /// would leave the other child's stale task to be built from new rows.
@@ -163,14 +173,14 @@ impl Split<'_> {
         let below = |task: u32| {
             std::iter::successors(parent(task as usize), |&n| parent(n)).any(|n| n == node)
         };
-        let retiring = self.queue.len() + self.held.len();
+        let retiring = self.queue.len() + self.parked.len();
         self.queue.retain(|&task| !below(task));
-        self.held.retain(|(task, _)| !below(task.node));
+        self.parked.retain(|(task, ..)| !below(task.node));
         self.pending.remove(&self.node);
         if self.speculative {
             self.pending.insert(self.node);
         }
-        (retiring - self.queue.len() - self.held.len()) as u64
+        (retiring - self.queue.len() - self.parked.len()) as u64
     }
 
     /// Places the node's rows by this host's split — bin `bin` of
@@ -361,7 +371,7 @@ impl HostCore {
                         queue: VecDeque::new(),
                         epochs: HashMap::new(),
                         pending: HashSet::new(),
-                        held: Vec::new(),
+                        parked: Vec::new(),
                     },
                     false => Stage::Gradients { next_row: end },
                 };
@@ -370,7 +380,7 @@ impl HostCore {
             }
             Err(msg) => msg,
         };
-        let Stage::Nodes { queue, epochs, pending, held } = &mut t.stage else {
+        let Stage::Nodes { queue, epochs, pending, parked } = &mut t.stage else {
             return Err(out_of_phase("tree building before the gradient stream"));
         };
         let current = t.tree;
@@ -392,22 +402,22 @@ impl HostCore {
                 if epochs.get(&node).is_some_and(|&old| old >= epoch) {
                     return Err(replayed("node task replayed or epoch-regressed"));
                 }
-                let superseded = epochs.insert(node, epoch).is_some() && queue.contains(&node);
-                if !superseded {
+                epochs.insert(node, epoch);
+                // The node's older task is retired: parked, it is dropped;
+                // queued, it keeps its place at the new epoch.
+                let (queued, was_parked) = (queue.contains(&node), parked.len());
+                parked.retain(|(task, ..)| task.node != node);
+                if !queued {
                     queue.push_back(node);
                 }
-                Ok(Step::Task { superseded })
+                Ok(Step::Task { superseded: queued || parked.len() < was_parked })
             }
             Msg::SplitValidated { tree, node } => {
                 in_tree(tree)?;
                 if !pending.remove(&node) {
                     return Err(inadmissible("validation of a node with no speculative split"));
                 }
-                let (released, kept) = std::mem::take(held)
-                    .into_iter()
-                    .partition(|(task, _)| parent(task.node as usize) == Some(node as usize));
-                *held = kept;
-                Ok(Step::Validated { released })
+                Ok(Step::Validated { released: release(parked, pending) })
             }
             Msg::ApplyPlacement { tree, node, speculative, placement } => {
                 in_tree(tree)?;
@@ -420,7 +430,7 @@ impl HostCore {
                     return Err(unexpected("placement length differs from the node's row count"));
                 }
                 let rows = &mut t.rows;
-                let split = Split { tree, node, speculative, rows, queue, pending, held, bins };
+                let split = Split { tree, node, speculative, rows, queue, pending, parked, bins };
                 Ok(Step::Place(split, placement))
             }
             Msg::HostSplitChosen { tree, node, feature, bin } => {
@@ -438,7 +448,7 @@ impl HostCore {
                 };
                 self.splits.splits.insert((tree, node), NodeSplit { feature, bin, threshold });
                 let (rows, speculative) = (&mut t.rows, false);
-                let split = Split { tree, node, speculative, rows, queue, pending, held, bins };
+                let split = Split { tree, node, speculative, rows, queue, pending, parked, bins };
                 Ok(Step::Choose(split, feature, bin))
             }
             _ => Err(out_of_phase("message inadmissible inside the node loop")),
@@ -466,63 +476,37 @@ impl HostCore {
         Some((Task { tree: t.tree, node, epoch }, t, t.rows.rows(node as usize)))
     }
 
-    /// Whether the task in flight is still wanted once `drain` has taken
-    /// in what the guest sent meanwhile (the paper's aborted sub-task,
-    /// §4.2). The task goes back to the head of the queue while the inbox
-    /// drains, so whatever retires a queued task — a re-placement above it,
-    /// a newer epoch for it, the tree's end — retires it too: the guest
-    /// would drop its answer by epoch, so the shell skips the pack. A
-    /// superseded task stays queued, to be built again at its new epoch.
-    /// Nothing honest retires a task during its pack that
-    /// [`HostCore::ship_or_hold`] does not hold: only a speculative split
-    /// is ever replaced.
-    pub fn still_wanted(
-        &mut self,
-        task: Task,
-        drain: impl FnOnce(&mut HostCore) -> Result<(), TrainError>,
-    ) -> Result<bool, TrainError> {
-        if let Some((queue, _)) = self.tasks(task.tree) {
-            queue.push_front(task.node);
+    /// Parks the histogram just built for `task` — its builders and its
+    /// node's `rows` — until [`HostCore::release`] lets it ship.
+    pub fn park(&mut self, task: Task, builders: BuilderPair, rows: usize) {
+        if let Phase::Tree(Tree { stage: Stage::Nodes { parked, .. }, .. }) = &mut self.phase {
+            parked.push((task, builders, rows));
         }
-        drain(self)?;
-        let Some((queue, epochs)) = self.tasks(task.tree) else { return Ok(false) };
-        let wanted =
-            queue.front() == Some(&task.node) && epochs.get(&task.node) == Some(&task.epoch);
-        if wanted {
-            queue.pop_front();
-        }
-        Ok(wanted)
     }
 
-    /// The histogram of a task still wanted, to ship now — or `None`: its
-    /// node's parent is a speculative split not validated yet, and the core
-    /// holds it until the verdict. A validation releases it
-    /// ([`Step::Validated`]); a re-placement above it retires it, since the
-    /// guest would drop it by epoch. So what ships does not depend on
+    /// The parked histograms whose parent's split is no longer a
+    /// speculation awaiting its verdict, taken out in build order: the
+    /// shell packs and ships each. So what ships does not depend on
     /// whether the verdict or the histogram was ready first.
-    pub fn ship_or_hold(&mut self, task: Task, payload: HistPayload) -> Option<HistPayload> {
-        let Phase::Tree(Tree { stage: Stage::Nodes { pending, held, .. }, .. }) = &mut self.phase
-        else {
-            return Some(payload);
-        };
-        if !parent(task.node as usize).is_some_and(|p| pending.contains(&(p as u32))) {
-            return Some(payload);
-        }
-        held.push((task, payload));
-        None
-    }
-
-    /// Tree `tree`'s task queue and epochs, while its node loop runs.
-    fn tasks(&mut self, tree: u32) -> Option<(&mut VecDeque<u32>, &mut HashMap<u32, u32>)> {
+    pub fn release(&mut self) -> Vec<Parked> {
         match &mut self.phase {
-            Phase::Tree(Tree { tree: t, stage: Stage::Nodes { queue, epochs, .. }, .. })
-                if *t == tree =>
-            {
-                Some((queue, epochs))
+            Phase::Tree(Tree { stage: Stage::Nodes { pending, parked, .. }, .. }) => {
+                release(parked, pending)
             }
-            _ => None,
+            _ => Vec::new(),
         }
     }
+}
+
+/// The release rule: takes out of `parked`, in build order, every
+/// histogram whose parent is not in `pending`.
+fn release(parked: &mut Vec<Parked>, pending: &HashSet<u32>) -> Vec<Parked> {
+    let awaiting = |(task, ..): &Parked| {
+        parent(task.node as usize).is_some_and(|p| pending.contains(&(p as u32)))
+    };
+    let (kept, released) = std::mem::take(parked).into_iter().partition(awaiting);
+    *parked = kept;
+    released
 }
 
 #[cfg(test)]
@@ -997,50 +981,65 @@ mod tests {
         assert_eq!(at.place(&placement), 0);
     }
 
-    /// Queues a task and pops it, as the shell does before building it.
-    fn built(core: &mut HostCore, node: u32, epoch: u32) -> Task {
+    /// Queues a task and [`park_next`]s it.
+    fn parked(core: &mut HostCore, node: u32, epoch: u32) -> Task {
         verdict(core.admit(Msg::NodeTask { tree: 0, node, epoch })).unwrap();
-        core.next_task().expect("a task to build").0
+        park_next(core)
     }
 
-    /// A histogram below a speculative split waits on the guest's verdict,
-    /// and the validation releases it; below a validated split one ships
-    /// at once.
-    #[test]
-    fn a_histogram_below_a_speculative_split_ships_once_validated() {
-        let payload = || HistPayload::Raw(vec![]);
-        let (mut core, _) = node_loop(8);
-        speculate(&mut core, 8, 3);
-        let task = built(&mut core, 1, 1);
-        assert_eq!(core.ship_or_hold(task, payload()), None, "held");
-        let sibling = built(&mut core, 2, 1);
-        assert_eq!(core.ship_or_hold(sibling, payload()), None, "held");
+    /// Pops the oldest task and parks its histogram (empty builders and
+    /// the node's row count), as the shell does once it is built.
+    fn park_next(core: &mut HostCore) -> Task {
+        let (task, _, rows) = core.next_task().expect("a task to build");
+        let rows = rows.len();
+        core.park(task, BuilderPair::default(), rows);
+        task
+    }
+
+    /// The tasks of released histograms, in release order.
+    fn tasks(released: Vec<Parked>) -> Vec<Task> {
+        released.into_iter().map(|(task, ..)| task).collect()
+    }
+
+    /// The tasks the guest's validation of the root releases.
+    fn validate_root(core: &mut HostCore) -> Vec<Task> {
         match core.admit(Msg::SplitValidated { tree: 0, node: 0 }) {
-            Ok(Step::Validated { released }) => {
-                assert_eq!(released, [(task, payload()), (sibling, payload())]);
-            }
+            Ok(Step::Validated { released }) => tasks(released),
             other => panic!("expected a validation, got {:?}", verdict(other)),
         }
-        let err = charged(core.admit(Msg::SplitValidated { tree: 0, node: 0 }));
-        assert!(matches!(err, ProtocolError::Inadmissible { kind: 17, .. }), "{err}");
-        // Node 1 placed on a validated split: its children's ship at once.
-        place(&mut core, 1, 3, 1);
-        let task = built(&mut core, 3, 1);
-        assert_eq!(core.ship_or_hold(task, payload()), Some(payload()));
     }
 
-    /// A speculative split that loses its validation retires what is held
-    /// below it, whichever way the host's re-split comes — its own split
-    /// chosen, or another's relayed — so a superseded histogram never
-    /// ships; the new children's histograms ship at once.
+    /// A histogram parked below a speculative split waits on the guest's
+    /// verdict, and the validation releases it, in build order; below a
+    /// validated split one is released at once.
     #[test]
-    fn a_rolled_back_speculation_retires_the_histograms_held_below_it() {
-        let payload = || HistPayload::Raw(vec![]);
+    fn a_histogram_below_a_speculative_split_ships_once_validated() {
+        let (mut core, _) = node_loop(8);
+        speculate(&mut core, 8, 3);
+        let task = parked(&mut core, 1, 1);
+        assert!(core.release().is_empty(), "parked");
+        let sibling = parked(&mut core, 2, 1);
+        assert!(core.release().is_empty(), "parked");
+        assert_eq!(validate_root(&mut core), [task, sibling]);
+        let err = charged(core.admit(Msg::SplitValidated { tree: 0, node: 0 }));
+        assert!(matches!(err, ProtocolError::Inadmissible { kind: 17, .. }), "{err}");
+        // Node 1 placed on a validated split: its children's are released
+        // at once.
+        place(&mut core, 1, 3, 1);
+        let task = parked(&mut core, 3, 1);
+        assert_eq!(tasks(core.release()), [task]);
+    }
+
+    /// A speculative split that loses its validation retires what is parked
+    /// below it, whichever way the host's re-split comes — its own split
+    /// chosen, or another's relayed — so a superseded histogram is never
+    /// released; the new children's are released at once.
+    #[test]
+    fn a_rolled_back_speculation_retires_the_histograms_parked_below_it() {
         for relayed in [false, true] {
             let (mut core, _) = node_loop(8);
             speculate(&mut core, 8, 3);
-            let task = built(&mut core, 1, 1);
-            assert_eq!(core.ship_or_hold(task, payload()), None, "held");
+            parked(&mut core, 1, 1);
             let retired = if relayed {
                 place(&mut core, 0, 8, 5)
             } else {
@@ -1051,10 +1050,27 @@ mod tests {
                 at.choose(feature, bin).1
             };
             assert_eq!(retired, 1, "relayed: {relayed}");
+            assert!(core.release().is_empty(), "relayed: {relayed}");
             assert!(verdict(core.admit(Msg::SplitValidated { tree: 0, node: 0 })).is_err());
-            let task = built(&mut core, 2, 2);
-            assert_eq!(core.ship_or_hold(task, payload()), Some(payload()));
+            let task = parked(&mut core, 2, 2);
+            assert_eq!(tasks(core.release()), [task]);
         }
+    }
+
+    /// A newer task for a node retires its parked histogram, which its
+    /// parent's validation then does not release; the node is built again
+    /// at the newer epoch, and only that one ships.
+    #[test]
+    fn a_parked_histogram_is_retired_by_a_newer_epoch_for_its_node() {
+        let (mut core, _) = node_loop(8);
+        speculate(&mut core, 8, 3);
+        parked(&mut core, 1, 1);
+        let newer = core.admit(Msg::NodeTask { tree: 0, node: 1, epoch: 2 });
+        assert!(matches!(newer, Ok(Step::Task { superseded: true })));
+        assert_eq!(core.queued(), vec![1]);
+        assert!(validate_root(&mut core).is_empty());
+        let task = park_next(&mut core);
+        assert_eq!((task.epoch, tasks(core.release())), (2, vec![task]));
     }
 
     fn core_blank(csr: &RowMajorBins, cfg: &TrainConfig) -> BuilderPair {
@@ -1062,60 +1078,38 @@ mod tests {
         (blank(), blank())
     }
 
-    /// What the drain takes in decides whether the task in flight ships:
-    /// a re-placement above it retires it, a newer epoch for it keeps it
-    /// queued for a rebuild, and the tree's end drops it.
+    /// What arrives after a histogram is parked decides whether it ships:
+    /// a newer epoch for its node retires it and queues a rebuild, a
+    /// re-placement above it retires it, and the tree's end drops it.
     #[test]
-    fn a_task_is_still_wanted_only_at_its_epoch_in_its_tree() {
+    fn a_parked_histogram_ships_only_at_its_epoch_in_its_tree() {
         let (mut core, _) = node_loop(8);
         place(&mut core, 0, 8, 3);
-        // Admits each message and applies its placement, as the shell does.
-        let admit_all = |msgs: Vec<Msg>| {
-            move |core: &mut HostCore| {
-                for msg in msgs {
-                    match core.admit(msg) {
-                        Ok(Step::Place(at, placement)) => drop(at.place(&placement)),
-                        other => verdict(other).expect("admitted"),
-                    }
-                }
-                Ok(())
-            }
-        };
-        let task = |core: &mut HostCore, epoch| {
-            verdict(core.admit(Msg::NodeTask { tree: 0, node: 1, epoch })).unwrap();
-            core.next_task().expect("a task").0
-        };
-        // Nothing arrives: still wanted, and taken off the queue.
-        let t = task(&mut core, 1);
-        assert_eq!(core.still_wanted(t, admit_all(vec![])), Ok(true));
+        // Nothing arrives: released, and off the queue.
+        let t = parked(&mut core, 1, 1);
+        assert_eq!(tasks(core.release()), [t]);
         assert!(core.queued().is_empty());
-        // A newer epoch: not wanted, and queued to be built again.
-        let t = task(&mut core, 2);
-        let newer = vec![Msg::NodeTask { tree: 0, node: 1, epoch: 3 }];
-        assert_eq!(core.still_wanted(t, admit_all(newer)), Ok(false));
+        // A newer epoch: retired, and queued to be built again.
+        parked(&mut core, 1, 2);
+        verdict(core.admit(Msg::NodeTask { tree: 0, node: 1, epoch: 3 })).unwrap();
+        assert!(core.release().is_empty());
         assert_eq!(core.queued(), vec![1]);
-        // A re-placement above it: retired.
-        let t = core.next_task().expect("the rebuild").0;
-        let replaced = vec![Msg::ApplyPlacement {
-            tree: 0,
-            node: 0,
-            speculative: false,
-            placement: vec![true; 8],
-        }];
-        assert_eq!(core.still_wanted(t, admit_all(replaced)), Ok(false));
+        // A re-placement above the rebuild: retired.
+        assert_eq!(park_next(&mut core).epoch, 3);
+        assert_eq!(place(&mut core, 0, 8, 8), 1);
+        assert!(core.release().is_empty());
         assert!(core.queued().is_empty());
         // The tree's end, and the next tree's own task for the same node
-        // at the same epoch: the old task is not that one.
-        let t = task(&mut core, 4);
-        let mut next = vec![Msg::TreeDone { tree: 0 }, grad(1, 0, 8, true)];
-        next.push(Msg::ApplyPlacement {
-            tree: 1,
-            node: 0,
-            speculative: false,
-            placement: vec![true; 8],
-        });
-        next.push(Msg::NodeTask { tree: 1, node: 1, epoch: 4 });
-        assert_eq!(core.still_wanted(t, admit_all(next)), Ok(false));
+        // at the same epoch: the old histogram is not that one.
+        parked(&mut core, 1, 4);
+        verdict(core.admit(Msg::TreeDone { tree: 0 })).unwrap();
+        verdict(core.admit(grad(1, 0, 8, true))).unwrap();
+        let placement = vec![true; 8];
+        let msg = Msg::ApplyPlacement { tree: 1, node: 0, speculative: false, placement };
+        let Ok(Step::Place(at, placement)) = core.admit(msg) else { panic!("admitted") };
+        assert_eq!(at.place(&placement), 0);
+        verdict(core.admit(Msg::NodeTask { tree: 1, node: 1, epoch: 4 })).unwrap();
+        assert!(core.release().is_empty());
         assert_eq!(core.queued(), vec![1]);
     }
 }
