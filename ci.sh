@@ -55,13 +55,16 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # deadline; a stalled-but-alive link is ridden out inside the supervised
 # wait by not waking, with the identical model.
 #
-# Fixed-limb crypto (vf2-crypto): the Montgomery backend's property tests —
-# limb mul/REDC/modpow and the resident operations (enter, multiply, Horner
-# step, leave) vs. the num-bigint reference at every dispatch width,
-# including carry-edge moduli and modulus-adjacent vectors, the resident
-# pack vs. a BigUint Horner reference, and the suite-level pipelines
-# (pack/unpack, paired encrypt/unpack) bit-identical under the fixed-limb
-# core and the num-bigint fallback — plus the rest of the vf2-crypto suite.
+# Fixed-limb crypto (vf2-crypto): the Montgomery core is the one engine of
+# every Paillier key (64 to 4096 bits; a wider request is a typed
+# KeyGeneration error). Its property tests check limb mul/REDC/modpow and
+# the resident operations (enter, multiply, Horner step, leave) against
+# plain BigUint formulas at every dispatch width up to 128 limbs, including
+# carry-edge moduli and modulus-adjacent vectors, the resident pack against
+# a BigUint Horner reference, encryption, decryption and SMul against their
+# textbook formulas, and the suite-level pipelines (pack/unpack, paired
+# encrypt/unpack) recover their plaintexts — plus the rest of the
+# vf2-crypto suite.
 # The host's HAdds and packs run on this core (its ciphers stay resident
 # from receipt to pack), so these tests guard the host's hot path too.
 #
@@ -118,7 +121,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # cipher checks before those, placements_that_desync_the_row_lists_are_fatal the fatal verdicts
 # (the last bin, which indexed past the cut points, among them),
 # a_replaced_placement_retires_the_tasks_queued_below_it the retirement
-# under a re-split, and a_task_is_still_wanted_only_at_its_epoch_in_its_tree
+# under a re-split, and a_parked_histogram_ships_only_at_its_epoch_in_its_tree
 # the in-flight decision, across a tree boundary too.
 #
 # Many-party chaos (tests/many_party.rs): the guest's tree loop is
@@ -368,6 +371,17 @@ if grep -nwE 'add_raw|add_assign_same_exp|add_plain_raw|mul_raw|finalize_gh_feat
   exit 1
 fi
 
+# One bignum engine: every Paillier key runs on the fixed-limb Montgomery
+# core, and a resident cipher has one form, its Montgomery limbs. The
+# backend switch, the key rebuilt on the other engine and the resident's
+# plain-residue form must not come back.
+echo "== one-engine gate (no second bignum backend) =="
+if grep -rnE 'CryptoBackend|with_backend|NumBigint|as_plain|Repr::Plain' \
+    --include='*.rs' crates/*/src crates/*/tests src tests examples; then
+  echo "a second bignum backend is back" >&2
+  exit 1
+fi
+
 # One arena: a histogram builder holds every bin of every feature in one
 # flat arena (EncHistBuilder's offsets / store / rows). The per-bin
 # accumulator types it replaced — a Vec of per-bin vectors, each bin's
@@ -434,9 +448,9 @@ jq -e '.schema == "vf2boost-run-report/v1"' "$REPORT" > /dev/null
 jq -e '.wall_time_s > 0 and .total_bytes > 0' "$REPORT" > /dev/null
 jq -e '.parties | length >= 2' "$REPORT" > /dev/null
 jq -e 'all(.parties[]; .phases.busy_s >= 0 and .ops != null and .events != null and .trace.cap > 0)' "$REPORT" > /dev/null
-# Backend telemetry: every party names its bignum backend, Montgomery op
-# counts are present, and the fixed-limb core actually did the guest's
-# modpow work — the one place a silent num-bigint fallback would show.
+# Backend telemetry: every party names its backend (the key's limb width,
+# or plain for the mock), Montgomery op counts are present, and the
+# fixed-limb core actually did the guest's modpow work.
 jq -e 'all(.parties[]; (.crypto_backend | length) > 0 and .ops.modmul != null and .ops.redc != null)' "$REPORT" > /dev/null
 jq -e '.parties[0] | (.crypto_backend | startswith("fixed-")) and .ops.modmul > 0 and .ops.redc > .ops.modmul' "$REPORT" > /dev/null
 # Robustness telemetry: every party carries a per-peer-link retransmission

@@ -18,7 +18,7 @@ use crate::protocol::ProtocolConfig;
 pub enum CryptoConfig {
     /// Real Paillier with an `S`-bit modulus (the paper recommends 2048).
     Paillier {
-        /// Modulus bits `S`.
+        /// Modulus bits `S`, 64 to 4096 (key generation refuses any other).
         key_bits: u64,
     },
     /// Plaintext mock — the paper's VF-MOCK baseline.

@@ -183,9 +183,8 @@ pub struct PartyTelemetry {
     pub phases: PhaseTimes,
     /// Cryptography operation counts.
     pub ops: OpSnapshot,
-    /// Crypto-backend tag this party's suite ran on (`"fixed-<N>x64"`,
-    /// `"num-bigint"`, or `"plain"`), so backend regressions are visible
-    /// in run reports.
+    /// Crypto-backend tag this party's suite ran on (`"fixed-<N>x64"` or
+    /// `"plain"`), so the key's limb width is visible in run reports.
     pub crypto_backend: String,
     /// Protocol events.
     pub events: ProtocolEvents,

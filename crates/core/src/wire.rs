@@ -513,40 +513,36 @@ mod tests {
         // The return path's twin of the forward pin: a host's paired
         // histogram answer for a fixed builder — two features of three
         // bins at two bins per packed cipher (a partial last chunk), one
-        // bin empty — digested as it leaves the host, under both bignum
-        // backends. Accumulation, top-ups and packing may be reorganized
-        // freely; the integers mod n² they produce may not move. The
-        // constant was computed by the code this path replaced: never
-        // re-derive it from the code under test.
+        // bin empty — digested as it leaves the host. Accumulation,
+        // top-ups and packing may be reorganized freely; the integers mod
+        // n² they produce may not move. The constant was computed by the
+        // code this path replaced: never re-derive it from the code under
+        // test.
         use crate::hist_enc::EncHistBuilder;
         use crate::rows::ColMeta;
-        use vf2_crypto::montgomery::CryptoBackend;
         let enc = EncodingConfig { base: 16, base_exp: 8, jitter: 4 };
-        let keys = vf2_crypto::KeyPair::generate_seeded(256, 42).unwrap();
+        let guest = Suite::paillier_seeded(256, 42, enc).unwrap();
+        let host = guest.public_half();
         let plan = vf2_crypto::GhPlan::new(1.0, 1.0, 8, &enc).unwrap();
+        assert_eq!(plan.bins_per_cipher(host.public_key().unwrap()), 2);
         let g = [0.5, -0.25, 0.75, -1.0, 0.0, 0.125, -0.875, 1.0];
         let h = [0.25, 0.25, 0.125, 0.0, 0.5, 1.0, 0.0625, 0.75];
         let bins_of = [[0usize, 1, 0, 1, 1, 0, 0, 1], [2, 0, 1, 2, 2, 0, 1, 2]];
         let meta = vec![ColMeta { num_bins: 3, zero_bin: 0, dense: true }; 2];
-        for backend in [CryptoBackend::Fixed, CryptoBackend::NumBigint] {
-            let guest = Suite::paillier(keys.with_backend(backend), enc);
-            let host = guest.public_half();
-            assert_eq!(plan.bins_per_cipher(host.public_key().unwrap()), 2);
-            let rows = guest.encrypt_gh_batch(&g, &h, &plan, 7).unwrap();
-            let mut builder = EncHistBuilder::new(&meta, &enc, true);
-            for (f, bins) in bins_of.iter().enumerate() {
-                for (c, &bin) in rows.iter().zip(bins) {
-                    builder.add(&host, f, bin, c).unwrap();
-                }
+        let rows = guest.encrypt_gh_batch(&g, &h, &plan, 7).unwrap();
+        let mut builder = EncHistBuilder::new(&meta, &enc, true);
+        for (f, bins) in bins_of.iter().enumerate() {
+            for (c, &bin) in rows.iter().zip(bins) {
+                builder.add(&host, f, bin, c).unwrap();
             }
-            let features = (0..2).map(|f| builder.pack_gh_feature(&host, f, &plan).unwrap());
-            let payload = HistPayload::GhPacked(features.collect());
-            let bytes = encode(&Msg::NodeHistograms { tree: 0, node: 0, epoch: 1, payload });
-            let digest = bytes.unwrap().iter().fold(0xcbf2_9ce4_8422_2325, |d: u64, &b| {
-                (d ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-            });
-            assert_eq!(digest, 0x0dcb_0462_ab21_5dba, "{backend:?}");
         }
+        let features = (0..2).map(|f| builder.pack_gh_feature(&host, f, &plan).unwrap());
+        let payload = HistPayload::GhPacked(features.collect());
+        let bytes = encode(&Msg::NodeHistograms { tree: 0, node: 0, epoch: 1, payload });
+        let digest = bytes.unwrap().iter().fold(0xcbf2_9ce4_8422_2325, |d: u64, &b| {
+            (d ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(digest, 0x0dcb_0462_ab21_5dba);
     }
 
     #[test]

@@ -33,9 +33,8 @@ pub struct OpCounters {
     /// packed cipher from `t` slot ciphers.
     pub packs: AtomicU64,
     /// Montgomery modular multiplications performed by the fixed-limb
-    /// backend. Zero under the `num-bigint` backend (whose internal
-    /// multiplies are not observable), so this doubles as a backend
-    /// fingerprint in run traces.
+    /// core: a key's exponentiations, resident HAdds and Horner steps.
+    /// The mock suite performs none.
     pub modmul: AtomicU64,
     /// Limb-level REDC work: each Montgomery multiplication contributes
     /// its limb width `N`, making totals comparable across the `mod n²`
@@ -94,7 +93,7 @@ impl OpCounters {
         self.redc.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records one fixed-backend call's work (`modmul` and `redc`).
+    /// Records one Montgomery call's work (`modmul` and `redc`).
     pub fn add_cost(&self, cost: MontCost) {
         self.add_modmul(cost.modmuls);
         self.add_redc(cost.redc_limbs);
@@ -167,14 +166,14 @@ pub struct OpSnapshot {
     pub scalings: u64,
     /// Packing operations.
     pub packs: u64,
-    /// Montgomery modular multiplications (fixed backend only).
+    /// Montgomery modular multiplications.
     pub modmul: u64,
-    /// Limb-level REDC work (fixed backend only).
+    /// Limb-level REDC work.
     pub redc: u64,
 }
 
 impl OpSnapshot {
-    /// Tallies one fixed-backend call's work into `modmul` / `redc`.
+    /// Tallies one Montgomery call's work into `modmul` / `redc`.
     pub fn add_cost(&mut self, cost: MontCost) {
         self.modmul += cost.modmuls;
         self.redc += cost.redc_limbs;

@@ -1,4 +1,4 @@
-//! Fixed-width limb arithmetic for the accelerated crypto backend.
+//! Fixed-width limb arithmetic under the Montgomery core.
 //!
 //! A [`Fixed<N>`] is an unsigned integer stored as exactly `N` 64-bit
 //! limbs, little-endian, on the stack. Because Paillier key sizes are

@@ -56,7 +56,7 @@ pub use counters::OpCounters;
 pub use encoding::{EncodingConfig, FixedPoint};
 pub use error::{CryptoError, Result};
 pub use fixed::Fixed;
-pub use montgomery::{CryptoBackend, MontCost, MontExp, Resident};
+pub use montgomery::{MontCost, MontExp, Resident};
 pub use packing::{pack_ciphers, unpack_plaintext, GhPlan, PackingPlan};
 pub use paillier::{KeyPair, PrivateKey, PublicKey};
 pub use seed::split_seed;

@@ -20,7 +20,8 @@
 //! [`MontExp::leave`] with the plain residue.
 //! Dispatch rule: [`MontExp::new`] picks the smallest supported limb
 //! count `N` with `64·N ≥ modulus bits`; even moduli and widths beyond
-//! 64 limbs (4096 bits) fall back to `num-bigint` (`None`).
+//! 128 limbs (8192 bits, the `n²` of a 4096-bit key) have no context
+//! (`None`).
 
 use num_bigint::BigUint;
 use num_integer::Integer;
@@ -29,21 +30,7 @@ use num_traits::One;
 use crate::error::{CryptoError, Result};
 use crate::fixed::{mac, Fixed};
 
-/// Which bignum backend executes Paillier modular exponentiation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CryptoBackend {
-    /// Fixed-width limb Montgomery core, monomorphized per key width at
-    /// construction time (the default). Falls back to `num-bigint`
-    /// automatically at unsupported widths.
-    #[default]
-    Fixed,
-    /// The vendored `num-bigint` path: heap-allocated, division-based
-    /// reduction. Always available at any width; kept as the reference
-    /// implementation the fixed backend is tested against.
-    NumBigint,
-}
-
-/// Work performed by the fixed-limb backend during one call.
+/// Work performed by the Montgomery core during one call.
 ///
 /// `modmuls` counts Montgomery multiplications (the REDC unit of work);
 /// `redc_limbs` weights each by its limb width `N`, so totals are
@@ -256,52 +243,13 @@ impl<const N: usize> Montgomery<N> {
 }
 
 /// An integer modulo a fixed modulus held in its working form between
-/// operations: `a·R mod m` as `N` Montgomery limbs under a [`MontExp`], or
-/// the plain residue `a mod m` where the key runs on `num-bigint` (see
-/// [`crate::paillier::PublicKey::enter`]).
+/// operations: `a·R mod m` as the `N` Montgomery limbs of the [`MontExp`]
+/// that entered it.
 ///
-/// Opaque: equal residents hold equal residues (both forms are fully
+/// Opaque: equal residents hold equal residues (the form is fully
 /// reduced), and the value is read back only through `leave`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Resident(Repr);
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Repr {
-    /// `a·R mod m` in the dispatch width's `N` limbs.
-    Mont(Box<[u64]>),
-    /// `a mod m`, for a key without the fixed-limb core.
-    Plain(BigUint),
-}
-
-impl Resident {
-    /// A plain residue (the caller has reduced it).
-    pub(crate) fn plain(v: BigUint) -> Resident {
-        Resident(Repr::Plain(v))
-    }
-
-    /// The plain residue, when this resident holds one.
-    pub(crate) fn as_plain(&self) -> Option<&BigUint> {
-        match &self.0 {
-            Repr::Plain(v) => Some(v),
-            Repr::Mont(_) => None,
-        }
-    }
-
-    /// The plain residue, mutably, when this resident holds one.
-    pub(crate) fn as_plain_mut(&mut self) -> Option<&mut BigUint> {
-        match &mut self.0 {
-            Repr::Plain(v) => Some(v),
-            Repr::Mont(_) => None,
-        }
-    }
-
-    fn limbs(&self) -> Option<&[u64]> {
-        match &self.0 {
-            Repr::Mont(l) => Some(l),
-            Repr::Plain(_) => None,
-        }
-    }
-}
+pub struct Resident(Box<[u64]>);
 
 /// Width-erased operations; implemented once per monomorphized limb
 /// count. Inputs are already reduced below the modulus by [`MontExp`];
@@ -368,7 +316,7 @@ impl<const N: usize> MontOps for Montgomery<N> {
 /// Construction picks the smallest supported limb count and monomorphizes
 /// every inner loop at that width; the handle itself is object-safe so
 /// key structs stay non-generic. Results are always identical to
-/// `BigUint::modpow` — the fixed backend is a pure accelerator.
+/// `BigUint::modpow`.
 pub struct MontExp {
     ops: Box<dyn MontOps>,
     modulus: BigUint,
@@ -382,8 +330,7 @@ impl std::fmt::Debug for MontExp {
 
 impl MontExp {
     /// Builds an exponentiator for `modulus`, or `None` when the modulus
-    /// is even, `≤ 1`, or wider than 64 limbs (4096 bits) — callers fall
-    /// back to `num-bigint` in that case.
+    /// is even, `≤ 1`, or wider than 128 limbs (8192 bits).
     pub fn new(modulus: &BigUint) -> Option<MontExp> {
         if modulus.is_even() || modulus <= &BigUint::one() {
             return None;
@@ -399,7 +346,7 @@ impl MontExp {
                 )*
             };
         }
-        dispatch!(1, 2, 4, 6, 8, 12, 16, 24, 32, 48, 64);
+        dispatch!(1, 2, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128);
         None
     }
 
@@ -456,23 +403,22 @@ impl MontExp {
     /// `a` entered into Montgomery form: one multiplication by `R²`
     /// (after a reduction when `a ≥ m`).
     pub fn enter(&self, a: &BigUint, cost: &mut MontCost) -> Resident {
-        let limbs = if a >= &self.modulus {
+        Resident(if a >= &self.modulus {
             self.ops.enter(&(a % &self.modulus), cost)
         } else {
             self.ops.enter(a, cost)
-        };
-        Resident(Repr::Mont(limbs))
+        })
     }
 
     /// The plain residue `a` holds: one multiplication by 1. A resident
-    /// of another width or backend is [`CryptoError::SuiteMismatch`].
+    /// of another width is [`CryptoError::SuiteMismatch`].
     pub fn leave(&self, a: &Resident, cost: &mut MontCost) -> Result<BigUint> {
-        a.limbs().and_then(|l| self.ops.leave(l, cost)).ok_or(CryptoError::SuiteMismatch)
+        self.ops.leave(&a.0, cost).ok_or(CryptoError::SuiteMismatch)
     }
 
     /// The Horner step of packing, `acc ← acc^(2^k)·b mod m`: `k`
     /// squarings, then one multiplication on the stack (`k = 0` is the
-    /// resident HAdd). A resident of another width or backend is
+    /// resident HAdd). A resident of another width is
     /// [`CryptoError::SuiteMismatch`], `acc` untouched.
     pub fn horner_step(
         &self,
@@ -481,10 +427,7 @@ impl MontExp {
         b: &Resident,
         cost: &mut MontCost,
     ) -> Result<()> {
-        let done = match (&mut acc.0, b.limbs()) {
-            (Repr::Mont(acc), Some(b)) => self.ops.horner_step(acc, k, b, cost),
-            _ => false,
-        };
+        let done = self.ops.horner_step(&mut acc.0, k, &b.0, cost);
         done.then_some(()).ok_or(CryptoError::SuiteMismatch)
     }
 }
@@ -572,13 +515,16 @@ mod tests {
         macro_rules! widths {
             ($($n:literal),*) => { $( check_sqr::<$n>(&mut rng); )* };
         }
-        widths!(1, 2, 4, 6, 8, 12, 16, 24, 32, 48, 64);
+        widths!(1, 2, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128);
     }
 
     #[test]
-    fn even_or_trivial_moduli_fall_back() {
+    fn even_trivial_or_oversized_moduli_have_no_context() {
         assert!(MontExp::new(&BigUint::from(10u32)).is_none());
         assert!(MontExp::new(&BigUint::one()).is_none());
         assert!(MontExp::new(&(BigUint::one() << 5000u32)).is_none());
+        let widest = (BigUint::one() << 8192u32) - BigUint::one();
+        assert_eq!(MontExp::new(&widest).map(|m| m.limbs()), Some(128));
+        assert!(MontExp::new(&((BigUint::one() << 8192u32) + BigUint::one())).is_none());
     }
 }

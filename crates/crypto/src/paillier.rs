@@ -27,12 +27,16 @@ use rand::{Rng, SeedableRng};
 use crate::counters::OpCounters;
 use crate::error::{CryptoError, Result};
 use crate::math::{crt_combine, gen_prime, l_function, mod_inverse};
-use crate::montgomery::{recode_window4, CryptoBackend, MontCost, MontExp, Resident};
+use crate::montgomery::{recode_window4, MontCost, MontExp, Resident};
 
 /// A raw Paillier ciphertext: an integer modulo `n²`.
 pub type RawCipher = BigUint;
 
-/// Fixed-limb accelerator for the public `mod n²` cipher domain.
+/// The widest modulus a key may have: its `n²` fills [`MontExp`]'s widest
+/// dispatch, 128 limbs.
+const MAX_KEY_BITS: u64 = 4096;
+
+/// Fixed-limb state for the public `mod n²` cipher domain.
 struct PkAccel {
     /// Montgomery exponentiator modulo `n²`.
     nn: MontExp,
@@ -57,9 +61,8 @@ struct PkInner {
     max_int: BigUint,
     /// Bit length of `n` (the paper's `S`).
     bits: u64,
-    /// Fixed-limb backend, absent under [`CryptoBackend::NumBigint`] or at
-    /// widths [`MontExp`] does not support.
-    accel: Option<PkAccel>,
+    /// The Montgomery core every `mod n²` exponentiation runs on.
+    accel: PkAccel,
 }
 
 /// Paillier public key. Cheap to clone (internally reference-counted).
@@ -80,35 +83,21 @@ impl PartialEq for PublicKey {
 impl Eq for PublicKey {}
 
 impl PublicKey {
-    fn from_n(n: BigUint, backend: CryptoBackend) -> Self {
+    /// The key of modulus `n`, or `None` when `n²` has no Montgomery
+    /// context (`n` even, or wider than [`MAX_KEY_BITS`]).
+    fn from_n(n: BigUint) -> Option<Self> {
         let nn = &n * &n;
         let half_n = &n >> 1;
         let max_int = &n / BigUint::from(3u32);
         let bits = n.bits();
-        let accel = match backend {
-            CryptoBackend::Fixed => PkAccel::build(&n, &nn),
-            CryptoBackend::NumBigint => None,
-        };
-        PublicKey(Arc::new(PkInner { n, nn, half_n, max_int, bits, accel }))
-    }
-
-    /// The backend actually in effect: [`CryptoBackend::Fixed`] only when
-    /// the accelerator attached (requested *and* the width is supported).
-    pub fn backend(&self) -> CryptoBackend {
-        if self.0.accel.is_some() {
-            CryptoBackend::Fixed
-        } else {
-            CryptoBackend::NumBigint
-        }
+        let accel = PkAccel::build(&n, &nn)?;
+        Some(PublicKey(Arc::new(PkInner { n, nn, half_n, max_int, bits, accel })))
     }
 
     /// Human-readable backend tag for telemetry, e.g. `"fixed-16x64"`
-    /// (16 limbs of 64 bits in the `mod n²` domain) or `"num-bigint"`.
+    /// (16 limbs of 64 bits in the `mod n²` domain).
     pub fn backend_label(&self) -> String {
-        match &self.0.accel {
-            Some(a) => format!("fixed-{}x64", a.nn.limbs()),
-            None => "num-bigint".to_string(),
-        }
+        format!("fixed-{}x64", self.0.accel.nn.limbs())
     }
 
     /// The modulus `n`.
@@ -137,7 +126,7 @@ impl PublicKey {
     }
 
     /// Encrypts an already-encoded plaintext `v ∈ [0, n)` with fresh
-    /// randomness drawn from `rng`, backend work tallied into `ctr`.
+    /// randomness drawn from `rng`, Montgomery work tallied into `ctr`.
     pub fn encrypt_raw<R: Rng + ?Sized>(
         &self,
         v: &BigUint,
@@ -155,21 +144,14 @@ impl PublicKey {
         (gv * rn) % &self.0.nn
     }
 
-    /// Draws a random `r ∈ [1, n)` and returns `rⁿ mod n²`, with backend
-    /// work tallied into `ctr`.
-    ///
-    /// The random draw always happens first and consumes the same RNG
-    /// stream under either backend, so ciphers are backend-independent.
+    /// Draws a random `r ∈ [1, n)` and returns `rⁿ mod n²`, with
+    /// Montgomery work tallied into `ctr`.
     pub fn random_rn<R: Rng + ?Sized>(&self, rng: &mut R, ctr: &OpCounters) -> BigUint {
         let r = rng.gen_biguint_range(&BigUint::one(), &self.0.n);
-        match &self.0.accel {
-            Some(a) => {
-                let (v, cost) = a.nn.modpow_recoded(&r, &a.n_nibbles);
-                ctr.add_cost(cost);
-                v
-            }
-            None => r.modpow(&self.0.n, &self.0.nn),
-        }
+        let a = &self.0.accel;
+        let (v, cost) = a.nn.modpow_recoded(&r, &a.n_nibbles);
+        ctr.add_cost(cost);
+        v
     }
 
     /// Homomorphic addition: `⟦U⟧ ⊕ ⟦V⟧ = ⟦U+V⟧`.
@@ -178,23 +160,15 @@ impl PublicKey {
     }
 
     /// `c` in this key's resident form: Montgomery limbs (one
-    /// multiplication by `R²`) on the fixed-limb core, the plain residue
-    /// under `num-bigint`. Work is tallied into `cost`.
+    /// multiplication by `R²`). Work is tallied into `cost`.
     pub fn enter(&self, c: &RawCipher, cost: &mut MontCost) -> Resident {
-        match &self.0.accel {
-            Some(a) => a.nn.enter(c, cost),
-            None => Resident::plain(c % &self.0.nn),
-        }
+        self.0.accel.nn.enter(c, cost)
     }
 
-    /// The cipher a resident holds (one multiplication by 1 on the
-    /// fixed-limb core). A resident entered under another key width or
-    /// backend is [`CryptoError::SuiteMismatch`].
+    /// The cipher a resident holds (one multiplication by 1). A resident
+    /// entered under another key width is [`CryptoError::SuiteMismatch`].
     pub fn leave(&self, c: &Resident, cost: &mut MontCost) -> Result<RawCipher> {
-        match &self.0.accel {
-            Some(a) => a.nn.leave(c, cost),
-            None => c.as_plain().cloned().ok_or(CryptoError::SuiteMismatch),
-        }
+        self.0.accel.nn.leave(c, cost)
     }
 
     /// HAdd on residents, `acc ← acc·b mod n²`: one Montgomery
@@ -205,8 +179,7 @@ impl PublicKey {
 
     /// The Horner step of packing on residents, `acc ← acc^(2^k)·b mod
     /// n²`: `k` squarings, then one multiplication. Residents of another
-    /// width or backend are [`CryptoError::SuiteMismatch`], `acc`
-    /// untouched.
+    /// width are [`CryptoError::SuiteMismatch`], `acc` untouched.
     pub fn horner_step(
         &self,
         acc: &mut Resident,
@@ -214,32 +187,15 @@ impl PublicKey {
         b: &Resident,
         cost: &mut MontCost,
     ) -> Result<()> {
-        let nn = &self.0.nn;
-        match &self.0.accel {
-            Some(a) => a.nn.horner_step(acc, k, b, cost),
-            None => {
-                let (Some(x), Some(y)) = (acc.as_plain_mut(), b.as_plain()) else {
-                    return Err(CryptoError::SuiteMismatch);
-                };
-                let product =
-                    if k == 0 { &*x * y } else { x.modpow(&(BigUint::one() << k), nn) * y };
-                *x = product % nn;
-                Ok(())
-            }
-        }
+        self.0.accel.nn.horner_step(acc, k, b, cost)
     }
 
-    /// Scalar multiplication: `k ⊗ ⟦V⟧ = ⟦k·V⟧`, backend work tallied into
-    /// `ctr`.
+    /// Scalar multiplication: `k ⊗ ⟦V⟧ = ⟦k·V⟧`, Montgomery work tallied
+    /// into `ctr`.
     pub fn mul_raw(&self, c: &RawCipher, k: &BigUint, ctr: &OpCounters) -> RawCipher {
-        match &self.0.accel {
-            Some(a) => {
-                let (v, cost) = a.nn.modpow(c, k);
-                ctr.add_cost(cost);
-                v
-            }
-            None => c.modpow(k, &self.0.nn),
-        }
+        let (v, cost) = self.0.accel.nn.modpow(c, k);
+        ctr.add_cost(cost);
+        v
     }
 
     /// Homomorphic negation: `⟦V⟧⁻¹ = ⟦n−V⟧ = ⟦−V⟧`.
@@ -308,7 +264,7 @@ impl PublicKey {
     }
 }
 
-/// Fixed-limb accelerator for the private CRT domains `mod p²` / `mod q²`.
+/// Fixed-limb state for the private CRT domains `mod p²` / `mod q²`.
 ///
 /// Every private-key exponent is fixed per key — `p−1` / `q−1` for
 /// decryption, `p` / `q` for obfuscation — so each is recoded into 4-bit
@@ -355,9 +311,8 @@ struct SkInner {
     hp: BigUint,
     /// `L_q(g^{q-1} mod q²)⁻¹ mod q`.
     hq: BigUint,
-    /// Fixed-limb backend for the half-size CRT exponentiations; absent
-    /// under [`CryptoBackend::NumBigint`] or at unsupported widths.
-    accel: Option<SkAccel>,
+    /// The Montgomery cores of the half-size CRT exponentiations.
+    accel: SkAccel,
 }
 
 /// Paillier private key. Cheap to clone (internally reference-counted).
@@ -379,23 +334,14 @@ impl PrivateKey {
     /// Decrypts a raw cipher to its encoded plaintext in `[0, n)`.
     ///
     /// Uses the CRT split over `p²` / `q²`: two half-size exponentiations
-    /// instead of one full-size one, backend work tallied into `ctr`.
+    /// instead of one full-size one, Montgomery work tallied into `ctr`.
     pub fn decrypt_raw(&self, c: &RawCipher, ctr: &OpCounters) -> BigUint {
         let sk = &*self.0;
-        let (xp, xq) = match &sk.accel {
-            Some(a) => {
-                let (xp, cp) = a.pp.modpow_recoded(&(c % &sk.pp), &a.p1_nibbles);
-                let (xq, cq) = a.qq.modpow_recoded(&(c % &sk.qq), &a.q1_nibbles);
-                ctr.add_cost(cp);
-                ctr.add_cost(cq);
-                (xp, xq)
-            }
-            None => {
-                let p_minus_1 = &sk.p - BigUint::one();
-                let q_minus_1 = &sk.q - BigUint::one();
-                ((c % &sk.pp).modpow(&p_minus_1, &sk.pp), (c % &sk.qq).modpow(&q_minus_1, &sk.qq))
-            }
-        };
+        let a = &sk.accel;
+        let (xp, cp) = a.pp.modpow_recoded(&(c % &sk.pp), &a.p1_nibbles);
+        let (xq, cq) = a.qq.modpow_recoded(&(c % &sk.qq), &a.q1_nibbles);
+        ctr.add_cost(cp);
+        ctr.add_cost(cq);
         let mp = (l_function(&xp, &sk.p) * &sk.hp) % &sk.p;
         let mq = (l_function(&xq, &sk.q) * &sk.hq) % &sk.q;
         crt_combine(&mp, &mq, &sk.p, &sk.p_inv_q, &sk.q) % sk.public.n()
@@ -403,7 +349,7 @@ impl PrivateKey {
 
     /// Fast encryption using the CRT: the obfuscator is two half-size
     /// exponentiations with half-length exponents (see
-    /// [`PrivateKey::random_rn_crt`]), backend work tallied into `ctr`. Only
+    /// [`PrivateKey::random_rn_crt`]), Montgomery work tallied into `ctr`. Only
     /// the private-key holder can do this — in the protocol that is always
     /// Party B.
     pub fn encrypt_raw<R: Rng + ?Sized>(
@@ -417,7 +363,7 @@ impl PrivateKey {
     }
 
     /// Draws `r` and returns an obfuscator `r′ⁿ mod n²` via the CRT, with
-    /// backend work tallied into `ctr`.
+    /// Montgomery work tallied into `ctr`.
     ///
     /// The result is `CRT(ω_p, ω_q)` with `ω_p = (r mod p)^p mod p²`, the
     /// Teichmüller lift of `r mod p` (the `(p−1)`-th root of unity mod `p²`
@@ -426,9 +372,6 @@ impl PrivateKey {
     /// enforces `gcd(n, φ(n)) = 1`, `x ↦ x^q` permutes the `(p−1)`-th roots
     /// of unity, so for uniform `r` the result is distributed exactly as
     /// `rⁿ mod n²` — an ordinary Paillier obfuscator (DESIGN.md §3.10).
-    ///
-    /// The random draw always happens first and consumes the same RNG
-    /// stream under either backend, so ciphers are backend-independent.
     pub fn random_rn_crt<R: Rng + ?Sized>(&self, rng: &mut R, ctr: &OpCounters) -> BigUint {
         let r = rng.gen_biguint_range(&BigUint::one(), self.0.public.n());
         self.obfuscator(&r, ctr)
@@ -438,16 +381,11 @@ impl PrivateKey {
     /// `CRT((r mod p)^p mod p², (r mod q)^q mod q²)`.
     fn obfuscator(&self, r: &BigUint, ctr: &OpCounters) -> BigUint {
         let sk = &*self.0;
-        let (wp, wq) = match &sk.accel {
-            Some(a) => {
-                let (wp, cp) = a.pp.modpow_recoded(&(r % &sk.p), &a.p_nibbles);
-                let (wq, cq) = a.qq.modpow_recoded(&(r % &sk.q), &a.q_nibbles);
-                ctr.add_cost(cp);
-                ctr.add_cost(cq);
-                (wp, wq)
-            }
-            None => ((r % &sk.p).modpow(&sk.p, &sk.pp), (r % &sk.q).modpow(&sk.q, &sk.qq)),
-        };
+        let a = &sk.accel;
+        let (wp, cp) = a.pp.modpow_recoded(&(r % &sk.p), &a.p_nibbles);
+        let (wq, cq) = a.qq.modpow_recoded(&(r % &sk.q), &a.q_nibbles);
+        ctr.add_cost(cp);
+        ctr.add_cost(cq);
         crt_combine(&wp, &wq, &sk.pp, &sk.pp_inv_qq, &sk.qq) % sk.public.nn()
     }
 }
@@ -466,11 +404,13 @@ impl KeyPair {
     /// from `rng`.
     ///
     /// The paper recommends `S = 2048` for production; tests and scaled
-    /// experiments use smaller moduli.
+    /// experiments use smaller moduli. `S` runs from 64 to 4096 bits, the
+    /// widths the Montgomery core serves; any other is refused before a
+    /// prime is drawn.
     pub fn generate_with_rng<R: Rng + ?Sized>(bits: u64, rng: &mut R) -> Result<KeyPair> {
-        if bits < 64 {
+        if !(64..=MAX_KEY_BITS).contains(&bits) {
             return Err(CryptoError::KeyGeneration(format!(
-                "modulus must be at least 64 bits, got {bits}"
+                "modulus must be 64 to {MAX_KEY_BITS} bits, got {bits}"
             )));
         }
         let half = bits / 2;
@@ -496,7 +436,7 @@ impl KeyPair {
         if !n.gcd(&(&p_minus_1 * &q_minus_1)).is_one() {
             return None;
         }
-        let public = PublicKey::from_n(n.clone(), CryptoBackend::Fixed);
+        let public = PublicKey::from_n(n.clone())?;
         let pp = &p * &p;
         let qq = &q * &q;
         let p_inv_q = mod_inverse(&p, &q)?;
@@ -507,7 +447,7 @@ impl KeyPair {
         let hq_base = l_function(&(&g % &qq).modpow(&q_minus_1, &qq), &q) % &q;
         let hp = mod_inverse(&hp_base, &p)?;
         let hq = mod_inverse(&hq_base, &q)?;
-        let accel = SkAccel::build(&p, &q, &pp, &qq);
+        let accel = SkAccel::build(&p, &q, &pp, &qq)?;
         let private = PrivateKey(Arc::new(SkInner {
             public: public.clone(),
             p,
@@ -529,39 +469,6 @@ impl KeyPair {
         let mut rng = StdRng::seed_from_u64(seed);
         Self::generate_with_rng(bits, &mut rng)
     }
-
-    /// Rebuilds this key pair with the given backend attached (or
-    /// detached). The key material is unchanged — only the accelerator
-    /// state differs — so ciphers and plaintexts are bit-identical across
-    /// backends. Requesting [`CryptoBackend::Fixed`] at an unsupported
-    /// width silently yields the `num-bigint` path (see
-    /// [`PublicKey::backend`] for what actually took effect).
-    pub fn with_backend(&self, backend: CryptoBackend) -> KeyPair {
-        let sk = &*self.private.0;
-        let public = PublicKey::from_n(sk.public.0.n.clone(), backend);
-        let accel = match backend {
-            CryptoBackend::Fixed => SkAccel::build(&sk.p, &sk.q, &sk.pp, &sk.qq),
-            CryptoBackend::NumBigint => None,
-        };
-        let private = PrivateKey(Arc::new(SkInner {
-            public: public.clone(),
-            p: sk.p.clone(),
-            q: sk.q.clone(),
-            pp: sk.pp.clone(),
-            qq: sk.qq.clone(),
-            p_inv_q: sk.p_inv_q.clone(),
-            pp_inv_qq: sk.pp_inv_qq.clone(),
-            hp: sk.hp.clone(),
-            hq: sk.hq.clone(),
-            accel,
-        }));
-        KeyPair { public, private }
-    }
-
-    /// The backend in effect for this key pair.
-    pub fn backend(&self) -> CryptoBackend {
-        self.public.backend()
-    }
 }
 
 #[cfg(test)]
@@ -570,6 +477,32 @@ mod tests {
 
     fn keypair() -> KeyPair {
         KeyPair::generate_seeded(256, 42).unwrap()
+    }
+
+    /// The key owner's obfuscator of a drawn `r`, as its formula reads:
+    /// `CRT((r mod p)^p mod p², (r mod q)^q mod q²)`, the CRT in plain
+    /// `BigUint` arithmetic with `p²`'s inverse mod `q²` by Euler
+    /// (`φ(q²) = q(q−1)`).
+    fn obfuscator_reference(r: &BigUint, p: &BigUint, q: &BigUint) -> BigUint {
+        let one = BigUint::one();
+        let (pp, qq) = (p * p, q * q);
+        let (wp, wq) = ((r % p).modpow(p, &pp), (r % q).modpow(q, &qq));
+        let pp_inv = pp.modpow(&(q * (q - &one) - &one), &qq);
+        let diff = (wq + &qq - &wp % &qq) % &qq;
+        wp + pp * ((diff * pp_inv) % qq)
+    }
+
+    /// Textbook decryption, `L(c^λ mod n²)·μ mod n` with `λ = lcm(p−1,
+    /// q−1)`, `μ = L(g^λ mod n²)⁻¹ mod n` (by Euler) and `L(x) = (x−1)/n`.
+    fn decrypt_reference(c: &BigUint, p: &BigUint, q: &BigUint) -> BigUint {
+        let one = BigUint::one();
+        let (n, p1, q1) = (p * q, p - &one, q - &one);
+        let nn = &n * &n;
+        let phi = &p1 * &q1;
+        let lambda = &phi / p1.gcd(&q1);
+        let l = |x: BigUint| (x - &one) / &n;
+        let mu = l((&n + &one).modpow(&lambda, &nn)).modpow(&(phi - &one), &n);
+        (l(c.modpow(&lambda, &nn)) * mu) % &n
     }
 
     #[test]
@@ -669,27 +602,30 @@ mod tests {
     }
 
     #[test]
-    fn backends_produce_identical_ciphers_and_plaintexts() {
-        let fixed = keypair();
-        assert_eq!(fixed.backend(), CryptoBackend::Fixed);
-        let nb = fixed.with_backend(CryptoBackend::NumBigint);
-        assert_eq!(nb.backend(), CryptoBackend::NumBigint);
-        let v = BigUint::from(987_654_321u64);
-        // Same seed ⇒ same RNG stream ⇒ bit-identical ciphers.
-        let c_fixed =
-            fixed.private.encrypt_raw(&v, &mut StdRng::seed_from_u64(5), &OpCounters::default());
-        let c_nb =
-            nb.private.encrypt_raw(&v, &mut StdRng::seed_from_u64(5), &OpCounters::default());
-        assert_eq!(c_fixed, c_nb);
-        assert_eq!(fixed.private.decrypt_raw(&c_fixed, &OpCounters::default()), v);
-        assert_eq!(nb.private.decrypt_raw(&c_fixed, &OpCounters::default()), v);
-        let k = BigUint::from(12345u64);
-        assert_eq!(
-            fixed.public.mul_raw(&c_fixed, &k, &OpCounters::default()),
-            nb.public.mul_raw(&c_nb, &k, &OpCounters::default())
-        );
-        // Round-tripping back re-attaches the accelerator.
-        assert_eq!(nb.with_backend(CryptoBackend::Fixed).backend(), CryptoBackend::Fixed);
+    fn raw_ops_match_their_biguint_formulas() {
+        let kp = keypair();
+        let sk = &*kp.private.0;
+        let (n, nn) = (kp.public.n(), kp.public.nn());
+        let ctr = OpCounters::default();
+        for seed in 0..4u64 {
+            let v = BigUint::from(987_654_321u64 + seed);
+            let c = kp.private.encrypt_raw(&v, &mut StdRng::seed_from_u64(seed), &ctr);
+            // The same draw of r, through the formula.
+            let r = StdRng::seed_from_u64(seed).gen_biguint_range(&BigUint::one(), n);
+            let want = ((BigUint::one() + &v * n) * obfuscator_reference(&r, &sk.p, &sk.q)) % nn;
+            assert_eq!(c, want, "encrypt_raw, seed {seed}");
+            assert_eq!(kp.private.decrypt_raw(&c, &ctr), v);
+            assert_eq!(decrypt_reference(&c, &sk.p, &sk.q), v);
+            // Any unit mod n² decrypts as the textbook formula does.
+            let noise = StdRng::seed_from_u64(100 + seed).gen_biguint_range(&BigUint::one(), nn);
+            let want = decrypt_reference(&noise, &sk.p, &sk.q);
+            assert_eq!(kp.private.decrypt_raw(&noise, &ctr), want, "decrypt_raw, seed {seed}");
+            let k = BigUint::from(12345u64 + seed);
+            assert_eq!(kp.public.mul_raw(&c, &k, &ctr), c.modpow(&k, nn), "mul_raw, seed {seed}");
+        }
+        let snap = ctr.snapshot();
+        assert!(snap.modmul > 0, "key ops count their Montgomery multiplications");
+        assert!(snap.redc >= snap.modmul, "each modmul contributes ≥1 limb of REDC");
     }
 
     #[test]
@@ -697,17 +633,22 @@ mod tests {
         // Exhaustive at toy size: over every unit r of n the key owner's
         // obfuscators are, as a multiset, exactly {rⁿ mod n²}.
         for (p, q) in [(11u32, 7u32), (23, 17), (101, 83), (251, 241)] {
-            let fixed =
+            let kp =
                 KeyPair::from_primes(BigUint::from(p), BigUint::from(q)).expect("gcd(n, φ(n)) = 1");
-            let nb = fixed.with_backend(CryptoBackend::NumBigint);
-            let (n, nn) = (fixed.public.n(), fixed.public.nn());
+            let (n, nn) = (kp.public.n(), kp.public.nn());
+            let (bp, bq) = (BigUint::from(p), BigUint::from(q));
+            let (pp, qq) = (&bp * &bp, &bq * &bq);
             let ctr = OpCounters::default();
             let (mut lifted, mut powered) = (Vec::new(), Vec::new());
             for r in (1..p * q).filter(|r| r % p != 0 && r % q != 0).map(BigUint::from) {
-                let rn = fixed.private.obfuscator(&r, &ctr);
-                assert_eq!(rn, nb.private.obfuscator(&r, &ctr), "backends agree at r = {r}");
+                let rn = kp.private.obfuscator(&r, &ctr);
+                // Below n², the CRT of its two residues is the one value
+                // that has them.
+                assert!(&rn < nn);
+                assert_eq!(&rn % &pp, (&r % &bp).modpow(&bp, &pp), "mod p² at r = {r}");
+                assert_eq!(&rn % &qq, (&r % &bq).modpow(&bq, &qq), "mod q² at r = {r}");
                 assert_eq!(
-                    fixed.private.decrypt_raw(&rn, &OpCounters::default()),
+                    kp.private.decrypt_raw(&rn, &OpCounters::default()),
                     BigUint::from(0u32)
                 );
                 lifted.push(rn);
@@ -757,26 +698,22 @@ mod tests {
     }
 
     #[test]
-    fn backend_work_is_counted_only_on_the_fixed_path() {
-        let fixed = keypair();
-        let nb = fixed.with_backend(CryptoBackend::NumBigint);
-        let v = BigUint::from(55u64);
-        let ctr = OpCounters::default();
-        let c = fixed.private.encrypt_raw(&v, &mut StdRng::seed_from_u64(3), &ctr);
-        fixed.private.decrypt_raw(&c, &ctr);
-        let snap = ctr.snapshot();
-        assert!(snap.modmul > 0, "fixed backend must count Montgomery multiplications");
-        assert!(snap.redc >= snap.modmul, "each modmul contributes ≥1 limb of REDC");
-        let ctr2 = OpCounters::default();
-        let c2 = nb.private.encrypt_raw(&v, &mut StdRng::seed_from_u64(3), &ctr2);
-        nb.private.decrypt_raw(&c2, &ctr2);
-        assert_eq!(ctr2.snapshot().modmul, 0, "num-bigint backend performs no counted modmuls");
-    }
-
-    #[test]
-    fn backend_labels_name_the_limb_width() {
+    fn every_key_width_runs_the_fixed_core() {
         let kp = keypair(); // 256-bit n ⇒ 512-bit n² ⇒ 8 limbs
         assert_eq!(kp.public.backend_label(), "fixed-8x64");
-        assert_eq!(kp.with_backend(CryptoBackend::NumBigint).public.backend_label(), "num-bigint");
+        // The smallest and the largest odd n of every width S: n² lands
+        // on the narrowest dispatch width that holds it.
+        let widths = [1u64, 2, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128];
+        for bits in 64..=MAX_KEY_BITS {
+            let top = BigUint::one() << bits;
+            for n in [(&top >> 1u32) + BigUint::one(), top - BigUint::one()] {
+                let nn_bits = (&n * &n).bits();
+                let limbs = widths.iter().find(|&&w| 64 * w >= nn_bits).expect("dispatched");
+                let pk = PublicKey::from_n(n).expect("odd n up to 4096 bits");
+                assert_eq!(pk.backend_label(), format!("fixed-{limbs}x64"), "S = {bits}");
+            }
+        }
+        let widest = (BigUint::one() << MAX_KEY_BITS) + BigUint::one();
+        assert!(PublicKey::from_n(widest).is_none(), "a 4097-bit n has no core");
     }
 }

@@ -225,7 +225,7 @@ impl Suite {
     }
 
     /// Human-readable crypto-backend tag for telemetry: `"fixed-<N>x64"`
-    /// or `"num-bigint"` for Paillier suites, `"plain"` for the mock.
+    /// for Paillier suites, `"plain"` for the mock.
     pub fn backend_label(&self) -> String {
         match &self.0.pk {
             Some(pk) => pk.backend_label(),

@@ -1,5 +1,5 @@
-//! Property tests for the fixed-limb Montgomery backend against the
-//! `num-bigint` reference implementation.
+//! Property tests for the fixed-limb Montgomery core against plain
+//! `BigUint` formulas.
 //!
 //! Every supported dispatch width gets four families of checks —
 //! widening multiply, Montgomery REDC multiplication, windowed modular
@@ -14,7 +14,6 @@ use num_bigint::{BigUint, RandBigInt};
 use num_traits::One;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use vf2_crypto::montgomery::CryptoBackend;
 use vf2_crypto::{
     pack_ciphers, Ciphertext, CryptoError, EncodingConfig, Fixed, GhPlan, KeyPair, MontCost,
     MontExp, OpCounters, PackedCiphertext, PackingPlan, PublicKey, ResidentCiphertext, Suite,
@@ -64,7 +63,7 @@ macro_rules! check_mul_wide {
 
 #[test]
 fn mul_wide_matches_reference_at_every_width() {
-    check_mul_wide!(1, 2, 4, 6, 8, 12, 16, 24, 32, 48, 64);
+    check_mul_wide!(1, 2, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128);
 }
 
 /// A random odd modulus with the top bit set, so it dispatches to the
@@ -95,6 +94,10 @@ fn dispatch_widths() -> Vec<(u64, usize)> {
         (2048, 32),
         (3000, 48),
         (4096, 64),
+        (4097, 96),
+        (6144, 96),
+        (6145, 128),
+        (8192, 128),
     ]
 }
 
@@ -145,6 +148,9 @@ fn modpow_matches_reference_at_every_width() {
             rng.gen_biguint(64),
             rng.gen_biguint(192),
         ];
+        // Past 4096 bits the five fixed exponents alone keep the
+        // reference's time down.
+        let exps = if bits > 4096 { &exps[..5] } else { &exps[..] };
         let bases = [
             BigUint::from(0u32),
             BigUint::one(),
@@ -153,7 +159,7 @@ fn modpow_matches_reference_at_every_width() {
             rng.gen_biguint(bits + 13),
         ];
         for base in &bases {
-            for exp in &exps {
+            for exp in exps {
                 let (got, _) = me.modpow(base, exp);
                 assert_eq!(
                     got,
@@ -184,63 +190,55 @@ fn full_width_paillier_exponents_match_reference() {
 }
 
 #[test]
-fn paillier_pipeline_identical_across_backends() {
-    let fixed = KeyPair::generate_seeded(512, 21).expect("keygen");
-    let nb = fixed.with_backend(CryptoBackend::NumBigint);
-    assert_eq!(nb.backend(), CryptoBackend::NumBigint);
+fn paillier_pipeline_round_trips_on_the_fixed_core() {
+    let kp = KeyPair::generate_seeded(512, 21).expect("keygen");
     let ctr = OpCounters::default();
     for seed in 0..4u64 {
         let v = BigUint::from(seed * 1_000_003 + 17);
-        let cf = fixed.private.encrypt_raw(&v, &mut StdRng::seed_from_u64(seed), &ctr);
-        let cn = nb.private.encrypt_raw(&v, &mut StdRng::seed_from_u64(seed), &ctr);
-        assert_eq!(cf, cn, "ciphers must be bit-identical across backends");
-        assert_eq!(fixed.private.decrypt_raw(&cf, &ctr), v);
-        assert_eq!(nb.private.decrypt_raw(&cf, &ctr), v);
+        let c = kp.private.encrypt_raw(&v, &mut StdRng::seed_from_u64(seed), &ctr);
+        assert_eq!(kp.private.decrypt_raw(&c, &ctr), v);
         let k = BigUint::from(seed + 3);
-        assert_eq!(fixed.public.mul_raw(&cf, &k, &ctr), nb.public.mul_raw(&cn, &k, &ctr));
+        let scaled = kp.public.mul_raw(&c, &k, &ctr);
+        assert_eq!(scaled, c.modpow(&k, kp.public.nn()));
+        assert_eq!(kp.private.decrypt_raw(&scaled, &ctr), &v * &k);
     }
 
-    // Suite level — the two operation chains a federated run drives
-    // through whichever backend its key carries: the two-stream return
-    // path (encrypt_batch → pack → unpack_decrypt) and the paired path
-    // (encrypt_gh_batch → HAdd → top-up → pack → unpack_decrypt_gh).
-    // Ciphers and plaintexts agree, and only the fixed side counts
-    // Montgomery multiplies — the fingerprint that a fallback really ran.
+    // Suite level — the two operation chains a federated run drives: the
+    // two-stream return path (encrypt_batch → pack → unpack_decrypt) and
+    // the paired path (encrypt_gh_batch → HAdd → top-up → pack →
+    // unpack_decrypt_gh). Both recover their plaintexts, and the suite
+    // counts the Montgomery multiplies its key ran.
     let enc = EncodingConfig { base: 16, base_exp: 8, jitter: 4 };
-    let (sf, sn) = (Suite::paillier(fixed, enc), Suite::paillier(nb, enc));
-    assert!(sf.backend_label().starts_with("fixed-"));
-    assert_eq!(sn.backend_label(), "num-bigint");
-    let pk = sf.public_key().expect("Paillier suite");
+    let s = Suite::paillier(kp, enc);
+    assert_eq!(s.backend_label(), "fixed-16x64");
+    let pk = s.public_key().expect("Paillier suite");
 
-    let two_stream = |s: &Suite| {
-        let slots = s.encrypt_batch(&[0.5, 1.25, 3.0], 9).expect("encrypt");
-        let plan = PackingPlan::new(pk, 64, slots.len()).expect("three 64-bit slots");
-        let packed = s.pack(&slots, &plan).expect("pack");
-        let plain = s.unpack_decrypt(&packed).expect("unpack");
-        (slots, packed, plain)
-    };
-    let (tf, tn) = (two_stream(&sf), two_stream(&sn));
-    assert_eq!(tf, tn, "two-stream ciphers, packed cipher and plaintexts");
-    assert_eq!(tf.2, vec![0.5, 1.25, 3.0]);
+    let slots = s.encrypt_batch(&[0.5, 1.25, 3.0], 9).expect("encrypt");
+    let plan = PackingPlan::new(pk, 64, slots.len()).expect("three 64-bit slots");
+    let packed = s.pack(&slots, &plan).expect("pack");
+    assert_eq!(s.unpack_decrypt(&packed).expect("unpack"), vec![0.5, 1.25, 3.0]);
 
     let gh = GhPlan::new(1.0, 0.25, 8, &enc).expect("plan");
-    let paired = |s: &Suite| {
-        let rows =
-            s.encrypt_gh_batch(&[0.5, -1.0, 0.25], &[0.25, 0.0, 0.125], &gh, 11).expect("encrypt");
-        let sum = s.add(&s.add(&rows[0], &rows[1]).expect("HAdd"), &rows[2]).expect("HAdd");
-        let bin = s.add_plain_raw(&sum, &gh.top_up(3).expect("top-up")).expect("top-up");
-        let plan = PackingPlan::new(pk, gh.pair_bits(), 1).expect("one pair fits");
-        let packed = s.pack(&[bin], &plan).expect("pack");
-        let sums = s.unpack_decrypt_gh(&packed, &gh).expect("unpack");
-        let sums = sums.iter().map(|(g, h)| (g.to_f64(&enc), h.to_f64(&enc))).collect::<Vec<_>>();
-        (rows, packed, sums)
-    };
-    let (gf, gn) = (paired(&sf), paired(&sn));
-    assert_eq!(gf, gn, "paired ciphers, packed cipher and sums");
-    assert_eq!(gf.2, vec![(-0.25, 0.375)]);
+    let rows =
+        s.encrypt_gh_batch(&[0.5, -1.0, 0.25], &[0.25, 0.0, 0.125], &gh, 11).expect("encrypt");
+    let sum = s.add(&s.add(&rows[0], &rows[1]).expect("HAdd"), &rows[2]).expect("HAdd");
+    let bin = s.add_plain_raw(&sum, &gh.top_up(3).expect("top-up")).expect("top-up");
+    let plan = PackingPlan::new(pk, gh.pair_bits(), 1).expect("one pair fits");
+    let packed = s.pack(&[bin], &plan).expect("pack");
+    let sums = s.unpack_decrypt_gh(&packed, &gh).expect("unpack");
+    let sums = sums.iter().map(|(g, h)| (g.to_f64(&enc), h.to_f64(&enc))).collect::<Vec<_>>();
+    assert_eq!(sums, vec![(-0.25, 0.375)]);
 
-    assert!(sf.counters().snapshot().modmul > 0, "the fixed backend counts its multiplies");
-    assert_eq!(sn.counters().snapshot().modmul, 0, "the fallback performs no counted modmul");
+    assert!(s.counters().snapshot().modmul > 0, "the suite counts its key's multiplies");
+}
+
+#[test]
+fn a_key_past_4096_bits_is_refused_before_any_prime_is_drawn() {
+    let start = std::time::Instant::now();
+    let err = KeyPair::generate_seeded(4097, 1).expect_err("no core serves a 4097-bit key");
+    assert!(matches!(err, CryptoError::KeyGeneration(_)), "{err:?}");
+    // A prime search at this width takes seconds; a refusal takes none.
+    assert!(start.elapsed() < std::time::Duration::from_millis(200), "{:?}", start.elapsed());
 }
 
 /// Moduli that land on `limbs` limbs, carry edges first: `2^(64N) − 1`
@@ -260,6 +258,10 @@ fn edge_moduli(rng: &mut StdRng, bits: u64, limbs: usize) -> Vec<BigUint> {
 fn resident_operations_match_reference_at_every_width() {
     let mut rng = StdRng::seed_from_u64(7003);
     for (bits, limbs) in dispatch_widths() {
+        // k = 0 is multiply-assign; 125 is a return-path pair width, 64
+        // the two-stream slot. Past 64 limbs, two keep the reference's
+        // time down (the squaring kernel has its own test at each width).
+        let ks: &[u32] = if limbs > 64 { &[0, 3] } else { &[0, 1, 3, 64, 125] };
         for m in edge_moduli(&mut rng, bits, limbs) {
             let me = MontExp::new(&m).expect("odd modulus dispatches");
             assert_eq!(me.limbs(), limbs, "{m} must use {limbs} limbs");
@@ -276,9 +278,7 @@ fn resident_operations_match_reference_at_every_width() {
                 assert_eq!((cost.modmuls, cost.redc_limbs), (2, 2 * limbs as u64));
                 for b in ops.iter().step_by(3) {
                     let rb = me.enter(b, &mut MontCost::default());
-                    // k = 0 is multiply-assign; 125 is a return-path pair
-                    // width, 64 the two-stream slot.
-                    for k in [0u32, 1, 3, 64, 125] {
+                    for &k in ks {
                         let (mut acc, mut cost) = (ra.clone(), MontCost::default());
                         me.horner_step(&mut acc, k, &rb, &mut cost).unwrap();
                         let want = (a.modpow(&(BigUint::one() << k), &m) * b) % &m;
@@ -321,63 +321,61 @@ fn resident_pack_matches_the_biguint_horner_reference() {
     let keys = KeyPair::generate_seeded(512, 23).expect("keygen");
     let enc = EncodingConfig { base: 16, base_exp: 8, jitter: 4 };
     let gh = GhPlan::new(1.0, 0.25, 40, &enc).expect("plan");
-    for backend in [CryptoBackend::Fixed, CryptoBackend::NumBigint] {
-        let guest = Suite::paillier(keys.with_backend(backend), enc);
-        let host = guest.public_half();
-        let pk = host.public_key().expect("Paillier suite").clone();
-        let t = gh.bins_per_cipher(&pk);
-        assert!(t >= 3, "{t} bins per cipher");
-        let g: Vec<f64> = (0..t).map(|i| i as f64 / t as f64 - 0.5).collect();
-        let h: Vec<f64> = (0..t).map(|i| 0.25 * i as f64 / t as f64).collect();
-        let cts = guest.encrypt_gh_batch(&g, &h, &gh, 3).expect("encrypt");
-        let resident: Vec<ResidentCiphertext> =
-            cts.iter().map(|c| host.enter(c).expect("enter")).collect();
-        let raw = |c: &Ciphertext| match c {
-            Ciphertext::Paillier(e) => e.cipher.clone(),
-            Ciphertext::Plain(_) => unreachable!("a Paillier suite"),
+    let guest = Suite::paillier(keys, enc);
+    let host = guest.public_half();
+    let pk = host.public_key().expect("Paillier suite").clone();
+    let t = gh.bins_per_cipher(&pk);
+    assert!(t >= 3, "{t} bins per cipher");
+    let g: Vec<f64> = (0..t).map(|i| i as f64 / t as f64 - 0.5).collect();
+    let h: Vec<f64> = (0..t).map(|i| 0.25 * i as f64 / t as f64).collect();
+    let cts = guest.encrypt_gh_batch(&g, &h, &gh, 3).expect("encrypt");
+    let resident: Vec<ResidentCiphertext> =
+        cts.iter().map(|c| host.enter(c).expect("enter")).collect();
+    let raw = |c: &Ciphertext| match c {
+        Ciphertext::Paillier(e) => e.cipher.clone(),
+        Ciphertext::Plain(_) => unreachable!("a Paillier suite"),
+    };
+    let zero = raw(&host.zero_obfuscated(gh.exponent()));
+    // A full chunk, a partial one, one with empty bins, a lone empty
+    // bin; row counts from none up to every row.
+    let layouts: [Vec<Option<usize>>; 4] = [
+        (0..t).map(Some).collect(),
+        vec![Some(1), Some(0)],
+        (0..t).map(|i| (i % 2 == 1).then_some(i)).collect(),
+        vec![None],
+    ];
+    for layout in layouts {
+        let bins: Vec<(Option<&ResidentCiphertext>, u64)> = layout
+            .iter()
+            .enumerate()
+            .map(|(j, i)| (i.map(|i| &resident[i]), (j as u64 * 13) % 41))
+            .collect();
+        let topped: Vec<BigUint> = layout
+            .iter()
+            .zip(&bins)
+            .map(|(i, &(_, rows))| {
+                let c = i.map_or_else(|| zero.clone(), |i| raw(&cts[i]));
+                let k = gh.top_up(rows).expect("top-up");
+                (c * (BigUint::one() + k * pk.n())) % pk.nn()
+            })
+            .collect();
+        let before = host.counters().snapshot();
+        let packed = host.pack_gh(&bins, &gh).expect("pack");
+        let spent = host.counters().snapshot().since(&before);
+        let PackedCiphertext::Paillier { cipher, exponent, count, slot_bits } = packed else {
+            panic!("a Paillier suite packs Paillier ciphers");
         };
-        let zero = raw(&host.zero_obfuscated(gh.exponent()));
-        // A full chunk, a partial one, one with empty bins, a lone empty
-        // bin; row counts from none up to every row.
-        let layouts: [Vec<Option<usize>>; 4] = [
-            (0..t).map(Some).collect(),
-            vec![Some(1), Some(0)],
-            (0..t).map(|i| (i % 2 == 1).then_some(i)).collect(),
-            vec![None],
-        ];
-        for layout in layouts {
-            let bins: Vec<(Option<&ResidentCiphertext>, u64)> = layout
-                .iter()
-                .enumerate()
-                .map(|(j, i)| (i.map(|i| &resident[i]), (j as u64 * 13) % 41))
-                .collect();
-            let topped: Vec<BigUint> = layout
-                .iter()
-                .zip(&bins)
-                .map(|(i, &(_, rows))| {
-                    let c = i.map_or_else(|| zero.clone(), |i| raw(&cts[i]));
-                    let k = gh.top_up(rows).expect("top-up");
-                    (c * (BigUint::one() + k * pk.n())) % pk.nn()
-                })
-                .collect();
-            let before = host.counters().snapshot();
-            let packed = host.pack_gh(&bins, &gh).expect("pack");
-            let spent = host.counters().snapshot().since(&before);
-            let PackedCiphertext::Paillier { cipher, exponent, count, slot_bits } = packed else {
-                panic!("a Paillier suite packs Paillier ciphers");
-            };
-            let what = format!("{backend:?} layout {layout:?}");
-            assert_eq!(cipher, horner_reference(&pk, &topped, gh.pair_bits()), "{what}");
-            assert_eq!((exponent, count, slot_bits), (gh.exponent(), bins.len(), gh.pair_bits()));
-            let len = bins.len() as u64;
-            assert_eq!((spent.hadd, spent.smul, spent.packs), (len, len - 1, 1), "{what}");
-        }
-        // The two-stream kernel on raw ciphers, full and partial.
-        for n in [t, 2] {
-            let slots: Vec<BigUint> = cts[..n].iter().map(raw).collect();
-            let plan = PackingPlan::new(&pk, gh.pair_bits(), n).expect("fits");
-            let got = pack_ciphers(&slots, &plan, &pk, &OpCounters::default()).expect("pack");
-            assert_eq!(got, horner_reference(&pk, &slots, gh.pair_bits()), "{backend:?} {n}");
-        }
+        let what = format!("layout {layout:?}");
+        assert_eq!(cipher, horner_reference(&pk, &topped, gh.pair_bits()), "{what}");
+        assert_eq!((exponent, count, slot_bits), (gh.exponent(), bins.len(), gh.pair_bits()));
+        let len = bins.len() as u64;
+        assert_eq!((spent.hadd, spent.smul, spent.packs), (len, len - 1, 1), "{what}");
+    }
+    // The two-stream kernel on raw ciphers, full and partial.
+    for n in [t, 2] {
+        let slots: Vec<BigUint> = cts[..n].iter().map(raw).collect();
+        let plan = PackingPlan::new(&pk, gh.pair_bits(), n).expect("fits");
+        let got = pack_ciphers(&slots, &plan, &pk, &OpCounters::default()).expect("pack");
+        assert_eq!(got, horner_reference(&pk, &slots, gh.pair_bits()), "{n} slots");
     }
 }
