@@ -136,13 +136,6 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "== cargo test (whole workspace, every binary once, 30 min cap) =="
 timeout 1800 cargo test --workspace -q
 
-# The vendored rayon stand-in is a path dependency, not a workspace member,
-# so `--workspace` does not reach its tests: the pool's contract (order,
-# inline-at-width-1, nested-inline, lowest-index error, panic payload) at
-# every width x length the workspace can hand it.
-echo "== pool contract gate (vendored rayon, 5 min cap) =="
-timeout 300 cargo test -q -p rayon
-
 # Peer-facing admission checks and the guest's own protocol invariants
 # must hold in release builds: debug_assert is banned from the wire
 # decoder, the gradient path's cipher and shape checks, both party drivers
@@ -379,6 +372,18 @@ echo "== one-engine gate (no second bignum backend) =="
 if grep -rnE 'CryptoBackend|with_backend|NumBigint|as_plain|Repr::Plain' \
     --include='*.rs' crates/*/src crates/*/tests src tests examples; then
   echo "a second bignum backend is back" >&2
+  exit 1
+fi
+
+# One fan-out: each party's loops fan out through `vf2boost-core`'s
+# `pool::Pool`, one order-preserving map over `std::thread::scope` that the
+# caller names explicitly (its contract runs in `pool::tests` above). The
+# vendored rayon emulation it replaced — an iterator API over a pool read
+# from a hidden thread-local — must not come back as a dependency or a use.
+echo "== one-pool gate (no rayon in a manifest or a source file) =="
+if grep -rn --include='Cargo.toml' --exclude-dir=target rayon . \
+  || grep -rn --include='*.rs' rayon crates src tests examples; then
+  echo "rayon is back" >&2
   exit 1
 fi
 

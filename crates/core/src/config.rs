@@ -88,7 +88,7 @@ pub struct TrainConfig {
     /// [`WanSpread`]). `None` gives every link the base [`Self::wan`].
     pub wan_spread: Option<WanSpread>,
     /// Data-parallel workers inside each party: the width of the party's
-    /// rayon pool, and so the number of column ranges an encrypted
+    /// [`Pool`](crate::pool::Pool), and so the number of column ranges an encrypted
     /// histogram build is cut into, of features a payload is packed or
     /// decrypted over at once, and of chunks a gradient batch is
     /// encrypted in. Changes wall time only — ciphers, op counts and bytes

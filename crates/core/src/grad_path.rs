@@ -7,7 +7,7 @@
 //! suite, ciphers before any phase, heap, handshake or ledger check; the
 //! checks are structural, since histogram *values* cannot be checked.
 
-use std::ops::RangeInclusive;
+use std::ops::{Range, RangeInclusive};
 
 use num_bigint::BigUint;
 use vf2_crypto::encoding::EncodingConfig;
@@ -24,6 +24,7 @@ use crate::hist_enc::{
     unpack_gh_feature_hist, CipherStream, DecodedBins, EncHistBuilder, TARGET_SLOT_BITS,
 };
 use crate::messages::{FeatureMeta, HistPayload, Msg, RawFeatureHist};
+use crate::pool::Pool;
 use crate::rows::ColMeta;
 use crate::serve::BuilderPair;
 
@@ -68,23 +69,28 @@ impl GradPath {
     }
 
     /// The guest's forward message of a batch from `start_row`. Streams 0/1
-    /// (g, h) and 2 (pairs) of `seed` are disjoint.
+    /// (g, h) and 2 (pairs) of `seed` are disjoint. A Paillier batch fans
+    /// out in ranges ([`encrypt_cut`]); a mock one, drawn from one stream, not.
     pub fn encrypt(
         &self,
         suite: &Suite,
+        pool: &Pool,
         grads: &[GradPair],
         seed: u64,
         (tree, start_row, last): (u32, u32, bool),
     ) -> Result<Msg, CryptoError> {
         let g: Vec<f64> = grads.iter().map(|p| p.g).collect();
         let h: Vec<f64> = grads.iter().map(|p| p.h).collect();
+        let cut = (if self.nn.is_some() { pool.width() } else { 1 }, g.len());
         match &self.form {
-            Form::Paired { plan, .. } => suite
-                .encrypt_gh_batch(&g, &h, plan, split_seed(seed, 2))
-                .map(|gh| Msg::PackedGradBatch { tree, start_row, gh, last }),
+            Form::Paired { plan, .. } => encrypt_cut(pool, cut, split_seed(seed, 2), |r, s| {
+                suite.encrypt_gh_batch(&g[r.clone()], &h[r], plan, s)
+            })
+            .map(|gh| Msg::PackedGradBatch { tree, start_row, gh, last }),
             Form::Raw | Form::Prefix => {
-                let g = suite.encrypt_batch(&g, split_seed(seed, 0))?;
-                let h = suite.encrypt_batch(&h, split_seed(seed, 1))?;
+                let (s0, s1) = (split_seed(seed, 0), split_seed(seed, 1));
+                let g = encrypt_cut(pool, cut, s0, |r, s| suite.encrypt_batch(&g[r], s))?;
+                let h = encrypt_cut(pool, cut, s1, |r, s| suite.encrypt_batch(&h[r], s))?;
                 Ok(Msg::GradBatch { tree, start_row, g, h, last })
             }
         }
@@ -201,7 +207,7 @@ impl GradPath {
     pub fn payload(
         &self,
         suite: &Suite,
-        pool: &rayon::ThreadPool,
+        pool: &Pool,
         (g, h): (&EncHistBuilder, &EncHistBuilder),
         rows: usize,
     ) -> Result<HistPayload, CryptoError> {
@@ -311,14 +317,30 @@ fn ensure(holds: bool, why: &'static str) -> Result<(), &'static str> {
     holds.then_some(()).ok_or(why)
 }
 
+/// `encrypt(range, seed + range.start)` over `rows` rows cut into `m =
+/// min(ranges, rows)` contiguous ranges across `pool` (range `k` is
+/// `[k·rows/m, (k+1)·rows/m)`), concatenated: element `i` draws from `seed
+/// + i` wherever the cuts fall, so every width gives the same ciphers.
+fn encrypt_cut(
+    pool: &Pool,
+    (ranges, rows): (usize, usize),
+    seed: u64,
+    encrypt: impl Fn(Range<usize>, u64) -> Result<Vec<Ciphertext>, CryptoError> + Sync,
+) -> Result<Vec<Ciphertext>, CryptoError> {
+    let m = ranges.min(rows).max(1);
+    let cuts = (0..m).map(|k| k * rows / m..(k + 1) * rows / m).collect();
+    let parts =
+        pool.map(cuts, |r: Range<usize>| encrypt(r.clone(), seed.wrapping_add(r.start as u64)));
+    Ok(parts.into_iter().collect::<Result<Vec<_>, _>>()?.into_iter().flatten().collect())
+}
+
 /// `one(f)` for each feature across `pool`; the first error wins.
 fn per_feature<T: Send>(
-    pool: &rayon::ThreadPool,
+    pool: &Pool,
     features: usize,
-    one: impl Fn(usize) -> Result<T, CryptoError> + Send + Sync,
+    one: impl Fn(usize) -> Result<T, CryptoError> + Sync,
 ) -> Result<Vec<T>, CryptoError> {
-    use rayon::prelude::*;
-    pool.install(|| (0..features).into_par_iter().map(one).collect())
+    pool.map((0..features).collect(), one).into_iter().collect()
 }
 
 #[cfg(test)]
@@ -367,6 +389,30 @@ mod tests {
     /// A two-stream batch; its rows are the host core's to check.
     fn two(g: Vec<Ciphertext>, h: Vec<Ciphertext>) -> Msg {
         Msg::GradBatch { tree: 0, start_row: 3, g, h, last: false }
+    }
+
+    /// A Paillier batch is cut across the pool, each range at `seed +
+    /// start`, so every width sends the bytes width 1 sends, on both forward
+    /// forms. A mock batch, whose exponents come from one stream, is never
+    /// cut: it too matches width 1.
+    #[test]
+    fn every_pool_width_encrypts_the_bytes_of_width_1() {
+        let (s, mock) = (paillier(), Suite::plain(TrainConfig::for_tests().encoding));
+        let grads: Vec<GradPair> = (0..10)
+            .map(|i| GradPair { g: f64::from(i) / 10.0 - 0.5, h: 0.25 - f64::from(i) * 0.01 })
+            .collect();
+        for (suite, pack) in [(&s, true), (&s, false), (&mock, true), (&mock, false)] {
+            let path = path(suite, pack);
+            let bytes = |width| {
+                let pool = Pool::new(width, "test");
+                let msg = path.encrypt(suite, &pool, &grads, 77, (0, 0, true)).unwrap();
+                crate::wire::encode(&msg).unwrap()
+            };
+            let one = bytes(1);
+            for width in [2, 3, 16] {
+                assert!(bytes(width) == one, "{:?} pack {pack}: width {width} moved", suite.kind());
+            }
+        }
     }
 
     /// Paillier with packing pairs gradients; without packing, or under the

@@ -44,6 +44,7 @@ use crate::hist_enc::DecodedBins;
 use crate::messages::{FeatureMeta, HistPayload, Msg};
 use crate::model::{FedNode, FedTree};
 use crate::peer::{self, Deadline, Peer};
+use crate::pool::Pool;
 use crate::rows::{check_width, RowMajorBins};
 use crate::session::PartySession;
 use crate::telemetry::{PartyTelemetry, TreeRecord};
@@ -130,7 +131,7 @@ struct GuestParty {
     labels: Vec<f32>,
     /// What every tree's core shares; it holds the guest's binned features.
     rules: Arc<Rules>,
-    pool: rayon::ThreadPool,
+    pool: Pool,
     preds: Vec<f64>,
     telemetry: PartyTelemetry,
     tree_records: Vec<TreeRecord>,
@@ -157,11 +158,6 @@ impl GuestParty {
         }
         check_width(PartyId::Guest, data.num_features())?;
         let labels = labels.to_vec();
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(cfg.workers.max(1))
-            .thread_name(|i| format!("guest-worker{i}"))
-            .build()
-            .map_err(|e| TrainError::Setup { party: PartyId::Guest, detail: e.to_string() })?;
         let n = data.num_rows();
         let rules = Arc::new(Rules {
             split: cfg.gbdt.split,
@@ -190,7 +186,7 @@ impl GuestParty {
             suite,
             labels,
             rules,
-            pool,
+            pool: Pool::new(cfg.workers, "guest"),
         })
     }
 
@@ -273,9 +269,8 @@ impl GuestParty {
         // deadline): returning now would drop the endpoints, and a
         // Shutdown frame the fault plan dropped would die unacked — the
         // host would see a disconnect instead of an orderly finish.
-        for host in &self.hosts {
-            host.peer.flush(self.cfg.peer_timeout);
-        }
+        let peers: Vec<&Peer> = self.hosts.iter().map(|h| &h.peer).collect();
+        peer::flush_all(&peers, self.cfg.peer_timeout);
         Ok(trees)
     }
 
@@ -445,8 +440,7 @@ impl GuestParty {
             let seed = batch_seed(self.cfg.seed, tree, start);
             let at = (tree, start as u32, end == n);
             let span = self.telemetry.enter(TracePhase::Encrypt, Some(tree), None);
-            let path = &self.rules.path;
-            let msg = self.pool.install(|| path.encrypt(&self.suite, pairs, seed, at));
+            let msg = self.rules.path.encrypt(&self.suite, &self.pool, pairs, seed, at);
             let msg = msg.map_err(TrainError::crypto("gradient encryption"))?;
             self.telemetry.exit(span);
             // Hand to the gateway immediately; encryption of the next batch
@@ -465,10 +459,9 @@ impl GuestParty {
     /// shaped the payload as the host's metadata says, one feature per
     /// announced feature. Borrows `self` immutably so a batch of
     /// histograms from different parties can be searched concurrently on
-    /// the rayon pool. Under the caller's `install` it fans out per
-    /// feature; called from a pool chunk (one of several payloads being
-    /// searched at once) it runs inline. Timing is charged by the caller,
-    /// which knows the batch boundaries.
+    /// the pool. It fans out per feature; called from a pool chunk (one of
+    /// several payloads being searched at once) it runs inline. Timing is
+    /// charged by the caller, which knows the batch boundaries.
     fn host_best_split(
         &self,
         host: usize,
@@ -483,10 +476,9 @@ impl GuestParty {
             let bins = self.rules.path.decode(&self.suite, payload, f, count)?;
             Ok((self.rules.feature_best(f, meta, &bins, total), bins))
         };
-        use rayon::prelude::*;
         let metas = self.hosts[host].handshake.metas();
         let searched: Result<Vec<(Option<SplitCandidate>, DecodedBins)>, TrainError> =
-            metas.par_iter().enumerate().map(per_feature).collect();
+            self.pool.map(metas.iter().enumerate().collect(), per_feature).into_iter().collect();
         let (candidates, hist): (Vec<_>, HostHist) = searched?.into_iter().unzip();
         Ok((best_of(candidates.into_iter().flatten()), hist))
     }
@@ -570,9 +562,9 @@ impl GuestParty {
     /// ancestors before descendants, so a rollback caused by committing a
     /// parent retires the children still in this batch (the core finds
     /// them stale); host index breaks ties like the core's winner. The
-    /// decrypt itself fans out across the rayon pool: across payloads when
+    /// decrypt itself fans out across the pool: across payloads when
     /// the batch has several, across features inside the single payload
-    /// otherwise (a one-item parallel call runs inline, leaving the pool to
+    /// otherwise (a one-item call runs inline, leaving the pool to
     /// the nested per-feature call).
     fn commit_hist_batch(
         &mut self,
@@ -603,17 +595,9 @@ impl GuestParty {
         let only = (jobs.len() == 1).then(|| jobs[0].1.node as u32);
         let span = self.telemetry.enter(TracePhase::DecryptSplit, Some(tree), only);
         type Decoded = Result<(Option<SplitCandidate>, HostHist), TrainError>;
-        let results: Vec<Decoded> = {
-            use rayon::prelude::*;
-            let rows = |node| core.count(node);
-            self.pool.install(|| {
-                jobs.par_iter()
-                    .map(|(total, p)| {
-                        self.host_best_split(p.host, &p.payload, *total, rows(p.node))
-                    })
-                    .collect()
-            })
-        };
+        let results: Vec<Decoded> = self.pool.map(jobs.iter().collect(), |(total, p)| {
+            self.host_best_split(p.host, &p.payload, *total, core.count(p.node))
+        });
         self.telemetry.exit(span);
         for ((_, p), decoded) in jobs.into_iter().zip(results) {
             let (best, hist) = decoded?;

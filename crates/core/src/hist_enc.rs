@@ -56,9 +56,8 @@ use vf2_crypto::packing::{GhPlan, PackingPlan};
 use vf2_crypto::suite::{Ciphertext, PlainNumber, ResidentCiphertext, Suite, SuiteKind};
 use vf2_gbdt::histogram::{GradPair, Histogram};
 
-use rayon::prelude::*;
-
 use crate::messages::{GhPackedFeatureHist, PackedFeatureHist, RawFeatureHist};
+use crate::pool::Pool;
 use crate::rows::{ColMeta, RowMajorBins};
 
 /// An encrypted histogram over every feature of one node, for one
@@ -335,18 +334,18 @@ impl EncHistBuilder {
     /// kind, so the mock's walk reads 16-byte plain values and its HAdd
     /// inlines to a float add into a plain workspace. A stream or a builder
     /// of the other kind is [`CryptoError::SuiteMismatch`] before any bin
-    /// changes. Inside a `rayon::ThreadPool::install` of
-    /// width `w` the features are cut into contiguous ranges of
-    /// `⌈features / w⌉` columns, one worker each. Every worker walks `rows`
-    /// in list order and touches only its own columns (one contiguous range
-    /// of the row's block cells; its tail entries are feature-sorted:
-    /// binary-search to the range's start, stop at its end), so each bin
-    /// receives its ciphers in the same order at every
-    /// width: no shard copies, no merge, and ciphers and op counts that do
-    /// not depend on the width. Each worker tallies its HAdds locally; the
-    /// call publishes them once.
+    /// changes. On a `pool` of width `w` the features are cut into
+    /// contiguous ranges of `⌈features / w⌉` columns, one worker each.
+    /// Every worker walks `rows` in list order and touches only its own
+    /// columns (one contiguous range of the row's block cells; its tail
+    /// entries are feature-sorted: binary-search to the range's start, stop
+    /// at its end), so each bin receives its ciphers in the same order at
+    /// every width: no shard copies, no merge, and ciphers and op counts
+    /// that do not depend on the width. Each worker tallies its HAdds
+    /// locally; the call publishes them once.
     pub fn add_rows(
         suite: &Suite,
+        pool: &Pool,
         csr: &RowMajorBins,
         rows: &[u32],
         (g, enc_g): (&mut EncHistBuilder, &CipherStream),
@@ -365,8 +364,8 @@ impl EncHistBuilder {
         if enc_h.is_some() {
             g.check_same_shape(h, "EncHistBuilder::add_rows gradient vs hessian")?;
         }
-        let per_worker = g.num_features().div_ceil(rayon::current_num_threads()).max(1);
-        let job = (suite, csr, rows, per_worker);
+        let per_worker = g.num_features().div_ceil(pool.width()).max(1);
+        let job = (suite, pool, csr, rows, per_worker);
         let walk_kind = |g: &mut EncHistBuilder, h: Option<&mut EncHistBuilder>| {
             let (g, h) = ((g, enc_g), (h, enc_h));
             match (enc_g, suite.kind()) {
@@ -756,72 +755,69 @@ fn fold_at<S: Workspace>(
 /// entries, and locates each bin once for both builders. Returns each
 /// worker's tally and outcome, in run order.
 fn walk<S: Workspace>(
-    (suite, csr, rows, per_run): (&Suite, &RowMajorBins, &[u32], usize),
+    (suite, pool, csr, rows, per_run): (&Suite, &Pool, &RowMajorBins, &[u32], usize),
     (g, enc_g): (&mut EncHistBuilder, &CipherStream),
     (h, enc_h): (Option<&mut EncHistBuilder>, Option<&CipherStream>),
 ) -> Result<Vec<(OpSnapshot, Result<()>)>> {
     let enc_g = S::stream(enc_g)?;
     let enc_h = enc_h.map(S::stream).transpose()?;
     let mut h_runs = h.map(|h| h.runs::<S>(per_run)).transpose()?.map(Vec::into_iter);
-    let mut runs: Vec<_> = g
+    let runs: Vec<_> = g
         .runs::<S>(per_run)?
         .into_iter()
         .map(|g| (g, h_runs.as_mut().and_then(Iterator::next).zip(enc_h)))
         .collect();
     let block_features = &csr.block_features;
-    Ok(runs
-        .par_chunks_mut(1)
-        .map(|run| {
-            let (g, h) = &mut run[0];
-            let (first, features) = (g.first, g.features());
-            let within = |end: usize| block_features.partition_point(|&f| usize::from(f) < end);
-            let cells = within(first)..within(first + features);
-            let offsets = g.offsets;
-            let mut tally = OpSnapshot::default();
-            let mut walk_rows = || -> Result<()> {
-                for &row in rows {
-                    let cg = cipher_of(enc_g, row)?;
-                    let cg = (cg, &g.slot_of(S::exponent(cg)));
-                    let mut h = match h {
-                        Some((h, enc_h)) => {
-                            let ch = cipher_of(enc_h, row)?;
-                            let slot = h.slot_of(S::exponent(ch));
-                            Some((h.arena(), ch, slot))
-                        }
-                        None => None,
-                    };
-                    let mut g = g.arena();
-                    let mut visit = |column: usize, bin: u16| -> Result<()> {
-                        let at = locate(offsets, column, usize::from(bin))?;
-                        fold_at(&mut g, at, cg, suite, &mut tally)?;
-                        if let Some((h, ch, slot)) = h.as_mut() {
-                            fold_at(h, at, (*ch, &*slot), suite, &mut tally)?;
-                        }
-                        Ok(())
-                    };
-                    let (row_cells, tail) = csr.parts(row as usize);
-                    let row_cells = &row_cells[cells.clone()];
-                    for (&f, &bin) in block_features[cells.clone()].iter().zip(row_cells) {
-                        visit(usize::from(f) - first, bin)?;
+    Ok(pool.map(runs, |(mut g, mut h)| {
+        let (g, h) = (&mut g, &mut h);
+        let (first, features) = (g.first, g.features());
+        let within = |end: usize| block_features.partition_point(|&f| usize::from(f) < end);
+        let cells = within(first)..within(first + features);
+        let offsets = g.offsets;
+        let mut tally = OpSnapshot::default();
+        let mut walk_rows = || -> Result<()> {
+            for &row in rows {
+                let cg = cipher_of(enc_g, row)?;
+                let cg = (cg, &g.slot_of(S::exponent(cg)));
+                let mut h = match h {
+                    Some((h, enc_h)) => {
+                        let ch = cipher_of(enc_h, row)?;
+                        let slot = h.slot_of(S::exponent(ch));
+                        Some((h.arena(), ch, slot))
                     }
-                    let skip = match first {
-                        0 => 0,
-                        _ => tail.partition_point(|&(f, _)| usize::from(f) < first),
-                    };
-                    for &(f, bin) in &tail[skip..] {
-                        let column = usize::from(f) - first;
-                        if column >= features {
-                            break;
-                        }
-                        visit(column, bin)?;
+                    None => None,
+                };
+                let mut g = g.arena();
+                let mut visit = |column: usize, bin: u16| -> Result<()> {
+                    let at = locate(offsets, column, usize::from(bin))?;
+                    fold_at(&mut g, at, cg, suite, &mut tally)?;
+                    if let Some((h, ch, slot)) = h.as_mut() {
+                        fold_at(h, at, (*ch, &*slot), suite, &mut tally)?;
                     }
+                    Ok(())
+                };
+                let (row_cells, tail) = csr.parts(row as usize);
+                let row_cells = &row_cells[cells.clone()];
+                for (&f, &bin) in block_features[cells.clone()].iter().zip(row_cells) {
+                    visit(usize::from(f) - first, bin)?;
                 }
-                Ok(())
-            };
-            let done = walk_rows();
-            (tally, done)
-        })
-        .collect())
+                let skip = match first {
+                    0 => 0,
+                    _ => tail.partition_point(|&(f, _)| usize::from(f) < first),
+                };
+                for &(f, bin) in &tail[skip..] {
+                    let column = usize::from(f) - first;
+                    if column >= features {
+                        break;
+                    }
+                    visit(column, bin)?;
+                }
+            }
+            Ok(())
+        };
+        let done = walk_rows();
+        (tally, done)
+    }))
 }
 
 /// The cipher a row contributes, or a typed error when the stream is too
@@ -1251,12 +1247,12 @@ mod tests {
         reordered: bool,
         width: usize,
     ) -> Result<(EncHistBuilder, EncHistBuilder)> {
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(width).build().unwrap();
+        let pool = Pool::new(width, "test");
         let mut g = EncHistBuilder::new(&csr.col_meta, &encoding(), reordered);
         let mut h = g.clone();
         let (enc_g, enc_h) = (entered(s, enc_g)?, enc_h.map(|c| entered(s, c)).transpose()?);
         let (g_stream, h_stream) = ((&mut g, &enc_g), (&mut h, enc_h.as_ref()));
-        pool.install(|| EncHistBuilder::add_rows(s, csr, rows, g_stream, h_stream))?;
+        EncHistBuilder::add_rows(s, &pool, csr, rows, g_stream, h_stream)?;
         Ok((g, h))
     }
 
@@ -1451,6 +1447,7 @@ mod tests {
                 let mut narrow = EncHistBuilder::new(&meta(1), &enc, reordered);
                 let err = EncHistBuilder::add_rows(
                     s,
+                    &Pool::new(1, "test"),
                     &csr,
                     &rows,
                     (&mut g, &ciphers),
@@ -1464,6 +1461,7 @@ mod tests {
                 let mut shallow = EncHistBuilder::new(&one_bin, &enc, reordered);
                 let err = EncHistBuilder::add_rows(
                     s,
+                    &Pool::new(1, "test"),
                     &csr,
                     &rows,
                     (&mut shallow, &ciphers),
@@ -1479,6 +1477,7 @@ mod tests {
                 let fresh = g.clone();
                 let err = EncHistBuilder::add_rows(
                     s,
+                    &Pool::new(1, "test"),
                     &csr,
                     &rows,
                     (&mut g, &ciphers),
@@ -1736,11 +1735,10 @@ mod tests {
                 let stream = entered(foreign, &vec![refused[0].clone(); 12]).unwrap();
                 let mut h = b.clone();
                 for width in [1, 2] {
-                    let pool = rayon::ThreadPoolBuilder::new().num_threads(width).build().unwrap();
+                    let pool = Pool::new(width, "test");
                     let streams = ((&mut b, &stream), (&mut h, None));
-                    let err = pool.install(|| {
-                        EncHistBuilder::add_rows(s, &csr, &[0, 3], streams.0, streams.1)
-                    });
+                    let err =
+                        EncHistBuilder::add_rows(s, &pool, &csr, &[0, 3], streams.0, streams.1);
                     assert_eq!(err, Err(CryptoError::SuiteMismatch), "{what}");
                     assert!(b == kept, "{what}: a refused bulk walk changed the builder");
                 }
@@ -1766,12 +1764,15 @@ mod tests {
             let what = format!("{:?}", s.kind());
             let mut g = EncHistBuilder::new(&csr.col_meta, &enc, true);
             let mut h = g.clone();
-            EncHistBuilder::add_rows(s, &csr, &[0, 1], (&mut g, own), (&mut h, Some(own))).unwrap();
+            let inline = Pool::new(1, "test");
+            EncHistBuilder::add_rows(s, &inline, &csr, &[0, 1], (&mut g, own), (&mut h, Some(own)))
+                .unwrap();
             let kept = (g.clone(), h.clone());
             for walk_suite in [&p, &m] {
                 for (g_stream, h_stream) in [(foreign, foreign), (own, foreign), (foreign, own)] {
                     let err = EncHistBuilder::add_rows(
                         walk_suite,
+                        &Pool::new(1, "test"),
                         &csr,
                         &[2, 5],
                         (&mut g, g_stream),
@@ -1809,10 +1810,9 @@ mod tests {
         for stream in [&hostile, &clean] {
             let mut h = fresh.clone();
             for width in [1, 2] {
-                let pool = rayon::ThreadPoolBuilder::new().num_threads(width).build().unwrap();
+                let pool = Pool::new(width, "test");
                 let streams = ((&mut b, stream), (&mut h, Some(stream)));
-                let err = pool
-                    .install(|| EncHistBuilder::add_rows(&m, &csr, &[11, 0], streams.0, streams.1));
+                let err = EncHistBuilder::add_rows(&m, &pool, &csr, &[11, 0], streams.0, streams.1);
                 assert!(err.is_err(), "width {width}: {err:?}");
                 assert!(b == fresh && h == fresh, "width {width}: a refused walk fixed the kind");
             }
@@ -2133,7 +2133,9 @@ mod tests {
                         let mut g = EncHistBuilder::new(&csr.col_meta, &enc, reordered);
                         let mut h = g.clone();
                         let streams = ((&mut g, &enc_g), (&mut h, enc_h.as_ref()));
-                        EncHistBuilder::add_rows(&host, &csr, rows, streams.0, streams.1).unwrap();
+                        let inline = Pool::new(1, "test");
+                        EncHistBuilder::add_rows(&host, &inline, &csr, rows, streams.0, streams.1)
+                            .unwrap();
                         (g, h)
                     };
                     let parent = build(&parent_rows);

@@ -33,6 +33,7 @@ use crate::hist_enc::{CipherStream, EncHistBuilder};
 use crate::messages::{FeatureMeta, Msg};
 use crate::model::HostSplitTable;
 use crate::peer::{self, Deadline, Peer};
+use crate::pool::Pool;
 use crate::rows::{check_width, RowMajorBins};
 use crate::serve::{Batch, BuilderPair, HostCore, Parked, Step, Task};
 use crate::session::PartySession;
@@ -97,7 +98,7 @@ struct HostParty {
     guest: Peer,
     /// The host's one binned form, shared with its core.
     csr: Arc<RowMajorBins>,
-    pool: rayon::ThreadPool,
+    pool: Pool,
     telemetry: PartyTelemetry,
     shutdown: bool,
     /// What the host is currently waiting for (PeerLost attribution).
@@ -119,14 +120,7 @@ impl HostParty {
         cfg.validate().map_err(TrainError::InvalidConfig)?;
         check_width(PartyId::Host(party_index), data.num_features())?;
         let csr = Arc::new(RowMajorBins::bin(data, &cfg.gbdt.binning));
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(cfg.workers.max(1))
-            .thread_name(move |i| format!("host{party_index}-worker{i}"))
-            .build()
-            .map_err(|e| TrainError::Setup {
-                party: PartyId::Host(party_index),
-                detail: e.to_string(),
-            })?;
+        let pool = Pool::new(cfg.workers, format!("host{party_index}"));
         let telemetry = PartyTelemetry {
             name: format!("host-{party_index}"),
             trace: TraceRing::new(cfg.trace_events_cap, cfg.trace_spans),
@@ -185,7 +179,7 @@ impl HostParty {
         // reliability thread alive to re-ack any retransmitted Shutdown),
         // so a fault-dropped frame at the very end doesn't turn the
         // orderly goodbye into a peer-side disconnect.
-        self.guest.flush(self.cfg.peer_timeout);
+        peer::flush_all(&[&self.guest], self.cfg.peer_timeout);
         Ok(())
     }
 
@@ -371,13 +365,11 @@ impl HostParty {
     ) -> Result<(), TrainError> {
         let crash = self.party_index == 0 && self.chaos.crash_host_on_tree == Some(tree);
         let work = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.pool.install(|| {
-                if crash {
-                    panic!("injected crash: histogram worker shard 0 dying in tree {tree}");
-                }
-                let enc_h = self.path.hessians(enc_h);
-                EncHistBuilder::add_rows(&self.suite, &self.csr, rows, (g, enc_g), (h, enc_h))
-            })
+            if crash {
+                panic!("injected crash: histogram worker shard 0 dying in tree {tree}");
+            }
+            let (pool, enc_h) = (&self.pool, self.path.hessians(enc_h));
+            EncHistBuilder::add_rows(&self.suite, pool, &self.csr, rows, (g, enc_g), (h, enc_h))
         }));
         match work {
             Ok(done) => done.map_err(TrainError::crypto("encrypted histogram accumulation")),
@@ -465,7 +457,7 @@ mod tests {
 
     /// Every `(node, epoch)` histogram the host has sent since the last call.
     fn answers(host: &HostParty, guest: &Endpoint) -> Vec<(u32, u32)> {
-        host.guest.flush(std::time::Duration::from_secs(5));
+        peer::flush_all(&[&host.guest], std::time::Duration::from_secs(5));
         std::iter::from_fn(|| guest.try_recv())
             .map(|env| wire::decode(env.kind, env.payload).unwrap())
             .filter_map(|msg| match msg {
@@ -582,7 +574,7 @@ mod tests {
             guest_ep.send(msg.kind(), wire::encode(&msg).unwrap());
             assert!(host.step(&mut core, true).unwrap(), "a message");
         }
-        host.guest.flush(std::time::Duration::from_secs(5));
+        peer::flush_all(&[&host.guest], std::time::Duration::from_secs(5));
         let env = guest_ep.try_recv().expect("the root's histogram");
         let msg = wire::decode(env.kind, env.payload).unwrap();
         assert!(matches!(msg, Msg::NodeHistograms { tree: 0, node: 0, .. }), "{msg:?}");

@@ -55,6 +55,7 @@ pub mod messages;
 pub mod model;
 mod peer;
 pub mod persist;
+pub mod pool;
 pub mod protocol;
 pub mod rows;
 mod serve;

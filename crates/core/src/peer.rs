@@ -103,11 +103,6 @@ impl Peer {
         Ok(bytes)
     }
 
-    /// Lingers until `remote` acked every frame sent, or `timeout`.
-    pub(crate) fn flush(&self, timeout: Duration) {
-        self.endpoint.flush(timeout);
-    }
-
     /// Records a protocol violation against `remote`'s misbehavior budget:
     /// counted, traced, tolerated while within budget, fatal
     /// ([`TrainError::PeerMisbehaving`]) once past it.
@@ -197,6 +192,15 @@ pub(crate) fn wait(
     let outcome = blocked();
     telemetry.phases.idle += entered.elapsed();
     outcome
+}
+
+/// Lingers until every one of `peers` acked all it was sent, or one shared
+/// `timeout`: k peers that never ack cost `timeout`, not k × `timeout`.
+pub(crate) fn flush_all(peers: &[&Peer], timeout: Duration) {
+    let deadline = Instant::now() + timeout;
+    for peer in peers {
+        peer.endpoint.flush(deadline.saturating_duration_since(Instant::now()));
+    }
 }
 
 /// The zero-timeout twin of [`wait`]: one frame that already arrived on one
@@ -384,6 +388,27 @@ mod tests {
             other => panic!("expected PeerLost, got {other}"),
         }
         assert_eq!(t.link.recv_timeouts, 1);
+    }
+
+    /// Two links whose acks are blackholed: the goodbye gives up once, at
+    /// the one shared deadline.
+    #[test]
+    fn a_goodbye_to_peers_that_never_ack_waits_one_deadline() {
+        let blackholed = FaultConfig { disconnect_after_frames: Some(0), ..FaultConfig::none() };
+        let link = |h| {
+            let (near, far) =
+                duplex_faulty(WanConfig::instant(), FaultConfig::none(), blackholed, NEVER);
+            (Peer::new(near, PartyId::Guest, PartyId::Host(h), 0), far)
+        };
+        let ((a, _far_a), (b, _far_b)) = (link(0), link(1));
+        for peer in [&a, &b] {
+            peer.send_encoded(DATA, Bytes::new());
+        }
+        let t0 = Instant::now();
+        flush_all(&[&a, &b], 300 * MS);
+        let took = t0.elapsed();
+        assert!(took >= 300 * MS, "an ack got through after {took:?}");
+        assert!(took < 600 * MS, "lingered {took:?}");
     }
 
     #[test]

@@ -91,10 +91,8 @@ impl RowMajorBins {
     /// # Panics
     /// As [`RowMajorBins::from_binned`].
     pub fn bin(data: &Dataset, cfg: &BinningConfig) -> RowMajorBins {
-        use rayon::prelude::*;
         let n = data.num_rows();
-        let cuts: Vec<Vec<f32>> =
-            data.columns().par_iter().map(|c| quantile_cuts(c, n, cfg)).collect();
+        let cuts: Vec<Vec<f32>> = data.columns().iter().map(|c| quantile_cuts(c, n, cfg)).collect();
         let columns = cuts.into_iter().zip(data.columns()).map(|(cuts, col)| match col {
             FeatureColumn::Dense(values) => (cuts, &[][..], &values[..]),
             FeatureColumn::Sparse { rows, values } => (cuts, &rows[..], &values[..]),

@@ -519,6 +519,7 @@ mod tests {
     use crate::config::TrainConfig;
     use crate::hist_enc::max_exponent;
     use crate::messages::HistPayload;
+    use crate::pool::Pool;
     use crate::rows::RowMajorBins;
 
     impl HostCore {
@@ -877,9 +878,9 @@ mod tests {
         let (task, tree, rows) = core.next_task().expect("node 2's task");
         assert_eq!((task, &*rows), (Task { tree: 0, node: 2, epoch: 3 }, &[5, 6, 7][..]));
         let (mut g, mut h) = core_blank(&csr, &cfg);
-        let streams = (&mut g, &tree.enc_g);
-        EncHistBuilder::add_rows(&suite, &csr, &rows, streams, (&mut h, Some(&tree.enc_h)))
-            .unwrap();
+        let streams = ((&mut g, &tree.enc_g), (&mut h, Some(&tree.enc_h)));
+        let inline = Pool::new(1, "test");
+        EncHistBuilder::add_rows(&suite, &inline, &csr, &rows, streams.0, streams.1).unwrap();
         let bins = g.finalize_feature(&suite, 0, None).unwrap();
         let sum: f64 = bins.iter().map(|c| suite.decrypt(c).unwrap()).sum();
         assert_eq!(sum, 3.0);
@@ -961,9 +962,9 @@ mod tests {
             let (_, tree, rows) = core.next_task().expect("node 1's task");
             assert_eq!(&*rows, &[0, 1, 2, 3, 4, 5, 6, 7]);
             let (mut g, mut h) = core_blank(&csr, &cfg);
-            let streams = (&mut g, &tree.enc_g);
-            EncHistBuilder::add_rows(&suite, &csr, &rows, streams, (&mut h, Some(&tree.enc_h)))
-                .unwrap();
+            let streams = ((&mut g, &tree.enc_g), (&mut h, Some(&tree.enc_h)));
+            let inline = Pool::new(1, "test");
+            EncHistBuilder::add_rows(&suite, &inline, &csr, &rows, streams.0, streams.1).unwrap();
             let bins = g.finalize_feature(&suite, 0, None).unwrap();
             bins.iter().map(|c| suite.decrypt(c).unwrap().to_bits()).collect()
         };

@@ -284,13 +284,14 @@ impl Suite {
         Ok(Ciphertext::Paillier(EncryptedNumber { cipher, exponent }))
     }
 
-    /// Encrypts a batch, deterministically derived from `seed`, across the
-    /// enclosing rayon pool (inline outside one): element `i` draws from
-    /// its own `seed + i` stream, so the ciphers do not depend on the
-    /// pool's width. This is the encryption kernel of the blaster scheme.
-    /// (The mock draws its exponents from one `seed` stream, in order.)
+    /// Encrypts a batch, deterministically derived from `seed`: element `i`
+    /// draws from its own `seed + i` stream, so a sub-slice from `start`
+    /// encrypted at `seed + start` is that slice of the whole batch, and a
+    /// caller may cut a batch into ranges and fan them out. This is the
+    /// encryption kernel of the blaster scheme. (The mock draws its
+    /// exponents from one `seed` stream, in order, so its batch is never
+    /// cut.)
     pub fn encrypt_batch(&self, values: &[f64], seed: u64) -> Result<Vec<Ciphertext>> {
-        use rayon::prelude::*;
         if self.0.pk.is_none() {
             // One counter update for the batch, not one per element: the
             // mock has no cipher work to hide an atomic behind.
@@ -304,9 +305,9 @@ impl Suite {
             };
             return Ok(values.iter().map(plain).collect());
         }
-        self.sk()?; // a keyless half fails here, once, not inside the fan-out
+        self.sk()?; // a keyless half fails here, an empty batch too
         values
-            .par_iter()
+            .iter()
             .enumerate()
             .map(|(i, &v)| self.encrypt(v, &mut StdRng::seed_from_u64(seed.wrapping_add(i as u64))))
             .collect()
@@ -314,8 +315,8 @@ impl Suite {
 
     /// Encrypts `(g, h)` pairs one packed plaintext each, deterministically
     /// derived from `seed`. The forward-path counterpart of
-    /// [`Suite::encrypt_batch`] (same fan-out, same width-independence):
-    /// one Paillier encryption per *pair* instead of one per value.
+    /// [`Suite::encrypt_batch`] (same per-element `seed + i` streams): one
+    /// Paillier encryption per *pair* instead of one per value.
     /// Paillier suites only — the mock keeps separate g/h streams, so
     /// forward-path packing has nothing to gain there.
     pub fn encrypt_gh_batch(
@@ -325,7 +326,6 @@ impl Suite {
         plan: &GhPlan,
         seed: u64,
     ) -> Result<Vec<Ciphertext>> {
-        use rayon::prelude::*;
         if g.len() != h.len() {
             return Err(CryptoError::ShapeMismatch {
                 context: "encrypt_gh_batch g/h lengths",
@@ -337,7 +337,7 @@ impl Suite {
             return Err(CryptoError::SuiteMismatch);
         }
         let sk = self.sk()?;
-        g.par_iter()
+        g.iter()
             .zip(h)
             .enumerate()
             .map(|(i, (&gv, &hv))| {
@@ -1160,20 +1160,22 @@ mod tests {
         assert_eq!(err, CryptoError::PackedValueTooLarge { slot: 1 });
     }
 
+    /// Element `i` of a batch draws from `seed + i`, so a range encrypted
+    /// at `seed + start` is that range of the whole batch: what lets the
+    /// guest cut a batch across its pool.
     #[test]
-    fn batches_are_bit_identical_at_every_pool_width() {
+    fn a_sub_batch_at_seed_plus_start_is_that_slice_of_the_batch() {
         let s = paillier_suite();
         let plan = GhPlan::new(1.0, 1.0, 16, s.encoding()).unwrap();
         let g: Vec<f64> = (0..10).map(|i| (i as f64) / 10.0 - 0.5).collect();
         let h: Vec<f64> = (0..10).map(|i| 0.25 - (i as f64) * 0.01).collect();
-        let inline =
-            (s.encrypt_batch(&g, 5).unwrap(), s.encrypt_gh_batch(&g, &h, &plan, 5).unwrap());
-        for width in [1, 3, 16] {
-            let pool = rayon::ThreadPoolBuilder::new().num_threads(width).build().unwrap();
-            let pooled = pool.install(|| {
-                (s.encrypt_batch(&g, 5).unwrap(), s.encrypt_gh_batch(&g, &h, &plan, 5).unwrap())
-            });
-            assert_eq!(inline, pooled, "ciphers moved with the pool width ({width})");
+        let whole = s.encrypt_batch(&g, 5).unwrap();
+        let whole_gh = s.encrypt_gh_batch(&g, &h, &plan, 5).unwrap();
+        for (start, end) in [(0, 4), (3, 7), (7, 10), (9, 10)] {
+            let seed = 5 + start as u64;
+            assert_eq!(s.encrypt_batch(&g[start..end], seed).unwrap(), whole[start..end]);
+            let gh = s.encrypt_gh_batch(&g[start..end], &h[start..end], &plan, seed).unwrap();
+            assert_eq!(gh, whole_gh[start..end], "pairs {start}..{end}");
         }
     }
 

@@ -108,9 +108,8 @@ pub struct BinnedDataset {
 impl BinnedDataset {
     /// Discretizes every column of `data`.
     pub fn bin(data: &Dataset, cfg: &BinningConfig) -> BinnedDataset {
-        use rayon::prelude::*;
         let columns: Vec<BinnedColumn> =
-            data.columns().par_iter().map(|col| bin_column(col, data.num_rows(), cfg)).collect();
+            data.columns().iter().map(|col| bin_column(col, data.num_rows(), cfg)).collect();
         BinnedDataset { num_rows: data.num_rows(), columns }
     }
 

@@ -10,8 +10,6 @@
 //! `node_total − Σ stored bins` (zero-bin correction), so implicit zeros
 //! are never iterated.
 
-use rayon::prelude::*;
-
 use crate::binning::{BinnedDataset, BinnedEntries};
 
 /// A gradient/hessian pair (the paper's `(g, h)`).
@@ -111,8 +109,7 @@ impl LayerHistograms {
 /// * `node_totals[slot]` is the total gradient pair of each slot, used for
 ///   the sparse zero-bin correction.
 ///
-/// Features are processed in parallel with rayon (the paper parallelizes
-/// the same loop with OpenMP inside each worker).
+/// Features are processed one after another, on the calling thread.
 pub fn build_layer_histograms(
     binned: &BinnedDataset,
     grads: &[GradPair],
@@ -122,7 +119,7 @@ pub fn build_layer_histograms(
     let num_slots = node_totals.len();
     let per_feature: Vec<Vec<Histogram>> = binned
         .columns()
-        .par_iter()
+        .iter()
         .map(|col| {
             let mut hists = vec![Histogram::zeros(col.num_bins()); num_slots];
             for (row, bin) in col.iter_nonzero() {

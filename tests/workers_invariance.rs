@@ -16,6 +16,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use vf2boost::core::config::{CryptoConfig, TrainConfig};
+use vf2boost::core::pool::worker_threads_started;
 use vf2boost::core::protocol::ProtocolConfig;
 use vf2boost::core::{train_federated, TrainOutput};
 use vf2boost::datagen::synthetic::{generate_classification, SyntheticConfig};
@@ -135,13 +136,13 @@ fn one_worker_starts_no_pool_thread() {
     let _turn = serial();
     let s = scenario(33, 10, 7);
     for (name, cfg) in modes() {
-        let before = rayon::worker_threads_started();
+        let before = worker_threads_started();
         train(&s, &TrainConfig { workers: 1, ..cfg }, &name);
-        assert_eq!(rayon::worker_threads_started(), before, "[{name}] workers=1 started threads");
+        assert_eq!(worker_threads_started(), before, "[{name}] workers=1 started threads");
     }
     // The counter is live: the same job at two workers does start some.
     let (name, cfg) = modes().remove(0);
-    let before = rayon::worker_threads_started();
+    let before = worker_threads_started();
     train(&s, &TrainConfig { workers: 2, ..cfg }, &name);
-    assert!(rayon::worker_threads_started() > before, "workers=2 never fanned out");
+    assert!(worker_threads_started() > before, "workers=2 never fanned out");
 }
