@@ -411,6 +411,24 @@ if ! grep -qE 'Plain\(Vec<Option<PlainNumber>>\),' <<< "$HIST_SHIPPING" \
   exit 1
 fi
 
+# One draw: a Paillier encryption is a draw (the jittered exponent, then
+# the obfuscator, both from its element seed's rng) and a seal (encode, one
+# multiply mod n²), so a draw made ahead in the guest's waits and one made
+# at use give the same cipher. The shipping half of suite.rs draws an
+# obfuscator in exactly one place, and core reaches the key only through
+# the suite's draw and seal — a second obfuscator draw, which could drift
+# from the stocked one's derivation, must not come back.
+echo "== one-draw gate (one obfuscator draw in suite.rs, none in core) =="
+DRAWS=$(awk '/#\[cfg\(test\)\]/{exit} {print}' crates/crypto/src/suite.rs | grep -c 'random_rn_crt' || true)
+if [ "$DRAWS" != 1 ]; then
+  echo "suite.rs draws an obfuscator in $DRAWS places, not in its one draw" >&2
+  exit 1
+fi
+if grep -rnE 'random_rn_crt|encrypt_raw' crates/core/src; then
+  echo "core draws or encrypts past the suite's draw and seal" >&2
+  exit 1
+fi
+
 # The production config carries no chaos hook: fault plans, injected
 # crashes and stall knobs live in the test-only ChaosPlan (chaos.rs), which
 # nothing reachable from TrainConfig / ProtocolConfig / SessionConfig can
@@ -465,6 +483,9 @@ jq -e '(.trees | length) > 0' "$REPORT" > /dev/null
 # One child per split: the guest derived the larger siblings (and so the
 # hosts shipped only the smaller ones), and no host negated a cipher.
 jq -e '.parties[0].events.hists_derived > 0 and all(.parties[1:][]; .ops.negs == 0)' "$REPORT" > /dev/null
+# Draws made ahead: the run trains two Paillier trees, so the guest's waits
+# in the first stocked draws the second tree's encryptions sealed.
+jq -e '.parties[0].events.draws_stocked > 0' "$REPORT" > /dev/null
 # busy == sum(phases) per party, and busy <= wall + slack.
 jq -e '
   .wall_time_s as $wall |

@@ -90,9 +90,11 @@ pub struct TrainConfig {
     /// Data-parallel workers inside each party: the width of the party's
     /// [`Pool`](crate::pool::Pool), and so the number of column ranges an encrypted
     /// histogram build is cut into, of features a payload is packed or
-    /// decrypted over at once, and of chunks a gradient batch is
-    /// encrypted in. Changes wall time only — ciphers, op counts and bytes
-    /// are the same at every width — and `1` starts no thread at all.
+    /// decrypted over at once, and of shares a gradient batch's encryption
+    /// draws are cut into. The guest's pool also makes the next tree's
+    /// draws while the guest waits, one per worker per slice. Changes wall
+    /// time only — ciphers, op counts and bytes are the same at every
+    /// width — and `1` starts no thread at all.
     pub workers: usize,
     /// Master seed: keys, encryption randomness, and exponent jitter all
     /// derive from it.

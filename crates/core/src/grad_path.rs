@@ -7,14 +7,15 @@
 //! suite, ciphers before any phase, heap, handshake or ledger check; the
 //! checks are structural, since histogram *values* cannot be checked.
 
-use std::ops::{Range, RangeInclusive};
+use std::iter;
+use std::ops::RangeInclusive;
 
 use num_bigint::BigUint;
 use vf2_crypto::encoding::EncodingConfig;
 use vf2_crypto::error::CryptoError;
 use vf2_crypto::packing::GhPlan;
 use vf2_crypto::split_seed;
-use vf2_crypto::suite::{Ciphertext, PackedCiphertext, Suite};
+use vf2_crypto::suite::{Ciphertext, Draw, PackedCiphertext, Suite};
 use vf2_gbdt::histogram::GradPair;
 
 use crate::config::TrainConfig;
@@ -68,9 +69,43 @@ impl GradPath {
         })
     }
 
-    /// The guest's forward message of a batch from `start_row`. Streams 0/1
-    /// (g, h) and 2 (pairs) of `seed` are disjoint. A Paillier batch fans
-    /// out in ranges ([`encrypt_cut`]); a mock one, drawn from one stream, not.
+    /// The draws a `rows`-row forward batch seals ([`Suite::draw`]): one
+    /// per pair when paired, one per g and one per h on two Paillier
+    /// streams, none under the mock (its batch draws nothing ahead).
+    pub fn draws(&self, rows: usize) -> usize {
+        match (&self.nn, &self.form) {
+            (None, _) => 0,
+            (Some(_), Form::Paired { .. }) => rows,
+            (Some(_), Form::Raw | Form::Prefix) => 2 * rows,
+        }
+    }
+
+    /// Draw `j` (below [`GradPath::draws`]) of a `rows`-row batch at
+    /// `seed`: element `j` of stream 2 (pairs, at the plan's exponent), or
+    /// of stream 0 (g) for `j < rows` and of stream 1 (h) at `j − rows`
+    /// after it. Streams 0/1 and 2 of `seed` are disjoint.
+    pub fn draw(
+        &self,
+        suite: &Suite,
+        seed: u64,
+        rows: usize,
+        j: usize,
+    ) -> Result<Draw, CryptoError> {
+        let (stream, i, exponent) = match &self.form {
+            Form::Paired { plan, .. } => (2, j, Some(plan.exponent())),
+            Form::Raw | Form::Prefix if j < rows => (0, j, None),
+            Form::Raw | Form::Prefix => (1, j - rows, None),
+        };
+        suite.draw(split_seed(seed, stream).wrapping_add(i as u64), exponent)
+    }
+
+    /// The guest's forward message of a batch from `start_row`, sealing
+    /// draw `j` with `stocked[j]` where it was made ahead and making the
+    /// rest: the missing draws, and then the stocked ones, are dealt evenly
+    /// across `pool`, and row `j` is sealed with draw `j` wherever it was
+    /// made, so every width and every stock gives the same ciphers. A mock
+    /// batch, whose exponents come from one stream, makes no draws and is
+    /// never cut.
     pub fn encrypt(
         &self,
         suite: &Suite,
@@ -78,22 +113,55 @@ impl GradPath {
         grads: &[GradPair],
         seed: u64,
         (tree, start_row, last): (u32, u32, bool),
+        stocked: Vec<Option<Draw>>,
     ) -> Result<Msg, CryptoError> {
-        let g: Vec<f64> = grads.iter().map(|p| p.g).collect();
-        let h: Vec<f64> = grads.iter().map(|p| p.h).collect();
-        let cut = (if self.nn.is_some() { pool.width() } else { 1 }, g.len());
-        match &self.form {
-            Form::Paired { plan, .. } => encrypt_cut(pool, cut, split_seed(seed, 2), |r, s| {
-                suite.encrypt_gh_batch(&g[r.clone()], &h[r], plan, s)
-            })
-            .map(|gh| Msg::PackedGradBatch { tree, start_row, gh, last }),
-            Form::Raw | Form::Prefix => {
-                let (s0, s1) = (split_seed(seed, 0), split_seed(seed, 1));
-                let g = encrypt_cut(pool, cut, s0, |r, s| suite.encrypt_batch(&g[r], s))?;
-                let h = encrypt_cut(pool, cut, s1, |r, s| suite.encrypt_batch(&h[r], s))?;
-                Ok(Msg::GradBatch { tree, start_row, g, h, last })
-            }
+        let rows = grads.len();
+        if self.nn.is_none() {
+            let g: Vec<f64> = grads.iter().map(|p| p.g).collect();
+            let h: Vec<f64> = grads.iter().map(|p| p.h).collect();
+            let g = suite.encrypt_batch(&g, split_seed(seed, 0))?;
+            let h = suite.encrypt_batch(&h, split_seed(seed, 1))?;
+            return Ok(Msg::GradBatch { tree, start_row, g, h, last });
         }
+        let seal = |j: usize, draw: Option<Draw>| {
+            let draw = match draw {
+                Some(draw) => draw,
+                None => self.draw(suite, seed, rows, j)?,
+            };
+            match &self.form {
+                Form::Paired { plan, .. } => suite.seal_gh(grads[j].g, grads[j].h, plan, draw),
+                Form::Raw | Form::Prefix if j < rows => suite.seal(grads[j].g, draw),
+                Form::Raw | Form::Prefix => suite.seal(grads[j - rows].h, draw),
+            }
+            .map(|c| (j, c))
+        };
+        // The missing draws first, then the stocked ones, dealt in turn to
+        // the pool's shares: each worker makes its part of what is missing.
+        let count = self.draws(rows);
+        let mut slots: Vec<(usize, Option<Draw>)> =
+            stocked.into_iter().chain(iter::repeat_with(|| None)).take(count).enumerate().collect();
+        slots.sort_by_key(|(_, draw)| draw.is_some());
+        let m = pool.width().min(count).max(1);
+        let mut shares: Vec<Vec<_>> = (0..m).map(|_| Vec::with_capacity(count / m + 1)).collect();
+        for (i, slot) in slots.into_iter().enumerate() {
+            shares[i % m].push(slot);
+        }
+        let sealed = pool.map(shares, |share| {
+            share.into_iter().map(|(j, draw)| seal(j, draw)).collect::<Result<Vec<_>, _>>()
+        });
+        let mut ciphers: Vec<(usize, Ciphertext)> =
+            sealed.into_iter().collect::<Result<Vec<_>, _>>()?.into_iter().flatten().collect();
+        ciphers.sort_unstable_by_key(|&(j, _)| j);
+        let mut ciphers = ciphers.into_iter().map(|(_, c)| c);
+        Ok(match &self.form {
+            Form::Paired { .. } => {
+                Msg::PackedGradBatch { tree, start_row, gh: ciphers.collect(), last }
+            }
+            Form::Raw | Form::Prefix => {
+                let g = ciphers.by_ref().take(rows).collect();
+                Msg::GradBatch { tree, start_row, g, h: ciphers.collect(), last }
+            }
+        })
     }
 
     /// The host's first check of a gradient batch: the path's forward form,
@@ -317,23 +385,6 @@ fn ensure(holds: bool, why: &'static str) -> Result<(), &'static str> {
     holds.then_some(()).ok_or(why)
 }
 
-/// `encrypt(range, seed + range.start)` over `rows` rows cut into `m =
-/// min(ranges, rows)` contiguous ranges across `pool` (range `k` is
-/// `[k·rows/m, (k+1)·rows/m)`), concatenated: element `i` draws from `seed
-/// + i` wherever the cuts fall, so every width gives the same ciphers.
-fn encrypt_cut(
-    pool: &Pool,
-    (ranges, rows): (usize, usize),
-    seed: u64,
-    encrypt: impl Fn(Range<usize>, u64) -> Result<Vec<Ciphertext>, CryptoError> + Sync,
-) -> Result<Vec<Ciphertext>, CryptoError> {
-    let m = ranges.min(rows).max(1);
-    let cuts = (0..m).map(|k| k * rows / m..(k + 1) * rows / m).collect();
-    let parts =
-        pool.map(cuts, |r: Range<usize>| encrypt(r.clone(), seed.wrapping_add(r.start as u64)));
-    Ok(parts.into_iter().collect::<Result<Vec<_>, _>>()?.into_iter().flatten().collect())
-}
-
 /// `one(f)` for each feature across `pool`; the first error wins.
 fn per_feature<T: Send>(
     pool: &Pool,
@@ -405,7 +456,7 @@ mod tests {
             let path = path(suite, pack);
             let bytes = |width| {
                 let pool = Pool::new(width, "test");
-                let msg = path.encrypt(suite, &pool, &grads, 77, (0, 0, true)).unwrap();
+                let msg = path.encrypt(suite, &pool, &grads, 77, (0, 0, true), Vec::new()).unwrap();
                 crate::wire::encode(&msg).unwrap()
             };
             let one = bytes(1);

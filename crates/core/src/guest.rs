@@ -47,6 +47,7 @@ use crate::peer::{self, Deadline, Peer};
 use crate::pool::Pool;
 use crate::rows::{check_width, RowMajorBins};
 use crate::session::PartySession;
+use crate::stock::{Production, Stock};
 use crate::telemetry::{PartyTelemetry, TreeRecord};
 use crate::trace::{TracePhase, TraceRing};
 use crate::wire;
@@ -81,7 +82,7 @@ struct PendingHist {
 /// masked streams can collide after the per-element `wrapping_add(i)`
 /// walk); no two rows of a run share an element seed (pinned by a test
 /// below).
-fn batch_seed(seed: u64, tree: u32, start: usize) -> u64 {
+pub(crate) fn batch_seed(seed: u64, tree: u32, start: usize) -> u64 {
     seed.wrapping_mul(0x517c_c1b7_2722_0a95)
         .wrapping_add((tree as u64) << 32)
         .wrapping_add(start as u64)
@@ -132,6 +133,8 @@ struct GuestParty {
     /// What every tree's core shares; it holds the guest's binned features.
     rules: Arc<Rules>,
     pool: Pool,
+    /// The next tree's draws, made while this tree's waits last.
+    stock: Option<Stock>,
     preds: Vec<f64>,
     telemetry: PartyTelemetry,
     tree_records: Vec<TreeRecord>,
@@ -187,6 +190,7 @@ impl GuestParty {
             labels,
             rules,
             pool: Pool::new(cfg.workers, "guest"),
+            stock: None,
         })
     }
 
@@ -373,7 +377,14 @@ impl GuestParty {
     ) -> Result<Option<(usize, Answer)>, TrainError> {
         let peers: Vec<&Peer> = listen.iter().map(|&h| &self.hosts[h].peer).collect();
         let dead_after = self.cfg.dead_after();
-        let (i, env) = peer::wait(&peers, deadline, dead_after, &mut self.telemetry)?;
+        let mut production = self.stock.as_mut().map(|stock| Production {
+            stock,
+            path: &self.rules.path,
+            suite: &self.suite,
+            pool: &self.pool,
+        });
+        let work = production.as_mut().map(|p| p as &mut dyn peer::Background);
+        let (i, env) = peer::wait(&peers, deadline, dead_after, &mut self.telemetry, work)?;
         Ok(self.admit_from(listen[i], env, core)?.map(|answer| (listen[i], answer)))
     }
 
@@ -428,19 +439,20 @@ impl GuestParty {
     /// Encrypts and ships the gradient statistics — in one bulk message or
     /// in pipelined blaster batches (§4.1) — in the run's forward form. On
     /// the paired path (§3.11) each instance's (g, h) pair rides in one
-    /// ciphertext, halving the encryptions and the bytes on the wire.
+    /// ciphertext, halving the encryptions and the bytes on the wire. Each
+    /// batch seals the draws the previous tree's waits stocked for it; then
+    /// the next tree's stock opens, if there is a next tree.
     fn send_gradients(&mut self, core: &TreeCore) -> Result<(), TrainError> {
-        let (n, tree) = (core.grads().len(), core.tree());
-        let batch = self.cfg.protocol.blaster_batch.unwrap_or(n).max(1);
-        let mut start = 0usize;
-        while start < n {
-            let end = (start + batch).min(n);
+        let tree = core.tree();
+        for (k, (start, end)) in self.batches(core.grads().len()).enumerate() {
             // One batch's statistics at a time, never the whole tree's.
             let pairs = &core.grads()[start..end];
             let seed = batch_seed(self.cfg.seed, tree, start);
-            let at = (tree, start as u32, end == n);
+            let at = (tree, start as u32, end == core.grads().len());
+            let stocked = self.stock.as_mut().map(|s| s.take(tree, k)).unwrap_or_default();
+            self.telemetry.events.draws_stocked += stocked.iter().flatten().count() as u64;
             let span = self.telemetry.enter(TracePhase::Encrypt, Some(tree), None);
-            let msg = self.rules.path.encrypt(&self.suite, &self.pool, pairs, seed, at);
+            let msg = self.rules.path.encrypt(&self.suite, &self.pool, pairs, seed, at, stocked);
             let msg = msg.map_err(TrainError::crypto("gradient encryption"))?;
             self.telemetry.exit(span);
             // Hand to the gateway immediately; encryption of the next batch
@@ -448,9 +460,23 @@ impl GuestParty {
             // transfer trace event carries the bytes summed over the links.
             let bytes = self.broadcast(&msg)?;
             self.telemetry.trace.transfer(Some(tree), bytes);
-            start = end;
+        }
+        let next = tree + 1;
+        self.stock = None;
+        if (next as usize) < self.cfg.gbdt.num_trees {
+            let batches = self.batches(core.grads().len());
+            let batches =
+                batches.map(|(start, end)| (batch_seed(self.cfg.seed, next, start), end - start));
+            self.stock = Stock::open(&self.rules.path, &self.suite, next, batches);
         }
         Ok(())
+    }
+
+    /// The `[start, end)` row ranges of a tree's forward batches, in send
+    /// order.
+    fn batches(&self, n: usize) -> impl Iterator<Item = (usize, usize)> {
+        let batch = self.cfg.protocol.blaster_batch.unwrap_or(n).max(1);
+        (0..n).step_by(batch).map(move |start| (start, (start + batch).min(n)))
     }
 
     /// Decodes one host's histogram payload into that host's best split
@@ -689,6 +715,9 @@ impl GuestParty {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+
+    use vf2_channel::WanConfig;
     use vf2_crypto::split_seed;
     use vf2_datagen::synthetic::{generate_classification, SyntheticConfig};
 
@@ -714,6 +743,44 @@ mod tests {
         let suite = Suite::plain(cfg.encoding);
         let failure = run_guest(&labelled_rows(), cfg, suite, Vec::new(), None);
         assert!(matches!(failure.err().map(|f| f.error), Some(TrainError::InvalidInput(_))));
+    }
+
+    /// Making draws ahead makes no draw twice and wastes none: on a seeded
+    /// sequential 2-tree run, paired and two-stream, the guest's
+    /// encryptions and Montgomery work are the inline path's (the
+    /// constants were read off the code before the stock existed) at every
+    /// pool width, while tree 2 sealed stocked draws.
+    #[test]
+    fn stocked_draws_cost_what_the_inline_path_costs() {
+        let data = generate_classification(&SyntheticConfig {
+            rows: 300,
+            features: 6,
+            density: 1.0,
+            informative_frac: 1.0,
+            label_noise: 0.1,
+            seed: 5,
+        });
+        let s = vf2_datagen::vertical::split_vertical(&data, &[3]);
+        // A 20 ms link makes the guest wait for every answer, so it stocks
+        // draws however loaded the machine is.
+        let wan = WanConfig { latency: Duration::from_millis(20), ..WanConfig::instant() };
+        for (pack_histograms, enc, modmul, redc) in
+            [(true, 600, 283_920, 1_135_680), (false, 1_200, 730_080, 2_920_320)]
+        {
+            let mut stocked = 0;
+            for workers in [1, 2, 3] {
+                let base = TrainConfig::for_tests();
+                let protocol =
+                    ProtocolConfig { pack_histograms, optimistic: false, ..base.protocol };
+                let cfg = TrainConfig { protocol, workers, wan, ..base };
+                let out = crate::train::train_federated(&s.hosts, &s.guest, &cfg).unwrap();
+                let ops = out.report.guest.ops;
+                let at = format!("pack {pack_histograms} workers {workers}");
+                assert_eq!((ops.enc, ops.modmul, ops.redc), (enc, modmul, redc), "{at}");
+                stocked += out.report.guest.events.draws_stocked;
+            }
+            assert!(stocked > 0, "pack {pack_histograms}: nothing was stocked");
+        }
     }
 
     /// No two rows of a run share an obfuscator stream. Were a per-row seed

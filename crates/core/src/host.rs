@@ -207,7 +207,7 @@ impl HostParty {
         loop {
             let next = if block {
                 let dead_after = self.cfg.dead_after();
-                Some(peer::wait(&[&self.guest], &deadline, dead_after, &mut self.telemetry)?)
+                Some(peer::wait(&[&self.guest], &deadline, dead_after, &mut self.telemetry, None)?)
             } else {
                 peer::poll(&[&self.guest])
             };

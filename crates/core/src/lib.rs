@@ -60,6 +60,7 @@ pub mod protocol;
 pub mod rows;
 mod serve;
 pub mod session;
+mod stock;
 pub mod telemetry;
 pub mod trace;
 pub mod train;

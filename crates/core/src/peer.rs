@@ -20,6 +20,7 @@ use vf2_channel::{recv_ready, Endpoint, Envelope, RecvReady};
 use crate::error::{PartyId, ProtocolError, ProtocolPhase, TrainError};
 use crate::messages::Msg;
 use crate::telemetry::{LinkFaultEvents, PartyTelemetry};
+use crate::trace::TracePhase;
 use crate::wire;
 
 /// Encodes one of `local`'s own messages. A failure (a count too large for
@@ -136,6 +137,17 @@ impl Peer {
     }
 }
 
+/// Work a party does inside [`wait`] while no frame is queued: one short
+/// slice at a time, each billed to its phase's span rather than to idle.
+pub(crate) trait Background {
+    /// Whether a slice is left to run.
+    fn pending(&self) -> bool;
+    /// The phase and tree a slice is billed to.
+    fn span(&self) -> (TracePhase, u32);
+    /// Runs one slice.
+    fn slice(&mut self) -> Result<(), TrainError>;
+}
+
 /// The single blocking wait of both roles: receives from, and judges, the
 /// links it is given (`peers` — the ones the caller listens on). Parks on
 /// their delivery queues through the channel layer's wakeup-based
@@ -152,17 +164,24 @@ impl Peer {
 ///   has been silent the longest (the actually-dead one, not an arbitrary
 ///   index).
 ///
+/// While `work` has a slice pending the wait does not park: it looks for a
+/// queued frame, makes both deadline checks, and runs one slice, in that
+/// order, so a frame or a dead peer is seen at most one slice late.
+///
 /// A torn-down link is `PeerLost` at once. The two timeouts count
-/// `recv_timeouts`; `phases.idle` is billed exactly the time spent in here.
+/// `recv_timeouts`; `phases.idle` is billed exactly the time spent in here
+/// outside the slices, which are billed to their own spans.
 pub(crate) fn wait(
     peers: &[&Peer],
     deadline: &Deadline,
     dead_after: Duration,
     telemetry: &mut PartyTelemetry,
+    mut work: Option<&mut dyn Background>,
 ) -> Result<(usize, Envelope), TrainError> {
     let entered = Instant::now();
+    let mut working = Duration::ZERO;
     let queues: Vec<&Endpoint> = peers.iter().map(|p| &p.endpoint).collect();
-    let mut blocked = || -> Result<(usize, Envelope), TrainError> {
+    let mut blocked = |telemetry: &mut PartyTelemetry| -> Result<(usize, Envelope), TrainError> {
         loop {
             let left = deadline.limit.saturating_sub(deadline.started.elapsed());
             if left.is_zero() {
@@ -172,8 +191,15 @@ pub(crate) fn wait(
                 telemetry.link.recv_timeouts += 1;
                 return Err(blame.unwrap_or(&peers[0]).lost(deadline));
             }
-            let silence_in = peers.iter().map(|p| dead_after.saturating_sub(p.endpoint.idle_for()));
-            match recv_ready(&queues, silence_in.fold(left, Duration::min)) {
+            let slice = work.as_deref_mut().filter(|work| work.pending());
+            let park = match slice {
+                Some(_) => Duration::ZERO,
+                None => peers
+                    .iter()
+                    .map(|p| dead_after.saturating_sub(p.endpoint.idle_for()))
+                    .fold(left, Duration::min),
+            };
+            match recv_ready(&queues, park) {
                 RecvReady::Msg(i, env) => return Ok((i, env)),
                 RecvReady::Disconnected(i) => return Err(peers[i].lost(deadline)),
                 RecvReady::Timeout => {
@@ -185,12 +211,19 @@ pub(crate) fn wait(
                         telemetry.link.recv_timeouts += 1;
                         return Err(dead.lost(deadline));
                     }
+                    if let Some(work) = slice {
+                        let (phase, tree) = work.span();
+                        let span = telemetry.enter(phase, Some(tree), None);
+                        let done = work.slice();
+                        working += telemetry.exit(span);
+                        done?;
+                    }
                 }
             }
         }
     };
-    let outcome = blocked();
-    telemetry.phases.idle += entered.elapsed();
+    let outcome = blocked(telemetry);
+    telemetry.phases.idle += entered.elapsed().saturating_sub(working);
     outcome
 }
 
@@ -297,7 +330,7 @@ mod tests {
     ) -> Result<(usize, Envelope), TrainError> {
         let peers: Vec<&Peer> = peers.iter().collect();
         let deadline = Deadline::new(ProtocolPhase::TreeBuild, limit * MS);
-        wait(&peers, &deadline, dead_after * MS, telemetry)
+        wait(&peers, &deadline, dead_after * MS, telemetry, None)
     }
 
     #[test]
@@ -411,6 +444,83 @@ mod tests {
         assert!(took < 600 * MS, "lingered {took:?}");
     }
 
+    /// Background work of `left` slices that sleep `each` apiece, counting
+    /// the slices it ran; the first sends a frame on `far`, if given.
+    struct Sleeper<'a> {
+        left: usize,
+        each: Duration,
+        ran: usize,
+        far: Option<&'a Endpoint>,
+    }
+
+    impl Sleeper<'_> {
+        fn new(left: usize, each: Duration) -> Self {
+            Sleeper { left, each, ran: 0, far: None }
+        }
+    }
+
+    impl Background for Sleeper<'_> {
+        fn pending(&self) -> bool {
+            self.left > 0
+        }
+
+        fn span(&self) -> (TracePhase, u32) {
+            (TracePhase::Encrypt, 1)
+        }
+
+        fn slice(&mut self) -> Result<(), TrainError> {
+            if let Some(far) = self.far.take() {
+                far.send(DATA, Bytes::from_static(b"late"));
+            }
+            thread::sleep(self.each);
+            (self.left, self.ran) = (self.left - 1, self.ran + 1);
+            Ok(())
+        }
+    }
+
+    /// Work with many slices left hides neither a dead peer nor a frame: a
+    /// silent host is declared dead at the silence deadline, not before
+    /// and at most one slice after; a frame queued before the wait is
+    /// returned before any slice runs, and one sent during the first slice
+    /// once that slice ends, with the work far from done. The slices are
+    /// billed to their span, the rest of the wait to idle.
+    #[test]
+    fn background_work_hides_neither_a_dead_peer_nor_a_frame() {
+        let (slice, dead_after) = (20 * MS, 150 * MS);
+        let t0 = Instant::now();
+        let (peer, _far) = link(0, NEVER);
+        let silent_from = Instant::now();
+        let (mut t, mut work) = (telemetry(), Sleeper::new(1_000, slice));
+        let deadline = Deadline::new(ProtocolPhase::TreeBuild, 10_000 * MS);
+        let lost = wait(&[&peer], &deadline, dead_after, &mut t, Some(&mut work)).unwrap_err();
+        assert!(matches!(lost, TrainError::PeerLost { party: PartyId::Host(0), .. }), "{lost}");
+        assert!(t0.elapsed() >= dead_after, "declared dead after only {:?}", t0.elapsed());
+        // Slices start only before the deadline, each lasts at least
+        // `slice`: at most one ends past it.
+        assert!(work.ran >= 1 && work.ran <= 8, "{} slices ran", work.ran);
+        assert!(silent_from.elapsed() < dead_after + slice + 400 * MS, "late by a lot");
+        assert!(notes(&t).iter().any(|n| n.contains("host-0 declared dead")), "{:?}", notes(&t));
+        assert_eq!(t.link.recv_timeouts, 1);
+        assert!(
+            t.phases.encrypt >= slice * work.ran as u32,
+            "slices billed {:?}",
+            t.phases.encrypt
+        );
+        assert!(t.phases.idle + t.phases.encrypt <= t0.elapsed());
+
+        let (peer, far) = link(0, NEVER);
+        far.send(DATA, Bytes::from_static(b"q"));
+        far.flush(5_000 * MS);
+        let mut work = Sleeper::new(1_000, slice);
+        let (from, env) = wait(&[&peer], &deadline, 5_000 * MS, &mut t, Some(&mut work)).unwrap();
+        assert_eq!((from, &env.payload[..], work.ran), (0, &b"q"[..], 0));
+
+        let mut work = Sleeper { far: Some(&far), ..Sleeper::new(1_000, slice) };
+        let (_, env) = wait(&[&peer], &deadline, 5_000 * MS, &mut t, Some(&mut work)).unwrap();
+        assert_eq!(&env.payload[..], b"late");
+        assert!(work.ran >= 1 && work.ran < 100, "{} slices ran", work.ran);
+    }
+
     #[test]
     fn poll_returns_none_on_an_empty_queue_and_on_a_dead_link() {
         let (peer, far) = link(0, NEVER);
@@ -445,7 +555,7 @@ mod tests {
                 let deadline = Deadline::new(ProtocolPhase::Gradients, 120 * MS);
                 let (t0, mut dropped) = (Instant::now(), 0);
                 let lost = loop {
-                    match wait(&[&peer], &deadline, 10_000 * MS, &mut t) {
+                    match wait(&[&peer], &deadline, 10_000 * MS, &mut t, None) {
                         Ok(_) => dropped += 1,
                         Err(lost) => break lost,
                     }

@@ -307,17 +307,29 @@ impl NodeRows {
         self.spans[id].unwrap_or_else(|| panic!("node {id} has no rows"))
     }
 
-    /// The rows of a node, ascending: its span while unsplit, a sorted copy
-    /// once a split has partitioned it.
+    /// The rows of a node, ascending: its span while unsplit, once a split
+    /// has partitioned it a copy merged from its children's ascending runs
+    /// (a split child's merged the same way first).
     pub fn rows(&self, id: NodeId) -> Cow<'_, [u32]> {
         let span = self.span(id);
-        let run = &self.order[span.start as usize..span.end as usize];
         if !span.split {
-            return Cow::Borrowed(run);
+            return Cow::Borrowed(&self.order[span.start as usize..span.end as usize]);
         }
-        let mut sorted = run.to_vec();
-        sorted.sort();
-        Cow::Owned(sorted)
+        let (left, right) = (self.rows(left_child(id)), self.rows(right_child(id)));
+        let mut merged = Vec::with_capacity(left.len() + right.len());
+        let (mut i, mut j) = (0, 0);
+        while i < left.len() && j < right.len() {
+            if left[i] < right[j] {
+                merged.push(left[i]);
+                i += 1;
+            } else {
+                merged.push(right[j]);
+                j += 1;
+            }
+        }
+        merged.extend_from_slice(&left[i..]);
+        merged.extend_from_slice(&right[j..]);
+        Cow::Owned(merged)
     }
 
     /// The number of rows of a node.
@@ -359,11 +371,15 @@ impl NodeRows {
         self.spans[right_child(id)] = Some(Span { start: mid, split: false, ..span });
     }
 
-    /// Drops the spans of every strict descendant of `id` and sorts its
+    /// Drops the spans of every strict descendant of `id` and merges its
     /// span back to ascending: `id` is unsplit again (a dirty node's
     /// rollback, and the start of every re-split). A stale descendant then
     /// has no rows, so no message for it can reorder a live node's span.
     pub fn clear_descendants(&mut self, id: NodeId) {
+        if let Some(span) = self.spans[id].filter(|span| span.split) {
+            merge_up(&self.spans, id, &mut self.order, &mut self.scratch);
+            self.spans[id] = Some(Span { split: false, ..span });
+        }
         let mut stack = vec![left_child(id), right_child(id)];
         while let Some(x) = stack.pop() {
             if x < self.spans.len() && self.spans[x].is_some() {
@@ -372,9 +388,31 @@ impl NodeRows {
                 stack.push(right_child(x));
             }
         }
-        if let Some(span) = self.spans[id].filter(|span| span.split) {
-            self.order[span.start as usize..span.end as usize].sort();
-            self.spans[id] = Some(Span { split: false, ..span });
+    }
+}
+
+/// Makes split node `id`'s span of `order` ascending, bottom-up: each
+/// split child's span first, then the two children's ascending runs merged
+/// through `scratch`, which takes the left run.
+fn merge_up(spans: &[Option<Span>], id: NodeId, order: &mut [u32], scratch: &mut Vec<u32>) {
+    let Some(span) = spans[id].filter(|span| span.split) else { return };
+    for child in [left_child(id), right_child(id)] {
+        merge_up(spans, child, order, scratch);
+    }
+    let (start, end) = (span.start as usize, span.end as usize);
+    let mid = spans[left_child(id)].map_or(end, |left| left.end as usize);
+    scratch.clear();
+    scratch.extend_from_slice(&order[start..mid]);
+    // The write at `k` never passes the right run's next read, at
+    // `j = k + (mid − start − i) ≥ k`.
+    let (mut i, mut j) = (0, mid);
+    for k in start..end {
+        if i < scratch.len() && (j == end || scratch[i] <= order[j]) {
+            order[k] = scratch[i];
+            i += 1;
+        } else {
+            order[k] = order[j];
+            j += 1;
         }
     }
 }
@@ -562,6 +600,32 @@ mod tests {
         nr.apply_placement(0, &[false, true, false, true]);
         assert_eq!(&*nr.rows(1), &[1, 3]);
         assert_eq!(&*nr.rows(2), &[0, 2]);
+    }
+
+    /// A re-split three levels up merges every split level back: node 0's
+    /// children and grandchildren are split, node 0 is re-split, and every
+    /// live node reads its rows ascending — before it, through the merged
+    /// copies `rows` makes of split nodes, and after it.
+    #[test]
+    fn a_three_level_resplit_merges_every_level_back() {
+        let mut nr = NodeRows::new_tree(12, 4);
+        let odd: Vec<bool> = (0..12).map(|r| r % 2 == 1).collect();
+        nr.apply_placement(0, &odd);
+        nr.apply_placement(1, &[true, false, false, true, true, false]);
+        nr.apply_placement(2, &[false, false, true, true, false, true]);
+        nr.apply_placement(3, &[false, true, true]);
+        nr.apply_placement(6, &[true, false, true]);
+        assert_eq!(&*nr.rows(3), &[1, 7, 9]);
+        assert_eq!(&*nr.rows(7), &[7, 9]);
+        assert_eq!(&*nr.rows(1), &[1, 3, 5, 7, 9, 11]);
+        assert_eq!(&*nr.rows(2), &[0, 2, 4, 6, 8, 10]);
+        assert_eq!(&*nr.rows(0), &(0..12).collect::<Vec<u32>>()[..]);
+        nr.apply_placement(0, &(0..12).map(|r| r < 5).collect::<Vec<bool>>());
+        assert_eq!(&*nr.rows(1), &[0, 1, 2, 3, 4]);
+        assert_eq!(&*nr.rows(2), &[5, 6, 7, 8, 9, 10, 11]);
+        assert!((3..15).all(|x| !nr.has(x)), "the old subtree survived");
+        nr.clear_descendants(0);
+        assert_eq!(&*nr.rows(0), &(0..12).collect::<Vec<u32>>()[..]);
     }
 
     #[test]

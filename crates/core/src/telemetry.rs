@@ -121,6 +121,9 @@ pub struct ProtocolEvents {
     pub sched_batches: u64,
     /// Histogram answers committed through those batches.
     pub sched_batch_hists: u64,
+    /// Encryptions sealed with a draw the guest made ahead, while it
+    /// waited during the previous tree (guest only).
+    pub draws_stocked: u64,
 }
 
 /// Reliable-delivery and fault-injection counters for one party's links.
@@ -218,10 +221,13 @@ impl PartyTelemetry {
     /// Closes `span`: reads the clock once more, adds the difference to
     /// the phase's total and stamps the ring's `Exit` with the same
     /// instant. The total grows whether or not the ring records spans.
-    pub fn exit(&mut self, span: Span) {
+    /// Returns the time billed.
+    pub fn exit(&mut self, span: Span) -> Duration {
         let end = Instant::now();
-        *self.phases.slot(span.phase) += end - span.start;
+        let billed = end - span.start;
+        *self.phases.slot(span.phase) += billed;
         self.trace.exit(&span, end);
+        billed
     }
 }
 
@@ -351,7 +357,8 @@ pub fn party_to_json(p: &PartyTelemetry, indent: usize) -> String {
         .u64("resumes", p.events.resumes)
         .u64("flight_record_failed", p.events.flight_record_failed)
         .u64("sched_batches", p.events.sched_batches)
-        .u64("sched_batch_hists", p.events.sched_batch_hists);
+        .u64("sched_batch_hists", p.events.sched_batch_hists)
+        .u64("draws_stocked", p.events.draws_stocked);
     let mut ops = JsonObj::new();
     ops.u64("enc", p.ops.enc)
         .u64("dec", p.ops.dec)

@@ -61,5 +61,5 @@ pub use packing::{pack_ciphers, unpack_plaintext, GhPlan, PackingPlan};
 pub use paillier::{KeyPair, PrivateKey, PublicKey};
 pub use seed::split_seed;
 pub use suite::{
-    Ciphertext, EncryptedNumber, PackedCiphertext, ResidentCiphertext, Suite, SuiteKind,
+    Ciphertext, Draw, EncryptedNumber, PackedCiphertext, ResidentCiphertext, Suite, SuiteKind,
 };

@@ -347,23 +347,11 @@ impl PrivateKey {
         crt_combine(&mp, &mq, &sk.p, &sk.p_inv_q, &sk.q) % sk.public.n()
     }
 
-    /// Fast encryption using the CRT: the obfuscator is two half-size
-    /// exponentiations with half-length exponents (see
-    /// [`PrivateKey::random_rn_crt`]), Montgomery work tallied into `ctr`. Only
-    /// the private-key holder can do this — in the protocol that is always
-    /// Party B.
-    pub fn encrypt_raw<R: Rng + ?Sized>(
-        &self,
-        v: &BigUint,
-        rng: &mut R,
-        ctr: &OpCounters,
-    ) -> RawCipher {
-        let rn = self.random_rn_crt(rng, ctr);
-        self.0.public.encrypt_raw_with_rn(v, &rn)
-    }
-
     /// Draws `r` and returns an obfuscator `r′ⁿ mod n²` via the CRT, with
-    /// Montgomery work tallied into `ctr`.
+    /// Montgomery work tallied into `ctr`: two half-size exponentiations
+    /// with half-length exponents. Only the private-key holder can do this —
+    /// in the protocol that is always Party B, which seals a value with it
+    /// through [`PublicKey::encrypt_raw_with_rn`].
     ///
     /// The result is `CRT(ω_p, ω_q)` with `ω_p = (r mod p)^p mod p²`, the
     /// Teichmüller lift of `r mod p` (the `(p−1)`-th root of unity mod `p²`
@@ -521,7 +509,8 @@ mod tests {
         let kp = keypair();
         let mut rng = StdRng::seed_from_u64(8);
         let v = BigUint::from(987_654_321u64);
-        let c = kp.private.encrypt_raw(&v, &mut rng, &OpCounters::default());
+        let rn = kp.private.random_rn_crt(&mut rng, &OpCounters::default());
+        let c = kp.public.encrypt_raw_with_rn(&v, &rn);
         assert_eq!(kp.private.decrypt_raw(&c, &OpCounters::default()), v);
     }
 
@@ -609,11 +598,12 @@ mod tests {
         let ctr = OpCounters::default();
         for seed in 0..4u64 {
             let v = BigUint::from(987_654_321u64 + seed);
-            let c = kp.private.encrypt_raw(&v, &mut StdRng::seed_from_u64(seed), &ctr);
+            let rn = kp.private.random_rn_crt(&mut StdRng::seed_from_u64(seed), &ctr);
+            let c = kp.public.encrypt_raw_with_rn(&v, &rn);
             // The same draw of r, through the formula.
             let r = StdRng::seed_from_u64(seed).gen_biguint_range(&BigUint::one(), n);
             let want = ((BigUint::one() + &v * n) * obfuscator_reference(&r, &sk.p, &sk.q)) % nn;
-            assert_eq!(c, want, "encrypt_raw, seed {seed}");
+            assert_eq!(c, want, "encryption, seed {seed}");
             assert_eq!(kp.private.decrypt_raw(&c, &ctr), v);
             assert_eq!(decrypt_reference(&c, &sk.p, &sk.q), v);
             // Any unit mod n² decrypts as the textbook formula does.

@@ -146,6 +146,32 @@ impl PackedCiphertext {
     }
 }
 
+/// The gradient-free half of one Paillier encryption ([`Suite::draw`]):
+/// the exponent the cipher will carry and its obfuscator `rⁿ mod n²`, held
+/// as exactly `n²`'s limbs. [`Suite::seal`] spends it.
+#[derive(Debug)]
+pub struct Draw {
+    exponent: i32,
+    rn: Box<[u64]>,
+}
+
+/// The 64-bit limbs a value below `pk`'s `n²` takes.
+fn limbs_of(pk: &PublicKey) -> usize {
+    pk.nn().bits().div_ceil(64) as usize
+}
+
+/// `v` as exactly `width` little-endian limbs (`v` fits them).
+fn to_limbs(v: &BigUint, width: usize) -> Box<[u64]> {
+    let mut bytes = v.to_bytes_le();
+    bytes.resize(8 * width, 0);
+    bytes.chunks(8).map(|limb| u64::from_le_bytes(limb.try_into().unwrap_or_default())).collect()
+}
+
+/// The value little-endian `limbs` hold.
+fn from_limbs(limbs: &[u64]) -> BigUint {
+    BigUint::from_bytes_le(&limbs.iter().flat_map(|l| l.to_le_bytes()).collect::<Vec<u8>>())
+}
+
 struct SuiteInner {
     /// Present in a Paillier suite, absent in the plaintext mock.
     pk: Option<PublicKey>,
@@ -277,20 +303,72 @@ impl Suite {
             self.0.counters.add_enc(1);
             return Ok(Ciphertext::Plain(PlainNumber { value: v, exponent }));
         };
-        let sk = self.sk()?;
+        self.sk()?;
         let plain = encode(v, exponent, &self.0.cfg, pk)?;
+        let draw = self.draw_from(exponent, rng)?;
+        Ok(self.seal_plain(pk, &plain, draw))
+    }
+
+    /// The gradient-free half of encrypting at element seed `seed`: what
+    /// its rng yields before the value is needed — the jittered exponent
+    /// when `exponent` is `None` (drawn first, as [`Suite::encrypt`]
+    /// draws it), then the obfuscator. [`Suite::seal`] or
+    /// [`Suite::seal_gh`] finishes the cipher, so a draw made ahead and
+    /// one made at use give the same bytes. Paillier suites with the
+    /// private key only.
+    pub fn draw(&self, seed: u64, exponent: Option<i32>) -> Result<Draw> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let exponent = exponent.unwrap_or_else(|| self.0.cfg.draw_exponent(&mut rng));
+        self.draw_from(exponent, &mut rng)
+    }
+
+    /// The one obfuscator draw: `rng`'s next `r`, lifted to `rⁿ mod n²`
+    /// through the private key's CRT and kept as `n²`'s limbs.
+    fn draw_from<R: Rng + ?Sized>(&self, exponent: i32, rng: &mut R) -> Result<Draw> {
+        let pk = self.pk()?;
+        let rn = self.sk()?.random_rn_crt(rng, &self.0.counters);
+        Ok(Draw { exponent, rn: to_limbs(&rn, limbs_of(pk)) })
+    }
+
+    /// Seals `v` with `draw`: encode at the draw's exponent, then one
+    /// multiply mod `n²`. The draw is spent.
+    pub fn seal(&self, v: f64, draw: Draw) -> Result<Ciphertext> {
+        let pk = self.pk()?;
+        let plain = encode(v, draw.exponent, &self.0.cfg, pk)?;
+        Ok(self.seal_plain(pk, &plain, draw))
+    }
+
+    /// Seals the pair `(g, h)` with `draw`, one packed plaintext as
+    /// [`Suite::encrypt_gh_batch`] makes it. A draw at another exponent
+    /// than the plan's is [`CryptoError::ShapeMismatch`].
+    pub fn seal_gh(&self, g: f64, h: f64, plan: &GhPlan, draw: Draw) -> Result<Ciphertext> {
+        let pk = self.pk()?;
+        if draw.exponent != plan.exponent() {
+            return Err(CryptoError::ShapeMismatch {
+                context: "seal_gh draw exponent vs the pair plan",
+                left: draw.exponent as usize,
+                right: plan.exponent() as usize,
+            });
+        }
+        let rep = plan.encode_pair(g, h)?;
+        Ok(self.seal_plain(pk, &rep, draw))
+    }
+
+    /// `plain`'s cipher under `draw`'s obfuscator, counted as one
+    /// encryption.
+    fn seal_plain(&self, pk: &PublicKey, plain: &BigUint, draw: Draw) -> Ciphertext {
         self.0.counters.add_enc(1);
-        let cipher = sk.encrypt_raw(&plain, rng, &self.0.counters);
-        Ok(Ciphertext::Paillier(EncryptedNumber { cipher, exponent }))
+        let cipher = pk.encrypt_raw_with_rn(plain, &from_limbs(&draw.rn));
+        Ciphertext::Paillier(EncryptedNumber { cipher, exponent: draw.exponent })
     }
 
     /// Encrypts a batch, deterministically derived from `seed`: element `i`
-    /// draws from its own `seed + i` stream, so a sub-slice from `start`
-    /// encrypted at `seed + start` is that slice of the whole batch, and a
-    /// caller may cut a batch into ranges and fan them out. This is the
-    /// encryption kernel of the blaster scheme. (The mock draws its
-    /// exponents from one `seed` stream, in order, so its batch is never
-    /// cut.)
+    /// is sealed with the draw at `seed + i` ([`Suite::draw`]), so a
+    /// sub-slice from `start` encrypted at `seed + start` is that slice of
+    /// the whole batch, and a caller may make any element's draw ahead or
+    /// on another thread. This is the encryption kernel of the blaster
+    /// scheme. (The mock draws its exponents from one `seed` stream, in
+    /// order, and makes no draws.)
     pub fn encrypt_batch(&self, values: &[f64], seed: u64) -> Result<Vec<Ciphertext>> {
         if self.0.pk.is_none() {
             // One counter update for the batch, not one per element: the
@@ -309,16 +387,16 @@ impl Suite {
         values
             .iter()
             .enumerate()
-            .map(|(i, &v)| self.encrypt(v, &mut StdRng::seed_from_u64(seed.wrapping_add(i as u64))))
+            .map(|(i, &v)| self.seal(v, self.draw(seed.wrapping_add(i as u64), None)?))
             .collect()
     }
 
     /// Encrypts `(g, h)` pairs one packed plaintext each, deterministically
     /// derived from `seed`. The forward-path counterpart of
-    /// [`Suite::encrypt_batch`] (same per-element `seed + i` streams): one
-    /// Paillier encryption per *pair* instead of one per value.
-    /// Paillier suites only — the mock keeps separate g/h streams, so
-    /// forward-path packing has nothing to gain there.
+    /// [`Suite::encrypt_batch`] (same per-element `seed + i` draws, at the
+    /// plan's exponent): one Paillier encryption per *pair* instead of one
+    /// per value. Paillier suites only — the mock keeps separate g/h
+    /// streams, so forward-path packing has nothing to gain there.
     pub fn encrypt_gh_batch(
         &self,
         g: &[f64],
@@ -336,16 +414,13 @@ impl Suite {
         if self.0.pk.is_none() {
             return Err(CryptoError::SuiteMismatch);
         }
-        let sk = self.sk()?;
+        self.sk()?;
+        let exponent = Some(plan.exponent());
         g.iter()
             .zip(h)
             .enumerate()
             .map(|(i, (&gv, &hv))| {
-                let rep = plan.encode_pair(gv, hv)?;
-                let mut rng = StdRng::seed_from_u64(seed.wrapping_add(i as u64));
-                let cipher = sk.encrypt_raw(&rep, &mut rng, &self.0.counters);
-                self.0.counters.add_enc(1);
-                Ok(Ciphertext::Paillier(EncryptedNumber { cipher, exponent: plan.exponent() }))
+                self.seal_gh(gv, hv, plan, self.draw(seed.wrapping_add(i as u64), exponent)?)
             })
             .collect()
     }

@@ -195,7 +195,8 @@ fn paillier_pipeline_round_trips_on_the_fixed_core() {
     let ctr = OpCounters::default();
     for seed in 0..4u64 {
         let v = BigUint::from(seed * 1_000_003 + 17);
-        let c = kp.private.encrypt_raw(&v, &mut StdRng::seed_from_u64(seed), &ctr);
+        let rn = kp.private.random_rn_crt(&mut StdRng::seed_from_u64(seed), &ctr);
+        let c = kp.public.encrypt_raw_with_rn(&v, &rn);
         assert_eq!(kp.private.decrypt_raw(&c, &ctr), v);
         let k = BigUint::from(seed + 3);
         let scaled = kp.public.mul_raw(&c, &k, &ctr);

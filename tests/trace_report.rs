@@ -243,3 +243,31 @@ fn run_report_json_is_wellformed_and_phase_sums_bound_wall_time() {
         );
     }
 }
+
+/// The guest's stock is made inside its waits: on a 2-tree Paillier run
+/// (paired and two-stream) the slices are billed to `Encrypt` spans, so
+/// every phase total still equals its spans, busy is still the phase sum,
+/// and busy plus idle still fits the wall clock. A 20 ms link makes the
+/// guest wait for every answer, so it stocks draws however loaded the
+/// machine is.
+#[test]
+fn stocked_draws_are_billed_to_encrypt_spans_not_to_idle() {
+    let s = scenario(95);
+    let wan = WanConfig { latency: Duration::from_millis(20), ..WanConfig::instant() };
+    for pack_histograms in [true, false] {
+        let base = TrainConfig::for_tests();
+        let protocol = vf2boost::core::ProtocolConfig { pack_histograms, ..base.protocol };
+        let cfg = TrainConfig { protocol, workers: 2, wan, trace_events_cap: 1 << 16, ..base };
+        let out = train_federated(&s.hosts, &s.guest, &cfg).expect("training succeeds");
+        let report = &out.report;
+        assert!(report.guest.events.draws_stocked > 0, "pack {pack_histograms}: nothing stocked");
+        for party in std::iter::once(&report.guest).chain(&report.hosts) {
+            for (phase, sum) in PHASES.into_iter().zip(span_sums(party)) {
+                let total = phase_total(&party.phases, phase);
+                assert_eq!(sum, total, "{} pack {pack_histograms}: {phase:?}", party.name);
+            }
+        }
+        let guest = &report.guest.phases;
+        assert!(guest.busy() + guest.idle <= report.wall_time, "pack {pack_histograms}");
+    }
+}
